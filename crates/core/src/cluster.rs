@@ -13,6 +13,7 @@
 //! tail, merged into one result.
 
 use hnsw::{HnswIndex, HnswParams, SearchStats};
+use vecsim::io::le_words;
 use vecsim::quantize::SqParams;
 use vecsim::{Dataset, Neighbor, TopK};
 
@@ -22,6 +23,36 @@ use crate::{Error, Result};
 pub const CLUSTER_MAGIC: u32 = 0x3143_4844; // "DHC1"
 /// Magic tag of a serialized SQ8 cluster blob.
 pub const SQ_CLUSTER_MAGIC: u32 = 0x3243_4844; // "DHC2"
+
+/// Cuts a blob into the sections its header declares, front to back.
+/// Every length is checked against what is left before anything is
+/// sliced or allocated, so a corrupt count cannot overflow an offset or
+/// size a buffer.
+struct Sections<'a> {
+    rest: &'a [u8],
+    what: &'static str,
+}
+
+impl<'a> Sections<'a> {
+    fn take(&mut self, len: Option<usize>) -> Result<&'a [u8]> {
+        let len = len
+            .filter(|&l| l <= self.rest.len())
+            .ok_or_else(|| Error::Corrupt(format!("truncated {}", self.what)))?;
+        let (head, rest) = self.rest.split_at(len);
+        self.rest = rest;
+        Ok(head)
+    }
+
+    fn u32(&mut self) -> Result<u32> {
+        let b = self.take(Some(4))?;
+        Ok(u32::from_le_bytes(b.try_into().expect("took 4 bytes")))
+    }
+
+    fn u64(&mut self) -> Result<u64> {
+        let b = self.take(Some(8))?;
+        Ok(u64::from_le_bytes(b.try_into().expect("took 8 bytes")))
+    }
+}
 
 /// A sub-HNSW over one partition.
 ///
@@ -160,25 +191,19 @@ impl SubCluster {
     /// Returns [`Error::Corrupt`] on bad magic, truncation, or an invalid
     /// embedded HNSW blob.
     pub fn from_bytes(blob: &[u8]) -> Result<Self> {
-        let take = |off: usize, n: usize| -> Result<&[u8]> {
-            blob.get(off..off + n)
-                .ok_or_else(|| Error::Corrupt("truncated cluster blob".into()))
+        let mut sec = Sections {
+            rest: blob,
+            what: "cluster blob",
         };
-        let magic = u32::from_le_bytes(take(0, 4)?.try_into().expect("4 bytes"));
+        let magic = sec.u32()?;
         if magic != CLUSTER_MAGIC {
             return Err(Error::Corrupt(format!("bad cluster magic {magic:#x}")));
         }
-        let partition = u32::from_le_bytes(take(4, 4)?.try_into().expect("4 bytes"));
-        let n = u32::from_le_bytes(take(8, 4)?.try_into().expect("4 bytes")) as usize;
-        let hnsw_len = u64::from_le_bytes(take(12, 8)?.try_into().expect("8 bytes")) as usize;
-        let ids_off = 20;
-        let mut global_ids = Vec::with_capacity(n);
-        for i in 0..n {
-            let b = take(ids_off + 4 * i, 4)?;
-            global_ids.push(u32::from_le_bytes(b.try_into().expect("4 bytes")));
-        }
-        let hnsw_off = ids_off + 4 * n;
-        let hnsw_blob = take(hnsw_off, hnsw_len)?;
+        let partition = sec.u32()?;
+        let n = sec.u32()? as usize;
+        let hnsw_len = usize::try_from(sec.u64()?).ok();
+        let global_ids = le_words(sec.take(n.checked_mul(4))?, u32::from_le_bytes).collect();
+        let hnsw_blob = sec.take(hnsw_len)?;
         let hnsw = hnsw::serialize::from_bytes(hnsw_blob)
             .map_err(|e| Error::Corrupt(format!("embedded hnsw: {e}")))?;
         if hnsw.len() != n {
@@ -221,7 +246,6 @@ pub struct SqCluster {
     params: SqParams,
     global_ids: Vec<u32>,
     codes: Vec<u8>,
-    index: std::collections::HashMap<u32, u32>,
 }
 
 impl SqCluster {
@@ -252,17 +276,11 @@ impl SqCluster {
         for row in vectors.iter() {
             codes.extend_from_slice(&params.encode(row));
         }
-        let index = global_ids
-            .iter()
-            .enumerate()
-            .map(|(i, &gid)| (gid, i as u32))
-            .collect();
         Ok(SqCluster {
             partition,
             params,
             global_ids,
             codes,
-            index,
         })
     }
 
@@ -296,23 +314,11 @@ impl SqCluster {
         &self.global_ids
     }
 
-    /// The local row index of global id `gid`, if it is a base vector
-    /// of this cluster — what the rerank read path uses to address the
-    /// full-precision vector inside the uncompressed cluster blob.
-    pub fn local_of(&self, gid: u32) -> Option<u32> {
-        self.index.get(&gid).copied()
-    }
-
     /// The codes of local row `local`.
     pub fn codes_of(&self, local: u32) -> &[u8] {
         let dim = self.dim();
         let start = local as usize * dim;
         &self.codes[start..start + dim]
-    }
-
-    /// Asymmetric squared-L2 distance between `query` and row `local`.
-    pub fn distance_to(&self, query: &[f32], local: u32) -> f32 {
-        self.params.asymmetric_l2(query, self.codes_of(local))
     }
 
     /// Serializes into the wire format.
@@ -352,50 +358,30 @@ impl SqCluster {
     ///
     /// Returns [`Error::Corrupt`] on bad magic or truncation.
     pub fn from_bytes(blob: &[u8]) -> Result<Self> {
-        let take = |off: usize, n: usize| -> Result<&[u8]> {
-            blob.get(off..off + n)
-                .ok_or_else(|| Error::Corrupt("truncated sq cluster blob".into()))
+        let mut sec = Sections {
+            rest: blob,
+            what: "sq cluster blob",
         };
-        let u32_at = |off: usize| -> Result<u32> {
-            Ok(u32::from_le_bytes(take(off, 4)?.try_into().expect("4")))
-        };
-        if u32_at(0)? != SQ_CLUSTER_MAGIC {
+        if sec.u32()? != SQ_CLUSTER_MAGIC {
             return Err(Error::Corrupt("bad sq cluster magic".into()));
         }
-        let partition = u32_at(4)?;
-        let n = u32_at(8)? as usize;
-        let dim = u32_at(12)? as usize;
+        let partition = sec.u32()?;
+        let n = sec.u32()? as usize;
+        let dim = sec.u32()? as usize;
         if n == 0 || dim == 0 {
             return Err(Error::Corrupt("empty sq cluster blob".into()));
         }
-        let f32s_at = |off: usize, count: usize| -> Result<Vec<f32>> {
-            let raw = take(off, 4 * count)?;
-            Ok(raw
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes(c.try_into().expect("4")))
-                .collect())
-        };
-        let min = f32s_at(16, dim)?;
-        let scale = f32s_at(16 + 4 * dim, dim)?;
+        let min = le_words(sec.take(dim.checked_mul(4))?, f32::from_le_bytes).collect();
+        let scale = le_words(sec.take(dim.checked_mul(4))?, f32::from_le_bytes).collect();
         let params = SqParams::from_parts(min, scale)
             .map_err(|e| Error::Corrupt(format!("sq params: {e}")))?;
-        let ids_off = 16 + 8 * dim;
-        let mut global_ids = Vec::with_capacity(n);
-        for i in 0..n {
-            global_ids.push(u32_at(ids_off + 4 * i)?);
-        }
-        let codes = take(ids_off + 4 * n, n * dim)?.to_vec();
-        let index = global_ids
-            .iter()
-            .enumerate()
-            .map(|(i, &gid)| (gid, i as u32))
-            .collect();
+        let global_ids = le_words(sec.take(n.checked_mul(4))?, u32::from_le_bytes).collect();
+        let codes = sec.take(n.checked_mul(dim))?.to_vec();
         Ok(SqCluster {
             partition,
             params,
             global_ids,
             codes,
-            index,
         })
     }
 }
@@ -548,12 +534,7 @@ impl OverflowRecord {
         if sum != word(12) {
             return Err(Error::Corrupt("overflow record checksum mismatch".into()));
         }
-        let mut vector = Vec::with_capacity(dim);
-        for i in 0..dim {
-            vector.push(f32::from_le_bytes(
-                bytes[16 + 4 * i..20 + 4 * i].try_into().expect("4 bytes"),
-            ));
-        }
+        let vector = le_words(&bytes[16..16 + len], f32::from_le_bytes).collect();
         Ok(OverflowRecord {
             partition: tag & !TOMBSTONE_BIT,
             global_id,
@@ -924,12 +905,16 @@ impl LoadedCluster {
         // base row i -> i, overflow insert j -> n + j.
         let n = sq.len() as u32;
         let mut top = TopK::new(k);
-        for local in 0..n {
-            if self.deleted.contains(&sq.global_ids()[local as usize]) {
+        // Most clusters carry no tombstone; those skip the per-row hash
+        // lookup altogether.
+        let any_deleted = !self.deleted.is_empty();
+        let rows = sq.codes.chunks_exact(sq.dim());
+        for (local, (codes, gid)) in rows.zip(&sq.global_ids).enumerate() {
+            if any_deleted && self.deleted.contains(gid) {
                 continue;
             }
             stats.dist_evals += 1;
-            top.push(local, sq.distance_to(query, local));
+            top.push(local as u32, sq.params.asymmetric_l2(query, codes));
         }
         for (j, (_, v)) in self.extra.iter().enumerate() {
             stats.dist_evals += 1;
@@ -1204,8 +1189,6 @@ mod tests {
         assert_eq!(back.global_ids(), sq.global_ids());
         assert_eq!(back.params(), sq.params());
         assert_eq!(back.codes_of(17), sq.codes_of(17));
-        assert_eq!(back.local_of(171), Some(17));
-        assert_eq!(back.local_of(9999), None);
     }
 
     #[test]

@@ -1,0 +1,178 @@
+//! Mutation sweep over the three cluster decoders (std-only, seeded).
+//!
+//! Whatever bytes the memory pool hands back, decoding them must end in
+//! `Ok` or in the decoder's corruption error: never a panic, an
+//! overflowing offset, or an allocation sized by a corrupt count. And an
+//! `Ok` must be a value that can be searched. Each format is put through
+//! every truncation length, every single-bit and whole-byte flip of its
+//! header, and a few hundred random flips of its body.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use dhnsw::cluster::{LoadedCluster, OverflowRecord, SqCluster, SubCluster};
+use hnsw::{serialize, HnswIndex, HnswParams};
+use vecsim::gen;
+
+const N: usize = 48;
+const DIM: usize = 8;
+const BODY_FLIPS: usize = 400;
+
+fn xorshift(state: &mut u64) -> u64 {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    *state
+}
+
+/// Hands `visit` the blob truncated to every length, then with each header
+/// bit and byte flipped, then with seeded random body bytes flipped.
+fn for_each_mutation(blob: &[u8], header_len: usize, seed: u64, mut visit: impl FnMut(&str, &[u8])) {
+    for len in 0..blob.len() {
+        visit(&format!("truncated to {len}"), &blob[..len]);
+    }
+    let mut scratch = blob.to_vec();
+    let mut flip = |at: usize, mask: u8, part: &str| {
+        scratch[at] ^= mask;
+        visit(&format!("{part} byte {at} ^ {mask:#04x}"), &scratch);
+        scratch[at] ^= mask;
+    };
+    for at in 0..header_len {
+        for mask in (0..8).map(|bit| 1u8 << bit).chain([0xff]) {
+            flip(at, mask, "header");
+        }
+    }
+    let mut rng = seed | 1;
+    for _ in 0..BODY_FLIPS {
+        let at = header_len + xorshift(&mut rng) as usize % (blob.len() - header_len);
+        flip(at, (xorshift(&mut rng) % 255 + 1) as u8, "body");
+    }
+}
+
+/// Runs `decode_and_search` over every mutation; it returns whether the
+/// blob decoded, and fails the sweep itself on an error of the wrong kind.
+/// Returns how many mutations were accepted.
+fn sweep(format: &str, blob: &[u8], header_len: usize, decode_and_search: impl Fn(&[u8]) -> bool) -> usize {
+    assert!(decode_and_search(blob), "{format}: the pristine blob must decode");
+    let mut accepted = 0;
+    for_each_mutation(blob, header_len, 0x5eed, |what, mutated| {
+        match catch_unwind(AssertUnwindSafe(|| decode_and_search(mutated))) {
+            Ok(ok) => accepted += usize::from(ok),
+            Err(_) => panic!("{format}: panicked on blob {what}"),
+        }
+    });
+    accepted
+}
+
+fn queries(dim: usize) -> Vec<Vec<f32>> {
+    vec![vec![0.0; dim], vec![0.5; dim], vec![-1.0e6; dim]]
+}
+
+fn data() -> vecsim::Dataset {
+    gen::uniform(DIM, N, 0.0, 1.0, 21).unwrap()
+}
+
+fn params() -> HnswParams {
+    HnswParams::new(4, 24).seed(22)
+}
+
+#[test]
+fn hsw1_blobs_decode_or_report_corruption() {
+    let blob = serialize::to_bytes(&HnswIndex::build(data(), &params()).unwrap());
+    let accepted = sweep("HSW1", &blob, 48, |bytes| match serialize::from_bytes(bytes) {
+        Ok(index) => {
+            for q in queries(index.dim()) {
+                let hits = index.search(&q, 10, 48);
+                assert!(hits.len() <= 10 && hits.iter().all(|n| (n.id as usize) < index.len()));
+                index.descend(&q, 3);
+            }
+            // What decoded must encode again, and to something decodable.
+            serialize::from_bytes(&serialize::to_bytes(&index)).unwrap();
+            true
+        }
+        Err(hnsw::Error::CorruptBlob(_)) => false,
+        Err(other) => panic!("HSW1: not a corruption error: {other:?}"),
+    });
+    // Flipped vector bytes and in-range neighbour ids are still an index.
+    assert!(accepted > 0);
+}
+
+/// An overflow area holding one insert and one tombstone for partition 3.
+fn overflow_area() -> Vec<u8> {
+    let rec = OverflowRecord::wire_size(DIM);
+    let mut area = vec![0u8; 8 + 3 * rec];
+    area[0..8].copy_from_slice(&((2 * rec) as u64).to_le_bytes());
+    area[8..8 + rec].copy_from_slice(&OverflowRecord::insert(3, 9_000, vec![0.25; DIM]).to_bytes());
+    area[8 + rec..8 + 2 * rec].copy_from_slice(&OverflowRecord::tombstone(3, 11, DIM).to_bytes());
+    area
+}
+
+#[test]
+fn dhc1_blobs_decode_or_report_corruption() {
+    let ids = (0..N as u32).map(|i| i * 10 + 1).collect();
+    let blob = SubCluster::build(3, data(), ids, &params()).unwrap().to_bytes();
+    let area = overflow_area();
+    // Header: magic, partition, n, hnsw length (20 bytes), then the id map;
+    // the embedded HSW1 header is swept as part of the body.
+    let accepted = sweep("DHC1", &blob, 20, |bytes| match LoadedCluster::from_remote(bytes, &area) {
+        Ok(loaded) => {
+            for q in queries(loaded.dim()) {
+                assert!(loaded.search(&q, 10, 48).len() <= 10);
+            }
+            true
+        }
+        Err(dhnsw::Error::Corrupt(_)) => false,
+        Err(other) => panic!("DHC1: not a corruption error: {other:?}"),
+    });
+    assert!(accepted > 0);
+}
+
+#[test]
+fn dhc2_blobs_decode_or_report_corruption() {
+    let ids = (0..N as u32).map(|i| i * 10 + 1).collect();
+    let blob = SqCluster::build(3, &data(), ids).unwrap().to_bytes();
+    let area = overflow_area();
+    // Header: magic, partition, n, dim (16 bytes) and the two parameter
+    // rows, whose every bit decides whether a scale is still usable.
+    let header = 16 + 8 * DIM;
+    for overflow in [None, Some(area.as_slice())] {
+        let accepted = sweep("DHC2", &blob, header, |bytes| {
+            match LoadedCluster::from_remote_sq(bytes, overflow) {
+                Ok(loaded) => {
+                    for q in queries(loaded.dim()) {
+                        let hits = loaded.search_sq(&q, 12);
+                        assert!(hits.len() <= 12);
+                        assert!(hits.windows(2).all(|w| w[0].dist <= w[1].dist || w[1].dist.is_nan()));
+                    }
+                    true
+                }
+                Err(dhnsw::Error::Corrupt(_)) => false,
+                Err(other) => panic!("DHC2: not a corruption error: {other:?}"),
+            }
+        });
+        assert!(accepted > 0);
+    }
+}
+
+#[test]
+fn counts_that_outrun_the_blob_allocate_nothing() {
+    // The specific hazard the sweep's single flips only graze: a count of
+    // billions in an otherwise intact header. Decoding must fail on the
+    // length check, before reserving memory for the count.
+    let ids: Vec<u32> = (0..N as u32).collect();
+    let mut dhc1 = SubCluster::build(0, data(), ids.clone(), &params()).unwrap().to_bytes();
+    dhc1[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+    assert!(matches!(SubCluster::from_bytes(&dhc1), Err(dhnsw::Error::Corrupt(_))));
+    dhc1[12..20].copy_from_slice(&u64::MAX.to_le_bytes());
+    assert!(matches!(SubCluster::from_bytes(&dhc1), Err(dhnsw::Error::Corrupt(_))));
+
+    let mut dhc2 = SqCluster::build(0, &data(), ids).unwrap().to_bytes();
+    dhc2[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+    dhc2[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
+    assert!(matches!(SqCluster::from_bytes(&dhc2), Err(dhnsw::Error::Corrupt(_))));
+
+    let mut hsw1 = serialize::to_bytes(&HnswIndex::build(data(), &params()).unwrap());
+    hsw1[12..16].copy_from_slice(&u32::MAX.to_le_bytes()); // n
+    assert!(matches!(serialize::from_bytes(&hsw1), Err(hnsw::Error::CorruptBlob(_))));
+    hsw1[8..12].copy_from_slice(&u32::MAX.to_le_bytes()); // dim as well
+    assert!(matches!(serialize::from_bytes(&hsw1), Err(hnsw::Error::CorruptBlob(_))));
+}

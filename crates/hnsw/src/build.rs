@@ -47,7 +47,7 @@ pub(crate) fn select_neighbors_heuristic(
         let mut seen: Vec<u32> = work.iter().map(|n| n.id).collect();
         let snapshot: Vec<u32> = seen.clone();
         for id in snapshot {
-            for &nb in graph.node(id).neighbors(layer) {
+            for &nb in graph.neighbors(id, layer) {
                 if !seen.contains(&nb) {
                     seen.push(nb);
                     let d = metric.distance(query, data.get(nb as usize));
@@ -136,7 +136,7 @@ mod tests {
             [0.0, 1.5],    // 2: up
         ])
         .unwrap();
-        let mut g = Graph::default();
+        let mut g = Graph::new(8, 4);
         for _ in 0..3 {
             g.push_node(0);
         }
@@ -155,7 +155,7 @@ mod tests {
     #[test]
     fn keep_pruned_backfills_to_m() {
         let data = Dataset::from_rows(&[[1.0f32, 0.0], [1.1, 0.0], [1.2, 0.0]]).unwrap();
-        let mut g = Graph::default();
+        let mut g = Graph::new(8, 4);
         for _ in 0..3 {
             g.push_node(0);
         }
@@ -178,7 +178,7 @@ mod tests {
     fn heuristic_handles_more_candidates_than_m() {
         let rows: Vec<[f32; 2]> = (0..10).map(|i| [i as f32, 0.5]).collect();
         let data = Dataset::from_rows(&rows).unwrap();
-        let mut g = Graph::default();
+        let mut g = Graph::new(8, 4);
         for _ in 0..10 {
             g.push_node(0);
         }
@@ -199,11 +199,11 @@ mod tests {
         // becomes selectable even though it was not a search candidate.
         let data =
             Dataset::from_rows(&[[1.0f32, 0.0], [0.0, 2.0], [0.5, 0.5]]).unwrap();
-        let mut g = Graph::default();
+        let mut g = Graph::new(8, 4);
         for _ in 0..3 {
             g.push_node(0);
         }
-        g.node_mut(0).neighbors_mut(0).push(2);
+        g.push_link(0, 0, 2);
         let q = [0.0f32, 0.0];
         let cands = vec![Neighbor::new(0, Metric::L2.distance(&q, data.get(0)))];
         let picked = select_neighbors_heuristic(

@@ -73,7 +73,9 @@ impl HnswIndex {
         Ok(HnswIndex {
             params: params.clone(),
             data: Dataset::new(dim),
-            graph: Graph::default(),
+            // One slot over each degree budget: linking pushes first and
+            // prunes back to the budget after.
+            graph: Graph::new(params.m0() + 1, params.m() + 1),
             rng: StdRng::seed_from_u64(params.rng_seed()),
             visited_pool: Mutex::new(Vec::new()),
         })
@@ -99,26 +101,12 @@ impl HnswIndex {
     }
 
     /// Rebuilds an index from previously extracted parts (deserialization).
-    pub(crate) fn from_parts(
-        params: HnswParams,
-        data: Dataset,
-        links: Vec<Vec<Vec<u32>>>,
-        entry: Option<u32>,
-        max_level: usize,
-    ) -> Self {
-        let nodes = links
-            .into_iter()
-            .map(crate::graph::Node::from_links)
-            .collect();
+    pub(crate) fn from_parts(params: HnswParams, data: Dataset, graph: Graph) -> Self {
         HnswIndex {
             rng: StdRng::seed_from_u64(params.rng_seed()),
             params,
             data,
-            graph: Graph {
-                nodes,
-                entry,
-                max_level,
-            },
+            graph,
             visited_pool: Mutex::new(Vec::new()),
         }
     }
@@ -200,8 +188,8 @@ impl HnswIndex {
                 self.params.keeps_pruned(),
             );
             for &nb in &selected {
-                self.graph.node_mut(id).neighbors_mut(layer).push(nb);
-                self.graph.node_mut(nb).neighbors_mut(layer).push(id);
+                self.graph.push_link(id, layer, nb);
+                self.graph.push_link(nb, layer, id);
                 self.shrink_if_needed(nb, layer, m_cap);
             }
             eps = w;
@@ -221,15 +209,14 @@ impl HnswIndex {
 
     /// Re-selects `node`'s neighbour list on `layer` when it exceeds `cap`.
     fn shrink_if_needed(&mut self, node: u32, layer: usize, cap: usize) {
-        if self.graph.node(node).neighbors(layer).len() <= cap {
+        if self.graph.neighbors(node, layer).len() <= cap {
             return;
         }
         let metric = self.params.metric_kind();
         let node_vec = self.data.get(node as usize).to_vec();
         let mut cands: Vec<Neighbor> = self
             .graph
-            .node(node)
-            .neighbors(layer)
+            .neighbors(node, layer)
             .iter()
             .map(|&nb| Neighbor::new(nb, metric.distance(&node_vec, self.data.get(nb as usize))))
             .collect();
@@ -245,7 +232,7 @@ impl HnswIndex {
             false,
             self.params.keeps_pruned(),
         );
-        *self.graph.node_mut(node).neighbors_mut(layer) = selected;
+        self.graph.set_neighbors(node, layer, &selected);
     }
 
     fn take_visited(&self) -> VisitedSet {
@@ -417,7 +404,7 @@ impl HnswIndex {
     ///
     /// Panics if `id` is out of bounds.
     pub fn level_of(&self, id: u32) -> usize {
-        self.graph.node(id).level()
+        self.graph.level(id)
     }
 
     /// Neighbour list of `id` on `layer` (empty when the node does not
@@ -427,7 +414,7 @@ impl HnswIndex {
     ///
     /// Panics if `id` is out of bounds.
     pub fn neighbors(&self, id: u32, layer: usize) -> &[u32] {
-        self.graph.node(id).neighbors(layer)
+        self.graph.neighbors(id, layer)
     }
 
     /// The stored vector for `id`.
@@ -449,28 +436,17 @@ impl HnswIndex {
         &self.params
     }
 
-    /// All per-layer adjacency of node `id` (layer 0 first).
-    pub(crate) fn node_links(&self, id: u32) -> &[Vec<u32>] {
-        self.graph.node(id).layers()
+    /// Neighbour-list count and total entries over all lists.
+    pub(crate) fn list_and_link_counts(&self) -> (usize, usize) {
+        self.graph.list_and_link_counts()
     }
 
     /// Approximate in-memory footprint in bytes: vectors plus adjacency.
     /// This is the number the paper quotes when it says the meta-HNSW
     /// costs 0.373 MB for SIFT1M.
     pub fn memory_footprint(&self) -> usize {
-        let vectors = self.data.byte_len();
-        let links: usize = self
-            .graph
-            .nodes
-            .iter()
-            .map(|n| {
-                n.layers()
-                    .iter()
-                    .map(|l| l.len() * std::mem::size_of::<u32>() + std::mem::size_of::<u32>())
-                    .sum::<usize>()
-            })
-            .sum();
-        vectors + links
+        let (lists, links) = self.graph.list_and_link_counts();
+        self.data.byte_len() + (lists + links) * std::mem::size_of::<u32>()
     }
 }
 
@@ -645,10 +621,7 @@ mod tests {
         let data = gen::uniform(4, 200, 0.0, 1.0, 71).unwrap();
         let a = HnswIndex::build(data.clone(), &small_params()).unwrap();
         let b = HnswIndex::build(data, &small_params()).unwrap();
-        assert_eq!(a.entry_point(), b.entry_point());
-        for id in 0..a.len() as u32 {
-            assert_eq!(a.node_links(id), b.node_links(id));
-        }
+        assert_eq!(crate::serialize::to_bytes(&a), crate::serialize::to_bytes(&b));
     }
 
     #[test]

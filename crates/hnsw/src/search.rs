@@ -70,7 +70,7 @@ pub(crate) fn greedy_descend_layer(
 ) -> (u32, f32) {
     loop {
         let mut improved = false;
-        for &nb in graph.node(current).neighbors(layer) {
+        for &nb in graph.neighbors(current, layer) {
             stats.hops += 1;
             let d = metric.distance(query, data.get(nb as usize));
             stats.dist_evals += 1;
@@ -127,7 +127,7 @@ pub(crate) fn search_layer(
         if c.dist > worst && results.len() >= ef {
             break;
         }
-        for &nb in graph.node(c.id).neighbors(layer) {
+        for &nb in graph.neighbors(c.id, layer) {
             stats.hops += 1;
             if !visited.insert(nb) {
                 continue;
@@ -162,14 +162,14 @@ mod tests {
     /// A tiny hand-built single-layer graph: a path 0-1-2-3 with vectors on
     /// a line, so greedy search from 0 must walk to the far end.
     fn line_graph() -> (Graph, Dataset) {
-        let mut g = Graph::default();
+        let mut g = Graph::new(8, 4);
         for _ in 0..4 {
             g.push_node(0);
         }
         let edges = [(0u32, 1u32), (1, 2), (2, 3)];
         for (a, b) in edges {
-            g.node_mut(a).neighbors_mut(0).push(b);
-            g.node_mut(b).neighbors_mut(0).push(a);
+            g.push_link(a, 0, b);
+            g.push_link(b, 0, a);
         }
         let data = Dataset::from_rows(&[[0.0f32], [1.0], [2.0], [3.0]]).unwrap();
         (g, data)

@@ -28,8 +28,10 @@
 //! vecs    n × dim × f32
 //! ```
 
+use vecsim::io::le_words;
 use vecsim::{Dataset, Metric};
 
+use crate::graph::Graph;
 use crate::{Error, HnswIndex, HnswParams, Result};
 
 /// Magic tag identifying a serialized HNSW blob.
@@ -55,7 +57,7 @@ fn metric_from_code(c: u8) -> Result<Metric> {
 }
 
 /// Little-endian byte writer.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Enc {
     buf: Vec<u8>,
 }
@@ -69,9 +71,6 @@ impl Enc {
     }
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
-    }
-    fn f32(&mut self, v: f32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 }
 
@@ -87,11 +86,11 @@ impl<'a> Dec<'a> {
         Dec { buf, pos: 0 }
     }
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
+        if n > self.remaining() {
             return Err(Error::CorruptBlob(format!(
                 "truncated blob: wanted {n} bytes at offset {}, have {}",
                 self.pos,
-                self.buf.len() - self.pos
+                self.remaining()
             )));
         }
         let out = &self.buf[self.pos..self.pos + n];
@@ -108,10 +107,6 @@ impl<'a> Dec<'a> {
     }
     fn u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
-    }
-    fn f32(&mut self) -> Result<f32> {
-        let b = self.take(4)?;
-        Ok(f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
     fn remaining(&self) -> usize {
         self.buf.len() - self.pos
@@ -136,7 +131,9 @@ impl<'a> Dec<'a> {
 /// ```
 pub fn to_bytes(index: &HnswIndex) -> Vec<u8> {
     let p = index.params();
-    let mut e = Enc::default();
+    let mut e = Enc {
+        buf: Vec::with_capacity(serialized_size(index)),
+    };
     e.u32(MAGIC);
     e.u32(VERSION);
     e.u32(index.dim() as u32);
@@ -153,19 +150,18 @@ pub fn to_bytes(index: &HnswIndex) -> Vec<u8> {
     e.u64(p.rng_seed());
 
     for id in 0..index.len() as u32 {
-        let layers = index.node_links(id);
-        e.u32(layers.len() as u32);
-        for layer in layers {
-            e.u32(layer.len() as u32);
-            for &nb in layer {
+        let levels = index.level_of(id) + 1;
+        e.u32(levels as u32);
+        for layer in 0..levels {
+            let list = index.neighbors(id, layer);
+            e.u32(list.len() as u32);
+            for &nb in list {
                 e.u32(nb);
             }
         }
     }
-    for row in index.data().iter() {
-        for &x in row {
-            e.f32(x);
-        }
+    for &x in index.data().as_flat() {
+        e.buf.extend_from_slice(&x.to_le_bytes());
     }
     e.buf
 }
@@ -173,15 +169,8 @@ pub fn to_bytes(index: &HnswIndex) -> Vec<u8> {
 /// Size in bytes [`to_bytes`] would produce, without allocating the blob.
 pub fn serialized_size(index: &HnswIndex) -> usize {
     let header = 4 * 8 + 4 + 4 + 8; // fixed fields above
-    let nodes: usize = (0..index.len() as u32)
-        .map(|id| {
-            4 + index
-                .node_links(id)
-                .iter()
-                .map(|l| 4 + 4 * l.len())
-                .sum::<usize>()
-        })
-        .sum();
+    let (lists, links) = index.list_and_link_counts();
+    let nodes = 4 * (index.len() + lists + links);
     let vectors = index.len() * index.dim() * 4;
     header + nodes + vectors
 }
@@ -229,53 +218,6 @@ pub fn from_bytes(blob: &[u8]) -> Result<HnswIndex> {
         )));
     };
 
-    let mut links = Vec::with_capacity(n);
-    for node in 0..n {
-        let levels = d.u32()? as usize;
-        if levels == 0 || levels > max_level + 1 {
-            return Err(Error::CorruptBlob(format!(
-                "node {node} has {levels} layers but max level is {max_level}"
-            )));
-        }
-        let mut layers = Vec::with_capacity(levels);
-        for _ in 0..levels {
-            let cnt = d.u32()? as usize;
-            if cnt > n {
-                return Err(Error::CorruptBlob(format!(
-                    "node {node} neighbour count {cnt} exceeds n = {n}"
-                )));
-            }
-            let mut ids = Vec::with_capacity(cnt);
-            for _ in 0..cnt {
-                let id = d.u32()?;
-                if id as usize >= n {
-                    return Err(Error::CorruptBlob(format!(
-                        "neighbour id {id} out of range (n = {n})"
-                    )));
-                }
-                ids.push(id);
-            }
-            layers.push(ids);
-        }
-        links.push(layers);
-    }
-
-    let mut flat = Vec::with_capacity(n * dim);
-    for _ in 0..n * dim {
-        flat.push(d.f32()?);
-    }
-    if d.remaining() != 0 {
-        return Err(Error::CorruptBlob(format!(
-            "{} trailing bytes after payload",
-            d.remaining()
-        )));
-    }
-
-    let data = if n == 0 {
-        Dataset::new(dim.max(1))
-    } else {
-        Dataset::from_flat(dim, flat)?
-    };
     let mut params = HnswParams::new(m, ef_c)
         .metric(metric)
         .seed(seed)
@@ -284,8 +226,96 @@ pub fn from_bytes(blob: &[u8]) -> Result<HnswIndex> {
     if cap_raw > 0 {
         params = params.max_level((cap_raw - 1) as usize);
     }
-    params.validate()?;
-    Ok(HnswIndex::from_parts(params, data, links, entry, max_level))
+    params
+        .validate()
+        .map_err(|e| Error::CorruptBlob(format!("header parameters: {e}")))?;
+
+    // The vectors are the blob's tail, so their declared size also fixes
+    // where the node section ends — before anything is allocated.
+    let vec_bytes = n
+        .checked_mul(dim)
+        .and_then(|x| x.checked_mul(4))
+        .filter(|&b| b <= d.remaining())
+        .ok_or_else(|| {
+            Error::CorruptBlob(format!(
+                "{n} vectors of dim {dim} do not fit the {} bytes after the header",
+                d.remaining()
+            ))
+        })?;
+    let node_bytes = d.take(d.remaining() - vec_bytes)?;
+    let vecs = d.take(vec_bytes)?;
+    if !node_bytes.len().is_multiple_of(4) {
+        return Err(Error::CorruptBlob(format!(
+            "node section of {} bytes is not whole words",
+            node_bytes.len()
+        )));
+    }
+
+    // The node section becomes the graph's arena as it is, count words and
+    // all; decoding validates the framing and records where each list sits.
+    // Nothing allocated here is larger than the section itself.
+    let arena = le_words(node_bytes, u32::from_le_bytes).collect();
+    let mut graph = Graph::over_arena(params.m0() + 1, params.m() + 1, arena, n);
+    let truncated = || Error::CorruptBlob("node section ends inside a node".into());
+    let (mut at, mut entry_levels) = (0usize, 0u32);
+    for node in 0..n as u32 {
+        let levels = *graph.arena().get(at).ok_or_else(truncated)?;
+        at += 1;
+        if levels == 0 || (levels - 1) as usize > max_level {
+            return Err(Error::CorruptBlob(format!(
+                "node {node} has {levels} layers but max level is {max_level}"
+            )));
+        }
+        for _ in 0..levels {
+            let cnt = *graph.arena().get(at).ok_or_else(truncated)?;
+            if cnt as usize > n {
+                return Err(Error::CorruptBlob(format!(
+                    "node {node} neighbour count {cnt} exceeds n = {n}"
+                )));
+            }
+            // `cnt <= n <= arena.len()`, so the range cannot overflow.
+            let ids = at + 1..at + 1 + cnt as usize;
+            let ids = graph.arena().get(ids).ok_or_else(truncated)?;
+            if let Some(id) = ids.iter().find(|&&id| id as usize >= n) {
+                return Err(Error::CorruptBlob(format!(
+                    "neighbour id {id} out of range (n = {n})"
+                )));
+            }
+            graph.push_list(at + 1, cnt);
+            at += 1 + cnt as usize;
+        }
+        graph.end_node();
+        if entry == Some(node) {
+            entry_levels = levels;
+        }
+    }
+    if at != graph.arena().len() {
+        return Err(Error::CorruptBlob(format!(
+            "{} unaccounted words between the node section and the vectors",
+            graph.arena().len() - at
+        )));
+    }
+    // Searches descend from `max_level` at the entry point, so a header
+    // that overstates it would walk layers nothing lives on.
+    let consistent = if n == 0 {
+        max_level == 0
+    } else {
+        (entry_levels as usize).checked_sub(1) == Some(max_level)
+    };
+    if !consistent {
+        return Err(Error::CorruptBlob(format!(
+            "entry point spans {entry_levels} layers but max level is {max_level} (n = {n})"
+        )));
+    }
+    graph.entry = entry;
+    graph.max_level = max_level;
+
+    let data = if n == 0 {
+        Dataset::new(dim.max(1))
+    } else {
+        Dataset::from_flat(dim, le_words(vecs, f32::from_le_bytes).collect())?
+    };
+    Ok(HnswIndex::from_parts(params, data, graph))
 }
 
 /// Writes an index blob to any writer (pass `&mut w` to keep the writer).
@@ -331,7 +361,10 @@ mod tests {
         assert_eq!(back.max_level(), idx.max_level());
         assert_eq!(back.params(), idx.params());
         for id in 0..idx.len() as u32 {
-            assert_eq!(back.node_links(id), idx.node_links(id));
+            assert_eq!(back.level_of(id), idx.level_of(id));
+            for layer in 0..=idx.level_of(id) {
+                assert_eq!(back.neighbors(id, layer), idx.neighbors(id, layer));
+            }
             assert_eq!(back.vector(id), idx.vector(id));
         }
     }

@@ -34,6 +34,18 @@ fn read_dim<R: Read>(r: &mut R) -> Result<Option<usize>> {
     }
 }
 
+/// Decodes a section of little-endian 4-byte words in one pass, e.g.
+/// `le_words(bytes, f32::from_le_bytes).collect::<Vec<f32>>()`. Bytes past
+/// the last whole word are ignored: callers size the section first.
+pub fn le_words<'a, T: 'a>(
+    bytes: &'a [u8],
+    from_le: impl Fn([u8; 4]) -> T + 'a,
+) -> impl Iterator<Item = T> + 'a {
+    bytes
+        .chunks_exact(4)
+        .map(move |c| from_le(c.try_into().expect("chunks_exact(4) yields 4 bytes")))
+}
+
 /// Reads an entire `fvecs` stream into a [`Dataset`].
 ///
 /// # Errors

@@ -36,7 +36,15 @@ use crate::{Error, Result};
 pub struct SqParams {
     min: Vec<f32>,
     scale: Vec<f32>,
+    /// Variance one dimension's quantization noise adds, `E[scale²] / 12`:
+    /// the only part of [`SqParams::l2_error_bound`] that reads `scale`.
+    var_per_dim: f32,
 }
+
+/// Lanes the asymmetric kernel keeps independent accumulators for: two
+/// SSE or one AVX register of `f32`, so the compiler can vectorize the
+/// loop without reassociating a single running sum.
+const LANES: usize = 8;
 
 impl SqParams {
     /// Trains parameters over `rows`, each a `dim`-length slice: per
@@ -74,7 +82,20 @@ impl SqParams {
             ));
         }
         let scale = (0..dim).map(|d| (max[d] - min[d]) / 255.0).collect();
-        Ok(SqParams { min, scale })
+        Ok(SqParams::assemble(min, scale))
+    }
+
+    fn assemble(min: Vec<f32>, scale: Vec<f32>) -> Self {
+        let var_per_dim = if scale.is_empty() {
+            0.0
+        } else {
+            scale.iter().map(|&s| s * s).sum::<f32>() / scale.len() as f32 / 12.0
+        };
+        SqParams {
+            min,
+            scale,
+            var_per_dim,
+        }
     }
 
     /// Reassembles parameters from their serialized parts.
@@ -82,7 +103,9 @@ impl SqParams {
     /// # Errors
     ///
     /// Returns [`Error::DimensionMismatch`] when the two vectors
-    /// disagree in length.
+    /// disagree in length, and [`Error::InvalidParameter`] when a `min`
+    /// is not finite or a `scale` is not finite or is negative — values
+    /// training never produces and every distance would inherit.
     pub fn from_parts(min: Vec<f32>, scale: Vec<f32>) -> Result<Self> {
         if min.len() != scale.len() {
             return Err(Error::DimensionMismatch {
@@ -90,7 +113,15 @@ impl SqParams {
                 got: scale.len(),
             });
         }
-        Ok(SqParams { min, scale })
+        if let Some(d) =
+            (0..min.len()).find(|&d| !(min[d].is_finite() && scale[d].is_finite() && scale[d] >= 0.0))
+        {
+            return Err(Error::InvalidParameter(format!(
+                "dimension {d} has min {} and scale {}",
+                min[d], scale[d]
+            )));
+        }
+        Ok(SqParams::assemble(min, scale))
     }
 
     /// Vector dimensionality these parameters quantize.
@@ -143,16 +174,34 @@ impl SqParams {
 
     /// Asymmetric squared-L2 distance: the f32 query against the
     /// decoded code points, without materializing the decoded vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if `query` or `codes` is not `dim` long; in
+    /// release builds the shortest length wins.
     pub fn asymmetric_l2(&self, query: &[f32], codes: &[u8]) -> f32 {
         debug_assert_eq!(query.len(), self.dim());
         debug_assert_eq!(codes.len(), self.dim());
-        let mut acc = 0.0f32;
-        for d in 0..codes.len() {
-            let x = self.min[d] + f32::from(codes[d]) * self.scale[d];
-            let diff = query[d] - x;
-            acc += diff * diff;
+        let n = codes.len().min(query.len()).min(self.dim());
+        let term = |q: f32, c: u8, m: f32, s: f32| {
+            let diff = q - (m + f32::from(c) * s);
+            diff * diff
+        };
+        let mut acc = [0.0f32; LANES];
+        let mut q = query[..n].chunks_exact(LANES);
+        let mut c = codes[..n].chunks_exact(LANES);
+        let mut m = self.min[..n].chunks_exact(LANES);
+        let mut s = self.scale[..n].chunks_exact(LANES);
+        for (((q, c), m), s) in (&mut q).zip(&mut c).zip(&mut m).zip(&mut s) {
+            for l in 0..LANES {
+                acc[l] += term(q[l], c[l], m[l], s[l]);
+            }
         }
-        acc
+        let tail = (q.remainder().iter().zip(c.remainder()))
+            .zip(m.remainder().iter().zip(s.remainder()))
+            .map(|((&q, &c), (&m, &s))| term(q, c, m, s))
+            .sum::<f32>();
+        acc.iter().sum::<f32>() + tail
     }
 
     /// Scale of the error the quantization noise adds to a squared-L2
@@ -166,14 +215,8 @@ impl SqParams {
     /// natural unit for "these two approximate distances are too close
     /// to order without exact rerank".
     pub fn l2_error_bound(&self, d_hat: f32) -> f32 {
-        let dim = self.dim();
-        if dim == 0 {
-            return 0.0;
-        }
-        let mean_sq_scale =
-            self.scale.iter().map(|&s| s * s).sum::<f32>() / dim as f32;
-        let var_per_dim = mean_sq_scale / 12.0;
-        2.0 * (d_hat.max(0.0) * var_per_dim).sqrt() + dim as f32 * var_per_dim
+        let var = self.var_per_dim;
+        2.0 * (d_hat.max(0.0) * var).sqrt() + self.dim() as f32 * var
     }
 
     /// The largest per-component round-trip error these parameters can
@@ -187,6 +230,7 @@ impl SqParams {
 mod tests {
     use super::*;
     use crate::{gen, l2_sq};
+    use proptest::prelude::*;
 
     fn trained(n: usize, seed: u64) -> (crate::Dataset, SqParams) {
         let data = gen::sift_like(n, seed).unwrap();
@@ -239,6 +283,51 @@ mod tests {
             let direct = params.asymmetric_l2(q, &codes);
             assert!((via_decode - direct).abs() <= 1e-2 * via_decode.max(1.0));
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// The chunked kernel against decode-then-`l2_sq`, at every
+        /// dimensionality from empty through two chunks past 256: every
+        /// remainder of the 8-lane chunking, with and without full chunks.
+        #[test]
+        fn asymmetric_l2_equals_decode_then_l2_at_every_dim(
+            query in prop::collection::vec(-300.0f32..300.0, 257..258),
+            codes in prop::collection::vec(any::<u8>(), 257..258),
+            min in prop::collection::vec(-200.0f32..200.0, 257..258),
+            scale in prop::collection::vec(0.0f32..2.0, 257..258),
+        ) {
+            for dim in 0..=257 {
+                let params =
+                    SqParams::from_parts(min[..dim].to_vec(), scale[..dim].to_vec()).unwrap();
+                let direct = params.asymmetric_l2(&query[..dim], &codes[..dim]);
+                let via_decode = l2_sq(&query[..dim], &params.decode(&codes[..dim]));
+                prop_assert!(
+                    (direct - via_decode).abs() <= 1e-4 * via_decode,
+                    "dim {}: {} vs {}", dim, direct, via_decode
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn from_parts_rejects_values_training_cannot_produce() {
+        for (min, scale) in [
+            (f32::NAN, 1.0),
+            (f32::INFINITY, 1.0),
+            (0.0, f32::NAN),
+            (0.0, f32::INFINITY),
+            (0.0, -0.5),
+        ] {
+            let got = SqParams::from_parts(vec![0.0, min], vec![1.0, scale]);
+            assert!(
+                matches!(got, Err(Error::InvalidParameter(_))),
+                "min {min} scale {scale}: {got:?}"
+            );
+        }
+        // Negative minima and zero scales are ordinary.
+        assert!(SqParams::from_parts(vec![-3.0], vec![0.0]).is_ok());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Full local gate: release build, every test, lint-clean clippy, and the
-# benchmark-regression smoke gate.
+# Full local gate: release build, every test, lint-clean clippy, the
+# benchmark-regression smoke gate, a clean-clone build of HEAD, and the
+# repository benchmark (benchmark/) at smoke scale.
 #
 #   ./scripts/check.sh                   # the gate
 #   ./scripts/check.sh --update-baseline # regenerate committed baselines
@@ -12,6 +13,9 @@ UPDATE=0
 if [[ "${1:-}" == "--update-baseline" ]]; then
   UPDATE=1
 fi
+
+TMP_ROOT=$(mktemp -d)
+trap 'rm -rf "$TMP_ROOT"' EXIT
 
 echo "==> cargo build --release"
 cargo build --release --workspace
@@ -46,6 +50,25 @@ DHNSW_STRESS_ITERS=100 cargo test --release -q --test stress
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Clean-clone gate: tier-1 on what is actually committed. A file that is
+# ignored or merely untracked here does not exist there, so it can never
+# again be load-bearing (vendor/criterion was, for nine PRs). It tests
+# HEAD: commit first, then run the gate.
+echo "==> clean clone of HEAD: cargo build --release && cargo test -q"
+git clone --quiet . "$TMP_ROOT/clone"
+(cd "$TMP_ROOT/clone" && cargo build --release && cargo test -q)
+
+# The repository benchmark is a frozen package of its own that reaches
+# the crates only through their public API (LoadedCluster::from_remote,
+# search_sq_with_stats, SqParams::asymmetric_l2, plan_batch, ...): its
+# tests and one smoke pass over all five workloads, un-traced and traced,
+# keep it compiling and its result checks passing against this tree.
+echo "==> benchmark: cargo test --release --offline"
+(cd benchmark && cargo test --release --offline -q)
+echo "==> benchmark/run.sh --smoke"
+bash benchmark/run.sh --smoke > "$TMP_ROOT/benchmark_smoke.log" 2>&1 \
+  || { tail -n 40 "$TMP_ROOT/benchmark_smoke.log"; exit 1; }
+
 # Bench-regression smoke gate: latency tolerances are already generous,
 # and the 4x scale keeps a loaded CI box from tripping the gate; the
 # deterministic byte/doorbell/recall bands stay meaningfully tight.
@@ -75,8 +98,8 @@ DHNSW_QUANTIZE_MODE=sq8 DHNSW_ABLATION_N=4000 DHNSW_ABLATION_Q=100 \
 # that /metrics carries the per-cause byte provenance and /health the
 # windowed SLO fields end to end.
 echo "==> dhnsw_cli serve (metrics serving-plane smoke gate)"
-SMOKE_DIR=$(mktemp -d)
-trap 'rm -rf "$SMOKE_DIR"' EXIT
+SMOKE_DIR="$TMP_ROOT/serve"
+mkdir "$SMOKE_DIR"
 target/release/dhnsw_cli build --synthetic sift:3000 \
   --out "$SMOKE_DIR/store.dhnsw" 2>/dev/null
 target/release/dhnsw_cli serve --store "$SMOKE_DIR/store.dhnsw" \
@@ -120,4 +143,4 @@ grep -q 'dhnsw top' "$SMOKE_DIR/top.out"
 scrape /shutdown > /dev/null
 wait "$SERVE_PID"
 
-echo "OK: build, tests, clippy, bench, fault, and serve smoke gates all green."
+echo "OK: build, tests, clippy, clean clone, benchmark smoke, bench, fault, and serve smoke gates all green."
