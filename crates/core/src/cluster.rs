@@ -12,7 +12,7 @@
 //! over the base vectors plus an exact scan over the (small) overflow
 //! tail, merged into one result.
 
-use hnsw::{HnswIndex, HnswParams, SearchStats};
+use hnsw::{HnswIndex, HnswParams, SearchScratch, SearchStats};
 use vecsim::io::le_words;
 use vecsim::quantize::SqParams;
 use vecsim::{Dataset, Neighbor, TopK};
@@ -146,11 +146,22 @@ impl SubCluster {
         ef: usize,
         stats: &mut SearchStats,
     ) -> Vec<Neighbor> {
-        self.hnsw
-            .search_with_stats(query, k, ef, stats)
-            .into_iter()
+        SearchScratch::with_local(|scratch| self.search_in(query, k, ef, scratch, stats).collect())
+    }
+
+    /// [`HnswIndex::search_in`] with local ids mapped to global ones.
+    fn search_in<'a>(
+        &'a self,
+        query: &[f32],
+        k: usize,
+        ef: usize,
+        scratch: &'a mut SearchScratch,
+        stats: &mut SearchStats,
+    ) -> impl Iterator<Item = Neighbor> + 'a {
+        let found = self.hnsw.search_in(query, k, ef, scratch, stats);
+        found
+            .iter()
             .map(|n| Neighbor::new(self.global_ids[n.id as usize], n.dist))
-            .collect()
     }
 
     /// The global ids of the base vectors, indexed by local id.
@@ -846,34 +857,48 @@ impl LoadedCluster {
         ef: usize,
         stats: &mut SearchStats,
     ) -> Vec<Neighbor> {
+        let mut out = Vec::new();
+        SearchScratch::with_local(|scratch| {
+            self.search_into(query, k, ef, scratch, stats, &mut out)
+        });
+        out
+    }
+
+    /// The search behind [`LoadedCluster::search`]: walks with the
+    /// caller's `scratch` and appends the up to `k` hits to `out`, so a
+    /// worker probing cluster after cluster allocates nothing per probe.
+    pub(crate) fn search_into(
+        &self,
+        query: &[f32],
+        k: usize,
+        ef: usize,
+        scratch: &mut SearchScratch,
+        stats: &mut SearchStats,
+        out: &mut Vec<Neighbor>,
+    ) {
+        let start = out.len();
         let sub = match &self.payload {
             Payload::Full(sub) => sub,
             Payload::Sq(_) => {
-                return self
-                    .search_sq_with_stats(query, k, stats)
-                    .into_iter()
-                    .map(|h| Neighbor::new(h.id, h.dist))
-                    .collect();
+                let hits = self.search_sq_with_stats(query, k, stats);
+                out.extend(hits.iter().map(|h| Neighbor::new(h.id, h.dist)));
+                return;
             }
         };
         let metric = sub.hnsw().params().metric_kind();
-        let mut top = TopK::new(k);
         // When tombstones exist, ask the base graph for that many extra
         // candidates (and widen the beam accordingly) so filtering the
         // deleted ids still leaves k survivors.
         let extra_needed = self.deleted.len().min(k);
-        let want = k + extra_needed;
-        let ef_eff = if extra_needed == 0 { ef } else { ef + extra_needed };
-        for n in sub.search_with_stats(query, want, ef_eff, stats) {
-            if !self.deleted.contains(&n.id) {
-                top.push(n.id, n.dist);
-            }
-        }
+        let base = sub.search_in(query, k + extra_needed, ef + extra_needed, scratch, stats);
+        out.extend(base.filter(|n| extra_needed == 0 || !self.deleted.contains(&n.id)));
         for (gid, v) in &self.extra {
             stats.dist_evals += 1;
-            top.push(*gid, metric.distance(query, v));
+            out.push(Neighbor::new(*gid, metric.distance(query, v)));
         }
-        top.into_sorted_vec()
+        // The walk orders ties by local id; hits leave ordered by global.
+        out[start..].sort_unstable();
+        out.truncate(start + k);
     }
 
     /// Top-`k` scan of a quantized cluster: exhaustive asymmetric L2

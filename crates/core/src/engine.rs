@@ -25,6 +25,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use hnsw::{SearchScratch, SearchStats};
 use parking_lot::Mutex;
 use rdma_sim::{QueuePair, ReadCause, StatsSnapshot, READ_CAUSES};
 use vecsim::{Dataset, Neighbor, TopK};
@@ -1019,6 +1020,9 @@ impl ComputeNode {
         }
         if opts.fanout == Some(0) {
             return Err(Error::InvalidParameter("fanout must be >= 1".into()));
+        }
+        if opts.ef == 0 {
+            return Err(Error::InvalidParameter("ef must be >= 1".into()));
         }
         let b = opts.fanout.unwrap_or_else(|| self.config.fanout());
         // With tracing off this costs one atomic load; the trace itself
@@ -2712,15 +2716,87 @@ fn read_version(buf: &[u8]) -> Result<u64> {
     Ok(u64::from_le_bytes(raw))
 }
 
-/// Searches each query over its routed clusters (in parallel) and merges
-/// per-query top-k, deduplicating global ids — a forced representative
-/// can appear in two clusters. `routes[i]` belongs to query `base + i`,
-/// so pipeline stages can pass a route sub-slice against the full query
-/// set. Returns each query's results with the fraction of its routed
-/// clusters that were actually searched; with `allow_missing` false an
-/// unresolved cluster is a corruption error (every planned load must
-/// have landed), with it true the cluster is skipped and the coverage
-/// dips below 1 (degraded mode).
+/// The sub-search scheduler: executes a micro-batch's probes
+/// **cluster-major**. `routes[lo..hi]` is flattened into `(partition,
+/// query, route position)` probes, sorted by partition and cut into
+/// `threads` contiguous runs, so each worker serves every query of a
+/// cluster back to back while the cluster is hot in its cache, out of
+/// one [`SearchScratch`] and one hit buffer. `probe(partition, cluster,
+/// query, ..)` appends a probe's hits; `merge` then folds each query's
+/// hit lists — handed over in **route order**, whatever order they were
+/// computed in — into its result. Returns each query's result with the
+/// fraction of its routed clusters that were actually searched; with
+/// `allow_missing` false an unresolved cluster is a corruption error
+/// (every planned load must have landed), with it true the cluster is
+/// skipped and the coverage dips below 1 (degraded mode).
+fn probe_cluster_major<T, R, P, M>(
+    routes: &[Vec<u32>],
+    resolved: &HashMap<u32, Arc<LoadedCluster>>,
+    threads: usize,
+    allow_missing: bool,
+    probe: P,
+    merge: M,
+) -> Result<Vec<(R, f64)>>
+where
+    T: Send + Sync,
+    R: Send,
+    P: Fn(u32, &LoadedCluster, usize, &mut SearchScratch, &mut Vec<T>) + Sync,
+    M: Fn(&[&[T]]) -> R + Sync,
+{
+    // `offsets[i]..offsets[i + 1]` are query i's route positions.
+    let mut offsets = vec![0usize];
+    let mut searched = vec![0usize; routes.len()];
+    let mut probes: Vec<(u32, u32, u32)> = Vec::new();
+    for (i, route) in routes.iter().enumerate() {
+        for (pos, p) in route.iter().enumerate() {
+            if resolved.contains_key(p) {
+                probes.push((*p, i as u32, pos as u32));
+                searched[i] += 1;
+            } else if !allow_missing {
+                return Err(Error::Corrupt(format!("cluster {p} missing after load")));
+            }
+        }
+        offsets.push(offsets[i] + route.len());
+    }
+    probes.sort_unstable();
+    let runs: Vec<&[(u32, u32, u32)]> = probes
+        .chunks(probes.len().div_ceil(threads.max(1)).max(1))
+        .collect();
+    let done = run_indexed(runs.len(), threads, |r| {
+        let mut scratch = SearchScratch::default();
+        let mut hits = Vec::new();
+        let mut ends = Vec::with_capacity(runs[r].len());
+        for &(p, query, _) in runs[r] {
+            probe(p, &resolved[&p], query as usize, &mut scratch, &mut hits);
+            ends.push(hits.len());
+        }
+        Ok((hits, ends))
+    })?;
+    let mut lists: Vec<&[T]> = vec![&[]; offsets[routes.len()]];
+    for (run, (hits, ends)) in runs.iter().zip(&done) {
+        let mut start = 0;
+        for (&(_, query, pos), &end) in run.iter().zip(ends) {
+            lists[offsets[query as usize] + pos as usize] = &hits[start..end];
+            start = end;
+        }
+    }
+    run_indexed(routes.len(), threads, |i| {
+        let lists = &lists[offsets[i]..offsets[i + 1]];
+        let cov = if lists.is_empty() {
+            1.0
+        } else {
+            searched[i] as f64 / lists.len() as f64
+        };
+        Ok((merge(lists), cov))
+    })
+}
+
+/// Searches each query over its routed clusters and merges per-query
+/// top-k, keeping the first copy of a global id in route order — a
+/// forced representative can appear in two clusters. `routes[i]`
+/// belongs to query `base + i`, so pipeline stages can pass a route
+/// sub-slice against the full query set. Scheduling, coverage and
+/// missing-cluster handling are [`probe_cluster_major`]'s.
 #[allow(clippy::too_many_arguments)]
 fn search_over(
     routes: &[Vec<u32>],
@@ -2732,34 +2808,29 @@ fn search_over(
     threads: usize,
     allow_missing: bool,
 ) -> Result<Vec<(Vec<Neighbor>, f64)>> {
-    run_indexed(routes.len(), threads, |i| {
-        let q = queries.get(base + i);
-        let mut top = TopK::new(k);
-        let mut seen = std::collections::HashSet::new();
-        let mut searched = 0usize;
-        for p in &routes[i] {
-            let cluster = match resolved.get(p) {
-                Some(c) => c,
-                None if allow_missing => continue,
-                None => {
-                    return Err(Error::Corrupt(format!("cluster {p} missing after load")))
-                }
-            };
-            searched += 1;
-            for n in cluster.search(q, k, ef) {
-                if seen.insert(n.id) {
-                    top.push(n.id, n.dist);
+    probe_cluster_major(
+        routes,
+        resolved,
+        threads,
+        allow_missing,
+        |_, cluster, i, scratch, hits| {
+            let mut stats = SearchStats::default();
+            cluster.search_into(queries.get(base + i), k, ef, scratch, &mut stats, hits);
+        },
+        |lists: &[&[Neighbor]]| {
+            let mut top = TopK::new(k);
+            for (j, list) in lists.iter().enumerate() {
+                for n in list.iter() {
+                    // Ids are unique within a list, so only earlier
+                    // lists can hold a copy.
+                    if !lists[..j].iter().any(|l| l.iter().any(|m| m.id == n.id)) {
+                        top.push(n.id, n.dist);
+                    }
                 }
             }
-        }
-        let total = routes[i].len();
-        let cov = if total == 0 {
-            1.0
-        } else {
-            searched as f64 / total as f64
-        };
-        Ok((top.into_sorted_vec(), cov))
-    })
+            top.into_sorted_vec()
+        },
+    )
 }
 
 /// Quantized analogue of [`search_over`]: each query's routed clusters
@@ -2779,60 +2850,47 @@ fn search_over_sq(
     threads: usize,
     allow_missing: bool,
 ) -> Result<Vec<(Vec<SqCand>, f64)>> {
-    run_indexed(routes.len(), threads, |i| {
-        let q = queries.get(base + i);
-        let mut pool: Vec<SqCand> = Vec::new();
-        let mut searched = 0usize;
-        for p in &routes[i] {
-            let cluster = match resolved.get(p) {
-                Some(c) => c,
-                None if allow_missing => continue,
-                None => {
-                    return Err(Error::Corrupt(format!("cluster {p} missing after load")))
-                }
-            };
-            searched += 1;
+    probe_cluster_major(
+        routes,
+        resolved,
+        threads,
+        allow_missing,
+        |partition, cluster, i, scratch, pool| {
+            let q = queries.get(base + i);
+            let mut stats = SearchStats::default();
             if let Some(sq) = cluster.sq() {
-                for h in cluster.search_sq(q, pool_k) {
-                    let err = if h.local.is_some() {
-                        sq.params().l2_error_bound(h.dist)
-                    } else {
-                        0.0
-                    };
-                    pool.push(SqCand {
-                        id: h.id,
-                        dist: h.dist,
-                        partition: *p,
-                        local: h.local,
-                        err,
-                    });
-                }
+                let hits = cluster.search_sq_with_stats(q, pool_k, &mut stats);
+                pool.extend(hits.iter().map(|h| SqCand {
+                    id: h.id,
+                    dist: h.dist,
+                    partition,
+                    local: h.local,
+                    err: h.local.map_or(0.0, |_| sq.params().l2_error_bound(h.dist)),
+                }));
             } else {
-                for n in cluster.search(q, pool_k, pool_k.max(16)) {
-                    pool.push(SqCand {
-                        id: n.id,
-                        dist: n.dist,
-                        partition: *p,
-                        local: None,
-                        err: 0.0,
-                    });
-                }
+                let mut exact = Vec::new();
+                cluster.search_into(q, pool_k, pool_k.max(16), scratch, &mut stats, &mut exact);
+                pool.extend(exact.iter().map(|n| SqCand {
+                    id: n.id,
+                    dist: n.dist,
+                    partition,
+                    local: None,
+                    err: 0.0,
+                }));
             }
-        }
-        // Group the copies of each id closest first (the sort is stable,
-        // so equal copies stay in arrival order) and keep one per id.
-        pool.sort_by(|a, b| a.id.cmp(&b.id).then(a.dist.total_cmp(&b.dist)));
-        pool.dedup_by_key(|c| c.id);
-        pool.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
-        pool.truncate(pool_k);
-        let total = routes[i].len();
-        let cov = if total == 0 {
-            1.0
-        } else {
-            searched as f64 / total as f64
-        };
-        Ok((pool, cov))
-    })
+        },
+        |lists: &[&[SqCand]]| {
+            let mut pool = lists.concat();
+            // Group the copies of each id closest first (the sort is
+            // stable, so equal copies stay in route order) and keep one
+            // per id.
+            pool.sort_by(|a, b| a.id.cmp(&b.id).then(a.dist.total_cmp(&b.dist)));
+            pool.dedup_by_key(|c| c.id);
+            pool.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
+            pool.truncate(pool_k);
+            pool
+        },
+    )
 }
 
 #[cfg(test)]
@@ -3910,5 +3968,142 @@ mod tests {
             prom.contains("dhnsw_prefetch_rounds_total{mode=\"full\"} 1"),
             "query_batch did not trigger the prefetcher:\n{prom}"
         );
+    }
+    /// Six clusters over one dataset, each holding 80 rows of which 30
+    /// also sit in the next cluster (ids shared between clusters, as a
+    /// forced representative is), plus 23 queries' routes: duplicated
+    /// partitions inside a route, empty routes, and partition 9, which
+    /// never resolves.
+    fn oracle_fixture(sq: bool) -> (Dataset, HashMap<u32, Arc<LoadedCluster>>, Vec<Vec<u32>>) {
+        use crate::cluster::{SqCluster, SubCluster};
+        let data = gen::uniform(8, 330, 0.0, 1.0, 5).unwrap();
+        let params = hnsw::HnswParams::new(6, 40).seed(3);
+        let mut resolved = HashMap::new();
+        for p in 0..6u32 {
+            let ids: Vec<u32> = (p * 50..p * 50 + 80).collect();
+            let rows: Vec<&[f32]> = ids.iter().map(|&i| data.get(i as usize)).collect();
+            let rows = Dataset::from_rows(&rows).unwrap();
+            // One cluster of the quantized map is full precision, as a
+            // cache entry from before a mode change would be.
+            let cluster = if sq && p != 4 {
+                let blob = SqCluster::build(p, &rows, ids).unwrap().to_bytes();
+                LoadedCluster::from_remote_sq(&blob, None).unwrap()
+            } else {
+                LoadedCluster::from_sub(SubCluster::build(p, rows, ids, &params).unwrap())
+            };
+            resolved.insert(p, Arc::new(cluster));
+        }
+        let routes = (0..23u32)
+            .map(|i| match i % 6 {
+                0 => vec![],
+                1 => vec![i % 5, (i + 1) % 5, i % 5],
+                2 => vec![9, (i * 3) % 6],
+                3 => vec![9],
+                _ => vec![(i * 5) % 6, (i * 5 + 1) % 6, (i * 5 + 3) % 6],
+            })
+            .collect();
+        let queries = gen::perturbed_queries(&data, 25, 0.05, 6).unwrap();
+        (queries, resolved, routes)
+    }
+
+    #[test]
+    fn cluster_major_search_equals_a_query_major_reference() {
+        let (queries, resolved, routes) = oracle_fixture(false);
+        let (k, ef) = (7, 24);
+        let reference: Vec<(Vec<Neighbor>, f64)> = (routes.iter().enumerate())
+            .map(|(i, route)| {
+                let found: Vec<_> = route.iter().filter_map(|p| resolved.get(p)).collect();
+                let mut top = TopK::new(k);
+                let mut seen = std::collections::HashSet::new();
+                for n in found
+                    .iter()
+                    .flat_map(|c| c.search(queries.get(2 + i), k, ef))
+                {
+                    if seen.insert(n.id) {
+                        top.push(n.id, n.dist);
+                    }
+                }
+                let cov = found.len() as f64 / route.len().max(1) as f64;
+                (
+                    top.into_sorted_vec(),
+                    if route.is_empty() { 1.0 } else { cov },
+                )
+            })
+            .collect();
+        assert!(
+            reference.iter().any(|(_, cov)| *cov == 0.0)
+                && reference.iter().any(|(_, cov)| *cov == 0.5)
+        );
+        for threads in [1, 2, 3, 7] {
+            let got = search_over(&routes, &queries, 2, &resolved, k, ef, threads, true).unwrap();
+            assert_eq!(got, reference, "threads {threads}");
+            let strict = search_over(&routes, &queries, 2, &resolved, k, ef, threads, false);
+            assert!(
+                matches!(strict, Err(Error::Corrupt(_))),
+                "threads {threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn cluster_major_sq_pools_equal_a_query_major_reference() {
+        let (queries, resolved, routes) = oracle_fixture(true);
+        let pool_k = 12;
+        type Cand = (u32, f32, u32, Option<u32>, f32);
+        let reference: Vec<(Vec<Cand>, f64)> = (routes.iter().enumerate())
+            .map(|(i, route)| {
+                let q = queries.get(2 + i);
+                let mut pool: Vec<Cand> = Vec::new();
+                let found = route.iter().filter_map(|p| Some((*p, resolved.get(p)?)));
+                for (p, c) in found.clone() {
+                    match c.sq() {
+                        Some(sq) => pool.extend(c.search_sq(q, pool_k).iter().map(|h| {
+                            let err = h.local.map_or(0.0, |_| sq.params().l2_error_bound(h.dist));
+                            (h.id, h.dist, p, h.local, err)
+                        })),
+                        None => pool.extend(
+                            (c.search(q, pool_k, pool_k.max(16)).iter())
+                                .map(|n| (n.id, n.dist, p, None, 0.0)),
+                        ),
+                    }
+                }
+                pool.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
+                pool.dedup_by_key(|c| c.0);
+                pool.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+                pool.truncate(pool_k);
+                let cov = found.count() as f64 / route.len().max(1) as f64;
+                (pool, if route.is_empty() { 1.0 } else { cov })
+            })
+            .collect();
+        for threads in [1, 2, 3, 7] {
+            let got =
+                search_over_sq(&routes, &queries, 2, &resolved, pool_k, threads, true).unwrap();
+            let got: Vec<(Vec<Cand>, f64)> = got
+                .into_iter()
+                .map(|(pool, cov)| {
+                    let pool = pool
+                        .iter()
+                        .map(|c| (c.id, c.dist, c.partition, c.local, c.err));
+                    (pool.collect(), cov)
+                })
+                .collect();
+            assert_eq!(got, reference, "threads {threads}");
+            let strict = search_over_sq(&routes, &queries, 2, &resolved, pool_k, threads, false);
+            assert!(
+                matches!(strict, Err(Error::Corrupt(_))),
+                "threads {threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn zero_ef_is_rejected() {
+        let (data, store) = setup(200);
+        let node = store.connect(SearchMode::Full).unwrap();
+        let queries = gen::perturbed_queries(&data, 2, 0.03, 97).unwrap();
+        assert!(matches!(
+            node.query_batch(&queries, 5, 0),
+            Err(Error::InvalidParameter(_))
+        ));
     }
 }

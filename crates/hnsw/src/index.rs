@@ -1,6 +1,5 @@
 //! The public HNSW index type.
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -8,7 +7,7 @@ use vecsim::{Dataset, Neighbor};
 
 use crate::build::{sample_level, select_neighbors_heuristic};
 use crate::graph::Graph;
-use crate::search::{greedy_descend_layer, search_layer, LayerStats, VisitedSet};
+use crate::search::{greedy_descend_layer, search_layer, LayerStats, SearchScratch};
 use crate::{Error, HnswParams, Result};
 
 /// Work counters for a single search, split the way the paper's latency
@@ -53,9 +52,6 @@ pub struct HnswIndex {
     data: Dataset,
     graph: Graph,
     rng: StdRng,
-    // Pool of reusable visited sets so concurrent searches don't allocate
-    // an O(n) scratch buffer each call.
-    visited_pool: Mutex<Vec<VisitedSet>>,
 }
 
 impl HnswIndex {
@@ -77,7 +73,6 @@ impl HnswIndex {
             // prunes back to the budget after.
             graph: Graph::new(params.m0() + 1, params.m() + 1),
             rng: StdRng::seed_from_u64(params.rng_seed()),
-            visited_pool: Mutex::new(Vec::new()),
         })
     }
 
@@ -107,7 +102,6 @@ impl HnswIndex {
             params,
             data,
             graph,
-            visited_pool: Mutex::new(Vec::new()),
         }
     }
 
@@ -161,40 +155,41 @@ impl HnswIndex {
         }
 
         // Beam search + linking on each layer the new node exists on.
-        let mut visited = self.take_visited();
-        let mut eps = vec![Neighbor::new(cur, cur_dist)];
-        for layer in (0..=level.min(prev_max)).rev() {
-            let w = search_layer(
-                &self.graph,
-                &self.data,
-                metric,
-                v,
-                &eps,
-                self.params.ef_construction(),
-                layer,
-                &mut visited,
-                &mut stats,
-            );
-            let m_cap = self.layer_cap(layer);
-            let selected = select_neighbors_heuristic(
-                &self.graph,
-                &self.data,
-                metric,
-                v,
-                &w,
-                self.params.m(),
-                layer,
-                self.params.extends_candidates(),
-                self.params.keeps_pruned(),
-            );
-            for &nb in &selected {
-                self.graph.push_link(id, layer, nb);
-                self.graph.push_link(nb, layer, id);
-                self.shrink_if_needed(nb, layer, m_cap);
+        SearchScratch::with_local(|scratch| {
+            let mut eps = vec![Neighbor::new(cur, cur_dist)];
+            for layer in (0..=level.min(prev_max)).rev() {
+                search_layer(
+                    &self.graph,
+                    &self.data,
+                    metric,
+                    v,
+                    &eps,
+                    self.params.ef_construction(),
+                    layer,
+                    scratch,
+                    &mut stats,
+                );
+                // This layer's result is the next one's entry points.
+                std::mem::swap(&mut eps, &mut scratch.out);
+                let m_cap = self.layer_cap(layer);
+                let selected = select_neighbors_heuristic(
+                    &self.graph,
+                    &self.data,
+                    metric,
+                    v,
+                    &eps,
+                    self.params.m(),
+                    layer,
+                    self.params.extends_candidates(),
+                    self.params.keeps_pruned(),
+                );
+                for &nb in &selected {
+                    self.graph.push_link(id, layer, nb);
+                    self.graph.push_link(nb, layer, id);
+                    self.shrink_if_needed(nb, layer, m_cap);
+                }
             }
-            eps = w;
-        }
-        self.put_visited(visited);
+        });
         Ok(id)
     }
 
@@ -235,17 +230,6 @@ impl HnswIndex {
         self.graph.set_neighbors(node, layer, &selected);
     }
 
-    fn take_visited(&self) -> VisitedSet {
-        self.visited_pool.lock().pop().unwrap_or_default()
-    }
-
-    fn put_visited(&self, v: VisitedSet) {
-        let mut pool = self.visited_pool.lock();
-        if pool.len() < 64 {
-            pool.push(v);
-        }
-    }
-
     /// Searches for the `k` nearest neighbours of `query` with beam width
     /// `ef`. Returns up to `min(k, ef)` results sorted by ascending
     /// distance — an `ef` below `k` deliberately narrows the candidate
@@ -269,11 +253,26 @@ impl HnswIndex {
         ef: usize,
         stats: &mut SearchStats,
     ) -> Vec<Neighbor> {
+        SearchScratch::with_local(|scratch| self.search_in(query, k, ef, scratch, stats).to_vec())
+    }
+
+    /// The search behind every other search signature: walks with the
+    /// caller's `scratch` and returns a view of its output buffer, so a
+    /// worker that keeps one scratch searches without locking or
+    /// allocating. An `ef` of zero returns nothing without walking.
+    pub fn search_in<'s>(
+        &self,
+        query: &[f32],
+        k: usize,
+        ef: usize,
+        scratch: &'s mut SearchScratch,
+        stats: &mut SearchStats,
+    ) -> &'s [Neighbor] {
         let Some(entry) = self.graph.entry else {
-            return Vec::new();
+            return &[];
         };
-        if query.len() != self.dim() || k == 0 {
-            return Vec::new();
+        if query.len() != self.dim() || k == 0 || ef == 0 {
+            return &[];
         }
         let metric = self.params.metric_kind();
 
@@ -295,9 +294,8 @@ impl HnswIndex {
             );
         }
 
-        let mut visited = self.take_visited();
         let eps = [Neighbor::new(cur, cur_dist)];
-        let mut out = search_layer(
+        search_layer(
             &self.graph,
             &self.data,
             metric,
@@ -305,13 +303,11 @@ impl HnswIndex {
             &eps,
             ef,
             0,
-            &mut visited,
+            scratch,
             &mut layer_stats,
         );
-        self.put_visited(visited);
-        out.truncate(k);
         stats.absorb(layer_stats);
-        out
+        &scratch.out[..k.min(scratch.out.len())]
     }
 
     /// Like [`HnswIndex::search`], but only returns results satisfying
@@ -328,49 +324,12 @@ impl HnswIndex {
         wide.into_iter().filter(|n| keep(n.id)).take(k).collect()
     }
 
-    /// Greedy multi-layer descent only — returns the single closest node
-    /// found by walking from the top layer down to `stop_layer` without a
-    /// beam search. This is the primitive the meta-HNSW uses to classify a
-    /// vector into a partition, and with `beam > 1` it returns the `beam`
-    /// closest bottom-layer candidates encountered.
+    /// The `beam` closest bottom-layer nodes found by a search whose beam
+    /// is no wider than its result: `search(query, beam, beam)`. This is
+    /// the primitive the meta-HNSW uses to classify a vector into a
+    /// partition (`beam = 1` is a pure greedy descent).
     pub fn descend(&self, query: &[f32], beam: usize) -> Vec<Neighbor> {
-        let Some(entry) = self.graph.entry else {
-            return Vec::new();
-        };
-        if query.len() != self.dim() || beam == 0 {
-            return Vec::new();
-        }
-        let metric = self.params.metric_kind();
-        let mut layer_stats = LayerStats::default();
-        let mut cur = entry;
-        let mut cur_dist = metric.distance(query, self.data.get(cur as usize));
-        for layer in (1..=self.graph.max_level).rev() {
-            (cur, cur_dist) = greedy_descend_layer(
-                &self.graph,
-                &self.data,
-                metric,
-                query,
-                cur,
-                cur_dist,
-                layer,
-                &mut layer_stats,
-            );
-        }
-        let mut visited = self.take_visited();
-        let eps = [Neighbor::new(cur, cur_dist)];
-        let out = search_layer(
-            &self.graph,
-            &self.data,
-            metric,
-            query,
-            &eps,
-            beam,
-            0,
-            &mut visited,
-            &mut layer_stats,
-        );
-        self.put_visited(visited);
-        out
+        self.search(query, beam, beam)
     }
 
     /// Number of indexed vectors.
@@ -668,6 +627,23 @@ mod tests {
         assert_eq!(narrow.len(), 3, "ef=3 caps the candidate list");
         let wide = idx.search(&[0.5; 8], 10, 50);
         assert_eq!(wide.len(), 10);
+    }
+
+    #[test]
+    fn zero_ef_returns_nothing_without_walking() {
+        // The two-heap walk admitted every neighbour at ef = 0 (nothing
+        // beats an empty result list's infinite worst) and evicted it
+        // again: 539 distance evaluations on this index for no result.
+        let data = gen::uniform(8, 500, 0.0, 1.0, 95).unwrap();
+        let idx = HnswIndex::build(data, &small_params()).unwrap();
+        let mut stats = SearchStats::default();
+        assert!(idx
+            .search_with_stats(&[0.5; 8], 10, 0, &mut stats)
+            .is_empty());
+        assert_eq!(stats, SearchStats::default());
+        assert!(idx.descend(&[0.5; 8], 0).is_empty());
+        idx.search_with_stats(&[0.5; 8], 10, 8, &mut stats);
+        assert!(stats.dist_evals > 0);
     }
 
     #[test]

@@ -1,8 +1,5 @@
 //! Layer search primitives: greedy descent and beam (ef) search.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use vecsim::{Dataset, Metric, Neighbor};
 
 use crate::graph::Graph;
@@ -86,11 +83,59 @@ pub(crate) fn greedy_descend_layer(
     }
 }
 
-/// Beam search on one layer (Algorithm 2 of the paper): maintains `ef`
-/// dynamic candidates, expands the closest unexpanded candidate until the
-/// closest candidate is farther than the worst of the `ef` best results.
+/// Everything a search mutates besides its counters: the visited set,
+/// the candidate pool and the output buffer. One per worker, reused
+/// from probe to probe, so a search neither locks nor allocates once
+/// the buffers have grown to the largest graph and `ef` it has seen.
+#[derive(Debug, Default)]
+pub struct SearchScratch {
+    visited: VisitedSet,
+    /// Ascending by `Neighbor`; the flag marks entries already expanded.
+    pool: Vec<(Neighbor, bool)>,
+    pub(crate) out: Vec<Neighbor>,
+}
+
+thread_local! {
+    static LOCAL_SCRATCH: std::cell::RefCell<SearchScratch> = Default::default();
+}
+
+impl SearchScratch {
+    /// Runs `f` with the calling thread's own scratch — what the
+    /// scratch-less convenience signatures search with.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `f` itself calls `with_local` (the scratch is
+    /// borrowed for the duration of `f`).
+    pub fn with_local<R>(f: impl FnOnce(&mut SearchScratch) -> R) -> R {
+        LOCAL_SCRATCH.with_borrow_mut(f)
+    }
+
+    /// Inserts `n` at its sorted position, then drops every entry past
+    /// the `ef`-th that is farther than the `ef`-th. Entries that tie
+    /// with it stay: they are not results, but the walk still expands
+    /// them, as the two-heap formulation does for a candidate that is
+    /// exactly as far as the worst result.
+    #[inline]
+    fn admit(&mut self, n: Neighbor, ef: usize) -> usize {
+        let at = self.pool.partition_point(|(e, _)| *e < n);
+        self.pool.insert(at, (n, false));
+        while self.pool.len() > ef
+            && self.pool[self.pool.len() - 1].0.dist > self.pool[ef - 1].0.dist
+        {
+            self.pool.pop();
+        }
+        at
+    }
+}
+
+/// Beam search on one layer (Algorithm 2 of the paper) over one
+/// ascending pool whose first `ef` entries are the results so far:
+/// expand the closest entry not yet expanded, insert each unvisited
+/// neighbour that beats the `ef`-th at its sorted position, stop when
+/// every pooled entry has been expanded.
 ///
-/// Returns up to `ef` nearest entries, sorted ascending by distance.
+/// Leaves up to `ef` nearest entries in `scratch.out`, sorted ascending.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn search_layer(
     graph: &Graph,
@@ -100,64 +145,216 @@ pub(crate) fn search_layer(
     entry_points: &[Neighbor],
     ef: usize,
     layer: usize,
-    visited: &mut VisitedSet,
+    scratch: &mut SearchScratch,
     stats: &mut LayerStats,
-) -> Vec<Neighbor> {
-    visited.reset(graph.len());
-
-    // Min-heap of candidates to expand; max-heap of current best results.
-    let mut candidates: BinaryHeap<Reverse<Neighbor>> = BinaryHeap::new();
-    let mut results: BinaryHeap<Neighbor> = BinaryHeap::new();
+) {
+    scratch.out.clear();
+    if ef == 0 {
+        return;
+    }
+    scratch.visited.reset(graph.len());
+    scratch.pool.clear();
 
     for &ep in entry_points {
-        if visited.insert(ep.id) {
-            candidates.push(Reverse(ep));
-            results.push(ep);
-            if results.len() > ef {
-                results.pop();
-            }
+        if scratch.visited.insert(ep.id) {
+            scratch.admit(ep, ef);
         }
     }
 
-    while let Some(Reverse(c)) = candidates.pop() {
-        let worst = results
-            .peek()
-            .map(|n| n.dist)
-            .unwrap_or(f32::INFINITY);
-        if c.dist > worst && results.len() >= ef {
-            break;
+    // Entries before `next` are all expanded.
+    let mut next = 0;
+    while next < scratch.pool.len() {
+        if scratch.pool[next].1 {
+            next += 1;
+            continue;
         }
-        for &nb in graph.neighbors(c.id, layer) {
+        scratch.pool[next].1 = true;
+        let current = scratch.pool[next].0.id;
+        next += 1;
+        for &nb in graph.neighbors(current, layer) {
             stats.hops += 1;
-            if !visited.insert(nb) {
+            if !scratch.visited.insert(nb) {
                 continue;
             }
             let d = metric.distance(query, data.get(nb as usize));
             stats.dist_evals += 1;
-            let worst = results
-                .peek()
-                .map(|n| n.dist)
-                .unwrap_or(f32::INFINITY);
-            if results.len() < ef || d < worst {
-                let n = Neighbor::new(nb, d);
-                candidates.push(Reverse(n));
-                results.push(n);
+            if scratch.pool.len() < ef || d < scratch.pool[ef - 1].0.dist {
+                next = next.min(scratch.admit(Neighbor::new(nb, d), ef));
+            }
+        }
+    }
+
+    scratch
+        .out
+        .extend(scratch.pool.iter().take(ef).map(|(n, _)| *n));
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    use super::*;
+    use proptest::prelude::*;
+    use vecsim::Dataset;
+
+    /// The two-heap beam search `search_layer` replaced (a min-heap of
+    /// candidates to expand, a max-heap of the `ef` best results), kept
+    /// as the reference the pool version is tested against.
+    fn search_layer_two_heaps(
+        graph: &Graph,
+        data: &Dataset,
+        query: &[f32],
+        entry_points: &[Neighbor],
+        ef: usize,
+        stats: &mut LayerStats,
+    ) -> Vec<Neighbor> {
+        let mut visited = VisitedSet::default();
+        visited.reset(graph.len());
+        let mut candidates: BinaryHeap<Reverse<Neighbor>> = BinaryHeap::new();
+        let mut results: BinaryHeap<Neighbor> = BinaryHeap::new();
+        for &ep in entry_points {
+            if visited.insert(ep.id) {
+                candidates.push(Reverse(ep));
+                results.push(ep);
                 if results.len() > ef {
                     results.pop();
                 }
             }
         }
+        while let Some(Reverse(c)) = candidates.pop() {
+            let worst = results.peek().map_or(f32::INFINITY, |n| n.dist);
+            if c.dist > worst && results.len() >= ef {
+                break;
+            }
+            for &nb in graph.neighbors(c.id, 0) {
+                stats.hops += 1;
+                if !visited.insert(nb) {
+                    continue;
+                }
+                let d = Metric::L2.distance(query, data.get(nb as usize));
+                stats.dist_evals += 1;
+                let worst = results.peek().map_or(f32::INFINITY, |n| n.dist);
+                if results.len() < ef || d < worst {
+                    let n = Neighbor::new(nb, d);
+                    candidates.push(Reverse(n));
+                    results.push(n);
+                    if results.len() > ef {
+                        results.pop();
+                    }
+                }
+            }
+        }
+        let mut out = results.into_vec();
+        out.sort();
+        out
     }
 
-    let mut out = results.into_vec();
-    out.sort();
-    out
-}
+    /// `search_layer` on layer 0 under L2 with a fresh scratch.
+    fn pool_search(
+        graph: &Graph,
+        data: &Dataset,
+        query: &[f32],
+        entry_points: &[Neighbor],
+        ef: usize,
+        stats: &mut LayerStats,
+    ) -> Vec<Neighbor> {
+        let mut scratch = SearchScratch::default();
+        search_layer(
+            graph,
+            data,
+            Metric::L2,
+            query,
+            entry_points,
+            ef,
+            0,
+            &mut scratch,
+            stats,
+        );
+        scratch.out
+    }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use vecsim::Dataset;
+    /// A random directed single-layer graph over `rows`: node `i` links
+    /// to `links[i]` (taken modulo the node count, self-links dropped).
+    fn random_graph(dim: usize, flat: &[f32], links: &[Vec<u32>]) -> (Graph, Dataset) {
+        let n = (flat.len() / dim).min(links.len());
+        let data = Dataset::from_flat(dim, flat[..n * dim].to_vec()).unwrap();
+        let mut g = Graph::new(4, 4);
+        for _ in 0..n {
+            g.push_node(0);
+        }
+        for (i, list) in links[..n].iter().enumerate() {
+            for &nb in list {
+                let nb = nb % n as u32;
+                if nb != i as u32 && !g.neighbors(i as u32, 0).contains(&nb) {
+                    g.push_link(i as u32, 0, nb);
+                }
+            }
+        }
+        (g, data)
+    }
+
+    fn entry_points(data: &Dataset, query: &[f32], ids: &[u32]) -> Vec<Neighbor> {
+        ids.iter()
+            .map(|&id| id % data.len() as u32)
+            .map(|id| Neighbor::new(id, Metric::L2.distance(query, data.get(id as usize))))
+            .collect()
+    }
+
+    /// The pool walk *is* the two-heap walk: same output, same distance
+    /// evaluations, same hops, for every beam width.
+    fn assert_walks_agree(g: &Graph, data: &Dataset, query: &[f32], eps: &[u32]) {
+        let eps = entry_points(data, query, eps);
+        for ef in [1, 2, 8, 48, 200] {
+            let (mut want_stats, mut got_stats) = (LayerStats::default(), LayerStats::default());
+            let want = search_layer_two_heaps(g, data, query, &eps, ef, &mut want_stats);
+            let got = pool_search(g, data, query, &eps, ef, &mut got_stats);
+            assert_eq!(got, want, "ef {ef}");
+            assert_eq!(got_stats, want_stats, "ef {ef}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn pool_search_equals_the_two_heap_reference(
+            dim in 1usize..=64,
+            flat in prop::collection::vec(-100.0f32..100.0, 64..25_600),
+            links in prop::collection::vec(prop::collection::vec(any::<u32>(), 0..12), 1..400),
+            eps in prop::collection::vec(any::<u32>(), 1..6),
+            query in prop::collection::vec(-100.0f32..100.0, 64..65),
+        ) {
+            let (g, data) = random_graph(dim, &flat, &links);
+            assert_walks_agree(&g, &data, &query[..dim], &eps);
+        }
+
+        /// Exact ties, which f32 distances produce even without
+        /// duplicates: every vector sits on a small integer grid and is
+        /// stored several times over, so candidates tie with the worst
+        /// result all the time — the reference expands those after
+        /// evicting them, and so must the pool.
+        #[test]
+        fn pool_search_equals_the_reference_under_exact_ties(
+            dim in 1usize..=8,
+            distinct_rows in prop::collection::vec(0u32..8, 8..160),
+            copies in 2usize..6,
+            links in prop::collection::vec(prop::collection::vec(any::<u32>(), 0..12), 1..400),
+            eps in prop::collection::vec(any::<u32>(), 1..6),
+            query in prop::collection::vec(0u32..8, 8..9),
+        ) {
+            let flat: Vec<f32> = distinct_rows
+                .chunks_exact(dim)
+                .cycle()
+                .take(distinct_rows.len() / dim * copies)
+                .flatten()
+                .map(|&x| x as f32)
+                .collect();
+            let (g, data) = random_graph(dim, &flat, &links);
+            let query: Vec<f32> = query[..dim].iter().map(|&x| x as f32).collect();
+            assert_walks_agree(&g, &data, &query, &eps);
+        }
+    }
 
     /// A tiny hand-built single-layer graph: a path 0-1-2-3 with vectors on
     /// a line, so greedy search from 0 must walk to the far end.
@@ -181,8 +378,7 @@ mod tests {
         let q = [2.9f32];
         let d0 = Metric::L2.distance(&q, data.get(0));
         let mut stats = LayerStats::default();
-        let (id, dist) =
-            greedy_descend_layer(&g, &data, Metric::L2, &q, 0, d0, 0, &mut stats);
+        let (id, dist) = greedy_descend_layer(&g, &data, Metric::L2, &q, 0, d0, 0, &mut stats);
         assert_eq!(id, 3);
         assert!(dist < 0.02);
         assert!(stats.dist_evals > 0);
@@ -192,12 +388,8 @@ mod tests {
     fn search_layer_finds_all_on_connected_graph() {
         let (g, data) = line_graph();
         let q = [1.4f32];
-        let mut visited = VisitedSet::default();
-        let mut stats = LayerStats::default();
-        let ep = Neighbor::new(0, Metric::L2.distance(&q, data.get(0)));
-        let out = search_layer(
-            &g, &data, Metric::L2, &q, &[ep], 4, 0, &mut visited, &mut stats,
-        );
+        let eps = entry_points(&data, &q, &[0]);
+        let out = pool_search(&g, &data, &q, &eps, 4, &mut LayerStats::default());
         let ids: Vec<u32> = out.iter().map(|n| n.id).collect();
         assert_eq!(ids, vec![1, 2, 0, 3]);
     }
@@ -206,14 +398,43 @@ mod tests {
     fn search_layer_respects_ef_bound() {
         let (g, data) = line_graph();
         let q = [0.0f32];
-        let mut visited = VisitedSet::default();
-        let mut stats = LayerStats::default();
-        let ep = Neighbor::new(3, Metric::L2.distance(&q, data.get(3)));
-        let out = search_layer(
-            &g, &data, Metric::L2, &q, &[ep], 2, 0, &mut visited, &mut stats,
-        );
+        let eps = entry_points(&data, &q, &[3]);
+        let out = pool_search(&g, &data, &q, &eps, 2, &mut LayerStats::default());
         assert_eq!(out.len(), 2);
         assert!(out[0].dist <= out[1].dist);
+    }
+
+    #[test]
+    fn zero_ef_returns_nothing_without_walking() {
+        let (g, data) = line_graph();
+        let q = [0.0f32];
+        let eps = entry_points(&data, &q, &[3]);
+        let mut stats = LayerStats::default();
+        assert!(pool_search(&g, &data, &q, &eps, 0, &mut stats).is_empty());
+        assert_eq!(stats, LayerStats::default());
+    }
+
+    #[test]
+    fn a_reused_scratch_forgets_the_previous_search() {
+        let (g, data) = line_graph();
+        let mut scratch = SearchScratch::default();
+        for (q, ef, want) in [([3.0f32], 4, vec![3, 2, 1, 0]), ([0.0], 2, vec![0, 1])] {
+            let eps = entry_points(&data, &q, &[0]);
+            let mut stats = LayerStats::default();
+            search_layer(
+                &g,
+                &data,
+                Metric::L2,
+                &q,
+                &eps,
+                ef,
+                0,
+                &mut scratch,
+                &mut stats,
+            );
+            let ids: Vec<u32> = scratch.out.iter().map(|n| n.id).collect();
+            assert_eq!(ids, want);
+        }
     }
 
     #[test]
@@ -241,12 +462,8 @@ mod tests {
     fn duplicate_entry_points_are_deduplicated() {
         let (g, data) = line_graph();
         let q = [0.0f32];
-        let mut visited = VisitedSet::default();
-        let mut stats = LayerStats::default();
-        let ep = Neighbor::new(0, Metric::L2.distance(&q, data.get(0)));
-        let out = search_layer(
-            &g, &data, Metric::L2, &q, &[ep, ep, ep], 4, 0, &mut visited, &mut stats,
-        );
+        let ep = entry_points(&data, &q, &[0])[0];
+        let out = pool_search(&g, &data, &q, &[ep, ep, ep], 4, &mut LayerStats::default());
         let ids: Vec<u32> = out.iter().map(|n| n.id).collect();
         assert_eq!(ids, vec![0, 1, 2, 3]);
     }

@@ -1,9 +1,11 @@
 //! Distance kernels.
 //!
-//! All kernels operate on `&[f32]` slices of equal length. The hot loops are
-//! manually unrolled four-wide, which lets LLVM vectorize them without any
-//! `unsafe` or architecture-specific intrinsics. [`Metric`] selects a kernel
-//! at runtime; everything downstream (HNSW, d-HNSW) is metric-agnostic.
+//! All kernels operate on `&[f32]` slices of equal length. The hot loops
+//! accumulate into `LANES` independent sums over `chunks_exact(LANES)`
+//! (see `lane_sum`), so LLVM vectorizes them and no single dependency
+//! chain bounds the loop — without any `unsafe` or architecture-specific
+//! intrinsics. [`Metric`] selects a kernel at runtime; everything
+//! downstream (HNSW, d-HNSW) is metric-agnostic.
 
 /// Distance metric selector.
 ///
@@ -69,6 +71,29 @@ impl std::fmt::Display for Metric {
     }
 }
 
+/// Independent accumulators per kernel: four 4-wide (or two 8-wide)
+/// vector registers, enough to cover the add latency of one chain.
+const LANES: usize = 16;
+
+/// `Σ term(a[i], b[i])` over the common prefix of `a` and `b`, summed in
+/// [`LANES`] independent accumulators plus a sequential tail.
+#[inline(always)]
+fn lane_sum(a: &[f32], b: &[f32], term: impl Fn(f32, f32) -> f32) -> f32 {
+    let n = a.len().min(b.len());
+    let mut acc = [0.0f32; LANES];
+    let mut a = a[..n].chunks_exact(LANES);
+    let mut b = b[..n].chunks_exact(LANES);
+    for (x, y) in (&mut a).zip(&mut b) {
+        for l in 0..LANES {
+            acc[l] += term(x[l], y[l]);
+        }
+    }
+    let tail = (a.remainder().iter().zip(b.remainder()))
+        .map(|(&x, &y)| term(x, y))
+        .sum::<f32>();
+    acc.iter().sum::<f32>() + tail
+}
+
 /// Squared Euclidean distance between `a` and `b`.
 ///
 /// ```rust
@@ -76,30 +101,10 @@ impl std::fmt::Display for Metric {
 /// ```
 #[inline]
 pub fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
-    let n = a.len().min(b.len());
-    let (a, b) = (&a[..n], &b[..n]);
-    let chunks = n / 4;
-    let mut s0 = 0.0f32;
-    let mut s1 = 0.0f32;
-    let mut s2 = 0.0f32;
-    let mut s3 = 0.0f32;
-    for i in 0..chunks {
-        let j = i * 4;
-        let d0 = a[j] - b[j];
-        let d1 = a[j + 1] - b[j + 1];
-        let d2 = a[j + 2] - b[j + 2];
-        let d3 = a[j + 3] - b[j + 3];
-        s0 += d0 * d0;
-        s1 += d1 * d1;
-        s2 += d2 * d2;
-        s3 += d3 * d3;
-    }
-    let mut tail = 0.0f32;
-    for j in chunks * 4..n {
-        let d = a[j] - b[j];
-        tail += d * d;
-    }
-    s0 + s1 + s2 + s3 + tail
+    lane_sum(a, b, |x, y| {
+        let d = x - y;
+        d * d
+    })
 }
 
 /// Dot product of `a` and `b`.
@@ -109,25 +114,7 @@ pub fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
 /// ```
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    let n = a.len().min(b.len());
-    let (a, b) = (&a[..n], &b[..n]);
-    let chunks = n / 4;
-    let mut s0 = 0.0f32;
-    let mut s1 = 0.0f32;
-    let mut s2 = 0.0f32;
-    let mut s3 = 0.0f32;
-    for i in 0..chunks {
-        let j = i * 4;
-        s0 += a[j] * b[j];
-        s1 += a[j + 1] * b[j + 1];
-        s2 += a[j + 2] * b[j + 2];
-        s3 += a[j + 3] * b[j + 3];
-    }
-    let mut tail = 0.0f32;
-    for j in chunks * 4..n {
-        tail += a[j] * b[j];
-    }
-    s0 + s1 + s2 + s3 + tail
+    lane_sum(a, b, |x, y| x * y)
 }
 
 /// Euclidean norm of `a`.
@@ -158,38 +145,32 @@ pub fn cosine_distance(a: &[f32], b: &[f32]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    fn naive_l2(a: &[f32], b: &[f32]) -> f32 {
-        a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
-    }
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
 
-    fn naive_dot(a: &[f32], b: &[f32]) -> f32 {
-        a.iter().zip(b).map(|(x, y)| x * y).sum()
-    }
-
-    #[test]
-    fn l2_matches_naive_across_lengths() {
-        // Cover every unrolling remainder 0..=3 and longer vectors.
-        for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 128, 960] {
-            let a: Vec<f32> = (0..n).map(|i| (i as f32) * 0.5 - 3.0).collect();
-            let b: Vec<f32> = (0..n).map(|i| (i as f32).sin()).collect();
-            let fast = l2_sq(&a, &b);
-            let slow = naive_l2(&a, &b);
-            assert!(
-                (fast - slow).abs() <= 1e-3 * slow.abs().max(1.0),
-                "n={n}: {fast} vs {slow}"
-            );
-        }
-    }
-
-    #[test]
-    fn dot_matches_naive_across_lengths() {
-        for n in [0usize, 1, 3, 4, 6, 13, 128] {
-            let a: Vec<f32> = (0..n).map(|i| (i as f32) * 0.25).collect();
-            let b: Vec<f32> = (0..n).map(|i| 1.0 - (i as f32) * 0.125).collect();
-            let fast = dot(&a, &b);
-            let slow = naive_dot(&a, &b);
-            assert!((fast - slow).abs() <= 1e-3 * slow.abs().max(1.0));
+        /// The lane kernels against an `f64` reference at every
+        /// dimensionality from empty through one past 256: every
+        /// remainder of the 16-lane chunking, with and without full
+        /// chunks.
+        #[test]
+        fn l2_and_dot_match_an_f64_reference_at_every_dim(
+            a in prop::collection::vec(-300.0f32..300.0, 257..258),
+            b in prop::collection::vec(-300.0f32..300.0, 257..258),
+        ) {
+            for dim in 0..=257 {
+                let pairs = || a[..dim].iter().zip(&b[..dim]).map(|(&x, &y)| (f64::from(x), f64::from(y)));
+                let l2: f64 = pairs().map(|(x, y)| (x - y) * (x - y)).sum();
+                let got = f64::from(l2_sq(&a[..dim], &b[..dim]));
+                prop_assert!((got - l2).abs() <= 1e-4 * l2, "l2 dim {}: {} vs {}", dim, got, l2);
+                // The dot product cancels, so its error scales with the
+                // magnitude of the terms, not of the sum.
+                let dot64: f64 = pairs().map(|(x, y)| x * y).sum();
+                let scale: f64 = pairs().map(|(x, y)| (x * y).abs()).sum();
+                let got = f64::from(dot(&a[..dim], &b[..dim]));
+                prop_assert!((got - dot64).abs() <= 1e-4 * scale, "dot dim {}: {} vs {}", dim, got, dot64);
+            }
         }
     }
 
@@ -222,7 +203,9 @@ mod tests {
         let q = [1.0, 1.0];
         let close = [2.0, 2.0];
         let far = [0.1, 0.1];
-        assert!(Metric::InnerProduct.distance(&q, &close) < Metric::InnerProduct.distance(&q, &far));
+        assert!(
+            Metric::InnerProduct.distance(&q, &close) < Metric::InnerProduct.distance(&q, &far)
+        );
     }
 
     #[test]

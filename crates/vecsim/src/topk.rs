@@ -100,13 +100,13 @@ impl TopK {
             self.heap.push(Neighbor::new(id, dist));
             return true;
         }
-        let worst = self
+        let mut worst = self
             .heap
-            .peek()
+            .peek_mut()
             .expect("heap is non-empty when len == k > 0");
         if Neighbor::new(id, dist) < *worst {
-            self.heap.pop();
-            self.heap.push(Neighbor::new(id, dist));
+            // Overwriting the root sifts once, when the guard drops.
+            *worst = Neighbor::new(id, dist);
             true
         } else {
             false
@@ -154,6 +154,7 @@ impl Extend<Neighbor> for TopK {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn keeps_only_k_best() {
@@ -214,6 +215,25 @@ mod tests {
         // gets evicted.
         let ids: Vec<u32> = t.into_sorted_vec().iter().map(|n| n.id).collect();
         assert_eq!(ids, vec![2, 1]);
+    }
+
+    proptest! {
+        /// Whatever the arrival order, ties and repeats included, the
+        /// collector holds what sorting everything and cutting at `k`
+        /// would.
+        #[test]
+        fn matches_sort_and_truncate(
+            k in 0usize..12,
+            offered in prop::collection::vec((0u32..40, 0u32..8), 0..120),
+        ) {
+            let all: Vec<Neighbor> = offered.iter().map(|&(id, d)| Neighbor::new(id, d as f32)).collect();
+            let mut top = TopK::new(k);
+            top.extend(all.iter().copied());
+            let mut want = all;
+            want.sort();
+            want.truncate(k);
+            prop_assert_eq!(top.into_sorted_vec(), want);
+        }
     }
 
     #[test]
