@@ -489,12 +489,6 @@ impl OverflowRecord {
         (16 + 4 * dim + 4 + 7) & !7
     }
 
-    /// On-wire size under the v1 framing (no length prefix, checksum, or
-    /// commit marker). Kept for decoding pre-v2 snapshots.
-    pub fn wire_size_legacy(dim: usize) -> usize {
-        (8 + 4 * dim + 7) & !7
-    }
-
     /// Encodes the record into exactly [`OverflowRecord::wire_size`]
     /// bytes, commit marker in the slot's final word.
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -553,34 +547,6 @@ impl OverflowRecord {
             tombstone: tag & TOMBSTONE_BIT != 0,
         })
     }
-
-    /// Decodes one record under the v1 framing (tag, global id, payload;
-    /// no integrity fields). Pre-v2 snapshots use this layout.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Corrupt`] when `bytes` is shorter than
-    /// [`OverflowRecord::wire_size_legacy`].
-    pub fn from_bytes_legacy(bytes: &[u8], dim: usize) -> Result<Self> {
-        if bytes.len() < Self::wire_size_legacy(dim) {
-            return Err(Error::Corrupt("truncated overflow record".into()));
-        }
-        let tag = u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes"));
-        let global_id = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-        let mut vector = Vec::with_capacity(dim);
-        for i in 0..dim {
-            let off = 8 + 4 * i;
-            vector.push(f32::from_le_bytes(
-                bytes[off..off + 4].try_into().expect("4 bytes"),
-            ));
-        }
-        Ok(OverflowRecord {
-            partition: tag & !TOMBSTONE_BIT,
-            global_id,
-            vector,
-            tombstone: tag & TOMBSTONE_BIT != 0,
-        })
-    }
 }
 
 /// Parses a raw overflow area: an 8-byte little-endian `used` counter
@@ -630,30 +596,6 @@ pub fn parse_overflow_detailed(
     Ok((out, skipped))
 }
 
-/// [`parse_overflow`] under the v1 framing, for pre-v2 snapshots. v1
-/// slots carry no commit marker, so a torn insert is indistinguishable
-/// from a record of zeros — exactly the defect the v2 framing removes.
-///
-/// # Errors
-///
-/// Returns [`Error::Corrupt`] when the area is shorter than its counter
-/// header or a record is truncated.
-pub fn parse_overflow_legacy(area: &[u8], dim: usize) -> Result<Vec<OverflowRecord>> {
-    if area.len() < 8 {
-        return Err(Error::Corrupt("overflow area shorter than header".into()));
-    }
-    let used = u64::from_le_bytes(area[0..8].try_into().expect("8 bytes")) as usize;
-    let rec = OverflowRecord::wire_size_legacy(dim);
-    let usable = used.min(area.len() - 8);
-    let count = usable / rec;
-    let mut out = Vec::with_capacity(count);
-    for i in 0..count {
-        let off = 8 + i * rec;
-        out.push(OverflowRecord::from_bytes_legacy(&area[off..off + rec], dim)?);
-    }
-    Ok(out)
-}
-
 /// The searchable body of a [`LoadedCluster`]: the full-precision
 /// sub-HNSW, or its scalar-quantized copy when the engine fetched the
 /// compressed wire format.
@@ -675,6 +617,34 @@ pub struct SqHit {
     /// cluster blob), or `None` for an overflow insert, whose distance
     /// is already exact.
     pub local: Option<u32>,
+}
+
+/// One hit of [`LoadedCluster::probe`], whatever wire format the cluster
+/// was loaded in.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Candidate {
+    /// Global id of the candidate.
+    pub id: u32,
+    /// Distance from the query: exact for a full-precision cluster and
+    /// for overflow inserts, asymmetric squared L2 for an SQ8 base row.
+    pub dist: f32,
+    /// The SQ8 base row `dist` was estimated from — where an exact
+    /// rerank read finds the vector in the full-precision cluster blob —
+    /// or `None` when `dist` is already exact.
+    pub local: Option<u32>,
+    /// Worst-case quantization error of `dist` (zero when exact).
+    pub err: f32,
+}
+
+impl Candidate {
+    fn exact(id: u32, dist: f32) -> Self {
+        Candidate {
+            id,
+            dist,
+            local: None,
+            err: 0.0,
+        }
+    }
 }
 
 /// A cluster as materialized on a compute node: the deserialized base
@@ -829,16 +799,20 @@ impl LoadedCluster {
 
     /// Base vectors plus overflow inserts.
     pub fn total_vectors(&self) -> usize {
-        let base = match &self.payload {
-            Payload::Full(sub) => sub.len(),
-            Payload::Sq(sq) => sq.len(),
-        };
-        base + self.extra.len()
+        self.base_len() + self.extra.len()
     }
 
     /// Number of overflow inserts materialized.
     pub fn overflow_len(&self) -> usize {
         self.extra.len()
+    }
+
+    /// Base rows, overflow inserts excluded.
+    pub fn base_len(&self) -> usize {
+        match &self.payload {
+            Payload::Full(sub) => sub.len(),
+            Payload::Sq(sq) => sq.len(),
+        }
     }
 
     /// Top-`k` search over base + overflow vectors, global ids, ascending
@@ -858,78 +832,63 @@ impl LoadedCluster {
         stats: &mut SearchStats,
     ) -> Vec<Neighbor> {
         let mut out = Vec::new();
-        SearchScratch::with_local(|scratch| {
-            self.search_into(query, k, ef, scratch, stats, &mut out)
-        });
-        out
+        SearchScratch::with_local(|scratch| self.probe(query, k, 0, ef, scratch, stats, &mut out));
+        out.into_iter().map(|c| Neighbor::new(c.id, c.dist)).collect()
     }
 
-    /// The search behind [`LoadedCluster::search`]: walks with the
-    /// caller's `scratch` and appends the up to `k` hits to `out`, so a
-    /// worker probing cluster after cluster allocates nothing per probe.
-    pub(crate) fn search_into(
+    /// The one search entry: appends this cluster's best candidates for
+    /// `query` to `out`, ascending by `(dist, id)`, walking with the
+    /// caller's `scratch` so a worker probing cluster after cluster
+    /// allocates nothing per probe for bookkeeping.
+    ///
+    /// A full-precision cluster walks its sub-HNSW with beam `ef` and
+    /// yields up to `k` exact candidates. An SQ8 cluster scans every
+    /// code with asymmetric L2 and yields up to `k + slack` — the extra
+    /// is the pool an exact rerank chooses from — each base row carrying
+    /// its rerank address and error bound. Either way the overflow tail
+    /// is scanned exactly and tombstoned ids are gone.
+    #[allow(clippy::too_many_arguments)]
+    pub fn probe(
         &self,
         query: &[f32],
         k: usize,
+        slack: usize,
         ef: usize,
         scratch: &mut SearchScratch,
         stats: &mut SearchStats,
-        out: &mut Vec<Neighbor>,
+        out: &mut Vec<Candidate>,
     ) {
         let start = out.len();
-        let sub = match &self.payload {
-            Payload::Full(sub) => sub,
-            Payload::Sq(_) => {
-                let hits = self.search_sq_with_stats(query, k, stats);
-                out.extend(hits.iter().map(|h| Neighbor::new(h.id, h.dist)));
-                return;
-            }
-        };
-        let metric = sub.hnsw().params().metric_kind();
-        // When tombstones exist, ask the base graph for that many extra
-        // candidates (and widen the beam accordingly) so filtering the
-        // deleted ids still leaves k survivors.
-        let extra_needed = self.deleted.len().min(k);
-        let base = sub.search_in(query, k + extra_needed, ef + extra_needed, scratch, stats);
-        out.extend(base.filter(|n| extra_needed == 0 || !self.deleted.contains(&n.id)));
-        for (gid, v) in &self.extra {
-            stats.dist_evals += 1;
-            out.push(Neighbor::new(*gid, metric.distance(query, v)));
-        }
-        // The walk orders ties by local id; hits leave ordered by global.
-        out[start..].sort_unstable();
-        out.truncate(start + k);
-    }
-
-    /// Top-`k` scan of a quantized cluster: exhaustive asymmetric L2
-    /// over the codes plus an exact scan of the overflow tail, with
-    /// tombstone filtering. Hits keep enough addressing information for
-    /// the exact-rerank read path.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the cluster was loaded full-precision; callers
-    /// dispatch on [`LoadedCluster::is_quantized`].
-    pub fn search_sq(&self, query: &[f32], k: usize) -> Vec<SqHit> {
-        let mut stats = SearchStats::default();
-        self.search_sq_with_stats(query, k, &mut stats)
-    }
-
-    /// Like [`LoadedCluster::search_sq`], accumulating work counters.
-    pub fn search_sq_with_stats(
-        &self,
-        query: &[f32],
-        k: usize,
-        stats: &mut SearchStats,
-    ) -> Vec<SqHit> {
         let sq = match &self.payload {
             Payload::Sq(sq) => sq,
-            Payload::Full(_) => panic!("full-precision cluster has no sq payload"),
+            Payload::Full(sub) => {
+                let metric = sub.hnsw().params().metric_kind();
+                // When tombstones exist, ask the base graph for that many
+                // extra candidates (and widen the beam accordingly) so
+                // filtering the deleted ids still leaves k survivors.
+                let extra_needed = self.deleted.len().min(k);
+                let base =
+                    sub.search_in(query, k + extra_needed, ef + extra_needed, scratch, stats);
+                out.extend(
+                    base.filter(|n| extra_needed == 0 || !self.deleted.contains(&n.id))
+                        .map(|n| Candidate::exact(n.id, n.dist)),
+                );
+                for (gid, v) in &self.extra {
+                    stats.dist_evals += 1;
+                    out.push(Candidate::exact(*gid, metric.distance(query, v)));
+                }
+                // The walk orders ties by local id; hits leave ordered by
+                // global.
+                out[start..]
+                    .sort_unstable_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
+                out.truncate(start + k);
+                return;
+            }
         };
         // TopK carries plain (id, dist), so select over pseudo-ids:
         // base row i -> i, overflow insert j -> n + j.
         let n = sq.len() as u32;
-        let mut top = TopK::new(k);
+        let mut top = TopK::new(k + slack);
         // Most clusters carry no tombstone; those skip the per-row hash
         // lookup altogether.
         let any_deleted = !self.deleted.is_empty();
@@ -945,22 +904,41 @@ impl LoadedCluster {
             stats.dist_evals += 1;
             top.push(n + j as u32, vecsim::l2_sq(query, v));
         }
-        top.into_sorted_vec()
-            .into_iter()
-            .map(|h| {
-                if h.id < n {
-                    SqHit {
-                        id: sq.global_ids()[h.id as usize],
-                        dist: h.dist,
-                        local: Some(h.id),
-                    }
-                } else {
-                    SqHit {
-                        id: self.extra[(h.id - n) as usize].0,
-                        dist: h.dist,
-                        local: None,
-                    }
+        out.extend(top.into_sorted_vec().into_iter().map(|h| {
+            if h.id < n {
+                Candidate {
+                    id: sq.global_ids[h.id as usize],
+                    dist: h.dist,
+                    local: Some(h.id),
+                    err: sq.params.l2_error_bound(h.dist),
                 }
+            } else {
+                Candidate::exact(self.extra[(h.id - n) as usize].0, h.dist)
+            }
+        }));
+    }
+
+    /// Top-`k` scan of a quantized cluster: [`LoadedCluster::probe`]
+    /// with no rerank slack, hits keeping their rerank address.
+    pub fn search_sq(&self, query: &[f32], k: usize) -> Vec<SqHit> {
+        let mut stats = SearchStats::default();
+        self.search_sq_with_stats(query, k, &mut stats)
+    }
+
+    /// Like [`LoadedCluster::search_sq`], accumulating work counters.
+    pub fn search_sq_with_stats(
+        &self,
+        query: &[f32],
+        k: usize,
+        stats: &mut SearchStats,
+    ) -> Vec<SqHit> {
+        let mut out = Vec::new();
+        SearchScratch::with_local(|scratch| self.probe(query, k, 0, k, scratch, stats, &mut out));
+        out.into_iter()
+            .map(|c| SqHit {
+                id: c.id,
+                dist: c.dist,
+                local: c.local,
             })
             .collect()
     }
@@ -1077,33 +1055,6 @@ mod tests {
         bytes[17] ^= 0x01; // flip a payload bit, marker intact
         let err = OverflowRecord::from_bytes(&bytes, dim).unwrap_err();
         assert!(err.to_string().contains("checksum"), "{err}");
-    }
-
-    #[test]
-    fn legacy_framing_still_decodes() {
-        // Hand-packed v1 slot: tag, global id, payload, pad — no header
-        // extensions, no commit marker.
-        let dim = 3;
-        let rec = OverflowRecord::wire_size_legacy(dim);
-        assert_eq!(rec, (8 + 4 * dim + 7) & !7);
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&(6u32 | TOMBSTONE_BIT).to_le_bytes());
-        bytes.extend_from_slice(&123u32.to_le_bytes());
-        for x in [1.0f32, 2.0, 3.0] {
-            bytes.extend_from_slice(&x.to_le_bytes());
-        }
-        bytes.resize(rec, 0);
-        let r = OverflowRecord::from_bytes_legacy(&bytes, dim).unwrap();
-        assert_eq!(r.partition, 6);
-        assert_eq!(r.global_id, 123);
-        assert!(r.tombstone);
-        assert_eq!(r.vector, vec![1.0, 2.0, 3.0]);
-
-        let mut area = vec![0u8; 8 + rec];
-        area[0..8].copy_from_slice(&(rec as u64).to_le_bytes());
-        area[8..].copy_from_slice(&bytes);
-        let got = parse_overflow_legacy(&area, dim).unwrap();
-        assert_eq!(got, vec![r]);
     }
 
     #[test]

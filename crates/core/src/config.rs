@@ -369,6 +369,73 @@ impl DHnswConfig {
         self
     }
 
+    /// Applies the `DHNSW_*` environment overrides, so binaries can run
+    /// fault drills and sweeps without code changes. This is the one
+    /// place the engine and the store read the environment; a variable
+    /// that is set wins over the value configured in code.
+    ///
+    /// | variable | overrides |
+    /// |----------|-----------|
+    /// | `DHNSW_READ_RETRY_LIMIT` | [`DHnswConfig::read_retry_limit`] |
+    /// | `DHNSW_RETRY_BACKOFF_US` | [`DHnswConfig::retry_backoff_us`] |
+    /// | `DHNSW_DEGRADED_OK` (`1`) | [`DHnswConfig::degraded_ok`] |
+    /// | `DHNSW_PIPELINE_DEPTH` | [`DHnswConfig::pipeline_depth`] (`0` reads as `1`) |
+    /// | `DHNSW_PREFETCH_BUDGET_BYTES` | [`DHnswConfig::prefetch_budget_bytes`] |
+    /// | `DHNSW_SEARCH_THREADS` | [`DHnswConfig::search_threads`] (`0` = all cores) |
+    /// | `DHNSW_QUANTIZE_MODE` (`off`, `sq8`) | [`DHnswConfig::quantize_mode`] |
+    /// | `DHNSW_RERANK_K` | [`DHnswConfig::rerank_k`] (`0` reads as `1`) |
+    ///
+    /// The two tracer switches, `DHNSW_TRACE_SPANS` and
+    /// `DHNSW_SLOW_QUERY_US`, are read beside these (`tracer_env`): they
+    /// configure the telemetry hub a node reports to, not the node.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidParameter`] naming the variable when one is
+    /// set to something that does not parse — a typo must not silently
+    /// run the default.
+    pub fn with_env_overrides(self) -> Result<Self> {
+        self.with_overrides(&process_env)
+    }
+
+    /// [`DHnswConfig::with_env_overrides`] over any variable lookup.
+    fn with_overrides(mut self, var: &dyn Fn(&str) -> Option<String>) -> Result<Self> {
+        if let Some(n) = parse_var(var, "DHNSW_READ_RETRY_LIMIT")? {
+            self.read_retry_limit = n;
+        }
+        if let Some(us) = parse_var::<f64>(var, "DHNSW_RETRY_BACKOFF_US")? {
+            if !us.is_finite() || us < 0.0 {
+                return Err(Error::InvalidParameter(format!(
+                    "DHNSW_RETRY_BACKOFF_US must be finite and >= 0, got {us}"
+                )));
+            }
+            self.retry_backoff_us = us;
+        }
+        if flag_var(var, "DHNSW_DEGRADED_OK")? {
+            self.degraded_ok = true;
+        }
+        if let Some(d) = parse_var::<usize>(var, "DHNSW_PIPELINE_DEPTH")? {
+            self.pipeline_depth = d.max(1);
+        }
+        if let Some(bytes) = parse_var(var, "DHNSW_PREFETCH_BUDGET_BYTES")? {
+            self.prefetch_budget_bytes = bytes;
+        }
+        if let Some(t) = parse_var(var, "DHNSW_SEARCH_THREADS")? {
+            self.search_threads = t;
+        }
+        if let Some(mode) = var("DHNSW_QUANTIZE_MODE") {
+            self.quantize_mode = QuantizeMode::parse(&mode).map_err(|_| {
+                Error::InvalidParameter(format!(
+                    "DHNSW_QUANTIZE_MODE={mode:?} is not a valid value (expected off or sq8)"
+                ))
+            })?;
+        }
+        if let Some(k) = parse_var::<usize>(var, "DHNSW_RERANK_K")? {
+            self.rerank_k = k.max(1);
+        }
+        Ok(self)
+    }
+
     /// Validates the configuration.
     ///
     /// # Errors
@@ -420,6 +487,57 @@ impl DHnswConfig {
         }
         Ok(())
     }
+}
+
+/// The process environment: the one place the engine and the store read it.
+fn process_env(name: &str) -> Option<String> {
+    std::env::var(name).ok()
+}
+
+/// Looks `name` up and parses it; set but unparsable is an error that
+/// names the variable.
+fn parse_var<T: std::str::FromStr>(
+    var: &dyn Fn(&str) -> Option<String>,
+    name: &str,
+) -> Result<Option<T>> {
+    var(name)
+        .map(|raw| {
+            raw.trim().parse().map_err(|_| {
+                Error::InvalidParameter(format!("{name}={raw:?} is not a valid value"))
+            })
+        })
+        .transpose()
+}
+
+/// An on/off switch: `1` turns it on, `0` or unset leaves it alone.
+fn flag_var(var: &dyn Fn(&str) -> Option<String>, name: &str) -> Result<bool> {
+    match var(name).as_deref().map(str::trim) {
+        None | Some("0") => Ok(false),
+        Some("1") => Ok(true),
+        Some(other) => Err(Error::InvalidParameter(format!(
+            "{name}={other:?} is not a valid value (expected 0 or 1)"
+        ))),
+    }
+}
+
+/// The span tracer's two environment switches, read beside
+/// [`DHnswConfig::with_env_overrides`]: whether `DHNSW_TRACE_SPANS=1` asks
+/// for a span tree per batch, and the `DHNSW_SLOW_QUERY_US` slow-query
+/// budget in µs.
+///
+/// # Errors
+///
+/// Returns [`Error::InvalidParameter`] naming the variable when one is
+/// set to something that does not parse.
+pub(crate) fn tracer_env() -> Result<(bool, Option<u64>)> {
+    tracer_switches(&process_env)
+}
+
+fn tracer_switches(var: &dyn Fn(&str) -> Option<String>) -> Result<(bool, Option<u64>)> {
+    Ok((
+        flag_var(var, "DHNSW_TRACE_SPANS")?,
+        parse_var(var, "DHNSW_SLOW_QUERY_US")?,
+    ))
 }
 
 impl Default for DHnswConfig {
@@ -538,6 +656,68 @@ mod tests {
         assert_eq!(QuantizeMode::parse(" OFF ").unwrap(), QuantizeMode::Off);
         assert!(QuantizeMode::parse("pq").is_err());
         assert_eq!(QuantizeMode::Sq8.as_str(), "sq8");
+    }
+
+    /// A lookup over a fixed variable set.
+    fn vars(set: &'static [(&'static str, &'static str)]) -> impl Fn(&str) -> Option<String> {
+        move |name| {
+            set.iter()
+                .find(|(n, _)| *n == name)
+                .map(|(_, v)| v.to_string())
+        }
+    }
+
+    #[test]
+    fn env_overrides_apply_valid_keep_absent_and_reject_malformed() {
+        type Get = fn(&DHnswConfig) -> String;
+        // (variable, a valid value, the field after it, a malformed value)
+        let cases: [(&'static str, &'static str, &'static str, &'static str, Get); 8] = [
+            ("DHNSW_READ_RETRY_LIMIT", "7", "7", "-1", |c| c.read_retry_limit().to_string()),
+            ("DHNSW_RETRY_BACKOFF_US", "2.5", "2.5", "NaN", |c| c.retry_backoff_us().to_string()),
+            ("DHNSW_DEGRADED_OK", "1", "true", "yes", |c| c.degraded_ok().to_string()),
+            ("DHNSW_PIPELINE_DEPTH", "4", "4", "abc", |c| c.pipeline_depth().to_string()),
+            ("DHNSW_PREFETCH_BUDGET_BYTES", "4096", "4096", "4k", |c| {
+                c.prefetch_budget_bytes().to_string()
+            }),
+            ("DHNSW_SEARCH_THREADS", " 3 ", "3", "three", |c| c.search_threads().to_string()),
+            ("DHNSW_QUANTIZE_MODE", "sq8", "sq8", "sq9", |c| c.quantize_mode().as_str().into()),
+            ("DHNSW_RERANK_K", "48", "48", "", |c| c.rerank_k().to_string()),
+        ];
+        let base = DHnswConfig::small();
+        for (name, valid, after, malformed, get) in cases {
+            let before = get(&base);
+            assert_ne!(before, after, "{name}: the valid case must change the field");
+            let set = move |n: &str| (n == name).then(|| valid.to_string());
+            assert_eq!(get(&base.clone().with_overrides(&set).unwrap()), after, "{name}");
+            assert_eq!(get(&base.clone().with_overrides(&|_| None).unwrap()), before, "{name}");
+            let bad = move |n: &str| (n == name).then(|| malformed.to_string());
+            let err = base.clone().with_overrides(&bad).unwrap_err();
+            assert!(
+                matches!(&err, Error::InvalidParameter(m) if m.contains(name)),
+                "{name}={malformed:?}: {err}"
+            );
+        }
+        // Zero depth and zero rerank pool read as their minimum, 1.
+        let floor = vars(&[("DHNSW_PIPELINE_DEPTH", "0"), ("DHNSW_RERANK_K", "0")]);
+        let floored = base.clone().with_overrides(&floor).unwrap();
+        assert_eq!((floored.pipeline_depth(), floored.rerank_k()), (1, 1));
+        // A flag set to 0 leaves a configured `true` alone.
+        let on = DHnswConfig::small().with_degraded_ok(true);
+        assert!(on.with_overrides(&vars(&[("DHNSW_DEGRADED_OK", "0")])).unwrap().degraded_ok());
+    }
+
+    #[test]
+    fn tracer_switches_parse_valid_absent_and_malformed() {
+        assert_eq!(tracer_switches(&|_| None).unwrap(), (false, None));
+        let both = vars(&[("DHNSW_TRACE_SPANS", "1"), ("DHNSW_SLOW_QUERY_US", "250")]);
+        assert_eq!(tracer_switches(&both).unwrap(), (true, Some(250)));
+        for bad in [&[("DHNSW_TRACE_SPANS", "on")], &[("DHNSW_SLOW_QUERY_US", "1ms")]] {
+            let err = tracer_switches(&vars(bad)).unwrap_err();
+            assert!(
+                matches!(&err, Error::InvalidParameter(m) if m.contains(bad[0].0)),
+                "{err}"
+            );
+        }
     }
 
     #[test]

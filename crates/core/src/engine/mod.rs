@@ -1,0 +1,698 @@
+//! The compute-instance query engine.
+//!
+//! A [`ComputeNode`] is one compute-pool instance: it caches the
+//! meta-HNSW and the layout directory, owns a queue pair to the memory
+//! pool and an LRU cluster cache, and answers batched top-k queries. The
+//! [`SearchMode`] selects between full d-HNSW and the paper's two
+//! baselines, which differ **only** in how cluster bytes cross the
+//! network — two bits of [`ReadPolicy`], and this table is that code:
+//!
+//! | mode | meta cache | `reuse`: query-aware dedup + LRU cache | `doorbell` |
+//! |------|-----------|-----------------------------------------|------------|
+//! | [`SearchMode::Full`]       | ✓ | ✓ | ✓ |
+//! | [`SearchMode::NoDoorbell`] | ✓ | ✓ | ✗ (one round trip per cluster) |
+//! | [`SearchMode::Naive`]      | ✓ | ✗ (per-query cluster fetches) | ✗ |
+//!
+//! Every mode runs the same batch body (`query`): route → plan → fetch →
+//! materialize → probe → rerank → merge → report. Every cluster fetch —
+//! a batch's stage loads, the naive per-query reads, the prefetcher's —
+//! goes through the one loader (`fetch`), which owns the post primitive,
+//! the `[version, span, version]` bracket, the SQ8 overflow follow-up
+//! and the retry/backoff/degrade state machine.
+//!
+//! Mutations (`write`) go through the shared overflow areas:
+//! [`ComputeNode::insert`] (four one-sided verbs, the last publishing the
+//! partition's version), [`ComputeNode::insert_batch`]
+//! (doorbell-batched), and [`ComputeNode::delete`] (tombstone records).
+//! Reads validate the per-partition version slots around each cluster
+//! fetch and retry (or degrade, when allowed) when a read cannot
+//! stabilize.
+
+mod fetch;
+mod prefetch;
+mod query;
+mod write;
+
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use parking_lot::Mutex;
+use rdma_sim::{QueuePair, ReadCause, StatsSnapshot, READ_CAUSES};
+
+use crate::cache::{CacheStats, ClusterCache};
+use crate::config::{tracer_env, QuantizeMode};
+use crate::health::heatmap::ClusterHeatmap;
+use crate::layout::{Directory, DIRECTORY_PEEK_BYTES};
+use crate::meta::MetaIndex;
+use crate::store::VectorStore;
+use crate::telemetry::span::QpSpanSink;
+use crate::telemetry::{Counter, Gauge, Histogram, HistogramSnapshot, Telemetry};
+use crate::{DHnswConfig, Result};
+
+pub(crate) use fetch::Reader;
+
+/// Which of the paper's three evaluated schemes this compute node runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum SearchMode {
+    /// Full d-HNSW: query-aware batched loading + LRU cache + doorbell
+    /// batching.
+    #[default]
+    Full,
+    /// "d-HNSW (w./o. doorbell)": batched loading and caching, but each
+    /// discontiguous cluster costs its own network round trip.
+    NoDoorbell,
+    /// "Naive d-HNSW": every query fetches each of its clusters with an
+    /// individual `RDMA_READ`; no reuse within or across batches.
+    Naive,
+}
+
+impl SearchMode {
+    /// A short stable name, used in benchmark output.
+    pub fn name(self) -> &'static str {
+        match self {
+            SearchMode::Full => "d-HNSW",
+            SearchMode::NoDoorbell => "d-HNSW (w/o doorbell)",
+            SearchMode::Naive => "Naive d-HNSW",
+        }
+    }
+
+    /// The value of the `mode` metric label: lowercase, no punctuation.
+    pub fn label(self) -> &'static str {
+        match self {
+            SearchMode::Full => "full",
+            SearchMode::NoDoorbell => "no_doorbell",
+            SearchMode::Naive => "naive",
+        }
+    }
+
+    /// The two policy bits this scheme sets.
+    pub(crate) fn policy(self) -> ReadPolicy {
+        ReadPolicy {
+            reuse: self != SearchMode::Naive,
+            doorbell: self == SearchMode::Full,
+        }
+    }
+}
+
+/// How cluster bytes cross the network: the two columns of the module
+/// table, derived from the [`SearchMode`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ReadPolicy {
+    /// A cluster is fetched once per batch and kept: query-aware dedup,
+    /// the LRU cache with its version brackets and pin verifies, and
+    /// stage loads overlapped with the previous stage's compute. Off,
+    /// every `(query, route position)` is its own unbracketed load that
+    /// nothing outlives — there is no cached copy a version could
+    /// invalidate.
+    pub(crate) reuse: bool,
+    /// A load round is one doorbell batch rather than one verb per
+    /// request.
+    pub(crate) doorbell: bool,
+}
+
+impl std::fmt::Display for SearchMode {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+/// Per-call query parameters.
+///
+/// `k` and `ef` mirror [`ComputeNode::query_batch`]'s positional
+/// arguments; `fanout` overrides the configured partitions-per-query
+/// (`b`) for this call only — useful for recall/bandwidth sweeps without
+/// rebuilding the store.
+///
+/// # Example
+///
+/// ```rust
+/// use dhnsw::QueryOptions;
+///
+/// let opts = QueryOptions::new(10, 48).with_fanout(8);
+/// assert_eq!(opts.fanout, Some(8));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QueryOptions {
+    /// Results per query.
+    pub k: usize,
+    /// Sub-HNSW beam width (`efSearch`).
+    pub ef: usize,
+    /// Partitions probed per query; `None` uses the store configuration.
+    pub fanout: Option<usize>,
+}
+
+impl QueryOptions {
+    /// Options with the store-configured fan-out.
+    pub fn new(k: usize, ef: usize) -> Self {
+        QueryOptions {
+            k,
+            ef,
+            fanout: None,
+        }
+    }
+
+    /// Overrides the per-query partition fan-out.
+    pub fn with_fanout(mut self, b: usize) -> Self {
+        self.fanout = Some(b);
+        self
+    }
+}
+
+/// Pre-resolved metric handles for one compute node. Resolving happens
+/// once at connect; recording on the query path is pure atomics.
+#[derive(Debug)]
+pub(crate) struct EngineMetrics {
+    pub(crate) queries: Arc<Counter>,
+    pub(crate) batches: Arc<Counter>,
+    pub(crate) latency_us: Arc<Histogram>,
+    pub(crate) stage_meta_us: Arc<Counter>,
+    pub(crate) stage_network_us: Arc<Counter>,
+    pub(crate) stage_sub_us: Arc<Counter>,
+    pub(crate) stage_materialize_us: Arc<Counter>,
+    pub(crate) pipeline_hidden_us: Arc<Counter>,
+    pub(crate) prefetch_rounds: Arc<Counter>,
+    pub(crate) prefetch_clusters: Arc<Counter>,
+    pub(crate) prefetch_bytes: Arc<Counter>,
+    pub(crate) clusters_loaded: Arc<Counter>,
+    pub(crate) cluster_cache_hits: Arc<Counter>,
+    pub(crate) raw_cluster_demand: Arc<Counter>,
+    pub(crate) transfers_saved: Arc<Counter>,
+    pub(crate) cache_hits: Arc<Counter>,
+    pub(crate) cache_misses: Arc<Counter>,
+    pub(crate) cache_evictions: Arc<Counter>,
+    pub(crate) cache_occupancy: Arc<Gauge>,
+    pub(crate) cache_resident_bytes: Arc<Gauge>,
+    pub(crate) rdma_round_trips: Arc<Counter>,
+    pub(crate) rdma_work_requests: Arc<Counter>,
+    pub(crate) rdma_doorbell_batches: Arc<Counter>,
+    pub(crate) rdma_bytes_read: Arc<Counter>,
+    pub(crate) rdma_read_bytes_by_cause: [Arc<Counter>; READ_CAUSES],
+    pub(crate) rdma_read_trips_by_cause: [Arc<Counter>; READ_CAUSES],
+    pub(crate) rdma_bytes_written: Arc<Counter>,
+    pub(crate) rdma_atomics: Arc<Counter>,
+    pub(crate) rdma_faults: Arc<Counter>,
+    pub(crate) doorbell_batch_size: Arc<Histogram>,
+    pub(crate) degraded_queries: Arc<Counter>,
+    pub(crate) read_retries: Arc<Counter>,
+    pub(crate) inserts: Arc<Counter>,
+    pub(crate) insert_overflow: Arc<Counter>,
+    pub(crate) deletes: Arc<Counter>,
+    pub(crate) tail_exemplar_occupancy: Arc<Gauge>,
+    pub(crate) tail_profile_paths: Arc<Gauge>,
+    pub(crate) tail_exemplars_recorded: Arc<Counter>,
+    pub(crate) tail_exemplars_dropped: Arc<Counter>,
+}
+
+impl EngineMetrics {
+    fn new(t: &Telemetry, mode: SearchMode) -> Self {
+        let m: &[(&str, &str)] = &[("mode", mode.label())];
+        let stage = |stage| {
+            t.counter(
+                "dhnsw_stage_us_total",
+                "Cumulative stage time in microseconds",
+                &[("mode", mode.label()), ("stage", stage)],
+            )
+        };
+        EngineMetrics {
+            queries: t.counter("dhnsw_queries_total", "Queries answered", m),
+            batches: t.counter("dhnsw_query_batches_total", "Query batches answered", m),
+            latency_us: t.histogram(
+                "dhnsw_query_latency_us",
+                "Per-query latency in microseconds (CPU wall + exposed network stall, batch time / batch size)",
+                m,
+            ),
+            stage_meta_us: stage("meta_hnsw"),
+            stage_network_us: stage("network"),
+            stage_sub_us: stage("sub_hnsw"),
+            stage_materialize_us: stage("materialize"),
+            pipeline_hidden_us: t.counter(
+                "dhnsw_pipeline_hidden_us_total",
+                "Virtual network time hidden behind compute by micro-batch pipelining",
+                m,
+            ),
+            prefetch_rounds: t.counter(
+                "dhnsw_prefetch_rounds_total",
+                "Between-batch heatmap prefetch rounds that loaded at least one cluster",
+                m,
+            ),
+            prefetch_clusters: t.counter(
+                "dhnsw_prefetch_clusters_total",
+                "Clusters warmed into the cache by the heatmap prefetcher",
+                m,
+            ),
+            prefetch_bytes: t.counter(
+                "dhnsw_prefetch_bytes_total",
+                "Bytes read from remote memory by the heatmap prefetcher",
+                m,
+            ),
+            clusters_loaded: t.counter(
+                "dhnsw_clusters_loaded_total",
+                "Clusters fetched from remote memory",
+                m,
+            ),
+            cluster_cache_hits: t.counter(
+                "dhnsw_cluster_cache_hits_total",
+                "Cluster loads avoided by cache residency at plan time",
+                m,
+            ),
+            raw_cluster_demand: t.counter(
+                "dhnsw_raw_cluster_demand_total",
+                "Cluster demand before query-aware dedup (queries x fanout)",
+                m,
+            ),
+            transfers_saved: t.counter(
+                "dhnsw_loader_transfers_saved_total",
+                "Cluster transfers avoided by dedup and cache reuse",
+                m,
+            ),
+            cache_hits: t.counter("dhnsw_cache_hits_total", "Cluster cache lookup hits", &[]),
+            cache_misses: t.counter(
+                "dhnsw_cache_misses_total",
+                "Cluster cache lookup misses",
+                &[],
+            ),
+            cache_evictions: t.counter(
+                "dhnsw_cache_evictions_total",
+                "Clusters evicted by LRU pressure",
+                &[],
+            ),
+            cache_occupancy: t.gauge(
+                "dhnsw_cache_occupancy_clusters",
+                "Clusters resident in the most recently active node's cache",
+                &[],
+            ),
+            cache_resident_bytes: t.gauge(
+                "dhnsw_cache_resident_bytes",
+                "Approximate bytes resident in the most recently active node's cache",
+                &[],
+            ),
+            rdma_round_trips: t.counter(
+                "dhnsw_rdma_round_trips_total",
+                "Network round trips issued",
+                &[],
+            ),
+            rdma_work_requests: t.counter(
+                "dhnsw_rdma_work_requests_total",
+                "RDMA work requests posted",
+                &[],
+            ),
+            rdma_doorbell_batches: t.counter(
+                "dhnsw_rdma_doorbell_batches_total",
+                "Doorbell batches submitted",
+                &[],
+            ),
+            rdma_bytes_read: t.counter(
+                "dhnsw_rdma_bytes_read_total",
+                "Bytes read from remote memory",
+                &[],
+            ),
+            rdma_read_bytes_by_cause: std::array::from_fn(|i| {
+                t.counter(
+                    "dhnsw_rdma_read_bytes_by_cause_total",
+                    "Bytes read from remote memory, by read cause; sums to dhnsw_rdma_bytes_read_total",
+                    &[("cause", ReadCause::ALL[i].as_str())],
+                )
+            }),
+            rdma_read_trips_by_cause: std::array::from_fn(|i| {
+                t.counter(
+                    "dhnsw_rdma_read_round_trips_by_cause_total",
+                    "Read round trips by dominant-bytes cause (write/atomic trips carry no cause)",
+                    &[("cause", ReadCause::ALL[i].as_str())],
+                )
+            }),
+            rdma_bytes_written: t.counter(
+                "dhnsw_rdma_bytes_written_total",
+                "Bytes written to remote memory",
+                &[],
+            ),
+            rdma_atomics: t.counter(
+                "dhnsw_rdma_atomics_total",
+                "Atomic verbs (CAS/FAA) executed",
+                &[],
+            ),
+            rdma_faults: t.counter(
+                "dhnsw_rdma_faults_total",
+                "Faulted (dropped and retransmitted) verb attempts",
+                &[],
+            ),
+            doorbell_batch_size: t.histogram(
+                "dhnsw_doorbell_batch_size",
+                "Work requests per doorbell batch",
+                &[],
+            ),
+            degraded_queries: t.counter(
+                "dhnsw_degraded_queries_total",
+                "Queries answered from an incomplete cluster set after read retries ran out",
+                m,
+            ),
+            read_retries: t.counter(
+                "dhnsw_read_retries_total",
+                "Engine-level read re-posts: 1 per load round re-posted whole after the substrate dropped it, 1 per cluster re-posted alone after a torn version bracket or a dropped overflow follow-up",
+                m,
+            ),
+            inserts: t.counter("dhnsw_inserts_total", "Insert attempts", &[]),
+            insert_overflow: t.counter(
+                "dhnsw_insert_overflow_total",
+                "Inserts rejected because the group overflow area was full",
+                &[],
+            ),
+            deletes: t.counter("dhnsw_deletes_total", "Delete attempts", &[]),
+            tail_exemplar_occupancy: t.gauge(
+                "dhnsw_tail_exemplar_occupancy",
+                "Tail exemplars currently retained (reservoir + K-slowest)",
+                &[],
+            ),
+            tail_profile_paths: t.gauge(
+                "dhnsw_tail_profile_paths",
+                "Distinct span paths accumulated in the always-on folded profile",
+                &[],
+            ),
+            tail_exemplars_recorded: t.counter(
+                "dhnsw_tail_exemplars_recorded_total",
+                "Batch exemplars offered to the tail exemplar store",
+                &[],
+            ),
+            tail_exemplars_dropped: t.counter(
+                "dhnsw_tail_exemplars_dropped_total",
+                "Batch exemplars evicted or rejected by the bounded exemplar store",
+                &[],
+            ),
+        }
+    }
+}
+
+/// Last-flushed substrate counters, for converting cumulative snapshots
+/// into telemetry deltas without double counting.
+#[derive(Debug, Default)]
+struct FlushState {
+    rdma: StatsSnapshot,
+    cache: CacheStats,
+}
+
+/// Counter values captured at the previous health report, so the next
+/// report can evaluate a *window* (the interval since that report)
+/// instead of lifetime aggregates. A cold-start latency spike or miss
+/// burst therefore ages out after one report interval rather than
+/// pinning the SLO watchdog in violation forever.
+#[derive(Debug, Default)]
+pub(crate) struct WindowState {
+    pub(crate) latency: HistogramSnapshot,
+    pub(crate) hits: u64,
+    pub(crate) misses: u64,
+}
+
+/// One compute-pool instance.
+///
+/// See the crate docs for an end-to-end example. Thread-safety: a
+/// `ComputeNode` may be shared across threads; the cluster cache is
+/// internally locked and the queue pair is thread-safe.
+#[derive(Debug)]
+pub struct ComputeNode {
+    qp: QueuePair,
+    pub(crate) rkey: u32,
+    meta: Arc<MetaIndex>,
+    directory: Directory,
+    pub(crate) cache: Mutex<ClusterCache>,
+    config: DHnswConfig,
+    mode: SearchMode,
+    policy: ReadPolicy,
+    telemetry: Arc<Telemetry>,
+    pub(crate) metrics: EngineMetrics,
+    heatmap: Arc<ClusterHeatmap>,
+    flushed: Mutex<FlushState>,
+    pub(crate) window: Mutex<WindowState>,
+    // Runtime-tunable execution knobs (see `set_pipeline_depth` /
+    // `set_prefetch_budget_bytes`): initialized from the store config and
+    // the environment, adjustable per node without reconnecting.
+    pipeline_depth: AtomicUsize,
+    prefetch_budget: AtomicU64,
+    // SQ8 wire format in force: the directory carries compressed blobs
+    // *and* this node's config asks for them (naive mode always reads
+    // full precision — it is the paper's uncompressed baseline).
+    use_sq: bool,
+    // Exact full-precision vectors fetched for rerank, keyed by
+    // (partition, base row). Base vectors are immutable, so entries
+    // never go stale; the map is cleared wholesale past
+    // `RERANK_CACHE_CAP` to bound memory.
+    rerank_cache: Mutex<HashMap<(u32, u32), Vec<f32>>>,
+}
+
+impl ComputeNode {
+    /// Connects to the store: opens a queue pair and fetches the layout
+    /// directory from the head of the remote region (one `RDMA_READ`),
+    /// exactly as §3.2 describes compute instances caching the offsets.
+    pub(crate) fn connect(
+        store: &VectorStore,
+        mode: SearchMode,
+        telemetry: Arc<Telemetry>,
+    ) -> Result<Self> {
+        let config = store.config().clone().with_env_overrides()?;
+        let (trace_spans, slow_query_us) = tracer_env()?;
+        let qp = QueuePair::connect(store.memory_node(), config.network());
+        let rkey = store.region().rkey();
+        // Peek the header first: a v3 (quantized) store carries an SQ
+        // span table whose size the connect path cannot know up front.
+        let head = qp.read(rkey, 0, DIRECTORY_PEEK_BYTES as u64)?;
+        let dir_len = Directory::peek_size(&head)? as u64;
+        let dir_bytes = qp.read(rkey, 0, dir_len)?;
+        let directory = Directory::from_bytes(&dir_bytes)?;
+        let capacity = config.cache_capacity(directory.partitions());
+        let metrics = EngineMetrics::new(&telemetry, mode);
+        // Bridge substrate verb events into the span tracer. Without an
+        // active trace scope the sink drops events after one
+        // thread-local lookup, so untraced verbs stay cheap.
+        qp.set_trace_sink(Some(Arc::new(QpSpanSink)));
+        if trace_spans {
+            telemetry.spans().set_enabled(true);
+        }
+        if let Some(us) = slow_query_us {
+            telemetry.spans().set_slow_threshold_us(us);
+            if us > 0 {
+                // A slow-query budget is meaningless without capture.
+                telemetry.spans().set_enabled(true);
+            }
+        }
+        // The directory fetch above already moved bytes; start the flush
+        // baseline there so connect traffic is not charged to queries.
+        let flushed = Mutex::new(FlushState {
+            rdma: qp.stats().snapshot(),
+            cache: CacheStats::default(),
+        });
+        let heatmap = Arc::new(ClusterHeatmap::new(directory.partitions()));
+        let pipeline_depth = AtomicUsize::new(config.pipeline_depth().max(1));
+        let prefetch_budget = AtomicU64::new(config.prefetch_budget_bytes());
+        let use_sq = directory.has_sq_spans()
+            && config.quantize_mode() != QuantizeMode::Off
+            && mode != SearchMode::Naive;
+        Ok(ComputeNode {
+            qp,
+            rkey,
+            meta: Arc::clone(store.meta()),
+            directory,
+            cache: Mutex::new(ClusterCache::new(capacity)),
+            config,
+            mode,
+            policy: mode.policy(),
+            telemetry,
+            metrics,
+            heatmap,
+            flushed,
+            window: Mutex::new(WindowState::default()),
+            pipeline_depth,
+            prefetch_budget,
+            use_sq,
+            rerank_cache: Mutex::new(HashMap::new()),
+        })
+    }
+
+    /// Whether this node fetches clusters in the compressed SQ8 wire
+    /// format (directory is layout v3 *and* quantization is enabled for
+    /// this node; naive mode always reads full precision).
+    pub fn is_quantized(&self) -> bool {
+        self.use_sq
+    }
+
+    /// The micro-batch pipeline depth in force (`1` = sequential).
+    pub fn pipeline_depth(&self) -> usize {
+        self.pipeline_depth.load(Ordering::Relaxed)
+    }
+
+    /// Sets the micro-batch pipeline depth for subsequent batches on this
+    /// node (clamped to `>= 1`; additionally clamped to the batch size at
+    /// query time). Depth 1 is the strict route → load → search
+    /// execution; deeper pipelines overlap micro-batch *i + 1*'s cluster
+    /// loads with micro-batch *i*'s search.
+    pub fn set_pipeline_depth(&self, depth: usize) {
+        self.pipeline_depth.store(depth.max(1), Ordering::Relaxed);
+    }
+
+    /// The between-batch prefetch byte budget in force (`0` = disabled).
+    pub fn prefetch_budget_bytes(&self) -> u64 {
+        self.prefetch_budget.load(Ordering::Relaxed)
+    }
+
+    /// Sets the byte budget the heatmap-driven prefetcher may spend
+    /// warming the cluster cache after each query batch (`0` disables
+    /// prefetching).
+    pub fn set_prefetch_budget_bytes(&self, bytes: u64) {
+        self.prefetch_budget.store(bytes, Ordering::Relaxed);
+    }
+
+    /// The search mode this node runs.
+    pub fn mode(&self) -> SearchMode {
+        self.mode
+    }
+
+    /// The configuration in force.
+    pub fn config(&self) -> &DHnswConfig {
+        &self.config
+    }
+
+    /// The cached meta index.
+    pub fn meta(&self) -> &MetaIndex {
+        &self.meta
+    }
+
+    /// The cached layout directory.
+    pub fn directory(&self) -> &Directory {
+        &self.directory
+    }
+
+    /// The queue pair (for inspecting transfer statistics and virtual
+    /// time).
+    pub fn queue_pair(&self) -> &QueuePair {
+        &self.qp
+    }
+
+    /// Lifetime cluster-cache counters since connect.
+    pub fn cache_stats(&self) -> CacheStats {
+        self.cache.lock().stats()
+    }
+
+    /// The telemetry hub this node records into.
+    pub fn telemetry(&self) -> &Arc<Telemetry> {
+        &self.telemetry
+    }
+
+    /// The per-cluster access heatmap this node samples into.
+    pub fn heatmap(&self) -> &ClusterHeatmap {
+        &self.heatmap
+    }
+
+    /// Clears the clock and transfer counters — used between benchmark
+    /// phases. The telemetry flush baseline is rewound with them so
+    /// global counters neither double-count nor go backwards.
+    pub fn reset_measurements(&self) {
+        let mut flushed = self.flushed.lock();
+        self.qp.clock().reset();
+        self.qp.stats().reset();
+        flushed.rdma = StatsSnapshot::default();
+    }
+
+    /// Converts cumulative substrate/cache counters into deltas since
+    /// the last flush and adds them to the telemetry registry. Pure
+    /// atomic reads and adds — no verbs, no allocation.
+    fn flush_telemetry(&self) {
+        // The flushed lock is taken first and reads happen under it, so
+        // concurrent flushes see monotonic counters and deltas cannot
+        // underflow.
+        let mut flushed = self.flushed.lock();
+        let (cache_now, cache_len, cache_bytes) = {
+            let c = self.cache.lock();
+            (c.stats(), c.len(), c.resident_bytes())
+        };
+        let rdma_now = self.qp.stats().snapshot();
+        let rdma = rdma_now - flushed.rdma;
+        let m = &self.metrics;
+        m.rdma_round_trips.add(rdma.round_trips);
+        m.rdma_work_requests.add(rdma.work_requests);
+        m.rdma_doorbell_batches.add(rdma.doorbell_batches);
+        m.rdma_bytes_read.add(rdma.bytes_read);
+        for (i, c) in m.rdma_read_bytes_by_cause.iter().enumerate() {
+            c.add(rdma.cause_bytes[i]);
+        }
+        for (i, c) in m.rdma_read_trips_by_cause.iter().enumerate() {
+            c.add(rdma.cause_trips[i]);
+        }
+        m.rdma_bytes_written.add(rdma.bytes_written);
+        m.rdma_atomics.add(rdma.atomics);
+        m.rdma_faults.add(rdma.faults);
+        for (i, &count) in rdma.doorbell_size_buckets.iter().enumerate() {
+            // Merge pre-bucketed counts at each bucket's upper bound; the
+            // telemetry histogram's log-2 buckets line up with these.
+            m.doorbell_batch_size.observe_n(1u64 << i, count);
+        }
+        m.cache_hits.add(cache_now.hits - flushed.cache.hits);
+        m.cache_misses.add(cache_now.misses - flushed.cache.misses);
+        m.cache_evictions
+            .add(cache_now.evictions - flushed.cache.evictions);
+        m.cache_occupancy.set(cache_len as u64);
+        m.cache_resident_bytes.set(cache_bytes as u64);
+        let ex = self.telemetry.exemplars();
+        let (tail_recorded, tail_dropped) = ex.take_flush_delta();
+        m.tail_exemplars_recorded.add(tail_recorded);
+        m.tail_exemplars_dropped.add(tail_dropped);
+        m.tail_exemplar_occupancy.set(ex.occupancy());
+        m.tail_profile_paths
+            .set(self.telemetry.profile().len() as u64);
+        flushed.rdma = rdma_now;
+        flushed.cache = cache_now;
+    }
+
+    /// Takes one time-series sample at `now_us` (caller-supplied —
+    /// synthetic in tests and benchmarks, wall-clock only in the
+    /// serving plane's sampler thread).
+    ///
+    /// Substrate and cache counters are normally flushed to the
+    /// telemetry registry on the query path, so a sampler ticking
+    /// *between* batches would read stale values; this flushes first
+    /// and then ticks the hub's [`crate::telemetry::series::SeriesRecorder`],
+    /// returning the derived point (see
+    /// [`crate::telemetry::Telemetry::tick_series`]).
+    pub fn sample_series(&self, now_us: u64) -> Option<crate::telemetry::series::SeriesPoint> {
+        self.flush_telemetry();
+        self.telemetry.tick_series(now_us)
+    }
+
+    /// Empties the LRU cluster cache (cold-start benchmarks).
+    pub fn drop_cache(&self) {
+        self.cache.lock().clear();
+    }
+}
+
+/// Runs `f(i)` for `i in 0..n` across `threads` workers, preserving
+/// output order and propagating the first error.
+pub(crate) fn run_indexed<T, F>(n: usize, threads: usize, f: F) -> Result<Vec<T>>
+where
+    T: Send,
+    F: Fn(usize) -> Result<T> + Sync,
+{
+    if n == 0 {
+        return Ok(Vec::new());
+    }
+    let threads = threads.clamp(1, n);
+    if threads == 1 {
+        return (0..n).map(&f).collect();
+    }
+    let mut slots: Vec<Option<Result<T>>> = (0..n).map(|_| None).collect();
+    let chunk = n.div_ceil(threads);
+    std::thread::scope(|s| {
+        for (t, slot) in slots.chunks_mut(chunk).enumerate() {
+            let start = t * chunk;
+            let f = &f;
+            s.spawn(move || {
+                for (off, dst) in slot.iter_mut().enumerate() {
+                    *dst = Some(f(start + off));
+                }
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every index is produced by its worker"))
+        .collect()
+}
+
+#[cfg(test)]
+mod tests;

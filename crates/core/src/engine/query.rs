@@ -1,0 +1,865 @@
+//! The batch body every [`SearchMode`](super::SearchMode) runs: route →
+//! plan → fetch → materialize → probe → rerank → merge → report. The
+//! modes differ only in the [`ReadPolicy`](super::ReadPolicy) bits the
+//! plan and the loader consult.
+
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
+use std::time::Instant;
+
+use hnsw::{SearchScratch, SearchStats};
+use rdma_sim::{ReadCause, ReadReq, READ_CAUSES};
+use vecsim::{Dataset, Neighbor};
+
+use super::fetch::{Fetch, Load, Reader};
+use super::{run_indexed, ComputeNode, QueryOptions};
+use crate::breakdown::{BatchReport, CostLedger};
+use crate::cluster::{Candidate, LoadedCluster};
+use crate::loader::{plan_batch, stage_loads};
+use crate::telemetry::exemplar::TailRecord;
+use crate::telemetry::span::{ArgValue, BatchTrace, SpanId};
+use crate::telemetry::QueryTrace;
+use crate::{Error, Result};
+
+/// One merged search candidate with the load it came from, so an exact
+/// rerank can find the cluster (and through it the full-precision row)
+/// behind `cand.local`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(super) struct Pooled {
+    pub(super) key: u32,
+    pub(super) cand: Candidate,
+}
+
+/// Entries the node-level exact-vector cache may hold before it is
+/// cleared wholesale; bounds rerank memory at ~`cap × dim × 4` bytes.
+const RERANK_CACHE_CAP: usize = 8_192;
+
+/// Span-argument keys for per-cause byte counts, indexed by
+/// [`ReadCause::index`]. Span arg keys must be `'static`, so the
+/// prefix is baked in here instead of formatted at runtime.
+const CAUSE_BYTE_KEYS: [&str; READ_CAUSES] = [
+    "bytes_stage_load",
+    "bytes_prefetch",
+    "bytes_version_check",
+    "bytes_retry",
+    "bytes_health_probe",
+    "bytes_overflow_scan",
+    "bytes_naive",
+    "bytes_rerank",
+    "bytes_other",
+];
+
+impl ComputeNode {
+    /// Answers a single query; convenience wrapper over
+    /// [`ComputeNode::query_batch`].
+    ///
+    /// # Errors
+    ///
+    /// Same as [`ComputeNode::query_batch`].
+    pub fn query(&self, query: &[f32], k: usize, ef: usize) -> Result<Vec<Neighbor>> {
+        let batch = Dataset::from_rows(&[query])?;
+        let (mut results, _) = self.query_batch(&batch, k, ef)?;
+        Ok(results.pop().unwrap_or_default())
+    }
+
+    /// Answers a batch of queries: top-`k` per query with sub-HNSW beam
+    /// width `ef`, plus the batch's [`BatchReport`].
+    ///
+    /// Results carry global vector ids (base ids `0..base_len`, then
+    /// insert-allocated ids) sorted by ascending distance.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::DimensionMismatch`] when the query batch has the
+    /// wrong dimensionality, plus any substrate or corruption error.
+    pub fn query_batch(
+        &self,
+        queries: &Dataset,
+        k: usize,
+        ef: usize,
+    ) -> Result<(Vec<Vec<Neighbor>>, BatchReport)> {
+        self.query_batch_opts(queries, &QueryOptions::new(k, ef))
+    }
+
+    /// Like [`ComputeNode::query_batch`], with per-call [`QueryOptions`]
+    /// (notably a fan-out override).
+    ///
+    /// # Errors
+    ///
+    /// Same as [`ComputeNode::query_batch`].
+    pub fn query_batch_opts(
+        &self,
+        queries: &Dataset,
+        opts: &QueryOptions,
+    ) -> Result<(Vec<Vec<Neighbor>>, BatchReport)> {
+        if queries.is_empty() {
+            return Ok((Vec::new(), BatchReport::default()));
+        }
+        if queries.dim() != self.directory.dim() {
+            return Err(Error::DimensionMismatch {
+                expected: self.directory.dim(),
+                got: queries.dim(),
+            });
+        }
+        if opts.fanout == Some(0) {
+            return Err(Error::InvalidParameter("fanout must be >= 1".into()));
+        }
+        if opts.ef == 0 {
+            return Err(Error::InvalidParameter("ef must be >= 1".into()));
+        }
+        let b = opts.fanout.unwrap_or_else(|| self.config.fanout());
+        // With tracing off this costs one atomic load; the trace itself
+        // is a Copy value moved into a preallocated ring — recording a
+        // batch never allocates.
+        let tracing = self.telemetry.traces().is_enabled();
+        let stats0 = if tracing {
+            Some(self.qp.stats().snapshot())
+        } else {
+            None
+        };
+        // Span tracing: one root span per batch; the batch body hangs
+        // stage spans off it. `begin` hands back a no-op handle
+        // when the tracer is off.
+        let trace = self.telemetry.spans().begin(self.mode.label());
+        let root = trace.begin_span("query_batch", "engine", SpanId::NONE);
+        trace.add_args(
+            root,
+            &[
+                ("mode", ArgValue::Str(self.mode.label())),
+                ("queries", ArgValue::U64(queries.len() as u64)),
+                ("k", ArgValue::U64(opts.k as u64)),
+                ("ef", ArgValue::U64(opts.ef as u64)),
+                ("fanout", ArgValue::U64(b as u64)),
+            ],
+        );
+        let t0 = Instant::now();
+        let outcome = self.run_batch(queries, opts.k, opts.ef, b, &trace, root);
+        // Release the batch's cache pins whether it succeeded or not —
+        // leaked pins would exempt entries from LRU pressure forever.
+        // Settling also evicts down to capacity if a fully-pinned cache
+        // transiently oversubscribed, charging those evictions here.
+        {
+            let victims = self.cache.lock().settle();
+            if self.heatmap.is_enabled() {
+                for v in victims {
+                    self.heatmap.record_eviction(v);
+                }
+            }
+        }
+        let (results, report) = match outcome {
+            Ok(pair) => pair,
+            Err(e) => {
+                trace.end_span_with(root, &[("error", ArgValue::Str("batch_failed"))]);
+                self.telemetry.spans().finish(trace);
+                return Err(e);
+            }
+        };
+        // Simulated batch latency: CPU wall time plus the *exposed*
+        // network stall from the virtual clock. The process never
+        // actually sleeps on the simulated NIC, so wall time alone
+        // would undercount the one component this system is about —
+        // a retry storm or a lost pipeline overlap would be invisible
+        // in the latency series and in the tail exemplars.
+        let total_us = t0.elapsed().as_secs_f64() * 1e6 + report.breakdown.network_us;
+        // Byte provenance on the root span: the slow-query log's explain
+        // data. Only nonzero causes are attached to keep spans small.
+        let cause_args: Vec<(&'static str, ArgValue)> = report
+            .ledger
+            .cause_bytes
+            .iter()
+            .enumerate()
+            .filter(|(_, &b)| b > 0)
+            .map(|(i, &b)| (CAUSE_BYTE_KEYS[i], ArgValue::U64(b)))
+            .collect();
+        trace.add_args(root, &cause_args);
+        trace.end_span_with(
+            root,
+            &[
+                ("unique_clusters", ArgValue::U64(report.unique_clusters as u64)),
+                ("cache_hits", ArgValue::U64(report.cache_hits as u64)),
+                ("clusters_loaded", ArgValue::U64(report.clusters_loaded as u64)),
+                ("round_trips", ArgValue::U64(report.round_trips)),
+                ("bytes_read", ArgValue::U64(report.bytes_read)),
+                ("meta_us", ArgValue::F64(report.breakdown.meta_hnsw_us)),
+                ("network_vt_us", ArgValue::F64(report.breakdown.network_us)),
+                ("sub_us", ArgValue::F64(report.breakdown.sub_hnsw_us)),
+                (
+                    "materialize_us",
+                    ArgValue::F64(report.breakdown.materialize_us),
+                ),
+            ],
+        );
+        let trace_id = trace.seq();
+        let finished = self.telemetry.spans().finish_trace(trace);
+
+        let m = &self.metrics;
+        let n = report.queries.max(1) as u64;
+        m.queries.add(report.queries as u64);
+        m.batches.inc();
+        // The exemplar keeps this exact sample so bucket exemplars line
+        // up with the latency histogram by construction.
+        let latency_sample_us = (total_us / n as f64) as u64;
+        m.latency_us.observe_n(latency_sample_us, n);
+        m.stage_meta_us.add(report.breakdown.meta_hnsw_us as u64);
+        m.stage_network_us.add(report.breakdown.network_us as u64);
+        m.stage_sub_us.add(report.breakdown.sub_hnsw_us as u64);
+        m.stage_materialize_us
+            .add(report.breakdown.materialize_us as u64);
+        m.clusters_loaded.add(report.clusters_loaded as u64);
+        m.cluster_cache_hits.add(report.cache_hits as u64);
+        m.raw_cluster_demand.add(report.raw_cluster_demand as u64);
+        m.degraded_queries.add(report.degraded_queries as u64);
+        m.read_retries.add(report.read_retries);
+        m.transfers_saved.add(
+            (report.raw_cluster_demand.saturating_sub(report.clusters_loaded)) as u64,
+        );
+
+        // Tail anatomy: fold this batch into the always-on profile (at
+        // span resolution when tracing is live, phase resolution
+        // otherwise) and offer it to the exemplar store, which retains
+        // the full span tree only while the batch ranks in the
+        // K-slowest set.
+        match &finished {
+            Some(ft) => self.telemetry.profile().fold_trace(ft),
+            None => self
+                .telemetry
+                .profile()
+                .fold_phases(&report.breakdown, total_us),
+        }
+        self.telemetry.exemplars().record(
+            TailRecord {
+                trace_id,
+                mode: self.mode.label(),
+                queries: report.queries as u32,
+                total_us,
+                per_query_us: total_us / n as f64,
+                latency_sample_us,
+                meta_us: report.breakdown.meta_hnsw_us,
+                network_us: report.breakdown.network_us,
+                sub_us: report.breakdown.sub_hnsw_us,
+                materialize_us: report.breakdown.materialize_us,
+                ledger: report.ledger,
+                degraded_queries: report.degraded_queries as u32,
+                read_retries: report.read_retries,
+            },
+            finished,
+        );
+        self.flush_telemetry();
+
+        if let Some(stats0) = stats0 {
+            let delta = self.qp.stats().snapshot() - stats0;
+            self.telemetry.traces().record(QueryTrace {
+                mode: self.mode.label(),
+                queries: report.queries as u32,
+                k: opts.k as u32,
+                ef: opts.ef as u32,
+                fanout: b as u32,
+                raw_cluster_demand: report.raw_cluster_demand as u32,
+                unique_clusters: report.unique_clusters as u32,
+                cache_hits: report.cache_hits as u32,
+                clusters_loaded: report.clusters_loaded as u32,
+                doorbell_batches: delta.doorbell_batches as u32,
+                round_trips: report.round_trips,
+                bytes_read: report.bytes_read,
+                meta_us: report.breakdown.meta_hnsw_us,
+                network_us: report.breakdown.network_us,
+                sub_us: report.breakdown.sub_hnsw_us,
+                materialize_us: report.breakdown.materialize_us,
+                total_us,
+                cause_bytes: delta.cause_bytes,
+            });
+        }
+        // Warm the cache for the next batch while the client digests this
+        // one. Runs after every counter above so prefetch traffic is
+        // never attributed to the batch that triggered it.
+        if self.prefetch_budget_bytes() > 0 {
+            self.prefetch_hot();
+        }
+        Ok((results, report))
+    }
+
+    /// One batch under this node's policy. Under `reuse` the batch is
+    /// split into `depth` contiguous micro-batches (stages); each to-load
+    /// cluster belongs to the stage of its first-demanding query, and
+    /// stage `i + 1`'s loads are issued — and charged to the virtual NIC
+    /// timeline — *before* stage `i`'s materialize + search runs on the
+    /// worker pool, so transfer time overlaps compute (depth 1 is the
+    /// sequential execution). Every cluster crosses the network at most
+    /// once per batch, loaded clusters stay pinned in the cache across
+    /// stages, and cached-pin version verifies ride stage 0's load so a
+    /// stale entry is demoted and reloaded before *any* stage searches it.
+    ///
+    /// Without `reuse` the plan is the identity: every `(query, route
+    /// position)` is its own load, the stages are stripes of `threads ×
+    /// 4` queries whose clusters are dropped once searched — memory stays
+    /// O(stripe × b × cluster) whatever the batch size — and nothing
+    /// overlaps or is cached.
+    #[allow(clippy::too_many_arguments)]
+    fn run_batch(
+        &self,
+        queries: &Dataset,
+        k: usize,
+        ef: usize,
+        b: usize,
+        trace: &BatchTrace,
+        root: SpanId,
+    ) -> Result<(Vec<Vec<Neighbor>>, BatchReport)> {
+        let reuse = self.policy.reuse;
+        let mut report = BatchReport {
+            queries: queries.len(),
+            ..Default::default()
+        };
+
+        // 1. Meta-HNSW routing (cached index, pure compute).
+        let s_meta = trace.begin_span("meta_route", "engine", root);
+        let t_meta = Instant::now();
+        let routes: Vec<Vec<u32>> = queries
+            .iter()
+            .map(|q| self.meta.route(q, b).iter().map(|n| n.id).collect())
+            .collect();
+        report.breakdown.meta_hnsw_us = t_meta.elapsed().as_secs_f64() * 1e6;
+        trace.end_span_with(s_meta, &[("fanout", ArgValue::U64(b as u64))]);
+
+        // Heatmap sampling: one relaxed load decides, then relaxed
+        // counter bumps only — nothing here allocates or takes a lock.
+        let heat = self.heatmap.is_enabled();
+        if heat {
+            self.heatmap.begin_batch();
+            for route in &routes {
+                for &p in route {
+                    self.heatmap.record_route(p);
+                }
+            }
+        }
+
+        // 2. Load planning: query-aware dedup against current cache
+        // residency. Without reuse nothing is resident and `unique` is
+        // still the batch-wide union, so the metric is comparable across
+        // modes (loads exceeding it measure exactly the reuse forgone).
+        let s_union = trace.begin_span("cluster_union", "engine", root);
+        let plan = {
+            let cache = self.cache.lock();
+            plan_batch(&routes, |p| reuse && cache.contains(p))
+        };
+        report.raw_cluster_demand = plan.raw_demand;
+        report.unique_clusters = plan.unique.len();
+        if heat {
+            for &p in &plan.cached {
+                self.heatmap.record_cache_hit(p);
+            }
+        }
+
+        let threads = self.config.effective_search_threads();
+        let chunk = if reuse {
+            let depth = self.pipeline_depth().clamp(1, queries.len());
+            queries.len().div_ceil(depth)
+        } else {
+            threads.max(1) * 4
+        };
+        let bounds: Vec<(usize, usize)> = (0..queries.len())
+            .step_by(chunk)
+            .map(|lo| (lo, (lo + chunk).min(queries.len())))
+            .collect();
+        // `keys[i][j]` names the load that serves query i's j-th route
+        // entry: the partition itself, or the identity plan's counter.
+        let (keys, mut staged): (Vec<Vec<u32>>, Vec<Vec<Load>>) = if reuse {
+            let staged = stage_loads(&routes, &plan.to_load, &bounds)
+                .into_iter()
+                .map(|stage| stage.into_iter().map(Load::of).collect())
+                .collect();
+            (routes, staged)
+        } else {
+            let mut key = 0u32;
+            let mut load = |&partition: &u32| {
+                key += 1;
+                (key - 1, Load { key: key - 1, partition })
+            };
+            let loads = routes.iter().map(|route| route.iter().map(&mut load).unzip());
+            let (keys, loads): (Vec<Vec<u32>>, Vec<Vec<Load>>) = loads.unzip();
+            let staged = bounds.iter().map(|&(lo, hi)| loads[lo..hi].concat()).collect();
+            (keys, staged)
+        };
+
+        // Pin cached clusters before loading so LRU pressure from
+        // same-batch (or later-stage) loads cannot take them away
+        // mid-batch. Cache hit instants attach to the cluster-union span
+        // via the scope. Each pin remembers the version the entry was
+        // loaded at; the verifies ride stage 0's load, when anything
+        // loads at all.
+        let mut resolved: HashMap<u32, Arc<LoadedCluster>> = HashMap::new();
+        let mut verify: Vec<(u32, u64)> = Vec::new();
+        {
+            let _scope = trace.enter_scope(s_union);
+            let mut cache = self.cache.lock();
+            for &p in &plan.cached {
+                let version = cache.version_of(p).unwrap_or(0);
+                if let Some(c) = cache.get(p) {
+                    cache.pin(p);
+                    resolved.insert(p, c);
+                    report.cache_hits += 1;
+                    if !plan.to_load.is_empty() {
+                        verify.push((p, version));
+                    }
+                } else {
+                    // A concurrent batch on this node evicted the entry
+                    // between planning and pinning: demote it to a
+                    // stage-0 load (always at or before first demand) so
+                    // every routed cluster still resolves. Never happens
+                    // single-threaded — the cache only changes between
+                    // the two locks when another thread settles or
+                    // admits.
+                    staged[0].push(Load::of(p));
+                }
+            }
+        }
+        trace.end_span_with(s_union, &plan.trace_args());
+        let stages = bounds.len();
+        let stats0 = self.qp.stats().snapshot();
+
+        let mut failed = 0usize;
+        let mut next_load = 0usize;
+        let mut load_vt = vec![0.0f64; stages];
+        let mut cpu_wall = vec![0.0f64; stages];
+        let mut loads: Vec<Vec<_>> = (0..stages).map(|_| Vec::new()).collect();
+        // Per-query candidate pools: up to `k + slack` merged candidates,
+        // the slack being what an exact rerank chooses from (only an SQ8
+        // cluster's probe uses it; exact candidates never need it).
+        let slack = self.config.rerank_k().max(1);
+        let mut pools: Vec<(Vec<Pooled>, f64)> = Vec::with_capacity(queries.len());
+
+        for i in 0..stages {
+            // 3. Fetch. Double buffering under reuse: the next stage's
+            // clusters go on the wire now, while this stage computes
+            // below.
+            let upto = if reuse { (i + 1).min(stages - 1) } else { i };
+            while next_load <= upto {
+                let pending = std::mem::take(&mut staged[next_load]);
+                let pins = std::mem::take(&mut verify);
+                if !pending.is_empty() || !pins.is_empty() {
+                    let (got, vt) =
+                        self.load_stage(next_load, pending, pins, trace, root, &mut report)?;
+                    for p in &got.stale {
+                        resolved.remove(p);
+                    }
+                    report.cache_hits -= got.stale.len();
+                    failed += got.failed.len();
+                    load_vt[next_load] = vt;
+                    loads[next_load] = got.stable;
+                }
+                next_load += 1;
+            }
+
+            // 4. Materialize this stage's loads (compute on loaded data)
+            // and, under reuse, cache them, pinned, at the version they
+            // were read.
+            let fetched = std::mem::take(&mut loads[i]);
+            let t_mat = Instant::now();
+            let s_mat = trace.begin_span("materialize", "engine", root);
+            let loaded = self.materialize(&fetched, threads)?;
+            {
+                let _scope = trace.enter_scope(s_mat);
+                let mut cache = reuse.then(|| self.cache.lock());
+                for (f, cluster) in fetched.iter().zip(&loaded) {
+                    if let Some(cache) = cache.as_mut() {
+                        let p = f.load.partition;
+                        if let Some(victim) = cache.put(p, Arc::clone(cluster), f.version) {
+                            if heat {
+                                self.heatmap.record_eviction(victim);
+                            }
+                        }
+                        cache.pin(p);
+                    }
+                    resolved.insert(f.load.key, Arc::clone(cluster));
+                }
+            }
+            trace.end_span_with(
+                s_mat,
+                &[
+                    ("clusters", ArgValue::U64(loaded.len() as u64)),
+                    ("stage", ArgValue::U64(i as u64)),
+                ],
+            );
+            report.clusters_loaded += loaded.len();
+            let mat_us = t_mat.elapsed().as_secs_f64() * 1e6;
+            report.breakdown.materialize_us += mat_us;
+
+            // 5. Probe this micro-batch's queries. A stage only ever
+            // routes to clusters first demanded at or before it, all of
+            // which were loaded (or counted failed) above — so failures
+            // are always known before the search that must tolerate
+            // them.
+            let (lo, hi) = bounds[i];
+            let s_search = trace.begin_span("sub_hnsw_search", "engine", root);
+            let t_sub = Instant::now();
+            pools.extend(search_stage(
+                &keys[lo..hi],
+                queries,
+                lo,
+                &resolved,
+                (k, slack, ef),
+                threads,
+                failed > 0,
+            )?);
+            if !reuse {
+                resolved.clear();
+            }
+            let sub_us = t_sub.elapsed().as_secs_f64() * 1e6;
+            report.breakdown.sub_hnsw_us += sub_us;
+            trace.end_span_with(
+                s_search,
+                &[
+                    ("queries", ArgValue::U64((hi - lo) as u64)),
+                    ("ef", ArgValue::U64(ef as u64)),
+                    ("stage", ArgValue::U64(i as u64)),
+                ],
+            );
+            cpu_wall[i] = mat_us + sub_us;
+        }
+
+        // Schedule composition over the two-clock model: the worker pool
+        // consumes stages in order while the NIC serializes stage loads
+        // on the virtual clock — back to back under reuse, each only
+        // once the previous stage's compute is done without. The
+        // *exposed* network time is the total stall the compute timeline
+        // spends waiting on the NIC: with one stage, or no overlap,
+        // exactly the whole virtual transfer time; with deeper pipelines
+        // whatever the overlap could not hide.
+        let mut nic_done = 0.0f64;
+        let mut cpu_done = 0.0f64;
+        let mut exposed = 0.0f64;
+        for i in 0..stages {
+            let nic_free = if reuse { nic_done } else { cpu_done };
+            nic_done = nic_free + load_vt[i];
+            let wait = (nic_done - cpu_done).max(0.0);
+            exposed += wait;
+            cpu_done += wait + cpu_wall[i];
+        }
+        report.breakdown.network_us = exposed;
+        let total_vt: f64 = load_vt.iter().sum();
+        let hidden = (total_vt - exposed).max(0.0);
+        if reuse && stages > 1 {
+            self.metrics.pipeline_hidden_us.add(hidden as u64);
+            trace.instant(
+                "pipeline_overlap",
+                "engine",
+                root,
+                &[
+                    ("stages", ArgValue::U64(stages as u64)),
+                    ("network_vt_us", ArgValue::F64(total_vt)),
+                    ("exposed_us", ArgValue::F64(exposed)),
+                    ("hidden_us", ArgValue::F64(hidden)),
+                ],
+            );
+        }
+        // 6. Exact rerank: a no-op unless some candidate's distance is an
+        // estimate with a rerank address (SQ8 wire). Runs before the
+        // stats delta so rerank bytes land in this batch's ledger.
+        let t_rr = Instant::now();
+        let rr_vt =
+            self.rerank_exact(queries, k, &mut pools, &resolved, trace, root, &mut report)?;
+        report.breakdown.network_us += rr_vt;
+        report.breakdown.sub_hnsw_us += t_rr.elapsed().as_secs_f64() * 1e6;
+        let stats_delta = self.qp.stats().snapshot() - stats0;
+        report.round_trips = stats_delta.round_trips;
+        report.bytes_read = stats_delta.bytes_read;
+        report.ledger = CostLedger::from_delta(&stats_delta);
+
+        // 7. Merge: the k closest of each pool (kept in order, rerank
+        // included), now that distances are final.
+        let mut results = Vec::with_capacity(pools.len());
+        for (pool, cov) in pools {
+            let closest = pool.iter().take(k);
+            results.push(closest.map(|c| Neighbor::new(c.cand.id, c.cand.dist)).collect());
+            if failed > 0 {
+                if cov < 1.0 {
+                    report.degraded_queries += 1;
+                }
+                report.coverage.push(cov);
+            }
+        }
+        Ok((results, report))
+    }
+
+    /// Loads one stage's pending clusters — plus any piggybacked
+    /// cached-pin version verifies — through the loader, inside one
+    /// `network` span: a single fetch under reuse; without, every load is
+    /// its own read that retries (and fails) alone. Past the engine retry
+    /// budget the survivors come back `failed` when degraded results are
+    /// allowed, otherwise the batch errors. Returns the fetch and the
+    /// stage's virtual network time.
+    fn load_stage(
+        &self,
+        stage: usize,
+        pending: Vec<Load>,
+        verify: Vec<(u32, u64)>,
+        trace: &BatchTrace,
+        root: SpanId,
+        report: &mut BatchReport,
+    ) -> Result<(Fetch, f64)> {
+        let s_net = trace.begin_span("network", "engine", root);
+        trace.add_args(s_net, &[("stage", ArgValue::U64(stage as u64))]);
+        let clock0 = self.qp.clock().now_us();
+        let stats0 = self.qp.stats().snapshot();
+        let mut reader = Reader::new(self, self.config.degraded_ok(), trace, s_net);
+        let mut got = Fetch::default();
+        let outcome = if self.policy.reuse {
+            reader.fetch(pending, verify, ReadCause::StageLoad, &mut got)
+        } else {
+            (pending.into_iter())
+                .try_for_each(|load| reader.fetch(vec![load], Vec::new(), ReadCause::Naive, &mut got))
+        };
+        report.read_retries += reader.retries;
+        let vt = self.qp.clock().now_us() - clock0;
+        let stats_delta = self.qp.stats().snapshot() - stats0;
+        if self.heatmap.is_enabled() {
+            for f in &got.stable {
+                self.heatmap.record_load(f.load.partition, f.bytes());
+            }
+        }
+        trace.set_vt(s_net, clock0, vt);
+        trace.end_span_with(
+            s_net,
+            &[
+                ("round_trips", ArgValue::U64(stats_delta.round_trips)),
+                ("bytes_read", ArgValue::U64(stats_delta.bytes_read)),
+                (
+                    "doorbell_batches",
+                    ArgValue::U64(stats_delta.doorbell_batches),
+                ),
+                ("read_retries", ArgValue::U64(report.read_retries)),
+            ],
+        );
+        outcome.map(|()| (got, vt))
+    }
+
+    /// Exact-rerank pass. Decides which pool candidates with an
+    /// estimated distance could still enter their query's top-`k` —
+    /// those whose error interval reaches below the k-th smallest upper
+    /// bound — fetches the missing full-precision vectors with one
+    /// [`ReadCause::Rerank`]-tagged round (deduplicated across the batch
+    /// and against the node-level exact-vector cache), and swaps exact
+    /// distances in. Candidates provably outside the top-k keep their
+    /// asymmetric distance: they cannot displace a reranked survivor, so
+    /// the final top-k id set equals a full rerank's. A batch of exact
+    /// candidates (full-precision wire) has nothing to decide and costs
+    /// nothing.
+    ///
+    /// Base vectors are immutable (mutations live in overflow areas),
+    /// so the reads need no version brackets and cache entries never go
+    /// stale. Returns the fetch's virtual network time.
+    #[allow(clippy::too_many_arguments)]
+    fn rerank_exact(
+        &self,
+        queries: &Dataset,
+        k: usize,
+        pools: &mut [(Vec<Pooled>, f64)],
+        resolved: &HashMap<u32, Arc<LoadedCluster>>,
+        trace: &BatchTrace,
+        root: SpanId,
+        report: &mut BatchReport,
+    ) -> Result<f64> {
+        let vec_bytes = (self.directory.dim() * 4) as u64;
+        // Per query: pool indices to exactify, with the (partition, row)
+        // address of each full vector; `need` holds the reads for the
+        // addresses not cached yet.
+        let mut plan: Vec<Vec<(usize, (u32, u32))>> = Vec::with_capacity(pools.len());
+        let mut need: Vec<(u32, u32)> = Vec::new();
+        let mut reqs: Vec<ReadReq> = Vec::new();
+        let mut queued: HashSet<(u32, u32)> = HashSet::new();
+        {
+            let cache = self.rerank_cache.lock();
+            for (pool, _) in pools.iter() {
+                let mut wanted = Vec::new();
+                if k > 0 && pool.iter().any(|c| c.cand.local.is_some()) {
+                    let mut uppers: Vec<f32> =
+                        pool.iter().map(|c| c.cand.dist + c.cand.err).collect();
+                    uppers.sort_by(f32::total_cmp);
+                    let thresh = uppers[k.min(uppers.len()) - 1];
+                    for (i, c) in pool.iter().enumerate() {
+                        let Some(local) = c.cand.local else { continue };
+                        if c.cand.dist - c.cand.err > thresh {
+                            continue;
+                        }
+                        let cluster = resolved.get(&c.key).ok_or_else(|| {
+                            Error::Corrupt(format!("rerank candidate of unresolved load {}", c.key))
+                        })?;
+                        let key = (cluster.partition(), local);
+                        wanted.push((i, key));
+                        if !cache.contains_key(&key) && queued.insert(key) {
+                            // Serialized clusters end with the raw
+                            // row-major f32 vectors, so row `local` sits
+                            // a fixed distance from the blob's tail.
+                            let loc = self.directory.location(key.0)?;
+                            let from_tail = cluster.base_len() as u64 - u64::from(local);
+                            let off = loc.cluster_off + loc.cluster_len - from_tail * vec_bytes;
+                            need.push(key);
+                            reqs.push(
+                                ReadReq::new(self.rkey, off, vec_bytes)
+                                    .with_cause(ReadCause::Rerank),
+                            );
+                        }
+                    }
+                }
+                plan.push(wanted);
+            }
+        }
+        if plan.iter().all(|w| w.is_empty()) {
+            return Ok(0.0);
+        }
+
+        let s_rr = trace.begin_span("rerank", "engine", root);
+        let clock0 = self.qp.clock().now_us();
+        let candidates: u64 = plan.iter().map(|w| w.len() as u64).sum();
+        // Past the retry budget in degraded mode, unfetched candidates
+        // keep their asymmetric distances: the answer degrades gracefully
+        // instead of failing the batch.
+        let mut reader = Reader::new(self, self.config.degraded_ok(), trace, s_rr);
+        let delivered = reader.post_until_delivered(&reqs, need.first().map_or(0, |key| key.0));
+        report.read_retries += reader.retries;
+        let vt = self.qp.clock().now_us() - clock0;
+        let fetched = match delivered {
+            Ok(buffers) => buffers.unwrap_or_default(),
+            Err(e) => {
+                trace.end_span(s_rr);
+                return Err(e);
+            }
+        };
+        let fetched_n = fetched.len() as u64;
+        let mut exacted = 0u64;
+        {
+            let mut cache = self.rerank_cache.lock();
+            if cache.len() + fetched.len() > RERANK_CACHE_CAP {
+                cache.clear();
+            }
+            for (key, buf) in need.into_iter().zip(&fetched) {
+                cache.insert(key, vecsim::io::le_words(buf, f32::from_le_bytes).collect());
+            }
+            for (qi, (pool, _)) in pools.iter_mut().enumerate() {
+                let q = queries.get(qi);
+                for &(ci, key) in &plan[qi] {
+                    if let Some(v) = cache.get(&key) {
+                        pool[ci].cand.dist = vecsim::l2_sq(q, v);
+                        pool[ci].cand.err = 0.0;
+                        exacted += 1;
+                    }
+                }
+                if !plan[qi].is_empty() {
+                    pool.sort_by(by_distance);
+                }
+            }
+        }
+        trace.set_vt(s_rr, clock0, vt);
+        trace.end_span_with(
+            s_rr,
+            &[
+                ("candidates", ArgValue::U64(candidates)),
+                ("fetched", ArgValue::U64(fetched_n)),
+                ("exacted", ArgValue::U64(exacted)),
+            ],
+        );
+        Ok(vt)
+    }
+}
+
+/// Ascending `(dist, id)`: the order of a pool, and of a result.
+fn by_distance(a: &Pooled, b: &Pooled) -> std::cmp::Ordering {
+    (a.cand.dist.total_cmp(&b.cand.dist)).then(a.cand.id.cmp(&b.cand.id))
+}
+
+/// The sub-search: probes each query's routed clusters
+/// ([`LoadedCluster::probe`], at `(k, slack, ef)`) and merges the hits
+/// into the query's candidate pool.
+///
+/// Probes execute **cluster-major**: `keys` is flattened into `(load
+/// key, query, route position)` probes, sorted by key and cut into
+/// `threads` contiguous runs, so each worker serves every query of a
+/// cluster back to back while the cluster is hot in its cache, out of
+/// one [`SearchScratch`] and one hit buffer. Each query's hit lists are
+/// then merged in **route order**, whatever order they were computed in,
+/// into up to `k + slack` candidates, one per global id — the closest
+/// copy, a forced representative can appear in two clusters — ascending
+/// by `(dist, id)`. Copies of an exact id carry equal distances, so for
+/// them "closest" is also "first in route order".
+///
+/// `keys[i]` belongs to query `base + i`, so pipeline stages can pass a
+/// sub-slice against the full query set. Returns each query's pool with
+/// the fraction of its routed clusters that were actually searched; with
+/// `allow_missing` false an unresolved cluster is a corruption error
+/// (every planned load must have landed), with it true the cluster is
+/// skipped and the coverage dips below 1 (degraded mode).
+pub(super) fn search_stage(
+    keys: &[Vec<u32>],
+    queries: &Dataset,
+    base: usize,
+    resolved: &HashMap<u32, Arc<LoadedCluster>>,
+    (k, slack, ef): (usize, usize, usize),
+    threads: usize,
+    allow_missing: bool,
+) -> Result<Vec<(Vec<Pooled>, f64)>> {
+    // `offsets[i]..offsets[i + 1]` are query i's route positions.
+    let mut offsets = vec![0usize];
+    let mut searched = vec![0usize; keys.len()];
+    let mut probes: Vec<(u32, u32, u32)> = Vec::new();
+    for (i, route) in keys.iter().enumerate() {
+        for (pos, key) in route.iter().enumerate() {
+            if resolved.contains_key(key) {
+                probes.push((*key, i as u32, pos as u32));
+                searched[i] += 1;
+            } else if !allow_missing {
+                return Err(Error::Corrupt(format!(
+                    "cluster load {key} missing after load"
+                )));
+            }
+        }
+        offsets.push(offsets[i] + route.len());
+    }
+    probes.sort_unstable();
+    let runs: Vec<&[(u32, u32, u32)]> = probes
+        .chunks(probes.len().div_ceil(threads.max(1)).max(1))
+        .collect();
+    let done = run_indexed(runs.len(), threads, |r| {
+        let mut scratch = SearchScratch::default();
+        let mut stats = SearchStats::default();
+        let mut hits: Vec<Candidate> = Vec::new();
+        let mut ends = Vec::with_capacity(runs[r].len());
+        for &(key, query, _) in runs[r] {
+            let q = queries.get(base + query as usize);
+            resolved[&key].probe(q, k, slack, ef, &mut scratch, &mut stats, &mut hits);
+            ends.push(hits.len());
+        }
+        Ok((hits, ends))
+    })?;
+    let mut lists: Vec<&[Candidate]> = vec![&[]; offsets[keys.len()]];
+    for (run, (hits, ends)) in runs.iter().zip(&done) {
+        let mut start = 0;
+        for (&(_, query, pos), &end) in run.iter().zip(ends) {
+            lists[offsets[query as usize] + pos as usize] = &hits[start..end];
+            start = end;
+        }
+    }
+    run_indexed(keys.len(), threads, |i| {
+        let lists = &lists[offsets[i]..offsets[i + 1]];
+        let cov = if lists.is_empty() {
+            1.0
+        } else {
+            searched[i] as f64 / lists.len() as f64
+        };
+        let mut pool = Vec::with_capacity(lists.iter().map(|list| list.len()).sum());
+        for (list, &key) in lists.iter().zip(&keys[i]) {
+            pool.extend(list.iter().map(|&cand| Pooled { key, cand }));
+        }
+        // Closest first (the sort is stable, so equal copies of an id stay
+        // in route order), then the first copy of each id, up to the
+        // pool's size.
+        pool.sort_by(by_distance);
+        let mut kept = 0;
+        for i in 0..pool.len() {
+            if kept < k + slack && pool[..kept].iter().all(|c| c.cand.id != pool[i].cand.id) {
+                pool[kept] = pool[i];
+                kept += 1;
+            }
+        }
+        pool.truncate(kept);
+        Ok((pool, cov))
+    })
+}

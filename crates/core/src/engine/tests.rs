@@ -1,0 +1,1300 @@
+#![cfg(test)]
+
+use std::collections::HashMap;
+use std::sync::Arc;
+
+use rdma_sim::ReadCause;
+use vecsim::{gen, ground_truth, recall, Dataset, Metric, Neighbor, TopK};
+
+use super::query::{search_stage, Pooled};
+use super::*;
+use crate::breakdown::BatchReport;
+use crate::cluster::{Candidate, LoadedCluster};
+use crate::health::report::GroupHealth;
+use crate::{Error, QuantizeMode};
+
+fn setup(n: usize) -> (Dataset, VectorStore) {
+    let data = gen::sift_like(n, 77).unwrap();
+    let store = VectorStore::build(data.clone(), &DHnswConfig::small()).unwrap();
+    (data, store)
+}
+
+#[test]
+fn all_modes_answer_k_results() {
+    let (data, store) = setup(600);
+    let queries = gen::perturbed_queries(&data, 16, 0.02, 78).unwrap();
+    for mode in [SearchMode::Full, SearchMode::NoDoorbell, SearchMode::Naive] {
+        let node = store.connect(mode).unwrap();
+        let (results, report) = node.query_batch(&queries, 10, 32).unwrap();
+        assert_eq!(results.len(), 16, "{mode}");
+        for r in &results {
+            assert_eq!(r.len(), 10, "{mode}");
+            for w in r.windows(2) {
+                assert!(w[0].dist <= w[1].dist);
+            }
+        }
+        assert!(report.round_trips > 0);
+        assert!(report.bytes_read > 0);
+    }
+}
+
+#[test]
+fn modes_agree_on_results_for_cold_identical_state() {
+    // Network strategy must not change *what* is found, only cost.
+    let (data, store) = setup(500);
+    let queries = gen::perturbed_queries(&data, 8, 0.02, 79).unwrap();
+    let full = store.connect(SearchMode::Full).unwrap();
+    let nodb = store.connect(SearchMode::NoDoorbell).unwrap();
+    let naive = store.connect(SearchMode::Naive).unwrap();
+    let (a, _) = full.query_batch(&queries, 5, 32).unwrap();
+    let (b, _) = nodb.query_batch(&queries, 5, 32).unwrap();
+    let (c, _) = naive.query_batch(&queries, 5, 32).unwrap();
+    assert_eq!(a, b);
+    assert_eq!(a, c);
+}
+
+#[test]
+fn recall_is_reasonable_and_improves_with_fanout() {
+    let data = gen::sift_like(2_000, 80).unwrap();
+    let queries = gen::perturbed_queries(&data, 50, 0.02, 81).unwrap();
+    let truth = ground_truth::exact_batch(&data, &queries, 10, Metric::L2);
+    let recall_with_b = |b: usize| {
+        let store = VectorStore::build(data.clone(), &DHnswConfig::small().with_fanout(b)).unwrap();
+        let node = store.connect(SearchMode::Full).unwrap();
+        let (results, _) = node.query_batch(&queries, 10, 48).unwrap();
+        let ids: Vec<Vec<u32>> = results
+            .iter()
+            .map(|r| r.iter().map(|n| n.id).collect())
+            .collect();
+        recall::mean_recall(&ids, &truth)
+    };
+    let r1 = recall_with_b(1);
+    let r8 = recall_with_b(8);
+    assert!(r8 >= r1, "fanout 8 recall {r8} < fanout 1 recall {r1}");
+    assert!(r8 > 0.8, "fanout-8 recall too low: {r8}");
+}
+
+#[test]
+fn ledger_tiles_bytes_and_attributes_causes_per_mode() {
+    let (data, store) = setup(600);
+    let queries = gen::perturbed_queries(&data, 16, 0.02, 88).unwrap();
+    for mode in [SearchMode::Full, SearchMode::NoDoorbell, SearchMode::Naive] {
+        let node = store.connect(mode).unwrap();
+
+        // Cold batch: every byte must be accounted to exactly one
+        // cause, and the traffic is dominated by first-time fetches.
+        let (_, cold) = node.query_batch(&queries, 5, 32).unwrap();
+        assert_eq!(
+            cold.ledger.total_bytes(),
+            cold.bytes_read,
+            "{mode}: cause bytes must tile bytes_read"
+        );
+        let expect = if mode == SearchMode::Naive {
+            ReadCause::Naive
+        } else {
+            ReadCause::StageLoad
+        };
+        assert_eq!(cold.ledger.dominant_cause(), Some(expect), "{mode}");
+        assert_eq!(cold.ledger.bytes_for(ReadCause::Other), 0, "{mode}");
+
+        // Warm batch: tiling must hold whatever mix of reloads and
+        // verifies the (fraction-sized) cache leaves behind.
+        let (_, warm) = node.query_batch(&queries, 5, 32).unwrap();
+        assert_eq!(warm.ledger.total_bytes(), warm.bytes_read, "{mode}");
+    }
+}
+
+fn sq_setup(n: usize) -> (Dataset, VectorStore) {
+    let data = gen::sift_like(n, 77).unwrap();
+    let store = VectorStore::build(
+        data.clone(),
+        &DHnswConfig::small().with_quantize_mode(QuantizeMode::Sq8),
+    )
+    .unwrap();
+    (data, store)
+}
+
+#[test]
+fn sq_mode_reranks_with_tagged_reads_and_tiles_bytes() {
+    let (data, store) = sq_setup(600);
+    let queries = gen::perturbed_queries(&data, 16, 0.02, 78).unwrap();
+    let node = store.connect(SearchMode::Full).unwrap();
+    assert!(node.is_quantized());
+    let (results, report) = node.query_batch(&queries, 10, 32).unwrap();
+    assert_eq!(results.len(), 16);
+    for r in &results {
+        assert_eq!(r.len(), 10);
+        for w in r.windows(2) {
+            assert!(w[0].dist <= w[1].dist);
+        }
+    }
+    // Rerank traffic carries its own cause, and the per-cause
+    // ledger still tiles bytes_read exactly.
+    assert!(report.ledger.bytes_for(ReadCause::Rerank) > 0);
+    assert_eq!(report.ledger.total_bytes(), report.bytes_read);
+    // A pristine store never pays for overflow bytes: version
+    // slots prove every overflow area empty.
+    assert_eq!(report.ledger.bytes_for(ReadCause::OverflowScan), 0);
+
+    // The compressed wire format moves far fewer bytes than the
+    // uncompressed store answering the same cold batch.
+    let full_store = VectorStore::build(data, &DHnswConfig::small()).unwrap();
+    let full = full_store.connect(SearchMode::Full).unwrap();
+    assert!(!full.is_quantized());
+    let (_, full_report) = full.query_batch(&queries, 10, 32).unwrap();
+    assert!(
+        report.bytes_read * 2 < full_report.bytes_read,
+        "sq bytes {} not well under full-precision bytes {}",
+        report.bytes_read,
+        full_report.bytes_read
+    );
+}
+
+#[test]
+fn sq_mode_observes_overflow_inserts_and_tombstones() {
+    let (data, store) = sq_setup(400);
+    let node = store.connect(SearchMode::Full).unwrap();
+    let mut v = data.get(3).to_vec();
+    v[0] += 0.75;
+    let gid = node.insert(&v).unwrap();
+
+    // The mutated partition's nonzero version forces the overflow
+    // follow-up read, and the insert is found exactly.
+    let batch = Dataset::from_rows(&[&v[..]]).unwrap();
+    let (hits, report) = node.query_batch(&batch, 1, 32).unwrap();
+    assert_eq!(hits[0][0].id, gid);
+    assert!(hits[0][0].dist < 1e-6);
+    assert!(report.ledger.bytes_for(ReadCause::OverflowScan) > 0);
+    assert_eq!(report.ledger.total_bytes(), report.bytes_read);
+
+    // A tombstone removes it from subsequent quantized answers.
+    node.delete(&v, gid).unwrap();
+    let hits = node.query(&v, 1, 32).unwrap();
+    assert_ne!(hits[0].id, gid);
+}
+
+#[test]
+fn sq_warm_cache_answers_without_reloading_blobs() {
+    let data = gen::sift_like(500, 82).unwrap();
+    let store = VectorStore::build(
+        data.clone(),
+        &DHnswConfig::small()
+            .with_quantize_mode(QuantizeMode::Sq8)
+            .with_cache_fraction(1.0),
+    )
+    .unwrap();
+    let node = store.connect(SearchMode::Full).unwrap();
+    let queries = gen::perturbed_queries(&data, 12, 0.02, 83).unwrap();
+    let (cold_r, cold) = node.query_batch(&queries, 5, 32).unwrap();
+    let (warm_r, warm) = node.query_batch(&queries, 5, 32).unwrap();
+    assert_eq!(cold_r, warm_r, "cache residency must not change answers");
+    assert_eq!(warm.ledger.bytes_for(ReadCause::StageLoad), 0);
+    // Second pass still pays only for rerank reads it has not
+    // cached — never more than the first.
+    assert!(warm.ledger.bytes_for(ReadCause::Rerank) <= cold.ledger.bytes_for(ReadCause::Rerank));
+    assert_eq!(warm.ledger.total_bytes(), warm.bytes_read);
+}
+
+#[test]
+fn health_report_folds_sq_tail_into_layout_accounting() {
+    let (_, store) = sq_setup(500);
+    let node = store.connect(SearchMode::Full).unwrap();
+    let report = node.health_report().unwrap();
+    assert!(report.layout.sq_bytes > 0);
+    assert!(
+        (report.layout.utilization + report.layout.fragmentation - 1.0).abs() < 1e-9,
+        "utilization {} + fragmentation {} must cover the quantized region",
+        report.layout.utilization,
+        report.layout.fragmentation
+    );
+}
+
+#[test]
+fn warm_full_cache_shifts_bytes_to_version_checks() {
+    // With the cache sized to hold everything, a repeat batch does no
+    // stage loads; after a writer bumps one partition's version the
+    // next batch mixes a single reload with 8-byte verifies of the
+    // surviving pins — both causes must show up, and tile.
+    let data = gen::sift_like(600, 90).unwrap();
+    let store =
+        VectorStore::build(data.clone(), &DHnswConfig::small().with_cache_fraction(1.0)).unwrap();
+    let node = store.connect(SearchMode::Full).unwrap();
+    let queries = gen::perturbed_queries(&data, 16, 0.02, 91).unwrap();
+    node.query_batch(&queries, 5, 32).unwrap();
+
+    // Fully warm: nothing to load, so nothing to verify either.
+    let (_, warm) = node.query_batch(&queries, 5, 32).unwrap();
+    assert_eq!(warm.clusters_loaded, 0);
+    assert_eq!(warm.bytes_read, 0);
+    assert_eq!(warm.ledger.total_bytes(), 0);
+    assert_eq!(warm.ledger.dominant_cause(), None);
+
+    // One insert invalidates its cluster and bumps its version.
+    node.insert(data.get(0)).unwrap();
+    let (_, mixed) = node.query_batch(&queries, 5, 32).unwrap();
+    assert_eq!(mixed.ledger.total_bytes(), mixed.bytes_read);
+    if mixed.clusters_loaded > 0 {
+        assert!(mixed.ledger.bytes_for(ReadCause::StageLoad) > 0);
+        assert!(mixed.ledger.bytes_for(ReadCause::VersionCheck) > 0);
+        assert_eq!(mixed.ledger.bytes_for(ReadCause::Naive), 0);
+    }
+}
+
+#[test]
+fn health_probe_and_prefetch_bytes_carry_their_causes() {
+    let (data, store) = setup(600);
+    let node = store.connect(SearchMode::Full).unwrap();
+    let stats0 = node.queue_pair().stats().snapshot();
+    node.health_report().unwrap();
+    let probe = node.queue_pair().stats().snapshot() - stats0;
+    assert!(probe.bytes_for(ReadCause::HealthProbe) > 0);
+    assert_eq!(probe.bytes_for(ReadCause::HealthProbe), probe.bytes_read);
+
+    // Warm the heatmap, then force a prefetch round into an emptied
+    // cache: its traffic must land on the prefetch cause.
+    let queries = gen::perturbed_queries(&data, 16, 0.02, 89).unwrap();
+    node.query_batch(&queries, 5, 32).unwrap();
+    node.drop_cache();
+    node.set_prefetch_budget_bytes(u64::MAX);
+    let stats1 = node.queue_pair().stats().snapshot();
+    let admitted = node.prefetch_hot();
+    assert!(admitted > 0);
+    let pf = node.queue_pair().stats().snapshot() - stats1;
+    assert!(pf.bytes_for(ReadCause::Prefetch) > 0);
+    assert_eq!(
+        pf.bytes_for(ReadCause::Prefetch) + pf.bytes_for(ReadCause::VersionCheck),
+        pf.bytes_read
+    );
+}
+
+#[test]
+fn full_mode_loads_each_cluster_once_per_batch() {
+    let (data, store) = setup(600);
+    let queries = gen::perturbed_queries(&data, 64, 0.02, 82).unwrap();
+    let node = store.connect(SearchMode::Full).unwrap();
+    let (_, report) = node.query_batch(&queries, 5, 16).unwrap();
+    assert!(report.raw_cluster_demand >= report.unique_clusters);
+    assert_eq!(
+        report.clusters_loaded + report.cache_hits,
+        report.unique_clusters
+    );
+    // Loading each unique cluster once means loads <= unique.
+    assert!(report.clusters_loaded <= report.unique_clusters);
+}
+
+#[test]
+fn cache_serves_repeat_batches() {
+    let (data, store) = setup(400);
+    let queries = gen::perturbed_queries(&data, 8, 0.02, 83).unwrap();
+    // Cache big enough to hold everything.
+    let store2 = VectorStore::build(data, &DHnswConfig::small().with_cache_fraction(1.0)).unwrap();
+    let node = store2.connect(SearchMode::Full).unwrap();
+    let (_, first) = node.query_batch(&queries, 5, 16).unwrap();
+    assert!(first.clusters_loaded > 0);
+    let (_, second) = node.query_batch(&queries, 5, 16).unwrap();
+    assert_eq!(second.clusters_loaded, 0, "warm batch must be all hits");
+    assert_eq!(second.round_trips, 0);
+    assert_eq!(second.breakdown.network_us, 0.0);
+    let _ = store;
+}
+
+#[test]
+fn naive_mode_never_reuses() {
+    let (data, store) = setup(400);
+    let queries = gen::perturbed_queries(&data, 8, 0.02, 84).unwrap();
+    let node = store.connect(SearchMode::Naive).unwrap();
+    let (_, first) = node.query_batch(&queries, 5, 16).unwrap();
+    let (_, second) = node.query_batch(&queries, 5, 16).unwrap();
+    assert_eq!(first.round_trips, second.round_trips);
+    assert_eq!(
+        first.round_trips,
+        (queries.len() * store.config().fanout()) as u64
+    );
+    assert_eq!(first.cache_hits, 0);
+}
+
+#[test]
+fn doorbell_reduces_round_trips_not_bytes() {
+    let (data, store) = setup(600);
+    let queries = gen::perturbed_queries(&data, 32, 0.05, 85).unwrap();
+    let full = store.connect(SearchMode::Full).unwrap();
+    let nodb = store.connect(SearchMode::NoDoorbell).unwrap();
+    let (_, rf) = full.query_batch(&queries, 5, 16).unwrap();
+    let (_, rn) = nodb.query_batch(&queries, 5, 16).unwrap();
+    assert_eq!(rf.bytes_read, rn.bytes_read);
+    assert!(rf.round_trips < rn.round_trips);
+    assert!(rf.breakdown.network_us < rn.breakdown.network_us);
+}
+
+#[test]
+fn latency_ordering_matches_the_paper() {
+    let (data, store) = setup(800);
+    let queries = gen::perturbed_queries(&data, 64, 0.05, 86).unwrap();
+    let full = store.connect(SearchMode::Full).unwrap();
+    let nodb = store.connect(SearchMode::NoDoorbell).unwrap();
+    let naive = store.connect(SearchMode::Naive).unwrap();
+    let (_, rf) = full.query_batch(&queries, 10, 32).unwrap();
+    let (_, rn) = nodb.query_batch(&queries, 10, 32).unwrap();
+    let (_, rv) = naive.query_batch(&queries, 10, 32).unwrap();
+    assert!(
+        rf.breakdown.network_us <= rn.breakdown.network_us,
+        "doorbell must not be slower"
+    );
+    assert!(
+        rn.breakdown.network_us < rv.breakdown.network_us,
+        "query-aware loading must beat naive"
+    );
+}
+
+#[test]
+fn fanout_override_changes_demand_without_rebuilding() {
+    let (data, store) = setup(600);
+    let node = store.connect(SearchMode::Full).unwrap();
+    let queries = gen::perturbed_queries(&data, 16, 0.03, 96).unwrap();
+    let (_, narrow) = node
+        .query_batch_opts(&queries, &QueryOptions::new(5, 32).with_fanout(1))
+        .unwrap();
+    node.drop_cache();
+    let (_, wide) = node
+        .query_batch_opts(&queries, &QueryOptions::new(5, 32).with_fanout(8))
+        .unwrap();
+    assert_eq!(narrow.raw_cluster_demand, 16);
+    assert_eq!(wide.raw_cluster_demand, 16 * 8);
+    assert!(wide.bytes_read > narrow.bytes_read);
+}
+
+#[test]
+fn zero_fanout_override_is_rejected() {
+    let (data, store) = setup(200);
+    let node = store.connect(SearchMode::Full).unwrap();
+    let queries = gen::perturbed_queries(&data, 2, 0.03, 97).unwrap();
+    assert!(node
+        .query_batch_opts(&queries, &QueryOptions::new(5, 16).with_fanout(0))
+        .is_err());
+}
+
+#[test]
+fn default_options_match_positional_call() {
+    let (data, store) = setup(300);
+    let node = store.connect(SearchMode::Full).unwrap();
+    let queries = gen::perturbed_queries(&data, 6, 0.03, 98).unwrap();
+    let (a, _) = node.query_batch(&queries, 5, 32).unwrap();
+    let (b, _) = node
+        .query_batch_opts(&queries, &QueryOptions::new(5, 32))
+        .unwrap();
+    assert_eq!(a, b);
+}
+
+#[test]
+fn query_rejects_wrong_dimension() {
+    let (_, store) = setup(200);
+    let node = store.connect(SearchMode::Full).unwrap();
+    let queries = gen::uniform(64, 2, 0.0, 1.0, 1).unwrap();
+    assert!(matches!(
+        node.query_batch(&queries, 5, 16).unwrap_err(),
+        Error::DimensionMismatch { .. }
+    ));
+}
+
+#[test]
+fn empty_batch_is_a_cheap_noop() {
+    let (_, store) = setup(200);
+    let node = store.connect(SearchMode::Full).unwrap();
+    let (results, report) = node.query_batch(&Dataset::new(128), 5, 16).unwrap();
+    assert!(results.is_empty());
+    assert_eq!(report, BatchReport::default());
+}
+
+#[test]
+fn insert_then_query_finds_the_new_vector() {
+    let (data, store) = setup(400);
+    let node = store.connect(SearchMode::Full).unwrap();
+    // Insert a distinctive vector near an existing one.
+    let mut v = data.get(5).to_vec();
+    v[0] += 0.5;
+    let gid = node.insert(&v).unwrap();
+    assert_eq!(gid as usize, store.base_len());
+    let hits = node.query(&v, 3, 32).unwrap();
+    assert_eq!(hits[0].id, gid, "inserted vector must be its own nearest");
+    assert!(hits[0].dist < 1e-6);
+}
+
+#[test]
+fn inserts_allocate_monotonic_global_ids() {
+    let (data, store) = setup(300);
+    let node = store.connect(SearchMode::Full).unwrap();
+    let a = node.insert(data.get(0)).unwrap();
+    let b = node.insert(data.get(1)).unwrap();
+    assert_eq!(b, a + 1);
+}
+
+#[test]
+fn insert_uses_four_one_sided_verbs() {
+    let (data, store) = setup(300);
+    let node = store.connect(SearchMode::Full).unwrap();
+    node.reset_measurements();
+    node.insert(data.get(0)).unwrap();
+    let s = node.queue_pair().stats().snapshot();
+    // id FAA + slot FAA + record write + version FAA.
+    assert_eq!(s.round_trips, 4);
+    assert_eq!(s.atomics, 3);
+}
+
+#[test]
+fn insert_batch_matches_single_inserts_in_effect() {
+    let (data, store) = setup(400);
+    let node = store.connect(SearchMode::Full).unwrap();
+    let inserts = gen::perturbed_queries(&data, 10, 0.01, 92).unwrap();
+    let results = node.insert_batch(&inserts).unwrap();
+    assert_eq!(results.len(), 10);
+    let ids: Vec<u32> = results.into_iter().map(|r| r.unwrap()).collect();
+    // Dense sequential ids from the base length.
+    assert_eq!(ids[0] as usize, store.base_len());
+    for w in ids.windows(2) {
+        assert_eq!(w[1], w[0] + 1);
+    }
+    // All visible to queries.
+    let mut found = 0;
+    for (i, v) in inserts.iter().enumerate() {
+        let hit = node.query(v, 1, 32).unwrap();
+        if hit[0].id == ids[i] {
+            found += 1;
+        }
+    }
+    assert!(found >= 8, "only {found}/10 batch inserts retrievable");
+}
+
+#[test]
+fn insert_batch_uses_far_fewer_round_trips() {
+    let (data, store) = setup(400);
+    let inserts = gen::perturbed_queries(&data, 32, 0.01, 93).unwrap();
+
+    let single = store.connect(SearchMode::Full).unwrap();
+    single.reset_measurements();
+    for v in inserts.iter() {
+        single.insert(v).unwrap();
+    }
+    let single_trips = single.queue_pair().stats().round_trips();
+    assert_eq!(single_trips, 4 * 32);
+
+    let batched = store.connect(SearchMode::Full).unwrap();
+    batched.reset_measurements();
+    let results = batched.insert_batch(&inserts).unwrap();
+    assert!(results.iter().all(|r| r.is_ok()));
+    let batch_trips = batched.queue_pair().stats().round_trips();
+    assert!(
+        batch_trips * 3 < single_trips,
+        "batched {batch_trips} vs single {single_trips}"
+    );
+}
+
+#[test]
+fn insert_batch_reports_overflow_per_vector() {
+    let data = gen::sift_like(300, 94).unwrap();
+    let cfg = DHnswConfig::small().with_overflow_slots(2);
+    let store = VectorStore::build(data.clone(), &cfg).unwrap();
+    let node = store.connect(SearchMode::Full).unwrap();
+    // Ten copies of the same vector all route to one group with two
+    // slots: exactly two succeed.
+    let same = Dataset::from_rows(&[data.get(0); 10]).unwrap();
+    let results = node.insert_batch(&same).unwrap();
+    let ok = results.iter().filter(|r| r.is_ok()).count();
+    assert_eq!(ok, 2, "{results:?}");
+    assert!(results
+        .iter()
+        .filter(|r| r.is_err())
+        .all(|r| matches!(r.as_ref().unwrap_err(), Error::OverflowFull { .. })));
+}
+
+#[test]
+fn insert_batch_rejects_wrong_dim_and_handles_empty() {
+    let (_, store) = setup(200);
+    let node = store.connect(SearchMode::Full).unwrap();
+    assert!(node
+        .insert_batch(&gen::uniform(64, 3, 0.0, 1.0, 1).unwrap())
+        .is_err());
+    assert!(node.insert_batch(&Dataset::new(128)).unwrap().is_empty());
+}
+
+#[test]
+fn insert_overflow_full_is_reported() {
+    let data = gen::sift_like(300, 90).unwrap();
+    let cfg = DHnswConfig::small().with_overflow_slots(1);
+    let store = VectorStore::build(data.clone(), &cfg).unwrap();
+    let node = store.connect(SearchMode::Full).unwrap();
+    // Fill the single slot of some group, then the next insert into
+    // the same group must fail.
+    let v = data.get(0);
+    node.insert(v).unwrap();
+    let second = node.insert(v);
+    assert!(matches!(second.unwrap_err(), Error::OverflowFull { .. }));
+}
+
+#[test]
+fn delete_removes_a_base_vector_from_results() {
+    let (data, store) = setup(400);
+    let node = store.connect(SearchMode::Full).unwrap();
+    let target = data.get(5).to_vec();
+    let before = node.query(&target, 1, 48).unwrap();
+    assert_eq!(before[0].dist, 0.0);
+    let victim = before[0].id;
+    node.delete(&target, victim).unwrap();
+    let after = node.query(&target, 5, 48).unwrap();
+    assert!(
+        after.iter().all(|n| n.id != victim),
+        "deleted id still returned: {after:?}"
+    );
+    assert_eq!(after.len(), 5, "deletion must not shrink the result list");
+}
+
+#[test]
+fn delete_removes_an_overflow_insert() {
+    let (data, store) = setup(300);
+    let node = store.connect(SearchMode::Full).unwrap();
+    let mut v = data.get(9).to_vec();
+    v[0] += 0.5;
+    let gid = node.insert(&v).unwrap();
+    assert_eq!(node.query(&v, 1, 32).unwrap()[0].id, gid);
+    node.delete(&v, gid).unwrap();
+    let after = node.query(&v, 3, 32).unwrap();
+    assert!(after.iter().all(|n| n.id != gid));
+}
+
+#[test]
+fn delete_uses_three_one_sided_verbs() {
+    let (data, store) = setup(300);
+    let node = store.connect(SearchMode::Full).unwrap();
+    node.reset_measurements();
+    node.delete(data.get(0), 0).unwrap();
+    let s = node.queue_pair().stats().snapshot();
+    // slot FAA + tombstone write + version FAA.
+    assert_eq!(s.round_trips, 3);
+    assert_eq!(s.atomics, 2);
+}
+
+#[test]
+fn delete_visibility_across_nodes_follows_cache_lifetime() {
+    let (data, store) = setup(300);
+    let writer = store.connect(SearchMode::Full).unwrap();
+    let reader = store.connect(SearchMode::Full).unwrap();
+    let target = data.get(11).to_vec();
+    let victim = reader.query(&target, 1, 48).unwrap()[0].id;
+    writer.delete(&target, victim).unwrap();
+    // The reader cached the cluster before the delete: it may serve
+    // the stale copy (cross-node caches are not coherent — a
+    // documented non-goal shared with the paper)...
+    let stale = reader.query(&target, 3, 48).unwrap();
+    assert!(stale.iter().any(|n| n.id == victim), "unexpectedly fresh");
+    // ...but once its cached copy is dropped (eviction, expiry), the
+    // next load observes the tombstone.
+    reader.drop_cache();
+    let fresh = reader.query(&target, 3, 48).unwrap();
+    assert!(fresh.iter().all(|n| n.id != victim));
+}
+
+#[test]
+fn insert_rejects_wrong_dimension() {
+    let (_, store) = setup(200);
+    let node = store.connect(SearchMode::Full).unwrap();
+    assert!(node.insert(&[1.0, 2.0]).is_err());
+}
+
+#[test]
+fn inserts_are_visible_across_compute_nodes() {
+    let (data, store) = setup(400);
+    let writer = store.connect(SearchMode::Full).unwrap();
+    let reader = store.connect(SearchMode::Full).unwrap();
+    let mut v = data.get(10).to_vec();
+    v[1] += 0.25;
+    let gid = writer.insert(&v).unwrap();
+    // The reader never cached the cluster, so its next load sees the
+    // overflow record.
+    let hits = reader.query(&v, 1, 32).unwrap();
+    assert_eq!(hits[0].id, gid);
+}
+
+#[test]
+fn reset_measurements_zeroes_counters() {
+    let (data, store) = setup(200);
+    let node = store.connect(SearchMode::Full).unwrap();
+    let queries = gen::perturbed_queries(&data, 4, 0.02, 91).unwrap();
+    node.query_batch(&queries, 5, 16).unwrap();
+    node.reset_measurements();
+    assert_eq!(node.queue_pair().stats().round_trips(), 0);
+    assert_eq!(node.queue_pair().clock().now_us(), 0.0);
+}
+
+#[test]
+fn compute_node_is_send_sync() {
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<ComputeNode>();
+}
+
+#[test]
+fn heatmap_samples_routes_loads_and_cache_hits() {
+    let (data, store) = setup(600);
+    let telemetry = Arc::new(Telemetry::new());
+    let node = store
+        .connect_with_telemetry(SearchMode::Full, telemetry)
+        .unwrap();
+    let queries = gen::perturbed_queries(&data, 8, 0.02, 93).unwrap();
+    let b = node.config().fanout();
+    node.query_batch(&queries, 5, 16).unwrap();
+    let cold = node.heatmap().snapshot();
+    let route_hits: u64 = cold.iter().map(|c| c.route_hits).sum();
+    let loads: u64 = cold.iter().map(|c| c.loads).sum();
+    let bytes: u64 = cold.iter().map(|c| c.bytes_read).sum();
+    assert_eq!(route_hits, 8 * b as u64, "every route is sampled");
+    assert!(loads > 0, "cold batch loads clusters");
+    assert!(bytes > 0, "loads carry their byte size");
+    assert!(cold.iter().any(|c| c.hotness > 0.0));
+    // Same batch again: the cache now serves what it kept.
+    node.query_batch(&queries, 5, 16).unwrap();
+    let warm = node.heatmap().snapshot();
+    let cache_hits: u64 = warm.iter().map(|c| c.cache_hits).sum();
+    assert!(cache_hits > 0, "warm batch hits the cluster cache");
+}
+
+#[test]
+fn naive_mode_samples_routes_and_per_query_loads() {
+    let (data, store) = setup(400);
+    let node = store.connect(SearchMode::Naive).unwrap();
+    let queries = gen::perturbed_queries(&data, 4, 0.02, 94).unwrap();
+    let b = node.config().fanout();
+    node.query_batch(&queries, 5, 16).unwrap();
+    let snap = node.heatmap().snapshot();
+    let route_hits: u64 = snap.iter().map(|c| c.route_hits).sum();
+    let loads: u64 = snap.iter().map(|c| c.loads).sum();
+    assert_eq!(route_hits, 4 * b as u64);
+    assert_eq!(loads, route_hits, "naive reloads every routed cluster");
+}
+
+#[test]
+fn disabled_heatmap_adds_nothing_on_the_query_path() {
+    // The acceptance bound: with sampling off, the hot loop pays
+    // one relaxed load per batch and the record calls are no-ops.
+    let (data, store) = setup(400);
+    let node = store.connect(SearchMode::Full).unwrap();
+    node.heatmap().set_enabled(false);
+    let queries = gen::perturbed_queries(&data, 6, 0.02, 95).unwrap();
+    let (results, _) = node.query_batch(&queries, 5, 16).unwrap();
+    assert_eq!(results.len(), 6, "queries still answered");
+    for cell in node.heatmap().snapshot() {
+        assert_eq!(cell.route_hits, 0);
+        assert_eq!(cell.loads, 0);
+        assert_eq!(cell.cache_hits, 0);
+        assert_eq!(cell.evictions, 0);
+        assert_eq!(cell.bytes_read, 0);
+        assert_eq!(cell.hotness, 0.0);
+    }
+}
+
+#[test]
+fn health_report_accounts_layout_occupancy_and_latency() {
+    let (data, store) = setup(600);
+    let telemetry = Arc::new(Telemetry::new());
+    let node = store
+        .connect_with_telemetry(SearchMode::Full, Arc::clone(&telemetry))
+        .unwrap();
+    let queries = gen::perturbed_queries(&data, 8, 0.02, 96).unwrap();
+    node.query_batch(&queries, 5, 16).unwrap();
+
+    // Before any insert every overflow area is empty.
+    let fresh = node.health_report().unwrap();
+    assert_eq!(fresh.partitions, store.partitions());
+    assert!(fresh.groups.iter().all(|g| g.overflow_used_bytes == 0));
+    assert_eq!(fresh.layout.overflow_used_bytes, 0);
+
+    // One insert shows up as live overflow bytes in exactly one
+    // group, and occupancy/slack stay consistent.
+    let mut v = data.get(0).to_vec();
+    v[0] += 0.5;
+    node.insert(&v).unwrap();
+    let report = node.health_report().unwrap();
+    let used: Vec<&GroupHealth> = report
+        .groups
+        .iter()
+        .filter(|g| g.overflow_used_bytes > 0)
+        .collect();
+    assert_eq!(used.len(), 1, "one group absorbed the insert");
+    let g = used[0];
+    assert!(g.occupancy > 0.0 && g.occupancy <= 1.0);
+    assert_eq!(
+        g.overflow_used_bytes + g.overflow_slack_bytes,
+        g.overflow_capacity_bytes
+    );
+    // Live + dead bytes tile the registered region.
+    assert!(
+        (report.layout.utilization + report.layout.fragmentation - 1.0).abs() < 1e-9,
+        "utilization {} + fragmentation {} must cover the region",
+        report.layout.utilization,
+        report.layout.fragmentation
+    );
+    // Query traffic is reflected in skew, cache, and latency.
+    assert!(report.route_skew.total > 0);
+    assert!(report.degree_skew.count > 0);
+    assert_eq!(report.partition_skew.count, report.partitions);
+    assert!(report.cache.capacity > 0);
+    // Plan-time hit rate: the cold pass loaded clusters, so the
+    // rate must stay strictly below the vacuous 100%.
+    assert!(report.cache.misses > 0);
+    assert!(report.cache.hit_rate < 1.0);
+    assert!(report.latency.queries >= 8);
+    assert!(report.latency.p99_us >= report.latency.p50_us);
+    assert!(report.violations.is_empty());
+
+    // The JSON rendering carries every section; publish() exposed
+    // the series through the telemetry registry.
+    let json = report.to_json();
+    for key in [
+        "\"groups\":",
+        "\"heatmap\":",
+        "\"route_skew\":",
+        "\"latency\":",
+    ] {
+        assert!(json.contains(key), "missing {key}");
+    }
+    let prom = telemetry.render_prometheus();
+    for series in [
+        "dhnsw_heat_route_hits",
+        "dhnsw_health_overflow_occupancy_milli",
+        "dhnsw_health_route_gini_milli",
+        "dhnsw_health_region_utilization_milli",
+    ] {
+        assert!(prom.contains(series), "missing {series}");
+    }
+    assert!(telemetry
+        .snapshot_json()
+        .contains("dhnsw_health_overflow_occupancy_milli"));
+}
+
+#[test]
+fn health_report_feeds_the_watchdog_end_to_end() {
+    let (data, store) = setup(400);
+    let telemetry = Arc::new(Telemetry::new());
+    telemetry.spans().set_enabled(true);
+    let node = store
+        .connect_with_telemetry(SearchMode::Full, Arc::clone(&telemetry))
+        .unwrap();
+    let queries = gen::perturbed_queries(&data, 4, 0.02, 97).unwrap();
+    node.query_batch(&queries, 5, 16).unwrap();
+    let mut report = node.health_report().unwrap();
+    // An impossible hit-rate budget must trip.
+    let budgets = crate::health::SloBudgets {
+        min_cache_hit_rate: Some(2.0),
+        ..Default::default()
+    };
+    report.violations = crate::health::evaluate(&report, &budgets);
+    assert_eq!(report.violations.len(), 1);
+    assert_eq!(report.violations[0].budget, "cache_hit_rate");
+    crate::health::watchdog::emit(&telemetry, &report.violations);
+    assert!(telemetry
+        .render_prometheus()
+        .contains("dhnsw_slo_violations_total{budget=\"cache_hit_rate\"} 1"));
+    let traces = telemetry.spans().recent();
+    assert!(traces
+        .iter()
+        .any(|t| t.label == "watchdog" && t.spans.iter().any(|s| s.name == "slo_violation")));
+    assert!(report.to_json().contains("\"budget\": \"cache_hit_rate\""));
+}
+
+#[test]
+fn torn_insert_is_skipped_and_the_slot_stays_burned() {
+    let (data, store) = setup(400);
+    let writer = store.connect(SearchMode::Full).unwrap();
+    let reader = store.connect(SearchMode::Full).unwrap();
+    let mut v = data.get(3).to_vec();
+    v[0] += 0.5;
+    // Insert verbs in order: id FAA, slot FAA, record write, version
+    // FAA. Let the two FAAs through and kill the record write with no
+    // retransmissions left: the slot is reserved but the record never
+    // lands — a torn insert.
+    writer.queue_pair().set_retry_limit(0);
+    writer.queue_pair().fail_nth(2, 1);
+    let err = writer.insert(&v).unwrap_err();
+    assert!(matches!(
+        err,
+        Error::Rdma(rdma_sim::Error::RetriesExhausted { .. })
+    ));
+    writer
+        .queue_pair()
+        .set_retry_limit(rdma_sim::DEFAULT_RETRY_LIMIT);
+    // A fresh reader decodes the overflow area without tripping on
+    // the uncommitted slot: no Corrupt, no phantom vector.
+    let base = store.base_len() as u32;
+    let hits = reader.query(&v, 3, 48).unwrap();
+    assert!(hits.iter().all(|n| n.id < base), "torn record surfaced");
+    // The next insert commits after the burned slot and is found.
+    let gid = writer.insert(&v).unwrap();
+    reader.drop_cache();
+    let hits = reader.query(&v, 1, 48).unwrap();
+    assert_eq!(hits[0].id, gid);
+}
+
+#[test]
+fn version_mismatch_refreshes_stale_cache_without_drop() {
+    let data = gen::sift_like(400, 77).unwrap();
+    let store =
+        VectorStore::build(data.clone(), &DHnswConfig::small().with_cache_fraction(1.0)).unwrap();
+    let writer = store.connect(SearchMode::Full).unwrap();
+    let reader = store.connect(SearchMode::Full).unwrap();
+    let b = store.config().fanout();
+    let mut v = data.get(0).to_vec();
+    v[1] += 0.25;
+    // Reader caches the clusters the new vector routes to.
+    reader.query(&v, 1, 32).unwrap();
+    let warm: std::collections::HashSet<u32> =
+        store.meta().route(&v, b).iter().map(|n| n.id).collect();
+    // A probe whose route is disjoint from the warm set forces the
+    // next batch onto the wire, so the piggybacked version check runs.
+    let probe = (0..data.len())
+        .map(|i| data.get(i))
+        .find(|r| {
+            store
+                .meta()
+                .route(r, b)
+                .iter()
+                .all(|n| !warm.contains(&n.id))
+        })
+        .expect("some row routes entirely outside the warm set");
+    let gid = writer.insert(&v).unwrap();
+    let batch = Dataset::from_rows(&[&v, probe]).unwrap();
+    let (results, report) = reader.query_batch(&batch, 1, 32).unwrap();
+    // The stale pin was demoted and reloaded — no drop_cache needed.
+    assert_eq!(results[0][0].id, gid, "stale cached cluster served");
+    assert!(report.cache_hits < warm.len());
+    assert!(report.degraded_queries == 0 && report.coverage.is_empty());
+}
+
+#[test]
+fn degraded_mode_serves_partial_coverage_when_reads_fail() {
+    let data = gen::sift_like(400, 77).unwrap();
+    let cfg = DHnswConfig::small()
+        .with_degraded_ok(true)
+        .with_read_retry_limit(1);
+    let store = VectorStore::build(data.clone(), &cfg).unwrap();
+    let node = store.connect(SearchMode::Full).unwrap();
+    let queries = gen::perturbed_queries(&data, 4, 0.02, 88).unwrap();
+    node.queue_pair().set_retry_limit(0);
+    node.queue_pair().fail_next(u32::MAX);
+    let (results, report) = node.query_batch(&queries, 5, 16).unwrap();
+    node.queue_pair().fail_next(0);
+    // Nothing arrived: every query degrades to zero coverage instead
+    // of failing the batch.
+    assert!(results.iter().all(|r| r.is_empty()));
+    assert_eq!(report.degraded_queries, queries.len());
+    assert_eq!(report.coverage.len(), queries.len());
+    assert!(report.coverage.iter().all(|&c| c < 1.0));
+    assert!(report.read_retries > 0);
+    assert!((report.degraded_rate() - 1.0).abs() < 1e-12);
+    let prom = node.telemetry().render_prometheus();
+    assert!(prom.contains("dhnsw_degraded_queries_total"));
+    assert!(prom.contains("dhnsw_read_retries_total"));
+}
+
+#[test]
+fn exhausted_reads_error_without_degraded_opt_in() {
+    let (data, store) = setup(300);
+    let node = store.connect(SearchMode::Full).unwrap();
+    let queries = gen::perturbed_queries(&data, 2, 0.02, 89).unwrap();
+    node.queue_pair().set_retry_limit(0);
+    node.queue_pair().fail_next(u32::MAX);
+    let err = node.query_batch(&queries, 5, 16).unwrap_err();
+    node.queue_pair().fail_next(0);
+    assert!(matches!(err, Error::ReadRetriesExhausted { .. }));
+}
+
+#[test]
+fn naive_unique_clusters_is_the_batch_wide_union() {
+    let (data, store) = setup(400);
+    let node = store.connect(SearchMode::Naive).unwrap();
+    let b = store.config().fanout();
+    // Two identical queries route identically: the distinct-cluster
+    // count must not double just because naive mode reloads.
+    let batch = Dataset::from_rows(&[data.get(0), data.get(0)]).unwrap();
+    let (_, report) = node.query_batch(&batch, 5, 16).unwrap();
+    assert_eq!(report.unique_clusters, b);
+    assert_eq!(report.raw_cluster_demand, 2 * b);
+    assert_eq!(report.clusters_loaded, 2 * b);
+}
+
+#[test]
+fn health_report_rejects_corrupt_overflow_counter() {
+    let (_, store) = setup(300);
+    let node = store.connect(SearchMode::Full).unwrap();
+    // Scribble an impossible value into one group's used counter:
+    // the report must call it corruption, not clamp it away.
+    let loc = *node.directory.location(0).unwrap();
+    node.qp
+        .write(
+            node.rkey,
+            loc.overflow_counter_off(),
+            &(loc.overflow_capacity() + 64).to_le_bytes(),
+        )
+        .unwrap();
+    let err = node.health_report().unwrap_err();
+    assert!(matches!(err, Error::Corrupt(_)), "{err}");
+}
+
+#[test]
+fn pipelined_execution_matches_sequential_exactly() {
+    // Two connections to the same store, one sequential and one
+    // deeply pipelined: across a cold batch, a warm repeat, and a
+    // fresh batch, every result and every deterministic counter must
+    // agree — pipelining may only change the schedule.
+    let (data, store) = setup(900);
+    let seq = store.connect(SearchMode::Full).unwrap();
+    let pipe = store.connect(SearchMode::Full).unwrap();
+    pipe.set_pipeline_depth(3);
+    for (i, seed) in [91u64, 91, 92].into_iter().enumerate() {
+        let queries = gen::perturbed_queries(&data, 13, 0.02, seed).unwrap();
+        let (ra, pa) = seq.query_batch(&queries, 10, 32).unwrap();
+        let (rb, pb) = pipe.query_batch(&queries, 10, 32).unwrap();
+        assert_eq!(ra, rb, "batch {i}: pipelining changed the results");
+        assert_eq!(pa.unique_clusters, pb.unique_clusters, "batch {i}");
+        assert_eq!(pa.cache_hits, pb.cache_hits, "batch {i}");
+        assert_eq!(pa.clusters_loaded, pb.clusters_loaded, "batch {i}");
+        assert_eq!(pa.bytes_read, pb.bytes_read, "batch {i}");
+        // Round trips may grow: each non-empty stage rings its own
+        // doorbell, but never shrink below the sequential schedule.
+        assert!(pb.round_trips >= pa.round_trips, "batch {i}");
+    }
+}
+
+#[test]
+fn depth_one_pipeline_is_the_identity() {
+    // set_pipeline_depth(1) after a deeper setting restores the
+    // strict sequential execution (and 0 clamps to 1).
+    let (data, store) = setup(500);
+    let node = store.connect(SearchMode::Full).unwrap();
+    node.set_pipeline_depth(4);
+    node.set_pipeline_depth(0);
+    assert_eq!(node.pipeline_depth(), 1);
+    let queries = gen::perturbed_queries(&data, 6, 0.02, 93).unwrap();
+    let (_, report) = node.query_batch(&queries, 5, 32).unwrap();
+    // Depth 1 means one network stage: exposed time is the whole
+    // virtual transfer time, and one doorbell batch covers the loads.
+    assert!(report.breakdown.network_us > 0.0);
+    let delta = node.queue_pair().stats().snapshot();
+    assert_eq!(delta.doorbell_batches, 1);
+}
+
+#[test]
+fn deeper_pipelines_hide_network_time_on_cold_batches() {
+    let data = gen::sift_like(2_000, 94).unwrap();
+    let cfg = DHnswConfig::small().with_representatives(48);
+    let store = VectorStore::build(data.clone(), &cfg).unwrap();
+    let queries = gen::perturbed_queries(&data, 24, 0.03, 95).unwrap();
+    let seq = store.connect(SearchMode::Full).unwrap();
+    let (rs_res, rs) = seq.query_batch(&queries, 10, 32).unwrap();
+    let pipe = store.connect(SearchMode::Full).unwrap();
+    pipe.set_pipeline_depth(4);
+    let (rp_res, rp) = pipe.query_batch(&queries, 10, 32).unwrap();
+    assert_eq!(rs_res, rp_res);
+    assert_eq!(rs.bytes_read, rp.bytes_read);
+    // Later stages' loads overlap earlier stages' compute, so the
+    // exposed network time strictly shrinks while the virtual bytes
+    // moved stay identical.
+    assert!(
+        rp.breakdown.network_us < rs.breakdown.network_us,
+        "pipelined exposed {} !< sequential {}",
+        rp.breakdown.network_us,
+        rs.breakdown.network_us
+    );
+}
+
+#[test]
+fn a_failed_batch_leaves_the_node_consistent() {
+    // A mid-batch substrate failure must release the batch's cache
+    // pins and leave no other residue: afterwards the node behaves
+    // exactly like a control connection that never saw the fault.
+    let (data, store) = setup(600);
+    let node = store.connect(SearchMode::Full).unwrap();
+    let control = store.connect(SearchMode::Full).unwrap();
+    let warm = gen::perturbed_queries(&data, 8, 0.02, 96).unwrap();
+    let probe = gen::perturbed_queries(&data, 8, 0.02, 97).unwrap();
+    node.query_batch(&warm, 5, 32).unwrap();
+    control.query_batch(&warm, 5, 32).unwrap();
+
+    node.queue_pair().set_retry_limit(0);
+    node.queue_pair().fail_next(u32::MAX);
+    assert!(node.query_batch(&probe, 5, 32).is_err());
+    node.queue_pair().fail_next(0);
+
+    let (rn, pn) = node.query_batch(&probe, 5, 32).unwrap();
+    let (rc, pc) = control.query_batch(&probe, 5, 32).unwrap();
+    assert_eq!(rn, rc);
+    assert_eq!(pn.cache_hits, pc.cache_hits);
+    assert_eq!(pn.bytes_read, pc.bytes_read);
+}
+
+#[test]
+fn prefetch_warms_hot_clusters_within_budget() {
+    // A thrashing cache (capacity far below the hot set) leaves hot
+    // clusters non-resident; the prefetcher pulls them back in,
+    // bounded by the byte budget.
+    let data = gen::sift_like(1_500, 98).unwrap();
+    let cfg = DHnswConfig::small()
+        .with_representatives(24)
+        .with_cache_fraction(0.2);
+    let store = VectorStore::build(data.clone(), &cfg).unwrap();
+    let telemetry = Arc::new(Telemetry::new());
+    let node = store
+        .connect_with_telemetry(SearchMode::Full, Arc::clone(&telemetry))
+        .unwrap();
+    let queries = gen::perturbed_queries(&data, 16, 0.02, 99).unwrap();
+    node.query_batch(&queries, 5, 32).unwrap();
+
+    // Budget 0 disables the prefetcher entirely.
+    assert_eq!(node.prefetch_hot(), 0);
+    // A budget smaller than any cluster span admits nothing.
+    node.set_prefetch_budget_bytes(1);
+    assert_eq!(node.prefetch_hot(), 0);
+    // A generous budget warms the hottest non-resident clusters.
+    node.set_prefetch_budget_bytes(u64::MAX);
+    let admitted = node.prefetch_hot();
+    assert!(admitted > 0, "nothing prefetched");
+    let bytes0 = node.queue_pair().stats().snapshot().bytes_read;
+    // The warmed clusters are resident now: an immediate re-run
+    // finds them cached and loads nothing new.
+    assert_eq!(node.prefetch_hot(), 0);
+    assert_eq!(node.queue_pair().stats().snapshot().bytes_read, bytes0);
+    let prom = telemetry.render_prometheus();
+    assert!(
+        prom.contains(&format!(
+            "dhnsw_prefetch_clusters_total{{mode=\"full\"}} {admitted}"
+        )),
+        "prefetch counters missing:\n{prom}"
+    );
+    assert!(prom.contains("dhnsw_prefetch_rounds_total{mode=\"full\"} 1"));
+}
+
+#[test]
+fn prefetch_runs_automatically_after_batches_when_budgeted() {
+    let data = gen::sift_like(1_500, 100).unwrap();
+    let cfg = DHnswConfig::small()
+        .with_representatives(24)
+        .with_cache_fraction(0.2)
+        .with_prefetch_budget_bytes(u64::MAX);
+    let store = VectorStore::build(data.clone(), &cfg).unwrap();
+    let telemetry = Arc::new(Telemetry::new());
+    let node = store
+        .connect_with_telemetry(SearchMode::Full, Arc::clone(&telemetry))
+        .unwrap();
+    assert_eq!(node.prefetch_budget_bytes(), u64::MAX);
+    let queries = gen::perturbed_queries(&data, 16, 0.02, 101).unwrap();
+    node.query_batch(&queries, 5, 32).unwrap();
+    let prom = telemetry.render_prometheus();
+    assert!(
+        prom.contains("dhnsw_prefetch_rounds_total{mode=\"full\"} 1"),
+        "query_batch did not trigger the prefetcher:\n{prom}"
+    );
+}
+#[test]
+fn sq8_prefetch_admits_mutated_partitions_with_their_overflow() {
+    // The compressed blob of a mutated partition is only half a load:
+    // its overflow records come from a follow-up read. A prefetcher
+    // that skips the follow-up can never admit such a partition and
+    // re-reads its blob every round.
+    let data = gen::sift_like(1_500, 102).unwrap();
+    let cfg = DHnswConfig::small()
+        .with_representatives(24)
+        .with_cache_fraction(0.2)
+        .with_quantize_mode(QuantizeMode::Sq8);
+    let store = VectorStore::build(data.clone(), &cfg).unwrap();
+    let node = store.connect(SearchMode::Full).unwrap();
+    assert!(node.is_quantized());
+    let b = node.config().fanout();
+    let queries = gen::perturbed_queries(&data, 16, 0.02, 103).unwrap();
+    // Inserts right beside the queries land in the partitions the
+    // batch is about to make hot.
+    let beside = gen::perturbed_queries(&queries, 48, 0.002, 104).unwrap();
+    let inserted: Vec<(u32, &[f32])> = (beside.iter())
+        .map(|v| (node.insert(v).unwrap(), v))
+        .collect();
+    node.query_batch(&queries, 5, 32).unwrap();
+
+    let resident = |p: &u32| node.cache.lock().contains(*p);
+    let parts = 0..store.partitions() as u32;
+    let before: Vec<u32> = parts.clone().filter(resident).collect();
+    node.set_prefetch_budget_bytes(u64::MAX);
+    let admitted = node.prefetch_hot();
+    assert!(admitted > 0, "mutated hot partitions were not admitted");
+    let warmed: Vec<u32> = parts.filter(|p| resident(p) && !before.contains(p)).collect();
+    assert!(!warmed.is_empty());
+    // Converged: the next round finds its targets resident.
+    let bytes0 = node.queue_pair().stats().snapshot().bytes_read;
+    assert_eq!(node.prefetch_hot(), 0);
+    assert_eq!(node.queue_pair().stats().snapshot().bytes_read, bytes0);
+
+    // An insert homed in a prefetch-warmed partition is answered from
+    // the cache: the admitted cluster carries its overflow records.
+    let (gid, v) = (inserted.iter())
+        .find(|(_, v)| {
+            let home = node.meta().classify_with_beam(v, b).unwrap();
+            warmed.contains(&home) && node.meta().route(v, 1)[0].id == home
+        })
+        .expect("some insert is homed in a warmed partition");
+    let probe = Dataset::from_rows(&[*v]).unwrap();
+    let (hits, report) = node
+        .query_batch_opts(&probe, &QueryOptions::new(1, 32).with_fanout(1))
+        .unwrap();
+    assert_eq!(hits[0][0].id, *gid);
+    assert!(hits[0][0].dist < 1e-6);
+    assert_eq!(report.clusters_loaded, 0);
+    assert_eq!(report.ledger.bytes_for(ReadCause::StageLoad), 0);
+    assert_eq!(report.ledger.bytes_for(ReadCause::OverflowScan), 0);
+}
+
+/// Six clusters over one dataset, each holding 80 rows of which 30
+/// also sit in the next cluster (ids shared between clusters, as a
+/// forced representative is), plus 23 queries' routes: duplicated
+/// partitions inside a route, empty routes, and partition 9, which
+/// never resolves.
+fn oracle_fixture(sq: bool) -> (Dataset, HashMap<u32, Arc<LoadedCluster>>, Vec<Vec<u32>>) {
+    use crate::cluster::{SqCluster, SubCluster};
+    let data = gen::uniform(8, 330, 0.0, 1.0, 5).unwrap();
+    let params = hnsw::HnswParams::new(6, 40).seed(3);
+    let mut resolved = HashMap::new();
+    for p in 0..6u32 {
+        let ids: Vec<u32> = (p * 50..p * 50 + 80).collect();
+        let rows: Vec<&[f32]> = ids.iter().map(|&i| data.get(i as usize)).collect();
+        let rows = Dataset::from_rows(&rows).unwrap();
+        // One cluster of the quantized map is full precision, as a
+        // cache entry from before a mode change would be.
+        let cluster = if sq && p != 4 {
+            let blob = SqCluster::build(p, &rows, ids).unwrap().to_bytes();
+            LoadedCluster::from_remote_sq(&blob, None).unwrap()
+        } else {
+            LoadedCluster::from_sub(SubCluster::build(p, rows, ids, &params).unwrap())
+        };
+        resolved.insert(p, Arc::new(cluster));
+    }
+    let routes = (0..23u32)
+        .map(|i| match i % 6 {
+            0 => vec![],
+            1 => vec![i % 5, (i + 1) % 5, i % 5],
+            2 => vec![9, (i * 3) % 6],
+            3 => vec![9],
+            _ => vec![(i * 5) % 6, (i * 5 + 1) % 6, (i * 5 + 3) % 6],
+        })
+        .collect();
+    let queries = gen::perturbed_queries(&data, 25, 0.05, 6).unwrap();
+    (queries, resolved, routes)
+}
+
+#[test]
+fn cluster_major_pools_equal_a_query_major_reference() {
+    let (k, slack, ef) = (7, 5, 24);
+    for sq in [false, true] {
+        let (queries, resolved, routes) = oracle_fixture(sq);
+        let reference: Vec<(Vec<Pooled>, f64)> = (routes.iter().enumerate())
+            .map(|(i, route)| {
+                let q = queries.get(2 + i);
+                let found = route.iter().filter_map(|p| Some((*p, resolved.get(p)?)));
+                let mut pool: Vec<Pooled> = Vec::new();
+                for (key, c) in found.clone() {
+                    match c.sq() {
+                        Some(sq) => pool.extend(c.search_sq(q, k + slack).iter().map(|h| {
+                            let err = h.local.map_or(0.0, |_| sq.params().l2_error_bound(h.dist));
+                            let cand = Candidate {
+                                id: h.id,
+                                dist: h.dist,
+                                local: h.local,
+                                err,
+                            };
+                            Pooled { key, cand }
+                        })),
+                        None => pool.extend(c.search(q, k, ef).iter().map(|n| {
+                            let cand = Candidate {
+                                id: n.id,
+                                dist: n.dist,
+                                local: None,
+                                err: 0.0,
+                            };
+                            Pooled { key, cand }
+                        })),
+                    }
+                }
+                pool.sort_by(|a, b| {
+                    a.cand
+                        .id
+                        .cmp(&b.cand.id)
+                        .then(a.cand.dist.total_cmp(&b.cand.dist))
+                });
+                pool.dedup_by_key(|c| c.cand.id);
+                pool.sort_by(|a, b| {
+                    a.cand
+                        .dist
+                        .total_cmp(&b.cand.dist)
+                        .then(a.cand.id.cmp(&b.cand.id))
+                });
+                pool.truncate(k + slack);
+                let cov = found.count() as f64 / route.len().max(1) as f64;
+                (pool, if route.is_empty() { 1.0 } else { cov })
+            })
+            .collect();
+        assert!(
+            reference.iter().any(|(_, cov)| *cov == 0.0)
+                && reference.iter().any(|(_, cov)| *cov == 0.5)
+        );
+        for threads in [1, 2, 3, 7] {
+            let got = search_stage(
+                &routes,
+                &queries,
+                2,
+                &resolved,
+                (k, slack, ef),
+                threads,
+                true,
+            )
+            .unwrap();
+            assert_eq!(got, reference, "sq {sq} threads {threads}");
+            let strict = search_stage(
+                &routes,
+                &queries,
+                2,
+                &resolved,
+                (k, slack, ef),
+                threads,
+                false,
+            );
+            assert!(
+                matches!(strict, Err(Error::Corrupt(_))),
+                "sq {sq} threads {threads}"
+            );
+        }
+        if sq {
+            continue;
+        }
+        // Exact candidates: the k closest of the closest-copy pool are
+        // what a keep-first merge in route order finds — copies of an id
+        // carry equal distances, so the two rules cannot disagree.
+        for ((pool, _), (i, route)) in reference.iter().zip(routes.iter().enumerate()) {
+            let mut top = TopK::new(k);
+            let mut seen = std::collections::HashSet::new();
+            for c in route.iter().filter_map(|p| resolved.get(p)) {
+                for n in c.search(queries.get(2 + i), k, ef) {
+                    if seen.insert(n.id) {
+                        top.push(n.id, n.dist);
+                    }
+                }
+            }
+            let closest: Vec<Neighbor> = (pool.iter().take(k))
+                .map(|c| Neighbor::new(c.cand.id, c.cand.dist))
+                .collect();
+            assert_eq!(closest, top.into_sorted_vec(), "query {i}");
+        }
+    }
+}
+
+#[test]
+fn zero_ef_is_rejected() {
+    let (data, store) = setup(200);
+    let node = store.connect(SearchMode::Full).unwrap();
+    let queries = gen::perturbed_queries(&data, 2, 0.03, 97).unwrap();
+    assert!(matches!(
+        node.query_batch(&queries, 5, 0),
+        Err(Error::InvalidParameter(_))
+    ));
+}

@@ -30,6 +30,7 @@
 //! is safe to run against a live deployment.
 
 pub mod heatmap;
+mod probe;
 pub mod report;
 pub mod skew;
 pub mod watchdog;

@@ -122,7 +122,10 @@ pub fn stage_loads(
 }
 
 /// Builds the read requests covering each partition's contiguous
-/// cluster-plus-overflow span, in `partitions` order. Feeding the whole
+/// cluster-plus-overflow span, in `partitions` order, every one tagged
+/// with a byte-provenance [`ReadCause`] so the substrate's per-cause
+/// counters attribute the span bytes to the right consumer even when
+/// requests from several consumers share one doorbell. Feeding the whole
 /// list to [`rdma_sim::QueuePair::read_doorbell`] yields the §3.2
 /// doorbell-batched load; issuing them one by one is the "without
 /// doorbell" baseline.
@@ -130,39 +133,19 @@ pub fn stage_loads(
 /// # Errors
 ///
 /// Returns [`crate::Error::UnknownPartition`] for an out-of-range id.
-pub fn read_requests(
-    directory: &Directory,
-    rkey: u32,
-    partitions: &[u32],
-) -> Result<Vec<ReadReq>> {
-    partitions
-        .iter()
-        .map(|&p| {
-            let loc = directory.location(p)?;
-            let (off, len) = loc.read_span();
-            Ok(ReadReq::new(rkey, off, len))
-        })
-        .collect()
-}
-
-/// [`read_requests`] with every request tagged with a byte-provenance
-/// [`ReadCause`], so the substrate's per-cause counters attribute the
-/// span bytes to the right consumer (stage load, prefetch, naive fetch,
-/// …) even when requests from several consumers share one doorbell.
-///
-/// # Errors
-///
-/// Same as [`read_requests`].
 pub fn read_requests_tagged(
     directory: &Directory,
     rkey: u32,
     partitions: &[u32],
     cause: ReadCause,
 ) -> Result<Vec<ReadReq>> {
-    Ok(read_requests(directory, rkey, partitions)?
-        .into_iter()
-        .map(|r| r.with_cause(cause))
-        .collect())
+    partitions
+        .iter()
+        .map(|&p| {
+            let (off, len) = directory.location(p)?.read_span();
+            Ok(ReadReq::new(rkey, off, len).with_cause(cause))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -276,35 +259,20 @@ mod tests {
     }
 
     #[test]
-    fn read_requests_cover_full_spans() {
+    fn read_requests_cover_full_spans_and_carry_their_cause() {
         let dir = Directory::plan(&[64, 128, 32], 4, 4).unwrap();
-        let reqs = read_requests(&dir, 9, &[2, 0]).unwrap();
+        let reqs = read_requests_tagged(&dir, 9, &[2, 0], ReadCause::StageLoad).unwrap();
         assert_eq!(reqs.len(), 2);
-        let loc2 = dir.location(2).unwrap();
-        let (off, len) = loc2.read_span();
-        assert_eq!(reqs[0], ReadReq::new(9, off, len));
+        let (off, len) = dir.location(2).unwrap().read_span();
+        assert_eq!(reqs[0], ReadReq::new(9, off, len).with_cause(ReadCause::StageLoad));
         // Order follows the input partitions.
-        let loc0 = dir.location(0).unwrap();
-        assert_eq!(reqs[1].offset, loc0.read_span().0);
-    }
-
-    #[test]
-    fn read_requests_tagged_carry_their_cause() {
-        let dir = Directory::plan(&[64, 128], 4, 4).unwrap();
-        let reqs =
-            read_requests_tagged(&dir, 9, &[1, 0], ReadCause::StageLoad).unwrap();
-        assert_eq!(reqs.len(), 2);
+        assert_eq!(reqs[1].offset, dir.location(0).unwrap().read_span().0);
         assert!(reqs.iter().all(|r| r.cause == ReadCause::StageLoad));
-        // Offsets and lengths are untouched by tagging.
-        let plain = read_requests(&dir, 9, &[1, 0]).unwrap();
-        for (t, p) in reqs.iter().zip(&plain) {
-            assert_eq!((t.rkey, t.offset, t.len), (p.rkey, p.offset, p.len));
-        }
     }
 
     #[test]
     fn read_requests_reject_unknown_partition() {
         let dir = Directory::plan(&[64], 4, 4).unwrap();
-        assert!(read_requests(&dir, 1, &[5]).is_err());
+        assert!(read_requests_tagged(&dir, 1, &[5], ReadCause::Naive).is_err());
     }
 }

@@ -77,15 +77,15 @@ impl VectorStore {
         config: &DHnswConfig,
         epoch: u64,
     ) -> Result<Self> {
-        // Same env knob `connect` honors: DHNSW_QUANTIZE_MODE flips the
-        // wire format for builds whose config the caller cannot reach
-        // (repro sweeps, the fault smoke). The resolved mode is stored
-        // on the result, so later connects see what was actually built.
-        let env_config = std::env::var("DHNSW_QUANTIZE_MODE")
-            .ok()
-            .and_then(|v| QuantizeMode::parse(&v).ok())
-            .map(|m| config.clone().with_quantize_mode(m));
-        let config = env_config.as_ref().unwrap_or(config);
+        // DHNSW_QUANTIZE_MODE, the one environment override a build
+        // consumes, flips the wire format for builds whose config the
+        // caller cannot reach (repro sweeps, the fault smoke). The
+        // resolved mode is stored on the result, so later connects see
+        // what was actually built; the execution knobs stay as
+        // configured, for each connect to resolve against its own
+        // environment.
+        let wire = config.clone().with_env_overrides()?.quantize_mode();
+        let config = &config.clone().with_quantize_mode(wire);
         config.validate()?;
         if data.is_empty() {
             return Err(Error::InvalidParameter(

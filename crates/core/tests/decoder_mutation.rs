@@ -1,4 +1,5 @@
-//! Mutation sweep over the three cluster decoders (std-only, seeded).
+//! Mutation sweep over the three cluster decoders and the layout
+//! directory's (std-only, seeded).
 //!
 //! Whatever bytes the memory pool hands back, decoding them must end in
 //! `Ok` or in the decoder's corruption error: never a panic, an
@@ -10,6 +11,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use dhnsw::cluster::{LoadedCluster, OverflowRecord, SqCluster, SubCluster};
+use dhnsw::layout::{Directory, DIRECTORY_PEEK_BYTES};
 use hnsw::{serialize, HnswIndex, HnswParams};
 use vecsim::gen;
 
@@ -154,6 +156,55 @@ fn dhc2_blobs_decode_or_report_corruption() {
 }
 
 #[test]
+fn dhd1_blobs_decode_or_report_corruption() {
+    for blob in [
+        Directory::plan(&[100, 220, 60], DIM, 4).unwrap().to_bytes(),
+        Directory::plan_with_sq(&[100, 220, 60], &[40, 90, 25], DIM, 4).unwrap().to_bytes(),
+    ] {
+        let accepted = sweep("DHD1", &blob, DIRECTORY_PEEK_BYTES, |bytes| {
+            match Directory::from_bytes(bytes) {
+                Ok(dir) => {
+                    assert_eq!(Directory::peek_size(bytes).unwrap() as u64, dir.directory_bytes());
+                    for p in 0..dir.partitions() as u32 {
+                        dir.location(p).unwrap();
+                        dir.version_slot_off(p).unwrap();
+                        assert_eq!(dir.sq_span(p).unwrap().is_some(), dir.has_sq_spans());
+                    }
+                    true
+                }
+                Err(dhnsw::Error::Corrupt(_)) => false,
+                Err(other) => panic!("DHD1: not a corruption error: {other:?}"),
+            }
+        });
+        // Offsets and lengths are not cross-checked: most flips decode.
+        assert!(accepted > 0);
+    }
+}
+
+#[test]
+fn v1_directories_are_an_unsupported_version_not_a_guess() {
+    // Format v1 (no version slots) is gone with the last code that wrote
+    // it. A v1 header — on a blob of the size v1 had, or of today's — is
+    // refused by name from both entry points.
+    let v2 = Directory::plan(&[100, 220, 60], DIM, 4).unwrap().to_bytes();
+    let v1_len = DIRECTORY_PEEK_BYTES + 3 * 40;
+    for len in [v1_len, v2.len()] {
+        let mut blob = v2[..len].to_vec();
+        blob[4..8].copy_from_slice(&1u32.to_le_bytes());
+        for (entry, result) in [
+            ("peek_size", catch_unwind(|| Directory::peek_size(&blob).map(|_| ()))),
+            ("from_bytes", catch_unwind(|| Directory::from_bytes(&blob).map(|_| ()))),
+        ] {
+            let err = result.unwrap_or_else(|_| panic!("{entry} panicked")).unwrap_err();
+            assert!(
+                matches!(&err, dhnsw::Error::Corrupt(m) if m == "unsupported directory version"),
+                "{entry} on {len} bytes: {err}"
+            );
+        }
+    }
+}
+
+#[test]
 fn counts_that_outrun_the_blob_allocate_nothing() {
     // The specific hazard the sweep's single flips only graze: a count of
     // billions in an otherwise intact header. Decoding must fail on the
@@ -175,4 +226,8 @@ fn counts_that_outrun_the_blob_allocate_nothing() {
     assert!(matches!(serialize::from_bytes(&hsw1), Err(hnsw::Error::CorruptBlob(_))));
     hsw1[8..12].copy_from_slice(&u32::MAX.to_le_bytes()); // dim as well
     assert!(matches!(serialize::from_bytes(&hsw1), Err(hnsw::Error::CorruptBlob(_))));
+
+    let mut dhd1 = Directory::plan(&[100, 220], DIM, 4).unwrap().to_bytes();
+    dhd1[12..16].copy_from_slice(&u32::MAX.to_le_bytes()); // partitions
+    assert!(matches!(Directory::from_bytes(&dhd1), Err(dhnsw::Error::Corrupt(_))));
 }

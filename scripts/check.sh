@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full local gate: release build, every test, lint-clean clippy, the
-# benchmark-regression smoke gate, a clean-clone build of HEAD, and the
-# repository benchmark (benchmark/) at smoke scale.
+# line-count ratchet, the benchmark-regression smoke gate, a clean-clone
+# build of HEAD, and the repository benchmark (benchmark/) at smoke scale.
 #
 #   ./scripts/check.sh                   # the gate
 #   ./scripts/check.sh --update-baseline # regenerate committed baselines
@@ -51,6 +51,11 @@ DHNSW_STRESS_ITERS=100 cargo test --release -q --test stress
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Size ratchet: non-test lines under crates/core/src, per file and in
+# total, may not grow past what ROADMAP item 3 reached.
+echo "==> scripts/loc.sh --check"
+scripts/loc.sh --check
 
 # Clean-clone gate: tier-1 on what is actually committed. A file that is
 # ignored or merely untracked here does not exist there, so it can never
