@@ -36,8 +36,8 @@
 //! moved (round trips, bytes, virtual network time). `query` and `insert`
 //! accept `--metrics-out <base>` to write the process-wide telemetry
 //! registry to `<base>.prom` (Prometheus text format) and `<base>.json`;
-//! the `metrics` subcommand runs a query workload with per-query tracing
-//! on and prints the exposition to stdout.
+//! the `metrics` subcommand runs a query workload, summarizes the batch's
+//! report on stderr and prints the exposition to stdout.
 //!
 //! Workload subcommands accept `--trace-spans` and `--slow-query-us <n>`
 //! to control span capture from the command line; when the flags are
@@ -418,8 +418,8 @@ fn cmd_query(flags: &HashMap<String, String>) -> AnyResult<()> {
     Ok(())
 }
 
-/// Runs a query workload with per-query tracing on and emits the
-/// telemetry registry in Prometheus text format (default) or JSON.
+/// Runs a query workload and emits the telemetry registry in Prometheus
+/// text format (default) or JSON.
 fn cmd_metrics(flags: &HashMap<String, String>) -> AnyResult<()> {
     let store = open_store(flags)?;
     let queries = load_queries(flags)?;
@@ -427,23 +427,20 @@ fn cmd_metrics(flags: &HashMap<String, String>) -> AnyResult<()> {
     let ef = flag_usize(flags, "ef", 48)?;
 
     let telemetry = Telemetry::global();
-    telemetry.traces().set_enabled(true);
     let node = store.connect(SearchMode::Full)?;
     apply_trace_flags(flags, &telemetry)?;
     apply_fault_flags(flags, &node)?;
     apply_pipeline_flags(flags, &node)?;
     let (_, report) = node.query_batch(&queries, k, ef)?;
-    if let Some(trace) = telemetry.traces().recent().last() {
-        eprintln!(
-            "trace: {} queries | {} clusters wanted, {} cache hits, {} loaded | {} doorbells | {:.1} us total",
-            trace.queries,
-            trace.unique_clusters,
-            trace.cache_hits,
-            trace.clusters_loaded,
-            trace.doorbell_batches,
-            trace.total_us
-        );
-    }
+    eprintln!(
+        "trace: {} queries | {} clusters wanted, {} cache hits, {} loaded | {} doorbells | {:.1} us total",
+        report.queries,
+        report.unique_clusters,
+        report.cache_hits,
+        report.clusters_loaded,
+        report.doorbell_batches,
+        report.total_us
+    );
     eprintln!(
         "{} queries | {:.2} us/query | {} round trips",
         report.queries,
@@ -500,7 +497,7 @@ fn cmd_insert(flags: &HashMap<String, String>) -> AnyResult<()> {
 /// Resolves SLO budgets: `DHNSW_SLO_*` environment variables first,
 /// then `--slo-*` flags on top (flags win per-budget).
 fn budgets_from(flags: &HashMap<String, String>) -> AnyResult<SloBudgets> {
-    let mut b = SloBudgets::from_env();
+    let mut b = SloBudgets::from_env()?;
     if let Some(v) = flag_f64_opt(flags, "slo-p99-us")? {
         b.max_p99_us = Some(v);
     }

@@ -64,7 +64,6 @@ fn main() -> AnyResult {
             cmd = arg;
         }
     }
-    Telemetry::global().traces().set_enabled(true);
     run_cmd(&cmd)?;
     if let Some(base) = metrics_out {
         // Temp-file + rename: a scraper tailing these paths mid-run

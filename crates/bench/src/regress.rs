@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use dhnsw::telemetry::Telemetry;
 use dhnsw::{
-    AnomalyRecord, DHnswConfig, FinishedTrace, QuantizeMode, QueryTrace, SearchMode, SeriesPoint,
+    AnomalyRecord, DHnswConfig, FinishedTrace, QuantizeMode, SearchMode, SeriesPoint,
     ShardedStore, VectorStore,
 };
 use vecsim::{gen, ground_truth, recall, Dataset, Metric};
@@ -177,7 +177,7 @@ fn batch_queries(data: &Dataset, profile: &Profile) -> Result<Vec<Dataset>, vecs
         .collect()
 }
 
-/// Per-pass accumulator: the per-batch traces plus recall.
+/// Per-pass accumulator: the per-batch reports plus recall.
 struct PassStats {
     report: TraceReport,
     recall_sum: f64,
@@ -186,22 +186,16 @@ struct PassStats {
 impl PassStats {
     fn new() -> Self {
         PassStats {
-            report: TraceReport {
-                batch_traces: Vec::new(),
-                queries: 0,
-                inserts: 0,
-                insert_rejects: 0,
-                round_trips: 0,
-            },
+            report: TraceReport::default(),
             recall_sum: 0.0,
         }
     }
 
     fn mean_recall(&self) -> f64 {
-        if self.report.batch_traces.is_empty() {
+        if self.report.batches.is_empty() {
             0.0
         } else {
-            self.recall_sum / self.report.batch_traces.len() as f64
+            self.recall_sum / self.report.batches.len() as f64
         }
     }
 
@@ -210,39 +204,21 @@ impl PassStats {
         metrics.insert(format!("{scenario}.p95_us"), self.report.percentile_us(0.95));
         metrics.insert(format!("{scenario}.p99_us"), self.report.percentile_us(0.99));
         metrics.insert(format!("{scenario}.recall_at_10"), self.mean_recall());
-        metrics.insert(
-            format!("{scenario}.network_bytes"),
-            self.report.bytes_read() as f64,
-        );
+        let total = self.report.total();
+        metrics.insert(format!("{scenario}.network_bytes"), total.bytes_read as f64);
         metrics.insert(
             format!("{scenario}.doorbell_batches"),
-            self.report.doorbell_batches() as f64,
+            total.doorbell_batches as f64,
         );
-        metrics.insert(
-            format!("{scenario}.cache_hit_rate"),
-            self.report.cache_hit_rate(),
-        );
+        metrics.insert(format!("{scenario}.cache_hit_rate"), total.cache_hit_rate());
         // Exposed (virtual) network time summed over the pass: the
         // deterministic component of latency, and the one micro-batch
         // pipelining provably shrinks on cold grids.
-        metrics.insert(
-            format!("{scenario}.network_us"),
-            self.report
-                .batch_traces
-                .iter()
-                .map(|t| t.network_us)
-                .sum::<f64>(),
-        );
+        metrics.insert(format!("{scenario}.network_us"), total.breakdown.network_us);
         // Byte provenance: the pass's read bytes attributed by cause.
         // The harness gates on these tiling `network_bytes` exactly, so
         // a regression here means a read path lost its attribution.
-        let mut cause_bytes = [0u64; rdma_sim::READ_CAUSES];
-        for t in &self.report.batch_traces {
-            for (sum, &b) in cause_bytes.iter_mut().zip(&t.cause_bytes) {
-                *sum += b;
-            }
-        }
-        for (cause, &bytes) in dhnsw::ReadCause::ALL.iter().zip(&cause_bytes) {
+        for (cause, &bytes) in dhnsw::ReadCause::ALL.iter().zip(&total.ledger.cause_bytes) {
             metrics.insert(
                 format!("{scenario}.cause_bytes.{}", cause.as_str()),
                 bytes as f64,
@@ -257,7 +233,6 @@ struct PassGrid<'a> {
     batches: &'a [Dataset],
     truths: &'a [Vec<Vec<vecsim::Neighbor>>],
     profile: &'a Profile,
-    fanout: u32,
 }
 
 /// Runs consecutive passes of the whole batch grid against one node
@@ -275,7 +250,6 @@ fn run_node_passes(
         batches,
         truths,
         profile,
-        fanout,
     } = *grid;
     for scenario in scenarios {
         let mut stats = PassStats::new();
@@ -287,34 +261,13 @@ fn run_node_passes(
         let mut t_us = 0u64;
         node.sample_series(t_us);
         for (b, queries) in batches.iter().enumerate() {
-            let stats0 = node.queue_pair().stats().snapshot();
             let (results, report) = node.query_batch(queries, profile.k, profile.ef)?;
-            let delta = node.queue_pair().stats().snapshot() - stats0;
             let ids: Vec<Vec<u32>> = results
                 .iter()
                 .map(|r| r.iter().map(|n| n.id).collect())
                 .collect();
             stats.recall_sum += recall::mean_recall(&ids, &truths[b]);
-            stats.report.batch_traces.push(QueryTrace {
-                mode: node.mode().label(),
-                queries: report.queries as u32,
-                k: profile.k as u32,
-                ef: profile.ef as u32,
-                fanout,
-                raw_cluster_demand: report.raw_cluster_demand as u32,
-                unique_clusters: report.unique_clusters as u32,
-                cache_hits: report.cache_hits as u32,
-                clusters_loaded: report.clusters_loaded as u32,
-                doorbell_batches: delta.doorbell_batches as u32,
-                round_trips: report.round_trips,
-                bytes_read: report.bytes_read,
-                meta_us: report.breakdown.meta_hnsw_us,
-                network_us: report.breakdown.network_us,
-                sub_us: report.breakdown.sub_hnsw_us,
-                materialize_us: report.breakdown.materialize_us,
-                total_us: report.breakdown.total_us(),
-                cause_bytes: report.ledger.cause_bytes,
-            });
+            stats.report.batches.push(report);
             t_us += 1_000_000;
             node.sample_series(t_us);
         }
@@ -414,11 +367,7 @@ fn emit_tail_metrics(
         format!("{prefix}.tail_exemplar_occupancy"),
         ex.occupancy() as f64,
     );
-    let hist = telemetry.histogram(
-        "dhnsw_query_latency_us",
-        "Per-query latency in microseconds (CPU wall + exposed network stall, batch time / batch size)",
-        &[("mode", "full")],
-    );
+    let hist = dhnsw::telemetry::metrics::QUERY_LATENCY_US.histogram(telemetry, &[("mode", "full")]);
     let buckets = ex.bucket_exemplars();
     let mut prev = 0u64;
     for (i, (bound, cum)) in hist.cumulative_buckets().iter().enumerate() {
@@ -463,7 +412,7 @@ pub fn run_profile(
     // Single-node scenarios: one connection, pass 1 cold, pass 2 warm.
     {
         let store = VectorStore::build(data.clone(), &config)?;
-        let telemetry = Arc::new(Telemetry::with_trace_capacity(64));
+        let telemetry = Arc::new(Telemetry::new());
         telemetry
             .spans()
             .set_enabled(capture_spans);
@@ -478,7 +427,6 @@ pub fn run_profile(
                 batches: &batches,
                 truths: &truths,
                 profile,
-                fanout: config.fanout() as u32,
             },
             &["single_cold", "single_warm"],
             &telemetry,
@@ -518,7 +466,7 @@ pub fn run_profile(
         let store = VectorStore::build(data.clone(), &config)?;
         // Own hub for the same isolation reason as the single-node pass:
         // the tail metrics below must describe only this scenario.
-        let pipe_telemetry = Arc::new(Telemetry::with_trace_capacity(64));
+        let pipe_telemetry = Arc::new(Telemetry::new());
         let node =
             store.connect_with_telemetry(SearchMode::Full, Arc::clone(&pipe_telemetry))?;
         node.set_pipeline_depth(2);
@@ -528,7 +476,6 @@ pub fn run_profile(
                 batches: &batches,
                 truths: &truths,
                 profile,
-                fanout: config.fanout() as u32,
             },
             &["pipeline_cold", "pipeline_warm"],
             &pipe_telemetry,
@@ -569,7 +516,7 @@ pub fn run_profile(
     {
         let sq_config = config.clone().with_quantize_mode(QuantizeMode::Sq8);
         let store = VectorStore::build(data.clone(), &sq_config)?;
-        let sq_telemetry = Arc::new(Telemetry::with_trace_capacity(64));
+        let sq_telemetry = Arc::new(Telemetry::new());
         let node =
             store.connect_with_telemetry(SearchMode::Full, Arc::clone(&sq_telemetry))?;
         node.set_pipeline_depth(1);
@@ -579,7 +526,6 @@ pub fn run_profile(
                 batches: &batches,
                 truths: &truths,
                 profile,
-                fanout: sq_config.fanout() as u32,
             },
             &["sq8_cold", "sq8_warm"],
             &sq_telemetry,
@@ -632,16 +578,7 @@ pub fn run_profile(
         for scenario in ["sharded_cold", "sharded_warm"] {
             let mut stats = PassStats::new();
             for (b, queries) in batches.iter().enumerate() {
-                let stats0: Vec<_> = (0..session.shards())
-                    .map(|s| session.node(s).queue_pair().stats().snapshot())
-                    .collect();
                 let (results, reports) = session.query_batch(queries, profile.k, profile.ef)?;
-                let doorbells: u64 = (0..session.shards())
-                    .map(|s| {
-                        (session.node(s).queue_pair().stats().snapshot() - stats0[s])
-                            .doorbell_batches
-                    })
-                    .sum();
                 let ids: Vec<Vec<u32>> = results
                     .iter()
                     .map(|r| {
@@ -651,44 +588,18 @@ pub fn run_profile(
                     })
                     .collect();
                 stats.recall_sum += recall::mean_recall(&ids, &truths[b]);
-                let slowest = reports
-                    .iter()
-                    .max_by(|a, b| {
-                        a.breakdown.total_us().total_cmp(&b.breakdown.total_us())
-                    })
-                    .cloned()
-                    .unwrap_or_default();
-                let sum_u32 = |f: fn(&dhnsw::BatchReport) -> usize| -> u32 {
-                    reports.iter().map(f).sum::<usize>() as u32
-                };
-                stats.report.batch_traces.push(QueryTrace {
-                    mode: "full",
-                    queries: queries.len() as u32,
-                    k: profile.k as u32,
-                    ef: profile.ef as u32,
-                    fanout: config.fanout() as u32,
-                    raw_cluster_demand: sum_u32(|r| r.raw_cluster_demand),
-                    unique_clusters: sum_u32(|r| r.unique_clusters),
-                    cache_hits: sum_u32(|r| r.cache_hits),
-                    clusters_loaded: sum_u32(|r| r.clusters_loaded),
-                    doorbell_batches: doorbells as u32,
-                    round_trips: reports.iter().map(|r| r.round_trips).sum(),
-                    bytes_read: reports.iter().map(|r| r.bytes_read).sum(),
-                    meta_us: slowest.breakdown.meta_hnsw_us,
-                    network_us: slowest.breakdown.network_us,
-                    sub_us: slowest.breakdown.sub_hnsw_us,
-                    materialize_us: slowest.breakdown.materialize_us,
-                    total_us: slowest.breakdown.total_us(),
-                    cause_bytes: {
-                        let mut sum = [0u64; rdma_sim::READ_CAUSES];
-                        for r in &reports {
-                            for (s, &b) in sum.iter_mut().zip(&r.ledger.cause_bytes) {
-                                *s += b;
-                            }
-                        }
-                        sum
-                    },
-                });
+                // Volume adds up across shards; shards overlap in a real
+                // deployment, so the batch takes as long as its slowest.
+                let mut merged = dhnsw::BatchReport::default();
+                for r in &reports {
+                    merged.merge(r);
+                }
+                if let Some(slowest) = reports.iter().max_by(|a, b| a.total_us.total_cmp(&b.total_us)) {
+                    merged.queries = slowest.queries;
+                    merged.breakdown = slowest.breakdown;
+                    merged.total_us = slowest.total_us;
+                }
+                stats.report.batches.push(merged);
             }
             stats.emit(scenario, &mut metrics);
         }

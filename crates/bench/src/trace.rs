@@ -5,9 +5,9 @@
 //! about tails. This driver synthesizes a deterministic operation trace
 //! (query batches interleaved with insert bursts, optionally Zipf-skewed),
 //! replays it against one compute node, and reports p50/p95/p99 of the
-//! per-batch modeled latency.
+//! per-batch latency.
 
-use dhnsw::{ComputeNode, Error, QueryTrace};
+use dhnsw::{BatchReport, ComputeNode, Error};
 use vecsim::{gen, Dataset};
 
 /// One operation in a trace.
@@ -99,35 +99,22 @@ impl TraceSpec {
 }
 
 /// Outcome of replaying a trace.
-///
-/// Per-batch observations are kept as the core telemetry type
-/// ([`dhnsw::QueryTrace`]), built locally from each batch's report so a
-/// concurrent reader of the global trace ring cannot perturb the bench.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TraceReport {
-    /// One structured trace per query batch, in trace order.
-    pub batch_traces: Vec<QueryTrace>,
-    /// Total queries answered.
-    pub queries: usize,
+    /// Each query batch's report, as the engine returned it, in trace
+    /// order.
+    pub batches: Vec<BatchReport>,
     /// Total vectors inserted (accepted).
     pub inserts: usize,
     /// Inserts rejected with overflow-full.
     pub insert_rejects: usize,
-    /// Total network round trips.
-    pub round_trips: u64,
-}
-
-/// The modeled latency of one batch: network virtual time plus compute
-/// wall time, µs.
-fn modeled_us(t: &QueryTrace) -> f64 {
-    t.meta_us + t.network_us + t.sub_us + t.materialize_us
 }
 
 impl TraceReport {
-    /// Per-batch modeled latencies (network virtual + compute wall), µs,
-    /// in trace order.
+    /// Per-batch latencies — each report's `total_us`: host wall plus
+    /// exposed virtual network time — µs, in trace order.
     pub fn batch_latencies_us(&self) -> Vec<f64> {
-        self.batch_traces.iter().map(modeled_us).collect()
+        self.batches.iter().map(|r| r.total_us).collect()
     }
 
     /// The `q`-th latency percentile (0.0–1.0) over query batches, µs.
@@ -144,42 +131,22 @@ impl TraceReport {
 
     /// Mean per-batch latency, µs.
     pub fn mean_us(&self) -> f64 {
-        if self.batch_traces.is_empty() {
+        if self.batches.is_empty() {
             return 0.0;
         }
-        self.batch_latencies_us().iter().sum::<f64>() / self.batch_traces.len() as f64
+        self.batch_latencies_us().iter().sum::<f64>() / self.batches.len() as f64
     }
 
-    /// Total bytes read from remote memory across all batches.
-    pub fn bytes_read(&self) -> u64 {
-        self.batch_traces.iter().map(|t| t.bytes_read).sum()
-    }
-
-    /// Total doorbell batches issued across all batches.
-    pub fn doorbell_batches(&self) -> u64 {
-        self.batch_traces
-            .iter()
-            .map(|t| u64::from(t.doorbell_batches))
-            .sum()
-    }
-
-    /// Cache hits over unique-cluster demand across the trace, in
-    /// `[0, 1]`; 0.0 for an empty trace.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let unique: u64 = self
-            .batch_traces
-            .iter()
-            .map(|t| u64::from(t.unique_clusters))
-            .sum();
-        if unique == 0 {
-            return 0.0;
+    /// The query batches merged into one report ([`BatchReport::merge`]):
+    /// queries, bytes, round trips, doorbell batches, the ledger and the
+    /// exposed network time summed over the trace; its `cache_hit_rate()`
+    /// is cache hits over unique-cluster demand across all batches.
+    pub fn total(&self) -> BatchReport {
+        let mut total = BatchReport::default();
+        for batch in &self.batches {
+            total.merge(batch);
         }
-        let hits: u64 = self
-            .batch_traces
-            .iter()
-            .map(|t| u64::from(t.cache_hits))
-            .sum();
-        hits as f64 / unique as f64
+        total
     }
 }
 
@@ -190,41 +157,11 @@ impl TraceReport {
 /// Propagates engine errors (overflow-full inserts are counted, not
 /// raised).
 pub fn replay(node: &ComputeNode, ops: &[Op], k: usize, ef: usize) -> Result<TraceReport, Error> {
-    let mut report = TraceReport {
-        batch_traces: Vec::new(),
-        queries: 0,
-        inserts: 0,
-        insert_rejects: 0,
-        round_trips: 0,
-    };
+    let mut report = TraceReport::default();
     for op in ops {
         match op {
             Op::QueryBatch(queries) => {
-                let stats0 = node.queue_pair().stats().snapshot();
-                let (_, batch) = node.query_batch(queries, k, ef)?;
-                let delta = node.queue_pair().stats().snapshot() - stats0;
-                report.batch_traces.push(QueryTrace {
-                    mode: node.mode().label(),
-                    queries: batch.queries as u32,
-                    k: k as u32,
-                    ef: ef as u32,
-                    fanout: node.config().fanout() as u32,
-                    raw_cluster_demand: batch.raw_cluster_demand as u32,
-                    unique_clusters: batch.unique_clusters as u32,
-                    cache_hits: batch.cache_hits as u32,
-                    clusters_loaded: batch.clusters_loaded as u32,
-                    doorbell_batches: delta.doorbell_batches as u32,
-                    round_trips: batch.round_trips,
-                    bytes_read: batch.bytes_read,
-                    meta_us: batch.breakdown.meta_hnsw_us,
-                    network_us: batch.breakdown.network_us,
-                    sub_us: batch.breakdown.sub_hnsw_us,
-                    materialize_us: batch.breakdown.materialize_us,
-                    total_us: batch.breakdown.total_us(),
-                    cause_bytes: batch.ledger.cause_bytes,
-                });
-                report.queries += batch.queries;
-                report.round_trips += batch.round_trips;
+                report.batches.push(node.query_batch(queries, k, ef)?.1);
             }
             Op::InsertBurst(vectors) => {
                 for r in node.insert_batch(vectors)? {
@@ -295,52 +232,27 @@ mod tests {
         };
         let ops = spec.synthesize(&data).unwrap();
         let report = replay(&node, &ops, 5, 32).unwrap();
-        assert_eq!(report.queries, 40);
+        let total = report.total();
+        assert_eq!(total.queries, 40);
         assert_eq!(report.inserts + report.insert_rejects, 6);
-        assert_eq!(report.batch_traces.len(), 4);
-        assert!(report.round_trips > 0);
+        assert_eq!(report.batches.len(), 4);
+        assert!(total.round_trips > 0);
         assert!(report.mean_us() > 0.0);
-        assert!(report.bytes_read() > 0);
-        let t = &report.batch_traces[0];
+        assert!(total.bytes_read > 0);
+        let t = &report.batches[0];
         assert_eq!(t.mode, "full");
         assert_eq!((t.queries, t.k, t.ef), (10, 5, 32));
         assert!(t.unique_clusters > 0);
     }
 
-    fn trace_with_network_us(us: f64) -> QueryTrace {
-        QueryTrace {
-            mode: "full",
-            queries: 1,
-            k: 1,
-            ef: 1,
-            fanout: 1,
-            raw_cluster_demand: 0,
-            unique_clusters: 0,
-            cache_hits: 0,
-            clusters_loaded: 0,
-            doorbell_batches: 0,
-            round_trips: 0,
-            bytes_read: 0,
-            meta_us: 0.0,
-            network_us: us,
-            sub_us: 0.0,
-            materialize_us: 0.0,
-            total_us: us,
-            cause_bytes: [0; rdma_sim::READ_CAUSES],
-        }
-    }
-
     #[test]
     fn percentiles_are_ordered() {
         let report = TraceReport {
-            batch_traces: [5.0, 1.0, 9.0, 3.0, 7.0]
+            batches: [5.0, 1.0, 9.0, 3.0, 7.0]
                 .iter()
-                .map(|&us| trace_with_network_us(us))
+                .map(|&total_us| BatchReport { total_us, ..Default::default() })
                 .collect(),
-            queries: 0,
-            inserts: 0,
-            insert_rejects: 0,
-            round_trips: 0,
+            ..Default::default()
         };
         assert_eq!(report.percentile_us(0.0), 1.0);
         assert_eq!(report.percentile_us(0.5), 5.0);
@@ -350,17 +262,11 @@ mod tests {
 
     #[test]
     fn empty_report_is_zeroed() {
-        let report = TraceReport {
-            batch_traces: vec![],
-            queries: 0,
-            inserts: 0,
-            insert_rejects: 0,
-            round_trips: 0,
-        };
+        let report = TraceReport::default();
         assert_eq!(report.percentile_us(0.5), 0.0);
         assert_eq!(report.mean_us(), 0.0);
-        assert_eq!(report.cache_hit_rate(), 0.0);
-        assert_eq!(report.doorbell_batches(), 0);
+        assert_eq!(report.total().cache_hit_rate(), 0.0);
+        assert_eq!(report.total().doorbell_batches, 0);
     }
 
     #[test]
@@ -378,8 +284,7 @@ mod tests {
             }
             .synthesize(&data)
             .unwrap();
-            let report = replay(&node, &ops, 5, 16).unwrap();
-            report.round_trips
+            replay(&node, &ops, 5, 16).unwrap().total().round_trips
         };
         let uniform_trips = run(0.0);
         let skewed_trips = run(1.5);

@@ -1,7 +1,30 @@
 //! Latency breakdown and per-batch reports — the measurement plane behind
 //! the paper's Tables 1 and 2 and the Fig. 6 latency axes.
+//!
+//! [`BatchReport`] is *the* record of a finished batch. The engine
+//! assigns each field once and returns it to the caller, and every
+//! telemetry view is derived from that one value rather than keeping its
+//! own copy: the engine's counters, the root span's arguments
+//! ([`BatchReport::span_args`]), the latency histogram's sample and the
+//! bucket an exemplar is filed under
+//! ([`BatchReport::latency_sample_us`]), the exemplar store's ranking and
+//! why-slow baseline, the slow-query log's threshold and header, the
+//! folded profile's phases, `crates/bench`'s per-batch percentiles.
+//!
+//! Counts, bytes, trips and the ledger are exact: one `StatsSnapshot`
+//! bracket around the batch's reads. `breakdown.network_us` and
+//! `hidden_us` are virtual-clock time; the other three phases, and with
+//! them `total_us`, are host wall clock.
+//!
+//! [`BatchReport::merge`] aggregates a run of batches. Counts, bytes,
+//! trips, the ledger, the breakdown, `total_us`, `hidden_us` and
+//! `doorbell_batches` add; coverage concatenates; `trace_id`, `mode`,
+//! `k`, `ef` and `fanout` describe one batch and keep the receiver's, so
+//! an aggregate started from `Default` has none.
 
 use rdma_sim::{ReadCause, StatsSnapshot, READ_CAUSES};
+
+use crate::telemetry::span::ArgValue;
 
 /// Latency of one batch split into its pipeline components.
 ///
@@ -161,17 +184,60 @@ impl CostLedger {
     }
 }
 
+/// Root-span argument keys of the per-cause byte counts, indexed by
+/// [`ReadCause::index`]: span argument keys are `'static`, so the prefix
+/// is baked in rather than formatted per batch.
+const CAUSE_BYTE_KEYS: [&str; READ_CAUSES] = [
+    "bytes_stage_load",
+    "bytes_prefetch",
+    "bytes_version_check",
+    "bytes_retry",
+    "bytes_health_probe",
+    "bytes_overflow_scan",
+    "bytes_naive",
+    "bytes_rerank",
+    "bytes_other",
+];
+
 /// Everything one [`crate::ComputeNode::query_batch`] call did.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct BatchReport {
+    /// Trace id: the span tracer's batch sequence number on the node's
+    /// telemetry hub, assigned whether or not spans are captured. The
+    /// exemplar store, `/whyslow/<id>` and the slow-query log name the
+    /// batch by it.
+    pub trace_id: u64,
+    /// Search-mode label of the node (`full`, `no_doorbell`, `naive`).
+    pub mode: &'static str,
     /// Queries answered in the batch.
     pub queries: usize,
+    /// Neighbors requested per query.
+    pub k: usize,
+    /// Sub-HNSW beam width the batch searched with.
+    pub ef: usize,
+    /// Partitions routed per query (the call's override, else the
+    /// configured `b`).
+    pub fanout: usize,
     /// Latency breakdown for the whole batch.
     pub breakdown: LatencyBreakdown,
+    /// The batch's end-to-end latency, µs: host wall time of the whole
+    /// call plus the exposed virtual network time
+    /// (`breakdown.network_us`). The process never sleeps on the
+    /// simulated NIC, so wall time alone would leave out the one
+    /// component this system is about. At least `breakdown.total_us()`;
+    /// the rest is host time outside the four phases (planning, merge,
+    /// cache settling). This is the number the latency histogram samples,
+    /// the exemplar store ranks by and the slow-query threshold judges.
+    pub total_us: f64,
+    /// Virtual network time the micro-batch pipeline hid behind compute,
+    /// µs (0 unless the batch ran more than one stage).
+    pub hidden_us: f64,
     /// Network round trips issued.
     pub round_trips: u64,
     /// Bytes read from the memory pool.
     pub bytes_read: u64,
+    /// Doorbell batches the batch's reads rang.
+    pub doorbell_batches: u64,
     /// Distinct clusters the batch required (after query-aware dedup).
     pub unique_clusters: usize,
     /// Clusters served from the local LRU cache.
@@ -197,7 +263,54 @@ pub struct BatchReport {
 }
 
 impl BatchReport {
-    /// Mean per-query latency in microseconds.
+    /// Mean per-query end-to-end latency, µs: `total_us / queries`.
+    pub fn per_query_us(&self) -> f64 {
+        self.total_us / self.queries.max(1) as f64
+    }
+
+    /// The integer sample the latency histogram observes for each query
+    /// of this batch. Bucket exemplars are filed under `bucket_index` of
+    /// exactly this value, so every populated bucket carries one.
+    pub fn latency_sample_us(&self) -> u64 {
+        self.per_query_us() as u64
+    }
+
+    /// The batch's root-span arguments: its parameters, one
+    /// `bytes_<cause>` per cause that moved bytes (the slow-query log's
+    /// explain data; idle causes are left out to keep spans small), then
+    /// the counts and the four phases.
+    pub fn span_args(&self) -> Vec<(&'static str, ArgValue)> {
+        use ArgValue::{Str, F64, U64};
+        let mut args = vec![
+            ("mode", Str(self.mode)),
+            ("queries", U64(self.queries as u64)),
+            ("k", U64(self.k as u64)),
+            ("ef", U64(self.ef as u64)),
+            ("fanout", U64(self.fanout as u64)),
+        ];
+        let causes = CAUSE_BYTE_KEYS.iter().zip(&self.ledger.cause_bytes);
+        args.extend(
+            causes
+                .filter(|(_, &b)| b > 0)
+                .map(|(&key, &b)| (key, U64(b))),
+        );
+        args.extend([
+            ("unique_clusters", U64(self.unique_clusters as u64)),
+            ("cache_hits", U64(self.cache_hits as u64)),
+            ("clusters_loaded", U64(self.clusters_loaded as u64)),
+            ("round_trips", U64(self.round_trips)),
+            ("bytes_read", U64(self.bytes_read)),
+            ("meta_us", F64(self.breakdown.meta_hnsw_us)),
+            ("network_vt_us", F64(self.breakdown.network_us)),
+            ("sub_us", F64(self.breakdown.sub_hnsw_us)),
+            ("materialize_us", F64(self.breakdown.materialize_us)),
+        ]);
+        args
+    }
+
+    /// Mean per-query *modeled* latency, µs: the four phases of
+    /// `breakdown` — the sum the paper's Tables 1 and 2 report — over the
+    /// batch size. [`BatchReport::per_query_us`] is the end-to-end one.
     pub fn per_query_latency_us(&self) -> f64 {
         if self.queries == 0 {
             0.0
@@ -236,9 +349,10 @@ impl BatchReport {
     }
 
     /// Merges another batch's counters into this one (for aggregating a
-    /// run of batches). Coverage vectors concatenate in batch order;
-    /// an empty coverage vector stands for full coverage and is expanded
-    /// when the other side carries per-query values.
+    /// run of batches; the module docs give the rule per field).
+    /// Coverage vectors concatenate in batch order; an empty coverage
+    /// vector stands for full coverage and is expanded when the other
+    /// side carries per-query values.
     pub fn merge(&mut self, other: &BatchReport) {
         if !self.coverage.is_empty() || !other.coverage.is_empty() {
             if self.coverage.is_empty() {
@@ -253,8 +367,11 @@ impl BatchReport {
         }
         self.queries += other.queries;
         self.breakdown += other.breakdown;
+        self.total_us += other.total_us;
+        self.hidden_us += other.hidden_us;
         self.round_trips += other.round_trips;
         self.bytes_read += other.bytes_read;
+        self.doorbell_batches += other.doorbell_batches;
         self.unique_clusters += other.unique_clusters;
         self.cache_hits += other.cache_hits;
         self.clusters_loaded += other.clusters_loaded;
@@ -371,6 +488,79 @@ mod tests {
         assert_eq!(a.queries, 10);
         assert_eq!(a.round_trips, 5);
         assert_eq!(a.cache_hit_rate(), 0.5);
+    }
+
+    #[test]
+    fn merge_adds_measurements_and_keeps_the_receivers_identity() {
+        let batch = |trace_id, total_us| BatchReport {
+            trace_id,
+            mode: "full",
+            queries: 4,
+            k: 10,
+            ef: 48,
+            fanout: 4,
+            total_us,
+            hidden_us: 1.5,
+            doorbell_batches: 2,
+            ..Default::default()
+        };
+        let mut a = batch(7, 100.0);
+        a.merge(&batch(8, 50.0));
+        assert_eq!(
+            (a.total_us, a.hidden_us, a.doorbell_batches),
+            (150.0, 3.0, 4)
+        );
+        assert_eq!(
+            (a.trace_id, a.mode, a.k, a.ef, a.fanout),
+            (7, "full", 10, 48, 4)
+        );
+        assert_eq!(a.per_query_us(), 150.0 / 8.0);
+        assert_eq!(a.latency_sample_us(), 18);
+        // An aggregate started from `Default` names no batch.
+        let mut sum = BatchReport::default();
+        sum.merge(&a);
+        assert_eq!((sum.trace_id, sum.mode, sum.k), (0, "", 0));
+        assert_eq!(sum.total_us, 150.0);
+    }
+
+    #[test]
+    fn span_args_name_the_busy_causes_between_parameters_and_counts() {
+        for (key, cause) in CAUSE_BYTE_KEYS.iter().zip(ReadCause::ALL) {
+            assert_eq!(*key, format!("bytes_{}", cause.as_str()));
+        }
+        let mut r = BatchReport {
+            mode: "full",
+            queries: 2,
+            bytes_read: 12,
+            ..Default::default()
+        };
+        r.ledger.cause_bytes[ReadCause::StageLoad.index()] = 9;
+        r.ledger.cause_bytes[ReadCause::Rerank.index()] = 3;
+        let args = r.span_args();
+        let keys: Vec<&str> = args.iter().map(|(k, _)| *k).collect();
+        assert_eq!(
+            keys,
+            [
+                "mode",
+                "queries",
+                "k",
+                "ef",
+                "fanout",
+                "bytes_stage_load",
+                "bytes_rerank",
+                "unique_clusters",
+                "cache_hits",
+                "clusters_loaded",
+                "round_trips",
+                "bytes_read",
+                "meta_us",
+                "network_vt_us",
+                "sub_us",
+                "materialize_us",
+            ]
+        );
+        assert_eq!(args[0].1, ArgValue::Str("full"));
+        assert_eq!(args[6].1, ArgValue::U64(3));
     }
 
     #[test]

@@ -370,9 +370,9 @@ impl DHnswConfig {
     }
 
     /// Applies the `DHNSW_*` environment overrides, so binaries can run
-    /// fault drills and sweeps without code changes. This is the one
-    /// place the engine and the store read the environment; a variable
-    /// that is set wins over the value configured in code.
+    /// fault drills and sweeps without code changes. This module is the
+    /// one place the crate reads the environment; a variable that is set
+    /// wins over the value configured in code.
     ///
     /// | variable | overrides |
     /// |----------|-----------|
@@ -387,7 +387,10 @@ impl DHnswConfig {
     ///
     /// The two tracer switches, `DHNSW_TRACE_SPANS` and
     /// `DHNSW_SLOW_QUERY_US`, are read beside these (`tracer_env`): they
-    /// configure the telemetry hub a node reports to, not the node.
+    /// configure the telemetry hub a node reports to, not the node. The
+    /// five `DHNSW_SLO_*` watchdog budgets
+    /// ([`crate::SloBudgets::from_env`]) go through the same lookup and
+    /// parser.
     ///
     /// # Errors
     ///
@@ -489,14 +492,14 @@ impl DHnswConfig {
     }
 }
 
-/// The process environment: the one place the engine and the store read it.
-fn process_env(name: &str) -> Option<String> {
+/// The process environment: the one place this crate reads it.
+pub(crate) fn process_env(name: &str) -> Option<String> {
     std::env::var(name).ok()
 }
 
 /// Looks `name` up and parses it; set but unparsable is an error that
 /// names the variable.
-fn parse_var<T: std::str::FromStr>(
+pub(crate) fn parse_var<T: std::str::FromStr>(
     var: &dyn Fn(&str) -> Option<String>,
     name: &str,
 ) -> Result<Option<T>> {

@@ -38,7 +38,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rdma_sim::{QueuePair, ReadCause, StatsSnapshot, READ_CAUSES};
+use rdma_sim::{QueuePair, StatsSnapshot, READ_CAUSES};
 
 use crate::cache::{CacheStats, ClusterCache};
 use crate::config::{tracer_env, QuantizeMode};
@@ -47,8 +47,8 @@ use crate::layout::{Directory, DIRECTORY_PEEK_BYTES};
 use crate::meta::MetaIndex;
 use crate::store::VectorStore;
 use crate::telemetry::span::QpSpanSink;
-use crate::telemetry::{Counter, Gauge, Histogram, HistogramSnapshot, Telemetry};
-use crate::{DHnswConfig, Result};
+use crate::telemetry::{metrics, Counter, Gauge, Histogram, HistogramSnapshot, Telemetry};
+use crate::{BatchReport, DHnswConfig, Result};
 
 pub(crate) use fetch::Reader;
 
@@ -207,178 +207,76 @@ pub(crate) struct EngineMetrics {
 impl EngineMetrics {
     fn new(t: &Telemetry, mode: SearchMode) -> Self {
         let m: &[(&str, &str)] = &[("mode", mode.label())];
-        let stage = |stage| {
-            t.counter(
-                "dhnsw_stage_us_total",
-                "Cumulative stage time in microseconds",
-                &[("mode", mode.label()), ("stage", stage)],
-            )
-        };
+        let stage =
+            |stage| metrics::STAGE_US.counter(t, &[("mode", mode.label()), ("stage", stage)]);
         EngineMetrics {
-            queries: t.counter("dhnsw_queries_total", "Queries answered", m),
-            batches: t.counter("dhnsw_query_batches_total", "Query batches answered", m),
-            latency_us: t.histogram(
-                "dhnsw_query_latency_us",
-                "Per-query latency in microseconds (CPU wall + exposed network stall, batch time / batch size)",
-                m,
-            ),
+            queries: metrics::QUERIES.counter(t, m),
+            batches: metrics::QUERY_BATCHES.counter(t, m),
+            latency_us: metrics::QUERY_LATENCY_US.histogram(t, m),
             stage_meta_us: stage("meta_hnsw"),
             stage_network_us: stage("network"),
             stage_sub_us: stage("sub_hnsw"),
             stage_materialize_us: stage("materialize"),
-            pipeline_hidden_us: t.counter(
-                "dhnsw_pipeline_hidden_us_total",
-                "Virtual network time hidden behind compute by micro-batch pipelining",
-                m,
-            ),
-            prefetch_rounds: t.counter(
-                "dhnsw_prefetch_rounds_total",
-                "Between-batch heatmap prefetch rounds that loaded at least one cluster",
-                m,
-            ),
-            prefetch_clusters: t.counter(
-                "dhnsw_prefetch_clusters_total",
-                "Clusters warmed into the cache by the heatmap prefetcher",
-                m,
-            ),
-            prefetch_bytes: t.counter(
-                "dhnsw_prefetch_bytes_total",
-                "Bytes read from remote memory by the heatmap prefetcher",
-                m,
-            ),
-            clusters_loaded: t.counter(
-                "dhnsw_clusters_loaded_total",
-                "Clusters fetched from remote memory",
-                m,
-            ),
-            cluster_cache_hits: t.counter(
-                "dhnsw_cluster_cache_hits_total",
-                "Cluster loads avoided by cache residency at plan time",
-                m,
-            ),
-            raw_cluster_demand: t.counter(
-                "dhnsw_raw_cluster_demand_total",
-                "Cluster demand before query-aware dedup (queries x fanout)",
-                m,
-            ),
-            transfers_saved: t.counter(
-                "dhnsw_loader_transfers_saved_total",
-                "Cluster transfers avoided by dedup and cache reuse",
-                m,
-            ),
-            cache_hits: t.counter("dhnsw_cache_hits_total", "Cluster cache lookup hits", &[]),
-            cache_misses: t.counter(
-                "dhnsw_cache_misses_total",
-                "Cluster cache lookup misses",
-                &[],
-            ),
-            cache_evictions: t.counter(
-                "dhnsw_cache_evictions_total",
-                "Clusters evicted by LRU pressure",
-                &[],
-            ),
-            cache_occupancy: t.gauge(
-                "dhnsw_cache_occupancy_clusters",
-                "Clusters resident in the most recently active node's cache",
-                &[],
-            ),
-            cache_resident_bytes: t.gauge(
-                "dhnsw_cache_resident_bytes",
-                "Approximate bytes resident in the most recently active node's cache",
-                &[],
-            ),
-            rdma_round_trips: t.counter(
-                "dhnsw_rdma_round_trips_total",
-                "Network round trips issued",
-                &[],
-            ),
-            rdma_work_requests: t.counter(
-                "dhnsw_rdma_work_requests_total",
-                "RDMA work requests posted",
-                &[],
-            ),
-            rdma_doorbell_batches: t.counter(
-                "dhnsw_rdma_doorbell_batches_total",
-                "Doorbell batches submitted",
-                &[],
-            ),
-            rdma_bytes_read: t.counter(
-                "dhnsw_rdma_bytes_read_total",
-                "Bytes read from remote memory",
-                &[],
-            ),
-            rdma_read_bytes_by_cause: std::array::from_fn(|i| {
-                t.counter(
-                    "dhnsw_rdma_read_bytes_by_cause_total",
-                    "Bytes read from remote memory, by read cause; sums to dhnsw_rdma_bytes_read_total",
-                    &[("cause", ReadCause::ALL[i].as_str())],
-                )
-            }),
-            rdma_read_trips_by_cause: std::array::from_fn(|i| {
-                t.counter(
-                    "dhnsw_rdma_read_round_trips_by_cause_total",
-                    "Read round trips by dominant-bytes cause (write/atomic trips carry no cause)",
-                    &[("cause", ReadCause::ALL[i].as_str())],
-                )
-            }),
-            rdma_bytes_written: t.counter(
-                "dhnsw_rdma_bytes_written_total",
-                "Bytes written to remote memory",
-                &[],
-            ),
-            rdma_atomics: t.counter(
-                "dhnsw_rdma_atomics_total",
-                "Atomic verbs (CAS/FAA) executed",
-                &[],
-            ),
-            rdma_faults: t.counter(
-                "dhnsw_rdma_faults_total",
-                "Faulted (dropped and retransmitted) verb attempts",
-                &[],
-            ),
-            doorbell_batch_size: t.histogram(
-                "dhnsw_doorbell_batch_size",
-                "Work requests per doorbell batch",
-                &[],
-            ),
-            degraded_queries: t.counter(
-                "dhnsw_degraded_queries_total",
-                "Queries answered from an incomplete cluster set after read retries ran out",
-                m,
-            ),
-            read_retries: t.counter(
-                "dhnsw_read_retries_total",
-                "Engine-level read re-posts: 1 per load round re-posted whole after the substrate dropped it, 1 per cluster re-posted alone after a torn version bracket or a dropped overflow follow-up",
-                m,
-            ),
-            inserts: t.counter("dhnsw_inserts_total", "Insert attempts", &[]),
-            insert_overflow: t.counter(
-                "dhnsw_insert_overflow_total",
-                "Inserts rejected because the group overflow area was full",
-                &[],
-            ),
-            deletes: t.counter("dhnsw_deletes_total", "Delete attempts", &[]),
-            tail_exemplar_occupancy: t.gauge(
-                "dhnsw_tail_exemplar_occupancy",
-                "Tail exemplars currently retained (reservoir + K-slowest)",
-                &[],
-            ),
-            tail_profile_paths: t.gauge(
-                "dhnsw_tail_profile_paths",
-                "Distinct span paths accumulated in the always-on folded profile",
-                &[],
-            ),
-            tail_exemplars_recorded: t.counter(
-                "dhnsw_tail_exemplars_recorded_total",
-                "Batch exemplars offered to the tail exemplar store",
-                &[],
-            ),
-            tail_exemplars_dropped: t.counter(
-                "dhnsw_tail_exemplars_dropped_total",
-                "Batch exemplars evicted or rejected by the bounded exemplar store",
-                &[],
-            ),
+            pipeline_hidden_us: metrics::PIPELINE_HIDDEN_US.counter(t, m),
+            prefetch_rounds: metrics::PREFETCH_ROUNDS.counter(t, m),
+            prefetch_clusters: metrics::PREFETCH_CLUSTERS.counter(t, m),
+            prefetch_bytes: metrics::PREFETCH_BYTES.counter(t, m),
+            clusters_loaded: metrics::CLUSTERS_LOADED.counter(t, m),
+            cluster_cache_hits: metrics::CLUSTER_CACHE_HITS.counter(t, m),
+            raw_cluster_demand: metrics::RAW_CLUSTER_DEMAND.counter(t, m),
+            transfers_saved: metrics::TRANSFERS_SAVED.counter(t, m),
+            cache_hits: metrics::CACHE_HITS.counter(t, &[]),
+            cache_misses: metrics::CACHE_MISSES.counter(t, &[]),
+            cache_evictions: metrics::CACHE_EVICTIONS.counter(t, &[]),
+            cache_occupancy: metrics::CACHE_OCCUPANCY.gauge(t, &[]),
+            cache_resident_bytes: metrics::CACHE_RESIDENT_BYTES.gauge(t, &[]),
+            rdma_round_trips: metrics::RDMA_ROUND_TRIPS.counter(t, &[]),
+            rdma_work_requests: metrics::RDMA_WORK_REQUESTS.counter(t, &[]),
+            rdma_doorbell_batches: metrics::RDMA_DOORBELL_BATCHES.counter(t, &[]),
+            rdma_bytes_read: metrics::RDMA_BYTES_READ.counter(t, &[]),
+            rdma_read_bytes_by_cause: metrics::RDMA_READ_BYTES_BY_CAUSE.counters_by_cause(t),
+            rdma_read_trips_by_cause: metrics::RDMA_READ_TRIPS_BY_CAUSE.counters_by_cause(t),
+            rdma_bytes_written: metrics::RDMA_BYTES_WRITTEN.counter(t, &[]),
+            rdma_atomics: metrics::RDMA_ATOMICS.counter(t, &[]),
+            rdma_faults: metrics::RDMA_FAULTS.counter(t, &[]),
+            doorbell_batch_size: metrics::DOORBELL_BATCH_SIZE.histogram(t, &[]),
+            degraded_queries: metrics::DEGRADED_QUERIES.counter(t, m),
+            read_retries: metrics::READ_RETRIES.counter(t, m),
+            inserts: metrics::INSERTS.counter(t, &[]),
+            insert_overflow: metrics::INSERT_OVERFLOW.counter(t, &[]),
+            deletes: metrics::DELETES.counter(t, &[]),
+            tail_exemplar_occupancy: metrics::TAIL_EXEMPLAR_OCCUPANCY.gauge(t, &[]),
+            tail_profile_paths: metrics::TAIL_PROFILE_PATHS.gauge(t, &[]),
+            tail_exemplars_recorded: metrics::TAIL_EXEMPLARS_RECORDED.counter(t, &[]),
+            tail_exemplars_dropped: metrics::TAIL_EXEMPLARS_DROPPED.counter(t, &[]),
         }
+    }
+
+    /// Adds one finished batch to the query-path families. The latency
+    /// histogram takes the record's own sample, the one the exemplar
+    /// store files the batch under.
+    pub(crate) fn observe(&self, report: &BatchReport) {
+        self.queries.add(report.queries as u64);
+        self.batches.inc();
+        self.latency_us
+            .observe_n(report.latency_sample_us(), report.queries.max(1) as u64);
+        self.stage_meta_us.add(report.breakdown.meta_hnsw_us as u64);
+        self.stage_network_us
+            .add(report.breakdown.network_us as u64);
+        self.stage_sub_us.add(report.breakdown.sub_hnsw_us as u64);
+        self.stage_materialize_us
+            .add(report.breakdown.materialize_us as u64);
+        self.pipeline_hidden_us.add(report.hidden_us as u64);
+        self.clusters_loaded.add(report.clusters_loaded as u64);
+        self.cluster_cache_hits.add(report.cache_hits as u64);
+        self.raw_cluster_demand
+            .add(report.raw_cluster_demand as u64);
+        self.degraded_queries.add(report.degraded_queries as u64);
+        self.read_retries.add(report.read_retries);
+        let saved = report
+            .raw_cluster_demand
+            .saturating_sub(report.clusters_loaded);
+        self.transfers_saved.add(saved as u64);
     }
 }
 

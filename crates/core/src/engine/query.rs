@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use hnsw::{SearchScratch, SearchStats};
-use rdma_sim::{ReadCause, ReadReq, READ_CAUSES};
+use rdma_sim::{ReadCause, ReadReq};
 use vecsim::{Dataset, Neighbor};
 
 use super::fetch::{Fetch, Load, Reader};
@@ -16,9 +16,7 @@ use super::{run_indexed, ComputeNode, QueryOptions};
 use crate::breakdown::{BatchReport, CostLedger};
 use crate::cluster::{Candidate, LoadedCluster};
 use crate::loader::{plan_batch, stage_loads};
-use crate::telemetry::exemplar::TailRecord;
 use crate::telemetry::span::{ArgValue, BatchTrace, SpanId};
-use crate::telemetry::QueryTrace;
 use crate::{Error, Result};
 
 /// One merged search candidate with the load it came from, so an exact
@@ -33,21 +31,6 @@ pub(super) struct Pooled {
 /// Entries the node-level exact-vector cache may hold before it is
 /// cleared wholesale; bounds rerank memory at ~`cap × dim × 4` bytes.
 const RERANK_CACHE_CAP: usize = 8_192;
-
-/// Span-argument keys for per-cause byte counts, indexed by
-/// [`ReadCause::index`]. Span arg keys must be `'static`, so the
-/// prefix is baked in here instead of formatted at runtime.
-const CAUSE_BYTE_KEYS: [&str; READ_CAUSES] = [
-    "bytes_stage_load",
-    "bytes_prefetch",
-    "bytes_version_check",
-    "bytes_retry",
-    "bytes_health_probe",
-    "bytes_overflow_scan",
-    "bytes_naive",
-    "bytes_rerank",
-    "bytes_other",
-];
 
 impl ComputeNode {
     /// Answers a single query; convenience wrapper over
@@ -108,30 +91,11 @@ impl ComputeNode {
             return Err(Error::InvalidParameter("ef must be >= 1".into()));
         }
         let b = opts.fanout.unwrap_or_else(|| self.config.fanout());
-        // With tracing off this costs one atomic load; the trace itself
-        // is a Copy value moved into a preallocated ring — recording a
-        // batch never allocates.
-        let tracing = self.telemetry.traces().is_enabled();
-        let stats0 = if tracing {
-            Some(self.qp.stats().snapshot())
-        } else {
-            None
-        };
         // Span tracing: one root span per batch; the batch body hangs
         // stage spans off it. `begin` hands back a no-op handle
         // when the tracer is off.
         let trace = self.telemetry.spans().begin(self.mode.label());
         let root = trace.begin_span("query_batch", "engine", SpanId::NONE);
-        trace.add_args(
-            root,
-            &[
-                ("mode", ArgValue::Str(self.mode.label())),
-                ("queries", ArgValue::U64(queries.len() as u64)),
-                ("k", ArgValue::U64(opts.k as u64)),
-                ("ef", ArgValue::U64(opts.ef as u64)),
-                ("fanout", ArgValue::U64(b as u64)),
-            ],
-        );
         let t0 = Instant::now();
         let outcome = self.run_batch(queries, opts.k, opts.ef, b, &trace, root);
         // Release the batch's cache pins whether it succeeded or not —
@@ -146,7 +110,7 @@ impl ComputeNode {
                 }
             }
         }
-        let (results, report) = match outcome {
+        let (results, mut report) = match outcome {
             Ok(pair) => pair,
             Err(e) => {
                 trace.end_span_with(root, &[("error", ArgValue::Str("batch_failed"))]);
@@ -154,121 +118,27 @@ impl ComputeNode {
                 return Err(e);
             }
         };
-        // Simulated batch latency: CPU wall time plus the *exposed*
-        // network stall from the virtual clock. The process never
-        // actually sleeps on the simulated NIC, so wall time alone
-        // would undercount the one component this system is about —
-        // a retry storm or a lost pipeline overlap would be invisible
-        // in the latency series and in the tail exemplars.
-        let total_us = t0.elapsed().as_secs_f64() * 1e6 + report.breakdown.network_us;
-        // Byte provenance on the root span: the slow-query log's explain
-        // data. Only nonzero causes are attached to keep spans small.
-        let cause_args: Vec<(&'static str, ArgValue)> = report
-            .ledger
-            .cause_bytes
-            .iter()
-            .enumerate()
-            .filter(|(_, &b)| b > 0)
-            .map(|(i, &b)| (CAUSE_BYTE_KEYS[i], ArgValue::U64(b)))
-            .collect();
-        trace.add_args(root, &cause_args);
-        trace.end_span_with(
-            root,
-            &[
-                ("unique_clusters", ArgValue::U64(report.unique_clusters as u64)),
-                ("cache_hits", ArgValue::U64(report.cache_hits as u64)),
-                ("clusters_loaded", ArgValue::U64(report.clusters_loaded as u64)),
-                ("round_trips", ArgValue::U64(report.round_trips)),
-                ("bytes_read", ArgValue::U64(report.bytes_read)),
-                ("meta_us", ArgValue::F64(report.breakdown.meta_hnsw_us)),
-                ("network_vt_us", ArgValue::F64(report.breakdown.network_us)),
-                ("sub_us", ArgValue::F64(report.breakdown.sub_hnsw_us)),
-                (
-                    "materialize_us",
-                    ArgValue::F64(report.breakdown.materialize_us),
-                ),
-            ],
-        );
-        let trace_id = trace.seq();
-        let finished = self.telemetry.spans().finish_trace(trace);
+        report.total_us = t0.elapsed().as_secs_f64() * 1e6 + report.breakdown.network_us;
 
-        let m = &self.metrics;
-        let n = report.queries.max(1) as u64;
-        m.queries.add(report.queries as u64);
-        m.batches.inc();
-        // The exemplar keeps this exact sample so bucket exemplars line
-        // up with the latency histogram by construction.
-        let latency_sample_us = (total_us / n as f64) as u64;
-        m.latency_us.observe_n(latency_sample_us, n);
-        m.stage_meta_us.add(report.breakdown.meta_hnsw_us as u64);
-        m.stage_network_us.add(report.breakdown.network_us as u64);
-        m.stage_sub_us.add(report.breakdown.sub_hnsw_us as u64);
-        m.stage_materialize_us
-            .add(report.breakdown.materialize_us as u64);
-        m.clusters_loaded.add(report.clusters_loaded as u64);
-        m.cluster_cache_hits.add(report.cache_hits as u64);
-        m.raw_cluster_demand.add(report.raw_cluster_demand as u64);
-        m.degraded_queries.add(report.degraded_queries as u64);
-        m.read_retries.add(report.read_retries);
-        m.transfers_saved.add(
-            (report.raw_cluster_demand.saturating_sub(report.clusters_loaded)) as u64,
-        );
-
-        // Tail anatomy: fold this batch into the always-on profile (at
-        // span resolution when tracing is live, phase resolution
-        // otherwise) and offer it to the exemplar store, which retains
-        // the full span tree only while the batch ranks in the
-        // K-slowest set.
+        // Report: every view below is derived from the one record. The
+        // profile folds at span resolution when tracing is live, phase
+        // resolution otherwise; the exemplar store retains the full span
+        // tree only while the batch ranks in the K-slowest set.
+        if trace.is_enabled() {
+            trace.end_span_with(root, &report.span_args());
+        }
+        let finished = self.telemetry.spans().finish_trace(trace, Some(&report));
+        self.metrics.observe(&report);
         match &finished {
             Some(ft) => self.telemetry.profile().fold_trace(ft),
             None => self
                 .telemetry
                 .profile()
-                .fold_phases(&report.breakdown, total_us),
+                .fold_phases(&report.breakdown, report.total_us),
         }
-        self.telemetry.exemplars().record(
-            TailRecord {
-                trace_id,
-                mode: self.mode.label(),
-                queries: report.queries as u32,
-                total_us,
-                per_query_us: total_us / n as f64,
-                latency_sample_us,
-                meta_us: report.breakdown.meta_hnsw_us,
-                network_us: report.breakdown.network_us,
-                sub_us: report.breakdown.sub_hnsw_us,
-                materialize_us: report.breakdown.materialize_us,
-                ledger: report.ledger,
-                degraded_queries: report.degraded_queries as u32,
-                read_retries: report.read_retries,
-            },
-            finished,
-        );
+        self.telemetry.exemplars().record(&report, finished);
         self.flush_telemetry();
 
-        if let Some(stats0) = stats0 {
-            let delta = self.qp.stats().snapshot() - stats0;
-            self.telemetry.traces().record(QueryTrace {
-                mode: self.mode.label(),
-                queries: report.queries as u32,
-                k: opts.k as u32,
-                ef: opts.ef as u32,
-                fanout: b as u32,
-                raw_cluster_demand: report.raw_cluster_demand as u32,
-                unique_clusters: report.unique_clusters as u32,
-                cache_hits: report.cache_hits as u32,
-                clusters_loaded: report.clusters_loaded as u32,
-                doorbell_batches: delta.doorbell_batches as u32,
-                round_trips: report.round_trips,
-                bytes_read: report.bytes_read,
-                meta_us: report.breakdown.meta_hnsw_us,
-                network_us: report.breakdown.network_us,
-                sub_us: report.breakdown.sub_hnsw_us,
-                materialize_us: report.breakdown.materialize_us,
-                total_us,
-                cause_bytes: delta.cause_bytes,
-            });
-        }
         // Warm the cache for the next batch while the client digests this
         // one. Runs after every counter above so prefetch traffic is
         // never attributed to the batch that triggered it.
@@ -306,7 +176,12 @@ impl ComputeNode {
     ) -> Result<(Vec<Vec<Neighbor>>, BatchReport)> {
         let reuse = self.policy.reuse;
         let mut report = BatchReport {
+            trace_id: trace.seq(),
+            mode: self.mode.label(),
             queries: queries.len(),
+            k,
+            ef,
+            fanout: b,
             ..Default::default()
         };
 
@@ -534,11 +409,10 @@ impl ComputeNode {
             exposed += wait;
             cpu_done += wait + cpu_wall[i];
         }
-        report.breakdown.network_us = exposed;
         let total_vt: f64 = load_vt.iter().sum();
         let hidden = (total_vt - exposed).max(0.0);
         if reuse && stages > 1 {
-            self.metrics.pipeline_hidden_us.add(hidden as u64);
+            report.hidden_us = hidden;
             trace.instant(
                 "pipeline_overlap",
                 "engine",
@@ -557,11 +431,12 @@ impl ComputeNode {
         let t_rr = Instant::now();
         let rr_vt =
             self.rerank_exact(queries, k, &mut pools, &resolved, trace, root, &mut report)?;
-        report.breakdown.network_us += rr_vt;
+        report.breakdown.network_us = exposed + rr_vt;
         report.breakdown.sub_hnsw_us += t_rr.elapsed().as_secs_f64() * 1e6;
         let stats_delta = self.qp.stats().snapshot() - stats0;
         report.round_trips = stats_delta.round_trips;
         report.bytes_read = stats_delta.bytes_read;
+        report.doorbell_batches = stats_delta.doorbell_batches;
         report.ledger = CostLedger::from_delta(&stats_delta);
 
         // 7. Merge: the k closest of each pool (kept in order, rerank

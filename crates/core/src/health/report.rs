@@ -12,7 +12,7 @@
 use crate::health::heatmap::PartitionHeat;
 use crate::health::skew::SkewStats;
 use crate::health::watchdog::SloViolation;
-use crate::telemetry::Telemetry;
+use crate::telemetry::{metrics, Telemetry};
 
 /// Health of one §3.2 group: two clusters sharing an overflow area.
 #[derive(Debug, Clone, PartialEq)]
@@ -152,7 +152,9 @@ pub struct TailHealth {
     /// Trace id of the slowest retained batch, if any. SLO violations
     /// link here so `/whyslow/<id>` can explain the breach.
     pub slowest_trace_id: Option<u64>,
-    /// Wall time of that slowest batch, microseconds (0 when empty).
+    /// End-to-end latency of that slowest batch — its record's
+    /// `total_us`: host wall plus exposed network — microseconds (0 when
+    /// empty).
     pub slowest_total_us: f64,
 }
 
@@ -328,147 +330,63 @@ impl HealthReport {
     /// the region/skew summary. Ratios are encoded in milli-units
     /// (1000 == 1.0) since gauges are integral.
     pub fn publish(&self, telemetry: &Telemetry) {
+        let t = telemetry;
         for h in &self.heatmap {
             let p = h.partition.to_string();
             let labels: &[(&str, &str)] = &[("partition", &p)];
-            telemetry
-                .gauge(
-                    "dhnsw_heat_route_hits",
-                    "Meta-HNSW routes to this partition (heatmap snapshot)",
-                    labels,
-                )
-                .set(h.route_hits);
-            telemetry
-                .gauge(
-                    "dhnsw_heat_loads",
-                    "Remote cluster loads for this partition (heatmap snapshot)",
-                    labels,
-                )
-                .set(h.loads);
-            telemetry
-                .gauge(
-                    "dhnsw_heat_hotness_milli",
-                    "EWMA hotness of this partition, milli-units",
-                    labels,
-                )
-                .set_milli(h.hotness);
+            metrics::HEAT_ROUTE_HITS.gauge(t, labels).set(h.route_hits);
+            metrics::HEAT_LOADS.gauge(t, labels).set(h.loads);
+            metrics::HEAT_HOTNESS.gauge(t, labels).set_milli(h.hotness);
         }
         for g in &self.groups {
             let gl = g.group.to_string();
             let labels: &[(&str, &str)] = &[("group", &gl)];
-            telemetry
-                .gauge(
-                    "dhnsw_health_overflow_occupancy_milli",
-                    "Overflow-area occupancy of this group, milli-units (1000 = full)",
-                    labels,
-                )
+            metrics::HEALTH_OVERFLOW_OCCUPANCY
+                .gauge(t, labels)
                 .set_milli(g.occupancy);
-            telemetry
-                .gauge(
-                    "dhnsw_health_overflow_slack_bytes",
-                    "Unused overflow bytes in this group",
-                    labels,
-                )
+            metrics::HEALTH_OVERFLOW_SLACK_BYTES
+                .gauge(t, labels)
                 .set(g.overflow_slack_bytes);
         }
-        telemetry
-            .gauge(
-                "dhnsw_health_region_utilization_milli",
-                "Fraction of the registered region carrying live data, milli-units",
-                &[],
-            )
-            .set_milli(self.layout.utilization);
-        telemetry
-            .gauge(
-                "dhnsw_health_fragmentation_milli",
-                "Fraction of the registered region lost to padding/slack, milli-units",
-                &[],
-            )
-            .set_milli(self.layout.fragmentation);
-        telemetry
-            .gauge(
-                "dhnsw_health_partition_gini_milli",
-                "Gini coefficient of serialized cluster sizes, milli-units",
-                &[],
-            )
-            .set_milli(self.partition_skew.gini);
-        telemetry
-            .gauge(
-                "dhnsw_health_route_gini_milli",
-                "Gini coefficient of route frequencies, milli-units",
-                &[],
-            )
-            .set_milli(self.route_skew.gini);
-        telemetry
-            .gauge(
-                "dhnsw_health_degree_gini_milli",
-                "Gini coefficient of meta-HNSW layer-0 out-degrees, milli-units",
-                &[],
-            )
-            .set_milli(self.degree_skew.gini);
-        telemetry
-            .gauge(
-                "dhnsw_health_cache_hit_rate_milli",
-                "Cluster-cache hit rate at report time, milli-units",
-                &[],
-            )
-            .set_milli(self.cache.hit_rate);
-        telemetry
-            .gauge(
-                "dhnsw_health_p99_us",
-                "p99 per-query latency at report time, microseconds",
-                &[],
-            )
-            .set(self.latency.p99_us as u64);
-        telemetry
-            .gauge(
-                "dhnsw_health_window_cache_hit_rate_milli",
-                "Cluster-cache hit rate over the window since the previous report, milli-units",
-                &[],
-            )
-            .set_milli(self.cache.window_hit_rate);
-        telemetry
-            .gauge(
-                "dhnsw_health_window_p99_us",
-                "p99 per-query latency over the window since the previous report, microseconds",
-                &[],
-            )
-            .set(self.latency.window_p99_us as u64);
-        telemetry
-            .gauge(
-                "dhnsw_health_window_queries",
-                "Queries observed in the window since the previous report",
-                &[],
-            )
-            .set(self.latency.window_queries);
-        telemetry
-            .gauge(
-                "dhnsw_health_degraded_rate_milli",
-                "Fraction of queries answered degraded since connect, milli-units",
-                &[],
-            )
-            .set_milli(self.reliability.degraded_rate);
-        telemetry
-            .gauge(
-                "dhnsw_health_read_retries",
-                "Engine-level cluster read retries since connect",
-                &[],
-            )
-            .set(self.reliability.read_retries);
-        telemetry
-            .gauge(
-                "dhnsw_health_tail_slowest_us",
-                "Wall time of the slowest retained tail exemplar, microseconds",
-                &[],
-            )
-            .set(self.tail.slowest_total_us as u64);
-        telemetry
-            .gauge(
-                "dhnsw_health_tail_slowest_trace_id",
-                "Trace id of the slowest retained tail exemplar (0 when empty)",
-                &[],
-            )
-            .set(self.tail.slowest_trace_id.unwrap_or(0));
+        let milli = [
+            (&metrics::HEALTH_REGION_UTILIZATION, self.layout.utilization),
+            (&metrics::HEALTH_FRAGMENTATION, self.layout.fragmentation),
+            (&metrics::HEALTH_PARTITION_GINI, self.partition_skew.gini),
+            (&metrics::HEALTH_ROUTE_GINI, self.route_skew.gini),
+            (&metrics::HEALTH_DEGREE_GINI, self.degree_skew.gini),
+            (&metrics::HEALTH_CACHE_HIT_RATE, self.cache.hit_rate),
+            (
+                &metrics::HEALTH_WINDOW_CACHE_HIT_RATE,
+                self.cache.window_hit_rate,
+            ),
+            (
+                &metrics::HEALTH_DEGRADED_RATE,
+                self.reliability.degraded_rate,
+            ),
+        ];
+        for (def, ratio) in milli {
+            def.gauge(t, &[]).set_milli(ratio);
+        }
+        let whole = [
+            (&metrics::HEALTH_P99_US, self.latency.p99_us as u64),
+            (
+                &metrics::HEALTH_WINDOW_P99_US,
+                self.latency.window_p99_us as u64,
+            ),
+            (&metrics::HEALTH_WINDOW_QUERIES, self.latency.window_queries),
+            (&metrics::HEALTH_READ_RETRIES, self.reliability.read_retries),
+            (
+                &metrics::HEALTH_TAIL_SLOWEST_US,
+                self.tail.slowest_total_us as u64,
+            ),
+            (
+                &metrics::HEALTH_TAIL_SLOWEST_TRACE_ID,
+                self.tail.slowest_trace_id.unwrap_or(0),
+            ),
+        ];
+        for (def, value) in whole {
+            def.gauge(t, &[]).set(value);
+        }
     }
 }
 

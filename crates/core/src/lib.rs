@@ -79,7 +79,7 @@ pub use sharded::{merged_coverage, ShardedSession, ShardedStore};
 pub use store::VectorStore;
 pub use telemetry::chrome::chrome_trace_json;
 pub use telemetry::exemplar::{
-    diagnose, verdict_index, BucketExemplar, Diagnosis, ExemplarStore, TailRecord, VERDICTS,
+    diagnose, verdict_index, BucketExemplar, Diagnosis, ExemplarStore, VERDICTS,
 };
 pub use telemetry::profile::{PathStats, ProfileAccumulator};
 pub use telemetry::series::{
@@ -89,7 +89,7 @@ pub use telemetry::series::{
 pub use telemetry::span::{
     ArgValue, BatchTrace, FinishedTrace, QpSpanSink, SpanId, SpanKind, SpanRecord, SpanTracer,
 };
-pub use telemetry::{HistogramSnapshot, QueryTrace, Telemetry, HIST_BUCKETS};
+pub use telemetry::{HistogramSnapshot, Telemetry, HIST_BUCKETS};
 
 /// Convenient result alias used throughout this crate.
 pub type Result<T> = std::result::Result<T, Error>;

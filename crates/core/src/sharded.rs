@@ -21,7 +21,7 @@ use crate::breakdown::BatchReport;
 use crate::engine::{ComputeNode, SearchMode};
 use crate::health::report::HealthReport;
 use crate::store::VectorStore;
-use crate::telemetry::{Counter, Telemetry};
+use crate::telemetry::{metrics, Counter, Telemetry};
 use crate::{DHnswConfig, Error, Result};
 
 /// Id stride between shards: local ids live below it, the shard index
@@ -174,16 +174,8 @@ impl ShardCounters {
         let shard = shard.to_string();
         let labels: &[(&str, &str)] = &[("shard", &shard)];
         ShardCounters {
-            queries: telemetry.counter(
-                "dhnsw_shard_queries_total",
-                "Queries fanned out to this shard by sharded sessions.",
-                labels,
-            ),
-            inserts: telemetry.counter(
-                "dhnsw_shard_inserts_total",
-                "Inserts routed to this shard by sharded sessions.",
-                labels,
-            ),
+            queries: metrics::SHARD_QUERIES.counter(telemetry, labels),
+            inserts: metrics::SHARD_INSERTS.counter(telemetry, labels),
         }
     }
 }

@@ -1,11 +1,13 @@
-//! Unified telemetry: metrics registry, per-query traces, exposition.
+//! Unified telemetry: metrics registry, retained views, exposition.
 //!
 //! Everything the query path wants to record flows through a
 //! [`Telemetry`] instance — counters, gauges, and fixed-bucket
-//! log-scale histograms, plus a bounded ring of structured
-//! [`QueryTrace`] records. One process-wide instance
-//! ([`Telemetry::global`]) backs every [`crate::ComputeNode`] unless a
-//! caller supplies its own (tests isolate themselves this way).
+//! log-scale histograms, plus the retained views of recent batches
+//! (span trees, tail exemplars, the folded profile, the time series),
+//! each derived from the batch's one [`crate::BatchReport`]. One
+//! process-wide instance ([`Telemetry::global`]) backs every
+//! [`crate::ComputeNode`] unless a caller supplies its own (tests
+//! isolate themselves this way).
 //!
 //! Design constraints, in order:
 //!
@@ -14,33 +16,34 @@
 //!    handles. The registry lock is touched only at registration time
 //!    (node connect) and at exposition time.
 //! 2. **No allocation per query.** Handles are `Arc`s resolved once;
-//!    histograms are fixed arrays; the trace ring is preallocated and
-//!    traces are `Copy`. With tracing disabled the per-batch overhead
-//!    is a single atomic load.
+//!    histograms are fixed arrays. With span capture disabled the
+//!    tracer costs a batch one atomic load.
 //! 3. **No dependencies.** Exposition renders Prometheus text format
 //!    0.0.4 and JSON by hand; ordering is made deterministic with
 //!    `BTreeMap`s so output is diffable and testable.
 //!
 //! Metric naming follows Prometheus conventions: `dhnsw_` prefix,
 //! `_total` suffix on counters, base units in the name (`_us`,
-//! `_bytes`). Labels are attached at registration (`mode`, `stage`,
-//! `shard`) and become part of the handle, never a per-sample cost.
+//! `_bytes`); every family is defined once, in [`metrics`]. Labels are
+//! attached at registration (`mode`, `stage`, `shard`) and become part
+//! of the handle, never a per-sample cost.
 
 pub mod chrome;
 pub mod exemplar;
+pub mod metrics;
 pub mod profile;
 pub mod series;
 pub mod span;
 
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use exemplar::ExemplarStore;
 use profile::ProfileAccumulator;
 use series::{SeriesPoint, SeriesRecorder};
-use span::{SpanTracer, DEFAULT_SPAN_TRACE_CAPACITY};
+use span::{ArgValue, SpanId, SpanTracer, DEFAULT_SPAN_TRACE_CAPACITY};
 
 /// Number of histogram buckets: upper bounds `2^0 .. 2^31`, then +Inf.
 /// Shared with the exemplar store, whose per-bucket exemplars mirror
@@ -332,11 +335,14 @@ impl std::ops::Sub for HistogramSnapshot {
     }
 }
 
-/// What a registered metric is, for exposition.
+/// What a metric family is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kind {
+pub enum Kind {
+    /// Monotonically increasing.
     Counter,
+    /// Moves both ways.
     Gauge,
+    /// Log-2 bucketed samples.
     Histogram,
 }
 
@@ -375,164 +381,12 @@ pub(crate) fn escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
 }
 
-/// A structured record of one `query_batch` call.
-///
-/// `Copy` on purpose: recording a trace moves a fixed-size value into
-/// a preallocated ring — no heap allocation on the query path.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QueryTrace {
-    /// Search-mode label (`full`, `no_doorbell`, `naive`).
-    pub mode: &'static str,
-    /// Queries in the batch.
-    pub queries: u32,
-    /// Requested neighbors per query.
-    pub k: u32,
-    /// Sub-HNSW beam width.
-    pub ef: u32,
-    /// Partitions routed per query.
-    pub fanout: u32,
-    /// Total partition demand before dedup (queries × fanout).
-    pub raw_cluster_demand: u32,
-    /// Distinct clusters the batch touched.
-    pub unique_clusters: u32,
-    /// Clusters already resident in the cache.
-    pub cache_hits: u32,
-    /// Clusters fetched from remote memory.
-    pub clusters_loaded: u32,
-    /// Doorbell batches the loads issued.
-    pub doorbell_batches: u32,
-    /// Network round trips charged to the batch.
-    pub round_trips: u64,
-    /// Bytes read from remote memory.
-    pub bytes_read: u64,
-    /// Meta-HNSW routing stage, microseconds.
-    pub meta_us: f64,
-    /// Network stage (virtual clock), microseconds.
-    pub network_us: f64,
-    /// Sub-HNSW search stage, microseconds.
-    pub sub_us: f64,
-    /// Cluster materialization (decode) stage, microseconds.
-    pub materialize_us: f64,
-    /// Whole call, wall clock, microseconds.
-    pub total_us: f64,
-    /// Bytes read per [`rdma_sim::ReadCause`], indexed by
-    /// `ReadCause::index()` — the batch's byte provenance. Sums to
-    /// `bytes_read`.
-    pub cause_bytes: [u64; rdma_sim::READ_CAUSES],
-}
-
-/// Bounded ring of the most recent [`QueryTrace`]s.
-///
-/// Disabled by default; when disabled, recording costs one atomic
-/// load. A fixed-slot ring: the slot vector grows to capacity once
-/// and is then overwritten in place, so steady-state recording never
-/// allocates or shifts elements.
-#[derive(Debug)]
-pub struct TraceRing {
-    enabled: AtomicBool,
-    capacity: usize,
-    buf: Mutex<RingBuf>,
-}
-
-/// Fixed-capacity slot storage: `slots[head]` is the oldest retained
-/// trace, `len` of the slots are live, writes wrap modulo capacity.
-#[derive(Debug)]
-struct RingBuf {
-    slots: Vec<QueryTrace>,
-    head: usize,
-    len: usize,
-}
-
-impl TraceRing {
-    fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        TraceRing {
-            enabled: AtomicBool::new(false),
-            capacity,
-            buf: Mutex::new(RingBuf {
-                slots: Vec::with_capacity(capacity),
-                head: 0,
-                len: 0,
-            }),
-        }
-    }
-
-    /// Turns per-query tracing on or off.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether traces are currently recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Records a trace if enabled, evicting the oldest at capacity.
-    pub fn record(&self, trace: QueryTrace) {
-        if !self.is_enabled() {
-            return;
-        }
-        let mut buf = self.buf.lock();
-        if buf.len < self.capacity {
-            // Still filling: the write index is past the live window.
-            let idx = (buf.head + buf.len) % self.capacity;
-            if idx == buf.slots.len() {
-                buf.slots.push(trace);
-            } else {
-                buf.slots[idx] = trace;
-            }
-            buf.len += 1;
-        } else {
-            // Full: overwrite the oldest slot and advance the head.
-            let idx = buf.head;
-            buf.slots[idx] = trace;
-            buf.head = (buf.head + 1) % self.capacity;
-        }
-    }
-
-    /// The retained traces, strictly oldest first — stable across
-    /// wraparound. Allocates; exposition-path only.
-    pub fn recent(&self) -> Vec<QueryTrace> {
-        let buf = self.buf.lock();
-        (0..buf.len)
-            .map(|i| buf.slots[(buf.head + i) % self.capacity])
-            .collect()
-    }
-
-    /// Number of retained traces.
-    pub fn len(&self) -> usize {
-        self.buf.lock().len
-    }
-
-    /// Whether no traces are retained.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops all retained traces (capacity is kept reserved).
-    pub fn clear(&self) {
-        let mut buf = self.buf.lock();
-        buf.slots.clear();
-        buf.head = 0;
-        buf.len = 0;
-    }
-
-    /// Maximum number of retained traces.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-}
-
-/// Default number of traces the ring retains.
-pub const DEFAULT_TRACE_CAPACITY: usize = 256;
-
-/// The telemetry hub: a metrics registry, a trace ring, a span
-/// tracer, the always-on flame-profile accumulator, and the bounded
-/// tail-exemplar store.
+/// The telemetry hub: a metrics registry, a span tracer, the always-on
+/// flame-profile accumulator, the bounded tail-exemplar store, and the
+/// time-series recorder.
 #[derive(Debug)]
 pub struct Telemetry {
     families: Mutex<BTreeMap<&'static str, Family>>,
-    traces: TraceRing,
     spans: SpanTracer,
     profile: ProfileAccumulator,
     exemplars: ExemplarStore,
@@ -546,16 +400,10 @@ impl Default for Telemetry {
 }
 
 impl Telemetry {
-    /// An empty telemetry hub with the default trace capacity.
+    /// An empty telemetry hub.
     pub fn new() -> Self {
-        Self::with_trace_capacity(DEFAULT_TRACE_CAPACITY)
-    }
-
-    /// An empty telemetry hub retaining up to `capacity` traces.
-    pub fn with_trace_capacity(capacity: usize) -> Self {
         Telemetry {
             families: Mutex::new(BTreeMap::new()),
-            traces: TraceRing::new(capacity),
             spans: SpanTracer::new(DEFAULT_SPAN_TRACE_CAPACITY),
             profile: ProfileAccumulator::new(),
             exemplars: ExemplarStore::default(),
@@ -567,11 +415,6 @@ impl Telemetry {
     pub fn global() -> Arc<Telemetry> {
         static GLOBAL: OnceLock<Arc<Telemetry>> = OnceLock::new();
         Arc::clone(GLOBAL.get_or_init(|| Arc::new(Telemetry::new())))
-    }
-
-    /// The per-query trace ring.
-    pub fn traces(&self) -> &TraceRing {
-        &self.traces
     }
 
     /// The span tracer (per-batch span trees, slow-query log).
@@ -603,6 +446,30 @@ impl Telemetry {
     /// flushes the engine's substrate counters first.
     pub fn tick_series(&self, now_us: u64) -> Option<SeriesPoint> {
         self.series.tick(self, now_us)
+    }
+
+    /// Publishes one health event (an SLO violation, an anomaly): bumps
+    /// `counter{label}` and, while span capture is on, records a trace
+    /// labelled `names[0]` whose `names[1]` root span holds one
+    /// `names[2]` instant carrying `args`, plus the trace id of the
+    /// exemplar the event links to, if any.
+    pub(crate) fn emit_event(
+        &self,
+        counter: &metrics::MetricDef,
+        label: (&str, &str),
+        names: [&'static str; 3],
+        mut args: Vec<(&'static str, ArgValue)>,
+        exemplar: Option<u64>,
+    ) {
+        counter.counter(self, &[label]).inc();
+        let trace = self.spans.begin(names[0]);
+        if trace.is_enabled() {
+            let root = trace.begin_span(names[1], "health", SpanId::NONE);
+            args.extend(exemplar.map(|id| ("exemplar", ArgValue::U64(id))));
+            trace.instant(names[2], "health", root, &args);
+            trace.end_span(root);
+        }
+        self.spans.finish(trace);
     }
 
     /// Gets or registers the counter `name{labels}`.
@@ -1229,94 +1096,6 @@ mod tests {
         assert!(json.contains("\"p99\":4096"));
         assert!(json.starts_with("{\"counters\":{"));
         assert!(json.ends_with("}}"));
-    }
-
-    #[test]
-    fn trace_ring_respects_capacity_and_toggle() {
-        let t = Telemetry::with_trace_capacity(3);
-        let mk = |i: u32| QueryTrace {
-            mode: "full",
-            queries: i,
-            k: 10,
-            ef: 32,
-            fanout: 4,
-            raw_cluster_demand: 4,
-            unique_clusters: 4,
-            cache_hits: 0,
-            clusters_loaded: 4,
-            doorbell_batches: 1,
-            round_trips: 2,
-            bytes_read: 4096,
-            meta_us: 1.0,
-            network_us: 2.0,
-            sub_us: 3.0,
-            materialize_us: 0.0,
-            total_us: 6.0,
-            cause_bytes: [0; rdma_sim::READ_CAUSES],
-        };
-
-        // Disabled by default: nothing is recorded.
-        t.traces().record(mk(0));
-        assert!(t.traces().is_empty());
-
-        t.traces().set_enabled(true);
-        for i in 1..=5 {
-            t.traces().record(mk(i));
-        }
-        let got = t.traces().recent();
-        assert_eq!(got.len(), 3, "ring keeps only the newest N");
-        assert_eq!(
-            got.iter().map(|tr| tr.queries).collect::<Vec<_>>(),
-            vec![3, 4, 5]
-        );
-
-        t.traces().set_enabled(false);
-        t.traces().record(mk(9));
-        assert_eq!(t.traces().len(), 3);
-        t.traces().clear();
-        assert!(t.traces().is_empty());
-    }
-
-    #[test]
-    fn trace_ring_recent_is_oldest_first_across_wraparound() {
-        let t = Telemetry::with_trace_capacity(4);
-        t.traces().set_enabled(true);
-        let mk = |i: u32| QueryTrace {
-            mode: "full",
-            queries: i,
-            k: 10,
-            ef: 32,
-            fanout: 4,
-            raw_cluster_demand: 4,
-            unique_clusters: 4,
-            cache_hits: 0,
-            clusters_loaded: 4,
-            doorbell_batches: 1,
-            round_trips: 2,
-            bytes_read: 4096,
-            meta_us: 1.0,
-            network_us: 2.0,
-            sub_us: 3.0,
-            materialize_us: 0.0,
-            total_us: 6.0,
-            cause_bytes: [0; rdma_sim::READ_CAUSES],
-        };
-        // Wrap the ring two and a half times; after every record the
-        // retained window must be the most recent traces, strictly
-        // oldest→newest, regardless of where the head sits.
-        for i in 1..=10u32 {
-            t.traces().record(mk(i));
-            let got: Vec<u32> = t.traces().recent().iter().map(|tr| tr.queries).collect();
-            let lo = i.saturating_sub(3).max(1);
-            let want: Vec<u32> = (lo..=i).collect();
-            assert_eq!(got, want, "after recording {i}");
-        }
-        assert_eq!(t.traces().len(), 4);
-        // Clearing resets the window and recording restarts cleanly.
-        t.traces().clear();
-        assert!(t.traces().is_empty());
-        t.traces().record(mk(99));
-        assert_eq!(t.traces().recent()[0].queries, 99);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Bounded tail-exemplar store and the why-slow diagnoser.
 //!
 //! Aggregate histograms say *that* p99 moved; exemplars say *which
-//! query* and *why*. Every finished batch records a [`TailRecord`]
-//! here, and the store retains three bounded views:
+//! query* and *why*. Every finished batch offers its [`BatchReport`]
+//! here, and the store retains three bounded views of those records:
 //!
 //! 1. **Bucket exemplars** — for each latency-histogram bucket, the
 //!    trace id and dominant [`ReadCause`] of the most recent batch
@@ -12,8 +12,9 @@
 //! 2. **Reservoir** — a uniform sample over *all* batches (Algorithm
 //!    R under a seeded [SplitMix64] generator, so runs are
 //!    deterministic). This is the diagnoser's picture of "normal".
-//! 3. **K-slowest** — the exact top-K batches by wall latency, the
-//!    only entries that retain their full span trees.
+//! 3. **K-slowest** — the exact top-K batches by end-to-end latency
+//!    (`total_us`: host wall + exposed network), the only entries that
+//!    retain their full span trees.
 //!
 //! The **why-slow diagnoser** diffs an exemplar's per-query phase
 //! breakdown and per-cause byte ledger against the reservoir medians
@@ -32,7 +33,7 @@ use parking_lot::Mutex;
 
 use rdma_sim::{ReadCause, READ_CAUSES};
 
-use crate::breakdown::CostLedger;
+use crate::breakdown::BatchReport;
 use crate::telemetry::span::FinishedTrace;
 use crate::telemetry::{bucket_bound, bucket_index, HIST_BUCKETS};
 
@@ -70,41 +71,6 @@ pub fn verdict_index(verdict: &str) -> u64 {
         .map_or(99, |i| i as u64 + 1)
 }
 
-/// Everything the tail-anatomy layer keeps about one batch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TailRecord {
-    /// Trace id: the span tracer's batch sequence number (assigned
-    /// even when span capture is disabled).
-    pub trace_id: u64,
-    /// Search-mode label (`full`, `no_doorbell`, `naive`).
-    pub mode: &'static str,
-    /// Queries in the batch.
-    pub queries: u32,
-    /// Whole-batch wall latency, microseconds.
-    pub total_us: f64,
-    /// Mean per-query wall latency, microseconds.
-    pub per_query_us: f64,
-    /// The integer per-query sample the latency histogram observed —
-    /// bucket exemplars are filed under `bucket_index` of exactly
-    /// this value, so every populated bucket carries an exemplar by
-    /// construction.
-    pub latency_sample_us: u64,
-    /// Meta-HNSW routing time, microseconds.
-    pub meta_us: f64,
-    /// Exposed network time, microseconds.
-    pub network_us: f64,
-    /// Sub-HNSW search time, microseconds.
-    pub sub_us: f64,
-    /// Cluster materialization time, microseconds.
-    pub materialize_us: f64,
-    /// Byte/trip provenance of the batch, by [`ReadCause`].
-    pub ledger: CostLedger,
-    /// Queries answered with incomplete cluster coverage.
-    pub degraded_queries: u32,
-    /// Engine-level read retries the batch performed.
-    pub read_retries: u64,
-}
-
 /// The exemplar a histogram bucket points at: the most recent batch
 /// whose per-query latency sample landed in that bucket.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -119,13 +85,13 @@ pub struct BucketExemplar {
 
 #[derive(Debug)]
 struct SlowEntry {
-    rec: TailRecord,
+    rec: BatchReport,
     spans: Option<FinishedTrace>,
 }
 
 #[derive(Debug)]
 struct Inner {
-    reservoir: Vec<TailRecord>,
+    reservoir: Vec<BatchReport>,
     /// Batches offered to the reservoir so far (Algorithm R's `n`).
     seen: u64,
     rng: u64,
@@ -163,7 +129,7 @@ fn splitmix(state: &mut u64) -> u64 {
 
 /// `true` when `a` ranks strictly slower than `b` (ties break toward
 /// the earlier batch so the K-slowest set is total-ordered and exact).
-fn slower(a: &TailRecord, b: &TailRecord) -> bool {
+fn slower(a: &BatchReport, b: &BatchReport) -> bool {
     a.total_us > b.total_us || (a.total_us == b.total_us && a.trace_id < b.trace_id)
 }
 
@@ -190,19 +156,20 @@ impl ExemplarStore {
 
     /// Records one batch. The bucket exemplar always updates; the
     /// span tree (if any) is retained only while the batch sits in
-    /// the K-slowest set; the reservoir keeps a uniform sample.
-    pub fn record(&self, rec: TailRecord, spans: Option<FinishedTrace>) {
+    /// the K-slowest set; the reservoir keeps a uniform sample. The
+    /// record is copied only into the views that retain it.
+    pub fn record(&self, rec: &BatchReport, spans: Option<FinishedTrace>) {
         self.recorded.fetch_add(1, Ordering::Relaxed);
         let mut guard = self.inner.lock();
         let g = &mut *guard;
 
-        g.buckets[bucket_index(rec.latency_sample_us)] = Some(BucketExemplar {
+        g.buckets[bucket_index(rec.latency_sample_us())] = Some(BucketExemplar {
             trace_id: rec.trace_id,
-            per_query_us: rec.per_query_us,
+            per_query_us: rec.per_query_us(),
             cause: rec.ledger.dominant_cause(),
         });
 
-        let pos = g.slowest.partition_point(|e| slower(&e.rec, &rec));
+        let pos = g.slowest.partition_point(|e| slower(&e.rec, rec));
         if pos < self.slowest_capacity {
             g.slowest.insert(
                 pos,
@@ -219,11 +186,11 @@ impl ExemplarStore {
 
         g.seen += 1;
         if g.reservoir.len() < self.reservoir_capacity {
-            g.reservoir.push(rec);
+            g.reservoir.push(rec.clone());
         } else {
             let j = splitmix(&mut g.rng) % g.seen;
             if (j as usize) < self.reservoir_capacity {
-                g.reservoir[j as usize] = rec;
+                g.reservoir[j as usize] = rec.clone();
             }
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
@@ -258,12 +225,12 @@ impl ExemplarStore {
     }
 
     /// The K-slowest records, slowest first.
-    pub fn slowest(&self) -> Vec<TailRecord> {
+    pub fn slowest(&self) -> Vec<BatchReport> {
         self.inner.lock().slowest.iter().map(|e| e.rec.clone()).collect()
     }
 
     /// The current reservoir sample, in slot order.
-    pub fn reservoir(&self) -> Vec<TailRecord> {
+    pub fn reservoir(&self) -> Vec<BatchReport> {
         self.inner.lock().reservoir.clone()
     }
 
@@ -275,7 +242,7 @@ impl ExemplarStore {
 
     /// Finds a retained record by trace id (K-slowest first, since
     /// those carry spans, then the reservoir).
-    pub fn lookup(&self, trace_id: u64) -> Option<(TailRecord, Option<FinishedTrace>)> {
+    pub fn lookup(&self, trace_id: u64) -> Option<(BatchReport, Option<FinishedTrace>)> {
         let g = self.inner.lock();
         if let Some(e) = g.slowest.iter().find(|e| e.rec.trace_id == trace_id) {
             return Some((e.rec.clone(), e.spans.clone()));
@@ -305,7 +272,7 @@ impl ExemplarStore {
     /// `/exemplars` endpoint body).
     pub fn render_json(&self) -> String {
         let g = self.inner.lock();
-        let rec_json = |r: &TailRecord, has_spans: Option<bool>| {
+        let rec_json = |r: &BatchReport, has_spans: Option<bool>| {
             let cause = r
                 .ledger
                 .dominant_cause()
@@ -322,7 +289,7 @@ impl ExemplarStore {
                 r.mode,
                 r.queries,
                 num3(r.total_us),
-                num3(r.per_query_us),
+                num3(r.per_query_us()),
                 cause,
                 r.degraded_queries,
                 r.read_retries,
@@ -373,7 +340,7 @@ impl ExemplarStore {
     pub fn whyslow_json(&self, trace_id: u64) -> Option<String> {
         let (rec, spans) = self.lookup(trace_id)?;
         let baseline = self.reservoir();
-        Some(diagnose(&rec, spans.is_some(), &baseline).render_json())
+        Some(diagnose(&rec, &baseline).render_json(&rec, spans.is_some()))
     }
 
     /// Diagnoses the single slowest retained batch. Returns
@@ -384,16 +351,15 @@ impl ExemplarStore {
             let e = g.slowest.first()?;
             (e.rec.clone(), e.spans.is_some())
         };
-        let d = diagnose(&rec, has_spans, &self.reservoir());
-        Some((rec.trace_id, d.verdict, d.render_json()))
+        let d = diagnose(&rec, &self.reservoir());
+        Some((rec.trace_id, d.verdict, d.render_json(&rec, has_spans)))
     }
 }
 
-/// A ranked why-slow verdict for one exemplar.
+/// A ranked why-slow verdict for one exemplar: what [`diagnose`] adds
+/// to the batch's record, not a copy of it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Diagnosis {
-    /// Trace id of the diagnosed batch.
-    pub trace_id: u64,
     /// Top-ranked verdict (a [`VERDICTS`] entry, or `nominal`).
     pub verdict: &'static str,
     /// Score per verdict, [`VERDICTS`] order. Scores sum to 1 when
@@ -404,20 +370,8 @@ pub struct Diagnosis {
     pub excess_us: [f64; 4],
     /// Per-query byte excess over the baseline median, by cause.
     pub excess_bytes: [f64; READ_CAUSES],
-    /// The exemplar's mean per-query latency, µs.
-    pub per_query_us: f64,
     /// The baseline (reservoir median) per-query latency, µs.
     pub baseline_per_query_us: f64,
-    /// Queries in the diagnosed batch.
-    pub queries: u32,
-    /// Search-mode label of the batch.
-    pub mode: &'static str,
-    /// Degraded queries in the batch.
-    pub degraded_queries: u32,
-    /// Engine-level read retries the batch performed.
-    pub read_retries: u64,
-    /// Whether the full span tree is retained for this batch.
-    pub has_spans: bool,
 }
 
 /// Median of `values` (upper median; 0 when empty). Deterministic:
@@ -450,15 +404,16 @@ fn num3(v: f64) -> String {
 /// network excess with *no* byte excess means the transfer overlap
 /// was lost, not that more data moved: `pipeline_stall`. With no
 /// meaningful excess at all the verdict is `nominal`.
-pub fn diagnose(rec: &TailRecord, has_spans: bool, baseline: &[TailRecord]) -> Diagnosis {
-    let per_query = |r: &TailRecord| {
-        let q = f64::from(r.queries.max(1));
+pub fn diagnose(rec: &BatchReport, baseline: &[BatchReport]) -> Diagnosis {
+    let per_query = |r: &BatchReport| {
+        let q = r.queries.max(1) as f64;
+        let b = &r.breakdown;
         (
             [
-                r.meta_us / q,
-                r.network_us / q,
-                r.sub_us / q,
-                r.materialize_us / q,
+                b.meta_hnsw_us / q,
+                b.network_us / q,
+                b.sub_hnsw_us / q,
+                b.materialize_us / q,
             ],
             std::array::from_fn::<f64, READ_CAUSES, _>(|i| r.ledger.cause_bytes[i] as f64 / q),
         )
@@ -470,7 +425,7 @@ pub fn diagnose(rec: &TailRecord, has_spans: bool, baseline: &[TailRecord]) -> D
     let base_bytes: [f64; READ_CAUSES] = std::array::from_fn(|i| {
         median(baseline.iter().map(|r| per_query(r).1[i]).collect())
     });
-    let baseline_per_query_us = median(baseline.iter().map(|r| r.per_query_us).collect());
+    let baseline_per_query_us = median(baseline.iter().map(|r| r.per_query_us()).collect());
 
     let excess_us: [f64; 4] = std::array::from_fn(|i| (phases[i] - base_phases[i]).max(0.0));
     let excess_bytes: [f64; READ_CAUSES] =
@@ -508,24 +463,19 @@ pub fn diagnose(rec: &TailRecord, has_spans: bool, baseline: &[TailRecord]) -> D
         }
     }
     Diagnosis {
-        trace_id: rec.trace_id,
         verdict,
         scores,
         excess_us,
         excess_bytes,
-        per_query_us: rec.per_query_us,
         baseline_per_query_us,
-        queries: rec.queries,
-        mode: rec.mode,
-        degraded_queries: rec.degraded_queries,
-        read_retries: rec.read_retries,
-        has_spans,
     }
 }
 
 impl Diagnosis {
-    /// Deterministic JSON rendering of the ranked verdict.
-    pub fn render_json(&self) -> String {
+    /// Deterministic JSON rendering of the ranked verdict for `rec`, the
+    /// batch it diagnoses (`has_spans`: whether the store still holds
+    /// the batch's span tree).
+    pub fn render_json(&self, rec: &BatchReport, has_spans: bool) -> String {
         let scores: Vec<String> = VERDICTS
             .iter()
             .zip(self.scores.iter())
@@ -554,15 +504,15 @@ impl Diagnosis {
              \"read_retries\": {},\n  \"has_spans\": {},\n  \
              \"scores\": {{{}}},\n  \"excess_us_per_query\": {{{}}},\n  \
              \"excess_bytes_per_query\": {{{}}}\n}}\n",
-            self.trace_id,
-            self.mode,
-            self.queries,
+            rec.trace_id,
+            rec.mode,
+            rec.queries,
             self.verdict,
-            num3(self.per_query_us),
+            num3(rec.per_query_us()),
             num3(self.baseline_per_query_us),
-            self.degraded_queries,
-            self.read_retries,
-            self.has_spans,
+            rec.degraded_queries,
+            rec.read_retries,
+            has_spans,
             scores.join(", "),
             excess_us.join(", "),
             excess_bytes.join(", ")
@@ -573,29 +523,26 @@ impl Diagnosis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::breakdown::LatencyBreakdown;
     use proptest::prelude::*;
 
-    fn rec(trace_id: u64, total_us: f64, queries: u32) -> TailRecord {
-        let q = queries.max(1);
-        let per = total_us / f64::from(q);
-        TailRecord {
+    fn rec(trace_id: u64, total_us: f64, queries: usize) -> BatchReport {
+        BatchReport {
             trace_id,
             mode: "full",
             queries,
             total_us,
-            per_query_us: per,
-            latency_sample_us: per as u64,
-            meta_us: 0.05 * total_us,
-            network_us: 0.6 * total_us,
-            sub_us: 0.25 * total_us,
-            materialize_us: 0.1 * total_us,
-            ledger: CostLedger::default(),
-            degraded_queries: 0,
-            read_retries: 0,
+            breakdown: LatencyBreakdown {
+                meta_hnsw_us: 0.05 * total_us,
+                network_us: 0.6 * total_us,
+                sub_hnsw_us: 0.25 * total_us,
+                materialize_us: 0.1 * total_us,
+            },
+            ..Default::default()
         }
     }
 
-    fn with_bytes(mut r: TailRecord, cause: ReadCause, bytes: u64) -> TailRecord {
+    fn with_bytes(mut r: BatchReport, cause: ReadCause, bytes: u64) -> BatchReport {
         r.ledger.cause_bytes[cause.index()] = bytes;
         r
     }
@@ -603,9 +550,9 @@ mod tests {
     #[test]
     fn bucket_exemplars_track_the_latest_batch_per_bucket() {
         let s = ExemplarStore::default();
-        s.record(rec(1, 320.0, 32), None); // per-query 10 → bucket of 10
-        s.record(rec(2, 3200.0, 32), None); // per-query 100
-        s.record(rec(3, 352.0, 32), None); // per-query 11 → same bucket as 10
+        s.record(&rec(1, 320.0, 32), None); // per-query 10 → bucket of 10
+        s.record(&rec(2, 3200.0, 32), None); // per-query 100
+        s.record(&rec(3, 352.0, 32), None); // per-query 11 → same bucket as 10
         let ex = s.bucket_exemplars();
         let b10 = ex[bucket_index(10)].expect("bucket for 10µs");
         assert_eq!(b10.trace_id, 3, "most recent batch wins the bucket");
@@ -624,7 +571,7 @@ mod tests {
             spans: Vec::new(),
         };
         for (id, total) in [(1u64, 50.0), (2, 400.0), (3, 100.0), (4, 300.0)] {
-            s.record(rec(id, total, 16), Some(spans_of(id)));
+            s.record(&rec(id, total, 16), Some(spans_of(id)));
         }
         let slow: Vec<u64> = s.slowest().iter().map(|r| r.trace_id).collect();
         assert_eq!(slow, vec![2, 4], "exact top-2 by latency, slowest first");
@@ -642,7 +589,7 @@ mod tests {
         for i in 0..20u64 {
             // Latencies cycle so every bucket keeps being rewritten.
             let total = 100.0 + (i % 5) as f64 * 50.0;
-            s.record(rec(i, total, 1), None);
+            s.record(&rec(i, total, 1), None);
         }
         assert_eq!(s.recorded(), 20);
         assert_eq!(s.occupancy(), 6, "4 reservoir slots + 2 slowest");
@@ -666,7 +613,7 @@ mod tests {
     #[test]
     fn diagnoser_labels_a_retry_storm() {
         // Baseline: cheap batches whose bytes are all stage loads.
-        let baseline: Vec<TailRecord> = (0..9)
+        let baseline: Vec<BatchReport> = (0..9)
             .map(|i| with_bytes(rec(i, 160.0, 16), ReadCause::StageLoad, 4096))
             .collect();
         // The tail batch: network exploded, and the byte excess is
@@ -674,47 +621,48 @@ mod tests {
         let mut slow = with_bytes(rec(99, 1600.0, 16), ReadCause::StageLoad, 4096);
         slow.ledger.cause_bytes[ReadCause::Retry.index()] = 65536;
         slow.read_retries = 9;
-        let d = diagnose(&slow, true, &baseline);
+        let d = diagnose(&slow, &baseline);
         assert_eq!(d.verdict, "retry_storm");
         assert!(d.scores[1] > d.scores[0], "retry beats generic network");
         assert!(d.scores[1] > d.scores[5], "retry beats compute");
         // Scores tile: network byte shares + compute sum to 1.
         let sum: f64 = d.scores.iter().sum();
         assert!((sum - 1.0).abs() < 1e-9, "sum={sum}");
-        let json = d.render_json();
+        let json = d.render_json(&slow, true);
         assert!(json.contains("\"verdict\": \"retry_storm\""));
         assert!(json.contains("\"read_retries\": 9"));
     }
 
     #[test]
     fn diagnoser_separates_the_other_verdicts() {
-        let baseline: Vec<TailRecord> = (0..9).map(|i| rec(i, 160.0, 16)).collect();
+        let baseline: Vec<BatchReport> = (0..9).map(|i| rec(i, 160.0, 16)).collect();
         // Cold batch: network excess carried by stage-load bytes.
         let cold = with_bytes(rec(90, 1600.0, 16), ReadCause::StageLoad, 1 << 20);
-        assert_eq!(diagnose(&cold, false, &baseline).verdict, "cache_cold");
+        assert_eq!(diagnose(&cold, &baseline).verdict, "cache_cold");
         // Overflow-heavy batch.
         let ovf = with_bytes(rec(91, 1600.0, 16), ReadCause::OverflowScan, 1 << 20);
-        assert_eq!(diagnose(&ovf, false, &baseline).verdict, "overflow_heavy");
+        assert_eq!(diagnose(&ovf, &baseline).verdict, "overflow_heavy");
         // Network grew with no byte excess: the overlap stalled.
         let stall = rec(92, 1600.0, 16);
-        assert_eq!(diagnose(&stall, false, &baseline).verdict, "pipeline_stall");
+        assert_eq!(diagnose(&stall, &baseline).verdict, "pipeline_stall");
         // Compute-bound batch: sub-HNSW search dominates the excess.
         let mut cpu = rec(93, 1600.0, 16);
-        cpu.network_us = 0.6 * 160.0; // baseline network
-        cpu.sub_us = 1600.0 - cpu.network_us - cpu.meta_us - cpu.materialize_us;
-        assert_eq!(diagnose(&cpu, false, &baseline).verdict, "compute_bound");
+        let b = &mut cpu.breakdown;
+        b.network_us = 0.6 * 160.0; // baseline network
+        b.sub_hnsw_us = 1600.0 - b.network_us - b.meta_hnsw_us - b.materialize_us;
+        assert_eq!(diagnose(&cpu, &baseline).verdict, "compute_bound");
         // A batch at the baseline is nominal.
-        assert_eq!(diagnose(&rec(94, 160.0, 16), false, &baseline).verdict, "nominal");
+        assert_eq!(diagnose(&rec(94, 160.0, 16), &baseline).verdict, "nominal");
         // Prefetch-carried excess is generic network-bound.
         let net = with_bytes(rec(95, 1600.0, 16), ReadCause::Prefetch, 1 << 20);
-        assert_eq!(diagnose(&net, false, &baseline).verdict, "network_bound");
+        assert_eq!(diagnose(&net, &baseline).verdict, "network_bound");
     }
 
     #[test]
     fn whyslow_resolves_retained_ids_only() {
         let s = ExemplarStore::with_config(8, 2, 1);
         for i in 0..6u64 {
-            s.record(rec(i, 100.0 + i as f64, 8), None);
+            s.record(&rec(i, 100.0 + i as f64, 8), None);
         }
         let json = s.whyslow_json(5).expect("retained id resolves");
         assert!(json.contains("\"trace_id\": 5"));
@@ -740,10 +688,10 @@ mod tests {
     fn render_json_is_deterministic_and_structured() {
         let s = ExemplarStore::with_config(4, 2, 3);
         s.record(
-            with_bytes(rec(1, 500.0, 10), ReadCause::StageLoad, 2048),
+            &with_bytes(rec(1, 500.0, 10), ReadCause::StageLoad, 2048),
             None,
         );
-        s.record(rec(2, 90.0, 10), None);
+        s.record(&rec(2, 90.0, 10), None);
         let a = s.render_json();
         assert_eq!(a, s.render_json(), "rendering is a pure read");
         assert!(a.contains("\"occupancy\": 4"), "{a}");
@@ -766,8 +714,8 @@ mod tests {
             let a = ExemplarStore::with_config(8, 4, 0xABCD);
             let b = ExemplarStore::with_config(8, 4, 0xABCD);
             for (i, &t) in totals.iter().enumerate() {
-                a.record(rec(i as u64, f64::from(t), 4), None);
-                b.record(rec(i as u64, f64::from(t), 4), None);
+                a.record(&rec(i as u64, f64::from(t), 4), None);
+                b.record(&rec(i as u64, f64::from(t), 4), None);
             }
             // Same seed + same stream → identical reservoirs.
             prop_assert_eq!(a.reservoir(), b.reservoir());

@@ -286,7 +286,7 @@ mod tests {
         let child = trace.begin_span("meta_route", "engine", root);
         trace.end_span(child);
         trace.end_span(root);
-        let ft = t.finish_trace(trace).unwrap();
+        let ft = t.finish_trace(trace, None).unwrap();
         p.fold_trace(&ft);
         let snap = p.snapshot();
         assert_eq!(snap.len(), 2);

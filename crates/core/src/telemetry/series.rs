@@ -45,8 +45,8 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use rdma_sim::{ReadCause, READ_CAUSES};
 
-use super::span::{ArgValue, SpanId};
-use super::{json_f64, Counter, Histogram, HistogramSnapshot, Telemetry};
+use super::span::ArgValue;
+use super::{json_f64, metrics, Counter, Histogram, HistogramSnapshot, Telemetry};
 
 /// Default number of derived points the ring retains (at the serving
 /// plane's 1 Hz sampler: ten minutes of history).
@@ -343,7 +343,7 @@ impl Detector {
 }
 
 /// Pre-resolved instrument handles the recorder samples. Resolution
-/// re-registers the same names the engine registers (get-or-register
+/// names the same table entries the engine does (get-or-register
 /// returns the existing `Arc`), so the recorder observes the live
 /// counters of the hub it is embedded in.
 #[derive(Debug)]
@@ -368,50 +368,16 @@ impl Handles {
     fn resolve(t: &Telemetry) -> Handles {
         let m: &[(&str, &str)] = &[("mode", "full")];
         Handles {
-            queries: t.counter("dhnsw_queries_total", "Queries answered", m),
-            latency: t.histogram(
-                "dhnsw_query_latency_us",
-                "Per-query latency in microseconds (CPU wall + exposed network stall, batch time / batch size)",
-                m,
-            ),
-            bytes_read: t.counter(
-                "dhnsw_rdma_bytes_read_total",
-                "Bytes read from remote memory",
-                &[],
-            ),
-            cause_bytes: std::array::from_fn(|i| {
-                t.counter(
-                    "dhnsw_rdma_read_bytes_by_cause_total",
-                    "Bytes read from remote memory, by read cause; sums to dhnsw_rdma_bytes_read_total",
-                    &[("cause", ReadCause::ALL[i].as_str())],
-                )
-            }),
-            read_retries: t.counter(
-                "dhnsw_read_retries_total",
-                "Engine-level cluster read retries (version mismatch or exhausted retransmissions)",
-                m,
-            ),
-            evictions: t.counter(
-                "dhnsw_cache_evictions_total",
-                "Clusters evicted by LRU pressure",
-                &[],
-            ),
-            cache_hits: t.counter("dhnsw_cache_hits_total", "Cluster cache lookup hits", &[]),
-            cache_misses: t.counter(
-                "dhnsw_cache_misses_total",
-                "Cluster cache lookup misses",
-                &[],
-            ),
-            hidden_us: t.counter(
-                "dhnsw_pipeline_hidden_us_total",
-                "Virtual network time hidden behind compute by micro-batch pipelining",
-                m,
-            ),
-            network_us: t.counter(
-                "dhnsw_stage_us_total",
-                "Cumulative stage time in microseconds",
-                &[("mode", "full"), ("stage", "network")],
-            ),
+            queries: metrics::QUERIES.counter(t, m),
+            latency: metrics::QUERY_LATENCY_US.histogram(t, m),
+            bytes_read: metrics::RDMA_BYTES_READ.counter(t, &[]),
+            cause_bytes: metrics::RDMA_READ_BYTES_BY_CAUSE.counters_by_cause(t),
+            read_retries: metrics::READ_RETRIES.counter(t, m),
+            evictions: metrics::CACHE_EVICTIONS.counter(t, &[]),
+            cache_hits: metrics::CACHE_HITS.counter(t, &[]),
+            cache_misses: metrics::CACHE_MISSES.counter(t, &[]),
+            hidden_us: metrics::PIPELINE_HIDDEN_US.counter(t, m),
+            network_us: metrics::STAGE_US.counter(t, &[("mode", "full"), ("stage", "network")]),
         }
     }
 
@@ -594,8 +560,19 @@ impl SeriesRecorder {
         drop(inner);
         // Counter and span emission take the registry/span locks;
         // keep them outside the recorder lock.
-        for record in &new_records {
-            emit_anomaly(telemetry, record);
+        for r in &new_records {
+            telemetry.emit_event(
+                &metrics::ANOMALIES,
+                ("series", r.series),
+                ["anomaly", "anomaly_detector", "anomaly"],
+                vec![
+                    ("series", ArgValue::Str(r.series)),
+                    ("value", ArgValue::F64(r.value)),
+                    ("mean", ArgValue::F64(r.mean)),
+                    ("zscore", ArgValue::F64(r.zscore)),
+                ],
+                r.exemplar,
+            );
         }
         Some(point)
     }
@@ -684,36 +661,6 @@ impl SeriesRecorder {
     }
 }
 
-/// Publishes one anomaly: bumps `dhnsw_anomaly_total{series=…}` and,
-/// when span capture is enabled, records an `anomaly_detector` trace
-/// with a structured `anomaly` instant (mirroring the SLO watchdog's
-/// emission shape).
-fn emit_anomaly(telemetry: &Telemetry, record: &AnomalyRecord) {
-    telemetry
-        .counter(
-            "dhnsw_anomaly_total",
-            "Anomalies flagged by the series recorder (EWMA mean + MAD z-score)",
-            &[("series", record.series)],
-        )
-        .inc();
-    let trace = telemetry.spans().begin("anomaly");
-    if trace.is_enabled() {
-        let root = trace.begin_span("anomaly_detector", "health", SpanId::NONE);
-        let mut args = vec![
-            ("series", ArgValue::Str(record.series)),
-            ("value", ArgValue::F64(record.value)),
-            ("mean", ArgValue::F64(record.mean)),
-            ("zscore", ArgValue::F64(record.zscore)),
-        ];
-        if let Some(id) = record.exemplar {
-            args.push(("exemplar", ArgValue::U64(id)));
-        }
-        trace.instant("anomaly", "health", root, &args);
-        trace.end_span(root);
-    }
-    telemetry.spans().finish(trace);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -721,7 +668,7 @@ mod tests {
     /// A hub plus the handles tests use to drive the instruments the
     /// recorder watches.
     fn hub() -> (Telemetry, Handles) {
-        let t = Telemetry::with_trace_capacity(8);
+        let t = Telemetry::new();
         let h = Handles::resolve(&t);
         (t, h)
     }

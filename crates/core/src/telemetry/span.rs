@@ -16,9 +16,10 @@
 //! Tracing is off by default; a disabled [`BatchTrace`] is a `None`
 //! and every method on it is a no-op, so the query path pays one
 //! atomic load per batch when idle. Finished traces land in a bounded
-//! ring on the [`SpanTracer`]; batches whose root span exceeds the
-//! configured slow threshold additionally render their full span tree
-//! into the slow-query log (and to stderr).
+//! ring on the [`SpanTracer`]; batches whose latency (their
+//! [`BatchReport`]'s `total_us`) exceeds the configured slow threshold
+//! additionally render their full span tree into the slow-query log (and
+//! to stderr).
 //!
 //! The RDMA substrate cannot depend on this crate, so the bridge runs
 //! the other way: [`QpSpanSink`] implements [`rdma_sim::TraceSink`]
@@ -35,6 +36,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
+
+use crate::breakdown::BatchReport;
 
 /// Default number of finished traces the tracer retains.
 pub const DEFAULT_SPAN_TRACE_CAPACITY: usize = 64;
@@ -473,7 +476,7 @@ impl SpanTracer {
     }
 
     /// Sets the slow-query threshold in microseconds (0 disables).
-    /// Batches whose root span exceeds it dump their span tree to the
+    /// Batches whose latency exceeds it dump their span tree to the
     /// slow log and stderr.
     pub fn set_slow_threshold_us(&self, us: u64) {
         self.slow_threshold_us.store(us, Ordering::Relaxed);
@@ -504,19 +507,29 @@ impl SpanTracer {
         }
     }
 
-    /// Finishes a trace, discarding the finished tree (see
+    /// Finishes a trace that is not a query batch's (a prefetch round,
+    /// a watchdog or anomaly event), discarding the finished tree (see
     /// [`SpanTracer::finish_trace`]).
     pub fn finish(&self, trace: BatchTrace) {
-        let _ = self.finish_trace(trace);
+        let _ = self.finish_trace(trace, None);
     }
 
     /// Finishes a trace: closes any still-open spans, retains the
     /// result (evicting the oldest at capacity), and renders a
-    /// slow-query report if over threshold. Returns a copy of the
-    /// finished trace so the caller can fold it into the profile
-    /// accumulator or retain it as a tail exemplar; `None` for
-    /// disabled handles.
-    pub fn finish_trace(&self, trace: BatchTrace) -> Option<FinishedTrace> {
+    /// slow-query report if over threshold. A query batch passes its
+    /// record: the threshold is judged against the record's `total_us`
+    /// — host wall plus exposed network, the number the latency
+    /// histogram and the exemplars file the batch under — and the
+    /// report's header names the ledger's dominant cause. Without a
+    /// record the root span's wall time is all there is to judge.
+    /// Returns a copy of the finished trace so the caller can fold it
+    /// into the profile accumulator or retain it as a tail exemplar;
+    /// `None` for disabled handles.
+    pub fn finish_trace(
+        &self,
+        trace: BatchTrace,
+        batch: Option<&BatchReport>,
+    ) -> Option<FinishedTrace> {
         let inner = trace.inner?;
         let now = inner.epoch.elapsed().as_secs_f64() * 1e6;
         let spans = {
@@ -536,8 +549,10 @@ impl SpanTracer {
             spans,
         };
         let threshold = self.slow_threshold_us.load(Ordering::Relaxed);
-        if threshold > 0 && ft.total_us > threshold as f64 {
-            let report = render_tree(&ft);
+        let latency_us = batch.map_or(ft.total_us, |b| b.total_us);
+        if threshold > 0 && latency_us > threshold as f64 {
+            let cause = batch.and_then(|b| b.ledger.dominant_cause());
+            let report = render_tree(&ft, latency_us, cause.map_or("none", |c| c.as_str()));
             eprintln!("{report}");
             let mut log = self.slow_log.lock();
             if log.len() == SLOW_LOG_CAPACITY {
@@ -580,42 +595,15 @@ impl SpanTracer {
     }
 }
 
-/// Dominant read cause of a finished trace, derived from the root
-/// span's `bytes_<cause>` arguments (the engine attaches one per
-/// nonzero [`rdma_sim::ReadCause`], in cause-index order, so ties
-/// break toward the lowest index like `CostLedger::dominant_cause`).
-fn dominant_cause_label(ft: &FinishedTrace) -> &'static str {
-    let Some(root) = ft.spans.first() else {
-        return "none";
-    };
-    let mut best: Option<(&'static str, u64)> = None;
-    for (k, v) in &root.args {
-        let Some(cause) = (*k).strip_prefix("bytes_") else {
-            continue;
-        };
-        let ArgValue::U64(b) = v else { continue };
-        if *b == 0 {
-            continue;
-        }
-        match best {
-            Some((_, bb)) if bb >= *b => {}
-            _ => best = Some((cause, *b)),
-        }
-    }
-    best.map_or("none", |(c, _)| c)
-}
-
 /// Renders a finished trace as an indented span tree for the
-/// slow-query log. The header carries the batch's trace id and its
-/// dominant read cause so a log line joins directly against the
-/// exemplar store (`/whyslow/<trace-id>`).
-fn render_tree(ft: &FinishedTrace) -> String {
+/// slow-query log. The header carries the batch's trace id, the
+/// latency it was judged by and its dominant read cause, so a log line
+/// joins directly against the exemplar store (`/whyslow/<trace-id>`).
+fn render_tree(ft: &FinishedTrace, latency_us: f64, cause: &str) -> String {
     let mut out = format!(
-        "slow query batch: trace_id={} mode={} total={:.1}us cause={} ({} spans)",
+        "slow query batch: trace_id={} mode={} total={latency_us:.1}us cause={cause} ({} spans)",
         ft.seq,
         ft.label,
-        ft.total_us,
-        dominant_cause_label(ft),
         ft.spans.len()
     );
     // Children of span `p` (0 = roots), preserving recording order.
@@ -677,7 +665,7 @@ mod tests {
         let id = trace.begin_span("x", "engine", SpanId::NONE);
         assert_eq!(id, SpanId::NONE);
         trace.end_span(id);
-        assert!(t.finish_trace(trace).is_none());
+        assert!(t.finish_trace(trace, None).is_none());
         assert!(t.is_empty());
     }
 
@@ -691,7 +679,9 @@ mod tests {
         t.set_enabled(true);
         let enabled = t.begin("full");
         assert_eq!(enabled.seq(), 2);
-        let ft = t.finish_trace(enabled).expect("enabled trace finishes");
+        let ft = t
+            .finish_trace(enabled, None)
+            .expect("enabled trace finishes");
         assert_eq!(ft.seq, 2);
         t.set_enabled(false);
         assert_eq!(t.begin("full").seq(), 3);
@@ -761,44 +751,45 @@ mod tests {
         let child = slow.begin_span("sub_hnsw_search", "engine", root);
         std::thread::sleep(std::time::Duration::from_millis(2));
         slow.end_span(child);
-        slow.end_span_with(
-            root,
-            &[
-                ("bytes_stage_load", ArgValue::U64(100)),
-                ("bytes_retry", ArgValue::U64(700)),
-            ],
-        );
+        slow.end_span(root);
         t.finish(slow);
         let log = t.slow_log();
         assert_eq!(log.len(), 1);
         assert!(log[0].contains("slow query batch"));
         assert!(log[0].contains("sub_hnsw_search"));
         assert!(log[0].contains("mode=full"));
-        // The header joins against the exemplar store: trace id plus
-        // the dominant read cause from the root span's byte args.
         assert!(log[0].contains(&format!("trace_id={seq}")));
-        assert!(log[0].contains("cause=retry"));
+        assert!(log[0].contains("cause=none"), "no record, no ledger");
     }
 
     #[test]
-    fn dominant_cause_falls_back_to_none() {
+    fn a_batch_is_judged_and_headed_by_its_record() {
         let t = tracer();
-        let trace = t.begin("full");
-        trace.begin_span("query_batch", "engine", SpanId::NONE);
-        let ft = t.finish_trace(trace).unwrap();
-        assert_eq!(dominant_cause_label(&ft), "none");
-        // Ties break toward the first (lowest-index) cause argument.
-        let trace = t.begin("full");
-        let root = trace.begin_span("query_batch", "engine", SpanId::NONE);
-        trace.end_span_with(
-            root,
-            &[
-                ("bytes_stage_load", ArgValue::U64(500)),
-                ("bytes_version_check", ArgValue::U64(500)),
-            ],
-        );
-        let ft = t.finish_trace(trace).unwrap();
-        assert_eq!(dominant_cause_label(&ft), "stage_load");
+        t.set_slow_threshold_us(500);
+        let mut report = BatchReport {
+            total_us: 400.0,
+            ..Default::default()
+        };
+        report.ledger.cause_bytes[rdma_sim::ReadCause::StageLoad.index()] = 100;
+        report.ledger.cause_bytes[rdma_sim::ReadCause::Retry.index()] = 700;
+        let finish = |report: &BatchReport| {
+            let trace = t.begin("full");
+            trace.begin_span("query_batch", "engine", SpanId::NONE);
+            t.finish_trace(trace, Some(report)).unwrap().seq
+        };
+        // The root span closes within microseconds either way: only the
+        // record's latency decides.
+        finish(&report);
+        assert!(t.slow_log().is_empty(), "400 us is under the 500 us budget");
+        report.total_us = 501.0;
+        let seq = finish(&report);
+        let log = t.slow_log();
+        assert_eq!(log.len(), 1);
+        // The header joins against the exemplar store: trace id, the
+        // latency judged, the ledger's dominant cause.
+        assert!(log[0].contains(&format!(
+            "trace_id={seq} mode=full total=501.0us cause=retry"
+        )));
     }
 
     #[test]

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Full local gate: release build, every test, lint-clean clippy, the
-# line-count ratchet, the benchmark-regression smoke gate, a clean-clone
-# build of HEAD, and the repository benchmark (benchmark/) at smoke scale.
+# line-count ratchet, the one-definition greps, the benchmark-regression
+# smoke gate, a clean-clone build of HEAD, and the repository benchmark
+# (benchmark/) at smoke scale.
 #
 #   ./scripts/check.sh                   # the gate
-#   ./scripts/check.sh --update-baseline # regenerate committed baselines
-#                                        # (telemetry + bench) then re-gate
+#   ./scripts/check.sh --update-baseline # regenerate the committed bench
+#                                        # baseline, then re-gate
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -21,9 +22,6 @@ echo "==> cargo build --release"
 cargo build --release --workspace
 
 if [[ "$UPDATE" == 1 ]]; then
-  echo "==> regenerating results/telemetry_baseline.{prom,json}"
-  DHNSW_SIFT_N=4000 DHNSW_QUERIES=100 \
-    target/release/repro fig6a --metrics-out results/telemetry_baseline
   echo "==> regenerating results/BENCH_baseline.json"
   target/release/bench_regress --profile smoke --label baseline --write-baseline
 fi
@@ -52,10 +50,36 @@ DHNSW_STRESS_ITERS=100 cargo test --release -q --test stress
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-# Size ratchet: non-test lines under crates/core/src, per file and in
-# total, may not grow past what ROADMAP item 3 reached.
+# Size ratchet: non-test lines under crates/core/src — per file, in
+# total, and in the telemetry plane — may not grow past what ROADMAP
+# items 3 and 5 reached.
 echo "==> scripts/loc.sh --check"
 scripts/loc.sh --check
+
+# One definition per metric: a family is named in the metric table and
+# nowhere else, so its help and kind cannot drift between registration
+# sites (non-test code only: no tests/ directory, and each file cut at
+# its first #[cfg(test)] as scripts/loc.sh does).
+echo "==> metric names live in telemetry/metrics.rs only"
+stray=$(find crates -name '*.rs' ! -path '*/tests/*' \
+  ! -path 'crates/core/src/telemetry/metrics.rs' | sort |
+  while IFS= read -r file; do
+    awk -v f="$file" '/#!?\[cfg\(test\)\]/ { exit }
+      /"dhnsw_[a-z0-9_]+"/ { print f ":" FNR ": " $0 }' "$file"
+  done)
+if [[ -n "$stray" ]]; then
+  echo "$stray"
+  echo "check.sh: metric-name literals outside crates/core/src/telemetry/metrics.rs" >&2
+  exit 1
+fi
+
+# One record per batch: the per-batch copies BatchReport replaced stay
+# gone.
+echo "==> no second per-batch record"
+if grep -rnE 'QueryTrace|TailRecord|TraceRing' crates src tests examples; then
+  echo "check.sh: a per-batch record other than BatchReport is back" >&2
+  exit 1
+fi
 
 # Clean-clone gate: tier-1 on what is actually committed. A file that is
 # ignored or merely untracked here does not exist there, so it can never

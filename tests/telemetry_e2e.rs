@@ -1,12 +1,13 @@
-//! End-to-end telemetry: the metrics registry and per-query traces must
-//! agree with what the engine already reports through [`BatchReport`]
-//! and the substrate's [`TransferStats`].
+//! End-to-end telemetry: the metrics registry and the retained views
+//! must agree with what the engine reports through [`BatchReport`] and
+//! the substrate's [`TransferStats`].
 
 use std::sync::Arc;
 
 use dhnsw_repro::dhnsw::{
     DHnswConfig, SearchMode, ShardedStore, Telemetry, VectorStore,
 };
+use dhnsw_repro::rdma_sim::NetworkModel;
 use dhnsw_repro::vecsim::{gen, Dataset};
 
 fn workload() -> (VectorStore, Dataset) {
@@ -30,53 +31,40 @@ fn metric_value(text: &str, series: &str) -> f64 {
 }
 
 #[test]
-fn tracing_is_off_by_default_and_records_nothing() {
-    let (store, queries) = workload();
+fn slow_query_log_judges_wall_plus_exposed_network() {
+    // A fabric whose round trip costs 1000 virtual seconds: a batch that
+    // moves anything is slow by the clock this system models, though the
+    // host spends milliseconds on it. Whole-store cache, so the repeat
+    // batch moves nothing.
+    let data = gen::sift_like(2_000, 11).unwrap();
+    let queries = gen::perturbed_queries(&data, 40, 0.02, 12).unwrap();
+    let fabric = NetworkModel::connectx6().with_base_rtt_us(1e9).unwrap();
+    let config = DHnswConfig::small().with_cache_fraction(1.0).with_network(fabric);
+    let store = VectorStore::build(data, &config).unwrap();
     let telemetry = Arc::new(Telemetry::new());
     let node = store
         .connect_with_telemetry(SearchMode::Full, Arc::clone(&telemetry))
         .unwrap();
+    node.set_prefetch_budget_bytes(0);
+    telemetry.spans().set_enabled(true);
+    let threshold_us = 100e6;
+    telemetry.spans().set_slow_threshold_us(threshold_us as u64);
 
-    node.query_batch(&queries, 10, 32).unwrap();
-    assert!(telemetry.traces().is_empty(), "tracing must be opt-in");
+    let (_, cold) = node.query_batch(&queries, 10, 32).unwrap();
+    let (_, warm) = node.query_batch(&queries, 10, 32).unwrap();
+    let wall_us = cold.total_us - cold.breakdown.network_us;
+    assert!(wall_us < threshold_us && threshold_us < cold.total_us, "{cold:?}");
+    assert!(warm.total_us < threshold_us, "{warm:?}");
 
-    telemetry.traces().set_enabled(true);
-    node.query_batch(&queries, 10, 32).unwrap();
-    assert_eq!(telemetry.traces().len(), 1);
-
-    telemetry.traces().set_enabled(false);
-    node.query_batch(&queries, 10, 32).unwrap();
-    assert_eq!(telemetry.traces().len(), 1, "disable must stop recording");
-}
-
-#[test]
-fn query_trace_agrees_with_batch_report() {
-    let (store, queries) = workload();
-    let telemetry = Arc::new(Telemetry::new());
-    telemetry.traces().set_enabled(true);
-    let node = store
-        .connect_with_telemetry(SearchMode::Full, Arc::clone(&telemetry))
-        .unwrap();
-
-    let (_, report) = node.query_batch(&queries, 10, 32).unwrap();
-    let traces = telemetry.traces().recent();
-    assert_eq!(traces.len(), 1);
-    let t = traces[0];
-
-    assert_eq!(t.mode, "full");
-    assert_eq!(t.queries as usize, report.queries);
-    assert_eq!((t.k, t.ef), (10, 32));
-    assert_eq!(t.raw_cluster_demand as usize, report.raw_cluster_demand);
-    assert_eq!(t.unique_clusters as usize, report.unique_clusters);
-    assert_eq!(t.cache_hits as usize, report.cache_hits);
-    assert_eq!(t.clusters_loaded as usize, report.clusters_loaded);
-    assert_eq!(t.round_trips, report.round_trips);
-    assert_eq!(t.bytes_read, report.bytes_read);
-    // The virtual network time is part of the trace's stage breakdown.
-    assert!((t.network_us - report.breakdown.network_us).abs() < 1e-9);
-    assert!(t.total_us > 0.0);
-    // Doorbell batching on: every loaded cluster crossed in few rings.
-    assert!(t.doorbell_batches as u64 <= t.round_trips);
+    // The log, the exemplar ranking and the histogram judge one number:
+    // the cold batch is the slow one everywhere, the warm one nowhere.
+    let log = telemetry.spans().slow_log();
+    assert_eq!(log.len(), 1, "{log:?}");
+    let header = format!("slow query batch: trace_id={} mode=full", cold.trace_id);
+    assert!(log[0].starts_with(&header), "{}", log[0]);
+    assert!(log[0].contains("cause=stage_load"));
+    let listed = format!("\"slowest\": [{{\"trace_id\": {},", cold.trace_id);
+    assert!(telemetry.exemplars().render_json().contains(&listed));
 }
 
 #[test]
