@@ -36,8 +36,9 @@
 //!
 //! What must agree is asserted, not just recorded: on every batch the
 //! returned report's `ledger.cause_bytes`, the root span's `bytes_*`
-//! arguments and the `/metrics` by-cause delta are the same numbers, and
-//! turning spans on changes no count in the metrics section.
+//! arguments and the `/metrics` by-cause delta are the same numbers,
+//! turning spans on changes no count in the metrics section, and every
+//! populated bucket of the latency histogram carries an exemplar.
 //!
 //! Regenerate after an intentional change with:
 //! `BLESS=1 cargo test -p dhnsw --test obs_ledger`
@@ -46,6 +47,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use dhnsw::health::watchdog;
+use dhnsw::telemetry::metrics::QUERY_LATENCY_US;
 use dhnsw::{
     ArgValue, ComputeNode, DHnswConfig, FinishedTrace, QuantizeMode, ReadCause, SearchMode,
     SloViolation, SpanKind, Telemetry, VectorStore, READ_CAUSES,
@@ -303,6 +305,22 @@ fn cell(data: &Dataset, queries: &Dataset, wire: QuantizeMode, spans: bool) -> (
         r.unwrap();
     }
     batch(&node, queries, spans, "after inserts");
+    // The histogram and the exemplar store file a batch under the same
+    // sample value, so a counted bucket without an exemplar means the
+    // exemplar path dropped a batch the histogram saw.
+    let ex = telemetry.exemplars();
+    assert_eq!(ex.recorded(), 3, "one exemplar per batch");
+    let latency = QUERY_LATENCY_US.histogram(&telemetry, &[("mode", "full")]);
+    let exemplars = ex.bucket_exemplars();
+    let mut below = 0u64;
+    for (i, (bound, cum)) in latency.cumulative_buckets().into_iter().enumerate() {
+        assert!(
+            cum == below || exemplars[i].is_some(),
+            "latency bucket le={bound} holds {} sample(s) but no exemplar",
+            cum - below
+        );
+        below = cum;
+    }
     let health = node.health_report().unwrap();
     watchdog::emit(
         &telemetry,
@@ -334,7 +352,6 @@ fn cell(data: &Dataset, queries: &Dataset, wire: QuantizeMode, spans: bool) -> (
             }
         }
     }
-    let ex = telemetry.exemplars();
     rest.push_str("-- /exemplars --\n");
     rest.push_str(&mask_decimals(&canon_exemplars(&ex.render_json())));
     rest.push_str("-- /whyslow/0 --\n");

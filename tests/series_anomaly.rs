@@ -1,7 +1,8 @@
 //! Seeded fault-rate ramp → retry-storm anomaly → why-slow linkage.
 //!
-//! End-to-end contract for the time-series layer: a node serving a
-//! steady pinned-seed workload establishes an anomaly-free baseline;
+//! End-to-end contract for the time-series layer, on the full-precision
+//! and the SQ8 wire alike: a node serving a steady pinned-seed workload
+//! establishes a baseline free of deterministic anomalies;
 //! ramping the substrate fault rate (with retransmissions disabled)
 //! makes engine-level read retries storm, and the recorder must flag
 //! that as a `retries_per_s` anomaly whose record links a retained
@@ -11,13 +12,21 @@
 
 use std::sync::Arc;
 
-use dhnsw_repro::dhnsw::{DHnswConfig, SearchMode, Telemetry, VectorStore};
+use dhnsw_repro::dhnsw::{DHnswConfig, QuantizeMode, SearchMode, Telemetry, VectorStore};
 use dhnsw_repro::vecsim::gen;
 
 #[test]
 fn fault_ramp_fires_retry_anomaly_linking_an_exemplar() {
+    for wire in [QuantizeMode::Off, QuantizeMode::Sq8] {
+        fault_ramp_on(wire);
+    }
+}
+
+fn fault_ramp_on(wire: QuantizeMode) {
     let data = gen::sift_like(600, 31).unwrap();
-    let cfg = DHnswConfig::small().with_degraded_ok(true);
+    let cfg = DHnswConfig::small()
+        .with_degraded_ok(true)
+        .with_quantize_mode(wire);
     let store = VectorStore::build(data.clone(), &cfg).unwrap();
     let queries = gen::perturbed_queries(&data, 16, 0.02, 32).unwrap();
     let telemetry = Arc::new(Telemetry::new());
@@ -36,11 +45,12 @@ fn fault_ramp_fires_retry_anomaly_linking_an_exemplar() {
         t_us += 1_000_000;
         node.sample_series(t_us);
     }
-    assert_eq!(
-        telemetry.series().anomaly_count(),
-        0,
-        "steady baseline must be anomaly-free: {:?}",
-        telemetry.series().anomalies()
+    // Only the count-derived series: whether a window's p99 strays is
+    // the wall clock's call.
+    let steady = telemetry.series().anomalies();
+    assert!(
+        !steady.iter().any(|a| a.deterministic),
+        "{wire:?}: steady baseline must be anomaly-free: {steady:?}"
     );
 
     // Ramp: no retransmissions plus a 50% seeded drop rate maps every
