@@ -6,11 +6,15 @@
 //! ```
 //!
 //! Subcommands: `fig6a` `fig6b` `fig6c` `fig6d` `table1` `table2`
-//! `metasize` `ablations` `faults` `pipeline` `all`. Scale via
-//! `DHNSW_SIFT_N`, `DHNSW_GIST_N`, `DHNSW_QUERIES`, `DHNSW_REPS` (see
-//! crate docs).
+//! `metasize` `ablations` `faults` `pipeline` `tail` `all`, and `scale`
+//! (not part of `all`). Scale via `DHNSW_SIFT_N`, `DHNSW_GIST_N`,
+//! `DHNSW_QUERIES`, `DHNSW_REPS` (see crate docs); one that does not
+//! parse exits 2 before anything is measured at the wrong size.
 //! `faults` sweeps seeded substrate fault rates and reports recall,
 //! retransmissions, engine retries, and degraded-query coverage.
+//! `scale` builds the standard SIFT workload's store on the
+//! full-precision and on the SQ8 wire and gates the compressed wire's
+//! byte and recall claims at that size.
 //!
 //! Pass `--metrics-out <base>` to additionally dump the process-wide
 //! telemetry registry (every query the run issued) to `<base>.prom`
@@ -26,15 +30,31 @@
 //! before any store is opened). The `pipeline` subcommand sweeps the
 //! depth explicitly and gates on result equivalence.
 
-use dhnsw::{DHnswConfig, SearchMode, Telemetry, VectorStore};
+use std::process::ExitCode;
+
+use dhnsw::{DHnswConfig, QuantizeMode, SearchMode, Telemetry, VectorStore};
 use dhnsw_bench::{
-    breakdown_rows, print_breakdown_table, print_sweep_table, sweep, DatasetKind, Workload,
+    breakdown_rows, env_usize, print_breakdown_table, print_sweep_table, sweep, DatasetKind,
+    Workload,
 };
 use rdma_sim::NetworkModel;
 
 type AnyResult = Result<(), Box<dyn std::error::Error>>;
 
-fn main() -> AnyResult {
+fn main() -> ExitCode {
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("Error: {e}");
+            // A setting that does not parse or validate is a usage
+            // error, like an unknown subcommand.
+            let usage = matches!(e.downcast_ref(), Some(dhnsw::Error::InvalidParameter(_)));
+            ExitCode::from(if usage { 2 } else { 1 })
+        }
+    }
+}
+
+fn run() -> AnyResult {
     let mut metrics_out = None;
     let mut cmd = "all".to_string();
     let mut args = std::env::args().skip(1);
@@ -91,6 +111,7 @@ fn run_cmd(cmd: &str) -> AnyResult {
         "faults" => fault_sweep(),
         "pipeline" => pipeline_sweep(),
         "tail" => tail_latency(),
+        "scale" => scale(),
         "all" => {
             // Each dataset's workload + store are reused across its
             // figure and table so `all` builds each store once.
@@ -112,7 +133,7 @@ fn run_cmd(cmd: &str) -> AnyResult {
         }
         other => {
             eprintln!(
-                "unknown subcommand {other}; use fig6a|fig6b|fig6c|fig6d|table1|table2|metasize|ablations|faults|pipeline|tail|all"
+                "unknown subcommand {other}; use fig6a|fig6b|fig6c|fig6d|table1|table2|metasize|ablations|faults|pipeline|tail|scale|all"
             );
             std::process::exit(2);
         }
@@ -172,6 +193,68 @@ fn run_table(w: &Workload, store: &VectorStore, title: &str) -> AnyResult {
     Ok(())
 }
 
+/// The compressed wire's claims at the standard SIFT workload's size,
+/// under the configuration every figure uses ([`Workload::config`]): the
+/// query set in 128-query batches against a node that starts cold, once
+/// per wire format, the two stores built one after the other so only one
+/// layout is resident. Gated: SQ8 moves under 0.30x the full-precision
+/// bytes (u8 codes are 4x smaller than f32 rows; the rerank reads and
+/// quantization parameters must not eat the win) and exact rerank holds
+/// recall@10 within 0.005.
+fn scale() -> AnyResult {
+    let w = Workload::standard(DatasetKind::SiftLike)?;
+    let base = w.config()?;
+    println!("\n=== Scale: full-precision vs SQ8 wire, cold node, top-10, efSearch 48 ===");
+    println!(
+        "{:<5} {:>9} {:>10} {:>7} {:>6} {:>8} {:>14} {:>10} {:>8}",
+        "wire", "n", "partitions", "M/efC", "b", "queries", "bytes", "recall@10", "build s"
+    );
+    let query_rows: Vec<u32> = (0..w.queries.len() as u32).collect();
+    let mut rows = Vec::new();
+    for wire in [QuantizeMode::Off, QuantizeMode::Sq8] {
+        let t0 = std::time::Instant::now();
+        let store = VectorStore::build(w.data.clone(), &base.clone().with_quantize_mode(wire))?;
+        let build_s = t0.elapsed().as_secs_f64();
+        let node = store.connect(SearchMode::Full)?;
+        let (mut bytes, mut ids) = (0u64, Vec::with_capacity(w.queries.len()));
+        for batch in query_rows.chunks(128) {
+            let (results, r) = node.query_batch(&w.queries.select(batch), 10, 48)?;
+            bytes += r.bytes_read;
+            ids.extend(results.iter().map(|x| x.iter().map(|n| n.id).collect::<Vec<u32>>()));
+        }
+        let rec = vecsim::recall::mean_recall(&ids, w.truth(10));
+        let sub = store.config().sub_params();
+        println!(
+            "{:<5} {:>9} {:>10} {:>7} {:>6} {:>8} {:>14} {:>10.4} {:>8.1}",
+            wire.as_str(),
+            w.data.len(),
+            store.partitions(),
+            format!("{}/{}", sub.m(), sub.ef_construction()),
+            store.config().fanout(),
+            w.queries.len(),
+            bytes,
+            rec,
+            build_s
+        );
+        rows.push((bytes, rec));
+    }
+    let ((full_bytes, full_rec), (sq_bytes, sq_rec)) = (rows[0], rows[1]);
+    println!("sq8 / full bytes: {:.3}", sq_bytes as f64 / full_bytes as f64);
+    if sq_bytes as f64 >= 0.30 * full_bytes as f64 {
+        return Err(format!(
+            "scale gate: sq8 moved {sq_bytes} bytes, not under 0.30x of the uncompressed {full_bytes}"
+        )
+        .into());
+    }
+    if sq_rec + 0.005 < full_rec {
+        return Err(format!(
+            "scale gate: sq8 recall {sq_rec} fell more than 0.005 below the uncompressed {full_rec}"
+        )
+        .into());
+    }
+    Ok(())
+}
+
 /// Tail-latency characterization under a mixed query/insert trace —
 /// beyond the paper's mean-latency reporting, but what a serving system
 /// would evaluate next.
@@ -179,7 +262,7 @@ fn tail_latency() -> AnyResult {
     use dhnsw_bench::trace::{replay, TraceSpec};
     let w = Workload::sized(
         DatasetKind::SiftLike,
-        dhnsw_bench::env_usize("DHNSW_ABLATION_N", 10_000),
+        env_usize("DHNSW_ABLATION_N", 10_000)?,
         8, // queries come from the trace, not the workload
     )?;
     let store = VectorStore::build(w.data.clone(), &DHnswConfig::paper().with_representatives(200))?;
@@ -225,8 +308,8 @@ fn tail_latency() -> AnyResult {
 fn fault_sweep() -> AnyResult {
     let w = Workload::sized(
         DatasetKind::SiftLike,
-        dhnsw_bench::env_usize("DHNSW_ABLATION_N", 10_000),
-        dhnsw_bench::env_usize("DHNSW_ABLATION_Q", 500),
+        env_usize("DHNSW_ABLATION_N", 10_000)?,
+        env_usize("DHNSW_ABLATION_Q", 500)?,
     )?;
     let base = DHnswConfig::paper().with_representatives(200);
     println!("\n=== Fault sweep: seeded verb drops vs retransmission + engine retries ===");
@@ -312,8 +395,8 @@ fn fault_sweep() -> AnyResult {
 fn pipeline_sweep() -> AnyResult {
     let w = Workload::sized(
         DatasetKind::SiftLike,
-        dhnsw_bench::env_usize("DHNSW_ABLATION_N", 10_000),
-        dhnsw_bench::env_usize("DHNSW_ABLATION_Q", 500),
+        env_usize("DHNSW_ABLATION_N", 10_000)?,
+        env_usize("DHNSW_ABLATION_Q", 500)?,
     )?;
     let base = DHnswConfig::paper().with_representatives(200);
     let store = VectorStore::build(w.data.clone(), &base)?;
@@ -407,8 +490,8 @@ fn metasize() -> AnyResult {
 fn ablations() -> AnyResult {
     let w = Workload::sized(
         DatasetKind::SiftLike,
-        dhnsw_bench::env_usize("DHNSW_ABLATION_N", 10_000),
-        dhnsw_bench::env_usize("DHNSW_ABLATION_Q", 500),
+        env_usize("DHNSW_ABLATION_N", 10_000)?,
+        env_usize("DHNSW_ABLATION_Q", 500)?,
     )?;
     let base = DHnswConfig::paper().with_representatives(200);
 

@@ -1,12 +1,18 @@
-//! Shared benchmark harness for the d-HNSW reproduction.
+//! Shared harness for the d-HNSW reproduction.
 //!
 //! The `repro` binary (`cargo run -p dhnsw-bench --bin repro --release`)
-//! regenerates every table and figure of the paper; the Criterion benches
-//! exercise the same code paths at micro scale. This library holds the
-//! pieces both share: workload construction, the efSearch sweep runner,
-//! and table formatting.
+//! regenerates every table and figure of the paper, and `dhnsw_cli`
+//! builds, inspects, queries and serves stores. This library holds what
+//! they share: workload construction ([`Workload`], [`trace`]), the
+//! efSearch sweep runner, table and CSV formatting, and the serving
+//! plane ([`serve`], [`top`]). Timing regressions are the business of
+//! the repository benchmark (`benchmark/`), exact counts of the two
+//! characterization ledgers under `crates/core/tests/`; nothing here
+//! gates on either.
 //!
-//! Scale knobs (environment variables, all optional):
+//! Scale knobs (environment variables, all optional; one set to
+//! something that is not a non-negative integer is an error, never the
+//! default):
 //!
 //! | variable | default | meaning |
 //! |---|---|---|
@@ -26,7 +32,7 @@
 #![warn(missing_docs)]
 
 pub mod csv;
-pub mod regress;
+pub mod json;
 pub mod serve;
 pub mod top;
 pub mod trace;
@@ -81,7 +87,11 @@ impl DatasetKind {
     }
 
     /// Default base-vector count, overridable via environment.
-    pub fn default_n(self) -> usize {
+    ///
+    /// # Errors
+    ///
+    /// Fails when the variable is set but does not parse ([`env_usize`]).
+    pub fn default_n(self) -> dhnsw::Result<usize> {
         match self {
             DatasetKind::SiftLike => env_usize("DHNSW_SIFT_N", 40_000),
             DatasetKind::GistLike => env_usize("DHNSW_GIST_N", 8_000),
@@ -136,12 +146,30 @@ pub fn load_fvecs_prefix(path: &str, n: usize) -> vecsim::Result<Dataset> {
     Ok(full.select(&ids))
 }
 
-/// Reads a `usize` environment knob with a default.
-pub fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// Reads a `usize` environment knob: `default` when it is unset.
+///
+/// # Errors
+///
+/// Returns [`dhnsw::Error::InvalidParameter`] naming the variable and
+/// the value when it is set to anything else than a non-negative
+/// integer, as the `DHNSW_*` knobs of `dhnsw` itself do — a typo
+/// (`1_000_000`) must not print a row measured at the default scale.
+pub fn env_usize(key: &str, default: usize) -> dhnsw::Result<usize> {
+    knob(&|k| std::env::var(k).ok(), key, default)
+}
+
+/// [`env_usize`] over any variable lookup.
+fn knob(
+    var: &dyn Fn(&str) -> Option<String>,
+    key: &str,
+    default: usize,
+) -> dhnsw::Result<usize> {
+    match var(key) {
+        None => Ok(default),
+        Some(raw) => raw.trim().parse().map_err(|_| {
+            dhnsw::Error::InvalidParameter(format!("{key}={raw:?} is not a non-negative integer"))
+        }),
+    }
 }
 
 /// A fully prepared workload: base data, queries, and exact ground truth
@@ -163,8 +191,8 @@ pub struct Workload {
 impl Workload {
     /// Builds the standard workload for `kind` at its default scale.
     pub fn standard(kind: DatasetKind) -> Result<Self, Box<dyn std::error::Error>> {
-        let n = kind.default_n();
-        let nq = env_usize("DHNSW_QUERIES", 1_000);
+        let n = kind.default_n()?;
+        let nq = env_usize("DHNSW_QUERIES", 1_000)?;
         Self::sized(kind, n, nq)
     }
 
@@ -201,18 +229,23 @@ impl Workload {
     /// the paper uses 500 representatives per million vectors (≈ one per
     /// 2000) and overflow areas around an eighth of a cluster's payload.
     /// `DHNSW_REPS` overrides the representative count outright.
-    pub fn config(&self) -> DHnswConfig {
+    ///
+    /// # Errors
+    ///
+    /// Fails when `DHNSW_REPS` is set but does not parse ([`env_usize`]).
+    pub fn config(&self) -> dhnsw::Result<DHnswConfig> {
         let n = self.data.len();
-        let reps = env_usize("DHNSW_REPS", (n / 2_000).clamp(32, 500));
-        let slots = (n / reps / 8).max(16);
-        DHnswConfig::paper()
+        let reps = env_usize("DHNSW_REPS", (n / 2_000).clamp(32, 500))?;
+        // `DHNSW_REPS=0` is left for the store build to reject.
+        let slots = (n / reps.max(1) / 8).max(16);
+        Ok(DHnswConfig::paper()
             .with_representatives(reps)
-            .with_overflow_slots(slots)
+            .with_overflow_slots(slots))
     }
 
     /// Builds the store (timed, with progress output to stderr).
     pub fn build_store(&self) -> Result<VectorStore, Box<dyn std::error::Error>> {
-        self.build_store_with(&self.config())
+        self.build_store_with(&self.config()?)
     }
 
     /// Builds the store under a custom configuration.
@@ -263,7 +296,7 @@ pub fn sweep(
     k: usize,
 ) -> Result<Vec<SweepPoint>, Box<dyn std::error::Error>> {
     let node = store.connect(mode)?;
-    let runs = env_usize("DHNSW_RUNS", 1).max(1);
+    let runs = env_usize("DHNSW_RUNS", 1)?.max(1);
     let mut out = Vec::with_capacity(EF_SWEEP.len());
     for &ef in EF_SWEEP {
         node.query_batch(&workload.queries, k, ef)?; // warm-up
@@ -319,7 +352,7 @@ pub fn breakdown_rows(
     store: &VectorStore,
     workload: &Workload,
 ) -> Result<Vec<BreakdownRow>, Box<dyn std::error::Error>> {
-    let runs = env_usize("DHNSW_RUNS", 1).max(1);
+    let runs = env_usize("DHNSW_RUNS", 1)?.max(1);
     let mut rows = Vec::new();
     for mode in [SearchMode::Naive, SearchMode::NoDoorbell, SearchMode::Full] {
         let node = store.connect(mode)?;
@@ -421,12 +454,27 @@ mod tests {
     use super::*;
 
     #[test]
-    fn env_usize_parses_and_defaults() {
-        std::env::set_var("DHNSW_TEST_KNOB", "123");
-        assert_eq!(env_usize("DHNSW_TEST_KNOB", 7), 123);
-        assert_eq!(env_usize("DHNSW_TEST_KNOB_MISSING", 7), 7);
-        std::env::set_var("DHNSW_TEST_KNOB_BAD", "xyz");
-        assert_eq!(env_usize("DHNSW_TEST_KNOB_BAD", 7), 7);
+    fn knobs_parse_valid_keep_absent_and_reject_malformed() {
+        for key in [
+            "DHNSW_SIFT_N",
+            "DHNSW_GIST_N",
+            "DHNSW_QUERIES",
+            "DHNSW_REPS",
+            "DHNSW_RUNS",
+            "DHNSW_ABLATION_N",
+            "DHNSW_ABLATION_Q",
+        ] {
+            let set = |value: &'static str| move |k: &str| (k == key).then(|| value.to_string());
+            assert_eq!(knob(&set(" 123 "), key, 7).unwrap(), 123, "{key}");
+            assert_eq!(knob(&|_| None, key, 7).unwrap(), 7, "{key}");
+            for malformed in ["1_000_000", "1e6", "-1", "xyz", ""] {
+                let err = knob(&set(malformed), key, 7).unwrap_err().to_string();
+                assert!(
+                    err.contains(key) && err.contains(&format!("{malformed:?}")),
+                    "{key}={malformed:?}: {err}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use crate::regress::{Json, JsonParser};
+use crate::json::{Json, JsonParser};
 
 /// Glyph ramp used by [`sparkline`], lowest to highest.
 pub const SPARK_GLYPHS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];

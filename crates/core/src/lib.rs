@@ -47,7 +47,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod balancer;
 pub mod breakdown;
 pub mod cache;
 pub mod cluster;
@@ -58,12 +57,10 @@ pub mod health;
 pub mod layout;
 pub mod loader;
 pub mod meta;
-pub mod sharded;
 pub mod snapshot;
 mod store;
 pub mod telemetry;
 
-pub use balancer::{DispatchPolicy, LoadBalancer};
 pub use breakdown::{BatchReport, CostLedger, LatencyBreakdown};
 pub use rdma_sim::{ReadCause, READ_CAUSES};
 pub use cache::CacheStats;
@@ -75,7 +72,6 @@ pub use health::{
     HealthReport, PartitionHeat, SkewStats, SloBudgets, SloViolation,
 };
 pub use meta::MetaIndex;
-pub use sharded::{merged_coverage, ShardedSession, ShardedStore};
 pub use store::VectorStore;
 pub use telemetry::chrome::chrome_trace_json;
 pub use telemetry::exemplar::{

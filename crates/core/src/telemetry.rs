@@ -25,7 +25,7 @@
 //! Metric naming follows Prometheus conventions: `dhnsw_` prefix,
 //! `_total` suffix on counters, base units in the name (`_us`,
 //! `_bytes`); every family is defined once, in [`metrics`]. Labels are
-//! attached at registration (`mode`, `stage`, `shard`) and become part
+//! attached at registration (`mode`, `stage`, `cause`) and become part
 //! of the handle, never a per-sample cost.
 
 pub mod chrome;

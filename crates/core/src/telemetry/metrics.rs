@@ -2,11 +2,11 @@
 //!
 //! One `(name, help, kind)` per family, as a plain constant. Whoever
 //! records into a family — the engine's pre-resolved handles, the series
-//! recorder, the health report, the watchdog, sharded sessions,
-//! `bench_regress` — names its constant here and supplies only labels,
-//! so a family cannot be registered under two help strings or two kinds
-//! ([`Telemetry`] keeps the first registration's). [`ALL`] lists them for
-//! the table test and for anything that wants to enumerate the plane.
+//! recorder, the health report, the watchdog — names its constant here
+//! and supplies only labels, so a family cannot be registered under two
+//! help strings or two kinds ([`Telemetry`] keeps the first
+//! registration's). [`ALL`] lists them for the table test and for
+//! anything that wants to enumerate the plane.
 //!
 //! Naming follows the Prometheus conventions of the module docs above:
 //! `dhnsw_` prefix, `_total` on counters, base units in the name.
@@ -307,7 +307,7 @@ pub const HEALTH_TAIL_SLOWEST_TRACE_ID: MetricDef = gauge(
     "Trace id of the slowest retained tail exemplar (0 when empty)",
 );
 
-// Events (`{budget}`, `{series}`) and sharded sessions (`{shard}`).
+// Events (`{budget}`, `{series}`).
 pub const SLO_VIOLATIONS: MetricDef = counter(
     "dhnsw_slo_violations_total",
     "SLO budget violations flagged by the health watchdog",
@@ -316,17 +316,9 @@ pub const ANOMALIES: MetricDef = counter(
     "dhnsw_anomaly_total",
     "Anomalies flagged by the series recorder (EWMA mean + MAD z-score)",
 );
-pub const SHARD_QUERIES: MetricDef = counter(
-    "dhnsw_shard_queries_total",
-    "Queries fanned out to this shard by sharded sessions.",
-);
-pub const SHARD_INSERTS: MetricDef = counter(
-    "dhnsw_shard_inserts_total",
-    "Inserts routed to this shard by sharded sessions.",
-);
 
 /// Every family above.
-pub const ALL: [&MetricDef; 59] = [
+pub const ALL: [&MetricDef; 57] = [
     &QUERIES,
     &QUERY_BATCHES,
     &QUERY_LATENCY_US,
@@ -384,15 +376,13 @@ pub const ALL: [&MetricDef; 59] = [
     &HEALTH_TAIL_SLOWEST_TRACE_ID,
     &SLO_VIOLATIONS,
     &ANOMALIES,
-    &SHARD_QUERIES,
-    &SHARD_INSERTS,
 ];
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::health::{watchdog, SloViolation};
-    use crate::{DHnswConfig, SearchMode, ShardedStore};
+    use crate::{DHnswConfig, SearchMode, VectorStore};
     use std::collections::BTreeSet;
     use vecsim::gen;
 
@@ -420,21 +410,21 @@ mod tests {
 
     #[test]
     fn every_resolver_asks_for_the_kind_its_row_gives() {
-        // Run every resolver against one hub: two sharded nodes (engine
-        // handles, shard counters), a batch, an insert, a health report,
-        // a watchdog event, and a series recorder driven into an anomaly.
+        // Run every resolver against one hub: a node (engine handles),
+        // a batch, an insert, a health report, a watchdog event, and a
+        // series recorder driven into an anomaly.
         // The accessors assert the kind on each resolution; what the hub
         // then exposes must be the table, row for row.
         let data = gen::sift_like(600, 0x7AB1E).unwrap();
         let queries = gen::perturbed_queries(&data, 8, 0.02, 0x7AB1F).unwrap();
-        let store = ShardedStore::build(&data, &DHnswConfig::small(), 2).unwrap();
+        let store = VectorStore::build(data.clone(), &DHnswConfig::small()).unwrap();
         let t = Arc::new(Telemetry::new());
-        let session = store
+        let node = store
             .connect_with_telemetry(SearchMode::Full, Arc::clone(&t))
             .unwrap();
-        session.query_batch(&queries, 5, 16).unwrap();
-        session.insert(data.get(0)).unwrap();
-        session.node(0).health_report().unwrap();
+        node.query_batch(&queries, 5, 16).unwrap();
+        node.insert(data.get(0)).unwrap();
+        node.health_report().unwrap();
         let breach = SloViolation {
             budget: "p99_latency_us",
             actual: 2.0,

@@ -14,11 +14,11 @@
 //!
 //! **Determinism contract.** Sampling is driven by an explicit
 //! [`SeriesRecorder::tick`] carrying the caller's timestamp; this
-//! module never reads the wall clock. Tests and `bench_regress` tick
-//! with synthetic timestamps (one tick per batch, one virtual second
-//! apart), making every derived rate — and therefore every anomaly
-//! verdict on a deterministic series — reproducible bit-for-bit under
-//! pinned seeds. Only the serving plane (`dhnsw_cli serve`) runs a
+//! module never reads the wall clock. Tests tick with synthetic
+//! timestamps (one tick per batch, one virtual second apart), making
+//! every derived rate — and therefore every anomaly verdict on a
+//! deterministic series — reproducible bit-for-bit under pinned
+//! seeds. Only the serving plane (`dhnsw_cli serve`) runs a
 //! background sampler thread that ticks from the wall clock.
 //!
 //! **Anomaly scoring.** Each tracked series (see [`TRACKED_SERIES`])
@@ -96,8 +96,9 @@ pub struct TrackedSeries {
     /// Whether the series is a pure function of the workload and the
     /// caller-supplied tick timestamps (true), or contaminated by
     /// wall-clock measurement (false, e.g. latency quantiles).
-    /// `bench_regress` hard-gates *deterministic* anomalies to zero;
-    /// wall-clock series are band-gated instead.
+    /// `tests/series_anomaly.rs` holds *deterministic* anomalies at
+    /// zero on a steady workload; wall-clock series may fire on a
+    /// loaded box.
     pub deterministic: bool,
     /// Absolute deviation floor in the series' own unit.
     pub abs_floor: f64,
@@ -363,8 +364,7 @@ struct Handles {
 impl Handles {
     /// Resolves the full-mode query-path instruments on `t`. The
     /// recorder watches `mode="full"` — the mode the serving plane
-    /// and the regression harness run; the other modes exist only as
-    /// bench comparison baselines.
+    /// runs; the other modes exist only as bench comparison baselines.
     fn resolve(t: &Telemetry) -> Handles {
         let m: &[(&str, &str)] = &[("mode", "full")];
         Handles {

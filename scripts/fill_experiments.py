@@ -2,8 +2,11 @@
 """Patches EXPERIMENTS.md placeholders from repro_all_output.txt.
 
 Usage: python3 scripts/fill_experiments.py
-Idempotent only on a file that still carries MEAS_* placeholders; keep
-the template around if you want to re-fill after a new run.
+
+Fills every MEAS_* placeholder whose section the output file contains
+(a `repro all` run cut short still fills what it got to), lists the
+ones it could not find, and exits non-zero only if it filled nothing.
+A filled placeholder is gone, so a second run has only the rest to do.
 """
 import re
 import sys
@@ -15,36 +18,37 @@ exp_path = ROOT / "EXPERIMENTS.md"
 exp = exp_path.read_text()
 
 
+class Missing(Exception):
+    """The output file does not hold what a placeholder needs."""
+
+
 def section(title):
     m = re.search(rf"=== {re.escape(title)}[^\n]*===\n(.*?)(?=\n=== |\Z)", out, re.S)
     if not m:
-        sys.exit(f"section not found: {title}")
+        raise Missing(f"section not found: {title}")
     return m.group(1).strip("\n")
 
 
-def fig_rows(title, efs):
-    body = section(title)
-    rows = {}
-    for line in body.splitlines():
+def fig_row(title, ef):
+    for line in section(title).splitlines():
         m = re.match(r"\s*(\d+) \|", line)
-        if m:
-            ef = int(m.group(1))
-            cells = [c.strip() for c in line.split("|")[1:-1]]
-            rows[ef] = " | ".join(cells)
-    return {ef: rows[ef] for ef in efs}
+        if m and int(m.group(1)) == ef:
+            # The split drops the ef column; a cell is "latency recall".
+            return " | ".join(" ".join(c.split()) for c in line.split("|")[1:-1])
+    raise Missing(f"ef={ef} row not found in {title}")
 
 
 def fig_summary(title):
-    body = section(title)
-    for line in body.splitlines():
+    for line in section(title).splitlines():
         if line.startswith("summary:"):
             return line[len("summary:"):].strip()
-    sys.exit(f"summary not found in {title}")
+    raise Missing(f"summary not found in {title}")
 
 
 def table_block(title):
-    body = section(title)
-    lines = [l for l in body.splitlines() if l.strip()]
+    lines = [l for l in section(title).splitlines() if l.strip()]
+    if len(lines) < 4:
+        raise Missing(f"fewer than three scheme rows in {title}")
     # header + 3 scheme rows -> markdown table
     hdr = ["Scheme", "Network", "Sub-HNSW", "Meta-HNSW", "trips/query", "recall"]
     md = ["| " + " | ".join(hdr) + " |", "|" + "---|" * len(hdr)]
@@ -57,38 +61,48 @@ def table_block(title):
 
 
 def verbatim(title):
-    return "```text\n" + section(title) + "\n```"
+    body = section(title)
+    # Only the last section of `repro all` may run to the end of the
+    # file; any other that does was cut short mid-table.
+    if title != TAIL and out.rstrip("\n").endswith(body):
+        raise Missing(f"cut short: {title}")
+    return "```text\n" + body + "\n```"
 
 
-# Figures
-for tag, title in [
-    ("6A", "Fig 6(a): SIFT, top-10"),
-    ("6B", "Fig 6(b): SIFT, top-1"),
-    ("6C", "Fig 6(c): GIST, top-10"),
-    ("6D", "Fig 6(d): GIST, top-1"),
-]:
-    exp = exp.replace(f"MEAS_{tag}_SUMMARY", fig_summary(title))
+FIG6A = "Fig 6(a): SIFT, top-10"
+TAIL = "Tail latency under mixed query/insert traces (20 batches x 200 queries)"
+PLACEHOLDERS = [
+    ("MEAS_6A_1", lambda: fig_row(FIG6A, 1)),
+    ("MEAS_6A_8", lambda: fig_row(FIG6A, 8)),
+    ("MEAS_6A_48", lambda: fig_row(FIG6A, 48)),
+    ("MEAS_6A_SUMMARY", lambda: fig_summary(FIG6A)),
+    ("MEAS_6B_SUMMARY", lambda: fig_summary("Fig 6(b): SIFT, top-1")),
+    ("MEAS_6C_SUMMARY", lambda: fig_summary("Fig 6(c): GIST, top-10")),
+    ("MEAS_6D_SUMMARY", lambda: fig_summary("Fig 6(d): GIST, top-1")),
+    ("MEAS_TABLE1", lambda: table_block("Table 1: SIFT1M@1, efSearch 48")),
+    ("MEAS_TABLE2", lambda: table_block("Table 2: GIST1M@1, efSearch 48")),
+    ("MEAS_METASIZE", lambda: verbatim("Meta-HNSW footprint (paper: 0.373 MB SIFT1M, 1.960 MB GIST1M)")),
+    ("MEAS_DOORBELL", lambda: verbatim("Ablation: doorbell batch limit (§3.2 NIC-scalability tradeoff)")),
+    ("MEAS_CACHE", lambda: verbatim("Ablation: compute-side cache fraction (§3.3, paper uses 10%)")),
+    ("MEAS_ZIPF", lambda: verbatim("Ablation: cache under Zipf query skew (hot partitions stay resident)")),
+    ("MEAS_FANOUT", lambda: verbatim("Ablation: partitions probed per query (fan-out b)")),
+    ("MEAS_REPS", lambda: verbatim("Ablation: representative count (paper fixes 500)")),
+    ("MEAS_TAIL", lambda: verbatim(TAIL)),
+]
 
-rows = fig_rows("Fig 6(a): SIFT, top-10", [1, 8, 48])
-for ef in (1, 8, 48):
-    # cells already exclude the ef column (split dropped it)
-    exp = exp.replace(f"MEAS_6A_{ef}", rows[ef])
+filled, missing = [], []
+for tag, value in PLACEHOLDERS:
+    if not re.search(rf"{tag}\b", exp):
+        continue
+    try:
+        exp = re.sub(rf"{tag}\b", lambda _m, v=value(): v, exp)
+        filled.append(tag)
+    except Missing as why:
+        missing.append(f"{tag} ({why})")
 
-# Tables
-exp = exp.replace("MEAS_TABLE1", table_block("Table 1: SIFT1M@1, efSearch 48"))
-exp = exp.replace("MEAS_TABLE2", table_block("Table 2: GIST1M@1, efSearch 48"))
-
-# Meta size + ablations, verbatim blocks
-exp = exp.replace("MEAS_METASIZE", verbatim("Meta-HNSW footprint (paper: 0.373 MB SIFT1M, 1.960 MB GIST1M)"))
-exp = exp.replace("MEAS_DOORBELL", verbatim("Ablation: doorbell batch limit (§3.2 NIC-scalability tradeoff)"))
-exp = exp.replace("MEAS_CACHE", verbatim("Ablation: compute-side cache fraction (§3.3, paper uses 10%)"))
-exp = exp.replace("MEAS_ZIPF", verbatim("Ablation: cache under Zipf query skew (hot partitions stay resident)"))
-exp = exp.replace("MEAS_FANOUT", verbatim("Ablation: partitions probed per query (fan-out b)"))
-exp = exp.replace("MEAS_REPS", verbatim("Ablation: representative count (paper fixes 500)"))
-exp = exp.replace("MEAS_TAIL", verbatim("Tail latency under mixed query/insert traces (20 batches x 200 queries)"))
-
-left = re.findall(r"MEAS_\w+", exp)
-if left:
-    sys.exit(f"unfilled placeholders: {left}")
+for line in missing:
+    print(f"not filled: {line}", file=sys.stderr)
+if not filled:
+    sys.exit("fill_experiments.py: nothing filled")
 exp_path.write_text(exp)
-print("EXPERIMENTS.md filled")
+print(f"EXPERIMENTS.md: filled {len(filled)} ({', '.join(filled)}), {len(missing)} left")

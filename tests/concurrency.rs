@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use dhnsw_repro::dhnsw::{DHnswConfig, SearchMode, VectorStore};
 use dhnsw_repro::rdma_sim::{MemoryNode, NetworkModel, QueuePair};
-use dhnsw_repro::vecsim::{gen, Dataset};
+use dhnsw_repro::vecsim::gen;
 
 #[test]
 fn remote_faa_is_atomic_across_queue_pairs() {
@@ -243,25 +243,4 @@ fn async_verbs_drive_a_manual_cluster_fetch() {
                 .unwrap();
         assert_eq!(loaded.partition(), p);
     }
-}
-
-#[test]
-fn sharded_session_survives_concurrent_use() {
-    let data = gen::sift_like(900, 88).unwrap();
-    let store = Arc::new(
-        dhnsw_repro::dhnsw::ShardedStore::build(&data, &DHnswConfig::small(), 3).unwrap(),
-    );
-    let session = Arc::new(store.connect(SearchMode::Full).unwrap());
-    std::thread::scope(|s| {
-        for t in 0..3u64 {
-            let session = Arc::clone(&session);
-            let data = data.clone();
-            s.spawn(move || {
-                let queries = gen::perturbed_queries(&data, 6, 0.02, 300 + t).unwrap();
-                let (results, _) = session.query_batch(&queries, 5, 32).unwrap();
-                assert_eq!(results.len(), 6);
-            });
-        }
-    });
-    let _ = Dataset::new(1);
 }

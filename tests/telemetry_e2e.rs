@@ -4,9 +4,7 @@
 
 use std::sync::Arc;
 
-use dhnsw_repro::dhnsw::{
-    DHnswConfig, SearchMode, ShardedStore, Telemetry, VectorStore,
-};
+use dhnsw_repro::dhnsw::{DHnswConfig, SearchMode, Telemetry, VectorStore};
 use dhnsw_repro::rdma_sim::NetworkModel;
 use dhnsw_repro::vecsim::{gen, Dataset};
 
@@ -147,33 +145,4 @@ fn mutation_counters_track_insert_and_delete() {
     // Inserts and deletes move bytes and atomics through the substrate.
     assert!(metric_value(&text, "dhnsw_rdma_atomics_total") > 0.0);
     assert!(metric_value(&text, "dhnsw_rdma_bytes_written_total") > 0.0);
-}
-
-#[test]
-fn sharded_sessions_expose_per_shard_counters() {
-    let data = gen::sift_like(900, 21).unwrap();
-    let queries = gen::perturbed_queries(&data, 15, 0.02, 22).unwrap();
-    let sharded = ShardedStore::build(&data, &DHnswConfig::small(), 3).unwrap();
-    let telemetry = Arc::new(Telemetry::new());
-    let session = sharded
-        .connect_with_telemetry(SearchMode::Full, Arc::clone(&telemetry))
-        .unwrap();
-
-    session.query_batch(&queries, 5, 32).unwrap();
-    session.insert(data.get(0)).unwrap();
-
-    let text = telemetry.render_prometheus();
-    for shard in 0..3 {
-        let series = format!("dhnsw_shard_queries_total{{shard=\"{shard}\"}}");
-        assert_eq!(metric_value(&text, &series) as usize, queries.len());
-    }
-    let inserts: f64 = (0..3)
-        .map(|s| metric_value(&text, &format!("dhnsw_shard_inserts_total{{shard=\"{s}\"}}")))
-        .sum();
-    assert_eq!(inserts as u64, 1);
-    // Per-node engine counters aggregate across the three shards.
-    assert_eq!(
-        metric_value(&text, "dhnsw_queries_total{mode=\"full\"}") as usize,
-        3 * queries.len()
-    );
 }
