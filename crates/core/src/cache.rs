@@ -284,7 +284,8 @@ impl ClusterCache {
         self.stats
     }
 
-    /// Approximate resident bytes across all cached clusters.
+    /// Resident bytes across all cached clusters: a constant-time read
+    /// per entry ([`LoadedCluster::resident_bytes`]).
     pub fn resident_bytes(&self) -> usize {
         self.entries
             .values()
@@ -528,11 +529,55 @@ mod tests {
         assert_eq!(c.pinned(), 0);
     }
 
+    /// Resident bytes are each entry's serialized cluster plus its
+    /// overflow extras — a constant-time read per entry, never a walk of
+    /// its graph, because every telemetry flush sums them under the cache
+    /// lock. Held against recomputation from the clusters' own oracle
+    /// sizes across a random put / evict / invalidate / settle / clear
+    /// sequence.
     #[test]
-    fn resident_bytes_tracks_contents() {
-        let mut c = ClusterCache::new(2);
+    fn resident_bytes_equal_recomputation_after_random_ops() {
+        use crate::cluster::OverflowRecord;
+        // Partition `p` in generation `g`: 5 + p + g rows, g overflow
+        // inserts (and one for the group's other partition).
+        let sized = |p: u32, g: usize| {
+            let n = 5 + p as usize + g;
+            let data = gen::uniform(4, n, 0.0, 1.0, u64::from(p)).unwrap();
+            let sub = SubCluster::build(p, data, (0..n as u32).collect(), &HnswParams::new(4, 16));
+            let sub = sub.unwrap();
+            let rec = OverflowRecord::wire_size(4);
+            let mut area = (((g + 1) * rec) as u64).to_le_bytes().to_vec();
+            for j in 0..=g {
+                let to = if j == g { p + 1 } else { p };
+                area.extend(OverflowRecord::insert(to, 1_000 + j as u32, vec![0.5; 4]).to_bytes());
+            }
+            let want = sub.serialized_size() + g * (8 + 4 * 4);
+            let loaded = LoadedCluster::from_remote(&sub.to_bytes(), &area).unwrap();
+            assert_eq!(loaded.resident_bytes(), want, "no overflow area is resident");
+            (Arc::new(loaded), want)
+        };
+        let mut c = ClusterCache::new(3);
         assert_eq!(c.resident_bytes(), 0);
-        c.put(0, cluster(0), 0);
-        assert!(c.resident_bytes() > 0);
+        let mut model: HashMap<u32, usize> = HashMap::new();
+        let mut rng = 0x9E37_79B9u64;
+        for step in 0..400 {
+            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let (op, p) = ((rng >> 33) % 8, ((rng >> 40) % 6) as u32);
+            match op {
+                0..=3 => {
+                    let (cluster, bytes) = sized(p, step % 3);
+                    c.put(p, cluster, step as u64);
+                    model.insert(p, bytes);
+                }
+                4 => drop(c.get(p)),
+                5 => drop(c.pin(p)),
+                6 => drop(c.invalidate(p)),
+                _ if step % 50 == 49 => c.clear(),
+                _ => drop(c.settle()),
+            }
+            model.retain(|p, _| c.contains(*p));
+            assert_eq!(c.resident_bytes(), model.values().sum::<usize>(), "step {step}");
+        }
+        assert!(c.evictions() > 0 && c.resident_bytes() > 0, "the sequence exercised nothing");
     }
 }

@@ -11,8 +11,20 @@
 //! [`OverflowRecord`]s. A [`LoadedCluster`] combines both: sub-HNSW search
 //! over the base vectors plus an exact scan over the (small) overflow
 //! tail, merged into one result.
+//!
+//! [`SubCluster`] and [`SqCluster`] are what the store *builds and
+//! serializes* (and what tests hold the loaded form against). What a
+//! compute node *loads* is neither: a [`LoadedCluster`] keeps the
+//! serialized bytes exactly as the fetch landed them and searches them
+//! where they lie — ids, adjacency and vectors are `&[u32]` / `&[f32]`
+//! views of that one buffer (`vecsim::cast`), found by the same validating
+//! walk the owning decoders run. DESIGN.md §5k has the argument.
 
-use hnsw::{HnswIndex, HnswParams, SearchScratch, SearchStats};
+use std::ops::Range;
+
+use hnsw::serialize::Layout;
+use hnsw::{HnswIndex, HnswParams, IndexView, SearchScratch, SearchStats};
+use vecsim::cast::{self, AlignedBytes};
 use vecsim::io::le_words;
 use vecsim::quantize::SqParams;
 use vecsim::{Dataset, Neighbor, TopK};
@@ -146,22 +158,11 @@ impl SubCluster {
         ef: usize,
         stats: &mut SearchStats,
     ) -> Vec<Neighbor> {
-        SearchScratch::with_local(|scratch| self.search_in(query, k, ef, scratch, stats).collect())
-    }
-
-    /// [`HnswIndex::search_in`] with local ids mapped to global ones.
-    fn search_in<'a>(
-        &'a self,
-        query: &[f32],
-        k: usize,
-        ef: usize,
-        scratch: &'a mut SearchScratch,
-        stats: &mut SearchStats,
-    ) -> impl Iterator<Item = Neighbor> + 'a {
-        let found = self.hnsw.search_in(query, k, ef, scratch, stats);
-        found
-            .iter()
-            .map(|n| Neighbor::new(self.global_ids[n.id as usize], n.dist))
+        SearchScratch::with_local(|scratch| {
+            let found = self.hnsw.search_in(query, k, ef, scratch, stats);
+            let global = |n: &Neighbor| Neighbor::new(self.global_ids[n.id as usize], n.dist);
+            found.iter().map(global).collect()
+        })
     }
 
     /// The global ids of the base vectors, indexed by local id.
@@ -202,33 +203,49 @@ impl SubCluster {
     /// Returns [`Error::Corrupt`] on bad magic, truncation, or an invalid
     /// embedded HNSW blob.
     pub fn from_bytes(blob: &[u8]) -> Result<Self> {
-        let mut sec = Sections {
-            rest: blob,
-            what: "cluster blob",
-        };
-        let magic = sec.u32()?;
-        if magic != CLUSTER_MAGIC {
-            return Err(Error::Corrupt(format!("bad cluster magic {magic:#x}")));
-        }
-        let partition = sec.u32()?;
-        let n = sec.u32()? as usize;
-        let hnsw_len = usize::try_from(sec.u64()?).ok();
-        let global_ids = le_words(sec.take(n.checked_mul(4))?, u32::from_le_bytes).collect();
-        let hnsw_blob = sec.take(hnsw_len)?;
-        let hnsw = hnsw::serialize::from_bytes(hnsw_blob)
-            .map_err(|e| Error::Corrupt(format!("embedded hnsw: {e}")))?;
-        if hnsw.len() != n {
-            return Err(Error::Corrupt(format!(
-                "id map has {n} entries but hnsw holds {}",
-                hnsw.len()
-            )));
-        }
+        let (partition, ids, hnsw_blob) = full_sections(blob)?;
+        let hnsw = hnsw::serialize::from_bytes(hnsw_blob).map_err(embedded)?;
+        check_id_map(ids, hnsw.len())?;
         Ok(SubCluster {
             partition,
             hnsw,
-            global_ids,
+            global_ids: le_words(ids, u32::from_le_bytes).collect(),
         })
     }
+}
+
+/// Byte offset of the id map in a `DHC1` blob; the `HSW1` blob follows it.
+const FULL_IDS_AT: usize = 4 + 4 + 4 + 8;
+
+/// The framing of a `DHC1` blob: partition, id map, embedded `HSW1` blob.
+fn full_sections(blob: &[u8]) -> Result<(u32, &[u8], &[u8])> {
+    let mut sec = Sections {
+        rest: blob,
+        what: "cluster blob",
+    };
+    let magic = sec.u32()?;
+    if magic != CLUSTER_MAGIC {
+        return Err(Error::Corrupt(format!("bad cluster magic {magic:#x}")));
+    }
+    let partition = sec.u32()?;
+    let n = sec.u32()? as usize;
+    let hnsw_len = usize::try_from(sec.u64()?).ok();
+    let ids = sec.take(n.checked_mul(4))?;
+    Ok((partition, ids, sec.take(hnsw_len)?))
+}
+
+fn embedded(e: hnsw::Error) -> Error {
+    Error::Corrupt(format!("embedded hnsw: {e}"))
+}
+
+fn check_id_map(ids: &[u8], indexed: usize) -> Result<()> {
+    if ids.len() / 4 != indexed {
+        return Err(Error::Corrupt(format!(
+            "id map has {} entries but hnsw holds {indexed}",
+            ids.len() / 4
+        )));
+    }
+    Ok(())
 }
 
 /// The scalar-quantized copy of one partition's base vectors, as written
@@ -369,32 +386,38 @@ impl SqCluster {
     ///
     /// Returns [`Error::Corrupt`] on bad magic or truncation.
     pub fn from_bytes(blob: &[u8]) -> Result<Self> {
-        let mut sec = Sections {
-            rest: blob,
-            what: "sq cluster blob",
-        };
-        if sec.u32()? != SQ_CLUSTER_MAGIC {
-            return Err(Error::Corrupt("bad sq cluster magic".into()));
-        }
-        let partition = sec.u32()?;
-        let n = sec.u32()? as usize;
-        let dim = sec.u32()? as usize;
-        if n == 0 || dim == 0 {
-            return Err(Error::Corrupt("empty sq cluster blob".into()));
-        }
-        let min = le_words(sec.take(dim.checked_mul(4))?, f32::from_le_bytes).collect();
-        let scale = le_words(sec.take(dim.checked_mul(4))?, f32::from_le_bytes).collect();
-        let params = SqParams::from_parts(min, scale)
-            .map_err(|e| Error::Corrupt(format!("sq params: {e}")))?;
-        let global_ids = le_words(sec.take(n.checked_mul(4))?, u32::from_le_bytes).collect();
-        let codes = sec.take(n.checked_mul(dim))?.to_vec();
+        let (partition, params, ids, codes) = sq_sections(blob)?;
         Ok(SqCluster {
             partition,
             params,
-            global_ids,
-            codes,
+            global_ids: le_words(ids, u32::from_le_bytes).collect(),
+            codes: codes.to_vec(),
         })
     }
+}
+
+/// The framing of a `DHC2` blob: partition, quantization parameters (the
+/// one section decoded here — two rows of `dim` floats), id map, codes.
+fn sq_sections(blob: &[u8]) -> Result<(u32, SqParams, &[u8], &[u8])> {
+    let mut sec = Sections {
+        rest: blob,
+        what: "sq cluster blob",
+    };
+    if sec.u32()? != SQ_CLUSTER_MAGIC {
+        return Err(Error::Corrupt("bad sq cluster magic".into()));
+    }
+    let partition = sec.u32()?;
+    let n = sec.u32()? as usize;
+    let dim = sec.u32()? as usize;
+    if n == 0 || dim == 0 {
+        return Err(Error::Corrupt("empty sq cluster blob".into()));
+    }
+    let min = le_words(sec.take(dim.checked_mul(4))?, f32::from_le_bytes).collect();
+    let scale = le_words(sec.take(dim.checked_mul(4))?, f32::from_le_bytes).collect();
+    let params = SqParams::from_parts(min, scale)
+        .map_err(|e| Error::Corrupt(format!("sq params: {e}")))?;
+    let ids = sec.take(n.checked_mul(4))?;
+    Ok((partition, params, ids, sec.take(n.checked_mul(dim))?))
 }
 
 /// High bit of the on-wire partition field: set for tombstones (deletes),
@@ -596,13 +619,17 @@ pub fn parse_overflow_detailed(
     Ok((out, skipped))
 }
 
-/// The searchable body of a [`LoadedCluster`]: the full-precision
-/// sub-HNSW, or its scalar-quantized copy when the engine fetched the
-/// compressed wire format.
+/// What the validating walk recorded about a [`LoadedCluster`]'s bytes —
+/// everything needed to read them in place, and nothing copied out of
+/// them but the SQ8 parameters.
 #[derive(Debug)]
 enum Payload {
-    Full(SubCluster),
-    Sq(SqCluster),
+    /// The bytes are a `DHC1` blob: the id map from [`FULL_IDS_AT`] to
+    /// `hnsw_at`, then the `HSW1` blob that `layout` describes.
+    Full { hnsw_at: usize, layout: Layout },
+    /// The bytes are a `DHC2` blob of `n` rows; ids and codes are read
+    /// where they lie.
+    Sq { params: SqParams, n: usize },
 }
 
 /// One approximate hit from a quantized cluster scan.
@@ -647,33 +674,34 @@ impl Candidate {
     }
 }
 
-/// A cluster as materialized on a compute node: the deserialized base
-/// sub-HNSW plus the overflow inserts belonging to its partition, minus
-/// anything its tombstones deleted.
+/// A cluster as materialized on a compute node: the serialized base
+/// cluster, kept as the bytes the fetch landed and searched in place,
+/// plus the overflow inserts belonging to its partition, minus anything
+/// its tombstones deleted.
 ///
-/// When the engine runs in SQ8 mode the base payload is the compressed
-/// [`SqCluster`] instead; searches then return asymmetric distances
-/// and the engine reranks the survivors with exact reads.
+/// When the engine runs in SQ8 mode the bytes are the compressed
+/// [`SqCluster`] blob instead; searches then return asymmetric distances
+/// and the engine reranks the survivors with exact reads. Either way the
+/// bytes are resident once and nothing decoded from them is.
 #[derive(Debug)]
 pub struct LoadedCluster {
+    bytes: AlignedBytes,
+    partition: u32,
     payload: Payload,
     extra: Vec<(u32, Vec<f32>)>,
     deleted: std::collections::HashSet<u32>,
     skipped_slots: usize,
 }
 
-/// Splits a parsed overflow area into this partition's inserts and
-/// tombstones, dropping inserts that a later tombstone killed.
-fn fold_overflow(
-    partition: u32,
-    records: Vec<OverflowRecord>,
-) -> (Vec<(u32, Vec<f32>)>, std::collections::HashSet<u32>) {
+/// This partition's share of a raw overflow area: its inserts, minus
+/// those a tombstone killed; its tombstones; and the slots skipped.
+type Folded = (Vec<(u32, Vec<f32>)>, std::collections::HashSet<u32>, usize);
+
+fn fold_overflow(partition: u32, area: &[u8], dim: usize) -> Result<Folded> {
+    let (records, skipped) = parse_overflow_detailed(area, dim)?;
     let mut extra: Vec<(u32, Vec<f32>)> = Vec::new();
     let mut deleted = std::collections::HashSet::new();
-    for r in records {
-        if r.partition != partition {
-            continue;
-        }
+    for r in records.into_iter().filter(|r| r.partition == partition) {
         if r.tombstone {
             deleted.insert(r.global_id);
         } else {
@@ -681,65 +709,106 @@ fn fold_overflow(
         }
     }
     extra.retain(|(gid, _)| !deleted.contains(gid));
-    (extra, deleted)
+    Ok((extra, deleted, skipped))
 }
 
-impl LoadedCluster {
-    /// Materializes a cluster from the two slices a contiguous group read
-    /// yields: the serialized cluster and its group's raw overflow area.
-    /// Overflow records belonging to the *other* cluster of the group are
-    /// skipped.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Error::Corrupt`] from either parse.
-    pub fn from_remote(cluster_bytes: &[u8], overflow_area: &[u8]) -> Result<Self> {
-        let sub = SubCluster::from_bytes(cluster_bytes)?;
-        let (records, skipped_slots) = parse_overflow_detailed(overflow_area, sub.dim())?;
-        let (extra, deleted) = fold_overflow(sub.partition(), records);
-        Ok(LoadedCluster {
-            payload: Payload::Full(sub),
-            extra,
-            deleted,
-            skipped_slots,
-        })
-    }
+/// Why a section cast cannot fail after [`LoadedCluster::adopt`].
+const VIEWABLE: &str = "every section was cast once when the cluster was adopted";
 
-    /// Materializes a cluster from its SQ8 blob. `overflow_area` is the
-    /// group's raw overflow area when one was read; `None` means the
-    /// cluster's version slot proved the overflow pristine (version 0,
-    /// nothing ever inserted), so no overflow bytes were fetched.
+impl LoadedCluster {
+    /// The loader's entry, and the one every other constructor ends in:
+    /// takes ownership of `buf`, whose bytes from `start` on are one
+    /// serialized cluster (a `DHC2` blob when `quantized`, else `DHC1`),
+    /// validates them with the decoders' own walk and keeps them as the
+    /// cluster — nothing is copied unless `buf[start..]` does not start on
+    /// a 4-byte boundary, in which case it moves once to a buffer that
+    /// does. `overflow_area` is the group's raw overflow area when one
+    /// was read; `None` stands for a pristine one. Overflow records
+    /// belonging to the *other* cluster of the group are skipped.
     ///
     /// # Errors
     ///
-    /// Propagates [`Error::Corrupt`] from either parse.
-    pub fn from_remote_sq(sq_bytes: &[u8], overflow_area: Option<&[u8]>) -> Result<Self> {
-        let sq = SqCluster::from_bytes(sq_bytes)?;
+    /// Propagates [`Error::Corrupt`] from either parse, and reports a
+    /// host that cannot read little-endian words in place as one.
+    pub fn adopt(
+        buf: Vec<u8>,
+        start: usize,
+        quantized: bool,
+        overflow_area: Option<&[u8]>,
+    ) -> Result<Self> {
+        if start > buf.len() {
+            return Err(Error::Corrupt("cluster starts past its buffer".into()));
+        }
+        let bytes = AlignedBytes::adopt(buf, start);
+        let blob = bytes.as_bytes();
+        // Every section a search will read as words is cast once here, so
+        // a host or a buffer that cannot be read in place is an error at
+        // load time, not a panic at search time.
+        let viewable = |section: &[u8]| match cast::le_u32s(section) {
+            Some(_) => Ok(()),
+            None => Err(Error::Corrupt("this host cannot read cluster words in place".into())),
+        };
+        let (partition, payload, dim) = if quantized {
+            let (partition, params, ids, _) = sq_sections(blob)?;
+            viewable(ids)?;
+            let (n, dim) = (ids.len() / 4, params.dim());
+            (partition, Payload::Sq { params, n }, dim)
+        } else {
+            let (partition, ids, hnsw_blob) = full_sections(blob)?;
+            let layout = hnsw::serialize::layout(hnsw_blob).map_err(embedded)?;
+            check_id_map(ids, layout.len())?;
+            viewable(ids)?;
+            viewable(&hnsw_blob[layout.node_bytes()])?;
+            viewable(&hnsw_blob[layout.vector_bytes()])?;
+            let (dim, hnsw_at) = (layout.dim(), FULL_IDS_AT + ids.len());
+            (partition, Payload::Full { hnsw_at, layout }, dim)
+        };
         let (extra, deleted, skipped_slots) = match overflow_area {
-            Some(area) => {
-                let (records, skipped) = parse_overflow_detailed(area, sq.dim())?;
-                let (extra, deleted) = fold_overflow(sq.partition(), records);
-                (extra, deleted, skipped)
-            }
-            None => (Vec::new(), std::collections::HashSet::new(), 0),
+            Some(area) => fold_overflow(partition, area, dim)?,
+            None => Folded::default(),
         };
         Ok(LoadedCluster {
-            payload: Payload::Sq(sq),
+            bytes,
+            partition,
+            payload,
             extra,
             deleted,
             skipped_slots,
         })
     }
 
-    /// Wraps a freshly built cluster with no overflow (used at store-build
-    /// time and in tests).
+    /// Materializes a cluster from the two slices a contiguous group read
+    /// yields — the serialized cluster and its group's raw overflow area —
+    /// copying the former once into a buffer of its own.
+    ///
+    /// # Errors
+    ///
+    /// As [`LoadedCluster::adopt`].
+    pub fn from_remote(cluster_bytes: &[u8], overflow_area: &[u8]) -> Result<Self> {
+        Self::adopt(cluster_bytes.to_vec(), 0, false, Some(overflow_area))
+    }
+
+    /// Materializes a cluster from its SQ8 blob, copied once.
+    /// `overflow_area` is the group's raw overflow area when one was
+    /// read; `None` means the cluster's version slot proved the overflow
+    /// pristine (version 0, nothing ever inserted), so no overflow bytes
+    /// were fetched.
+    ///
+    /// # Errors
+    ///
+    /// As [`LoadedCluster::adopt`].
+    pub fn from_remote_sq(sq_bytes: &[u8], overflow_area: Option<&[u8]>) -> Result<Self> {
+        Self::adopt(sq_bytes.to_vec(), 0, true, overflow_area)
+    }
+
+    /// Wraps a freshly built cluster with no overflow (used in tests):
+    /// the same view, over the bytes `sub` serializes to.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a host that cannot read little-endian words in place.
     pub fn from_sub(sub: SubCluster) -> Self {
-        LoadedCluster {
-            payload: Payload::Full(sub),
-            extra: Vec::new(),
-            deleted: std::collections::HashSet::new(),
-            skipped_slots: 0,
-        }
+        Self::adopt(sub.to_bytes(), 0, false, None).expect("a built cluster serializes validly")
     }
 
     /// Overflow slots inside the committed range that were skipped as
@@ -753,47 +822,68 @@ impl LoadedCluster {
         &self.deleted
     }
 
-    /// The base sub-cluster.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the cluster was materialized from its SQ8 blob — a
-    /// compressed load carries no graph. Callers on the full-precision
-    /// path (store rebuild, uncompressed query flow) are the only ones
-    /// that reach this.
-    pub fn sub(&self) -> &SubCluster {
+    fn words(&self, section: Range<usize>) -> &[u32] {
+        cast::le_u32s(&self.bytes.as_bytes()[section]).expect(VIEWABLE)
+    }
+
+    /// The sub-HNSW over the cluster's own bytes: `layout` describes the
+    /// `HSW1` blob that starts `hnsw_at` into them.
+    fn index<'a>(&'a self, hnsw_at: usize, layout: &'a Layout) -> IndexView<'a> {
+        let (nodes, vectors) = (layout.node_bytes(), layout.vector_bytes());
+        let rows = &self.bytes.as_bytes()[hnsw_at + vectors.start..hnsw_at + vectors.end];
+        let rows = cast::le_f32s(rows).expect(VIEWABLE);
+        layout.view(self.words(hnsw_at + nodes.start..hnsw_at + nodes.end), rows)
+    }
+
+    /// Where the SQ8 id map ends and the codes — the blob's tail — begin.
+    fn sq_codes_at(params: &SqParams, n: usize) -> usize {
+        SqCluster::wire_size(n, params.dim()) - n * params.dim()
+    }
+
+    /// The global ids of the base rows, indexed by local id.
+    pub fn global_ids(&self) -> &[u32] {
         match &self.payload {
-            Payload::Full(sub) => sub,
-            Payload::Sq(_) => panic!("sq-loaded cluster has no sub-HNSW"),
+            Payload::Full { hnsw_at, .. } => self.words(FULL_IDS_AT..*hnsw_at),
+            Payload::Sq { params, n } => {
+                let end = Self::sq_codes_at(params, *n);
+                self.words(end - 4 * n..end)
+            }
         }
     }
 
-    /// The SQ8 payload, when this cluster was loaded compressed.
-    pub fn sq(&self) -> Option<&SqCluster> {
+    /// The full-precision vector of base row `local`; `None` past the
+    /// last row, and for an SQ8 load, which holds codes only.
+    pub fn base_vector(&self, local: u32) -> Option<&[f32]> {
+        let Payload::Full { hnsw_at, layout } = &self.payload else {
+            return None;
+        };
+        ((local as usize) < layout.len()).then(|| self.index(*hnsw_at, layout).vector(local))
+    }
+
+    /// The quantization parameters, when this cluster was loaded
+    /// compressed.
+    pub fn sq_params(&self) -> Option<&SqParams> {
         match &self.payload {
-            Payload::Sq(sq) => Some(sq),
-            Payload::Full(_) => None,
+            Payload::Sq { params, .. } => Some(params),
+            Payload::Full { .. } => None,
         }
     }
 
     /// Whether the base payload is the compressed (SQ8) form.
     pub fn is_quantized(&self) -> bool {
-        matches!(self.payload, Payload::Sq(_))
+        matches!(self.payload, Payload::Sq { .. })
     }
 
     /// The partition this cluster serves.
     pub fn partition(&self) -> u32 {
-        match &self.payload {
-            Payload::Full(sub) => sub.partition(),
-            Payload::Sq(sq) => sq.partition(),
-        }
+        self.partition
     }
 
     /// Vector dimensionality.
     pub fn dim(&self) -> usize {
         match &self.payload {
-            Payload::Full(sub) => sub.dim(),
-            Payload::Sq(sq) => sq.dim(),
+            Payload::Full { layout, .. } => layout.dim(),
+            Payload::Sq { params, .. } => params.dim(),
         }
     }
 
@@ -810,8 +900,8 @@ impl LoadedCluster {
     /// Base rows, overflow inserts excluded.
     pub fn base_len(&self) -> usize {
         match &self.payload {
-            Payload::Full(sub) => sub.len(),
-            Payload::Sq(sq) => sq.len(),
+            Payload::Full { layout, .. } => layout.len(),
+            Payload::Sq { n, .. } => *n,
         }
     }
 
@@ -859,23 +949,24 @@ impl LoadedCluster {
         out: &mut Vec<Candidate>,
     ) {
         let start = out.len();
-        let sq = match &self.payload {
-            Payload::Sq(sq) => sq,
-            Payload::Full(sub) => {
-                let metric = sub.hnsw().params().metric_kind();
+        let ids = self.global_ids();
+        let (params, n) = match &self.payload {
+            Payload::Sq { params, n } => (params, *n),
+            Payload::Full { hnsw_at, layout } => {
+                let index = self.index(*hnsw_at, layout);
                 // When tombstones exist, ask the base graph for that many
                 // extra candidates (and widen the beam accordingly) so
                 // filtering the deleted ids still leaves k survivors.
                 let extra_needed = self.deleted.len().min(k);
                 let base =
-                    sub.search_in(query, k + extra_needed, ef + extra_needed, scratch, stats);
+                    index.search_in(query, k + extra_needed, ef + extra_needed, scratch, stats);
                 out.extend(
-                    base.filter(|n| extra_needed == 0 || !self.deleted.contains(&n.id))
-                        .map(|n| Candidate::exact(n.id, n.dist)),
+                    (base.iter().map(|n| Candidate::exact(ids[n.id as usize], n.dist)))
+                        .filter(|c| extra_needed == 0 || !self.deleted.contains(&c.id)),
                 );
                 for (gid, v) in &self.extra {
                     stats.dist_evals += 1;
-                    out.push(Candidate::exact(*gid, metric.distance(query, v)));
+                    out.push(Candidate::exact(*gid, index.metric().distance(query, v)));
                 }
                 // The walk orders ties by local id; hits leave ordered by
                 // global.
@@ -885,20 +976,21 @@ impl LoadedCluster {
                 return;
             }
         };
+        let codes = &self.bytes.as_bytes()[Self::sq_codes_at(params, n)..][..n * params.dim()];
         // TopK carries plain (id, dist), so select over pseudo-ids:
         // base row i -> i, overflow insert j -> n + j.
-        let n = sq.len() as u32;
+        let n = n as u32;
         let mut top = TopK::new(k + slack);
         // Most clusters carry no tombstone; those skip the per-row hash
         // lookup altogether.
         let any_deleted = !self.deleted.is_empty();
-        let rows = sq.codes.chunks_exact(sq.dim());
-        for (local, (codes, gid)) in rows.zip(&sq.global_ids).enumerate() {
+        let rows = codes.chunks_exact(params.dim());
+        for (local, (codes, gid)) in rows.zip(ids).enumerate() {
             if any_deleted && self.deleted.contains(gid) {
                 continue;
             }
             stats.dist_evals += 1;
-            top.push(local as u32, sq.params.asymmetric_l2(query, codes));
+            top.push(local as u32, params.asymmetric_l2(query, codes));
         }
         for (j, (_, v)) in self.extra.iter().enumerate() {
             stats.dist_evals += 1;
@@ -907,10 +999,10 @@ impl LoadedCluster {
         out.extend(top.into_sorted_vec().into_iter().map(|h| {
             if h.id < n {
                 Candidate {
-                    id: sq.global_ids[h.id as usize],
+                    id: ids[h.id as usize],
                     dist: h.dist,
                     local: Some(h.id),
-                    err: sq.params.l2_error_bound(h.dist),
+                    err: params.l2_error_bound(h.dist),
                 }
             } else {
                 Candidate::exact(self.extra[(h.id - n) as usize].0, h.dist)
@@ -943,17 +1035,15 @@ impl LoadedCluster {
             .collect()
     }
 
-    /// Approximate resident size in bytes (for cache accounting).
+    /// Resident size in bytes (for cache accounting): the serialized
+    /// cluster plus the overflow extras — O(1) in the cluster's size, as
+    /// the cache sums it under its lock.
     pub fn resident_bytes(&self) -> usize {
         let base = match &self.payload {
-            Payload::Full(sub) => sub.serialized_size(),
-            Payload::Sq(sq) => sq.serialized_size(),
+            Payload::Full { hnsw_at, layout } => hnsw_at + layout.vector_bytes().end,
+            Payload::Sq { params, n } => SqCluster::wire_size(*n, params.dim()),
         };
-        base + self
-            .extra
-            .iter()
-            .map(|(_, v)| 8 + 4 * v.len())
-            .sum::<usize>()
+        base + self.extra.len() * (8 + 4 * self.dim())
     }
 }
 
@@ -1191,7 +1281,9 @@ mod tests {
         let (data, sq) = build_sq(60);
         let loaded = LoadedCluster::from_remote_sq(&sq.to_bytes(), None).unwrap();
         assert!(loaded.is_quantized());
-        assert!(loaded.sq().is_some());
+        assert_eq!(loaded.sq_params(), Some(sq.params()));
+        assert_eq!(loaded.global_ids(), sq.global_ids());
+        assert_eq!(loaded.base_vector(0), None, "an SQ8 load holds codes only");
         assert_eq!(loaded.dim(), 8);
         let q = data.get(7);
         let hits = loaded.search_sq(q, 5);

@@ -11,10 +11,12 @@
 
 use std::sync::Arc;
 
-use rdma_sim::{ReadCause, ReadReq};
+use parking_lot::Mutex;
+use rdma_sim::{ReadCause, ReadReq, Scatter};
 
 use super::{run_indexed, ComputeNode};
 use crate::cluster::LoadedCluster;
+use crate::layout::GroupSlot;
 use crate::telemetry::span::{ArgValue, BatchTrace, SpanId};
 use crate::{Error, Result};
 
@@ -38,23 +40,30 @@ impl Load {
     }
 }
 
-/// A load that came back stable: the span this node's wire format reads
-/// for the partition, the version it was read at, and — SQ8 wire, mutated
-/// partition — the group's raw overflow area from the follow-up read.
+/// A load that came back stable, and the version it was read at. The
+/// fetch landed the serialized cluster this node's wire format reads in
+/// `cluster`, a buffer of its own that becomes the [`LoadedCluster`] as it
+/// is. What else the load read — the rest of the group span with its
+/// overflow area, or (SQ8 wire, mutated partition) the follow-up read of
+/// that area — landed in `overflow`, which is parsed and dropped.
 #[derive(Debug)]
 pub(super) struct Fetched {
     pub(super) load: Load,
     pub(super) version: u64,
-    span: Vec<u8>,
+    cluster: Vec<u8>,
     overflow: Option<Vec<u8>>,
 }
 
 impl Fetched {
     /// Bytes this load moved, span and follow-up together.
     pub(super) fn bytes(&self) -> u64 {
-        (self.span.len() + self.overflow.as_ref().map_or(0, Vec::len)) as u64
+        (self.cluster.len() + self.overflow.as_ref().map_or(0, Vec::len)) as u64
     }
 }
+
+/// Where one read of a round landed: its first `head` bytes, and the
+/// rest.
+type Landed = (Vec<u8>, Vec<u8>);
 
 /// What [`Reader::fetch`] calls produced, accumulated.
 #[derive(Debug, Default)]
@@ -106,21 +115,26 @@ impl<'a> Reader<'a> {
     }
 
     /// Posts `reqs` the way the node's policy says — one doorbell batch,
-    /// or one verb per request, stopping at the first that fails.
-    /// `None` means the substrate gave up retransmitting: nothing of
-    /// this round is usable and the engine-level budget decides.
-    fn post(&self, reqs: &[ReadReq]) -> Result<Option<Vec<Vec<u8>>>> {
+    /// or one verb per request, stopping at the first that fails — each
+    /// landing in two buffers of its own, cut `heads[i]` bytes in. The
+    /// buffers start empty and are sized by the read that fills them,
+    /// once, after the substrate has bounds-checked it. `None` means the
+    /// substrate gave up retransmitting: nothing of this round is usable
+    /// and the engine-level budget decides.
+    fn post(&self, reqs: &[ReadReq], heads: &[u64]) -> Result<Option<Vec<Landed>>> {
         let _scope = self.trace.enter_scope(self.span);
         let qp = &self.node.qp;
+        let mut landed: Vec<Landed> = reqs.iter().map(|_| Landed::default()).collect();
+        let cuts = reqs.iter().zip(heads);
+        let mut into = (landed.iter_mut().zip(cuts))
+            .map(|((head, tail), (r, &at))| Scatter::cut(head, tail, at, r.len));
         let outcome = if self.node.policy.doorbell {
-            qp.read_doorbell(reqs)
+            qp.read_doorbell_into(reqs, &mut into.collect::<Vec<_>>())
         } else {
-            reqs.iter()
-                .map(|r| qp.read_with_cause(r.rkey, r.offset, r.len, r.cause))
-                .collect()
+            reqs.iter().try_for_each(|r| qp.read_into(*r, into.next().expect("one per request")))
         };
         match outcome {
-            Ok(buffers) => Ok(Some(buffers)),
+            Ok(()) => Ok(Some(landed)),
             Err(rdma_sim::Error::RetriesExhausted { .. }) => Ok(None),
             Err(e) => Err(e.into()),
         }
@@ -168,9 +182,10 @@ impl<'a> Reader<'a> {
         partition: u32,
     ) -> Result<Option<Vec<Vec<u8>>>> {
         self.attempt = 0;
+        let whole: Vec<u64> = reqs.iter().map(|r| r.len).collect();
         loop {
-            if let Some(buffers) = self.post(reqs)? {
-                return Ok(Some(buffers));
+            if let Some(landed) = self.post(reqs, &whole)? {
+                return Ok(Some(landed.into_iter().map(|(all, _)| all).collect()));
             }
             if !self.again(1, reqs.len(), partition)? {
                 return Ok(None);
@@ -211,15 +226,20 @@ impl<'a> Reader<'a> {
                 ReadCause::Retry
             };
             let mut reqs = Vec::with_capacity(verify.len() + 3 * pending.len());
+            let mut heads = Vec::with_capacity(reqs.capacity());
             for &(p, _) in &verify {
                 reqs.push(node.version_req(p)?);
+                heads.push(8);
             }
+            let mut lasts = Vec::with_capacity(pending.len());
             for load in &pending {
                 let (off, len) = node.load_span(load.partition)?;
                 let body = ReadReq::new(node.rkey, off, len).with_cause(span_cause);
-                node.push_body(&mut reqs, load.partition, body, bracketed)?;
+                let (cut, cluster_last) = node.cluster_cut(load.partition, len)?;
+                lasts.push(cluster_last);
+                node.push_body(&mut reqs, &mut heads, load.partition, body, cut, bracketed)?;
             }
-            let Some(buffers) = self.post(&reqs)? else {
+            let Some(landed) = self.post(&reqs, &heads)? else {
                 let first = pending.first().map_or(0, |l| l.partition);
                 if self.again(1, pending.len(), first)? {
                     continue;
@@ -229,40 +249,48 @@ impl<'a> Reader<'a> {
                 out.failed.append(&mut pending);
                 break;
             };
-            let mut bufs = buffers.into_iter();
+            let mut bufs = landed.into_iter();
             let mut unstable: Vec<Load> = Vec::new();
             for (p, pinned) in verify.drain(..) {
-                if read_version(&bufs.next().expect("one buffer per request"))? != pinned {
+                if read_version(&bufs.next().expect("one buffer per request").0)? != pinned {
                     node.cache.lock().invalidate(p);
                     out.stale.push(p);
                     unstable.push(Load::of(p));
                 }
             }
             let mut mutated: Vec<(Load, Vec<u8>)> = Vec::new();
-            for load in pending.drain(..) {
-                match take_body(&mut bufs, bracketed)? {
-                    Some((version, span)) if node.use_sq && version != 0 => {
-                        mutated.push((load, span));
-                    }
-                    Some((version, span)) => out.stable.push(Fetched {
+            for (load, cluster_last) in pending.drain(..).zip(lasts) {
+                let Some((version, (head, tail))) = take_body(&mut bufs, bracketed)? else {
+                    unstable.push(load);
+                    continue;
+                };
+                // Full wire: the other side of the cut is the rest of the
+                // group span.
+                let (cluster, rest) = if cluster_last { (tail, head) } else { (head, tail) };
+                let overflow = (!node.use_sq).then_some(rest);
+                if node.use_sq && version != 0 {
+                    mutated.push((load, cluster));
+                } else {
+                    out.stable.push(Fetched {
                         load,
                         version,
-                        span,
-                        overflow: None,
-                    }),
-                    None => unstable.push(load),
+                        cluster,
+                        overflow,
+                    });
                 }
             }
             if !mutated.is_empty() {
                 let mut reqs = Vec::with_capacity(3 * mutated.len());
+                let mut heads = Vec::with_capacity(reqs.capacity());
                 for (load, _) in &mutated {
                     let loc = node.directory.location(load.partition)?;
                     let area = ReadReq::new(node.rkey, loc.overflow_off, loc.overflow_len)
                         .with_cause(ReadCause::OverflowScan);
-                    node.push_body(&mut reqs, load.partition, area, true)?;
+                    let whole = loc.overflow_len;
+                    node.push_body(&mut reqs, &mut heads, load.partition, area, whole, true)?;
                 }
-                let mut areas = self.post(&reqs)?.map(Vec::into_iter);
-                for (load, span) in mutated {
+                let mut areas = self.post(&reqs, &heads)?.map(Vec::into_iter);
+                for (load, cluster) in mutated {
                     // A dropped follow-up sends its partitions around
                     // again, blob and overflow together.
                     let area = match &mut areas {
@@ -270,10 +298,10 @@ impl<'a> Reader<'a> {
                         None => None,
                     };
                     match area {
-                        Some((version, area)) => out.stable.push(Fetched {
+                        Some((version, (area, _))) => out.stable.push(Fetched {
                             load,
                             version,
-                            span,
+                            cluster,
                             overflow: Some(area),
                         }),
                         None => unstable.push(load),
@@ -305,16 +333,16 @@ fn read_version(buf: &[u8]) -> Result<u64> {
 /// `bracketed` is off) from a round's buffers. `None`: the two version
 /// reads differ — a writer committed mid-read and the body may be torn.
 fn take_body(
-    bufs: &mut impl Iterator<Item = Vec<u8>>,
+    bufs: &mut impl Iterator<Item = Landed>,
     bracketed: bool,
-) -> Result<Option<(u64, Vec<u8>)>> {
+) -> Result<Option<(u64, Landed)>> {
     let mut next = || bufs.next().expect("one buffer per request");
     if !bracketed {
         return Ok(Some((0, next())));
     }
-    let before = read_version(&next())?;
+    let before = read_version(&next().0)?;
     let body = next();
-    let after = read_version(&next())?;
+    let after = read_version(&next().0)?;
     Ok((before == after).then_some((after, body)))
 }
 
@@ -339,46 +367,75 @@ impl ComputeNode {
         )
     }
 
+    /// Where the fetch cuts `p`'s load span of `len` bytes in two, and
+    /// whether the serialized cluster is the part after the cut (back
+    /// slot) rather than before it. The SQ8 blob is the whole span.
+    fn cluster_cut(&self, p: u32, len: u64) -> Result<(u64, bool)> {
+        let loc = self.directory.location(p)?;
+        Ok(match loc.slot {
+            _ if self.use_sq => (len, false),
+            GroupSlot::Front => (loc.cluster_len, false),
+            GroupSlot::Back => (len.saturating_sub(loc.cluster_len), true),
+        })
+    }
+
     /// `reqs` extended by `body`, between two reads of `p`'s version slot
-    /// when `bracketed`.
+    /// when `bracketed`; `heads` by where each lands (`cut` bytes into the
+    /// body).
     fn push_body(
         &self,
         reqs: &mut Vec<ReadReq>,
+        heads: &mut Vec<u64>,
         p: u32,
         body: ReadReq,
+        cut: u64,
         bracketed: bool,
     ) -> Result<()> {
         if bracketed {
             let vs = self.version_req(p)?;
             reqs.extend([vs, body, vs]);
+            heads.extend([8, cut, 8]);
         } else {
             reqs.push(body);
+            heads.push(cut);
         }
         Ok(())
     }
 
-    /// The one span → [`LoadedCluster`] decode: the group span split into
-    /// cluster and overflow, or the SQ8 blob with the overflow area its
-    /// follow-up read brought (none: the version slot proved it
-    /// pristine).
-    fn decode(&self, fetched: &Fetched) -> Result<LoadedCluster> {
+    /// The one fetch → [`LoadedCluster`] step: the buffer the cluster
+    /// landed in is adopted as it is, next to the overflow area cut out of
+    /// the rest of the group span — or, SQ8 wire, the area its follow-up
+    /// read brought (none: the version slot proved it pristine).
+    fn decode(&self, fetched: Fetched) -> Result<LoadedCluster> {
+        let Fetched { load, cluster, overflow, .. } = fetched;
         if self.use_sq {
-            return LoadedCluster::from_remote_sq(&fetched.span, fetched.overflow.as_deref());
+            return LoadedCluster::adopt(cluster, 0, true, overflow.as_deref());
         }
-        let loc = self.directory.location(fetched.load.partition)?;
-        let (cluster_bytes, overflow) = loc.split(&fetched.span)?;
-        LoadedCluster::from_remote(cluster_bytes, overflow)
+        let loc = self.directory.location(load.partition)?;
+        let (rest, n) = (overflow.as_deref().unwrap_or_default(), loc.overflow_len as usize);
+        // Front slot: alignment padding, then the area. Back: the area
+        // comes first.
+        let area = match loc.slot {
+            GroupSlot::Front => rest.len().checked_sub(n).map(|at| &rest[at..]),
+            GroupSlot::Back => rest.get(..n),
+        };
+        let area = area.ok_or_else(|| Error::Corrupt("span ends inside its overflow area".into()))?;
+        LoadedCluster::adopt(cluster, 0, false, Some(area))
     }
 
-    /// Decodes freshly fetched spans across the instance's worker
-    /// threads, like the paper's per-instance OpenMP pool.
+    /// Turns freshly fetched loads into clusters across the instance's
+    /// worker threads, like the paper's per-instance OpenMP pool. Each
+    /// load's buffer is handed over, not re-read: what comes back is the
+    /// load, its version, and the cluster that now owns the bytes.
     pub(super) fn materialize(
         &self,
-        fetched: &[Fetched],
+        fetched: Vec<Fetched>,
         threads: usize,
-    ) -> Result<Vec<Arc<LoadedCluster>>> {
-        run_indexed(fetched.len(), threads, |i| {
-            Ok(Arc::new(self.decode(&fetched[i])?))
+    ) -> Result<Vec<(Load, u64, Arc<LoadedCluster>)>> {
+        let cells: Vec<_> = fetched.into_iter().map(|f| Mutex::new(Some(f))).collect();
+        run_indexed(cells.len(), threads, |i| {
+            let f = cells[i].lock().take().expect("every index runs once");
+            Ok((f.load, f.version, Arc::new(self.decode(f)?)))
         })
     }
 }

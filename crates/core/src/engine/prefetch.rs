@@ -1,7 +1,5 @@
 //! The between-batch cache warmer.
 
-use std::sync::Arc;
-
 use rdma_sim::ReadCause;
 
 use super::fetch::{Fetch, Load, Reader};
@@ -91,15 +89,14 @@ impl ComputeNode {
             ReadCause::Prefetch,
             &mut got,
         );
-        let fetched = got.stable;
         let threads = self.config.effective_search_threads();
         let mut admitted = 0usize;
-        if let Ok(loaded) = self.materialize(&fetched, threads) {
+        if let Ok(loaded) = self.materialize(got.stable, threads) {
             let mut cache = self.cache.lock();
             // Make room by dropping the coldest residents *outside* the
             // target set, so this round's admissions never LRU-evict each
             // other or a resident hotter than what they replace.
-            let mut need = (cache.len() + fetched.len()).saturating_sub(capacity);
+            let mut need = (cache.len() + loaded.len()).saturating_sub(capacity);
             if need > 0 {
                 let in_target: std::collections::HashSet<u32> = target.iter().copied().collect();
                 for h in heat.iter().rev() {
@@ -112,10 +109,10 @@ impl ComputeNode {
                     }
                 }
             }
-            for (f, cluster) in fetched.iter().zip(&loaded) {
+            for (load, version, cluster) in loaded {
                 // Deliberately no `record_load` here: prefetch traffic
                 // must not feed back into the hotness signal it follows.
-                if let Some(victim) = cache.put(f.load.partition, Arc::clone(cluster), f.version) {
+                if let Some(victim) = cache.put(load.partition, cluster, version) {
                     self.heatmap.record_eviction(victim);
                 }
                 admitted += 1;

@@ -330,31 +330,32 @@ impl ComputeNode {
             let fetched = std::mem::take(&mut loads[i]);
             let t_mat = Instant::now();
             let s_mat = trace.begin_span("materialize", "engine", root);
-            let loaded = self.materialize(&fetched, threads)?;
+            let loaded = self.materialize(fetched, threads)?;
+            let loaded_n = loaded.len();
             {
                 let _scope = trace.enter_scope(s_mat);
                 let mut cache = reuse.then(|| self.cache.lock());
-                for (f, cluster) in fetched.iter().zip(&loaded) {
+                for (load, version, cluster) in loaded {
                     if let Some(cache) = cache.as_mut() {
-                        let p = f.load.partition;
-                        if let Some(victim) = cache.put(p, Arc::clone(cluster), f.version) {
+                        let p = load.partition;
+                        if let Some(victim) = cache.put(p, Arc::clone(&cluster), version) {
                             if heat {
                                 self.heatmap.record_eviction(victim);
                             }
                         }
                         cache.pin(p);
                     }
-                    resolved.insert(f.load.key, Arc::clone(cluster));
+                    resolved.insert(load.key, cluster);
                 }
             }
             trace.end_span_with(
                 s_mat,
                 &[
-                    ("clusters", ArgValue::U64(loaded.len() as u64)),
+                    ("clusters", ArgValue::U64(loaded_n as u64)),
                     ("stage", ArgValue::U64(i as u64)),
                 ],
             );
-            report.clusters_loaded += loaded.len();
+            report.clusters_loaded += loaded_n;
             let mat_us = t_mat.elapsed().as_secs_f64() * 1e6;
             report.breakdown.materialize_us += mat_us;
 

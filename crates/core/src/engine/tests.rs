@@ -1194,9 +1194,9 @@ fn cluster_major_pools_equal_a_query_major_reference() {
                 let found = route.iter().filter_map(|p| Some((*p, resolved.get(p)?)));
                 let mut pool: Vec<Pooled> = Vec::new();
                 for (key, c) in found.clone() {
-                    match c.sq() {
+                    match c.sq_params() {
                         Some(sq) => pool.extend(c.search_sq(q, k + slack).iter().map(|h| {
-                            let err = h.local.map_or(0.0, |_| sq.params().l2_error_bound(h.dist));
+                            let err = h.local.map_or(0.0, |_| sq.l2_error_bound(h.dist));
                             let cand = Candidate {
                                 id: h.id,
                                 dist: h.dist,

@@ -238,12 +238,13 @@ impl VectorStore {
             let buf = qp.read_with_cause(rkey, off, len, rdma_sim::ReadCause::OverflowScan)?;
             let (cluster_bytes, overflow) = loc.split(&buf)?;
             let loaded = crate::cluster::LoadedCluster::from_remote(cluster_bytes, overflow)?;
-            for (local, &gid) in loaded.sub().global_ids().iter().enumerate() {
+            for (local, &gid) in loaded.global_ids().iter().enumerate() {
                 // Forced representatives live in two clusters; keep one.
                 // Tombstoned ids are dropped for good — this is where a
                 // delete becomes permanent.
                 if !loaded.deleted().contains(&gid) && seen.insert(gid) {
-                    pairs.push((gid, loaded.sub().hnsw().vector(local as u32).to_vec()));
+                    let row = loaded.base_vector(local as u32);
+                    pairs.push((gid, row.expect("one row per id").to_vec()));
                 }
             }
             for rec in crate::cluster::parse_overflow(overflow, self.dim())? {
@@ -470,9 +471,10 @@ mod tests {
             let loaded = LoadedCluster::from_remote(cluster_bytes, overflow).unwrap();
             assert_eq!(loaded.partition(), p);
             assert_eq!(loaded.overflow_len(), 0);
-            assert_eq!(loaded.sub().len(), store.partition_size(p).unwrap());
-            // Every member vector finds itself.
-            let gid = loaded.sub().global_ids()[0];
+            assert_eq!(loaded.base_len(), store.partition_size(p).unwrap());
+            // Every member vector finds itself, and is the row it maps to.
+            let gid = loaded.global_ids()[0];
+            assert_eq!(loaded.base_vector(0), Some(data.get(gid as usize)));
             let hit = loaded.search(data.get(gid as usize), 1, 8);
             assert_eq!(hit[0].dist, 0.0);
         }

@@ -7,12 +7,20 @@
 //! `Ok` must be a value that can be searched. Each format is put through
 //! every truncation length, every single-bit and whole-byte flip of its
 //! header, and a few hundred random flips of its body.
+//!
+//! The views a compute node searches in place go through the same sweep
+//! as the owning decoders, mutant by mutant: the `HSW1` layout pass and
+//! the view over the blob's own words, and `LoadedCluster::adopt` on a
+//! buffer whose cluster starts on a boundary and on one where it does
+//! not. A view must accept exactly what the owning decoder accepts —
+//! there is one validator — and every accepted mutant is searched.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use dhnsw::cluster::{LoadedCluster, OverflowRecord, SqCluster, SubCluster};
 use dhnsw::layout::{Directory, DIRECTORY_PEEK_BYTES};
-use hnsw::{serialize, HnswIndex, HnswParams};
+use hnsw::{serialize, HnswIndex, HnswParams, SearchScratch};
+use vecsim::cast::{le_f32s, le_u32s, AlignedBytes};
 use vecsim::gen;
 
 const N: usize = 48;
@@ -82,16 +90,28 @@ fn hsw1_blobs_decode_or_report_corruption() {
     let blob = serialize::to_bytes(&HnswIndex::build(data(), &params()).unwrap());
     let accepted = sweep("HSW1", &blob, 48, |bytes| match serialize::from_bytes(bytes) {
         Ok(index) => {
+            // The layout pass accepts the mutant too, and the view over
+            // the mutant's own words answers as the decoded copy does.
+            let at = serialize::layout(bytes).expect("one validator");
+            let own = AlignedBytes::copy_of(bytes);
+            let links = le_u32s(&own.as_bytes()[at.node_bytes()]).unwrap();
+            let view = at.view(links, le_f32s(&own.as_bytes()[at.vector_bytes()]).unwrap());
+            let (mut scratch, mut stats) = (SearchScratch::default(), Default::default());
             for q in queries(index.dim()) {
                 let hits = index.search(&q, 10, 48);
                 assert!(hits.len() <= 10 && hits.iter().all(|n| (n.id as usize) < index.len()));
+                let seen = view.search_in(&q, 10, 48, &mut scratch, &mut stats);
+                assert_eq!(format!("{seen:?}"), format!("{hits:?}"), "NaN distances included");
                 index.descend(&q, 3);
             }
             // What decoded must encode again, and to something decodable.
             serialize::from_bytes(&serialize::to_bytes(&index)).unwrap();
             true
         }
-        Err(hnsw::Error::CorruptBlob(_)) => false,
+        Err(hnsw::Error::CorruptBlob(_)) => {
+            assert!(matches!(serialize::layout(bytes), Err(hnsw::Error::CorruptBlob(_))));
+            false
+        }
         Err(other) => panic!("HSW1: not a corruption error: {other:?}"),
     });
     // Flipped vector bytes and in-range neighbour ids are still an index.
@@ -117,15 +137,34 @@ fn dhc1_blobs_decode_or_report_corruption() {
     // the embedded HSW1 header is swept as part of the body.
     let accepted = sweep("DHC1", &blob, 20, |bytes| match LoadedCluster::from_remote(bytes, &area) {
         Ok(loaded) => {
+            assert!(SubCluster::from_bytes(bytes).is_ok(), "the view took what the owner refuses");
+            let moved = adopt_off_boundary(bytes, false, Some(&area)).expect("one validator");
             for q in queries(loaded.dim()) {
-                assert!(loaded.search(&q, 10, 48).len() <= 10);
+                let hits = loaded.search(&q, 10, 48);
+                assert!(hits.len() <= 10);
+                assert_eq!(format!("{:?}", moved.search(&q, 10, 48)), format!("{hits:?}"));
             }
             true
         }
-        Err(dhnsw::Error::Corrupt(_)) => false,
+        Err(dhnsw::Error::Corrupt(_)) => {
+            assert!(matches!(SubCluster::from_bytes(bytes), Err(dhnsw::Error::Corrupt(_))));
+            assert!(matches!(adopt_off_boundary(bytes, false, Some(&area)), Err(dhnsw::Error::Corrupt(_))));
+            false
+        }
         Err(other) => panic!("DHC1: not a corruption error: {other:?}"),
     });
     assert!(accepted > 0);
+}
+
+/// The loader's entry on a buffer whose cluster starts one byte past a
+/// boundary, so the view is built over the converted-once copy.
+fn adopt_off_boundary(bytes: &[u8], quantized: bool, overflow: Option<&[u8]>) -> dhnsw::Result<LoadedCluster> {
+    let mut buf = Vec::with_capacity(bytes.len() + 8);
+    let start = 1 + (buf.as_ptr() as usize).wrapping_neg() % 4;
+    buf.resize(start, 0xAA);
+    buf.extend_from_slice(bytes);
+    assert_eq!(buf[start..].as_ptr() as usize % 4, 1, "the cluster must start off a boundary");
+    LoadedCluster::adopt(buf, start, quantized, overflow)
 }
 
 #[test]
@@ -140,14 +179,21 @@ fn dhc2_blobs_decode_or_report_corruption() {
         let accepted = sweep("DHC2", &blob, header, |bytes| {
             match LoadedCluster::from_remote_sq(bytes, overflow) {
                 Ok(loaded) => {
+                    assert!(SqCluster::from_bytes(bytes).is_ok(), "the view took what the owner refuses");
+                    let moved = adopt_off_boundary(bytes, true, overflow).expect("one validator");
                     for q in queries(loaded.dim()) {
                         let hits = loaded.search_sq(&q, 12);
                         assert!(hits.len() <= 12);
                         assert!(hits.windows(2).all(|w| w[0].dist <= w[1].dist || w[1].dist.is_nan()));
+                        assert_eq!(format!("{:?}", moved.search_sq(&q, 12)), format!("{hits:?}"));
                     }
                     true
                 }
-                Err(dhnsw::Error::Corrupt(_)) => false,
+                Err(dhnsw::Error::Corrupt(_)) => {
+                    assert!(matches!(SqCluster::from_bytes(bytes), Err(dhnsw::Error::Corrupt(_))));
+                    assert!(matches!(adopt_off_boundary(bytes, true, overflow), Err(dhnsw::Error::Corrupt(_))));
+                    false
+                }
                 Err(other) => panic!("DHC2: not a corruption error: {other:?}"),
             }
         });

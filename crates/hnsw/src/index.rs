@@ -7,7 +7,7 @@ use vecsim::{Dataset, Neighbor};
 
 use crate::build::{sample_level, select_neighbors_heuristic};
 use crate::graph::Graph;
-use crate::search::{greedy_descend_layer, search_layer, LayerStats, SearchScratch};
+use crate::search::{greedy_descend_layer, search_layer, IndexView, LayerStats, SearchScratch};
 use crate::{Error, HnswParams, Result};
 
 /// Work counters for a single search, split the way the paper's latency
@@ -18,13 +18,6 @@ pub struct SearchStats {
     pub dist_evals: u64,
     /// Graph hops (neighbour expansions) performed.
     pub hops: u64,
-}
-
-impl SearchStats {
-    fn absorb(&mut self, l: LayerStats) {
-        self.dist_evals += l.dist_evals;
-        self.hops += l.hops;
-    }
 }
 
 /// A Hierarchical Navigable Small World index over an owned [`Dataset`].
@@ -142,33 +135,16 @@ impl HnswIndex {
 
         // Greedy descent through layers above the new node's level.
         for layer in ((level + 1)..=prev_max).rev() {
-            (cur, cur_dist) = greedy_descend_layer(
-                &self.graph,
-                &self.data,
-                metric,
-                v,
-                cur,
-                cur_dist,
-                layer,
-                &mut stats,
-            );
+            (cur, cur_dist) =
+                greedy_descend_layer(&self.view(), v, cur, cur_dist, layer, &mut stats);
         }
 
         // Beam search + linking on each layer the new node exists on.
         SearchScratch::with_local(|scratch| {
             let mut eps = vec![Neighbor::new(cur, cur_dist)];
             for layer in (0..=level.min(prev_max)).rev() {
-                search_layer(
-                    &self.graph,
-                    &self.data,
-                    metric,
-                    v,
-                    &eps,
-                    self.params.ef_construction(),
-                    layer,
-                    scratch,
-                    &mut stats,
-                );
+                let ef = self.params.ef_construction();
+                search_layer(&self.view(), v, &eps, ef, layer, scratch, &mut stats);
                 // This layer's result is the next one's entry points.
                 std::mem::swap(&mut eps, &mut scratch.out);
                 let m_cap = self.layer_cap(layer);
@@ -256,10 +232,8 @@ impl HnswIndex {
         SearchScratch::with_local(|scratch| self.search_in(query, k, ef, scratch, stats).to_vec())
     }
 
-    /// The search behind every other search signature: walks with the
-    /// caller's `scratch` and returns a view of its output buffer, so a
-    /// worker that keeps one scratch searches without locking or
-    /// allocating. An `ef` of zero returns nothing without walking.
+    /// [`IndexView::search_in`] over this index: the search behind every
+    /// other search signature.
     pub fn search_in<'s>(
         &self,
         query: &[f32],
@@ -268,46 +242,19 @@ impl HnswIndex {
         scratch: &'s mut SearchScratch,
         stats: &mut SearchStats,
     ) -> &'s [Neighbor] {
-        let Some(entry) = self.graph.entry else {
-            return &[];
-        };
-        if query.len() != self.dim() || k == 0 || ef == 0 {
-            return &[];
+        self.view().search_in(query, k, ef, scratch, stats)
+    }
+
+    /// This index as a search reads it.
+    pub fn view(&self) -> IndexView<'_> {
+        IndexView {
+            graph: self.graph.view(),
+            rows: self.data.as_flat(),
+            dim: self.data.dim(),
+            entry: self.graph.entry,
+            max_level: self.graph.max_level,
+            metric: self.params.metric_kind(),
         }
-        let metric = self.params.metric_kind();
-
-        let mut layer_stats = LayerStats::default();
-        let mut cur = entry;
-        let mut cur_dist = metric.distance(query, self.data.get(cur as usize));
-        layer_stats.dist_evals += 1;
-
-        for layer in (1..=self.graph.max_level).rev() {
-            (cur, cur_dist) = greedy_descend_layer(
-                &self.graph,
-                &self.data,
-                metric,
-                query,
-                cur,
-                cur_dist,
-                layer,
-                &mut layer_stats,
-            );
-        }
-
-        let eps = [Neighbor::new(cur, cur_dist)];
-        search_layer(
-            &self.graph,
-            &self.data,
-            metric,
-            query,
-            &eps,
-            ef,
-            0,
-            scratch,
-            &mut layer_stats,
-        );
-        stats.absorb(layer_stats);
-        &scratch.out[..k.min(scratch.out.len())]
     }
 
     /// Like [`HnswIndex::search`], but only returns results satisfying

@@ -49,7 +49,7 @@ pub use bruteforce::BruteForceIndex;
 pub use error::Error;
 pub use index::{HnswIndex, SearchStats};
 pub use params::HnswParams;
-pub use search::SearchScratch;
+pub use search::{IndexView, SearchScratch};
 
 /// Convenient result alias used throughout this crate.
 pub type Result<T> = std::result::Result<T, Error>;

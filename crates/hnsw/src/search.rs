@@ -1,8 +1,9 @@
 //! Layer search primitives: greedy descent and beam (ef) search.
 
-use vecsim::{Dataset, Metric, Neighbor};
+use vecsim::{Metric, Neighbor};
 
-use crate::graph::Graph;
+use crate::graph::GraphView;
+use crate::SearchStats;
 
 /// Reusable visited-set with O(1) clear via epoch stamping.
 ///
@@ -51,14 +52,80 @@ pub struct LayerStats {
     pub hops: u64,
 }
 
+/// An index as a search reads it, all of it borrowed: the adjacency,
+/// the row-major vectors, and the handful of scalars a walk starts from.
+/// [`crate::HnswIndex::view`] lends one over an owned index,
+/// [`crate::serialize::Layout::view`] over the words of a serialized
+/// blob that was never decoded; every search runs on this type.
+#[derive(Debug, Clone, Copy)]
+pub struct IndexView<'a> {
+    pub(crate) graph: GraphView<'a>,
+    pub(crate) rows: &'a [f32],
+    pub(crate) dim: usize,
+    pub(crate) entry: Option<u32>,
+    pub(crate) max_level: usize,
+    pub(crate) metric: Metric,
+}
+
+impl<'a> IndexView<'a> {
+    /// The stored vector for `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of bounds.
+    #[inline]
+    pub fn vector(&self, id: u32) -> &'a [f32] {
+        let start = id as usize * self.dim;
+        &self.rows[start..start + self.dim]
+    }
+
+    /// The distance function the index was built under.
+    pub fn metric(&self) -> Metric {
+        self.metric
+    }
+
+    /// The search behind every other search signature: walks with the
+    /// caller's `scratch` and returns a view of its output buffer, so a
+    /// worker that keeps one scratch searches without locking or
+    /// allocating. An `ef` of zero returns nothing without walking.
+    pub fn search_in<'s>(
+        &self,
+        query: &[f32],
+        k: usize,
+        ef: usize,
+        scratch: &'s mut SearchScratch,
+        stats: &mut SearchStats,
+    ) -> &'s [Neighbor] {
+        let Some(entry) = self.entry else {
+            return &[];
+        };
+        if query.len() != self.dim || k == 0 || ef == 0 {
+            return &[];
+        }
+
+        let mut layer_stats = LayerStats::default();
+        let mut cur = entry;
+        let mut cur_dist = self.metric.distance(query, self.vector(cur));
+        layer_stats.dist_evals += 1;
+
+        for layer in (1..=self.max_level).rev() {
+            (cur, cur_dist) =
+                greedy_descend_layer(self, query, cur, cur_dist, layer, &mut layer_stats);
+        }
+
+        let eps = [Neighbor::new(cur, cur_dist)];
+        search_layer(self, query, &eps, ef, 0, scratch, &mut layer_stats);
+        stats.dist_evals += layer_stats.dist_evals;
+        stats.hops += layer_stats.hops;
+        &scratch.out[..k.min(scratch.out.len())]
+    }
+}
+
 /// Greedy descent on one layer: repeatedly move to the closest neighbour
 /// until no neighbour improves. This is the `ef = 1` search used on the
 /// upper layers. Returns the local minimum and its distance.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn greedy_descend_layer(
-    graph: &Graph,
-    data: &Dataset,
-    metric: Metric,
+    index: &IndexView<'_>,
     query: &[f32],
     mut current: u32,
     mut current_dist: f32,
@@ -67,9 +134,9 @@ pub(crate) fn greedy_descend_layer(
 ) -> (u32, f32) {
     loop {
         let mut improved = false;
-        for &nb in graph.neighbors(current, layer) {
+        for &nb in index.graph.neighbors(current, layer) {
             stats.hops += 1;
-            let d = metric.distance(query, data.get(nb as usize));
+            let d = index.metric.distance(query, index.vector(nb));
             stats.dist_evals += 1;
             if d < current_dist {
                 current = nb;
@@ -136,11 +203,8 @@ impl SearchScratch {
 /// every pooled entry has been expanded.
 ///
 /// Leaves up to `ef` nearest entries in `scratch.out`, sorted ascending.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn search_layer(
-    graph: &Graph,
-    data: &Dataset,
-    metric: Metric,
+    index: &IndexView<'_>,
     query: &[f32],
     entry_points: &[Neighbor],
     ef: usize,
@@ -152,7 +216,7 @@ pub(crate) fn search_layer(
     if ef == 0 {
         return;
     }
-    scratch.visited.reset(graph.len());
+    scratch.visited.reset(index.graph.len());
     scratch.pool.clear();
 
     for &ep in entry_points {
@@ -171,12 +235,12 @@ pub(crate) fn search_layer(
         scratch.pool[next].1 = true;
         let current = scratch.pool[next].0.id;
         next += 1;
-        for &nb in graph.neighbors(current, layer) {
+        for &nb in index.graph.neighbors(current, layer) {
             stats.hops += 1;
             if !scratch.visited.insert(nb) {
                 continue;
             }
-            let d = metric.distance(query, data.get(nb as usize));
+            let d = index.metric.distance(query, index.vector(nb));
             stats.dist_evals += 1;
             if scratch.pool.len() < ef || d < scratch.pool[ef - 1].0.dist {
                 next = next.min(scratch.admit(Neighbor::new(nb, d), ef));
@@ -195,8 +259,21 @@ mod tests {
     use std::collections::BinaryHeap;
 
     use super::*;
+    use crate::graph::Graph;
     use proptest::prelude::*;
     use vecsim::Dataset;
+
+    /// `graph` over `data` under L2, single layer, entered anywhere.
+    fn view_of<'a>(graph: &'a Graph, data: &'a Dataset) -> IndexView<'a> {
+        IndexView {
+            graph: graph.view(),
+            rows: data.as_flat(),
+            dim: data.dim(),
+            entry: graph.entry,
+            max_level: graph.max_level,
+            metric: Metric::L2,
+        }
+    }
 
     /// The two-heap beam search `search_layer` replaced (a min-heap of
     /// candidates to expand, a max-heap of the `ef` best results), kept
@@ -260,17 +337,8 @@ mod tests {
         stats: &mut LayerStats,
     ) -> Vec<Neighbor> {
         let mut scratch = SearchScratch::default();
-        search_layer(
-            graph,
-            data,
-            Metric::L2,
-            query,
-            entry_points,
-            ef,
-            0,
-            &mut scratch,
-            stats,
-        );
+        let index = view_of(graph, data);
+        search_layer(&index, query, entry_points, ef, 0, &mut scratch, stats);
         scratch.out
     }
 
@@ -378,7 +446,7 @@ mod tests {
         let q = [2.9f32];
         let d0 = Metric::L2.distance(&q, data.get(0));
         let mut stats = LayerStats::default();
-        let (id, dist) = greedy_descend_layer(&g, &data, Metric::L2, &q, 0, d0, 0, &mut stats);
+        let (id, dist) = greedy_descend_layer(&view_of(&g, &data), &q, 0, d0, 0, &mut stats);
         assert_eq!(id, 3);
         assert!(dist < 0.02);
         assert!(stats.dist_evals > 0);
@@ -421,17 +489,7 @@ mod tests {
         for (q, ef, want) in [([3.0f32], 4, vec![3, 2, 1, 0]), ([0.0], 2, vec![0, 1])] {
             let eps = entry_points(&data, &q, &[0]);
             let mut stats = LayerStats::default();
-            search_layer(
-                &g,
-                &data,
-                Metric::L2,
-                &q,
-                &eps,
-                ef,
-                0,
-                &mut scratch,
-                &mut stats,
-            );
+            search_layer(&view_of(&g, &data), &q, &eps, ef, 0, &mut scratch, &mut stats);
             let ids: Vec<u32> = scratch.out.iter().map(|n| n.id).collect();
             assert_eq!(ids, want);
         }

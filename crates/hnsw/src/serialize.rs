@@ -5,7 +5,17 @@
 //! blobs verbatim into registered remote memory, which is why the format
 //! is deliberately position-independent (no pointers, only ids) and
 //! readable with one sequential scan: a compute node can fetch a whole
-//! cluster with one `RDMA_READ` and deserialize in place.
+//! cluster with one `RDMA_READ` and search it where it landed.
+//!
+//! One validating walk, [`layout`], decides whether a blob is well
+//! formed and records where everything in it sits; it copies nothing.
+//! [`Layout::view`] turns that record plus the blob's own words into a
+//! searchable [`IndexView`] — deserialization in place — and
+//! [`from_bytes`] is the same walk followed by copies of the two
+//! sections, for callers that want to own (and grow) an [`HnswIndex`].
+//! Every section starts a whole number of words from the blob's first
+//! byte, so a blob that starts on a 4-byte boundary can be read as
+//! `&[u32]` / `&[f32]` on a little-endian host (`vecsim::cast`).
 //!
 //! Layout (all integers little-endian):
 //!
@@ -28,11 +38,13 @@
 //! vecs    n × dim × f32
 //! ```
 
+use std::ops::Range;
+
 use vecsim::io::le_words;
 use vecsim::{Dataset, Metric};
 
-use crate::graph::Graph;
-use crate::{Error, HnswIndex, HnswParams, Result};
+use crate::graph::{Graph, Tables};
+use crate::{Error, HnswIndex, HnswParams, IndexView, Result};
 
 /// Magic tag identifying a serialized HNSW blob.
 pub const MAGIC: u32 = 0x3157_5348; // "HSW1"
@@ -175,13 +187,79 @@ pub fn serialized_size(index: &HnswIndex) -> usize {
     header + nodes + vectors
 }
 
-/// Deserializes a blob produced by [`to_bytes`].
+/// What the validating walk over a blob establishes: the header's
+/// fields, where the node and vector sections sit in it, and where in the
+/// node section every neighbour list is. It borrows nothing; pair it with
+/// the blob's own words to search in place ([`Layout::view`]).
+#[derive(Debug, Clone)]
+pub struct Layout {
+    params: HnswParams,
+    dim: usize,
+    entry: Option<u32>,
+    max_level: usize,
+    nodes: Range<usize>,
+    vectors: Range<usize>,
+    tables: Tables,
+}
+
+impl Layout {
+    /// Number of indexed vectors.
+    pub fn len(&self) -> usize {
+        self.tables.len()
+    }
+
+    /// Whether the blob holds no vectors.
+    pub fn is_empty(&self) -> bool {
+        self.tables.len() == 0
+    }
+
+    /// Vector dimensionality (at least 1, also for an empty blob).
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// Byte range of the node section — whole words, count words
+    /// included — within the blob.
+    pub fn node_bytes(&self) -> Range<usize> {
+        self.nodes.clone()
+    }
+
+    /// Byte range of the row-major `f32` vectors within the blob.
+    pub fn vector_bytes(&self) -> Range<usize> {
+        self.vectors.clone()
+    }
+
+    /// The index over the blob's own words: `links` is the node section
+    /// and `rows` the vector section of the blob this layout was walked
+    /// from, each read as little-endian words.
+    ///
+    /// # Panics
+    ///
+    /// Panics when either slice is not the length of its section — they
+    /// belong to another blob.
+    pub fn view<'a>(&'a self, links: &'a [u32], rows: &'a [f32]) -> IndexView<'a> {
+        assert_eq!(links.len() * 4, self.nodes.len(), "not this blob's node section");
+        assert_eq!(rows.len() * 4, self.vectors.len(), "not this blob's vectors");
+        IndexView {
+            graph: self.tables.over(links),
+            rows,
+            dim: self.dim,
+            entry: self.entry,
+            max_level: self.max_level,
+            metric: self.params.metric_kind(),
+        }
+    }
+}
+
+/// The one validating walk over a blob produced by [`to_bytes`]: header
+/// checks, then every node's framing. Copies nothing, and allocates only
+/// the span tables, which are smaller than the node section they index.
 ///
 /// # Errors
 ///
 /// Returns [`Error::CorruptBlob`] on a bad magic/version, truncated data,
 /// out-of-range ids, or trailing garbage.
-pub fn from_bytes(blob: &[u8]) -> Result<HnswIndex> {
+pub fn layout(blob: &[u8]) -> Result<Layout> {
     let mut d = Dec::new(blob);
     if d.u32()? != MAGIC {
         return Err(Error::CorruptBlob("bad magic".into()));
@@ -242,8 +320,8 @@ pub fn from_bytes(blob: &[u8]) -> Result<HnswIndex> {
                 d.remaining()
             ))
         })?;
-    let node_bytes = d.take(d.remaining() - vec_bytes)?;
-    let vecs = d.take(vec_bytes)?;
+    let nodes = d.pos..blob.len() - vec_bytes;
+    let node_bytes = d.take(nodes.len())?;
     if !node_bytes.len().is_multiple_of(4) {
         return Err(Error::CorruptBlob(format!(
             "node section of {} bytes is not whole words",
@@ -251,48 +329,61 @@ pub fn from_bytes(blob: &[u8]) -> Result<HnswIndex> {
         )));
     }
 
-    // The node section becomes the graph's arena as it is, count words and
-    // all; decoding validates the framing and records where each list sits.
-    // Nothing allocated here is larger than the section itself.
-    let arena = le_words(node_bytes, u32::from_le_bytes).collect();
-    let mut graph = Graph::over_arena(params.m0() + 1, params.m() + 1, arena, n);
+    // The node section is the adjacency as it is, count words and all;
+    // the walk validates the framing and records where each list sits.
+    // `at` counts words. Nothing allocated here is larger than the
+    // section itself.
+    let words = node_bytes.len() / 4;
     let truncated = || Error::CorruptBlob("node section ends inside a node".into());
-    let (mut at, mut entry_levels) = (0usize, 0u32);
+    // The walk eats the section from the front; how much is left says
+    // where it stands.
+    let mut rest = node_bytes;
+    let word = |rest: &mut &[u8]| match rest.split_first_chunk::<4>() {
+        Some((w, tail)) => {
+            *rest = tail;
+            Ok(u32::from_le_bytes(*w))
+        }
+        None => Err(truncated()),
+    };
+    let mut tables = Tables::with_capacity(n.min(words));
+    let mut entry_levels = 0u32;
     for node in 0..n as u32 {
-        let levels = *graph.arena().get(at).ok_or_else(truncated)?;
-        at += 1;
+        let levels = word(&mut rest)?;
         if levels == 0 || (levels - 1) as usize > max_level {
             return Err(Error::CorruptBlob(format!(
                 "node {node} has {levels} layers but max level is {max_level}"
             )));
         }
         for _ in 0..levels {
-            let cnt = *graph.arena().get(at).ok_or_else(truncated)?;
+            let cnt = word(&mut rest)?;
             if cnt as usize > n {
                 return Err(Error::CorruptBlob(format!(
                     "node {node} neighbour count {cnt} exceeds n = {n}"
                 )));
             }
-            // `cnt <= n <= arena.len()`, so the range cannot overflow.
-            let ids = at + 1..at + 1 + cnt as usize;
-            let ids = graph.arena().get(ids).ok_or_else(truncated)?;
-            if let Some(id) = ids.iter().find(|&&id| id as usize >= n) {
+            // `cnt <= n <= words`, so the length cannot overflow. The
+            // largest id decides for the whole list, without a branch
+            // per id.
+            let at = words - rest.len() / 4;
+            let (ids, tail) = rest.split_at_checked(4 * cnt as usize).ok_or_else(truncated)?;
+            rest = tail;
+            let largest = le_words(ids, u32::from_le_bytes).fold(0, u32::max);
+            if largest as usize >= n {
                 return Err(Error::CorruptBlob(format!(
-                    "neighbour id {id} out of range (n = {n})"
+                    "neighbour id {largest} out of range (n = {n})"
                 )));
             }
-            graph.push_list(at + 1, cnt);
-            at += 1 + cnt as usize;
+            tables.push_list(at, cnt);
         }
-        graph.end_node();
+        tables.end_node();
         if entry == Some(node) {
             entry_levels = levels;
         }
     }
-    if at != graph.arena().len() {
+    if !rest.is_empty() {
         return Err(Error::CorruptBlob(format!(
             "{} unaccounted words between the node section and the vectors",
-            graph.arena().len() - at
+            rest.len() / 4
         )));
     }
     // Searches descend from `max_level` at the entry point, so a header
@@ -307,15 +398,33 @@ pub fn from_bytes(blob: &[u8]) -> Result<HnswIndex> {
             "entry point spans {entry_levels} layers but max level is {max_level} (n = {n})"
         )));
     }
-    graph.entry = entry;
-    graph.max_level = max_level;
+    Ok(Layout {
+        params,
+        dim: dim.max(1),
+        entry,
+        max_level,
+        vectors: nodes.end..blob.len(),
+        nodes,
+        tables,
+    })
+}
 
-    let data = if n == 0 {
-        Dataset::new(dim.max(1))
-    } else {
-        Dataset::from_flat(dim, le_words(vecs, f32::from_le_bytes).collect())?
-    };
-    Ok(HnswIndex::from_parts(params, data, graph))
+/// Deserializes a blob produced by [`to_bytes`] into an index that owns
+/// its data: the [`layout`] walk, then one copy of each section.
+///
+/// # Errors
+///
+/// As [`layout`].
+pub fn from_bytes(blob: &[u8]) -> Result<HnswIndex> {
+    let at = layout(blob)?;
+    let links = le_words(&blob[at.node_bytes()], u32::from_le_bytes).collect();
+    let rows = le_words(&blob[at.vector_bytes()], f32::from_le_bytes).collect();
+    let p = &at.params;
+    let mut graph = Graph::adopt(p.m0() + 1, p.m() + 1, links, at.tables);
+    graph.entry = at.entry;
+    graph.max_level = at.max_level;
+    let data = Dataset::from_flat(at.dim, rows)?;
+    Ok(HnswIndex::from_parts(at.params, data, graph))
 }
 
 /// Writes an index blob to any writer (pass `&mut w` to keep the writer).
@@ -375,6 +484,46 @@ mod tests {
         let back = from_bytes(&to_bytes(&idx)).unwrap();
         let q = [0.5f32; 8];
         assert_eq!(idx.search(&q, 10, 50), back.search(&q, 10, 50));
+    }
+
+    /// The blob's own words, where they lie, are the index: the view
+    /// over them answers every query as the decoded copy does, down to
+    /// the distance evaluations.
+    #[test]
+    fn a_view_over_the_blob_searches_like_the_decoded_index() {
+        use vecsim::cast::{le_f32s, le_u32s, AlignedBytes};
+        for (idx, empty) in [
+            (build_small(), false),
+            (HnswIndex::new(4, &HnswParams::new(4, 16)).unwrap(), true),
+        ] {
+            let blob = AlignedBytes::copy_of(&to_bytes(&idx));
+            let at = layout(blob.as_bytes()).unwrap();
+            assert_eq!((at.len(), at.dim(), at.is_empty()), (idx.len(), idx.dim(), empty));
+            let links = le_u32s(&blob.as_bytes()[at.node_bytes()]).unwrap();
+            let rows = le_f32s(&blob.as_bytes()[at.vector_bytes()]).unwrap();
+            let view = at.view(links, rows);
+            let owned = from_bytes(blob.as_bytes()).unwrap();
+            let mut scratch = crate::SearchScratch::default();
+            for (i, ef) in [1usize, 8, 50].into_iter().enumerate() {
+                let q = vec![0.1 + 0.3 * i as f32; idx.dim()];
+                let (mut want_stats, mut got_stats) = Default::default();
+                let want = owned.search_with_stats(&q, 10, ef, &mut want_stats);
+                let got = view.search_in(&q, 10, ef, &mut scratch, &mut got_stats);
+                assert_eq!(got, &want[..]);
+                assert_eq!(got_stats, want_stats);
+                assert_eq!(got.is_empty(), empty);
+            }
+            for id in 0..idx.len() as u32 {
+                assert_eq!(view.vector(id), idx.vector(id));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not this blob's node section")]
+    fn a_view_refuses_another_blobs_words() {
+        let blob = to_bytes(&build_small());
+        layout(&blob).unwrap().view(&[], &[]);
     }
 
     #[test]

@@ -22,6 +22,10 @@
 //!   [`QueuePair::write_doorbell`] which execute many work requests in
 //!   `ceil(n / doorbell_limit)` network round trips — the §3.2 doorbell
 //!   batching with its NIC-scalability cap.
+//!   [`QueuePair::read_doorbell_into`] / [`QueuePair::read_into`] are the
+//!   same verbs landing in caller-owned buffers through a [`Scatter`]
+//!   list per request, the way a NIC DMAs into a registered buffer; the
+//!   allocating calls are wrappers over the same body.
 //! - Asynchronous posting — [`QueuePair::post_read`] /
 //!   [`QueuePair::post_write`] + [`QueuePair::ring_doorbell`] +
 //!   [`QueuePair::poll_cq`], the completion-queue shape real verbs code
@@ -77,7 +81,7 @@ pub use error::Error;
 pub use fault::DEFAULT_RETRY_LIMIT;
 pub use model::NetworkModel;
 pub use node::{MemoryNode, RegionHandle};
-pub use qp::{QueuePair, ReadReq, WriteReq};
+pub use qp::{QueuePair, ReadReq, Scatter, Segment, WriteReq};
 pub use stats::{ReadCause, StatsSnapshot, TransferStats, DOORBELL_SIZE_BUCKETS, READ_CAUSES};
 pub use trace::{FaultEvent, TraceSink, VerbSpan, WqeSpan};
 

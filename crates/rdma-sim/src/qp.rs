@@ -40,6 +40,67 @@ impl ReadReq {
     }
 }
 
+/// One local segment of a read's scatter list: the next `len` fetched
+/// bytes are appended to `buf`. Appending is what lets the destination
+/// be memory nobody initialised: give `buf` the capacity up front and
+/// every byte of it is written exactly once, by the read.
+#[derive(Debug)]
+pub struct Segment<'a> {
+    /// Where the bytes land, after whatever `buf` already holds.
+    pub buf: &'a mut Vec<u8>,
+    /// How many of the request's bytes this segment takes.
+    pub len: u64,
+}
+
+/// The local side of one read work request — what an RDMA READ WR's
+/// `sg_list` is: the fetched bytes fill `head`, then `tail`, and the two
+/// lengths must sum to the request's `len`.
+#[derive(Debug)]
+pub struct Scatter<'a> {
+    /// Takes the first `head.len` bytes.
+    pub head: Segment<'a>,
+    /// Takes the rest, when the read is split in two.
+    pub tail: Option<Segment<'a>>,
+}
+
+impl<'a> Scatter<'a> {
+    /// A scatter list of one segment: all `len` bytes go to `buf`.
+    pub fn whole(buf: &'a mut Vec<u8>, len: u64) -> Self {
+        Scatter {
+            head: Segment { buf, len },
+            tail: None,
+        }
+    }
+
+    /// The list that cuts a read of `len` bytes `at` bytes in: the first
+    /// `at` go to `head`, the rest — if any — to `tail`. A cut past the
+    /// end makes a list no request of `len` validates against.
+    pub fn cut(head: &'a mut Vec<u8>, tail: &'a mut Vec<u8>, at: u64, len: u64) -> Self {
+        Scatter {
+            head: Segment { buf: head, len: at },
+            tail: (at < len).then(|| Segment {
+                buf: tail,
+                len: len - at,
+            }),
+        }
+    }
+
+    /// Bytes the list takes in all, `None` on overflow.
+    fn len(&self) -> Option<u64> {
+        (self.head.len).checked_add(self.tail.as_ref().map_or(0, |t| t.len))
+    }
+
+    /// Lands one request's `bytes`; the lengths were validated to tile
+    /// them.
+    fn land(&mut self, bytes: &[u8]) {
+        let (head, tail) = bytes.split_at(self.head.len as usize);
+        self.head.buf.extend_from_slice(head);
+        if let Some(t) = &mut self.tail {
+            t.buf.extend_from_slice(tail);
+        }
+    }
+}
+
 /// A write work request: place `data` at `offset` within region `rkey`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WriteReq {
@@ -215,21 +276,23 @@ impl QueuePair {
         len: u64,
         cause: ReadCause,
     ) -> Result<Vec<u8>> {
-        self.check_bounds(rkey, offset, len)?;
-        self.admit("read")?;
-        let region = self.node.region(rkey)?;
-        let guard = region.read();
-        let out = guard[offset as usize..(offset + len) as usize].to_vec();
-        drop(guard);
-        let vt0 = self.clock.now_us();
-        self.clock
-            .advance_us(self.model.round_trip_cost_us(1, len as usize));
-        self.stats.record_read_round_trip(cause);
-        self.stats.record_read_cause(cause, 1, len);
-        self.node.service_stats().record_read_round_trip(cause);
-        self.node.service_stats().record_read_cause(cause, 1, len);
-        self.emit_plain("read", offset, len, vt0);
+        let req = ReadReq::new(rkey, offset, len).with_cause(cause);
+        let mut out = Vec::new();
+        self.execute_reads(false, &[req], |_, bytes| out = bytes.to_vec())?;
         Ok(out)
+    }
+
+    /// [`QueuePair::read_with_cause`] landing in caller-owned memory:
+    /// the single-verb twin of [`QueuePair::read_doorbell_into`], same
+    /// cost and attribution as the allocating call.
+    ///
+    /// # Errors
+    ///
+    /// As [`QueuePair::read_doorbell_into`]; on failure `into` is
+    /// untouched.
+    pub fn read_into(&self, req: ReadReq, mut into: Scatter<'_>) -> Result<()> {
+        check_scatter(&req, &into)?;
+        self.execute_reads(false, &[req], |_, bytes| into.land(bytes))
     }
 
     /// One-sided `RDMA_WRITE`: one network round trip.
@@ -266,20 +329,66 @@ impl QueuePair {
     /// Validates every request before executing any; on failure nothing
     /// is charged or transferred.
     pub fn read_doorbell(&self, reqs: &[ReadReq]) -> Result<Vec<Vec<u8>>> {
+        let mut out = Vec::with_capacity(reqs.len());
+        self.execute_reads(true, reqs, |_, bytes| out.push(bytes.to_vec()))?;
+        Ok(out)
+    }
+
+    /// [`QueuePair::read_doorbell`] landing in caller-owned memory:
+    /// request `i`'s bytes are appended to the segments of `into[i]` —
+    /// the simulator's DMA into a registered buffer. Work requests,
+    /// bytes, round trips, per-cause attribution, virtual time, trace
+    /// spans and fault admission are the allocating call's: both are one
+    /// body.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidParameter`] when `into` is not one scatter list
+    /// per request or a list's segments do not sum to its request's
+    /// `len`, plus [`QueuePair::read_doorbell`]'s. Every check precedes
+    /// execution, and a post the fabric dropped for good moves no byte:
+    /// on any failure every destination is untouched.
+    pub fn read_doorbell_into(&self, reqs: &[ReadReq], into: &mut [Scatter<'_>]) -> Result<()> {
+        if reqs.len() != into.len() {
+            return Err(Error::InvalidParameter(format!(
+                "{} read requests but {} scatter lists",
+                reqs.len(),
+                into.len()
+            )));
+        }
+        for (req, scatter) in reqs.iter().zip(into.iter()) {
+            check_scatter(req, scatter)?;
+        }
+        self.execute_reads(true, reqs, |i, bytes| into[i].land(bytes))
+    }
+
+    /// The one read body: bounds, fault admission, the copy out of the
+    /// region — `land(i, bytes)` receives request `i`'s bytes, in request
+    /// order, while the region is locked — then cost, counters and trace
+    /// spans per doorbell-limit chunk. `doorbell` off is the plain
+    /// single-request verb: same body, no doorbell batch counted, traced
+    /// as `read`.
+    fn execute_reads(
+        &self,
+        doorbell: bool,
+        reqs: &[ReadReq],
+        mut land: impl FnMut(usize, &[u8]),
+    ) -> Result<()> {
         if reqs.is_empty() {
-            return Ok(Vec::new());
+            return Ok(());
         }
         for r in reqs {
             self.check_bounds(r.rkey, r.offset, r.len)?;
         }
-        self.admit("read_doorbell")?;
-        let mut out = Vec::with_capacity(reqs.len());
-        for r in reqs {
+        self.admit(if doorbell { "read_doorbell" } else { "read" })?;
+        for (i, r) in reqs.iter().enumerate() {
             let region = self.node.region(r.rkey)?;
             let guard = region.read();
-            out.push(guard[r.offset as usize..(r.offset + r.len) as usize].to_vec());
+            land(i, &guard[r.offset as usize..(r.offset + r.len) as usize]);
         }
-        self.stats.record_doorbell(reqs.len() as u64);
+        if doorbell {
+            self.stats.record_doorbell(reqs.len() as u64);
+        }
         // Charge per doorbell-limit chunk: each chunk is one round trip.
         for (ci, chunk) in reqs.chunks(self.model.doorbell_limit()).enumerate() {
             let bytes: usize = chunk.iter().map(|r| r.len as usize).sum();
@@ -298,6 +407,7 @@ impl QueuePair {
             let dominant = ReadCause::ALL[per_cause
                 .iter()
                 .enumerate()
+                .filter(|(_, &(wrs, _))| wrs > 0)
                 .max_by(|a, b| a.1 .1.cmp(&b.1 .1).then(b.0.cmp(&a.0)))
                 .map(|(i, _)| i)
                 .unwrap_or(ReadCause::Other.index())];
@@ -311,7 +421,9 @@ impl QueuePair {
             }
             self.stats.record_read_round_trip(dominant);
             self.node.service_stats().record_read_round_trip(dominant);
-            if self.has_sink.load(Ordering::Relaxed) {
+            if !doorbell {
+                self.emit_plain("read", chunk[0].offset, chunk[0].len, vt0);
+            } else if self.has_sink.load(Ordering::Relaxed) {
                 let vt1 = self.clock.now_us();
                 let sizes: Vec<(u64, u64)> = chunk.iter().map(|r| (r.offset, r.len)).collect();
                 self.emit_verb(
@@ -327,7 +439,7 @@ impl QueuePair {
                 );
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Doorbell-batched writes; same cost semantics as
@@ -460,6 +572,19 @@ impl QueuePair {
     pub fn node(&self) -> &Arc<MemoryNode> {
         &self.node
     }
+}
+
+/// A scatter list must take exactly its request's bytes.
+fn check_scatter(req: &ReadReq, scatter: &Scatter<'_>) -> Result<()> {
+    if scatter.len() != Some(req.len) {
+        return Err(Error::InvalidParameter(format!(
+            "scatter list of {} + {} bytes for a read of {}",
+            scatter.head.len,
+            scatter.tail.as_ref().map_or(0, |t| t.len),
+            req.len
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -682,6 +807,181 @@ mod tests {
         assert_eq!(svc.cause_trips, snap.cause_trips);
     }
 
+    /// Splits each request at `cut(i, len)` across two fresh buffers
+    /// (one when the cut is at the end), reads `_into` them and returns
+    /// the pairs.
+    fn read_split(
+        qp: &QueuePair,
+        reqs: &[ReadReq],
+        cut: impl Fn(usize, u64) -> u64,
+    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+        let mut bufs: Vec<(Vec<u8>, Vec<u8>)> = reqs.iter().map(|_| Default::default()).collect();
+        let mut into: Vec<Scatter<'_>> = bufs
+            .iter_mut()
+            .zip(reqs)
+            .enumerate()
+            .map(|(i, ((a, b), r))| Scatter::cut(a, b, cut(i, r.len).min(r.len), r.len))
+            .collect();
+        qp.read_doorbell_into(reqs, &mut into)?;
+        Ok(bufs)
+    }
+
+    #[test]
+    fn doorbell_into_preserves_request_order_and_appends() {
+        let (_n, r, qp) = setup(64);
+        qp.write(r.rkey(), 0, &[1, 2, 3]).unwrap();
+        qp.write(r.rkey(), 32, &[4, 5]).unwrap();
+        let reqs = [ReadReq::new(r.rkey(), 32, 2), ReadReq::new(r.rkey(), 0, 3)];
+        let got = read_split(&qp, &reqs, |_, _| 1).unwrap();
+        assert_eq!(got, vec![(vec![4], vec![5]), (vec![1], vec![2, 3])]);
+        // A segment lands after what its buffer already holds.
+        let mut buf = vec![9];
+        qp.read_into(reqs[1], Scatter::whole(&mut buf, 3)).unwrap();
+        assert_eq!(buf, vec![9, 1, 2, 3]);
+        assert_eq!(qp.stats().round_trips(), 2 + 2, "two writes, two reads");
+        assert_eq!(qp.stats().doorbell_batches(), 1, "a plain read is no doorbell");
+    }
+
+    #[test]
+    fn doorbell_into_validates_before_executing() {
+        let (_n, r, qp) = setup(16);
+        qp.write(r.rkey(), 0, &[7; 16]).unwrap();
+        let clock0 = qp.clock().now_us();
+        let stats0 = qp.stats().snapshot();
+        let untouched = |got: Result<Vec<(Vec<u8>, Vec<u8>)>>| {
+            assert!(matches!(got.unwrap_err(), Error::InvalidParameter(_) | Error::OutOfBounds { .. }));
+            assert_eq!(qp.clock().now_us(), clock0);
+            assert_eq!(qp.stats().snapshot(), stats0);
+        };
+        // The second request is out of bounds: the first must not land.
+        let reqs = [ReadReq::new(r.rkey(), 0, 4), ReadReq::new(r.rkey(), 100, 4)];
+        untouched(read_split(&qp, &reqs, |_, len| len));
+        // A scatter list that does not sum to its request, long or short.
+        let reqs = [ReadReq::new(r.rkey(), 0, 4), ReadReq::new(r.rkey(), 4, 4)];
+        for wrong in [3u64, 5, u64::MAX] {
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            let mut into = [Scatter::whole(&mut a, 4), Scatter::whole(&mut b, wrong)];
+            assert!(matches!(
+                qp.read_doorbell_into(&reqs, &mut into).unwrap_err(),
+                Error::InvalidParameter(_)
+            ));
+            assert!(a.is_empty() && b.is_empty(), "bytes moved before validation");
+            assert!(qp.read_into(reqs[0], Scatter::whole(&mut a, wrong)).is_err());
+            assert!(a.is_empty());
+        }
+        // A cut past the end of its read.
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        assert!(qp.read_into(reqs[0], Scatter::cut(&mut a, &mut b, 5, 4)).is_err());
+        assert!(a.is_empty() && b.is_empty());
+        // One scatter list too few.
+        let mut a = Vec::new();
+        assert!(qp
+            .read_doorbell_into(&reqs, &mut [Scatter::whole(&mut a, 4)])
+            .is_err());
+        assert_eq!(qp.clock().now_us(), clock0);
+        assert_eq!(qp.stats().snapshot(), stats0);
+    }
+
+    #[test]
+    fn doorbell_into_tiles_bytes_per_cause_like_the_allocating_verb() {
+        let (_n, r, qp) = setup(1024);
+        let reqs = [
+            ReadReq::new(r.rkey(), 0, 512).with_cause(ReadCause::StageLoad),
+            ReadReq::new(r.rkey(), 512, 8).with_cause(ReadCause::VersionCheck),
+            ReadReq::new(r.rkey(), 520, 8).with_cause(ReadCause::VersionCheck),
+        ];
+        read_split(&qp, &reqs, |_, len| len / 2).unwrap();
+        let snap = qp.stats().snapshot();
+        assert_eq!(snap.bytes_for(ReadCause::StageLoad), 512);
+        assert_eq!(snap.bytes_for(ReadCause::VersionCheck), 16);
+        assert_eq!(snap.cause_bytes.iter().sum::<u64>(), snap.bytes_read);
+        assert_eq!(snap.work_requests, 3, "segments are not work requests");
+        assert_eq!(snap.round_trips, 1);
+        assert_eq!(snap.trips_for(ReadCause::StageLoad), 1);
+        assert_eq!(_n.service_stats().snapshot().cause_bytes, snap.cause_bytes);
+    }
+
+    #[test]
+    fn a_dropped_post_leaves_destinations_untouched() {
+        let (_n, r, qp) = setup(64);
+        qp.write(r.rkey(), 0, &[5; 8]).unwrap();
+        qp.set_retry_limit(0);
+        qp.fail_next(2);
+        let reqs = [ReadReq::new(r.rkey(), 0, 8)];
+        let (mut a, mut b) = (vec![1, 2], Vec::new());
+        let mut into = [Scatter {
+            head: Segment { buf: &mut a, len: 3 },
+            tail: Some(Segment { buf: &mut b, len: 5 }),
+        }];
+        assert!(matches!(
+            qp.read_doorbell_into(&reqs, &mut into).unwrap_err(),
+            Error::RetriesExhausted { verb: "read_doorbell", .. }
+        ));
+        assert!(matches!(
+            qp.read_into(reqs[0], Scatter::whole(&mut a, 8)).unwrap_err(),
+            Error::RetriesExhausted { verb: "read", .. }
+        ));
+        assert_eq!((a, b), (vec![1, 2], Vec::new()));
+        assert_eq!(qp.stats().bytes_read(), 0);
+    }
+
+    #[test]
+    fn a_zero_byte_chunk_attributes_its_trip_to_a_cause_it_carries() {
+        let (_n, r, qp) = setup(16);
+        let req = ReadReq::new(r.rkey(), 0, 0).with_cause(ReadCause::Rerank);
+        qp.read_doorbell(&[req, req]).unwrap();
+        qp.read_with_cause(r.rkey(), 0, 0, ReadCause::Naive).unwrap();
+        let snap = qp.stats().snapshot();
+        assert_eq!(snap.trips_for(ReadCause::Rerank), 1);
+        assert_eq!(snap.trips_for(ReadCause::Naive), 1);
+        assert_eq!(snap.trips_for(ReadCause::StageLoad), 0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// The allocating verb and the landing verb are one body: same
+        /// bytes, same counters, same virtual clock, wherever each
+        /// request's scatter list is cut, under the same fault plan.
+        #[test]
+        fn read_doorbell_equals_read_doorbell_into(
+            fill in proptest::prop::collection::vec(proptest::any::<u8>(), 256..257),
+            shape in proptest::prop::collection::vec((0u64..256, 0u64..64, 0u64..70, 0usize..9), 0..24),
+            limit in 1usize..9,
+            drops in 0u32..3,
+        ) {
+            let node = MemoryNode::new("m");
+            let r = node.register(256).unwrap();
+            let model = NetworkModel::connectx6().with_doorbell_limit(limit).unwrap();
+            let (alloc, landing) = (QueuePair::connect(&node, model), QueuePair::connect(&node, model));
+            alloc.write(r.rkey(), 0, &fill).unwrap();
+            landing.write(r.rkey(), 0, &fill).unwrap();
+            let reqs: Vec<ReadReq> = shape
+                .iter()
+                .map(|&(off, len, _, cause)| {
+                    ReadReq::new(r.rkey(), off, len.min(256 - off)).with_cause(ReadCause::ALL[cause])
+                })
+                .collect();
+            alloc.fail_next(drops);
+            landing.fail_next(drops);
+            let want = alloc.read_doorbell(&reqs).unwrap();
+            let got = read_split(&landing, &reqs, |i, _| shape[i].2).unwrap();
+            let got: Vec<Vec<u8>> = got.into_iter().map(|(a, b)| [a, b].concat()).collect();
+            proptest::prop_assert_eq!(got, want);
+            proptest::prop_assert_eq!(landing.stats().snapshot(), alloc.stats().snapshot());
+            proptest::prop_assert_eq!(landing.clock().now_us(), alloc.clock().now_us());
+            // And the single verb against its twin.
+            if let Some(&req) = reqs.first() {
+                let want = alloc.read_with_cause(req.rkey, req.offset, req.len, req.cause).unwrap();
+                let mut got = Vec::new();
+                landing.read_into(req, Scatter::whole(&mut got, req.len)).unwrap();
+                proptest::prop_assert_eq!(got, want);
+                proptest::prop_assert_eq!(landing.stats().snapshot(), alloc.stats().snapshot());
+                proptest::prop_assert_eq!(landing.clock().now_us(), alloc.clock().now_us());
+            }
+        }
+    }
+
     #[test]
     fn plain_read_attributes_to_its_cause() {
         let (_n, r, qp) = setup(64);
@@ -749,7 +1049,18 @@ mod tests {
         qp.set_trace_sink(Some(sink.clone()));
         let reqs: Vec<ReadReq> = (0..10).map(|i| ReadReq::new(r.rkey(), i * 8, 8)).collect();
         qp.read_doorbell(&reqs).unwrap();
-        let verbs = sink.verbs.lock();
+        // The landing verb emits the same spans, one virtual interval on.
+        read_split(&qp, &reqs, |i, _| i as u64).unwrap();
+        let mut verbs = sink.verbs.lock();
+        assert_eq!(verbs.len(), 6);
+        let shift = verbs[3].0.vt_start_us - verbs[0].0.vt_start_us;
+        for (landed, alloc) in verbs.split_off(3).iter().zip(verbs.iter()) {
+            assert_eq!((landed.0.verb, landed.0.wqes), (alloc.0.verb, alloc.0.wqes));
+            assert_eq!((landed.0.bytes, landed.0.chunk), (alloc.0.bytes, alloc.0.chunk));
+            assert!((landed.0.vt_start_us - shift - alloc.0.vt_start_us).abs() < 1e-9);
+            let offsets = |w: &[WqeSpan]| w.iter().map(|s| (s.index, s.offset, s.bytes)).collect::<Vec<_>>();
+            assert_eq!(offsets(&landed.1), offsets(&alloc.1));
+        }
         assert_eq!(verbs.len(), 3); // ceil(10/4) chunks
         assert_eq!(verbs[0].0.chunk, 0);
         assert_eq!(verbs[2].0.chunk, 2);

@@ -5,6 +5,9 @@
 //!
 //! - [`distance`]: L2, inner-product and cosine distance kernels plus the
 //!   [`Metric`] selector used across the workspace.
+//! - [`cast`]: checked in-place views of little-endian byte buffers as
+//!   `&[u32]` / `&[f32]`, and the aligned owner they read from — the one
+//!   module in the workspace allowed `unsafe`.
 //! - [`dataset`]: the flat, cache-friendly [`Dataset`] container.
 //! - [`gen`]: deterministic synthetic dataset generators, including the
 //!   SIFT-like (128-d) and GIST-like (960-d) workloads that stand in for the
@@ -44,9 +47,11 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: `cast` alone opts back in, and says why.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cast;
 pub mod dataset;
 pub mod distance;
 mod error;

@@ -11,14 +11,17 @@
 #
 # The ratchets are what ROADMAP items 2, 3 and 5 reached (PR 14: 11 334
 # -> 11 056 with no file over 1 300; PR 17: the plane; PR 18: the
-# figures below): engine.rs was once 2 900 non-test lines of hand-copied
-# read paths, the plane once described a batch five times, and
-# crates/bench once held a second regression harness, and this keeps any
-# of them from growing back.
+# plane and crates/bench figures below and 10 371 in total): engine.rs
+# was once 2 900 non-test lines of hand-copied read paths, the plane once
+# described a batch five times, and crates/bench once held a second
+# regression harness, and this keeps any of them from growing back. PR 19
+# raised the total by the loaded-cluster view's own lines and nothing
+# else (+147, inside the +150 its issue allowed; CHANGES.md says what
+# they bought).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-MAX_TOTAL=10371
+MAX_TOTAL=10518
 MAX_PLANE=4680
 MAX_BENCH=2971
 MAX_FILE=1300
