@@ -200,14 +200,16 @@ fn run_table(w: &Workload, store: &VectorStore, title: &str) -> AnyResult {
 /// layout is resident. Gated: SQ8 moves under 0.30x the full-precision
 /// bytes (u8 codes are 4x smaller than f32 rows; the rerank reads and
 /// quantization parameters must not eat the win) and exact rerank holds
-/// recall@10 within 0.005.
+/// recall@10 within 0.005. Reported beside them, not gated: the host's
+/// sub-search time per query (`breakdown.sub_hnsw_us`, wall clock, SQ8's
+/// rerank included) — what a wire costs once its bytes are resident.
 fn scale() -> AnyResult {
     let w = Workload::standard(DatasetKind::SiftLike)?;
     let base = w.config()?;
     println!("\n=== Scale: full-precision vs SQ8 wire, cold node, top-10, efSearch 48 ===");
     println!(
-        "{:<5} {:>9} {:>10} {:>7} {:>6} {:>8} {:>14} {:>10} {:>8}",
-        "wire", "n", "partitions", "M/efC", "b", "queries", "bytes", "recall@10", "build s"
+        "{:<5} {:>9} {:>10} {:>7} {:>6} {:>8} {:>14} {:>10} {:>11} {:>8}",
+        "wire", "n", "partitions", "M/efC", "b", "queries", "bytes", "recall@10", "sub us/q", "build s"
     );
     let query_rows: Vec<u32> = (0..w.queries.len() as u32).collect();
     let mut rows = Vec::new();
@@ -216,16 +218,17 @@ fn scale() -> AnyResult {
         let store = VectorStore::build(w.data.clone(), &base.clone().with_quantize_mode(wire))?;
         let build_s = t0.elapsed().as_secs_f64();
         let node = store.connect(SearchMode::Full)?;
-        let (mut bytes, mut ids) = (0u64, Vec::with_capacity(w.queries.len()));
+        let (mut bytes, mut sub_us, mut ids) = (0u64, 0.0, Vec::with_capacity(w.queries.len()));
         for batch in query_rows.chunks(128) {
             let (results, r) = node.query_batch(&w.queries.select(batch), 10, 48)?;
             bytes += r.bytes_read;
+            sub_us += r.breakdown.sub_hnsw_us;
             ids.extend(results.iter().map(|x| x.iter().map(|n| n.id).collect::<Vec<u32>>()));
         }
         let rec = vecsim::recall::mean_recall(&ids, w.truth(10));
         let sub = store.config().sub_params();
         println!(
-            "{:<5} {:>9} {:>10} {:>7} {:>6} {:>8} {:>14} {:>10.4} {:>8.1}",
+            "{:<5} {:>9} {:>10} {:>7} {:>6} {:>8} {:>14} {:>10.4} {:>11.1} {:>8.1}",
             wire.as_str(),
             w.data.len(),
             store.partitions(),
@@ -234,6 +237,7 @@ fn scale() -> AnyResult {
             w.queries.len(),
             bytes,
             rec,
+            sub_us / w.queries.len() as f64,
             build_s
         );
         rows.push((bytes, rec));

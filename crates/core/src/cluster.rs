@@ -26,7 +26,7 @@ use hnsw::serialize::Layout;
 use hnsw::{HnswIndex, HnswParams, IndexView, SearchScratch, SearchStats};
 use vecsim::cast::{self, AlignedBytes};
 use vecsim::io::le_words;
-use vecsim::quantize::SqParams;
+use vecsim::quantize::{l2_decoded, SqParams};
 use vecsim::{Dataset, Neighbor, TopK};
 
 use crate::{Error, Result};
@@ -674,6 +674,26 @@ impl Candidate {
     }
 }
 
+/// What a worker keeps from probe to probe ([`LoadedCluster::probe`]):
+/// the sub-HNSW walk's scratch and, for an SQ8 scan, the row being decoded
+/// and one collector per query of a block.
+#[derive(Debug, Default)]
+pub struct ProbeScratch {
+    walk: SearchScratch,
+    row: Vec<f32>,
+    tops: Vec<TopK>,
+}
+
+thread_local! {
+    /// What the scratch-less search signatures probe with.
+    static LOCAL_SCRATCH: std::cell::RefCell<ProbeScratch> = Default::default();
+}
+
+/// Bytes of queries one SQ8 scan holds each decoded row against: a block
+/// of queries, the row and the codes streaming past stay inside a 32 KiB
+/// L1 together (32 queries at 128 dimensions). Longer runs are cut.
+const SCAN_BLOCK_BYTES: usize = 16 << 10;
+
 /// A cluster as materialized on a compute node: the serialized base
 /// cluster, kept as the bytes the fetch landed and searched in place,
 /// plus the overflow inserts belonging to its partition, minus anything
@@ -775,6 +795,27 @@ impl LoadedCluster {
             deleted,
             skipped_slots,
         })
+    }
+
+    /// Holds a decoded cluster against the directory entry it was fetched
+    /// for. A blob can be internally valid and still not that cluster —
+    /// another partition's, whose overflow records were folded instead of
+    /// this one's, or of another dimensionality than the queries the node
+    /// accepts — and every search downstream takes `dim()` to be the
+    /// queries' as given.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Corrupt`] naming both sides of the mismatch.
+    pub fn expecting(self, partition: u32, dim: usize) -> Result<Self> {
+        if (self.partition, self.dim()) != (partition, dim) {
+            return Err(Error::Corrupt(format!(
+                "fetched partition {partition} ({dim} dimensions), landed a blob of partition {} ({} dimensions)",
+                self.partition,
+                self.dim()
+            )));
+        }
+        Ok(self)
     }
 
     /// Materializes a cluster from the two slices a contiguous group read
@@ -921,93 +962,157 @@ impl LoadedCluster {
         ef: usize,
         stats: &mut SearchStats,
     ) -> Vec<Neighbor> {
-        let mut out = Vec::new();
-        SearchScratch::with_local(|scratch| self.probe(query, k, 0, ef, scratch, stats, &mut out));
-        out.into_iter().map(|c| Neighbor::new(c.id, c.dist)).collect()
+        let hits = self.probe_one(query, k, ef, stats);
+        hits.into_iter().map(|c| Neighbor::new(c.id, c.dist)).collect()
+    }
+
+    /// [`LoadedCluster::probe`] of one query, no rerank slack, with the
+    /// calling thread's own scratch.
+    fn probe_one(&self, query: &[f32], k: usize, ef: usize, stats: &mut SearchStats) -> Vec<Candidate> {
+        let (mut out, mut ends) = (Vec::new(), Vec::new());
+        LOCAL_SCRATCH.with_borrow_mut(|scratch| {
+            self.probe(&[query], k, 0, ef, scratch, stats, &mut out, &mut ends)
+        });
+        out
     }
 
     /// The one search entry: appends this cluster's best candidates for
-    /// `query` to `out`, ascending by `(dist, id)`, walking with the
-    /// caller's `scratch` so a worker probing cluster after cluster
-    /// allocates nothing per probe for bookkeeping.
+    /// each of `queries` to `out`, ascending by `(dist, id)`, and where
+    /// each query's candidates end to `ends` — working out of the caller's
+    /// `scratch`, so a worker probing cluster after cluster allocates
+    /// nothing per probe for bookkeeping.
     ///
-    /// A full-precision cluster walks its sub-HNSW with beam `ef` and
-    /// yields up to `k` exact candidates. An SQ8 cluster scans every
-    /// code with asymmetric L2 and yields up to `k + slack` — the extra
-    /// is the pool an exact rerank chooses from — each base row carrying
-    /// its rerank address and error bound. Either way the overflow tail
-    /// is scanned exactly and tombstoned ids are gone.
+    /// A full-precision cluster walks its sub-HNSW with beam `ef` once per
+    /// query and yields up to `k` exact candidates. An SQ8 cluster scans
+    /// its codes **once per block of queries**: each row is decoded once
+    /// and held against every query of the block, which yields up to `k +
+    /// slack` — the extra is the pool an exact rerank chooses from — each
+    /// base row carrying its rerank address and error bound. What a query
+    /// gets does not depend on what it shares a block with. Either way the
+    /// overflow tail is scanned exactly and tombstoned ids are gone.
     #[allow(clippy::too_many_arguments)]
     pub fn probe(
         &self,
-        query: &[f32],
+        queries: &[&[f32]],
         k: usize,
         slack: usize,
         ef: usize,
-        scratch: &mut SearchScratch,
+        scratch: &mut ProbeScratch,
         stats: &mut SearchStats,
         out: &mut Vec<Candidate>,
+        ends: &mut Vec<usize>,
     ) {
-        let start = out.len();
-        let ids = self.global_ids();
-        let (params, n) = match &self.payload {
-            Payload::Sq { params, n } => (params, *n),
-            Payload::Full { hnsw_at, layout } => {
-                let index = self.index(*hnsw_at, layout);
-                // When tombstones exist, ask the base graph for that many
-                // extra candidates (and widen the beam accordingly) so
-                // filtering the deleted ids still leaves k survivors.
-                let extra_needed = self.deleted.len().min(k);
-                let base =
-                    index.search_in(query, k + extra_needed, ef + extra_needed, scratch, stats);
-                out.extend(
-                    (base.iter().map(|n| Candidate::exact(ids[n.id as usize], n.dist)))
-                        .filter(|c| extra_needed == 0 || !self.deleted.contains(&c.id)),
-                );
-                for (gid, v) in &self.extra {
-                    stats.dist_evals += 1;
-                    out.push(Candidate::exact(*gid, index.metric().distance(query, v)));
+        let (hnsw_at, layout) = match &self.payload {
+            Payload::Full { hnsw_at, layout } => (*hnsw_at, layout),
+            Payload::Sq { params, n } => {
+                let block = (SCAN_BLOCK_BYTES / (4 * params.dim())).max(1);
+                for queries in queries.chunks(block) {
+                    self.scan(params, *n, queries, k + slack, scratch, stats, out, ends);
                 }
-                // The walk orders ties by local id; hits leave ordered by
-                // global.
-                out[start..]
-                    .sort_unstable_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
-                out.truncate(start + k);
                 return;
             }
         };
-        let codes = &self.bytes.as_bytes()[Self::sq_codes_at(params, n)..][..n * params.dim()];
+        let ids = self.global_ids();
+        let index = self.index(hnsw_at, layout);
+        // When tombstones exist, ask the base graph for that many extra
+        // candidates (and widen the beam accordingly) so filtering the
+        // deleted ids still leaves k survivors.
+        let extra_needed = self.deleted.len().min(k);
+        let walk = &mut scratch.walk;
+        for query in queries {
+            let start = out.len();
+            let base = index.search_in(query, k + extra_needed, ef + extra_needed, walk, stats);
+            out.extend(
+                (base.iter().map(|n| Candidate::exact(ids[n.id as usize], n.dist)))
+                    .filter(|c| extra_needed == 0 || !self.deleted.contains(&c.id)),
+            );
+            for (gid, v) in &self.extra {
+                stats.dist_evals += 1;
+                out.push(Candidate::exact(*gid, index.metric().distance(query, v)));
+            }
+            // The walk orders ties by local id; hits leave ordered by
+            // global.
+            out[start..].sort_unstable_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
+            out.truncate(start + k);
+            ends.push(out.len());
+        }
+    }
+
+    /// One pass over an SQ8 cluster's `n` rows for a block of queries,
+    /// each collecting its `pool` closest: a row is decoded once
+    /// ([`SqParams::decode_into`]) and every query of the block takes its
+    /// distance to the decoded row ([`l2_decoded`]) — the bits
+    /// [`SqParams::asymmetric_l2`] gives that query and those codes.
+    #[allow(clippy::too_many_arguments)]
+    fn scan(
+        &self,
+        params: &SqParams,
+        n: usize,
+        queries: &[&[f32]],
+        pool: usize,
+        scratch: &mut ProbeScratch,
+        stats: &mut SearchStats,
+        out: &mut Vec<Candidate>,
+        ends: &mut Vec<usize>,
+    ) {
+        let dim = params.dim();
+        debug_assert!(queries.iter().all(|q| q.len() == dim));
+        let ids = self.global_ids();
+        let codes = &self.bytes.as_bytes()[Self::sq_codes_at(params, n)..][..n * dim];
+        let ProbeScratch { row, tops, .. } = scratch;
+        row.resize(dim, 0.0);
+        if tops.len() < queries.len() {
+            tops.resize_with(queries.len(), || TopK::new(pool));
+        }
+        let tops = &mut tops[..queries.len()];
+        tops.iter_mut().for_each(|top| top.reset(pool));
         // TopK carries plain (id, dist), so select over pseudo-ids:
         // base row i -> i, overflow insert j -> n + j.
         let n = n as u32;
-        let mut top = TopK::new(k + slack);
         // Most clusters carry no tombstone; those skip the per-row hash
         // lookup altogether.
         let any_deleted = !self.deleted.is_empty();
-        let rows = codes.chunks_exact(params.dim());
-        for (local, (codes, gid)) in rows.zip(ids).enumerate() {
-            if any_deleted && self.deleted.contains(gid) {
-                continue;
+        let live = (codes.chunks_exact(dim).zip(ids).enumerate())
+            .filter(|(_, (_, gid))| !any_deleted || !self.deleted.contains(gid));
+        let mut rows = self.extra.len();
+        if let [query] = queries {
+            // Nothing to share a decoded row with: the fused kernel gives
+            // the same bits without storing the row and loading it back
+            // (a lone probe measured a tenth to a quarter slower that way).
+            for (local, (codes, _)) in live {
+                rows += 1;
+                tops[0].push(local as u32, params.asymmetric_l2(query, codes));
             }
-            stats.dist_evals += 1;
-            top.push(local as u32, params.asymmetric_l2(query, codes));
+        } else {
+            for (local, (codes, _)) in live {
+                rows += 1;
+                params.decode_into(codes, row);
+                for (query, top) in queries.iter().zip(tops.iter_mut()) {
+                    top.push(local as u32, l2_decoded(query, row));
+                }
+            }
         }
         for (j, (_, v)) in self.extra.iter().enumerate() {
-            stats.dist_evals += 1;
-            top.push(n + j as u32, vecsim::l2_sq(query, v));
-        }
-        out.extend(top.into_sorted_vec().into_iter().map(|h| {
-            if h.id < n {
-                Candidate {
-                    id: ids[h.id as usize],
-                    dist: h.dist,
-                    local: Some(h.id),
-                    err: params.l2_error_bound(h.dist),
-                }
-            } else {
-                Candidate::exact(self.extra[(h.id - n) as usize].0, h.dist)
+            for (query, top) in queries.iter().zip(tops.iter_mut()) {
+                top.push(n + j as u32, vecsim::l2_sq(query, v));
             }
-        }));
+        }
+        stats.dist_evals += (rows * queries.len()) as u64;
+        for top in tops {
+            top.drain_sorted(|h| {
+                out.push(if h.id < n {
+                    Candidate {
+                        id: ids[h.id as usize],
+                        dist: h.dist,
+                        local: Some(h.id),
+                        err: params.l2_error_bound(h.dist),
+                    }
+                } else {
+                    Candidate::exact(self.extra[(h.id - n) as usize].0, h.dist)
+                })
+            });
+            ends.push(out.len());
+        }
     }
 
     /// Top-`k` scan of a quantized cluster: [`LoadedCluster::probe`]
@@ -1024,9 +1129,8 @@ impl LoadedCluster {
         k: usize,
         stats: &mut SearchStats,
     ) -> Vec<SqHit> {
-        let mut out = Vec::new();
-        SearchScratch::with_local(|scratch| self.probe(query, k, 0, k, scratch, stats, &mut out));
-        out.into_iter()
+        let hits = self.probe_one(query, k, k, stats);
+        hits.into_iter()
             .map(|c| SqHit {
                 id: c.id,
                 dist: c.dist,

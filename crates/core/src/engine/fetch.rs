@@ -405,22 +405,27 @@ impl ComputeNode {
     /// The one fetch → [`LoadedCluster`] step: the buffer the cluster
     /// landed in is adopted as it is, next to the overflow area cut out of
     /// the rest of the group span — or, SQ8 wire, the area its follow-up
-    /// read brought (none: the version slot proved it pristine).
+    /// read brought (none: the version slot proved it pristine). Either
+    /// must be the cluster of the directory entry it was fetched for
+    /// ([`LoadedCluster::expecting`]).
     fn decode(&self, fetched: Fetched) -> Result<LoadedCluster> {
         let Fetched { load, cluster, overflow, .. } = fetched;
-        if self.use_sq {
-            return LoadedCluster::adopt(cluster, 0, true, overflow.as_deref());
-        }
-        let loc = self.directory.location(load.partition)?;
-        let (rest, n) = (overflow.as_deref().unwrap_or_default(), loc.overflow_len as usize);
-        // Front slot: alignment padding, then the area. Back: the area
-        // comes first.
-        let area = match loc.slot {
-            GroupSlot::Front => rest.len().checked_sub(n).map(|at| &rest[at..]),
-            GroupSlot::Back => rest.get(..n),
+        let loaded = if self.use_sq {
+            LoadedCluster::adopt(cluster, 0, true, overflow.as_deref())?
+        } else {
+            let loc = self.directory.location(load.partition)?;
+            let (rest, n) = (overflow.as_deref().unwrap_or_default(), loc.overflow_len as usize);
+            // Front slot: alignment padding, then the area. Back: the area
+            // comes first.
+            let area = match loc.slot {
+                GroupSlot::Front => rest.len().checked_sub(n).map(|at| &rest[at..]),
+                GroupSlot::Back => rest.get(..n),
+            };
+            let area =
+                area.ok_or_else(|| Error::Corrupt("span ends inside its overflow area".into()))?;
+            LoadedCluster::adopt(cluster, 0, false, Some(area))?
         };
-        let area = area.ok_or_else(|| Error::Corrupt("span ends inside its overflow area".into()))?;
-        LoadedCluster::adopt(cluster, 0, false, Some(area))
+        loaded.expecting(load.partition, self.directory.dim())
     }
 
     /// Turns freshly fetched loads into clusters across the instance's

@@ -7,14 +7,14 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
-use hnsw::{SearchScratch, SearchStats};
+use hnsw::SearchStats;
 use rdma_sim::{ReadCause, ReadReq};
 use vecsim::{Dataset, Neighbor};
 
 use super::fetch::{Fetch, Load, Reader};
 use super::{run_indexed, ComputeNode, QueryOptions};
 use crate::breakdown::{BatchReport, CostLedger};
-use crate::cluster::{Candidate, LoadedCluster};
+use crate::cluster::{Candidate, LoadedCluster, ProbeScratch};
 use crate::loader::{plan_batch, stage_loads};
 use crate::telemetry::span::{ArgValue, BatchTrace, SpanId};
 use crate::{Error, Result};
@@ -648,9 +648,10 @@ fn by_distance(a: &Pooled, b: &Pooled) -> std::cmp::Ordering {
 ///
 /// Probes execute **cluster-major**: `keys` is flattened into `(load
 /// key, query, route position)` probes, sorted by key and cut into
-/// `threads` contiguous runs, so each worker serves every query of a
-/// cluster back to back while the cluster is hot in its cache, out of
-/// one [`SearchScratch`] and one hit buffer. Each query's hit lists are
+/// `threads` contiguous runs, and each worker hands a cluster the whole
+/// stretch of its run that shares it — one lookup, one payload dispatch
+/// and, on the SQ8 wire, one pass over the codes for all of them — out of
+/// one [`ProbeScratch`] and one hit buffer. Each query's hit lists are
 /// then merged in **route order**, whatever order they were computed in,
 /// into up to `k + slack` candidates, one per global id — the closest
 /// copy, a forced representative can appear in two clusters — ascending
@@ -694,14 +695,16 @@ pub(super) fn search_stage(
         .chunks(probes.len().div_ceil(threads.max(1)).max(1))
         .collect();
     let done = run_indexed(runs.len(), threads, |r| {
-        let mut scratch = SearchScratch::default();
+        let mut scratch = ProbeScratch::default();
         let mut stats = SearchStats::default();
         let mut hits: Vec<Candidate> = Vec::new();
         let mut ends = Vec::with_capacity(runs[r].len());
-        for &(key, query, _) in runs[r] {
-            let q = queries.get(base + query as usize);
-            resolved[&key].probe(q, k, slack, ef, &mut scratch, &mut stats, &mut hits);
-            ends.push(hits.len());
+        let mut block: Vec<&[f32]> = Vec::new();
+        for same in runs[r].chunk_by(|a, b| a.0 == b.0) {
+            block.clear();
+            block.extend(same.iter().map(|&(_, query, _)| queries.get(base + query as usize)));
+            let cluster = &resolved[&same[0].0];
+            cluster.probe(&block, k, slack, ef, &mut scratch, &mut stats, &mut hits, &mut ends);
         }
         Ok((hits, ends))
     })?;

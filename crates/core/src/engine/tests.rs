@@ -936,6 +936,61 @@ fn health_report_rejects_corrupt_overflow_counter() {
     assert!(matches!(err, Error::Corrupt(_)), "{err}");
 }
 
+/// A blob can decode and still not be the cluster its directory entry
+/// describes. Before the loader checked, a blob of another partition
+/// folded that partition's overflow records, a `DHC2` blob of another
+/// dimensionality was scanned over the common prefix, and a `DHC1` one
+/// silently answered nothing.
+#[test]
+fn a_landed_blob_of_another_partition_or_dim_is_corrupt_on_both_wires() {
+    use crate::cluster::{SqCluster, SubCluster};
+    let data = gen::sift_like(300, 77).unwrap();
+    let queries = gen::perturbed_queries(&data, 4, 0.03, 99).unwrap();
+    let p = 1u32;
+    for wire in [QuantizeMode::Off, QuantizeMode::Sq8] {
+        for wrong_dim in [false, true] {
+            let config = DHnswConfig::small().with_quantize_mode(wire);
+            let store = VectorStore::build(data.clone(), &config).unwrap();
+            let node = store.connect(SearchMode::Full).unwrap();
+            let everywhere = QueryOptions::new(5, 16).with_fanout(node.directory.partitions());
+            node.query_batch_opts(&queries, &everywhere).unwrap();
+            node.drop_cache();
+
+            let (off, len) = match wire {
+                QuantizeMode::Off => {
+                    let loc = node.directory.location(p).unwrap();
+                    (loc.cluster_off, loc.cluster_len)
+                }
+                QuantizeMode::Sq8 => node.directory.sq_span(p).unwrap().unwrap(),
+            };
+            let blob = if wrong_dim {
+                // A whole cluster of partition `p` at half the
+                // dimensionality; what follows it in the span is the old
+                // blob's tail, which both decoders leave unread.
+                let rows = gen::uniform(data.dim() / 2, 3, 0.0, 1.0, 1).unwrap();
+                match wire {
+                    QuantizeMode::Off => {
+                        SubCluster::build(p, rows, vec![0, 1, 2], &config.sub_params()).unwrap().to_bytes()
+                    }
+                    QuantizeMode::Sq8 => SqCluster::build(p, &rows, vec![0, 1, 2]).unwrap().to_bytes(),
+                }
+            } else {
+                // The cluster itself, under its neighbour's number.
+                let mut blob = node.qp.read(node.rkey, off, len).unwrap();
+                blob[4..8].copy_from_slice(&(p + 1).to_le_bytes());
+                blob
+            };
+            assert!(blob.len() as u64 <= len);
+            node.qp.write(node.rkey, off, &blob).unwrap();
+            let err = node.query_batch_opts(&queries, &everywhere).unwrap_err();
+            assert!(
+                matches!(&err, Error::Corrupt(m) if m.starts_with("fetched partition 1 (128 dimensions)")),
+                "{wire:?} wrong_dim {wrong_dim}: {err}"
+            );
+        }
+    }
+}
+
 #[test]
 fn pipelined_execution_matches_sequential_exactly() {
     // Two connections to the same store, one sequential and one

@@ -13,8 +13,12 @@
 //! the view over the blob's own words, and `LoadedCluster::adopt` on a
 //! buffer whose cluster starts on a boundary and on one where it does
 //! not. A view must accept exactly what the owning decoder accepts —
-//! there is one validator — and every accepted mutant is searched.
+//! there is one validator — and every accepted mutant is searched. What
+//! the loader adds on top ([`LoadedCluster::expecting`]) is held too: a
+//! mutant it lets through is the partition and dimensionality it asked
+//! for, whatever else was flipped.
 
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use dhnsw::cluster::{LoadedCluster, OverflowRecord, SqCluster, SubCluster};
@@ -135,6 +139,7 @@ fn dhc1_blobs_decode_or_report_corruption() {
     let area = overflow_area();
     // Header: magic, partition, n, hnsw length (20 bytes), then the id map;
     // the embedded HSW1 header is swept as part of the body.
+    let refused = Cell::new(0);
     let accepted = sweep("DHC1", &blob, 20, |bytes| match LoadedCluster::from_remote(bytes, &area) {
         Ok(loaded) => {
             assert!(SubCluster::from_bytes(bytes).is_ok(), "the view took what the owner refuses");
@@ -144,7 +149,7 @@ fn dhc1_blobs_decode_or_report_corruption() {
                 assert!(hits.len() <= 10);
                 assert_eq!(format!("{:?}", moved.search(&q, 10, 48)), format!("{hits:?}"));
             }
-            true
+            is_the_entry_fetched("DHC1", loaded, &refused)
         }
         Err(dhnsw::Error::Corrupt(_)) => {
             assert!(matches!(SubCluster::from_bytes(bytes), Err(dhnsw::Error::Corrupt(_))));
@@ -154,7 +159,30 @@ fn dhc1_blobs_decode_or_report_corruption() {
         Err(other) => panic!("DHC1: not a corruption error: {other:?}"),
     });
     assert!(accepted > 0);
+    assert!(refused.get() >= PARTITION_FLIPS, "{} refused", refused.get());
 }
+
+/// The loader's last word on a mutant that decoded: corrupt, or the
+/// cluster of the directory entry it was fetched for — partition 3 of
+/// [`DIM`] dimensions — so no search is handed a blob whose rows are not
+/// as long as its queries. Returns whether it passed.
+fn is_the_entry_fetched(format: &str, loaded: LoadedCluster, refused: &Cell<usize>) -> bool {
+    match loaded.expecting(3, DIM) {
+        Ok(loaded) => {
+            assert_eq!((loaded.partition(), loaded.dim()), (3, DIM));
+            true
+        }
+        Err(dhnsw::Error::Corrupt(_)) => {
+            refused.set(refused.get() + 1);
+            false
+        }
+        Err(other) => panic!("{format}: not a corruption error: {other:?}"),
+    }
+}
+
+/// Single-bit and whole-byte flips of a header's 4-byte partition field:
+/// each still decodes, and each is somebody else's cluster.
+const PARTITION_FLIPS: usize = 4 * 9;
 
 /// The loader's entry on a buffer whose cluster starts one byte past a
 /// boundary, so the view is built over the converted-once copy.
@@ -176,6 +204,7 @@ fn dhc2_blobs_decode_or_report_corruption() {
     // rows, whose every bit decides whether a scale is still usable.
     let header = 16 + 8 * DIM;
     for overflow in [None, Some(area.as_slice())] {
+        let refused = Cell::new(0);
         let accepted = sweep("DHC2", &blob, header, |bytes| {
             match LoadedCluster::from_remote_sq(bytes, overflow) {
                 Ok(loaded) => {
@@ -187,7 +216,7 @@ fn dhc2_blobs_decode_or_report_corruption() {
                         assert!(hits.windows(2).all(|w| w[0].dist <= w[1].dist || w[1].dist.is_nan()));
                         assert_eq!(format!("{:?}", moved.search_sq(&q, 12)), format!("{hits:?}"));
                     }
-                    true
+                    is_the_entry_fetched("DHC2", loaded, &refused)
                 }
                 Err(dhnsw::Error::Corrupt(_)) => {
                     assert!(matches!(SqCluster::from_bytes(bytes), Err(dhnsw::Error::Corrupt(_))));
@@ -198,6 +227,7 @@ fn dhc2_blobs_decode_or_report_corruption() {
             }
         });
         assert!(accepted > 0);
+        assert!(refused.get() >= PARTITION_FLIPS, "{} refused", refused.get());
     }
 }
 

@@ -15,7 +15,8 @@
 use std::collections::HashSet;
 
 use dhnsw::cluster::{
-    parse_overflow_detailed, LoadedCluster, OverflowRecord, SqCluster, SubCluster,
+    parse_overflow_detailed, Candidate, LoadedCluster, OverflowRecord, ProbeScratch, SqCluster,
+    SubCluster,
 };
 use hnsw::{HnswParams, SearchStats};
 use proptest::prelude::*;
@@ -321,6 +322,61 @@ fn corner_clusters_agree_too() {
             let c = case(n, dim, 4, inserts, tombs, 77);
             check_full(&c, back);
             check_sq(&c);
+        }
+    }
+}
+
+/// A probe takes every query a worker's run routes to one cluster at once,
+/// and on the SQ8 wire decodes each row once for all of them. What a query
+/// gets must not depend on its company: over clusters with inserts,
+/// tombstones and tombstoned inserts, on both wires, a block of Q queries
+/// yields per query exactly the candidates — ids, distance and error bits,
+/// rerank addresses — of Q probes of one, and as many distance evaluations
+/// as they make together. 40 queries at 128 dimensions cross the cut a scan
+/// makes in a long run; one scratch serves every probe, dirty.
+#[test]
+fn a_block_probe_of_the_view_equals_single_probes() {
+    let bits = |c: &Candidate| (c.id, c.dist.to_bits(), c.local, c.err.to_bits());
+    let mut scratch = ProbeScratch::default();
+    for (dim, inserts, tombs) in [(3, 12, 5), (128, 12, 5), (128, 0, 0)] {
+        let c = case(120, dim, 4, inserts, tombs, 41);
+        let params = HnswParams::new(c.m, 40).seed(9);
+        let full = SubCluster::build(PARTITION, c.data.clone(), c.ids.clone(), &params).unwrap();
+        let sq = SqCluster::build(PARTITION, &c.data, c.ids.clone()).unwrap();
+        let area = Some(c.area.as_slice());
+        for loaded in [
+            LoadedCluster::adopt(full.to_bytes(), 0, false, area).unwrap(),
+            LoadedCluster::adopt(sq.to_bytes(), 0, true, area).unwrap(),
+        ] {
+            assert_eq!(loaded.overflow_len() > 0, inserts > 0);
+            assert_eq!(loaded.deleted().is_empty(), tombs == 0);
+            for (k, slack, ef) in [(1, 0, 1), (10, 16, 48)] {
+                for q in [1, 2, 3, 5, 17, 40] {
+                    let block: Vec<&[f32]> = (0..q).map(|i| c.queries.get(i % 32)).collect();
+                    let (mut got, mut ends) = (Vec::new(), Vec::new());
+                    let mut stats = SearchStats::default();
+                    loaded.probe(&block, k, slack, ef, &mut scratch, &mut stats, &mut got, &mut ends);
+                    assert_eq!(ends.len(), q);
+
+                    let mut alone = SearchStats::default();
+                    let mut start = 0;
+                    for (query, &end) in block.iter().zip(&ends) {
+                        let (mut want, mut one) = (Vec::new(), Vec::new());
+                        loaded.probe(&[query], k, slack, ef, &mut scratch, &mut alone, &mut want, &mut one);
+                        assert_eq!(one, [want.len()]);
+                        let got: Vec<_> = got[start..end].iter().map(bits).collect();
+                        let want: Vec<_> = want.iter().map(bits).collect();
+                        assert_eq!(
+                            got, want,
+                            "dim {dim} sq {} k {k} of a block of {q}",
+                            loaded.is_quantized()
+                        );
+                        start = end;
+                    }
+                    assert_eq!(start, got.len());
+                    assert_eq!(stats, alone, "dim {dim} k {k} block of {q}");
+                }
+            }
         }
     }
 }

@@ -71,20 +71,26 @@ impl std::fmt::Display for Metric {
     }
 }
 
-/// Independent accumulators per kernel: four 4-wide (or two 8-wide)
-/// vector registers, enough to cover the add latency of one chain.
+/// Independent accumulators of the full-precision kernels: four 4-wide (or
+/// two 8-wide) vector registers, enough to cover the add latency of one
+/// chain.
 const LANES: usize = 16;
 
 /// `Σ term(a[i], b[i])` over the common prefix of `a` and `b`, summed in
-/// [`LANES`] independent accumulators plus a sequential tail.
+/// `N` independent accumulators plus a sequential tail. `N` is part of the
+/// result: sums associate by lane, so two widths agree only to rounding.
 #[inline(always)]
-fn lane_sum(a: &[f32], b: &[f32], term: impl Fn(f32, f32) -> f32) -> f32 {
+pub(crate) fn lane_sum<const N: usize>(
+    a: &[f32],
+    b: &[f32],
+    term: impl Fn(f32, f32) -> f32,
+) -> f32 {
     let n = a.len().min(b.len());
-    let mut acc = [0.0f32; LANES];
-    let mut a = a[..n].chunks_exact(LANES);
-    let mut b = b[..n].chunks_exact(LANES);
+    let mut acc = [0.0f32; N];
+    let mut a = a[..n].chunks_exact(N);
+    let mut b = b[..n].chunks_exact(N);
     for (x, y) in (&mut a).zip(&mut b) {
-        for l in 0..LANES {
+        for l in 0..N {
             acc[l] += term(x[l], y[l]);
         }
     }
@@ -94,6 +100,13 @@ fn lane_sum(a: &[f32], b: &[f32], term: impl Fn(f32, f32) -> f32) -> f32 {
     acc.iter().sum::<f32>() + tail
 }
 
+/// One squared-L2 term.
+#[inline(always)]
+pub(crate) fn sq_diff(x: f32, y: f32) -> f32 {
+    let d = x - y;
+    d * d
+}
+
 /// Squared Euclidean distance between `a` and `b`.
 ///
 /// ```rust
@@ -101,10 +114,7 @@ fn lane_sum(a: &[f32], b: &[f32], term: impl Fn(f32, f32) -> f32) -> f32 {
 /// ```
 #[inline]
 pub fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
-    lane_sum(a, b, |x, y| {
-        let d = x - y;
-        d * d
-    })
+    lane_sum::<LANES>(a, b, sq_diff)
 }
 
 /// Dot product of `a` and `b`.
@@ -114,7 +124,7 @@ pub fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
 /// ```
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    lane_sum(a, b, |x, y| x * y)
+    lane_sum::<LANES>(a, b, |x, y| x * y)
 }
 
 /// Euclidean norm of `a`.

@@ -28,6 +28,7 @@
 //! assert!((back[0] - 0.5).abs() <= params.scale()[0] / 2.0);
 //! ```
 
+use crate::distance::{lane_sum, sq_diff};
 use crate::{Error, Result};
 
 /// Per-dimension affine quantization parameters: `code = round((x -
@@ -164,12 +165,28 @@ impl SqParams {
 
     /// Decodes `dim` codes back into an approximate f32 vector.
     pub fn decode(&self, codes: &[u8]) -> Vec<f32> {
+        let mut row = vec![0.0; self.dim()];
+        self.decode_into(codes, &mut row);
+        row
+    }
+
+    /// Decodes `codes` into `row`, `min + code * scale` per dimension:
+    /// the code point [`SqParams::asymmetric_l2`] compares the query with,
+    /// rounded the same way, so a scan can decode a row once and hold any
+    /// number of queries against it with [`l2_decoded`].
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if `codes` or `row` is not `dim` long; in
+    /// release builds the shortest length wins and the rest of `row` is
+    /// left as it was.
+    pub fn decode_into(&self, codes: &[u8], row: &mut [f32]) {
         debug_assert_eq!(codes.len(), self.dim());
-        codes
-            .iter()
-            .zip(self.min.iter().zip(&self.scale))
-            .map(|(&c, (&m, &s))| m + f32::from(c) * s)
-            .collect()
+        debug_assert_eq!(row.len(), self.dim());
+        let params = self.min.iter().zip(&self.scale);
+        for ((x, &c), (&m, &s)) in row.iter_mut().zip(codes).zip(params) {
+            *x = m + f32::from(c) * s;
+        }
     }
 
     /// Asymmetric squared-L2 distance: the f32 query against the
@@ -224,6 +241,15 @@ impl SqParams {
     pub fn max_component_error(&self) -> f32 {
         self.scale.iter().fold(0.0f32, |a, &s| a.max(s / 2.0))
     }
+}
+
+/// Squared L2 between `query` and a row [`SqParams::decode_into`]
+/// decoded: the same terms in the same eight lane accumulators, reduced
+/// in the same order, as [`SqParams::asymmetric_l2`] over the row's codes —
+/// so the same bits, at every length.
+#[inline]
+pub fn l2_decoded(query: &[f32], row: &[f32]) -> f32 {
+    lane_sum::<LANES>(query, row, sq_diff)
 }
 
 #[cfg(test)]
@@ -291,6 +317,9 @@ mod tests {
         /// The chunked kernel against decode-then-`l2_sq`, at every
         /// dimensionality from empty through two chunks past 256: every
         /// remainder of the 8-lane chunking, with and without full chunks.
+        /// Against the 16-lane `l2_sq` the sums associate differently and
+        /// agree to rounding; against the decode-once pair a scan runs
+        /// they are the same bits.
         #[test]
         fn asymmetric_l2_equals_decode_then_l2_at_every_dim(
             query in prop::collection::vec(-300.0f32..300.0, 257..258),
@@ -307,6 +336,11 @@ mod tests {
                     (direct - via_decode).abs() <= 1e-4 * via_decode,
                     "dim {}: {} vs {}", dim, direct, via_decode
                 );
+                let mut row = vec![f32::NAN; dim];
+                params.decode_into(&codes[..dim], &mut row);
+                prop_assert_eq!(row.as_slice(), params.decode(&codes[..dim]).as_slice());
+                let once = l2_decoded(&query[..dim], &row);
+                prop_assert_eq!(once.to_bits(), direct.to_bits(), "dim {}: {} vs {}", dim, once, direct);
             }
         }
     }

@@ -141,6 +141,24 @@ impl TopK {
         v.sort();
         v
     }
+
+    /// Empties the collector and makes it one for the `k` nearest
+    /// entries, keeping its allocation: a worker that collects probe after
+    /// probe allocates once, for the largest `k` it has seen.
+    pub fn reset(&mut self, k: usize) {
+        self.k = k;
+        self.heap.clear();
+        self.heap.reserve(k + 1);
+    }
+
+    /// Hands the held neighbours to `each` by ascending distance — the
+    /// order of [`TopK::into_sorted_vec`] — and leaves the collector empty
+    /// with its allocation in place.
+    pub fn drain_sorted(&mut self, each: impl FnMut(Neighbor)) {
+        let mut sorted = std::mem::take(&mut self.heap).into_sorted_vec();
+        sorted.drain(..).for_each(each);
+        self.heap = sorted.into();
+    }
 }
 
 impl Extend<Neighbor> for TopK {
@@ -234,6 +252,26 @@ mod tests {
             want.truncate(k);
             prop_assert_eq!(top.into_sorted_vec(), want);
         }
+    }
+
+    #[test]
+    fn a_reset_collector_is_a_new_one_in_the_old_allocation() {
+        let mut t = TopK::new(4);
+        t.extend((0..9).map(|i| Neighbor::new(i, (i * 5 % 9) as f32)));
+        let mut seen = Vec::new();
+        t.drain_sorted(|n| seen.push(n));
+        let mut fresh = TopK::new(4);
+        fresh.extend((0..9).map(|i| Neighbor::new(i, (i * 5 % 9) as f32)));
+        assert_eq!(seen, fresh.into_sorted_vec());
+        assert!(t.is_empty());
+
+        let room = t.heap.capacity();
+        t.reset(2);
+        t.extend([Neighbor::new(7, 3.0), Neighbor::new(8, 1.0), Neighbor::new(9, 2.0)]);
+        assert_eq!(t.threshold(), Some(2.0), "the new k governs");
+        t.drain_sorted(|n| seen.push(n));
+        assert_eq!(seen[4..], [Neighbor::new(8, 1.0), Neighbor::new(9, 2.0)]);
+        assert_eq!(t.heap.capacity(), room, "nothing was reallocated");
     }
 
     #[test]

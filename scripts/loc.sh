@@ -17,13 +17,15 @@
 # regression harness, and this keeps any of them from growing back. PR 19
 # raised the total by the loaded-cluster view's own lines and nothing
 # else (+147, inside the +150 its issue allowed; CHANGES.md says what
-# they bought).
+# they bought). PR 20 re-set it to what the block probe reached: +112 in
+# cluster.rs and the loader (the per-block scan, its scratch, the
+# landed-blob check), +4 in crates/bench (`repro scale`'s column).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-MAX_TOTAL=10518
+MAX_TOTAL=10630
 MAX_PLANE=4680
-MAX_BENCH=2971
+MAX_BENCH=2975
 MAX_FILE=1300
 
 total=0

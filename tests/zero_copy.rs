@@ -21,12 +21,23 @@
 //! dominate it, on the full-precision wire. (SQ8 net: 1.21 x before,
 //! 0.81 x now — rerank rows are read in blocks too small to count.)
 //!
+//! The same allocator counts *calls* for the other half of the claim: the
+//! sub-search allocates per worker, not per probe. A warm batch — nothing
+//! fetched, every rerank row cached — is run at fan-out 2 and at fan-out 8,
+//! four times the probes over the same queries; the extra probes may bring
+//! one allocator call for every two of them at most. (Before the SQ8 scan
+//! kept its collectors with the worker every probe built a heap: 768 more
+//! probes cost 900 more calls on that wire. Now 141, of which 128 are one
+//! per *query*: a pool of 8 x 26 candidates outgrows the stack scratch of
+//! the merge's stable sort, at fan-out 7. The rest is buffers doubling a
+//! few more times. Full precision: 7.)
+//!
 //! One test function, so nothing else allocates while it counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use dhnsw_repro::dhnsw::{DHnswConfig, QuantizeMode, SearchMode, VectorStore};
+use dhnsw_repro::dhnsw::{DHnswConfig, QuantizeMode, QueryOptions, SearchMode, VectorStore};
 use dhnsw_repro::vecsim::gen;
 
 /// Blocks at least this large are counted: every cluster-sized buffer is,
@@ -35,6 +46,7 @@ const BIG: usize = 4096;
 
 static COUNTING: AtomicBool = AtomicBool::new(false);
 static BIG_BYTES: AtomicU64 = AtomicU64::new(0);
+static CALLS: AtomicU64 = AtomicU64::new(0);
 
 struct Counting;
 
@@ -45,8 +57,11 @@ struct Counting;
 // size.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if layout.size() >= BIG && COUNTING.load(Ordering::Relaxed) {
-            BIG_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        if COUNTING.load(Ordering::Relaxed) {
+            CALLS.fetch_add(1, Ordering::Relaxed);
+            if layout.size() >= BIG {
+                BIG_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+            }
         }
         // SAFETY: the caller's contract for `alloc` is `System::alloc`'s.
         unsafe { System.alloc(layout) }
@@ -77,15 +92,19 @@ fn a_cold_batch_holds_each_fetched_byte_once() {
         let node = store.connect(SearchMode::Full).unwrap();
         node.heatmap().set_enabled(true);
 
-        let counted = || {
+        // One counted batch: (bytes in big blocks, allocator calls, report).
+        let counted = |opts: &QueryOptions| {
             BIG_BYTES.store(0, Ordering::Relaxed);
+            CALLS.store(0, Ordering::Relaxed);
             COUNTING.store(true, Ordering::Relaxed);
-            let outcome = node.query_batch(&queries, 10, 48);
+            let outcome = node.query_batch_opts(&queries, opts);
             COUNTING.store(false, Ordering::Relaxed);
-            (BIG_BYTES.load(Ordering::Relaxed), outcome.unwrap().1)
+            let (big, calls) = (BIG_BYTES.load(Ordering::Relaxed), CALLS.load(Ordering::Relaxed));
+            (big, calls, outcome.unwrap().1)
         };
-        let (cold, report) = counted();
-        let (warm, again) = counted();
+        let routed = QueryOptions::new(10, 48);
+        let (cold, _, report) = counted(&routed);
+        let (warm, _, again) = counted(&routed);
         assert!(report.clusters_loaded >= 16, "the first batch must be cold");
         assert_eq!(
             (again.clusters_loaded, again.bytes_read),
@@ -118,5 +137,29 @@ fn a_cold_batch_holds_each_fetched_byte_once() {
         let cache = node.health_report().unwrap().cache;
         assert_eq!(cache.resident, report.clusters_loaded, "{wire:?}");
         assert_eq!(cache.resident_bytes, serialized, "{wire:?}");
+
+        // Allocator calls of a warm batch against its probe count.
+        let calls_at = |fanout: usize| {
+            let opts = routed.with_fanout(fanout);
+            // Once uncounted: what this fan-out adds to the cluster cache
+            // and to the rerank rows is resident afterwards.
+            node.query_batch_opts(&queries, &opts).unwrap();
+            let (_, calls, report) = counted(&opts);
+            assert_eq!((report.clusters_loaded, report.bytes_read), (0, 0), "{wire:?}");
+            (calls, report.raw_cluster_demand as u64)
+        };
+        let ((few_calls, few), (many_calls, many)) = (calls_at(2), calls_at(8));
+        assert_eq!((few, many), (2 * 128, 8 * 128));
+        let grown = many_calls.saturating_sub(few_calls);
+        println!(
+            "{wire:?}: a warm batch makes {few_calls} allocator calls for {few} probes and \
+             {many_calls} for {many}: {grown} more for {} more probes",
+            many - few
+        );
+        assert!(
+            grown * 2 <= many - few,
+            "{wire:?}: {grown} more allocator calls for {} more probes",
+            many - few
+        );
     }
 }
