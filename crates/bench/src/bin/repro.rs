@@ -7,14 +7,16 @@
 //!
 //! Subcommands: `fig6a` `fig6b` `fig6c` `fig6d` `table1` `table2`
 //! `metasize` `ablations` `faults` `pipeline` `tail` `all`, and `scale`
-//! (not part of `all`). Scale via `DHNSW_SIFT_N`, `DHNSW_GIST_N`,
+//! and `subsearch` (not part of `all`). Scale via `DHNSW_SIFT_N`, `DHNSW_GIST_N`,
 //! `DHNSW_QUERIES`, `DHNSW_REPS` (see crate docs); one that does not
 //! parse exits 2 before anything is measured at the wrong size.
 //! `faults` sweeps seeded substrate fault rates and reports recall,
 //! retransmissions, engine retries, and degraded-query coverage.
 //! `scale` builds the standard SIFT workload's store on the
 //! full-precision and on the SQ8 wire and gates the compressed wire's
-//! byte and recall claims at that size.
+//! byte and recall claims at that size. `subsearch` times one resident
+//! cluster's walk against its block scan by size — the measurement
+//! `dhnsw::cluster::SCAN_ROWS_PER_EF` is read off.
 //!
 //! Pass `--metrics-out <base>` to additionally dump the process-wide
 //! telemetry registry (every query the run issued) to `<base>.prom`
@@ -32,6 +34,7 @@
 
 use std::process::ExitCode;
 
+use dhnsw::cluster::{LoadedCluster, ProbeScratch, SqCluster, SubCluster, SCAN_ROWS_PER_EF};
 use dhnsw::{DHnswConfig, QuantizeMode, SearchMode, Telemetry, VectorStore};
 use dhnsw_bench::{
     breakdown_rows, env_usize, print_breakdown_table, print_sweep_table, sweep, DatasetKind,
@@ -112,6 +115,7 @@ fn run_cmd(cmd: &str) -> AnyResult {
         "pipeline" => pipeline_sweep(),
         "tail" => tail_latency(),
         "scale" => scale(),
+        "subsearch" => subsearch(),
         "all" => {
             // Each dataset's workload + store are reused across its
             // figure and table so `all` builds each store once.
@@ -133,7 +137,7 @@ fn run_cmd(cmd: &str) -> AnyResult {
         }
         other => {
             eprintln!(
-                "unknown subcommand {other}; use fig6a|fig6b|fig6c|fig6d|table1|table2|metasize|ablations|faults|pipeline|tail|scale|all"
+                "unknown subcommand {other}; use fig6a|fig6b|fig6c|fig6d|table1|table2|metasize|ablations|faults|pipeline|tail|scale|subsearch|all"
             );
             std::process::exit(2);
         }
@@ -202,14 +206,19 @@ fn run_table(w: &Workload, store: &VectorStore, title: &str) -> AnyResult {
 /// quantization parameters must not eat the win) and exact rerank holds
 /// recall@10 within 0.005. Reported beside them, not gated: the host's
 /// sub-search time per query (`breakdown.sub_hnsw_us`, wall clock, SQ8's
-/// rerank included) — what a wire costs once its bytes are resident.
+/// rerank included) — what a wire costs once its bytes are resident —
+/// with what decides it: the base rows of the cluster a probe lands on,
+/// and the share of probes that scan their cluster whole instead of
+/// walking it (every SQ8 probe; a full-precision one of a cluster of at
+/// most [`SCAN_ROWS_PER_EF`] x efSearch rows).
 fn scale() -> AnyResult {
     let w = Workload::standard(DatasetKind::SiftLike)?;
     let base = w.config()?;
     println!("\n=== Scale: full-precision vs SQ8 wire, cold node, top-10, efSearch 48 ===");
     println!(
-        "{:<5} {:>9} {:>10} {:>7} {:>6} {:>8} {:>14} {:>10} {:>11} {:>8}",
-        "wire", "n", "partitions", "M/efC", "b", "queries", "bytes", "recall@10", "sub us/q", "build s"
+        "{:<5} {:>9} {:>10} {:>7} {:>6} {:>8} {:>14} {:>10} {:>11} {:>11} {:>8} {:>8}",
+        "wire", "n", "partitions", "M/efC", "b", "queries", "bytes", "recall@10", "sub us/q",
+        "rows/probe", "scanned", "build s"
     );
     let query_rows: Vec<u32> = (0..w.queries.len() as u32).collect();
     let mut rows = Vec::new();
@@ -227,8 +236,11 @@ fn scale() -> AnyResult {
         }
         let rec = vecsim::recall::mean_recall(&ids, w.truth(10));
         let sub = store.config().sub_params();
+        let routes = w.queries.iter().flat_map(|q| store.meta().route(q, store.config().fanout()));
+        let probed: Vec<usize> = routes.map(|r| store.partition_sizes()[r.id as usize]).collect();
+        let scans = |rows: usize| wire == QuantizeMode::Sq8 || rows <= SCAN_ROWS_PER_EF * 48;
         println!(
-            "{:<5} {:>9} {:>10} {:>7} {:>6} {:>8} {:>14} {:>10.4} {:>11.1} {:>8.1}",
+            "{:<5} {:>9} {:>10} {:>7} {:>6} {:>8} {:>14} {:>10.4} {:>11.1} {:>11.1} {:>7.1}% {:>8.1}",
             wire.as_str(),
             w.data.len(),
             store.partitions(),
@@ -238,6 +250,8 @@ fn scale() -> AnyResult {
             bytes,
             rec,
             sub_us / w.queries.len() as f64,
+            probed.iter().sum::<usize>() as f64 / probed.len() as f64,
+            100.0 * probed.iter().filter(|&&rows| scans(rows)).count() as f64 / probed.len() as f64,
             build_s
         );
         rows.push((bytes, rec));
@@ -255,6 +269,85 @@ fn scale() -> AnyResult {
             "scale gate: sq8 recall {sq_rec} fell more than 0.005 below the uncompressed {full_rec}"
         )
         .into());
+    }
+    Ok(())
+}
+
+/// A resident cluster's two sub-searches by size: the sub-HNSW walk (the
+/// owning index's `search_in`, the walk a loaded cluster runs over the
+/// same rows and adjacency) against the block scan over its
+/// full-precision rows and over its SQ8 codes ([`LoadedCluster::probe`]
+/// with a beam wide enough that the rule scans), for blocks of 1, 4 and 16
+/// queries; a walk shares no work with its block, only the cache lines
+/// the probes before it pulled in. As in a worker's cluster-major run,
+/// consecutive blocks land on different clusters — 16 MiB of rows in
+/// rotation, so a block finds its cluster in L3, not where the previous
+/// probe left it. The lone-probe rows are what [`SCAN_ROWS_PER_EF`] is
+/// read off: the scan must be no slower than the walk at every size up to
+/// the cut-off. Wall clock: run it under `taskset -c <cpu>`.
+fn subsearch() -> AnyResult {
+    const K: usize = 10;
+    const EF: usize = 48;
+    const SLACK: usize = 32; // DHnswConfig::paper()'s rerank pool
+    const ROUNDS: usize = 7;
+    const QUERIES: usize = 512;
+    let cut = SCAN_ROWS_PER_EF * EF;
+    println!("\n=== Sub-search: walk vs block scan, 128-d, M 16, top-{K}, efSearch {EF} (scan up to {cut} rows) ===");
+    println!("us per probe, median of {ROUNDS} rounds of {QUERIES} probes over clusters in rotation");
+    println!("{:>6} {:>9} {:>6} {:>9} {:>9} {:>9}", "rows", "clusters", "block", "walk", "f32 scan", "sq8 scan");
+    for rows in [100, 300, 600, cut, 1_000, 2_000] {
+        let count = (16 << 20) / (rows * 128 * 4);
+        let data = vecsim::gen::sift_like(count * rows, 7)?;
+        let queries = vecsim::gen::perturbed_queries(&data, QUERIES, 0.03, 8)?;
+        let queries: Vec<&[f32]> = queries.iter().collect();
+        let mut clusters = Vec::with_capacity(count);
+        for c in 0..count {
+            let ids: Vec<u32> = (c * rows..(c + 1) * rows).map(|i| i as u32).collect();
+            let slice = data.select(&ids);
+            let sq = SqCluster::build(0, &slice, ids.clone())?.to_bytes();
+            let sub = SubCluster::build(0, slice, ids, &hnsw::HnswParams::new(16, 100))?;
+            let full = LoadedCluster::adopt(sub.to_bytes(), 0, false, None)?;
+            clusters.push((sub, full, LoadedCluster::adopt(sq, 0, true, None)?));
+        }
+        let mut scratch = ProbeScratch::default();
+        let mut walk = hnsw::SearchScratch::default();
+        let mut stats = hnsw::SearchStats::default();
+        let (mut out, mut ends) = (Vec::new(), Vec::new());
+        for block in [1, 4, 16] {
+            type Cluster = (SubCluster, LoadedCluster, LoadedCluster);
+            // One rotation across rounds: a round of few blocks must not
+            // keep meeting the same few clusters.
+            let mut rotation = clusters.iter().cycle();
+            let mut time = |probe: &mut dyn FnMut(&Cluster, &[&[f32]])| {
+                let mut rounds: Vec<f64> = (0..ROUNDS)
+                    .map(|_| {
+                        let t0 = std::time::Instant::now();
+                        for (qs, cluster) in queries.chunks(block).zip(rotation.by_ref()) {
+                            probe(cluster, qs);
+                        }
+                        t0.elapsed().as_secs_f64() * 1e6 / QUERIES as f64
+                    })
+                    .collect();
+                rounds.sort_by(f64::total_cmp);
+                rounds[ROUNDS / 2]
+            };
+            let walked = time(&mut |(sub, ..), qs| {
+                for q in qs {
+                    std::hint::black_box(sub.hnsw().search_in(q, K, EF, &mut walk, &mut stats));
+                }
+            });
+            let mut scan_of = |sq: bool, slack| {
+                time(&mut |(_, full, codes), qs| {
+                    out.clear();
+                    ends.clear();
+                    let cluster = if sq { codes } else { full };
+                    cluster.probe(qs, K, slack, rows, &mut scratch, &mut stats, &mut out, &mut ends);
+                    std::hint::black_box(&out);
+                })
+            };
+            let (exact, codes) = (scan_of(false, 0), scan_of(true, SLACK));
+            println!("{rows:>6} {count:>9} {block:>6} {walked:>9.1} {exact:>9.1} {codes:>9.1}");
+        }
     }
     Ok(())
 }

@@ -27,7 +27,7 @@ use hnsw::{HnswIndex, HnswParams, IndexView, SearchScratch, SearchStats};
 use vecsim::cast::{self, AlignedBytes};
 use vecsim::io::le_words;
 use vecsim::quantize::{l2_decoded, SqParams};
-use vecsim::{Dataset, Neighbor, TopK};
+use vecsim::{Dataset, Metric, Neighbor, TopK};
 
 use crate::{Error, Result};
 
@@ -674,9 +674,14 @@ impl Candidate {
     }
 }
 
+/// Ascending `(dist, global id)`: the order exact hits leave a probe in.
+fn by_dist_then_id(a: &Candidate, b: &Candidate) -> std::cmp::Ordering {
+    a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id))
+}
+
 /// What a worker keeps from probe to probe ([`LoadedCluster::probe`]):
-/// the sub-HNSW walk's scratch and, for an SQ8 scan, the row being decoded
-/// and one collector per query of a block.
+/// the sub-HNSW walk's scratch and, for a block scan, one collector per
+/// query of a block and the row an SQ8 scan is decoding.
 #[derive(Debug, Default)]
 pub struct ProbeScratch {
     walk: SearchScratch,
@@ -689,10 +694,147 @@ thread_local! {
     static LOCAL_SCRATCH: std::cell::RefCell<ProbeScratch> = Default::default();
 }
 
-/// Bytes of queries one SQ8 scan holds each decoded row against: a block
-/// of queries, the row and the codes streaming past stay inside a 32 KiB
-/// L1 together (32 queries at 128 dimensions). Longer runs are cut.
+/// Bytes of queries one block scan holds each row against: a block of
+/// queries, the row and the rows streaming past stay inside a 32 KiB L1
+/// together (32 queries at 128 dimensions). Longer runs are cut.
 const SCAN_BLOCK_BYTES: usize = 16 << 10;
+
+/// A full-precision cluster of up to this many base rows per unit of `ef`
+/// is scanned whole instead of walked. A beam of `ef` expands `ef` nodes
+/// and, on a cluster this small, evaluates most of its rows on the way
+/// (196 of 302 at `ef` = 48) under a visited set and a sorted pool; the
+/// scan evaluates all of them and keeps nothing but a heap. Read off a
+/// measurement: `repro subsearch` (EXPERIMENTS.md) has a lone probe's scan
+/// no slower than its walk at every size up to here — well ahead with
+/// clusters in rotation, as a worker meets them, level when one cluster
+/// stays in L2 — and behind by 2 000 rows, the paper's cluster size;
+/// DESIGN.md §5l has the cost model that says the same. Derived from the
+/// `ef` a caller already passes — never a setting.
+pub const SCAN_ROWS_PER_EF: usize = 16;
+
+/// Where a block scan reads a cluster's base rows. The scan is compiled
+/// once per source, so each row loop is the only one in its copy.
+trait Rows {
+    /// Whether hits are exact, and so leave ordered by `(dist, global id)`
+    /// as a walk's do. Estimates leave as selected, ties in row order: the
+    /// engine orders a pool itself, after the rerank.
+    const EXACT: bool;
+
+    /// What the rows — and the overflow inserts beside them — are ranked
+    /// under.
+    fn metric(&self) -> Metric;
+
+    /// Offers every base row `live` keeps to every query's collector,
+    /// under its local id; returns how many rows that was.
+    fn sweep(
+        &mut self,
+        ids: &[u32],
+        live: impl Fn(&u32) -> bool,
+        queries: &[&[f32]],
+        tops: &mut [TopK],
+    ) -> usize;
+
+    /// The candidate base row `local` leaves the probe as.
+    fn hit(&self, id: u32, local: u32, dist: f32) -> Candidate;
+}
+
+/// SQ8 codes, `dim` to a row, held against a query by asymmetric squared
+/// L2: a row is decoded once into the worker's `row`
+/// ([`SqParams::decode_into`]) and every query of the block takes its
+/// distance to the decoded row ([`l2_decoded`]) — the bits
+/// [`SqParams::asymmetric_l2`] gives that query and those codes.
+struct Codes<'a> {
+    params: &'a SqParams,
+    codes: &'a [u8],
+    row: &'a mut Vec<f32>,
+}
+
+impl Rows for Codes<'_> {
+    const EXACT: bool = false;
+
+    /// The compressed wire is L2 throughout — the kernels here, the error
+    /// bound, the engine's exact rerank — and this is where the scan
+    /// learns it ([`crate::DHnswConfig::validate`] refuses SQ8 under any
+    /// other metric).
+    fn metric(&self) -> Metric {
+        Metric::L2
+    }
+
+    fn sweep(
+        &mut self,
+        ids: &[u32],
+        live: impl Fn(&u32) -> bool,
+        queries: &[&[f32]],
+        tops: &mut [TopK],
+    ) -> usize {
+        let Codes { params, codes, row } = self;
+        let dim = params.dim();
+        row.resize(dim, 0.0);
+        let row = row.as_mut_slice();
+        let live = (codes.chunks_exact(dim).zip(ids).enumerate()).filter(|(_, (_, gid))| live(gid));
+        let mut rows = 0;
+        if let [query] = queries {
+            // Nothing to share a decoded row with: the fused kernel gives
+            // the same bits without storing the row and loading it back
+            // (a lone probe measured a tenth to a quarter slower that way).
+            for (local, (codes, _)) in live {
+                rows += 1;
+                tops[0].push(local as u32, params.asymmetric_l2(query, codes));
+            }
+        } else {
+            for (local, (codes, _)) in live {
+                rows += 1;
+                params.decode_into(codes, row);
+                for (query, top) in queries.iter().zip(tops.iter_mut()) {
+                    top.push(local as u32, l2_decoded(query, row));
+                }
+            }
+        }
+        rows
+    }
+
+    fn hit(&self, id: u32, local: u32, dist: f32) -> Candidate {
+        Candidate {
+            id,
+            dist,
+            local: Some(local),
+            err: self.params.l2_error_bound(dist),
+        }
+    }
+}
+
+/// Full-precision rows read where the fetch landed them, under the
+/// index's own metric: nothing to decode, nothing to rerank.
+impl Rows for IndexView<'_> {
+    const EXACT: bool = true;
+
+    fn metric(&self) -> Metric {
+        IndexView::metric(self)
+    }
+
+    fn sweep(
+        &mut self,
+        ids: &[u32],
+        live: impl Fn(&u32) -> bool,
+        queries: &[&[f32]],
+        tops: &mut [TopK],
+    ) -> usize {
+        let metric = IndexView::metric(self);
+        let mut rows = 0;
+        for (local, _) in (0u32..).zip(ids).filter(|(_, gid)| live(gid)) {
+            rows += 1;
+            let row = self.vector(local);
+            for (query, top) in queries.iter().zip(tops.iter_mut()) {
+                top.push(local, metric.distance(query, row));
+            }
+        }
+        rows
+    }
+
+    fn hit(&self, id: u32, _: u32, dist: f32) -> Candidate {
+        Candidate::exact(id, dist)
+    }
+}
 
 /// A cluster as materialized on a compute node: the serialized base
 /// cluster, kept as the bytes the fetch landed and searched in place,
@@ -982,14 +1124,19 @@ impl LoadedCluster {
     /// `scratch`, so a worker probing cluster after cluster allocates
     /// nothing per probe for bookkeeping.
     ///
-    /// A full-precision cluster walks its sub-HNSW with beam `ef` once per
-    /// query and yields up to `k` exact candidates. An SQ8 cluster scans
-    /// its codes **once per block of queries**: each row is decoded once
-    /// and held against every query of the block, which yields up to `k +
-    /// slack` — the extra is the pool an exact rerank chooses from — each
-    /// base row carrying its rerank address and error bound. What a query
-    /// gets does not depend on what it shares a block with. Either way the
-    /// overflow tail is scanned exactly and tombstoned ids are gone.
+    /// A full-precision cluster of more than [`SCAN_ROWS_PER_EF`]` × ef`
+    /// base rows walks its sub-HNSW with beam `ef` once per query; a
+    /// smaller one, and every SQ8 cluster, is scanned whole **once per
+    /// block of queries**: each row is read (SQ8: decoded) once and held
+    /// against every query of the block. A full-precision probe yields up
+    /// to `k` exact candidates — under the cut-off the exact `k` nearest of
+    /// the cluster, whatever `ef` is. An SQ8 probe yields up to `k + slack`
+    /// — the extra is the pool an exact rerank chooses from — each base row
+    /// carrying its rerank address and error bound, equal estimates in row
+    /// order. What a query gets does not depend on what it shares a block
+    /// with. Either way the overflow
+    /// tail is scanned exactly and tombstoned ids are gone; a scan leaves
+    /// `stats.hops` alone, which tells the two apart.
     #[allow(clippy::too_many_arguments)]
     pub fn probe(
         &self,
@@ -1002,23 +1149,41 @@ impl LoadedCluster {
         out: &mut Vec<Candidate>,
         ends: &mut Vec<usize>,
     ) {
-        let (hnsw_at, layout) = match &self.payload {
-            Payload::Full { hnsw_at, layout } => (*hnsw_at, layout),
+        match &self.payload {
             Payload::Sq { params, n } => {
-                let block = (SCAN_BLOCK_BYTES / (4 * params.dim())).max(1);
-                for queries in queries.chunks(block) {
-                    self.scan(params, *n, queries, k + slack, scratch, stats, out, ends);
-                }
-                return;
+                let codes = &self.bytes.as_bytes()[Self::sq_codes_at(params, *n)..][..n * params.dim()];
+                let rows = Codes { params, codes, row: &mut scratch.row };
+                self.scan(rows, queries, k + slack, &mut scratch.tops, stats, out, ends)
             }
-        };
+            Payload::Full { hnsw_at, layout } => {
+                let index = self.index(*hnsw_at, layout);
+                if layout.len() > SCAN_ROWS_PER_EF.saturating_mul(ef) {
+                    self.walk(&index, queries, k, ef, &mut scratch.walk, stats, out, ends)
+                } else {
+                    self.scan(index, queries, k, &mut scratch.tops, stats, out, ends)
+                }
+            }
+        }
+    }
+
+    /// The sub-HNSW walk, once per query, merged with the overflow tail.
+    #[allow(clippy::too_many_arguments)]
+    fn walk(
+        &self,
+        index: &IndexView<'_>,
+        queries: &[&[f32]],
+        k: usize,
+        ef: usize,
+        walk: &mut SearchScratch,
+        stats: &mut SearchStats,
+        out: &mut Vec<Candidate>,
+        ends: &mut Vec<usize>,
+    ) {
         let ids = self.global_ids();
-        let index = self.index(hnsw_at, layout);
         // When tombstones exist, ask the base graph for that many extra
         // candidates (and widen the beam accordingly) so filtering the
         // deleted ids still leaves k survivors.
         let extra_needed = self.deleted.len().min(k);
-        let walk = &mut scratch.walk;
         for query in queries {
             let start = out.len();
             let base = index.search_in(query, k + extra_needed, ef + extra_needed, walk, stats);
@@ -1032,86 +1197,65 @@ impl LoadedCluster {
             }
             // The walk orders ties by local id; hits leave ordered by
             // global.
-            out[start..].sort_unstable_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
+            out[start..].sort_unstable_by(by_dist_then_id);
             out.truncate(start + k);
             ends.push(out.len());
         }
     }
 
-    /// One pass over an SQ8 cluster's `n` rows for a block of queries,
-    /// each collecting its `pool` closest: a row is decoded once
-    /// ([`SqParams::decode_into`]) and every query of the block takes its
-    /// distance to the decoded row ([`l2_decoded`]) — the bits
-    /// [`SqParams::asymmetric_l2`] gives that query and those codes.
+    /// The block scan: the run is cut into blocks of [`SCAN_BLOCK_BYTES`]
+    /// of queries, and each block makes one pass over the cluster's base
+    /// `rows` and its overflow inserts, every query collecting its `pool`
+    /// closest.
     #[allow(clippy::too_many_arguments)]
-    fn scan(
+    fn scan<R: Rows>(
         &self,
-        params: &SqParams,
-        n: usize,
+        mut rows: R,
         queries: &[&[f32]],
         pool: usize,
-        scratch: &mut ProbeScratch,
+        tops: &mut Vec<TopK>,
         stats: &mut SearchStats,
         out: &mut Vec<Candidate>,
         ends: &mut Vec<usize>,
     ) {
-        let dim = params.dim();
-        debug_assert!(queries.iter().all(|q| q.len() == dim));
+        debug_assert!(queries.iter().all(|q| q.len() == self.dim()));
         let ids = self.global_ids();
-        let codes = &self.bytes.as_bytes()[Self::sq_codes_at(params, n)..][..n * dim];
-        let ProbeScratch { row, tops, .. } = scratch;
-        row.resize(dim, 0.0);
-        if tops.len() < queries.len() {
-            tops.resize_with(queries.len(), || TopK::new(pool));
-        }
-        let tops = &mut tops[..queries.len()];
-        tops.iter_mut().for_each(|top| top.reset(pool));
+        let metric = rows.metric();
         // TopK carries plain (id, dist), so select over pseudo-ids:
         // base row i -> i, overflow insert j -> n + j.
-        let n = n as u32;
+        let n = ids.len() as u32;
         // Most clusters carry no tombstone; those skip the per-row hash
         // lookup altogether.
         let any_deleted = !self.deleted.is_empty();
-        let live = (codes.chunks_exact(dim).zip(ids).enumerate())
-            .filter(|(_, (_, gid))| !any_deleted || !self.deleted.contains(gid));
-        let mut rows = self.extra.len();
-        if let [query] = queries {
-            // Nothing to share a decoded row with: the fused kernel gives
-            // the same bits without storing the row and loading it back
-            // (a lone probe measured a tenth to a quarter slower that way).
-            for (local, (codes, _)) in live {
-                rows += 1;
-                tops[0].push(local as u32, params.asymmetric_l2(query, codes));
+        let live = |gid: &u32| !any_deleted || !self.deleted.contains(gid);
+        let block = (SCAN_BLOCK_BYTES / (4 * self.dim())).max(1);
+        for queries in queries.chunks(block) {
+            if tops.len() < queries.len() {
+                tops.resize_with(queries.len(), || TopK::new(pool));
             }
-        } else {
-            for (local, (codes, _)) in live {
-                rows += 1;
-                params.decode_into(codes, row);
+            let tops = &mut tops[..queries.len()];
+            tops.iter_mut().for_each(|top| top.reset(pool));
+            let evals = rows.sweep(ids, live, queries, tops) + self.extra.len();
+            for (j, (_, v)) in self.extra.iter().enumerate() {
                 for (query, top) in queries.iter().zip(tops.iter_mut()) {
-                    top.push(local as u32, l2_decoded(query, row));
+                    top.push(n + j as u32, metric.distance(query, v));
                 }
             }
-        }
-        for (j, (_, v)) in self.extra.iter().enumerate() {
-            for (query, top) in queries.iter().zip(tops.iter_mut()) {
-                top.push(n + j as u32, vecsim::l2_sq(query, v));
+            stats.dist_evals += (evals * queries.len()) as u64;
+            for top in tops {
+                let start = out.len();
+                top.drain_sorted(|h| {
+                    out.push(match h.id.checked_sub(n) {
+                        None => rows.hit(ids[h.id as usize], h.id, h.dist),
+                        Some(j) => Candidate::exact(self.extra[j as usize].0, h.dist),
+                    })
+                });
+                if R::EXACT {
+                    // Selected with ties in row order.
+                    out[start..].sort_unstable_by(by_dist_then_id);
+                }
+                ends.push(out.len());
             }
-        }
-        stats.dist_evals += (rows * queries.len()) as u64;
-        for top in tops {
-            top.drain_sorted(|h| {
-                out.push(if h.id < n {
-                    Candidate {
-                        id: ids[h.id as usize],
-                        dist: h.dist,
-                        local: Some(h.id),
-                        err: params.l2_error_bound(h.dist),
-                    }
-                } else {
-                    Candidate::exact(self.extra[(h.id - n) as usize].0, h.dist)
-                })
-            });
-            ends.push(out.len());
         }
     }
 

@@ -439,12 +439,32 @@ impl DHnswConfig {
         Ok(self)
     }
 
+    /// The configuration a build runs under. `DHNSW_QUANTIZE_MODE`, the
+    /// one environment override a build consumes, flips the wire format
+    /// for builds whose config the caller cannot reach (repro sweeps, the
+    /// fault smoke). The resolved mode is stored on the result, so later
+    /// connects see what was actually built; the execution knobs stay as
+    /// configured, for each connect to resolve against its own
+    /// environment. Validated *after* resolving, so a combination the
+    /// environment completes is refused like one the caller wrote.
+    pub(crate) fn for_build(&self) -> Result<Self> {
+        self.for_build_under(&process_env)
+    }
+
+    fn for_build_under(&self, var: &dyn Fn(&str) -> Option<String>) -> Result<Self> {
+        let wire = self.clone().with_overrides(var)?.quantize_mode();
+        let config = self.clone().with_quantize_mode(wire);
+        config.validate()?;
+        Ok(config)
+    }
+
     /// Validates the configuration.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidParameter`] when any knob is out of range
-    /// or the meta parameters are not level-capped.
+    /// Returns [`Error::InvalidParameter`] when any knob is out of range,
+    /// the meta parameters are not level-capped, or SQ8 is asked to serve
+    /// a metric other than L2.
     pub fn validate(&self) -> Result<()> {
         if self.representatives == 0 {
             return Err(Error::InvalidParameter(
@@ -469,6 +489,16 @@ impl DHnswConfig {
             return Err(Error::InvalidParameter(
                 "rerank_k must be >= 1 when quantization is on".into(),
             ));
+        }
+        // The compressed wire ranks by squared L2 wherever it ranks: the
+        // code scan, its error bound, the exact rerank. Under another
+        // metric it would answer, and answer wrongly.
+        if self.quantize_mode == QuantizeMode::Sq8 && self.metric != Metric::L2 {
+            return Err(Error::InvalidParameter(format!(
+                "quantize_mode sq8 ranks by squared L2 and cannot serve metric {}: \
+                 use quantize_mode off, or metric l2",
+                self.metric
+            )));
         }
         if !self.retry_backoff_us.is_finite() || self.retry_backoff_us < 0.0 {
             return Err(Error::InvalidParameter(format!(
@@ -655,6 +685,16 @@ mod tests {
             .validate()
             .is_err());
         DHnswConfig::paper().with_rerank_k(0).validate().unwrap();
+        // SQ8 ranks by L2 only; the error names both settings.
+        for metric in [Metric::InnerProduct, Metric::Cosine] {
+            let c = DHnswConfig::paper().with_metric(metric);
+            c.validate().unwrap();
+            let err = c.with_quantize_mode(QuantizeMode::Sq8).validate().unwrap_err();
+            assert!(
+                matches!(&err, Error::InvalidParameter(m) if m.contains("sq8") && m.contains(metric.name())),
+                "{err}"
+            );
+        }
         assert_eq!(QuantizeMode::parse("sq8").unwrap(), QuantizeMode::Sq8);
         assert_eq!(QuantizeMode::parse(" OFF ").unwrap(), QuantizeMode::Off);
         assert!(QuantizeMode::parse("pq").is_err());
@@ -707,6 +747,22 @@ mod tests {
         // A flag set to 0 leaves a configured `true` alone.
         let on = DHnswConfig::small().with_degraded_ok(true);
         assert!(on.with_overrides(&vars(&[("DHNSW_DEGRADED_OK", "0")])).unwrap().degraded_ok());
+    }
+
+    #[test]
+    fn a_build_validates_the_wire_the_environment_resolved() {
+        let sq8 = vars(&[("DHNSW_QUANTIZE_MODE", "sq8"), ("DHNSW_PIPELINE_DEPTH", "4")]);
+        // Only the wire format is taken from the environment.
+        let built = DHnswConfig::small().for_build_under(&sq8).unwrap();
+        assert_eq!((built.quantize_mode(), built.pipeline_depth()), (QuantizeMode::Sq8, 1));
+        // SQ8 under cosine is refused however the two met.
+        let cosine = DHnswConfig::small().with_metric(Metric::Cosine);
+        cosine.for_build_under(&|_| None).unwrap();
+        let err = cosine.for_build_under(&sq8).unwrap_err();
+        assert!(
+            matches!(&err, Error::InvalidParameter(m) if m.contains("sq8") && m.contains("cosine")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -46,7 +46,8 @@ impl ComputeNode {
     }
 
     /// Answers a batch of queries: top-`k` per query with sub-HNSW beam
-    /// width `ef`, plus the batch's [`BatchReport`].
+    /// width `ef` (see [`QueryOptions::ef`] for the clusters it does not
+    /// apply to), plus the batch's [`BatchReport`].
     ///
     /// Results carry global vector ids (base ids `0..base_len`, then
     /// insert-allocated ids) sorted by ascending distance.

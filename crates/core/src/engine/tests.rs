@@ -1353,3 +1353,83 @@ fn zero_ef_is_rejected() {
         Err(Error::InvalidParameter(_))
     ));
 }
+
+/// A probe picks scan or walk from its cluster's size, so a store whose
+/// partitions straddle the cut-off answers from both in one batch — the
+/// same ids whichever read path fetched the clusters, before and after
+/// inserts and deletes.
+#[test]
+fn modes_agree_with_partitions_on_both_sides_of_the_scan_cut_off() {
+    let (data, store) = setup(1_500);
+    let (k, ef) = (5, 4);
+    let cut = crate::cluster::SCAN_ROWS_PER_EF * ef;
+    let sizes = store.partition_sizes();
+    assert!(
+        sizes.iter().any(|&s| s <= cut) && sizes.iter().any(|&s| s > cut),
+        "{sizes:?} do not straddle {cut}"
+    );
+    let queries = gen::perturbed_queries(&data, 24, 0.02, 131).unwrap();
+    let answers = || {
+        let of = |mode| {
+            let (hits, _) = store.connect(mode).unwrap().query_batch(&queries, k, ef).unwrap();
+            hits.iter().map(|r| r.iter().map(|n| n.id).collect()).collect::<Vec<Vec<u32>>>()
+        };
+        let full = of(SearchMode::Full);
+        assert_eq!(full, of(SearchMode::NoDoorbell));
+        assert_eq!(full, of(SearchMode::Naive));
+        full
+    };
+    let pristine = answers();
+
+    let writer = store.connect(SearchMode::Full).unwrap();
+    for i in 0..12 {
+        let q = queries.get(i);
+        let nearest = writer.query(q, 1, ef).unwrap()[0].id;
+        writer.delete(q, nearest).unwrap();
+        writer.insert(q).unwrap();
+    }
+    let mutated = answers();
+    assert_ne!(pristine, mutated);
+    for (i, hits) in mutated.iter().take(12).enumerate() {
+        assert!(hits[0] >= data.len() as u32, "query {i} finds its own insert first: {hits:?}");
+    }
+}
+
+/// Every partition of this store is under the cut-off, so every probe is
+/// a scan under the store's own metric: with every partition on the route
+/// the answer is brute force's, id for id — under cosine as under L2.
+#[test]
+fn scanned_clusters_are_exact_under_the_stores_metric() {
+    let data = gen::gist_like(600, 17).unwrap();
+    let queries = gen::perturbed_queries(&data, 12, 0.02, 18).unwrap();
+    for metric in [Metric::Cosine, Metric::InnerProduct, Metric::L2] {
+        let config = DHnswConfig::small().with_metric(metric);
+        let store = VectorStore::build(data.clone(), &config).unwrap();
+        let (k, ef) = (5, 16);
+        let largest = *store.partition_sizes().iter().max().unwrap();
+        assert!(largest <= crate::cluster::SCAN_ROWS_PER_EF * ef, "{largest} rows would be walked");
+        let node = store.connect(SearchMode::Full).unwrap();
+        let everywhere = QueryOptions::new(k, ef).with_fanout(store.partitions());
+        let (hits, _) = node.query_batch_opts(&queries, &everywhere).unwrap();
+        let truth = ground_truth::exact_batch(&data, &queries, k, metric);
+        for (got, want) in hits.iter().zip(&truth) {
+            let ids = |r: &[Neighbor]| r.iter().map(|n| n.id).collect::<Vec<u32>>();
+            assert_eq!(ids(got), ids(want), "{metric}");
+        }
+    }
+}
+
+/// The compressed wire ranks by squared L2, so a store cannot be built
+/// over it under another metric (`DHNSW_QUANTIZE_MODE` reaches the same
+/// check: `config::tests::a_build_validates_the_wire_the_environment_resolved`).
+#[test]
+fn sq8_under_a_non_l2_metric_is_refused_at_build() {
+    let data = gen::sift_like(200, 5).unwrap();
+    let cosine = DHnswConfig::small().with_metric(Metric::Cosine);
+    let refused = |config: &DHnswConfig| match VectorStore::build(data.clone(), config) {
+        Err(Error::InvalidParameter(m)) => m.contains("sq8") && m.contains("cosine"),
+        _ => false,
+    };
+    assert!(refused(&cosine.clone().with_quantize_mode(QuantizeMode::Sq8)));
+    assert!(!refused(&cosine));
+}

@@ -77,16 +77,7 @@ impl VectorStore {
         config: &DHnswConfig,
         epoch: u64,
     ) -> Result<Self> {
-        // DHNSW_QUANTIZE_MODE, the one environment override a build
-        // consumes, flips the wire format for builds whose config the
-        // caller cannot reach (repro sweeps, the fault smoke). The
-        // resolved mode is stored on the result, so later connects see
-        // what was actually built; the execution knobs stay as
-        // configured, for each connect to resolve against its own
-        // environment.
-        let wire = config.clone().with_env_overrides()?.quantize_mode();
-        let config = &config.clone().with_quantize_mode(wire);
-        config.validate()?;
+        let config = &config.for_build()?;
         if data.is_empty() {
             return Err(Error::InvalidParameter(
                 "cannot build a store over an empty dataset".into(),

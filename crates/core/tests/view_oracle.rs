@@ -1,4 +1,4 @@
-//! The view against its oracle.
+//! The view against its oracles.
 //!
 //! A compute node searches a cluster in the bytes the fetch landed
 //! ([`LoadedCluster::adopt`]); the store's own types decode the same bytes
@@ -8,24 +8,34 @@
 //! the way the loader reads them — one work request per group span,
 //! scattered across the buffer that stays resident and a scratch for the
 //! rest — and every query must come back with bit-identical ids,
-//! distances and distance-evaluation counts from both, wherever in its
-//! buffer the cluster starts (seven of eight offsets force the
-//! convert-once path).
+//! distances and work counters, wherever in its buffer the cluster starts
+//! (seven of eight offsets force the convert-once path).
+//!
+//! What "the second" answers depends on what the probe does. An SQ8
+//! cluster, and a full-precision one of at most [`SCAN_ROWS_PER_EF`]` × ef`
+//! rows, is scanned whole, so the expected answer is *brute force* over
+//! the owner's rows + inserts − tombstones: the exact top-k, one distance
+//! evaluation per live row, no hops. A larger full-precision cluster is
+//! walked, and there the view must equal the owning index's own walk.
 
 use std::collections::HashSet;
 
 use dhnsw::cluster::{
     parse_overflow_detailed, Candidate, LoadedCluster, OverflowRecord, ProbeScratch, SqCluster,
-    SubCluster,
+    SubCluster, SCAN_ROWS_PER_EF,
 };
 use hnsw::{HnswParams, SearchStats};
 use proptest::prelude::*;
 use rdma_sim::{MemoryNode, NetworkModel, QueuePair, ReadReq, Scatter, Segment};
-use vecsim::{gen, Dataset};
+use vecsim::{gen, Dataset, Metric};
 
 const PARTITION: u32 = 5;
 const DIMS: [usize; 4] = [1, 3, 16, 128];
 const MS: [usize; 2] = [4, 16];
+const METRICS: [Metric; 3] = [Metric::L2, Metric::InnerProduct, Metric::Cosine];
+/// `(k, ef)` of every full-precision probe: at `ef` = 1 a cluster past 16
+/// rows is walked, at the benchmark's 48 only one past 768 is.
+const K_EF: [(usize, usize); 4] = [(1, 1), (1, 48), (10, 1), (10, 48)];
 
 fn lcg(state: &mut u64) -> u64 {
     *state = state
@@ -39,6 +49,9 @@ struct Case {
     data: Dataset,
     ids: Vec<u32>,
     m: usize,
+    /// What the full-precision index is built and searched under (the
+    /// SQ8 wire is L2 whatever this says).
+    metric: Metric,
     /// Raw overflow area: `inserts` inserts for [`PARTITION`], as many
     /// again for the group's other partition, `tombs` tombstones that
     /// alternate between inserted and base ids, and one torn slot.
@@ -77,6 +90,7 @@ fn case(n: usize, dim: usize, m: usize, inserts: usize, tombs: usize, seed: u64)
         data,
         ids,
         m,
+        metric: METRICS[(seed % 3) as usize],
         area,
         queries,
     }
@@ -172,12 +186,16 @@ fn by_dist_then_id(a: &(u32, f32), b: &(u32, f32)) -> std::cmp::Ordering {
     a.1.total_cmp(&b.1).then(a.0.cmp(&b.0))
 }
 
-fn check_full(c: &Case, back: bool) {
-    let params = HnswParams::new(c.m, 40).seed(9);
+/// Probes scanned and probes walked.
+type Paths = (usize, usize);
+
+fn check_full(c: &Case, back: bool) -> Paths {
+    let params = HnswParams::new(c.m, 40).seed(9).metric(c.metric);
     let blob = SubCluster::build(PARTITION, c.data.clone(), c.ids.clone(), &params)
         .unwrap()
         .to_bytes();
     let dim = c.data.dim();
+    let (mut scanned, mut walked) = (0, 0);
     for start in 0..8 {
         let (buf, area) = land(&blob, &c.area, back, start);
         assert_eq!(area, c.area);
@@ -203,18 +221,42 @@ fn check_full(c: &Case, back: bool) {
         assert_eq!(loaded.base_vector(oracle.len() as u32), None);
 
         let metric = oracle.hnsw().params().metric_kind();
+        assert_eq!(metric, c.metric);
+        let n = oracle.len() as u32;
         for q in c.queries.iter() {
-            for (k, ef) in [(1, 1), (1, 48), (10, 1), (10, 48)] {
-                let widen = deleted.len().min(k);
+            for (k, ef) in K_EF {
                 let mut want_stats = SearchStats::default();
-                let base = oracle.search_with_stats(q, k + widen, ef + widen, &mut want_stats);
-                let mut want: Vec<(u32, f32)> = (base.iter().map(|n| (n.id, n.dist)))
-                    .filter(|(id, _)| !deleted.contains(id))
-                    .chain(extra.iter().map(|(id, v)| (*id, metric.distance(q, v))))
-                    .collect();
+                let inserts = extra.iter().map(|(id, v)| (*id, metric.distance(q, v)));
+                let mut want: Vec<(u32, f32)> = if oracle.len() <= SCAN_ROWS_PER_EF * ef {
+                    scanned += 1;
+                    // Brute force. Ties at the k-th place go to the lower
+                    // pseudo-id: base row i -> i, insert j -> n + j.
+                    let rows = (0..n).filter(|&i| !deleted.contains(&oracle.global_ids()[i as usize]));
+                    let mut all: Vec<(u32, f32)> = rows
+                        .map(|i| (i, metric.distance(q, oracle.hnsw().vector(i))))
+                        .chain((n..).zip(inserts).map(|(i, (_, d))| (i, d)))
+                        .collect();
+                    want_stats.dist_evals = all.len() as u64;
+                    all.sort_by(by_dist_then_id);
+                    all.truncate(k);
+                    (all.iter().map(|&(i, d)| match i.checked_sub(n) {
+                        None => (oracle.global_ids()[i as usize], d),
+                        Some(j) => (extra[j as usize].0, d),
+                    }))
+                    .collect()
+                } else {
+                    walked += 1;
+                    let widen = deleted.len().min(k);
+                    let base = oracle.search_with_stats(q, k + widen, ef + widen, &mut want_stats);
+                    want_stats.dist_evals += extra.len() as u64;
+                    (base.iter().map(|n| (n.id, n.dist)))
+                        .filter(|(id, _)| !deleted.contains(id))
+                        .chain(inserts)
+                        .collect()
+                };
+                // Either way hits are reported by (dist, global id).
                 want.sort_by(by_dist_then_id);
                 want.truncate(k);
-                want_stats.dist_evals += extra.len() as u64;
 
                 let mut got_stats = SearchStats::default();
                 let got = loaded.search_with_stats(q, k, ef, &mut got_stats);
@@ -225,6 +267,7 @@ fn check_full(c: &Case, back: bool) {
             }
         }
     }
+    (scanned, walked)
 }
 
 fn check_sq(c: &Case) {
@@ -303,44 +346,60 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let c = case(n, DIMS[shape % 4], MS[shape / 4], inserts, tombs, seed);
-        check_full(&c, back);
+        // Past 16 rows the ef = 1 probes walk and the ef = 48 probes scan.
+        let (scanned, walked) = check_full(&c, back);
+        prop_assert!(scanned > 0 && (walked > 0) == (n > SCAN_ROWS_PER_EF));
         check_sq(&c);
     }
 }
 
 /// The corners the random shapes may miss: a single-vector cluster, no
-/// overflow at all, and a tombstone for every base id but one.
+/// overflow at all, a tombstone for every base id but one, the last size
+/// the random sweep reaches — and, because that sweep stops at 300 rows and
+/// so never walks at `ef` = 48, one cluster just past the 16 × 48 rows up
+/// to which a probe at the benchmark's `ef` scans.
 #[test]
 fn corner_clusters_agree_too() {
+    let (mut scanned, mut walked) = (0, 0);
     for (n, dim, inserts, tombs) in [
         (1, 1, 0, 0),
         (1, 128, 20, 5),
         (2, 3, 0, 5),
         (299, 16, 20, 0),
+        (SCAN_ROWS_PER_EF * 48 + 1, 16, 20, 5),
     ] {
         for back in [false, true] {
             let c = case(n, dim, 4, inserts, tombs, 77);
-            check_full(&c, back);
+            let (s, w) = check_full(&c, back);
+            (scanned, walked) = (scanned + s, walked + w);
+            if n > SCAN_ROWS_PER_EF * 48 {
+                assert_eq!((s, w), (0, 8 * 32 * K_EF.len()), "every probe of {n} rows walks");
+            }
             check_sq(&c);
         }
     }
+    assert!(scanned > 0 && walked > 0, "{scanned} scanned, {walked} walked");
 }
 
 /// A probe takes every query a worker's run routes to one cluster at once,
-/// and on the SQ8 wire decodes each row once for all of them. What a query
+/// and where it scans — the SQ8 wire, and a full-precision cluster of at
+/// most 16 × `ef` rows — reads each row once for all of them. What a query
 /// gets must not depend on its company: over clusters with inserts,
 /// tombstones and tombstoned inserts, on both wires, a block of Q queries
 /// yields per query exactly the candidates — ids, distance and error bits,
 /// rerank addresses — of Q probes of one, and as many distance evaluations
-/// as they make together. 40 queries at 128 dimensions cross the cut a scan
-/// makes in a long run; one scratch serves every probe, dirty.
+/// and hops as they make together. 40 queries at 128 dimensions cross the
+/// cut a scan makes in a long run; one scratch serves every probe, dirty:
+/// the 120 full-precision rows are walked at `ef` = 1, scanned at 48 and
+/// walked again at 2, out of what the scan left behind.
 #[test]
 fn a_block_probe_of_the_view_equals_single_probes() {
     let bits = |c: &Candidate| (c.id, c.dist.to_bits(), c.local, c.err.to_bits());
     let mut scratch = ProbeScratch::default();
+    const ROWS: usize = 120;
     for (dim, inserts, tombs) in [(3, 12, 5), (128, 12, 5), (128, 0, 0)] {
-        let c = case(120, dim, 4, inserts, tombs, 41);
-        let params = HnswParams::new(c.m, 40).seed(9);
+        let c = case(ROWS, dim, 4, inserts, tombs, 41);
+        let params = HnswParams::new(c.m, 40).seed(9).metric(c.metric);
         let full = SubCluster::build(PARTITION, c.data.clone(), c.ids.clone(), &params).unwrap();
         let sq = SqCluster::build(PARTITION, &c.data, c.ids.clone()).unwrap();
         let area = Some(c.area.as_slice());
@@ -350,13 +409,15 @@ fn a_block_probe_of_the_view_equals_single_probes() {
         ] {
             assert_eq!(loaded.overflow_len() > 0, inserts > 0);
             assert_eq!(loaded.deleted().is_empty(), tombs == 0);
-            for (k, slack, ef) in [(1, 0, 1), (10, 16, 48)] {
+            for (k, slack, ef) in [(1, 0, 1), (10, 16, 48), (10, 0, 2)] {
+                let scans = loaded.is_quantized() || ROWS <= SCAN_ROWS_PER_EF * ef;
                 for q in [1, 2, 3, 5, 17, 40] {
                     let block: Vec<&[f32]> = (0..q).map(|i| c.queries.get(i % 32)).collect();
                     let (mut got, mut ends) = (Vec::new(), Vec::new());
                     let mut stats = SearchStats::default();
                     loaded.probe(&block, k, slack, ef, &mut scratch, &mut stats, &mut got, &mut ends);
                     assert_eq!(ends.len(), q);
+                    assert_eq!(stats.hops == 0, scans, "dim {dim} ef {ef}: hops tell a scan from a walk");
 
                     let mut alone = SearchStats::default();
                     let mut start = 0;
@@ -368,13 +429,13 @@ fn a_block_probe_of_the_view_equals_single_probes() {
                         let want: Vec<_> = want.iter().map(bits).collect();
                         assert_eq!(
                             got, want,
-                            "dim {dim} sq {} k {k} of a block of {q}",
+                            "dim {dim} sq {} k {k} ef {ef} of a block of {q}",
                             loaded.is_quantized()
                         );
                         start = end;
                     }
                     assert_eq!(start, got.len());
-                    assert_eq!(stats, alone, "dim {dim} k {k} block of {q}");
+                    assert_eq!(stats, alone, "dim {dim} k {k} ef {ef} block of {q}");
                 }
             }
         }

@@ -87,7 +87,12 @@ done
 # detects undefined behaviour in general; Miri is not installed), so
 # where the installed nightly can build with AddressSanitizer without
 # downloading anything, the differential and mutation tests that drive
-# every cast — aligned, converted once, and refused — run under it.
+# every cast — aligned, converted once, and refused — run under it. The
+# filter takes view_oracle's three tests by name (a_landed_cluster_...,
+# corner_clusters_..., a_block_probe_of_the_view_...): the block scan
+# over borrowed full-precision rows, the brute-force oracle on both
+# sides of the 16 x ef cut-off and the 769-row walked corner are cases
+# inside them, not tests a second filter would have to find.
 echo "==> view tests under AddressSanitizer (if the installed nightly can)"
 asan_rt=$(find "$(rustc +nightly --print sysroot 2>/dev/null)/lib/rustlib" \
   -name 'librustc-nightly_rt.asan.a' 2>/dev/null | head -n1)

@@ -30,19 +30,27 @@
 //! probes cost 900 more calls on that wire. Now 141, of which 128 are one
 //! per *query*: a pool of 8 x 26 candidates outgrows the stack scratch of
 //! the merge's stable sort, at fan-out 7. The rest is buffers doubling a
-//! few more times. Full precision: 7.)
+//! few more times.) The full-precision wire is held to the same line on
+//! the path it now takes here: every partition of this store is under the
+//! 16 x ef rows up to which a probe scans, so its probes are block scans
+//! out of the worker's collectors too — 13 more calls for 768 more probes
+//! (7 when every probe walked), the same bytes as before.
 //!
 //! One test function, so nothing else allocates while it counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
+use dhnsw_repro::dhnsw::cluster::SCAN_ROWS_PER_EF;
 use dhnsw_repro::dhnsw::{DHnswConfig, QuantizeMode, QueryOptions, SearchMode, VectorStore};
 use dhnsw_repro::vecsim::gen;
 
 /// Blocks at least this large are counted: every cluster-sized buffer is,
 /// per-probe bookkeeping is not.
 const BIG: usize = 4096;
+
+/// The beam width every batch here asks for (the benchmark's).
+const EF: usize = 48;
 
 static COUNTING: AtomicBool = AtomicBool::new(false);
 static BIG_BYTES: AtomicU64 = AtomicU64::new(0);
@@ -89,6 +97,11 @@ fn a_cold_batch_holds_each_fetched_byte_once() {
             .with_cache_fraction(1.0)
             .with_quantize_mode(wire);
         let store = VectorStore::build(data.clone(), &config).unwrap();
+        let largest = *store.partition_sizes().iter().max().unwrap();
+        assert!(
+            largest <= SCAN_ROWS_PER_EF * EF,
+            "a partition of {largest} rows would be walked: the counts below are the scan's"
+        );
         let node = store.connect(SearchMode::Full).unwrap();
         node.heatmap().set_enabled(true);
 
@@ -102,7 +115,7 @@ fn a_cold_batch_holds_each_fetched_byte_once() {
             let (big, calls) = (BIG_BYTES.load(Ordering::Relaxed), CALLS.load(Ordering::Relaxed));
             (big, calls, outcome.unwrap().1)
         };
-        let routed = QueryOptions::new(10, 48);
+        let routed = QueryOptions::new(10, EF);
         let (cold, _, report) = counted(&routed);
         let (warm, _, again) = counted(&routed);
         assert!(report.clusters_loaded >= 16, "the first batch must be cold");
