@@ -831,6 +831,116 @@ fn torn_insert_is_skipped_and_the_slot_stays_burned() {
     assert_eq!(hits[0].id, gid);
 }
 
+/// One write op of the crash table.
+enum CutOp<'a> {
+    Insert(&'a [f32]),
+    Delete(&'a [f32], u32),
+    Batch(&'a Dataset),
+}
+
+/// A row of the crash table: the op, which of its verbs is the record
+/// write and how many it has, and the vectors to probe with afterwards —
+/// each with the id the op makes appear in (`true`) or vanish from
+/// (`false`) that probe's answer.
+struct CutCase<'a> {
+    name: &'static str,
+    op: CutOp<'a>,
+    write_at: u32,
+    verbs: u32,
+    probes: Vec<(&'a [f32], u32, bool)>,
+}
+
+#[test]
+fn a_write_cut_at_any_verb_leaves_every_reader_consistent() {
+    let data = gen::sift_like(400, 77).unwrap();
+    let config = DHnswConfig::small().with_cache_fraction(1.0);
+    let store = VectorStore::build(data.clone(), &config).unwrap();
+    let mut pristine = Vec::new();
+    crate::snapshot::write_snapshot(&store, &mut pristine).unwrap();
+    let base = store.base_len() as u32;
+    let partition = |v: &[f32]| store.meta().classify_with_beam(v, config.fanout()).unwrap();
+
+    let mut a = data.get(3).to_vec();
+    a[0] += 0.5;
+    // A second vector in another partition, for a batch that has two
+    // version slots to publish.
+    let mut b = (data.iter().map(<[f32]>::to_vec))
+        .find(|v| partition(v) != partition(&a))
+        .expect("the data spans two partitions");
+    b[0] += 0.5;
+    let area = |v: &[f32]| store.directory().location(partition(v)).unwrap().overflow_off;
+    let areas = if area(&a) == area(&b) { 1 } else { 2 };
+    let target = data.get(11);
+    let victim = store.connect(SearchMode::Full).unwrap().query(target, 1, 48).unwrap()[0].id;
+    let both = Dataset::from_rows(&[&a[..], &b[..]]).unwrap();
+
+    let cases = [
+        CutCase {
+            name: "insert",
+            op: CutOp::Insert(&a),
+            write_at: 2,
+            verbs: 4,
+            probes: vec![(&a, base, true)],
+        },
+        CutCase {
+            name: "delete",
+            op: CutOp::Delete(target, victim),
+            write_at: 1,
+            verbs: 3,
+            probes: vec![(target, victim, false)],
+        },
+        CutCase {
+            name: "insert_batch over two partitions",
+            op: CutOp::Batch(&both),
+            write_at: 1 + areas,
+            verbs: 1 + areas + 1 + 2,
+            probes: vec![(&a, base, true), (&b, base + 1, true)],
+        },
+    ];
+
+    for case in &cases {
+        for cut in 0..case.verbs {
+            let at = format!("{} cut at verb {cut}", case.name);
+            let store = crate::snapshot::read_snapshot(&pristine[..], &config).unwrap();
+            let writer = store.connect(SearchMode::Full).unwrap();
+            for (probe, ..) in &case.probes {
+                writer.query(probe, 3, 48).unwrap();
+            }
+            writer.queue_pair().set_retry_limit(0);
+            writer.queue_pair().fail_nth(cut, 1);
+            let err = match case.op {
+                CutOp::Insert(v) => writer.insert(v).map(drop),
+                CutOp::Delete(v, id) => writer.delete(v, id),
+                CutOp::Batch(vectors) => writer.insert_batch(vectors).map(drop),
+            }
+            .unwrap_err();
+            assert!(
+                matches!(err, Error::Rdma(rdma_sim::Error::RetriesExhausted { .. })),
+                "{at}: {err}"
+            );
+            writer.queue_pair().set_retry_limit(rdma_sim::DEFAULT_RETRY_LIMIT);
+
+            // A reader that connects now decodes no torn record: the op
+            // shows exactly when its record write went through, whether or
+            // not it was published. And the writer, whose cache held the
+            // clusters, answers the same.
+            let fresh = store.connect(SearchMode::Full).unwrap();
+            for &(probe, id, appears) in &case.probes {
+                let truth = fresh.query(probe, 3, 48).unwrap();
+                let written = cut > case.write_at;
+                assert_eq!(truth.iter().any(|n| n.id == id), appears == written, "{at}: {truth:?}");
+                assert_eq!(writer.query(probe, 3, 48).unwrap(), truth, "{at}: the writer hides it");
+            }
+            // `used` still counts bytes handed out.
+            fresh.health_report().unwrap_or_else(|e| panic!("{at}: {e}"));
+            // Whatever ids the cut op took stay burned.
+            let next_id = fresh.qp.read(fresh.rkey, crate::layout::ID_COUNTER_OFFSET, 8).unwrap();
+            let next_id = u64::from_le_bytes(next_id.try_into().unwrap());
+            assert_eq!(u64::from(writer.insert(&a).unwrap()), next_id, "{at}: a burned id came back");
+        }
+    }
+}
+
 #[test]
 fn version_mismatch_refreshes_stale_cache_without_drop() {
     let data = gen::sift_like(400, 77).unwrap();

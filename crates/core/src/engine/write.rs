@@ -1,13 +1,16 @@
-//! The write path: inserts and deletes through the shared overflow
-//! areas, published by a version-slot `FAA`.
+//! The write path: inserts and deletes are overflow records, and every
+//! record reaches remote memory through one protocol, [`ComputeNode::commit`]
+//! (DESIGN.md §5d tabulates its verbs and what a crash at each leaves).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
+use rdma_sim::WriteReq;
 use vecsim::Dataset;
 
 use super::ComputeNode;
 use crate::cluster::OverflowRecord;
 use crate::layout::ID_COUNTER_OFFSET;
+use crate::telemetry::Counter;
 use crate::{Error, Result};
 
 impl ComputeNode {
@@ -16,8 +19,9 @@ impl ComputeNode {
     /// the target group's shared overflow area (`FAA` on its `used`
     /// counter), `RDMA_WRITE` the record (commit marker last), and `FAA`
     /// the partition's version slot to publish the mutation — four
-    /// one-sided verbs, no memory-node CPU involvement. The local cached
-    /// copy of the affected cluster is invalidated so the next load
+    /// one-sided verbs, no memory-node CPU involvement: an
+    /// [`insert_batch`](ComputeNode::insert_batch) of one. The local
+    /// cached copy of the affected cluster is invalidated so the next load
     /// observes the insert; remote caches observe the version bump.
     ///
     /// Returns the assigned global id.
@@ -29,59 +33,8 @@ impl ComputeNode {
     ///   exhausted (the reserved id is burned; re-laying-out the group is
     ///   a rebuild-time operation, as in the paper).
     pub fn insert(&self, v: &[f32]) -> Result<u32> {
-        let result = self.insert_impl(v);
-        self.metrics.inserts.inc();
-        if matches!(result, Err(Error::OverflowFull { .. })) {
-            self.metrics.insert_overflow.inc();
-        }
-        self.flush_telemetry();
-        result
-    }
-
-    fn insert_impl(&self, v: &[f32]) -> Result<u32> {
-        if v.len() != self.directory.dim() {
-            return Err(Error::DimensionMismatch {
-                expected: self.directory.dim(),
-                got: v.len(),
-            });
-        }
-        let partition = self.meta.classify_with_beam(v, self.config.fanout())?;
-        let loc = *self.directory.location(partition)?;
-        let record_size = self.directory.record_size() as u64;
-
-        let global_id = self.qp.faa(self.rkey, ID_COUNTER_OFFSET, 1)? as u32;
-        let used = self
-            .qp
-            .faa(self.rkey, loc.overflow_counter_off(), record_size)?;
-        if used + record_size > loc.overflow_capacity() {
-            // Give the reservation back so the remote counter keeps
-            // meaning "bytes handed out": without this, health checks
-            // could not tell a full area from a corrupt counter.
-            self.qp
-                .faa(self.rkey, loc.overflow_counter_off(), record_size.wrapping_neg())?;
-            return Err(Error::OverflowFull {
-                partition,
-                capacity: loc.overflow_capacity(),
-            });
-        }
-        let record = OverflowRecord::insert(partition, global_id, v.to_vec());
-        self.qp
-            .write(self.rkey, loc.overflow_off + 8 + used, &record.to_bytes())?;
-        // Publish the mutation *after* the record (with its commit
-        // marker) is fully written: readers that observe the new version
-        // are guaranteed to decode a committed record, and readers that
-        // raced the write see an uncommitted slot and skip it.
-        self.bump_version(partition)?;
-        self.cache.lock().invalidate(partition);
-        Ok(global_id)
-    }
-
-    /// FAAs a partition's directory version slot after a committed
-    /// mutation.
-    fn bump_version(&self, partition: u32) -> Result<()> {
-        self.qp
-            .faa(self.rkey, self.directory.version_slot_off(partition)?, 1)?;
-        Ok(())
+        let mut results = self.insert_rows(&[v])?;
+        results.pop().expect("one result per vector")
     }
 
     /// Batched insertion: the write-path analogue of query-aware batched
@@ -104,103 +57,24 @@ impl ComputeNode {
     /// error — abort the call; per-vector overflow exhaustion is reported
     /// in the returned vector instead.
     pub fn insert_batch(&self, vectors: &Dataset) -> Result<Vec<Result<u32>>> {
-        let results = self.insert_batch_impl(vectors)?;
-        self.metrics.inserts.add(results.len() as u64);
-        let overflowed = results
-            .iter()
-            .filter(|r| matches!(r, Err(Error::OverflowFull { .. })))
-            .count() as u64;
-        self.metrics.insert_overflow.add(overflowed);
-        self.flush_telemetry();
-        Ok(results)
+        self.insert_rows(&vectors.iter().collect::<Vec<_>>())
     }
 
-    fn insert_batch_impl(&self, vectors: &Dataset) -> Result<Vec<Result<u32>>> {
-        if vectors.is_empty() {
+    /// Classifies every row, takes the rows' ids with one `FAA` on the id
+    /// counter and commits one insert record per row.
+    fn insert_rows(&self, rows: &[&[f32]]) -> Result<Vec<Result<u32>>> {
+        if rows.is_empty() {
             return Ok(Vec::new());
         }
-        if vectors.dim() != self.directory.dim() {
-            return Err(Error::DimensionMismatch {
-                expected: self.directory.dim(),
-                got: vectors.dim(),
-            });
-        }
-        let n = vectors.len();
-        let record_size = self.directory.record_size() as u64;
-
-        // Classify everything (local meta-HNSW compute) and group the
-        // inserts by the overflow area they land in.
-        let mut partitions = Vec::with_capacity(n);
-        let mut by_area: HashMap<u64, Vec<usize>> = HashMap::new();
-        for (i, v) in vectors.iter().enumerate() {
-            let p = self.meta.classify_with_beam(v, self.config.fanout())?;
-            let loc = self.directory.location(p)?;
-            partitions.push(p);
-            by_area.entry(loc.overflow_counter_off()).or_default().push(i);
-        }
-
-        // One FAA allocates the whole id range.
-        let id_base = self.qp.faa(self.rkey, ID_COUNTER_OFFSET, n as u64)?;
-
-        // One FAA per touched overflow area reserves all its slots.
-        let mut results: Vec<Option<Result<u32>>> = (0..n).map(|_| None).collect();
-        let mut writes = Vec::with_capacity(n);
-        let mut touched_partitions = Vec::new();
-        let mut areas: Vec<(&u64, &Vec<usize>)> = by_area.iter().collect();
-        areas.sort_by_key(|(off, _)| **off); // deterministic order
-        for (&area_off, indices) in areas {
-            let want = record_size * indices.len() as u64;
-            let start = self.qp.faa(self.rkey, area_off, want)?;
-            // Representative location for capacity checks (all partners
-            // of a group share the same overflow geometry).
-            let loc = *self.directory.location(partitions[indices[0]])?;
-            let mut rejected = 0u64;
-            for (slot, &i) in indices.iter().enumerate() {
-                let off = start + record_size * slot as u64;
-                let global_id = (id_base + i as u64) as u32;
-                if off + record_size > loc.overflow_capacity() {
-                    rejected += record_size;
-                    results[i] = Some(Err(Error::OverflowFull {
-                        partition: partitions[i],
-                        capacity: loc.overflow_capacity(),
-                    }));
-                    continue;
-                }
-                let record =
-                    OverflowRecord::insert(partitions[i], global_id, vectors.get(i).to_vec());
-                writes.push(rdma_sim::WriteReq::new(
-                    self.rkey,
-                    area_off + 8 + off,
-                    record.to_bytes(),
-                ));
-                touched_partitions.push(partitions[i]);
-                results[i] = Some(Ok(global_id));
-            }
-            // Return the over-reservation so the counter tracks bytes
-            // actually handed out (see the single-insert path).
-            if rejected > 0 {
-                self.qp.faa(self.rkey, area_off, rejected.wrapping_neg())?;
-            }
-        }
-
-        // All accepted records in one doorbell, then one version bump
-        // per mutated partition — after the commit markers are in place.
-        self.qp.write_doorbell(&writes)?;
-        touched_partitions.sort_unstable();
-        touched_partitions.dedup();
-        for &p in &touched_partitions {
-            self.bump_version(p)?;
-        }
-        {
-            let mut cache = self.cache.lock();
-            for p in touched_partitions {
-                cache.invalidate(p);
-            }
-        }
-        Ok(results
-            .into_iter()
-            .map(|r| r.expect("every input index is resolved"))
-            .collect())
+        let partitions = rows.iter().map(|v| self.partition_of(v)).collect::<Result<Vec<u32>>>()?;
+        let id_base = self.qp.faa(self.rkey, ID_COUNTER_OFFSET, rows.len() as u64)?;
+        let records = (partitions.into_iter().zip(rows).enumerate())
+            .map(|(i, (p, v))| OverflowRecord::insert(p, (id_base + i as u64) as u32, v.to_vec()))
+            .collect();
+        let results = self.commit(records, &self.metrics.inserts)?;
+        let refused = results.iter().filter(|r| r.is_err()).count();
+        self.metrics.insert_overflow.add(refused as u64);
+        Ok(results)
     }
 
     /// Deletes a vector by writing a tombstone record into its group's
@@ -218,38 +92,93 @@ impl ComputeNode {
     /// - [`Error::OverflowFull`] when the group's overflow area has no
     ///   slot left for the tombstone.
     pub fn delete(&self, v: &[f32], global_id: u32) -> Result<()> {
-        let result = self.delete_impl(v, global_id);
-        self.metrics.deletes.inc();
-        self.flush_telemetry();
-        result
+        let tombstone = OverflowRecord::tombstone(self.partition_of(v)?, global_id, v.len());
+        let mut results = self.commit(vec![tombstone], &self.metrics.deletes)?;
+        results.pop().expect("one result per record").map(drop)
     }
 
-    fn delete_impl(&self, v: &[f32], global_id: u32) -> Result<()> {
+    /// The partition a vector is written to: where the meta-HNSW routes
+    /// it with the beam queries use, so they reach what was written.
+    fn partition_of(&self, v: &[f32]) -> Result<u32> {
         if v.len() != self.directory.dim() {
             return Err(Error::DimensionMismatch {
                 expected: self.directory.dim(),
                 got: v.len(),
             });
         }
-        let partition = self.meta.classify_with_beam(v, self.config.fanout())?;
-        let loc = *self.directory.location(partition)?;
+        self.meta.classify_with_beam(v, self.config.fanout())
+    }
+
+    /// The one write protocol, reserve → write → publish, for records
+    /// whose partition and id are settled. Returns each record's id, or
+    /// [`Error::OverflowFull`] for one its area had no slot for; a
+    /// substrate error aborts the call where it stands. Every record that
+    /// gets here is counted in `attempts`, whatever becomes of it.
+    fn commit(&self, records: Vec<OverflowRecord>, attempts: &Counter) -> Result<Vec<Result<u32>>> {
+        attempts.add(records.len() as u64);
+        let outcome = self.reserve_write_publish(&records);
+        self.flush_telemetry();
+        outcome
+    }
+
+    fn reserve_write_publish(&self, records: &[OverflowRecord]) -> Result<Vec<Result<u32>>> {
         let record_size = self.directory.record_size() as u64;
-        let used = self
-            .qp
-            .faa(self.rkey, loc.overflow_counter_off(), record_size)?;
-        if used + record_size > loc.overflow_capacity() {
-            self.qp
-                .faa(self.rkey, loc.overflow_counter_off(), record_size.wrapping_neg())?;
-            return Err(Error::OverflowFull {
-                partition,
-                capacity: loc.overflow_capacity(),
-            });
+        // Records by the overflow area they land in, areas in address
+        // order (both partitions of a group share one area).
+        let mut by_area: BTreeMap<u64, (u64, Vec<usize>)> = BTreeMap::new();
+        for (i, r) in records.iter().enumerate() {
+            let loc = self.directory.location(r.partition)?;
+            let area = by_area.entry(loc.overflow_counter_off());
+            area.or_insert((loc.overflow_capacity(), Vec::new())).1.push(i);
         }
-        let record = OverflowRecord::tombstone(partition, global_id, self.directory.dim());
-        self.qp
-            .write(self.rkey, loc.overflow_off + 8 + used, &record.to_bytes())?;
-        self.bump_version(partition)?;
-        self.cache.lock().invalidate(partition);
-        Ok(())
+
+        // Reserve: one FAA per area takes all its slots. Those past the
+        // area's end are refused and given back at once, so the remote
+        // counter keeps meaning "bytes handed out" — without that, health
+        // checks could not tell a full area from a corrupt counter.
+        let mut results: Vec<Result<u32>> = records.iter().map(|r| Ok(r.global_id)).collect();
+        let mut writes = Vec::with_capacity(records.len());
+        let mut mutated = Vec::with_capacity(records.len());
+        for (area_off, (capacity, indices)) in by_area {
+            let start = self.qp.faa(self.rkey, area_off, record_size * indices.len() as u64)?;
+            let room = capacity.saturating_sub(start) / record_size;
+            let (fit, refused) = indices.split_at(indices.len().min(room as usize));
+            for (slot, &i) in fit.iter().enumerate() {
+                let at = area_off + 8 + start + record_size * slot as u64;
+                writes.push(WriteReq::new(self.rkey, at, records[i].to_bytes()));
+                mutated.push(records[i].partition);
+            }
+            for &i in refused {
+                let partition = records[i].partition;
+                results[i] = Err(Error::OverflowFull { partition, capacity });
+            }
+            if !refused.is_empty() {
+                let unused = record_size * refused.len() as u64;
+                self.qp.faa(self.rkey, area_off, unused.wrapping_neg())?;
+            }
+        }
+        mutated.sort_unstable();
+        mutated.dedup();
+
+        // Write: every accepted record in one doorbell, commit markers
+        // last. From here the records are durable, so this node drops its
+        // cached copies before anything else can fail: a writer must not
+        // keep answering from a cluster a fresh node already reads
+        // differently.
+        self.qp.write_doorbell(&writes)?;
+        {
+            let mut cache = self.cache.lock();
+            for &p in &mutated {
+                cache.invalidate(p);
+            }
+        }
+        // Publish: one version FAA per mutated partition, *after* its
+        // records are fully written — readers that observe the new
+        // version are guaranteed to decode committed records, and readers
+        // that raced the write see an uncommitted slot and skip it.
+        for &p in &mutated {
+            self.qp.faa(self.rkey, self.directory.version_slot_off(p)?, 1)?;
+        }
+        Ok(results)
     }
 }

@@ -74,9 +74,7 @@ pub use health::{
 pub use meta::MetaIndex;
 pub use store::VectorStore;
 pub use telemetry::chrome::chrome_trace_json;
-pub use telemetry::exemplar::{
-    diagnose, verdict_index, BucketExemplar, Diagnosis, ExemplarStore, VERDICTS,
-};
+pub use telemetry::exemplar::{diagnose, BucketExemplar, Diagnosis, ExemplarStore, VERDICTS};
 pub use telemetry::profile::{PathStats, ProfileAccumulator};
 pub use telemetry::series::{
     AnomalyConfig, AnomalyRecord, Sample, SeriesPoint, SeriesRecorder, TrackedSeries, TRACKED,

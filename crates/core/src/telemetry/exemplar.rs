@@ -58,19 +58,6 @@ pub const VERDICTS: [&str; 6] = [
     "compute_bound",
 ];
 
-/// Stable numeric code for a verdict (for metric exposition):
-/// `nominal`=0, then [`VERDICTS`] in order from 1. Unknown strings
-/// map to 99.
-pub fn verdict_index(verdict: &str) -> u64 {
-    if verdict == "nominal" {
-        return 0;
-    }
-    VERDICTS
-        .iter()
-        .position(|v| *v == verdict)
-        .map_or(99, |i| i as u64 + 1)
-}
-
 /// The exemplar a histogram bucket points at: the most recent batch
 /// whose per-query latency sample landed in that bucket.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -670,18 +657,6 @@ mod tests {
         let (id, verdict, json) = s.diagnose_slowest().expect("store non-empty");
         assert_eq!(id, 5, "slowest batch");
         assert!(json.contains(&format!("\"verdict\": \"{verdict}\"")));
-    }
-
-    #[test]
-    fn verdict_indices_are_stable() {
-        assert_eq!(verdict_index("nominal"), 0);
-        assert_eq!(verdict_index("network_bound"), 1);
-        assert_eq!(verdict_index("retry_storm"), 2);
-        assert_eq!(verdict_index("cache_cold"), 3);
-        assert_eq!(verdict_index("overflow_heavy"), 4);
-        assert_eq!(verdict_index("pipeline_stall"), 5);
-        assert_eq!(verdict_index("compute_bound"), 6);
-        assert_eq!(verdict_index("??"), 99);
     }
 
     #[test]

@@ -202,7 +202,11 @@ pub const DOORBELL_BATCH_SIZE: MetricDef = histogram(
     "Work requests per doorbell batch",
 );
 
-// Mutations.
+// Mutations, counted in one place (`ComputeNode::commit`): a record
+// counts once it reaches the write protocol — accepted, refused with
+// `OverflowFull`, or cut short by the fabric. A call refused before it
+// has a record (wrong dimension, a dropped id `FAA`) counts nothing.
+// The help strings keep their wording because `obs_ledger.txt` pins it.
 pub const INSERTS: MetricDef = counter("dhnsw_inserts_total", "Insert attempts");
 pub const INSERT_OVERFLOW: MetricDef = counter(
     "dhnsw_insert_overflow_total",

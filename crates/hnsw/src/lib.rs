@@ -35,7 +35,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bruteforce;
 mod build;
 pub mod diagnostics;
 mod error;
@@ -45,7 +44,6 @@ mod params;
 mod search;
 pub mod serialize;
 
-pub use bruteforce::BruteForceIndex;
 pub use error::Error;
 pub use index::{HnswIndex, SearchStats};
 pub use params::HnswParams;

@@ -26,10 +26,6 @@
 //!   same verbs landing in caller-owned buffers through a [`Scatter`]
 //!   list per request, the way a NIC DMAs into a registered buffer; the
 //!   allocating calls are wrappers over the same body.
-//! - Asynchronous posting — [`QueuePair::post_read`] /
-//!   [`QueuePair::post_write`] + [`QueuePair::ring_doorbell`] +
-//!   [`QueuePair::poll_cq`], the completion-queue shape real verbs code
-//!   uses (same cost model as the blocking calls).
 //! - Fault injection — [`QueuePair::fail_next`] /
 //!   [`QueuePair::set_fault_rate`] drop attempts which the queue pair
 //!   retransmits like a reliable-connection NIC, charging timeout time
@@ -66,7 +62,6 @@
 #![warn(missing_docs)]
 
 mod clock;
-mod cq;
 mod error;
 mod fault;
 mod model;
@@ -76,7 +71,6 @@ mod stats;
 mod trace;
 
 pub use clock::VirtualClock;
-pub use cq::{Completion, VerbKind};
 pub use error::Error;
 pub use fault::DEFAULT_RETRY_LIMIT;
 pub use model::NetworkModel;

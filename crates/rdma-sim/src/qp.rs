@@ -119,6 +119,10 @@ impl WriteReq {
     }
 }
 
+/// A write request over borrowed bytes, `(rkey, offset, data)`: what the
+/// write body takes, so the plain verb need not own its payload.
+type WriteRef<'a> = (u32, u64, &'a [u8]);
+
 /// A reliable-connection queue pair from a compute instance to one
 /// [`MemoryNode`].
 ///
@@ -150,7 +154,6 @@ pub struct QueuePair {
     model: NetworkModel,
     clock: VirtualClock,
     stats: TransferStats,
-    send: crate::cq::SendState,
     fault: crate::fault::FaultState,
     has_sink: AtomicBool,
     sink: RwLock<Option<SharedSink>>,
@@ -164,7 +167,6 @@ impl QueuePair {
             model,
             clock: VirtualClock::new(),
             stats: TransferStats::new(),
-            send: crate::cq::SendState::default(),
             fault: crate::fault::FaultState::default(),
             has_sink: AtomicBool::new(false),
             sink: RwLock::new(None),
@@ -235,11 +237,7 @@ impl QueuePair {
         self.clock.advance_us(self.model.base_rtt_us());
     }
 
-    pub(crate) fn send_state(&self) -> &crate::cq::SendState {
-        &self.send
-    }
-
-    pub(crate) fn check_bounds(&self, rkey: u32, offset: u64, len: u64) -> Result<()> {
+    fn check_bounds(&self, rkey: u32, offset: u64, len: u64) -> Result<()> {
         let region_len = self.node.region_len(rkey)?;
         if offset.checked_add(len).map(|end| end > region_len).unwrap_or(true) {
             return Err(Error::OutOfBounds {
@@ -301,19 +299,7 @@ impl QueuePair {
     ///
     /// [`Error::UnknownRegion`] or [`Error::OutOfBounds`].
     pub fn write(&self, rkey: u32, offset: u64, data: &[u8]) -> Result<()> {
-        self.check_bounds(rkey, offset, data.len() as u64)?;
-        self.admit("write")?;
-        let region = self.node.region(rkey)?;
-        region.write()[offset as usize..offset as usize + data.len()].copy_from_slice(data);
-        let vt0 = self.clock.now_us();
-        self.clock
-            .advance_us(self.model.round_trip_cost_us(1, data.len()));
-        self.stats.record_round_trips(1);
-        self.stats.record_write(1, data.len() as u64);
-        self.node.service_stats().record_round_trips(1);
-        self.node.service_stats().record_write(1, data.len() as u64);
-        self.emit_plain("write", offset, data.len() as u64, vt0);
-        Ok(())
+        self.execute_writes(false, &[(rkey, offset, data)])
     }
 
     /// Doorbell-batched reads: all requests are posted with a single
@@ -449,21 +435,33 @@ impl QueuePair {
     ///
     /// Validates every request before executing any.
     pub fn write_doorbell(&self, reqs: &[WriteReq]) -> Result<()> {
+        let reqs: Vec<WriteRef<'_>> =
+            reqs.iter().map(|r| (r.rkey, r.offset, &r.data[..])).collect();
+        self.execute_writes(true, &reqs)
+    }
+
+    /// The one write body, the twin of [`QueuePair::execute_reads`]:
+    /// bounds, fault admission, the copy into the region, then cost,
+    /// counters and trace spans per doorbell-limit chunk. `doorbell` off
+    /// is the plain single-request verb: same body, no doorbell batch
+    /// counted, traced as `write`.
+    fn execute_writes(&self, doorbell: bool, reqs: &[WriteRef<'_>]) -> Result<()> {
         if reqs.is_empty() {
             return Ok(());
         }
-        for r in reqs {
-            self.check_bounds(r.rkey, r.offset, r.data.len() as u64)?;
+        for &(rkey, offset, data) in reqs {
+            self.check_bounds(rkey, offset, data.len() as u64)?;
         }
-        self.admit("write_doorbell")?;
-        for r in reqs {
-            let region = self.node.region(r.rkey)?;
-            region.write()[r.offset as usize..r.offset as usize + r.data.len()]
-                .copy_from_slice(&r.data);
+        self.admit(if doorbell { "write_doorbell" } else { "write" })?;
+        for &(rkey, offset, data) in reqs {
+            let region = self.node.region(rkey)?;
+            region.write()[offset as usize..offset as usize + data.len()].copy_from_slice(data);
         }
-        self.stats.record_doorbell(reqs.len() as u64);
+        if doorbell {
+            self.stats.record_doorbell(reqs.len() as u64);
+        }
         for (ci, chunk) in reqs.chunks(self.model.doorbell_limit()).enumerate() {
-            let bytes: usize = chunk.iter().map(|r| r.data.len()).sum();
+            let bytes: usize = chunk.iter().map(|&(_, _, data)| data.len()).sum();
             let vt0 = self.clock.now_us();
             self.clock
                 .advance_us(self.model.round_trip_cost_us(chunk.len(), bytes));
@@ -473,10 +471,13 @@ impl QueuePair {
             self.node
                 .service_stats()
                 .record_write(chunk.len() as u64, bytes as u64);
-            if self.has_sink.load(Ordering::Relaxed) {
+            if !doorbell {
+                let (_, offset, _) = chunk[0];
+                self.emit_plain("write", offset, bytes as u64, vt0);
+            } else if self.has_sink.load(Ordering::Relaxed) {
                 let vt1 = self.clock.now_us();
                 let sizes: Vec<(u64, u64)> =
-                    chunk.iter().map(|r| (r.offset, r.data.len() as u64)).collect();
+                    chunk.iter().map(|&(_, offset, data)| (offset, data.len() as u64)).collect();
                 self.emit_verb(
                     VerbSpan {
                         verb: "write_doorbell",

@@ -17,7 +17,6 @@
 //! - [`quantize`]: SQ8 scalar quantization (train/encode/decode) and the
 //!   asymmetric L2 distance used to search over codes.
 //! - [`recall`]: recall@k computation.
-//! - [`stats`]: dataset statistics and clustering-tendency estimates.
 //! - [`io`]: readers and writers for the standard `fvecs`/`ivecs`/`bvecs`
 //!   formats so the real SIFT1M/GIST1M files can be dropped in when
 //!   available.
@@ -60,7 +59,6 @@ pub mod ground_truth;
 pub mod io;
 pub mod quantize;
 pub mod recall;
-pub mod stats;
 pub mod topk;
 
 pub use dataset::Dataset;

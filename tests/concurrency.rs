@@ -209,38 +209,3 @@ fn shared_compute_node_handles_parallel_batches() {
     });
     assert_eq!(got, expected, "concurrent batches corrupted results");
 }
-
-#[test]
-fn async_verbs_drive_a_manual_cluster_fetch() {
-    // The completion-queue API can implement the loader's doorbell fetch
-    // by hand: post one read per cluster span, ring once, poll.
-    let data = gen::sift_like(400, 87).unwrap();
-    let store = VectorStore::build(data, &DHnswConfig::small()).unwrap();
-    let qp = QueuePair::connect(store.memory_node(), store.config().network());
-    let dir = store.directory();
-
-    let wanted: Vec<u32> = vec![0, 3, 5];
-    for (i, &p) in wanted.iter().enumerate() {
-        let loc = dir.location(p).unwrap();
-        let (off, len) = loc.read_span();
-        qp.post_read(i as u64, dhnsw_repro::rdma_sim::ReadReq::new(
-            store.region().rkey(),
-            off,
-            len,
-        ));
-    }
-    qp.ring_doorbell().unwrap();
-    assert_eq!(qp.stats().round_trips(), 1, "3 clusters, one doorbell trip");
-
-    let done = qp.poll_cq(8);
-    assert_eq!(done.len(), 3);
-    for (c, &p) in done.iter().zip(&wanted) {
-        let loc = dir.location(p).unwrap();
-        let buf = c.payload.as_ref().unwrap();
-        let (cluster_bytes, overflow) = loc.split(buf).unwrap();
-        let loaded =
-            dhnsw_repro::dhnsw::cluster::LoadedCluster::from_remote(cluster_bytes, overflow)
-                .unwrap();
-        assert_eq!(loaded.partition(), p);
-    }
-}

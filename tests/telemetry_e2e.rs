@@ -137,6 +137,10 @@ fn mutation_counters_track_insert_and_delete() {
     let ok = node.insert_batch(&batch).unwrap();
     assert!(ok.iter().all(|r| r.is_ok()));
     node.delete(&v, id).unwrap();
+    // A call refused before it has a record to write counts nothing.
+    assert!(node.insert(&v[..4]).is_err());
+    assert!(node.insert_batch(&gen::uniform(4, 2, 0.0, 1.0, 1).unwrap()).is_err());
+    assert!(node.delete(&v[..4], id).is_err());
 
     let text = telemetry.render_prometheus();
     assert_eq!(metric_value(&text, "dhnsw_inserts_total") as u64, 3);
