@@ -26,7 +26,7 @@ use hnsw::serialize::Layout;
 use hnsw::{HnswIndex, HnswParams, IndexView, SearchScratch, SearchStats};
 use vecsim::cast::{self, AlignedBytes};
 use vecsim::io::le_words;
-use vecsim::quantize::{l2_decoded, SqParams};
+use vecsim::quantize::SqParams;
 use vecsim::{Dataset, Metric, Neighbor, TopK};
 
 use crate::{Error, Result};
@@ -664,7 +664,7 @@ pub struct Candidate {
 }
 
 impl Candidate {
-    fn exact(id: u32, dist: f32) -> Self {
+    pub(crate) fn exact(id: u32, dist: f32) -> Self {
         Candidate {
             id,
             dist,
@@ -680,13 +680,35 @@ fn by_dist_then_id(a: &Candidate, b: &Candidate) -> std::cmp::Ordering {
 }
 
 /// What a worker keeps from probe to probe ([`LoadedCluster::probe`]):
-/// the sub-HNSW walk's scratch and, for a block scan, one collector per
-/// query of a block and the row an SQ8 scan is decoding.
+/// the sub-HNSW walk's scratch and, for a block scan, one collector and one
+/// distance per query of a block and the row an SQ8 scan is decoding.
 #[derive(Debug, Default)]
 pub struct ProbeScratch {
     walk: SearchScratch,
     row: Vec<f32>,
+    block: Block,
+}
+
+/// A block scan's collectors, and the distances of the row in hand.
+#[derive(Debug, Default)]
+struct Block {
     tops: Vec<TopK>,
+    dists: Vec<f32>,
+}
+
+impl Block {
+    /// Holds one row against every query — all the distances first, so the
+    /// kernel loop carries no collector state — then offers each to its
+    /// query's collector under the row's pseudo-id.
+    #[inline(always)]
+    fn offer(&mut self, local: u32, queries: &[&[f32]], distance: impl Fn(&[f32]) -> f32) {
+        for (dist, query) in self.dists.iter_mut().zip(queries) {
+            *dist = distance(query);
+        }
+        for (top, &dist) in self.tops.iter_mut().zip(&self.dists) {
+            top.push(local, dist);
+        }
+    }
 }
 
 thread_local! {
@@ -703,7 +725,7 @@ const SCAN_BLOCK_BYTES: usize = 16 << 10;
 /// is scanned whole instead of walked. A beam of `ef` expands `ef` nodes
 /// and, on a cluster this small, evaluates most of its rows on the way
 /// (196 of 302 at `ef` = 48) under a visited set and a sorted pool; the
-/// scan evaluates all of them and keeps nothing but a heap. Read off a
+/// scan evaluates all of them and keeps nothing but a reservoir. Read off a
 /// measurement: `repro subsearch` (EXPERIMENTS.md) has a lone probe's scan
 /// no slower than its walk at every size up to here — well ahead with
 /// clusters in rotation, as a worker meets them, level when one cluster
@@ -716,23 +738,22 @@ pub const SCAN_ROWS_PER_EF: usize = 16;
 /// once per source, so each row loop is the only one in its copy.
 trait Rows {
     /// Whether hits are exact, and so leave ordered by `(dist, global id)`
-    /// as a walk's do. Estimates leave as selected, ties in row order: the
-    /// engine orders a pool itself, after the rerank.
+    /// as a walk's do. Estimates leave as the selection left them, in no
+    /// order: the engine orders a pool itself.
     const EXACT: bool;
 
     /// What the rows — and the overflow inserts beside them — are ranked
     /// under.
     fn metric(&self) -> Metric;
 
-    /// Offers every base row `live` keeps to every query's collector,
-    /// under its local id; returns how many rows that was.
-    fn sweep(
-        &mut self,
-        ids: &[u32],
-        live: impl Fn(&u32) -> bool,
-        queries: &[&[f32]],
-        tops: &mut [TopK],
-    ) -> usize;
+    /// Base row `local`, to hold a block of queries against.
+    fn row(&mut self, local: u32) -> &[f32];
+
+    /// The distance from base row `local` to a query that has the scan to
+    /// itself: the bits [`Rows::row`] under [`Rows::metric`] gives.
+    fn alone(&mut self, local: u32, query: &[f32]) -> f32 {
+        self.metric().distance(query, self.row(local))
+    }
 
     /// The candidate base row `local` leaves the probe as.
     fn hit(&self, id: u32, local: u32, dist: f32) -> Candidate;
@@ -741,12 +762,18 @@ trait Rows {
 /// SQ8 codes, `dim` to a row, held against a query by asymmetric squared
 /// L2: a row is decoded once into the worker's `row`
 /// ([`SqParams::decode_into`]) and every query of the block takes its
-/// distance to the decoded row ([`l2_decoded`]) — the bits
+/// [`vecsim::l2_sq`] to the decoded row — the bits
 /// [`SqParams::asymmetric_l2`] gives that query and those codes.
 struct Codes<'a> {
     params: &'a SqParams,
     codes: &'a [u8],
-    row: &'a mut Vec<f32>,
+    row: &'a mut [f32],
+}
+
+impl<'a> Codes<'a> {
+    fn codes(&self, local: u32) -> &'a [u8] {
+        &self.codes[local as usize * self.params.dim()..][..self.params.dim()]
+    }
 }
 
 impl Rows for Codes<'_> {
@@ -760,37 +787,16 @@ impl Rows for Codes<'_> {
         Metric::L2
     }
 
-    fn sweep(
-        &mut self,
-        ids: &[u32],
-        live: impl Fn(&u32) -> bool,
-        queries: &[&[f32]],
-        tops: &mut [TopK],
-    ) -> usize {
-        let Codes { params, codes, row } = self;
-        let dim = params.dim();
-        row.resize(dim, 0.0);
-        let row = row.as_mut_slice();
-        let live = (codes.chunks_exact(dim).zip(ids).enumerate()).filter(|(_, (_, gid))| live(gid));
-        let mut rows = 0;
-        if let [query] = queries {
-            // Nothing to share a decoded row with: the fused kernel gives
-            // the same bits without storing the row and loading it back
-            // (a lone probe measured a tenth to a quarter slower that way).
-            for (local, (codes, _)) in live {
-                rows += 1;
-                tops[0].push(local as u32, params.asymmetric_l2(query, codes));
-            }
-        } else {
-            for (local, (codes, _)) in live {
-                rows += 1;
-                params.decode_into(codes, row);
-                for (query, top) in queries.iter().zip(tops.iter_mut()) {
-                    top.push(local as u32, l2_decoded(query, row));
-                }
-            }
-        }
-        rows
+    fn row(&mut self, local: u32) -> &[f32] {
+        self.params.decode_into(self.codes(local), self.row);
+        self.row
+    }
+
+    /// Nothing to share a decoded row with: the fused kernel gives the
+    /// same bits without storing the row and loading it back (a lone probe
+    /// measures a tenth to a quarter slower that way).
+    fn alone(&mut self, local: u32, query: &[f32]) -> f32 {
+        self.params.asymmetric_l2(query, self.codes(local))
     }
 
     fn hit(&self, id: u32, local: u32, dist: f32) -> Candidate {
@@ -812,23 +818,8 @@ impl Rows for IndexView<'_> {
         IndexView::metric(self)
     }
 
-    fn sweep(
-        &mut self,
-        ids: &[u32],
-        live: impl Fn(&u32) -> bool,
-        queries: &[&[f32]],
-        tops: &mut [TopK],
-    ) -> usize {
-        let metric = IndexView::metric(self);
-        let mut rows = 0;
-        for (local, _) in (0u32..).zip(ids).filter(|(_, gid)| live(gid)) {
-            rows += 1;
-            let row = self.vector(local);
-            for (query, top) in queries.iter().zip(tops.iter_mut()) {
-                top.push(local, metric.distance(query, row));
-            }
-        }
-        rows
+    fn row(&mut self, local: u32) -> &[f32] {
+        self.vector(local)
     }
 
     fn hit(&self, id: u32, _: u32, dist: f32) -> Candidate {
@@ -1119,10 +1110,11 @@ impl LoadedCluster {
     }
 
     /// The one search entry: appends this cluster's best candidates for
-    /// each of `queries` to `out`, ascending by `(dist, id)`, and where
-    /// each query's candidates end to `ends` — working out of the caller's
-    /// `scratch`, so a worker probing cluster after cluster allocates
-    /// nothing per probe for bookkeeping.
+    /// each of `queries` to `out` — exact ones ascending by `(dist, id)`,
+    /// an SQ8 cluster's estimates in no order — and where each query's
+    /// candidates end to `ends` — working out of the caller's `scratch`,
+    /// so a worker probing cluster after cluster allocates nothing per
+    /// probe for bookkeeping.
     ///
     /// A full-precision cluster of more than [`SCAN_ROWS_PER_EF`]` × ef`
     /// base rows walks its sub-HNSW with beam `ef` once per query; a
@@ -1132,9 +1124,8 @@ impl LoadedCluster {
     /// to `k` exact candidates — under the cut-off the exact `k` nearest of
     /// the cluster, whatever `ef` is. An SQ8 probe yields up to `k + slack`
     /// — the extra is the pool an exact rerank chooses from — each base row
-    /// carrying its rerank address and error bound, equal estimates in row
-    /// order. What a query gets does not depend on what it shares a block
-    /// with. Either way the overflow
+    /// carrying its rerank address and error bound. What a query gets does
+    /// not depend on what it shares a block with. Either way the overflow
     /// tail is scanned exactly and tombstoned ids are gone; a scan leaves
     /// `stats.hops` alone, which tells the two apart.
     #[allow(clippy::too_many_arguments)]
@@ -1152,15 +1143,16 @@ impl LoadedCluster {
         match &self.payload {
             Payload::Sq { params, n } => {
                 let codes = &self.bytes.as_bytes()[Self::sq_codes_at(params, *n)..][..n * params.dim()];
+                scratch.row.resize(params.dim(), 0.0);
                 let rows = Codes { params, codes, row: &mut scratch.row };
-                self.scan(rows, queries, k + slack, &mut scratch.tops, stats, out, ends)
+                self.scan(rows, queries, k + slack, &mut scratch.block, stats, out, ends)
             }
             Payload::Full { hnsw_at, layout } => {
                 let index = self.index(*hnsw_at, layout);
                 if layout.len() > SCAN_ROWS_PER_EF.saturating_mul(ef) {
                     self.walk(&index, queries, k, ef, &mut scratch.walk, stats, out, ends)
                 } else {
-                    self.scan(index, queries, k, &mut scratch.tops, stats, out, ends)
+                    self.scan(index, queries, k, &mut scratch.block, stats, out, ends)
                 }
             }
         }
@@ -1213,7 +1205,7 @@ impl LoadedCluster {
         mut rows: R,
         queries: &[&[f32]],
         pool: usize,
-        tops: &mut Vec<TopK>,
+        block: &mut Block,
         stats: &mut SearchStats,
         out: &mut Vec<Candidate>,
         ends: &mut Vec<usize>,
@@ -1227,31 +1219,38 @@ impl LoadedCluster {
         // Most clusters carry no tombstone; those skip the per-row hash
         // lookup altogether.
         let any_deleted = !self.deleted.is_empty();
-        let live = |gid: &u32| !any_deleted || !self.deleted.contains(gid);
-        let block = (SCAN_BLOCK_BYTES / (4 * self.dim())).max(1);
-        for queries in queries.chunks(block) {
-            if tops.len() < queries.len() {
-                tops.resize_with(queries.len(), || TopK::new(pool));
-            }
-            let tops = &mut tops[..queries.len()];
-            tops.iter_mut().for_each(|top| top.reset(pool));
-            let evals = rows.sweep(ids, live, queries, tops) + self.extra.len();
-            for (j, (_, v)) in self.extra.iter().enumerate() {
-                for (query, top) in queries.iter().zip(tops.iter_mut()) {
-                    top.push(n + j as u32, metric.distance(query, v));
+        for queries in queries.chunks((SCAN_BLOCK_BYTES / (4 * self.dim())).max(1)) {
+            block.tops.resize_with(block.tops.len().max(queries.len()), || TopK::new(pool));
+            block.dists.resize(queries.len(), 0.0);
+            block.tops[..queries.len()].iter_mut().for_each(|top| top.reset(pool));
+            let live = (0u32..).zip(ids).filter(|(_, gid)| !any_deleted || !self.deleted.contains(gid));
+            let live = live.map(|(local, _)| local);
+            let mut evals = self.extra.len();
+            if let [query] = queries {
+                for local in live {
+                    evals += 1;
+                    block.tops[0].push(local, rows.alone(local, query));
+                }
+            } else {
+                for local in live {
+                    evals += 1;
+                    let row = rows.row(local);
+                    block.offer(local, queries, |query| metric.distance(query, row));
                 }
             }
+            for (j, (_, v)) in self.extra.iter().enumerate() {
+                block.offer(n + j as u32, queries, |query| metric.distance(query, v));
+            }
             stats.dist_evals += (evals * queries.len()) as u64;
-            for top in tops {
+            for top in &mut block.tops[..queries.len()] {
                 let start = out.len();
-                top.drain_sorted(|h| {
+                top.drain(|h| {
                     out.push(match h.id.checked_sub(n) {
                         None => rows.hit(ids[h.id as usize], h.id, h.dist),
                         Some(j) => Candidate::exact(self.extra[j as usize].0, h.dist),
                     })
                 });
                 if R::EXACT {
-                    // Selected with ties in row order.
                     out[start..].sort_unstable_by(by_dist_then_id);
                 }
                 ends.push(out.len());
@@ -1260,7 +1259,8 @@ impl LoadedCluster {
     }
 
     /// Top-`k` scan of a quantized cluster: [`LoadedCluster::probe`]
-    /// with no rerank slack, hits keeping their rerank address.
+    /// with no rerank slack, hits keeping their rerank address, put in
+    /// ascending `(dist, id)` order.
     pub fn search_sq(&self, query: &[f32], k: usize) -> Vec<SqHit> {
         let mut stats = SearchStats::default();
         self.search_sq_with_stats(query, k, &mut stats)
@@ -1273,7 +1273,8 @@ impl LoadedCluster {
         k: usize,
         stats: &mut SearchStats,
     ) -> Vec<SqHit> {
-        let hits = self.probe_one(query, k, k, stats);
+        let mut hits = self.probe_one(query, k, k, stats);
+        hits.sort_unstable_by(by_dist_then_id);
         hits.into_iter()
             .map(|c| SqHit {
                 id: c.id,

@@ -33,7 +33,6 @@ mod prefetch;
 mod query;
 mod write;
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -335,9 +334,8 @@ pub struct ComputeNode {
     use_sq: bool,
     // Exact full-precision vectors fetched for rerank, keyed by
     // (partition, base row). Base vectors are immutable, so entries
-    // never go stale; the map is cleared wholesale past
-    // `RERANK_CACHE_CAP` to bound memory.
-    rerank_cache: Mutex<HashMap<(u32, u32), Vec<f32>>>,
+    // never go stale.
+    rerank_cache: Mutex<query::ExactRows>,
 }
 
 impl ComputeNode {
@@ -404,7 +402,7 @@ impl ComputeNode {
             pipeline_depth,
             prefetch_budget,
             use_sq,
-            rerank_cache: Mutex::new(HashMap::new()),
+            rerank_cache: Mutex::default(),
         })
     }
 

@@ -28,9 +28,44 @@ pub(super) struct Pooled {
     pub(super) cand: Candidate,
 }
 
-/// Entries the node-level exact-vector cache may hold before it is
-/// cleared wholesale; bounds rerank memory at ~`cap × dim × 4` bytes.
-const RERANK_CACHE_CAP: usize = 8_192;
+/// Rows the node-level exact-vector cache may hold before it is cleared
+/// wholesale; bounds rerank memory at ~`cap × dim × 4` bytes.
+pub(super) const RERANK_CACHE_CAP: usize = 8_192;
+
+/// The node-level exact-vector cache: the full-precision base rows
+/// reranks fetched, back to back in one arena, and where each starts.
+///
+/// Lifetime rule: a row is only ever read in the critical section that
+/// found it — a rerank pass settles a cached candidate's distance while it
+/// plans, entry in hand, and a fetched one's as it admits the row — so the
+/// wholesale clear in [`ExactRows::admit`] can never fall between a
+/// decision that a row is cached and the read of it.
+#[derive(Debug, Default)]
+pub(super) struct ExactRows {
+    at: HashMap<(u32, u32), usize>,
+    rows: Vec<f32>,
+}
+
+impl ExactRows {
+    fn get(&self, key: &(u32, u32), dim: usize) -> Option<&[f32]> {
+        self.at.get(key).map(|&at| &self.rows[at..at + dim])
+    }
+
+    /// Adds the rows a rerank fetched, `dim` little-endian floats each,
+    /// emptying the cache first if they would take it past the cap.
+    pub(super) fn admit<'a>(&mut self, dim: usize, rows: impl ExactSizeIterator<Item = ((u32, u32), &'a [u8])>) {
+        if self.rows.len() + rows.len() * dim > RERANK_CACHE_CAP * dim {
+            self.at.clear();
+            self.rows.clear();
+        }
+        // Grown by what arrives, never doubled; final after the first clear.
+        self.rows.reserve_exact(rows.len() * dim);
+        for (key, bytes) in rows {
+            self.at.insert(key, self.rows.len());
+            self.rows.extend(vecsim::io::le_words(bytes, f32::from_le_bytes));
+        }
+    }
+}
 
 impl ComputeNode {
     /// Answers a single query; convenience wrapper over
@@ -509,21 +544,25 @@ impl ComputeNode {
         outcome.map(|()| (got, vt))
     }
 
-    /// Exact-rerank pass. Decides which pool candidates with an
+    /// Exact rerank. The first pass decides which pool candidates with an
     /// estimated distance could still enter their query's top-`k` —
     /// those whose error interval reaches below the k-th smallest upper
     /// bound — fetches the missing full-precision vectors with one
     /// [`ReadCause::Rerank`]-tagged round (deduplicated across the batch
     /// and against the node-level exact-vector cache), and swaps exact
-    /// distances in. Candidates provably outside the top-k keep their
-    /// asymmetric distance: they cannot displace a reranked survivor, so
-    /// the final top-k id set equals a full rerank's. A batch of exact
-    /// candidates (full-precision wire) has nothing to decide and costs
-    /// nothing.
+    /// distances in. Candidates outside the margin keep their asymmetric
+    /// distance. The error bound is one standard deviation, not a
+    /// guarantee, so an exact distance can land past it and let such a
+    /// candidate into the first `k`: further passes — rare, one more round
+    /// each, bounded by the pool — exactify whatever estimate stands among
+    /// the first `k` until none does, so no approximate distance is ever
+    /// reported (but past the retry budget in degraded mode, where
+    /// unfetched candidates keep theirs). A batch of exact candidates
+    /// (full-precision wire) has nothing to decide and costs nothing.
     ///
     /// Base vectors are immutable (mutations live in overflow areas),
     /// so the reads need no version brackets and cache entries never go
-    /// stale. Returns the fetch's virtual network time.
+    /// stale. Returns the fetches' virtual network time.
     #[allow(clippy::too_many_arguments)]
     fn rerank_exact(
         &self,
@@ -535,24 +574,38 @@ impl ComputeNode {
         root: SpanId,
         report: &mut BatchReport,
     ) -> Result<f64> {
-        let vec_bytes = (self.directory.dim() * 4) as u64;
-        // Per query: pool indices to exactify, with the (partition, row)
-        // address of each full vector; `need` holds the reads for the
-        // addresses not cached yet.
-        let mut plan: Vec<Vec<(usize, (u32, u32))>> = Vec::with_capacity(pools.len());
-        let mut need: Vec<(u32, u32)> = Vec::new();
-        let mut reqs: Vec<ReadReq> = Vec::new();
-        let mut queued: HashSet<(u32, u32)> = HashSet::new();
-        {
-            let cache = self.rerank_cache.lock();
-            for (pool, _) in pools.iter() {
-                let mut wanted = Vec::new();
-                if k > 0 && pool.iter().any(|c| c.cand.local.is_some()) {
-                    let mut uppers: Vec<f32> =
-                        pool.iter().map(|c| c.cand.dist + c.cand.err).collect();
-                    uppers.sort_by(f32::total_cmp);
-                    let thresh = uppers[k.min(uppers.len()) - 1];
-                    for (i, c) in pool.iter().enumerate() {
+        let dim = self.directory.dim();
+        let vec_bytes = (dim * 4) as u64;
+        let settle = |c: &mut Pooled, q: &[f32], row: &[f32]| c.cand = Candidate::exact(c.cand.id, vecsim::l2_sq(q, row));
+        let mut total_vt = 0.0;
+        for pass in 0.. {
+            // Candidates to exactify whose row is not cached, as (query,
+            // pool index, row address); `need` / `reqs` are the distinct
+            // rows among them; `touched` the queries whose pool changes.
+            let mut awaited: Vec<(usize, usize, (u32, u32))> = Vec::new();
+            let mut need: Vec<(u32, u32)> = Vec::new();
+            let mut reqs: Vec<ReadReq> = Vec::new();
+            let mut queued: HashSet<(u32, u32)> = HashSet::new();
+            let mut touched: Vec<usize> = Vec::new();
+            let mut exacted = 0u64;
+            {
+                let cache = self.rerank_cache.lock();
+                for (qi, (pool, _)) in pools.iter_mut().enumerate() {
+                    if k == 0 || pool.iter().all(|c| c.cand.local.is_none()) {
+                        continue;
+                    }
+                    // First the margin, over the whole pool; after that
+                    // only what stands among the first k (pools are
+                    // ordered from the merge on).
+                    let (reach, thresh) = if pass == 0 {
+                        let mut uppers: Vec<f32> =
+                            pool.iter().map(|c| c.cand.dist + c.cand.err).collect();
+                        let kth = k.min(uppers.len()) - 1;
+                        (pool.len(), *uppers.select_nth_unstable_by(kth, f32::total_cmp).1)
+                    } else {
+                        (k.min(pool.len()), f32::INFINITY)
+                    };
+                    for (ci, c) in pool[..reach].iter_mut().enumerate() {
                         let Some(local) = c.cand.local else { continue };
                         if c.cand.dist - c.cand.err > thresh {
                             continue;
@@ -561,8 +614,16 @@ impl ComputeNode {
                             Error::Corrupt(format!("rerank candidate of unresolved load {}", c.key))
                         })?;
                         let key = (cluster.partition(), local);
-                        wanted.push((i, key));
-                        if !cache.contains_key(&key) && queued.insert(key) {
+                        if touched.last() != Some(&qi) {
+                            touched.push(qi);
+                        }
+                        if let Some(row) = cache.get(&key, dim) {
+                            settle(c, queries.get(qi), row);
+                            exacted += 1;
+                            continue;
+                        }
+                        awaited.push((qi, ci, key));
+                        if queued.insert(key) {
                             // Serialized clusters end with the raw
                             // row-major f32 vectors, so row `local` sits
                             // a fixed distance from the blob's tail.
@@ -577,70 +638,57 @@ impl ComputeNode {
                         }
                     }
                 }
-                plan.push(wanted);
             }
-        }
-        if plan.iter().all(|w| w.is_empty()) {
-            return Ok(0.0);
-        }
+            if touched.is_empty() {
+                break;
+            }
 
-        let s_rr = trace.begin_span("rerank", "engine", root);
-        let clock0 = self.qp.clock().now_us();
-        let candidates: u64 = plan.iter().map(|w| w.len() as u64).sum();
-        // Past the retry budget in degraded mode, unfetched candidates
-        // keep their asymmetric distances: the answer degrades gracefully
-        // instead of failing the batch.
-        let mut reader = Reader::new(self, self.config.degraded_ok(), trace, s_rr);
-        let delivered = reader.post_until_delivered(&reqs, need.first().map_or(0, |key| key.0));
-        report.read_retries += reader.retries;
-        let vt = self.qp.clock().now_us() - clock0;
-        let fetched = match delivered {
-            Ok(buffers) => buffers.unwrap_or_default(),
-            Err(e) => {
-                trace.end_span(s_rr);
-                return Err(e);
-            }
-        };
-        let fetched_n = fetched.len() as u64;
-        let mut exacted = 0u64;
-        {
-            let mut cache = self.rerank_cache.lock();
-            if cache.len() + fetched.len() > RERANK_CACHE_CAP {
-                cache.clear();
-            }
-            for (key, buf) in need.into_iter().zip(&fetched) {
-                cache.insert(key, vecsim::io::le_words(buf, f32::from_le_bytes).collect());
-            }
-            for (qi, (pool, _)) in pools.iter_mut().enumerate() {
-                let q = queries.get(qi);
-                for &(ci, key) in &plan[qi] {
-                    if let Some(v) = cache.get(&key) {
-                        pool[ci].cand.dist = vecsim::l2_sq(q, v);
-                        pool[ci].cand.err = 0.0;
-                        exacted += 1;
-                    }
+            let s_rr = trace.begin_span("rerank", "engine", root);
+            let clock0 = self.qp.clock().now_us();
+            let candidates = exacted + awaited.len() as u64;
+            // Past the retry budget in degraded mode, unfetched candidates
+            // keep their asymmetric distances: the answer degrades
+            // gracefully instead of failing the batch.
+            let mut reader = Reader::new(self, self.config.degraded_ok(), trace, s_rr);
+            let delivered = reader.post_until_delivered(&reqs, need.first().map_or(0, |key| key.0));
+            report.read_retries += reader.retries;
+            let vt = self.qp.clock().now_us() - clock0;
+            total_vt += vt;
+            let fetched = delivered.inspect_err(|_| trace.end_span(s_rr))?;
+            if let Some(fetched) = &fetched {
+                let mut cache = self.rerank_cache.lock();
+                cache.admit(dim, need.into_iter().zip(fetched.iter().map(Vec::as_slice)));
+                for &(qi, ci, key) in &awaited {
+                    let row = cache.get(&key, dim).expect("admitted under this lock");
+                    settle(&mut pools[qi].0[ci], queries.get(qi), row);
                 }
-                if !plan[qi].is_empty() {
-                    pool.sort_by(by_distance);
-                }
+                exacted += awaited.len() as u64;
+            }
+            for qi in touched {
+                pools[qi].0.sort_unstable_by(by_distance);
+            }
+            trace.set_vt(s_rr, clock0, vt);
+            trace.end_span_with(
+                s_rr,
+                &[
+                    ("candidates", ArgValue::U64(candidates)),
+                    ("fetched", ArgValue::U64(fetched.as_ref().map_or(0, Vec::len) as u64)),
+                    ("exacted", ArgValue::U64(exacted)),
+                ],
+            );
+            if fetched.is_none() {
+                break;
             }
         }
-        trace.set_vt(s_rr, clock0, vt);
-        trace.end_span_with(
-            s_rr,
-            &[
-                ("candidates", ArgValue::U64(candidates)),
-                ("fetched", ArgValue::U64(fetched_n)),
-                ("exacted", ArgValue::U64(exacted)),
-            ],
-        );
-        Ok(vt)
+        Ok(total_vt)
     }
 }
 
-/// Ascending `(dist, id)`: the order of a pool, and of a result.
+/// Ascending `(dist, id)`: the order of a pool, and of a result. Equal
+/// copies of an id go by load key, so that the order is total and an
+/// unstable selection has one answer.
 fn by_distance(a: &Pooled, b: &Pooled) -> std::cmp::Ordering {
-    (a.cand.dist.total_cmp(&b.cand.dist)).then(a.cand.id.cmp(&b.cand.id))
+    (a.cand.dist.total_cmp(&b.cand.dist)).then((a.cand.id, a.key).cmp(&(b.cand.id, b.key)))
 }
 
 /// The sub-search: probes each query's routed clusters
@@ -653,11 +701,11 @@ fn by_distance(a: &Pooled, b: &Pooled) -> std::cmp::Ordering {
 /// stretch of its run that shares it — one lookup, one payload dispatch
 /// and, on the SQ8 wire, one pass over the codes for all of them — out of
 /// one [`ProbeScratch`] and one hit buffer. Each query's hit lists are
-/// then merged in **route order**, whatever order they were computed in,
-/// into up to `k + slack` candidates, one per global id — the closest
-/// copy, a forced representative can appear in two clusters — ascending
-/// by `(dist, id)`. Copies of an exact id carry equal distances, so for
-/// them "closest" is also "first in route order".
+/// then merged, whatever order they were computed in, into up to `k +
+/// slack` candidates, one per global id — the closest copy, a forced
+/// representative can appear in two clusters — ascending by `(dist, id)`.
+/// Copies of an exact id carry equal distances and no rerank address, so
+/// which of them stands for the id (the lowest load key's) cannot be told.
 ///
 /// `keys[i]` belongs to query `base + i`, so pipeline stages can pass a
 /// sub-slice against the full query set. Returns each query's pool with
@@ -728,16 +776,25 @@ pub(super) fn search_stage(
         for (list, &key) in lists.iter().zip(&keys[i]) {
             pool.extend(list.iter().map(|&cand| Pooled { key, cand }));
         }
-        // Closest first (the sort is stable, so equal copies of an id stay
-        // in route order), then the first copy of each id, up to the
-        // pool's size.
-        pool.sort_by(by_distance);
-        let mut kept = 0;
-        for i in 0..pool.len() {
-            if kept < k + slack && pool[..kept].iter().all(|c| c.cand.id != pool[i].cand.id) {
-                pool[kept] = pool[i];
-                kept += 1;
+        // The `k + slack` closest, one per id: select that many, order
+        // them and drop each later copy of an id; what copies displaced
+        // is made up from the rest the same way. Nothing past the
+        // selection is ever ordered.
+        let (mut kept, mut seen) = (0, 0);
+        while kept < k + slack && seen < pool.len() {
+            let take = (k + slack - kept).min(pool.len() - seen);
+            let rest = &mut pool[seen..];
+            if take < rest.len() {
+                rest.select_nth_unstable_by(take - 1, by_distance);
             }
+            rest[..take].sort_unstable_by(by_distance);
+            for i in seen..seen + take {
+                if pool[..kept].iter().all(|c| c.cand.id != pool[i].cand.id) {
+                    pool[kept] = pool[i];
+                    kept += 1;
+                }
+            }
+            seen += take;
         }
         pool.truncate(kept);
         Ok((pool, cov))

@@ -173,6 +173,42 @@ fn sq_mode_observes_overflow_inserts_and_tombstones() {
     assert_ne!(hits[0].id, gid);
 }
 
+/// The exact-row cache is cleared wholesale when a rerank's rows would
+/// take it past its cap. That clear used to fall between a rerank
+/// deciding which rows were cached and reading them, so a batch that
+/// crossed the cap silently kept the estimates of every candidate it had
+/// planned to serve from the cache.
+#[test]
+fn a_rerank_that_overflows_the_exact_row_cache_still_reports_exact_distances() {
+    let (data, store) = sq_setup(600);
+    let node = store.connect(SearchMode::Full).unwrap();
+    let seen = gen::perturbed_queries(&data, 16, 0.02, 78).unwrap();
+    let (_, first) = node.query_batch(&seen, 10, 32).unwrap();
+    // What the first batch fetched is what the cache now holds; rows no
+    // query asks for take it to one under the cap.
+    let row_bytes = 4 * data.dim();
+    let cached = first.ledger.bytes_for(ReadCause::Rerank) as usize / row_bytes;
+    assert!(cached > 0);
+    let filler = vec![0u8; row_bytes];
+    let fill = (cached as u32..query::RERANK_CACHE_CAP as u32 - 1).map(|i| ((u32::MAX, i), &filler[..]));
+    node.rerank_cache.lock().admit(data.dim(), fill);
+
+    // The same queries plan on the cached rows; new ones beside them
+    // fetch rows that cross the cap.
+    let fresh = gen::perturbed_queries(&data, 16, 0.02, 79).unwrap();
+    let rows: Vec<&[f32]> = seen.iter().chain(fresh.iter()).collect();
+    let both = Dataset::from_rows(&rows).unwrap();
+    let (results, report) = node.query_batch(&both, 10, 32).unwrap();
+    let fetched = report.ledger.bytes_for(ReadCause::Rerank) as usize / row_bytes;
+    assert!(fetched > 0, "the fresh queries' rows cross the cap");
+    for (q, hits) in both.iter().zip(&results) {
+        for n in hits {
+            let exact = vecsim::l2_sq(q, data.get(n.id as usize));
+            assert_eq!(n.dist.to_bits(), exact.to_bits(), "id {} reported {} for {exact}", n.id, n.dist);
+        }
+    }
+}
+
 #[test]
 fn sq_warm_cache_answers_without_reloading_blobs() {
     let data = gen::sift_like(500, 82).unwrap();
@@ -1386,6 +1422,7 @@ fn cluster_major_pools_equal_a_query_major_reference() {
                         .id
                         .cmp(&b.cand.id)
                         .then(a.cand.dist.total_cmp(&b.cand.dist))
+                        .then(a.key.cmp(&b.key))
                 });
                 pool.dedup_by_key(|c| c.cand.id);
                 pool.sort_by(|a, b| {

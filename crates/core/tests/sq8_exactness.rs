@@ -4,14 +4,17 @@
 //!
 //! - every distance a quantized batch returns is the exact f32 distance
 //!   (whatever reaches the top-k was reranked or came from an overflow
-//!   record), so no approximate distance is ever reported;
+//!   record), so no approximate distance is ever reported — the rerank
+//!   goes round again while an estimate stands among the first k, which
+//!   the one-sigma margin alone does not rule out (the second test);
 //! - recall@10 against brute force over the live vectors is within 0.005
 //!   of the full-precision engine's, in every cell;
 //! - the top-10 id sets are the full-precision engine's. The rerank margin
 //!   is one standard deviation of the quantization noise, not a worst
 //!   case, so this is a rate, not a theorem: 765 of the 768 queries below
-//!   agree (the same 765 before and after the scan kernel changed its
-//!   summation order), and the sweep allows one disagreement per cell.
+//!   agree (765 too under the 8-lane sums the estimates had through PR 22,
+//!   and under the scalar ones before PR 12), and the sweep allows one
+//!   disagreement per cell.
 
 use dhnsw::{DHnswConfig, QuantizeMode, SearchMode, VectorStore};
 use vecsim::{gen, l2_sq, Dataset, Neighbor};
@@ -115,4 +118,25 @@ fn sq8_answers_match_full_precision_across_seeds_and_mutations() {
         }
     }
     assert!(disagreements <= 3, "{disagreements} of 768 id sets differ (3 when this was written)");
+}
+
+/// The margin is one standard deviation, so a reranked candidate's exact
+/// distance can land past its bound and let one from outside the margin
+/// into the top-k, estimate and all: in this batch (found by sweeping
+/// seeds on the one-pass rerank) one of 320 reported distances was
+/// approximate (id 416, 161 506.19 for 161 317.08). The rerank now goes
+/// round again for whatever estimate stands among the first k — here one
+/// more `ReadCause::Rerank` read.
+#[test]
+fn a_candidate_from_outside_the_margin_is_exactified_before_it_is_reported() {
+    let data = gen::sift_like(1_200, 10).unwrap();
+    let queries = gen::perturbed_queries(&data, 64, 0.02, 1_003).unwrap();
+    let config = DHnswConfig::small().with_quantize_mode(QuantizeMode::Sq8);
+    let node = VectorStore::build(data.clone(), &config).unwrap().connect(SearchMode::Full).unwrap();
+    let (results, _) = node.query_batch(&queries, 5, 48).unwrap();
+    for (q, hits) in queries.iter().zip(&results) {
+        for n in hits {
+            assert_eq!(n.dist, l2_sq(q, data.get(n.id as usize)), "id {} kept an approximate distance", n.id);
+        }
+    }
 }

@@ -388,17 +388,23 @@ fn corner_clusters_agree_too() {
 /// tombstones and tombstoned inserts, on both wires, a block of Q queries
 /// yields per query exactly the candidates — ids, distance and error bits,
 /// rerank addresses — of Q probes of one, and as many distance evaluations
-/// and hops as they make together. 40 queries at 128 dimensions cross the
-/// cut a scan makes in a long run; one scratch serves every probe, dirty:
-/// the 120 full-precision rows are walked at `ef` = 1, scanned at 48 and
-/// walked again at 2, out of what the scan left behind.
+/// and hops as they make together. Exact candidates leave in `(dist, id)`
+/// order and are held to it; an SQ8 probe's estimates leave as the
+/// selection left them, so they are held as a set — at a pool of k + 32
+/// too, and over a cluster whose rows repeat in threes, where the pool's
+/// edge cuts through equal estimates. 33 and 40 queries at 128 dimensions
+/// cross the cut a scan makes in a long run; one scratch serves every
+/// probe, dirty: the 120 full-precision rows are walked at `ef` = 1,
+/// scanned at 48 and walked again at 2, out of what the scan left behind.
 #[test]
 fn a_block_probe_of_the_view_equals_single_probes() {
     let bits = |c: &Candidate| (c.id, c.dist.to_bits(), c.local, c.err.to_bits());
     let mut scratch = ProbeScratch::default();
     const ROWS: usize = 120;
-    for (dim, inserts, tombs) in [(3, 12, 5), (128, 12, 5), (128, 0, 0)] {
-        let c = case(ROWS, dim, 4, inserts, tombs, 41);
+    for (dim, inserts, tombs, distinct) in [(3, 12, 5, ROWS), (128, 12, 5, ROWS), (128, 0, 0, ROWS), (128, 12, 5, 40)] {
+        let mut c = case(ROWS, dim, 4, inserts, tombs, 41);
+        let rows: Vec<&[f32]> = (0..ROWS).map(|i| c.data.get(i % distinct)).collect();
+        c.data = Dataset::from_rows(&rows).unwrap();
         let params = HnswParams::new(c.m, 40).seed(9).metric(c.metric);
         let full = SubCluster::build(PARTITION, c.data.clone(), c.ids.clone(), &params).unwrap();
         let sq = SqCluster::build(PARTITION, &c.data, c.ids.clone()).unwrap();
@@ -409,9 +415,9 @@ fn a_block_probe_of_the_view_equals_single_probes() {
         ] {
             assert_eq!(loaded.overflow_len() > 0, inserts > 0);
             assert_eq!(loaded.deleted().is_empty(), tombs == 0);
-            for (k, slack, ef) in [(1, 0, 1), (10, 16, 48), (10, 0, 2)] {
+            for (k, slack, ef) in [(1, 0, 1), (10, 16, 48), (10, 32, 48), (10, 0, 2)] {
                 let scans = loaded.is_quantized() || ROWS <= SCAN_ROWS_PER_EF * ef;
-                for q in [1, 2, 3, 5, 17, 40] {
+                for q in [1, 2, 3, 5, 17, 33, 40] {
                     let block: Vec<&[f32]> = (0..q).map(|i| c.queries.get(i % 32)).collect();
                     let (mut got, mut ends) = (Vec::new(), Vec::new());
                     let mut stats = SearchStats::default();
@@ -425,8 +431,12 @@ fn a_block_probe_of_the_view_equals_single_probes() {
                         let (mut want, mut one) = (Vec::new(), Vec::new());
                         loaded.probe(&[query], k, slack, ef, &mut scratch, &mut alone, &mut want, &mut one);
                         assert_eq!(one, [want.len()]);
-                        let got: Vec<_> = got[start..end].iter().map(bits).collect();
-                        let want: Vec<_> = want.iter().map(bits).collect();
+                        let mut got: Vec<_> = got[start..end].iter().map(bits).collect();
+                        let mut want: Vec<_> = want.iter().map(bits).collect();
+                        if loaded.is_quantized() {
+                            got.sort_unstable();
+                            want.sort_unstable();
+                        }
                         assert_eq!(
                             got, want,
                             "dim {dim} sq {} k {k} ef {ef} of a block of {q}",

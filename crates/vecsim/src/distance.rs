@@ -71,26 +71,23 @@ impl std::fmt::Display for Metric {
     }
 }
 
-/// Independent accumulators of the full-precision kernels: four 4-wide (or
+/// Independent accumulators of every kernel, the SQ8 one
+/// ([`crate::quantize::SqParams::asymmetric_l2`]) included: four 4-wide (or
 /// two 8-wide) vector registers, enough to cover the add latency of one
-/// chain.
-const LANES: usize = 16;
+/// chain. Part of every result: sums associate by lane, so two widths
+/// would agree only to rounding.
+pub(crate) const LANES: usize = 16;
 
 /// `Σ term(a[i], b[i])` over the common prefix of `a` and `b`, summed in
-/// `N` independent accumulators plus a sequential tail. `N` is part of the
-/// result: sums associate by lane, so two widths agree only to rounding.
+/// [`LANES`] independent accumulators plus a sequential tail.
 #[inline(always)]
-pub(crate) fn lane_sum<const N: usize>(
-    a: &[f32],
-    b: &[f32],
-    term: impl Fn(f32, f32) -> f32,
-) -> f32 {
+fn lane_sum(a: &[f32], b: &[f32], term: impl Fn(f32, f32) -> f32) -> f32 {
     let n = a.len().min(b.len());
-    let mut acc = [0.0f32; N];
-    let mut a = a[..n].chunks_exact(N);
-    let mut b = b[..n].chunks_exact(N);
+    let mut acc = [0.0f32; LANES];
+    let mut a = a[..n].chunks_exact(LANES);
+    let mut b = b[..n].chunks_exact(LANES);
     for (x, y) in (&mut a).zip(&mut b) {
-        for l in 0..N {
+        for l in 0..LANES {
             acc[l] += term(x[l], y[l]);
         }
     }
@@ -100,13 +97,6 @@ pub(crate) fn lane_sum<const N: usize>(
     acc.iter().sum::<f32>() + tail
 }
 
-/// One squared-L2 term.
-#[inline(always)]
-pub(crate) fn sq_diff(x: f32, y: f32) -> f32 {
-    let d = x - y;
-    d * d
-}
-
 /// Squared Euclidean distance between `a` and `b`.
 ///
 /// ```rust
@@ -114,7 +104,7 @@ pub(crate) fn sq_diff(x: f32, y: f32) -> f32 {
 /// ```
 #[inline]
 pub fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
-    lane_sum::<LANES>(a, b, sq_diff)
+    lane_sum(a, b, |x, y| (x - y) * (x - y))
 }
 
 /// Dot product of `a` and `b`.
@@ -124,7 +114,7 @@ pub fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
 /// ```
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    lane_sum::<LANES>(a, b, |x, y| x * y)
+    lane_sum(a, b, |x, y| x * y)
 }
 
 /// Euclidean norm of `a`.

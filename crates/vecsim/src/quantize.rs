@@ -28,7 +28,7 @@
 //! assert!((back[0] - 0.5).abs() <= params.scale()[0] / 2.0);
 //! ```
 
-use crate::distance::{lane_sum, sq_diff};
+use crate::distance::LANES;
 use crate::{Error, Result};
 
 /// Per-dimension affine quantization parameters: `code = round((x -
@@ -41,11 +41,6 @@ pub struct SqParams {
     /// the only part of [`SqParams::l2_error_bound`] that reads `scale`.
     var_per_dim: f32,
 }
-
-/// Lanes the asymmetric kernel keeps independent accumulators for: two
-/// SSE or one AVX register of `f32`, so the compiler can vectorize the
-/// loop without reassociating a single running sum.
-const LANES: usize = 8;
 
 impl SqParams {
     /// Trains parameters over `rows`, each a `dim`-length slice: per
@@ -173,7 +168,7 @@ impl SqParams {
     /// Decodes `codes` into `row`, `min + code * scale` per dimension:
     /// the code point [`SqParams::asymmetric_l2`] compares the query with,
     /// rounded the same way, so a scan can decode a row once and hold any
-    /// number of queries against it with [`l2_decoded`].
+    /// number of queries against it with [`crate::l2_sq`].
     ///
     /// # Panics
     ///
@@ -190,7 +185,9 @@ impl SqParams {
     }
 
     /// Asymmetric squared-L2 distance: the f32 query against the
-    /// decoded code points, without materializing the decoded vector.
+    /// decoded code points, without materializing the decoded vector —
+    /// the terms, lanes and reduction order of [`crate::l2_sq`] over the
+    /// decoded row, so the same bits at every length.
     ///
     /// # Panics
     ///
@@ -241,15 +238,6 @@ impl SqParams {
     pub fn max_component_error(&self) -> f32 {
         self.scale.iter().fold(0.0f32, |a, &s| a.max(s / 2.0))
     }
-}
-
-/// Squared L2 between `query` and a row [`SqParams::decode_into`]
-/// decoded: the same terms in the same eight lane accumulators, reduced
-/// in the same order, as [`SqParams::asymmetric_l2`] over the row's codes —
-/// so the same bits, at every length.
-#[inline]
-pub fn l2_decoded(query: &[f32], row: &[f32]) -> f32 {
-    lane_sum::<LANES>(query, row, sq_diff)
 }
 
 #[cfg(test)]
@@ -316,10 +304,8 @@ mod tests {
 
         /// The chunked kernel against decode-then-`l2_sq`, at every
         /// dimensionality from empty through two chunks past 256: every
-        /// remainder of the 8-lane chunking, with and without full chunks.
-        /// Against the 16-lane `l2_sq` the sums associate differently and
-        /// agree to rounding; against the decode-once pair a scan runs
-        /// they are the same bits.
+        /// remainder of the lane chunking, with and without full chunks.
+        /// One lane count serves both, so they are the same bits.
         #[test]
         fn asymmetric_l2_equals_decode_then_l2_at_every_dim(
             query in prop::collection::vec(-300.0f32..300.0, 257..258),
@@ -331,15 +317,10 @@ mod tests {
                 let params =
                     SqParams::from_parts(min[..dim].to_vec(), scale[..dim].to_vec()).unwrap();
                 let direct = params.asymmetric_l2(&query[..dim], &codes[..dim]);
-                let via_decode = l2_sq(&query[..dim], &params.decode(&codes[..dim]));
-                prop_assert!(
-                    (direct - via_decode).abs() <= 1e-4 * via_decode,
-                    "dim {}: {} vs {}", dim, direct, via_decode
-                );
                 let mut row = vec![f32::NAN; dim];
                 params.decode_into(&codes[..dim], &mut row);
                 prop_assert_eq!(row.as_slice(), params.decode(&codes[..dim]).as_slice());
-                let once = l2_decoded(&query[..dim], &row);
+                let once = l2_sq(&query[..dim], &row);
                 prop_assert_eq!(once.to_bits(), direct.to_bits(), "dim {}: {} vs {}", dim, once, direct);
             }
         }

@@ -32,15 +32,23 @@
 # verdict code gone) and put the three leaf crates, which PRs 19-20 had
 # grown by 445 lines outside any ratchet, under ratchets of their own at
 # what deleting their uncalled modules (rdma-sim's cq.rs, vecsim's
-# stats.rs, hnsw's bruteforce.rs) reached.
+# stats.rs, hnsw's bruteforce.rs) reached. PR 23 raised the total and
+# vecsim's ratchet by 60 lines together (the +60 its issue allowed):
+# +56 in engine/query.rs and cluster.rs (the rerank as a loop
+# that ends with every reported distance exact, the exact-row arena and
+# its lifetime rule, the merge's selection, the scan's compute-then-offer
+# step; the stable-sort merge and the two `sweep` bodies paid for part)
+# and +4 in vecsim (the threshold reservoir and its key, less the heap,
+# `threshold`, `drain_sorted`, `l2_decoded`, `sq_diff` and the second
+# lane count).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-MAX_TOTAL=10718
+MAX_TOTAL=10774
 MAX_PLANE=4671
 MAX_BENCH=3068
 MAX_HNSW=1835
-MAX_VECSIM=1653
+MAX_VECSIM=1657
 MAX_RDMA=1784
 MAX_FILE=1300
 
