@@ -578,6 +578,7 @@ fn cmd_doctor(flags: &HashMap<String, String>) -> AnyResult<()> {
         "probed with {} queries x {passes} passes (+{warmup} warm-up) (k={k}, ef={ef})",
         probes.len()
     );
+    eprintln!("kernel: {}", vecsim::simd::active());
     // The report's own counter probe is measurement infrastructure,
     // not the data path under test: disarm injected faults so the
     // diagnosis always lands even after a destructive fault sweep.

@@ -87,6 +87,8 @@ fn run() -> AnyResult {
             cmd = arg;
         }
     }
+    // A time taken at one kernel width is not comparable with one at another.
+    println!("kernel: {}", vecsim::simd::active());
     run_cmd(&cmd)?;
     if let Some(base) = metrics_out {
         // Temp-file + rename: a scraper tailing these paths mid-run
@@ -349,6 +351,19 @@ fn subsearch() -> AnyResult {
             println!("{rows:>6} {count:>9} {block:>6} {walked:>9.1} {exact:>9.1} {codes:>9.1}");
         }
     }
+    // The kernel under every row above: its body at this build's width
+    // against the entry the rows went through.
+    let data = vecsim::gen::sift_like(2_048, 7)?;
+    let ns_per_dim = |kernel: fn(&[f32], &[f32]) -> f32| {
+        let rounds = (0..ROUNDS).map(|_| {
+            let t0 = std::time::Instant::now();
+            data.iter().for_each(|row| _ = std::hint::black_box(kernel(std::hint::black_box(data.get(0)), row)));
+            t0.elapsed().as_secs_f64() * 1e9 / (data.len() * data.dim()) as f64
+        });
+        rounds.fold(f64::INFINITY, f64::min)
+    };
+    let (portable, dispatched) = (ns_per_dim(vecsim::distance::l2_sq_portable), ns_per_dim(vecsim::l2_sq));
+    println!("l2_sq ns/dim: portable {portable:.3}, dispatched ({}) {dispatched:.3}", vecsim::simd::active());
     Ok(())
 }
 

@@ -697,14 +697,13 @@ struct Block {
 }
 
 impl Block {
-    /// Holds one row against every query — all the distances first, so the
-    /// kernel loop carries no collector state — then offers each to its
-    /// query's collector under the row's pseudo-id.
+    /// Holds one row against every query — all the distances first, in one
+    /// call of the block kernel ([`Metric::distances`]: its width is chosen
+    /// once per row and its loop carries no collector state) — then offers
+    /// each to its query's collector under the row's pseudo-id.
     #[inline(always)]
-    fn offer(&mut self, local: u32, queries: &[&[f32]], distance: impl Fn(&[f32]) -> f32) {
-        for (dist, query) in self.dists.iter_mut().zip(queries) {
-            *dist = distance(query);
-        }
+    fn offer(&mut self, local: u32, queries: &[&[f32]], metric: Metric, row: &[f32]) {
+        metric.distances(row, queries, &mut self.dists);
         for (top, &dist) in self.tops.iter_mut().zip(&self.dists) {
             top.push(local, dist);
         }
@@ -1234,12 +1233,11 @@ impl LoadedCluster {
             } else {
                 for local in live {
                     evals += 1;
-                    let row = rows.row(local);
-                    block.offer(local, queries, |query| metric.distance(query, row));
+                    block.offer(local, queries, metric, rows.row(local));
                 }
             }
             for (j, (_, v)) in self.extra.iter().enumerate() {
-                block.offer(n + j as u32, queries, |query| metric.distance(query, v));
+                block.offer(n + j as u32, queries, metric, v);
             }
             stats.dist_evals += (evals * queries.len()) as u64;
             for top in &mut block.tops[..queries.len()] {

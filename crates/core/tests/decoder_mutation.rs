@@ -17,11 +17,15 @@
 //! the loader adds on top ([`LoadedCluster::expecting`]) is held too: a
 //! mutant it lets through is the partition and dimensionality it asked
 //! for, whatever else was flipped.
+//!
+//! The overflow area goes through the sweep as well: its insert vectors
+//! reach the distance kernels straight from `parse_overflow_detailed`, so
+//! an accepted area may hold nothing but `dim`-long rows.
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use dhnsw::cluster::{LoadedCluster, OverflowRecord, SqCluster, SubCluster};
+use dhnsw::cluster::{parse_overflow_detailed, LoadedCluster, OverflowRecord, SqCluster, SubCluster};
 use dhnsw::layout::{Directory, DIRECTORY_PEEK_BYTES};
 use hnsw::{serialize, HnswIndex, HnswParams, SearchScratch};
 use vecsim::cast::{le_f32s, le_u32s, AlignedBytes};
@@ -229,6 +233,54 @@ fn dhc2_blobs_decode_or_report_corruption() {
         assert!(accepted > 0);
         assert!(refused.get() >= PARTITION_FLIPS, "{} refused", refused.get());
     }
+}
+
+#[test]
+fn overflow_areas_decode_or_report_corruption() {
+    // Five slots — three committed inserts of seeded rows, a tombstone on
+    // the second, a slot whose write never landed — under a `used` that a
+    // refused reservation bumped one slot past the area.
+    let rec = OverflowRecord::wire_size(DIM);
+    let rows = gen::uniform(DIM, 3, 0.0, 1.0, 23).unwrap();
+    let mut records: Vec<OverflowRecord> =
+        (0..3).map(|i| OverflowRecord::insert(3, 9_000 + i as u32, rows.get(i).to_vec())).collect();
+    records.push(OverflowRecord::tombstone(3, 9_001, DIM));
+    let mut area = vec![0u8; 8 + 5 * rec];
+    area[0..8].copy_from_slice(&((6 * rec) as u64).to_le_bytes());
+    for (slot, record) in area[8..].chunks_exact_mut(rec).zip(&records) {
+        slot.copy_from_slice(&record.to_bytes());
+    }
+    let (pristine, skipped) = parse_overflow_detailed(&area, DIM).unwrap();
+    assert_eq!((pristine, skipped), (records, 1));
+
+    let ids = (0..N as u32).map(|i| i * 10 + 1).collect();
+    let blob = SubCluster::build(3, data(), ids, &params()).unwrap().to_bytes();
+    let block = queries(DIM);
+    let block: Vec<&[f32]> = block.iter().map(Vec::as_slice).collect();
+    let accepted = sweep("overflow area", &area, 8, |bytes| match parse_overflow_detailed(bytes, DIM) {
+        Ok((records, skipped)) => {
+            // Slots are counted off the bytes that are there, whatever
+            // `used` claims, and no kernel is handed a short row.
+            assert!(records.len() + skipped <= (bytes.len() - 8) / rec);
+            assert!(records.iter().all(|r| r.vector.len() == DIM));
+            let loaded = LoadedCluster::from_remote(&blob, bytes).expect("a parsed area folds");
+            assert!(loaded.overflow_len() <= records.len());
+            assert_eq!(loaded.skipped_slots(), skipped);
+            // One query alone, then the block kernel over the tail.
+            assert!(loaded.search(block[1], 10, 48).len() <= 10);
+            let (mut out, mut ends) = (Vec::new(), Vec::new());
+            loaded.probe(&block, 10, 0, 48, &mut Default::default(), &mut Default::default(), &mut out, &mut ends);
+            assert!(ends.len() == block.len() && out.len() <= 10 * block.len());
+            true
+        }
+        Err(dhnsw::Error::Corrupt(_)) => {
+            assert!(bytes.len() < 8, "only an area shorter than its header is refused");
+            false
+        }
+        Err(other) => panic!("overflow area: not a corruption error: {other:?}"),
+    });
+    // Torn and damaged slots are skipped, never fatal.
+    assert!(accepted > 8 * 9 + BODY_FLIPS);
 }
 
 #[test]

@@ -3,9 +3,12 @@
 //! All kernels operate on `&[f32]` slices of equal length. The hot loops
 //! accumulate into `LANES` independent sums over `chunks_exact(LANES)`
 //! (see `lane_sum`), so LLVM vectorizes them and no single dependency
-//! chain bounds the loop — without any `unsafe` or architecture-specific
-//! intrinsics. [`Metric`] selects a kernel at runtime; everything
-//! downstream (HNSW, d-HNSW) is metric-agnostic.
+//! chain bounds the loop — without architecture-specific intrinsics: each
+//! kernel is one safe `*_portable` body, which [`crate::simd`] also compiles
+//! at AVX2 width and picks where the CPU has it, to the same bits. [`Metric`]
+//! selects a kernel at runtime; downstream (HNSW, d-HNSW) is metric-agnostic.
+
+pub use crate::simd::{cosine_distance, dot, l2_sq};
 
 /// Distance metric selector.
 ///
@@ -55,6 +58,14 @@ impl Metric {
         }
     }
 
+    /// One `row` against a block of `queries`: `dists[i]` becomes the bits
+    /// of `self.distance(queries[i], row)`, the kernel width chosen once
+    /// for the row. The shorter of `queries` and `dists` wins.
+    #[inline]
+    pub fn distances(self, row: &[f32], queries: &[&[f32]], dists: &mut [f32]) {
+        crate::simd::distances(self, row, queries, dists)
+    }
+
     /// A short stable name, used in benchmark output.
     pub fn name(self) -> &'static str {
         match self {
@@ -97,23 +108,17 @@ fn lane_sum(a: &[f32], b: &[f32], term: impl Fn(f32, f32) -> f32) -> f32 {
     acc.iter().sum::<f32>() + tail
 }
 
-/// Squared Euclidean distance between `a` and `b`.
-///
-/// ```rust
-/// assert_eq!(vecsim::l2_sq(&[0.0, 3.0], &[4.0, 0.0]), 25.0);
-/// ```
-#[inline]
-pub fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
+/// [`l2_sq`]'s one body, at the width of whatever it is inlined into: the
+/// hook `repro subsearch` holds the dispatched entry against.
+#[doc(hidden)]
+#[inline(always)]
+pub fn l2_sq_portable(a: &[f32], b: &[f32]) -> f32 {
     lane_sum(a, b, |x, y| (x - y) * (x - y))
 }
 
-/// Dot product of `a` and `b`.
-///
-/// ```rust
-/// assert_eq!(vecsim::dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
-/// ```
-#[inline]
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
+/// [`dot`]'s one body.
+#[inline(always)]
+pub(crate) fn dot_portable(a: &[f32], b: &[f32]) -> f32 {
     lane_sum(a, b, |x, y| x * y)
 }
 
@@ -123,23 +128,28 @@ pub fn norm(a: &[f32]) -> f32 {
     dot(a, a).sqrt()
 }
 
-/// Cosine distance `1 − cos(a, b)`.
-///
-/// Degenerate zero-norm inputs are defined to be at distance `1.0` from
-/// everything (they carry no directional information).
-///
-/// ```rust
-/// let d = vecsim::cosine_distance(&[1.0, 0.0], &[1.0, 0.0]);
-/// assert!(d.abs() < 1e-6);
-/// ```
-#[inline]
-pub fn cosine_distance(a: &[f32], b: &[f32]) -> f32 {
-    let na = norm(a);
-    let nb = norm(b);
+/// [`cosine_distance`]'s one body.
+#[inline(always)]
+pub(crate) fn cosine_portable(a: &[f32], b: &[f32]) -> f32 {
+    let na = dot_portable(a, a).sqrt();
+    let nb = dot_portable(b, b).sqrt();
     if na == 0.0 || nb == 0.0 {
         return 1.0;
     }
-    1.0 - dot(a, b) / (na * nb)
+    1.0 - dot_portable(a, b) / (na * nb)
+}
+
+/// [`Metric::distances`]'s body: [`Metric::distance`]'s arms over the
+/// portable kernels — no closure an optimiser could leave at another width.
+#[inline(always)]
+pub(crate) fn distances_portable(metric: Metric, row: &[f32], queries: &[&[f32]], dists: &mut [f32]) {
+    for (dist, query) in dists.iter_mut().zip(queries) {
+        *dist = match metric {
+            Metric::L2 => l2_sq_portable(query, row),
+            Metric::InnerProduct => -dot_portable(query, row),
+            Metric::Cosine => cosine_portable(query, row),
+        };
+    }
 }
 
 #[cfg(test)]

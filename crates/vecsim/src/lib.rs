@@ -6,8 +6,10 @@
 //! - [`distance`]: L2, inner-product and cosine distance kernels plus the
 //!   [`Metric`] selector used across the workspace.
 //! - [`cast`]: checked in-place views of little-endian byte buffers as
-//!   `&[u32]` / `&[f32]`, and the aligned owner they read from — the one
-//!   module in the workspace allowed `unsafe`.
+//!   `&[u32]` / `&[f32]`, and the aligned owner they read from — allowed
+//!   `unsafe` for the checked reinterpretation and nothing else.
+//! - [`simd`]: the kernels compiled once more at AVX2 width — allowed
+//!   `unsafe` for calling such a twin under its own detection, likewise.
 //! - [`dataset`]: the flat, cache-friendly [`Dataset`] container.
 //! - [`gen`]: deterministic synthetic dataset generators, including the
 //!   SIFT-like (128-d) and GIST-like (960-d) workloads that stand in for the
@@ -46,7 +48,7 @@
 //! # }
 //! ```
 
-// `deny`, not `forbid`: `cast` alone opts back in, and says why.
+// `deny`, not `forbid`: `cast` and `simd` alone opt back in, and say why.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -59,6 +61,7 @@ pub mod ground_truth;
 pub mod io;
 pub mod quantize;
 pub mod recall;
+pub mod simd;
 pub mod topk;
 
 pub use dataset::Dataset;

@@ -178,6 +178,11 @@ impl SqParams {
     pub fn decode_into(&self, codes: &[u8], row: &mut [f32]) {
         debug_assert_eq!(codes.len(), self.dim());
         debug_assert_eq!(row.len(), self.dim());
+        crate::simd::decode_into(self, codes, row)
+    }
+
+    #[inline(always)]
+    pub(crate) fn decode_into_portable(&self, codes: &[u8], row: &mut [f32]) {
         let params = self.min.iter().zip(&self.scale);
         for ((x, &c), (&m, &s)) in row.iter_mut().zip(codes).zip(params) {
             *x = m + f32::from(c) * s;
@@ -196,6 +201,11 @@ impl SqParams {
     pub fn asymmetric_l2(&self, query: &[f32], codes: &[u8]) -> f32 {
         debug_assert_eq!(query.len(), self.dim());
         debug_assert_eq!(codes.len(), self.dim());
+        crate::simd::asymmetric_l2(self, query, codes)
+    }
+
+    #[inline(always)]
+    pub(crate) fn asymmetric_l2_portable(&self, query: &[f32], codes: &[u8]) -> f32 {
         let n = codes.len().min(query.len()).min(self.dim());
         let term = |q: f32, c: u8, m: f32, s: f32| {
             let diff = q - (m + f32::from(c) * s);

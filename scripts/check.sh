@@ -62,20 +62,28 @@ if [[ -n "$stray" ]]; then
   exit 1
 fi
 
-# One unsafe module: the keyword may appear in non-test code (each file
-# cut at its first #[cfg(test)], line comments dropped) only in
-# crates/vecsim/src/cast.rs, and every other crate root keeps forbidding
-# it outright — vecsim's denies it, so that cast.rs can opt back in.
-echo "==> unsafe lives in crates/vecsim/src/cast.rs only"
+# Two unsafe modules, each allowed one thing: the keyword may appear in
+# non-test code (each file cut at its first #[cfg(test)], line comments
+# dropped) only in crates/vecsim/src/cast.rs — the checked reinterpretation
+# of fetched bytes as words — and crates/vecsim/src/simd.rs — the call of a
+# #[target_feature] twin of a safe kernel body, sound exactly when the CPU
+# has the feature: there, every line holding the keyword must sit within
+# two lines of the is_x86_feature_detected test that makes it so. Every
+# other crate root keeps forbidding it outright — vecsim's denies it, so
+# that those two can opt back in.
+echo "==> unsafe lives in crates/vecsim/src/{cast,simd}.rs only, and in simd.rs only under its detection"
 stray=$(find crates/*/src src -name '*.rs' ! -path 'crates/vecsim/src/cast.rs' | sort |
   while IFS= read -r file; do
-    awk -v f="$file" '/#!?\[cfg\(test\)\]/ { exit }
+    awk -v f="$file" -v simd="$([[ $file == crates/vecsim/src/simd.rs ]] && echo 1)" '
+      /#!?\[cfg\(test\)\]/ { exit }
       { code = $0; sub(/\/\/.*/, "", code) }
-      code ~ /(^|[^_[:alnum:]])unsafe([^_[:alnum:]]|$)/ { print f ":" FNR ": " $0 }' "$file"
+      code ~ /is_x86_feature_detected/ { detected = FNR }
+      code ~ /(^|[^_[:alnum:]])unsafe([^_[:alnum:]]|$)/ && !(simd && detected && FNR - detected <= 2) {
+        print f ":" FNR ": " $0 }' "$file"
   done)
 if [[ -n "$stray" ]]; then
   echo "$stray"
-  echo "check.sh: unsafe outside crates/vecsim/src/cast.rs" >&2
+  echo "check.sh: unsafe outside crates/vecsim/src/cast.rs, or in simd.rs away from its detection" >&2
   exit 1
 fi
 for root in crates/*/src/lib.rs src/lib.rs; do
@@ -88,7 +96,8 @@ done
 # detects undefined behaviour in general; Miri is not installed), so
 # where the installed nightly can build with AddressSanitizer without
 # downloading anything, the differential and mutation tests that drive
-# every cast — aligned, converted once, and refused — run under it. The
+# every cast — aligned, converted once, and refused — run under it, and
+# so do vecsim's simd:: differentials, which run every AVX2 twin. The
 # filter takes view_oracle's three tests by name (a_landed_cluster_...,
 # corner_clusters_..., a_block_probe_of_the_view_...): the block scan
 # over borrowed full-precision rows, the brute-force oracle on both
@@ -102,7 +111,7 @@ if [[ -n "$asan_rt" ]]; then
   RUSTFLAGS=-Zsanitizer=address CARGO_TARGET_DIR="$TMP_ROOT/asan" \
     cargo +nightly test --offline -q --target "$host" \
     -p vecsim -p hnsw -p dhnsw --lib --test view_oracle --test decoder_mutation \
-    -- cast:: view cluster:: resident corruption landed corner
+    -- cast:: simd:: view cluster:: resident corruption landed corner
   echo "    ran under -Zsanitizer=address ($host)"
 else
   echo "    not available: no nightly AddressSanitizer runtime installed (skipped, not downloaded)"
