@@ -6,7 +6,7 @@
 //! ```
 //!
 //! Subcommands: `fig6a` `fig6b` `fig6c` `fig6d` `table1` `table2`
-//! `metasize` `ablations` `faults` `pipeline` `tail` `all`, and `scale`
+//! `metasize` `ablations` `faults` `pipeline` `all`, and `scale`
 //! and `subsearch` (not part of `all`). Scale via `DHNSW_SIFT_N`, `DHNSW_GIST_N`,
 //! `DHNSW_QUERIES`, `DHNSW_REPS` (see crate docs); one that does not
 //! parse exits 2 before anything is measured at the wrong size.
@@ -115,7 +115,6 @@ fn run_cmd(cmd: &str) -> AnyResult {
         "ablations" => ablations(),
         "faults" => fault_sweep(),
         "pipeline" => pipeline_sweep(),
-        "tail" => tail_latency(),
         "scale" => scale(),
         "subsearch" => subsearch(),
         "all" => {
@@ -134,12 +133,11 @@ fn run_cmd(cmd: &str) -> AnyResult {
             metasize()?;
             ablations()?;
             fault_sweep()?;
-            pipeline_sweep()?;
-            tail_latency()
+            pipeline_sweep()
         }
         other => {
             eprintln!(
-                "unknown subcommand {other}; use fig6a|fig6b|fig6c|fig6d|table1|table2|metasize|ablations|faults|pipeline|tail|scale|subsearch|all"
+                "unknown subcommand {other}; use fig6a|fig6b|fig6c|fig6d|table1|table2|metasize|ablations|faults|pipeline|scale|subsearch|all"
             );
             std::process::exit(2);
         }
@@ -364,51 +362,6 @@ fn subsearch() -> AnyResult {
     };
     let (portable, dispatched) = (ns_per_dim(vecsim::distance::l2_sq_portable), ns_per_dim(vecsim::l2_sq));
     println!("l2_sq ns/dim: portable {portable:.3}, dispatched ({}) {dispatched:.3}", vecsim::simd::active());
-    Ok(())
-}
-
-/// Tail-latency characterization under a mixed query/insert trace —
-/// beyond the paper's mean-latency reporting, but what a serving system
-/// would evaluate next.
-fn tail_latency() -> AnyResult {
-    use dhnsw_bench::trace::{replay, TraceSpec};
-    let w = Workload::sized(
-        DatasetKind::SiftLike,
-        env_usize("DHNSW_ABLATION_N", 10_000)?,
-        8, // queries come from the trace, not the workload
-    )?;
-    let store = VectorStore::build(w.data.clone(), &DHnswConfig::paper().with_representatives(200))?;
-    println!("\n=== Tail latency under mixed query/insert traces (20 batches x 200 queries) ===");
-    println!(
-        "{:<22} {:>6} {:>12} {:>12} {:>12} {:>12} {:>9}",
-        "scheme", "skew", "mean us", "p50 us", "p95 us", "p99 us", "inserts"
-    );
-    for mode in [SearchMode::Naive, SearchMode::NoDoorbell, SearchMode::Full] {
-        for skew in [0.0f64, 1.0] {
-            let node = store.connect(mode)?;
-            let ops = TraceSpec {
-                batches: 20,
-                batch_size: 200,
-                bursts: 4,
-                burst_size: 16,
-                skew,
-                noise: 0.03,
-                seed: 0x7A11,
-            }
-            .synthesize(&w.data)?;
-            let report = replay(&node, &ops, 10, 48)?;
-            println!(
-                "{:<22} {:>6.1} {:>12.1} {:>12.1} {:>12.1} {:>12.1} {:>9}",
-                mode.name(),
-                skew,
-                report.mean_us(),
-                report.percentile_us(0.50),
-                report.percentile_us(0.95),
-                report.percentile_us(0.99),
-                report.inserts,
-            );
-        }
-    }
     Ok(())
 }
 

@@ -3,7 +3,7 @@
 //! The `repro` binary (`cargo run -p dhnsw-bench --bin repro --release`)
 //! regenerates every table and figure of the paper, and `dhnsw_cli`
 //! builds, inspects, queries and serves stores. This library holds what
-//! they share: workload construction ([`Workload`], [`trace`]), the
+//! they share: workload construction ([`Workload`]), the
 //! efSearch sweep runner, table and CSV formatting, and the serving
 //! plane ([`serve`], [`top`]). Timing regressions are the business of
 //! the repository benchmark (`benchmark/`), exact counts of the two
@@ -35,7 +35,6 @@ pub mod csv;
 pub mod json;
 pub mod serve;
 pub mod top;
-pub mod trace;
 
 use std::time::Instant;
 

@@ -46,7 +46,7 @@ use crate::layout::{Directory, DIRECTORY_PEEK_BYTES};
 use crate::meta::MetaIndex;
 use crate::store::VectorStore;
 use crate::telemetry::span::QpSpanSink;
-use crate::telemetry::{metrics, Counter, Gauge, Histogram, HistogramSnapshot, Telemetry};
+use crate::telemetry::{metrics, series, Counter, Gauge, Histogram, Telemetry};
 use crate::{BatchReport, DHnswConfig, Result};
 
 pub(crate) use fetch::Reader;
@@ -181,8 +181,6 @@ pub(crate) struct EngineMetrics {
     pub(crate) cluster_cache_hits: Arc<Counter>,
     pub(crate) raw_cluster_demand: Arc<Counter>,
     pub(crate) transfers_saved: Arc<Counter>,
-    pub(crate) cache_hits: Arc<Counter>,
-    pub(crate) cache_misses: Arc<Counter>,
     pub(crate) cache_evictions: Arc<Counter>,
     pub(crate) cache_occupancy: Arc<Gauge>,
     pub(crate) cache_resident_bytes: Arc<Gauge>,
@@ -201,10 +199,6 @@ pub(crate) struct EngineMetrics {
     pub(crate) inserts: Arc<Counter>,
     pub(crate) insert_overflow: Arc<Counter>,
     pub(crate) deletes: Arc<Counter>,
-    pub(crate) tail_exemplar_occupancy: Arc<Gauge>,
-    pub(crate) tail_profile_paths: Arc<Gauge>,
-    pub(crate) tail_exemplars_recorded: Arc<Counter>,
-    pub(crate) tail_exemplars_dropped: Arc<Counter>,
 }
 
 impl EngineMetrics {
@@ -228,8 +222,6 @@ impl EngineMetrics {
             cluster_cache_hits: metrics::CLUSTER_CACHE_HITS.counter(t, m),
             raw_cluster_demand: metrics::RAW_CLUSTER_DEMAND.counter(t, m),
             transfers_saved: metrics::TRANSFERS_SAVED.counter(t, m),
-            cache_hits: metrics::CACHE_HITS.counter(t, &[]),
-            cache_misses: metrics::CACHE_MISSES.counter(t, &[]),
             cache_evictions: metrics::CACHE_EVICTIONS.counter(t, &[]),
             cache_occupancy: metrics::CACHE_OCCUPANCY.gauge(t, &[]),
             cache_resident_bytes: metrics::CACHE_RESIDENT_BYTES.gauge(t, &[]),
@@ -248,10 +240,6 @@ impl EngineMetrics {
             inserts: metrics::INSERTS.counter(t, &[]),
             insert_overflow: metrics::INSERT_OVERFLOW.counter(t, &[]),
             deletes: metrics::DELETES.counter(t, &[]),
-            tail_exemplar_occupancy: metrics::TAIL_EXEMPLAR_OCCUPANCY.gauge(t, &[]),
-            tail_profile_paths: metrics::TAIL_PROFILE_PATHS.gauge(t, &[]),
-            tail_exemplars_recorded: metrics::TAIL_EXEMPLARS_RECORDED.counter(t, &[]),
-            tail_exemplars_dropped: metrics::TAIL_EXEMPLARS_DROPPED.counter(t, &[]),
         }
     }
 
@@ -291,18 +279,6 @@ struct FlushState {
     cache: CacheStats,
 }
 
-/// Counter values captured at the previous health report, so the next
-/// report can evaluate a *window* (the interval since that report)
-/// instead of lifetime aggregates. A cold-start latency spike or miss
-/// burst therefore ages out after one report interval rather than
-/// pinning the SLO watchdog in violation forever.
-#[derive(Debug, Default)]
-pub(crate) struct WindowState {
-    pub(crate) latency: HistogramSnapshot,
-    pub(crate) hits: u64,
-    pub(crate) misses: u64,
-}
-
 /// One compute-pool instance.
 ///
 /// See the crate docs for an end-to-end example. Thread-safety: a
@@ -322,7 +298,10 @@ pub struct ComputeNode {
     pub(crate) metrics: EngineMetrics,
     heatmap: Arc<ClusterHeatmap>,
     flushed: Mutex<FlushState>,
-    pub(crate) window: Mutex<WindowState>,
+    // The instruments of this node's mode, and what they read at the
+    // previous health report: where the next report's window starts.
+    pub(crate) window_handles: series::Handles,
+    pub(crate) window_start: Mutex<series::Sample>,
     // Runtime-tunable execution knobs (see `set_pipeline_depth` /
     // `set_prefetch_budget_bytes`): initialized from the store config and
     // the environment, adjustable per node without reconnecting.
@@ -359,6 +338,7 @@ impl ComputeNode {
         let directory = Directory::from_bytes(&dir_bytes)?;
         let capacity = config.cache_capacity(directory.partitions());
         let metrics = EngineMetrics::new(&telemetry, mode);
+        let window_handles = series::Handles::resolve(&telemetry, mode);
         // Bridge substrate verb events into the span tracer. Without an
         // active trace scope the sink drops events after one
         // thread-local lookup, so untraced verbs stay cheap.
@@ -398,7 +378,8 @@ impl ComputeNode {
             metrics,
             heatmap,
             flushed,
-            window: Mutex::new(WindowState::default()),
+            window_handles,
+            window_start: Mutex::default(),
             pipeline_depth,
             prefetch_budget,
             use_sq,
@@ -523,19 +504,10 @@ impl ComputeNode {
             // telemetry histogram's log-2 buckets line up with these.
             m.doorbell_batch_size.observe_n(1u64 << i, count);
         }
-        m.cache_hits.add(cache_now.hits - flushed.cache.hits);
-        m.cache_misses.add(cache_now.misses - flushed.cache.misses);
         m.cache_evictions
             .add(cache_now.evictions - flushed.cache.evictions);
         m.cache_occupancy.set(cache_len as u64);
         m.cache_resident_bytes.set(cache_bytes as u64);
-        let ex = self.telemetry.exemplars();
-        let (tail_recorded, tail_dropped) = ex.take_flush_delta();
-        m.tail_exemplars_recorded.add(tail_recorded);
-        m.tail_exemplars_dropped.add(tail_dropped);
-        m.tail_exemplar_occupancy.set(ex.occupancy());
-        m.tail_profile_paths
-            .set(self.telemetry.profile().len() as u64);
         flushed.rdma = rdma_now;
         flushed.cache = cache_now;
     }

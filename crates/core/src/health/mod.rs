@@ -16,8 +16,7 @@
 //!   overflow occupancy / slack / fragmentation from the layout
 //!   directory plus live `used` counters (one doorbell batch of 8-byte
 //!   reads), the heatmap snapshot, routing-skew statistics, cache and
-//!   latency summaries, rendered as deterministic JSON and published
-//!   as telemetry gauges.
+//!   latency summaries, rendered as deterministic JSON.
 //! - [`skew`] — Gini coefficient and top-k share over any counter
 //!   vector (partition bytes, route frequencies, meta-graph degrees).
 //! - [`watchdog`] — threshold budgets ([`SloBudgets`], configurable

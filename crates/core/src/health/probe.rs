@@ -8,6 +8,7 @@ use super::report::{
 };
 use super::skew::skew_of;
 use crate::engine::{ComputeNode, Reader};
+use crate::telemetry::series::Window;
 use crate::telemetry::span::{BatchTrace, SpanId};
 use crate::{Error, Result};
 
@@ -25,8 +26,8 @@ impl ComputeNode {
     /// overflow occupancy (one round of 8-byte counter reads, posted and
     /// retried like every other read of this node), layout/fragmentation
     /// accounting, the access heatmap, routing-skew statistics, and
-    /// cache/latency summaries. The report's headline numbers are also
-    /// published as telemetry gauges. Read-only with respect to the store.
+    /// cache/latency summaries. Read-only with respect to the store and
+    /// the registry: it writes nothing back.
     ///
     /// # Errors
     ///
@@ -117,30 +118,15 @@ impl ComputeNode {
             .map(|d| d as u64)
             .collect();
 
-        // Hit rate uses plan-time residency (hits = loads avoided,
-        // misses = clusters fetched): the engine only probes the LRU
-        // for partitions planning already proved resident, so the
-        // cache's own lookup counters can never record a miss and
-        // would report a vacuous 100% here.
-        // Window deltas: everything since the previous health report.
-        // The baseline advances here, so each report consumes its window
-        // exactly once and an idle interval yields an empty window (the
-        // watchdog skips empty windows rather than falling back to
-        // lifetime aggregates, which would re-fire stale violations).
-        let (window_lat, window_hits, window_misses) = {
-            let mut w = self.window.lock();
-            let lat_now = self.metrics.latency_us.snapshot();
-            let hits_now = self.metrics.cluster_cache_hits.get();
-            let misses_now = self.metrics.clusters_loaded.get();
-            let delta = (
-                lat_now - w.latency,
-                hits_now.saturating_sub(w.hits),
-                misses_now.saturating_sub(w.misses),
-            );
-            w.latency = lat_now;
-            w.hits = hits_now;
-            w.misses = misses_now;
-            delta
+        // Hit rates are plan-time (hits = loads avoided, misses =
+        // clusters fetched): the engine only probes the LRU for
+        // partitions planning proved resident. The window, everything
+        // since the previous report, is cut as a `/timeseries` point's
+        // is; each report consumes its own once. No clock: counts only.
+        let window = {
+            let mut start = self.window_start.lock();
+            let now = self.window_handles.sample(0);
+            Window::between(&std::mem::replace(&mut *start, now), &now)
         };
         let cache = {
             let c = self.cache.lock();
@@ -155,9 +141,9 @@ impl ComputeNode {
                 misses,
                 evictions: stats.evictions,
                 hit_rate: ratio(hits, hits + misses),
-                window_hits,
-                window_misses,
-                window_hit_rate: ratio(window_hits, window_hits + window_misses),
+                window_hits: window.hits,
+                window_misses: window.misses,
+                window_hit_rate: window.hit_rate,
             }
         };
         let latency = {
@@ -168,10 +154,10 @@ impl ComputeNode {
                 p95_us: h.quantile(0.95),
                 p99_us: h.quantile(0.99),
                 max_us: h.max(),
-                window_queries: window_lat.count(),
-                window_p50_us: window_lat.quantile(0.5),
-                window_p95_us: window_lat.quantile(0.95),
-                window_p99_us: window_lat.quantile(0.99),
+                window_queries: window.queries,
+                window_p50_us: window.p50_us,
+                window_p95_us: window.p95_us,
+                window_p99_us: window.p99_us,
             }
         };
         let reliability = {
@@ -198,7 +184,7 @@ impl ComputeNode {
             }
         };
 
-        let report = HealthReport {
+        Ok(HealthReport {
             mode: self.mode().label(),
             partitions,
             groups: group_health,
@@ -212,8 +198,6 @@ impl ComputeNode {
             reliability,
             tail,
             violations: Vec::new(),
-        };
-        report.publish(self.telemetry());
-        Ok(report)
+        })
     }
 }

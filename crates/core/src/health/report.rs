@@ -5,14 +5,12 @@
 //! occupancy, the access heatmap, routing-skew statistics, and cache /
 //! latency summaries. It renders as deterministic JSON (fixed field
 //! order, arrays in partition/group order) so `dhnsw_cli doctor`
-//! output can be diffed and parsed by scripts, and it publishes its
-//! headline numbers as telemetry gauges so the same data shows up in
-//! Prometheus / JSON expositions.
+//! output can be diffed and parsed by scripts. It is derived when asked
+//! for and never written back into the metrics registry.
 
 use crate::health::heatmap::PartitionHeat;
 use crate::health::skew::SkewStats;
 use crate::health::watchdog::SloViolation;
-use crate::telemetry::{metrics, Telemetry};
 
 /// Health of one §3.2 group: two clusters sharing an overflow area.
 #[derive(Debug, Clone, PartialEq)]
@@ -324,70 +322,6 @@ impl HealthReport {
         out.push_str("  ]\n}\n");
         out
     }
-
-    /// Publishes the report's headline numbers as telemetry gauges:
-    /// per-partition heat series, per-group overflow occupancy, and
-    /// the region/skew summary. Ratios are encoded in milli-units
-    /// (1000 == 1.0) since gauges are integral.
-    pub fn publish(&self, telemetry: &Telemetry) {
-        let t = telemetry;
-        for h in &self.heatmap {
-            let p = h.partition.to_string();
-            let labels: &[(&str, &str)] = &[("partition", &p)];
-            metrics::HEAT_ROUTE_HITS.gauge(t, labels).set(h.route_hits);
-            metrics::HEAT_LOADS.gauge(t, labels).set(h.loads);
-            metrics::HEAT_HOTNESS.gauge(t, labels).set_milli(h.hotness);
-        }
-        for g in &self.groups {
-            let gl = g.group.to_string();
-            let labels: &[(&str, &str)] = &[("group", &gl)];
-            metrics::HEALTH_OVERFLOW_OCCUPANCY
-                .gauge(t, labels)
-                .set_milli(g.occupancy);
-            metrics::HEALTH_OVERFLOW_SLACK_BYTES
-                .gauge(t, labels)
-                .set(g.overflow_slack_bytes);
-        }
-        let milli = [
-            (&metrics::HEALTH_REGION_UTILIZATION, self.layout.utilization),
-            (&metrics::HEALTH_FRAGMENTATION, self.layout.fragmentation),
-            (&metrics::HEALTH_PARTITION_GINI, self.partition_skew.gini),
-            (&metrics::HEALTH_ROUTE_GINI, self.route_skew.gini),
-            (&metrics::HEALTH_DEGREE_GINI, self.degree_skew.gini),
-            (&metrics::HEALTH_CACHE_HIT_RATE, self.cache.hit_rate),
-            (
-                &metrics::HEALTH_WINDOW_CACHE_HIT_RATE,
-                self.cache.window_hit_rate,
-            ),
-            (
-                &metrics::HEALTH_DEGRADED_RATE,
-                self.reliability.degraded_rate,
-            ),
-        ];
-        for (def, ratio) in milli {
-            def.gauge(t, &[]).set_milli(ratio);
-        }
-        let whole = [
-            (&metrics::HEALTH_P99_US, self.latency.p99_us as u64),
-            (
-                &metrics::HEALTH_WINDOW_P99_US,
-                self.latency.window_p99_us as u64,
-            ),
-            (&metrics::HEALTH_WINDOW_QUERIES, self.latency.window_queries),
-            (&metrics::HEALTH_READ_RETRIES, self.reliability.read_retries),
-            (
-                &metrics::HEALTH_TAIL_SLOWEST_US,
-                self.tail.slowest_total_us as u64,
-            ),
-            (
-                &metrics::HEALTH_TAIL_SLOWEST_TRACE_ID,
-                self.tail.slowest_trace_id.unwrap_or(0),
-            ),
-        ];
-        for (def, value) in whole {
-            def.gauge(t, &[]).set(value);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -523,41 +457,5 @@ mod tests {
         assert!(r.to_json().contains("\"back\": null"));
         r.tail.slowest_trace_id = None;
         assert!(r.to_json().contains("\"slowest_trace_id\": null"));
-    }
-
-    #[test]
-    fn publish_exposes_heat_occupancy_and_skew_series() {
-        let telemetry = Telemetry::new();
-        sample().publish(&telemetry);
-        let prom = telemetry.render_prometheus();
-        for series in [
-            "dhnsw_heat_route_hits{partition=\"0\"} 10",
-            "dhnsw_heat_loads{partition=\"0\"} 2",
-            "dhnsw_heat_hotness_milli{partition=\"0\"} 1500",
-            "dhnsw_health_overflow_occupancy_milli{group=\"0\"} 250",
-            "dhnsw_health_overflow_slack_bytes{group=\"0\"} 384",
-            "dhnsw_health_region_utilization_milli 600",
-            "dhnsw_health_fragmentation_milli 200",
-            "dhnsw_health_route_gini_milli 500",
-            "dhnsw_health_cache_hit_rate_milli 800",
-            "dhnsw_health_p99_us 250",
-            "dhnsw_health_window_cache_hit_rate_milli 800",
-            "dhnsw_health_window_p99_us 250",
-            "dhnsw_health_window_queries 10",
-            "dhnsw_health_degraded_rate_milli 200",
-            "dhnsw_health_read_retries 3",
-            "dhnsw_health_tail_slowest_us 900",
-            "dhnsw_health_tail_slowest_trace_id 42",
-        ] {
-            assert!(prom.contains(series), "missing {series} in:\n{prom}");
-        }
-        let json = telemetry.snapshot_json();
-        for key in [
-            "dhnsw_heat_route_hits",
-            "dhnsw_health_overflow_occupancy_milli",
-            "dhnsw_health_route_gini_milli",
-        ] {
-            assert!(json.contains(key), "missing {key} in JSON snapshot");
-        }
     }
 }

@@ -99,39 +99,17 @@ impl SloViolation {
 /// Checks `report` against `budgets`, returning every violated budget
 /// in a fixed order (latency, hit rate, occupancy, skew, degradation).
 pub fn evaluate(report: &HealthReport, budgets: &SloBudgets) -> Vec<SloViolation> {
-    let mut out = Vec::new();
     // Every violation links to the slowest retained exemplar so a
     // breach comes with a concrete batch to interrogate via
     // `/whyslow/<id>` rather than just a number over a limit.
     let exemplar = report.tail.slowest_trace_id;
-    // Latency and hit rate are judged over the report's *window* (the
-    // interval since the previous health report), not lifetime
-    // aggregates: a cold-start spike must age out once recent traffic
-    // is healthy. An empty window (no queries / no cache activity since
-    // the last report) skips the check entirely rather than falling
-    // back to lifetime values, which would re-fire stale violations on
-    // every idle tick.
-    if let Some(limit) = budgets.max_p99_us {
-        if report.latency.window_queries > 0 && report.latency.window_p99_us > limit {
-            out.push(SloViolation {
-                budget: "p99_latency_us",
-                actual: report.latency.window_p99_us,
-                limit,
-                exemplar,
-            });
-        }
-    }
-    if let Some(limit) = budgets.min_cache_hit_rate {
-        let observed = report.cache.window_hits + report.cache.window_misses;
-        if observed > 0 && report.cache.window_hit_rate < limit {
-            out.push(SloViolation {
-                budget: "cache_hit_rate",
-                actual: report.cache.window_hit_rate,
-                limit,
-                exemplar,
-            });
-        }
-    }
+    let (l, c) = (&report.latency, &report.cache);
+    let mut out = windowed(
+        (l.window_queries, l.window_p99_us),
+        (c.window_hits + c.window_misses, c.window_hit_rate),
+        budgets,
+        exemplar,
+    );
     if let Some(limit) = budgets.max_overflow_occupancy {
         if report.layout.max_group_occupancy > limit {
             out.push(SloViolation {
@@ -169,8 +147,8 @@ pub fn evaluate(report: &HealthReport, budgets: &SloBudgets) -> Vec<SloViolation
 /// budgets (latency p99 and cache hit rate — the two that are
 /// meaningful per sampling window). This lets a continuously ticking
 /// sampler evaluate SLOs over every recorder window instead of the
-/// one-off baseline a [`HealthReport`] advances: same empty-window
-/// semantics (an idle window skips the check), same budget names, so
+/// one-off window a [`HealthReport`] advances, with the check
+/// [`evaluate`] runs on that one, so
 /// `dhnsw_slo_violations_total{budget=…}` aggregates across both
 /// paths. `exemplar` should be the slowest retained tail exemplar's
 /// trace id at evaluation time, if any.
@@ -179,22 +157,40 @@ pub fn evaluate_point(
     budgets: &SloBudgets,
     exemplar: Option<u64>,
 ) -> Vec<SloViolation> {
+    windowed(
+        (point.window_queries, point.p99_us),
+        (point.window_cache_ops, point.hit_rate),
+        budgets,
+        exemplar,
+    )
+}
+
+/// The two windowed checks, written once for [`evaluate`] and
+/// [`evaluate_point`]. A window with nothing to judge skips its check
+/// rather than falling back to lifetime values, which would re-fire a
+/// stale violation on every idle tick.
+fn windowed(
+    (queries, p99_us): (u64, f64),
+    (cache_ops, hit_rate): (u64, f64),
+    budgets: &SloBudgets,
+    exemplar: Option<u64>,
+) -> Vec<SloViolation> {
     let mut out = Vec::new();
     if let Some(limit) = budgets.max_p99_us {
-        if point.window_queries > 0 && point.p99_us > limit {
+        if queries > 0 && p99_us > limit {
             out.push(SloViolation {
                 budget: "p99_latency_us",
-                actual: point.p99_us,
+                actual: p99_us,
                 limit,
                 exemplar,
             });
         }
     }
     if let Some(limit) = budgets.min_cache_hit_rate {
-        if point.window_cache_ops > 0 && point.hit_rate < limit {
+        if cache_ops > 0 && hit_rate < limit {
             out.push(SloViolation {
                 budget: "cache_hit_rate",
-                actual: point.hit_rate,
+                actual: hit_rate,
                 limit,
                 exemplar,
             });

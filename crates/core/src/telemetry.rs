@@ -81,41 +81,9 @@ impl Gauge {
         self.0.store(v, Ordering::Relaxed);
     }
 
-    /// Adds `n`.
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Subtracts `n`, saturating at zero.
-    pub fn sub(&self, n: u64) {
-        let mut cur = self.0.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_sub(n);
-            match self
-                .0
-                .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-
-    /// Stores a ratio-like float in milli-units (1000 == 1.0), the
-    /// convention health gauges use since gauges are integral.
-    /// Negative or non-finite values clamp to zero.
-    pub fn set_milli(&self, v: f64) {
-        let milli = if v.is_finite() && v > 0.0 {
-            (v * 1000.0).round() as u64
-        } else {
-            0
-        };
-        self.set(milli);
     }
 }
 
@@ -692,27 +660,8 @@ mod tests {
 
         let g = t.gauge("dhnsw_test_gauge", "help", &[("mode", "full")]);
         g.set(10);
-        g.sub(3);
-        g.add(1);
+        g.set(8);
         assert_eq!(g.get(), 8);
-        g.sub(100);
-        assert_eq!(g.get(), 0, "gauge sub saturates at zero");
-    }
-
-    #[test]
-    fn gauge_set_milli_encodes_ratios() {
-        let t = Telemetry::new();
-        let g = t.gauge("dhnsw_test_ratio_milli", "help", &[]);
-        g.set_milli(0.25);
-        assert_eq!(g.get(), 250);
-        g.set_milli(1.0);
-        assert_eq!(g.get(), 1000);
-        g.set_milli(0.0004);
-        assert_eq!(g.get(), 0, "rounds to nearest milli");
-        g.set_milli(-1.0);
-        assert_eq!(g.get(), 0, "negative clamps to zero");
-        g.set_milli(f64::NAN);
-        assert_eq!(g.get(), 0, "non-finite clamps to zero");
     }
 
     #[test]
@@ -1038,7 +987,8 @@ mod tests {
             )
             .add(1024);
         }
-        t.gauge("dhnsw_health_p99_us", "p99 latency", &[]).set(250);
+        t.gauge("dhnsw_cache_resident_bytes", "resident bytes", &[])
+            .set(250);
         t.counter("dhnsw_queries_total", "Queries", &[("mode", "full")])
             .add(7);
         let h = t.histogram("dhnsw_query_latency_us", "latency", &[("mode", "full")]);

@@ -95,8 +95,6 @@ pub struct ExemplarStore {
     slowest_capacity: usize,
     recorded: AtomicU64,
     dropped: AtomicU64,
-    flushed_recorded: AtomicU64,
-    flushed_dropped: AtomicU64,
     inner: Mutex<Inner>,
 }
 
@@ -129,8 +127,6 @@ impl ExemplarStore {
             slowest_capacity: slowest_capacity.max(1),
             recorded: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
-            flushed_recorded: AtomicU64::new(0),
-            flushed_dropped: AtomicU64::new(0),
             inner: Mutex::new(Inner {
                 reservoir: Vec::new(),
                 seen: 0,
@@ -194,17 +190,6 @@ impl ExemplarStore {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// `(recorded, dropped)` growth since the last call, claiming the
-    /// interval atomically so several nodes flushing one shared store
-    /// into counters never double count the same increment.
-    pub fn take_flush_delta(&self) -> (u64, u64) {
-        let rec = self.recorded();
-        let dr = self.dropped();
-        let prev_rec = self.flushed_recorded.swap(rec, Ordering::Relaxed);
-        let prev_dr = self.flushed_dropped.swap(dr, Ordering::Relaxed);
-        (rec.saturating_sub(prev_rec), dr.saturating_sub(prev_dr))
-    }
-
     /// Records currently held (reservoir + K-slowest slots).
     pub fn occupancy(&self) -> u64 {
         let g = self.inner.lock();
@@ -251,8 +236,6 @@ impl ExemplarStore {
         g.buckets = [None; HIST_BUCKETS];
         self.recorded.store(0, Ordering::Relaxed);
         self.dropped.store(0, Ordering::Relaxed);
-        self.flushed_recorded.store(0, Ordering::Relaxed);
-        self.flushed_dropped.store(0, Ordering::Relaxed);
     }
 
     /// Renders the whole store as deterministic JSON (the

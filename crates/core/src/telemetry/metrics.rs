@@ -2,11 +2,13 @@
 //!
 //! One `(name, help, kind)` per family, as a plain constant. Whoever
 //! records into a family — the engine's pre-resolved handles, the series
-//! recorder, the health report, the watchdog — names its constant here
-//! and supplies only labels, so a family cannot be registered under two
-//! help strings or two kinds ([`Telemetry`] keeps the first
-//! registration's). [`ALL`] lists them for the table test and for
-//! anything that wants to enumerate the plane.
+//! recorder, the watchdog — names its constant here and supplies only
+//! labels, so a family cannot be registered under two help strings or
+//! two kinds ([`Telemetry`] keeps the first registration's). [`ALL`]
+//! lists them for the table test and for anything that wants to
+//! enumerate the plane. The table holds what is counted; what a document
+//! derives (`/health`'s ratios, `/exemplars`' occupancy) is computed when
+//! that document is asked for and never written back here.
 //!
 //! Naming follows the Prometheus conventions of the module docs above:
 //! `dhnsw_` prefix, `_total` on counters, base units in the name.
@@ -148,9 +150,6 @@ pub const READ_RETRIES: MetricDef = counter(
 );
 
 // Cluster cache and substrate, unlabelled except `{cause}`.
-pub const CACHE_HITS: MetricDef = counter("dhnsw_cache_hits_total", "Cluster cache lookup hits");
-pub const CACHE_MISSES: MetricDef =
-    counter("dhnsw_cache_misses_total", "Cluster cache lookup misses");
 pub const CACHE_EVICTIONS: MetricDef = counter(
     "dhnsw_cache_evictions_total",
     "Clusters evicted by LRU pressure",
@@ -214,103 +213,6 @@ pub const INSERT_OVERFLOW: MetricDef = counter(
 );
 pub const DELETES: MetricDef = counter("dhnsw_deletes_total", "Delete attempts");
 
-// Tail anatomy.
-pub const TAIL_EXEMPLAR_OCCUPANCY: MetricDef = gauge(
-    "dhnsw_tail_exemplar_occupancy",
-    "Tail exemplars currently retained (reservoir + K-slowest)",
-);
-pub const TAIL_PROFILE_PATHS: MetricDef = gauge(
-    "dhnsw_tail_profile_paths",
-    "Distinct span paths accumulated in the always-on folded profile",
-);
-pub const TAIL_EXEMPLARS_RECORDED: MetricDef = counter(
-    "dhnsw_tail_exemplars_recorded_total",
-    "Batch exemplars offered to the tail exemplar store",
-);
-pub const TAIL_EXEMPLARS_DROPPED: MetricDef = counter(
-    "dhnsw_tail_exemplars_dropped_total",
-    "Batch exemplars evicted or rejected by the bounded exemplar store",
-);
-
-// Health report gauges: `{partition}` heat, `{group}` overflow, then the
-// region / skew / window summary. Ratios are in milli-units.
-pub const HEAT_ROUTE_HITS: MetricDef = gauge(
-    "dhnsw_heat_route_hits",
-    "Meta-HNSW routes to this partition (heatmap snapshot)",
-);
-pub const HEAT_LOADS: MetricDef = gauge(
-    "dhnsw_heat_loads",
-    "Remote cluster loads for this partition (heatmap snapshot)",
-);
-pub const HEAT_HOTNESS: MetricDef = gauge(
-    "dhnsw_heat_hotness_milli",
-    "EWMA hotness of this partition, milli-units",
-);
-pub const HEALTH_OVERFLOW_OCCUPANCY: MetricDef = gauge(
-    "dhnsw_health_overflow_occupancy_milli",
-    "Overflow-area occupancy of this group, milli-units (1000 = full)",
-);
-pub const HEALTH_OVERFLOW_SLACK_BYTES: MetricDef = gauge(
-    "dhnsw_health_overflow_slack_bytes",
-    "Unused overflow bytes in this group",
-);
-pub const HEALTH_REGION_UTILIZATION: MetricDef = gauge(
-    "dhnsw_health_region_utilization_milli",
-    "Fraction of the registered region carrying live data, milli-units",
-);
-pub const HEALTH_FRAGMENTATION: MetricDef = gauge(
-    "dhnsw_health_fragmentation_milli",
-    "Fraction of the registered region lost to padding/slack, milli-units",
-);
-pub const HEALTH_PARTITION_GINI: MetricDef = gauge(
-    "dhnsw_health_partition_gini_milli",
-    "Gini coefficient of serialized cluster sizes, milli-units",
-);
-pub const HEALTH_ROUTE_GINI: MetricDef = gauge(
-    "dhnsw_health_route_gini_milli",
-    "Gini coefficient of route frequencies, milli-units",
-);
-pub const HEALTH_DEGREE_GINI: MetricDef = gauge(
-    "dhnsw_health_degree_gini_milli",
-    "Gini coefficient of meta-HNSW layer-0 out-degrees, milli-units",
-);
-pub const HEALTH_CACHE_HIT_RATE: MetricDef = gauge(
-    "dhnsw_health_cache_hit_rate_milli",
-    "Cluster-cache hit rate at report time, milli-units",
-);
-pub const HEALTH_P99_US: MetricDef = gauge(
-    "dhnsw_health_p99_us",
-    "p99 per-query latency at report time, microseconds",
-);
-pub const HEALTH_WINDOW_CACHE_HIT_RATE: MetricDef = gauge(
-    "dhnsw_health_window_cache_hit_rate_milli",
-    "Cluster-cache hit rate over the window since the previous report, milli-units",
-);
-pub const HEALTH_WINDOW_P99_US: MetricDef = gauge(
-    "dhnsw_health_window_p99_us",
-    "p99 per-query latency over the window since the previous report, microseconds",
-);
-pub const HEALTH_WINDOW_QUERIES: MetricDef = gauge(
-    "dhnsw_health_window_queries",
-    "Queries observed in the window since the previous report",
-);
-pub const HEALTH_DEGRADED_RATE: MetricDef = gauge(
-    "dhnsw_health_degraded_rate_milli",
-    "Fraction of queries answered degraded since connect, milli-units",
-);
-pub const HEALTH_READ_RETRIES: MetricDef = gauge(
-    "dhnsw_health_read_retries",
-    "Engine-level cluster read retries since connect",
-);
-pub const HEALTH_TAIL_SLOWEST_US: MetricDef = gauge(
-    "dhnsw_health_tail_slowest_us",
-    "Wall time of the slowest retained tail exemplar, microseconds",
-);
-pub const HEALTH_TAIL_SLOWEST_TRACE_ID: MetricDef = gauge(
-    "dhnsw_health_tail_slowest_trace_id",
-    "Trace id of the slowest retained tail exemplar (0 when empty)",
-);
-
 // Events (`{budget}`, `{series}`).
 pub const SLO_VIOLATIONS: MetricDef = counter(
     "dhnsw_slo_violations_total",
@@ -322,7 +224,7 @@ pub const ANOMALIES: MetricDef = counter(
 );
 
 /// Every family above.
-pub const ALL: [&MetricDef; 57] = [
+pub const ALL: [&MetricDef; 32] = [
     &QUERIES,
     &QUERY_BATCHES,
     &QUERY_LATENCY_US,
@@ -337,8 +239,6 @@ pub const ALL: [&MetricDef; 57] = [
     &TRANSFERS_SAVED,
     &DEGRADED_QUERIES,
     &READ_RETRIES,
-    &CACHE_HITS,
-    &CACHE_MISSES,
     &CACHE_EVICTIONS,
     &CACHE_OCCUPANCY,
     &CACHE_RESIDENT_BYTES,
@@ -355,29 +255,6 @@ pub const ALL: [&MetricDef; 57] = [
     &INSERTS,
     &INSERT_OVERFLOW,
     &DELETES,
-    &TAIL_EXEMPLAR_OCCUPANCY,
-    &TAIL_PROFILE_PATHS,
-    &TAIL_EXEMPLARS_RECORDED,
-    &TAIL_EXEMPLARS_DROPPED,
-    &HEAT_ROUTE_HITS,
-    &HEAT_LOADS,
-    &HEAT_HOTNESS,
-    &HEALTH_OVERFLOW_OCCUPANCY,
-    &HEALTH_OVERFLOW_SLACK_BYTES,
-    &HEALTH_REGION_UTILIZATION,
-    &HEALTH_FRAGMENTATION,
-    &HEALTH_PARTITION_GINI,
-    &HEALTH_ROUTE_GINI,
-    &HEALTH_DEGREE_GINI,
-    &HEALTH_CACHE_HIT_RATE,
-    &HEALTH_P99_US,
-    &HEALTH_WINDOW_CACHE_HIT_RATE,
-    &HEALTH_WINDOW_P99_US,
-    &HEALTH_WINDOW_QUERIES,
-    &HEALTH_DEGRADED_RATE,
-    &HEALTH_READ_RETRIES,
-    &HEALTH_TAIL_SLOWEST_US,
-    &HEALTH_TAIL_SLOWEST_TRACE_ID,
     &SLO_VIOLATIONS,
     &ANOMALIES,
 ];
@@ -415,8 +292,8 @@ mod tests {
     #[test]
     fn every_resolver_asks_for_the_kind_its_row_gives() {
         // Run every resolver against one hub: a node (engine handles),
-        // a batch, an insert, a health report, a watchdog event, and a
-        // series recorder driven into an anomaly.
+        // a batch, an insert, a health report (which resolves nothing),
+        // a watchdog event, and a series recorder driven into an anomaly.
         // The accessors assert the kind on each resolution; what the hub
         // then exposes must be the table, row for row.
         let data = gen::sift_like(600, 0x7AB1E).unwrap();

@@ -47,6 +47,7 @@ use rdma_sim::{ReadCause, READ_CAUSES};
 
 use super::span::ArgValue;
 use super::{json_f64, metrics, Counter, Histogram, HistogramSnapshot, Telemetry};
+use crate::SearchMode;
 
 /// Default number of derived points the ring retains (at the serving
 /// plane's 1 Hz sampler: ten minutes of history).
@@ -142,12 +143,12 @@ pub const TRACKED_SERIES: [TrackedSeries; TRACKED] = [
     },
 ];
 
-/// One raw observation of the hub's query-path instruments at a tick.
-#[derive(Debug, Clone, Copy)]
+/// One raw observation of a mode's query-path instruments at a tick.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Sample {
     /// Caller-supplied timestamp, microseconds.
     pub t_us: u64,
-    /// Lifetime full-mode queries answered.
+    /// Lifetime queries answered.
     pub queries: u64,
     /// Lifetime bytes read from remote memory.
     pub bytes_read: u64,
@@ -157,9 +158,9 @@ pub struct Sample {
     pub read_retries: u64,
     /// Lifetime cache evictions.
     pub evictions: u64,
-    /// Lifetime cluster-cache lookup hits.
+    /// Lifetime plan-time cache hits: cluster loads avoided by residency.
     pub cache_hits: u64,
-    /// Lifetime cluster-cache lookup misses.
+    /// Lifetime plan-time misses: clusters fetched from remote memory.
     pub cache_misses: u64,
     /// Lifetime pipeline-hidden virtual network microseconds.
     pub hidden_us: u64,
@@ -194,10 +195,10 @@ pub struct SeriesPoint {
     pub retries_per_s: f64,
     /// Cache evictions per second over the window.
     pub evictions_per_s: f64,
-    /// Cluster-cache hit rate inside the window (`0` when the window
-    /// saw no cache activity).
+    /// Plan-time cluster-cache hit rate inside the window (`0` when the
+    /// window planned no cluster).
     pub hit_rate: f64,
-    /// Cache lookups (hits + misses) inside the window.
+    /// Plan-time hits + misses inside the window.
     pub window_cache_ops: u64,
     /// Fraction of window network time hidden behind compute by
     /// pipelining (`hidden / (hidden + exposed network)`, `0` when
@@ -343,12 +344,13 @@ impl Detector {
     }
 }
 
-/// Pre-resolved instrument handles the recorder samples. Resolution
+/// Pre-resolved instrument handles a [`Sample`] reads. Resolution
 /// names the same table entries the engine does (get-or-register
-/// returns the existing `Arc`), so the recorder observes the live
-/// counters of the hub it is embedded in.
+/// returns the existing `Arc`), so a sample observes the live counters
+/// of the hub: the recorder's for `mode="full"`, a node's health report
+/// for the node's own mode.
 #[derive(Debug)]
-struct Handles {
+pub(crate) struct Handles {
     queries: Arc<Counter>,
     latency: Arc<Histogram>,
     bytes_read: Arc<Counter>,
@@ -362,11 +364,9 @@ struct Handles {
 }
 
 impl Handles {
-    /// Resolves the full-mode query-path instruments on `t`. The
-    /// recorder watches `mode="full"` — the mode the serving plane
-    /// runs; the other modes exist only as bench comparison baselines.
-    fn resolve(t: &Telemetry) -> Handles {
-        let m: &[(&str, &str)] = &[("mode", "full")];
+    /// Resolves `mode`'s query-path instruments on `t`.
+    pub(crate) fn resolve(t: &Telemetry, mode: SearchMode) -> Handles {
+        let m: &[(&str, &str)] = &[("mode", mode.label())];
         Handles {
             queries: metrics::QUERIES.counter(t, m),
             latency: metrics::QUERY_LATENCY_US.histogram(t, m),
@@ -374,15 +374,15 @@ impl Handles {
             cause_bytes: metrics::RDMA_READ_BYTES_BY_CAUSE.counters_by_cause(t),
             read_retries: metrics::READ_RETRIES.counter(t, m),
             evictions: metrics::CACHE_EVICTIONS.counter(t, &[]),
-            cache_hits: metrics::CACHE_HITS.counter(t, &[]),
-            cache_misses: metrics::CACHE_MISSES.counter(t, &[]),
+            cache_hits: metrics::CLUSTER_CACHE_HITS.counter(t, m),
+            cache_misses: metrics::CLUSTERS_LOADED.counter(t, m),
             hidden_us: metrics::PIPELINE_HIDDEN_US.counter(t, m),
-            network_us: metrics::STAGE_US.counter(t, &[("mode", "full"), ("stage", "network")]),
+            network_us: metrics::STAGE_US.counter(t, &[m[0], ("stage", "network")]),
         }
     }
 
     /// Reads every instrument at `t_us`.
-    fn sample(&self, t_us: u64) -> Sample {
+    pub(crate) fn sample(&self, t_us: u64) -> Sample {
         Sample {
             t_us,
             queries: self.queries.get(),
@@ -399,39 +399,62 @@ impl Handles {
     }
 }
 
+/// What happened between two samples, counted once for both documents
+/// that report a window: a `/timeseries` point ([`derive`]) and
+/// `/health` ([`crate::ComputeNode::health_report`]).
+pub(crate) struct Window {
+    pub(crate) queries: u64,
+    pub(crate) p50_us: f64,
+    pub(crate) p95_us: f64,
+    pub(crate) p99_us: f64,
+    pub(crate) hits: u64,
+    pub(crate) misses: u64,
+    /// `hits / (hits + misses)`, `0` when the window planned no cluster.
+    pub(crate) hit_rate: f64,
+}
+
+impl Window {
+    pub(crate) fn between(prev: &Sample, cur: &Sample) -> Window {
+        let latency = cur.latency - prev.latency;
+        let hits = cur.cache_hits.saturating_sub(prev.cache_hits);
+        let misses = cur.cache_misses.saturating_sub(prev.cache_misses);
+        Window {
+            queries: cur.queries.saturating_sub(prev.queries),
+            p50_us: latency.quantile(0.50),
+            p95_us: latency.quantile(0.95),
+            p99_us: latency.quantile(0.99),
+            hits,
+            misses,
+            hit_rate: hits as f64 / (hits + misses).max(1) as f64,
+        }
+    }
+}
+
 /// Derives a point from two consecutive samples (`cur.t_us` strictly
 /// after `prev.t_us`).
 fn derive(prev: &Sample, cur: &Sample) -> SeriesPoint {
     let dt_us = cur.t_us.saturating_sub(prev.t_us);
     let secs = dt_us as f64 / 1e6;
-    let window = cur.latency - prev.latency;
-    let dq = cur.queries.saturating_sub(prev.queries);
+    let w = Window::between(prev, cur);
     let dbytes = cur.bytes_read.saturating_sub(prev.bytes_read);
-    let dhits = cur.cache_hits.saturating_sub(prev.cache_hits);
-    let dmisses = cur.cache_misses.saturating_sub(prev.cache_misses);
     let dhidden = cur.hidden_us.saturating_sub(prev.hidden_us);
     let dnetwork = cur.network_us.saturating_sub(prev.network_us);
-    let cache_ops = dhits + dmisses;
     SeriesPoint {
         t_us: cur.t_us,
         dt_us,
-        window_queries: dq,
-        qps: dq as f64 / secs,
-        p50_us: window.quantile(0.50),
-        p95_us: window.quantile(0.95),
-        p99_us: window.quantile(0.99),
+        window_queries: w.queries,
+        qps: w.queries as f64 / secs,
+        p50_us: w.p50_us,
+        p95_us: w.p95_us,
+        p99_us: w.p99_us,
         bytes_per_s: dbytes as f64 / secs,
         cause_bytes_per_s: std::array::from_fn(|i| {
             cur.cause_bytes[i].saturating_sub(prev.cause_bytes[i]) as f64 / secs
         }),
         retries_per_s: cur.read_retries.saturating_sub(prev.read_retries) as f64 / secs,
         evictions_per_s: cur.evictions.saturating_sub(prev.evictions) as f64 / secs,
-        hit_rate: if cache_ops > 0 {
-            dhits as f64 / cache_ops as f64
-        } else {
-            0.0
-        },
-        window_cache_ops: cache_ops,
+        hit_rate: w.hit_rate,
+        window_cache_ops: w.hits + w.misses,
         hidden_ratio: if dhidden + dnetwork > 0 {
             dhidden as f64 / (dhidden + dnetwork) as f64
         } else {
@@ -506,7 +529,8 @@ impl SeriesRecorder {
     pub fn tick(&self, telemetry: &Telemetry, now_us: u64) -> Option<SeriesPoint> {
         let mut inner = self.inner.lock();
         if inner.handles.is_none() {
-            inner.handles = Some(Handles::resolve(telemetry));
+            // The serving plane's mode; the others are bench baselines.
+            inner.handles = Some(Handles::resolve(telemetry, SearchMode::Full));
         }
         let cur = inner.handles.as_ref().expect("resolved above").sample(now_us);
         let Some(prev) = inner.last else {
@@ -669,7 +693,7 @@ mod tests {
     /// recorder watches.
     fn hub() -> (Telemetry, Handles) {
         let t = Telemetry::new();
-        let h = Handles::resolve(&t);
+        let h = Handles::resolve(&t, SearchMode::Full);
         (t, h)
     }
 

@@ -17,7 +17,7 @@
 //!   line, every series and label set, every count, byte total, trip
 //!   total and occupancy. Values of wall-clock families (`*_us*`; the
 //!   latency histogram's `_count` and the virtual-clock network stage
-//!   stay exact) and the slowest batch's id are masked with `#`.
+//!   stay exact) are masked with `#`.
 //! - **spans** (spans on) — every finished trace's skeleton in recording
 //!   order: depth, name, category, kind, argument keys in order with
 //!   integer and string values; floats masked.
@@ -128,7 +128,7 @@ fn mask_metrics(prom: &str) -> String {
                 let wall = name.contains("_us")
                     && !name.ends_with("_us_count")
                     && !series.contains("stage=\"network\"");
-                if wall || name == "dhnsw_health_tail_slowest_trace_id" {
+                if wall {
                     format!("{series} #")
                 } else {
                     line.to_string()
@@ -393,18 +393,10 @@ fn obs_ledger_matches_the_golden() {
             .unwrap();
             sections.push(metrics);
         }
-        // Span capture observes; it must not change what is counted. The
-        // one legitimate difference is the profile's resolution: span
-        // paths instead of the five phase paths.
-        let counts = |m: &str| -> Vec<String> {
-            m.lines()
-                .filter(|l| !l.starts_with("dhnsw_tail_profile_paths "))
-                .map(str::to_string)
-                .collect()
-        };
+        // Span capture observes; it must not change what is counted.
         assert_eq!(
-            counts(&sections[0]),
-            counts(&sections[1]),
+            sections[0],
+            sections[1],
             "wire={}: spans on changed a count",
             wire.as_str()
         );

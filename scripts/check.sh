@@ -119,12 +119,16 @@ fi
 
 # One of each: the per-batch copies BatchReport replaced, the second
 # regression harness with its baseline, the pool-sharding wrappers
-# nothing measured, and the leaf-crate modules nothing called (the
+# nothing measured, the leaf-crate modules nothing called (the
 # completion-queue sugar, the brute-force index, the dataset statistics,
-# the verdict code) stay gone (four roots, so the guard does not match
-# itself).
+# the verdict code), the registry mirrors of what a document derives
+# (the health report's gauges, the exemplar store's tail families, the
+# LRU lookup pair that could never count a miss, and the milli-unit
+# encoding and flush delta that fed them), the health report's second
+# window state and repro tail's own workload definition stay gone (four
+# roots, so the guard does not match itself).
 echo "==> no deleted duplicate is back"
-if grep -rnE 'QueryTrace|TailRecord|TraceRing|ShardedStore|ShardedSession|LoadBalancer|DispatchPolicy|bench_regress|BENCH_baseline|DHNSW_BENCH_1M|poll_cq|ring_doorbell|BruteForceIndex|clustering_tendency|verdict_index' \
+if grep -rnE 'QueryTrace|TailRecord|TraceRing|ShardedStore|ShardedSession|LoadBalancer|DispatchPolicy|bench_regress|BENCH_baseline|DHNSW_BENCH_1M|poll_cq|ring_doorbell|BruteForceIndex|clustering_tendency|verdict_index|set_milli|take_flush_delta|dhnsw_health_|dhnsw_heat_|dhnsw_tail_|dhnsw_cache_hits_total|dhnsw_cache_misses_total|WindowState|TraceSpec' \
   crates src tests examples || [[ -e scripts/bench.sh ]]; then
   echo "check.sh: a deleted duplicate is back (the lines above, or scripts/bench.sh)" >&2
   exit 1

