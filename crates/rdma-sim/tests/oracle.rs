@@ -1,0 +1,357 @@
+//! The oracle for the nine public verbs: random sequences of plain and
+//! doorbelled posts — doorbell limit 1 to 8, fault drops inside and past
+//! the retransmission budget, the odd out-of-bounds or misaligned request —
+//! against a shadow that shares no code with the crate: a byte array per
+//! region, the clock kept in the clock's own picoseconds from the closed
+//! form `base_rtt + wrs * per_wr + bytes * 8 / (gbps * 1000)`, and every
+//! [`StatsSnapshot`] field moved by hand. After every call the returned
+//! bytes or old value, each region, the whole snapshot and the virtual
+//! clock must match it.
+
+use proptest::prelude::*;
+use rdma_sim::{
+    Error, MemoryNode, NetworkModel, QueuePair, ReadCause, ReadReq, Scatter, StatsSnapshot,
+    WriteReq, DOORBELL_SIZE_BUCKETS, READ_CAUSES,
+};
+
+/// Bytes per region; the oracle registers two.
+const REGION: u64 = 256;
+
+/// SplitMix64: the call stream, drawn from one proptest seed.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) % n
+    }
+
+    /// A `(region, offset, len)` of at most `max` bytes, out of bounds
+    /// when `bad`.
+    fn span(&mut self, max: u64, bad: bool) -> (usize, u64, u64) {
+        let region = self.below(2) as usize;
+        let len = self.below(max + 1) + u64::from(bad);
+        let offset = if bad {
+            REGION - len + 1 + self.below(8)
+        } else {
+            self.below(REGION - len + 1)
+        };
+        (region, offset, len)
+    }
+
+    /// An 8-byte slot offset, misaligned when `bad`.
+    fn slot(&mut self, bad: bool) -> u64 {
+        8 * self.below(REGION / 8) + if bad { 1 + self.below(7) } else { 0 }
+    }
+
+    fn bytes(&mut self, len: u64) -> Vec<u8> {
+        (0..len).map(|_| self.below(256) as u8).collect()
+    }
+}
+
+/// What one work request charges: read bytes and their cause, written
+/// bytes, or one atomic.
+#[derive(Clone, Copy)]
+enum Wr {
+    Read(ReadCause, u64),
+    Write(u64),
+    Atomic,
+}
+
+/// How a call ended, in a form the shadow predicts.
+#[derive(Debug, PartialEq)]
+enum End {
+    Done,
+    Dropped(&'static str, u32),
+    Refused,
+}
+
+fn end<T>(got: &Result<T, Error>) -> End {
+    match got {
+        Ok(_) => End::Done,
+        Err(Error::RetriesExhausted { verb, attempts }) => End::Dropped(verb, *attempts),
+        Err(Error::OutOfBounds { .. } | Error::Misaligned { .. }) => End::Refused,
+        Err(e) => panic!("unexpected error {e}"),
+    }
+}
+
+struct Shadow {
+    regions: Vec<Vec<u8>>,
+    model: NetworkModel,
+    retry_limit: u32,
+    armed: u32,
+    picos: u64,
+    stats: StatsSnapshot,
+}
+
+impl Shadow {
+    fn charge(&mut self, us: f64) {
+        self.picos += (us * 1e6) as u64;
+    }
+
+    /// The bytes at `offset`, none for a span out of bounds.
+    fn slice(&self, region: usize, offset: u64, len: u64) -> &[u8] {
+        let at = offset as usize..(offset + len) as usize;
+        self.regions[region].get(at).unwrap_or_default()
+    }
+
+    /// The end of a post of `wrs` named `verb`, and its charges: none
+    /// when a request is `bad`; a timeout and a fault per dropped attempt;
+    /// then, unless it was dropped for good, the doorbell, and per
+    /// doorbell-limit chunk one trip — to the read cause with the most
+    /// bytes in the chunk, ties to the lowest index — and its cost.
+    fn post(&mut self, verb: &'static str, doorbell: bool, bad: bool, wrs: &[Wr]) -> End {
+        if bad {
+            return End::Refused;
+        }
+        if wrs.is_empty() {
+            return End::Done;
+        }
+        let dropped = self.armed.min(self.retry_limit + 1);
+        self.armed -= dropped;
+        for _ in 0..dropped {
+            self.stats.faults += 1;
+            self.charge(self.model.base_rtt_us());
+        }
+        if dropped > self.retry_limit {
+            return End::Dropped(verb, dropped);
+        }
+        if doorbell {
+            self.stats.doorbell_batches += 1;
+            let bucket = (0..DOORBELL_SIZE_BUCKETS)
+                .find(|&i| wrs.len() <= 1 << i)
+                .unwrap_or(DOORBELL_SIZE_BUCKETS - 1);
+            self.stats.doorbell_size_buckets[bucket] += 1;
+        }
+        for chunk in wrs.chunks(self.model.doorbell_limit()) {
+            let mut bytes = 0;
+            let mut per_cause = [(0u64, 0u64); READ_CAUSES];
+            for &wr in chunk {
+                self.stats.work_requests += 1;
+                match wr {
+                    Wr::Read(cause, len) => {
+                        bytes += len;
+                        self.stats.bytes_read += len;
+                        self.stats.cause_wrs[cause.index()] += 1;
+                        self.stats.cause_bytes[cause.index()] += len;
+                        per_cause[cause.index()].0 += 1;
+                        per_cause[cause.index()].1 += len;
+                    }
+                    Wr::Write(len) => {
+                        bytes += len;
+                        self.stats.bytes_written += len;
+                    }
+                    Wr::Atomic => {
+                        bytes += 8;
+                        self.stats.atomics += 1;
+                    }
+                }
+            }
+            self.stats.round_trips += 1;
+            let mut dominant: Option<(usize, u64)> = None;
+            for (i, &(wrs, b)) in per_cause.iter().enumerate() {
+                if wrs > 0 && dominant.is_none_or(|(_, best)| b > best) {
+                    dominant = Some((i, b));
+                }
+            }
+            if let Some((i, _)) = dominant {
+                self.stats.cause_trips[i] += 1;
+            }
+            let m = self.model;
+            self.charge(
+                m.base_rtt_us()
+                    + chunk.len() as f64 * m.per_wr_us()
+                    + (bytes as f64 * 8.0) / (m.bandwidth_gbps() * 1_000.0),
+            );
+        }
+        End::Done
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn nine_verbs_match_a_shadow_model(
+        seed in any::<u64>(),
+        limit in 1usize..9,
+        retries in 0u32..4,
+        calls in 1usize..64,
+    ) {
+        let node = MemoryNode::new("oracle");
+        let rkeys: Vec<u32> =
+            (0..2).map(|_| node.register(REGION as usize).unwrap().rkey()).collect();
+        let model = NetworkModel::connectx6().with_doorbell_limit(limit).unwrap();
+        let (qp, probe) = (QueuePair::connect(&node, model), QueuePair::connect(&node, model));
+        qp.set_retry_limit(retries);
+        let mut rng = Rng(seed);
+        let mut shadow = Shadow {
+            regions: vec![vec![0; REGION as usize]; 2],
+            model,
+            retry_limit: retries,
+            armed: 0,
+            picos: 0,
+            stats: StatsSnapshot::default(),
+        };
+        for _ in 0..calls {
+            if rng.below(3) == 0 {
+                let drops = rng.below(u64::from(retries) + 3) as u32;
+                qp.fail_next(drops);
+                shadow.armed = drops;
+            }
+            let bad = rng.below(16) == 0;
+            let before = qp.stats().snapshot();
+            let (got, want) = match rng.below(9) {
+                0 | 1 => {
+                    let (ri, offset, len) = rng.span(64, bad);
+                    let (got, cause) = if rng.below(2) == 0 {
+                        (qp.read(rkeys[ri], offset, len), ReadCause::Other)
+                    } else {
+                        let cause = ReadCause::ALL[rng.below(READ_CAUSES as u64) as usize];
+                        (qp.read_with_cause(rkeys[ri], offset, len, cause), cause)
+                    };
+                    let want = shadow.post("read", false, bad, &[Wr::Read(cause, len)]);
+                    if let Ok(bytes) = &got {
+                        prop_assert_eq!(&bytes[..], shadow.slice(ri, offset, len));
+                    }
+                    (end(&got), want)
+                }
+                2 => {
+                    let (ri, offset, len) = rng.span(64, bad);
+                    let cause = ReadCause::ALL[rng.below(READ_CAUSES as u64) as usize];
+                    let req = ReadReq::new(rkeys[ri], offset, len).with_cause(cause);
+                    let at = rng.below(len + 1);
+                    let (mut head, mut tail) = (vec![1; rng.below(3) as usize], vec![2; 1]);
+                    let (head0, tail0) = (head.clone(), tail.clone());
+                    let got = qp.read_into(req, Scatter::cut(&mut head, &mut tail, at, len));
+                    let want = shadow.post("read", false, bad, &[Wr::Read(cause, len)]);
+                    let (mut head1, mut tail1) = (head0, tail0);
+                    if got.is_ok() {
+                        let bytes = shadow.slice(ri, offset, len);
+                        head1.extend_from_slice(&bytes[..at as usize]);
+                        tail1.extend_from_slice(&bytes[at as usize..]);
+                    }
+                    prop_assert_eq!((head, tail), (head1, tail1));
+                    (end(&got), want)
+                }
+                3 | 4 => {
+                    let n = rng.below(20);
+                    let bad_at = if bad { Some(rng.below(n.max(1))) } else { None };
+                    let mut spans = Vec::new();
+                    let mut reqs = Vec::new();
+                    for i in 0..n {
+                        let (ri, offset, len) = rng.span(48, bad_at == Some(i));
+                        let cause = ReadCause::ALL[rng.below(READ_CAUSES as u64) as usize];
+                        spans.push((ri, offset, len));
+                        reqs.push(ReadReq::new(rkeys[ri], offset, len).with_cause(cause));
+                    }
+                    let bad = bad && n > 0;
+                    let wrs: Vec<Wr> = reqs.iter().map(|r| Wr::Read(r.cause, r.len)).collect();
+                    let wanted: Vec<Vec<u8>> =
+                        spans.iter().map(|&(ri, o, l)| shadow.slice(ri, o, l).to_vec()).collect();
+                    let got = if rng.below(2) == 0 {
+                        let got = qp.read_doorbell(&reqs);
+                        if let Ok(out) = &got {
+                            prop_assert_eq!(out, &wanted);
+                        }
+                        got.map(drop)
+                    } else {
+                        let cuts: Vec<u64> = reqs.iter().map(|r| rng.below(r.len + 1)).collect();
+                        let mut bufs: Vec<(Vec<u8>, Vec<u8>)> =
+                            (0..n).map(|i| (vec![3; i as usize % 3], Vec::new())).collect();
+                        let bufs0 = bufs.clone();
+                        let mut into: Vec<Scatter<'_>> = bufs
+                            .iter_mut()
+                            .zip(&reqs)
+                            .zip(&cuts)
+                            .map(|(((h, t), r), &at)| Scatter::cut(h, t, at, r.len))
+                            .collect();
+                        let got = qp.read_doorbell_into(&reqs, &mut into);
+                        drop(into);
+                        let mut want_bufs = bufs0;
+                        if got.is_ok() {
+                            let landed = want_bufs.iter_mut().zip(&wanted).zip(&cuts);
+                            for (((h, t), bytes), &at) in landed {
+                                h.extend_from_slice(&bytes[..at as usize]);
+                                t.extend_from_slice(&bytes[at as usize..]);
+                            }
+                        }
+                        prop_assert_eq!(bufs, want_bufs);
+                        got
+                    };
+                    (end(&got), shadow.post("read_doorbell", true, bad, &wrs))
+                }
+                5 => {
+                    let (ri, offset, len) = rng.span(32, bad);
+                    let data = rng.bytes(len);
+                    let got = qp.write(rkeys[ri], offset, &data);
+                    let want = shadow.post("write", false, bad, &[Wr::Write(len)]);
+                    if want == End::Done {
+                        shadow.regions[ri][offset as usize..(offset + len) as usize]
+                            .copy_from_slice(&data);
+                    }
+                    (end(&got), want)
+                }
+                6 => {
+                    let n = rng.below(20);
+                    let bad_at = if bad { Some(rng.below(n.max(1))) } else { None };
+                    let (mut writes, mut reqs, mut wrs) = (Vec::new(), Vec::new(), Vec::new());
+                    for i in 0..n {
+                        let (ri, offset, len) = rng.span(32, bad_at == Some(i));
+                        let data = rng.bytes(len);
+                        reqs.push(WriteReq::new(rkeys[ri], offset, data.clone()));
+                        writes.push((ri, offset, data));
+                        wrs.push(Wr::Write(len));
+                    }
+                    let got = qp.write_doorbell(&reqs);
+                    let want = shadow.post("write_doorbell", true, bad && n > 0, &wrs);
+                    if want == End::Done {
+                        for (ri, offset, data) in writes {
+                            let at = offset as usize;
+                            shadow.regions[ri][at..at + data.len()].copy_from_slice(&data);
+                        }
+                    }
+                    (end(&got), want)
+                }
+                kind => {
+                    let (ri, offset) = (rng.below(2) as usize, rng.slot(bad));
+                    let old = if bad {
+                        0
+                    } else {
+                        u64::from_le_bytes(shadow.slice(ri, offset, 8).try_into().unwrap())
+                    };
+                    let (verb, got, new) = if kind == 7 {
+                        let expected = if rng.below(2) == 0 { old } else { rng.below(4) };
+                        let new = rng.below(1 << 20);
+                        let got = qp.cas(rkeys[ri], offset, expected, new);
+                        ("cas", got, if old == expected { new } else { old })
+                    } else {
+                        let add = rng.below(u64::MAX);
+                        ("faa", qp.faa(rkeys[ri], offset, add), old.wrapping_add(add))
+                    };
+                    let want = shadow.post(verb, false, bad, &[Wr::Atomic]);
+                    if want == End::Done {
+                        prop_assert_eq!(*got.as_ref().unwrap(), old);
+                        shadow.regions[ri][offset as usize..offset as usize + 8]
+                            .copy_from_slice(&new.to_le_bytes());
+                    }
+                    (end(&got), want)
+                }
+            };
+            prop_assert_eq!(&got, &want);
+            for (ri, &rkey) in rkeys.iter().enumerate() {
+                prop_assert_eq!(probe.read(rkey, 0, REGION).unwrap(), shadow.regions[ri].clone());
+            }
+            let after = qp.stats().snapshot();
+            prop_assert_eq!(after, shadow.stats);
+            prop_assert_eq!(qp.clock().now_us(), shadow.picos as f64 / 1e6);
+            if matches!(want, End::Dropped(..)) {
+                // Dropped for good: every counter but the faults stands still.
+                prop_assert_eq!(StatsSnapshot { faults: after.faults, ..before }, after);
+            }
+        }
+    }
+}
