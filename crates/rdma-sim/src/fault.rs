@@ -133,9 +133,7 @@ impl QueuePair {
     pub fn set_fault_rate(&self, rate: f64, seed: u64) {
         let ppm = (rate.clamp(0.0, 1.0) * 1_000_000.0) as u32;
         self.fault_state().drop_ppm.store(ppm, Ordering::Relaxed);
-        self.fault_state()
-            .rng
-            .store(seed | 1, Ordering::Relaxed);
+        self.fault_state().rng.store(seed | 1, Ordering::Relaxed);
     }
 
     /// Sets the retransmission budget per verb (default
@@ -247,7 +245,11 @@ mod tests {
             })
             .collect();
         assert_eq!(counts[0], counts[1]);
-        assert!(counts[0] > 20, "rate 0.3 produced only {} faults", counts[0]);
+        assert!(
+            counts[0] > 20,
+            "rate 0.3 produced only {} faults",
+            counts[0]
+        );
     }
 
     #[test]

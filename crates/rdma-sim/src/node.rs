@@ -126,11 +126,7 @@ impl MemoryNode {
 
     /// Total bytes currently registered across all regions.
     pub fn registered_bytes(&self) -> usize {
-        self.regions
-            .read()
-            .values()
-            .map(|r| r.read().len())
-            .sum()
+        self.regions.read().values().map(|r| r.read().len()).sum()
     }
 
     /// Number of live regions.

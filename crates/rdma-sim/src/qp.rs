@@ -239,7 +239,11 @@ impl QueuePair {
 
     fn check_bounds(&self, rkey: u32, offset: u64, len: u64) -> Result<()> {
         let region_len = self.node.region_len(rkey)?;
-        if offset.checked_add(len).map(|end| end > region_len).unwrap_or(true) {
+        if offset
+            .checked_add(len)
+            .map(|end| end > region_len)
+            .unwrap_or(true)
+        {
             return Err(Error::OutOfBounds {
                 rkey,
                 offset,
@@ -403,7 +407,9 @@ impl QueuePair {
                 }
                 let cause = ReadCause::ALL[i];
                 self.stats.record_read_cause(cause, wrs, cbytes);
-                self.node.service_stats().record_read_cause(cause, wrs, cbytes);
+                self.node
+                    .service_stats()
+                    .record_read_cause(cause, wrs, cbytes);
             }
             self.stats.record_read_round_trip(dominant);
             self.node.service_stats().record_read_round_trip(dominant);
@@ -435,8 +441,10 @@ impl QueuePair {
     ///
     /// Validates every request before executing any.
     pub fn write_doorbell(&self, reqs: &[WriteReq]) -> Result<()> {
-        let reqs: Vec<WriteRef<'_>> =
-            reqs.iter().map(|r| (r.rkey, r.offset, &r.data[..])).collect();
+        let reqs: Vec<WriteRef<'_>> = reqs
+            .iter()
+            .map(|r| (r.rkey, r.offset, &r.data[..]))
+            .collect();
         self.execute_writes(true, &reqs)
     }
 
@@ -476,8 +484,10 @@ impl QueuePair {
                 self.emit_plain("write", offset, bytes as u64, vt0);
             } else if self.has_sink.load(Ordering::Relaxed) {
                 let vt1 = self.clock.now_us();
-                let sizes: Vec<(u64, u64)> =
-                    chunk.iter().map(|&(_, offset, data)| (offset, data.len() as u64)).collect();
+                let sizes: Vec<(u64, u64)> = chunk
+                    .iter()
+                    .map(|&(_, offset, data)| (offset, data.len() as u64))
+                    .collect();
                 self.emit_verb(
                     VerbSpan {
                         verb: "write_doorbell",
@@ -736,7 +746,9 @@ mod tests {
         for i in 0..8u64 {
             single.read(r.rkey(), i * 512, 512).unwrap();
         }
-        let reqs: Vec<ReadReq> = (0..8).map(|i| ReadReq::new(r.rkey(), i * 512, 512)).collect();
+        let reqs: Vec<ReadReq> = (0..8)
+            .map(|i| ReadReq::new(r.rkey(), i * 512, 512))
+            .collect();
         batched.read_doorbell(&reqs).unwrap();
         assert!(
             batched.clock().now_us() < single.clock().now_us() / 2.0,
@@ -840,7 +852,11 @@ mod tests {
         qp.read_into(reqs[1], Scatter::whole(&mut buf, 3)).unwrap();
         assert_eq!(buf, vec![9, 1, 2, 3]);
         assert_eq!(qp.stats().round_trips(), 2 + 2, "two writes, two reads");
-        assert_eq!(qp.stats().doorbell_batches(), 1, "a plain read is no doorbell");
+        assert_eq!(
+            qp.stats().doorbell_batches(),
+            1,
+            "a plain read is no doorbell"
+        );
     }
 
     #[test]
@@ -850,7 +866,10 @@ mod tests {
         let clock0 = qp.clock().now_us();
         let stats0 = qp.stats().snapshot();
         let untouched = |got: Result<Vec<(Vec<u8>, Vec<u8>)>>| {
-            assert!(matches!(got.unwrap_err(), Error::InvalidParameter(_) | Error::OutOfBounds { .. }));
+            assert!(matches!(
+                got.unwrap_err(),
+                Error::InvalidParameter(_) | Error::OutOfBounds { .. }
+            ));
             assert_eq!(qp.clock().now_us(), clock0);
             assert_eq!(qp.stats().snapshot(), stats0);
         };
@@ -866,13 +885,20 @@ mod tests {
                 qp.read_doorbell_into(&reqs, &mut into).unwrap_err(),
                 Error::InvalidParameter(_)
             ));
-            assert!(a.is_empty() && b.is_empty(), "bytes moved before validation");
-            assert!(qp.read_into(reqs[0], Scatter::whole(&mut a, wrong)).is_err());
+            assert!(
+                a.is_empty() && b.is_empty(),
+                "bytes moved before validation"
+            );
+            assert!(qp
+                .read_into(reqs[0], Scatter::whole(&mut a, wrong))
+                .is_err());
             assert!(a.is_empty());
         }
         // A cut past the end of its read.
         let (mut a, mut b) = (Vec::new(), Vec::new());
-        assert!(qp.read_into(reqs[0], Scatter::cut(&mut a, &mut b, 5, 4)).is_err());
+        assert!(qp
+            .read_into(reqs[0], Scatter::cut(&mut a, &mut b, 5, 4))
+            .is_err());
         assert!(a.is_empty() && b.is_empty());
         // One scatter list too few.
         let mut a = Vec::new();
@@ -911,15 +937,25 @@ mod tests {
         let reqs = [ReadReq::new(r.rkey(), 0, 8)];
         let (mut a, mut b) = (vec![1, 2], Vec::new());
         let mut into = [Scatter {
-            head: Segment { buf: &mut a, len: 3 },
-            tail: Some(Segment { buf: &mut b, len: 5 }),
+            head: Segment {
+                buf: &mut a,
+                len: 3,
+            },
+            tail: Some(Segment {
+                buf: &mut b,
+                len: 5,
+            }),
         }];
         assert!(matches!(
             qp.read_doorbell_into(&reqs, &mut into).unwrap_err(),
-            Error::RetriesExhausted { verb: "read_doorbell", .. }
+            Error::RetriesExhausted {
+                verb: "read_doorbell",
+                ..
+            }
         ));
         assert!(matches!(
-            qp.read_into(reqs[0], Scatter::whole(&mut a, 8)).unwrap_err(),
+            qp.read_into(reqs[0], Scatter::whole(&mut a, 8))
+                .unwrap_err(),
             Error::RetriesExhausted { verb: "read", .. }
         ));
         assert_eq!((a, b), (vec![1, 2], Vec::new()));
@@ -931,7 +967,8 @@ mod tests {
         let (_n, r, qp) = setup(16);
         let req = ReadReq::new(r.rkey(), 0, 0).with_cause(ReadCause::Rerank);
         qp.read_doorbell(&[req, req]).unwrap();
-        qp.read_with_cause(r.rkey(), 0, 0, ReadCause::Naive).unwrap();
+        qp.read_with_cause(r.rkey(), 0, 0, ReadCause::Naive)
+            .unwrap();
         let snap = qp.stats().snapshot();
         assert_eq!(snap.trips_for(ReadCause::Rerank), 1);
         assert_eq!(snap.trips_for(ReadCause::Naive), 1);
@@ -986,7 +1023,8 @@ mod tests {
     #[test]
     fn plain_read_attributes_to_its_cause() {
         let (_n, r, qp) = setup(64);
-        qp.read_with_cause(r.rkey(), 0, 32, ReadCause::Naive).unwrap();
+        qp.read_with_cause(r.rkey(), 0, 32, ReadCause::Naive)
+            .unwrap();
         qp.read(r.rkey(), 0, 8).unwrap();
         let snap = qp.stats().snapshot();
         assert_eq!(snap.bytes_for(ReadCause::Naive), 32);
@@ -1057,9 +1095,16 @@ mod tests {
         let shift = verbs[3].0.vt_start_us - verbs[0].0.vt_start_us;
         for (landed, alloc) in verbs.split_off(3).iter().zip(verbs.iter()) {
             assert_eq!((landed.0.verb, landed.0.wqes), (alloc.0.verb, alloc.0.wqes));
-            assert_eq!((landed.0.bytes, landed.0.chunk), (alloc.0.bytes, alloc.0.chunk));
+            assert_eq!(
+                (landed.0.bytes, landed.0.chunk),
+                (alloc.0.bytes, alloc.0.chunk)
+            );
             assert!((landed.0.vt_start_us - shift - alloc.0.vt_start_us).abs() < 1e-9);
-            let offsets = |w: &[WqeSpan]| w.iter().map(|s| (s.index, s.offset, s.bytes)).collect::<Vec<_>>();
+            let offsets = |w: &[WqeSpan]| {
+                w.iter()
+                    .map(|s| (s.index, s.offset, s.bytes))
+                    .collect::<Vec<_>>()
+            };
             assert_eq!(offsets(&landed.1), offsets(&alloc.1));
         }
         assert_eq!(verbs.len(), 3); // ceil(10/4) chunks
