@@ -24,16 +24,17 @@
 //!   batching with its NIC-scalability cap.
 //!   [`QueuePair::read_doorbell_into`] / [`QueuePair::read_into`] are the
 //!   same verbs landing in caller-owned buffers through a [`Scatter`]
-//!   list per request, the way a NIC DMAs into a registered buffer; the
-//!   allocating calls are wrappers over the same body.
+//!   list per request, the way a NIC DMAs into a registered buffer. All
+//!   nine verbs are wrappers over one executor, where bytes move, cost is
+//!   charged and counters are written.
 //! - Fault injection — [`QueuePair::fail_next`] /
 //!   [`QueuePair::set_fault_rate`] drop attempts which the queue pair
 //!   retransmits like a reliable-connection NIC, charging timeout time
 //!   ([`QueuePair::set_retry_limit`] bounds the budget).
 //! - [`NetworkModel`] — the cost model: per-round-trip base latency,
 //!   per-work-request NIC/PCIe overhead, and line-rate bandwidth.
-//! - [`VirtualClock`] / [`TransferStats`] — the measurement plane the
-//!   benchmark harness reads.
+//! - [`VirtualClock`] / [`TransferStats`] — per queue pair, the
+//!   measurement plane the benchmark harness reads.
 //!
 //! # Example
 //!

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use crate::{Error, Result, TransferStats};
+use crate::{Error, Result};
 
 /// A registered memory region, addressed remotely by its `rkey`.
 ///
@@ -61,7 +61,6 @@ pub struct MemoryNode {
     name: String,
     regions: RwLock<HashMap<u32, Arc<RwLock<Vec<u8>>>>>,
     next_rkey: AtomicU32,
-    service: TransferStats,
 }
 
 impl MemoryNode {
@@ -71,7 +70,6 @@ impl MemoryNode {
             name: name.into(),
             regions: RwLock::new(HashMap::new()),
             next_rkey: AtomicU32::new(1),
-            service: TransferStats::new(),
         })
     }
 
@@ -134,14 +132,6 @@ impl MemoryNode {
         self.regions.read().len()
     }
 
-    /// Aggregate traffic served by this node's NIC across *all* queue
-    /// pairs — the memory-pool-side counterpart of the per-QP
-    /// [`TransferStats`]. Useful for spotting a saturated memory node
-    /// when many compute instances share it.
-    pub fn service_stats(&self) -> &TransferStats {
-        &self.service
-    }
-
     pub(crate) fn region(&self, rkey: u32) -> Result<Arc<RwLock<Vec<u8>>>> {
         self.regions
             .read()
@@ -187,13 +177,6 @@ mod tests {
         let r = node.register(123).unwrap();
         assert_eq!(node.region_len(r.rkey()).unwrap(), 123);
         assert!(node.region_len(999).is_err());
-    }
-
-    #[test]
-    fn service_stats_start_at_zero() {
-        let node = MemoryNode::new("m");
-        assert_eq!(node.service_stats().round_trips(), 0);
-        assert_eq!(node.service_stats().bytes_read(), 0);
     }
 
     #[test]

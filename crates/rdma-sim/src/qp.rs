@@ -5,8 +5,10 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use crate::trace::{split_chunk_intervals, SharedSink, TraceSink, VerbSpan, WqeSpan};
-use crate::{Error, MemoryNode, NetworkModel, ReadCause, Result, TransferStats, VirtualClock};
+use crate::trace::{split_chunk_intervals, SharedSink, TraceSink, VerbSpan};
+use crate::{
+    Error, MemoryNode, NetworkModel, ReadCause, Result, TransferStats, VirtualClock, READ_CAUSES,
+};
 
 /// A read work request: fetch `len` bytes at `offset` within region
 /// `rkey`, attributed to a [`ReadCause`] for byte provenance.
@@ -119,9 +121,28 @@ impl WriteReq {
     }
 }
 
-/// A write request over borrowed bytes, `(rkey, offset, data)`: what the
-/// write body takes, so the plain verb need not own its payload.
-type WriteRef<'a> = (u32, u64, &'a [u8]);
+/// One work request of a post, what [`QueuePair::execute`] runs: a read
+/// with its cause, a write of borrowed bytes, or an atomic on the aligned
+/// little-endian `u64` at `(rkey, offset)` — `Faa(.., add)`,
+/// `Cas(.., expected, new)`.
+#[derive(Clone, Copy)]
+enum Verb<'a> {
+    Read(ReadReq),
+    Write(u32, u64, &'a [u8]),
+    Faa(u32, u64, u64),
+    Cas(u32, u64, u64, u64),
+}
+
+impl Verb<'_> {
+    /// The remote bytes the request touches, `(rkey, offset, len)`.
+    fn target(&self) -> (u32, u64, u64) {
+        match *self {
+            Verb::Read(r) => (r.rkey, r.offset, r.len),
+            Verb::Write(rkey, offset, data) => (rkey, offset, data.len() as u64),
+            Verb::Faa(rkey, offset, _) | Verb::Cas(rkey, offset, ..) => (rkey, offset, 8),
+        }
+    }
+}
 
 /// A reliable-connection queue pair from a compute instance to one
 /// [`MemoryNode`].
@@ -182,41 +203,6 @@ impl QueuePair {
         *slot = sink;
     }
 
-    /// Emits a verb span (plus its work requests) to the sink, if any.
-    fn emit_verb(&self, span: VerbSpan, wqes: &[WqeSpan]) {
-        if !self.has_sink.load(Ordering::Relaxed) {
-            return;
-        }
-        if let Some(sink) = self.sink.read().as_ref() {
-            sink.verb_span(&span, wqes);
-        }
-    }
-
-    /// Emits a single-work-request verb span covering `[vt0, now]`.
-    fn emit_plain(&self, verb: &'static str, offset: u64, bytes: u64, vt0: f64) {
-        if !self.has_sink.load(Ordering::Relaxed) {
-            return;
-        }
-        let vt1 = self.clock.now_us();
-        self.emit_verb(
-            VerbSpan {
-                verb,
-                wqes: 1,
-                bytes,
-                chunk: 0,
-                vt_start_us: vt0,
-                vt_end_us: vt1,
-            },
-            &[WqeSpan {
-                index: 0,
-                offset,
-                bytes,
-                vt_start_us: vt0,
-                vt_end_us: vt1,
-            }],
-        );
-    }
-
     /// Emits a fault event to the sink, if any.
     pub(crate) fn emit_fault(&self, event: &crate::trace::FaultEvent) {
         if !self.has_sink.load(Ordering::Relaxed) {
@@ -235,23 +221,6 @@ impl QueuePair {
     /// timeout).
     pub(crate) fn charge_timeout(&self) {
         self.clock.advance_us(self.model.base_rtt_us());
-    }
-
-    fn check_bounds(&self, rkey: u32, offset: u64, len: u64) -> Result<()> {
-        let region_len = self.node.region_len(rkey)?;
-        if offset
-            .checked_add(len)
-            .map(|end| end > region_len)
-            .unwrap_or(true)
-        {
-            return Err(Error::OutOfBounds {
-                rkey,
-                offset,
-                len,
-                region_len,
-            });
-        }
-        Ok(())
     }
 
     /// One-sided `RDMA_READ`: one network round trip, attributed to
@@ -280,7 +249,9 @@ impl QueuePair {
     ) -> Result<Vec<u8>> {
         let req = ReadReq::new(rkey, offset, len).with_cause(cause);
         let mut out = Vec::new();
-        self.execute_reads(false, &[req], |_, bytes| out = bytes.to_vec())?;
+        self.execute("read", false, &[Verb::Read(req)], |_, bytes| {
+            out = bytes.to_vec()
+        })?;
         Ok(out)
     }
 
@@ -294,7 +265,9 @@ impl QueuePair {
     /// untouched.
     pub fn read_into(&self, req: ReadReq, mut into: Scatter<'_>) -> Result<()> {
         check_scatter(&req, &into)?;
-        self.execute_reads(false, &[req], |_, bytes| into.land(bytes))
+        self.execute("read", false, &[Verb::Read(req)], |_, bytes| {
+            into.land(bytes)
+        })
     }
 
     /// One-sided `RDMA_WRITE`: one network round trip.
@@ -303,7 +276,8 @@ impl QueuePair {
     ///
     /// [`Error::UnknownRegion`] or [`Error::OutOfBounds`].
     pub fn write(&self, rkey: u32, offset: u64, data: &[u8]) -> Result<()> {
-        self.execute_writes(false, &[(rkey, offset, data)])
+        let wr = Verb::Write(rkey, offset, data);
+        self.execute("write", false, &[wr], |_, _| {})
     }
 
     /// Doorbell-batched reads: all requests are posted with a single
@@ -319,8 +293,11 @@ impl QueuePair {
     /// Validates every request before executing any; on failure nothing
     /// is charged or transferred.
     pub fn read_doorbell(&self, reqs: &[ReadReq]) -> Result<Vec<Vec<u8>>> {
+        let wrs: Vec<Verb<'_>> = reqs.iter().copied().map(Verb::Read).collect();
         let mut out = Vec::with_capacity(reqs.len());
-        self.execute_reads(true, reqs, |_, bytes| out.push(bytes.to_vec()))?;
+        self.execute("read_doorbell", true, &wrs, |_, bytes| {
+            out.push(bytes.to_vec())
+        })?;
         Ok(out)
     }
 
@@ -349,89 +326,8 @@ impl QueuePair {
         for (req, scatter) in reqs.iter().zip(into.iter()) {
             check_scatter(req, scatter)?;
         }
-        self.execute_reads(true, reqs, |i, bytes| into[i].land(bytes))
-    }
-
-    /// The one read body: bounds, fault admission, the copy out of the
-    /// region — `land(i, bytes)` receives request `i`'s bytes, in request
-    /// order, while the region is locked — then cost, counters and trace
-    /// spans per doorbell-limit chunk. `doorbell` off is the plain
-    /// single-request verb: same body, no doorbell batch counted, traced
-    /// as `read`.
-    fn execute_reads(
-        &self,
-        doorbell: bool,
-        reqs: &[ReadReq],
-        mut land: impl FnMut(usize, &[u8]),
-    ) -> Result<()> {
-        if reqs.is_empty() {
-            return Ok(());
-        }
-        for r in reqs {
-            self.check_bounds(r.rkey, r.offset, r.len)?;
-        }
-        self.admit(if doorbell { "read_doorbell" } else { "read" })?;
-        for (i, r) in reqs.iter().enumerate() {
-            let region = self.node.region(r.rkey)?;
-            let guard = region.read();
-            land(i, &guard[r.offset as usize..(r.offset + r.len) as usize]);
-        }
-        if doorbell {
-            self.stats.record_doorbell(reqs.len() as u64);
-        }
-        // Charge per doorbell-limit chunk: each chunk is one round trip.
-        for (ci, chunk) in reqs.chunks(self.model.doorbell_limit()).enumerate() {
-            let bytes: usize = chunk.iter().map(|r| r.len as usize).sum();
-            let vt0 = self.clock.now_us();
-            self.clock
-                .advance_us(self.model.round_trip_cost_us(chunk.len(), bytes));
-            // Bytes and WQEs are attributed per cause exactly; the
-            // chunk's single round trip goes to the cause carrying the
-            // most bytes in it (ties break to the lowest cause index).
-            let mut per_cause = [(0u64, 0u64); crate::READ_CAUSES];
-            for r in chunk {
-                let slot = &mut per_cause[r.cause.index()];
-                slot.0 += 1;
-                slot.1 += r.len;
-            }
-            let dominant = ReadCause::ALL[per_cause
-                .iter()
-                .enumerate()
-                .filter(|(_, &(wrs, _))| wrs > 0)
-                .max_by(|a, b| a.1 .1.cmp(&b.1 .1).then(b.0.cmp(&a.0)))
-                .map(|(i, _)| i)
-                .unwrap_or(ReadCause::Other.index())];
-            for (i, &(wrs, cbytes)) in per_cause.iter().enumerate() {
-                if wrs == 0 {
-                    continue;
-                }
-                let cause = ReadCause::ALL[i];
-                self.stats.record_read_cause(cause, wrs, cbytes);
-                self.node
-                    .service_stats()
-                    .record_read_cause(cause, wrs, cbytes);
-            }
-            self.stats.record_read_round_trip(dominant);
-            self.node.service_stats().record_read_round_trip(dominant);
-            if !doorbell {
-                self.emit_plain("read", chunk[0].offset, chunk[0].len, vt0);
-            } else if self.has_sink.load(Ordering::Relaxed) {
-                let vt1 = self.clock.now_us();
-                let sizes: Vec<(u64, u64)> = chunk.iter().map(|r| (r.offset, r.len)).collect();
-                self.emit_verb(
-                    VerbSpan {
-                        verb: "read_doorbell",
-                        wqes: chunk.len() as u32,
-                        bytes: bytes as u64,
-                        chunk: ci as u32,
-                        vt_start_us: vt0,
-                        vt_end_us: vt1,
-                    },
-                    &split_chunk_intervals(vt0, vt1, &sizes),
-                );
-            }
-        }
-        Ok(())
+        let wrs: Vec<Verb<'_>> = reqs.iter().copied().map(Verb::Read).collect();
+        self.execute("read_doorbell", true, &wrs, |i, bytes| into[i].land(bytes))
     }
 
     /// Doorbell-batched writes; same cost semantics as
@@ -441,67 +337,11 @@ impl QueuePair {
     ///
     /// Validates every request before executing any.
     pub fn write_doorbell(&self, reqs: &[WriteReq]) -> Result<()> {
-        let reqs: Vec<WriteRef<'_>> = reqs
+        let wrs: Vec<Verb<'_>> = reqs
             .iter()
-            .map(|r| (r.rkey, r.offset, &r.data[..]))
+            .map(|r| Verb::Write(r.rkey, r.offset, &r.data))
             .collect();
-        self.execute_writes(true, &reqs)
-    }
-
-    /// The one write body, the twin of [`QueuePair::execute_reads`]:
-    /// bounds, fault admission, the copy into the region, then cost,
-    /// counters and trace spans per doorbell-limit chunk. `doorbell` off
-    /// is the plain single-request verb: same body, no doorbell batch
-    /// counted, traced as `write`.
-    fn execute_writes(&self, doorbell: bool, reqs: &[WriteRef<'_>]) -> Result<()> {
-        if reqs.is_empty() {
-            return Ok(());
-        }
-        for &(rkey, offset, data) in reqs {
-            self.check_bounds(rkey, offset, data.len() as u64)?;
-        }
-        self.admit(if doorbell { "write_doorbell" } else { "write" })?;
-        for &(rkey, offset, data) in reqs {
-            let region = self.node.region(rkey)?;
-            region.write()[offset as usize..offset as usize + data.len()].copy_from_slice(data);
-        }
-        if doorbell {
-            self.stats.record_doorbell(reqs.len() as u64);
-        }
-        for (ci, chunk) in reqs.chunks(self.model.doorbell_limit()).enumerate() {
-            let bytes: usize = chunk.iter().map(|&(_, _, data)| data.len()).sum();
-            let vt0 = self.clock.now_us();
-            self.clock
-                .advance_us(self.model.round_trip_cost_us(chunk.len(), bytes));
-            self.stats.record_round_trips(1);
-            self.stats.record_write(chunk.len() as u64, bytes as u64);
-            self.node.service_stats().record_round_trips(1);
-            self.node
-                .service_stats()
-                .record_write(chunk.len() as u64, bytes as u64);
-            if !doorbell {
-                let (_, offset, _) = chunk[0];
-                self.emit_plain("write", offset, bytes as u64, vt0);
-            } else if self.has_sink.load(Ordering::Relaxed) {
-                let vt1 = self.clock.now_us();
-                let sizes: Vec<(u64, u64)> = chunk
-                    .iter()
-                    .map(|&(_, offset, data)| (offset, data.len() as u64))
-                    .collect();
-                self.emit_verb(
-                    VerbSpan {
-                        verb: "write_doorbell",
-                        wqes: chunk.len() as u32,
-                        bytes: bytes as u64,
-                        chunk: ci as u32,
-                        vt_start_us: vt0,
-                        vt_end_us: vt1,
-                    },
-                    &split_chunk_intervals(vt0, vt1, &sizes),
-                );
-            }
-        }
-        Ok(())
+        self.execute("write_doorbell", true, &wrs, |_, _| {})
     }
 
     /// Atomic compare-and-swap on an aligned `u64` (little-endian).
@@ -513,27 +353,7 @@ impl QueuePair {
     /// [`Error::Misaligned`] when `offset % 8 != 0`, plus the usual bounds
     /// errors.
     pub fn cas(&self, rkey: u32, offset: u64, expected: u64, new: u64) -> Result<u64> {
-        if !offset.is_multiple_of(8) {
-            return Err(Error::Misaligned { rkey, offset });
-        }
-        self.check_bounds(rkey, offset, 8)?;
-        self.admit("cas")?;
-        let region = self.node.region(rkey)?;
-        let mut guard = region.write();
-        let slot = &mut guard[offset as usize..offset as usize + 8];
-        let current = u64::from_le_bytes(slot.try_into().expect("8 bytes"));
-        if current == expected {
-            slot.copy_from_slice(&new.to_le_bytes());
-        }
-        drop(guard);
-        let vt0 = self.clock.now_us();
-        self.clock.advance_us(self.model.round_trip_cost_us(1, 8));
-        self.stats.record_round_trips(1);
-        self.stats.record_atomic();
-        self.node.service_stats().record_round_trips(1);
-        self.node.service_stats().record_atomic();
-        self.emit_plain("cas", offset, 8, vt0);
-        Ok(current)
+        self.atomic("cas", Verb::Cas(rkey, offset, expected, new))
     }
 
     /// Atomic fetch-and-add on an aligned `u64` (little-endian,
@@ -543,25 +363,124 @@ impl QueuePair {
     ///
     /// Same as [`QueuePair::cas`].
     pub fn faa(&self, rkey: u32, offset: u64, add: u64) -> Result<u64> {
-        if !offset.is_multiple_of(8) {
-            return Err(Error::Misaligned { rkey, offset });
+        self.atomic("faa", Verb::Faa(rkey, offset, add))
+    }
+
+    /// A lone atomic, returning the value it found.
+    fn atomic(&self, verb: &'static str, wr: Verb<'_>) -> Result<u64> {
+        let mut old = [0; 8];
+        self.execute(verb, false, &[wr], |_, bytes| old.copy_from_slice(bytes))?;
+        Ok(u64::from_le_bytes(old))
+    }
+
+    /// The one verb body. In order: every request's alignment and
+    /// bounds; fault admission, once for the whole post; each request
+    /// applied to its region in request order — `land(i, bytes)` gets a
+    /// read's bytes or an atomic's old value while the region is locked;
+    /// then per doorbell-limit chunk one round trip's cost, one count and
+    /// one trace span. `doorbell` off is a plain verb: one request, no
+    /// doorbell batch counted. An empty post costs nothing.
+    fn execute(
+        &self,
+        verb: &'static str,
+        doorbell: bool,
+        wrs: &[Verb<'_>],
+        mut land: impl FnMut(usize, &[u8]),
+    ) -> Result<()> {
+        if wrs.is_empty() {
+            return Ok(());
         }
-        self.check_bounds(rkey, offset, 8)?;
-        self.admit("faa")?;
-        let region = self.node.region(rkey)?;
-        let mut guard = region.write();
-        let slot = &mut guard[offset as usize..offset as usize + 8];
-        let current = u64::from_le_bytes(slot.try_into().expect("8 bytes"));
-        slot.copy_from_slice(&current.wrapping_add(add).to_le_bytes());
-        drop(guard);
-        let vt0 = self.clock.now_us();
-        self.clock.advance_us(self.model.round_trip_cost_us(1, 8));
-        self.stats.record_round_trips(1);
-        self.stats.record_atomic();
-        self.node.service_stats().record_round_trips(1);
-        self.node.service_stats().record_atomic();
-        self.emit_plain("faa", offset, 8, vt0);
-        Ok(current)
+        for wr in wrs {
+            let (rkey, offset, len) = wr.target();
+            if matches!(wr, Verb::Faa(..) | Verb::Cas(..)) && !offset.is_multiple_of(8) {
+                return Err(Error::Misaligned { rkey, offset });
+            }
+            let region_len = self.node.region_len(rkey)?;
+            if offset.checked_add(len).is_none_or(|end| end > region_len) {
+                return Err(Error::OutOfBounds {
+                    rkey,
+                    offset,
+                    len,
+                    region_len,
+                });
+            }
+        }
+        self.admit(verb)?;
+        for (i, wr) in wrs.iter().enumerate() {
+            let (rkey, offset, len) = wr.target();
+            let region = self.node.region(rkey)?;
+            let at = offset as usize..(offset + len) as usize;
+            match *wr {
+                Verb::Read(_) => land(i, &region.read()[at]),
+                Verb::Write(.., data) => region.write()[at].copy_from_slice(data),
+                Verb::Faa(..) | Verb::Cas(..) => {
+                    let slot = &mut region.write()[at];
+                    let old: [u8; 8] = (&*slot).try_into().expect("an atomic spans 8 bytes");
+                    let v = u64::from_le_bytes(old);
+                    let new = match *wr {
+                        Verb::Faa(.., add) => v.wrapping_add(add),
+                        Verb::Cas(.., expected, new) if v == expected => new,
+                        _ => v,
+                    };
+                    slot.copy_from_slice(&new.to_le_bytes());
+                    land(i, &old);
+                }
+            }
+        }
+        if doorbell {
+            self.stats.record_doorbell(wrs.len() as u64);
+        }
+        for (ci, chunk) in wrs.chunks(self.model.doorbell_limit()).enumerate() {
+            let bytes: u64 = chunk.iter().map(|wr| wr.target().2).sum();
+            let vt0 = self.clock.now_us();
+            self.clock
+                .advance_us(self.model.round_trip_cost_us(chunk.len(), bytes as usize));
+            // Reads count per cause; the chunk's one trip goes to the read
+            // cause carrying the most bytes in it (ties to the lowest
+            // cause index), and is uncaused in a chunk that reads nothing.
+            let mut reads = [(0u64, 0u64); READ_CAUSES];
+            for wr in chunk {
+                match *wr {
+                    Verb::Read(r) => {
+                        let slot = &mut reads[r.cause.index()];
+                        slot.0 += 1;
+                        slot.1 += r.len;
+                    }
+                    Verb::Write(.., data) => self.stats.record_write(1, data.len() as u64),
+                    Verb::Faa(..) | Verb::Cas(..) => self.stats.record_atomic(),
+                }
+            }
+            let mut dominant: Option<(ReadCause, u64)> = None;
+            for (&cause, &(wrs, cbytes)) in ReadCause::ALL.iter().zip(&reads) {
+                if wrs > 0 {
+                    self.stats.record_read_cause(cause, wrs, cbytes);
+                    if dominant.is_none_or(|(_, most)| cbytes > most) {
+                        dominant = Some((cause, cbytes));
+                    }
+                }
+            }
+            self.stats.record_trip(dominant.map(|(cause, _)| cause));
+            if self.has_sink.load(Ordering::Relaxed) {
+                let vt1 = self.clock.now_us();
+                let sizes: Vec<(u64, u64)> = chunk
+                    .iter()
+                    .map(Verb::target)
+                    .map(|(_, offset, len)| (offset, len))
+                    .collect();
+                let span = VerbSpan {
+                    verb,
+                    wqes: chunk.len() as u32,
+                    bytes,
+                    chunk: ci as u32,
+                    vt_start_us: vt0,
+                    vt_end_us: vt1,
+                };
+                if let Some(sink) = self.sink.read().as_ref() {
+                    sink.verb_span(&span, &split_chunk_intervals(vt0, vt1, &sizes));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// This queue pair's virtual clock.
@@ -601,6 +520,7 @@ fn check_scatter(req: &ReadReq, scatter: &Scatter<'_>) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::WqeSpan;
 
     fn setup(len: usize) -> (Arc<MemoryNode>, crate::RegionHandle, QueuePair) {
         let node = MemoryNode::new("m");
@@ -777,7 +697,7 @@ mod tests {
     }
 
     #[test]
-    fn node_service_stats_aggregate_across_queue_pairs() {
+    fn queue_pairs_on_one_node_count_apart() {
         let node = MemoryNode::new("m");
         let r = node.register(128).unwrap();
         let a = QueuePair::connect(&node, NetworkModel::connectx6());
@@ -785,12 +705,6 @@ mod tests {
         a.read(r.rkey(), 0, 16).unwrap();
         b.write(r.rkey(), 0, &[1; 8]).unwrap();
         b.faa(r.rkey(), 0, 1).unwrap();
-        let svc = node.service_stats();
-        assert_eq!(svc.round_trips(), 3);
-        assert_eq!(svc.bytes_read(), 16);
-        assert_eq!(svc.bytes_written(), 8);
-        assert_eq!(svc.atomics(), 1);
-        // Per-QP views stay isolated.
         assert_eq!(a.stats().round_trips(), 1);
         assert_eq!(b.stats().round_trips(), 2);
     }
@@ -814,10 +728,6 @@ mod tests {
         assert_eq!(snap.round_trips, 1);
         assert_eq!(snap.trips_for(ReadCause::StageLoad), 1);
         assert_eq!(snap.trips_for(ReadCause::VersionCheck), 0);
-        // Service-side mirror agrees.
-        let svc = _n.service_stats().snapshot();
-        assert_eq!(svc.cause_bytes, snap.cause_bytes);
-        assert_eq!(svc.cause_trips, snap.cause_trips);
     }
 
     /// Splits each request at `cut(i, len)` across two fresh buffers
@@ -925,7 +835,6 @@ mod tests {
         assert_eq!(snap.work_requests, 3, "segments are not work requests");
         assert_eq!(snap.round_trips, 1);
         assert_eq!(snap.trips_for(ReadCause::StageLoad), 1);
-        assert_eq!(_n.service_stats().snapshot().cause_bytes, snap.cause_bytes);
     }
 
     #[test]

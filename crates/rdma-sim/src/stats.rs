@@ -9,9 +9,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// The per-cause byte counters tile exactly: summing
 /// [`StatsSnapshot::cause_bytes`] over all causes reproduces
-/// [`StatsSnapshot::bytes_read`], because every byte-read recording path
-/// goes through [`TransferStats::record_read_cause`] (plain
-/// [`TransferStats::record_read`] attributes to [`ReadCause::Other`]).
+/// [`StatsSnapshot::bytes_read`], because the one counter that moves
+/// `bytes_read` moves the read's cause with it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ReadCause {
     /// Batch-planned sub-HNSW cluster load (the §3.3 staged fetch).
@@ -95,19 +94,21 @@ impl std::fmt::Display for ReadCause {
 ///
 /// These are the quantities the paper reports directly (round trips per
 /// query, bytes transferred) or that its latency numbers are a function
-/// of.
+/// of. Only a queue pair writes them: its verb executor once per post and
+/// per doorbell-limit chunk, its fault admission the `faults`.
 ///
 /// # Example
 ///
 /// ```rust
-/// use rdma_sim::TransferStats;
+/// use rdma_sim::{MemoryNode, NetworkModel, QueuePair, ReadCause};
 ///
-/// let s = TransferStats::new();
-/// s.record_read(2, 1024);
-/// assert_eq!(s.round_trips(), 0); // reads record WRs/bytes; trips are separate
-/// s.record_round_trips(1);
-/// assert_eq!(s.work_requests(), 2);
-/// assert_eq!(s.bytes_read(), 1024);
+/// let node = MemoryNode::new("mem0");
+/// let r = node.register(1024).unwrap();
+/// let qp = QueuePair::connect(&node, NetworkModel::connectx6());
+/// let before = qp.stats().snapshot();
+/// qp.read_with_cause(r.rkey(), 0, 512, ReadCause::Rerank).unwrap();
+/// let delta = qp.stats().snapshot() - before;
+/// assert_eq!((delta.round_trips, delta.bytes_for(ReadCause::Rerank)), (1, 512));
 /// ```
 #[derive(Debug, Default)]
 pub struct TransferStats {
@@ -181,48 +182,40 @@ impl TransferStats {
         TransferStats::default()
     }
 
-    /// Records `n` network round trips.
-    pub fn record_round_trips(&self, n: u64) {
-        self.round_trips.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records read work: `wrs` work requests totalling `bytes` inbound,
-    /// attributed to [`ReadCause::Other`].
-    pub fn record_read(&self, wrs: u64, bytes: u64) {
-        self.record_read_cause(ReadCause::Other, wrs, bytes);
+    /// Records one network round trip, attributed to `cause` when it
+    /// read (a doorbell chunk's trip goes to the cause carrying the most
+    /// bytes in it).
+    pub(crate) fn record_trip(&self, cause: Option<ReadCause>) {
+        self.round_trips.fetch_add(1, Ordering::Relaxed);
+        if let Some(cause) = cause {
+            self.cause_trips.add(cause, 1);
+        }
     }
 
     /// Records read work attributed to `cause`. This is the only path
     /// that bumps `bytes_read`, so per-cause bytes tile the total by
     /// construction.
-    pub fn record_read_cause(&self, cause: ReadCause, wrs: u64, bytes: u64) {
+    pub(crate) fn record_read_cause(&self, cause: ReadCause, wrs: u64, bytes: u64) {
         self.work_requests.fetch_add(wrs, Ordering::Relaxed);
         self.bytes_read.fetch_add(bytes, Ordering::Relaxed);
         self.cause_wrs.add(cause, wrs);
         self.cause_bytes.add(cause, bytes);
     }
 
-    /// Records one read round trip attributed to `cause` (a doorbell
-    /// chunk's trip goes to the cause carrying the most bytes in it).
-    pub fn record_read_round_trip(&self, cause: ReadCause) {
-        self.round_trips.fetch_add(1, Ordering::Relaxed);
-        self.cause_trips.add(cause, 1);
-    }
-
     /// Records write work: `wrs` work requests totalling `bytes` outbound.
-    pub fn record_write(&self, wrs: u64, bytes: u64) {
+    pub(crate) fn record_write(&self, wrs: u64, bytes: u64) {
         self.work_requests.fetch_add(wrs, Ordering::Relaxed);
         self.bytes_written.fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Records one doorbell batch submission of `size` work requests.
-    pub fn record_doorbell(&self, size: u64) {
+    pub(crate) fn record_doorbell(&self, size: u64) {
         self.doorbell_batches.fetch_add(1, Ordering::Relaxed);
         self.doorbell_sizes.record(size);
     }
 
     /// Records one faulted (dropped and retransmitted) verb attempt.
-    pub fn record_fault(&self) {
+    pub(crate) fn record_fault(&self) {
         self.faults.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -232,7 +225,7 @@ impl TransferStats {
     }
 
     /// Records one atomic verb (CAS or FAA).
-    pub fn record_atomic(&self) {
+    pub(crate) fn record_atomic(&self) {
         self.atomics.fetch_add(1, Ordering::Relaxed);
         self.work_requests.fetch_add(1, Ordering::Relaxed);
     }
@@ -347,21 +340,25 @@ impl StatsSnapshot {
 impl std::ops::Sub for StatsSnapshot {
     type Output = StatsSnapshot;
 
+    /// The counts between two snapshots. Saturating per field, so a
+    /// [`TransferStats::reset`] racing in between yields zeros rather than
+    /// a panic (debug) or a wrapped count (release).
     fn sub(self, rhs: StatsSnapshot) -> StatsSnapshot {
+        fn each<const N: usize>(a: [u64; N], b: [u64; N]) -> [u64; N] {
+            std::array::from_fn(|i| a[i].saturating_sub(b[i]))
+        }
         StatsSnapshot {
-            round_trips: self.round_trips - rhs.round_trips,
-            work_requests: self.work_requests - rhs.work_requests,
-            doorbell_batches: self.doorbell_batches - rhs.doorbell_batches,
-            doorbell_size_buckets: std::array::from_fn(|i| {
-                self.doorbell_size_buckets[i] - rhs.doorbell_size_buckets[i]
-            }),
-            bytes_read: self.bytes_read - rhs.bytes_read,
-            bytes_written: self.bytes_written - rhs.bytes_written,
-            atomics: self.atomics - rhs.atomics,
-            faults: self.faults - rhs.faults,
-            cause_bytes: std::array::from_fn(|i| self.cause_bytes[i] - rhs.cause_bytes[i]),
-            cause_wrs: std::array::from_fn(|i| self.cause_wrs[i] - rhs.cause_wrs[i]),
-            cause_trips: std::array::from_fn(|i| self.cause_trips[i] - rhs.cause_trips[i]),
+            round_trips: self.round_trips.saturating_sub(rhs.round_trips),
+            work_requests: self.work_requests.saturating_sub(rhs.work_requests),
+            doorbell_batches: self.doorbell_batches.saturating_sub(rhs.doorbell_batches),
+            doorbell_size_buckets: each(self.doorbell_size_buckets, rhs.doorbell_size_buckets),
+            bytes_read: self.bytes_read.saturating_sub(rhs.bytes_read),
+            bytes_written: self.bytes_written.saturating_sub(rhs.bytes_written),
+            atomics: self.atomics.saturating_sub(rhs.atomics),
+            faults: self.faults.saturating_sub(rhs.faults),
+            cause_bytes: each(self.cause_bytes, rhs.cause_bytes),
+            cause_wrs: each(self.cause_wrs, rhs.cause_wrs),
+            cause_trips: each(self.cause_trips, rhs.cause_trips),
         }
     }
 }
@@ -373,8 +370,9 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let s = TransferStats::new();
-        s.record_round_trips(2);
-        s.record_read(3, 100);
+        s.record_trip(None);
+        s.record_trip(None);
+        s.record_read_cause(ReadCause::Other, 3, 100);
         s.record_write(1, 50);
         s.record_doorbell(3);
         s.record_atomic();
@@ -389,8 +387,8 @@ mod tests {
     #[test]
     fn reset_zeroes_everything() {
         let s = TransferStats::new();
-        s.record_read(3, 100);
-        s.record_round_trips(1);
+        s.record_read_cause(ReadCause::Other, 3, 100);
+        s.record_trip(Some(ReadCause::Other));
         s.record_doorbell(7);
         s.reset();
         assert_eq!(s.snapshot(), StatsSnapshot::default());
@@ -434,12 +432,13 @@ mod tests {
     #[test]
     fn snapshot_delta_isolates_a_phase() {
         let s = TransferStats::new();
-        s.record_round_trips(5);
+        s.record_trip(None);
         let before = s.snapshot();
-        s.record_round_trips(3);
-        s.record_read(1, 10);
+        s.record_trip(None);
+        s.record_trip(None);
+        s.record_read_cause(ReadCause::Other, 1, 10);
         let delta = s.snapshot() - before;
-        assert_eq!(delta.round_trips, 3);
+        assert_eq!(delta.round_trips, 2);
         assert_eq!(delta.bytes_read, 10);
     }
 
@@ -448,7 +447,7 @@ mod tests {
         let s = TransferStats::new();
         s.record_read_cause(ReadCause::StageLoad, 4, 4096);
         s.record_read_cause(ReadCause::VersionCheck, 2, 16);
-        s.record_read(1, 100); // attributed to Other
+        s.record_read_cause(ReadCause::Other, 1, 100);
         let snap = s.snapshot();
         assert_eq!(snap.bytes_for(ReadCause::StageLoad), 4096);
         assert_eq!(snap.bytes_for(ReadCause::VersionCheck), 16);
@@ -460,13 +459,34 @@ mod tests {
     #[test]
     fn read_round_trips_carry_their_cause() {
         let s = TransferStats::new();
-        s.record_read_round_trip(ReadCause::Prefetch);
-        s.record_read_round_trip(ReadCause::Prefetch);
-        s.record_round_trips(1); // e.g. a write: uncaused
+        s.record_trip(Some(ReadCause::Prefetch));
+        s.record_trip(Some(ReadCause::Prefetch));
+        s.record_trip(None); // e.g. a write: uncaused
         let snap = s.snapshot();
         assert_eq!(snap.round_trips, 3);
         assert_eq!(snap.trips_for(ReadCause::Prefetch), 2);
         assert_eq!(snap.cause_trips.iter().sum::<u64>(), 2);
+    }
+
+    #[test]
+    fn a_delta_across_a_reset_saturates_per_field() {
+        let s = TransferStats::new();
+        s.record_read_cause(ReadCause::Rerank, 2, 64);
+        s.record_write(1, 8);
+        s.record_doorbell(2);
+        s.record_atomic();
+        s.record_fault();
+        let before = s.snapshot();
+        // Another thread's `reset` between the two reads, as
+        // `reset_measurements()` can land inside a `query_batch`.
+        s.reset();
+        s.record_write(1, 16);
+        let delta = s.snapshot() - before;
+        let want = StatsSnapshot {
+            bytes_written: 8,
+            ..StatsSnapshot::default()
+        };
+        assert_eq!(delta, want);
     }
 
     #[test]
@@ -500,7 +520,7 @@ mod tests {
                 let s = s.clone();
                 scope.spawn(move || {
                     for _ in 0..1_000 {
-                        s.record_read(1, 8);
+                        s.record_read_cause(ReadCause::Other, 1, 8);
                     }
                 });
             }

@@ -38,6 +38,11 @@ DHNSW_STRESS_ITERS=100 cargo test --release -q --test stress
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# The formatter, one crate at a time (ROADMAP item 9): each crate is
+# formatted in a mechanical commit of its own, then gated here.
+echo "==> cargo fmt --check (rdma-sim)"
+cargo fmt --check -p rdma-sim
+
 # Size ratchet: non-test lines under crates/core/src — per file, in
 # total, and in the telemetry plane — under crates/bench/src and under
 # the three leaf crates (hnsw, vecsim, rdma-sim) may not grow past what
@@ -125,10 +130,12 @@ fi
 # (the health report's gauges, the exemplar store's tail families, the
 # LRU lookup pair that could never count a miss, and the milli-unit
 # encoding and flush delta that fed them), the health report's second
-# window state and repro tail's own workload definition stay gone (four
-# roots, so the guard does not match itself).
+# window state, repro tail's own workload definition, the memory node's
+# counter mirror and rdma-sim's per-kind verb bodies and span emitters
+# (one executor now) stay gone (four roots, so the guard does not match
+# itself).
 echo "==> no deleted duplicate is back"
-if grep -rnE 'QueryTrace|TailRecord|TraceRing|ShardedStore|ShardedSession|LoadBalancer|DispatchPolicy|bench_regress|BENCH_baseline|DHNSW_BENCH_1M|poll_cq|ring_doorbell|BruteForceIndex|clustering_tendency|verdict_index|set_milli|take_flush_delta|dhnsw_health_|dhnsw_heat_|dhnsw_tail_|dhnsw_cache_hits_total|dhnsw_cache_misses_total|WindowState|TraceSpec' \
+if grep -rnE 'QueryTrace|TailRecord|TraceRing|ShardedStore|ShardedSession|LoadBalancer|DispatchPolicy|bench_regress|BENCH_baseline|DHNSW_BENCH_1M|poll_cq|ring_doorbell|BruteForceIndex|clustering_tendency|verdict_index|set_milli|take_flush_delta|dhnsw_health_|dhnsw_heat_|dhnsw_tail_|dhnsw_cache_hits_total|dhnsw_cache_misses_total|WindowState|TraceSpec|service_stats|\bexecute_reads\b|\bexecute_writes\b|emit_plain|emit_verb' \
   crates src tests examples || [[ -e scripts/bench.sh ]]; then
   echo "check.sh: a deleted duplicate is back (the lines above, or scripts/bench.sh)" >&2
   exit 1
