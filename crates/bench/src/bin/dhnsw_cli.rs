@@ -176,10 +176,7 @@ fn apply_trace_flags(flags: &HashMap<String, String>, telemetry: &Telemetry) -> 
 
 /// Arms seeded substrate fault injection on a connected node's queue
 /// pair (`--fault-rate`, `--fault-seed`). Call after `connect()`.
-fn apply_fault_flags(
-    flags: &HashMap<String, String>,
-    node: &dhnsw::ComputeNode,
-) -> AnyResult<()> {
+fn apply_fault_flags(flags: &HashMap<String, String>, node: &dhnsw::ComputeNode) -> AnyResult<()> {
     if let Some(rate) = flag_f64_opt(flags, "fault-rate")? {
         let seed = flag_usize(flags, "fault-seed", 42)? as u64;
         node.queue_pair().set_fault_rate(rate, seed);
@@ -584,7 +581,8 @@ fn cmd_doctor(flags: &HashMap<String, String>) -> AnyResult<()> {
     // diagnosis always lands even after a destructive fault sweep.
     if flags.contains_key("fault-rate") || flags.contains_key("retrans-budget") {
         node.queue_pair().set_fault_rate(0.0, 1);
-        node.queue_pair().set_retry_limit(rdma_sim::DEFAULT_RETRY_LIMIT);
+        node.queue_pair()
+            .set_retry_limit(rdma_sim::DEFAULT_RETRY_LIMIT);
     }
 
     let mut health = node.health_report()?;
@@ -698,7 +696,11 @@ fn cmd_serve(flags: &HashMap<String, String>) -> AnyResult<()> {
         }),
         health: Box::new({
             let node = Arc::clone(&node);
-            move || node.health_report().map(|h| h.to_json()).map_err(|e| e.to_string())
+            move || {
+                node.health_report()
+                    .map(|h| h.to_json())
+                    .map_err(|e| e.to_string())
+            }
         }),
         traces: Box::new({
             let t = Arc::clone(&telemetry);
@@ -793,7 +795,8 @@ fn cmd_top(flags: &HashMap<String, String>) -> AnyResult<()> {
         .trim_end_matches('/')
         .to_string();
     let once = flags.contains_key("once");
-    let interval = std::time::Duration::from_millis(flag_usize(flags, "interval-ms", 1_000)? as u64);
+    let interval =
+        std::time::Duration::from_millis(flag_usize(flags, "interval-ms", 1_000)? as u64);
     let timeout = std::time::Duration::from_secs(5);
     loop {
         let ts = top::http_get(&format!("{url}/timeseries"), timeout)?;
@@ -822,13 +825,23 @@ mod tests {
 
     #[test]
     fn parse_flags_handles_boolean_and_valued_flags() {
-        let f = parse_flags(&s(&["--store", "x", "--check", "--slo-min-hit-rate", "2.0"])).unwrap();
+        let f = parse_flags(&s(&[
+            "--store",
+            "x",
+            "--check",
+            "--slo-min-hit-rate",
+            "2.0",
+        ]))
+        .unwrap();
         assert_eq!(f.get("store").unwrap(), "x");
         assert_eq!(f.get("check").unwrap(), "1");
         assert_eq!(f.get("slo-min-hit-rate").unwrap(), "2.0");
         // Trailing boolean flag, and a bare word where a flag belongs.
         assert_eq!(
-            parse_flags(&s(&["--trace-spans"])).unwrap().get("trace-spans").unwrap(),
+            parse_flags(&s(&["--trace-spans"]))
+                .unwrap()
+                .get("trace-spans")
+                .unwrap(),
             "1"
         );
         assert!(parse_flags(&s(&["store"])).is_err());
@@ -874,8 +887,10 @@ mod tests {
         // ...and the watchdog left a structured warning in the span ring.
         let traces = Telemetry::global().spans().recent();
         assert!(
-            traces.iter().any(|t| t.label == "watchdog"
-                && t.spans.iter().any(|sp| sp.name == "slo_violation")),
+            traces
+                .iter()
+                .any(|t| t.label == "watchdog"
+                    && t.spans.iter().any(|sp| sp.name == "slo_violation")),
             "no watchdog trace found"
         );
         std::fs::remove_dir_all(&dir).ok();

@@ -73,7 +73,10 @@ fn run() -> AnyResult {
         } else if arg == "--trace-spans" {
             Telemetry::global().spans().set_enabled(true);
         } else if arg == "--pipeline-depth" {
-            let d: usize = args.next().ok_or("--pipeline-depth needs a value")?.parse()?;
+            let d: usize = args
+                .next()
+                .ok_or("--pipeline-depth needs a value")?
+                .parse()?;
             // Applied via the env knob so every node the run connects
             // (there are many, built deep inside the sweeps) picks it up.
             std::env::set_var("DHNSW_PIPELINE_DEPTH", d.to_string());
@@ -157,7 +160,11 @@ fn run_fig6(w: &Workload, store: &VectorStore, k: usize, title: &str) -> AnyResu
         schemes.push((mode, sweep(store, mode, w, k)?));
     }
     print_sweep_table(
-        &format!("{title} | {} queries, fanout {}", w.queries.len(), store.config().fanout()),
+        &format!(
+            "{title} | {} queries, fanout {}",
+            w.queries.len(),
+            store.config().fanout()
+        ),
         &schemes,
     );
     let slug = title
@@ -217,8 +224,18 @@ fn scale() -> AnyResult {
     println!("\n=== Scale: full-precision vs SQ8 wire, cold node, top-10, efSearch 48 ===");
     println!(
         "{:<5} {:>9} {:>10} {:>7} {:>6} {:>8} {:>14} {:>10} {:>11} {:>11} {:>8} {:>8}",
-        "wire", "n", "partitions", "M/efC", "b", "queries", "bytes", "recall@10", "sub us/q",
-        "rows/probe", "scanned", "build s"
+        "wire",
+        "n",
+        "partitions",
+        "M/efC",
+        "b",
+        "queries",
+        "bytes",
+        "recall@10",
+        "sub us/q",
+        "rows/probe",
+        "scanned",
+        "build s"
     );
     let query_rows: Vec<u32> = (0..w.queries.len() as u32).collect();
     let mut rows = Vec::new();
@@ -232,12 +249,21 @@ fn scale() -> AnyResult {
             let (results, r) = node.query_batch(&w.queries.select(batch), 10, 48)?;
             bytes += r.bytes_read;
             sub_us += r.breakdown.sub_hnsw_us;
-            ids.extend(results.iter().map(|x| x.iter().map(|n| n.id).collect::<Vec<u32>>()));
+            ids.extend(
+                results
+                    .iter()
+                    .map(|x| x.iter().map(|n| n.id).collect::<Vec<u32>>()),
+            );
         }
         let rec = vecsim::recall::mean_recall(&ids, w.truth(10));
         let sub = store.config().sub_params();
-        let routes = w.queries.iter().flat_map(|q| store.meta().route(q, store.config().fanout()));
-        let probed: Vec<usize> = routes.map(|r| store.partition_sizes()[r.id as usize]).collect();
+        let routes = w
+            .queries
+            .iter()
+            .flat_map(|q| store.meta().route(q, store.config().fanout()));
+        let probed: Vec<usize> = routes
+            .map(|r| store.partition_sizes()[r.id as usize])
+            .collect();
         let scans = |rows: usize| wire == QuantizeMode::Sq8 || rows <= SCAN_ROWS_PER_EF * 48;
         println!(
             "{:<5} {:>9} {:>10} {:>7} {:>6} {:>8} {:>14} {:>10.4} {:>11.1} {:>11.1} {:>7.1}% {:>8.1}",
@@ -257,7 +283,10 @@ fn scale() -> AnyResult {
         rows.push((bytes, rec));
     }
     let ((full_bytes, full_rec), (sq_bytes, sq_rec)) = (rows[0], rows[1]);
-    println!("sq8 / full bytes: {:.3}", sq_bytes as f64 / full_bytes as f64);
+    println!(
+        "sq8 / full bytes: {:.3}",
+        sq_bytes as f64 / full_bytes as f64
+    );
     if sq_bytes as f64 >= 0.30 * full_bytes as f64 {
         return Err(format!(
             "scale gate: sq8 moved {sq_bytes} bytes, not under 0.30x of the uncompressed {full_bytes}"
@@ -293,8 +322,13 @@ fn subsearch() -> AnyResult {
     const QUERIES: usize = 512;
     let cut = SCAN_ROWS_PER_EF * EF;
     println!("\n=== Sub-search: walk vs block scan, 128-d, M 16, top-{K}, efSearch {EF} (scan up to {cut} rows) ===");
-    println!("us per probe, median of {ROUNDS} rounds of {QUERIES} probes over clusters in rotation");
-    println!("{:>6} {:>9} {:>6} {:>9} {:>9} {:>9}", "rows", "clusters", "block", "walk", "f32 scan", "sq8 scan");
+    println!(
+        "us per probe, median of {ROUNDS} rounds of {QUERIES} probes over clusters in rotation"
+    );
+    println!(
+        "{:>6} {:>9} {:>6} {:>9} {:>9} {:>9}",
+        "rows", "clusters", "block", "walk", "f32 scan", "sq8 scan"
+    );
     for rows in [100, 300, 600, cut, 1_000, 2_000] {
         let count = (16 << 20) / (rows * 128 * 4);
         let data = vecsim::gen::sift_like(count * rows, 7)?;
@@ -341,7 +375,16 @@ fn subsearch() -> AnyResult {
                     out.clear();
                     ends.clear();
                     let cluster = if sq { codes } else { full };
-                    cluster.probe(qs, K, slack, rows, &mut scratch, &mut stats, &mut out, &mut ends);
+                    cluster.probe(
+                        qs,
+                        K,
+                        slack,
+                        rows,
+                        &mut scratch,
+                        &mut stats,
+                        &mut out,
+                        &mut ends,
+                    );
                     std::hint::black_box(&out);
                 })
             };
@@ -355,13 +398,21 @@ fn subsearch() -> AnyResult {
     let ns_per_dim = |kernel: fn(&[f32], &[f32]) -> f32| {
         let rounds = (0..ROUNDS).map(|_| {
             let t0 = std::time::Instant::now();
-            data.iter().for_each(|row| _ = std::hint::black_box(kernel(std::hint::black_box(data.get(0)), row)));
+            data.iter().for_each(|row| {
+                _ = std::hint::black_box(kernel(std::hint::black_box(data.get(0)), row))
+            });
             t0.elapsed().as_secs_f64() * 1e9 / (data.len() * data.dim()) as f64
         });
         rounds.fold(f64::INFINITY, f64::min)
     };
-    let (portable, dispatched) = (ns_per_dim(vecsim::distance::l2_sq_portable), ns_per_dim(vecsim::l2_sq));
-    println!("l2_sq ns/dim: portable {portable:.3}, dispatched ({}) {dispatched:.3}", vecsim::simd::active());
+    let (portable, dispatched) = (
+        ns_per_dim(vecsim::distance::l2_sq_portable),
+        ns_per_dim(vecsim::l2_sq),
+    );
+    println!(
+        "l2_sq ns/dim: portable {portable:.3}, dispatched ({}) {dispatched:.3}",
+        vecsim::simd::active()
+    );
     Ok(())
 }
 

@@ -15,7 +15,8 @@ use crate::{BreakdownRow, SweepPoint};
 pub const SWEEP_HEADER: &str = "scheme,ef,recall,latency_us_per_query,network_us,sub_hnsw_us,meta_hnsw_us,round_trips,bytes_read,unique_clusters,cache_hits,clusters_loaded,queries";
 
 /// Header row for breakdown CSVs.
-pub const BREAKDOWN_HEADER: &str = "scheme,network_us,sub_hnsw_us,meta_hnsw_us,round_trips_per_query,bytes_read,recall,queries";
+pub const BREAKDOWN_HEADER: &str =
+    "scheme,network_us,sub_hnsw_us,meta_hnsw_us,round_trips_per_query,bytes_read,recall,queries";
 
 /// Formats one sweep point as a CSV row.
 pub fn sweep_row(mode: SearchMode, p: &SweepPoint) -> String {

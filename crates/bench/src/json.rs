@@ -116,10 +116,7 @@ impl<'a> JsonParser<'a> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!(
-                "expected '{}' at offset {}",
-                c as char, self.pos
-            ))
+            Err(format!("expected '{}' at offset {}", c as char, self.pos))
         }
     }
 
@@ -217,21 +214,13 @@ impl<'a> JsonParser<'a> {
                     return Ok(out);
                 }
                 Some(b'\\') => {
-                    let esc = self
-                        .bytes
-                        .get(self.pos + 1)
-                        .ok_or("unterminated escape")?;
+                    let esc = self.bytes.get(self.pos + 1).ok_or("unterminated escape")?;
                     match esc {
                         b'"' => out.push('"'),
                         b'\\' => out.push('\\'),
                         b'n' => out.push('\n'),
                         b't' => out.push('\t'),
-                        c => {
-                            return Err(format!(
-                                "unsupported escape '\\{}'",
-                                *c as char
-                            ))
-                        }
+                        c => return Err(format!("unsupported escape '\\{}'", *c as char)),
                     }
                     self.pos += 2;
                 }
@@ -246,7 +235,10 @@ impl<'a> JsonParser<'a> {
     fn parse_number(&mut self) -> Result<Json, String> {
         let start = self.pos;
         while self.pos < self.bytes.len()
-            && matches!(self.bytes[self.pos], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
+            && matches!(
+                self.bytes[self.pos],
+                b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9'
+            )
         {
             self.pos += 1;
         }
@@ -270,7 +262,15 @@ mod tests {
 
     #[test]
     fn parser_rejects_garbage() {
-        for bad in ["{", "[1, 2", "{\"a\": }", "{\"a\": 1} x", "\"open", "nul", "@"] {
+        for bad in [
+            "{",
+            "[1, 2",
+            "{\"a\": }",
+            "{\"a\": 1} x",
+            "\"open",
+            "nul",
+            "@",
+        ] {
             assert!(JsonParser::new(bad).parse_document().is_err(), "{bad}");
         }
         let doc = JsonParser::new(r#"{"a": [1, -2.5e0, "x\"y", true, null]}"#)
@@ -322,7 +322,10 @@ mod tests {
                 panic!("histogram {k} is not an object")
             };
             assert!(matches!(h.get("buckets"), Some(Json::Arr(_))), "{k}");
-            assert!(matches!(h.get("p99"), Some(Json::Num(_) | Json::Str(_))), "{k}");
+            assert!(
+                matches!(h.get("p99"), Some(Json::Num(_) | Json::Str(_))),
+                "{k}"
+            );
         }
         for cause in dhnsw::ReadCause::ALL {
             let key = format!(

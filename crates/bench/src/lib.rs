@@ -158,11 +158,7 @@ pub fn env_usize(key: &str, default: usize) -> dhnsw::Result<usize> {
 }
 
 /// [`env_usize`] over any variable lookup.
-fn knob(
-    var: &dyn Fn(&str) -> Option<String>,
-    key: &str,
-    default: usize,
-) -> dhnsw::Result<usize> {
+fn knob(var: &dyn Fn(&str) -> Option<String>, key: &str, default: usize) -> dhnsw::Result<usize> {
     match var(key) {
         None => Ok(default),
         Some(raw) => raw.trim().parse().map_err(|_| {
@@ -324,11 +320,7 @@ pub fn sweep(
 /// Picks the median report by total latency — compute components are
 /// wall-clock and jitter on loaded hosts, so a single batch can mislead.
 fn median_report(mut reports: Vec<BatchReport>) -> BatchReport {
-    reports.sort_by(|a, b| {
-        a.breakdown
-            .total_us()
-            .total_cmp(&b.breakdown.total_us())
-    });
+    reports.sort_by(|a, b| a.breakdown.total_us().total_cmp(&b.breakdown.total_us()));
     let mid = reports.len() / 2;
     reports.swap_remove(mid)
 }
@@ -538,8 +530,6 @@ mod tests {
         assert_eq!(rows[0].mode, SearchMode::Naive);
         assert_eq!(rows[2].mode, SearchMode::Full);
         // Network ordering: naive worst.
-        assert!(
-            rows[0].report.breakdown.network_us > rows[2].report.breakdown.network_us
-        );
+        assert!(rows[0].report.breakdown.network_us > rows[2].report.breakdown.network_us);
     }
 }

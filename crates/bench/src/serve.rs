@@ -288,9 +288,7 @@ mod tests {
             whyslow: Box::new(|id| {
                 (id == "7").then(|| "{\"verdict\": \"retry_storm\"}".to_string())
             }),
-            timeseries: Box::new(|query| {
-                format!("{{\"echo\": \"{query}\", \"points\": []}}")
-            }),
+            timeseries: Box::new(|query| format!("{{\"echo\": \"{query}\", \"points\": []}}")),
             anomalies: Box::new(|| "{\"fired\": 0, \"records\": []}".to_string()),
         }
     }
@@ -331,7 +329,11 @@ mod tests {
         // /timeseries keeps its query string; /anomalies is plain.
         let ts = handle("GET", "/timeseries?window=30&step=2", &sources, &shutdown);
         assert_eq!((ts.status, ts.content_type), (200, JSON_TYPE));
-        assert!(ts.body.contains("\"echo\": \"window=30&step=2\""), "{}", ts.body);
+        assert!(
+            ts.body.contains("\"echo\": \"window=30&step=2\""),
+            "{}",
+            ts.body
+        );
         let ts_bare = handle("GET", "/timeseries", &sources, &shutdown);
         assert!(ts_bare.body.contains("\"echo\": \"\""), "{}", ts_bare.body);
         // Explicit zeros are client errors: a 400 JSON body naming the
@@ -342,12 +344,7 @@ mod tests {
             ("window=0&step=2", "window"),
             ("window=30&step=0", "step"),
         ] {
-            let bad = handle(
-                "GET",
-                &format!("/timeseries?{query}"),
-                &sources,
-                &shutdown,
-            );
+            let bad = handle("GET", &format!("/timeseries?{query}"), &sources, &shutdown);
             assert_eq!((bad.status, bad.content_type), (400, JSON_TYPE), "{query}");
             assert!(
                 bad.body.contains(&format!("\"param\": \"{param}\"")),
@@ -365,7 +362,10 @@ mod tests {
         assert_eq!((an.status, an.content_type), (200, JSON_TYPE));
         assert!(an.body.contains("\"records\": []"));
         // An unretained or malformed id is a 404, not a 500.
-        assert_eq!(handle("GET", "/whyslow/99", &sources, &shutdown).status, 404);
+        assert_eq!(
+            handle("GET", "/whyslow/99", &sources, &shutdown).status,
+            404
+        );
         assert_eq!(handle("GET", "/whyslow/", &sources, &shutdown).status, 404);
         let nope = handle("GET", "/nope", &sources, &shutdown);
         assert_eq!((nope.status, nope.content_type), (404, JSON_TYPE));
@@ -434,8 +434,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let shutdown = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&shutdown);
-        let server =
-            std::thread::spawn(move || serve_loop(listener, &canned(), &flag).unwrap());
+        let server = std::thread::spawn(move || serve_loop(listener, &canned(), &flag).unwrap());
 
         let metrics = get(addr, "/metrics");
         assert!(metrics.starts_with("HTTP/1.1 200 OK"), "{metrics}");
@@ -468,8 +467,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let shutdown = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&shutdown);
-        let server =
-            std::thread::spawn(move || serve_loop(listener, &canned(), &flag).unwrap());
+        let server = std::thread::spawn(move || serve_loop(listener, &canned(), &flag).unwrap());
 
         // A client that connects and immediately hangs up.
         drop(TcpStream::connect(addr).unwrap());

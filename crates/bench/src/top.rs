@@ -49,8 +49,7 @@ pub fn sparkline(values: &[f64], width: usize) -> String {
             if !v.is_finite() || !span.is_finite() {
                 SPARK_GLYPHS[0]
             } else if span > 0.0 {
-                let idx =
-                    (((v - min) / span) * (SPARK_GLYPHS.len() - 1) as f64).round() as usize;
+                let idx = (((v - min) / span) * (SPARK_GLYPHS.len() - 1) as f64).round() as usize;
                 SPARK_GLYPHS[idx.min(SPARK_GLYPHS.len() - 1)]
             } else if v == 0.0 {
                 // A flat zero line genuinely sits at the bottom.
@@ -148,10 +147,7 @@ pub fn parse_snapshot(timeseries: &str, anomalies: &str) -> Result<TopSnapshot, 
                 .to_string(),
             value: r.get("value").and_then(Json::as_f64).unwrap_or(0.0),
             zscore: r.get("zscore").and_then(Json::as_f64).unwrap_or(0.0),
-            exemplar: r
-                .get("exemplar")
-                .and_then(Json::as_f64)
-                .map(|id| id as u64),
+            exemplar: r.get("exemplar").and_then(Json::as_f64).map(|id| id as u64),
         })
         .collect();
     Ok(TopSnapshot {
@@ -202,13 +198,23 @@ pub fn render_dashboard(snap: &TopSnapshot, url: &str, width: usize) -> String {
         spark_row(&mut out, "p99 us", &snap.column("p99_us"), width);
         spark_row(&mut out, "bytes/s", &snap.column("bytes_per_s"), width);
         spark_row(&mut out, "hit rate", &snap.column("hit_rate"), width);
-        spark_row(&mut out, "hidden ratio", &snap.column("hidden_ratio"), width);
+        spark_row(
+            &mut out,
+            "hidden ratio",
+            &snap.column("hidden_ratio"),
+            width,
+        );
         // One row per read cause that moved bytes anywhere in the
         // window; quiet causes are dropped so the frame stays short.
         for cause in dhnsw::ReadCause::ALL {
             let col = snap.cause_column(cause.as_str());
             if col.iter().any(|&v| v > 0.0) {
-                spark_row(&mut out, &format!("bytes/s[{}]", cause.as_str()), &col, width);
+                spark_row(
+                    &mut out,
+                    &format!("bytes/s[{}]", cause.as_str()),
+                    &col,
+                    width,
+                );
             }
         }
     }
@@ -250,8 +256,12 @@ pub fn http_get(url: &str, timeout: Duration) -> Result<String, String> {
         None => (rest, "/".to_string()),
     };
     let mut stream = TcpStream::connect(authority).map_err(|e| format!("{authority}: {e}"))?;
-    stream.set_read_timeout(Some(timeout)).map_err(|e| e.to_string())?;
-    stream.set_write_timeout(Some(timeout)).map_err(|e| e.to_string())?;
+    stream
+        .set_read_timeout(Some(timeout))
+        .map_err(|e| e.to_string())?;
+    stream
+        .set_write_timeout(Some(timeout))
+        .map_err(|e| e.to_string())?;
     stream
         .write_all(
             format!("GET {path} HTTP/1.1\r\nHost: {authority}\r\nConnection: close\r\n\r\n")

@@ -553,7 +553,11 @@ mod tests {
             }
             let want = sub.serialized_size() + g * (8 + 4 * 4);
             let loaded = LoadedCluster::from_remote(&sub.to_bytes(), &area).unwrap();
-            assert_eq!(loaded.resident_bytes(), want, "no overflow area is resident");
+            assert_eq!(
+                loaded.resident_bytes(),
+                want,
+                "no overflow area is resident"
+            );
             (Arc::new(loaded), want)
         };
         let mut c = ClusterCache::new(3);
@@ -561,7 +565,9 @@ mod tests {
         let mut model: HashMap<u32, usize> = HashMap::new();
         let mut rng = 0x9E37_79B9u64;
         for step in 0..400 {
-            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let (op, p) = ((rng >> 33) % 8, ((rng >> 40) % 6) as u32);
             match op {
                 0..=3 => {
@@ -576,8 +582,15 @@ mod tests {
                 _ => drop(c.settle()),
             }
             model.retain(|p, _| c.contains(*p));
-            assert_eq!(c.resident_bytes(), model.values().sum::<usize>(), "step {step}");
+            assert_eq!(
+                c.resident_bytes(),
+                model.values().sum::<usize>(),
+                "step {step}"
+            );
         }
-        assert!(c.evictions() > 0 && c.resident_bytes() > 0, "the sequence exercised nothing");
+        assert!(
+            c.evictions() > 0 && c.resident_bytes() > 0,
+            "the sequence exercised nothing"
+        );
     }
 }

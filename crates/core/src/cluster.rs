@@ -414,8 +414,8 @@ fn sq_sections(blob: &[u8]) -> Result<(u32, SqParams, &[u8], &[u8])> {
     }
     let min = le_words(sec.take(dim.checked_mul(4))?, f32::from_le_bytes).collect();
     let scale = le_words(sec.take(dim.checked_mul(4))?, f32::from_le_bytes).collect();
-    let params = SqParams::from_parts(min, scale)
-        .map_err(|e| Error::Corrupt(format!("sq params: {e}")))?;
+    let params =
+        SqParams::from_parts(min, scale).map_err(|e| Error::Corrupt(format!("sq params: {e}")))?;
     let ids = sec.take(n.checked_mul(4))?;
     Ok((partition, params, ids, sec.take(n.checked_mul(dim))?))
 }
@@ -546,7 +546,8 @@ impl OverflowRecord {
         if bytes.len() < size {
             return Err(Error::Corrupt("truncated overflow record".into()));
         }
-        let word = |off: usize| u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4 bytes"));
+        let word =
+            |off: usize| u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4 bytes"));
         if word(size - 4) != OVERFLOW_COMMIT {
             return Err(Error::Corrupt("uncommitted overflow record".into()));
         }
@@ -593,10 +594,7 @@ pub fn parse_overflow(area: &[u8], dim: usize) -> Result<Vec<OverflowRecord>> {
 /// # Errors
 ///
 /// Same as [`parse_overflow`].
-pub fn parse_overflow_detailed(
-    area: &[u8],
-    dim: usize,
-) -> Result<(Vec<OverflowRecord>, usize)> {
+pub fn parse_overflow_detailed(area: &[u8], dim: usize) -> Result<(Vec<OverflowRecord>, usize)> {
     if area.len() < 8 {
         return Err(Error::Corrupt("overflow area shorter than header".into()));
     }
@@ -898,7 +896,9 @@ impl LoadedCluster {
         // load time, not a panic at search time.
         let viewable = |section: &[u8]| match cast::le_u32s(section) {
             Some(_) => Ok(()),
-            None => Err(Error::Corrupt("this host cannot read cluster words in place".into())),
+            None => Err(Error::Corrupt(
+                "this host cannot read cluster words in place".into(),
+            )),
         };
         let (partition, payload, dim) = if quantized {
             let (partition, params, ids, _) = sq_sections(blob)?;
@@ -1095,12 +1095,20 @@ impl LoadedCluster {
         stats: &mut SearchStats,
     ) -> Vec<Neighbor> {
         let hits = self.probe_one(query, k, ef, stats);
-        hits.into_iter().map(|c| Neighbor::new(c.id, c.dist)).collect()
+        hits.into_iter()
+            .map(|c| Neighbor::new(c.id, c.dist))
+            .collect()
     }
 
     /// [`LoadedCluster::probe`] of one query, no rerank slack, with the
     /// calling thread's own scratch.
-    fn probe_one(&self, query: &[f32], k: usize, ef: usize, stats: &mut SearchStats) -> Vec<Candidate> {
+    fn probe_one(
+        &self,
+        query: &[f32],
+        k: usize,
+        ef: usize,
+        stats: &mut SearchStats,
+    ) -> Vec<Candidate> {
         let (mut out, mut ends) = (Vec::new(), Vec::new());
         LOCAL_SCRATCH.with_borrow_mut(|scratch| {
             self.probe(&[query], k, 0, ef, scratch, stats, &mut out, &mut ends)
@@ -1141,10 +1149,23 @@ impl LoadedCluster {
     ) {
         match &self.payload {
             Payload::Sq { params, n } => {
-                let codes = &self.bytes.as_bytes()[Self::sq_codes_at(params, *n)..][..n * params.dim()];
+                let codes =
+                    &self.bytes.as_bytes()[Self::sq_codes_at(params, *n)..][..n * params.dim()];
                 scratch.row.resize(params.dim(), 0.0);
-                let rows = Codes { params, codes, row: &mut scratch.row };
-                self.scan(rows, queries, k + slack, &mut scratch.block, stats, out, ends)
+                let rows = Codes {
+                    params,
+                    codes,
+                    row: &mut scratch.row,
+                };
+                self.scan(
+                    rows,
+                    queries,
+                    k + slack,
+                    &mut scratch.block,
+                    stats,
+                    out,
+                    ends,
+                )
             }
             Payload::Full { hnsw_at, layout } => {
                 let index = self.index(*hnsw_at, layout);
@@ -1179,8 +1200,10 @@ impl LoadedCluster {
             let start = out.len();
             let base = index.search_in(query, k + extra_needed, ef + extra_needed, walk, stats);
             out.extend(
-                (base.iter().map(|n| Candidate::exact(ids[n.id as usize], n.dist)))
-                    .filter(|c| extra_needed == 0 || !self.deleted.contains(&c.id)),
+                (base
+                    .iter()
+                    .map(|n| Candidate::exact(ids[n.id as usize], n.dist)))
+                .filter(|c| extra_needed == 0 || !self.deleted.contains(&c.id)),
             );
             for (gid, v) in &self.extra {
                 stats.dist_evals += 1;
@@ -1219,10 +1242,16 @@ impl LoadedCluster {
         // lookup altogether.
         let any_deleted = !self.deleted.is_empty();
         for queries in queries.chunks((SCAN_BLOCK_BYTES / (4 * self.dim())).max(1)) {
-            block.tops.resize_with(block.tops.len().max(queries.len()), || TopK::new(pool));
+            block
+                .tops
+                .resize_with(block.tops.len().max(queries.len()), || TopK::new(pool));
             block.dists.resize(queries.len(), 0.0);
-            block.tops[..queries.len()].iter_mut().for_each(|top| top.reset(pool));
-            let live = (0u32..).zip(ids).filter(|(_, gid)| !any_deleted || !self.deleted.contains(gid));
+            block.tops[..queries.len()]
+                .iter_mut()
+                .for_each(|top| top.reset(pool));
+            let live = (0u32..)
+                .zip(ids)
+                .filter(|(_, gid)| !any_deleted || !self.deleted.contains(gid));
             let live = live.map(|(local, _)| local);
             let mut evals = self.extra.len();
             if let [query] = queries {

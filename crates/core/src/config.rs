@@ -172,8 +172,7 @@ impl DHnswConfig {
         if self.cache_fraction == 0.0 {
             return 0;
         }
-        ((partitions as f64 * self.cache_fraction).ceil() as usize)
-            .clamp(1, partitions.max(1))
+        ((partitions as f64 * self.cache_fraction).ceil() as usize).clamp(1, partitions.max(1))
     }
 
     /// Engine-level read retries per cluster load, on top of rdma-sim's
@@ -514,8 +513,7 @@ impl DHnswConfig {
             .map_err(|e| Error::InvalidParameter(format!("sub params: {e}")))?;
         if self.meta_params.max_level_cap().is_none() {
             return Err(Error::InvalidParameter(
-                "meta params must be level-capped (the meta-HNSW is a fixed-height pyramid)"
-                    .into(),
+                "meta params must be level-capped (the meta-HNSW is a fixed-height pyramid)".into(),
             ));
         }
         Ok(())
@@ -672,9 +670,7 @@ mod tests {
         let c = DHnswConfig::paper();
         assert_eq!(c.quantize_mode(), QuantizeMode::Off);
         assert_eq!(c.rerank_k(), 32);
-        let c = c
-            .with_quantize_mode(QuantizeMode::Sq8)
-            .with_rerank_k(48);
+        let c = c.with_quantize_mode(QuantizeMode::Sq8).with_rerank_k(48);
         assert_eq!(c.quantize_mode(), QuantizeMode::Sq8);
         assert_eq!(c.rerank_k(), 48);
         c.validate().unwrap();
@@ -689,7 +685,10 @@ mod tests {
         for metric in [Metric::InnerProduct, Metric::Cosine] {
             let c = DHnswConfig::paper().with_metric(metric);
             c.validate().unwrap();
-            let err = c.with_quantize_mode(QuantizeMode::Sq8).validate().unwrap_err();
+            let err = c
+                .with_quantize_mode(QuantizeMode::Sq8)
+                .validate()
+                .unwrap_err();
             assert!(
                 matches!(&err, Error::InvalidParameter(m) if m.contains("sq8") && m.contains(metric.name())),
                 "{err}"
@@ -715,24 +714,49 @@ mod tests {
         type Get = fn(&DHnswConfig) -> String;
         // (variable, a valid value, the field after it, a malformed value)
         let cases: [(&'static str, &'static str, &'static str, &'static str, Get); 8] = [
-            ("DHNSW_READ_RETRY_LIMIT", "7", "7", "-1", |c| c.read_retry_limit().to_string()),
-            ("DHNSW_RETRY_BACKOFF_US", "2.5", "2.5", "NaN", |c| c.retry_backoff_us().to_string()),
-            ("DHNSW_DEGRADED_OK", "1", "true", "yes", |c| c.degraded_ok().to_string()),
-            ("DHNSW_PIPELINE_DEPTH", "4", "4", "abc", |c| c.pipeline_depth().to_string()),
+            ("DHNSW_READ_RETRY_LIMIT", "7", "7", "-1", |c| {
+                c.read_retry_limit().to_string()
+            }),
+            ("DHNSW_RETRY_BACKOFF_US", "2.5", "2.5", "NaN", |c| {
+                c.retry_backoff_us().to_string()
+            }),
+            ("DHNSW_DEGRADED_OK", "1", "true", "yes", |c| {
+                c.degraded_ok().to_string()
+            }),
+            ("DHNSW_PIPELINE_DEPTH", "4", "4", "abc", |c| {
+                c.pipeline_depth().to_string()
+            }),
             ("DHNSW_PREFETCH_BUDGET_BYTES", "4096", "4096", "4k", |c| {
                 c.prefetch_budget_bytes().to_string()
             }),
-            ("DHNSW_SEARCH_THREADS", " 3 ", "3", "three", |c| c.search_threads().to_string()),
-            ("DHNSW_QUANTIZE_MODE", "sq8", "sq8", "sq9", |c| c.quantize_mode().as_str().into()),
-            ("DHNSW_RERANK_K", "48", "48", "", |c| c.rerank_k().to_string()),
+            ("DHNSW_SEARCH_THREADS", " 3 ", "3", "three", |c| {
+                c.search_threads().to_string()
+            }),
+            ("DHNSW_QUANTIZE_MODE", "sq8", "sq8", "sq9", |c| {
+                c.quantize_mode().as_str().into()
+            }),
+            ("DHNSW_RERANK_K", "48", "48", "", |c| {
+                c.rerank_k().to_string()
+            }),
         ];
         let base = DHnswConfig::small();
         for (name, valid, after, malformed, get) in cases {
             let before = get(&base);
-            assert_ne!(before, after, "{name}: the valid case must change the field");
+            assert_ne!(
+                before, after,
+                "{name}: the valid case must change the field"
+            );
             let set = move |n: &str| (n == name).then(|| valid.to_string());
-            assert_eq!(get(&base.clone().with_overrides(&set).unwrap()), after, "{name}");
-            assert_eq!(get(&base.clone().with_overrides(&|_| None).unwrap()), before, "{name}");
+            assert_eq!(
+                get(&base.clone().with_overrides(&set).unwrap()),
+                after,
+                "{name}"
+            );
+            assert_eq!(
+                get(&base.clone().with_overrides(&|_| None).unwrap()),
+                before,
+                "{name}"
+            );
             let bad = move |n: &str| (n == name).then(|| malformed.to_string());
             let err = base.clone().with_overrides(&bad).unwrap_err();
             assert!(
@@ -746,15 +770,24 @@ mod tests {
         assert_eq!((floored.pipeline_depth(), floored.rerank_k()), (1, 1));
         // A flag set to 0 leaves a configured `true` alone.
         let on = DHnswConfig::small().with_degraded_ok(true);
-        assert!(on.with_overrides(&vars(&[("DHNSW_DEGRADED_OK", "0")])).unwrap().degraded_ok());
+        assert!(on
+            .with_overrides(&vars(&[("DHNSW_DEGRADED_OK", "0")]))
+            .unwrap()
+            .degraded_ok());
     }
 
     #[test]
     fn a_build_validates_the_wire_the_environment_resolved() {
-        let sq8 = vars(&[("DHNSW_QUANTIZE_MODE", "sq8"), ("DHNSW_PIPELINE_DEPTH", "4")]);
+        let sq8 = vars(&[
+            ("DHNSW_QUANTIZE_MODE", "sq8"),
+            ("DHNSW_PIPELINE_DEPTH", "4"),
+        ]);
         // Only the wire format is taken from the environment.
         let built = DHnswConfig::small().for_build_under(&sq8).unwrap();
-        assert_eq!((built.quantize_mode(), built.pipeline_depth()), (QuantizeMode::Sq8, 1));
+        assert_eq!(
+            (built.quantize_mode(), built.pipeline_depth()),
+            (QuantizeMode::Sq8, 1)
+        );
         // SQ8 under cosine is refused however the two met.
         let cosine = DHnswConfig::small().with_metric(Metric::Cosine);
         cosine.for_build_under(&|_| None).unwrap();
@@ -770,7 +803,10 @@ mod tests {
         assert_eq!(tracer_switches(&|_| None).unwrap(), (false, None));
         let both = vars(&[("DHNSW_TRACE_SPANS", "1"), ("DHNSW_SLOW_QUERY_US", "250")]);
         assert_eq!(tracer_switches(&both).unwrap(), (true, Some(250)));
-        for bad in [&[("DHNSW_TRACE_SPANS", "on")], &[("DHNSW_SLOW_QUERY_US", "1ms")]] {
+        for bad in [
+            &[("DHNSW_TRACE_SPANS", "on")],
+            &[("DHNSW_SLOW_QUERY_US", "1ms")],
+        ] {
             let err = tracer_switches(&vars(bad)).unwrap_err();
             assert!(
                 matches!(&err, Error::InvalidParameter(m) if m.contains(bad[0].0)),

@@ -131,7 +131,8 @@ impl<'a> Reader<'a> {
         let outcome = if self.node.policy.doorbell {
             qp.read_doorbell_into(reqs, &mut into.collect::<Vec<_>>())
         } else {
-            reqs.iter().try_for_each(|r| qp.read_into(*r, into.next().expect("one per request")))
+            reqs.iter()
+                .try_for_each(|r| qp.read_into(*r, into.next().expect("one per request")))
         };
         match outcome {
             Ok(()) => Ok(Some(landed)),
@@ -266,7 +267,11 @@ impl<'a> Reader<'a> {
                 };
                 // Full wire: the other side of the cut is the rest of the
                 // group span.
-                let (cluster, rest) = if cluster_last { (tail, head) } else { (head, tail) };
+                let (cluster, rest) = if cluster_last {
+                    (tail, head)
+                } else {
+                    (head, tail)
+                };
                 let overflow = (!node.use_sq).then_some(rest);
                 if node.use_sq && version != 0 {
                     mutated.push((load, cluster));
@@ -409,12 +414,20 @@ impl ComputeNode {
     /// must be the cluster of the directory entry it was fetched for
     /// ([`LoadedCluster::expecting`]).
     fn decode(&self, fetched: Fetched) -> Result<LoadedCluster> {
-        let Fetched { load, cluster, overflow, .. } = fetched;
+        let Fetched {
+            load,
+            cluster,
+            overflow,
+            ..
+        } = fetched;
         let loaded = if self.use_sq {
             LoadedCluster::adopt(cluster, 0, true, overflow.as_deref())?
         } else {
             let loc = self.directory.location(load.partition)?;
-            let (rest, n) = (overflow.as_deref().unwrap_or_default(), loc.overflow_len as usize);
+            let (rest, n) = (
+                overflow.as_deref().unwrap_or_default(),
+                loc.overflow_len as usize,
+            );
             // Front slot: alignment padding, then the area. Back: the area
             // comes first.
             let area = match loc.slot {

@@ -53,7 +53,11 @@ impl ExactRows {
 
     /// Adds the rows a rerank fetched, `dim` little-endian floats each,
     /// emptying the cache first if they would take it past the cap.
-    pub(super) fn admit<'a>(&mut self, dim: usize, rows: impl ExactSizeIterator<Item = ((u32, u32), &'a [u8])>) {
+    pub(super) fn admit<'a>(
+        &mut self,
+        dim: usize,
+        rows: impl ExactSizeIterator<Item = ((u32, u32), &'a [u8])>,
+    ) {
         if self.rows.len() + rows.len() * dim > RERANK_CACHE_CAP * dim {
             self.at.clear();
             self.rows.clear();
@@ -62,7 +66,8 @@ impl ExactRows {
         self.rows.reserve_exact(rows.len() * dim);
         for (key, bytes) in rows {
             self.at.insert(key, self.rows.len());
-            self.rows.extend(vecsim::io::le_words(bytes, f32::from_le_bytes));
+            self.rows
+                .extend(vecsim::io::le_words(bytes, f32::from_le_bytes));
         }
     }
 }
@@ -283,11 +288,22 @@ impl ComputeNode {
             let mut key = 0u32;
             let mut load = |&partition: &u32| {
                 key += 1;
-                (key - 1, Load { key: key - 1, partition })
+                (
+                    key - 1,
+                    Load {
+                        key: key - 1,
+                        partition,
+                    },
+                )
             };
-            let loads = routes.iter().map(|route| route.iter().map(&mut load).unzip());
+            let loads = routes
+                .iter()
+                .map(|route| route.iter().map(&mut load).unzip());
             let (keys, loads): (Vec<Vec<u32>>, Vec<Vec<Load>>) = loads.unzip();
-            let staged = bounds.iter().map(|&(lo, hi)| loads[lo..hi].concat()).collect();
+            let staged = bounds
+                .iter()
+                .map(|&(lo, hi)| loads[lo..hi].concat())
+                .collect();
             (keys, staged)
         };
 
@@ -481,7 +497,11 @@ impl ComputeNode {
         let mut results = Vec::with_capacity(pools.len());
         for (pool, cov) in pools {
             let closest = pool.iter().take(k);
-            results.push(closest.map(|c| Neighbor::new(c.cand.id, c.cand.dist)).collect());
+            results.push(
+                closest
+                    .map(|c| Neighbor::new(c.cand.id, c.cand.dist))
+                    .collect(),
+            );
             if failed > 0 {
                 if cov < 1.0 {
                     report.degraded_queries += 1;
@@ -517,8 +537,9 @@ impl ComputeNode {
         let outcome = if self.policy.reuse {
             reader.fetch(pending, verify, ReadCause::StageLoad, &mut got)
         } else {
-            (pending.into_iter())
-                .try_for_each(|load| reader.fetch(vec![load], Vec::new(), ReadCause::Naive, &mut got))
+            (pending.into_iter()).try_for_each(|load| {
+                reader.fetch(vec![load], Vec::new(), ReadCause::Naive, &mut got)
+            })
         };
         report.read_retries += reader.retries;
         let vt = self.qp.clock().now_us() - clock0;
@@ -576,7 +597,9 @@ impl ComputeNode {
     ) -> Result<f64> {
         let dim = self.directory.dim();
         let vec_bytes = (dim * 4) as u64;
-        let settle = |c: &mut Pooled, q: &[f32], row: &[f32]| c.cand = Candidate::exact(c.cand.id, vecsim::l2_sq(q, row));
+        let settle = |c: &mut Pooled, q: &[f32], row: &[f32]| {
+            c.cand = Candidate::exact(c.cand.id, vecsim::l2_sq(q, row))
+        };
         let mut total_vt = 0.0;
         for pass in 0.. {
             // Candidates to exactify whose row is not cached, as (query,
@@ -601,7 +624,10 @@ impl ComputeNode {
                         let mut uppers: Vec<f32> =
                             pool.iter().map(|c| c.cand.dist + c.cand.err).collect();
                         let kth = k.min(uppers.len()) - 1;
-                        (pool.len(), *uppers.select_nth_unstable_by(kth, f32::total_cmp).1)
+                        (
+                            pool.len(),
+                            *uppers.select_nth_unstable_by(kth, f32::total_cmp).1,
+                        )
                     } else {
                         (k.min(pool.len()), f32::INFINITY)
                     };
@@ -672,7 +698,10 @@ impl ComputeNode {
                 s_rr,
                 &[
                     ("candidates", ArgValue::U64(candidates)),
-                    ("fetched", ArgValue::U64(fetched.as_ref().map_or(0, Vec::len) as u64)),
+                    (
+                        "fetched",
+                        ArgValue::U64(fetched.as_ref().map_or(0, Vec::len) as u64),
+                    ),
                     ("exacted", ArgValue::U64(exacted)),
                 ],
             );
@@ -751,9 +780,21 @@ pub(super) fn search_stage(
         let mut block: Vec<&[f32]> = Vec::new();
         for same in runs[r].chunk_by(|a, b| a.0 == b.0) {
             block.clear();
-            block.extend(same.iter().map(|&(_, query, _)| queries.get(base + query as usize)));
+            block.extend(
+                same.iter()
+                    .map(|&(_, query, _)| queries.get(base + query as usize)),
+            );
             let cluster = &resolved[&same[0].0];
-            cluster.probe(&block, k, slack, ef, &mut scratch, &mut stats, &mut hits, &mut ends);
+            cluster.probe(
+                &block,
+                k,
+                slack,
+                ef,
+                &mut scratch,
+                &mut stats,
+                &mut hits,
+                &mut ends,
+            );
         }
         Ok((hits, ends))
     })?;

@@ -190,7 +190,8 @@ fn a_rerank_that_overflows_the_exact_row_cache_still_reports_exact_distances() {
     let cached = first.ledger.bytes_for(ReadCause::Rerank) as usize / row_bytes;
     assert!(cached > 0);
     let filler = vec![0u8; row_bytes];
-    let fill = (cached as u32..query::RERANK_CACHE_CAP as u32 - 1).map(|i| ((u32::MAX, i), &filler[..]));
+    let fill =
+        (cached as u32..query::RERANK_CACHE_CAP as u32 - 1).map(|i| ((u32::MAX, i), &filler[..]));
     node.rerank_cache.lock().admit(data.dim(), fill);
 
     // The same queries plan on the cached rows; new ones beside them
@@ -204,7 +205,13 @@ fn a_rerank_that_overflows_the_exact_row_cache_still_reports_exact_distances() {
     for (q, hits) in both.iter().zip(&results) {
         for n in hits {
             let exact = vecsim::l2_sq(q, data.get(n.id as usize));
-            assert_eq!(n.dist.to_bits(), exact.to_bits(), "id {} reported {} for {exact}", n.id, n.dist);
+            assert_eq!(
+                n.dist.to_bits(),
+                exact.to_bits(),
+                "id {} reported {} for {exact}",
+                n.id,
+                n.dist
+            );
         }
     }
 }
@@ -891,10 +898,21 @@ fn a_write_cut_at_any_verb_leaves_every_reader_consistent() {
         .find(|v| partition(v) != partition(&a))
         .expect("the data spans two partitions");
     b[0] += 0.5;
-    let area = |v: &[f32]| store.directory().location(partition(v)).unwrap().overflow_off;
+    let area = |v: &[f32]| {
+        store
+            .directory()
+            .location(partition(v))
+            .unwrap()
+            .overflow_off
+    };
     let areas = if area(&a) == area(&b) { 1 } else { 2 };
     let target = data.get(11);
-    let victim = store.connect(SearchMode::Full).unwrap().query(target, 1, 48).unwrap()[0].id;
+    let victim = store
+        .connect(SearchMode::Full)
+        .unwrap()
+        .query(target, 1, 48)
+        .unwrap()[0]
+        .id;
     let both = Dataset::from_rows(&[&a[..], &b[..]]).unwrap();
 
     let cases = [
@@ -941,7 +959,9 @@ fn a_write_cut_at_any_verb_leaves_every_reader_consistent() {
                 matches!(err, Error::Rdma(rdma_sim::Error::RetriesExhausted { .. })),
                 "{at}: {err}"
             );
-            writer.queue_pair().set_retry_limit(rdma_sim::DEFAULT_RETRY_LIMIT);
+            writer
+                .queue_pair()
+                .set_retry_limit(rdma_sim::DEFAULT_RETRY_LIMIT);
 
             // A reader that connects now decodes no torn record: the op
             // shows exactly when its record write went through, whether or
@@ -951,15 +971,32 @@ fn a_write_cut_at_any_verb_leaves_every_reader_consistent() {
             for &(probe, id, appears) in &case.probes {
                 let truth = fresh.query(probe, 3, 48).unwrap();
                 let written = cut > case.write_at;
-                assert_eq!(truth.iter().any(|n| n.id == id), appears == written, "{at}: {truth:?}");
-                assert_eq!(writer.query(probe, 3, 48).unwrap(), truth, "{at}: the writer hides it");
+                assert_eq!(
+                    truth.iter().any(|n| n.id == id),
+                    appears == written,
+                    "{at}: {truth:?}"
+                );
+                assert_eq!(
+                    writer.query(probe, 3, 48).unwrap(),
+                    truth,
+                    "{at}: the writer hides it"
+                );
             }
             // `used` still counts bytes handed out.
-            fresh.health_report().unwrap_or_else(|e| panic!("{at}: {e}"));
+            fresh
+                .health_report()
+                .unwrap_or_else(|e| panic!("{at}: {e}"));
             // Whatever ids the cut op took stay burned.
-            let next_id = fresh.qp.read(fresh.rkey, crate::layout::ID_COUNTER_OFFSET, 8).unwrap();
+            let next_id = fresh
+                .qp
+                .read(fresh.rkey, crate::layout::ID_COUNTER_OFFSET, 8)
+                .unwrap();
             let next_id = u64::from_le_bytes(next_id.try_into().unwrap());
-            assert_eq!(u64::from(writer.insert(&a).unwrap()), next_id, "{at}: a burned id came back");
+            assert_eq!(
+                u64::from(writer.insert(&a).unwrap()),
+                next_id,
+                "{at}: a burned id came back"
+            );
         }
     }
 }
@@ -1103,9 +1140,13 @@ fn a_landed_blob_of_another_partition_or_dim_is_corrupt_on_both_wires() {
                 let rows = gen::uniform(data.dim() / 2, 3, 0.0, 1.0, 1).unwrap();
                 match wire {
                     QuantizeMode::Off => {
-                        SubCluster::build(p, rows, vec![0, 1, 2], &config.sub_params()).unwrap().to_bytes()
+                        SubCluster::build(p, rows, vec![0, 1, 2], &config.sub_params())
+                            .unwrap()
+                            .to_bytes()
                     }
-                    QuantizeMode::Sq8 => SqCluster::build(p, &rows, vec![0, 1, 2]).unwrap().to_bytes(),
+                    QuantizeMode::Sq8 => SqCluster::build(p, &rows, vec![0, 1, 2])
+                        .unwrap()
+                        .to_bytes(),
                 }
             } else {
                 // The cluster itself, under its neighbour's number.
@@ -1308,7 +1349,9 @@ fn sq8_prefetch_admits_mutated_partitions_with_their_overflow() {
     node.set_prefetch_budget_bytes(u64::MAX);
     let admitted = node.prefetch_hot();
     assert!(admitted > 0, "mutated hot partitions were not admitted");
-    let warmed: Vec<u32> = parts.filter(|p| resident(p) && !before.contains(p)).collect();
+    let warmed: Vec<u32> = parts
+        .filter(|p| resident(p) && !before.contains(p))
+        .collect();
     assert!(!warmed.is_empty());
     // Converged: the next round finds its targets resident.
     let bytes0 = node.queue_pair().stats().snapshot().bytes_read;
@@ -1505,8 +1548,14 @@ fn modes_agree_with_partitions_on_both_sides_of_the_scan_cut_off() {
     let queries = gen::perturbed_queries(&data, 24, 0.02, 131).unwrap();
     let answers = || {
         let of = |mode| {
-            let (hits, _) = store.connect(mode).unwrap().query_batch(&queries, k, ef).unwrap();
-            hits.iter().map(|r| r.iter().map(|n| n.id).collect()).collect::<Vec<Vec<u32>>>()
+            let (hits, _) = store
+                .connect(mode)
+                .unwrap()
+                .query_batch(&queries, k, ef)
+                .unwrap();
+            hits.iter()
+                .map(|r| r.iter().map(|n| n.id).collect())
+                .collect::<Vec<Vec<u32>>>()
         };
         let full = of(SearchMode::Full);
         assert_eq!(full, of(SearchMode::NoDoorbell));
@@ -1525,7 +1574,10 @@ fn modes_agree_with_partitions_on_both_sides_of_the_scan_cut_off() {
     let mutated = answers();
     assert_ne!(pristine, mutated);
     for (i, hits) in mutated.iter().take(12).enumerate() {
-        assert!(hits[0] >= data.len() as u32, "query {i} finds its own insert first: {hits:?}");
+        assert!(
+            hits[0] >= data.len() as u32,
+            "query {i} finds its own insert first: {hits:?}"
+        );
     }
 }
 
@@ -1541,7 +1593,10 @@ fn scanned_clusters_are_exact_under_the_stores_metric() {
         let store = VectorStore::build(data.clone(), &config).unwrap();
         let (k, ef) = (5, 16);
         let largest = *store.partition_sizes().iter().max().unwrap();
-        assert!(largest <= crate::cluster::SCAN_ROWS_PER_EF * ef, "{largest} rows would be walked");
+        assert!(
+            largest <= crate::cluster::SCAN_ROWS_PER_EF * ef,
+            "{largest} rows would be walked"
+        );
         let node = store.connect(SearchMode::Full).unwrap();
         let everywhere = QueryOptions::new(k, ef).with_fanout(store.partitions());
         let (hits, _) = node.query_batch_opts(&queries, &everywhere).unwrap();
@@ -1564,6 +1619,8 @@ fn sq8_under_a_non_l2_metric_is_refused_at_build() {
         Err(Error::InvalidParameter(m)) => m.contains("sq8") && m.contains("cosine"),
         _ => false,
     };
-    assert!(refused(&cosine.clone().with_quantize_mode(QuantizeMode::Sq8)));
+    assert!(refused(
+        &cosine.clone().with_quantize_mode(QuantizeMode::Sq8)
+    ));
     assert!(!refused(&cosine));
 }

@@ -66,8 +66,13 @@ impl ComputeNode {
         if rows.is_empty() {
             return Ok(Vec::new());
         }
-        let partitions = rows.iter().map(|v| self.partition_of(v)).collect::<Result<Vec<u32>>>()?;
-        let id_base = self.qp.faa(self.rkey, ID_COUNTER_OFFSET, rows.len() as u64)?;
+        let partitions = rows
+            .iter()
+            .map(|v| self.partition_of(v))
+            .collect::<Result<Vec<u32>>>()?;
+        let id_base = self
+            .qp
+            .faa(self.rkey, ID_COUNTER_OFFSET, rows.len() as u64)?;
         let records = (partitions.into_iter().zip(rows).enumerate())
             .map(|(i, (p, v))| OverflowRecord::insert(p, (id_base + i as u64) as u32, v.to_vec()))
             .collect();
@@ -129,7 +134,9 @@ impl ComputeNode {
         for (i, r) in records.iter().enumerate() {
             let loc = self.directory.location(r.partition)?;
             let area = by_area.entry(loc.overflow_counter_off());
-            area.or_insert((loc.overflow_capacity(), Vec::new())).1.push(i);
+            area.or_insert((loc.overflow_capacity(), Vec::new()))
+                .1
+                .push(i);
         }
 
         // Reserve: one FAA per area takes all its slots. Those past the
@@ -140,7 +147,9 @@ impl ComputeNode {
         let mut writes = Vec::with_capacity(records.len());
         let mut mutated = Vec::with_capacity(records.len());
         for (area_off, (capacity, indices)) in by_area {
-            let start = self.qp.faa(self.rkey, area_off, record_size * indices.len() as u64)?;
+            let start = self
+                .qp
+                .faa(self.rkey, area_off, record_size * indices.len() as u64)?;
             let room = capacity.saturating_sub(start) / record_size;
             let (fit, refused) = indices.split_at(indices.len().min(room as usize));
             for (slot, &i) in fit.iter().enumerate() {
@@ -150,7 +159,10 @@ impl ComputeNode {
             }
             for &i in refused {
                 let partition = records[i].partition;
-                results[i] = Err(Error::OverflowFull { partition, capacity });
+                results[i] = Err(Error::OverflowFull {
+                    partition,
+                    capacity,
+                });
             }
             if !refused.is_empty() {
                 let unused = record_size * refused.len() as u64;
@@ -177,7 +189,8 @@ impl ComputeNode {
         // version are guaranteed to decode committed records, and readers
         // that raced the write see an uncommitted slot and skip it.
         for &p in &mutated {
-            self.qp.faa(self.rkey, self.directory.version_slot_off(p)?, 1)?;
+            self.qp
+                .faa(self.rkey, self.directory.version_slot_off(p)?, 1)?;
         }
         Ok(results)
     }

@@ -226,10 +226,10 @@ mod tests {
         h.record_load(9, 64);
         h.record_cache_hit(9);
         h.record_eviction(9);
-        assert!(h.snapshot().iter().all(|c| c.route_hits == 0
-            && c.loads == 0
-            && c.cache_hits == 0
-            && c.evictions == 0));
+        assert!(h
+            .snapshot()
+            .iter()
+            .all(|c| c.route_hits == 0 && c.loads == 0 && c.cache_hits == 0 && c.evictions == 0));
     }
 
     #[test]

@@ -35,6 +35,8 @@ pub mod skew;
 pub mod watchdog;
 
 pub use heatmap::{ClusterHeatmap, PartitionHeat};
-pub use report::{CacheHealth, GroupHealth, HealthReport, LatencyHealth, LayoutSummary, TailHealth};
+pub use report::{
+    CacheHealth, GroupHealth, HealthReport, LatencyHealth, LayoutSummary, TailHealth,
+};
 pub use skew::{skew_of, SkewStats};
 pub use watchdog::{evaluate, evaluate_point, SloBudgets, SloViolation};

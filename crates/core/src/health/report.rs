@@ -316,7 +316,11 @@ impl HealthReport {
             out.push_str(&format!(
                 "    {}{}\n",
                 v.to_json(),
-                if i + 1 < self.violations.len() { "," } else { "" },
+                if i + 1 < self.violations.len() {
+                    ","
+                } else {
+                    ""
+                },
             ));
         }
         out.push_str("  ]\n}\n");

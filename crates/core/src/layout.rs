@@ -130,10 +130,7 @@ impl ClusterLocation {
             GroupSlot::Back => {
                 let overflow = &buf[..self.overflow_len as usize];
                 let c_start = (self.cluster_off - self.overflow_off) as usize;
-                Ok((
-                    &buf[c_start..c_start + self.cluster_len as usize],
-                    overflow,
-                ))
+                Ok((&buf[c_start..c_start + self.cluster_len as usize], overflow))
             }
         }
     }
@@ -427,9 +424,7 @@ impl Directory {
         if header.len() < HEADER_BYTES {
             return Err(Error::Corrupt("truncated directory header".into()));
         }
-        let u32_at = |off: usize| {
-            u32::from_le_bytes(header[off..off + 4].try_into().expect("4"))
-        };
+        let u32_at = |off: usize| u32::from_le_bytes(header[off..off + 4].try_into().expect("4"));
         if u32_at(0) != DIRECTORY_MAGIC {
             return Err(Error::Corrupt("bad directory magic".into()));
         }

@@ -62,7 +62,6 @@ mod store;
 pub mod telemetry;
 
 pub use breakdown::{BatchReport, CostLedger, LatencyBreakdown};
-pub use rdma_sim::{ReadCause, READ_CAUSES};
 pub use cache::CacheStats;
 pub use config::{DHnswConfig, QuantizeMode};
 pub use engine::{ComputeNode, QueryOptions, SearchMode};
@@ -72,6 +71,7 @@ pub use health::{
     HealthReport, PartitionHeat, SkewStats, SloBudgets, SloViolation,
 };
 pub use meta::MetaIndex;
+pub use rdma_sim::{ReadCause, READ_CAUSES};
 pub use store::VectorStore;
 pub use telemetry::chrome::chrome_trace_json;
 pub use telemetry::exemplar::{diagnose, BucketExemplar, Diagnosis, ExemplarStore, VERDICTS};

@@ -160,10 +160,7 @@ mod tests {
     fn dedup_keeps_first_demand_order() {
         // The paper's Fig. 5 example: q1 -> {S1, S4}, q2 -> {S3, ...},
         // q3 -> {S4, S5}, q4 -> {S3, ...}.
-        let plan = plan_batch(
-            &routes(&[&[1, 4], &[3, 2], &[4, 5], &[3, 1]]),
-            |_| false,
-        );
+        let plan = plan_batch(&routes(&[&[1, 4], &[3, 2], &[4, 5], &[3, 1]]), |_| false);
         assert_eq!(plan.unique, vec![1, 4, 3, 2, 5]);
         assert_eq!(plan.raw_demand, 8);
         assert_eq!(plan.to_load.len(), 5);
@@ -264,7 +261,10 @@ mod tests {
         let reqs = read_requests_tagged(&dir, 9, &[2, 0], ReadCause::StageLoad).unwrap();
         assert_eq!(reqs.len(), 2);
         let (off, len) = dir.location(2).unwrap().read_span();
-        assert_eq!(reqs[0], ReadReq::new(9, off, len).with_cause(ReadCause::StageLoad));
+        assert_eq!(
+            reqs[0],
+            ReadReq::new(9, off, len).with_cause(ReadCause::StageLoad)
+        );
         // Order follows the input partitions.
         assert_eq!(reqs[1].offset, dir.location(0).unwrap().read_span().0);
         assert!(reqs.iter().all(|r| r.cause == ReadCause::StageLoad));

@@ -51,7 +51,8 @@ pub fn write_snapshot<W: Write>(store: &VectorStore, mut w: W) -> Result<()> {
 
     let io_err = |e: std::io::Error| Error::Corrupt(format!("snapshot write failed: {e}"));
     w.write_all(&SNAPSHOT_MAGIC.to_le_bytes()).map_err(io_err)?;
-    w.write_all(&SNAPSHOT_VERSION.to_le_bytes()).map_err(io_err)?;
+    w.write_all(&SNAPSHOT_VERSION.to_le_bytes())
+        .map_err(io_err)?;
     w.write_all(&(store.base_len() as u64).to_le_bytes())
         .map_err(io_err)?;
     w.write_all(&(store.partitions() as u32).to_le_bytes())

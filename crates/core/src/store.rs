@@ -120,7 +120,11 @@ impl VectorStore {
             Directory::plan(&sizes, data.dim(), config.overflow_slots())?
         };
         directory.set_next_id(
-            global_ids.iter().map(|&g| u64::from(g) + 1).max().unwrap_or(0),
+            global_ids
+                .iter()
+                .map(|&g| u64::from(g) + 1)
+                .max()
+                .unwrap_or(0),
         );
         directory.set_epoch(epoch);
 
@@ -443,7 +447,10 @@ mod tests {
     fn remote_region_matches_directory_plan() {
         let (_, store) = small_store(400);
         assert_eq!(
-            store.memory_node().region_len(store.region().rkey()).unwrap(),
+            store
+                .memory_node()
+                .region_len(store.region().rkey())
+                .unwrap(),
             store.directory().total_len()
         );
         assert_eq!(store.remote_bytes(), store.directory().total_len());
@@ -495,7 +502,10 @@ mod tests {
         let dir = store.directory();
         assert!(dir.has_sq_spans());
         assert_eq!(
-            store.memory_node().region_len(store.region().rkey()).unwrap(),
+            store
+                .memory_node()
+                .region_len(store.region().rkey())
+                .unwrap(),
             dir.total_len()
         );
         let qp = QueuePair::connect(store.memory_node(), store.config().network());
@@ -514,7 +524,10 @@ mod tests {
         // The compressed copies cost well under half of the f32 regions.
         let sq_total = dir.sq_live_bytes();
         let cluster_total: u64 = dir.locations().iter().map(|l| l.cluster_len).sum();
-        assert!(sq_total * 2 < cluster_total, "{sq_total} vs {cluster_total}");
+        assert!(
+            sq_total * 2 < cluster_total,
+            "{sq_total} vs {cluster_total}"
+        );
     }
 
     #[test]

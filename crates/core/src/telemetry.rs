@@ -149,17 +149,15 @@ impl Histogram {
             return;
         }
         self.buckets[bucket_index(v)].fetch_add(count, Ordering::Relaxed);
-        self.sum.fetch_add(v.saturating_mul(count), Ordering::Relaxed);
+        self.sum
+            .fetch_add(v.saturating_mul(count), Ordering::Relaxed);
         self.min.fetch_min(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
     /// Total number of samples.
     pub fn count(&self) -> u64 {
-        self.buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .sum()
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
     /// Sum of all samples.
@@ -346,7 +344,9 @@ fn render_labels(labels: &[(&str, &str)]) -> String {
 
 /// Escapes a label value for both exposition formats.
 pub(crate) fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
+    s.replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
 }
 
 /// The telemetry hub: a metrics registry, a span tracer, the always-on
@@ -833,7 +833,10 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
 
         // Families appear in name order; series in label order.
-        let a = lines.iter().position(|l| l.starts_with("dhnsw_a_total")).unwrap();
+        let a = lines
+            .iter()
+            .position(|l| l.starts_with("dhnsw_a_total"))
+            .unwrap();
         let b_full = lines
             .iter()
             .position(|l| l.starts_with("dhnsw_b_total{mode=\"full\"}"))
@@ -1035,7 +1038,8 @@ mod tests {
     #[test]
     fn json_snapshot_contains_quantiles() {
         let t = Telemetry::new();
-        t.counter("dhnsw_q_total", "queries", &[("mode", "full")]).add(7);
+        t.counter("dhnsw_q_total", "queries", &[("mode", "full")])
+            .add(7);
         let h = t.histogram("dhnsw_lat_us", "latency", &[]);
         h.observe_n(8, 90);
         h.observe_n(4096, 10);

@@ -83,10 +83,11 @@ pub fn chrome_trace_json(traces: &[FinishedTrace]) -> String {
             events.push((rec.wall_start_us, -dur, json));
         }
     }
-    events.sort_by(|a, b| {
-        a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1))
-    });
-    let all: Vec<String> = meta.into_iter().chain(events.into_iter().map(|e| e.2)).collect();
+    events.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
+    let all: Vec<String> = meta
+        .into_iter()
+        .chain(events.into_iter().map(|e| e.2))
+        .collect();
     if all.is_empty() {
         return "{\"traceEvents\":[],\"displayTimeUnit\":\"ms\"}".to_string();
     }

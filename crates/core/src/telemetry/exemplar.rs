@@ -198,7 +198,12 @@ impl ExemplarStore {
 
     /// The K-slowest records, slowest first.
     pub fn slowest(&self) -> Vec<BatchReport> {
-        self.inner.lock().slowest.iter().map(|e| e.rec.clone()).collect()
+        self.inner
+            .lock()
+            .slowest
+            .iter()
+            .map(|e| e.rec.clone())
+            .collect()
     }
 
     /// The current reservoir sample, in slot order.
@@ -243,10 +248,7 @@ impl ExemplarStore {
     pub fn render_json(&self) -> String {
         let g = self.inner.lock();
         let rec_json = |r: &BatchReport, has_spans: Option<bool>| {
-            let cause = r
-                .ledger
-                .dominant_cause()
-                .map_or("none", |c| c.as_str());
+            let cause = r.ledger.dominant_cause().map_or("none", |c| c.as_str());
             let spans = match has_spans {
                 Some(b) => format!(", \"has_spans\": {b}"),
                 None => String::new(),
@@ -389,12 +391,10 @@ pub fn diagnose(rec: &BatchReport, baseline: &[BatchReport]) -> Diagnosis {
         )
     };
     let (phases, bytes) = per_query(rec);
-    let base_phases: [f64; 4] = std::array::from_fn(|i| {
-        median(baseline.iter().map(|r| per_query(r).0[i]).collect())
-    });
-    let base_bytes: [f64; READ_CAUSES] = std::array::from_fn(|i| {
-        median(baseline.iter().map(|r| per_query(r).1[i]).collect())
-    });
+    let base_phases: [f64; 4] =
+        std::array::from_fn(|i| median(baseline.iter().map(|r| per_query(r).0[i]).collect()));
+    let base_bytes: [f64; READ_CAUSES] =
+        std::array::from_fn(|i| median(baseline.iter().map(|r| per_query(r).1[i]).collect()));
     let baseline_per_query_us = median(baseline.iter().map(|r| r.per_query_us()).collect());
 
     let excess_us: [f64; 4] = std::array::from_fn(|i| (phases[i] - base_phases[i]).max(0.0));
@@ -459,13 +459,7 @@ impl Diagnosis {
             .collect();
         let excess_bytes: Vec<String> = ReadCause::ALL
             .iter()
-            .map(|c| {
-                format!(
-                    "\"{}\": {}",
-                    c.as_str(),
-                    num3(self.excess_bytes[c.index()])
-                )
-            })
+            .map(|c| format!("\"{}\": {}", c.as_str(), num3(self.excess_bytes[c.index()])))
             .collect();
         format!(
             "{{\n  \"trace_id\": {},\n  \"mode\": \"{}\",\n  \"queries\": {},\n  \

@@ -84,7 +84,9 @@ impl ProfileAccumulator {
         }
         let mut map = self.paths.lock();
         for (i, rec) in ft.spans.iter().enumerate() {
-            let Some(path) = paths[i].take() else { continue };
+            let Some(path) = paths[i].take() else {
+                continue;
+            };
             let wall = rec.wall_dur_us.max(0.0);
             let s = map.entry(path).or_default();
             s.calls += 1;
@@ -103,7 +105,11 @@ impl ProfileAccumulator {
     pub fn fold_phases(&self, breakdown: &LatencyBreakdown, total_us: f64) {
         let phases = [
             ("query_batch;meta_route", breakdown.meta_hnsw_us, 0.0),
-            ("query_batch;network", breakdown.network_us, breakdown.network_us),
+            (
+                "query_batch;network",
+                breakdown.network_us,
+                breakdown.network_us,
+            ),
             ("query_batch;sub_hnsw_search", breakdown.sub_hnsw_us, 0.0),
             ("query_batch;materialize", breakdown.materialize_us, 0.0),
         ];
@@ -169,13 +175,7 @@ mod tests {
     use super::*;
     use crate::telemetry::span::{SpanId, SpanRecord, SpanTracer};
 
-    fn span(
-        name: &'static str,
-        parent: u32,
-        start: f64,
-        dur: f64,
-        vt: f64,
-    ) -> SpanRecord {
+    fn span(name: &'static str, parent: u32, start: f64, dur: f64, vt: f64) -> SpanRecord {
         SpanRecord {
             name,
             cat: "engine",

@@ -225,7 +225,13 @@ impl SeriesPoint {
         let causes = ReadCause::ALL
             .iter()
             .enumerate()
-            .map(|(i, c)| format!("\"{}\": {}", c.as_str(), json_f64(self.cause_bytes_per_s[i])))
+            .map(|(i, c)| {
+                format!(
+                    "\"{}\": {}",
+                    c.as_str(),
+                    json_f64(self.cause_bytes_per_s[i])
+                )
+            })
             .collect::<Vec<_>>()
             .join(", ");
         format!(
@@ -532,7 +538,11 @@ impl SeriesRecorder {
             // The serving plane's mode; the others are bench baselines.
             inner.handles = Some(Handles::resolve(telemetry, SearchMode::Full));
         }
-        let cur = inner.handles.as_ref().expect("resolved above").sample(now_us);
+        let cur = inner
+            .handles
+            .as_ref()
+            .expect("resolved above")
+            .sample(now_us);
         let Some(prev) = inner.last else {
             inner.last = Some(cur);
             return None;
@@ -641,11 +651,7 @@ impl SeriesRecorder {
             (0, _) | (_, None) => 0,
             (w, Some(newest)) => newest.t_us.saturating_sub(w.saturating_mul(1_000_000)),
         };
-        let kept: Vec<&SeriesPoint> = inner
-            .points
-            .iter()
-            .filter(|p| p.t_us >= cutoff)
-            .collect();
+        let kept: Vec<&SeriesPoint> = inner.points.iter().filter(|p| p.t_us >= cutoff).collect();
         // Anchor stepping at the newest point and walk backwards.
         let mut picked: Vec<&SeriesPoint> = Vec::new();
         let mut i = kept.len();
@@ -723,9 +729,7 @@ mod tests {
             "2 MB / 2 s, got {}",
             p.bytes_per_s
         );
-        assert!(
-            (p.cause_bytes_per_s[ReadCause::StageLoad.index()] - 1_000_000.0).abs() < 1e-6
-        );
+        assert!((p.cause_bytes_per_s[ReadCause::StageLoad.index()] - 1_000_000.0).abs() < 1e-6);
         assert!((p.hit_rate - 0.75).abs() < 1e-9);
         // Windowed quantile sees only this window's 400 us samples.
         assert!(p.p99_us >= 400.0 && p.p99_us <= 512.0, "p99 {}", p.p99_us);

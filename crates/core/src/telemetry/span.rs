@@ -340,7 +340,11 @@ impl Drop for ScopeGuard {
 /// Records an instant event against the innermost active scope on
 /// this thread (no-op without one). This is how the cluster cache
 /// reports hit/miss/evict events without depending on a trace handle.
-pub fn emit_scope_instant(name: &'static str, cat: &'static str, args: &[(&'static str, ArgValue)]) {
+pub fn emit_scope_instant(
+    name: &'static str,
+    cat: &'static str,
+    args: &[(&'static str, ArgValue)],
+) {
     SCOPE.with(|s| {
         let stack = s.borrow();
         if let Some(scope) = stack.last() {
@@ -363,7 +367,9 @@ impl rdma_sim::TraceSink for QpSpanSink {
     fn verb_span(&self, span: &rdma_sim::VerbSpan, wqes: &[rdma_sim::WqeSpan]) {
         SCOPE.with(|s| {
             let mut stack = s.borrow_mut();
-            let Some(scope) = stack.last_mut() else { return };
+            let Some(scope) = stack.last_mut() else {
+                return;
+            };
             let wall_now = scope.trace.elapsed_us();
             let wall_start = scope.last_wall_us.min(wall_now);
             let wall_dur = wall_now - wall_start;

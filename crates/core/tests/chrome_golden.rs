@@ -130,7 +130,10 @@ fn sample_trace() -> FinishedTrace {
 #[test]
 fn exporter_matches_golden_file() {
     let json = chrome_trace_json(&[sample_trace()]);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/chrome_trace.json");
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/chrome_trace.json"
+    );
     if std::env::var("BLESS").is_ok() {
         std::fs::write(path, &json).expect("write golden");
     }
@@ -151,7 +154,8 @@ fn exporter_output_is_structurally_valid() {
     assert!(json.ends_with("],\"displayTimeUnit\":\"ms\"}"));
 
     // Event lines, skipping the metadata record.
-    let body = &json["{\"traceEvents\":[\n".len()..json.len() - "],\"displayTimeUnit\":\"ms\"}".len()];
+    let body =
+        &json["{\"traceEvents\":[\n".len()..json.len() - "],\"displayTimeUnit\":\"ms\"}".len()];
     let lines: Vec<&str> = body
         .lines()
         .map(|l| l.trim_end_matches(','))

@@ -25,7 +25,9 @@
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use dhnsw::cluster::{parse_overflow_detailed, LoadedCluster, OverflowRecord, SqCluster, SubCluster};
+use dhnsw::cluster::{
+    parse_overflow_detailed, LoadedCluster, OverflowRecord, SqCluster, SubCluster,
+};
 use dhnsw::layout::{Directory, DIRECTORY_PEEK_BYTES};
 use hnsw::{serialize, HnswIndex, HnswParams, SearchScratch};
 use vecsim::cast::{le_f32s, le_u32s, AlignedBytes};
@@ -44,7 +46,12 @@ fn xorshift(state: &mut u64) -> u64 {
 
 /// Hands `visit` the blob truncated to every length, then with each header
 /// bit and byte flipped, then with seeded random body bytes flipped.
-fn for_each_mutation(blob: &[u8], header_len: usize, seed: u64, mut visit: impl FnMut(&str, &[u8])) {
+fn for_each_mutation(
+    blob: &[u8],
+    header_len: usize,
+    seed: u64,
+    mut visit: impl FnMut(&str, &[u8]),
+) {
     for len in 0..blob.len() {
         visit(&format!("truncated to {len}"), &blob[..len]);
     }
@@ -69,15 +76,26 @@ fn for_each_mutation(blob: &[u8], header_len: usize, seed: u64, mut visit: impl 
 /// Runs `decode_and_search` over every mutation; it returns whether the
 /// blob decoded, and fails the sweep itself on an error of the wrong kind.
 /// Returns how many mutations were accepted.
-fn sweep(format: &str, blob: &[u8], header_len: usize, decode_and_search: impl Fn(&[u8]) -> bool) -> usize {
-    assert!(decode_and_search(blob), "{format}: the pristine blob must decode");
+fn sweep(
+    format: &str,
+    blob: &[u8],
+    header_len: usize,
+    decode_and_search: impl Fn(&[u8]) -> bool,
+) -> usize {
+    assert!(
+        decode_and_search(blob),
+        "{format}: the pristine blob must decode"
+    );
     let mut accepted = 0;
-    for_each_mutation(blob, header_len, 0x5eed, |what, mutated| {
-        match catch_unwind(AssertUnwindSafe(|| decode_and_search(mutated))) {
+    for_each_mutation(
+        blob,
+        header_len,
+        0x5eed,
+        |what, mutated| match catch_unwind(AssertUnwindSafe(|| decode_and_search(mutated))) {
             Ok(ok) => accepted += usize::from(ok),
             Err(_) => panic!("{format}: panicked on blob {what}"),
-        }
-    });
+        },
+    );
     accepted
 }
 
@@ -96,31 +114,40 @@ fn params() -> HnswParams {
 #[test]
 fn hsw1_blobs_decode_or_report_corruption() {
     let blob = serialize::to_bytes(&HnswIndex::build(data(), &params()).unwrap());
-    let accepted = sweep("HSW1", &blob, 48, |bytes| match serialize::from_bytes(bytes) {
-        Ok(index) => {
-            // The layout pass accepts the mutant too, and the view over
-            // the mutant's own words answers as the decoded copy does.
-            let at = serialize::layout(bytes).expect("one validator");
-            let own = AlignedBytes::copy_of(bytes);
-            let links = le_u32s(&own.as_bytes()[at.node_bytes()]).unwrap();
-            let view = at.view(links, le_f32s(&own.as_bytes()[at.vector_bytes()]).unwrap());
-            let (mut scratch, mut stats) = (SearchScratch::default(), Default::default());
-            for q in queries(index.dim()) {
-                let hits = index.search(&q, 10, 48);
-                assert!(hits.len() <= 10 && hits.iter().all(|n| (n.id as usize) < index.len()));
-                let seen = view.search_in(&q, 10, 48, &mut scratch, &mut stats);
-                assert_eq!(format!("{seen:?}"), format!("{hits:?}"), "NaN distances included");
-                index.descend(&q, 3);
+    let accepted = sweep("HSW1", &blob, 48, |bytes| {
+        match serialize::from_bytes(bytes) {
+            Ok(index) => {
+                // The layout pass accepts the mutant too, and the view over
+                // the mutant's own words answers as the decoded copy does.
+                let at = serialize::layout(bytes).expect("one validator");
+                let own = AlignedBytes::copy_of(bytes);
+                let links = le_u32s(&own.as_bytes()[at.node_bytes()]).unwrap();
+                let view = at.view(links, le_f32s(&own.as_bytes()[at.vector_bytes()]).unwrap());
+                let (mut scratch, mut stats) = (SearchScratch::default(), Default::default());
+                for q in queries(index.dim()) {
+                    let hits = index.search(&q, 10, 48);
+                    assert!(hits.len() <= 10 && hits.iter().all(|n| (n.id as usize) < index.len()));
+                    let seen = view.search_in(&q, 10, 48, &mut scratch, &mut stats);
+                    assert_eq!(
+                        format!("{seen:?}"),
+                        format!("{hits:?}"),
+                        "NaN distances included"
+                    );
+                    index.descend(&q, 3);
+                }
+                // What decoded must encode again, and to something decodable.
+                serialize::from_bytes(&serialize::to_bytes(&index)).unwrap();
+                true
             }
-            // What decoded must encode again, and to something decodable.
-            serialize::from_bytes(&serialize::to_bytes(&index)).unwrap();
-            true
+            Err(hnsw::Error::CorruptBlob(_)) => {
+                assert!(matches!(
+                    serialize::layout(bytes),
+                    Err(hnsw::Error::CorruptBlob(_))
+                ));
+                false
+            }
+            Err(other) => panic!("HSW1: not a corruption error: {other:?}"),
         }
-        Err(hnsw::Error::CorruptBlob(_)) => {
-            assert!(matches!(serialize::layout(bytes), Err(hnsw::Error::CorruptBlob(_))));
-            false
-        }
-        Err(other) => panic!("HSW1: not a corruption error: {other:?}"),
     });
     // Flipped vector bytes and in-range neighbour ids are still an index.
     assert!(accepted > 0);
@@ -139,31 +166,54 @@ fn overflow_area() -> Vec<u8> {
 #[test]
 fn dhc1_blobs_decode_or_report_corruption() {
     let ids = (0..N as u32).map(|i| i * 10 + 1).collect();
-    let blob = SubCluster::build(3, data(), ids, &params()).unwrap().to_bytes();
+    let blob = SubCluster::build(3, data(), ids, &params())
+        .unwrap()
+        .to_bytes();
     let area = overflow_area();
     // Header: magic, partition, n, hnsw length (20 bytes), then the id map;
     // the embedded HSW1 header is swept as part of the body.
     let refused = Cell::new(0);
-    let accepted = sweep("DHC1", &blob, 20, |bytes| match LoadedCluster::from_remote(bytes, &area) {
-        Ok(loaded) => {
-            assert!(SubCluster::from_bytes(bytes).is_ok(), "the view took what the owner refuses");
-            let moved = adopt_off_boundary(bytes, false, Some(&area)).expect("one validator");
-            for q in queries(loaded.dim()) {
-                let hits = loaded.search(&q, 10, 48);
-                assert!(hits.len() <= 10);
-                assert_eq!(format!("{:?}", moved.search(&q, 10, 48)), format!("{hits:?}"));
+    let accepted = sweep(
+        "DHC1",
+        &blob,
+        20,
+        |bytes| match LoadedCluster::from_remote(bytes, &area) {
+            Ok(loaded) => {
+                assert!(
+                    SubCluster::from_bytes(bytes).is_ok(),
+                    "the view took what the owner refuses"
+                );
+                let moved = adopt_off_boundary(bytes, false, Some(&area)).expect("one validator");
+                for q in queries(loaded.dim()) {
+                    let hits = loaded.search(&q, 10, 48);
+                    assert!(hits.len() <= 10);
+                    assert_eq!(
+                        format!("{:?}", moved.search(&q, 10, 48)),
+                        format!("{hits:?}")
+                    );
+                }
+                is_the_entry_fetched("DHC1", loaded, &refused)
             }
-            is_the_entry_fetched("DHC1", loaded, &refused)
-        }
-        Err(dhnsw::Error::Corrupt(_)) => {
-            assert!(matches!(SubCluster::from_bytes(bytes), Err(dhnsw::Error::Corrupt(_))));
-            assert!(matches!(adopt_off_boundary(bytes, false, Some(&area)), Err(dhnsw::Error::Corrupt(_))));
-            false
-        }
-        Err(other) => panic!("DHC1: not a corruption error: {other:?}"),
-    });
+            Err(dhnsw::Error::Corrupt(_)) => {
+                assert!(matches!(
+                    SubCluster::from_bytes(bytes),
+                    Err(dhnsw::Error::Corrupt(_))
+                ));
+                assert!(matches!(
+                    adopt_off_boundary(bytes, false, Some(&area)),
+                    Err(dhnsw::Error::Corrupt(_))
+                ));
+                false
+            }
+            Err(other) => panic!("DHC1: not a corruption error: {other:?}"),
+        },
+    );
     assert!(accepted > 0);
-    assert!(refused.get() >= PARTITION_FLIPS, "{} refused", refused.get());
+    assert!(
+        refused.get() >= PARTITION_FLIPS,
+        "{} refused",
+        refused.get()
+    );
 }
 
 /// The loader's last word on a mutant that decoded: corrupt, or the
@@ -190,12 +240,20 @@ const PARTITION_FLIPS: usize = 4 * 9;
 
 /// The loader's entry on a buffer whose cluster starts one byte past a
 /// boundary, so the view is built over the converted-once copy.
-fn adopt_off_boundary(bytes: &[u8], quantized: bool, overflow: Option<&[u8]>) -> dhnsw::Result<LoadedCluster> {
+fn adopt_off_boundary(
+    bytes: &[u8],
+    quantized: bool,
+    overflow: Option<&[u8]>,
+) -> dhnsw::Result<LoadedCluster> {
     let mut buf = Vec::with_capacity(bytes.len() + 8);
     let start = 1 + (buf.as_ptr() as usize).wrapping_neg() % 4;
     buf.resize(start, 0xAA);
     buf.extend_from_slice(bytes);
-    assert_eq!(buf[start..].as_ptr() as usize % 4, 1, "the cluster must start off a boundary");
+    assert_eq!(
+        buf[start..].as_ptr() as usize % 4,
+        1,
+        "the cluster must start off a boundary"
+    );
     LoadedCluster::adopt(buf, start, quantized, overflow)
 }
 
@@ -209,29 +267,50 @@ fn dhc2_blobs_decode_or_report_corruption() {
     let header = 16 + 8 * DIM;
     for overflow in [None, Some(area.as_slice())] {
         let refused = Cell::new(0);
-        let accepted = sweep("DHC2", &blob, header, |bytes| {
-            match LoadedCluster::from_remote_sq(bytes, overflow) {
+        let accepted = sweep(
+            "DHC2",
+            &blob,
+            header,
+            |bytes| match LoadedCluster::from_remote_sq(bytes, overflow) {
                 Ok(loaded) => {
-                    assert!(SqCluster::from_bytes(bytes).is_ok(), "the view took what the owner refuses");
+                    assert!(
+                        SqCluster::from_bytes(bytes).is_ok(),
+                        "the view took what the owner refuses"
+                    );
                     let moved = adopt_off_boundary(bytes, true, overflow).expect("one validator");
                     for q in queries(loaded.dim()) {
                         let hits = loaded.search_sq(&q, 12);
                         assert!(hits.len() <= 12);
-                        assert!(hits.windows(2).all(|w| w[0].dist <= w[1].dist || w[1].dist.is_nan()));
-                        assert_eq!(format!("{:?}", moved.search_sq(&q, 12)), format!("{hits:?}"));
+                        assert!(hits
+                            .windows(2)
+                            .all(|w| w[0].dist <= w[1].dist || w[1].dist.is_nan()));
+                        assert_eq!(
+                            format!("{:?}", moved.search_sq(&q, 12)),
+                            format!("{hits:?}")
+                        );
                     }
                     is_the_entry_fetched("DHC2", loaded, &refused)
                 }
                 Err(dhnsw::Error::Corrupt(_)) => {
-                    assert!(matches!(SqCluster::from_bytes(bytes), Err(dhnsw::Error::Corrupt(_))));
-                    assert!(matches!(adopt_off_boundary(bytes, true, overflow), Err(dhnsw::Error::Corrupt(_))));
+                    assert!(matches!(
+                        SqCluster::from_bytes(bytes),
+                        Err(dhnsw::Error::Corrupt(_))
+                    ));
+                    assert!(matches!(
+                        adopt_off_boundary(bytes, true, overflow),
+                        Err(dhnsw::Error::Corrupt(_))
+                    ));
                     false
                 }
                 Err(other) => panic!("DHC2: not a corruption error: {other:?}"),
-            }
-        });
+            },
+        );
         assert!(accepted > 0);
-        assert!(refused.get() >= PARTITION_FLIPS, "{} refused", refused.get());
+        assert!(
+            refused.get() >= PARTITION_FLIPS,
+            "{} refused",
+            refused.get()
+        );
     }
 }
 
@@ -242,8 +321,9 @@ fn overflow_areas_decode_or_report_corruption() {
     // refused reservation bumped one slot past the area.
     let rec = OverflowRecord::wire_size(DIM);
     let rows = gen::uniform(DIM, 3, 0.0, 1.0, 23).unwrap();
-    let mut records: Vec<OverflowRecord> =
-        (0..3).map(|i| OverflowRecord::insert(3, 9_000 + i as u32, rows.get(i).to_vec())).collect();
+    let mut records: Vec<OverflowRecord> = (0..3)
+        .map(|i| OverflowRecord::insert(3, 9_000 + i as u32, rows.get(i).to_vec()))
+        .collect();
     records.push(OverflowRecord::tombstone(3, 9_001, DIM));
     let mut area = vec![0u8; 8 + 5 * rec];
     area[0..8].copy_from_slice(&((6 * rec) as u64).to_le_bytes());
@@ -254,31 +334,50 @@ fn overflow_areas_decode_or_report_corruption() {
     assert_eq!((pristine, skipped), (records, 1));
 
     let ids = (0..N as u32).map(|i| i * 10 + 1).collect();
-    let blob = SubCluster::build(3, data(), ids, &params()).unwrap().to_bytes();
+    let blob = SubCluster::build(3, data(), ids, &params())
+        .unwrap()
+        .to_bytes();
     let block = queries(DIM);
     let block: Vec<&[f32]> = block.iter().map(Vec::as_slice).collect();
-    let accepted = sweep("overflow area", &area, 8, |bytes| match parse_overflow_detailed(bytes, DIM) {
-        Ok((records, skipped)) => {
-            // Slots are counted off the bytes that are there, whatever
-            // `used` claims, and no kernel is handed a short row.
-            assert!(records.len() + skipped <= (bytes.len() - 8) / rec);
-            assert!(records.iter().all(|r| r.vector.len() == DIM));
-            let loaded = LoadedCluster::from_remote(&blob, bytes).expect("a parsed area folds");
-            assert!(loaded.overflow_len() <= records.len());
-            assert_eq!(loaded.skipped_slots(), skipped);
-            // One query alone, then the block kernel over the tail.
-            assert!(loaded.search(block[1], 10, 48).len() <= 10);
-            let (mut out, mut ends) = (Vec::new(), Vec::new());
-            loaded.probe(&block, 10, 0, 48, &mut Default::default(), &mut Default::default(), &mut out, &mut ends);
-            assert!(ends.len() == block.len() && out.len() <= 10 * block.len());
-            true
-        }
-        Err(dhnsw::Error::Corrupt(_)) => {
-            assert!(bytes.len() < 8, "only an area shorter than its header is refused");
-            false
-        }
-        Err(other) => panic!("overflow area: not a corruption error: {other:?}"),
-    });
+    let accepted = sweep(
+        "overflow area",
+        &area,
+        8,
+        |bytes| match parse_overflow_detailed(bytes, DIM) {
+            Ok((records, skipped)) => {
+                // Slots are counted off the bytes that are there, whatever
+                // `used` claims, and no kernel is handed a short row.
+                assert!(records.len() + skipped <= (bytes.len() - 8) / rec);
+                assert!(records.iter().all(|r| r.vector.len() == DIM));
+                let loaded = LoadedCluster::from_remote(&blob, bytes).expect("a parsed area folds");
+                assert!(loaded.overflow_len() <= records.len());
+                assert_eq!(loaded.skipped_slots(), skipped);
+                // One query alone, then the block kernel over the tail.
+                assert!(loaded.search(block[1], 10, 48).len() <= 10);
+                let (mut out, mut ends) = (Vec::new(), Vec::new());
+                loaded.probe(
+                    &block,
+                    10,
+                    0,
+                    48,
+                    &mut Default::default(),
+                    &mut Default::default(),
+                    &mut out,
+                    &mut ends,
+                );
+                assert!(ends.len() == block.len() && out.len() <= 10 * block.len());
+                true
+            }
+            Err(dhnsw::Error::Corrupt(_)) => {
+                assert!(
+                    bytes.len() < 8,
+                    "only an area shorter than its header is refused"
+                );
+                false
+            }
+            Err(other) => panic!("overflow area: not a corruption error: {other:?}"),
+        },
+    );
     // Torn and damaged slots are skipped, never fatal.
     assert!(accepted > 8 * 9 + BODY_FLIPS);
 }
@@ -287,23 +386,32 @@ fn overflow_areas_decode_or_report_corruption() {
 fn dhd1_blobs_decode_or_report_corruption() {
     for blob in [
         Directory::plan(&[100, 220, 60], DIM, 4).unwrap().to_bytes(),
-        Directory::plan_with_sq(&[100, 220, 60], &[40, 90, 25], DIM, 4).unwrap().to_bytes(),
+        Directory::plan_with_sq(&[100, 220, 60], &[40, 90, 25], DIM, 4)
+            .unwrap()
+            .to_bytes(),
     ] {
-        let accepted = sweep("DHD1", &blob, DIRECTORY_PEEK_BYTES, |bytes| {
-            match Directory::from_bytes(bytes) {
-                Ok(dir) => {
-                    assert_eq!(Directory::peek_size(bytes).unwrap() as u64, dir.directory_bytes());
-                    for p in 0..dir.partitions() as u32 {
-                        dir.location(p).unwrap();
-                        dir.version_slot_off(p).unwrap();
-                        assert_eq!(dir.sq_span(p).unwrap().is_some(), dir.has_sq_spans());
+        let accepted =
+            sweep(
+                "DHD1",
+                &blob,
+                DIRECTORY_PEEK_BYTES,
+                |bytes| match Directory::from_bytes(bytes) {
+                    Ok(dir) => {
+                        assert_eq!(
+                            Directory::peek_size(bytes).unwrap() as u64,
+                            dir.directory_bytes()
+                        );
+                        for p in 0..dir.partitions() as u32 {
+                            dir.location(p).unwrap();
+                            dir.version_slot_off(p).unwrap();
+                            assert_eq!(dir.sq_span(p).unwrap().is_some(), dir.has_sq_spans());
+                        }
+                        true
                     }
-                    true
-                }
-                Err(dhnsw::Error::Corrupt(_)) => false,
-                Err(other) => panic!("DHD1: not a corruption error: {other:?}"),
-            }
-        });
+                    Err(dhnsw::Error::Corrupt(_)) => false,
+                    Err(other) => panic!("DHD1: not a corruption error: {other:?}"),
+                },
+            );
         // Offsets and lengths are not cross-checked: most flips decode.
         assert!(accepted > 0);
     }
@@ -320,10 +428,18 @@ fn v1_directories_are_an_unsupported_version_not_a_guess() {
         let mut blob = v2[..len].to_vec();
         blob[4..8].copy_from_slice(&1u32.to_le_bytes());
         for (entry, result) in [
-            ("peek_size", catch_unwind(|| Directory::peek_size(&blob).map(|_| ()))),
-            ("from_bytes", catch_unwind(|| Directory::from_bytes(&blob).map(|_| ()))),
+            (
+                "peek_size",
+                catch_unwind(|| Directory::peek_size(&blob).map(|_| ())),
+            ),
+            (
+                "from_bytes",
+                catch_unwind(|| Directory::from_bytes(&blob).map(|_| ())),
+            ),
         ] {
-            let err = result.unwrap_or_else(|_| panic!("{entry} panicked")).unwrap_err();
+            let err = result
+                .unwrap_or_else(|_| panic!("{entry} panicked"))
+                .unwrap_err();
             assert!(
                 matches!(&err, dhnsw::Error::Corrupt(m) if m == "unsupported directory version"),
                 "{entry} on {len} bytes: {err}"
@@ -338,24 +454,44 @@ fn counts_that_outrun_the_blob_allocate_nothing() {
     // billions in an otherwise intact header. Decoding must fail on the
     // length check, before reserving memory for the count.
     let ids: Vec<u32> = (0..N as u32).collect();
-    let mut dhc1 = SubCluster::build(0, data(), ids.clone(), &params()).unwrap().to_bytes();
+    let mut dhc1 = SubCluster::build(0, data(), ids.clone(), &params())
+        .unwrap()
+        .to_bytes();
     dhc1[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
-    assert!(matches!(SubCluster::from_bytes(&dhc1), Err(dhnsw::Error::Corrupt(_))));
+    assert!(matches!(
+        SubCluster::from_bytes(&dhc1),
+        Err(dhnsw::Error::Corrupt(_))
+    ));
     dhc1[12..20].copy_from_slice(&u64::MAX.to_le_bytes());
-    assert!(matches!(SubCluster::from_bytes(&dhc1), Err(dhnsw::Error::Corrupt(_))));
+    assert!(matches!(
+        SubCluster::from_bytes(&dhc1),
+        Err(dhnsw::Error::Corrupt(_))
+    ));
 
     let mut dhc2 = SqCluster::build(0, &data(), ids).unwrap().to_bytes();
     dhc2[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
     dhc2[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
-    assert!(matches!(SqCluster::from_bytes(&dhc2), Err(dhnsw::Error::Corrupt(_))));
+    assert!(matches!(
+        SqCluster::from_bytes(&dhc2),
+        Err(dhnsw::Error::Corrupt(_))
+    ));
 
     let mut hsw1 = serialize::to_bytes(&HnswIndex::build(data(), &params()).unwrap());
     hsw1[12..16].copy_from_slice(&u32::MAX.to_le_bytes()); // n
-    assert!(matches!(serialize::from_bytes(&hsw1), Err(hnsw::Error::CorruptBlob(_))));
+    assert!(matches!(
+        serialize::from_bytes(&hsw1),
+        Err(hnsw::Error::CorruptBlob(_))
+    ));
     hsw1[8..12].copy_from_slice(&u32::MAX.to_le_bytes()); // dim as well
-    assert!(matches!(serialize::from_bytes(&hsw1), Err(hnsw::Error::CorruptBlob(_))));
+    assert!(matches!(
+        serialize::from_bytes(&hsw1),
+        Err(hnsw::Error::CorruptBlob(_))
+    ));
 
     let mut dhd1 = Directory::plan(&[100, 220], DIM, 4).unwrap().to_bytes();
     dhd1[12..16].copy_from_slice(&u32::MAX.to_le_bytes()); // partitions
-    assert!(matches!(Directory::from_bytes(&dhd1), Err(dhnsw::Error::Corrupt(_))));
+    assert!(matches!(
+        Directory::from_bytes(&dhd1),
+        Err(dhnsw::Error::Corrupt(_))
+    ));
 }

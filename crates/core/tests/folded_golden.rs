@@ -13,9 +13,7 @@
 //! Regenerate the golden after an intentional format change with:
 //! `BLESS=1 cargo test -p dhnsw --test folded_golden`
 
-use dhnsw::{
-    ArgValue, FinishedTrace, LatencyBreakdown, ProfileAccumulator, SpanKind, SpanRecord,
-};
+use dhnsw::{ArgValue, FinishedTrace, LatencyBreakdown, ProfileAccumulator, SpanKind, SpanRecord};
 
 fn span(
     name: &'static str,

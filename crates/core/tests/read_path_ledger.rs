@@ -38,7 +38,9 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use dhnsw::snapshot::{read_snapshot, write_snapshot};
-use dhnsw::{BatchReport, ComputeNode, DHnswConfig, QuantizeMode, SearchMode, Telemetry, VectorStore};
+use dhnsw::{
+    BatchReport, ComputeNode, DHnswConfig, QuantizeMode, SearchMode, Telemetry, VectorStore,
+};
 use vecsim::{gen, Dataset, Neighbor};
 
 const K: usize = 10;
@@ -123,7 +125,10 @@ fn record(node: &ComputeNode, queries: &Dataset, cell: &str, batch: &str, out: &
         report.bytes_read,
         "{cell} {batch}: causes must tile bytes_read"
     );
-    assert_eq!(report.ledger.cause_bytes, delta.cause_bytes, "{cell} {batch}");
+    assert_eq!(
+        report.ledger.cause_bytes, delta.cause_bytes,
+        "{cell} {batch}"
+    );
     assert_eq!(report.bytes_read, delta.bytes_read, "{cell} {batch}");
     assert_eq!(report.round_trips, delta.round_trips, "{cell} {batch}");
     let ids = hash_ids(&results);
@@ -194,7 +199,10 @@ fn read_path_ledger_matches_the_golden() {
                             let repeat = record(&node, &queries, &cell, "repeat", &mut out);
                             if !faults {
                                 let want = *expected_ids[state_idx].get_or_insert(cold);
-                                assert_eq!(cold, want, "{cell}: cold ids differ from the other cells");
+                                assert_eq!(
+                                    cold, want,
+                                    "{cell}: cold ids differ from the other cells"
+                                );
                                 assert_eq!(repeat, want, "{cell}: repeat ids differ from cold");
                             }
                         }
@@ -229,12 +237,15 @@ fn read_path_ledger_matches_the_golden() {
         "the mutation must change what the queries find"
     );
 
-    let golden_path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/read_path_ledger.txt");
+    let golden_path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/read_path_ledger.txt"
+    );
     if std::env::var("BLESS").is_ok() {
         std::fs::write(golden_path, &out).unwrap();
     }
-    let golden = std::fs::read_to_string(golden_path)
-        .expect("golden file missing; regenerate with BLESS=1");
+    let golden =
+        std::fs::read_to_string(golden_path).expect("golden file missing; regenerate with BLESS=1");
     if out != golden {
         let moved: Vec<String> = out
             .lines()

@@ -35,7 +35,13 @@ struct Run {
     live: Vec<(u32, Vec<f32>)>,
 }
 
-fn run(data: &Dataset, queries: &Dataset, inserts: &Dataset, state: State, mode: QuantizeMode) -> Run {
+fn run(
+    data: &Dataset,
+    queries: &Dataset,
+    inserts: &Dataset,
+    state: State,
+    mode: QuantizeMode,
+) -> Run {
     let config = DHnswConfig::small().with_quantize_mode(mode);
     let store = VectorStore::build(data.clone(), &config).unwrap();
     let node = store.connect(SearchMode::Full).unwrap();
@@ -93,13 +99,26 @@ fn sq8_answers_match_full_precision_across_seeds_and_mutations() {
             for (q, hits) in queries.iter().zip(&sq.results) {
                 assert_eq!(hits.len(), K, "{cell}");
                 for n in hits {
-                    let v = &sq.live.iter().find(|(g, _)| *g == n.id).expect("a live id").1;
-                    assert_eq!(n.dist, l2_sq(q, v), "{cell}: id {} kept an approximate distance", n.id);
+                    let v = &sq
+                        .live
+                        .iter()
+                        .find(|(g, _)| *g == n.id)
+                        .expect("a live id")
+                        .1;
+                    assert_eq!(
+                        n.dist,
+                        l2_sq(q, v),
+                        "{cell}: id {} kept an approximate distance",
+                        n.id
+                    );
                 }
             }
 
             let (r_full, r_sq) = (recall(&full, &queries), recall(&sq, &queries));
-            assert!(r_sq + 0.005 >= r_full, "{cell}: recall {r_sq} vs full precision {r_full}");
+            assert!(
+                r_sq + 0.005 >= r_full,
+                "{cell}: recall {r_sq} vs full precision {r_full}"
+            );
 
             let differing = full
                 .results
@@ -113,11 +132,17 @@ fn sq8_answers_match_full_precision_across_seeds_and_mutations() {
                     a != b
                 })
                 .count();
-            assert!(differing <= 1, "{cell}: {differing} of {QUERIES} top-{K} id sets differ");
+            assert!(
+                differing <= 1,
+                "{cell}: {differing} of {QUERIES} top-{K} id sets differ"
+            );
             disagreements += differing;
         }
     }
-    assert!(disagreements <= 3, "{disagreements} of 768 id sets differ (3 when this was written)");
+    assert!(
+        disagreements <= 3,
+        "{disagreements} of 768 id sets differ (3 when this was written)"
+    );
 }
 
 /// The margin is one standard deviation, so a reranked candidate's exact
@@ -132,11 +157,19 @@ fn a_candidate_from_outside_the_margin_is_exactified_before_it_is_reported() {
     let data = gen::sift_like(1_200, 10).unwrap();
     let queries = gen::perturbed_queries(&data, 64, 0.02, 1_003).unwrap();
     let config = DHnswConfig::small().with_quantize_mode(QuantizeMode::Sq8);
-    let node = VectorStore::build(data.clone(), &config).unwrap().connect(SearchMode::Full).unwrap();
+    let node = VectorStore::build(data.clone(), &config)
+        .unwrap()
+        .connect(SearchMode::Full)
+        .unwrap();
     let (results, _) = node.query_batch(&queries, 5, 48).unwrap();
     for (q, hits) in queries.iter().zip(&results) {
         for n in hits {
-            assert_eq!(n.dist, l2_sq(q, data.get(n.id as usize)), "id {} kept an approximate distance", n.id);
+            assert_eq!(
+                n.dist,
+                l2_sq(q, data.get(n.id as usize)),
+                "id {} kept an approximate distance",
+                n.id
+            );
         }
     }
 }

@@ -231,7 +231,8 @@ fn check_full(c: &Case, back: bool) -> Paths {
                     scanned += 1;
                     // Brute force. Ties at the k-th place go to the lower
                     // pseudo-id: base row i -> i, insert j -> n + j.
-                    let rows = (0..n).filter(|&i| !deleted.contains(&oracle.global_ids()[i as usize]));
+                    let rows =
+                        (0..n).filter(|&i| !deleted.contains(&oracle.global_ids()[i as usize]));
                     let mut all: Vec<(u32, f32)> = rows
                         .map(|i| (i, metric.distance(q, oracle.hnsw().vector(i))))
                         .chain((n..).zip(inserts).map(|(i, (_, d))| (i, d)))
@@ -373,12 +374,19 @@ fn corner_clusters_agree_too() {
             let (s, w) = check_full(&c, back);
             (scanned, walked) = (scanned + s, walked + w);
             if n > SCAN_ROWS_PER_EF * 48 {
-                assert_eq!((s, w), (0, 8 * 32 * K_EF.len()), "every probe of {n} rows walks");
+                assert_eq!(
+                    (s, w),
+                    (0, 8 * 32 * K_EF.len()),
+                    "every probe of {n} rows walks"
+                );
             }
             check_sq(&c);
         }
     }
-    assert!(scanned > 0 && walked > 0, "{scanned} scanned, {walked} walked");
+    assert!(
+        scanned > 0 && walked > 0,
+        "{scanned} scanned, {walked} walked"
+    );
 }
 
 /// A probe takes every query a worker's run routes to one cluster at once,
@@ -401,7 +409,12 @@ fn a_block_probe_of_the_view_equals_single_probes() {
     let bits = |c: &Candidate| (c.id, c.dist.to_bits(), c.local, c.err.to_bits());
     let mut scratch = ProbeScratch::default();
     const ROWS: usize = 120;
-    for (dim, inserts, tombs, distinct) in [(3, 12, 5, ROWS), (128, 12, 5, ROWS), (128, 0, 0, ROWS), (128, 12, 5, 40)] {
+    for (dim, inserts, tombs, distinct) in [
+        (3, 12, 5, ROWS),
+        (128, 12, 5, ROWS),
+        (128, 0, 0, ROWS),
+        (128, 12, 5, 40),
+    ] {
         let mut c = case(ROWS, dim, 4, inserts, tombs, 41);
         let rows: Vec<&[f32]> = (0..ROWS).map(|i| c.data.get(i % distinct)).collect();
         c.data = Dataset::from_rows(&rows).unwrap();
@@ -421,15 +434,37 @@ fn a_block_probe_of_the_view_equals_single_probes() {
                     let block: Vec<&[f32]> = (0..q).map(|i| c.queries.get(i % 32)).collect();
                     let (mut got, mut ends) = (Vec::new(), Vec::new());
                     let mut stats = SearchStats::default();
-                    loaded.probe(&block, k, slack, ef, &mut scratch, &mut stats, &mut got, &mut ends);
+                    loaded.probe(
+                        &block,
+                        k,
+                        slack,
+                        ef,
+                        &mut scratch,
+                        &mut stats,
+                        &mut got,
+                        &mut ends,
+                    );
                     assert_eq!(ends.len(), q);
-                    assert_eq!(stats.hops == 0, scans, "dim {dim} ef {ef}: hops tell a scan from a walk");
+                    assert_eq!(
+                        stats.hops == 0,
+                        scans,
+                        "dim {dim} ef {ef}: hops tell a scan from a walk"
+                    );
 
                     let mut alone = SearchStats::default();
                     let mut start = 0;
                     for (query, &end) in block.iter().zip(&ends) {
                         let (mut want, mut one) = (Vec::new(), Vec::new());
-                        loaded.probe(&[query], k, slack, ef, &mut scratch, &mut alone, &mut want, &mut one);
+                        loaded.probe(
+                            &[query],
+                            k,
+                            slack,
+                            ef,
+                            &mut scratch,
+                            &mut alone,
+                            &mut want,
+                            &mut one,
+                        );
                         assert_eq!(one, [want.len()]);
                         let mut got: Vec<_> = got[start..end].iter().map(bits).collect();
                         let mut want: Vec<_> = want.iter().map(bits).collect();
@@ -438,7 +473,8 @@ fn a_block_probe_of_the_view_equals_single_probes() {
                             want.sort_unstable();
                         }
                         assert_eq!(
-                            got, want,
+                            got,
+                            want,
                             "dim {dim} sq {} k {k} ef {ef} of a block of {q}",
                             loaded.is_quantized()
                         );

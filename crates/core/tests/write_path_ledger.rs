@@ -137,7 +137,10 @@ fn run(writer: &ComputeNode, op: &Op) -> (String, Vec<u32>) {
         },
         Call::Batch(vectors) => match writer.insert_batch(vectors) {
             Ok(results) => {
-                let ids: Vec<u32> = results.iter().filter_map(|r| r.as_ref().ok().copied()).collect();
+                let ids: Vec<u32> = results
+                    .iter()
+                    .filter_map(|r| r.as_ref().ok().copied())
+                    .collect();
                 let cells: Vec<String> = results
                     .iter()
                     .map(|r| match r {
@@ -193,13 +196,19 @@ impl<'a> Inspector<'a> {
     /// `group:used=..,recs=..,skipped=..,fnv=..` of one overflow area.
     fn area(&self, group: u32, loc: &ClusterLocation) -> String {
         let rkey = self.store.region().rkey();
-        let bytes = self.qp.read(rkey, loc.overflow_off, loc.overflow_len).unwrap();
+        let bytes = self
+            .qp
+            .read(rkey, loc.overflow_off, loc.overflow_len)
+            .unwrap();
         let used = u64::from_le_bytes(bytes[..8].try_into().unwrap());
         let (records, skipped) = parse_overflow_detailed(&bytes, self.store.dim())
             .expect("an overflow area must always parse");
         let mut h = FNV_BASIS;
         fnv(&mut h, &bytes);
-        format!("{group}:used={used},recs={},skipped={skipped},fnv={h:016x}", records.len())
+        format!(
+            "{group}:used={used},recs={},skipped={skipped},fnv={h:016x}",
+            records.len()
+        )
     }
 
     /// Every nonzero version slot, `partition:version`.
@@ -210,7 +219,11 @@ impl<'a> Inspector<'a> {
                 (v != 0).then(|| format!("{p}:{v}"))
             })
             .collect();
-        if slots.is_empty() { "-".into() } else { slots.join(",") }
+        if slots.is_empty() {
+            "-".into()
+        } else {
+            slots.join(",")
+        }
     }
 }
 
@@ -263,9 +276,15 @@ fn record(
         );
     }
 
-    let areas: BTreeMap<u32, ClusterLocation> =
-        op.vectors().iter().filter_map(|v| inspector.area_of(v)).collect();
-    let areas: Vec<String> = areas.iter().map(|(g, loc)| inspector.area(*g, loc)).collect();
+    let areas: BTreeMap<u32, ClusterLocation> = op
+        .vectors()
+        .iter()
+        .filter_map(|v| inspector.area_of(v))
+        .collect();
+    let areas: Vec<String> = areas
+        .iter()
+        .map(|(g, loc)| inspector.area(*g, loc))
+        .collect();
 
     // What the op dropped from the writer's cache is what its next batch
     // has to fetch again: the cache holds every cluster.
@@ -292,7 +311,8 @@ fn record(
         op.label
     );
 
-    let row = format!(
+    let row =
+        format!(
         "{head} op={} cut={} result={result} trips={} atomics={} wrs={} doorbells={} written={} \
          faults={} vt={vt:.3} counted={}/{}/{} next_id={id1} areas={} versions={} reloaded={} \
          health={health} writer={writer_ids:016x} fresh={fresh_ids:016x}",
@@ -332,7 +352,10 @@ impl Pool {
         }
         let mut ranked: Vec<(usize, u32)> = by_area.iter().map(|(g, vs)| (vs.len(), *g)).collect();
         ranked.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        assert!(ranked.len() >= 4 && ranked[3].0 >= 16, "too few candidates per area: {ranked:?}");
+        assert!(
+            ranked.len() >= 4 && ranked[3].0 >= 16,
+            "too few candidates per area: {ranked:?}"
+        );
         let chosen = [ranked[0].1, ranked[1].1, ranked[2].1, ranked[3].1];
         Pool { by_area, chosen }
     }
@@ -463,12 +486,15 @@ fn write_path_ledger_matches_the_golden() {
         }
     }
 
-    let golden_path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/write_path_ledger.txt");
+    let golden_path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/write_path_ledger.txt"
+    );
     if std::env::var("BLESS").is_ok() {
         std::fs::write(golden_path, &out).unwrap();
     }
-    let golden = std::fs::read_to_string(golden_path)
-        .expect("golden file missing; regenerate with BLESS=1");
+    let golden =
+        std::fs::read_to_string(golden_path).expect("golden file missing; regenerate with BLESS=1");
     if out != golden {
         let moved: Vec<String> = out
             .lines()

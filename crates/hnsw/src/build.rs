@@ -68,9 +68,9 @@ pub(crate) fn select_neighbors_heuristic(
         // Keep `cand` iff it is closer to the query than to any already
         // selected neighbour.
         let cand_vec = data.get(cand.id as usize);
-        let dominated = selected.iter().any(|s| {
-            metric.distance(cand_vec, data.get(s.id as usize)) < cand.dist
-        });
+        let dominated = selected
+            .iter()
+            .any(|s| metric.distance(cand_vec, data.get(s.id as usize)) < cand.dist);
         if dominated {
             discarded.push(cand);
         } else {
@@ -116,10 +116,7 @@ mod tests {
         }
         // P(level 0) = 1 - e^{-1/λ}... for mL = 1/ln16, P(l >= 1) = 1/16.
         let frac_l0 = counts[0] as f64 / n as f64;
-        assert!(
-            (frac_l0 - 15.0 / 16.0).abs() < 0.01,
-            "P(l=0) was {frac_l0}"
-        );
+        assert!((frac_l0 - 15.0 / 16.0).abs() < 0.01, "P(l=0) was {frac_l0}");
         assert!(counts[1] > counts[2]);
     }
 
@@ -145,11 +142,13 @@ mod tests {
             .map(|i| Neighbor::new(i, Metric::L2.distance(&q, data.get(i as usize))))
             .collect();
         cands.sort();
-        let picked = select_neighbors_heuristic(
-            &g, &data, Metric::L2, &q, &cands, 2, 0, false, false,
-        );
+        let picked =
+            select_neighbors_heuristic(&g, &data, Metric::L2, &q, &cands, 2, 0, false, false);
         assert!(picked.contains(&0));
-        assert!(picked.contains(&2), "expected the diverse neighbour, got {picked:?}");
+        assert!(
+            picked.contains(&2),
+            "expected the diverse neighbour, got {picked:?}"
+        );
     }
 
     #[test]
@@ -187,9 +186,8 @@ mod tests {
             .map(|i| Neighbor::new(i, Metric::L2.distance(&q, data.get(i as usize))))
             .collect();
         cands.sort();
-        let picked = select_neighbors_heuristic(
-            &g, &data, Metric::L2, &q, &cands, 4, 0, false, true,
-        );
+        let picked =
+            select_neighbors_heuristic(&g, &data, Metric::L2, &q, &cands, 4, 0, false, true);
         assert_eq!(picked.len(), 4);
     }
 
@@ -197,8 +195,7 @@ mod tests {
     fn extend_candidates_reaches_unlisted_neighbours() {
         // Candidate 0 links to node 2 on the layer; with extension node 2
         // becomes selectable even though it was not a search candidate.
-        let data =
-            Dataset::from_rows(&[[1.0f32, 0.0], [0.0, 2.0], [0.5, 0.5]]).unwrap();
+        let data = Dataset::from_rows(&[[1.0f32, 0.0], [0.0, 2.0], [0.5, 0.5]]).unwrap();
         let mut g = Graph::new(8, 4);
         for _ in 0..3 {
             g.push_node(0);
@@ -206,9 +203,11 @@ mod tests {
         g.push_link(0, 0, 2);
         let q = [0.0f32, 0.0];
         let cands = vec![Neighbor::new(0, Metric::L2.distance(&q, data.get(0)))];
-        let picked = select_neighbors_heuristic(
-            &g, &data, Metric::L2, &q, &cands, 2, 0, true, true,
+        let picked =
+            select_neighbors_heuristic(&g, &data, Metric::L2, &q, &cands, 2, 0, true, true);
+        assert!(
+            picked.contains(&2),
+            "extension should surface node 2: {picked:?}"
         );
-        assert!(picked.contains(&2), "extension should surface node 2: {picked:?}");
     }
 }

@@ -210,7 +210,10 @@ impl Graph {
     ///
     /// Panics if `id` does not exist on `layer`.
     pub(crate) fn push_link(&mut self, id: u32, layer: usize, nb: u32) {
-        let i = self.view().span_index(id, layer).expect("node exists on layer");
+        let i = self
+            .view()
+            .span_index(id, layer)
+            .expect("node exists on layer");
         let mut s = self.tables.spans[i];
         if s.len == s.cap {
             let old = s.off..s.off + s.len as usize;
@@ -227,7 +230,10 @@ impl Graph {
     /// Replaces `id`'s list on `layer` with `list`, which must not be
     /// longer than the current one (pruning only ever shrinks).
     pub(crate) fn set_neighbors(&mut self, id: u32, layer: usize, list: &[u32]) {
-        let i = self.view().span_index(id, layer).expect("node exists on layer");
+        let i = self
+            .view()
+            .span_index(id, layer)
+            .expect("node exists on layer");
         let s = &mut self.tables.spans[i];
         assert!(list.len() <= s.len as usize, "pruning grew a list");
         self.links[s.off..s.off + list.len()].copy_from_slice(list);

@@ -383,7 +383,10 @@ mod tests {
         let mut idx = HnswIndex::new(4, &small_params()).unwrap();
         assert!(matches!(
             idx.insert(&[0.0; 3]).unwrap_err(),
-            Error::DimensionMismatch { expected: 4, got: 3 }
+            Error::DimensionMismatch {
+                expected: 4,
+                got: 3
+            }
         ));
     }
 
@@ -527,7 +530,10 @@ mod tests {
         let data = gen::uniform(4, 200, 0.0, 1.0, 71).unwrap();
         let a = HnswIndex::build(data.clone(), &small_params()).unwrap();
         let b = HnswIndex::build(data, &small_params()).unwrap();
-        assert_eq!(crate::serialize::to_bytes(&a), crate::serialize::to_bytes(&b));
+        assert_eq!(
+            crate::serialize::to_bytes(&a),
+            crate::serialize::to_bytes(&b)
+        );
     }
 
     #[test]
@@ -553,16 +559,10 @@ mod tests {
 
     #[test]
     fn memory_footprint_grows_with_data() {
-        let small = HnswIndex::build(
-            gen::uniform(8, 50, 0.0, 1.0, 1).unwrap(),
-            &small_params(),
-        )
-        .unwrap();
-        let large = HnswIndex::build(
-            gen::uniform(8, 500, 0.0, 1.0, 1).unwrap(),
-            &small_params(),
-        )
-        .unwrap();
+        let small =
+            HnswIndex::build(gen::uniform(8, 50, 0.0, 1.0, 1).unwrap(), &small_params()).unwrap();
+        let large =
+            HnswIndex::build(gen::uniform(8, 500, 0.0, 1.0, 1).unwrap(), &small_params()).unwrap();
         assert!(large.memory_footprint() > small.memory_footprint());
     }
 

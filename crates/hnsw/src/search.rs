@@ -489,7 +489,15 @@ mod tests {
         for (q, ef, want) in [([3.0f32], 4, vec![3, 2, 1, 0]), ([0.0], 2, vec![0, 1])] {
             let eps = entry_points(&data, &q, &[0]);
             let mut stats = LayerStats::default();
-            search_layer(&view_of(&g, &data), &q, &eps, ef, 0, &mut scratch, &mut stats);
+            search_layer(
+                &view_of(&g, &data),
+                &q,
+                &eps,
+                ef,
+                0,
+                &mut scratch,
+                &mut stats,
+            );
             let ids: Vec<u32> = scratch.out.iter().map(|n| n.id).collect();
             assert_eq!(ids, want);
         }

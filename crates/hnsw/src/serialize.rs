@@ -238,8 +238,16 @@ impl Layout {
     /// Panics when either slice is not the length of its section — they
     /// belong to another blob.
     pub fn view<'a>(&'a self, links: &'a [u32], rows: &'a [f32]) -> IndexView<'a> {
-        assert_eq!(links.len() * 4, self.nodes.len(), "not this blob's node section");
-        assert_eq!(rows.len() * 4, self.vectors.len(), "not this blob's vectors");
+        assert_eq!(
+            links.len() * 4,
+            self.nodes.len(),
+            "not this blob's node section"
+        );
+        assert_eq!(
+            rows.len() * 4,
+            self.vectors.len(),
+            "not this blob's vectors"
+        );
         IndexView {
             graph: self.tables.over(links),
             rows,
@@ -266,9 +274,7 @@ pub fn layout(blob: &[u8]) -> Result<Layout> {
     }
     let version = d.u32()?;
     if version != VERSION {
-        return Err(Error::CorruptBlob(format!(
-            "unsupported version {version}"
-        )));
+        return Err(Error::CorruptBlob(format!("unsupported version {version}")));
     }
     let dim = d.u32()? as usize;
     let n = d.u32()? as usize;
@@ -365,7 +371,9 @@ pub fn layout(blob: &[u8]) -> Result<Layout> {
             // largest id decides for the whole list, without a branch
             // per id.
             let at = words - rest.len() / 4;
-            let (ids, tail) = rest.split_at_checked(4 * cnt as usize).ok_or_else(truncated)?;
+            let (ids, tail) = rest
+                .split_at_checked(4 * cnt as usize)
+                .ok_or_else(truncated)?;
             rest = tail;
             let largest = le_words(ids, u32::from_le_bytes).fold(0, u32::max);
             if largest as usize >= n {
@@ -498,7 +506,10 @@ mod tests {
         ] {
             let blob = AlignedBytes::copy_of(&to_bytes(&idx));
             let at = layout(blob.as_bytes()).unwrap();
-            assert_eq!((at.len(), at.dim(), at.is_empty()), (idx.len(), idx.dim(), empty));
+            assert_eq!(
+                (at.len(), at.dim(), at.is_empty()),
+                (idx.len(), idx.dim(), empty)
+            );
             let links = le_u32s(&blob.as_bytes()[at.node_bytes()]).unwrap();
             let rows = le_f32s(&blob.as_bytes()[at.vector_bytes()]).unwrap();
             let view = at.view(links, rows);
@@ -592,8 +603,7 @@ mod tests {
     #[test]
     fn capped_params_round_trip() {
         let data = gen::uniform(4, 100, 0.0, 1.0, 5).unwrap();
-        let idx =
-            HnswIndex::build(data, &HnswParams::new(4, 20).max_level(2).seed(1)).unwrap();
+        let idx = HnswIndex::build(data, &HnswParams::new(4, 20).max_level(2).seed(1)).unwrap();
         let back = from_bytes(&to_bytes(&idx)).unwrap();
         assert_eq!(back.params().max_level_cap(), Some(2));
     }

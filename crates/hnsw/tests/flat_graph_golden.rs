@@ -44,14 +44,26 @@ fn builds_and_decodes_are_byte_and_result_identical_across_seeds() {
         let queries = gen::perturbed_queries(&data, 20, 0.05, seed + 100).unwrap();
         let built = HnswIndex::build(data, &HnswParams::new(8, 48).seed(seed)).unwrap();
         let blob = serialize::to_bytes(&built);
-        assert_eq!((blob.len(), fnv64(&blob)), (len, hash), "seed {seed}: build changed");
+        assert_eq!(
+            (blob.len(), fnv64(&blob)),
+            (len, hash),
+            "seed {seed}: build changed"
+        );
 
         let decoded = serialize::from_bytes(&blob).unwrap();
-        assert_eq!(serialize::to_bytes(&decoded), blob, "seed {seed}: re-encode differs");
+        assert_eq!(
+            serialize::to_bytes(&decoded),
+            blob,
+            "seed {seed}: re-encode differs"
+        );
         for q in queries.iter() {
             for (k, ef) in [(1, 1), (10, 48), (25, 100)] {
                 // `Neighbor` equality is id and distance, bit for bit.
-                assert_eq!(decoded.search(q, k, ef), built.search(q, k, ef), "seed {seed}");
+                assert_eq!(
+                    decoded.search(q, k, ef),
+                    built.search(q, k, ef),
+                    "seed {seed}"
+                );
             }
         }
     }
@@ -78,5 +90,8 @@ fn a_decoded_index_accepts_inserts() {
     }
     // And the grown index still round-trips.
     let blob = serialize::to_bytes(&resumed);
-    assert_eq!(serialize::to_bytes(&serialize::from_bytes(&blob).unwrap()), blob);
+    assert_eq!(
+        serialize::to_bytes(&serialize::from_bytes(&blob).unwrap()),
+        blob
+    );
 }

@@ -142,7 +142,12 @@ pub(crate) fn cosine_portable(a: &[f32], b: &[f32]) -> f32 {
 /// [`Metric::distances`]'s body: [`Metric::distance`]'s arms over the
 /// portable kernels — no closure an optimiser could leave at another width.
 #[inline(always)]
-pub(crate) fn distances_portable(metric: Metric, row: &[f32], queries: &[&[f32]], dists: &mut [f32]) {
+pub(crate) fn distances_portable(
+    metric: Metric,
+    row: &[f32],
+    queries: &[&[f32]],
+    dists: &mut [f32],
+) {
     for (dist, query) in dists.iter_mut().zip(queries) {
         *dist = match metric {
             Metric::L2 => l2_sq_portable(query, row),

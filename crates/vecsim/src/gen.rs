@@ -50,9 +50,7 @@ fn gauss(rng: &mut StdRng) -> f64 {
 /// ```
 pub fn uniform(dim: usize, n: usize, lo: f32, hi: f32, seed: u64) -> Result<Dataset> {
     if dim == 0 || n == 0 {
-        return Err(Error::InvalidParameter(
-            "dim and n must be non-zero".into(),
-        ));
+        return Err(Error::InvalidParameter("dim and n must be non-zero".into()));
     }
     if lo >= hi {
         return Err(Error::InvalidParameter(format!(

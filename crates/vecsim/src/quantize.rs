@@ -109,8 +109,8 @@ impl SqParams {
                 got: scale.len(),
             });
         }
-        if let Some(d) =
-            (0..min.len()).find(|&d| !(min[d].is_finite() && scale[d].is_finite() && scale[d] >= 0.0))
+        if let Some(d) = (0..min.len())
+            .find(|&d| !(min[d].is_finite() && scale[d].is_finite() && scale[d] >= 0.0))
         {
             return Err(Error::InvalidParameter(format!(
                 "dimension {d} has min {} and scale {}",
@@ -281,8 +281,7 @@ mod tests {
     #[test]
     fn constant_dimension_round_trips_exactly() {
         let rows = [[3.5f32, 1.0], [3.5, 2.0], [3.5, 3.0]];
-        let params =
-            SqParams::train(2, rows.iter().map(|r| r.as_slice())).unwrap();
+        let params = SqParams::train(2, rows.iter().map(|r| r.as_slice())).unwrap();
         assert_eq!(params.scale()[0], 0.0);
         let back = params.decode(&params.encode(&rows[1]));
         assert_eq!(back[0], 3.5);
@@ -291,8 +290,7 @@ mod tests {
     #[test]
     fn out_of_range_values_clamp_to_boundary_codes() {
         let rows = [[0.0f32], [10.0]];
-        let params =
-            SqParams::train(1, rows.iter().map(|r| r.as_slice())).unwrap();
+        let params = SqParams::train(1, rows.iter().map(|r| r.as_slice())).unwrap();
         assert_eq!(params.encode(&[-5.0]), vec![0]);
         assert_eq!(params.encode(&[99.0]), vec![255]);
     }

@@ -51,11 +51,7 @@ pub fn mean_recall(got: &[Vec<u32>], truth: &[Vec<Neighbor>]) -> f64 {
     if got.is_empty() {
         return 1.0;
     }
-    let sum: f64 = got
-        .iter()
-        .zip(truth)
-        .map(|(g, t)| recall_at_k(g, t))
-        .sum();
+    let sum: f64 = got.iter().zip(truth).map(|(g, t)| recall_at_k(g, t)).sum();
     sum / got.len() as f64
 }
 

@@ -102,8 +102,16 @@ mod tests {
 
     /// Values a sum may not survive: both infinities, NaN, both zeros, a
     /// subnormal of each sign and the largest finite value.
-    const SPECIALS: [f32; 8] =
-        [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -0.0, 0.0, 1e-40, -1e-40, f32::MAX];
+    const SPECIALS: [f32; 8] = [
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        -0.0,
+        0.0,
+        1e-40,
+        -1e-40,
+        f32::MAX,
+    ];
 
     /// The same bits — or both NaN: which operand's payload a NaN result
     /// carries is the one thing instruction selection may change.

@@ -91,7 +91,10 @@ fn key(id: u32, dist: f32) -> u64 {
 }
 
 fn neighbor(key: u64) -> Neighbor {
-    Neighbor::new(key as u32, f32::from_bits(ordered((key >> 32) as u32 ^ SIGN)))
+    Neighbor::new(
+        key as u32,
+        f32::from_bits(ordered((key >> 32) as u32 ^ SIGN)),
+    )
 }
 
 const SIGN: u32 = 1 << 31;
@@ -240,7 +243,10 @@ mod tests {
             assert!(t.push(id, 3.0));
         }
         assert!(!t.push(2, 3.0));
-        assert!(!t.push(2, 2.0), "an equal distance under a later id is past (0, 2.0)");
+        assert!(
+            !t.push(2, 2.0),
+            "an equal distance under a later id is past (0, 2.0)"
+        );
         assert!(t.push(3, 1.0));
         assert_eq!(t.into_sorted_vec(), [Neighbor::new(3, 1.0)]);
     }
@@ -296,13 +302,31 @@ mod tests {
     #[test]
     fn monotone_constant_and_nan_laden_streams_match_the_sort() {
         const N: u32 = 64 * SLOTS as u32 * 4 + 52;
-        let nan = [f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0];
+        let nan = [
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+            0.0,
+        ];
         let streams: [Vec<Neighbor>; 4] = [
             (0..N).map(|i| Neighbor::new(i, i as f32)).collect(),
             // Every offer beats the bound: at k = 64 the slots fill four times.
             (0..N).map(|i| Neighbor::new(i, -(i as f32))).collect(),
             (0..N).map(|i| Neighbor::new(i % 7, 4.0)).collect(),
-            (0..N).map(|i| Neighbor::new(i, if i % 3 == 0 { nan[i as usize % 6] } else { (i * 37 % 101) as f32 - 50.0 })).collect(),
+            (0..N)
+                .map(|i| {
+                    Neighbor::new(
+                        i,
+                        if i % 3 == 0 {
+                            nan[i as usize % 6]
+                        } else {
+                            (i * 37 % 101) as f32 - 50.0
+                        },
+                    )
+                })
+                .collect(),
         ];
         for all in &streams {
             for k in [1, 2, 10, 42, 64, N as usize - 1, N as usize, N as usize + 1] {
@@ -311,7 +335,11 @@ mod tests {
                 let got = top.into_sorted_vec();
                 let want = sort_and_truncate(all, k);
                 // NaNs are not `==` themselves: compare bits.
-                let bits = |v: &[Neighbor]| v.iter().map(|n| (n.id, n.dist.to_bits())).collect::<Vec<_>>();
+                let bits = |v: &[Neighbor]| {
+                    v.iter()
+                        .map(|n| (n.id, n.dist.to_bits()))
+                        .collect::<Vec<_>>()
+                };
                 assert_eq!(bits(&got), bits(&want), "k {k}");
             }
         }

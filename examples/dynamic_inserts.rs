@@ -81,10 +81,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Capacity accounting: how full are the overflow areas?
     let dir = store.directory();
     let record = dir.record_size() as u64;
-    let qp = dhnsw_repro::rdma_sim::QueuePair::connect(
-        store.memory_node(),
-        store.config().network(),
-    );
+    let qp =
+        dhnsw_repro::rdma_sim::QueuePair::connect(store.memory_node(), store.config().network());
     let mut used_total = 0u64;
     let mut seen = std::collections::HashSet::new();
     let mut full_groups = 0usize;

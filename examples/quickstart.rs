@@ -13,7 +13,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 20_000;
     let data = gen::sift_like(n, 42)?;
     let queries = gen::perturbed_queries(&data, 256, 0.03, 43)?;
-    println!("dataset: {} vectors x {}d (SIFT-like)", data.len(), data.dim());
+    println!(
+        "dataset: {} vectors x {}d (SIFT-like)",
+        data.len(),
+        data.dim()
+    );
 
     // 2. Exact ground truth for recall scoring.
     let truth = ground_truth::exact_batch(&data, &queries, 10, Metric::L2);

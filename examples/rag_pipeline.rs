@@ -90,7 +90,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sample = 0usize;
     let context: Vec<String> = retrieved[sample]
         .iter()
-        .map(|h| format!("doc#{} (topic {}, dist {:.3})", h.id, topic_of[h.id as usize], h.dist))
+        .map(|h| {
+            format!(
+                "doc#{} (topic {}, dist {:.3})",
+                h.id, topic_of[h.id as usize], h.dist
+            )
+        })
         .collect();
     println!(
         "prompt #0 (topic {}): context = [{}]",

@@ -59,17 +59,20 @@
 # trace driver (crates/bench/src/trace.rs). PR 26 lowered rdma-sim's to
 # what one verb executor reached (1 779 -> 1 690, +4 of them rustfmt's):
 # reads, writes, CAS and FAA share one body, and the memory node's counter
-# mirror and `TransferStats::record_read` are gone.
+# mirror and `TransferStats::record_read` are gone. The workspace-wide
+# rustfmt pass then raised each ratchet by exactly the lines the formatter
+# added and nothing else: crates/core/src +113 (the plane +19), crates/bench
+# +49, hnsw +14, vecsim +2, and the largest file (cluster.rs) 1 300 -> 1 325.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-MAX_TOTAL=10509
-MAX_PLANE=4436
-MAX_BENCH=2857
-MAX_HNSW=1835
-MAX_VECSIM=1767
+MAX_TOTAL=10622
+MAX_PLANE=4455
+MAX_BENCH=2906
+MAX_HNSW=1849
+MAX_VECSIM=1769
 MAX_RDMA=1690
-MAX_FILE=1300
+MAX_FILE=1325
 
 total=0
 plane=0

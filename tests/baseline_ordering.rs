@@ -6,12 +6,7 @@ use dhnsw_repro::dhnsw::{BatchReport, DHnswConfig, SearchMode, VectorStore};
 use dhnsw_repro::rdma_sim::NetworkModel;
 use dhnsw_repro::vecsim::{gen, Dataset};
 
-fn run_batch(
-    store: &VectorStore,
-    mode: SearchMode,
-    queries: &Dataset,
-    warm: bool,
-) -> BatchReport {
+fn run_batch(store: &VectorStore, mode: SearchMode, queries: &Dataset, warm: bool) -> BatchReport {
     let node = store.connect(mode).unwrap();
     if warm {
         node.query_batch(queries, 10, 32).unwrap();
@@ -89,11 +84,7 @@ fn bigger_batches_amortize_better() {
 #[test]
 fn warm_cache_eliminates_repeat_traffic_for_full_but_not_naive() {
     let (data, queries) = workload(1_500, 60);
-    let store = VectorStore::build(
-        data,
-        &DHnswConfig::small().with_cache_fraction(1.0),
-    )
-    .unwrap();
+    let store = VectorStore::build(data, &DHnswConfig::small().with_cache_fraction(1.0)).unwrap();
     let full_warm = run_batch(&store, SearchMode::Full, &queries, true);
     let naive_warm = run_batch(&store, SearchMode::Naive, &queries, true);
     assert_eq!(full_warm.round_trips, 0);
@@ -105,8 +96,11 @@ fn doorbell_limit_sweep_shows_the_scalability_tradeoff() {
     let (data, queries) = workload(2_000, 120);
     let mut trips = Vec::new();
     for limit in [1usize, 4, 16, 64] {
-        let cfg = DHnswConfig::small()
-            .with_network(NetworkModel::connectx6().with_doorbell_limit(limit).unwrap());
+        let cfg = DHnswConfig::small().with_network(
+            NetworkModel::connectx6()
+                .with_doorbell_limit(limit)
+                .unwrap(),
+        );
         let store = VectorStore::build(data.clone(), &cfg).unwrap();
         let report = run_batch(&store, SearchMode::Full, &queries, false);
         trips.push(report.round_trips);
@@ -140,8 +134,7 @@ fn fanout_sweep_trades_bytes_for_recall() {
     let (data, queries) = workload(2_000, 60);
     let mut bytes = Vec::new();
     for b in [1usize, 2, 4, 8] {
-        let store =
-            VectorStore::build(data.clone(), &DHnswConfig::small().with_fanout(b)).unwrap();
+        let store = VectorStore::build(data.clone(), &DHnswConfig::small().with_fanout(b)).unwrap();
         let report = run_batch(&store, SearchMode::Full, &queries, false);
         bytes.push(report.bytes_read);
     }

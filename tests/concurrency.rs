@@ -28,9 +28,8 @@ fn remote_faa_is_atomic_across_queue_pairs() {
         }
     });
     let probe = QueuePair::connect(&node, NetworkModel::connectx6());
-    let final_value = u64::from_le_bytes(
-        probe.read(region.rkey(), 0, 8).unwrap().try_into().unwrap(),
-    );
+    let final_value =
+        u64::from_le_bytes(probe.read(region.rkey(), 0, 8).unwrap().try_into().unwrap());
     assert_eq!(final_value, 4 * per_thread);
 }
 
@@ -87,10 +86,7 @@ fn concurrent_inserts_from_many_compute_nodes_get_unique_ids() {
     all.sort_unstable();
     // Dense allocation starting right after the base vectors.
     assert_eq!(all[0] as usize, data.len());
-    assert_eq!(
-        *all.last().unwrap() as usize,
-        data.len() + all.len() - 1
-    );
+    assert_eq!(*all.last().unwrap() as usize, data.len() + all.len() - 1);
 }
 
 #[test]
@@ -146,8 +142,7 @@ fn concurrent_inserts_are_all_retrievable_afterwards() {
 fn queries_and_inserts_interleave_safely() {
     let data = gen::sift_like(500, 83).unwrap();
     let store = Arc::new(
-        VectorStore::build(data.clone(), &DHnswConfig::small().with_overflow_slots(256))
-            .unwrap(),
+        VectorStore::build(data.clone(), &DHnswConfig::small().with_overflow_slots(256)).unwrap(),
     );
     let queries = gen::perturbed_queries(&data, 16, 0.03, 84).unwrap();
 

@@ -100,11 +100,8 @@ fn queries_survive_a_lossy_fabric_transparently() {
 #[test]
 fn inserts_survive_a_lossy_fabric() {
     let data = gen::sift_like(400, 96).unwrap();
-    let store = VectorStore::build(
-        data.clone(),
-        &DHnswConfig::small().with_overflow_slots(64),
-    )
-    .unwrap();
+    let store =
+        VectorStore::build(data.clone(), &DHnswConfig::small().with_overflow_slots(64)).unwrap();
     let node = store.connect(SearchMode::Full).unwrap();
     node.queue_pair().set_fault_rate(0.2, 777);
 
@@ -122,7 +119,10 @@ fn inserts_survive_a_lossy_fabric() {
             found += 1;
         }
     }
-    assert!(found >= 16, "only {found}/20 inserts survived the lossy run");
+    assert!(
+        found >= 16,
+        "only {found}/20 inserts survived the lossy run"
+    );
 }
 
 #[test]

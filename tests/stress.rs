@@ -156,5 +156,8 @@ fn run_pipelined_iteration(seed: u64) {
     });
     let node = store.connect(SearchMode::Full).unwrap();
     let (results, _) = node.query_batch(&queries, 5, 32).unwrap();
-    assert_eq!(results, control, "pipelined post-stress rerun diverged (seed {seed})");
+    assert_eq!(
+        results, control,
+        "pipelined post-stress rerun diverged (seed {seed})"
+    );
 }

@@ -39,7 +39,9 @@ fn slow_query_log_judges_wall_plus_exposed_network() {
     let data = gen::sift_like(2_000, 11).unwrap();
     let queries = gen::perturbed_queries(&data, 40, 0.02, 12).unwrap();
     let fabric = NetworkModel::connectx6().with_base_rtt_us(1e9).unwrap();
-    let config = DHnswConfig::small().with_cache_fraction(1.0).with_network(fabric);
+    let config = DHnswConfig::small()
+        .with_cache_fraction(1.0)
+        .with_network(fabric);
     let store = VectorStore::build(data, &config).unwrap();
     let telemetry = Arc::new(Telemetry::new());
     let node = store
@@ -53,7 +55,10 @@ fn slow_query_log_judges_wall_plus_exposed_network() {
     let (_, cold) = node.query_batch(&queries, 10, 32).unwrap();
     let (_, warm) = node.query_batch(&queries, 10, 32).unwrap();
     let wall_us = cold.total_us - cold.breakdown.network_us;
-    assert!(wall_us < threshold_us && threshold_us < cold.total_us, "{cold:?}");
+    assert!(
+        wall_us < threshold_us && threshold_us < cold.total_us,
+        "{cold:?}"
+    );
     assert!(warm.total_us < threshold_us, "{warm:?}");
 
     // The log, the exemplar ranking and the histogram judge one number:
@@ -140,7 +145,9 @@ fn mutation_counters_track_insert_and_delete() {
     node.delete(&v, id).unwrap();
     // A call refused before it has a record to write counts nothing.
     assert!(node.insert(&v[..4]).is_err());
-    assert!(node.insert_batch(&gen::uniform(4, 2, 0.0, 1.0, 1).unwrap()).is_err());
+    assert!(node
+        .insert_batch(&gen::uniform(4, 2, 0.0, 1.0, 1).unwrap())
+        .is_err());
     assert!(node.delete(&v[..4], id).is_err());
 
     let text = telemetry.render_prometheus();
@@ -166,13 +173,18 @@ fn health_and_timeseries_cut_one_window_with_one_hit_rate() {
     node.set_prefetch_budget_bytes(0);
 
     // Both windows start here.
-    assert!(node.sample_series(0).is_none(), "the first tick is a baseline");
+    assert!(
+        node.sample_series(0).is_none(),
+        "the first tick is a baseline"
+    );
     node.health_report().unwrap();
     for seed in 0..3 {
         let queries = gen::perturbed_queries(&data, 16, 0.02, 22 + seed).unwrap();
         node.query_batch(&queries, 10, 32).unwrap();
     }
-    let point = node.sample_series(1_000_000).expect("the second tick derives a point");
+    let point = node
+        .sample_series(1_000_000)
+        .expect("the second tick derives a point");
     let report = node.health_report().unwrap();
 
     // `/timeseries` and `/health` read one window, one hit rate.

@@ -118,7 +118,10 @@ fn a_cold_batch_holds_each_fetched_byte_once() {
             COUNTING.store(true, Ordering::Relaxed);
             let outcome = node.query_batch_opts(&queries, opts);
             COUNTING.store(false, Ordering::Relaxed);
-            let (big, calls) = (BIG_BYTES.load(Ordering::Relaxed), CALLS.load(Ordering::Relaxed));
+            let (big, calls) = (
+                BIG_BYTES.load(Ordering::Relaxed),
+                CALLS.load(Ordering::Relaxed),
+            );
             (big, calls, outcome.unwrap().1)
         };
         let routed = QueryOptions::new(10, EF);
@@ -165,7 +168,11 @@ fn a_cold_batch_holds_each_fetched_byte_once() {
             // and to the rerank rows is resident afterwards.
             node.query_batch_opts(&queries, &opts).unwrap();
             let (_, calls, report) = counted(&opts);
-            assert_eq!((report.clusters_loaded, report.bytes_read), (0, 0), "{wire:?}");
+            assert_eq!(
+                (report.clusters_loaded, report.bytes_read),
+                (0, 0),
+                "{wire:?}"
+            );
             (calls, report.raw_cluster_demand as u64)
         };
         let ((few_calls, few), (many_calls, many)) = (calls_at(2), calls_at(8));
