@@ -21,9 +21,10 @@
 //! and the retry/backoff/degrade state machine.
 //!
 //! Mutations (`write`) go through the shared overflow areas:
-//! [`ComputeNode::insert`] (four one-sided verbs, the last publishing the
-//! partition's version), [`ComputeNode::insert_batch`]
-//! (doorbell-batched), and [`ComputeNode::delete`] (tombstone records).
+//! [`ComputeNode::insert`] (three atomics and a write in two doorbells,
+//! the last publishing the partition's version), [`ComputeNode::insert_batch`]
+//! (the same two doorbells for the whole batch), and
+//! [`ComputeNode::delete`] (tombstone records).
 //! Reads validate the per-partition version slots around each cluster
 //! fetch and retry (or degrade, when allowed) when a read cannot
 //! stabilize.

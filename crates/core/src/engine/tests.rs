@@ -472,15 +472,15 @@ fn inserts_allocate_monotonic_global_ids() {
 }
 
 #[test]
-fn insert_uses_four_one_sided_verbs() {
+fn insert_is_two_doorbells_of_three_atomics_and_a_write() {
     let (data, store) = setup(300);
     let node = store.connect(SearchMode::Full).unwrap();
     node.reset_measurements();
     node.insert(data.get(0)).unwrap();
     let s = node.queue_pair().stats().snapshot();
-    // id FAA + slot FAA + record write + version FAA.
-    assert_eq!(s.round_trips, 4);
-    assert_eq!(s.atomics, 3);
+    // [id FAA, slot FAA], then [record write, version FAA].
+    assert_eq!((s.round_trips, s.doorbell_batches), (2, 2));
+    assert_eq!((s.atomics, s.work_requests), (3, 4));
 }
 
 #[test]
@@ -518,15 +518,27 @@ fn insert_batch_uses_far_fewer_round_trips() {
         single.insert(v).unwrap();
     }
     let single_trips = single.queue_pair().stats().round_trips();
-    assert_eq!(single_trips, 4 * 32);
+    assert_eq!(single_trips, 2 * 32);
 
     let batched = store.connect(SearchMode::Full).unwrap();
     batched.reset_measurements();
     let results = batched.insert_batch(&inserts).unwrap();
     assert!(results.iter().all(|r| r.is_ok()));
     let batch_trips = batched.queue_pair().stats().round_trips();
+    // ceil((1 + G) / limit) + ceil((n + P) / limit): nothing was refused.
+    let fanout = store.config().fanout();
+    let partitions: std::collections::BTreeSet<u32> = (inserts.iter())
+        .map(|v| store.meta().classify_with_beam(v, fanout).unwrap())
+        .collect();
+    let areas: std::collections::BTreeSet<u64> = (partitions.iter())
+        .map(|&p| store.directory().location(p).unwrap().overflow_off)
+        .collect();
+    let model = store.config().network();
+    let want = model.doorbell_round_trips(1 + areas.len())
+        + model.doorbell_round_trips(32 + partitions.len());
+    assert_eq!(batch_trips, want as u64);
     assert!(
-        batch_trips * 3 < single_trips,
+        batch_trips * 8 < single_trips,
         "batched {batch_trips} vs single {single_trips}"
     );
 }
@@ -604,15 +616,15 @@ fn delete_removes_an_overflow_insert() {
 }
 
 #[test]
-fn delete_uses_three_one_sided_verbs() {
+fn delete_is_two_doorbells_of_two_atomics_and_a_write() {
     let (data, store) = setup(300);
     let node = store.connect(SearchMode::Full).unwrap();
     node.reset_measurements();
     node.delete(data.get(0), 0).unwrap();
     let s = node.queue_pair().stats().snapshot();
-    // slot FAA + tombstone write + version FAA.
-    assert_eq!(s.round_trips, 3);
-    assert_eq!(s.atomics, 2);
+    // [slot FAA], then [tombstone write, version FAA].
+    assert_eq!((s.round_trips, s.doorbell_batches), (2, 2));
+    assert_eq!((s.atomics, s.work_requests), (2, 3));
 }
 
 #[test]
@@ -835,20 +847,16 @@ fn torn_insert_is_skipped_and_the_slot_stays_burned() {
     let reader = store.connect(SearchMode::Full).unwrap();
     let mut v = data.get(3).to_vec();
     v[0] += 0.5;
-    // Insert verbs in order: id FAA, slot FAA, record write, version
-    // FAA. Let the two FAAs through and kill the record write with no
-    // retransmissions left: the slot is reserved but the record never
+    // An insert posts [id FAA, slot FAA], then [record write, version
+    // FAA]. Let the first doorbell through and cut the second before its
+    // first work request: the slot is reserved but the record never
     // lands — a torn insert.
-    writer.queue_pair().set_retry_limit(0);
-    writer.queue_pair().fail_nth(2, 1);
+    writer.queue_pair().cut_nth(Some((1, 0)));
     let err = writer.insert(&v).unwrap_err();
     assert!(matches!(
         err,
         Error::Rdma(rdma_sim::Error::RetriesExhausted { .. })
     ));
-    writer
-        .queue_pair()
-        .set_retry_limit(rdma_sim::DEFAULT_RETRY_LIMIT);
     // A fresh reader decodes the overflow area without tripping on
     // the uncommitted slot: no Corrupt, no phantom vector.
     let base = store.base_len() as u32;
@@ -868,20 +876,20 @@ enum CutOp<'a> {
     Batch(&'a Dataset),
 }
 
-/// A row of the crash table: the op, which of its verbs is the record
-/// write and how many it has, and the vectors to probe with afterwards —
-/// each with the id the op makes appear in (`true`) or vanish from
-/// (`false`) that probe's answer.
+/// A row of the crash table: the op, how many work requests each of its
+/// two doorbells carries, and the vectors to probe with afterwards — each
+/// with the id the op makes appear in (`true`) or vanish from (`false`)
+/// that probe's answer, and where the record that does it sits in the
+/// second doorbell.
 struct CutCase<'a> {
     name: &'static str,
     op: CutOp<'a>,
-    write_at: u32,
-    verbs: u32,
-    probes: Vec<(&'a [f32], u32, bool)>,
+    posts: [u32; 2],
+    probes: Vec<(&'a [f32], u32, bool, u32)>,
 }
 
 #[test]
-fn a_write_cut_at_any_verb_leaves_every_reader_consistent() {
+fn a_write_cut_at_any_work_request_leaves_every_reader_consistent() {
     let data = gen::sift_like(400, 77).unwrap();
     let config = DHnswConfig::small().with_cache_fraction(1.0);
     let store = VectorStore::build(data.clone(), &config).unwrap();
@@ -906,6 +914,8 @@ fn a_write_cut_at_any_verb_leaves_every_reader_consistent() {
             .overflow_off
     };
     let areas = if area(&a) == area(&b) { 1 } else { 2 };
+    // Records are written area by area, areas in address order.
+    let b_first = u32::from(area(&b) < area(&a));
     let target = data.get(11);
     let victim = store
         .connect(SearchMode::Full)
@@ -919,84 +929,85 @@ fn a_write_cut_at_any_verb_leaves_every_reader_consistent() {
         CutCase {
             name: "insert",
             op: CutOp::Insert(&a),
-            write_at: 2,
-            verbs: 4,
-            probes: vec![(&a, base, true)],
+            posts: [2, 2],
+            probes: vec![(&a, base, true, 0)],
         },
         CutCase {
             name: "delete",
             op: CutOp::Delete(target, victim),
-            write_at: 1,
-            verbs: 3,
-            probes: vec![(target, victim, false)],
+            posts: [1, 2],
+            probes: vec![(target, victim, false, 0)],
         },
         CutCase {
             name: "insert_batch over two partitions",
             op: CutOp::Batch(&both),
-            write_at: 1 + areas,
-            verbs: 1 + areas + 1 + 2,
-            probes: vec![(&a, base, true), (&b, base + 1, true)],
+            posts: [1 + areas, 2 + 2],
+            probes: vec![(&a, base, true, b_first), (&b, base + 1, true, 1 - b_first)],
         },
     ];
 
     for case in &cases {
-        for cut in 0..case.verbs {
-            let at = format!("{} cut at verb {cut}", case.name);
-            let store = crate::snapshot::read_snapshot(&pristine[..], &config).unwrap();
-            let writer = store.connect(SearchMode::Full).unwrap();
-            for (probe, ..) in &case.probes {
-                writer.query(probe, 3, 48).unwrap();
-            }
-            writer.queue_pair().set_retry_limit(0);
-            writer.queue_pair().fail_nth(cut, 1);
-            let err = match case.op {
-                CutOp::Insert(v) => writer.insert(v).map(drop),
-                CutOp::Delete(v, id) => writer.delete(v, id),
-                CutOp::Batch(vectors) => writer.insert_batch(vectors).map(drop),
-            }
-            .unwrap_err();
-            assert!(
-                matches!(err, Error::Rdma(rdma_sim::Error::RetriesExhausted { .. })),
-                "{at}: {err}"
-            );
-            writer
-                .queue_pair()
-                .set_retry_limit(rdma_sim::DEFAULT_RETRY_LIMIT);
+        for (post, &len) in (0u32..).zip(&case.posts) {
+            // Every work request of both doorbells, the end of each, and
+            // one past it — which must cut nothing.
+            for cut in 0..=len + 1 {
+                let at = format!("{} cut at work request {cut} of doorbell {post}", case.name);
+                let store = crate::snapshot::read_snapshot(&pristine[..], &config).unwrap();
+                let writer = store.connect(SearchMode::Full).unwrap();
+                for (probe, ..) in &case.probes {
+                    writer.query(probe, 3, 48).unwrap();
+                }
+                writer.queue_pair().cut_nth(Some((post, cut)));
+                let got = match case.op {
+                    CutOp::Insert(v) => writer.insert(v).map(drop),
+                    CutOp::Delete(v, id) => writer.delete(v, id),
+                    CutOp::Batch(vectors) => writer.insert_batch(vectors).map(drop),
+                };
+                if cut > len {
+                    got.unwrap_or_else(|e| panic!("{at}: a cut past the post: {e}"));
+                    continue;
+                }
+                let err = got.unwrap_err();
+                assert!(
+                    matches!(err, Error::Rdma(rdma_sim::Error::RetriesExhausted { .. })),
+                    "{at}: {err}"
+                );
 
-            // A reader that connects now decodes no torn record: the op
-            // shows exactly when its record write went through, whether or
-            // not it was published. And the writer, whose cache held the
-            // clusters, answers the same.
-            let fresh = store.connect(SearchMode::Full).unwrap();
-            for &(probe, id, appears) in &case.probes {
-                let truth = fresh.query(probe, 3, 48).unwrap();
-                let written = cut > case.write_at;
+                // A reader that connects now decodes no torn record: the
+                // op shows exactly when its record write went through,
+                // whether or not it was published. And the writer, whose
+                // cache held the clusters, answers the same.
+                let fresh = store.connect(SearchMode::Full).unwrap();
+                for &(probe, id, appears, write_at) in &case.probes {
+                    let truth = fresh.query(probe, 3, 48).unwrap();
+                    let written = post == 1 && cut > write_at;
+                    assert_eq!(
+                        truth.iter().any(|n| n.id == id),
+                        appears == written,
+                        "{at}: {truth:?}"
+                    );
+                    assert_eq!(
+                        writer.query(probe, 3, 48).unwrap(),
+                        truth,
+                        "{at}: the writer hides it"
+                    );
+                }
+                // `used` still counts bytes handed out.
+                fresh
+                    .health_report()
+                    .unwrap_or_else(|e| panic!("{at}: {e}"));
+                // Whatever ids the cut op took stay burned.
+                let next_id = fresh
+                    .qp
+                    .read(fresh.rkey, crate::layout::ID_COUNTER_OFFSET, 8)
+                    .unwrap();
+                let next_id = u64::from_le_bytes(next_id.try_into().unwrap());
                 assert_eq!(
-                    truth.iter().any(|n| n.id == id),
-                    appears == written,
-                    "{at}: {truth:?}"
-                );
-                assert_eq!(
-                    writer.query(probe, 3, 48).unwrap(),
-                    truth,
-                    "{at}: the writer hides it"
+                    u64::from(writer.insert(&a).unwrap()),
+                    next_id,
+                    "{at}: a burned id came back"
                 );
             }
-            // `used` still counts bytes handed out.
-            fresh
-                .health_report()
-                .unwrap_or_else(|e| panic!("{at}: {e}"));
-            // Whatever ids the cut op took stay burned.
-            let next_id = fresh
-                .qp
-                .read(fresh.rkey, crate::layout::ID_COUNTER_OFFSET, 8)
-                .unwrap();
-            let next_id = u64::from_le_bytes(next_id.try_into().unwrap());
-            assert_eq!(
-                u64::from(writer.insert(&a).unwrap()),
-                next_id,
-                "{at}: a burned id came back"
-            );
         }
     }
 }

@@ -146,7 +146,7 @@ impl VectorStore {
                 writes.push(WriteReq::new(region.rkey(), sq_off, sq));
             }
         }
-        setup_qp.write_doorbell(&writes)?;
+        setup_qp.doorbell(&writes)?;
 
         Ok(VectorStore {
             config: config.clone(),

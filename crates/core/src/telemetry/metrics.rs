@@ -202,16 +202,22 @@ pub const DOORBELL_BATCH_SIZE: MetricDef = histogram(
 );
 
 // Mutations, counted in one place (`ComputeNode::commit`): a record
-// counts once it reaches the write protocol — accepted, refused with
-// `OverflowFull`, or cut short by the fabric. A call refused before it
-// has a record (wrong dimension, a dropped id `FAA`) counts nothing.
-// The help strings keep their wording because `obs_ledger.txt` pins it.
-pub const INSERTS: MetricDef = counter("dhnsw_inserts_total", "Insert attempts");
+// counts when the doorbell reserving its id and slot is posted —
+// accepted, refused with `OverflowFull`, or cut short by the fabric at
+// any work request. A call refused before anything is posted (wrong
+// dimension, an empty batch) counts nothing.
+pub const INSERTS: MetricDef = counter(
+    "dhnsw_inserts_total",
+    "Insert records, counted when their reserving doorbell is posted",
+);
 pub const INSERT_OVERFLOW: MetricDef = counter(
     "dhnsw_insert_overflow_total",
     "Inserts rejected because the group overflow area was full",
 );
-pub const DELETES: MetricDef = counter("dhnsw_deletes_total", "Delete attempts");
+pub const DELETES: MetricDef = counter(
+    "dhnsw_deletes_total",
+    "Tombstone records, counted when their reserving doorbell is posted",
+);
 
 // Events (`{budget}`, `{series}`).
 pub const SLO_VIOLATIONS: MetricDef = counter(

@@ -390,14 +390,15 @@ impl rdma_sim::TraceSink for QpSpanSink {
                 ],
             });
             if wqes.len() > 1 {
-                // Doorbell chunk: one child span per work request — for
-                // reads, that is one per fetched cluster (§3.2).
-                let child = if span.verb == "write_doorbell" {
-                    "wqe_write"
-                } else {
-                    "cluster_read"
-                };
+                // Doorbell chunk: one child span per work request, named
+                // by its kind — for reads, one per fetched cluster (§3.2).
                 for w in wqes {
+                    let child = match w.kind {
+                        "read" => "cluster_read",
+                        "write" => "wqe_write",
+                        "faa" => "wqe_faa",
+                        _ => "wqe_cas",
+                    };
                     let (f0, f1) = if vt_dur > 0.0 {
                         (
                             (w.vt_start_us - span.vt_start_us) / vt_dur,
@@ -799,6 +800,42 @@ mod tests {
     }
 
     #[test]
+    fn a_mixed_doorbell_names_each_child_by_its_kind() {
+        let t = tracer();
+        let trace = t.begin("write");
+        let root = trace.begin_span("insert", "engine", SpanId::NONE);
+        let wqe = |index, kind| rdma_sim::WqeSpan {
+            index,
+            kind,
+            offset: 8 * u64::from(index),
+            bytes: 8,
+            vt_start_us: f64::from(index),
+            vt_end_us: f64::from(index + 1),
+        };
+        {
+            let _guard = trace.enter_scope(root);
+            QpSpanSink.verb_span(
+                &rdma_sim::VerbSpan {
+                    verb: "doorbell",
+                    wqes: 3,
+                    bytes: 24,
+                    chunk: 0,
+                    vt_start_us: 0.0,
+                    vt_end_us: 3.0,
+                },
+                &[wqe(0, "write"), wqe(1, "faa"), wqe(2, "cas")],
+            );
+        }
+        trace.end_span(root);
+        t.finish(trace);
+        let names: Vec<&str> = t.recent()[0].spans.iter().map(|r| r.name).collect();
+        assert_eq!(
+            names,
+            vec!["insert", "doorbell", "wqe_write", "wqe_faa", "wqe_cas"]
+        );
+    }
+
+    #[test]
     fn qp_sink_attaches_verbs_to_the_active_scope() {
         let t = tracer();
         let trace = t.begin("full");
@@ -819,6 +856,7 @@ mod tests {
                 &[
                     rdma_sim::WqeSpan {
                         index: 0,
+                        kind: "read",
                         offset: 0,
                         bytes: 64,
                         vt_start_us: 0.0,
@@ -826,6 +864,7 @@ mod tests {
                     },
                     rdma_sim::WqeSpan {
                         index: 1,
+                        kind: "read",
                         offset: 64,
                         bytes: 32,
                         vt_start_us: 6.0,

@@ -19,10 +19,12 @@
 //! insert w (the store still takes writes)
 //! ```
 //!
-//! and then, for every op and every `k` below the number of verbs the op
-//! used, the store is restored to what it held before that op, a fresh
-//! writer is warmed, retransmissions are switched off, verb `k` is killed
-//! and the op runs again: a crash at each cut of the protocol.
+//! and then, for every op, every doorbell `d` it posts and every `i` from
+//! 0 to that doorbell's length, the store is restored to what it held
+//! before that op, a fresh writer is warmed, doorbell `d` is cut after its
+//! first `i` work requests (`QueuePair::cut_nth`) and the op runs again: a
+//! crash at each cut of the protocol, row `cut=d.i`, including between a
+//! record `WRITE` and the version `FAA` behind it in the same doorbell.
 //!
 //! A row records the op's result (ids, `full` for a vector refused with
 //! `OverflowFull`, or the error kind), the writer's `StatsSnapshot` delta
@@ -53,7 +55,7 @@ use dhnsw::layout::{ClusterLocation, ID_COUNTER_OFFSET};
 use dhnsw::snapshot::{read_snapshot, write_snapshot};
 use dhnsw::telemetry::metrics;
 use dhnsw::{ComputeNode, DHnswConfig, Error, QuantizeMode, SearchMode, Telemetry, VectorStore};
-use rdma_sim::{NetworkModel, QueuePair, DEFAULT_RETRY_LIMIT};
+use rdma_sim::{NetworkModel, QueuePair};
 use vecsim::{gen, Dataset, Neighbor};
 
 const K: usize = 10;
@@ -240,16 +242,16 @@ fn counters(node: &ComputeNode) -> [u64; 3] {
     ]
 }
 
-/// Runs `op` on `writer` with verb `cut` killed (retransmissions off),
-/// or undisturbed. Returns its ledger row and how many verb attempts
-/// were dropped: none means the op has no verb `cut`.
+/// Runs `op` on `writer` with doorbell `cut.0` cut after `cut.1` work
+/// requests, or undisturbed. Returns its ledger row and how many verb
+/// attempts were dropped: none means the op never reached the cut.
 fn record(
     store: &VectorStore,
     writer: &ComputeNode,
     queries: &Dataset,
     head: &str,
     op: &Op,
-    cut: Option<u32>,
+    cut: Option<(u32, u32)>,
 ) -> (String, u64) {
     let inspector = Inspector::new(store);
     let qp = writer.queue_pair();
@@ -257,13 +259,9 @@ fn record(
     let stats0 = qp.stats().snapshot();
     let clock0 = qp.clock().now_us();
     let counters0 = counters(writer);
-    if let Some(k) = cut {
-        qp.set_retry_limit(0);
-        qp.fail_nth(k, 1);
-    }
+    qp.cut_nth(cut);
     let (result, ids) = run(writer, op);
-    qp.fail_nth(0, 0);
-    qp.set_retry_limit(DEFAULT_RETRY_LIMIT);
+    qp.cut_nth(None);
     let delta = qp.stats().snapshot() - stats0;
     let vt = qp.clock().now_us() - clock0;
     let counted = counters(writer);
@@ -317,7 +315,7 @@ fn record(
          faults={} vt={vt:.3} counted={}/{}/{} next_id={id1} areas={} versions={} reloaded={} \
          health={health} writer={writer_ids:016x} fresh={fresh_ids:016x}",
         op.label,
-        cut.map_or("-".into(), |k| k.to_string()),
+        cut.map_or("-".into(), |(d, i)| format!("{d}.{i}")),
         delta.round_trips,
         delta.atomics,
         delta.work_requests,
@@ -469,19 +467,25 @@ fn write_path_ledger_matches_the_golden() {
             writeln!(out, "{row}").unwrap();
         }
 
-        // A crash at every cut of every op: verb 0, 1, .. until the op
-        // ends without having reached the verb to kill.
+        // A crash at every cut of every op: doorbell 0, 1, .. and in each
+        // work request 0, 1, .. up to its length, until a cut past the
+        // doorbell's end cuts nothing; the first doorbell the op never
+        // posts ends the op's rows.
         for (op, snapshot) in ops.iter().zip(&before) {
-            for k in 0.. {
-                assert!(k < 64, "{}: an op of 64 verbs?", op.label);
-                let store = read_snapshot(&snapshot[..], &config).unwrap();
-                let writer = connect(&store);
-                writer.query_batch(&queries, K, EF).unwrap();
-                let (row, dropped) = record(&store, &writer, &queries, &head, op, Some(k));
-                if dropped == 0 {
-                    break;
+            'doorbells: for d in 0.. {
+                for i in 0.. {
+                    assert!(i < 64, "{}: a doorbell of 64 work requests?", op.label);
+                    let store = read_snapshot(&snapshot[..], &config).unwrap();
+                    let writer = connect(&store);
+                    writer.query_batch(&queries, K, EF).unwrap();
+                    let cut = Some((d, i));
+                    let (row, dropped) = record(&store, &writer, &queries, &head, op, cut);
+                    match (dropped, i) {
+                        (0, 0) => break 'doorbells,
+                        (0, _) => break,
+                        _ => writeln!(out, "{row}").unwrap(),
+                    }
                 }
-                writeln!(out, "{row}").unwrap();
             }
         }
     }

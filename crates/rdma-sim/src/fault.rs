@@ -9,8 +9,11 @@
 //! retries up to the configured limit before failing with
 //! [`crate::Error::RetriesExhausted`].
 //!
-//! Faults are injected *per attempt*, before any data moves, so a failed
-//! verb never partially executes.
+//! Faults are injected *per attempt*, before any data moves, so a verb
+//! that fails this way never partially executes. One injection is
+//! different: [`QueuePair::cut_nth`] makes a post execute a prefix of its
+//! work requests and then fail — the crash inside a doorbell that a
+//! protocol posting several dependent requests at once must survive.
 //!
 //! # Example
 //!
@@ -30,6 +33,7 @@
 //! # }
 //! ```
 
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use crate::{Error, QueuePair, Result};
@@ -52,6 +56,9 @@ pub(crate) struct FaultState {
     rng: AtomicU64,
     /// Retransmissions allowed per verb before giving up.
     retry_limit: AtomicU32,
+    /// The armed [`QueuePair::cut_nth`]: posts still to let through, and
+    /// the work requests the post after them executes.
+    cut: Mutex<Option<(u32, u32)>>,
 }
 
 impl Default for FaultState {
@@ -62,11 +69,21 @@ impl Default for FaultState {
             drop_ppm: AtomicU32::new(0),
             rng: AtomicU64::new(0x9E37_79B9_7F4A_7C15),
             retry_limit: AtomicU32::new(DEFAULT_RETRY_LIMIT),
+            cut: Mutex::new(None),
         }
     }
 }
 
 impl FaultState {
+    /// For an admitted post of `len` work requests: how many execute
+    /// before the armed cut fails it, `None` when it runs whole.
+    pub(crate) fn cut(&self, len: usize) -> Option<usize> {
+        let mut cut = self.cut.lock();
+        let (skip, at) = (*cut)?;
+        *cut = skip.checked_sub(1).map(|skip| (skip, at));
+        (skip == 0 && at as usize <= len).then_some(at as usize)
+    }
+
     /// Whether the next attempt should fail.
     fn attempt_fails(&self) -> bool {
         // Armed skips let attempts through before `fail_next` engages.
@@ -128,6 +145,18 @@ impl QueuePair {
         self.fault_state().fail_next.store(n, Ordering::Relaxed);
     }
 
+    /// Arms a cut, `Some((skip, at))`, or disarms it with `None`. Armed,
+    /// it lets the next `skip` posts through, then cuts the one after: it
+    /// executes exactly its first `at` work requests — applied, costed
+    /// and counted as a post of those alone (their reads land) — and then
+    /// fails with [`Error::RetriesExhausted`] after one dropped attempt's
+    /// timeout, whatever the retry budget. A post of fewer than `at`
+    /// requests runs whole and spends the cut. Only posts that pass
+    /// validation and fault admission count.
+    pub fn cut_nth(&self, cut: Option<(u32, u32)>) {
+        *self.fault_state().cut.lock() = cut;
+    }
+
     /// Sets a random per-attempt drop rate in `[0, 1]`, deterministic for
     /// a given `seed`. A rate of `0.0` disables random faults.
     pub fn set_fault_rate(&self, rate: f64, seed: u64) {
@@ -154,21 +183,29 @@ impl QueuePair {
         let mut attempts = 0u32;
         while state.attempt_fails() {
             attempts += 1;
-            let vt0 = self.clock().now_us();
-            self.charge_timeout();
-            self.stats().record_fault();
-            let vt1 = self.clock().now_us();
-            self.emit_fault(&crate::trace::FaultEvent {
-                verb,
-                attempt: attempts,
-                timeout_us: vt1 - vt0,
-                vt_us: vt1,
-            });
+            let exhausted = self.drop_attempt(verb, attempts);
             if attempts > limit {
-                return Err(Error::RetriesExhausted { verb, attempts });
+                return Err(exhausted);
             }
         }
         Ok(())
+    }
+
+    /// Charges dropped attempt number `attempts` of `verb` — one timeout,
+    /// one fault, one fault event — and returns the error the verb gives
+    /// up with if it was the last.
+    pub(crate) fn drop_attempt(&self, verb: &'static str, attempts: u32) -> Error {
+        let vt0 = self.clock().now_us();
+        self.charge_timeout();
+        self.stats().record_fault();
+        let vt1 = self.clock().now_us();
+        self.emit_fault(&crate::trace::FaultEvent {
+            verb,
+            attempt: attempts,
+            timeout_us: vt1 - vt0,
+            vt_us: vt1,
+        });
+        Error::RetriesExhausted { verb, attempts }
     }
 }
 

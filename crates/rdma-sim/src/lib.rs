@@ -18,19 +18,22 @@
 //!   memory instances.
 //! - [`QueuePair`] — the compute-side handle. One-sided
 //!   [`QueuePair::read`], [`QueuePair::write`], [`QueuePair::cas`],
-//!   [`QueuePair::faa`], plus [`QueuePair::read_doorbell`] /
-//!   [`QueuePair::write_doorbell`] which execute many work requests in
-//!   `ceil(n / doorbell_limit)` network round trips — the §3.2 doorbell
-//!   batching with its NIC-scalability cap.
+//!   [`QueuePair::faa`], plus [`QueuePair::read_doorbell`] and
+//!   [`QueuePair::doorbell`] — reads, or writes and atomics mixed — which
+//!   execute many work requests in `ceil(n / doorbell_limit)` network
+//!   round trips: the §3.2 doorbell batching with its NIC-scalability cap.
+//!   Like a reliable-connection queue pair, each post executes in request
+//!   order, so an atomic rides behind the writes it publishes.
 //!   [`QueuePair::read_doorbell_into`] / [`QueuePair::read_into`] are the
-//!   same verbs landing in caller-owned buffers through a [`Scatter`]
+//!   same reads landing in caller-owned buffers through a [`Scatter`]
 //!   list per request, the way a NIC DMAs into a registered buffer. All
 //!   nine verbs are wrappers over one executor, where bytes move, cost is
 //!   charged and counters are written.
 //! - Fault injection — [`QueuePair::fail_next`] /
 //!   [`QueuePair::set_fault_rate`] drop attempts which the queue pair
 //!   retransmits like a reliable-connection NIC, charging timeout time
-//!   ([`QueuePair::set_retry_limit`] bounds the budget).
+//!   ([`QueuePair::set_retry_limit`] bounds the budget);
+//!   [`QueuePair::cut_nth`] cuts one post after a prefix of its requests.
 //! - [`NetworkModel`] — the cost model: per-round-trip base latency,
 //!   per-work-request NIC/PCIe overhead, and line-rate bandwidth.
 //! - [`VirtualClock`] / [`TransferStats`] — per queue pair, the

@@ -103,21 +103,32 @@ impl<'a> Scatter<'a> {
     }
 }
 
-/// A write work request: place `data` at `offset` within region `rkey`.
+/// A work request of [`QueuePair::doorbell`], one that changes remote
+/// memory at `(rkey, offset)`: `Write(.., data)` places `data` there;
+/// `Faa(.., add)` and `Cas(.., expected, new)` are atomics on the aligned
+/// little-endian `u64` there, each answering the value it found.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WriteReq {
-    /// Target region.
-    pub rkey: u32,
-    /// Byte offset within the region.
-    pub offset: u64,
-    /// Payload to write.
-    pub data: Vec<u8>,
+pub enum WriteReq {
+    /// `RDMA_WRITE` of a payload.
+    Write(u32, u64, Vec<u8>),
+    /// Fetch-and-add, wrapping.
+    Faa(u32, u64, u64),
+    /// Compare-and-swap: the swap happens iff the value found is `expected`.
+    Cas(u32, u64, u64, u64),
 }
 
 impl WriteReq {
     /// Creates a write request.
     pub fn new(rkey: u32, offset: u64, data: Vec<u8>) -> Self {
-        WriteReq { rkey, offset, data }
+        WriteReq::Write(rkey, offset, data)
+    }
+
+    fn verb(&self) -> Verb<'_> {
+        match *self {
+            WriteReq::Write(rkey, offset, ref data) => Verb::Write(rkey, offset, data),
+            WriteReq::Faa(rkey, offset, add) => Verb::Faa(rkey, offset, add),
+            WriteReq::Cas(rkey, offset, expected, new) => Verb::Cas(rkey, offset, expected, new),
+        }
     }
 }
 
@@ -140,6 +151,16 @@ impl Verb<'_> {
             Verb::Read(r) => (r.rkey, r.offset, r.len),
             Verb::Write(rkey, offset, data) => (rkey, offset, data.len() as u64),
             Verb::Faa(rkey, offset, _) | Verb::Cas(rkey, offset, ..) => (rkey, offset, 8),
+        }
+    }
+
+    /// The request's kind, as a [`WqeSpan`](crate::WqeSpan) names it.
+    fn kind(&self) -> &'static str {
+        match self {
+            Verb::Read(_) => "read",
+            Verb::Write(..) => "write",
+            Verb::Faa(..) => "faa",
+            Verb::Cas(..) => "cas",
         }
     }
 }
@@ -330,18 +351,21 @@ impl QueuePair {
         self.execute("read_doorbell", true, &wrs, |i, bytes| into[i].land(bytes))
     }
 
-    /// Doorbell-batched writes; same cost semantics as
-    /// [`QueuePair::read_doorbell`].
+    /// Doorbell-batched writes and atomics, mixed in one post; same cost
+    /// semantics as [`QueuePair::read_doorbell`]. The responder executes
+    /// them in request order — what a reliable-connection queue pair
+    /// guarantees — so an atomic posted behind a write lands after it.
+    /// Returns every atomic's old value, in request order.
     ///
     /// # Errors
     ///
-    /// Validates every request before executing any.
-    pub fn write_doorbell(&self, reqs: &[WriteReq]) -> Result<()> {
-        let wrs: Vec<Verb<'_>> = reqs
-            .iter()
-            .map(|r| Verb::Write(r.rkey, r.offset, &r.data))
-            .collect();
-        self.execute("write_doorbell", true, &wrs, |_, _| {})
+    /// Validates every request before executing any; under
+    /// [`QueuePair::cut_nth`] a prefix of the post executes.
+    pub fn doorbell(&self, reqs: &[WriteReq]) -> Result<Vec<u64>> {
+        let wrs: Vec<Verb<'_>> = reqs.iter().map(WriteReq::verb).collect();
+        let mut old = Vec::new();
+        self.execute("doorbell", true, &wrs, |_, bytes| old.push(word(bytes)))?;
+        Ok(old)
     }
 
     /// Atomic compare-and-swap on an aligned `u64` (little-endian).
@@ -368,9 +392,9 @@ impl QueuePair {
 
     /// A lone atomic, returning the value it found.
     fn atomic(&self, verb: &'static str, wr: Verb<'_>) -> Result<u64> {
-        let mut old = [0; 8];
-        self.execute(verb, false, &[wr], |_, bytes| old.copy_from_slice(bytes))?;
-        Ok(u64::from_le_bytes(old))
+        let mut old = 0;
+        self.execute(verb, false, &[wr], |_, bytes| old = word(bytes))?;
+        Ok(old)
     }
 
     /// The one verb body. In order: every request's alignment and
@@ -379,7 +403,9 @@ impl QueuePair {
     /// read's bytes or an atomic's old value while the region is locked;
     /// then per doorbell-limit chunk one round trip's cost, one count and
     /// one trace span. `doorbell` off is a plain verb: one request, no
-    /// doorbell batch counted. An empty post costs nothing.
+    /// doorbell batch counted. An empty post costs nothing. A post that
+    /// [`QueuePair::cut_nth`] cuts is its prefix, all four steps, and then
+    /// one dropped attempt.
     fn execute(
         &self,
         verb: &'static str,
@@ -406,6 +432,8 @@ impl QueuePair {
             }
         }
         self.admit(verb)?;
+        let cut = self.fault.cut(wrs.len());
+        let wrs = &wrs[..cut.unwrap_or(wrs.len())];
         for (i, wr) in wrs.iter().enumerate() {
             let (rkey, offset, len) = wr.target();
             let region = self.node.region(rkey)?;
@@ -415,19 +443,18 @@ impl QueuePair {
                 Verb::Write(.., data) => region.write()[at].copy_from_slice(data),
                 Verb::Faa(..) | Verb::Cas(..) => {
                     let slot = &mut region.write()[at];
-                    let old: [u8; 8] = (&*slot).try_into().expect("an atomic spans 8 bytes");
-                    let v = u64::from_le_bytes(old);
+                    let v = word(slot);
                     let new = match *wr {
                         Verb::Faa(.., add) => v.wrapping_add(add),
                         Verb::Cas(.., expected, new) if v == expected => new,
                         _ => v,
                     };
                     slot.copy_from_slice(&new.to_le_bytes());
-                    land(i, &old);
+                    land(i, &v.to_le_bytes());
                 }
             }
         }
-        if doorbell {
+        if doorbell && !wrs.is_empty() {
             self.stats.record_doorbell(wrs.len() as u64);
         }
         for (ci, chunk) in wrs.chunks(self.model.doorbell_limit()).enumerate() {
@@ -462,10 +489,9 @@ impl QueuePair {
             self.stats.record_trip(dominant.map(|(cause, _)| cause));
             if self.has_sink.load(Ordering::Relaxed) {
                 let vt1 = self.clock.now_us();
-                let sizes: Vec<(u64, u64)> = chunk
+                let sizes: Vec<(&'static str, u64, u64)> = chunk
                     .iter()
-                    .map(Verb::target)
-                    .map(|(_, offset, len)| (offset, len))
+                    .map(|wr| (wr.kind(), wr.target().1, wr.target().2))
                     .collect();
                 let span = VerbSpan {
                     verb,
@@ -480,7 +506,7 @@ impl QueuePair {
                 }
             }
         }
-        Ok(())
+        cut.map_or(Ok(()), |_| Err(self.drop_attempt(verb, 1)))
     }
 
     /// This queue pair's virtual clock.
@@ -502,6 +528,11 @@ impl QueuePair {
     pub fn node(&self) -> &Arc<MemoryNode> {
         &self.node
     }
+}
+
+/// The little-endian `u64` an atomic found.
+fn word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("an atomic spans 8 bytes"))
 }
 
 /// A scatter list must take exactly its request's bytes.
@@ -603,11 +634,14 @@ mod tests {
     #[test]
     fn doorbell_validates_before_executing() {
         let (_n, r, qp) = setup(16);
-        let reqs = vec![
-            WriteReq::new(r.rkey(), 0, vec![1, 2]),
+        for bad in [
             WriteReq::new(r.rkey(), 100, vec![3]), // out of bounds
-        ];
-        assert!(qp.write_doorbell(&reqs).is_err());
+            WriteReq::Faa(r.rkey(), 4, 1),         // misaligned
+        ] {
+            assert!(qp
+                .doorbell(&[WriteReq::new(r.rkey(), 0, vec![1, 2]), bad])
+                .is_err());
+        }
         // First request must not have been applied.
         assert_eq!(qp.read(r.rkey(), 0, 2).unwrap(), vec![0, 0]);
     }
@@ -616,9 +650,72 @@ mod tests {
     fn empty_doorbell_costs_nothing() {
         let (_n, _r, qp) = setup(16);
         qp.read_doorbell(&[]).unwrap();
-        qp.write_doorbell(&[]).unwrap();
+        assert_eq!(qp.doorbell(&[]).unwrap(), Vec::<u64>::new());
         assert_eq!(qp.stats().round_trips(), 0);
         assert_eq!(qp.clock().now_us(), 0.0);
+    }
+
+    #[test]
+    fn a_mixed_doorbell_runs_in_request_order_and_answers_each_atomic() {
+        let (_n, r, qp) = setup(32);
+        let k = r.rkey();
+        let reqs = [
+            WriteReq::Faa(k, 0, 5),
+            WriteReq::new(k, 8, 7u64.to_le_bytes().to_vec()),
+            WriteReq::Faa(k, 8, 1), // sees the write ahead of it
+            WriteReq::Cas(k, 0, 5, 9),
+            WriteReq::Cas(k, 0, 5, 11), // sees the swap: no second one
+        ];
+        assert_eq!(qp.doorbell(&reqs).unwrap(), vec![0, 7, 5, 9]);
+        assert_eq!(
+            qp.read(k, 0, 16).unwrap(),
+            [9u64.to_le_bytes(), 8u64.to_le_bytes()].concat()
+        );
+        let s = qp.stats().snapshot();
+        assert_eq!((s.round_trips, s.atomics, s.work_requests), (2, 4, 6));
+        assert_eq!((s.doorbell_batches, s.bytes_written), (1, 8));
+    }
+
+    #[test]
+    fn a_cut_post_executes_its_prefix_then_fails() {
+        let (_n, r, qp) = setup(32);
+        let k = r.rkey();
+        let reqs = [
+            WriteReq::new(k, 0, vec![1; 8]),
+            WriteReq::Faa(k, 8, 1),
+            WriteReq::Faa(k, 16, 1),
+        ];
+        qp.cut_nth(Some((1, 2)));
+        qp.doorbell(&reqs).unwrap(); // the post let through
+        let (clock0, stats0) = (qp.clock().now_us(), qp.stats().snapshot());
+        let err = qp.doorbell(&reqs).unwrap_err();
+        assert!(matches!(
+            err,
+            Error::RetriesExhausted {
+                verb: "doorbell",
+                attempts: 1
+            }
+        ));
+        // Charged as a post of the two that ran, plus one timeout.
+        let d = qp.stats().snapshot() - stats0;
+        assert_eq!(
+            (d.round_trips, d.work_requests, d.atomics, d.faults),
+            (1, 2, 1, 1)
+        );
+        assert_eq!(d.doorbell_size_buckets[1], 1);
+        let m = qp.model();
+        let want_us = m.round_trip_cost_us(2, 16) + m.base_rtt_us();
+        assert!((qp.clock().now_us() - clock0 - want_us).abs() < 1e-6);
+        let want = [
+            vec![1; 8],
+            2u64.to_le_bytes().to_vec(),
+            1u64.to_le_bytes().to_vec(),
+        ];
+        assert_eq!(qp.read(k, 0, 24).unwrap(), want.concat());
+        // A cut past a post's end spends itself and cuts nothing.
+        qp.cut_nth(Some((0, 4)));
+        qp.doorbell(&reqs).unwrap();
+        qp.doorbell(&reqs).unwrap();
     }
 
     #[test]
@@ -975,6 +1072,8 @@ mod tests {
         let verbs = sink.verbs.lock();
         let names: Vec<&str> = verbs.iter().map(|(s, _)| s.verb).collect();
         assert_eq!(names, vec!["write", "read", "cas", "faa"]);
+        let kinds: Vec<&str> = verbs.iter().map(|(_, w)| w[0].kind).collect();
+        assert_eq!(kinds, names, "a plain verb's one request is of its kind");
         for (span, wqes) in verbs.iter() {
             assert_eq!(span.wqes, 1);
             assert_eq!(wqes.len(), 1);

@@ -25,7 +25,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VerbSpan {
     /// Verb name: `read`, `write`, `cas`, `faa`, `read_doorbell`,
-    /// `write_doorbell`.
+    /// `doorbell`.
     pub verb: &'static str,
     /// Work requests executed in this span (1 for plain verbs).
     pub wqes: u32,
@@ -44,6 +44,8 @@ pub struct VerbSpan {
 pub struct WqeSpan {
     /// Position within the chunk.
     pub index: u32,
+    /// The work request's kind: `read`, `write`, `faa` or `cas`.
+    pub kind: &'static str,
     /// Byte offset the work request targets.
     pub offset: u64,
     /// Payload bytes.
@@ -88,15 +90,15 @@ pub trait TraceSink: Send + Sync + std::fmt::Debug {
 pub(crate) fn split_chunk_intervals(
     vt_start: f64,
     vt_end: f64,
-    sizes: &[(u64, u64)], // (offset, bytes) per WQE
+    sizes: &[(&'static str, u64, u64)], // (kind, offset, bytes) per WQE
 ) -> Vec<WqeSpan> {
     let n = sizes.len();
-    let total: u64 = sizes.iter().map(|&(_, b)| b).sum();
+    let total: u64 = sizes.iter().map(|&(.., b)| b).sum();
     let dur = (vt_end - vt_start).max(0.0);
     let mut out = Vec::with_capacity(n);
     let mut cursor = vt_start;
     let mut cum = 0u64;
-    for (i, &(offset, bytes)) in sizes.iter().enumerate() {
+    for (i, &(kind, offset, bytes)) in sizes.iter().enumerate() {
         cum += bytes;
         let frac = if total > 0 {
             cum as f64 / total as f64
@@ -106,6 +108,7 @@ pub(crate) fn split_chunk_intervals(
         let end = vt_start + dur * frac;
         out.push(WqeSpan {
             index: i as u32,
+            kind,
             offset,
             bytes,
             vt_start_us: cursor,
@@ -125,18 +128,18 @@ mod tests {
 
     #[test]
     fn split_is_proportional_and_tiles() {
-        let spans = split_chunk_intervals(10.0, 20.0, &[(0, 30), (100, 10)]);
+        let spans = split_chunk_intervals(10.0, 20.0, &[("read", 0, 30), ("faa", 100, 10)]);
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].vt_start_us, 10.0);
         assert!((spans[0].vt_end_us - 17.5).abs() < 1e-9);
         assert_eq!(spans[1].vt_start_us, spans[0].vt_end_us);
         assert!((spans[1].vt_end_us - 20.0).abs() < 1e-9);
-        assert_eq!(spans[1].offset, 100);
+        assert_eq!((spans[1].kind, spans[1].offset), ("faa", 100));
     }
 
     #[test]
     fn zero_bytes_split_evenly() {
-        let spans = split_chunk_intervals(0.0, 4.0, &[(0, 0), (8, 0)]);
+        let spans = split_chunk_intervals(0.0, 4.0, &[("write", 0, 0), ("write", 8, 0)]);
         assert!((spans[0].vt_end_us - 2.0).abs() < 1e-9);
         assert!((spans[1].vt_end_us - 4.0).abs() < 1e-9);
     }

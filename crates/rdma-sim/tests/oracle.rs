@@ -1,12 +1,14 @@
 //! The oracle for the nine public verbs: random sequences of plain and
 //! doorbelled posts — doorbell limit 1 to 8, fault drops inside and past
-//! the retransmission budget, the odd out-of-bounds or misaligned request —
-//! against a shadow that shares no code with the crate: a byte array per
-//! region, the clock kept in the clock's own picoseconds from the closed
-//! form `base_rtt + wrs * per_wr + bytes * 8 / (gbps * 1000)`, and every
-//! [`StatsSnapshot`] field moved by hand. After every call the returned
-//! bytes or old value, each region, the whole snapshot and the virtual
-//! clock must match it.
+//! the retransmission budget, cuts after a prefix of a post's work
+//! requests, writes and atomics mixed in one doorbell, the odd
+//! out-of-bounds or misaligned request — against a shadow that shares no
+//! code with the crate: a byte array per region, the clock kept in the
+//! clock's own picoseconds from the closed form `base_rtt + wrs * per_wr +
+//! bytes * 8 / (gbps * 1000)`, and every [`StatsSnapshot`] field moved by
+//! hand. After every call the returned bytes or old values, what a cut
+//! prefix landed, each region, the whole snapshot and the virtual clock
+//! must match it.
 
 use proptest::prelude::*;
 use rdma_sim::{
@@ -52,13 +54,27 @@ impl Rng {
     }
 }
 
-/// What one work request charges: read bytes and their cause, written
-/// bytes, or one atomic.
-#[derive(Clone, Copy)]
+/// One work request as the shadow sees it: what it charges and what it
+/// does — a read's bytes and cause, a write's payload, an atomic's
+/// operands — by region index.
+#[derive(Clone)]
 enum Wr {
     Read(ReadCause, u64),
-    Write(u64),
-    Atomic,
+    Write(usize, u64, Vec<u8>),
+    Faa(usize, u64, u64),
+    Cas(usize, u64, u64, u64),
+}
+
+impl Wr {
+    /// The same request for the queue pair.
+    fn req(&self, rkeys: &[u32]) -> WriteReq {
+        match *self {
+            Wr::Write(ri, offset, ref data) => WriteReq::new(rkeys[ri], offset, data.clone()),
+            Wr::Faa(ri, offset, add) => WriteReq::Faa(rkeys[ri], offset, add),
+            Wr::Cas(ri, offset, expected, new) => WriteReq::Cas(rkeys[ri], offset, expected, new),
+            Wr::Read(..) => unreachable!("a doorbell of writes and atomics"),
+        }
+    }
 }
 
 /// How a call ended, in a form the shadow predicts.
@@ -78,11 +94,21 @@ fn end<T>(got: &Result<T, Error>) -> End {
     }
 }
 
+/// What the shadow predicts of one post: how it ends, how many of its
+/// work requests executed, and the old value of each atomic among them.
+struct Post {
+    end: End,
+    ran: usize,
+    old: Vec<u64>,
+}
+
 struct Shadow {
     regions: Vec<Vec<u8>>,
     model: NetworkModel,
     retry_limit: u32,
     armed: u32,
+    /// The armed cut: posts to let through, work requests the next runs.
+    cut: Option<(u32, u32)>,
     picos: u64,
     stats: StatsSnapshot,
 }
@@ -98,17 +124,29 @@ impl Shadow {
         self.regions[region].get(at).unwrap_or_default()
     }
 
-    /// The end of a post of `wrs` named `verb`, and its charges: none
-    /// when a request is `bad`; a timeout and a fault per dropped attempt;
-    /// then, unless it was dropped for good, the doorbell, and per
-    /// doorbell-limit chunk one trip — to the read cause with the most
-    /// bytes in the chunk, ties to the lowest index — and its cost.
-    fn post(&mut self, verb: &'static str, doorbell: bool, bad: bool, wrs: &[Wr]) -> End {
+    fn word(&self, region: usize, offset: u64) -> u64 {
+        u64::from_le_bytes(self.slice(region, offset, 8).try_into().unwrap())
+    }
+
+    fn put(&mut self, region: usize, offset: u64, bytes: &[u8]) {
+        let at = offset as usize;
+        self.regions[region][at..at + bytes.len()].copy_from_slice(bytes);
+    }
+
+    /// A post of `wrs` named `verb`: none of it when a request is `bad`;
+    /// a timeout and a fault per dropped attempt; then, unless it was
+    /// dropped for good, the executed prefix — all of it, or as much as
+    /// an armed cut lets run — applied in request order, its doorbell,
+    /// and per doorbell-limit chunk one trip — to the read cause with
+    /// the most bytes in the chunk, ties to the lowest index — and its
+    /// cost; a cut post then pays one more timeout and fault.
+    fn post(&mut self, verb: &'static str, doorbell: bool, bad: bool, wrs: &[Wr]) -> Post {
+        let done = |end, ran, old| Post { end, ran, old };
         if bad {
-            return End::Refused;
+            return done(End::Refused, 0, Vec::new());
         }
         if wrs.is_empty() {
-            return End::Done;
+            return done(End::Done, 0, Vec::new());
         }
         let dropped = self.armed.min(self.retry_limit + 1);
         self.armed -= dropped;
@@ -117,21 +155,50 @@ impl Shadow {
             self.charge(self.model.base_rtt_us());
         }
         if dropped > self.retry_limit {
-            return End::Dropped(verb, dropped);
+            return done(End::Dropped(verb, dropped), 0, Vec::new());
         }
-        if doorbell {
+        let cut = match self.cut {
+            Some((0, at)) => {
+                self.cut = None;
+                (at as usize <= wrs.len()).then_some(at as usize)
+            }
+            Some((skip, at)) => {
+                self.cut = Some((skip - 1, at));
+                None
+            }
+            None => None,
+        };
+        let run = &wrs[..cut.unwrap_or(wrs.len())];
+        let mut old = Vec::new();
+        for wr in run {
+            match *wr {
+                Wr::Read(..) => {}
+                Wr::Write(ri, offset, ref data) => self.put(ri, offset, data),
+                Wr::Faa(ri, offset, _) | Wr::Cas(ri, offset, ..) => {
+                    let v = self.word(ri, offset);
+                    let new = match *wr {
+                        Wr::Faa(.., add) => v.wrapping_add(add),
+                        Wr::Cas(.., expected, new) if v == expected => new,
+                        _ => v,
+                    };
+                    old.push(v);
+                    self.put(ri, offset, &new.to_le_bytes());
+                }
+            }
+        }
+        if doorbell && !run.is_empty() {
             self.stats.doorbell_batches += 1;
             let bucket = (0..DOORBELL_SIZE_BUCKETS)
-                .find(|&i| wrs.len() <= 1 << i)
+                .find(|&i| run.len() <= 1 << i)
                 .unwrap_or(DOORBELL_SIZE_BUCKETS - 1);
             self.stats.doorbell_size_buckets[bucket] += 1;
         }
-        for chunk in wrs.chunks(self.model.doorbell_limit()) {
+        for chunk in run.chunks(self.model.doorbell_limit()) {
             let mut bytes = 0;
             let mut per_cause = [(0u64, 0u64); READ_CAUSES];
-            for &wr in chunk {
+            for wr in chunk {
                 self.stats.work_requests += 1;
-                match wr {
+                match *wr {
                     Wr::Read(cause, len) => {
                         bytes += len;
                         self.stats.bytes_read += len;
@@ -140,11 +207,11 @@ impl Shadow {
                         per_cause[cause.index()].0 += 1;
                         per_cause[cause.index()].1 += len;
                     }
-                    Wr::Write(len) => {
-                        bytes += len;
-                        self.stats.bytes_written += len;
+                    Wr::Write(_, _, ref data) => {
+                        bytes += data.len() as u64;
+                        self.stats.bytes_written += data.len() as u64;
                     }
-                    Wr::Atomic => {
+                    Wr::Faa(..) | Wr::Cas(..) => {
                         bytes += 8;
                         self.stats.atomics += 1;
                     }
@@ -167,7 +234,14 @@ impl Shadow {
                     + (bytes as f64 * 8.0) / (m.bandwidth_gbps() * 1_000.0),
             );
         }
-        End::Done
+        match cut {
+            Some(ran) => {
+                self.stats.faults += 1;
+                self.charge(self.model.base_rtt_us());
+                done(End::Dropped(verb, 1), ran, old)
+            }
+            None => done(End::Done, wrs.len(), old),
+        }
     }
 }
 
@@ -193,6 +267,7 @@ proptest! {
             model,
             retry_limit: retries,
             armed: 0,
+            cut: None,
             picos: 0,
             stats: StatsSnapshot::default(),
         };
@@ -201,6 +276,11 @@ proptest! {
                 let drops = rng.below(u64::from(retries) + 3) as u32;
                 qp.fail_next(drops);
                 shadow.armed = drops;
+            }
+            if rng.below(4) == 0 {
+                let (skip, at) = (rng.below(3) as u32, rng.below(6) as u32);
+                qp.cut_nth(Some((skip, at)));
+                shadow.cut = Some((skip, at));
             }
             let bad = rng.below(16) == 0;
             let before = qp.stats().snapshot();
@@ -228,8 +308,9 @@ proptest! {
                     let (head0, tail0) = (head.clone(), tail.clone());
                     let got = qp.read_into(req, Scatter::cut(&mut head, &mut tail, at, len));
                     let want = shadow.post("read", false, bad, &[Wr::Read(cause, len)]);
+                    // A read lands when it executed, even in a post cut after it.
                     let (mut head1, mut tail1) = (head0, tail0);
-                    if got.is_ok() {
+                    if want.ran == 1 {
                         let bytes = shadow.slice(ri, offset, len);
                         head1.extend_from_slice(&bytes[..at as usize]);
                         tail1.extend_from_slice(&bytes[at as usize..]);
@@ -252,12 +333,12 @@ proptest! {
                     let wrs: Vec<Wr> = reqs.iter().map(|r| Wr::Read(r.cause, r.len)).collect();
                     let wanted: Vec<Vec<u8>> =
                         spans.iter().map(|&(ri, o, l)| shadow.slice(ri, o, l).to_vec()).collect();
-                    let got = if rng.below(2) == 0 {
+                    let (got, landed) = if rng.below(2) == 0 {
                         let got = qp.read_doorbell(&reqs);
                         if let Ok(out) = &got {
                             prop_assert_eq!(out, &wanted);
                         }
-                        got.map(drop)
+                        (got.map(drop), None)
                     } else {
                         let cuts: Vec<u64> = reqs.iter().map(|r| rng.below(r.len + 1)).collect();
                         let mut bufs: Vec<(Vec<u8>, Vec<u8>)> =
@@ -271,85 +352,84 @@ proptest! {
                             .collect();
                         let got = qp.read_doorbell_into(&reqs, &mut into);
                         drop(into);
-                        let mut want_bufs = bufs0;
-                        if got.is_ok() {
-                            let landed = want_bufs.iter_mut().zip(&wanted).zip(&cuts);
-                            for (((h, t), bytes), &at) in landed {
-                                h.extend_from_slice(&bytes[..at as usize]);
-                                t.extend_from_slice(&bytes[at as usize..]);
-                            }
+                        (got, Some((bufs, bufs0, cuts)))
+                    };
+                    let want = shadow.post("read_doorbell", true, bad, &wrs);
+                    if let Some((bufs, mut want_bufs, cuts)) = landed {
+                        // The reads that executed landed, and only those.
+                        let landed = want_bufs.iter_mut().zip(&wanted).zip(&cuts).take(want.ran);
+                        for (((h, t), bytes), &at) in landed {
+                            h.extend_from_slice(&bytes[..at as usize]);
+                            t.extend_from_slice(&bytes[at as usize..]);
                         }
                         prop_assert_eq!(bufs, want_bufs);
-                        got
-                    };
-                    (end(&got), shadow.post("read_doorbell", true, bad, &wrs))
+                    }
+                    (end(&got), want)
                 }
                 5 => {
                     let (ri, offset, len) = rng.span(32, bad);
                     let data = rng.bytes(len);
                     let got = qp.write(rkeys[ri], offset, &data);
-                    let want = shadow.post("write", false, bad, &[Wr::Write(len)]);
-                    if want == End::Done {
-                        shadow.regions[ri][offset as usize..(offset + len) as usize]
-                            .copy_from_slice(&data);
-                    }
+                    let want = shadow.post("write", false, bad, &[Wr::Write(ri, offset, data)]);
                     (end(&got), want)
                 }
                 6 => {
                     let n = rng.below(20);
                     let bad_at = if bad { Some(rng.below(n.max(1))) } else { None };
-                    let (mut writes, mut reqs, mut wrs) = (Vec::new(), Vec::new(), Vec::new());
-                    for i in 0..n {
-                        let (ri, offset, len) = rng.span(32, bad_at == Some(i));
-                        let data = rng.bytes(len);
-                        reqs.push(WriteReq::new(rkeys[ri], offset, data.clone()));
-                        writes.push((ri, offset, data));
-                        wrs.push(Wr::Write(len));
-                    }
-                    let got = qp.write_doorbell(&reqs);
-                    let want = shadow.post("write_doorbell", true, bad && n > 0, &wrs);
-                    if want == End::Done {
-                        for (ri, offset, data) in writes {
-                            let at = offset as usize;
-                            shadow.regions[ri][at..at + data.len()].copy_from_slice(&data);
-                        }
+                    let wrs: Vec<Wr> = (0..n)
+                        .map(|i| {
+                            let (bad, ri) = (bad_at == Some(i), rng.below(2) as usize);
+                            match rng.below(3) {
+                                0 => {
+                                    let (ri, offset, len) = rng.span(32, bad);
+                                    Wr::Write(ri, offset, rng.bytes(len))
+                                }
+                                1 => Wr::Faa(ri, rng.slot(bad), rng.below(u64::MAX)),
+                                _ => {
+                                    let offset = rng.slot(bad);
+                                    let now = if bad { 0 } else { shadow.word(ri, offset) };
+                                    let expected = if rng.below(2) == 0 { now } else { rng.below(4) };
+                                    Wr::Cas(ri, offset, expected, rng.below(1 << 20))
+                                }
+                            }
+                        })
+                        .collect();
+                    let reqs: Vec<WriteReq> = wrs.iter().map(|wr| wr.req(&rkeys)).collect();
+                    let got = qp.doorbell(&reqs);
+                    let want = shadow.post("doorbell", true, bad && n > 0, &wrs);
+                    if let Ok(old) = &got {
+                        prop_assert_eq!(old, &want.old);
                     }
                     (end(&got), want)
                 }
                 kind => {
                     let (ri, offset) = (rng.below(2) as usize, rng.slot(bad));
-                    let old = if bad {
-                        0
-                    } else {
-                        u64::from_le_bytes(shadow.slice(ri, offset, 8).try_into().unwrap())
-                    };
-                    let (verb, got, new) = if kind == 7 {
-                        let expected = if rng.below(2) == 0 { old } else { rng.below(4) };
+                    let (verb, wr, got) = if kind == 7 {
+                        let now = if bad { 0 } else { shadow.word(ri, offset) };
+                        let expected = if rng.below(2) == 0 { now } else { rng.below(4) };
                         let new = rng.below(1 << 20);
                         let got = qp.cas(rkeys[ri], offset, expected, new);
-                        ("cas", got, if old == expected { new } else { old })
+                        ("cas", Wr::Cas(ri, offset, expected, new), got)
                     } else {
                         let add = rng.below(u64::MAX);
-                        ("faa", qp.faa(rkeys[ri], offset, add), old.wrapping_add(add))
+                        ("faa", Wr::Faa(ri, offset, add), qp.faa(rkeys[ri], offset, add))
                     };
-                    let want = shadow.post(verb, false, bad, &[Wr::Atomic]);
-                    if want == End::Done {
-                        prop_assert_eq!(*got.as_ref().unwrap(), old);
-                        shadow.regions[ri][offset as usize..offset as usize + 8]
-                            .copy_from_slice(&new.to_le_bytes());
+                    let want = shadow.post(verb, false, bad, &[wr]);
+                    if let Ok(old) = &got {
+                        prop_assert_eq!(old, &want.old[0]);
                     }
                     (end(&got), want)
                 }
             };
-            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(&got, &want.end);
             for (ri, &rkey) in rkeys.iter().enumerate() {
                 prop_assert_eq!(probe.read(rkey, 0, REGION).unwrap(), shadow.regions[ri].clone());
             }
             let after = qp.stats().snapshot();
             prop_assert_eq!(after, shadow.stats);
             prop_assert_eq!(qp.clock().now_us(), shadow.picos as f64 / 1e6);
-            if matches!(want, End::Dropped(..)) {
-                // Dropped for good: every counter but the faults stands still.
+            if matches!(want.end, End::Dropped(..)) && want.ran == 0 {
+                // Nothing executed: every counter but the faults stands still.
                 prop_assert_eq!(StatsSnapshot { faults: after.faults, ..before }, after);
             }
         }
