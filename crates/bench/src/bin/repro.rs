@@ -329,7 +329,7 @@ fn subsearch() -> AnyResult {
         "{:>6} {:>9} {:>6} {:>9} {:>9} {:>9}",
         "rows", "clusters", "block", "walk", "f32 scan", "sq8 scan"
     );
-    for rows in [100, 300, 600, cut, 1_000, 2_000] {
+    for rows in [100, 300, 600, cut, 1_000, 1_500, 2_000] {
         let count = (16 << 20) / (rows * 128 * 4);
         let data = vecsim::gen::sift_like(count * rows, 7)?;
         let queries = vecsim::gen::perturbed_queries(&data, QUERIES, 0.03, 8)?;
@@ -347,7 +347,7 @@ fn subsearch() -> AnyResult {
         let mut walk = hnsw::SearchScratch::default();
         let mut stats = hnsw::SearchStats::default();
         let (mut out, mut ends) = (Vec::new(), Vec::new());
-        for block in [1, 4, 16] {
+        for block in [1, 4, 6, 8, 16] {
             type Cluster = (SubCluster, LoadedCluster, LoadedCluster);
             // One rotation across rounds: a round of few blocks must not
             // keep meeting the same few clusters.
@@ -394,25 +394,40 @@ fn subsearch() -> AnyResult {
     }
     // The kernel under every row above: its body at this build's width
     // against the entry the rows went through.
-    let data = vecsim::gen::sift_like(2_048, 7)?;
-    let ns_per_dim = |kernel: fn(&[f32], &[f32]) -> f32| {
+    use std::hint::black_box;
+    let data = &vecsim::gen::sift_like(2_048, 7)?;
+    let ns_per = |per: usize, kernel: &mut dyn FnMut(&[f32])| {
         let rounds = (0..ROUNDS).map(|_| {
             let t0 = std::time::Instant::now();
-            data.iter().for_each(|row| {
-                _ = std::hint::black_box(kernel(std::hint::black_box(data.get(0)), row))
-            });
-            t0.elapsed().as_secs_f64() * 1e9 / (data.len() * data.dim()) as f64
+            data.iter().for_each(&mut *kernel);
+            t0.elapsed().as_secs_f64() * 1e9 / (data.len() * per) as f64
         });
         rounds.fold(f64::INFINITY, f64::min)
     };
+    let l2 = |kernel: fn(&[f32], &[f32]) -> f32| {
+        move |row: &[f32]| _ = black_box(kernel(black_box(data.get(0)), row))
+    };
     let (portable, dispatched) = (
-        ns_per_dim(vecsim::distance::l2_sq_portable),
-        ns_per_dim(vecsim::l2_sq),
+        ns_per(data.dim(), &mut l2(vecsim::distance::l2_sq_portable)),
+        ns_per(data.dim(), &mut l2(vecsim::l2_sq)),
     );
     println!(
         "l2_sq ns/dim: portable {portable:.3}, dispatched ({}) {dispatched:.3}",
         vecsim::simd::active()
     );
+    // The block kernel, ns per (row, query), a query at a time and in tiles
+    // of 8 (a last one padded): vecsim's padding rule is read off `a tile`.
+    let queries = vecsim::gen::perturbed_queries(data, 16, 0.03, 8)?;
+    let mut layout = vecsim::QueryBlock::default();
+    for block in [4, 6, 8, 16] {
+        let qs: Vec<&[f32]> = queries.iter().take(block).collect();
+        let [one, tiled] = [0, block.div_ceil(8)].map(|tiles| {
+            layout.lay_out(vecsim::Metric::L2, &qs, tiles);
+            ns_per(block, &mut |row| _ = black_box(layout.distances(row, &qs)))
+        });
+        let tile = tiled * block as f64 / block.div_ceil(8) as f64 / one;
+        println!("block kernel, {block:>2} queries: one at a time {one:.2}, tiled {tiled:.2} ns per (row, query), a tile {tile:.2} queries");
+    }
     Ok(())
 }
 

@@ -27,7 +27,7 @@ use hnsw::{HnswIndex, HnswParams, IndexView, SearchScratch, SearchStats};
 use vecsim::cast::{self, AlignedBytes};
 use vecsim::io::le_words;
 use vecsim::quantize::SqParams;
-use vecsim::{Dataset, Metric, Neighbor, TopK};
+use vecsim::{Dataset, Metric, Neighbor, QueryBlock, TopK};
 
 use crate::{Error, Result};
 
@@ -678,8 +678,8 @@ fn by_dist_then_id(a: &Candidate, b: &Candidate) -> std::cmp::Ordering {
 }
 
 /// What a worker keeps from probe to probe ([`LoadedCluster::probe`]):
-/// the sub-HNSW walk's scratch and, for a block scan, one collector and one
-/// distance per query of a block and the row an SQ8 scan is decoding.
+/// the sub-HNSW walk's scratch and, for a block scan, the block's collectors
+/// and kernel layout and the row an SQ8 scan is decoding.
 #[derive(Debug, Default)]
 pub struct ProbeScratch {
     walk: SearchScratch,
@@ -687,22 +687,22 @@ pub struct ProbeScratch {
     block: Block,
 }
 
-/// A block scan's collectors, and the distances of the row in hand.
+/// A block scan's collectors, and its queries laid out for the block kernel.
 #[derive(Debug, Default)]
 struct Block {
     tops: Vec<TopK>,
-    dists: Vec<f32>,
+    queries: QueryBlock,
 }
 
 impl Block {
     /// Holds one row against every query — all the distances first, in one
-    /// call of the block kernel ([`Metric::distances`]: its width is chosen
-    /// once per row and its loop carries no collector state) — then offers
-    /// each to its query's collector under the row's pseudo-id.
+    /// call of the block kernel ([`QueryBlock::distances`]: its width is
+    /// chosen once per row and its loop carries no collector state) — then
+    /// offers each to its query's collector under the row's pseudo-id.
     #[inline(always)]
-    fn offer(&mut self, local: u32, queries: &[&[f32]], metric: Metric, row: &[f32]) {
-        metric.distances(row, queries, &mut self.dists);
-        for (top, &dist) in self.tops.iter_mut().zip(&self.dists) {
+    fn offer(&mut self, local: u32, queries: &[&[f32]], row: &[f32]) {
+        let dists = self.queries.distances(row, queries);
+        for (top, &dist) in self.tops.iter_mut().zip(dists) {
             top.push(local, dist);
         }
     }
@@ -1245,7 +1245,7 @@ impl LoadedCluster {
             block
                 .tops
                 .resize_with(block.tops.len().max(queries.len()), || TopK::new(pool));
-            block.dists.resize(queries.len(), 0.0);
+            block.queries.load(metric, queries);
             block.tops[..queries.len()]
                 .iter_mut()
                 .for_each(|top| top.reset(pool));
@@ -1262,11 +1262,11 @@ impl LoadedCluster {
             } else {
                 for local in live {
                     evals += 1;
-                    block.offer(local, queries, metric, rows.row(local));
+                    block.offer(local, queries, rows.row(local));
                 }
             }
             for (j, (_, v)) in self.extra.iter().enumerate() {
-                block.offer(n + j as u32, queries, metric, v);
+                block.offer(n + j as u32, queries, v);
             }
             stats.dist_evals += (evals * queries.len()) as u64;
             for top in &mut block.tops[..queries.len()] {

@@ -534,8 +534,9 @@ impl ComputeNode {
     }
 }
 
-/// Runs `f(i)` for `i in 0..n` across `threads` workers, preserving
-/// output order and propagating the first error.
+/// Runs `f(i)` for `i in 0..n` across `threads` workers — the calling
+/// thread runs the first chunk itself, beside `threads − 1` helpers —
+/// preserving output order and propagating the first error.
 pub(crate) fn run_indexed<T, F>(n: usize, threads: usize, f: F) -> Result<Vec<T>>
 where
     T: Send,
@@ -550,16 +551,17 @@ where
     }
     let mut slots: Vec<Option<Result<T>>> = (0..n).map(|_| None).collect();
     let chunk = n.div_ceil(threads);
-    std::thread::scope(|s| {
-        for (t, slot) in slots.chunks_mut(chunk).enumerate() {
-            let start = t * chunk;
-            let f = &f;
-            s.spawn(move || {
-                for (off, dst) in slot.iter_mut().enumerate() {
-                    *dst = Some(f(start + off));
-                }
-            });
+    let run = |start: usize, slot: &mut [Option<Result<T>>]| {
+        for (off, dst) in slot.iter_mut().enumerate() {
+            *dst = Some(f(start + off));
         }
+    };
+    std::thread::scope(|s| {
+        let (first, rest) = slots.split_at_mut(chunk);
+        for (t, slot) in rest.chunks_mut(chunk).enumerate() {
+            s.spawn(move || run((t + 1) * chunk, slot));
+        }
+        run(0, first);
     });
     slots
         .into_iter()

@@ -1594,11 +1594,15 @@ fn modes_agree_with_partitions_on_both_sides_of_the_scan_cut_off() {
 
 /// Every partition of this store is under the cut-off, so every probe is
 /// a scan under the store's own metric: with every partition on the route
-/// the answer is brute force's, id for id — under cosine as under L2.
+/// the answer is brute force's, id for id — under cosine as under L2. Each
+/// batch size from 1 to 17 hands every cluster one block of that many
+/// queries (or, across search threads, runs of them), so the block kernel's
+/// whole tiles, padded tiles and queries left over all reach the engine —
+/// at 128 dimensions, where a block holds up to 32 queries.
 #[test]
 fn scanned_clusters_are_exact_under_the_stores_metric() {
-    let data = gen::gist_like(600, 17).unwrap();
-    let queries = gen::perturbed_queries(&data, 12, 0.02, 18).unwrap();
+    let data = gen::sift_like(600, 17).unwrap();
+    let queries = gen::perturbed_queries(&data, 17, 0.02, 18).unwrap();
     for metric in [Metric::Cosine, Metric::InnerProduct, Metric::L2] {
         let config = DHnswConfig::small().with_metric(metric);
         let store = VectorStore::build(data.clone(), &config).unwrap();
@@ -1610,11 +1614,52 @@ fn scanned_clusters_are_exact_under_the_stores_metric() {
         );
         let node = store.connect(SearchMode::Full).unwrap();
         let everywhere = QueryOptions::new(k, ef).with_fanout(store.partitions());
-        let (hits, _) = node.query_batch_opts(&queries, &everywhere).unwrap();
         let truth = ground_truth::exact_batch(&data, &queries, k, metric);
-        for (got, want) in hits.iter().zip(&truth) {
-            let ids = |r: &[Neighbor]| r.iter().map(|n| n.id).collect::<Vec<u32>>();
-            assert_eq!(ids(got), ids(want), "{metric}");
+        for batch in 1..=queries.len() {
+            let ids: Vec<u32> = (0..batch as u32).collect();
+            let (hits, _) = node
+                .query_batch_opts(&queries.select(&ids), &everywhere)
+                .unwrap();
+            for (got, want) in hits.iter().zip(&truth) {
+                let ids = |r: &[Neighbor]| r.iter().map(|n| n.id).collect::<Vec<u32>>();
+                assert_eq!(ids(got), ids(want), "{metric}, batch of {batch}");
+            }
+        }
+    }
+}
+
+/// The calling thread runs the first chunk and `threads − 1` helpers the
+/// rest; every index runs once, outputs keep index order and the error
+/// returned is the lowest index's — with fewer items than threads too.
+#[test]
+fn run_indexed_runs_each_index_once_in_order_with_the_caller_working() {
+    let caller = std::thread::current().id();
+    for threads in 1..=4 {
+        for n in 0..=9 {
+            let ran = parking_lot::Mutex::new(Vec::new());
+            let out = run_indexed(n, threads, |i| {
+                ran.lock().push((i, std::thread::current().id()));
+                Ok(i * i)
+            })
+            .unwrap();
+            assert_eq!(out, (0..n).map(|i| i * i).collect::<Vec<_>>());
+            let mut ran = ran.into_inner();
+            ran.sort_by_key(|&(i, _)| i);
+            assert!(
+                ran.iter().map(|&(i, _)| i).eq(0..n),
+                "{threads} threads, {n}"
+            );
+            assert!(ran.first().is_none_or(|&(_, id)| id == caller));
+            let workers: std::collections::HashSet<_> = ran.iter().map(|&(_, id)| id).collect();
+            assert!(workers.len() <= threads.min(n), "{threads} threads, {n}");
+            let failed = run_indexed(n, threads, |i| match i % 3 {
+                2 => Err(Error::InvalidParameter(i.to_string())),
+                _ => Ok(i),
+            });
+            match failed {
+                Err(Error::InvalidParameter(i)) => assert_eq!(i, "2"),
+                other => assert!(n < 3 && other.is_ok(), "{threads} threads, {n}: {other:?}"),
+            }
         }
     }
 }

@@ -58,14 +58,6 @@ impl Metric {
         }
     }
 
-    /// One `row` against a block of `queries`: `dists[i]` becomes the bits
-    /// of `self.distance(queries[i], row)`, the kernel width chosen once
-    /// for the row. The shorter of `queries` and `dists` wins.
-    #[inline]
-    pub fn distances(self, row: &[f32], queries: &[&[f32]], dists: &mut [f32]) {
-        crate::simd::distances(self, row, queries, dists)
-    }
-
     /// A short stable name, used in benchmark output.
     pub fn name(self) -> &'static str {
         match self {
@@ -131,30 +123,138 @@ pub fn norm(a: &[f32]) -> f32 {
 /// [`cosine_distance`]'s one body.
 #[inline(always)]
 pub(crate) fn cosine_portable(a: &[f32], b: &[f32]) -> f32 {
-    let na = dot_portable(a, a).sqrt();
-    let nb = dot_portable(b, b).sqrt();
-    if na == 0.0 || nb == 0.0 {
-        return 1.0;
-    }
-    1.0 - dot_portable(a, b) / (na * nb)
+    let (na, nb) = (dot_portable(a, a).sqrt(), dot_portable(b, b).sqrt());
+    cosine_of(dot_portable(a, b), na, nb)
 }
 
-/// [`Metric::distances`]'s body: [`Metric::distance`]'s arms over the
-/// portable kernels — no closure an optimiser could leave at another width.
+/// `1 − cos` from a dot product and both norms; a zero norm is at `1.0`.
 #[inline(always)]
-pub(crate) fn distances_portable(
-    metric: Metric,
-    row: &[f32],
-    queries: &[&[f32]],
-    dists: &mut [f32],
-) {
-    for (dist, query) in dists.iter_mut().zip(queries) {
-        *dist = match metric {
-            Metric::L2 => l2_sq_portable(query, row),
-            Metric::InnerProduct => -dot_portable(query, row),
-            Metric::Cosine => cosine_portable(query, row),
-        };
+fn cosine_of(dot: f32, na: f32, nb: f32) -> f32 {
+    if na == 0.0 || nb == 0.0 {
+        1.0
+    } else {
+        1.0 - dot / (na * nb)
     }
+}
+
+/// Queries to a tile of a [`QueryBlock`], one AVX2 register's lanes.
+const TILE: usize = 8;
+
+/// A block's last queries are padded out to a tile, with copies of its last
+/// query, once this many are left: a tile costs 4.9 – 5.6 single-query
+/// evaluations in `repro subsearch`'s kernel lines (128-d, AVX2, one pinned
+/// vCPU of a 2.1 GHz Xeon), so six cost more one at a time, five no less.
+const PAD_FROM: usize = 6;
+
+/// A block of queries laid out once for the row × block kernel: groups of
+/// `TILE` (8) transposed, so a register holds one dimension of a tile's
+/// queries and `lane_sum` runs as vertical adds across the tile — each
+/// query's IEEE operations in their order, each distance's bits. The
+/// queries past the last tile run one at a time, read where they lie.
+#[derive(Debug, Default)]
+pub struct QueryBlock {
+    metric: Metric,
+    dim: usize,
+    tiled: usize,
+    /// Tile `t`'s dimension `d` is `tiles[t * dim + d]`, a query to a lane.
+    tiles: Vec<[f32; TILE]>,
+    norms: Vec<f32>,
+    pub(crate) dists: Vec<f32>,
+}
+
+impl QueryBlock {
+    /// Lays out `queries`, all of one length (or it panics), under `metric`.
+    pub fn load(&mut self, metric: Metric, queries: &[&[f32]]) {
+        let pad = queries.len() % TILE >= PAD_FROM;
+        self.lay_out(metric, queries, queries.len() / TILE + usize::from(pad));
+    }
+
+    /// [`QueryBlock::load`] with `tiles` tiles, padding included: `repro subsearch`'s hook.
+    #[doc(hidden)]
+    pub fn lay_out(&mut self, metric: Metric, queries: &[&[f32]], tiles: usize) {
+        let dim = queries.first().map_or(0, |q| q.len());
+        assert!(queries.iter().all(|q| q.len() == dim), "ragged block");
+        let (len, tiled) = (queries.len(), tiles.min(queries.len()) * TILE);
+        (self.metric, self.dim, self.tiled) = (metric, dim, tiled);
+        self.tiles.resize(tiled / TILE * dim, [0.0; TILE]);
+        for (k, lanes) in self.tiles.iter_mut().enumerate() {
+            *lanes = std::array::from_fn(|j| queries[(k / dim * TILE + j).min(len - 1)][k % dim]);
+        }
+        let cosine = queries.iter().filter(|_| metric == Metric::Cosine);
+        self.norms.clear();
+        self.norms.extend(cosine.map(|q| norm(q)));
+        self.dists.resize(len, 0.0);
+    }
+
+    /// `row`'s distance to each of `queries`, the block [`QueryBlock::load`]
+    /// laid out: the bits of [`Metric::distance`].
+    #[inline]
+    pub fn distances(&mut self, row: &[f32], queries: &[&[f32]]) -> &[f32] {
+        debug_assert_eq!(queries.len(), self.dists.len(), "not the block laid out");
+        crate::simd::block_distances(self, row, queries);
+        &self.dists
+    }
+
+    /// `dists[i] = Σ term(query i, row)`, a tile at a time, then the
+    /// queries past the last tile one at a time.
+    #[inline(always)]
+    fn sums(&mut self, row: &[f32], queries: &[&[f32]], term: impl Fn(f32, f32) -> f32) {
+        let (dim, mut out) = (self.dim, self.dists.iter_mut());
+        for tile in (0..self.tiled / TILE).map(|t| &self.tiles[t * dim..][..dim]) {
+            for (sum, dist) in tile_sum(tile, row, &term).into_iter().zip(&mut out) {
+                *dist = sum;
+            }
+        }
+        for (dist, query) in out.zip(queries.iter().skip(self.tiled)) {
+            *dist = lane_sum(query, row, &term);
+        }
+    }
+}
+
+/// [`QueryBlock::distances`]'s one body: the metric matched once a row.
+#[inline(always)]
+pub(crate) fn block_portable(block: &mut QueryBlock, row: &[f32], queries: &[&[f32]]) {
+    match block.metric {
+        Metric::L2 => block.sums(row, queries, |x, y| (x - y) * (x - y)),
+        Metric::InnerProduct => {
+            block.sums(row, queries, |x, y| x * y);
+            block.dists.iter_mut().for_each(|d| *d = -*d);
+        }
+        Metric::Cosine => {
+            block.sums(row, queries, |x, y| x * y);
+            let nb = dot_portable(row, row).sqrt();
+            for (d, &na) in block.dists.iter_mut().zip(&block.norms) {
+                *d = cosine_of(*d, na, nb);
+            }
+        }
+    }
+}
+
+/// Accumulators a pass of [`tile_sum`] keeps, inside 16 `ymm` with as many
+/// broadcast dimensions and temporaries; 8 spill, or do not unroll at all.
+const PASS: usize = 4;
+
+/// [`lane_sum`] of each of a tile's queries, in its order: accumulators 0
+/// to 15, [`PASS`] at a time over the row, summed in order, then the tail.
+#[inline(always)]
+fn tile_sum(tile: &[[f32; TILE]], row: &[f32], term: impl Fn(f32, f32) -> f32) -> [f32; TILE] {
+    let n = tile.len().min(row.len());
+    let (cut, mut sum, mut tail) = (n - n % LANES, [0.0f32; TILE], [0.0f32; TILE]);
+    let add = |acc: &mut [f32; TILE], x: [f32; TILE]| (0..TILE).for_each(|j| acc[j] += x[j]);
+    for (q, &y) in tile[cut..n].iter().zip(&row[cut..n]) {
+        add(&mut tail, q.map(|x| term(x, y)));
+    }
+    let (tile, row) = (&tile[..cut], &row[..cut]);
+    for pass in (0..LANES).step_by(PASS) {
+        let mut acc = [[0.0f32; TILE]; PASS];
+        for (q, y) in tile.chunks_exact(LANES).zip(row.chunks_exact(LANES)) {
+            let (q, y) = (&q[pass..][..PASS], &y[pass..][..PASS]);
+            (0..PASS).for_each(|l| add(&mut acc[l], q[l].map(|x| term(x, y[l]))));
+        }
+        acc.into_iter().for_each(|a| add(&mut sum, a));
+    }
+    add(&mut sum, tail);
+    sum
 }
 
 #[cfg(test)]

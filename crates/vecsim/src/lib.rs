@@ -65,7 +65,7 @@ pub mod simd;
 pub mod topk;
 
 pub use dataset::Dataset;
-pub use distance::{cosine_distance, dot, l2_sq, Metric};
+pub use distance::{cosine_distance, dot, l2_sq, Metric, QueryBlock};
 pub use error::Error;
 pub use topk::{Neighbor, TopK};
 

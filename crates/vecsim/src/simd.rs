@@ -18,7 +18,7 @@
 
 #![allow(unsafe_code)]
 
-use crate::distance::{self, Metric};
+use crate::distance::{self, QueryBlock};
 use crate::quantize::SqParams;
 
 /// The kernel width in use, `"avx2"` or `"portable"`, for artifacts to print.
@@ -81,7 +81,7 @@ dispatched! {
     /// ```
     pub fn cosine_distance(a: &[f32], b: &[f32]) -> f32 = distance::cosine_portable
 }
-dispatched!(pub(crate) fn distances(metric: Metric, row: &[f32], queries: &[&[f32]], dists: &mut [f32]) = distance::distances_portable);
+dispatched!(pub(crate) fn block_distances(block: &mut QueryBlock, row: &[f32], queries: &[&[f32]]) = distance::block_portable);
 dispatched!(pub(crate) fn decode_into(params: &SqParams, codes: &[u8], row: &mut [f32]) = SqParams::decode_into_portable);
 dispatched!(pub(crate) fn asymmetric_l2(params: &SqParams, query: &[f32], codes: &[u8]) -> f32 = SqParams::asymmetric_l2_portable);
 
@@ -93,7 +93,8 @@ mod tests {
     //! `cargo test --release -p vecsim simd`).
 
     use super::*;
-    use crate::distance::{cosine_portable, distances_portable, dot_portable, l2_sq_portable};
+    use crate::distance::{block_portable, cosine_portable, dot_portable, l2_sq_portable};
+    use crate::Metric;
     use proptest::prelude::*;
 
     /// The longest input, one past two hundred and fifty-six: every
@@ -208,9 +209,12 @@ mod tests {
             }
         }
 
-        /// The block kernel under every metric, for blocks of 1, 2, 5 and
-        /// 33 queries: its portable body's bits, which are one per-call
-        /// kernel per query, and nothing written past the block.
+        /// The block kernel under every metric, for blocks of 1 to 33
+        /// queries — every remainder of the 8-query tiling, padded and
+        /// not — at every length: its portable body's bits, which are one
+        /// per-call kernel per query, and one distance per query of the
+        /// block, none for a padded lane. One layout is reused throughout,
+        /// as a worker reuses its scratch from block to block.
         #[test]
         fn a_block_is_one_distance_per_query(
             pool in prop::collection::vec(-300.0f32..300.0, MAX + 132..MAX + 133),
@@ -219,34 +223,33 @@ mod tests {
             in_row in prop::collection::vec((0..MAX, 0..SPECIALS.len()), 1..9),
         ) {
             let (mut pool, mut row) = (pool, row);
+            let (mut block, mut portable) = (QueryBlock::default(), QueryBlock::default());
             for planted in [false, true] {
                 if planted {
                     plant(&mut pool, &in_pool);
                     plant(&mut row, &in_row);
                 }
-                for ((n, m), block) in shapes().zip([1, 2, 5, 33].into_iter().cycle()) {
-                    let queries: Vec<&[f32]> = (0..block).map(|i| &pool[4 * i..][..n]).collect();
+                for ((n, m), len) in shapes().zip((1..=33).cycle()) {
+                    let queries: Vec<&[f32]> = (0..len).map(|i| &pool[4 * i..][..n]).collect();
                     let row = &row[..m];
                     for metric in [Metric::L2, Metric::InnerProduct, Metric::Cosine] {
-                        let (mut got, mut want) = (vec![7.0f32; block + 1], vec![7.0f32; block + 1]);
-                        metric.distances(row, &queries, &mut got);
-                        distances_portable(metric, row, &queries, &mut want);
+                        portable.load(metric, &queries);
+                        block_portable(&mut portable, row, &queries);
+                        block.load(metric, &queries);
+                        let got = block.distances(row, &queries);
+                        prop_assert_eq!((got.len(), portable.dists.len()), (len, len));
                         for (i, query) in queries.iter().enumerate() {
                             let one = match metric {
                                 Metric::L2 => crate::l2_sq(query, row),
                                 Metric::InnerProduct => -crate::dot(query, row),
                                 Metric::Cosine => crate::cosine_distance(query, row),
                             };
+                            let want = portable.dists[i];
                             prop_assert!(
-                                same(got[i], want[i]) && same(got[i], one),
-                                "{} {}x{} query {} of {}: {} vs {} vs {}", metric, n, m, i, block, got[i], want[i], one
+                                same(got[i], want) && same(got[i], one),
+                                "{} {}x{} query {} of {}: {} vs {} vs {}", metric, n, m, i, len, got[i], want, one
                             );
                         }
-                        prop_assert_eq!((got[block], want[block]), (7.0, 7.0));
-                        // A short `dists` cuts the block instead.
-                        let mut cut = vec![7.0f32; block];
-                        metric.distances(row, &queries, &mut cut[..block / 2]);
-                        prop_assert!((0..block).all(|i| same(cut[i], if i < block / 2 { want[i] } else { 7.0 })));
                     }
                 }
             }

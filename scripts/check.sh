@@ -14,6 +14,41 @@ trap 'rm -rf "$TMP_ROOT"' EXIT
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+# The block kernel's AVX2 twin must be vector code where it matters: a tile
+# loop the compiler stops unrolling runs several times slower and still
+# returns every bit, so no test notices. Some innermost loop of the twin (a
+# backward branch with no other inside it) must hold at least 4 each of ymm
+# vsubps, vmulps and vaddps: one pass of the tile's 4 accumulators (vecsim
+# distance::PASS) over a broadcast row dimension.
+if [[ $(uname -m) == x86_64 ]]; then
+  echo "==> the block kernel's AVX2 twin holds the tile loop in ymm"
+  widest=$(objdump -d -C --no-show-raw-insn target/release/repro |
+    awk '/^[0-9a-f]+ <vecsim::simd::block_distances::twin>:$/ { on = 1; next }
+      on && /^$/ { on = 0 }
+      on && /^ +[0-9a-f]+:/ {
+        n++; at[$1] = n; text[n] = $0
+        if (!match($0, /\tj[a-z]+ +[0-9a-f]+ </)) next
+        split(substr($0, RSTART + 1), jump, / +/)
+        from = at[jump[2] ":"]
+        if (from && from > inner) {
+          s = m = a = 0
+          for (i = from; i <= n; i++) {
+            s += text[i] ~ /\tvsubps .*%ymm/
+            m += text[i] ~ /\tvmulps .*%ymm/
+            a += text[i] ~ /\tvaddps .*%ymm/
+          }
+          low = s < m ? s : m; low = low < a ? low : a
+          if (low > widest) widest = low
+        }
+        if (from) inner = n
+      }
+      END { print widest + 0 }')
+  if ((widest < 4)); then
+    echo "check.sh: vecsim::simd::block_distances::twin has no loop of 4 ymm vsubps/vmulps/vaddps ($widest)" >&2
+    exit 1
+  fi
+fi
+
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
