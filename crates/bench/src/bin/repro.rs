@@ -306,8 +306,8 @@ fn scale() -> AnyResult {
 /// owning index's `search_in`, the walk a loaded cluster runs over the
 /// same rows and adjacency) against the block scan over its
 /// full-precision rows and over its SQ8 codes ([`LoadedCluster::probe`]
-/// with a beam wide enough that the rule scans), for blocks of 1, 4 and 16
-/// queries; a walk shares no work with its block, only the cache lines
+/// with a beam wide enough that the rule scans), for blocks of 1, 4, 6, 8
+/// and 16 queries; a walk shares no work with its block, only the cache lines
 /// the probes before it pulled in. As in a worker's cluster-major run,
 /// consecutive blocks land on different clusters — 16 MiB of rows in
 /// rotation, so a block finds its cluster in L3, not where the previous
@@ -415,19 +415,18 @@ fn subsearch() -> AnyResult {
         "l2_sq ns/dim: portable {portable:.3}, dispatched ({}) {dispatched:.3}",
         vecsim::simd::active()
     );
-    // The block kernel, ns per (row, query), a query at a time and in tiles
-    // of 8 (a last one padded): vecsim's padding rule is read off `a tile`.
+    // The block kernel, ns per (row, query), laid out as a scan lays it out
+    // (up to 5 queries one at a time, 6 a padded tile, 8 and 16 whole tiles);
+    // vecsim's padding rule is read off `a tile`: 8 queries against 5.
     let queries = vecsim::gen::perturbed_queries(data, 16, 0.03, 8)?;
     let mut layout = vecsim::QueryBlock::default();
-    for block in [4, 6, 8, 16] {
-        let qs: Vec<&[f32]> = queries.iter().take(block).collect();
-        let [one, tiled] = [0, block.div_ceil(8)].map(|tiles| {
-            layout.lay_out(vecsim::Metric::L2, &qs, tiles);
-            ns_per(block, &mut |row| _ = black_box(layout.distances(row, &qs)))
-        });
-        let tile = tiled * block as f64 / block.div_ceil(8) as f64 / one;
-        println!("block kernel, {block:>2} queries: one at a time {one:.2}, tiled {tiled:.2} ns per (row, query), a tile {tile:.2} queries");
-    }
+    let ns = [1, 2, 5, 6, 8, 16].map(|n| {
+        let qs: Vec<&[f32]> = queries.iter().take(n).collect();
+        layout.load(vecsim::Metric::L2, &qs);
+        ns_per(n, &mut |row| _ = black_box(layout.distances(row, &qs)))
+    });
+    let tile = 8.0 * ns[4] / ns[2];
+    println!("block kernel ns per (row, query), blocks of 1 2 5 6 8 16: {ns:.2?}; a tile {tile:.2} queries one at a time");
     Ok(())
 }
 

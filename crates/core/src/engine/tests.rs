@@ -1594,15 +1594,25 @@ fn modes_agree_with_partitions_on_both_sides_of_the_scan_cut_off() {
 
 /// Every partition of this store is under the cut-off, so every probe is
 /// a scan under the store's own metric: with every partition on the route
-/// the answer is brute force's, id for id — under cosine as under L2. Each
-/// batch size from 1 to 17 hands every cluster one block of that many
-/// queries (or, across search threads, runs of them), so the block kernel's
-/// whole tiles, padded tiles and queries left over all reach the engine —
-/// at 128 dimensions, where a block holds up to 32 queries.
+/// the answer is brute force's, id for id — under cosine as under L2, for
+/// every batch size up to the query count. At 960 dimensions a block holds
+/// 4 queries, so a batch of 5 to 12 is scanned in several blocks through
+/// one scratch; at 128 dimensions a block holds 32, so batches of 1 to 17
+/// hand every cluster one block of that many queries (or, across search
+/// threads, runs of them), and the block kernel's whole tiles, padded
+/// tiles and queries left over all reach the engine.
 #[test]
 fn scanned_clusters_are_exact_under_the_stores_metric() {
-    let data = gen::sift_like(600, 17).unwrap();
-    let queries = gen::perturbed_queries(&data, 17, 0.02, 18).unwrap();
+    for (data, nq) in [
+        (gen::gist_like(600, 17).unwrap(), 12),
+        (gen::sift_like(600, 17).unwrap(), 17),
+    ] {
+        scanned_clusters_are_exact(&data, nq);
+    }
+}
+
+fn scanned_clusters_are_exact(data: &Dataset, nq: usize) {
+    let queries = gen::perturbed_queries(data, nq, 0.02, 18).unwrap();
     for metric in [Metric::Cosine, Metric::InnerProduct, Metric::L2] {
         let config = DHnswConfig::small().with_metric(metric);
         let store = VectorStore::build(data.clone(), &config).unwrap();
@@ -1614,7 +1624,7 @@ fn scanned_clusters_are_exact_under_the_stores_metric() {
         );
         let node = store.connect(SearchMode::Full).unwrap();
         let everywhere = QueryOptions::new(k, ef).with_fanout(store.partitions());
-        let truth = ground_truth::exact_batch(&data, &queries, k, metric);
+        let truth = ground_truth::exact_batch(data, &queries, k, metric);
         for batch in 1..=queries.len() {
             let ids: Vec<u32> = (0..batch as u32).collect();
             let (hits, _) = node
@@ -1622,7 +1632,8 @@ fn scanned_clusters_are_exact_under_the_stores_metric() {
                 .unwrap();
             for (got, want) in hits.iter().zip(&truth) {
                 let ids = |r: &[Neighbor]| r.iter().map(|n| n.id).collect::<Vec<u32>>();
-                assert_eq!(ids(got), ids(want), "{metric}, batch of {batch}");
+                let dim = data.dim();
+                assert_eq!(ids(got), ids(want), "{metric}, {dim}-d, batch of {batch}");
             }
         }
     }

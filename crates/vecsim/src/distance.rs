@@ -141,16 +141,15 @@ fn cosine_of(dot: f32, na: f32, nb: f32) -> f32 {
 const TILE: usize = 8;
 
 /// A block's last queries are padded out to a tile, with copies of its last
-/// query, once this many are left: a tile costs 4.9 – 5.6 single-query
-/// evaluations in `repro subsearch`'s kernel lines (128-d, AVX2, one pinned
-/// vCPU of a 2.1 GHz Xeon), so six cost more one at a time, five no less.
+/// query, once this many are left: a tile costs about five single-query
+/// evaluations (4.6 – 4.9 in `repro subsearch`'s `a tile` line, 128-d, AVX2,
+/// a pinned 2.1 GHz Xeon vCPU), so six cost more one at a time; five tie.
 const PAD_FROM: usize = 6;
 
-/// A block of queries laid out once for the row × block kernel: groups of
-/// `TILE` (8) transposed, so a register holds one dimension of a tile's
-/// queries and `lane_sum` runs as vertical adds across the tile — each
-/// query's IEEE operations in their order, each distance's bits. The
-/// queries past the last tile run one at a time, read where they lie.
+/// A block of queries laid out once for the row × block kernel: tiles of
+/// `TILE` transposed, a register holding one dimension of a tile's queries,
+/// so `lane_sum` runs as vertical adds, each query's operations in their
+/// order (its bits). Queries past the last tile run one at a time, in place.
 #[derive(Debug, Default)]
 pub struct QueryBlock {
     metric: Metric,
@@ -165,16 +164,9 @@ pub struct QueryBlock {
 impl QueryBlock {
     /// Lays out `queries`, all of one length (or it panics), under `metric`.
     pub fn load(&mut self, metric: Metric, queries: &[&[f32]]) {
-        let pad = queries.len() % TILE >= PAD_FROM;
-        self.lay_out(metric, queries, queries.len() / TILE + usize::from(pad));
-    }
-
-    /// [`QueryBlock::load`] with `tiles` tiles, padding included: `repro subsearch`'s hook.
-    #[doc(hidden)]
-    pub fn lay_out(&mut self, metric: Metric, queries: &[&[f32]], tiles: usize) {
-        let dim = queries.first().map_or(0, |q| q.len());
+        let (len, dim) = (queries.len(), queries.first().map_or(0, |q| q.len()));
         assert!(queries.iter().all(|q| q.len() == dim), "ragged block");
-        let (len, tiled) = (queries.len(), tiles.min(queries.len()) * TILE);
+        let tiled = (len / TILE + usize::from(len % TILE >= PAD_FROM)) * TILE;
         (self.metric, self.dim, self.tiled) = (metric, dim, tiled);
         self.tiles.resize(tiled / TILE * dim, [0.0; TILE]);
         for (k, lanes) in self.tiles.iter_mut().enumerate() {
@@ -186,8 +178,7 @@ impl QueryBlock {
         self.dists.resize(len, 0.0);
     }
 
-    /// `row`'s distance to each of `queries`, the block [`QueryBlock::load`]
-    /// laid out: the bits of [`Metric::distance`].
+    /// `row`'s distance to each of the loaded `queries`: [`Metric::distance`]'s bits.
     #[inline]
     pub fn distances(&mut self, row: &[f32], queries: &[&[f32]]) -> &[f32] {
         debug_assert_eq!(queries.len(), self.dists.len(), "not the block laid out");
@@ -195,17 +186,16 @@ impl QueryBlock {
         &self.dists
     }
 
-    /// `dists[i] = Σ term(query i, row)`, a tile at a time, then the
-    /// queries past the last tile one at a time.
+    /// `dists[i] = Σ term(query i, row)`: a tile at a time, then one at a time.
     #[inline(always)]
     fn sums(&mut self, row: &[f32], queries: &[&[f32]], term: impl Fn(f32, f32) -> f32) {
-        let (dim, mut out) = (self.dim, self.dists.iter_mut());
-        for tile in (0..self.tiled / TILE).map(|t| &self.tiles[t * dim..][..dim]) {
-            for (sum, dist) in tile_sum(tile, row, &term).into_iter().zip(&mut out) {
-                *dist = sum;
-            }
+        let (dim, tiled) = (self.dim, self.tiled.min(queries.len()));
+        let (tiles, rest) = self.dists.split_at_mut(tiled);
+        for (t, dists) in tiles.chunks_mut(TILE).enumerate() {
+            let sums = tile_sum(&self.tiles[t * dim..][..dim], row, &term);
+            dists.copy_from_slice(&sums[..dists.len()]);
         }
-        for (dist, query) in out.zip(queries.iter().skip(self.tiled)) {
+        for (dist, query) in rest.iter_mut().zip(&queries[tiled..]) {
             *dist = lane_sum(query, row, &term);
         }
     }

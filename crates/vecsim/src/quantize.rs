@@ -242,6 +242,12 @@ impl SqParams {
         let var = self.var_per_dim;
         2.0 * (d_hat.max(0.0) * var).sqrt() + self.dim() as f32 * var
     }
+
+    /// The largest per-component round-trip error these parameters can
+    /// produce on in-range data: `max_d scale[d] / 2`.
+    pub fn max_component_error(&self) -> f32 {
+        self.scale.iter().fold(0.0f32, |a, &s| a.max(s / 2.0))
+    }
 }
 
 #[cfg(test)]
@@ -364,6 +370,7 @@ mod tests {
         assert_eq!(p.dim(), 2);
         assert_eq!(p.min(), &[1.0, 2.0]);
         assert_eq!(p.scale(), &[0.5, 0.25]);
+        assert_eq!(p.max_component_error(), 0.25);
     }
 
     #[test]

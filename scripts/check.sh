@@ -15,11 +15,15 @@ echo "==> cargo build --release"
 cargo build --release --workspace
 
 # The block kernel's AVX2 twin must be vector code where it matters: a tile
-# loop the compiler stops unrolling runs several times slower and still
-# returns every bit, so no test notices. Some innermost loop of the twin (a
-# backward branch with no other inside it) must hold at least 4 each of ymm
-# vsubps, vmulps and vaddps: one pass of the tile's 4 accumulators (vecsim
-# distance::PASS) over a broadcast row dimension.
+# loop the compiler stops unrolling, or vectorizes across the wrong axis,
+# runs six to nine times slower and still returns every bit, so no test
+# notices. Some innermost loop of the twin (a backward branch with no other
+# inside it) must hold at least 4 each of ymm vbroadcastss, vsubps, vmulps
+# and vaddps -- one pass of the tile's 4 accumulators (vecsim
+# distance::PASS), each over a broadcast row dimension; the one-query loop
+# beside it broadcasts nothing -- and no lane shuffle and no stack access: a
+# loop that transposes its operands or spills its accumulators in every
+# iteration is the slow shape, however many ymm adds it holds.
 if [[ $(uname -m) == x86_64 ]]; then
   echo "==> the block kernel's AVX2 twin holds the tile loop in ymm"
   widest=$(objdump -d -C --no-show-raw-insn target/release/repro |
@@ -31,20 +35,22 @@ if [[ $(uname -m) == x86_64 ]]; then
         split(substr($0, RSTART + 1), jump, / +/)
         from = at[jump[2] ":"]
         if (from && from > inner) {
-          s = m = a = 0
+          b = s = m = a = x = 0
           for (i = from; i <= n; i++) {
+            b += text[i] ~ /\tvbroadcastss .*%ymm/
             s += text[i] ~ /\tvsubps .*%ymm/
             m += text[i] ~ /\tvmulps .*%ymm/
             a += text[i] ~ /\tvaddps .*%ymm/
+            x += text[i] ~ /\tv(unpck|shuf|perm|blend|insert|extract)|%rsp/
           }
-          low = s < m ? s : m; low = low < a ? low : a
-          if (low > widest) widest = low
+          low = s < m ? s : m; low = low < a ? low : a; low = low < b ? low : b
+          if (!x && low > widest) widest = low
         }
         if (from) inner = n
       }
       END { print widest + 0 }')
   if ((widest < 4)); then
-    echo "check.sh: vecsim::simd::block_distances::twin has no loop of 4 ymm vsubps/vmulps/vaddps ($widest)" >&2
+    echo "check.sh: vecsim::simd::block_distances::twin has no shuffle- and spill-free loop of 4 ymm vbroadcastss/vsubps/vmulps/vaddps ($widest)" >&2
     exit 1
   fi
 fi
