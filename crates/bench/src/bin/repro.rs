@@ -34,7 +34,7 @@
 
 use std::process::ExitCode;
 
-use dhnsw::cluster::{LoadedCluster, ProbeScratch, SqCluster, SubCluster, SCAN_ROWS_PER_EF};
+use dhnsw::cluster::{scans, LoadedCluster, ProbeScratch, SqCluster, SubCluster};
 use dhnsw::{DHnswConfig, QuantizeMode, SearchMode, Telemetry, VectorStore};
 use dhnsw_bench::{
     breakdown_rows, env_usize, print_breakdown_table, print_sweep_table, sweep, DatasetKind,
@@ -216,8 +216,8 @@ fn run_table(w: &Workload, store: &VectorStore, title: &str) -> AnyResult {
 /// rerank included) — what a wire costs once its bytes are resident —
 /// with what decides it: the base rows of the cluster a probe lands on,
 /// and the share of probes that scan their cluster whole instead of
-/// walking it (every SQ8 probe; a full-precision one of a cluster of at
-/// most [`SCAN_ROWS_PER_EF`] x efSearch rows).
+/// walking it (every SQ8 probe; a full-precision one where [`scans`]
+/// says so at efSearch).
 fn scale() -> AnyResult {
     let w = Workload::standard(DatasetKind::SiftLike)?;
     let base = w.config()?;
@@ -264,7 +264,7 @@ fn scale() -> AnyResult {
         let probed: Vec<usize> = routes
             .map(|r| store.partition_sizes()[r.id as usize])
             .collect();
-        let scans = |rows: usize| wire == QuantizeMode::Sq8 || rows <= SCAN_ROWS_PER_EF * 48;
+        let scanned = |rows: usize| wire == QuantizeMode::Sq8 || scans(rows, 48);
         println!(
             "{:<5} {:>9} {:>10} {:>7} {:>6} {:>8} {:>14} {:>10.4} {:>11.1} {:>11.1} {:>7.1}% {:>8.1}",
             wire.as_str(),
@@ -277,7 +277,7 @@ fn scale() -> AnyResult {
             rec,
             sub_us / w.queries.len() as f64,
             probed.iter().sum::<usize>() as f64 / probed.len() as f64,
-            100.0 * probed.iter().filter(|&&rows| scans(rows)).count() as f64 / probed.len() as f64,
+            100.0 * probed.iter().filter(|&&rows| scanned(rows)).count() as f64 / probed.len() as f64,
             build_s
         );
         rows.push((bytes, rec));
@@ -311,16 +311,20 @@ fn scale() -> AnyResult {
 /// the probes before it pulled in. As in a worker's cluster-major run,
 /// consecutive blocks land on different clusters — 16 MiB of rows in
 /// rotation, so a block finds its cluster in L3, not where the previous
-/// probe left it. The lone-probe rows are what [`SCAN_ROWS_PER_EF`] is
-/// read off: the scan must be no slower than the walk at every size up to
-/// the cut-off. Wall clock: run it under `taskset -c <cpu>`.
+/// probe left it. The lone-probe rows are what
+/// [`dhnsw::cluster::SCAN_ROWS_PER_EF`] is read off: the scan must be no
+/// slower than the walk at every size up to the cut-off, 1 000–1 500 rows
+/// in steps of 100 around it. Wall clock: run it under `taskset -c <cpu>`.
 fn subsearch() -> AnyResult {
     const K: usize = 10;
     const EF: usize = 48;
     const SLACK: usize = 32; // DHnswConfig::paper()'s rerank pool
     const ROUNDS: usize = 7;
     const QUERIES: usize = 512;
-    let cut = SCAN_ROWS_PER_EF * EF;
+    let cut = (1..)
+        .take_while(|&rows| scans(rows, EF))
+        .last()
+        .unwrap_or(0);
     println!("\n=== Sub-search: walk vs block scan, 128-d, M 16, top-{K}, efSearch {EF} (scan up to {cut} rows) ===");
     println!(
         "us per probe, median of {ROUNDS} rounds of {QUERIES} probes over clusters in rotation"
@@ -329,7 +333,7 @@ fn subsearch() -> AnyResult {
         "{:>6} {:>9} {:>6} {:>9} {:>9} {:>9}",
         "rows", "clusters", "block", "walk", "f32 scan", "sq8 scan"
     );
-    for rows in [100, 300, 600, cut, 1_000, 1_500, 2_000] {
+    for rows in [100, 300, 600, cut, 1_000, 1_100, 1_200, 1_300, 1_500, 2_000] {
         let count = (16 << 20) / (rows * 128 * 4);
         let data = vecsim::gen::sift_like(count * rows, 7)?;
         let queries = vecsim::gen::perturbed_queries(&data, QUERIES, 0.03, 8)?;

@@ -719,17 +719,23 @@ thread_local! {
 const SCAN_BLOCK_BYTES: usize = 16 << 10;
 
 /// A full-precision cluster of up to this many base rows per unit of `ef`
-/// is scanned whole instead of walked. A beam of `ef` expands `ef` nodes
-/// and, on a cluster this small, evaluates most of its rows on the way
-/// (196 of 302 at `ef` = 48) under a visited set and a sorted pool; the
-/// scan evaluates all of them and keeps nothing but a reservoir. Read off a
-/// measurement: `repro subsearch` (EXPERIMENTS.md) has a lone probe's scan
-/// no slower than its walk at every size up to here — well ahead with
-/// clusters in rotation, as a worker meets them, level when one cluster
-/// stays in L2 — and behind by 2 000 rows, the paper's cluster size;
-/// DESIGN.md §5l has the cost model that says the same. Derived from the
-/// `ef` a caller already passes — never a setting.
-pub const SCAN_ROWS_PER_EF: usize = 16;
+/// is scanned whole instead of walked ([`scans`]). A beam of `ef` expands
+/// `ef` nodes under a visited set and a sorted pool, jumping between rows
+/// scattered over the cluster; the scan streams every row through the
+/// distance kernel and keeps nothing but a reservoir. Read off a
+/// measurement: `repro subsearch` (EXPERIMENTS.md) has a lone probe's scan,
+/// clusters in rotation as a worker meets them, no slower than its walk at
+/// every size up to here in every round on record, and behind from 1 500
+/// rows when the walk runs fastest; DESIGN.md §5l has the cost model.
+/// Derived from the `ef` a caller already passes — never a setting.
+pub const SCAN_ROWS_PER_EF: usize = 20;
+
+/// Whether a full-precision cluster of `rows` base rows, probed with beam
+/// `ef`, is scanned whole rather than walked — the rule
+/// [`LoadedCluster::probe`] decides by, and the only place it is written.
+pub fn scans(rows: usize, ef: usize) -> bool {
+    rows <= SCAN_ROWS_PER_EF.saturating_mul(ef)
+}
 
 /// Where a block scan reads a cluster's base rows. The scan is compiled
 /// once per source, so each row loop is the only one in its copy.
@@ -1123,11 +1129,11 @@ impl LoadedCluster {
     /// so a worker probing cluster after cluster allocates nothing per
     /// probe for bookkeeping.
     ///
-    /// A full-precision cluster of more than [`SCAN_ROWS_PER_EF`]` × ef`
-    /// base rows walks its sub-HNSW with beam `ef` once per query; a
-    /// smaller one, and every SQ8 cluster, is scanned whole **once per
-    /// block of queries**: each row is read (SQ8: decoded) once and held
-    /// against every query of the block. A full-precision probe yields up
+    /// A full-precision cluster too large for [`scans`] at `ef` walks its
+    /// sub-HNSW with beam `ef` once per query; a smaller one, and every
+    /// SQ8 cluster, is scanned whole **once per block of queries**: each
+    /// row is read (SQ8: decoded) once and held against every query of
+    /// the block. A full-precision probe yields up
     /// to `k` exact candidates — under the cut-off the exact `k` nearest of
     /// the cluster, whatever `ef` is. An SQ8 probe yields up to `k + slack`
     /// — the extra is the pool an exact rerank chooses from — each base row
@@ -1169,10 +1175,10 @@ impl LoadedCluster {
             }
             Payload::Full { hnsw_at, layout } => {
                 let index = self.index(*hnsw_at, layout);
-                if layout.len() > SCAN_ROWS_PER_EF.saturating_mul(ef) {
-                    self.walk(&index, queries, k, ef, &mut scratch.walk, stats, out, ends)
-                } else {
+                if scans(layout.len(), ef) {
                     self.scan(index, queries, k, &mut scratch.block, stats, out, ends)
+                } else {
+                    self.walk(&index, queries, k, ef, &mut scratch.walk, stats, out, ends)
                 }
             }
         }
@@ -1336,6 +1342,15 @@ mod tests {
         let data = gen::uniform(8, n, 0.0, 1.0, 9).unwrap();
         let ids: Vec<u32> = (0..n as u32).map(|i| i * 10 + 1).collect();
         SubCluster::build(3, data, ids, &params()).unwrap()
+    }
+
+    #[test]
+    fn a_cluster_scans_up_to_scan_rows_per_ef_times_ef() {
+        for ef in [1, 2, 48, 500] {
+            let cut = SCAN_ROWS_PER_EF * ef;
+            assert!(scans(cut, ef) && !scans(cut + 1, ef), "ef {ef}");
+        }
+        assert!(scans(usize::MAX, usize::MAX), "the product saturates");
     }
 
     #[test]

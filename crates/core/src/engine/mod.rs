@@ -136,11 +136,11 @@ impl std::fmt::Display for SearchMode {
 pub struct QueryOptions {
     /// Results per query.
     pub k: usize,
-    /// Sub-HNSW beam width (`efSearch`). A full-precision cluster of at
-    /// most [`crate::cluster::SCAN_ROWS_PER_EF`]` × ef` rows is scanned
-    /// whole instead of walked: its probe is exact and a larger `ef` buys
-    /// nothing there. Above that, and never on the SQ8 wire, `ef` is the
-    /// walk's beam.
+    /// Sub-HNSW beam width (`efSearch`). A full-precision cluster small
+    /// enough for [`crate::cluster::scans`] at this `ef` is scanned whole
+    /// instead of walked: its probe is exact and a larger `ef` buys nothing
+    /// there. Above that, and never on the SQ8 wire, `ef` is the walk's
+    /// beam.
     pub ef: usize,
     /// Partitions probed per query; `None` uses the store configuration.
     pub fanout: Option<usize>,

@@ -1550,11 +1550,11 @@ fn zero_ef_is_rejected() {
 fn modes_agree_with_partitions_on_both_sides_of_the_scan_cut_off() {
     let (data, store) = setup(1_500);
     let (k, ef) = (5, 4);
-    let cut = crate::cluster::SCAN_ROWS_PER_EF * ef;
     let sizes = store.partition_sizes();
+    let scans = |&rows: &usize| crate::cluster::scans(rows, ef);
     assert!(
-        sizes.iter().any(|&s| s <= cut) && sizes.iter().any(|&s| s > cut),
-        "{sizes:?} do not straddle {cut}"
+        sizes.iter().any(scans) && !sizes.iter().all(scans),
+        "{sizes:?} do not straddle the cut-off at ef {ef}"
     );
     let queries = gen::perturbed_queries(&data, 24, 0.02, 131).unwrap();
     let answers = || {
@@ -1619,7 +1619,7 @@ fn scanned_clusters_are_exact(data: &Dataset, nq: usize) {
         let (k, ef) = (5, 16);
         let largest = *store.partition_sizes().iter().max().unwrap();
         assert!(
-            largest <= crate::cluster::SCAN_ROWS_PER_EF * ef,
+            crate::cluster::scans(largest, ef),
             "{largest} rows would be walked"
         );
         let node = store.connect(SearchMode::Full).unwrap();

@@ -12,8 +12,8 @@
 //! (seven of eight offsets force the convert-once path).
 //!
 //! What "the second" answers depends on what the probe does. An SQ8
-//! cluster, and a full-precision one of at most [`SCAN_ROWS_PER_EF`]` × ef`
-//! rows, is scanned whole, so the expected answer is *brute force* over
+//! cluster, and a full-precision one small enough for [`scans`] at its
+//! `ef`, is scanned whole, so the expected answer is *brute force* over
 //! the owner's rows + inserts − tombstones: the exact top-k, one distance
 //! evaluation per live row, no hops. A larger full-precision cluster is
 //! walked, and there the view must equal the owning index's own walk.
@@ -21,8 +21,8 @@
 use std::collections::HashSet;
 
 use dhnsw::cluster::{
-    parse_overflow_detailed, Candidate, LoadedCluster, OverflowRecord, ProbeScratch, SqCluster,
-    SubCluster, SCAN_ROWS_PER_EF,
+    parse_overflow_detailed, scans, Candidate, LoadedCluster, OverflowRecord, ProbeScratch,
+    SqCluster, SubCluster,
 };
 use hnsw::{HnswParams, SearchStats};
 use proptest::prelude::*;
@@ -33,9 +33,19 @@ const PARTITION: u32 = 5;
 const DIMS: [usize; 4] = [1, 3, 16, 128];
 const MS: [usize; 2] = [4, 16];
 const METRICS: [Metric; 3] = [Metric::L2, Metric::InnerProduct, Metric::Cosine];
-/// `(k, ef)` of every full-precision probe: at `ef` = 1 a cluster past 16
-/// rows is walked, at the benchmark's 48 only one past 768 is.
+/// `(k, ef)` of every full-precision probe: at `ef` = 1 a cluster past
+/// `cut(1)` rows is walked, at the benchmark's 48 only one past `cut(48)`
+/// is.
 const K_EF: [(usize, usize); 4] = [(1, 1), (1, 48), (10, 1), (10, 48)];
+
+/// The largest full-precision cluster, in base rows, that a probe at `ef`
+/// scans: the cut-off, read off [`scans`] itself.
+fn cut(ef: usize) -> usize {
+    (1..)
+        .take_while(|&rows| scans(rows, ef))
+        .last()
+        .unwrap_or(0)
+}
 
 fn lcg(state: &mut u64) -> u64 {
     *state = state
@@ -227,7 +237,7 @@ fn check_full(c: &Case, back: bool) -> Paths {
             for (k, ef) in K_EF {
                 let mut want_stats = SearchStats::default();
                 let inserts = extra.iter().map(|(id, v)| (*id, metric.distance(q, v)));
-                let mut want: Vec<(u32, f32)> = if oracle.len() <= SCAN_ROWS_PER_EF * ef {
+                let mut want: Vec<(u32, f32)> = if scans(oracle.len(), ef) {
                     scanned += 1;
                     // Brute force. Ties at the k-th place go to the lower
                     // pseudo-id: base row i -> i, insert j -> n + j.
@@ -347,9 +357,9 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let c = case(n, DIMS[shape % 4], MS[shape / 4], inserts, tombs, seed);
-        // Past 16 rows the ef = 1 probes walk and the ef = 48 probes scan.
+        // Past cut(1) rows the ef = 1 probes walk; the ef = 48 probes scan.
         let (scanned, walked) = check_full(&c, back);
-        prop_assert!(scanned > 0 && (walked > 0) == (n > SCAN_ROWS_PER_EF));
+        prop_assert!(scanned > 0 && (walked > 0) != scans(n, 1));
         check_sq(&c);
     }
 }
@@ -357,26 +367,35 @@ proptest! {
 /// The corners the random shapes may miss: a single-vector cluster, no
 /// overflow at all, a tombstone for every base id but one, the last size
 /// the random sweep reaches — and, because that sweep stops at 300 rows and
-/// so never walks at `ef` = 48, one cluster just past the 16 × 48 rows up
-/// to which a probe at the benchmark's `ef` scans.
+/// so never walks at `ef` = 48, both sides of the cut-off at the
+/// benchmark's `ef`: the largest cluster a probe there scans (brute force,
+/// bit-equal distances, no hops) and one row more, which it walks — with
+/// inserts and tombstones, so the walk merges an overflow tail and widens
+/// its beam.
 #[test]
 fn corner_clusters_agree_too() {
     let (mut scanned, mut walked) = (0, 0);
+    let edge = cut(48);
     for (n, dim, inserts, tombs) in [
         (1, 1, 0, 0),
         (1, 128, 20, 5),
         (2, 3, 0, 5),
         (299, 16, 20, 0),
-        (SCAN_ROWS_PER_EF * 48 + 1, 16, 20, 5),
+        (edge, 16, 20, 5),
+        (edge + 1, 16, 20, 5),
     ] {
         for back in [false, true] {
             let c = case(n, dim, 4, inserts, tombs, 77);
             let (s, w) = check_full(&c, back);
             (scanned, walked) = (scanned + s, walked + w);
-            if n > SCAN_ROWS_PER_EF * 48 {
+            // Probes per `(k, ef)`: 8 offsets × 32 queries.
+            let per = 8 * 32;
+            if n == edge {
+                assert_eq!((s, w), (2 * per, 2 * per), "{n} rows scan at ef 48 only");
+            } else if n > edge {
                 assert_eq!(
                     (s, w),
-                    (0, 8 * 32 * K_EF.len()),
+                    (0, per * K_EF.len()),
                     "every probe of {n} rows walks"
                 );
             }
@@ -390,8 +409,8 @@ fn corner_clusters_agree_too() {
 }
 
 /// A probe takes every query a worker's run routes to one cluster at once,
-/// and where it scans — the SQ8 wire, and a full-precision cluster of at
-/// most 16 × `ef` rows — reads each row once for all of them. What a query
+/// and where it scans — the SQ8 wire, and a full-precision cluster small
+/// enough for [`scans`] — reads each row once for all of them. What a query
 /// gets must not depend on its company: over clusters with inserts,
 /// tombstones and tombstoned inserts, on both wires, a block of Q queries
 /// yields per query exactly the candidates — ids, distance and error bits,
@@ -404,19 +423,23 @@ fn corner_clusters_agree_too() {
 /// cross the cut a scan makes in a long run; one scratch serves every
 /// probe, dirty: the 120 full-precision rows are walked at `ef` = 1,
 /// scanned at 48 and walked again at 2, out of what the scan left behind.
+/// A cluster of the largest size `ef` = 48 scans meets blocks of 1, 9 and
+/// 17 there: the lone path, a tile and a query left over, two tiles and
+/// one left over.
 #[test]
 fn a_block_probe_of_the_view_equals_single_probes() {
     let bits = |c: &Candidate| (c.id, c.dist.to_bits(), c.local, c.err.to_bits());
     let mut scratch = ProbeScratch::default();
-    const ROWS: usize = 120;
-    for (dim, inserts, tombs, distinct) in [
-        (3, 12, 5, ROWS),
-        (128, 12, 5, ROWS),
-        (128, 0, 0, ROWS),
-        (128, 12, 5, 40),
+    let (many, edge): (&[usize], _) = (&[1, 2, 3, 5, 17, 33, 40], cut(48));
+    for (n, dim, inserts, tombs, distinct, blocks) in [
+        (120, 3, 12, 5, 120, many),
+        (120, 128, 12, 5, 120, many),
+        (120, 128, 0, 0, 120, many),
+        (120, 128, 12, 5, 40, many),
+        (edge, 128, 12, 5, edge, &[1, 9, 17]),
     ] {
-        let mut c = case(ROWS, dim, 4, inserts, tombs, 41);
-        let rows: Vec<&[f32]> = (0..ROWS).map(|i| c.data.get(i % distinct)).collect();
+        let mut c = case(n, dim, 4, inserts, tombs, 41);
+        let rows: Vec<&[f32]> = (0..n).map(|i| c.data.get(i % distinct)).collect();
         c.data = Dataset::from_rows(&rows).unwrap();
         let params = HnswParams::new(c.m, 40).seed(9).metric(c.metric);
         let full = SubCluster::build(PARTITION, c.data.clone(), c.ids.clone(), &params).unwrap();
@@ -429,8 +452,8 @@ fn a_block_probe_of_the_view_equals_single_probes() {
             assert_eq!(loaded.overflow_len() > 0, inserts > 0);
             assert_eq!(loaded.deleted().is_empty(), tombs == 0);
             for (k, slack, ef) in [(1, 0, 1), (10, 16, 48), (10, 32, 48), (10, 0, 2)] {
-                let scans = loaded.is_quantized() || ROWS <= SCAN_ROWS_PER_EF * ef;
-                for q in [1, 2, 3, 5, 17, 33, 40] {
+                let scanned = loaded.is_quantized() || scans(n, ef);
+                for &q in blocks {
                     let block: Vec<&[f32]> = (0..q).map(|i| c.queries.get(i % 32)).collect();
                     let (mut got, mut ends) = (Vec::new(), Vec::new());
                     let mut stats = SearchStats::default();
@@ -447,7 +470,7 @@ fn a_block_probe_of_the_view_equals_single_probes() {
                     assert_eq!(ends.len(), q);
                     assert_eq!(
                         stats.hops == 0,
-                        scans,
+                        scanned,
                         "dim {dim} ef {ef}: hops tell a scan from a walk"
                     );
 

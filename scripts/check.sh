@@ -108,6 +108,16 @@ if [[ -n "$stray" ]]; then
   exit 1
 fi
 
+# One scan-or-walk rule: the cut-off (SCAN_ROWS_PER_EF times ef) is
+# computed in crates/core/src/cluster.rs's `scans` and nowhere else; every
+# other site, tests and repro included, asks `cluster::scans`.
+echo "==> the scan/walk cut-off is computed in cluster.rs only"
+if grep -rnE 'SCAN_ROWS_PER_EF *(\*|\.saturating_mul)|\* *SCAN_ROWS_PER_EF' \
+  crates src tests examples | grep -v '^crates/core/src/cluster.rs:'; then
+  echo "check.sh: SCAN_ROWS_PER_EF multiplied outside crates/core/src/cluster.rs (ask cluster::scans)" >&2
+  exit 1
+fi
+
 # Two unsafe modules, each allowed one thing: the keyword may appear in
 # non-test code (each file cut at its first #[cfg(test)], line comments
 # dropped) only in crates/vecsim/src/cast.rs — the checked reinterpretation
@@ -147,7 +157,7 @@ done
 # filter takes view_oracle's three tests by name (a_landed_cluster_...,
 # corner_clusters_..., a_block_probe_of_the_view_...): the block scan
 # over borrowed full-precision rows, the brute-force oracle on both
-# sides of the 16 x ef cut-off and the 769-row walked corner are cases
+# sides of the scan cut-off and the walked corner one row past it are cases
 # inside them, not tests a second filter would have to find.
 echo "==> view tests under AddressSanitizer (if the installed nightly can)"
 asan_rt=$(find "$(rustc +nightly --print sysroot 2>/dev/null)/lib/rustlib" \

@@ -80,16 +80,20 @@
 # the ns/dim line) and crates/core/src's by 2 (`run_indexed` runs its first
 # chunk on the calling thread); cluster.rs stays at 1 325, the block's
 # kernel scratch having moved into vecsim.
+# Writing the scan-or-walk rule once raised crates/core/src's and
+# cluster.rs's by 6 (`cluster::scans`, which `probe`, repro and the tests
+# now ask) and crates/bench's by 4 (`repro subsearch`'s 1 100 / 1 200 /
+# 1 300-row sizes and its cut read off `scans`).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-MAX_TOTAL=10641
+MAX_TOTAL=10647
 MAX_PLANE=4462
-MAX_BENCH=2920
+MAX_BENCH=2924
 MAX_HNSW=1849
 MAX_VECSIM=1859
 MAX_RDMA=1764
-MAX_FILE=1325
+MAX_FILE=1331
 
 total=0
 plane=0

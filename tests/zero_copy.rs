@@ -36,8 +36,8 @@
 //! per *query*: a pool of 8 x 26 candidates outgrew the stack scratch of
 //! the merge's stable sort, at fan-out 7. The merge selects now, in place:
 //! 13, buffers doubling a few more times.) The full-precision wire is held to the same line on
-//! the path it now takes here: every partition of this store is under the
-//! 16 x ef rows up to which a probe scans, so its probes are block scans
+//! the path it now takes here: every partition of this store is scanned
+//! at the ef asked for (`cluster::scans`), so its probes are block scans
 //! out of the worker's collectors too — 13 more calls for 768 more probes
 //! (7 when every probe walked), the same bytes as before.
 //!
@@ -46,7 +46,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use dhnsw_repro::dhnsw::cluster::SCAN_ROWS_PER_EF;
+use dhnsw_repro::dhnsw::cluster::scans;
 use dhnsw_repro::dhnsw::{DHnswConfig, QuantizeMode, QueryOptions, SearchMode, VectorStore};
 use dhnsw_repro::rdma_sim::ReadCause;
 use dhnsw_repro::vecsim::gen;
@@ -105,7 +105,7 @@ fn a_cold_batch_holds_each_fetched_byte_once() {
         let store = VectorStore::build(data.clone(), &config).unwrap();
         let largest = *store.partition_sizes().iter().max().unwrap();
         assert!(
-            largest <= SCAN_ROWS_PER_EF * EF,
+            scans(largest, EF),
             "a partition of {largest} rows would be walked: the counts below are the scan's"
         );
         let node = store.connect(SearchMode::Full).unwrap();
