@@ -314,7 +314,12 @@ fn scale() -> AnyResult {
 /// probe left it. The lone-probe rows are what
 /// [`dhnsw::cluster::SCAN_ROWS_PER_EF`] is read off: the scan must be no
 /// slower than the walk at every size up to the cut-off, 1 000–1 500 rows
-/// in steps of 100 around it. Wall clock: run it under `taskset -c <cpu>`.
+/// in steps of 100 around it. `seeded` is the f32 scan with each query
+/// carrying, as the engine's probes do, the k-th distance a prior probe
+/// found: here that of its nearest cluster (the one holding its nearest
+/// row). `admitted` is the share of a scan's (row, query) pairs its
+/// collector holds rather than refuses, unseeded / seeded, query i against
+/// cluster i of the rotation. Wall clock: run it under `taskset -c <cpu>`.
 fn subsearch() -> AnyResult {
     const K: usize = 10;
     const EF: usize = 48;
@@ -330,14 +335,14 @@ fn subsearch() -> AnyResult {
         "us per probe, median of {ROUNDS} rounds of {QUERIES} probes over clusters in rotation"
     );
     println!(
-        "{:>6} {:>9} {:>6} {:>9} {:>9} {:>9}",
-        "rows", "clusters", "block", "walk", "f32 scan", "sq8 scan"
+        "{:>6} {:>9} {:>6} {:>9} {:>9} {:>9} {:>9} {:>13}",
+        "rows", "clusters", "block", "walk", "f32 scan", "seeded", "sq8 scan", "admitted %"
     );
     for rows in [100, 300, 600, cut, 1_000, 1_100, 1_200, 1_300, 1_500, 2_000] {
         let count = (16 << 20) / (rows * 128 * 4);
         let data = vecsim::gen::sift_like(count * rows, 7)?;
-        let queries = vecsim::gen::perturbed_queries(&data, QUERIES, 0.03, 8)?;
-        let queries: Vec<&[f32]> = queries.iter().collect();
+        let batch = vecsim::gen::perturbed_queries(&data, QUERIES, 0.03, 8)?;
+        let queries: Vec<&[f32]> = batch.iter().collect();
         let mut clusters = Vec::with_capacity(count);
         for c in 0..count {
             let ids: Vec<u32> = (c * rows..(c + 1) * rows).map(|i| i as u32).collect();
@@ -347,21 +352,40 @@ fn subsearch() -> AnyResult {
             let full = LoadedCluster::adopt(sub.to_bytes(), 0, false, None)?;
             clusters.push((sub, full, LoadedCluster::adopt(sq, 0, true, None)?));
         }
+        let nearest = vecsim::ground_truth::exact_batch(&data, &batch, 1, vecsim::Metric::L2);
+        let seeds: Vec<f32> = (queries.iter().zip(&nearest))
+            .map(|(q, row)| clusters[row[0].id as usize / rows].1.search(q, K, rows)[K - 1].dist)
+            .collect();
+        let admitted = |seeded: bool| {
+            let (mut held, mut top) = (0, vecsim::TopK::new(K));
+            for (i, q) in queries.iter().enumerate() {
+                let full = &clusters[i % count].1;
+                top.reset_below(K, if seeded { seeds[i] } else { f32::INFINITY });
+                let row = |local| full.base_vector(local).expect("a base row");
+                held += (0..rows as u32)
+                    .filter(|&local| top.push(local, vecsim::l2_sq(q, row(local))))
+                    .count();
+            }
+            100.0 * held as f64 / (QUERIES * rows) as f64
+        };
+        let admitted = format!("{:.1} / {:.1}", admitted(false), admitted(true));
         let mut scratch = ProbeScratch::default();
         let mut walk = hnsw::SearchScratch::default();
         let mut stats = hnsw::SearchStats::default();
         let (mut out, mut ends) = (Vec::new(), Vec::new());
         for block in [1, 4, 6, 8, 16] {
             type Cluster = (SubCluster, LoadedCluster, LoadedCluster);
+            type Probe<'a> = dyn FnMut(&Cluster, &[&[f32]], &[f32]) + 'a;
             // One rotation across rounds: a round of few blocks must not
             // keep meeting the same few clusters.
             let mut rotation = clusters.iter().cycle();
-            let mut time = |probe: &mut dyn FnMut(&Cluster, &[&[f32]])| {
+            let mut time = |probe: &mut Probe<'_>| {
                 let mut rounds: Vec<f64> = (0..ROUNDS)
                     .map(|_| {
                         let t0 = std::time::Instant::now();
-                        for (qs, cluster) in queries.chunks(block).zip(rotation.by_ref()) {
-                            probe(cluster, qs);
+                        let blocks = queries.chunks(block).zip(seeds.chunks(block));
+                        for ((qs, bounds), cluster) in blocks.zip(rotation.by_ref()) {
+                            probe(cluster, qs, bounds);
                         }
                         t0.elapsed().as_secs_f64() * 1e6 / QUERIES as f64
                     })
@@ -369,18 +393,19 @@ fn subsearch() -> AnyResult {
                 rounds.sort_by(f64::total_cmp);
                 rounds[ROUNDS / 2]
             };
-            let walked = time(&mut |(sub, ..), qs| {
+            let walked = time(&mut |(sub, ..), qs, _| {
                 for q in qs {
                     std::hint::black_box(sub.hnsw().search_in(q, K, EF, &mut walk, &mut stats));
                 }
             });
-            let mut scan_of = |sq: bool, slack| {
-                time(&mut |(_, full, codes), qs| {
+            let mut scan_of = |sq: bool, slack, seeded: bool| {
+                time(&mut |(_, full, codes), qs, bounds| {
                     out.clear();
                     ends.clear();
                     let cluster = if sq { codes } else { full };
                     cluster.probe(
                         qs,
+                        if seeded { bounds } else { &[] },
                         K,
                         slack,
                         rows,
@@ -392,8 +417,9 @@ fn subsearch() -> AnyResult {
                     std::hint::black_box(&out);
                 })
             };
-            let (exact, codes) = (scan_of(false, 0), scan_of(true, SLACK));
-            println!("{rows:>6} {count:>9} {block:>6} {walked:>9.1} {exact:>9.1} {codes:>9.1}");
+            let (exact, seeded) = (scan_of(false, 0, false), scan_of(false, 0, true));
+            let codes = scan_of(true, SLACK, false);
+            println!("{rows:>6} {count:>9} {block:>6} {walked:>9.1} {exact:>9.1} {seeded:>9.1} {codes:>9.1} {admitted:>13}");
         }
     }
     // The kernel under every row above: its body at this build's width

@@ -1117,7 +1117,7 @@ impl LoadedCluster {
     ) -> Vec<Candidate> {
         let (mut out, mut ends) = (Vec::new(), Vec::new());
         LOCAL_SCRATCH.with_borrow_mut(|scratch| {
-            self.probe(&[query], k, 0, ef, scratch, stats, &mut out, &mut ends)
+            self.probe(&[query], &[], k, 0, ef, scratch, stats, &mut out, &mut ends)
         });
         out
     }
@@ -1141,10 +1141,19 @@ impl LoadedCluster {
     /// not depend on what it shares a block with. Either way the overflow
     /// tail is scanned exactly and tombstoned ids are gone; a scan leaves
     /// `stats.hops` alone, which tells the two apart.
+    ///
+    /// `bounds` is empty (unseeded) or one distance per query: a
+    /// full-precision scan then returns only query i's hits at or within
+    /// `bounds[i]` (NaN and +∞ bound nothing). The caller vouches that
+    /// query i has `k` distinct ids that close, so what a query finally
+    /// gets depends on neither its block nor its seeds. A walk and an SQ8
+    /// scan ignore them: a bound would narrow the beam, or drop an estimate
+    /// the rerank may yet promote.
     #[allow(clippy::too_many_arguments)]
     pub fn probe(
         &self,
         queries: &[&[f32]],
+        bounds: &[f32],
         k: usize,
         slack: usize,
         ef: usize,
@@ -1166,6 +1175,7 @@ impl LoadedCluster {
                 self.scan(
                     rows,
                     queries,
+                    &[],
                     k + slack,
                     &mut scratch.block,
                     stats,
@@ -1176,7 +1186,8 @@ impl LoadedCluster {
             Payload::Full { hnsw_at, layout } => {
                 let index = self.index(*hnsw_at, layout);
                 if scans(layout.len(), ef) {
-                    self.scan(index, queries, k, &mut scratch.block, stats, out, ends)
+                    let block = &mut scratch.block;
+                    self.scan(index, queries, bounds, k, block, stats, out, ends)
                 } else {
                     self.walk(&index, queries, k, ef, &mut scratch.walk, stats, out, ends)
                 }
@@ -1226,12 +1237,13 @@ impl LoadedCluster {
     /// The block scan: the run is cut into blocks of [`SCAN_BLOCK_BYTES`]
     /// of queries, and each block makes one pass over the cluster's base
     /// `rows` and its overflow inserts, every query collecting its `pool`
-    /// closest.
+    /// closest at or within its bound, if `bounds` has one.
     #[allow(clippy::too_many_arguments)]
     fn scan<R: Rows>(
         &self,
         mut rows: R,
         queries: &[&[f32]],
+        bounds: &[f32],
         pool: usize,
         block: &mut Block,
         stats: &mut SearchStats,
@@ -1247,14 +1259,15 @@ impl LoadedCluster {
         // Most clusters carry no tombstone; those skip the per-row hash
         // lookup altogether.
         let any_deleted = !self.deleted.is_empty();
-        for queries in queries.chunks((SCAN_BLOCK_BYTES / (4 * self.dim())).max(1)) {
+        let per = (SCAN_BLOCK_BYTES / (4 * self.dim())).max(1);
+        for (at, queries) in (0..).step_by(per).zip(queries.chunks(per)) {
             block
                 .tops
                 .resize_with(block.tops.len().max(queries.len()), || TopK::new(pool));
             block.queries.load(metric, queries);
-            block.tops[..queries.len()]
-                .iter_mut()
-                .for_each(|top| top.reset(pool));
+            for (i, top) in block.tops[..queries.len()].iter_mut().enumerate() {
+                top.reset_below(pool, bounds.get(at + i).copied().unwrap_or(f32::INFINITY));
+            }
             let live = (0u32..)
                 .zip(ids)
                 .filter(|(_, gid)| !any_deleted || !self.deleted.contains(gid));
@@ -1623,6 +1636,48 @@ mod tests {
         assert_eq!(hits[0].local, None);
         assert!(hits.iter().all(|h| h.id != 51));
         assert!(hits.iter().all(|h| h.id != 8_000));
+    }
+
+    /// A seeded full-precision scan returns exactly the unseeded hits at or
+    /// within each query's bound, a hit at the bound itself included, alone
+    /// or in a block; an SQ8 scan and a walk ignore the bounds.
+    #[test]
+    fn a_seeded_scan_returns_the_unseeded_hits_within_its_bounds() {
+        let full = LoadedCluster::from_sub(build_cluster(60));
+        let sq = LoadedCluster::from_remote_sq(&build_sq(60).1.to_bytes(), None).unwrap();
+        let queries: Vec<Vec<f32>> = (0..3).map(|i| vec![0.3 * i as f32; 8]).collect();
+        for n in [1, 3] {
+            let block: Vec<&[f32]> = queries[..n].iter().map(Vec::as_slice).collect();
+            let probe = |c: &LoadedCluster, bounds: &[f32], ef| {
+                let (mut out, mut ends) = (Vec::new(), Vec::new());
+                let (scratch, stats) = (&mut ProbeScratch::default(), &mut SearchStats::default());
+                c.probe(
+                    &block, bounds, 5, 3, ef, scratch, stats, &mut out, &mut ends,
+                );
+                let starts = std::iter::once(0).chain(ends.iter().copied());
+                let hits = starts
+                    .zip(&ends)
+                    .map(|(start, &end)| out[start..end].to_vec());
+                hits.collect::<Vec<Vec<Candidate>>>()
+            };
+            let unseeded = probe(&full, &[], 48);
+            // At a hit, unbounded, and closer than every hit.
+            let bound = |(i, hits): (usize, &Vec<Candidate>)| match i {
+                0 => hits[2].dist,
+                1 => f32::NAN,
+                _ => hits[0].dist - 1e-3,
+            };
+            let bounds: Vec<f32> = unseeded.iter().enumerate().map(bound).collect();
+            let seeded = probe(&full, &bounds, 48);
+            for ((want, got), &bound) in unseeded.iter().zip(&seeded).zip(&bounds) {
+                let within = want.iter().filter(|c| bound.is_nan() || c.dist <= bound);
+                assert_eq!(*got, within.copied().collect::<Vec<_>>(), "bound {bound}");
+            }
+            assert_eq!(seeded[0].len(), 3);
+            assert_eq!(probe(&sq, &bounds, 48), probe(&sq, &[], 48));
+            assert!(!scans(60, 1));
+            assert_eq!(probe(&full, &bounds, 1), probe(&full, &[], 1));
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::time::Instant;
 
 use hnsw::SearchStats;
 use rdma_sim::{ReadCause, ReadReq};
-use vecsim::{Dataset, Neighbor};
+use vecsim::{Dataset, Neighbor, SharedBound};
 
 use super::fetch::{Fetch, Load, Reader};
 use super::{run_indexed, ComputeNode, QueryOptions};
@@ -350,7 +350,7 @@ impl ComputeNode {
         let mut loads: Vec<Vec<_>> = (0..stages).map(|_| Vec::new()).collect();
         // Per-query candidate pools: up to `k + slack` merged candidates,
         // the slack being what an exact rerank chooses from (only an SQ8
-        // cluster's probe uses it; exact candidates never need it).
+        // cluster's probe uses it; an exact pool ends at `k`).
         let slack = self.config.rerank_k().max(1);
         let mut pools: Vec<(Vec<Pooled>, f64)> = Vec::with_capacity(queries.len());
 
@@ -725,16 +725,20 @@ fn by_distance(a: &Pooled, b: &Pooled) -> std::cmp::Ordering {
 /// into the query's candidate pool.
 ///
 /// Probes execute **cluster-major**: `keys` is flattened into `(load
-/// key, query, route position)` probes, sorted by key and cut into
-/// `threads` contiguous runs, and each worker hands a cluster the whole
-/// stretch of its run that shares it — one lookup, one payload dispatch
-/// and, on the SQ8 wire, one pass over the codes for all of them — out of
-/// one [`ProbeScratch`] and one hit buffer. Each query's hit lists are
-/// then merged, whatever order they were computed in, into up to `k +
-/// slack` candidates, one per global id — the closest copy, a forced
-/// representative can appear in two clusters — ascending by `(dist, id)`.
-/// Copies of an exact id carry equal distances and no rerank address, so
-/// which of them stands for the id (the lowest load key's) cannot be told.
+/// key, query, route position)` probes, grouped by key, the clusters
+/// ordered by their probes' mean route position and cut into `threads`
+/// contiguous runs, and each worker hands a cluster the whole stretch of
+/// its run that shares it — one lookup, one payload dispatch and, on the
+/// SQ8 wire, one pass over the codes for all of them — out of one
+/// [`ProbeScratch`] and one hit buffer. A query whose clusters are all
+/// full precision carries one bound across its probes, which seeds its
+/// scans (DESIGN.md §5j). Each query's hit lists are then merged,
+/// whatever order they were computed in, into up to `k` candidates (`k +
+/// slack` where an SQ8 cluster's estimates need a rerank pool), one per
+/// global id — the closest copy, a forced representative can appear in
+/// two clusters — ascending by `(dist, id)`. Copies of an exact id carry
+/// equal distances and no rerank address, so which of them stands for the
+/// id (the lowest load key's) cannot be told.
 ///
 /// `keys[i]` belongs to query `base + i`, so pipeline stages can pass a
 /// sub-slice against the full query set. Returns each query's pool with
@@ -751,15 +755,18 @@ pub(super) fn search_stage(
     threads: usize,
     allow_missing: bool,
 ) -> Result<Vec<(Vec<Pooled>, f64)>> {
-    // `offsets[i]..offsets[i + 1]` are query i's route positions.
+    // `offsets[i]..offsets[i + 1]` are query i's route positions; a query
+    // is `exact` when every cluster it probes is full precision.
     let mut offsets = vec![0usize];
     let mut searched = vec![0usize; keys.len()];
+    let mut exact = vec![true; keys.len()];
     let mut probes: Vec<(u32, u32, u32)> = Vec::new();
     for (i, route) in keys.iter().enumerate() {
         for (pos, key) in route.iter().enumerate() {
-            if resolved.contains_key(key) {
+            if let Some(cluster) = resolved.get(key) {
                 probes.push((*key, i as u32, pos as u32));
                 searched[i] += 1;
+                exact[i] &= !cluster.is_quantized();
             } else if !allow_missing {
                 return Err(Error::Corrupt(format!(
                     "cluster load {key} missing after load"
@@ -768,7 +775,19 @@ pub(super) fn search_stage(
         }
         offsets.push(offsets[i] + route.len());
     }
+    // Clusters by the mean route position of their probes, ties by key, so
+    // a query's nearest cluster tends to be probed before its farther ones.
     probes.sort_unstable();
+    let mut clusters: Vec<&[(u32, u32, u32)]> = probes.chunk_by(|a, b| a.0 == b.0).collect();
+    let mean = |same: &[(u32, u32, u32)]| {
+        same.iter().map(|p| f64::from(p.2)).sum::<f64>() / same.len() as f64
+    };
+    clusters.sort_by(|a, b| mean(a).total_cmp(&mean(b)));
+    let probes = clusters.concat();
+    // An exact query's bound: the closest k-th hit any of its probes has
+    // returned. Those are k distinct ids, so nothing past it can be among
+    // the query's final k, and its later scans collect nothing past it.
+    let bounds: Vec<SharedBound> = keys.iter().map(|_| SharedBound::default()).collect();
     let runs: Vec<&[(u32, u32, u32)]> = probes
         .chunks(probes.len().div_ceil(threads.max(1)).max(1))
         .collect();
@@ -777,16 +796,18 @@ pub(super) fn search_stage(
         let mut stats = SearchStats::default();
         let mut hits: Vec<Candidate> = Vec::new();
         let mut ends = Vec::with_capacity(runs[r].len());
-        let mut block: Vec<&[f32]> = Vec::new();
+        let (mut block, mut seeds): (Vec<&[f32]>, Vec<f32>) = Default::default();
         for same in runs[r].chunk_by(|a, b| a.0 == b.0) {
             block.clear();
-            block.extend(
-                same.iter()
-                    .map(|&(_, query, _)| queries.get(base + query as usize)),
-            );
-            let cluster = &resolved[&same[0].0];
-            cluster.probe(
+            seeds.clear();
+            for &(_, query, _) in same {
+                block.push(queries.get(base + query as usize));
+                seeds.push(bounds[query as usize].get());
+            }
+            let mut start = hits.len();
+            resolved[&same[0].0].probe(
                 &block,
+                &seeds,
                 k,
                 slack,
                 ef,
@@ -795,6 +816,12 @@ pub(super) fn search_stage(
                 &mut hits,
                 &mut ends,
             );
+            for (&(_, query, _), &end) in same.iter().zip(&ends[ends.len() - same.len()..]) {
+                if k > 0 && end - start == k && exact[query as usize] {
+                    bounds[query as usize].lower(hits[end - 1].dist);
+                }
+                start = end;
+            }
         }
         Ok((hits, ends))
     })?;
@@ -817,27 +844,37 @@ pub(super) fn search_stage(
         for (list, &key) in lists.iter().zip(&keys[i]) {
             pool.extend(list.iter().map(|&cand| Pooled { key, cand }));
         }
-        // The `k + slack` closest, one per id: select that many, order
-        // them and drop each later copy of an id; what copies displaced
-        // is made up from the rest the same way. Nothing past the
-        // selection is ever ordered.
-        let (mut kept, mut seen) = (0, 0);
-        while kept < k + slack && seen < pool.len() {
-            let take = (k + slack - kept).min(pool.len() - seen);
-            let rest = &mut pool[seen..];
-            if take < rest.len() {
-                rest.select_nth_unstable_by(take - 1, by_distance);
-            }
-            rest[..take].sort_unstable_by(by_distance);
-            for i in seen..seen + take {
-                if pool[..kept].iter().all(|c| c.cand.id != pool[i].cand.id) {
-                    pool[kept] = pool[i];
-                    kept += 1;
-                }
-            }
-            seen += take;
-        }
-        pool.truncate(kept);
+        // The slack only feeds the rerank of estimates.
+        let cap = if exact[i] { k } else { k + slack };
+        closest_per_id(&mut pool, cap);
         Ok((pool, cov))
     })
+}
+
+/// Cuts `pool` to its `cap` closest ids, ascending by `(dist, id)`, each
+/// id by its closest copy — on a tie, the lowest load key's. Nothing past
+/// a selection of `cap` is ordered unless two copies of an id stand in it.
+pub(super) fn closest_per_id(pool: &mut Vec<Pooled>, cap: usize) {
+    let select = |pool: &mut Vec<Pooled>| {
+        if cap < pool.len() {
+            pool.select_nth_unstable_by(cap, by_distance);
+        }
+    };
+    // The `cap` closest copies are the answer when their ids differ: a
+    // copy anywhere closer than one of them is among them. Their ids are
+    // sorted on the stack; a longer cut takes the whole pool's sort.
+    select(pool);
+    let mut ids = [0u32; 64];
+    let distinct = ids.get_mut(..cap.min(pool.len())).is_some_and(|ids| {
+        (ids.iter_mut().zip(&pool[..])).for_each(|(id, c)| *id = c.cand.id);
+        ids.sort_unstable();
+        ids.windows(2).all(|w| w[0] != w[1])
+    });
+    if !distinct {
+        pool.sort_unstable_by(|a, b| a.cand.id.cmp(&b.cand.id).then_with(|| by_distance(a, b)));
+        pool.dedup_by_key(|c| c.cand.id);
+        select(pool);
+    }
+    pool.truncate(cap);
+    pool.sort_unstable_by(by_distance);
 }

@@ -1425,58 +1425,87 @@ fn oracle_fixture(sq: bool) -> (Dataset, HashMap<u32, Arc<LoadedCluster>>, Vec<V
     (queries, resolved, routes)
 }
 
+/// What `search_stage` must return, from each probe's unseeded
+/// single-query search: a query's hits merged one per id (the closest
+/// copy, on a tie the lowest key's), ascending by `(dist, id)`, cut at `k`
+/// — at `k + slack` where an SQ8 cluster is among its clusters — with the
+/// share of its route that resolved.
+fn query_major(
+    queries: &Dataset,
+    base: usize,
+    resolved: &HashMap<u32, Arc<LoadedCluster>>,
+    routes: &[Vec<u32>],
+    (k, slack, ef): (usize, usize, usize),
+) -> Vec<(Vec<Pooled>, f64)> {
+    let reference = |(i, route): (usize, &Vec<u32>)| {
+        let q = queries.get(base + i);
+        let found = route.iter().filter_map(|p| Some((*p, resolved.get(p)?)));
+        let mut pool: Vec<Pooled> = Vec::new();
+        for (key, c) in found.clone() {
+            match c.sq_params() {
+                Some(sq) => pool.extend(c.search_sq(q, k + slack).iter().map(|h| {
+                    let err = h.local.map_or(0.0, |_| sq.l2_error_bound(h.dist));
+                    let cand = Candidate {
+                        id: h.id,
+                        dist: h.dist,
+                        local: h.local,
+                        err,
+                    };
+                    Pooled { key, cand }
+                })),
+                None => pool.extend(c.search(q, k, ef).iter().map(|n| {
+                    let cand = Candidate::exact(n.id, n.dist);
+                    Pooled { key, cand }
+                })),
+            }
+        }
+        pool.sort_by(|a, b| {
+            a.cand
+                .id
+                .cmp(&b.cand.id)
+                .then(a.cand.dist.total_cmp(&b.cand.dist))
+                .then(a.key.cmp(&b.key))
+        });
+        pool.dedup_by_key(|c| c.cand.id);
+        pool.sort_by(|a, b| {
+            a.cand
+                .dist
+                .total_cmp(&b.cand.dist)
+                .then(a.cand.id.cmp(&b.cand.id))
+        });
+        let exact = found.clone().all(|(_, c)| !c.is_quantized());
+        pool.truncate(if exact { k } else { k + slack });
+        let cov = found.count() as f64 / route.len().max(1) as f64;
+        (pool, if route.is_empty() { 1.0 } else { cov })
+    };
+    routes.iter().enumerate().map(reference).collect()
+}
+
+/// Pools as bits: load key, id, distance, rerank address and error bound
+/// of every candidate, and the coverage.
+type PoolBits = Vec<(Vec<(u32, u32, u32, Option<u32>, u32)>, u64)>;
+
+fn bits(pools: &[(Vec<Pooled>, f64)]) -> PoolBits {
+    let candidate = |c: &Pooled| {
+        let Candidate {
+            id,
+            dist,
+            local,
+            err,
+        } = c.cand;
+        (c.key, id, dist.to_bits(), local, err.to_bits())
+    };
+    (pools.iter())
+        .map(|(pool, cov)| (pool.iter().map(candidate).collect(), cov.to_bits()))
+        .collect()
+}
+
 #[test]
 fn cluster_major_pools_equal_a_query_major_reference() {
     let (k, slack, ef) = (7, 5, 24);
     for sq in [false, true] {
         let (queries, resolved, routes) = oracle_fixture(sq);
-        let reference: Vec<(Vec<Pooled>, f64)> = (routes.iter().enumerate())
-            .map(|(i, route)| {
-                let q = queries.get(2 + i);
-                let found = route.iter().filter_map(|p| Some((*p, resolved.get(p)?)));
-                let mut pool: Vec<Pooled> = Vec::new();
-                for (key, c) in found.clone() {
-                    match c.sq_params() {
-                        Some(sq) => pool.extend(c.search_sq(q, k + slack).iter().map(|h| {
-                            let err = h.local.map_or(0.0, |_| sq.l2_error_bound(h.dist));
-                            let cand = Candidate {
-                                id: h.id,
-                                dist: h.dist,
-                                local: h.local,
-                                err,
-                            };
-                            Pooled { key, cand }
-                        })),
-                        None => pool.extend(c.search(q, k, ef).iter().map(|n| {
-                            let cand = Candidate {
-                                id: n.id,
-                                dist: n.dist,
-                                local: None,
-                                err: 0.0,
-                            };
-                            Pooled { key, cand }
-                        })),
-                    }
-                }
-                pool.sort_by(|a, b| {
-                    a.cand
-                        .id
-                        .cmp(&b.cand.id)
-                        .then(a.cand.dist.total_cmp(&b.cand.dist))
-                        .then(a.key.cmp(&b.key))
-                });
-                pool.dedup_by_key(|c| c.cand.id);
-                pool.sort_by(|a, b| {
-                    a.cand
-                        .dist
-                        .total_cmp(&b.cand.dist)
-                        .then(a.cand.id.cmp(&b.cand.id))
-                });
-                pool.truncate(k + slack);
-                let cov = found.count() as f64 / route.len().max(1) as f64;
-                (pool, if route.is_empty() { 1.0 } else { cov })
-            })
-            .collect();
+        let reference = query_major(&queries, 2, &resolved, &routes, (k, slack, ef));
         assert!(
             reference.iter().any(|(_, cov)| *cov == 0.0)
                 && reference.iter().any(|(_, cov)| *cov == 0.5)
@@ -1529,6 +1558,167 @@ fn cluster_major_pools_equal_a_query_major_reference() {
             assert_eq!(closest, top.into_sorted_vec(), "query {i}");
         }
     }
+}
+
+/// Six clusters under `metric` over rows that repeat 120 distinct vectors,
+/// so distances tie exactly, at a query's k-th as anywhere: five of 80
+/// rows, each sharing 30 ids with the next; cluster 2 also holds overflow
+/// inserts (copies of rows under new ids) and two tombstones, one of an id
+/// cluster 1 keeps; cluster 5 has 600 rows, walked at ef 24. With
+/// `mixed`, clusters 0 to 2 are SQ8 (L2 only). 24 routes, six shapes: the
+/// walked cluster always second, so by the mean route position of their
+/// probes the clusters go 3, 0, 1, 5, 2, 4 — a worker walks between two
+/// scans — plus an empty route, a missing cluster (9) and a repeat.
+fn seed_fixture(
+    metric: Metric,
+    mixed: bool,
+) -> (Dataset, HashMap<u32, Arc<LoadedCluster>>, Vec<Vec<u32>>) {
+    use crate::cluster::{OverflowRecord, SqCluster, SubCluster};
+    let distinct = gen::uniform(8, 120, -1.0, 1.0, 5).unwrap();
+    let rows: Vec<&[f32]> = (0..880).map(|i| distinct.get(i % 120)).collect();
+    let data = Dataset::from_rows(&rows).unwrap();
+    let records: Vec<OverflowRecord> = (0..6u32)
+        .map(|j| OverflowRecord::insert(2, 5_000 + j, distinct.get(7 * j as usize).to_vec()))
+        .chain([110, 150].map(|id| OverflowRecord::tombstone(2, id, 8)))
+        .collect();
+    let mut area = ((records.len() * OverflowRecord::wire_size(8)) as u64)
+        .to_le_bytes()
+        .to_vec();
+    records.iter().for_each(|r| area.extend(r.to_bytes()));
+    let params = hnsw::HnswParams::new(6, 40).seed(3).metric(metric);
+    let mut resolved = HashMap::new();
+    for p in 0..6u32 {
+        let ids: Vec<u32> = match p {
+            5 => (280..880).collect(),
+            _ => (p * 50..p * 50 + 80).collect(),
+        };
+        let rows = data.select(&ids);
+        let area = (p == 2).then_some(area.as_slice());
+        let cluster = if mixed && p < 3 {
+            let blob = SqCluster::build(p, &rows, ids).unwrap().to_bytes();
+            LoadedCluster::adopt(blob, 0, true, area).unwrap()
+        } else {
+            let blob = SubCluster::build(p, rows, ids, &params).unwrap().to_bytes();
+            LoadedCluster::adopt(blob, 0, false, area).unwrap()
+        };
+        resolved.insert(p, Arc::new(cluster));
+    }
+    let routes = (0..24)
+        .map(|i| match i % 6 {
+            0 => vec![],
+            1 => vec![0, 5, 1],
+            2 => vec![9, 5, 2],
+            3 => vec![3, 5, 4],
+            4 => vec![0, 2, 0],
+            _ => vec![1, 3, 2, 4],
+        })
+        .collect();
+    let queries = gen::perturbed_queries(&data, 24, 0.05, 6).unwrap();
+    (queries, resolved, routes)
+}
+
+/// Seeding is invisible: with every exact scan seeded by the k-th its
+/// query's earlier probes returned, the pools are the unseeded reference's
+/// to the bit — under L2, inner product (negative distances) and cosine,
+/// with exact ties at the k-th, ids shared between clusters, a scanned
+/// cluster with tombstones and overflow inserts, a walk between scans, a
+/// missing cluster, at k = 0 and at any thread count. A query with an SQ8
+/// cluster on its route is not seeded: its whole pool, exact candidates
+/// past the k-th included, is the reference's.
+#[test]
+fn seeded_pools_equal_the_unseeded_reference() {
+    let (slack, ef) = (5, 24);
+    let cases = [
+        (Metric::L2, false),
+        (Metric::InnerProduct, false),
+        (Metric::Cosine, false),
+        (Metric::L2, true),
+    ];
+    for (metric, mixed) in cases {
+        let (queries, resolved, routes) = seed_fixture(metric, mixed);
+        let scanned = |p: u32| crate::cluster::scans(resolved[&p].base_len(), ef);
+        assert!((0..5).all(scanned) && !scanned(5));
+        assert_eq!(resolved[&2].overflow_len(), 6);
+        assert_eq!(resolved[&2].deleted().len(), 2);
+        for k in [0, 1, 7] {
+            let reference = query_major(&queries, 0, &resolved, &routes, (k, slack, ef));
+            // Some query's k-th ties with the next candidate.
+            let longer = query_major(&queries, 0, &resolved, &routes, (k + 1, slack, ef));
+            assert!(
+                k == 0
+                    || longer
+                        .iter()
+                        .any(|(p, _)| p.len() > k && p[k - 1].cand.dist == p[k].cand.dist),
+                "{metric} k {k}: no tie at the k-th"
+            );
+            if mixed && k > 0 {
+                // An exact candidate past the k-th that a seed would drop.
+                let past = |(p, _): &(Vec<Pooled>, f64)| {
+                    p[k.min(p.len())..].iter().any(|c| c.cand.local.is_none())
+                };
+                assert!(reference.iter().any(past));
+            }
+            for threads in [1, 2, 3, 7] {
+                let got = search_stage(
+                    &routes,
+                    &queries,
+                    0,
+                    &resolved,
+                    (k, slack, ef),
+                    threads,
+                    true,
+                )
+                .unwrap();
+                assert_eq!(
+                    bits(&got),
+                    bits(&reference),
+                    "{metric} mixed {mixed} k {k} threads {threads}"
+                );
+            }
+        }
+    }
+}
+
+/// The merge keeps each id's closest copy and, between equally close
+/// copies, the lowest load key's — whichever order the lists arrive in and
+/// whether or not two copies stand among the `cap` closest.
+#[test]
+fn the_merge_keeps_each_ids_closest_copy_and_on_a_tie_the_lowest_key() {
+    let pooled = |key, id, dist| Pooled {
+        key,
+        cand: Candidate::exact(id, dist),
+    };
+    let pool = [
+        pooled(3, 7, 0.5),
+        pooled(6, 4, 0.1),
+        pooled(1, 7, 0.5),
+        pooled(2, 9, 0.4),
+        pooled(0, 9, 0.6),
+        pooled(5, 4, 0.1),
+        pooled(4, 8, 0.45),
+    ];
+    let want = [(5, 4), (2, 9), (4, 8), (1, 7)];
+    for turn in 0..pool.len() {
+        let mut turned = pool.to_vec();
+        turned.rotate_left(turn);
+        for cap in 0..=pool.len() {
+            let mut got = turned.clone();
+            super::query::closest_per_id(&mut got, cap);
+            let got: Vec<(u32, u32)> = got.iter().map(|c| (c.key, c.cand.id)).collect();
+            assert_eq!(
+                got,
+                want[..cap.min(want.len())],
+                "rotated {turn}, cap {cap}"
+            );
+        }
+    }
+    // A cut longer than the ids sorted on the stack takes the other path.
+    let mut long: Vec<Pooled> = (0..90).map(|i| pooled(i % 3, i, i as f32)).collect();
+    long.extend((0..90).step_by(2).map(|i| pooled(5, i, i as f32 + 0.5)));
+    long.reverse();
+    super::query::closest_per_id(&mut long, 70);
+    let got: Vec<(u32, u32)> = long.iter().map(|c| (c.key, c.cand.id)).collect();
+    assert_eq!(got, (0..70).map(|i| (i % 3, i)).collect::<Vec<_>>());
 }
 
 #[test]

@@ -357,6 +357,7 @@ fn overflow_areas_decode_or_report_corruption() {
                 let (mut out, mut ends) = (Vec::new(), Vec::new());
                 loaded.probe(
                     &block,
+                    &[],
                     10,
                     0,
                     48,

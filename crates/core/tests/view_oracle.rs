@@ -459,6 +459,7 @@ fn a_block_probe_of_the_view_equals_single_probes() {
                     let mut stats = SearchStats::default();
                     loaded.probe(
                         &block,
+                        &[],
                         k,
                         slack,
                         ef,
@@ -480,6 +481,7 @@ fn a_block_probe_of_the_view_equals_single_probes() {
                         let (mut want, mut one) = (Vec::new(), Vec::new());
                         loaded.probe(
                             &[query],
+                            &[],
                             k,
                             slack,
                             ef,

@@ -22,7 +22,8 @@
 //! - [`io`]: readers and writers for the standard `fvecs`/`ivecs`/`bvecs`
 //!   formats so the real SIFT1M/GIST1M files can be dropped in when
 //!   available.
-//! - [`topk`]: a bounded max-heap for collecting nearest neighbours.
+//! - [`topk`]: a bounded collector of nearest neighbours, and the distance
+//!   bound threads lower together.
 //!
 //! # Example
 //!
@@ -67,7 +68,7 @@ pub mod topk;
 pub use dataset::Dataset;
 pub use distance::{cosine_distance, dot, l2_sq, Metric, QueryBlock};
 pub use error::Error;
-pub use topk::{Neighbor, TopK};
+pub use topk::{Neighbor, SharedBound, TopK};
 
 /// Convenient result alias used throughout this crate.
 pub type Result<T> = std::result::Result<T, Error>;

@@ -7,6 +7,8 @@
 //! scans, whose inner loop it leaves a distance and one compare.
 
 use std::cmp::Ordering;
+use std::sync::atomic::AtomicU32;
+use std::sync::atomic::Ordering::Relaxed;
 
 /// A candidate neighbour: vector id plus its distance to the query.
 ///
@@ -87,14 +89,21 @@ pub struct TopK {
 /// plain integers.
 #[inline]
 fn key(id: u32, dist: f32) -> u64 {
-    u64::from(ordered(dist.to_bits()) ^ SIGN) << 32 | u64::from(id)
+    u64::from(order(dist)) << 32 | u64::from(id)
 }
 
 fn neighbor(key: u64) -> Neighbor {
-    Neighbor::new(
-        key as u32,
-        f32::from_bits(ordered((key >> 32) as u32 ^ SIGN)),
-    )
+    Neighbor::new(key as u32, unorder((key >> 32) as u32))
+}
+
+/// A distance as an unsigned integer that orders as [`f32::total_cmp`] does.
+#[inline]
+fn order(dist: f32) -> u32 {
+    ordered(dist.to_bits()) ^ SIGN
+}
+
+fn unorder(bits: u32) -> f32 {
+    f32::from_bits(ordered(bits ^ SIGN))
 }
 
 const SIGN: u32 = 1 << 31;
@@ -172,12 +181,21 @@ impl TopK {
         self.held.into_iter().map(neighbor).collect()
     }
 
-    /// Empties the collector and makes it one for the `k` nearest
-    /// entries, keeping its allocation: a worker that collects probe after
-    /// probe allocates once, for the largest `k` it has seen.
-    pub fn reset(&mut self, k: usize) {
+    /// Empties the collector and makes it one for the `k` nearest entries
+    /// that refuses from the first offer whatever lies strictly past
+    /// `dist`, keeping its allocation: a worker that collects probe after
+    /// probe allocates once, for the largest `k` it has seen. An entry at
+    /// `dist` itself is admitted under any id, so ties are left to the
+    /// `(dist, id)` order; a NaN or +∞ `dist` bounds nothing. For a caller
+    /// that already holds `k` entries at `dist` or closer elsewhere:
+    /// nothing past it can be among the `k` best of both.
+    pub fn reset_below(&mut self, k: usize, dist: f32) {
         self.k = k;
-        self.bound = u64::MAX;
+        self.bound = if dist < f32::INFINITY {
+            key(u32::MAX, dist)
+        } else {
+            u64::MAX
+        };
         self.held.clear();
         self.held.reserve(SLOTS * k);
     }
@@ -197,6 +215,32 @@ impl Extend<Neighbor> for TopK {
         for n in iter {
             self.push(n.id, n.dist);
         }
+    }
+}
+
+/// A distance bound threads lower together: the closest distance it was
+/// ever [lowered](SharedBound::lower) to, +∞ before that. It holds the
+/// distance's total-order bits — [`TopK`]'s order, so negative distances
+/// rank too — and lowers them with one relaxed fetch-min, so whatever a
+/// thread reads is a distance some thread offered.
+#[derive(Debug)]
+pub struct SharedBound(AtomicU32);
+
+impl Default for SharedBound {
+    fn default() -> Self {
+        SharedBound(AtomicU32::new(order(f32::INFINITY)))
+    }
+}
+
+impl SharedBound {
+    /// Lowers the bound to `dist` if `dist` is closer.
+    pub fn lower(&self, dist: f32) {
+        self.0.fetch_min(order(dist), Relaxed);
+    }
+
+    /// The bound as last lowered.
+    pub fn get(&self) -> f32 {
+        unorder(self.0.load(Relaxed))
     }
 }
 
@@ -361,10 +405,10 @@ mod tests {
         // To a larger k and back to a smaller one: each time the new k
         // governs, nothing of the old bound or the old candidates is left,
         // and only growing allocates.
-        t.reset(16);
+        t.reset_below(16, f32::INFINITY);
         let room = t.held.capacity();
         for k in [16, 2, 16, 0, 3] {
-            t.reset(k);
+            t.reset_below(k, f32::INFINITY);
             t.extend(stream(100));
             let all: Vec<Neighbor> = stream(100).collect();
             seen.clear();
@@ -373,6 +417,86 @@ mod tests {
             assert_eq!(seen, sort_and_truncate(&all, k), "k {k}");
             assert_eq!(t.held.capacity(), room, "nothing was reallocated");
         }
+    }
+
+    #[test]
+    fn reset_below_refuses_strictly_past_the_bound_and_admits_ties() {
+        let mut t = TopK::new(1);
+        for bound in [2.0, -2.0] {
+            t.reset_below(3, bound);
+            assert!(!t.push(0, bound + 0.5), "past {bound}");
+            assert!(!t.push(1, f32::INFINITY) && !t.push(2, f32::NAN));
+            assert!(t.push(u32::MAX, bound), "a tie under any id is held");
+            assert!(t.push(3, bound) && t.push(4, bound - 1.0));
+            assert_eq!(
+                t.clone().into_sorted_vec(),
+                [(4, bound - 1.0), (3, bound), (u32::MAX, bound)].map(|(i, d)| Neighbor::new(i, d))
+            );
+            // The collector still learns a bound of its own below the seed.
+            for id in 10..10 + 8 * SLOTS as u32 {
+                t.push(id, bound - 2.0);
+            }
+            assert!(!t.push(5, bound - 1.5));
+        }
+    }
+
+    #[test]
+    fn reset_below_nan_or_infinity_bounds_nothing() {
+        let mut t = TopK::new(2);
+        for unbounded in [f32::INFINITY, f32::NAN, -f32::NAN] {
+            t.reset_below(2, unbounded);
+            assert!(t.push(0, f32::MAX) && t.push(1, f32::INFINITY) && t.push(2, f32::NAN));
+            assert_eq!(t.len(), 2);
+        }
+        // -∞ is a bound like any other: only -∞ itself is held.
+        t.reset_below(2, f32::NEG_INFINITY);
+        assert!(!t.push(0, f32::MIN) && t.push(1, f32::NEG_INFINITY));
+    }
+
+    proptest! {
+        /// A seeded collector holds what sorting everything at or within
+        /// the seed and cutting at `k` would: the seed only refuses.
+        #[test]
+        fn reset_below_matches_the_sort_of_what_the_bound_admits(
+            k in 0usize..=24,
+            bound in -20.0f32..20.0,
+            offered in prop::collection::vec((0u32..40, 0u32..40), 0..600),
+        ) {
+            // Whole distances either side of zero: ties with each other,
+            // and with a whole bound, are common.
+            let bound = bound.round();
+            let all: Vec<Neighbor> = offered.iter().map(|&(id, d)| Neighbor::new(id, d as f32 - 20.0)).collect();
+            let mut top = TopK::new(0);
+            top.reset_below(k, bound);
+            top.extend(all.iter().copied());
+            let within: Vec<Neighbor> = all.iter().copied().filter(|n| n.dist <= bound).collect();
+            prop_assert_eq!(top.into_sorted_vec(), sort_and_truncate(&within, k));
+        }
+    }
+
+    #[test]
+    fn a_shared_bound_keeps_the_closest_distance_it_was_lowered_to() {
+        let bound = SharedBound::default();
+        assert_eq!(bound.get(), f32::INFINITY);
+        bound.lower(f32::NAN);
+        assert_eq!(bound.get(), f32::INFINITY, "NaN is past every distance");
+        for (offered, held) in [
+            (3.0, 3.0),
+            (5.0, 3.0),
+            (-0.0, -0.0),
+            (0.0, -0.0),
+            (-7.5, -7.5),
+        ] {
+            bound.lower(offered);
+            assert_eq!(bound.get().to_bits(), f32::to_bits(held), "after {offered}");
+        }
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let bound = &bound;
+                s.spawn(move || (0..100).for_each(|i| bound.lower(-(t * 100 + i) as f32)));
+            }
+        });
+        assert_eq!(bound.get(), -399.0);
     }
 
     #[test]

@@ -84,16 +84,24 @@
 # cluster.rs's by 6 (`cluster::scans`, which `probe`, repro and the tests
 # now ask) and crates/bench's by 4 (`repro subsearch`'s 1 100 / 1 200 /
 # 1 300-row sizes and its cut read off `scans`).
+# One bound per query across its probes raised crates/core/src's by 50 (the
+# seeded probe's `bounds` and its contract, the scan's seeded collectors,
+# the clusters' order by mean route position, the bounds lowered after each
+# probe, the merge's sort-based de-duplication net of the loop it replaced;
+# cluster.rs 1 331 -> 1 344), vecsim's by 45 (`TopK::reset_below`, which
+# `reset` folded into, and `SharedBound` with the total-order mapping they
+# share) and crates/bench's by 26 (`repro subsearch`'s seeded column and the
+# admitted shares beside it).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-MAX_TOTAL=10647
+MAX_TOTAL=10697
 MAX_PLANE=4462
-MAX_BENCH=2924
+MAX_BENCH=2950
 MAX_HNSW=1849
-MAX_VECSIM=1859
+MAX_VECSIM=1904
 MAX_RDMA=1764
-MAX_FILE=1331
+MAX_FILE=1344
 
 total=0
 plane=0
