@@ -21,17 +21,14 @@ pub const BREAKDOWN_HEADER: &str =
 /// Formats one sweep point as a CSV row.
 pub fn sweep_row(mode: SearchMode, p: &SweepPoint) -> String {
     let r = &p.report;
+    // The paper's three columns: search time includes cluster decode.
+    let [net, sub, meta] = r.breakdown.paper_columns();
     format!(
-        "{},{},{:.6},{:.3},{:.3},{:.3},{:.3},{},{},{},{},{},{}",
+        "{},{},{:.6},{:.3},{net:.3},{sub:.3},{meta:.3},{},{},{},{},{},{}",
         mode.name().replace(',', ";"),
         p.ef,
         p.recall,
         p.latency_us,
-        r.breakdown.network_us,
-        // The paper folds cluster decode into the search column; keep
-        // the CSV schema stable by re-merging the split components.
-        r.breakdown.sub_hnsw_us + r.breakdown.materialize_us,
-        r.breakdown.meta_hnsw_us,
         r.round_trips,
         r.bytes_read,
         r.unique_clusters,
@@ -44,14 +41,10 @@ pub fn sweep_row(mode: SearchMode, p: &SweepPoint) -> String {
 /// Formats one breakdown row as CSV.
 pub fn breakdown_row(row: &BreakdownRow) -> String {
     let r = &row.report;
+    let [net, sub, meta] = r.breakdown.paper_columns();
     format!(
-        "{},{:.3},{:.3},{:.3},{:.6},{},{:.6},{}",
+        "{},{net:.3},{sub:.3},{meta:.3},{:.6},{},{:.6},{}",
         row.mode.name().replace(',', ";"),
-        r.breakdown.network_us,
-        // Same column semantics as the sweep: search time includes
-        // cluster decode, as in the paper's tables.
-        r.breakdown.sub_hnsw_us + r.breakdown.materialize_us,
-        r.breakdown.meta_hnsw_us,
         r.round_trips_per_query(),
         r.bytes_read,
         row.recall,

@@ -64,7 +64,7 @@ pub fn write_atomic<P: AsRef<std::path::Path>>(path: P, contents: &str) -> std::
     }
 }
 
-use dhnsw::{BatchReport, DHnswConfig, SearchMode, VectorStore};
+use dhnsw::{BatchReport, DHnswConfig, Phase, SearchMode, VectorStore};
 use vecsim::{gen, ground_truth, recall, Dataset, Metric, Neighbor};
 
 /// Which paper dataset a workload stands in for.
@@ -421,19 +421,16 @@ pub fn print_sweep_table(title: &str, schemes: &[(SearchMode, Vec<SweepPoint>)])
 /// Prints a Table 1/2-style breakdown.
 pub fn print_breakdown_table(title: &str, rows: &[BreakdownRow]) {
     println!("\n=== {title} ===");
+    let [net, sub, meta] = Phase::PAPER.map(Phase::column);
     println!(
-        "{:<24} {:>12} {:>12} {:>12} {:>12} {:>10}",
-        "Scheme", "Network", "Sub-HNSW", "Meta-HNSW", "trips/query", "recall"
+        "{:<24} {net:>12} {sub:>12} {meta:>12} {:>12} {:>10}",
+        "Scheme", "trips/query", "recall"
     );
     for row in rows {
+        let [net, sub, meta] = row.report.breakdown.paper_columns().map(fmt_us);
         println!(
-            "{:<24} {:>12} {:>12} {:>12} {:>12.4} {:>10.3}",
+            "{:<24} {net:>12} {sub:>12} {meta:>12} {:>12.4} {:>10.3}",
             row.mode.name(),
-            fmt_us(row.report.breakdown.network_us),
-            // The table's Sub-HNSW column folds decode back in, matching
-            // the paper's presentation.
-            fmt_us(row.report.breakdown.sub_hnsw_us + row.report.breakdown.materialize_us),
-            fmt_us(row.report.breakdown.meta_hnsw_us),
             row.report.round_trips_per_query(),
             row.recall
         );

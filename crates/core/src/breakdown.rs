@@ -14,7 +14,8 @@
 //! Counts, bytes, trips and the ledger are exact: one `StatsSnapshot`
 //! bracket around the batch's reads. `breakdown.network_us` and
 //! `hidden_us` are virtual-clock time; the other three phases, and with
-//! them `total_us`, are host wall clock.
+//! them `total_us`, are host wall clock, each the sum of the walls its
+//! spans measured (see [`Phase`]).
 //!
 //! [`BatchReport::merge`] aggregates a run of batches. Counts, bytes,
 //! trips, the ledger, the breakdown, `total_us`, `hidden_us` and
@@ -57,24 +58,92 @@ impl LatencyBreakdown {
     pub fn total_us(&self) -> f64 {
         self.network_us + self.sub_hnsw_us + self.meta_hnsw_us + self.materialize_us
     }
+
+    /// The paper's three columns, [`Phase::PAPER`]'s order: each the sum
+    /// of the phases that fold into it (sub-HNSW takes materialize).
+    pub fn paper_columns(&self) -> [f64; 3] {
+        Phase::PAPER.map(|head| {
+            let folded = Phase::ALL.iter().filter(|p| p.column() == head.column());
+            folded.map(|p| p.of(self)).sum()
+        })
+    }
 }
 
-impl std::ops::Add for LatencyBreakdown {
-    type Output = LatencyBreakdown;
+/// A phase of a batch's latency. Every view of the phases iterates
+/// [`Phase::ALL`] and spells each from one table. The three host phases
+/// are the walls their spans measured; `network` is virtual time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Phase {
+    /// Meta-HNSW routing.
+    Meta,
+    /// Exposed virtual network time.
+    Network,
+    /// Sub-HNSW search plus the exact rerank's passes.
+    Sub,
+    /// Cluster decode.
+    Materialize,
+}
 
-    fn add(self, rhs: LatencyBreakdown) -> LatencyBreakdown {
-        LatencyBreakdown {
-            network_us: self.network_us + rhs.network_us,
-            sub_hnsw_us: self.sub_hnsw_us + rhs.sub_hnsw_us,
-            meta_hnsw_us: self.meta_hnsw_us + rhs.meta_hnsw_us,
-            materialize_us: self.materialize_us + rhs.materialize_us,
+/// The table, [`Phase::ALL`]'s order: the span (and folded path under
+/// `query_batch`), the `dhnsw_stage_us_total` stage label, the root-span
+/// argument, the why-slow key, the paper column the phase folds into.
+#[rustfmt::skip]
+const SPELLINGS: [[&str; 5]; 4] = [
+    ["meta_route", "meta_hnsw", "meta_us", "meta_route", "Meta-HNSW"],
+    ["network", "network", "network_vt_us", "network", "Network"],
+    ["sub_hnsw_search", "sub_hnsw", "sub_us", "sub_hnsw", "Sub-HNSW"],
+    ["materialize", "materialize", "materialize_us", "materialize", "Sub-HNSW"],
+];
+
+impl Phase {
+    /// Every phase, in the order every view lists them.
+    pub const ALL: [Phase; 4] = [Phase::Meta, Phase::Network, Phase::Sub, Phase::Materialize];
+
+    /// The phases that head the paper's Tables 1–2 columns, in its order.
+    pub const PAPER: [Phase; 3] = [Phase::Network, Phase::Sub, Phase::Meta];
+
+    /// The span that times the phase.
+    pub const fn span(self) -> &'static str {
+        SPELLINGS[self as usize][0]
+    }
+
+    /// The phase's `stage` label.
+    pub const fn stage(self) -> &'static str {
+        SPELLINGS[self as usize][1]
+    }
+
+    /// The phase's root-span argument.
+    pub const fn arg(self) -> &'static str {
+        SPELLINGS[self as usize][2]
+    }
+
+    /// The phase's why-slow key.
+    pub const fn why_slow(self) -> &'static str {
+        SPELLINGS[self as usize][3]
+    }
+
+    /// The paper column the phase folds into.
+    pub const fn column(self) -> &'static str {
+        SPELLINGS[self as usize][4]
+    }
+
+    /// The phase's time in `b`, µs.
+    pub fn of(self, b: &LatencyBreakdown) -> f64 {
+        match self {
+            Phase::Meta => b.meta_hnsw_us,
+            Phase::Network => b.network_us,
+            Phase::Sub => b.sub_hnsw_us,
+            Phase::Materialize => b.materialize_us,
         }
     }
 }
 
 impl std::ops::AddAssign for LatencyBreakdown {
     fn add_assign(&mut self, rhs: LatencyBreakdown) {
-        *self = *self + rhs;
+        self.network_us += rhs.network_us;
+        self.sub_hnsw_us += rhs.sub_hnsw_us;
+        self.meta_hnsw_us += rhs.meta_hnsw_us;
+        self.materialize_us += rhs.materialize_us;
     }
 }
 
@@ -300,11 +369,8 @@ impl BatchReport {
             ("clusters_loaded", U64(self.clusters_loaded as u64)),
             ("round_trips", U64(self.round_trips)),
             ("bytes_read", U64(self.bytes_read)),
-            ("meta_us", F64(self.breakdown.meta_hnsw_us)),
-            ("network_vt_us", F64(self.breakdown.network_us)),
-            ("sub_us", F64(self.breakdown.sub_hnsw_us)),
-            ("materialize_us", F64(self.breakdown.materialize_us)),
         ]);
+        args.extend(Phase::ALL.map(|p| (p.arg(), F64(p.of(&self.breakdown)))));
         args
     }
 
@@ -441,6 +507,75 @@ mod tests {
                 .sum();
             assert!(partial < b.total_us());
         }
+    }
+
+    #[test]
+    fn the_phase_table_pins_every_spelling_in_order() {
+        // Each spelling is a Prometheus label, a folded path, a span
+        // argument, a /whyslow key or a table column somewhere: renaming
+        // one must be deliberate.
+        let b = LatencyBreakdown {
+            meta_hnsw_us: 1.0,
+            network_us: 2.0,
+            sub_hnsw_us: 3.0,
+            materialize_us: 4.0,
+        };
+        let rows: Vec<_> = Phase::ALL
+            .iter()
+            .map(|p| {
+                (
+                    p.span(),
+                    p.stage(),
+                    p.arg(),
+                    p.why_slow(),
+                    p.column(),
+                    p.of(&b),
+                )
+            })
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                (
+                    "meta_route",
+                    "meta_hnsw",
+                    "meta_us",
+                    "meta_route",
+                    "Meta-HNSW",
+                    1.0
+                ),
+                (
+                    "network",
+                    "network",
+                    "network_vt_us",
+                    "network",
+                    "Network",
+                    2.0
+                ),
+                (
+                    "sub_hnsw_search",
+                    "sub_hnsw",
+                    "sub_us",
+                    "sub_hnsw",
+                    "Sub-HNSW",
+                    3.0
+                ),
+                (
+                    "materialize",
+                    "materialize",
+                    "materialize_us",
+                    "materialize",
+                    "Sub-HNSW",
+                    4.0
+                ),
+            ]
+        );
+        assert_eq!(
+            Phase::PAPER.map(Phase::column),
+            ["Network", "Sub-HNSW", "Meta-HNSW"]
+        );
+        // Sub-HNSW folds materialize back in, as the paper's tables do.
+        assert_eq!(b.paper_columns(), [2.0, 3.0 + 4.0, 1.0]);
     }
 
     #[test]

@@ -48,7 +48,7 @@ use crate::meta::MetaIndex;
 use crate::store::VectorStore;
 use crate::telemetry::span::QpSpanSink;
 use crate::telemetry::{metrics, series, Counter, Gauge, Histogram, Telemetry};
-use crate::{BatchReport, DHnswConfig, Result};
+use crate::{BatchReport, DHnswConfig, Phase, Result};
 
 pub(crate) use fetch::Reader;
 
@@ -170,10 +170,7 @@ pub(crate) struct EngineMetrics {
     pub(crate) queries: Arc<Counter>,
     pub(crate) batches: Arc<Counter>,
     pub(crate) latency_us: Arc<Histogram>,
-    pub(crate) stage_meta_us: Arc<Counter>,
-    pub(crate) stage_network_us: Arc<Counter>,
-    pub(crate) stage_sub_us: Arc<Counter>,
-    pub(crate) stage_materialize_us: Arc<Counter>,
+    pub(crate) stage_us: [Arc<Counter>; 4],
     pub(crate) pipeline_hidden_us: Arc<Counter>,
     pub(crate) prefetch_rounds: Arc<Counter>,
     pub(crate) prefetch_clusters: Arc<Counter>,
@@ -205,16 +202,12 @@ pub(crate) struct EngineMetrics {
 impl EngineMetrics {
     fn new(t: &Telemetry, mode: SearchMode) -> Self {
         let m: &[(&str, &str)] = &[("mode", mode.label())];
-        let stage =
-            |stage| metrics::STAGE_US.counter(t, &[("mode", mode.label()), ("stage", stage)]);
+        let stage = |p: Phase| metrics::STAGE_US.counter(t, &[m[0], ("stage", p.stage())]);
         EngineMetrics {
             queries: metrics::QUERIES.counter(t, m),
             batches: metrics::QUERY_BATCHES.counter(t, m),
             latency_us: metrics::QUERY_LATENCY_US.histogram(t, m),
-            stage_meta_us: stage("meta_hnsw"),
-            stage_network_us: stage("network"),
-            stage_sub_us: stage("sub_hnsw"),
-            stage_materialize_us: stage("materialize"),
+            stage_us: Phase::ALL.map(stage),
             pipeline_hidden_us: metrics::PIPELINE_HIDDEN_US.counter(t, m),
             prefetch_rounds: metrics::PREFETCH_ROUNDS.counter(t, m),
             prefetch_clusters: metrics::PREFETCH_CLUSTERS.counter(t, m),
@@ -252,12 +245,9 @@ impl EngineMetrics {
         self.batches.inc();
         self.latency_us
             .observe_n(report.latency_sample_us(), report.queries.max(1) as u64);
-        self.stage_meta_us.add(report.breakdown.meta_hnsw_us as u64);
-        self.stage_network_us
-            .add(report.breakdown.network_us as u64);
-        self.stage_sub_us.add(report.breakdown.sub_hnsw_us as u64);
-        self.stage_materialize_us
-            .add(report.breakdown.materialize_us as u64);
+        for (counter, p) in self.stage_us.iter().zip(Phase::ALL) {
+            counter.add(p.of(&report.breakdown) as u64);
+        }
         self.pipeline_hidden_us.add(report.hidden_us as u64);
         self.clusters_loaded.add(report.clusters_loaded as u64);
         self.cluster_cache_hits.add(report.cache_hits as u64);

@@ -5,7 +5,6 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::Instant;
 
 use hnsw::SearchStats;
 use rdma_sim::{ReadCause, ReadReq};
@@ -13,7 +12,7 @@ use vecsim::{Dataset, Neighbor, SharedBound};
 
 use super::fetch::{Fetch, Load, Reader};
 use super::{run_indexed, ComputeNode, QueryOptions};
-use crate::breakdown::{BatchReport, CostLedger};
+use crate::breakdown::{BatchReport, CostLedger, Phase};
 use crate::cluster::{Candidate, LoadedCluster, ProbeScratch};
 use crate::loader::{plan_batch, stage_loads};
 use crate::telemetry::span::{ArgValue, BatchTrace, SpanId};
@@ -133,11 +132,11 @@ impl ComputeNode {
         }
         let b = opts.fanout.unwrap_or_else(|| self.config.fanout());
         // Span tracing: one root span per batch; the batch body hangs
-        // stage spans off it. `begin` hands back a no-op handle
-        // when the tracer is off.
+        // stage spans off it. With the tracer off `begin` hands back a
+        // handle that records nothing, but every span still times itself:
+        // the spans are the batch's clocks.
         let trace = self.telemetry.spans().begin(self.mode.label());
         let root = trace.begin_span("query_batch", "engine", SpanId::NONE);
-        let t0 = Instant::now();
         let outcome = self.run_batch(queries, opts.k, opts.ef, b, &trace, root);
         // Release the batch's cache pins whether it succeeded or not —
         // leaked pins would exempt entries from LRU pressure forever.
@@ -159,14 +158,14 @@ impl ComputeNode {
                 return Err(e);
             }
         };
-        report.total_us = t0.elapsed().as_secs_f64() * 1e6 + report.breakdown.network_us;
+        report.total_us = trace.end_span(root) + report.breakdown.network_us;
 
         // Report: every view below is derived from the one record. The
         // profile folds at span resolution when tracing is live, phase
         // resolution otherwise; the exemplar store retains the full span
         // tree only while the batch ranks in the K-slowest set.
         if trace.is_enabled() {
-            trace.end_span_with(root, &report.span_args());
+            trace.add_args(root, &report.span_args());
         }
         let finished = self.telemetry.spans().finish_trace(trace, Some(&report));
         self.metrics.observe(&report);
@@ -227,14 +226,13 @@ impl ComputeNode {
         };
 
         // 1. Meta-HNSW routing (cached index, pure compute).
-        let s_meta = trace.begin_span("meta_route", "engine", root);
-        let t_meta = Instant::now();
+        let s_meta = trace.begin_span(Phase::Meta.span(), "engine", root);
         let routes: Vec<Vec<u32>> = queries
             .iter()
             .map(|q| self.meta.route(q, b).iter().map(|n| n.id).collect())
             .collect();
-        report.breakdown.meta_hnsw_us = t_meta.elapsed().as_secs_f64() * 1e6;
-        trace.end_span_with(s_meta, &[("fanout", ArgValue::U64(b as u64))]);
+        report.breakdown.meta_hnsw_us =
+            trace.end_span_with(s_meta, &[("fanout", ArgValue::U64(b as u64))]);
 
         // Heatmap sampling: one relaxed load decides, then relaxed
         // counter bumps only — nothing here allocates or takes a lock.
@@ -380,8 +378,7 @@ impl ComputeNode {
             // and, under reuse, cache them, pinned, at the version they
             // were read.
             let fetched = std::mem::take(&mut loads[i]);
-            let t_mat = Instant::now();
-            let s_mat = trace.begin_span("materialize", "engine", root);
+            let s_mat = trace.begin_span(Phase::Materialize.span(), "engine", root);
             let loaded = self.materialize(fetched, threads)?;
             let loaded_n = loaded.len();
             {
@@ -400,7 +397,7 @@ impl ComputeNode {
                     resolved.insert(load.key, cluster);
                 }
             }
-            trace.end_span_with(
+            let mat_us = trace.end_span_with(
                 s_mat,
                 &[
                     ("clusters", ArgValue::U64(loaded_n as u64)),
@@ -408,7 +405,6 @@ impl ComputeNode {
                 ],
             );
             report.clusters_loaded += loaded_n;
-            let mat_us = t_mat.elapsed().as_secs_f64() * 1e6;
             report.breakdown.materialize_us += mat_us;
 
             // 5. Probe this micro-batch's queries. A stage only ever
@@ -417,8 +413,7 @@ impl ComputeNode {
             // are always known before the search that must tolerate
             // them.
             let (lo, hi) = bounds[i];
-            let s_search = trace.begin_span("sub_hnsw_search", "engine", root);
-            let t_sub = Instant::now();
+            let s_search = trace.begin_span(Phase::Sub.span(), "engine", root);
             pools.extend(search_stage(
                 &keys[lo..hi],
                 queries,
@@ -431,9 +426,7 @@ impl ComputeNode {
             if !reuse {
                 resolved.clear();
             }
-            let sub_us = t_sub.elapsed().as_secs_f64() * 1e6;
-            report.breakdown.sub_hnsw_us += sub_us;
-            trace.end_span_with(
+            let sub_us = trace.end_span_with(
                 s_search,
                 &[
                     ("queries", ArgValue::U64((hi - lo) as u64)),
@@ -441,6 +434,7 @@ impl ComputeNode {
                     ("stage", ArgValue::U64(i as u64)),
                 ],
             );
+            report.breakdown.sub_hnsw_us += sub_us;
             cpu_wall[i] = mat_us + sub_us;
         }
 
@@ -472,7 +466,7 @@ impl ComputeNode {
                 root,
                 &[
                     ("stages", ArgValue::U64(stages as u64)),
-                    ("network_vt_us", ArgValue::F64(total_vt)),
+                    (Phase::Network.arg(), ArgValue::F64(total_vt)),
                     ("exposed_us", ArgValue::F64(exposed)),
                     ("hidden_us", ArgValue::F64(hidden)),
                 ],
@@ -480,12 +474,11 @@ impl ComputeNode {
         }
         // 6. Exact rerank: a no-op unless some candidate's distance is an
         // estimate with a rerank address (SQ8 wire). Runs before the
-        // stats delta so rerank bytes land in this batch's ledger.
-        let t_rr = Instant::now();
+        // stats delta so rerank bytes land in this batch's ledger. Its
+        // passes' walls join `sub_hnsw_us`, its virtual time the network.
         let rr_vt =
             self.rerank_exact(queries, k, &mut pools, &resolved, trace, root, &mut report)?;
         report.breakdown.network_us = exposed + rr_vt;
-        report.breakdown.sub_hnsw_us += t_rr.elapsed().as_secs_f64() * 1e6;
         let stats_delta = self.qp.stats().snapshot() - stats0;
         report.round_trips = stats_delta.round_trips;
         report.bytes_read = stats_delta.bytes_read;
@@ -528,7 +521,7 @@ impl ComputeNode {
         root: SpanId,
         report: &mut BatchReport,
     ) -> Result<(Fetch, f64)> {
-        let s_net = trace.begin_span("network", "engine", root);
+        let s_net = trace.begin_span(Phase::Network.span(), "engine", root);
         trace.add_args(s_net, &[("stage", ArgValue::U64(stage as u64))]);
         let clock0 = self.qp.clock().now_us();
         let stats0 = self.qp.stats().snapshot();
@@ -583,7 +576,9 @@ impl ComputeNode {
     ///
     /// Base vectors are immutable (mutations live in overflow areas),
     /// so the reads need no version brackets and cache entries never go
-    /// stale. Returns the fetches' virtual network time.
+    /// stale. Each pass's `rerank` span wall joins `sub_hnsw_us` as it
+    /// closes (choosing a pass's candidates is host time outside the
+    /// phases); returns the fetches' virtual network time.
     #[allow(clippy::too_many_arguments)]
     fn rerank_exact(
         &self,
@@ -680,7 +675,9 @@ impl ComputeNode {
             report.read_retries += reader.retries;
             let vt = self.qp.clock().now_us() - clock0;
             total_vt += vt;
-            let fetched = delivered.inspect_err(|_| trace.end_span(s_rr))?;
+            let fetched = delivered.inspect_err(|_| {
+                trace.end_span(s_rr);
+            })?;
             if let Some(fetched) = &fetched {
                 let mut cache = self.rerank_cache.lock();
                 cache.admit(dim, need.into_iter().zip(fetched.iter().map(Vec::as_slice)));
@@ -694,7 +691,7 @@ impl ComputeNode {
                 pools[qi].0.sort_unstable_by(by_distance);
             }
             trace.set_vt(s_rr, clock0, vt);
-            trace.end_span_with(
+            report.breakdown.sub_hnsw_us += trace.end_span_with(
                 s_rr,
                 &[
                     ("candidates", ArgValue::U64(candidates)),

@@ -61,7 +61,7 @@ pub mod snapshot;
 mod store;
 pub mod telemetry;
 
-pub use breakdown::{BatchReport, CostLedger, LatencyBreakdown};
+pub use breakdown::{BatchReport, CostLedger, LatencyBreakdown, Phase};
 pub use cache::CacheStats;
 pub use config::{DHnswConfig, QuantizeMode};
 pub use engine::{ComputeNode, QueryOptions, SearchMode};

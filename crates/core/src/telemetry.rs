@@ -17,7 +17,7 @@
 //!    (node connect) and at exposition time.
 //! 2. **No allocation per query.** Handles are `Arc`s resolved once;
 //!    histograms are fixed arrays. With span capture disabled the
-//!    tracer costs a batch one atomic load.
+//!    tracer costs a batch one atomic load and a span one clock read.
 //! 3. **No dependencies.** Exposition renders Prometheus text format
 //!    0.0.4 and JSON by hand; ordering is made deterministic with
 //!    `BTreeMap`s so output is diffable and testable.
@@ -180,28 +180,10 @@ impl Histogram {
         self.max.load(Ordering::Relaxed)
     }
 
-    /// The quantile `q` in `[0, 1]`: the upper bound of the bucket that
-    /// holds the sample of rank `ceil(q × count)`, clamped to the
-    /// observed max. Returns 0 for an empty histogram.
+    /// The quantile `q` in `[0, 1]` over every sample so far (see
+    /// [`HistogramSnapshot::quantile`]).
     pub fn quantile(&self, q: f64) -> f64 {
-        let counts: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut cum = 0u64;
-        for (i, &c) in counts.iter().enumerate() {
-            cum += c;
-            if cum >= rank {
-                return bucket_bound(i).min(self.max() as f64);
-            }
-        }
-        self.max() as f64
+        self.snapshot().quantile(q)
     }
 
     /// Cumulative `(upper_bound, count)` pairs, Prometheus-style.
@@ -266,9 +248,10 @@ impl HistogramSnapshot {
         self.sum
     }
 
-    /// Quantile over this snapshot's (or window's) samples, with the
-    /// same bucket-upper-bound semantics as [`Histogram::quantile`].
-    /// Returns 0 when empty.
+    /// Quantile `q` in `[0, 1]` over this snapshot's (or window's)
+    /// samples: the upper bound of the bucket that holds the sample of
+    /// rank `ceil(q × count)`, clamped to the observed max. Returns 0
+    /// when empty.
     pub fn quantile(&self, q: f64) -> f64 {
         let total = self.count();
         if total == 0 {

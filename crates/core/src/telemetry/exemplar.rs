@@ -33,7 +33,7 @@ use parking_lot::Mutex;
 
 use rdma_sim::{ReadCause, READ_CAUSES};
 
-use crate::breakdown::BatchReport;
+use crate::breakdown::{BatchReport, Phase};
 use crate::telemetry::span::FinishedTrace;
 use crate::telemetry::{bucket_bound, bucket_index, HIST_BUCKETS};
 
@@ -337,8 +337,8 @@ pub struct Diagnosis {
     /// Score per verdict, [`VERDICTS`] order. Scores sum to 1 when
     /// any excess exists (byte shares tile the network excess).
     pub scores: [f64; 6],
-    /// Per-query phase excess over the baseline median, µs:
-    /// `[meta, network, sub_hnsw, materialize]`.
+    /// Per-query phase excess over the baseline median, µs, in
+    /// [`Phase::ALL`] order.
     pub excess_us: [f64; 4],
     /// Per-query byte excess over the baseline median, by cause.
     pub excess_bytes: [f64; READ_CAUSES],
@@ -379,14 +379,8 @@ fn num3(v: f64) -> String {
 pub fn diagnose(rec: &BatchReport, baseline: &[BatchReport]) -> Diagnosis {
     let per_query = |r: &BatchReport| {
         let q = r.queries.max(1) as f64;
-        let b = &r.breakdown;
         (
-            [
-                b.meta_hnsw_us / q,
-                b.network_us / q,
-                b.sub_hnsw_us / q,
-                b.materialize_us / q,
-            ],
+            Phase::ALL.map(|p| p.of(&r.breakdown) / q),
             std::array::from_fn::<f64, READ_CAUSES, _>(|i| r.ledger.cause_bytes[i] as f64 / q),
         )
     };
@@ -406,8 +400,10 @@ pub fn diagnose(rec: &BatchReport, baseline: &[BatchReport]) -> Diagnosis {
     // Under half a microsecond of per-query excess is noise, not a
     // tail: the batch is within its window's normal behavior.
     if u_total >= 0.5 {
-        let net_share = excess_us[1] / u_total;
-        let compute = (excess_us[0] + excess_us[2] + excess_us[3]) / u_total;
+        let net = Phase::Network as usize;
+        let net_share = excess_us[net] / u_total;
+        let host = excess_us.iter().enumerate().filter(|&(i, _)| i != net);
+        let compute = host.map(|(_, e)| e).sum::<f64>() / u_total;
         let byte_total: f64 = excess_bytes.iter().sum();
         if byte_total > 0.0 {
             let b = |c: ReadCause| excess_bytes[c.index()];
@@ -451,11 +447,10 @@ impl Diagnosis {
             .zip(self.scores.iter())
             .map(|(v, s)| format!("\"{v}\": {}", num3(*s)))
             .collect();
-        let phases = ["meta_route", "network", "sub_hnsw", "materialize"];
-        let excess_us: Vec<String> = phases
+        let excess_us: Vec<String> = Phase::ALL
             .iter()
             .zip(self.excess_us.iter())
-            .map(|(p, v)| format!("\"{p}\": {}", num3(*v)))
+            .map(|(p, v)| format!("\"{}\": {}", p.why_slow(), num3(*v)))
             .collect();
         let excess_bytes: Vec<String> = ReadCause::ALL
             .iter()

@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 
 use parking_lot::Mutex;
 
-use crate::breakdown::LatencyBreakdown;
+use crate::breakdown::{LatencyBreakdown, Phase};
 use crate::telemetry::span::{FinishedTrace, SpanKind};
 
 /// Cumulative weight of one span-name path across all folded batches.
@@ -103,25 +103,16 @@ impl ProfileAccumulator {
     /// loadable and comparable; the root's self time absorbs whatever
     /// `total_us` the four phases do not cover.
     pub fn fold_phases(&self, breakdown: &LatencyBreakdown, total_us: f64) {
-        let phases = [
-            ("query_batch;meta_route", breakdown.meta_hnsw_us, 0.0),
-            (
-                "query_batch;network",
-                breakdown.network_us,
-                breakdown.network_us,
-            ),
-            ("query_batch;sub_hnsw_search", breakdown.sub_hnsw_us, 0.0),
-            ("query_batch;materialize", breakdown.materialize_us, 0.0),
-        ];
         let mut map = self.paths.lock();
         let mut covered = 0.0;
-        for (path, wall, vt) in phases {
-            let wall = wall.max(0.0);
+        for p in Phase::ALL {
+            let wall = p.of(breakdown).max(0.0);
             covered += wall;
-            let s = map.entry(path.to_string()).or_default();
+            let s = map.entry(format!("query_batch;{}", p.span())).or_default();
             s.calls += 1;
             s.wall_us += wall;
-            s.vt_us += vt.max(0.0);
+            // The network phase is virtual time: its wall is its vt.
+            s.vt_us += if p == Phase::Network { wall } else { 0.0 };
             s.self_us += wall;
         }
         let total = total_us.max(0.0);

@@ -47,7 +47,7 @@ use rdma_sim::{ReadCause, READ_CAUSES};
 
 use super::span::ArgValue;
 use super::{json_f64, metrics, Counter, Histogram, HistogramSnapshot, Telemetry};
-use crate::SearchMode;
+use crate::{Phase, SearchMode};
 
 /// Default number of derived points the ring retains (at the serving
 /// plane's 1 Hz sampler: ten minutes of history).
@@ -383,7 +383,7 @@ impl Handles {
             cache_hits: metrics::CLUSTER_CACHE_HITS.counter(t, m),
             cache_misses: metrics::CLUSTERS_LOADED.counter(t, m),
             hidden_us: metrics::PIPELINE_HIDDEN_US.counter(t, m),
-            network_us: metrics::STAGE_US.counter(t, &[m[0], ("stage", "network")]),
+            network_us: metrics::STAGE_US.counter(t, &[m[0], ("stage", Phase::Network.stage())]),
         }
     }
 

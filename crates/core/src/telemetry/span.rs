@@ -14,8 +14,10 @@
 //!   both where real time went and what the cost model charged.
 //!
 //! Tracing is off by default; a disabled [`BatchTrace`] is a `None`
-//! and every method on it is a no-op, so the query path pays one
-//! atomic load per batch when idle. Finished traces land in a bounded
+//! and records nothing, so the query path pays one atomic load per batch
+//! and one clock read per span when idle: a span still times itself,
+//! because it is the one clock of the phase it covers (see
+//! [`crate::breakdown::Phase`]). Finished traces land in a bounded
 //! ring on the [`SpanTracer`]; batches whose latency (their
 //! [`BatchReport`]'s `total_us`) exceeds the configured slow threshold
 //! additionally render their full span tree into the slow-query log (and
@@ -85,16 +87,19 @@ pub enum SpanKind {
     Instant,
 }
 
-/// Identifier of a span within one batch trace.
+/// Handle of a span within one batch trace.
 ///
-/// A 1-based index into the trace's span list; `0` means "none" and is
-/// what the root span uses as its parent.
+/// A 1-based index into the trace's span list — `0` means "none" and is
+/// what the root span uses as its parent — and, for a span opened by
+/// [`BatchTrace::begin_span`], the instant it opened. The start is
+/// stamped whether or not spans are captured, so closing the span
+/// measures its wall time either way: the span is the phase's one clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpanId(u32);
+pub struct SpanId(u32, Option<Instant>);
 
 impl SpanId {
     /// The "no parent" sentinel (what the root span points at).
-    pub const NONE: SpanId = SpanId(0);
+    pub const NONE: SpanId = SpanId(0, None);
 
     /// Raw 1-based index (0 = none).
     pub fn raw(self) -> u32 {
@@ -189,69 +194,64 @@ impl BatchTrace {
         }
     }
 
-    /// Opens a span starting now. Returns [`SpanId::NONE`] when
-    /// disabled.
+    /// Opens a span starting now. When disabled nothing is recorded and
+    /// the handle carries only its start (index 0).
     pub fn begin_span(&self, name: &'static str, cat: &'static str, parent: SpanId) -> SpanId {
+        let start = Instant::now();
         let Some(inner) = &self.inner else {
-            return SpanId::NONE;
+            return SpanId(0, Some(start));
         };
-        let now = inner.epoch.elapsed().as_secs_f64() * 1e6;
-        let mut spans = inner.spans.lock();
-        spans.push(SpanRecord {
+        let id = self.push_span(SpanRecord {
             name,
             cat,
             parent: parent.0,
             kind: SpanKind::Span,
-            wall_start_us: now,
+            wall_start_us: (start - inner.epoch).as_secs_f64() * 1e6,
             wall_dur_us: -1.0,
             vt_start_us: 0.0,
             vt_dur_us: 0.0,
             args: Vec::new(),
         });
-        SpanId(spans.len() as u32)
+        SpanId(id.0, Some(start))
     }
 
-    /// Closes a span at the current wall time.
-    pub fn end_span(&self, id: SpanId) {
-        self.end_span_with(id, &[]);
+    /// Closes a span now; returns the wall µs it measured (0 for a
+    /// handle [`BatchTrace::begin_span`] did not open).
+    pub fn end_span(&self, id: SpanId) -> f64 {
+        self.end_span_with(id, &[])
     }
 
-    /// Closes a span and attaches arguments.
-    pub fn end_span_with(&self, id: SpanId, args: &[(&'static str, ArgValue)]) {
-        let Some(inner) = &self.inner else { return };
-        if id.0 == 0 {
-            return;
-        }
-        let now = inner.epoch.elapsed().as_secs_f64() * 1e6;
-        let mut spans = inner.spans.lock();
-        if let Some(rec) = spans.get_mut(id.0 as usize - 1) {
-            rec.wall_dur_us = (now - rec.wall_start_us).max(0.0);
+    /// Closes a span and attaches arguments; returns the wall µs it
+    /// measured, which is the recorded span's duration when captured.
+    pub fn end_span_with(&self, id: SpanId, args: &[(&'static str, ArgValue)]) -> f64 {
+        let wall_us =
+            id.1.map_or(0.0, |start| start.elapsed().as_secs_f64() * 1e6);
+        self.update(id, |rec| {
+            rec.wall_dur_us = wall_us;
             rec.args.extend_from_slice(args);
-        }
+        });
+        wall_us
     }
 
     /// Attaches arguments to an open or closed span.
     pub fn add_args(&self, id: SpanId, args: &[(&'static str, ArgValue)]) {
-        let Some(inner) = &self.inner else { return };
-        if id.0 == 0 {
-            return;
-        }
-        let mut spans = inner.spans.lock();
-        if let Some(rec) = spans.get_mut(id.0 as usize - 1) {
-            rec.args.extend_from_slice(args);
-        }
+        self.update(id, |rec| rec.args.extend_from_slice(args));
     }
 
     /// Sets the virtual-clock interval of a span.
     pub fn set_vt(&self, id: SpanId, vt_start_us: f64, vt_dur_us: f64) {
-        let Some(inner) = &self.inner else { return };
-        if id.0 == 0 {
-            return;
-        }
-        let mut spans = inner.spans.lock();
-        if let Some(rec) = spans.get_mut(id.0 as usize - 1) {
+        self.update(id, |rec| {
             rec.vt_start_us = vt_start_us;
             rec.vt_dur_us = vt_dur_us;
+        });
+    }
+
+    /// Applies `f` to the record of span `id`, if it was recorded.
+    fn update(&self, id: SpanId, f: impl FnOnce(&mut SpanRecord)) {
+        if let (Some(inner), Some(i)) = (&self.inner, id.0.checked_sub(1)) {
+            if let Some(rec) = inner.spans.lock().get_mut(i as usize) {
+                f(rec);
+            }
         }
     }
 
@@ -287,7 +287,7 @@ impl BatchTrace {
         };
         let mut spans = inner.spans.lock();
         spans.push(rec);
-        SpanId(spans.len() as u32)
+        SpanId(spans.len() as u32, None)
     }
 
     /// Pushes this trace onto the thread-local scope stack so that
@@ -670,8 +670,10 @@ mod tests {
         let trace = t.begin("full");
         assert!(!trace.is_enabled());
         let id = trace.begin_span("x", "engine", SpanId::NONE);
-        assert_eq!(id, SpanId::NONE);
-        trace.end_span(id);
+        assert_eq!(id.raw(), SpanId::NONE.raw());
+        // Nothing is recorded, but the handle still times its span.
+        assert!(trace.end_span(id) >= 0.0);
+        assert_eq!(trace.end_span(SpanId::NONE), 0.0);
         assert!(t.finish_trace(trace, None).is_none());
         assert!(t.is_empty());
     }
@@ -701,9 +703,9 @@ mod tests {
         let trace = t.begin("full");
         let root = trace.begin_span("query_batch", "engine", SpanId::NONE);
         let child = trace.begin_span("meta_route", "engine", root);
-        trace.end_span_with(child, &[("fanout", ArgValue::U64(4))]);
+        let child_us = trace.end_span_with(child, &[("fanout", ArgValue::U64(4))]);
         trace.instant("marker", "cache", root, &[]);
-        trace.end_span(root);
+        let root_us = trace.end_span(root);
         t.finish(trace);
 
         let got = t.recent();
@@ -717,7 +719,12 @@ mod tests {
         assert_eq!(ft.spans[1].args, vec![("fanout", ArgValue::U64(4))]);
         assert_eq!(ft.spans[2].kind, SpanKind::Instant);
         assert!(ft.spans[0].wall_dur_us >= ft.spans[1].wall_dur_us);
-        assert!(ft.total_us >= 0.0);
+        // A closed span records exactly the wall its close returned.
+        assert_eq!(
+            (ft.spans[0].wall_dur_us, ft.spans[1].wall_dur_us),
+            (root_us, child_us)
+        );
+        assert_eq!(ft.total_us, root_us);
     }
 
     #[test]

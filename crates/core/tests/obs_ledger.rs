@@ -37,6 +37,8 @@
 //! What must agree is asserted, not just recorded: on every batch the
 //! returned report's `ledger.cause_bytes`, the root span's `bytes_*`
 //! arguments and the `/metrics` by-cause delta are the same numbers,
+//! each host phase of the breakdown is the sum of its spans' walls and
+//! `total_us` the root's wall plus the exposed network (with `==`),
 //! turning spans on changes no count in the metrics section, and every
 //! populated bucket of the latency histogram carries an exemplar.
 //!
@@ -270,6 +272,17 @@ fn batch(node: &ComputeNode, queries: &Dataset, spans: bool, what: &str) {
         report.bytes_read,
         "{what}: causes tile bytes"
     );
+    // Every host phase that ran was timed, spans on or off.
+    let b = report.breakdown;
+    assert!(b.meta_hnsw_us > 0.0 && b.sub_hnsw_us > 0.0, "{what}: {b:?}");
+    assert!(
+        b.materialize_us > 0.0 || report.clusters_loaded == 0,
+        "{what}: {b:?}"
+    );
+    assert!(
+        b.network_us > 0.0 || report.round_trips == 0,
+        "{what}: {b:?}"
+    );
     if spans {
         let recent = telemetry.spans().recent();
         let ft = recent.last().expect("the batch left a trace");
@@ -279,6 +292,24 @@ fn batch(node: &ComputeNode, queries: &Dataset, spans: bool, what: &str) {
             root_cause_bytes(ft),
             "{what}: root-span bytes_*"
         );
+        // One reading per phase: a phase's share is the sum of the walls
+        // of its spans, in recording order, and the root's wall plus the
+        // exposed network is the batch's latency.
+        let walls = |names: &[&str]| -> Vec<f64> {
+            let named = ft.spans.iter().filter(|s| names.contains(&s.name));
+            named.map(|s| s.wall_dur_us).collect()
+        };
+        let sum = |names: &[&str]| walls(names).iter().sum::<f64>();
+        assert_eq!(walls(&["meta_route"]), [b.meta_hnsw_us], "{what}: meta");
+        assert_eq!(
+            sum(&["materialize"]),
+            b.materialize_us,
+            "{what}: materialize"
+        );
+        let sub = sum(&["sub_hnsw_search", "rerank"]);
+        assert_eq!(sub, b.sub_hnsw_us, "{what}: sub-HNSW search, then rerank");
+        let root = ft.spans[0].wall_dur_us;
+        assert_eq!(root + b.network_us, report.total_us, "{what}: total");
     }
 }
 

@@ -108,6 +108,30 @@ if [[ -n "$stray" ]]; then
   exit 1
 fi
 
+# One clock per phase, one table of phases: the engine times nothing
+# itself -- each host phase is the wall its span measured, the span
+# handle being the batch's one clock -- and the phases' spellings (span
+# names, stage labels, root-span arguments, why-slow keys) live in
+# crates/core/src/breakdown.rs's `Phase` table and nowhere else in
+# non-test code (each file cut at its first #[cfg(test)]).
+echo "==> no clock in engine/; phase spellings live in breakdown.rs only"
+if grep -rn 'Instant::now' crates/core/src/engine/; then
+  echo "check.sh: Instant::now under crates/core/src/engine/ (time a phase by its span)" >&2
+  exit 1
+fi
+stray=$(find crates src examples -name '*.rs' ! -path '*/tests/*' \
+  ! -path 'crates/core/src/breakdown.rs' | sort |
+  while IFS= read -r file; do
+    awk -v f="$file" '/#!?\[cfg\(test\)\]/ { exit }
+      /"(meta_hnsw|meta_route|sub_hnsw|sub_hnsw_search|meta_us|sub_us|network_vt_us)"/ {
+        print f ":" FNR ": " $0 }' "$file"
+  done)
+if [[ -n "$stray" ]]; then
+  echo "$stray"
+  echo "check.sh: phase spellings outside crates/core/src/breakdown.rs (iterate Phase::ALL)" >&2
+  exit 1
+fi
+
 # One scan-or-walk rule: the cut-off (SCAN_ROWS_PER_EF times ef) is
 # computed in crates/core/src/cluster.rs's `scans` and nowhere else; every
 # other site, tests and repro included, asks `cluster::scans`.

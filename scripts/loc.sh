@@ -92,12 +92,24 @@
 # `reset` folded into, and `SharedBound` with the total-order mapping they
 # share) and crates/bench's by 26 (`repro subsearch`'s seeded column and the
 # admitted shares beside it).
+# One phase table raised crates/core/src's by 22 and the plane's by 35 and
+# lowered crates/bench's by 10. What went: the engine's five private
+# `Instant` pairs (a span's close returns the wall it measured), the four
+# per-phase stage counters and their four `observe` lines, `fold_phases`'s
+# hand-written paths, `diagnose`'s per-phase array and key list,
+# `span_args`'s four phase lines, `Histogram::quantile`'s copy of the
+# snapshot's bucket walk, `LatencyBreakdown`'s uncalled `Add`, the three
+# copies of the span tracer's record lookup (now `update`), and the Table
+# 1/2 printer's and both CSV rows' own folding of materialize into
+# sub-HNSW. What came: `Phase`, its spelling table and accessors (about 60
+# lines, more than the nine files' spellings it replaced), and
+# `paper_columns`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-MAX_TOTAL=10697
-MAX_PLANE=4462
-MAX_BENCH=2950
+MAX_TOTAL=10719
+MAX_PLANE=4497
+MAX_BENCH=2940
 MAX_HNSW=1849
 MAX_VECSIM=1904
 MAX_RDMA=1764
