@@ -16,25 +16,9 @@ use crate::telemetry::span::{emit_scope_instant, ArgValue};
 /// [`crate::ComputeNode::cache_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups that found a resident cluster.
-    pub hits: u64,
-    /// Lookups that found nothing.
-    pub misses: u64,
     /// Clusters pushed out by LRU pressure (invalidations and explicit
     /// clears are not evictions).
     pub evictions: u64,
-}
-
-impl CacheStats {
-    /// Hits over lookups, in `[0, 1]`; 0.0 before any lookup.
-    pub fn hit_rate(&self) -> f64 {
-        let lookups = self.hits + self.misses;
-        if lookups == 0 {
-            0.0
-        } else {
-            self.hits as f64 / lookups as f64
-        }
-    }
 }
 
 /// An LRU cache of [`LoadedCluster`]s keyed by partition id.
@@ -113,14 +97,12 @@ impl ClusterCache {
         self.entries.is_empty()
     }
 
-    /// Looks up a partition, refreshing its recency. Counts a hit or
-    /// miss.
+    /// Looks up a partition, refreshing its recency.
     pub fn get(&mut self, partition: u32) -> Option<Arc<LoadedCluster>> {
         self.tick += 1;
         match self.entries.get_mut(&partition) {
             Some(entry) => {
                 entry.stamp = self.tick;
-                self.stats.hits += 1;
                 emit_scope_instant(
                     "cache_hit",
                     "cache",
@@ -129,7 +111,6 @@ impl ClusterCache {
                 Some(Arc::clone(&entry.cluster))
             }
             None => {
-                self.stats.misses += 1;
                 emit_scope_instant(
                     "cache_miss",
                     "cache",
@@ -140,14 +121,14 @@ impl ClusterCache {
         }
     }
 
-    /// Checks residency without touching recency or hit statistics (used
-    /// by the load planner).
+    /// Checks residency without touching recency (used by the load
+    /// planner).
     pub fn contains(&self, partition: u32) -> bool {
         self.entries.contains_key(&partition)
     }
 
     /// The version a resident partition was loaded at, without touching
-    /// recency or hit statistics (used by the engine's coherence check).
+    /// recency (used by the engine's coherence check).
     pub fn version_of(&self, partition: u32) -> Option<u64> {
         self.entries.get(&partition).map(|e| e.version)
     }
@@ -206,8 +187,7 @@ impl ClusterCache {
 
     /// Pins a resident partition so LRU pressure cannot evict it until
     /// [`ClusterCache::unpin_all`] or [`ClusterCache::settle`]. Returns
-    /// whether the partition was resident. Recency and hit statistics are
-    /// untouched.
+    /// whether the partition was resident. Recency is untouched.
     pub fn pin(&mut self, partition: u32) -> bool {
         match self.entries.get_mut(&partition) {
             Some(entry) => {
@@ -264,16 +244,6 @@ impl ClusterCache {
         self.entries.clear();
     }
 
-    /// Lifetime hit count.
-    pub fn hits(&self) -> u64 {
-        self.stats.hits
-    }
-
-    /// Lifetime miss count.
-    pub fn misses(&self) -> u64 {
-        self.stats.misses
-    }
-
     /// Lifetime eviction count (LRU pressure only).
     pub fn evictions(&self) -> u64 {
         self.stats.evictions
@@ -304,9 +274,8 @@ mod tests {
     fn cluster(partition: u32) -> Arc<LoadedCluster> {
         let data = gen::uniform(4, 10, 0.0, 1.0, u64::from(partition)).unwrap();
         let ids: Vec<u32> = (0..10).collect();
-        Arc::new(LoadedCluster::from_sub(
-            SubCluster::build(partition, data, ids, &HnswParams::new(4, 16)).unwrap(),
-        ))
+        let sub = SubCluster::build(partition, data, ids, &HnswParams::new(4, 16)).unwrap();
+        Arc::new(LoadedCluster::adopt(sub.to_bytes(), 0, false, None).unwrap())
     }
 
     #[test]
@@ -314,15 +283,6 @@ mod tests {
         let mut c = ClusterCache::new(4);
         c.put(7, cluster(7), 0);
         assert!(c.get(7).is_some());
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 0);
-    }
-
-    #[test]
-    fn miss_is_counted() {
-        let mut c = ClusterCache::new(4);
-        assert!(c.get(1).is_none());
-        assert_eq!(c.misses(), 1);
     }
 
     #[test]
@@ -366,7 +326,6 @@ mod tests {
         assert!(c.is_empty());
         assert!(!c.contains(0));
         assert!(c.get(0).is_none());
-        assert_eq!(c.misses(), 1);
         assert_eq!(c.evictions(), 0, "disabled cache never evicts");
         assert_eq!(c.version_of(0), None);
         assert_eq!(c.resident_bytes(), 0);
@@ -395,15 +354,13 @@ mod tests {
     }
 
     #[test]
-    fn contains_does_not_perturb_lru_or_stats() {
+    fn contains_does_not_perturb_lru() {
         let mut c = ClusterCache::new(2);
         c.put(0, cluster(0), 0);
         c.put(1, cluster(1), 0);
         assert!(c.contains(0)); // must NOT refresh 0
         c.put(2, cluster(2), 0); // evicts 0, the true LRU
         assert!(!c.contains(0));
-        assert_eq!(c.hits(), 0);
-        assert_eq!(c.misses(), 0);
     }
 
     #[test]
@@ -427,21 +384,6 @@ mod tests {
         c.clear(); // neither is a clear
         assert_eq!(c.evictions(), 1);
         assert_eq!(c.stats().evictions, 1);
-    }
-
-    #[test]
-    fn cache_stats_hit_rate() {
-        let empty = CacheStats::default();
-        assert_eq!(empty.hit_rate(), 0.0);
-        let mut c = ClusterCache::new(2);
-        c.put(0, cluster(0), 0);
-        c.get(0);
-        c.get(0);
-        c.get(9);
-        c.get(8);
-        let s = c.stats();
-        assert_eq!((s.hits, s.misses), (2, 2));
-        assert!((s.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

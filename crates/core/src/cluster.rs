@@ -217,6 +217,14 @@ impl SubCluster {
 /// Byte offset of the id map in a `DHC1` blob; the `HSW1` blob follows it.
 const FULL_IDS_AT: usize = 4 + 4 + 4 + 8;
 
+/// Where base row `local` of a `DHC1` blob of `blob_len` bytes holding
+/// `rows` base rows of `dim` floats starts, in bytes from the blob's
+/// first: the blob ends with its embedded `HSW1` blob, which ends with
+/// the rows, row-major.
+pub fn full_row_at(blob_len: u64, rows: usize, local: u32, dim: usize) -> u64 {
+    blob_len - (rows as u64 - u64::from(local)) * (dim * 4) as u64
+}
+
 /// The framing of a `DHC1` blob: partition, id map, embedded `HSW1` blob.
 fn full_sections(blob: &[u8]) -> Result<(u32, &[u8], &[u8])> {
     let mut sec = Sections {
@@ -980,16 +988,6 @@ impl LoadedCluster {
         Self::adopt(sq_bytes.to_vec(), 0, true, overflow_area)
     }
 
-    /// Wraps a freshly built cluster with no overflow (used in tests):
-    /// the same view, over the bytes `sub` serializes to.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a host that cannot read little-endian words in place.
-    pub fn from_sub(sub: SubCluster) -> Self {
-        Self::adopt(sub.to_bytes(), 0, false, None).expect("a built cluster serializes validly")
-    }
-
     /// Overflow slots inside the committed range that were skipped as
     /// uncommitted or damaged (torn inserts survived).
     pub fn skipped_slots(&self) -> usize {
@@ -1064,11 +1062,6 @@ impl LoadedCluster {
             Payload::Full { layout, .. } => layout.dim(),
             Payload::Sq { params, .. } => params.dim(),
         }
-    }
-
-    /// Base vectors plus overflow inserts.
-    pub fn total_vectors(&self) -> usize {
-        self.base_len() + self.extra.len()
     }
 
     /// Number of overflow inserts materialized.
@@ -1399,6 +1392,22 @@ mod tests {
     }
 
     #[test]
+    fn a_full_row_sits_where_full_row_at_says() {
+        let c = build_cluster(40);
+        let blob = c.to_bytes();
+        let loaded = LoadedCluster::adopt(blob.clone(), 0, false, None).unwrap();
+        for local in [0u32, 1, 17, 39] {
+            let at = full_row_at(blob.len() as u64, c.len(), local, c.dim()) as usize;
+            let row: Vec<f32> = blob[at..at + 4 * c.dim()]
+                .chunks_exact(4)
+                .map(|b| f32::from_le_bytes(b.try_into().unwrap()))
+                .collect();
+            assert_eq!(row, c.hnsw().vector(local), "row {local}");
+            assert_eq!(Some(&row[..]), loaded.base_vector(local), "row {local}");
+        }
+    }
+
+    #[test]
     fn corrupt_cluster_blobs_are_rejected() {
         let c = build_cluster(10);
         let blob = c.to_bytes();
@@ -1534,8 +1543,7 @@ mod tests {
         area[0..8].copy_from_slice(&((2 * rec) as u64).to_le_bytes());
 
         let loaded = LoadedCluster::from_remote(&c.to_bytes(), &area).unwrap();
-        assert_eq!(loaded.overflow_len(), 1);
-        assert_eq!(loaded.total_vectors(), 21);
+        assert_eq!((loaded.base_len(), loaded.overflow_len()), (20, 1));
         // The inserted vector is findable.
         let out = loaded.search(&vec![0.5; dim], 1, 16);
         assert_eq!(out[0].id, 7_000);
@@ -1643,7 +1651,7 @@ mod tests {
     /// or in a block; an SQ8 scan and a walk ignore the bounds.
     #[test]
     fn a_seeded_scan_returns_the_unseeded_hits_within_its_bounds() {
-        let full = LoadedCluster::from_sub(build_cluster(60));
+        let full = LoadedCluster::adopt(build_cluster(60).to_bytes(), 0, false, None).unwrap();
         let sq = LoadedCluster::from_remote_sq(&build_sq(60).1.to_bytes(), None).unwrap();
         let queries: Vec<Vec<f32>> = (0..3).map(|i| vec![0.3 * i as f32; 8]).collect();
         for n in [1, 3] {

@@ -315,12 +315,6 @@ impl DHnswConfig {
             .seed(self.seed ^ 0x22)
     }
 
-    /// Sets the sub-HNSW parameters.
-    pub fn with_sub_params(mut self, p: HnswParams) -> Self {
-        self.sub_params = p;
-        self
-    }
-
     /// The network cost model.
     pub fn network(&self) -> NetworkModel {
         self.network

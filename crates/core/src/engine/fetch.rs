@@ -16,9 +16,9 @@ use rdma_sim::{ReadCause, ReadReq, Scatter};
 
 use super::{run_indexed, ComputeNode};
 use crate::cluster::LoadedCluster;
-use crate::layout::GroupSlot;
+use crate::loader::{plan_load, version_read, LoadRound};
 use crate::telemetry::span::{ArgValue, BatchTrace, SpanId};
-use crate::{Error, Result};
+use crate::{Error, QuantizeMode, Result};
 
 /// One cluster read the loader owes its caller. `key` names the load in
 /// the caller's resolved map: the partition itself under a reuse policy
@@ -229,16 +229,16 @@ impl<'a> Reader<'a> {
             let mut reqs = Vec::with_capacity(verify.len() + 3 * pending.len());
             let mut heads = Vec::with_capacity(reqs.capacity());
             for &(p, _) in &verify {
-                reqs.push(node.version_req(p)?);
+                reqs.push(version_read(&node.directory, node.rkey, p)?);
                 heads.push(8);
             }
             let mut lasts = Vec::with_capacity(pending.len());
             for load in &pending {
-                let (off, len) = node.load_span(load.partition)?;
-                let body = ReadReq::new(node.rkey, off, len).with_cause(span_cause);
-                let (cut, cluster_last) = node.cluster_cut(load.partition, len)?;
-                lasts.push(cluster_last);
-                node.push_body(&mut reqs, &mut heads, load.partition, body, cut, bracketed)?;
+                let round = node.plan(load.partition, None, bracketed, span_cause)?;
+                let round = round.expect("a first round reads");
+                lasts.push(round.cluster_last);
+                reqs.extend(round.reqs);
+                heads.extend(round.cuts);
             }
             let Some(landed) = self.post(&reqs, &heads)? else {
                 let first = pending.first().map_or(0, |l| l.partition);
@@ -259,41 +259,35 @@ impl<'a> Reader<'a> {
                     unstable.push(Load::of(p));
                 }
             }
-            let mut mutated: Vec<(Load, Vec<u8>)> = Vec::new();
+            let (mut reqs, mut heads, mut mutated) = (Vec::new(), Vec::new(), Vec::new());
             for (load, cluster_last) in pending.drain(..).zip(lasts) {
                 let Some((version, (head, tail))) = take_body(&mut bufs, bracketed)? else {
                     unstable.push(load);
                     continue;
                 };
-                // Full wire: the other side of the cut is the rest of the
-                // group span.
                 let (cluster, rest) = if cluster_last {
                     (tail, head)
                 } else {
                     (head, tail)
                 };
-                let overflow = (!node.use_sq).then_some(rest);
-                if node.use_sq && version != 0 {
-                    mutated.push((load, cluster));
-                } else {
-                    out.stable.push(Fetched {
+                // Full wire: the rest of the group span holds the overflow
+                // area. SQ8: the blob is the whole span, and a follow-up
+                // reads the area when the version proves it written.
+                match node.plan(load.partition, Some(version), bracketed, span_cause)? {
+                    Some(round) => {
+                        reqs.extend(round.reqs);
+                        heads.extend(round.cuts);
+                        mutated.push((load, cluster));
+                    }
+                    None => out.stable.push(Fetched {
                         load,
                         version,
                         cluster,
-                        overflow,
-                    });
+                        overflow: (node.wire == QuantizeMode::Off).then_some(rest),
+                    }),
                 }
             }
             if !mutated.is_empty() {
-                let mut reqs = Vec::with_capacity(3 * mutated.len());
-                let mut heads = Vec::with_capacity(reqs.capacity());
-                for (load, _) in &mutated {
-                    let loc = node.directory.location(load.partition)?;
-                    let area = ReadReq::new(node.rkey, loc.overflow_off, loc.overflow_len)
-                        .with_cause(ReadCause::OverflowScan);
-                    let whole = loc.overflow_len;
-                    node.push_body(&mut reqs, &mut heads, load.partition, area, whole, true)?;
-                }
                 let mut areas = self.post(&reqs, &heads)?.map(Vec::into_iter);
                 for (load, cluster) in mutated {
                     // A dropped follow-up sends its partitions around
@@ -352,66 +346,31 @@ fn take_body(
 }
 
 impl ComputeNode {
-    /// The `(offset, len)` span one load of partition `p` reads: the
-    /// contiguous cluster+overflow group span, or just the compressed
-    /// blob when this node uses the SQ8 wire format.
-    pub(super) fn load_span(&self, p: u32) -> Result<(u64, u64)> {
-        if self.use_sq {
-            self.directory
-                .sq_span(p)?
-                .ok_or_else(|| Error::Corrupt(format!("partition {p} has no sq span")))
-        } else {
-            Ok(self.directory.location(p)?.read_span())
-        }
-    }
-
-    fn version_req(&self, p: u32) -> Result<ReadReq> {
-        Ok(
-            ReadReq::new(self.rkey, self.directory.version_slot_off(p)?, 8)
-                .with_cause(ReadCause::VersionCheck),
+    /// [`plan_load`] for one load of `p` on this node's wire.
+    pub(super) fn plan(
+        &self,
+        p: u32,
+        observed: Option<u64>,
+        bracketed: bool,
+        cause: ReadCause,
+    ) -> Result<Option<LoadRound>> {
+        plan_load(
+            &self.directory,
+            self.rkey,
+            p,
+            self.wire,
+            observed,
+            bracketed,
+            cause,
         )
     }
 
-    /// Where the fetch cuts `p`'s load span of `len` bytes in two, and
-    /// whether the serialized cluster is the part after the cut (back
-    /// slot) rather than before it. The SQ8 blob is the whole span.
-    fn cluster_cut(&self, p: u32, len: u64) -> Result<(u64, bool)> {
-        let loc = self.directory.location(p)?;
-        Ok(match loc.slot {
-            _ if self.use_sq => (len, false),
-            GroupSlot::Front => (loc.cluster_len, false),
-            GroupSlot::Back => (len.saturating_sub(loc.cluster_len), true),
-        })
-    }
-
-    /// `reqs` extended by `body`, between two reads of `p`'s version slot
-    /// when `bracketed`; `heads` by where each lands (`cut` bytes into the
-    /// body).
-    fn push_body(
-        &self,
-        reqs: &mut Vec<ReadReq>,
-        heads: &mut Vec<u64>,
-        p: u32,
-        body: ReadReq,
-        cut: u64,
-        bracketed: bool,
-    ) -> Result<()> {
-        if bracketed {
-            let vs = self.version_req(p)?;
-            reqs.extend([vs, body, vs]);
-            heads.extend([8, cut, 8]);
-        } else {
-            reqs.push(body);
-            heads.push(cut);
-        }
-        Ok(())
-    }
-
     /// The one fetch → [`LoadedCluster`] step: the buffer the cluster
-    /// landed in is adopted as it is, next to the overflow area cut out of
-    /// the rest of the group span — or, SQ8 wire, the area its follow-up
-    /// read brought (none: the version slot proved it pristine). Either
-    /// must be the cluster of the directory entry it was fetched for
+    /// landed in is adopted as it is, next to the overflow area the
+    /// layout finds in what landed beside it — the rest of the group
+    /// span, or (SQ8 wire) the area its follow-up read brought (none: the
+    /// version slot proved it pristine). Either must be the cluster of
+    /// the directory entry it was fetched for
     /// ([`LoadedCluster::expecting`]).
     fn decode(&self, fetched: Fetched) -> Result<LoadedCluster> {
         let Fetched {
@@ -420,25 +379,11 @@ impl ComputeNode {
             overflow,
             ..
         } = fetched;
-        let loaded = if self.use_sq {
-            LoadedCluster::adopt(cluster, 0, true, overflow.as_deref())?
-        } else {
-            let loc = self.directory.location(load.partition)?;
-            let (rest, n) = (
-                overflow.as_deref().unwrap_or_default(),
-                loc.overflow_len as usize,
-            );
-            // Front slot: alignment padding, then the area. Back: the area
-            // comes first.
-            let area = match loc.slot {
-                GroupSlot::Front => rest.len().checked_sub(n).map(|at| &rest[at..]),
-                GroupSlot::Back => rest.get(..n),
-            };
-            let area =
-                area.ok_or_else(|| Error::Corrupt("span ends inside its overflow area".into()))?;
-            LoadedCluster::adopt(cluster, 0, false, Some(area))?
-        };
-        loaded.expecting(load.partition, self.directory.dim())
+        let loc = self.directory.location(load.partition)?;
+        let area = overflow.as_deref().map(|rest| loc.overflow_in(rest));
+        let quantized = self.wire == QuantizeMode::Sq8;
+        LoadedCluster::adopt(cluster, 0, quantized, area.transpose()?)?
+            .expecting(load.partition, self.directory.dim())
     }
 
     /// Turns freshly fetched loads into clusters across the instance's

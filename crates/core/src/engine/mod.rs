@@ -260,6 +260,24 @@ impl EngineMetrics {
             .saturating_sub(report.clusters_loaded);
         self.transfers_saved.add(saved as u64);
     }
+
+    /// Reads the query-path families a [`series::Sample`] holds, at
+    /// `t_us`: this node's mode's, and the substrate's shared ones.
+    pub(crate) fn sample(&self, t_us: u64) -> series::Sample {
+        series::Sample {
+            t_us,
+            queries: self.queries.get(),
+            bytes_read: self.rdma_bytes_read.get(),
+            cause_bytes: std::array::from_fn(|i| self.rdma_read_bytes_by_cause[i].get()),
+            read_retries: self.read_retries.get(),
+            evictions: self.cache_evictions.get(),
+            cache_hits: self.cluster_cache_hits.get(),
+            cache_misses: self.clusters_loaded.get(),
+            hidden_us: self.pipeline_hidden_us.get(),
+            network_us: self.stage_us[Phase::Network as usize].get(),
+            latency: self.latency_us.snapshot(),
+        }
+    }
 }
 
 /// Last-flushed substrate counters, for converting cumulative snapshots
@@ -289,19 +307,19 @@ pub struct ComputeNode {
     pub(crate) metrics: EngineMetrics,
     heatmap: Arc<ClusterHeatmap>,
     flushed: Mutex<FlushState>,
-    // The instruments of this node's mode, and what they read at the
-    // previous health report: where the next report's window starts.
-    pub(crate) window_handles: series::Handles,
+    // What this node's instruments read at the previous health report:
+    // where the next report's window starts.
     pub(crate) window_start: Mutex<series::Sample>,
     // Runtime-tunable execution knobs (see `set_pipeline_depth` /
     // `set_prefetch_budget_bytes`): initialized from the store config and
     // the environment, adjustable per node without reconnecting.
     pipeline_depth: AtomicUsize,
     prefetch_budget: AtomicU64,
-    // SQ8 wire format in force: the directory carries compressed blobs
-    // *and* this node's config asks for them (naive mode always reads
-    // full precision — it is the paper's uncompressed baseline).
-    use_sq: bool,
+    // The wire format in force: SQ8 when the directory carries
+    // compressed blobs *and* this node's config asks for them (naive mode
+    // always reads full precision — it is the paper's uncompressed
+    // baseline).
+    wire: QuantizeMode,
     // Exact full-precision vectors fetched for rerank, keyed by
     // (partition, base row). Base vectors are immutable, so entries
     // never go stale.
@@ -329,7 +347,6 @@ impl ComputeNode {
         let directory = Directory::from_bytes(&dir_bytes)?;
         let capacity = config.cache_capacity(directory.partitions());
         let metrics = EngineMetrics::new(&telemetry, mode);
-        let window_handles = series::Handles::resolve(&telemetry, mode);
         // Bridge substrate verb events into the span tracer. Without an
         // active trace scope the sink drops events after one
         // thread-local lookup, so untraced verbs stay cheap.
@@ -353,9 +370,11 @@ impl ComputeNode {
         let heatmap = Arc::new(ClusterHeatmap::new(directory.partitions()));
         let pipeline_depth = AtomicUsize::new(config.pipeline_depth().max(1));
         let prefetch_budget = AtomicU64::new(config.prefetch_budget_bytes());
-        let use_sq = directory.has_sq_spans()
-            && config.quantize_mode() != QuantizeMode::Off
-            && mode != SearchMode::Naive;
+        let wire = if directory.has_sq_spans() && mode != SearchMode::Naive {
+            config.quantize_mode()
+        } else {
+            QuantizeMode::Off
+        };
         Ok(ComputeNode {
             qp,
             rkey,
@@ -369,11 +388,10 @@ impl ComputeNode {
             metrics,
             heatmap,
             flushed,
-            window_handles,
             window_start: Mutex::default(),
             pipeline_depth,
             prefetch_budget,
-            use_sq,
+            wire,
             rerank_cache: Mutex::default(),
         })
     }
@@ -382,7 +400,7 @@ impl ComputeNode {
     /// format (directory is layout v3 *and* quantization is enabled for
     /// this node; naive mode always reads full precision).
     pub fn is_quantized(&self) -> bool {
-        self.use_sq
+        self.wire == QuantizeMode::Sq8
     }
 
     /// The micro-batch pipeline depth in force (`1` = sequential).
@@ -503,19 +521,18 @@ impl ComputeNode {
         flushed.cache = cache_now;
     }
 
-    /// Takes one time-series sample at `now_us` (caller-supplied —
-    /// synthetic in tests and benchmarks, wall-clock only in the
-    /// serving plane's sampler thread).
-    ///
-    /// Substrate and cache counters are normally flushed to the
-    /// telemetry registry on the query path, so a sampler ticking
-    /// *between* batches would read stale values; this flushes first
-    /// and then ticks the hub's [`crate::telemetry::series::SeriesRecorder`],
-    /// returning the derived point (see
-    /// [`crate::telemetry::Telemetry::tick_series`]).
-    pub fn sample_series(&self, now_us: u64) -> Option<crate::telemetry::series::SeriesPoint> {
+    /// Takes one time-series sample of this node's instruments at
+    /// `now_us` (caller-supplied — synthetic in tests and benchmarks,
+    /// wall-clock only in the serving plane's sampler thread) and ticks
+    /// the hub's [`crate::telemetry::series::SeriesRecorder`] with it,
+    /// returning the derived point. Substrate and cache counters are
+    /// normally flushed to the registry on the query path, so a sampler
+    /// ticking *between* batches would read stale values: this flushes
+    /// first.
+    pub fn sample_series(&self, now_us: u64) -> Option<series::SeriesPoint> {
         self.flush_telemetry();
-        self.telemetry.tick_series(now_us)
+        let sample = self.metrics.sample(now_us);
+        self.telemetry.series().tick(&self.telemetry, sample)
     }
 
     /// Empties the LRU cluster cache (cold-start benchmarks).

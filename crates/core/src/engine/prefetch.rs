@@ -59,9 +59,10 @@ impl ComputeNode {
                 if cache.contains(p) {
                     continue;
                 }
-                let Ok((_, len)) = self.load_span(p) else {
+                let Ok(Some(round)) = self.plan(p, None, false, ReadCause::Prefetch) else {
                     continue;
                 };
+                let len = round.body().len;
                 // Budget-gated picks are skipped, not queued: they fail
                 // the same gate every round, so a too-small budget never
                 // causes repeated load traffic for the same cluster.

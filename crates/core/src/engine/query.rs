@@ -13,7 +13,7 @@ use vecsim::{Dataset, Neighbor, SharedBound};
 use super::fetch::{Fetch, Load, Reader};
 use super::{run_indexed, ComputeNode, QueryOptions};
 use crate::breakdown::{BatchReport, CostLedger, Phase};
-use crate::cluster::{Candidate, LoadedCluster, ProbeScratch};
+use crate::cluster::{full_row_at, Candidate, LoadedCluster, ProbeScratch};
 use crate::loader::{plan_batch, stage_loads};
 use crate::telemetry::span::{ArgValue, BatchTrace, SpanId};
 use crate::{Error, Result};
@@ -645,12 +645,9 @@ impl ComputeNode {
                         }
                         awaited.push((qi, ci, key));
                         if queued.insert(key) {
-                            // Serialized clusters end with the raw
-                            // row-major f32 vectors, so row `local` sits
-                            // a fixed distance from the blob's tail.
                             let loc = self.directory.location(key.0)?;
-                            let from_tail = cluster.base_len() as u64 - u64::from(local);
-                            let off = loc.cluster_off + loc.cluster_len - from_tail * vec_bytes;
+                            let at = full_row_at(loc.cluster_len, cluster.base_len(), local, dim);
+                            let off = loc.cluster_off + at;
                             need.push(key);
                             reqs.push(
                                 ReadReq::new(self.rkey, off, vec_bytes)

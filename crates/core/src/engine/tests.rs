@@ -1408,7 +1408,8 @@ fn oracle_fixture(sq: bool) -> (Dataset, HashMap<u32, Arc<LoadedCluster>>, Vec<V
             let blob = SqCluster::build(p, &rows, ids).unwrap().to_bytes();
             LoadedCluster::from_remote_sq(&blob, None).unwrap()
         } else {
-            LoadedCluster::from_sub(SubCluster::build(p, rows, ids, &params).unwrap())
+            let blob = SubCluster::build(p, rows, ids, &params).unwrap().to_bytes();
+            LoadedCluster::adopt(blob, 0, false, None).unwrap()
         };
         resolved.insert(p, Arc::new(cluster));
     }

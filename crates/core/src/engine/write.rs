@@ -10,7 +10,7 @@ use vecsim::Dataset;
 
 use super::ComputeNode;
 use crate::cluster::OverflowRecord;
-use crate::layout::ID_COUNTER_OFFSET;
+use crate::layout::{ClusterLocation, ID_COUNTER_OFFSET};
 use crate::telemetry::Counter;
 use crate::{Error, Result};
 
@@ -130,13 +130,11 @@ impl ComputeNode {
         let (rkey, record_size) = (self.rkey, self.directory.record_size() as u64);
         // Records by the overflow area they land in, areas in address
         // order (both partitions of a group share one area).
-        let mut by_area: BTreeMap<u64, (u64, Vec<usize>)> = BTreeMap::new();
+        let mut by_area: BTreeMap<u64, (ClusterLocation, Vec<usize>)> = BTreeMap::new();
         for (i, r) in records.iter().enumerate() {
-            let loc = self.directory.location(r.partition)?;
+            let loc = *self.directory.location(r.partition)?;
             let area = by_area.entry(loc.overflow_counter_off());
-            area.or_insert((loc.overflow_capacity(), Vec::new()))
-                .1
-                .push(i);
+            area.or_insert((loc, Vec::new())).1.push(i);
         }
 
         // Doorbell 1, reserve: one FAA on the id counter for all inserts
@@ -166,11 +164,12 @@ impl ComputeNode {
         // skips the uncommitted slot.
         let mut results: Vec<Result<u32>> = records.iter().map(|r| Ok(r.global_id)).collect();
         let (mut post, mut writes, mut mutated) = (Vec::new(), Vec::new(), Vec::new());
-        for ((area_off, (capacity, indices)), start) in by_area.into_iter().zip(answers) {
+        for ((area_off, (loc, indices)), start) in by_area.into_iter().zip(answers) {
+            let capacity = loc.overflow_capacity();
             let room = capacity.saturating_sub(start) / record_size;
             let (fit, refused) = indices.split_at(indices.len().min(room as usize));
             for (slot, &i) in fit.iter().enumerate() {
-                let at = area_off + 8 + start + record_size * slot as u64;
+                let at = loc.overflow_record_off(start + record_size * slot as u64);
                 writes.push(WriteReq::new(rkey, at, records[i].to_bytes()));
                 mutated.push(records[i].partition);
             }

@@ -125,7 +125,7 @@ impl ComputeNode {
         // is; each report consumes its own once. No clock: counts only.
         let window = {
             let mut start = self.window_start.lock();
-            let now = self.window_handles.sample(0);
+            let now = self.metrics.sample(0);
             Window::between(&std::mem::replace(&mut *start, now), &now)
         };
         let cache = {

@@ -30,7 +30,7 @@
 //! every overflow record) is a legal target for `CAS`/`FAA`.
 
 use crate::cluster::OverflowRecord;
-use crate::{Error, Result};
+use crate::{Error, QuantizeMode, Result};
 
 /// Magic tag of a serialized directory.
 pub const DIRECTORY_MAGIC: u32 = 0x3144_4844; // "DHD1"
@@ -106,8 +106,40 @@ impl ClusterLocation {
         }
     }
 
+    /// Where one read of [`ClusterLocation::read_span`] is cut so the
+    /// serialized cluster lands alone: bytes into the span, and whether
+    /// the cluster is the part after the cut (back slot) rather than the
+    /// part before it (front slot).
+    pub fn cluster_cut(&self) -> (u64, bool) {
+        let (_, len) = self.read_span();
+        match self.slot {
+            GroupSlot::Front => (self.cluster_len, false),
+            GroupSlot::Back => (len.saturating_sub(self.cluster_len), true),
+        }
+    }
+
+    /// The overflow area inside `rest`, what the span holds beside its
+    /// cluster: alignment padding then the area after a front-slot
+    /// cluster, the area alone before a back-slot one. A buffer holding
+    /// exactly the area (a read of `overflow_off`, `overflow_len`) is its
+    /// own area either way.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Corrupt`] when `rest` is shorter than the area.
+    pub fn overflow_in<'a>(&self, rest: &'a [u8]) -> Result<&'a [u8]> {
+        let n = self.overflow_len as usize;
+        let area = match self.slot {
+            GroupSlot::Front => rest.len().checked_sub(n).map(|at| &rest[at..]),
+            GroupSlot::Back => rest.get(..n),
+        };
+        area.ok_or_else(|| Error::Corrupt("span ends inside its overflow area".into()))
+    }
+
     /// Splits a buffer fetched via [`ClusterLocation::read_span`] into
-    /// `(cluster_bytes, overflow_area)`.
+    /// `(cluster_bytes, overflow_area)`: [`ClusterLocation::cluster_cut`]
+    /// and [`ClusterLocation::overflow_in`] applied to one contiguous
+    /// buffer.
     ///
     /// # Errors
     ///
@@ -121,18 +153,22 @@ impl ClusterLocation {
                 buf.len()
             )));
         }
-        match self.slot {
-            GroupSlot::Front => {
-                let cluster = &buf[..self.cluster_len as usize];
-                let ovf_start = (self.overflow_off - self.cluster_off) as usize;
-                Ok((cluster, &buf[ovf_start..]))
-            }
-            GroupSlot::Back => {
-                let overflow = &buf[..self.overflow_len as usize];
-                let c_start = (self.cluster_off - self.overflow_off) as usize;
-                Ok((&buf[c_start..c_start + self.cluster_len as usize], overflow))
-            }
-        }
+        let (cut, cluster_last) = self.cluster_cut();
+        let (head, tail) = buf
+            .split_at_checked(cut as usize)
+            .ok_or_else(|| Error::Corrupt("cluster runs past its span".into()))?;
+        let (cluster, rest) = if cluster_last {
+            (tail, head)
+        } else {
+            (head, tail)
+        };
+        Ok((cluster, self.overflow_in(rest)?))
+    }
+
+    /// Absolute offset of the overflow record that starts `at` payload
+    /// bytes into the area (past its 8-byte `used` counter).
+    pub fn overflow_record_off(&self, at: u64) -> u64 {
+        self.overflow_off + 8 + at
     }
 
     /// Absolute offset of the overflow `used` counter (an aligned `u64`).
@@ -481,6 +517,30 @@ impl Directory {
             return Err(Error::UnknownPartition(p));
         }
         Ok(self.sq_spans.get(p as usize).copied())
+    }
+
+    /// What one load of partition `p` reads on `wire`: the `(offset,
+    /// len)` of its span — the group span of cluster and overflow area
+    /// at full precision ([`ClusterLocation::read_span`]), the compressed
+    /// blob alone on SQ8 — and where that read is cut so the cluster
+    /// lands alone ([`ClusterLocation::cluster_cut`]; the blob is the
+    /// whole span).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::UnknownPartition`] for an out-of-range id, and
+    /// [`Error::Corrupt`] for SQ8 on a directory without SQ8 spans.
+    pub fn load_span(&self, p: u32, wire: QuantizeMode) -> Result<((u64, u64), (u64, bool))> {
+        let loc = self.location(p)?;
+        match wire {
+            QuantizeMode::Off => Ok((loc.read_span(), loc.cluster_cut())),
+            QuantizeMode::Sq8 => {
+                let (off, len) = self
+                    .sq_span(p)?
+                    .ok_or_else(|| Error::Corrupt(format!("partition {p} has no sq span")))?;
+                Ok(((off, len), (len, false)))
+            }
+        }
     }
 
     /// Live SQ8 blob bytes across the tail region (zero pre-v3).

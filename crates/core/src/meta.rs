@@ -162,12 +162,6 @@ impl MetaIndex {
         &self.index
     }
 
-    /// Structural report of the routing graph (connectivity, per-layer
-    /// degrees, edge symmetry) — the meta-HNSW side of a health check.
-    pub fn graph_report(&self) -> hnsw::diagnostics::GraphReport {
-        hnsw::diagnostics::analyze(&self.index)
-    }
-
     /// Serializes the meta index (graph + representatives + sample-id
     /// map) for snapshots.
     pub fn to_bytes(&self) -> Vec<u8> {

@@ -12,6 +12,7 @@ use crate::cluster::{SqCluster, SubCluster};
 use crate::config::QuantizeMode;
 use crate::engine::{ComputeNode, SearchMode};
 use crate::layout::Directory;
+use crate::loader::plan_load;
 use crate::meta::MetaIndex;
 use crate::telemetry::Telemetry;
 use crate::{DHnswConfig, Error, Result};
@@ -228,9 +229,12 @@ impl VectorStore {
         let rkey = self.region.rkey();
         let mut pairs: Vec<(u32, Vec<f32>)> = Vec::with_capacity(self.base_len);
         let mut seen = std::collections::HashSet::new();
-        for loc in self.directory.locations() {
-            let (off, len) = loc.read_span();
-            let buf = qp.read_with_cause(rkey, off, len, rdma_sim::ReadCause::OverflowScan)?;
+        let (dir, cause) = (&*self.directory, rdma_sim::ReadCause::OverflowScan);
+        for loc in dir.locations() {
+            let p = loc.partition;
+            let round = plan_load(dir, rkey, p, QuantizeMode::Off, None, false, cause)?;
+            let span = *round.expect("a first round reads").body();
+            let buf = qp.read_with_cause(rkey, span.offset, span.len, cause)?;
             let (cluster_bytes, overflow) = loc.split(&buf)?;
             let loaded = crate::cluster::LoadedCluster::from_remote(cluster_bytes, overflow)?;
             for (local, &gid) in loaded.global_ids().iter().enumerate() {

@@ -42,7 +42,7 @@ use std::sync::{Arc, OnceLock};
 
 use exemplar::ExemplarStore;
 use profile::ProfileAccumulator;
-use series::{SeriesPoint, SeriesRecorder};
+use series::SeriesRecorder;
 use span::{ArgValue, SpanId, SpanTracer, DEFAULT_SPAN_TRACE_CAPACITY};
 
 /// Number of histogram buckets: upper bounds `2^0 .. 2^31`, then +Inf.
@@ -389,14 +389,6 @@ impl Telemetry {
     /// and `dhnsw_cli top`.
     pub fn series(&self) -> &SeriesRecorder {
         &self.series
-    }
-
-    /// Ticks the embedded series recorder against this hub at
-    /// `now_us` (caller-supplied; the recorder never reads the wall
-    /// clock). Prefer [`crate::ComputeNode::sample_series`], which
-    /// flushes the engine's substrate counters first.
-    pub fn tick_series(&self, now_us: u64) -> Option<SeriesPoint> {
-        self.series.tick(self, now_us)
     }
 
     /// Publishes one health event (an SLO violation, an anomaly): bumps

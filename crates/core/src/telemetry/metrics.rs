@@ -299,7 +299,8 @@ mod tests {
     fn every_resolver_asks_for_the_kind_its_row_gives() {
         // Run every resolver against one hub: a node (engine handles),
         // a batch, an insert, a health report (which resolves nothing),
-        // a watchdog event, and a series recorder driven into an anomaly.
+        // a watchdog event, and the node's series samples driven into an
+        // anomaly.
         // The accessors assert the kind on each resolution; what the hub
         // then exposes must be the table, row for row.
         let data = gen::sift_like(600, 0x7AB1E).unwrap();
@@ -320,14 +321,14 @@ mod tests {
         };
         watchdog::emit(&t, &[breach]);
         let m: &[(&str, &str)] = &[("mode", "full")];
-        t.tick_series(0);
+        node.sample_series(0);
         for second in 1..=13 {
             QUERIES.counter(&t, m).add(40);
             QUERY_LATENCY_US.histogram(&t, m).observe_n(300, 40);
             READ_RETRIES
                 .counter(&t, m)
                 .add(if second == 13 { 80 } else { 0 });
-            t.tick_series(second * 1_000_000);
+            node.sample_series(second * 1_000_000);
         }
         assert_eq!(t.series().anomaly_count(), 1);
 

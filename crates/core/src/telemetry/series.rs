@@ -40,14 +40,12 @@
 //! `/whyslow/<id>` diagnosis.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rdma_sim::{ReadCause, READ_CAUSES};
 
 use super::span::ArgValue;
-use super::{json_f64, metrics, Counter, Histogram, HistogramSnapshot, Telemetry};
-use crate::{Phase, SearchMode};
+use super::{json_f64, metrics, HistogramSnapshot, Telemetry};
 
 /// Default number of derived points the ring retains (at the serving
 /// plane's 1 Hz sampler: ten minutes of history).
@@ -143,7 +141,8 @@ pub const TRACKED_SERIES: [TrackedSeries; TRACKED] = [
     },
 ];
 
-/// One raw observation of a mode's query-path instruments at a tick.
+/// One raw observation of a node's query-path instruments at a tick
+/// (`EngineMetrics::sample`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Sample {
     /// Caller-supplied timestamp, microseconds.
@@ -350,61 +349,6 @@ impl Detector {
     }
 }
 
-/// Pre-resolved instrument handles a [`Sample`] reads. Resolution
-/// names the same table entries the engine does (get-or-register
-/// returns the existing `Arc`), so a sample observes the live counters
-/// of the hub: the recorder's for `mode="full"`, a node's health report
-/// for the node's own mode.
-#[derive(Debug)]
-pub(crate) struct Handles {
-    queries: Arc<Counter>,
-    latency: Arc<Histogram>,
-    bytes_read: Arc<Counter>,
-    cause_bytes: [Arc<Counter>; READ_CAUSES],
-    read_retries: Arc<Counter>,
-    evictions: Arc<Counter>,
-    cache_hits: Arc<Counter>,
-    cache_misses: Arc<Counter>,
-    hidden_us: Arc<Counter>,
-    network_us: Arc<Counter>,
-}
-
-impl Handles {
-    /// Resolves `mode`'s query-path instruments on `t`.
-    pub(crate) fn resolve(t: &Telemetry, mode: SearchMode) -> Handles {
-        let m: &[(&str, &str)] = &[("mode", mode.label())];
-        Handles {
-            queries: metrics::QUERIES.counter(t, m),
-            latency: metrics::QUERY_LATENCY_US.histogram(t, m),
-            bytes_read: metrics::RDMA_BYTES_READ.counter(t, &[]),
-            cause_bytes: metrics::RDMA_READ_BYTES_BY_CAUSE.counters_by_cause(t),
-            read_retries: metrics::READ_RETRIES.counter(t, m),
-            evictions: metrics::CACHE_EVICTIONS.counter(t, &[]),
-            cache_hits: metrics::CLUSTER_CACHE_HITS.counter(t, m),
-            cache_misses: metrics::CLUSTERS_LOADED.counter(t, m),
-            hidden_us: metrics::PIPELINE_HIDDEN_US.counter(t, m),
-            network_us: metrics::STAGE_US.counter(t, &[m[0], ("stage", Phase::Network.stage())]),
-        }
-    }
-
-    /// Reads every instrument at `t_us`.
-    pub(crate) fn sample(&self, t_us: u64) -> Sample {
-        Sample {
-            t_us,
-            queries: self.queries.get(),
-            bytes_read: self.bytes_read.get(),
-            cause_bytes: std::array::from_fn(|i| self.cause_bytes[i].get()),
-            read_retries: self.read_retries.get(),
-            evictions: self.evictions.get(),
-            cache_hits: self.cache_hits.get(),
-            cache_misses: self.cache_misses.get(),
-            hidden_us: self.hidden_us.get(),
-            network_us: self.network_us.get(),
-            latency: self.latency.snapshot(),
-        }
-    }
-}
-
 /// What happened between two samples, counted once for both documents
 /// that report a window: a `/timeseries` point ([`derive`]) and
 /// `/health` ([`crate::ComputeNode::health_report`]).
@@ -471,7 +415,6 @@ fn derive(prev: &Sample, cur: &Sample) -> SeriesPoint {
 
 #[derive(Debug, Default)]
 struct Inner {
-    handles: Option<Handles>,
     last: Option<Sample>,
     points: VecDeque<SeriesPoint>,
     anomalies: VecDeque<AnomalyRecord>,
@@ -525,29 +468,21 @@ impl SeriesRecorder {
         self.config
     }
 
-    /// Takes one sample of `telemetry`'s query-path instruments at
-    /// `now_us` and, from the second tick on, derives and retains a
-    /// [`SeriesPoint`], feeding the anomaly detectors.
+    /// Takes `cur`, a sample of a node's query-path instruments
+    /// ([`crate::ComputeNode::sample_series`]), and, from the second tick
+    /// on, derives and retains a [`SeriesPoint`], feeding the anomaly
+    /// detectors; `telemetry` is the hub an anomaly is published to.
     ///
     /// Returns `None` for the baseline (first) tick and for ticks
     /// whose timestamp does not advance past the previous sample
     /// (which simply re-baseline). Never reads the wall clock.
-    pub fn tick(&self, telemetry: &Telemetry, now_us: u64) -> Option<SeriesPoint> {
+    pub fn tick(&self, telemetry: &Telemetry, cur: Sample) -> Option<SeriesPoint> {
         let mut inner = self.inner.lock();
-        if inner.handles.is_none() {
-            // The serving plane's mode; the others are bench baselines.
-            inner.handles = Some(Handles::resolve(telemetry, SearchMode::Full));
-        }
-        let cur = inner
-            .handles
-            .as_ref()
-            .expect("resolved above")
-            .sample(now_us);
         let Some(prev) = inner.last else {
             inner.last = Some(cur);
             return None;
         };
-        if now_us <= prev.t_us {
+        if cur.t_us <= prev.t_us {
             inner.last = Some(cur);
             return None;
         }
@@ -695,33 +630,50 @@ impl SeriesRecorder {
 mod tests {
     use super::*;
 
-    /// A hub plus the handles tests use to drive the instruments the
-    /// recorder watches.
-    fn hub() -> (Telemetry, Handles) {
-        let t = Telemetry::new();
-        let h = Handles::resolve(&t, SearchMode::Full);
-        (t, h)
+    use crate::telemetry::Histogram;
+
+    /// The cumulative instruments a node would sample, driven by hand.
+    #[derive(Default)]
+    struct Traffic {
+        sample: Sample,
+        latency: Histogram,
     }
 
-    /// Drives one synthetic traffic window: `q` queries of `lat_us`
-    /// each, `bytes` stage-load bytes, `retries` retries.
-    fn drive(h: &Handles, q: u64, lat_us: u64, bytes: u64, retries: u64) {
-        h.queries.add(q);
-        h.latency.observe_n(lat_us, q);
-        h.bytes_read.add(bytes);
-        h.cause_bytes[ReadCause::StageLoad.index()].add(bytes);
-        h.read_retries.add(retries);
-        h.cache_hits.add(3 * q);
-        h.cache_misses.add(q);
+    impl Traffic {
+        /// One synthetic traffic window: `q` queries of `lat_us` each,
+        /// `bytes` stage-load bytes, `retries` retries.
+        fn drive(&mut self, q: u64, lat_us: u64, bytes: u64, retries: u64) {
+            let s = &mut self.sample;
+            s.queries += q;
+            self.latency.observe_n(lat_us, q);
+            s.bytes_read += bytes;
+            s.cause_bytes[ReadCause::StageLoad.index()] += bytes;
+            s.read_retries += retries;
+            s.cache_hits += 3 * q;
+            s.cache_misses += q;
+        }
+
+        /// The instruments as sampled at `t_us`.
+        fn at(&self, t_us: u64) -> Sample {
+            let latency = self.latency.snapshot();
+            Sample {
+                t_us,
+                latency,
+                ..self.sample
+            }
+        }
     }
 
     #[test]
     fn first_tick_is_baseline_and_rates_are_exact() {
-        let (t, h) = hub();
+        let (t, mut h) = (Telemetry::new(), Traffic::default());
         let rec = SeriesRecorder::with_capacity(16);
-        assert!(rec.tick(&t, 0).is_none(), "first tick is the baseline");
-        drive(&h, 50, 400, 2_000_000, 0);
-        let p = rec.tick(&t, 2_000_000).expect("second tick derives");
+        assert!(
+            rec.tick(&t, h.at(0)).is_none(),
+            "first tick is the baseline"
+        );
+        h.drive(50, 400, 2_000_000, 0);
+        let p = rec.tick(&t, h.at(2_000_000)).expect("second tick derives");
         assert_eq!(p.window_queries, 50);
         assert!((p.qps - 25.0).abs() < 1e-9, "50 q / 2 s, got {}", p.qps);
         assert!(
@@ -738,14 +690,20 @@ mod tests {
 
     #[test]
     fn non_advancing_tick_rebaselines_instead_of_dividing_by_zero() {
-        let (t, h) = hub();
+        let (t, mut h) = (Telemetry::new(), Traffic::default());
         let rec = SeriesRecorder::with_capacity(16);
-        assert!(rec.tick(&t, 1_000).is_none());
-        drive(&h, 10, 100, 1000, 0);
-        assert!(rec.tick(&t, 1_000).is_none(), "same timestamp re-baselines");
-        assert!(rec.tick(&t, 500).is_none(), "regressing timestamp too");
-        drive(&h, 10, 100, 1000, 0);
-        let p = rec.tick(&t, 1_000_500).expect("clock advanced");
+        assert!(rec.tick(&t, h.at(1_000)).is_none());
+        h.drive(10, 100, 1000, 0);
+        assert!(
+            rec.tick(&t, h.at(1_000)).is_none(),
+            "same timestamp re-baselines"
+        );
+        assert!(
+            rec.tick(&t, h.at(500)).is_none(),
+            "regressing timestamp too"
+        );
+        h.drive(10, 100, 1000, 0);
+        let p = rec.tick(&t, h.at(1_000_500)).expect("clock advanced");
         // The re-baseline consumed the first burst; only the second
         // burst lands in this window.
         assert_eq!(p.window_queries, 10);
@@ -753,12 +711,12 @@ mod tests {
 
     #[test]
     fn ring_capacity_is_bounded() {
-        let (t, h) = hub();
+        let (t, mut h) = (Telemetry::new(), Traffic::default());
         let rec = SeriesRecorder::with_capacity(4);
-        rec.tick(&t, 0);
+        rec.tick(&t, h.at(0));
         for i in 1..=20u64 {
-            drive(&h, 5, 100, 100, 0);
-            rec.tick(&t, i * 1_000_000);
+            h.drive(5, 100, 100, 0);
+            rec.tick(&t, h.at(i * 1_000_000));
         }
         let points = rec.points();
         assert_eq!(points.len(), 4);
@@ -768,26 +726,26 @@ mod tests {
 
     #[test]
     fn steady_traffic_fires_no_anomaly_and_a_spike_fires_once() {
-        let (t, h) = hub();
+        let (t, mut h) = (Telemetry::new(), Traffic::default());
         let rec = SeriesRecorder::with_capacity(64);
-        rec.tick(&t, 0);
+        rec.tick(&t, h.at(0));
         // 12 identical windows: warm-up plus a long steady baseline.
         for i in 1..=12u64 {
-            drive(&h, 40, 300, 100_000, 0);
-            rec.tick(&t, i * 1_000_000);
+            h.drive(40, 300, 100_000, 0);
+            rec.tick(&t, h.at(i * 1_000_000));
         }
         assert_eq!(rec.anomaly_count(), 0, "steady traffic is not anomalous");
         // Retry storm: retries jump from 0/s to 80/s.
-        drive(&h, 40, 300, 100_000, 80);
-        rec.tick(&t, 13_000_000);
+        h.drive(40, 300, 100_000, 80);
+        rec.tick(&t, h.at(13_000_000));
         let records = rec.anomalies();
         assert_eq!(rec.anomaly_count(), 1, "records: {records:?}");
         assert_eq!(records[0].series, "retries_per_s");
         assert!(records[0].deterministic);
         assert!(records[0].zscore >= rec.config().enter_z);
         // Hysteresis: the storm continuing is the same episode.
-        drive(&h, 40, 300, 100_000, 85);
-        rec.tick(&t, 14_000_000);
+        h.drive(40, 300, 100_000, 85);
+        rec.tick(&t, h.at(14_000_000));
         assert_eq!(rec.anomaly_count(), 1, "ongoing episode does not re-fire");
         // The counter surfaced in the registry.
         let prom = t.render_prometheus();
@@ -799,22 +757,22 @@ mod tests {
 
     #[test]
     fn warmup_suppresses_scoring_and_idle_windows_are_skipped() {
-        let (t, h) = hub();
+        let (t, mut h) = (Telemetry::new(), Traffic::default());
         let cfg = AnomalyConfig {
             warmup: 3,
             ..AnomalyConfig::default()
         };
         let rec = SeriesRecorder::with_capacity(64).with_config(cfg);
-        rec.tick(&t, 0);
+        rec.tick(&t, h.at(0));
         // Wildly different windows inside warm-up: no anomalies.
-        drive(&h, 10, 100, 1_000, 0);
-        rec.tick(&t, 1_000_000);
-        drive(&h, 500, 100, 9_000_000, 40);
-        rec.tick(&t, 2_000_000);
+        h.drive(10, 100, 1_000, 0);
+        rec.tick(&t, h.at(1_000_000));
+        h.drive(500, 100, 9_000_000, 40);
+        rec.tick(&t, h.at(2_000_000));
         assert_eq!(rec.anomaly_count(), 0, "warm-up must not score");
         // Idle windows (no queries) never feed the detectors.
         for i in 3..=30u64 {
-            rec.tick(&t, i * 1_000_000);
+            rec.tick(&t, h.at(i * 1_000_000));
         }
         assert_eq!(rec.anomaly_count(), 0, "idle windows must not score");
         let points = rec.points();
@@ -823,30 +781,30 @@ mod tests {
 
     #[test]
     fn clear_resets_baseline_points_and_detectors() {
-        let (t, h) = hub();
+        let (t, mut h) = (Telemetry::new(), Traffic::default());
         let rec = SeriesRecorder::with_capacity(8);
-        rec.tick(&t, 0);
-        drive(&h, 10, 100, 1_000, 0);
-        rec.tick(&t, 1_000_000);
+        rec.tick(&t, h.at(0));
+        h.drive(10, 100, 1_000, 0);
+        rec.tick(&t, h.at(1_000_000));
         assert_eq!(rec.points().len(), 1);
         rec.clear();
         assert!(rec.points().is_empty());
         assert!(rec.anomalies().is_empty());
         assert_eq!(rec.anomaly_count(), 0);
         assert!(
-            rec.tick(&t, 2_000_000).is_none(),
+            rec.tick(&t, h.at(2_000_000)).is_none(),
             "tick after clear is a fresh baseline"
         );
     }
 
     #[test]
     fn render_json_windows_and_steps_anchor_on_newest() {
-        let (t, h) = hub();
+        let (t, mut h) = (Telemetry::new(), Traffic::default());
         let rec = SeriesRecorder::with_capacity(32);
-        rec.tick(&t, 0);
+        rec.tick(&t, h.at(0));
         for i in 1..=10u64 {
-            drive(&h, 8, 200, 4_000, 0);
-            rec.tick(&t, i * 1_000_000);
+            h.drive(8, 200, 4_000, 0);
+            rec.tick(&t, h.at(i * 1_000_000));
         }
         let all = rec.render_json(0, 1);
         assert!(all.contains("\"retained\": 10"));

@@ -1,170 +1,12 @@
-//! Graph-quality diagnostics.
-//!
-//! HNSW behaviour is hard to reason about from recall numbers alone; this
-//! module computes the structural properties that explain them: per-layer
-//! population and degree statistics, layer-0 connectivity, and edge
-//! symmetry. The d-HNSW workspace uses these in tests (to assert builds
-//! are healthy) and they are generally useful for tuning `M` /
-//! `ef_construction` on new datasets.
+//! Graph-quality diagnostics: the out-degree of every node on a layer,
+//! which the health report's degree skew reads. A long tail of
+//! low-degree nodes or a few hubs on the routing layer explains uneven
+//! routing before recall numbers show it.
 
 use crate::HnswIndex;
 
-/// Statistics for one layer of the hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LayerReport {
-    /// Layer index (0 = ground layer).
-    pub layer: usize,
-    /// Nodes present on this layer.
-    pub nodes: usize,
-    /// Total directed edges on this layer.
-    pub edges: usize,
-    /// Minimum out-degree.
-    pub min_degree: usize,
-    /// Maximum out-degree.
-    pub max_degree: usize,
-    /// Mean out-degree.
-    pub mean_degree: f64,
-}
-
-/// A full structural report over an index.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GraphReport {
-    /// Per-layer statistics, ground layer first.
-    pub layers: Vec<LayerReport>,
-    /// Nodes reachable from the entry point over layer-0 edges.
-    pub reachable_from_entry: usize,
-    /// Total nodes.
-    pub nodes: usize,
-    /// Fraction of layer-0 directed edges whose reverse edge also exists.
-    pub edge_symmetry: f64,
-}
-
-impl GraphReport {
-    /// Whether every node is reachable on the ground layer — the property
-    /// greedy search correctness depends on.
-    pub fn is_connected(&self) -> bool {
-        self.reachable_from_entry == self.nodes
-    }
-}
-
-impl std::fmt::Display for GraphReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "graph: {} nodes, {}/{} reachable, {:.1}% symmetric edges",
-            self.nodes,
-            self.reachable_from_entry,
-            self.nodes,
-            self.edge_symmetry * 100.0
-        )?;
-        for l in &self.layers {
-            writeln!(
-                f,
-                "  L{}: {} nodes, {} edges, degree {}..{} (mean {:.2})",
-                l.layer, l.nodes, l.edges, l.min_degree, l.max_degree, l.mean_degree
-            )?;
-        }
-        Ok(())
-    }
-}
-
-/// Computes the structural report for `index`.
-///
-/// # Example
-///
-/// ```rust
-/// use hnsw::{diagnostics, HnswIndex, HnswParams};
-/// use vecsim::gen;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let idx = HnswIndex::build(gen::uniform(4, 200, 0.0, 1.0, 1)?, &HnswParams::new(8, 50))?;
-/// let report = diagnostics::analyze(&idx);
-/// assert!(report.is_connected());
-/// assert!(report.edge_symmetry > 0.5);
-/// # Ok(())
-/// # }
-/// ```
-pub fn analyze(index: &HnswIndex) -> GraphReport {
-    let n = index.len();
-    let mut layers = Vec::new();
-    for layer in 0..=index.max_level() {
-        let mut nodes = 0usize;
-        let mut edges = 0usize;
-        let mut min_degree = usize::MAX;
-        let mut max_degree = 0usize;
-        for id in 0..n as u32 {
-            if index.level_of(id) < layer {
-                continue;
-            }
-            let deg = index.neighbors(id, layer).len();
-            nodes += 1;
-            edges += deg;
-            min_degree = min_degree.min(deg);
-            max_degree = max_degree.max(deg);
-        }
-        layers.push(LayerReport {
-            layer,
-            nodes,
-            edges,
-            min_degree: if nodes == 0 { 0 } else { min_degree },
-            max_degree,
-            mean_degree: if nodes == 0 {
-                0.0
-            } else {
-                edges as f64 / nodes as f64
-            },
-        });
-    }
-
-    // Layer-0 BFS from the entry point.
-    let reachable = match index.entry_point() {
-        None => 0,
-        Some(entry) => {
-            let mut seen = vec![false; n];
-            let mut queue = vec![entry];
-            seen[entry as usize] = true;
-            let mut count = 1usize;
-            while let Some(v) = queue.pop() {
-                for &nb in index.neighbors(v, 0) {
-                    if !seen[nb as usize] {
-                        seen[nb as usize] = true;
-                        count += 1;
-                        queue.push(nb);
-                    }
-                }
-            }
-            count
-        }
-    };
-
-    // Edge symmetry on layer 0.
-    let mut total = 0usize;
-    let mut symmetric = 0usize;
-    for id in 0..n as u32 {
-        for &nb in index.neighbors(id, 0) {
-            total += 1;
-            if index.neighbors(nb, 0).contains(&id) {
-                symmetric += 1;
-            }
-        }
-    }
-
-    GraphReport {
-        layers,
-        reachable_from_entry: reachable,
-        nodes: n,
-        edge_symmetry: if total == 0 {
-            1.0
-        } else {
-            symmetric as f64 / total as f64
-        },
-    }
-}
-
 /// Per-node out-degrees on `layer`, in node-id order (nodes that do
-/// not reach the layer are skipped). Feeds skew analysis — a long tail
-/// of low-degree nodes or a few hubs on the routing layer explains
-/// uneven routing before recall numbers show it.
+/// not reach the layer are skipped).
 pub fn degree_histogram(index: &HnswIndex, layer: usize) -> Vec<usize> {
     (0..index.len() as u32)
         .filter(|&id| index.level_of(id) >= layer)
@@ -178,32 +20,16 @@ mod tests {
     use crate::HnswParams;
     use vecsim::gen;
 
-    fn build(n: usize) -> HnswIndex {
-        let data = gen::uniform(8, n, 0.0, 1.0, 4).unwrap();
-        HnswIndex::build(data, &HnswParams::new(8, 60).seed(5)).unwrap()
-    }
-
-    #[test]
-    fn healthy_build_is_connected_and_mostly_symmetric() {
-        let report = analyze(&build(800));
-        assert!(report.is_connected(), "{report}");
-        assert!(report.edge_symmetry > 0.6, "{report}");
-    }
-
     #[test]
     fn layer_populations_shrink_upward() {
-        let report = analyze(&build(2_000));
-        for w in report.layers.windows(2) {
-            assert!(
-                w[0].nodes >= w[1].nodes,
-                "layer {} has {} nodes but layer {} has {}",
-                w[0].layer,
-                w[0].nodes,
-                w[1].layer,
-                w[1].nodes
-            );
-        }
-        assert_eq!(report.layers[0].nodes, 2_000);
+        let data = gen::uniform(8, 2_000, 0.0, 1.0, 4).unwrap();
+        let idx = HnswIndex::build(data, &HnswParams::new(8, 60).seed(5)).unwrap();
+        let nodes: Vec<usize> = (0..=idx.max_level())
+            .map(|layer| degree_histogram(&idx, layer).len())
+            .collect();
+        assert_eq!(nodes[0], 2_000);
+        assert!(nodes.windows(2).all(|w| w[0] >= w[1]), "{nodes:?}");
+        assert!(degree_histogram(&idx, idx.max_level() + 1).is_empty());
     }
 
     #[test]
@@ -211,49 +37,10 @@ mod tests {
         let params = HnswParams::new(6, 40).seed(9);
         let data = gen::uniform(4, 600, 0.0, 1.0, 10).unwrap();
         let idx = HnswIndex::build(data, &params).unwrap();
-        let report = analyze(&idx);
-        assert!(report.layers[0].max_degree <= params.m0());
-        for l in &report.layers[1..] {
-            assert!(l.max_degree <= params.m(), "L{}: {}", l.layer, l.max_degree);
+        let widest = |layer| degree_histogram(&idx, layer).into_iter().max();
+        assert!(widest(0).unwrap() <= params.m0());
+        for layer in 1..=idx.max_level() {
+            assert!(widest(layer).unwrap() <= params.m(), "L{layer}");
         }
-    }
-
-    #[test]
-    fn empty_index_reports_cleanly() {
-        let idx = HnswIndex::new(4, &HnswParams::new(4, 16)).unwrap();
-        let report = analyze(&idx);
-        assert_eq!(report.nodes, 0);
-        assert!(!report.is_connected() || report.nodes == 0);
-        assert_eq!(report.edge_symmetry, 1.0);
-    }
-
-    #[test]
-    fn single_node_is_trivially_connected() {
-        let mut idx = HnswIndex::new(2, &HnswParams::new(4, 16)).unwrap();
-        idx.insert(&[0.0, 0.0]).unwrap();
-        let report = analyze(&idx);
-        assert!(report.is_connected());
-        assert_eq!(report.layers[0].edges, 0);
-    }
-
-    #[test]
-    fn degree_histogram_matches_layer_report() {
-        let idx = build(500);
-        let report = analyze(&idx);
-        for l in &report.layers {
-            let hist = degree_histogram(&idx, l.layer);
-            assert_eq!(hist.len(), l.nodes, "L{}", l.layer);
-            assert_eq!(hist.iter().sum::<usize>(), l.edges, "L{}", l.layer);
-            assert_eq!(hist.iter().copied().max().unwrap_or(0), l.max_degree);
-        }
-        assert!(degree_histogram(&idx, idx.max_level() + 1).is_empty());
-    }
-
-    #[test]
-    fn display_mentions_every_layer() {
-        let report = analyze(&build(300));
-        let text = report.to_string();
-        assert!(text.contains("L0:"));
-        assert!(text.contains("reachable"));
     }
 }

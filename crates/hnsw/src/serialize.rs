@@ -435,28 +435,6 @@ pub fn from_bytes(blob: &[u8]) -> Result<HnswIndex> {
     Ok(HnswIndex::from_parts(at.params, data, graph))
 }
 
-/// Writes an index blob to any writer (pass `&mut w` to keep the writer).
-///
-/// # Errors
-///
-/// Propagates I/O errors from the writer.
-pub fn write_to<W: std::io::Write>(mut w: W, index: &HnswIndex) -> Result<()> {
-    w.write_all(&to_bytes(index))
-        .map_err(|e| Error::CorruptBlob(format!("write failed: {e}")))
-}
-
-/// Reads an index blob from any reader (the reader is drained to EOF).
-///
-/// # Errors
-///
-/// Returns [`Error::CorruptBlob`] on malformed content or read failure.
-pub fn read_from<R: std::io::Read>(mut r: R) -> Result<HnswIndex> {
-    let mut buf = Vec::new();
-    r.read_to_end(&mut buf)
-        .map_err(|e| Error::CorruptBlob(format!("read failed: {e}")))?;
-    from_bytes(&buf)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -589,15 +567,6 @@ mod tests {
         // Entry point is at offset 16.
         blob[16..20].copy_from_slice(&10_000u32.to_le_bytes());
         assert!(from_bytes(&blob).is_err());
-    }
-
-    #[test]
-    fn reader_writer_round_trip() {
-        let idx = build_small();
-        let mut buf = Vec::new();
-        write_to(&mut buf, &idx).unwrap();
-        let back = read_from(std::io::Cursor::new(buf)).unwrap();
-        assert_eq!(back.len(), idx.len());
     }
 
     #[test]

@@ -127,11 +127,6 @@ impl MemoryNode {
         self.regions.read().values().map(|r| r.read().len()).sum()
     }
 
-    /// Number of live regions.
-    pub fn region_count(&self) -> usize {
-        self.regions.read().len()
-    }
-
     pub(crate) fn region(&self, rkey: u32) -> Result<Arc<RwLock<Vec<u8>>>> {
         self.regions
             .read()
@@ -151,7 +146,7 @@ mod tests {
         let a = node.register(10).unwrap();
         let b = node.register(10).unwrap();
         assert_ne!(a.rkey(), b.rkey());
-        assert_eq!(node.region_count(), 2);
+        assert_eq!(node.registered_bytes(), 20);
     }
 
     #[test]

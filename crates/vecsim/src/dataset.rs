@@ -158,11 +158,6 @@ impl Dataset {
         &self.data
     }
 
-    /// Consumes the dataset and returns the flat buffer.
-    pub fn into_flat(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Returns a new dataset containing the rows selected by `ids`, in
     /// order.
     ///

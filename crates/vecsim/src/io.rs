@@ -1,8 +1,8 @@
 //! Readers and writers for the TEXMEX vector file formats.
 //!
-//! SIFT1M and GIST1M ship in `fvecs` (float vectors), `ivecs` (integer
-//! vectors, used for ground truth) and `bvecs` (byte vectors). Each record
-//! is a little-endian `i32` dimensionality followed by that many components.
+//! SIFT1M and GIST1M ship in `fvecs` (float vectors) and `ivecs` (integer
+//! vectors, used for ground truth). Each record is a little-endian `i32`
+//! dimensionality followed by that many components.
 //! Supplying the real files makes the benchmark harness evaluate on them
 //! instead of the synthetic stand-ins.
 //!
@@ -123,42 +123,6 @@ pub fn read_ivecs<R: Read>(mut r: R) -> Result<Vec<Vec<u32>>> {
     Ok(out)
 }
 
-/// Writes rows of ids as an `ivecs` stream.
-///
-/// # Errors
-///
-/// Propagates any I/O error from the writer.
-pub fn write_ivecs<W: Write>(mut w: W, rows: &[Vec<u32>]) -> Result<()> {
-    for row in rows {
-        w.write_all(&(row.len() as i32).to_le_bytes())?;
-        for &x in row {
-            w.write_all(&(x as i32).to_le_bytes())?;
-        }
-    }
-    Ok(())
-}
-
-/// Reads a `bvecs` stream (byte components, as SIFT1B uses), widening each
-/// component to `f32`.
-///
-/// # Errors
-///
-/// Same failure modes as [`read_fvecs`].
-pub fn read_bvecs<R: Read>(mut r: R) -> Result<Dataset> {
-    let mut ds: Option<Dataset> = None;
-    while let Some(dim) = read_dim(&mut r)? {
-        let mut bytes = vec![0u8; dim];
-        r.read_exact(&mut bytes)
-            .map_err(|_| Error::InvalidFormat("truncated bvecs record".into()))?;
-        let row: Vec<f32> = bytes.iter().map(|&b| f32::from(b)).collect();
-        match &mut ds {
-            None => ds = Some(Dataset::from_flat(dim, row)?),
-            Some(d) => d.push(&row)?,
-        }
-    }
-    Ok(ds.unwrap_or_default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,12 +138,14 @@ mod tests {
     }
 
     #[test]
-    fn ivecs_round_trip() {
+    fn ivecs_are_read_row_by_row() {
         let rows = vec![vec![1u32, 2, 3], vec![7, 8, 9]];
         let mut buf = Vec::new();
-        write_ivecs(&mut buf, &rows).unwrap();
-        let back = read_ivecs(&buf[..]).unwrap();
-        assert_eq!(back, rows);
+        for row in &rows {
+            buf.extend_from_slice(&(row.len() as i32).to_le_bytes());
+            buf.extend(row.iter().flat_map(|&x| (x as i32).to_le_bytes()));
+        }
+        assert_eq!(read_ivecs(&buf[..]).unwrap(), rows);
     }
 
     #[test]
@@ -226,15 +192,6 @@ mod tests {
         buf.extend_from_slice(&1.0f32.to_le_bytes());
         buf.extend_from_slice(&2.0f32.to_le_bytes());
         assert!(read_fvecs(&buf[..]).is_err());
-    }
-
-    #[test]
-    fn bvecs_widens_bytes_to_f32() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&2i32.to_le_bytes());
-        buf.extend_from_slice(&[7u8, 255u8]);
-        let ds = read_bvecs(&buf[..]).unwrap();
-        assert_eq!(ds.get(0), &[7.0, 255.0]);
     }
 
     #[test]

@@ -132,6 +132,24 @@ if [[ -n "$stray" ]]; then
   exit 1
 fi
 
+# One layout: which end of its group a cluster occupies, and every remote
+# address that follows from it, are read in crates/core/src/layout.rs alone;
+# readers and writers ask it (ClusterLocation, Directory::load_span) or the
+# loader's one request planner (loader::plan_load). Non-test code only
+# (each file cut at its first #[cfg(test)]).
+echo "==> GroupSlot is matched in layout.rs only"
+stray=$(find crates src examples -name '*.rs' ! -path '*/tests/*' \
+  ! -path 'crates/core/src/layout.rs' | sort |
+  while IFS= read -r file; do
+    awk -v f="$file" '/#!?\[cfg\(test\)\]/ { exit }
+      /GroupSlot::/ { print f ":" FNR ": " $0 }' "$file"
+  done)
+if [[ -n "$stray" ]]; then
+  echo "$stray"
+  echo "check.sh: GroupSlot:: outside crates/core/src/layout.rs (ask the layout or loader::plan_load)" >&2
+  exit 1
+fi
+
 # One scan-or-walk rule: the cut-off (SCAN_ROWS_PER_EF times ef) is
 # computed in crates/core/src/cluster.rs's `scans` and nowhere else; every
 # other site, tests and repro included, asks `cluster::scans`.
@@ -208,10 +226,13 @@ fi
 # window state, repro tail's own workload definition, the memory node's
 # counter mirror, rdma-sim's per-kind verb bodies and span emitters (one
 # executor now) and its writes-only doorbell (the mixed `doorbell` of
-# writes and atomics replaced it) stay gone (four roots, so the guard does
-# not match itself).
+# writes and atomics replaced it), the API nothing outside tests called
+# (the graph report, the flat-buffer and bvecs / ivecs-writer conversions,
+# the region count) and the series recorder's second resolution of a
+# node's instruments stay gone (four roots, so the guard does not match
+# itself).
 echo "==> no deleted duplicate is back"
-if grep -rnE 'QueryTrace|TailRecord|TraceRing|ShardedStore|ShardedSession|LoadBalancer|DispatchPolicy|bench_regress|BENCH_baseline|DHNSW_BENCH_1M|poll_cq|ring_doorbell|BruteForceIndex|clustering_tendency|verdict_index|set_milli|take_flush_delta|dhnsw_health_|dhnsw_heat_|dhnsw_tail_|dhnsw_cache_hits_total|dhnsw_cache_misses_total|WindowState|TraceSpec|service_stats|\bexecute_reads\b|\bexecute_writes\b|emit_plain|emit_verb|write_doorbell' \
+if grep -rnE 'QueryTrace|TailRecord|TraceRing|ShardedStore|ShardedSession|LoadBalancer|DispatchPolicy|bench_regress|BENCH_baseline|DHNSW_BENCH_1M|poll_cq|ring_doorbell|BruteForceIndex|clustering_tendency|verdict_index|set_milli|take_flush_delta|dhnsw_health_|dhnsw_heat_|dhnsw_tail_|dhnsw_cache_hits_total|dhnsw_cache_misses_total|WindowState|TraceSpec|service_stats|\bexecute_reads\b|\bexecute_writes\b|emit_plain|emit_verb|write_doorbell|graph_report|GraphReport|into_flat|read_bvecs|write_ivecs|region_count|window_handles|tick_series' \
   crates src tests examples || [[ -e scripts/bench.sh ]]; then
   echo "check.sh: a deleted duplicate is back (the lines above, or scripts/bench.sh)" >&2
   exit 1
