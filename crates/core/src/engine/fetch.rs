@@ -1,7 +1,7 @@
-//! The one loader: every cluster span a compute node reads — a batch's
-//! stage loads, naive per-query fetches, the prefetcher's — goes through
-//! [`Reader::fetch`], and every other read (rerank rows, the health
-//! probe's counters) through its post + retry parts. DESIGN.md §5d
+//! The one loader: every cluster span a compute node reads (stage,
+//! naive and prefetch loads, as [`crate::loader::plan_load`] plans them)
+//! goes through [`Reader::fetch`], every other read (rerank rows, the
+//! health probe's counters) through its post + retry parts. DESIGN.md §5d
 //! tabulates who calls it with which cause and exhaustion rule.
 //!
 //! A re-posted span carries [`ReadCause::Retry`] instead of its caller's
