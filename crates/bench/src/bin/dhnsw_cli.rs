@@ -40,9 +40,7 @@
 //! report on stderr and prints the exposition to stdout.
 //!
 //! Workload subcommands accept `--trace-spans` and `--slow-query-us <n>`
-//! to control span capture from the command line; when the flags are
-//! absent the `DHNSW_TRACE_SPANS` / `DHNSW_SLOW_QUERY_US` environment
-//! variables (read at connect time) stay in force.
+//! (a nonzero budget turns capture on); without them no span is captured.
 //!
 //! Reliability knobs: `--fault-rate <p>` (with `--fault-seed <s>`) arms
 //! seeded substrate fault injection on the session's queue pair;
@@ -54,7 +52,8 @@
 //! micro-batches whose cluster loads overlap the previous stage's
 //! search, and `--prefetch-budget-bytes <b>` arms the heatmap-driven
 //! background prefetcher between batches (0 disables it). Both override
-//! the `DHNSW_PIPELINE_DEPTH` / `DHNSW_PREFETCH_BUDGET_BYTES` env knobs.
+//! the `DHNSW_PIPELINE_DEPTH` / `DHNSW_PREFETCH_BUDGET_BYTES` env knobs;
+//! every other knob above is a flag only.
 
 use std::collections::HashMap;
 
@@ -161,14 +160,13 @@ fn flag_f64_opt(flags: &HashMap<String, String>, key: &str) -> AnyResult<Option<
     }
 }
 
-/// Applies `--slow-query-us` / `--trace-spans` to the span tracer. Call
-/// after `connect()` so explicit flags win over the `DHNSW_*` env
-/// fallback applied there.
+/// Applies `--slow-query-us` / `--trace-spans` to the span tracer. A
+/// nonzero slow-query budget turns capture on: it judges span trees.
 fn apply_trace_flags(flags: &HashMap<String, String>, telemetry: &Telemetry) -> AnyResult<()> {
     if let Some(v) = flags.get("slow-query-us") {
         telemetry.spans().set_slow_threshold_us(v.parse()?);
     }
-    if flags.contains_key("trace-spans") {
+    if flags.contains_key("trace-spans") || telemetry.spans().slow_threshold_us() > 0 {
         telemetry.spans().set_enabled(true);
     }
     Ok(())
@@ -491,10 +489,10 @@ fn cmd_insert(flags: &HashMap<String, String>) -> AnyResult<()> {
     save_store(&store, flags)
 }
 
-/// Resolves SLO budgets: `DHNSW_SLO_*` environment variables first,
-/// then `--slo-*` flags on top (flags win per-budget).
+/// Resolves SLO budgets from the `--slo-*` flags; an absent flag leaves
+/// its check off.
 fn budgets_from(flags: &HashMap<String, String>) -> AnyResult<SloBudgets> {
-    let mut b = SloBudgets::from_env()?;
+    let mut b = SloBudgets::default();
     if let Some(v) = flag_f64_opt(flags, "slo-p99-us")? {
         b.max_p99_us = Some(v);
     }
@@ -644,7 +642,7 @@ fn cmd_doctor(flags: &HashMap<String, String>) -> AnyResult<()> {
 /// A background sampler thread ticks the time-series recorder every
 /// `--series-tick-ms` (default 1000) — the only place in the system
 /// that feeds the recorder from the wall clock — and evaluates each
-/// derived window against the SLO budgets (`--slo-*` / `DHNSW_SLO_*`),
+/// derived window against the SLO budgets (`--slo-*`),
 /// publishing violations through the watchdog.
 fn cmd_serve(flags: &HashMap<String, String>) -> AnyResult<()> {
     use std::sync::atomic::{AtomicBool, Ordering};

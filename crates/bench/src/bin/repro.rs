@@ -23,8 +23,8 @@
 //! (Prometheus text format 0.0.4) and `<base>.json` after the run.
 //!
 //! `--trace-spans` turns on span capture and `--slow-query-us <n>` arms
-//! the slow-query log; without the flags the `DHNSW_TRACE_SPANS` /
-//! `DHNSW_SLOW_QUERY_US` environment variables apply.
+//! the slow-query log (a nonzero budget turns capture on); without them
+//! the run captures no spans.
 //!
 //! `--pipeline-depth <d>` and `--prefetch-budget-bytes <b>` apply the
 //! micro-batch pipelining and background-prefetch knobs to every node
@@ -58,6 +58,7 @@ fn main() -> ExitCode {
 }
 
 fn run() -> AnyResult {
+    let telemetry = Telemetry::global();
     let mut metrics_out = None;
     let mut cmd = "all".to_string();
     let mut args = std::env::args().skip(1);
@@ -69,9 +70,11 @@ fn run() -> AnyResult {
                 .next()
                 .ok_or("--slow-query-us needs a value")?
                 .parse()?;
-            Telemetry::global().spans().set_slow_threshold_us(us);
+            let spans = telemetry.spans();
+            spans.set_slow_threshold_us(us);
+            spans.set_enabled(us > 0 || spans.is_enabled());
         } else if arg == "--trace-spans" {
-            Telemetry::global().spans().set_enabled(true);
+            telemetry.spans().set_enabled(true);
         } else if arg == "--pipeline-depth" {
             let d: usize = args
                 .next()
@@ -96,7 +99,6 @@ fn run() -> AnyResult {
     if let Some(base) = metrics_out {
         // Temp-file + rename: a scraper tailing these paths mid-run
         // sees the previous dump or this one, never a torn write.
-        let telemetry = Telemetry::global();
         let prom = format!("{base}.prom");
         dhnsw_bench::write_atomic(&prom, &telemetry.render_prometheus())?;
         let json = format!("{base}.json");

@@ -74,7 +74,6 @@ pub struct DHnswConfig {
     seed: u64,
     search_threads: usize,
     read_retry_limit: u32,
-    retry_backoff_us: f64,
     degraded_ok: bool,
     pipeline_depth: usize,
     prefetch_budget_bytes: u64,
@@ -98,7 +97,6 @@ impl DHnswConfig {
             seed: 0x5EED,
             search_threads: 0,
             read_retry_limit: 3,
-            retry_backoff_us: 8.0,
             degraded_ok: false,
             pipeline_depth: 1,
             prefetch_budget_bytes: 0,
@@ -122,7 +120,6 @@ impl DHnswConfig {
             seed: 0x5EED,
             search_threads: 1,
             read_retry_limit: 3,
-            retry_backoff_us: 8.0,
             degraded_ok: false,
             pipeline_depth: 1,
             prefetch_budget_bytes: 0,
@@ -185,19 +182,6 @@ impl DHnswConfig {
     /// Sets the engine-level read retry budget.
     pub fn with_read_retry_limit(mut self, n: u32) -> Self {
         self.read_retry_limit = n;
-        self
-    }
-
-    /// Base backoff charged (in virtual µs) before the first engine
-    /// retry; doubles on each subsequent retry, bounded by the retry
-    /// limit.
-    pub fn retry_backoff_us(&self) -> f64 {
-        self.retry_backoff_us
-    }
-
-    /// Sets the base engine retry backoff in virtual µs.
-    pub fn with_retry_backoff_us(mut self, us: f64) -> Self {
-        self.retry_backoff_us = us;
         self
     }
 
@@ -362,28 +346,18 @@ impl DHnswConfig {
         self
     }
 
-    /// Applies the `DHNSW_*` environment overrides, so binaries can run
-    /// fault drills and sweeps without code changes. This module is the
-    /// one place the crate reads the environment; a variable that is set
-    /// wins over the value configured in code.
+    /// Applies the `DHNSW_*` environment overrides, so the test suite
+    /// and `repro` sweeps can flip them without code changes. This module
+    /// is the one place the crate reads the environment; a variable that
+    /// is set wins over the value configured in code. Every other knob
+    /// has one channel: its builder here, or a `dhnsw_cli` flag.
     ///
     /// | variable | overrides |
     /// |----------|-----------|
-    /// | `DHNSW_READ_RETRY_LIMIT` | [`DHnswConfig::read_retry_limit`] |
-    /// | `DHNSW_RETRY_BACKOFF_US` | [`DHnswConfig::retry_backoff_us`] |
-    /// | `DHNSW_DEGRADED_OK` (`1`) | [`DHnswConfig::degraded_ok`] |
     /// | `DHNSW_PIPELINE_DEPTH` | [`DHnswConfig::pipeline_depth`] (`0` reads as `1`) |
     /// | `DHNSW_PREFETCH_BUDGET_BYTES` | [`DHnswConfig::prefetch_budget_bytes`] |
     /// | `DHNSW_SEARCH_THREADS` | [`DHnswConfig::search_threads`] (`0` = all cores) |
     /// | `DHNSW_QUANTIZE_MODE` (`off`, `sq8`) | [`DHnswConfig::quantize_mode`] |
-    /// | `DHNSW_RERANK_K` | [`DHnswConfig::rerank_k`] (`0` reads as `1`) |
-    ///
-    /// The two tracer switches, `DHNSW_TRACE_SPANS` and
-    /// `DHNSW_SLOW_QUERY_US`, are read beside these (`tracer_env`): they
-    /// configure the telemetry hub a node reports to, not the node. The
-    /// five `DHNSW_SLO_*` watchdog budgets
-    /// ([`crate::SloBudgets::from_env`]) go through the same lookup and
-    /// parser.
     ///
     /// # Errors
     ///
@@ -396,20 +370,6 @@ impl DHnswConfig {
 
     /// [`DHnswConfig::with_env_overrides`] over any variable lookup.
     fn with_overrides(mut self, var: &dyn Fn(&str) -> Option<String>) -> Result<Self> {
-        if let Some(n) = parse_var(var, "DHNSW_READ_RETRY_LIMIT")? {
-            self.read_retry_limit = n;
-        }
-        if let Some(us) = parse_var::<f64>(var, "DHNSW_RETRY_BACKOFF_US")? {
-            if !us.is_finite() || us < 0.0 {
-                return Err(Error::InvalidParameter(format!(
-                    "DHNSW_RETRY_BACKOFF_US must be finite and >= 0, got {us}"
-                )));
-            }
-            self.retry_backoff_us = us;
-        }
-        if flag_var(var, "DHNSW_DEGRADED_OK")? {
-            self.degraded_ok = true;
-        }
         if let Some(d) = parse_var::<usize>(var, "DHNSW_PIPELINE_DEPTH")? {
             self.pipeline_depth = d.max(1);
         }
@@ -425,9 +385,6 @@ impl DHnswConfig {
                     "DHNSW_QUANTIZE_MODE={mode:?} is not a valid value (expected off or sq8)"
                 ))
             })?;
-        }
-        if let Some(k) = parse_var::<usize>(var, "DHNSW_RERANK_K")? {
-            self.rerank_k = k.max(1);
         }
         Ok(self)
     }
@@ -493,12 +450,6 @@ impl DHnswConfig {
                 self.metric
             )));
         }
-        if !self.retry_backoff_us.is_finite() || self.retry_backoff_us < 0.0 {
-            return Err(Error::InvalidParameter(format!(
-                "retry_backoff_us must be finite and >= 0, got {}",
-                self.retry_backoff_us
-            )));
-        }
         self.meta_params
             .validate()
             .map_err(|e| Error::InvalidParameter(format!("meta params: {e}")))?;
@@ -515,13 +466,13 @@ impl DHnswConfig {
 }
 
 /// The process environment: the one place this crate reads it.
-pub(crate) fn process_env(name: &str) -> Option<String> {
+fn process_env(name: &str) -> Option<String> {
     std::env::var(name).ok()
 }
 
 /// Looks `name` up and parses it; set but unparsable is an error that
 /// names the variable.
-pub(crate) fn parse_var<T: std::str::FromStr>(
+fn parse_var<T: std::str::FromStr>(
     var: &dyn Fn(&str) -> Option<String>,
     name: &str,
 ) -> Result<Option<T>> {
@@ -532,37 +483,6 @@ pub(crate) fn parse_var<T: std::str::FromStr>(
             })
         })
         .transpose()
-}
-
-/// An on/off switch: `1` turns it on, `0` or unset leaves it alone.
-fn flag_var(var: &dyn Fn(&str) -> Option<String>, name: &str) -> Result<bool> {
-    match var(name).as_deref().map(str::trim) {
-        None | Some("0") => Ok(false),
-        Some("1") => Ok(true),
-        Some(other) => Err(Error::InvalidParameter(format!(
-            "{name}={other:?} is not a valid value (expected 0 or 1)"
-        ))),
-    }
-}
-
-/// The span tracer's two environment switches, read beside
-/// [`DHnswConfig::with_env_overrides`]: whether `DHNSW_TRACE_SPANS=1` asks
-/// for a span tree per batch, and the `DHNSW_SLOW_QUERY_US` slow-query
-/// budget in µs.
-///
-/// # Errors
-///
-/// Returns [`Error::InvalidParameter`] naming the variable when one is
-/// set to something that does not parse.
-pub(crate) fn tracer_env() -> Result<(bool, Option<u64>)> {
-    tracer_switches(&process_env)
-}
-
-fn tracer_switches(var: &dyn Fn(&str) -> Option<String>) -> Result<(bool, Option<u64>)> {
-    Ok((
-        flag_var(var, "DHNSW_TRACE_SPANS")?,
-        parse_var(var, "DHNSW_SLOW_QUERY_US")?,
-    ))
 }
 
 impl Default for DHnswConfig {
@@ -624,24 +544,11 @@ mod tests {
     fn retry_knobs_default_and_build() {
         let c = DHnswConfig::paper();
         assert_eq!(c.read_retry_limit(), 3);
-        assert!((c.retry_backoff_us() - 8.0).abs() < 1e-12);
         assert!(!c.degraded_ok());
-        let c = c
-            .with_read_retry_limit(5)
-            .with_retry_backoff_us(2.5)
-            .with_degraded_ok(true);
+        let c = c.with_read_retry_limit(5).with_degraded_ok(true);
         assert_eq!(c.read_retry_limit(), 5);
-        assert!((c.retry_backoff_us() - 2.5).abs() < 1e-12);
         assert!(c.degraded_ok());
         c.validate().unwrap();
-        assert!(DHnswConfig::paper()
-            .with_retry_backoff_us(-1.0)
-            .validate()
-            .is_err());
-        assert!(DHnswConfig::paper()
-            .with_retry_backoff_us(f64::NAN)
-            .validate()
-            .is_err());
     }
 
     #[test]
@@ -707,16 +614,7 @@ mod tests {
     fn env_overrides_apply_valid_keep_absent_and_reject_malformed() {
         type Get = fn(&DHnswConfig) -> String;
         // (variable, a valid value, the field after it, a malformed value)
-        let cases: [(&'static str, &'static str, &'static str, &'static str, Get); 8] = [
-            ("DHNSW_READ_RETRY_LIMIT", "7", "7", "-1", |c| {
-                c.read_retry_limit().to_string()
-            }),
-            ("DHNSW_RETRY_BACKOFF_US", "2.5", "2.5", "NaN", |c| {
-                c.retry_backoff_us().to_string()
-            }),
-            ("DHNSW_DEGRADED_OK", "1", "true", "yes", |c| {
-                c.degraded_ok().to_string()
-            }),
+        let cases: [(&'static str, &'static str, &'static str, &'static str, Get); 4] = [
             ("DHNSW_PIPELINE_DEPTH", "4", "4", "abc", |c| {
                 c.pipeline_depth().to_string()
             }),
@@ -728,9 +626,6 @@ mod tests {
             }),
             ("DHNSW_QUANTIZE_MODE", "sq8", "sq8", "sq9", |c| {
                 c.quantize_mode().as_str().into()
-            }),
-            ("DHNSW_RERANK_K", "48", "48", "", |c| {
-                c.rerank_k().to_string()
             }),
         ];
         let base = DHnswConfig::small();
@@ -758,16 +653,9 @@ mod tests {
                 "{name}={malformed:?}: {err}"
             );
         }
-        // Zero depth and zero rerank pool read as their minimum, 1.
-        let floor = vars(&[("DHNSW_PIPELINE_DEPTH", "0"), ("DHNSW_RERANK_K", "0")]);
-        let floored = base.clone().with_overrides(&floor).unwrap();
-        assert_eq!((floored.pipeline_depth(), floored.rerank_k()), (1, 1));
-        // A flag set to 0 leaves a configured `true` alone.
-        let on = DHnswConfig::small().with_degraded_ok(true);
-        assert!(on
-            .with_overrides(&vars(&[("DHNSW_DEGRADED_OK", "0")]))
-            .unwrap()
-            .degraded_ok());
+        // Zero depth reads as its minimum, 1.
+        let floor = vars(&[("DHNSW_PIPELINE_DEPTH", "0")]);
+        assert_eq!(base.with_overrides(&floor).unwrap().pipeline_depth(), 1);
     }
 
     #[test]
@@ -790,23 +678,6 @@ mod tests {
             matches!(&err, Error::InvalidParameter(m) if m.contains("sq8") && m.contains("cosine")),
             "{err}"
         );
-    }
-
-    #[test]
-    fn tracer_switches_parse_valid_absent_and_malformed() {
-        assert_eq!(tracer_switches(&|_| None).unwrap(), (false, None));
-        let both = vars(&[("DHNSW_TRACE_SPANS", "1"), ("DHNSW_SLOW_QUERY_US", "250")]);
-        assert_eq!(tracer_switches(&both).unwrap(), (true, Some(250)));
-        for bad in [
-            &[("DHNSW_TRACE_SPANS", "on")],
-            &[("DHNSW_SLOW_QUERY_US", "1ms")],
-        ] {
-            let err = tracer_switches(&vars(bad)).unwrap_err();
-            assert!(
-                matches!(&err, Error::InvalidParameter(m) if m.contains(bad[0].0)),
-                "{err}"
-            );
-        }
     }
 
     #[test]

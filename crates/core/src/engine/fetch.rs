@@ -78,6 +78,10 @@ pub(super) struct Fetch {
     pub(super) stale: Vec<u32>,
 }
 
+/// Virtual µs charged before a reader's first engine retry; each further
+/// retry doubles it ([`Reader::again`]).
+const RETRY_BACKOFF_US: f64 = 8.0;
+
 /// The post primitive and the retry budget of one logical read at a
 /// time.
 pub(crate) struct Reader<'a> {
@@ -159,7 +163,7 @@ impl<'a> Reader<'a> {
                 attempts: self.attempt,
             });
         }
-        let us = config.retry_backoff_us() * f64::from(1u32 << (self.attempt - 1).min(16));
+        let us = RETRY_BACKOFF_US * f64::from(1u32 << (self.attempt - 1).min(16));
         self.node.qp.clock().advance_us(us);
         self.trace.instant(
             "read_retry",

@@ -41,7 +41,7 @@ use parking_lot::Mutex;
 use rdma_sim::{QueuePair, StatsSnapshot, READ_CAUSES};
 
 use crate::cache::{CacheStats, ClusterCache};
-use crate::config::{tracer_env, QuantizeMode};
+use crate::config::QuantizeMode;
 use crate::health::heatmap::ClusterHeatmap;
 use crate::layout::{Directory, DIRECTORY_PEEK_BYTES};
 use crate::meta::MetaIndex;
@@ -336,7 +336,6 @@ impl ComputeNode {
         telemetry: Arc<Telemetry>,
     ) -> Result<Self> {
         let config = store.config().clone().with_env_overrides()?;
-        let (trace_spans, slow_query_us) = tracer_env()?;
         let qp = QueuePair::connect(store.memory_node(), config.network());
         let rkey = store.region().rkey();
         // Peek the header first: a v3 (quantized) store carries an SQ
@@ -351,16 +350,6 @@ impl ComputeNode {
         // active trace scope the sink drops events after one
         // thread-local lookup, so untraced verbs stay cheap.
         qp.set_trace_sink(Some(Arc::new(QpSpanSink)));
-        if trace_spans {
-            telemetry.spans().set_enabled(true);
-        }
-        if let Some(us) = slow_query_us {
-            telemetry.spans().set_slow_threshold_us(us);
-            if us > 0 {
-                // A slow-query budget is meaningless without capture.
-                telemetry.spans().set_enabled(true);
-            }
-        }
         // The directory fetch above already moved bytes; start the flush
         // baseline there so connect traffic is not charged to queries.
         let flushed = Mutex::new(FlushState {

@@ -24,7 +24,7 @@ impl ComputeNode {
     /// cache.
     pub fn prefetch_hot(&self) -> usize {
         let budget = self.prefetch_budget_bytes();
-        if budget == 0 || !self.policy.reuse || !self.heatmap.is_enabled() {
+        if budget == 0 || !self.policy.reuse {
             return 0;
         }
         let capacity = self.cache.lock().capacity();

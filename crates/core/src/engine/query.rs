@@ -142,13 +142,8 @@ impl ComputeNode {
         // leaked pins would exempt entries from LRU pressure forever.
         // Settling also evicts down to capacity if a fully-pinned cache
         // transiently oversubscribed, charging those evictions here.
-        {
-            let victims = self.cache.lock().settle();
-            if self.heatmap.is_enabled() {
-                for v in victims {
-                    self.heatmap.record_eviction(v);
-                }
-            }
+        for v in self.cache.lock().settle() {
+            self.heatmap.record_eviction(v);
         }
         let (results, mut report) = match outcome {
             Ok(pair) => pair,
@@ -234,15 +229,12 @@ impl ComputeNode {
         report.breakdown.meta_hnsw_us =
             trace.end_span_with(s_meta, &[("fanout", ArgValue::U64(b as u64))]);
 
-        // Heatmap sampling: one relaxed load decides, then relaxed
-        // counter bumps only — nothing here allocates or takes a lock.
-        let heat = self.heatmap.is_enabled();
-        if heat {
-            self.heatmap.begin_batch();
-            for route in &routes {
-                for &p in route {
-                    self.heatmap.record_route(p);
-                }
+        // Heatmap sampling: relaxed counter bumps only — nothing here
+        // allocates or takes a lock.
+        self.heatmap.begin_batch();
+        for route in &routes {
+            for &p in route {
+                self.heatmap.record_route(p);
             }
         }
 
@@ -250,18 +242,34 @@ impl ComputeNode {
         // residency. Without reuse nothing is resident and `unique` is
         // still the batch-wide union, so the metric is comparable across
         // modes (loads exceeding it measure exactly the reuse forgone).
+        // The cached clusters are pinned under the same lock that found
+        // them resident, so LRU pressure from same-batch (or later-stage)
+        // loads cannot take them away mid-batch. Cache hit instants attach
+        // to the cluster-union span via the scope. Each pin remembers the
+        // version the entry was loaded at; the verifies ride stage 0's
+        // load, when anything loads at all.
         let s_union = trace.begin_span("cluster_union", "engine", root);
+        let mut resolved: HashMap<u32, Arc<LoadedCluster>> = HashMap::new();
+        let mut verify: Vec<(u32, u64)> = Vec::new();
         let plan = {
-            let cache = self.cache.lock();
-            plan_batch(&routes, |p| reuse && cache.contains(p))
+            let _scope = trace.enter_scope(s_union);
+            let mut cache = self.cache.lock();
+            let plan = plan_batch(&routes, |p| reuse && cache.contains(p));
+            for &p in &plan.cached {
+                let version = cache.version_of(p).unwrap_or(0);
+                let c = cache.get(p).expect("planned as resident under this lock");
+                cache.pin(p);
+                resolved.insert(p, c);
+                self.heatmap.record_cache_hit(p);
+                if !plan.to_load.is_empty() {
+                    verify.push((p, version));
+                }
+            }
+            plan
         };
+        report.cache_hits = plan.cached.len();
         report.raw_cluster_demand = plan.raw_demand;
         report.unique_clusters = plan.unique.len();
-        if heat {
-            for &p in &plan.cached {
-                self.heatmap.record_cache_hit(p);
-            }
-        }
 
         let threads = self.config.effective_search_threads();
         let chunk = if reuse {
@@ -305,38 +313,6 @@ impl ComputeNode {
             (keys, staged)
         };
 
-        // Pin cached clusters before loading so LRU pressure from
-        // same-batch (or later-stage) loads cannot take them away
-        // mid-batch. Cache hit instants attach to the cluster-union span
-        // via the scope. Each pin remembers the version the entry was
-        // loaded at; the verifies ride stage 0's load, when anything
-        // loads at all.
-        let mut resolved: HashMap<u32, Arc<LoadedCluster>> = HashMap::new();
-        let mut verify: Vec<(u32, u64)> = Vec::new();
-        {
-            let _scope = trace.enter_scope(s_union);
-            let mut cache = self.cache.lock();
-            for &p in &plan.cached {
-                let version = cache.version_of(p).unwrap_or(0);
-                if let Some(c) = cache.get(p) {
-                    cache.pin(p);
-                    resolved.insert(p, c);
-                    report.cache_hits += 1;
-                    if !plan.to_load.is_empty() {
-                        verify.push((p, version));
-                    }
-                } else {
-                    // A concurrent batch on this node evicted the entry
-                    // between planning and pinning: demote it to a
-                    // stage-0 load (always at or before first demand) so
-                    // every routed cluster still resolves. Never happens
-                    // single-threaded — the cache only changes between
-                    // the two locks when another thread settles or
-                    // admits.
-                    staged[0].push(Load::of(p));
-                }
-            }
-        }
         trace.end_span_with(s_union, &plan.trace_args());
         let stages = bounds.len();
         let stats0 = self.qp.stats().snapshot();
@@ -388,9 +364,7 @@ impl ComputeNode {
                     if let Some(cache) = cache.as_mut() {
                         let p = load.partition;
                         if let Some(victim) = cache.put(p, Arc::clone(&cluster), version) {
-                            if heat {
-                                self.heatmap.record_eviction(victim);
-                            }
+                            self.heatmap.record_eviction(victim);
                         }
                         cache.pin(p);
                     }
@@ -537,10 +511,8 @@ impl ComputeNode {
         report.read_retries += reader.retries;
         let vt = self.qp.clock().now_us() - clock0;
         let stats_delta = self.qp.stats().snapshot() - stats0;
-        if self.heatmap.is_enabled() {
-            for f in &got.stable {
-                self.heatmap.record_load(f.load.partition, f.bytes());
-            }
+        for f in &got.stable {
+            self.heatmap.record_load(f.load.partition, f.bytes());
         }
         trace.set_vt(s_net, clock0, vt);
         trace.end_span_with(

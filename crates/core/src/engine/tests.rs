@@ -725,26 +725,6 @@ fn naive_mode_samples_routes_and_per_query_loads() {
 }
 
 #[test]
-fn disabled_heatmap_adds_nothing_on_the_query_path() {
-    // The acceptance bound: with sampling off, the hot loop pays
-    // one relaxed load per batch and the record calls are no-ops.
-    let (data, store) = setup(400);
-    let node = store.connect(SearchMode::Full).unwrap();
-    node.heatmap().set_enabled(false);
-    let queries = gen::perturbed_queries(&data, 6, 0.02, 95).unwrap();
-    let (results, _) = node.query_batch(&queries, 5, 16).unwrap();
-    assert_eq!(results.len(), 6, "queries still answered");
-    for cell in node.heatmap().snapshot() {
-        assert_eq!(cell.route_hits, 0);
-        assert_eq!(cell.loads, 0);
-        assert_eq!(cell.cache_hits, 0);
-        assert_eq!(cell.evictions, 0);
-        assert_eq!(cell.bytes_read, 0);
-        assert_eq!(cell.hotness, 0.0);
-    }
-}
-
-#[test]
 fn health_report_accounts_layout_occupancy_and_latency() {
     let (data, store) = setup(600);
     let telemetry = Arc::new(Telemetry::new());

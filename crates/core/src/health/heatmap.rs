@@ -2,9 +2,7 @@
 //!
 //! One [`ClusterHeatmap`] lives on each compute node, sized to the
 //! partition count at connect time. The query path records into it
-//! with **relaxed atomics only and no allocation**; when sampling is
-//! disabled the engine pays a single relaxed load per batch and every
-//! `record_*` call returns after one more. Counter races under
+//! with **relaxed atomics only and no allocation**. Counter races under
 //! concurrent batches can drop an occasional increment — the heatmap
 //! is a sampling instrument, not an audit log, and that trade keeps it
 //! off the latency critical path.
@@ -16,7 +14,7 @@
 //! (fixed-point, per-cell last-batch stamp), so idle partitions cost
 //! nothing per batch and a snapshot still sees them correctly decayed.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Per-batch EWMA decay factor for the hotness score.
 pub const DECAY_PER_BATCH: f64 = 0.875;
@@ -63,18 +61,16 @@ pub struct PartitionHeat {
 /// Lock-free per-partition access counters with EWMA hotness.
 #[derive(Debug)]
 pub struct ClusterHeatmap {
-    enabled: AtomicBool,
     batch_seq: AtomicU64,
     cells: Vec<HeatCell>,
 }
 
 impl ClusterHeatmap {
-    /// A heatmap with one cell per partition, enabled by default.
+    /// A heatmap with one cell per partition.
     pub fn new(partitions: usize) -> Self {
         let mut cells = Vec::with_capacity(partitions);
         cells.resize_with(partitions, HeatCell::default);
         ClusterHeatmap {
-            enabled: AtomicBool::new(true),
             batch_seq: AtomicU64::new(0),
             cells,
         }
@@ -85,20 +81,8 @@ impl ClusterHeatmap {
         self.cells.len()
     }
 
-    /// Turns query-path sampling on or off.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether the query path samples into this heatmap. The engine
-    /// checks this once per batch; it is the *only* cost a disabled
-    /// heatmap adds to the hot loop.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
     /// Advances the batch clock that drives EWMA decay. Called once
-    /// per sampled batch, before the batch's `record_route` calls.
+    /// per batch, before the batch's `record_route` calls.
     pub fn begin_batch(&self) -> u64 {
         self.batch_seq.fetch_add(1, Ordering::Relaxed) + 1
     }
@@ -106,9 +90,6 @@ impl ClusterHeatmap {
     /// Records one meta-HNSW route to `partition` and bumps its EWMA
     /// hotness. Out-of-range ids are ignored.
     pub fn record_route(&self, partition: u32) {
-        if !self.is_enabled() {
-            return;
-        }
         let Some(cell) = self.cells.get(partition as usize) else {
             return;
         };
@@ -121,9 +102,6 @@ impl ClusterHeatmap {
 
     /// Records a cluster-cache hit for `partition`.
     pub fn record_cache_hit(&self, partition: u32) {
-        if !self.is_enabled() {
-            return;
-        }
         if let Some(cell) = self.cells.get(partition as usize) {
             cell.cache_hits.fetch_add(1, Ordering::Relaxed);
         }
@@ -131,9 +109,6 @@ impl ClusterHeatmap {
 
     /// Records a remote load of `bytes` for `partition`.
     pub fn record_load(&self, partition: u32, bytes: u64) {
-        if !self.is_enabled() {
-            return;
-        }
         if let Some(cell) = self.cells.get(partition as usize) {
             cell.loads.fetch_add(1, Ordering::Relaxed);
             cell.bytes_read.fetch_add(bytes, Ordering::Relaxed);
@@ -142,9 +117,6 @@ impl ClusterHeatmap {
 
     /// Records a cache eviction of `partition`.
     pub fn record_eviction(&self, partition: u32) {
-        if !self.is_enabled() {
-            return;
-        }
         if let Some(cell) = self.cells.get(partition as usize) {
             cell.evictions.fetch_add(1, Ordering::Relaxed);
         }
@@ -266,33 +238,5 @@ mod tests {
             h.begin_batch();
         }
         assert!(h.snapshot()[0].hotness < 1e-3);
-    }
-
-    #[test]
-    fn disabled_heatmap_records_nothing() {
-        // The acceptance bound for the disabled hot path: record calls
-        // must be no-ops (one relaxed load, no counter writes, no
-        // allocation — the methods take no owned arguments and return
-        // before touching any cell).
-        let h = ClusterHeatmap::new(3);
-        h.set_enabled(false);
-        assert!(!h.is_enabled());
-        h.record_route(0);
-        h.record_cache_hit(1);
-        h.record_load(2, 4096);
-        h.record_eviction(0);
-        for cell in h.snapshot() {
-            assert_eq!(cell.route_hits, 0);
-            assert_eq!(cell.cache_hits, 0);
-            assert_eq!(cell.loads, 0);
-            assert_eq!(cell.bytes_read, 0);
-            assert_eq!(cell.evictions, 0);
-            assert_eq!(cell.hotness, 0.0);
-        }
-        // Re-enabling resumes sampling on the same cells.
-        h.set_enabled(true);
-        h.begin_batch();
-        h.record_route(0);
-        assert_eq!(h.snapshot()[0].route_hits, 1);
     }
 }

@@ -9,9 +9,8 @@
 //!
 //! - [`heatmap`] — per-cluster access counters (route hits, loads,
 //!   cache hits, evictions, bytes read) plus an EWMA hotness score,
-//!   sampled on the query path with relaxed atomics only and **zero
-//!   allocation**, so the always-on cost is a handful of counter
-//!   increments per batch and a single atomic load when disabled.
+//!   always sampled on the query path with relaxed atomics only and
+//!   **zero allocation**: a handful of counter increments per batch.
 //! - [`report`] — the machine-readable [`HealthReport`]: per-group
 //!   overflow occupancy / slack / fragmentation from the layout
 //!   directory plus live `used` counters (one doorbell batch of 8-byte
@@ -19,8 +18,8 @@
 //!   latency summaries, rendered as deterministic JSON.
 //! - [`skew`] — Gini coefficient and top-k share over any counter
 //!   vector (partition bytes, route frequencies, meta-graph degrees).
-//! - [`watchdog`] — threshold budgets ([`SloBudgets`], configurable
-//!   via environment or CLI flags) evaluated against a report;
+//! - [`watchdog`] — threshold budgets ([`SloBudgets`], set by
+//!   `dhnsw_cli`'s `--slo-*` flags) evaluated against a report;
 //!   violations land in the span-trace ring as structured warning
 //!   events and drive `dhnsw_cli doctor --check`'s non-zero exit.
 //!

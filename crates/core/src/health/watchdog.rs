@@ -1,21 +1,16 @@
 //! Threshold-based SLO watchdog.
 //!
-//! Budgets come from the environment (`DHNSW_SLO_P99_US`,
-//! `DHNSW_SLO_MIN_HIT_RATE`, `DHNSW_SLO_MAX_OVERFLOW`,
-//! `DHNSW_SLO_MAX_ROUTE_GINI`, `DHNSW_SLO_MAX_DEGRADED_RATE`, parsed by
-//! `config.rs` like every other `DHNSW_*` variable) or CLI flags;
-//! [`evaluate`] checks a [`HealthReport`] against them and [`emit`]
-//! publishes the violations as a `dhnsw_slo_violations_total` counter
-//! plus structured `slo_violation` instant events in the span-trace
-//! ring (when span capture is enabled), so a dashboard or a
-//! `doctor --check` script sees the same verdict.
+//! Budgets come from `dhnsw_cli`'s `--slo-*` flags; [`evaluate`] checks
+//! a [`HealthReport`] against them and [`emit`] publishes the violations
+//! as a `dhnsw_slo_violations_total` counter plus structured
+//! `slo_violation` instant events in the span-trace ring (when span
+//! capture is enabled), so a dashboard or a `doctor --check` script sees
+//! the same verdict.
 
-use crate::config::{parse_var, process_env};
 use crate::health::report::HealthReport;
 use crate::telemetry::series::SeriesPoint;
 use crate::telemetry::span::ArgValue;
 use crate::telemetry::{metrics, Telemetry};
-use crate::Result;
 
 /// Configurable health budgets; `None` disables a check.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -35,29 +30,6 @@ pub struct SloBudgets {
 }
 
 impl SloBudgets {
-    /// Reads budgets from the `DHNSW_SLO_*` environment variables; an
-    /// unset variable leaves its check disabled.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::Error::InvalidParameter`] naming the variable when
-    /// one is set to something that is not a number — a typo must not
-    /// silently disable a budget.
-    pub fn from_env() -> Result<Self> {
-        Self::from_vars(&process_env)
-    }
-
-    /// [`SloBudgets::from_env`] over any variable lookup.
-    fn from_vars(var: &dyn Fn(&str) -> Option<String>) -> Result<Self> {
-        Ok(SloBudgets {
-            max_p99_us: parse_var(var, "DHNSW_SLO_P99_US")?,
-            min_cache_hit_rate: parse_var(var, "DHNSW_SLO_MIN_HIT_RATE")?,
-            max_overflow_occupancy: parse_var(var, "DHNSW_SLO_MAX_OVERFLOW")?,
-            max_route_gini: parse_var(var, "DHNSW_SLO_MAX_ROUTE_GINI")?,
-            max_degraded_rate: parse_var(var, "DHNSW_SLO_MAX_DEGRADED_RATE")?,
-        })
-    }
-
     /// Whether every check is disabled.
     pub fn is_empty(&self) -> bool {
         self.max_p99_us.is_none()
@@ -289,32 +261,6 @@ mod tests {
         }
     }
     use crate::health::skew::SkewStats;
-
-    #[test]
-    fn env_budgets_parse_valid_stay_off_absent_and_reject_malformed() {
-        type Get = fn(&SloBudgets) -> Option<f64>;
-        let cases: [(&'static str, Get); 5] = [
-            ("DHNSW_SLO_P99_US", |b| b.max_p99_us),
-            ("DHNSW_SLO_MIN_HIT_RATE", |b| b.min_cache_hit_rate),
-            ("DHNSW_SLO_MAX_OVERFLOW", |b| b.max_overflow_occupancy),
-            ("DHNSW_SLO_MAX_ROUTE_GINI", |b| b.max_route_gini),
-            ("DHNSW_SLO_MAX_DEGRADED_RATE", |b| b.max_degraded_rate),
-        ];
-        assert!(SloBudgets::from_vars(&|_| None).unwrap().is_empty());
-        for (name, get) in cases {
-            let set = move |n: &str| (n == name).then(|| " 0.25 ".to_string());
-            let budgets = SloBudgets::from_vars(&set).unwrap();
-            assert_eq!(get(&budgets), Some(0.25), "{name}");
-            let set_fields = cases.iter().filter(|(_, g)| g(&budgets).is_some()).count();
-            assert_eq!(set_fields, 1, "{name} sets its own budget only");
-            let bad = move |n: &str| (n == name).then(|| "abc".to_string());
-            let err = SloBudgets::from_vars(&bad).unwrap_err();
-            assert!(
-                matches!(&err, crate::Error::InvalidParameter(m) if m.contains(name)),
-                "{name}=abc: {err}"
-            );
-        }
-    }
 
     #[test]
     fn empty_budgets_never_fire() {

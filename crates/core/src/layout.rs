@@ -622,11 +622,18 @@ impl Directory {
         out
     }
 
-    /// Deserializes a directory blob.
+    /// Deserializes a directory blob, refusing any geometry the planner
+    /// cannot have written: a region larger than memory can hold, an
+    /// entry outside the `(group, slot)` pairing, a span outside `[end of
+    /// the directory, total_len]`, an overflow area shorter than its
+    /// `used` counter, or a front (back) cluster that does not end before
+    /// (start after) its overflow area. Every offset a reader derives from
+    /// an accepted directory is then in range.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Corrupt`] on a bad magic/version or truncation.
+    /// Returns [`Error::Corrupt`] on a bad magic/version, truncation, or
+    /// such a geometry.
     pub fn from_bytes(blob: &[u8]) -> Result<Self> {
         let take = |off: usize, n: usize| -> Result<&[u8]> {
             blob.get(off..off + n)
@@ -641,7 +648,8 @@ impl Directory {
         // The header checks (magic, version) are `peek_size`'s; the size it
         // derives from the partition count is held against the blob
         // before anything is reserved for that count.
-        take(0, Self::peek_size(blob)?)?;
+        let dir_end = Self::peek_size(blob)?;
+        take(0, dir_end)?;
         let format_version = u32_at(4)?;
         let dim = u32_at(8)?;
         let n = u32_at(12)? as usize;
@@ -649,6 +657,15 @@ impl Directory {
         let epoch = u64_at(24)?;
         let total_len = u64_at(32)?;
         let next_id = u64_at(ID_COUNTER_OFFSET as usize)?;
+        if total_len > isize::MAX as u64 {
+            return Err(Error::Corrupt(format!(
+                "region of {total_len} bytes cannot exist"
+            )));
+        }
+        // A span `(off, len)` inside the region, past the directory.
+        let inside = |off: u64, len: u64| {
+            off >= dir_end as u64 && off.checked_add(len).is_some_and(|end| end <= total_len)
+        };
         let mut locations = Vec::with_capacity(n);
         for i in 0..n {
             let base = HEADER_BYTES + i * ENTRY_BYTES;
@@ -660,7 +677,7 @@ impl Directory {
                     return Err(Error::Corrupt(format!("bad slot tag {other}")));
                 }
             };
-            locations.push(ClusterLocation {
+            let loc = ClusterLocation {
                 partition: i as u32,
                 group,
                 slot,
@@ -668,14 +685,38 @@ impl Directory {
                 cluster_len: u64_at(base + 16)?,
                 overflow_off: u64_at(base + 24)?,
                 overflow_len: u64_at(base + 32)?,
-            });
+            };
+            let paired =
+                (group as usize, slot) == (i / 2, [GroupSlot::Front, GroupSlot::Back][i % 2]);
+            // Summed only once both spans are known to end in the region.
+            let ordered = || match slot {
+                GroupSlot::Front => loc.cluster_off + loc.cluster_len <= loc.overflow_off,
+                GroupSlot::Back => loc.overflow_off + loc.overflow_len <= loc.cluster_off,
+            };
+            if !paired
+                || !inside(loc.cluster_off, loc.cluster_len)
+                || !inside(loc.overflow_off, loc.overflow_len)
+                || loc.overflow_len < 8
+                || !ordered()
+            {
+                return Err(Error::Corrupt(format!(
+                    "directory entry {i} is not a planned location: {loc:?}"
+                )));
+            }
+            locations.push(loc);
         }
         let mut sq_spans = Vec::new();
         if format_version >= DIRECTORY_VERSION_V3 {
             sq_spans.reserve(n);
             for i in 0..n {
                 let base = Self::byte_size(n) + i * SQ_SPAN_BYTES;
-                sq_spans.push((u64_at(base)?, u64_at(base + 8)?));
+                let (off, len) = (u64_at(base)?, u64_at(base + 8)?);
+                if !inside(off, len) {
+                    return Err(Error::Corrupt(format!(
+                        "sq span {i} ({off}, {len}) leaves the region"
+                    )));
+                }
+                sq_spans.push((off, len));
             }
         }
         Ok(Directory {

@@ -77,8 +77,7 @@ pub use telemetry::chrome::chrome_trace_json;
 pub use telemetry::exemplar::{diagnose, BucketExemplar, Diagnosis, ExemplarStore, VERDICTS};
 pub use telemetry::profile::{PathStats, ProfileAccumulator};
 pub use telemetry::series::{
-    AnomalyConfig, AnomalyRecord, Sample, SeriesPoint, SeriesRecorder, TrackedSeries, TRACKED,
-    TRACKED_SERIES,
+    AnomalyRecord, Sample, SeriesPoint, SeriesRecorder, TrackedSeries, TRACKED, TRACKED_SERIES,
 };
 pub use telemetry::span::{
     ArgValue, BatchTrace, FinishedTrace, QpSpanSink, SpanId, SpanKind, SpanRecord, SpanTracer,

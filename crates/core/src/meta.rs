@@ -99,21 +99,11 @@ impl MetaIndex {
         self.index.descend(query, b)
     }
 
-    /// Classifies a vector into its single nearest partition (the
-    /// insertion path).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::DimensionMismatch`] for a wrong-length vector.
-    pub fn classify(&self, v: &[f32]) -> Result<u32> {
-        self.classify_with_beam(v, 1)
-    }
-
-    /// Like [`MetaIndex::classify`], but descends with a beam of width
-    /// `beam` before taking the top-1. Insertion must use the same beam
-    /// width queries route with: beam-1 greedy descent can terminate in a
-    /// local optimum that a wider query route never visits, making the
-    /// inserted vector unreachable.
+    /// Classifies a vector into its nearest partition (the build and
+    /// insertion paths): descends with a beam of width `beam` and takes
+    /// the top-1. Both must use the same beam width queries route with:
+    /// beam-1 greedy descent can terminate in a local optimum that a wider
+    /// query route never visits, making the vector unreachable.
     ///
     /// # Errors
     ///
@@ -184,16 +174,17 @@ impl MetaIndex {
     /// HNSW blob.
     pub fn from_bytes(blob: &[u8]) -> Result<Self> {
         let take = |off: usize, n: usize| -> Result<&[u8]> {
-            blob.get(off..off + n)
+            off.checked_add(n)
+                .and_then(|end| blob.get(off..end))
                 .ok_or_else(|| Error::Corrupt("truncated meta blob".into()))
         };
         let n = u32::from_le_bytes(take(0, 4)?.try_into().expect("4")) as usize;
-        let mut sample_ids = Vec::with_capacity(n);
-        for i in 0..n {
-            sample_ids.push(u32::from_le_bytes(
-                take(4 + 4 * i, 4)?.try_into().expect("4"),
-            ));
-        }
+        // The ids are held against the blob before anything is sized by
+        // their count.
+        let sample_ids: Vec<u32> = take(4, 4 * n)?
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().expect("4")))
+            .collect();
         let len_off = 4 + 4 * n;
         let hnsw_len = u64::from_le_bytes(take(len_off, 8)?.try_into().expect("8")) as usize;
         let hnsw_blob = take(len_off + 8, hnsw_len)?;
@@ -286,7 +277,7 @@ mod tests {
         // A representative classifies to itself (distance 0 beats all).
         for p in (0..meta.partitions() as u32).step_by(7) {
             let rep_vec = meta.representative(p).to_vec();
-            let got = meta.classify(&rep_vec).unwrap();
+            let got = meta.classify_with_beam(&rep_vec, 4).unwrap();
             assert_eq!(
                 meta.representative(got),
                 &rep_vec[..],
@@ -300,7 +291,7 @@ mod tests {
     fn classify_rejects_wrong_dim() {
         let (_, meta) = build_small(200);
         assert!(matches!(
-            meta.classify(&[0.0; 4]).unwrap_err(),
+            meta.classify_with_beam(&[0.0; 4], 4).unwrap_err(),
             Error::DimensionMismatch { .. }
         ));
     }

@@ -93,22 +93,19 @@ pub fn read_snapshot<R: Read>(mut r: R, config: &DHnswConfig) -> Result<VectorSt
     r.read_exact(&mut u64buf).map_err(io_err)?;
     let base_len = u64::from_le_bytes(u64buf) as usize;
     r.read_exact(&mut u32buf).map_err(io_err)?;
-    let parts = u32::from_le_bytes(u32buf) as usize;
-    let mut partition_sizes = Vec::with_capacity(parts);
-    for _ in 0..parts {
-        r.read_exact(&mut u32buf).map_err(io_err)?;
-        partition_sizes.push(u32::from_le_bytes(u32buf) as usize);
-    }
+    let parts = u32::from_le_bytes(u32buf);
+    let partition_sizes = read_section(&mut r, 4 * u64::from(parts), "partition sizes")?
+        .chunks_exact(4)
+        .map(|c| u32::from_le_bytes(c.try_into().expect("4")) as usize)
+        .collect();
+    let parts = parts as usize;
     r.read_exact(&mut u64buf).map_err(io_err)?;
-    let meta_len = u64::from_le_bytes(u64buf) as usize;
-    let mut meta_blob = vec![0u8; meta_len];
-    r.read_exact(&mut meta_blob).map_err(io_err)?;
+    let meta_blob = read_section(&mut r, u64::from_le_bytes(u64buf), "meta blob")?;
     let meta = MetaIndex::from_bytes(&meta_blob)?;
 
     r.read_exact(&mut u64buf).map_err(io_err)?;
-    let region_len = u64::from_le_bytes(u64buf) as usize;
-    let mut region_bytes = vec![0u8; region_len];
-    r.read_exact(&mut region_bytes).map_err(io_err)?;
+    let region_bytes = read_section(&mut r, u64::from_le_bytes(u64buf), "region")?;
+    let region_len = region_bytes.len();
 
     // Validate the embedded directory before committing to a region.
     // Size it via the header: a v3 region carries an SQ span table.
@@ -149,6 +146,20 @@ pub fn read_snapshot<R: Read>(mut r: R, config: &DHnswConfig) -> Result<VectorSt
         base_len,
         partition_sizes,
     ))
+}
+
+/// Reads a counted section of `len` bytes into a buffer that grows as
+/// they arrive, so a corrupt count costs what the stream holds, not what
+/// the count claims.
+fn read_section<R: Read>(r: &mut R, len: u64, what: &str) -> Result<Vec<u8>> {
+    let mut buf = Vec::new();
+    r.take(len)
+        .read_to_end(&mut buf)
+        .map_err(|e| Error::Corrupt(format!("snapshot read failed: {e}")))?;
+    if buf.len() as u64 != len {
+        return Err(Error::Corrupt(format!("snapshot ends inside its {what}")));
+    }
+    Ok(buf)
 }
 
 #[cfg(test)]

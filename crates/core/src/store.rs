@@ -10,7 +10,7 @@ use vecsim::Dataset;
 
 use crate::cluster::{SqCluster, SubCluster};
 use crate::config::QuantizeMode;
-use crate::engine::{ComputeNode, SearchMode};
+use crate::engine::{run_indexed, ComputeNode, SearchMode};
 use crate::layout::Directory;
 use crate::loader::plan_load;
 use crate::meta::MetaIndex;
@@ -91,7 +91,10 @@ impl VectorStore {
         // Classify every vector (parallel over row ranges), routing with
         // the same beam width queries use so a vector's home partition is
         // always on its own query route.
-        let assignments = classify_all(&data, &meta, config.fanout());
+        let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let assignments = run_indexed(data.len(), threads, |i| {
+            meta.classify_with_beam(data.get(i), config.fanout())
+        })?;
         let mut members: Vec<Vec<u32>> = vec![Vec::new(); parts];
         for (i, &p) in assignments.iter().enumerate() {
             members[p as usize].push(i as u32);
@@ -329,32 +332,6 @@ impl VectorStore {
     pub fn remote_bytes(&self) -> u64 {
         self.directory.total_len()
     }
-}
-
-/// Classifies every row of `data` with the meta index, fanned out over
-/// available cores. `beam` must match the query-routing fanout: a
-/// narrower greedy descent can park a vector in a local-optimum
-/// partition that query routes never visit.
-fn classify_all(data: &Dataset, meta: &MetaIndex, beam: usize) -> Vec<u32> {
-    let n = data.len();
-    let threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(n.max(1));
-    let chunk = n.div_ceil(threads);
-    let mut out = vec![0u32; n];
-    std::thread::scope(|s| {
-        for (t, slot) in out.chunks_mut(chunk).enumerate() {
-            let start = t * chunk;
-            s.spawn(move || {
-                for (off, dst) in slot.iter_mut().enumerate() {
-                    let route = meta.route(data.get(start + off), beam.max(1));
-                    *dst = route.first().map(|n| n.id).unwrap_or(0);
-                }
-            });
-        }
-    });
-    out
 }
 
 /// A partition's serialized sub-HNSW blob plus, on quantized builds,

@@ -296,7 +296,7 @@ pub enum Kind {
 }
 
 #[derive(Debug, Clone)]
-enum Instrument {
+pub(crate) enum Instrument {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
@@ -415,83 +415,22 @@ impl Telemetry {
         self.spans.finish(trace);
     }
 
-    /// Gets or registers the counter `name{labels}`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is already registered as a different kind.
-    pub fn counter(
+    /// Gets or registers the series `def{labels}`, made by `make` when
+    /// new. [`metrics::MetricDef`]'s resolvers are the only callers, so
+    /// the metric table is the only place a family comes from.
+    pub(crate) fn instrument(
         &self,
-        name: &'static str,
-        help: &'static str,
+        def: &metrics::MetricDef,
         labels: &[(&str, &str)],
-    ) -> Arc<Counter> {
-        match self.instrument(name, help, labels, Kind::Counter, || {
-            Instrument::Counter(Arc::new(Counter::default()))
-        }) {
-            Instrument::Counter(c) => c,
-            _ => unreachable!("kind checked in instrument()"),
-        }
-    }
-
-    /// Gets or registers the gauge `name{labels}`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is already registered as a different kind.
-    pub fn gauge(
-        &self,
-        name: &'static str,
-        help: &'static str,
-        labels: &[(&str, &str)],
-    ) -> Arc<Gauge> {
-        match self.instrument(name, help, labels, Kind::Gauge, || {
-            Instrument::Gauge(Arc::new(Gauge::default()))
-        }) {
-            Instrument::Gauge(g) => g,
-            _ => unreachable!("kind checked in instrument()"),
-        }
-    }
-
-    /// Gets or registers the histogram `name{labels}`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is already registered as a different kind.
-    pub fn histogram(
-        &self,
-        name: &'static str,
-        help: &'static str,
-        labels: &[(&str, &str)],
-    ) -> Arc<Histogram> {
-        match self.instrument(name, help, labels, Kind::Histogram, || {
-            Instrument::Histogram(Arc::new(Histogram::default()))
-        }) {
-            Instrument::Histogram(h) => h,
-            _ => unreachable!("kind checked in instrument()"),
-        }
-    }
-
-    fn instrument(
-        &self,
-        name: &'static str,
-        help: &'static str,
-        labels: &[(&str, &str)],
-        kind: Kind,
         make: impl FnOnce() -> Instrument,
     ) -> Instrument {
         let key = render_labels(labels);
         let mut families = self.families.lock();
-        let family = families.entry(name).or_insert_with(|| Family {
-            help,
-            kind,
+        let family = families.entry(def.name).or_insert_with(|| Family {
+            help: def.help,
+            kind: def.kind,
             series: BTreeMap::new(),
         });
-        assert!(
-            family.kind == kind,
-            "metric {name} registered as {:?}, requested as {kind:?}",
-            family.kind
-        );
         family.series.entry(key).or_insert_with(make).clone()
     }
 
@@ -626,25 +565,23 @@ mod tests {
     #[test]
     fn counter_and_gauge_basics() {
         let t = Telemetry::new();
-        let c = t.counter("dhnsw_test_total", "help", &[]);
+        let c = metrics::QUERIES.counter(&t, &[]);
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
         // Same name+labels returns the same instrument.
-        assert_eq!(t.counter("dhnsw_test_total", "help", &[]).get(), 5);
+        assert_eq!(metrics::QUERIES.counter(&t, &[]).get(), 5);
 
-        let g = t.gauge("dhnsw_test_gauge", "help", &[("mode", "full")]);
+        let g = metrics::CACHE_OCCUPANCY.gauge(&t, &[("mode", "full")]);
         g.set(10);
         g.set(8);
         assert_eq!(g.get(), 8);
     }
 
     #[test]
-    #[should_panic(expected = "registered as Counter")]
+    #[should_panic(expected = "dhnsw_queries_total")]
     fn kind_mismatch_panics() {
-        let t = Telemetry::new();
-        t.counter("dhnsw_x", "help", &[]);
-        t.gauge("dhnsw_x", "help", &[]);
+        metrics::QUERIES.gauge(&Telemetry::new(), &[]);
     }
 
     #[test]
@@ -795,12 +732,10 @@ mod tests {
     #[test]
     fn prometheus_output_is_well_formed_and_ordered() {
         let t = Telemetry::new();
-        t.counter("dhnsw_b_total", "second family", &[("mode", "full")])
-            .add(2);
-        t.counter("dhnsw_b_total", "second family", &[("mode", "naive")])
-            .add(3);
-        t.counter("dhnsw_a_total", "first family", &[]).inc();
-        let h = t.histogram("dhnsw_lat_us", "latency", &[]);
+        metrics::QUERIES.counter(&t, &[("mode", "full")]).add(2);
+        metrics::QUERIES.counter(&t, &[("mode", "naive")]).add(3);
+        metrics::DELETES.counter(&t, &[]).inc();
+        let h = metrics::QUERY_LATENCY_US.histogram(&t, &[]);
         h.observe(3);
         h.observe(100);
 
@@ -810,29 +745,30 @@ mod tests {
         // Families appear in name order; series in label order.
         let a = lines
             .iter()
-            .position(|l| l.starts_with("dhnsw_a_total"))
+            .position(|l| l.starts_with("dhnsw_deletes_total"))
             .unwrap();
         let b_full = lines
             .iter()
-            .position(|l| l.starts_with("dhnsw_b_total{mode=\"full\"}"))
+            .position(|l| l.starts_with("dhnsw_queries_total{mode=\"full\"}"))
             .unwrap();
         let b_naive = lines
             .iter()
-            .position(|l| l.starts_with("dhnsw_b_total{mode=\"naive\"}"))
+            .position(|l| l.starts_with("dhnsw_queries_total{mode=\"naive\"}"))
             .unwrap();
         assert!(a < b_full && b_full < b_naive);
 
         // Every family has HELP and TYPE lines before its samples.
-        assert!(lines.contains(&"# HELP dhnsw_a_total first family"));
-        assert!(lines.contains(&"# TYPE dhnsw_a_total counter"));
-        assert!(lines.contains(&"# TYPE dhnsw_lat_us histogram"));
+        let help = format!("# HELP dhnsw_deletes_total {}", metrics::DELETES.help);
+        assert!(lines.contains(&help.as_str()));
+        assert!(lines.contains(&"# TYPE dhnsw_deletes_total counter"));
+        assert!(lines.contains(&"# TYPE dhnsw_query_latency_us histogram"));
 
         // Histogram exposition: cumulative buckets end at +Inf = count.
-        assert!(text.contains("dhnsw_lat_us_bucket{le=\"4\"} 1\n"));
-        assert!(text.contains("dhnsw_lat_us_bucket{le=\"128\"} 2\n"));
-        assert!(text.contains("dhnsw_lat_us_bucket{le=\"+Inf\"} 2\n"));
-        assert!(text.contains("dhnsw_lat_us_sum 103\n"));
-        assert!(text.contains("dhnsw_lat_us_count 2\n"));
+        assert!(text.contains("dhnsw_query_latency_us_bucket{le=\"4\"} 1\n"));
+        assert!(text.contains("dhnsw_query_latency_us_bucket{le=\"128\"} 2\n"));
+        assert!(text.contains("dhnsw_query_latency_us_bucket{le=\"+Inf\"} 2\n"));
+        assert!(text.contains("dhnsw_query_latency_us_sum 103\n"));
+        assert!(text.contains("dhnsw_query_latency_us_count 2\n"));
 
         // Every non-comment line is `name{labels}? value`.
         for l in &lines {
@@ -957,19 +893,12 @@ mod tests {
         let t = Telemetry::new();
         // A representative registry: labeled counters (including the
         // per-cause byte family), gauges, and a labeled histogram.
-        for cause in rdma_sim::ReadCause::ALL {
-            t.counter(
-                "dhnsw_rdma_read_bytes_by_cause_total",
-                "Bytes read, by cause",
-                &[("cause", cause.as_str())],
-            )
-            .add(1024);
+        for c in metrics::RDMA_READ_BYTES_BY_CAUSE.counters_by_cause(&t) {
+            c.add(1024);
         }
-        t.gauge("dhnsw_cache_resident_bytes", "resident bytes", &[])
-            .set(250);
-        t.counter("dhnsw_queries_total", "Queries", &[("mode", "full")])
-            .add(7);
-        let h = t.histogram("dhnsw_query_latency_us", "latency", &[("mode", "full")]);
+        metrics::CACHE_RESIDENT_BYTES.gauge(&t, &[]).set(250);
+        metrics::QUERIES.counter(&t, &[("mode", "full")]).add(7);
+        let h = metrics::QUERY_LATENCY_US.histogram(&t, &[("mode", "full")]);
         h.observe_n(8, 90);
         h.observe_n(4096, 10);
         assert_prometheus_conformant(&t.render_prometheus());
@@ -979,14 +908,13 @@ mod tests {
     fn prometheus_label_escaping_round_trips() {
         let t = Telemetry::new();
         let hairy = "a\\b\"c\nd";
-        t.counter("dhnsw_esc_total", "escape probe", &[("path", hairy)])
-            .add(5);
+        metrics::QUERIES.counter(&t, &[("path", hairy)]).add(5);
         let text = t.render_prometheus();
         assert_prometheus_conformant(&text);
         // The escaped form on the wire...
         let line = text
             .lines()
-            .find(|l| l.starts_with("dhnsw_esc_total{"))
+            .find(|l| l.starts_with("dhnsw_queries_total{"))
             .expect("escaped series rendered");
         let start = line.find("path=\"").unwrap() + "path=\"".len();
         let end = line.rfind('"').unwrap();
@@ -1013,13 +941,12 @@ mod tests {
     #[test]
     fn json_snapshot_contains_quantiles() {
         let t = Telemetry::new();
-        t.counter("dhnsw_q_total", "queries", &[("mode", "full")])
-            .add(7);
-        let h = t.histogram("dhnsw_lat_us", "latency", &[]);
+        metrics::QUERIES.counter(&t, &[("mode", "full")]).add(7);
+        let h = metrics::QUERY_LATENCY_US.histogram(&t, &[]);
         h.observe_n(8, 90);
         h.observe_n(4096, 10);
         let json = t.snapshot_json();
-        assert!(json.contains("\"dhnsw_q_total{mode=\\\"full\\\"}\":7"));
+        assert!(json.contains("\"dhnsw_queries_total{mode=\\\"full\\\"}\":7"));
         assert!(json.contains("\"count\":100"));
         assert!(json.contains("\"p50\":8"));
         assert!(json.contains("\"p99\":4096"));

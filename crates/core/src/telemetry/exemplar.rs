@@ -37,15 +37,15 @@ use crate::breakdown::{BatchReport, Phase};
 use crate::telemetry::span::FinishedTrace;
 use crate::telemetry::{bucket_bound, bucket_index, HIST_BUCKETS};
 
-/// Default reservoir capacity (uniform sample over all batches).
+/// Reservoir capacity (uniform sample over all batches).
 pub const RESERVOIR_CAPACITY: usize = 64;
 
-/// Default number of slowest batches retained exactly (with spans).
+/// Number of slowest batches retained exactly (with spans).
 pub const SLOWEST_CAPACITY: usize = 8;
 
-/// Default reservoir seed; fixed so two identical runs retain
-/// identical exemplar sets.
-const DEFAULT_SEED: u64 = 0x5EED_7A11_D0A7_F00D;
+/// Reservoir seed; fixed so two identical runs retain identical
+/// exemplar sets.
+const SEED: u64 = 0x5EED_7A11_D0A7_F00D;
 
 /// Verdicts the diagnoser can emit, in ranking-tie precedence order
 /// (`nominal` is the no-excess fallback and not listed).
@@ -91,8 +91,6 @@ struct Inner {
 /// short lock per batch; counters are atomics readable without it.
 #[derive(Debug)]
 pub struct ExemplarStore {
-    reservoir_capacity: usize,
-    slowest_capacity: usize,
     recorded: AtomicU64,
     dropped: AtomicU64,
     inner: Mutex<Inner>,
@@ -100,7 +98,17 @@ pub struct ExemplarStore {
 
 impl Default for ExemplarStore {
     fn default() -> Self {
-        Self::with_config(RESERVOIR_CAPACITY, SLOWEST_CAPACITY, DEFAULT_SEED)
+        ExemplarStore {
+            recorded: AtomicU64::new(0),
+            dropped: AtomicU64::new(0),
+            inner: Mutex::new(Inner {
+                reservoir: Vec::new(),
+                seen: 0,
+                rng: SEED,
+                slowest: Vec::new(),
+                buckets: [None; HIST_BUCKETS],
+            }),
+        }
     }
 }
 
@@ -119,24 +127,6 @@ fn slower(a: &BatchReport, b: &BatchReport) -> bool {
 }
 
 impl ExemplarStore {
-    /// A store with explicit capacities and reservoir seed (tests and
-    /// benchmarks; production uses `Default`).
-    pub fn with_config(reservoir_capacity: usize, slowest_capacity: usize, seed: u64) -> Self {
-        ExemplarStore {
-            reservoir_capacity: reservoir_capacity.max(1),
-            slowest_capacity: slowest_capacity.max(1),
-            recorded: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            inner: Mutex::new(Inner {
-                reservoir: Vec::new(),
-                seen: 0,
-                rng: seed,
-                slowest: Vec::new(),
-                buckets: [None; HIST_BUCKETS],
-            }),
-        }
-    }
-
     /// Records one batch. The bucket exemplar always updates; the
     /// span tree (if any) is retained only while the batch sits in
     /// the K-slowest set; the reservoir keeps a uniform sample. The
@@ -153,7 +143,7 @@ impl ExemplarStore {
         });
 
         let pos = g.slowest.partition_point(|e| slower(&e.rec, rec));
-        if pos < self.slowest_capacity {
+        if pos < SLOWEST_CAPACITY {
             g.slowest.insert(
                 pos,
                 SlowEntry {
@@ -161,18 +151,18 @@ impl ExemplarStore {
                     spans,
                 },
             );
-            if g.slowest.len() > self.slowest_capacity {
+            if g.slowest.len() > SLOWEST_CAPACITY {
                 g.slowest.pop();
                 self.dropped.fetch_add(1, Ordering::Relaxed);
             }
         }
 
         g.seen += 1;
-        if g.reservoir.len() < self.reservoir_capacity {
+        if g.reservoir.len() < RESERVOIR_CAPACITY {
             g.reservoir.push(rec.clone());
         } else {
             let j = splitmix(&mut g.rng) % g.seen;
-            if (j as usize) < self.reservoir_capacity {
+            if (j as usize) < RESERVOIR_CAPACITY {
                 g.reservoir[j as usize] = rec.clone();
             }
             self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -522,47 +512,59 @@ mod tests {
 
     #[test]
     fn slowest_set_is_exact_and_keeps_spans_only_there() {
-        let s = ExemplarStore::with_config(4, 2, 7);
+        let s = ExemplarStore::default();
         let spans_of = |seq| FinishedTrace {
             label: "full",
             seq,
             total_us: 1.0,
             spans: Vec::new(),
         };
-        for (id, total) in [(1u64, 50.0), (2, 400.0), (3, 100.0), (4, 300.0)] {
+        // Ten batches for eight slots; the two fastest arrive early.
+        let totals = [
+            50.0, 400.0, 100.0, 300.0, 450.0, 500.0, 350.0, 250.0, 200.0, 150.0,
+        ];
+        for (id, &total) in (1u64..).zip(&totals) {
             s.record(&rec(id, total, 16), Some(spans_of(id)));
         }
         let slow: Vec<u64> = s.slowest().iter().map(|r| r.trace_id).collect();
-        assert_eq!(slow, vec![2, 4], "exact top-2 by latency, slowest first");
+        assert_eq!(
+            slow,
+            vec![6, 5, 2, 7, 4, 8, 9, 10],
+            "exact top-{SLOWEST_CAPACITY} by latency, slowest first"
+        );
         // Spans survive only for the K-slowest entries.
         assert!(s.lookup(2).unwrap().1.is_some());
         assert!(s.lookup(1).unwrap().1.is_none(), "reservoir keeps no spans");
         // Displacements counted as drops: ids 1 and 3 left the set.
         assert_eq!(s.dropped(), 2);
-        assert_eq!(s.recorded(), 4);
+        assert_eq!(s.recorded(), 10);
     }
 
     #[test]
     fn eviction_wraps_around_bounded_capacity() {
-        let s = ExemplarStore::with_config(4, 2, 99);
-        for i in 0..20u64 {
+        let s = ExemplarStore::default();
+        for i in 0..100u64 {
             // Latencies cycle so every bucket keeps being rewritten.
             let total = 100.0 + (i % 5) as f64 * 50.0;
             s.record(&rec(i, total, 1), None);
         }
-        assert_eq!(s.recorded(), 20);
-        assert_eq!(s.occupancy(), 6, "4 reservoir slots + 2 slowest");
+        assert_eq!(s.recorded(), 100);
+        assert_eq!(
+            s.occupancy(),
+            (RESERVOIR_CAPACITY + SLOWEST_CAPACITY) as u64,
+            "every reservoir slot and every slowest slot"
+        );
         // Once the reservoir is full every further record drops one
         // (itself or a displaced entry), plus slowest displacements.
-        assert!(s.dropped() >= 16, "dropped={}", s.dropped());
-        // The slowest pair is exactly the ties-broken top-2 of the
-        // 300µs batches: ids 4 and 9 (lowest ids at the max latency).
+        assert!(s.dropped() >= 36, "dropped={}", s.dropped());
+        // The slowest eight are exactly the ties-broken top of the
+        // 300µs batches: the lowest ids at the max latency.
         let slow: Vec<u64> = s.slowest().iter().map(|r| r.trace_id).collect();
-        assert_eq!(slow, vec![4, 9]);
+        assert_eq!(slow, vec![4, 9, 14, 19, 24, 29, 34, 39]);
         // Bucket exemplars always reflect the most recent batch.
         let ex = s.bucket_exemplars();
         let b = ex[bucket_index(250)].expect("250µs bucket");
-        assert_eq!(b.trace_id, 18, "last id with 250µs is 18");
+        assert_eq!(b.trace_id, 98, "last id with 250µs is 98");
         // Lifetime counters survive clear() only as zeros.
         s.clear();
         assert_eq!((s.occupancy(), s.recorded(), s.dropped()), (0, 0, 0));
@@ -619,7 +621,7 @@ mod tests {
 
     #[test]
     fn whyslow_resolves_retained_ids_only() {
-        let s = ExemplarStore::with_config(8, 2, 1);
+        let s = ExemplarStore::default();
         for i in 0..6u64 {
             s.record(&rec(i, 100.0 + i as f64, 8), None);
         }
@@ -633,7 +635,7 @@ mod tests {
 
     #[test]
     fn render_json_is_deterministic_and_structured() {
-        let s = ExemplarStore::with_config(4, 2, 3);
+        let s = ExemplarStore::default();
         s.record(
             &with_bytes(rec(1, 500.0, 10), ReadCause::StageLoad, 2048),
             None,
@@ -656,15 +658,15 @@ mod tests {
 
         #[test]
         fn reservoir_is_seed_deterministic_and_k_slowest_exact(
-            totals in prop::collection::vec(1u32..1_000_000, 1..120)
+            totals in prop::collection::vec(1u32..1_000_000, 1..200)
         ) {
-            let a = ExemplarStore::with_config(8, 4, 0xABCD);
-            let b = ExemplarStore::with_config(8, 4, 0xABCD);
+            let a = ExemplarStore::default();
+            let b = ExemplarStore::default();
             for (i, &t) in totals.iter().enumerate() {
                 a.record(&rec(i as u64, f64::from(t), 4), None);
                 b.record(&rec(i as u64, f64::from(t), 4), None);
             }
-            // Same seed + same stream → identical reservoirs.
+            // Same stream → identical reservoirs (the seed is fixed).
             prop_assert_eq!(a.reservoir(), b.reservoir());
             prop_assert_eq!(a.dropped(), b.dropped());
             // The K-slowest set is exact: matches a full sort.
@@ -675,11 +677,11 @@ mod tests {
                 .collect();
             want.sort_by(|x, y| y.0.total_cmp(&x.0).then(x.1.cmp(&y.1)));
             let want_ids: Vec<u64> =
-                want.iter().take(4).map(|&(_, id)| id).collect();
+                want.iter().take(SLOWEST_CAPACITY).map(|&(_, id)| id).collect();
             let got_ids: Vec<u64> =
                 a.slowest().iter().map(|r| r.trace_id).collect();
             prop_assert_eq!(got_ids, want_ids);
-            prop_assert!(a.occupancy() <= 12);
+            prop_assert!(a.occupancy() <= (RESERVOIR_CAPACITY + SLOWEST_CAPACITY) as u64);
             prop_assert_eq!(a.recorded(), totals.len() as u64);
         }
     }

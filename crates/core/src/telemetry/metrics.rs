@@ -4,7 +4,7 @@
 //! records into a family — the engine's pre-resolved handles, the series
 //! recorder, the watchdog — names its constant here and supplies only
 //! labels, so a family cannot be registered under two help strings or
-//! two kinds ([`Telemetry`] keeps the first registration's). [`ALL`]
+//! two kinds: [`Telemetry`] registers through these rows only. [`ALL`]
 //! lists them for the table test and for anything that wants to
 //! enumerate the plane. The table holds what is counted; what a document
 //! derives (`/health`'s ratios, `/exemplars`' occupancy) is computed when
@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use rdma_sim::{ReadCause, READ_CAUSES};
 
-use super::{Counter, Gauge, Histogram, Kind, Telemetry};
+use super::{Counter, Gauge, Histogram, Instrument, Kind, Telemetry};
 
 /// One metric family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,7 +43,10 @@ impl MetricDef {
     /// Panics if the family is not a counter.
     pub fn counter(&self, t: &Telemetry, labels: &[(&str, &str)]) -> Arc<Counter> {
         assert_eq!(self.kind, Kind::Counter, "{}", self.name);
-        t.counter(self.name, self.help, labels)
+        match t.instrument(self, labels, || Instrument::Counter(Arc::default())) {
+            Instrument::Counter(i) => i,
+            _ => unreachable!("a family keeps its row's kind"),
+        }
     }
 
     /// This family's counters `{cause}`, one per [`ReadCause`] in index
@@ -59,7 +62,10 @@ impl MetricDef {
     /// Panics if the family is not a gauge.
     pub fn gauge(&self, t: &Telemetry, labels: &[(&str, &str)]) -> Arc<Gauge> {
         assert_eq!(self.kind, Kind::Gauge, "{}", self.name);
-        t.gauge(self.name, self.help, labels)
+        match t.instrument(self, labels, || Instrument::Gauge(Arc::default())) {
+            Instrument::Gauge(i) => i,
+            _ => unreachable!("a family keeps its row's kind"),
+        }
     }
 
     /// Gets or registers this family's histogram `{labels}` on `t`.
@@ -69,7 +75,10 @@ impl MetricDef {
     /// Panics if the family is not a histogram.
     pub fn histogram(&self, t: &Telemetry, labels: &[(&str, &str)]) -> Arc<Histogram> {
         assert_eq!(self.kind, Kind::Histogram, "{}", self.name);
-        t.histogram(self.name, self.help, labels)
+        match t.instrument(self, labels, || Instrument::Histogram(Arc::default())) {
+            Instrument::Histogram(i) => i,
+            _ => unreachable!("a family keeps its row's kind"),
+        }
     }
 }
 

@@ -24,12 +24,12 @@
 //! **Anomaly scoring.** Each tracked series (see [`TRACKED_SERIES`])
 //! feeds an online detector keeping an EWMA mean and an EWMA absolute
 //! deviation (a streaming stand-in for the MAD). A point scores
-//! `z = |x - mean| / max(1.4826·dev, rel_floor·|mean|, abs_floor)`;
+//! `z = |x - mean| / max(1.4826·dev, REL_FLOOR·|mean|, abs_floor)`;
 //! the `1.4826` factor rescales the MAD to a standard-deviation
 //! equivalent under a normal baseline, and the two floors keep a
 //! near-constant series (dev → 0) from turning measurement dust into
-//! infinite z-scores. Detection fires on `z ≥ enter_z` and re-arms
-//! only once `z ≤ exit_z` (hysteresis), warm-up points are never
+//! infinite z-scores. Detection fires on `z ≥ ENTER_Z` and re-arms
+//! only once `z ≤ EXIT_Z` (hysteresis), warm-up points are never
 //! scored, idle windows (zero queries) are never scored, and
 //! anomalous points update the baseline with a strongly reduced
 //! weight so a level shift is flagged instead of silently absorbed.
@@ -47,44 +47,31 @@ use rdma_sim::{ReadCause, READ_CAUSES};
 use super::span::ArgValue;
 use super::{json_f64, metrics, HistogramSnapshot, Telemetry};
 
-/// Default number of derived points the ring retains (at the serving
-/// plane's 1 Hz sampler: ten minutes of history).
-pub const DEFAULT_SERIES_CAPACITY: usize = 600;
+/// Number of derived points the ring retains (at the serving plane's
+/// 1 Hz sampler: ten minutes of history).
+const SERIES_CAPACITY: usize = 600;
 
-/// Default number of anomaly records retained.
-pub const DEFAULT_ANOMALY_CAPACITY: usize = 256;
+/// Number of anomaly records retained.
+const ANOMALY_CAPACITY: usize = 256;
 
-/// Tuning for the online anomaly detector.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AnomalyConfig {
-    /// Points a detector consumes before it starts scoring; the
-    /// warm-up also uses a faster EWMA weight so the baseline locks
-    /// on quickly.
-    pub warmup: u32,
-    /// z-score at or above which an anomaly fires.
-    pub enter_z: f64,
-    /// z-score at or below which a fired detector re-arms
-    /// (hysteresis: between `exit_z` and `enter_z` the episode is
-    /// considered ongoing and no new record is emitted).
-    pub exit_z: f64,
-    /// EWMA weight of the newest point for both mean and deviation.
-    pub alpha: f64,
-    /// Deviation floor as a fraction of `|mean|`, so a jitter-free
-    /// series still needs a materially different value to fire.
-    pub rel_floor: f64,
-}
+/// Points a detector consumes before it starts scoring; the warm-up also
+/// uses a faster EWMA weight so the baseline locks on quickly.
+const WARMUP: u32 = 5;
 
-impl Default for AnomalyConfig {
-    fn default() -> Self {
-        AnomalyConfig {
-            warmup: 5,
-            enter_z: 6.0,
-            exit_z: 3.0,
-            alpha: 0.3,
-            rel_floor: 0.05,
-        }
-    }
-}
+/// z-score at or above which an anomaly fires.
+const ENTER_Z: f64 = 6.0;
+
+/// z-score at or below which a fired detector re-arms (hysteresis:
+/// between `EXIT_Z` and `ENTER_Z` the episode is considered ongoing and
+/// no new record is emitted).
+const EXIT_Z: f64 = 3.0;
+
+/// EWMA weight of the newest point for both mean and deviation.
+const ALPHA: f64 = 0.3;
+
+/// Deviation floor as a fraction of `|mean|`, so a jitter-free series
+/// still needs a materially different value to fire.
+const REL_FLOOR: f64 = 0.05;
 
 /// One series the anomaly detector watches.
 #[derive(Debug, Clone, Copy)]
@@ -266,7 +253,7 @@ pub struct AnomalyRecord {
     pub value: f64,
     /// The detector's EWMA baseline at fire time.
     pub mean: f64,
-    /// The robust z-score that crossed `enter_z`.
+    /// The robust z-score that crossed `ENTER_Z`.
     pub zscore: f64,
     /// Whether the series is deterministic under pinned seeds and
     /// synthetic ticks (see [`TrackedSeries::deterministic`]).
@@ -312,7 +299,7 @@ struct Detector {
 impl Detector {
     /// Feeds one point; returns `Some((baseline_mean, z))` when a new
     /// anomaly episode starts.
-    fn update(&mut self, x: f64, cfg: &AnomalyConfig, abs_floor: f64) -> Option<(f64, f64)> {
+    fn update(&mut self, x: f64, abs_floor: f64) -> Option<(f64, f64)> {
         if self.n == 0 {
             self.n = 1;
             self.mean = x;
@@ -320,28 +307,28 @@ impl Detector {
             return None;
         }
         let scale = (1.4826 * self.dev)
-            .max(cfg.rel_floor * self.mean.abs())
+            .max(REL_FLOOR * self.mean.abs())
             .max(abs_floor);
         let z = (x - self.mean).abs() / scale;
         self.n += 1;
-        let warming = self.n <= cfg.warmup;
+        let warming = self.n <= WARMUP;
         let mut fired = None;
         if !warming {
-            if !self.active && z >= cfg.enter_z {
+            if !self.active && z >= ENTER_Z {
                 self.active = true;
                 fired = Some((self.mean, z));
-            } else if self.active && z <= cfg.exit_z {
+            } else if self.active && z <= EXIT_Z {
                 self.active = false;
             }
         }
         // Anomalous points barely move the baseline (a level shift is
         // flagged, not absorbed); warm-up converges fast.
         let a = if warming {
-            cfg.alpha.max(0.5)
-        } else if z >= cfg.enter_z {
-            cfg.alpha * 0.1
+            ALPHA.max(0.5)
+        } else if z >= ENTER_Z {
+            ALPHA * 0.1
         } else {
-            cfg.alpha
+            ALPHA
         };
         self.dev = (1.0 - a) * self.dev + a * (x - self.mean).abs();
         self.mean = (1.0 - a) * self.mean + a * x;
@@ -425,47 +412,15 @@ struct Inner {
 /// Bounded ring of derived series points plus the online anomaly
 /// detectors over them. See the module docs for the scoring math and
 /// the determinism contract.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SeriesRecorder {
-    capacity: usize,
-    anomaly_capacity: usize,
-    config: AnomalyConfig,
     inner: Mutex<Inner>,
 }
 
-impl Default for SeriesRecorder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl SeriesRecorder {
-    /// A recorder with the default point capacity.
+    /// An empty recorder.
     pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_SERIES_CAPACITY)
-    }
-
-    /// A recorder retaining up to `points` derived points.
-    pub fn with_capacity(points: usize) -> Self {
-        SeriesRecorder {
-            capacity: points.max(1),
-            anomaly_capacity: DEFAULT_ANOMALY_CAPACITY,
-            config: AnomalyConfig::default(),
-            inner: Mutex::new(Inner::default()),
-        }
-    }
-
-    /// Replaces the anomaly-detector tuning (builder style; intended
-    /// for tests and standalone recorders — the hub-embedded recorder
-    /// keeps the defaults).
-    pub fn with_config(mut self, config: AnomalyConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// The detector tuning in effect.
-    pub fn config(&self) -> AnomalyConfig {
-        self.config
+        Self::default()
     }
 
     /// Takes `cur`, a sample of a node's query-path instruments
@@ -496,9 +451,7 @@ impl SeriesRecorder {
         if point.window_queries > 0 {
             for (i, tracked) in TRACKED_SERIES.iter().enumerate() {
                 let x = point.tracked_value(i);
-                if let Some((mean, z)) =
-                    inner.detectors[i].update(x, &self.config, tracked.abs_floor)
-                {
+                if let Some((mean, z)) = inner.detectors[i].update(x, tracked.abs_floor) {
                     let exemplar = telemetry
                         .exemplars()
                         .slowest()
@@ -514,7 +467,7 @@ impl SeriesRecorder {
                         exemplar,
                     };
                     inner.fired += 1;
-                    if inner.anomalies.len() == self.anomaly_capacity {
+                    if inner.anomalies.len() == ANOMALY_CAPACITY {
                         inner.anomalies.pop_front();
                     }
                     inner.anomalies.push_back(record);
@@ -522,7 +475,7 @@ impl SeriesRecorder {
                 }
             }
         }
-        if inner.points.len() == self.capacity {
+        if inner.points.len() == SERIES_CAPACITY {
             inner.points.pop_front();
         }
         inner.points.push_back(point);
@@ -667,7 +620,7 @@ mod tests {
     #[test]
     fn first_tick_is_baseline_and_rates_are_exact() {
         let (t, mut h) = (Telemetry::new(), Traffic::default());
-        let rec = SeriesRecorder::with_capacity(16);
+        let rec = SeriesRecorder::new();
         assert!(
             rec.tick(&t, h.at(0)).is_none(),
             "first tick is the baseline"
@@ -691,7 +644,7 @@ mod tests {
     #[test]
     fn non_advancing_tick_rebaselines_instead_of_dividing_by_zero() {
         let (t, mut h) = (Telemetry::new(), Traffic::default());
-        let rec = SeriesRecorder::with_capacity(16);
+        let rec = SeriesRecorder::new();
         assert!(rec.tick(&t, h.at(1_000)).is_none());
         h.drive(10, 100, 1000, 0);
         assert!(
@@ -712,22 +665,23 @@ mod tests {
     #[test]
     fn ring_capacity_is_bounded() {
         let (t, mut h) = (Telemetry::new(), Traffic::default());
-        let rec = SeriesRecorder::with_capacity(4);
+        let rec = SeriesRecorder::new();
         rec.tick(&t, h.at(0));
-        for i in 1..=20u64 {
+        let ticks = SERIES_CAPACITY as u64 + 20;
+        for i in 1..=ticks {
             h.drive(5, 100, 100, 0);
             rec.tick(&t, h.at(i * 1_000_000));
         }
         let points = rec.points();
-        assert_eq!(points.len(), 4);
-        assert_eq!(points.last().expect("non-empty").t_us, 20_000_000);
-        assert_eq!(points[0].t_us, 17_000_000);
+        assert_eq!(points.len(), SERIES_CAPACITY);
+        assert_eq!(points.last().expect("non-empty").t_us, ticks * 1_000_000);
+        assert_eq!(points[0].t_us, 21_000_000, "the oldest 20 points left");
     }
 
     #[test]
     fn steady_traffic_fires_no_anomaly_and_a_spike_fires_once() {
         let (t, mut h) = (Telemetry::new(), Traffic::default());
-        let rec = SeriesRecorder::with_capacity(64);
+        let rec = SeriesRecorder::new();
         rec.tick(&t, h.at(0));
         // 12 identical windows: warm-up plus a long steady baseline.
         for i in 1..=12u64 {
@@ -742,7 +696,7 @@ mod tests {
         assert_eq!(rec.anomaly_count(), 1, "records: {records:?}");
         assert_eq!(records[0].series, "retries_per_s");
         assert!(records[0].deterministic);
-        assert!(records[0].zscore >= rec.config().enter_z);
+        assert!(records[0].zscore >= ENTER_Z);
         // Hysteresis: the storm continuing is the same episode.
         h.drive(40, 300, 100_000, 85);
         rec.tick(&t, h.at(14_000_000));
@@ -758,20 +712,20 @@ mod tests {
     #[test]
     fn warmup_suppresses_scoring_and_idle_windows_are_skipped() {
         let (t, mut h) = (Telemetry::new(), Traffic::default());
-        let cfg = AnomalyConfig {
-            warmup: 3,
-            ..AnomalyConfig::default()
-        };
-        let rec = SeriesRecorder::with_capacity(64).with_config(cfg);
+        let rec = SeriesRecorder::new();
         rec.tick(&t, h.at(0));
-        // Wildly different windows inside warm-up: no anomalies.
-        h.drive(10, 100, 1_000, 0);
-        rec.tick(&t, h.at(1_000_000));
-        h.drive(500, 100, 9_000_000, 40);
-        rec.tick(&t, h.at(2_000_000));
+        // WARMUP wildly different windows: no anomalies.
+        for i in 1..=u64::from(WARMUP) {
+            if i % 2 == 1 {
+                h.drive(10, 100, 1_000, 0);
+            } else {
+                h.drive(500, 100, 9_000_000, 40);
+            }
+            rec.tick(&t, h.at(i * 1_000_000));
+        }
         assert_eq!(rec.anomaly_count(), 0, "warm-up must not score");
         // Idle windows (no queries) never feed the detectors.
-        for i in 3..=30u64 {
+        for i in u64::from(WARMUP) + 1..=30 {
             rec.tick(&t, h.at(i * 1_000_000));
         }
         assert_eq!(rec.anomaly_count(), 0, "idle windows must not score");
@@ -782,7 +736,7 @@ mod tests {
     #[test]
     fn clear_resets_baseline_points_and_detectors() {
         let (t, mut h) = (Telemetry::new(), Traffic::default());
-        let rec = SeriesRecorder::with_capacity(8);
+        let rec = SeriesRecorder::new();
         rec.tick(&t, h.at(0));
         h.drive(10, 100, 1_000, 0);
         rec.tick(&t, h.at(1_000_000));
@@ -800,7 +754,7 @@ mod tests {
     #[test]
     fn render_json_windows_and_steps_anchor_on_newest() {
         let (t, mut h) = (Telemetry::new(), Traffic::default());
-        let rec = SeriesRecorder::with_capacity(32);
+        let rec = SeriesRecorder::new();
         rec.tick(&t, h.at(0));
         for i in 1..=10u64 {
             h.drive(8, 200, 4_000, 0);
@@ -829,19 +783,18 @@ mod tests {
 
     #[test]
     fn detector_hysteresis_rearms_after_recovery() {
-        let cfg = AnomalyConfig::default();
         let mut d = Detector::default();
         for _ in 0..10 {
-            assert!(d.update(100.0, &cfg, 1.0).is_none());
+            assert!(d.update(100.0, 1.0).is_none());
         }
-        assert!(d.update(1_000.0, &cfg, 1.0).is_some(), "spike fires");
-        assert!(d.update(1_000.0, &cfg, 1.0).is_none(), "episode continues");
+        assert!(d.update(1_000.0, 1.0).is_some(), "spike fires");
+        assert!(d.update(1_000.0, 1.0).is_none(), "episode continues");
         // Recovery to baseline re-arms…
         for _ in 0..5 {
-            assert!(d.update(100.0, &cfg, 1.0).is_none());
+            assert!(d.update(100.0, 1.0).is_none());
         }
-        assert!(!d.active, "recovered below exit_z");
+        assert!(!d.active, "recovered below EXIT_Z");
         // …and a second spike fires a new episode.
-        assert!(d.update(1_000.0, &cfg, 1.0).is_some());
+        assert!(d.update(1_000.0, 1.0).is_some());
     }
 }

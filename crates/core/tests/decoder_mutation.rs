@@ -21,6 +21,10 @@
 //! The overflow area goes through the sweep as well: its insert vectors
 //! reach the distance kernels straight from `parse_overflow_detailed`, so
 //! an accepted area may hold nothing but `dim`-long rows.
+//!
+//! So does a whole store snapshot (`DHSS`), the one decoder of on-disk
+//! bytes: every byte flipped, and each of its length fields — and the
+//! embedded meta blob's — set to its maximum.
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -29,6 +33,7 @@ use dhnsw::cluster::{
     parse_overflow_detailed, LoadedCluster, OverflowRecord, SqCluster, SubCluster,
 };
 use dhnsw::layout::{Directory, DIRECTORY_PEEK_BYTES};
+use dhnsw::{snapshot, DHnswConfig, MetaIndex, QuantizeMode, VectorStore};
 use hnsw::{serialize, HnswIndex, HnswParams, SearchScratch};
 use vecsim::cast::{le_f32s, le_u32s, AlignedBytes};
 use vecsim::gen;
@@ -402,18 +407,27 @@ fn dhd1_blobs_decode_or_report_corruption() {
                             Directory::peek_size(bytes).unwrap() as u64,
                             dir.directory_bytes()
                         );
+                        // Every address a reader derives is in range.
                         for p in 0..dir.partitions() as u32 {
-                            dir.location(p).unwrap();
+                            let loc = dir.location(p).unwrap();
                             dir.version_slot_off(p).unwrap();
                             assert_eq!(dir.sq_span(p).unwrap().is_some(), dir.has_sq_spans());
+                            let (off, len) = loc.read_span();
+                            assert!(off + len <= dir.total_len());
+                            assert!(loc.cluster_cut().0 <= len);
+                            dir.load_span(p, QuantizeMode::Off).unwrap();
                         }
+                        let groups = dir.groups();
+                        assert_eq!(groups.len(), dir.partitions().div_ceil(2));
+                        dir.sq_padding_bytes();
                         true
                     }
                     Err(dhnsw::Error::Corrupt(_)) => false,
                     Err(other) => panic!("DHD1: not a corruption error: {other:?}"),
                 },
             );
-        // Offsets and lengths are not cross-checked: most flips decode.
+        // Flipped epochs, id counters, version slots and spans that still
+        // lie inside the region decode.
         assert!(accepted > 0);
     }
 }
@@ -495,4 +509,165 @@ fn counts_that_outrun_the_blob_allocate_nothing() {
         Directory::from_bytes(&dhd1),
         Err(dhnsw::Error::Corrupt(_))
     ));
+}
+
+#[test]
+fn directory_entries_the_planner_cannot_write_are_refused() {
+    // Entry 0's fields, past the 48-byte header: group u32, slot u8 + 3
+    // pad, cluster_off, cluster_len, overflow_off, overflow_len.
+    let dir = Directory::plan(&[100, 220, 60], DIM, 4).unwrap();
+    let blob = dir.to_bytes();
+    let entry = DIRECTORY_PEEK_BYTES;
+    let set_u64 = |at: usize, v: u64| {
+        let mut b = blob.clone();
+        b[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        b
+    };
+    let front = dir.location(0).unwrap();
+    for (what, bytes) in [
+        // `groups()` would take 8 off it for the area's capacity.
+        ("an overflow area of 0 bytes", set_u64(entry + 32, 0)),
+        ("an overflow area of 7 bytes", set_u64(entry + 32, 7)),
+        (
+            "a cluster ending past total_len",
+            set_u64(entry + 16, u64::MAX - 64),
+        ),
+        ("a cluster inside the directory", set_u64(entry + 8, 0)),
+        // `read_span` would compute `overflow_off + overflow_len - cluster_off`.
+        (
+            "a front cluster after its area",
+            set_u64(entry + 8, front.overflow_off + front.overflow_len),
+        ),
+        ("a region larger than memory", set_u64(32, u64::MAX)),
+        ("an entry outside its group", {
+            let mut b = blob.clone();
+            b[entry..entry + 4].copy_from_slice(&7u32.to_le_bytes());
+            b
+        }),
+    ] {
+        let got = catch_unwind(|| Directory::from_bytes(&bytes))
+            .unwrap_or_else(|_| panic!("{what}: panicked"));
+        assert!(
+            matches!(got, Err(dhnsw::Error::Corrupt(_))),
+            "{what}: {got:?}"
+        );
+    }
+    // The same holds for an SQ8 span.
+    let v3 = Directory::plan_with_sq(&[100, 220, 60], &[40, 90, 25], DIM, 4).unwrap();
+    let mut bytes = v3.to_bytes();
+    let sq = Directory::byte_size(3);
+    bytes[sq + 8..sq + 16].copy_from_slice(&u64::MAX.to_le_bytes());
+    assert!(matches!(
+        Directory::from_bytes(&bytes),
+        Err(dhnsw::Error::Corrupt(_))
+    ));
+}
+
+/// A snapshot of a small store holding one insert.
+fn snapshot_of_a_small_store() -> (Vec<u8>, DHnswConfig) {
+    let config = DHnswConfig::small()
+        .with_representatives(4)
+        .with_overflow_slots(2);
+    let store = VectorStore::build(data(), &config).unwrap();
+    store
+        .connect(dhnsw::SearchMode::Full)
+        .unwrap()
+        .insert(&[0.5; DIM])
+        .unwrap();
+    let mut bytes = Vec::new();
+    snapshot::write_snapshot(&store, &mut bytes).unwrap();
+    (bytes, config)
+}
+
+/// Restores `bytes`: `Ok` or a corruption error, never a panic.
+fn restores_or_reports_corruption(what: &str, bytes: &[u8], config: &DHnswConfig) -> bool {
+    match catch_unwind(AssertUnwindSafe(|| snapshot::read_snapshot(bytes, config))) {
+        Ok(Ok(_)) => true,
+        Ok(Err(dhnsw::Error::Corrupt(_))) => false,
+        Ok(Err(other)) => panic!("DHSS {what}: not a corruption error: {other:?}"),
+        Err(_) => panic!("DHSS {what}: panicked"),
+    }
+}
+
+/// Byte offsets of a snapshot's length fields: `(name, offset, width)`.
+fn snapshot_length_fields(bytes: &[u8]) -> Vec<(&'static str, usize, usize)> {
+    let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+    let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    let meta_len_at = 20 + 4 * u32_at(16);
+    let meta_at = meta_len_at + 8;
+    let hnsw_len_at = meta_at + 4 + 4 * u32_at(meta_at);
+    vec![
+        ("base_len", 8, 8),
+        ("parts", 16, 4),
+        ("meta_len", meta_len_at, 8),
+        ("meta sample count", meta_at, 4),
+        ("meta hnsw length", hnsw_len_at, 8),
+        ("region_len", meta_at + u64_at(meta_len_at), 8),
+    ]
+}
+
+#[test]
+fn dhss_snapshots_restore_or_report_corruption() {
+    let (bytes, config) = snapshot_of_a_small_store();
+    assert!(restores_or_reports_corruption("pristine", &bytes, &config));
+    let mut accepted = 0;
+    let mut scratch = bytes.clone();
+    for at in 0..bytes.len() {
+        scratch[at] ^= 0xff;
+        let what = format!("byte {at} ^ 0xff");
+        accepted += usize::from(restores_or_reports_corruption(&what, &scratch, &config));
+        scratch[at] ^= 0xff;
+    }
+    // Flipped cluster and overflow bytes restore: the region is an image.
+    assert!(accepted > 0);
+    for (field, at, width) in snapshot_length_fields(&bytes) {
+        let mut maxed = bytes.clone();
+        maxed[at..at + width].fill(0xff);
+        let what = format!("{field} at its maximum");
+        restores_or_reports_corruption(&what, &maxed, &config);
+    }
+}
+
+/// The `(offset, width)` of the snapshot length field `name`.
+fn length_field(bytes: &[u8], name: &str) -> (usize, usize) {
+    let fields = snapshot_length_fields(bytes);
+    let (_, at, width) = fields.iter().find(|f| f.0 == name).unwrap();
+    (*at, *width)
+}
+
+#[test]
+fn oversized_snapshot_sections_are_corruption() {
+    // A section length the stream cannot hold: refused from the bytes that
+    // arrived, never sized by the count.
+    let (bytes, config) = snapshot_of_a_small_store();
+    for name in ["meta_len", "region_len"] {
+        let (at, _) = length_field(&bytes, name);
+        let mut maxed = bytes.clone();
+        maxed[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let got = catch_unwind(AssertUnwindSafe(|| {
+            snapshot::read_snapshot(&maxed[..], &config)
+        }))
+        .unwrap_or_else(|_| panic!("{name} = u64::MAX: panicked"));
+        assert!(
+            matches!(got, Err(dhnsw::Error::Corrupt(_))),
+            "{name}: {:?}",
+            got.err()
+        );
+    }
+}
+
+#[test]
+fn a_meta_hnsw_length_that_overflows_is_corruption() {
+    // An embedded HNSW length whose end overflows the offset arithmetic.
+    let (bytes, _) = snapshot_of_a_small_store();
+    let (meta_len_at, _) = length_field(&bytes, "meta_len");
+    let (hnsw_len_at, _) = length_field(&bytes, "meta hnsw length");
+    let meta_at = meta_len_at + 8;
+    let meta_len = u64::from_le_bytes(bytes[meta_len_at..meta_at].try_into().unwrap()) as usize;
+    let mut meta = bytes[meta_at..meta_at + meta_len].to_vec();
+    let at = hnsw_len_at - meta_at;
+    meta[at..at + 8].copy_from_slice(&(u64::MAX - 3).to_le_bytes());
+    let got = catch_unwind(|| MetaIndex::from_bytes(&meta))
+        .unwrap_or_else(|_| panic!("hnsw length u64::MAX - 3: panicked"));
+    assert!(matches!(got, Err(dhnsw::Error::Corrupt(_))));
 }

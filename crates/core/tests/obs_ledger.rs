@@ -323,8 +323,7 @@ fn cell(data: &Dataset, queries: &Dataset, wire: QuantizeMode, spans: bool) -> (
         .unwrap();
     node.set_pipeline_depth(1);
     node.set_prefetch_budget_bytes(0);
-    // After connect, so the DHNSW_TRACE_SPANS / DHNSW_SLOW_QUERY_US
-    // switches it reads cannot move a cell.
+    // The hub's tracer, set per cell (connecting never touches it).
     telemetry.spans().set_enabled(spans);
     telemetry.spans().set_slow_threshold_us(u64::from(spans));
     assert_eq!(node.is_quantized(), wire == QuantizeMode::Sq8);

@@ -257,20 +257,6 @@ impl HnswIndex {
         }
     }
 
-    /// Like [`HnswIndex::search`], but only returns results satisfying
-    /// `keep` (e.g. visibility filters or tombstones maintained outside
-    /// the index). The beam itself is unfiltered — filtering happens on
-    /// result collection, so recall on the kept subset degrades gracefully
-    /// rather than stranding the search; pass a generous `ef` when the
-    /// filter is highly selective.
-    pub fn search_filtered<F>(&self, query: &[f32], k: usize, ef: usize, keep: F) -> Vec<Neighbor>
-    where
-        F: Fn(u32) -> bool,
-    {
-        let wide = self.search(query, ef.max(k), ef);
-        wide.into_iter().filter(|n| keep(n.id)).take(k).collect()
-    }
-
     /// The `beam` closest bottom-layer nodes found by a search whose beam
     /// is no wider than its result: `search(query, beam, beam)`. This is
     /// the primitive the meta-HNSW uses to classify a vector into a
@@ -598,28 +584,6 @@ mod tests {
         let data = gen::uniform(8, 100, 0.0, 1.0, 1).unwrap();
         let idx = HnswIndex::build(data, &small_params()).unwrap();
         assert!(idx.search(&[0.0; 4], 5, 10).is_empty());
-    }
-
-    #[test]
-    fn filtered_search_excludes_rejected_ids() {
-        let data = gen::uniform(8, 400, 0.0, 1.0, 97).unwrap();
-        let idx = HnswIndex::build(data, &small_params()).unwrap();
-        let unfiltered = idx.search(&[0.5; 8], 5, 64);
-        let banned = unfiltered[0].id;
-        let filtered = idx.search_filtered(&[0.5; 8], 5, 64, |id| id != banned);
-        assert!(filtered.iter().all(|n| n.id != banned));
-        assert_eq!(filtered.len(), 5);
-        // The remaining ranking is preserved.
-        assert_eq!(filtered[0].id, unfiltered[1].id);
-    }
-
-    #[test]
-    fn filter_keeping_everything_matches_plain_search() {
-        let data = gen::uniform(8, 300, 0.0, 1.0, 98).unwrap();
-        let idx = HnswIndex::build(data, &small_params()).unwrap();
-        let a = idx.search(&[0.25; 8], 7, 50);
-        let b = idx.search_filtered(&[0.25; 8], 7, 50, |_| true);
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Readers and writers for the TEXMEX vector file formats.
 //!
-//! SIFT1M and GIST1M ship in `fvecs` (float vectors) and `ivecs` (integer
-//! vectors, used for ground truth). Each record is a little-endian `i32`
-//! dimensionality followed by that many components.
+//! SIFT1M and GIST1M ship in `fvecs` (float vectors). Each record is a
+//! little-endian `i32` dimensionality followed by that many components.
 //! Supplying the real files makes the benchmark harness evaluate on them
 //! instead of the synthetic stand-ins.
 //!
@@ -101,28 +100,6 @@ pub fn write_fvecs<W: Write>(mut w: W, data: &Dataset) -> Result<()> {
     Ok(())
 }
 
-/// Reads an `ivecs` stream (e.g. TEXMEX ground-truth files) into rows of
-/// `u32` ids.
-///
-/// # Errors
-///
-/// Same failure modes as [`read_fvecs`].
-pub fn read_ivecs<R: Read>(mut r: R) -> Result<Vec<Vec<u32>>> {
-    let mut out = Vec::new();
-    while let Some(dim) = read_dim(&mut r)? {
-        let mut bytes = vec![0u8; dim * 4];
-        r.read_exact(&mut bytes)
-            .map_err(|_| Error::InvalidFormat("truncated ivecs record".into()))?;
-        out.push(
-            bytes
-                .chunks_exact(4)
-                .map(|c| i32::from_le_bytes([c[0], c[1], c[2], c[3]]) as u32)
-                .collect(),
-        );
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,21 +115,9 @@ mod tests {
     }
 
     #[test]
-    fn ivecs_are_read_row_by_row() {
-        let rows = vec![vec![1u32, 2, 3], vec![7, 8, 9]];
-        let mut buf = Vec::new();
-        for row in &rows {
-            buf.extend_from_slice(&(row.len() as i32).to_le_bytes());
-            buf.extend(row.iter().flat_map(|&x| (x as i32).to_le_bytes()));
-        }
-        assert_eq!(read_ivecs(&buf[..]).unwrap(), rows);
-    }
-
-    #[test]
     fn empty_stream_gives_empty_dataset() {
         let ds = read_fvecs(&[][..]).unwrap();
         assert!(ds.is_empty());
-        assert!(read_ivecs(&[][..]).unwrap().is_empty());
     }
 
     #[test]

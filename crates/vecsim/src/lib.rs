@@ -19,9 +19,8 @@
 //! - [`quantize`]: SQ8 scalar quantization (train/encode/decode) and the
 //!   asymmetric L2 distance used to search over codes.
 //! - [`recall`]: recall@k computation.
-//! - [`io`]: readers and writers for the standard `fvecs`/`ivecs`
-//!   formats so the real SIFT1M/GIST1M files can be dropped in when
-//!   available.
+//! - [`io`]: reader and writer for the standard `fvecs` format so the
+//!   real SIFT1M/GIST1M files can be dropped in when available.
 //! - [`topk`]: a bounded collector of nearest neighbours, and the distance
 //!   bound threads lower together.
 //!

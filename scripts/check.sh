@@ -150,6 +150,27 @@ if [[ -n "$stray" ]]; then
   exit 1
 fi
 
+# One channel per knob: the library reads four environment variables, the
+# ones this script and repro set (the thread x depth matrix above, the SQ8
+# fault smoke below, repro's --prefetch-budget-bytes), and reads them in
+# crates/core/src/config.rs alone; every other knob is a DHnswConfig
+# builder, a runtime setter or a CLI flag, never a variable beside one.
+# Non-test code only (each file cut at its first #[cfg(test)]).
+echo "==> the library names four DHNSW_ variables, in config.rs only"
+stray=$(find crates/core/src -name '*.rs' | sort |
+  while IFS= read -r file; do
+    awk -v f="$file" -v cfg="$([[ $file == crates/core/src/config.rs ]] && echo 1)" '
+      /#!?\[cfg\(test\)\]/ { exit }
+      { code = $0 }
+      cfg { gsub(/"DHNSW_(PIPELINE_DEPTH|SEARCH_THREADS|QUANTIZE_MODE|PREFETCH_BUDGET_BYTES)([^A-Z0-9_]|$)/, "", code) }
+      code ~ /"DHNSW_/ { print f ":" FNR ": " $0 }' "$file"
+  done)
+if [[ -n "$stray" ]]; then
+  echo "$stray"
+  echo "check.sh: a DHNSW_ variable beyond the four config.rs reads (give the knob a builder or a flag)" >&2
+  exit 1
+fi
+
 # One scan-or-walk rule: the cut-off (SCAN_ROWS_PER_EF times ef) is
 # computed in crates/core/src/cluster.rs's `scans` and nowhere else; every
 # other site, tests and repro included, asks `cluster::scans`.
@@ -228,11 +249,14 @@ fi
 # executor now) and its writes-only doorbell (the mixed `doorbell` of
 # writes and atomics replaced it), the API nothing outside tests called
 # (the graph report, the flat-buffer and bvecs / ivecs-writer conversions,
-# the region count) and the series recorder's second resolution of a
-# node's instruments stay gone (four roots, so the guard does not match
-# itself).
+# the region count, the filtered search, the ivecs reader), the series
+# recorder's second resolution of a node's instruments, the environment
+# channels beside a builder or a flag (the tracer switches, the SLO
+# budgets' variables), the anomaly detector's one-value tuning struct and
+# the store's second partition classifier stay gone (four roots, so the
+# guard does not match itself).
 echo "==> no deleted duplicate is back"
-if grep -rnE 'QueryTrace|TailRecord|TraceRing|ShardedStore|ShardedSession|LoadBalancer|DispatchPolicy|bench_regress|BENCH_baseline|DHNSW_BENCH_1M|poll_cq|ring_doorbell|BruteForceIndex|clustering_tendency|verdict_index|set_milli|take_flush_delta|dhnsw_health_|dhnsw_heat_|dhnsw_tail_|dhnsw_cache_hits_total|dhnsw_cache_misses_total|WindowState|TraceSpec|service_stats|\bexecute_reads\b|\bexecute_writes\b|emit_plain|emit_verb|write_doorbell|graph_report|GraphReport|into_flat|read_bvecs|write_ivecs|region_count|window_handles|tick_series' \
+if grep -rnE 'QueryTrace|TailRecord|TraceRing|ShardedStore|ShardedSession|LoadBalancer|DispatchPolicy|bench_regress|BENCH_baseline|DHNSW_BENCH_1M|poll_cq|ring_doorbell|BruteForceIndex|clustering_tendency|verdict_index|set_milli|take_flush_delta|dhnsw_health_|dhnsw_heat_|dhnsw_tail_|dhnsw_cache_hits_total|dhnsw_cache_misses_total|WindowState|TraceSpec|service_stats|\bexecute_reads\b|\bexecute_writes\b|emit_plain|emit_verb|write_doorbell|graph_report|GraphReport|into_flat|read_bvecs|write_ivecs|region_count|window_handles|tick_series|tracer_env|from_env|AnomalyConfig|classify_all|search_filtered|read_ivecs' \
   crates src tests examples || [[ -e scripts/bench.sh ]]; then
   echo "check.sh: a deleted duplicate is back (the lines above, or scripts/bench.sh)" >&2
   exit 1

@@ -120,14 +120,29 @@
 # total_vectors}`. What came: the planner and its round type, the layout's
 # cut, overflow and record-address rules, `EngineMetrics::sample`, and
 # `cluster::full_row_at`.
+# One channel per knob lowered crates/core/src's to 10 438, the plane's to
+# 4 258, hnsw's to 1 653 and vecsim's to 1 839 (crates/bench, rdma-sim and
+# cluster.rs unchanged). What went: eleven of the library's fifteen
+# environment variables with their parsers (`tracer_env`, `flag_var`,
+# `SloBudgets::from_env`) and connect's writes to the shared span tracer;
+# the retry-backoff field, getter, builder and check (now a constant beside
+# `Reader::again`); the heatmap's on/off switch and its five guards; the
+# exemplar store's and series recorder's one-value tuning (`with_config`,
+# `with_capacity`, `AnomalyConfig`: constants now); the store's own
+# classifier threads (`classify_with_beam` on `run_indexed`),
+# `MetaIndex::classify`, the plan-then-pin demotion branch,
+# `Telemetry::{counter, gauge, histogram}`, `HnswIndex::search_filtered`
+# and `vecsim::io::read_ivecs`. What came: the directory decoder's
+# geometry checks, the snapshot reader's grow-as-read sections and the
+# meta decoder's checked offsets.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-MAX_TOTAL=10700
-MAX_PLANE=4424
+MAX_TOTAL=10438
+MAX_PLANE=4258
 MAX_BENCH=2940
-MAX_HNSW=1667
-MAX_VECSIM=1863
+MAX_HNSW=1653
+MAX_VECSIM=1839
 MAX_RDMA=1759
 MAX_FILE=1337
 

@@ -109,7 +109,6 @@ fn a_cold_batch_holds_each_fetched_byte_once() {
             "a partition of {largest} rows would be walked: the counts below are the scan's"
         );
         let node = store.connect(SearchMode::Full).unwrap();
-        node.heatmap().set_enabled(true);
 
         // One counted batch: (bytes in big blocks, allocator calls, report).
         let counted = |opts: &QueryOptions| {
