@@ -48,12 +48,8 @@
 //! substrate's retransmission budget, and `--degraded-ok` lets queries
 //! answer from the clusters that arrived instead of failing the batch.
 //!
-//! Pipelining knobs: `--pipeline-depth <d>` splits each batch into `d`
-//! micro-batches whose cluster loads overlap the previous stage's
-//! search, and `--prefetch-budget-bytes <b>` arms the heatmap-driven
-//! background prefetcher between batches (0 disables it). Both override
-//! the `DHNSW_PIPELINE_DEPTH` / `DHNSW_PREFETCH_BUDGET_BYTES` env knobs;
-//! every other knob above is a flag only.
+//! A flag no subcommand reads, or a word where a flag belongs, is an
+//! error (exit 2): a mistyped flag must not run the default.
 
 use std::collections::HashMap;
 
@@ -100,9 +96,54 @@ fn run(args: &[String]) -> AnyResult<()> {
     }
 }
 
+/// Every flag some subcommand reads, and whether it takes a value: the
+/// one list [`parse_flags`] accepts, each spelled in [`print_usage`]'s
+/// text.
+const FLAGS: [(&str, bool); 37] = [
+    ("check", false),
+    ("degraded-ok", false),
+    ("ef", true),
+    ("explain", false),
+    ("fanout", true),
+    ("fault-rate", true),
+    ("fault-seed", true),
+    ("format", true),
+    ("input", true),
+    ("interval-ms", true),
+    ("k", true),
+    ("limit", true),
+    ("metrics-out", true),
+    ("once", false),
+    ("out", true),
+    ("passes", true),
+    ("port", true),
+    ("quantize", true),
+    ("queries", true),
+    ("read-retry-limit", true),
+    ("reps", true),
+    ("rerank-k", true),
+    ("retrans-budget", true),
+    ("seed", true),
+    ("series-tick-ms", true),
+    ("slo-max-degraded-rate", true),
+    ("slo-max-overflow", true),
+    ("slo-max-route-gini", true),
+    ("slo-min-hit-rate", true),
+    ("slo-p99-us", true),
+    ("slow-query-us", true),
+    ("store", true),
+    ("synthetic", true),
+    ("trace-spans", false),
+    ("url", true),
+    ("warmup-passes", true),
+    ("why-slow", false),
+];
+
 fn print_usage() {
-    eprintln!(
-        "usage: dhnsw_cli <build|info|query|insert|metrics|doctor|serve|top> [flags]\n\
+    eprintln!("{USAGE}");
+}
+
+const USAGE: &str = "usage: dhnsw_cli <build|info|query|insert|metrics|doctor|serve|top> [flags]\n\
          build:   --input <fvecs> | --synthetic <sift|gist>:<n>   --out <snapshot> [--reps N] [--fanout B] [--seed S]\n\
                   [--quantize off|sq8] [--rerank-k N]\n\
          info:    --store <snapshot>\n\
@@ -117,31 +158,31 @@ fn print_usage() {
                   [--slo-p99-us X] [--slo-min-hit-rate X] [--slo-max-overflow X] [--slo-max-route-gini X]\n\
                   [--slo-max-degraded-rate X]\n\
          all workload commands: [--quantize off|sq8] [--rerank-k N] [--trace-spans] [--slow-query-us N]\n\
-                  [--fault-rate P] [--fault-seed S] [--retrans-budget N] [--read-retry-limit N] [--degraded-ok]\n\
-                  [--pipeline-depth D] [--prefetch-budget-bytes B]"
-    );
-}
+                  [--fault-rate P] [--fault-seed S] [--retrans-budget N] [--read-retry-limit N] [--degraded-ok]";
 
-/// Parses `--key value` pairs. A flag followed by another `--flag` (or
-/// by nothing) is boolean and stored as `"1"` — e.g. `--check`,
-/// `--trace-spans`.
+/// Parses the flags after the subcommand: `--key value` for a valued
+/// flag of [`FLAGS`], a bare `--key` (stored as `"1"`) for a boolean one
+/// — e.g. `--check`, `--trace-spans`. Any other flag, a valued flag
+/// without its value, and a word where a flag belongs are errors.
 fn parse_flags(args: &[String]) -> AnyResult<HashMap<String, String>> {
     let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let key = args[i]
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let key = arg
             .strip_prefix("--")
-            .ok_or_else(|| format!("expected --flag, got {}", args[i]))?;
-        match args.get(i + 1) {
-            Some(v) if !v.starts_with("--") => {
-                flags.insert(key.to_string(), v.clone());
-                i += 2;
-            }
-            _ => {
-                flags.insert(key.to_string(), "1".to_string());
-                i += 1;
-            }
-        }
+            .ok_or_else(|| format!("expected --flag, got {arg}"))?;
+        let (_, valued) = FLAGS
+            .iter()
+            .find(|(name, _)| *name == key)
+            .ok_or_else(|| format!("unknown flag {arg}"))?;
+        let value = if *valued {
+            args.next()
+                .ok_or_else(|| format!("{arg} needs a value"))?
+                .clone()
+        } else {
+            "1".to_string()
+        };
+        flags.insert(key.to_string(), value);
     }
     Ok(flags)
 }
@@ -186,22 +227,6 @@ fn apply_fault_flags(flags: &HashMap<String, String>, node: &dhnsw::ComputeNode)
     if let Some(n) = flags.get("retrans-budget") {
         node.queue_pair().set_retry_limit(n.parse()?);
         eprintln!("retransmission budget set to {n}");
-    }
-    Ok(())
-}
-
-/// Applies the pipelined-execution knobs to a connected node
-/// (`--pipeline-depth`, `--prefetch-budget-bytes`). Call after
-/// `connect()` so explicit flags win over the `DHNSW_*` env knobs.
-fn apply_pipeline_flags(
-    flags: &HashMap<String, String>,
-    node: &dhnsw::ComputeNode,
-) -> AnyResult<()> {
-    if let Some(d) = flags.get("pipeline-depth") {
-        node.set_pipeline_depth(d.parse()?);
-    }
-    if let Some(b) = flags.get("prefetch-budget-bytes") {
-        node.set_prefetch_budget_bytes(b.parse()?);
     }
     Ok(())
 }
@@ -374,7 +399,6 @@ fn cmd_query(flags: &HashMap<String, String>) -> AnyResult<()> {
     let node = store.connect(SearchMode::Full)?;
     apply_trace_flags(flags, &Telemetry::global())?;
     apply_fault_flags(flags, &node)?;
-    apply_pipeline_flags(flags, &node)?;
     let (results, report) = node.query_batch(&queries, k, ef)?;
     for (i, hits) in results.iter().enumerate() {
         let row: Vec<String> = hits
@@ -425,7 +449,6 @@ fn cmd_metrics(flags: &HashMap<String, String>) -> AnyResult<()> {
     let node = store.connect(SearchMode::Full)?;
     apply_trace_flags(flags, &telemetry)?;
     apply_fault_flags(flags, &node)?;
-    apply_pipeline_flags(flags, &node)?;
     let (_, report) = node.query_batch(&queries, k, ef)?;
     eprintln!(
         "trace: {} queries | {} clusters wanted, {} cache hits, {} loaded | {} doorbells | {:.1} us total",
@@ -469,7 +492,6 @@ fn cmd_insert(flags: &HashMap<String, String>) -> AnyResult<()> {
     let node = store.connect(SearchMode::Full)?;
     apply_trace_flags(flags, &Telemetry::global())?;
     apply_fault_flags(flags, &node)?;
-    apply_pipeline_flags(flags, &node)?;
     let results = node.insert_batch(&batch)?;
     let ok = results.iter().filter(|r| r.is_ok()).count();
     let rejected = results.len() - ok;
@@ -537,7 +559,6 @@ fn cmd_doctor(flags: &HashMap<String, String>) -> AnyResult<()> {
     let telemetry = Telemetry::global();
     let node = store.connect(SearchMode::Full)?;
     apply_trace_flags(flags, &telemetry)?;
-    apply_pipeline_flags(flags, &node)?;
     // The watchdog reports through the span ring; doctor always listens.
     telemetry.spans().set_enabled(true);
 
@@ -657,7 +678,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> AnyResult<()> {
     let node = Arc::new(store.connect(SearchMode::Full)?);
     apply_trace_flags(flags, &telemetry)?;
     apply_fault_flags(flags, &node)?;
-    apply_pipeline_flags(flags, &node)?;
 
     let probes = if flags.contains_key("queries") {
         load_queries(flags)?
@@ -780,7 +800,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> AnyResult<()> {
 /// Live `top`-style dashboard against a serving node: fetches
 /// `/timeseries` and `/anomalies` from `--url`, renders sparklines for
 /// QPS, windowed p99, bytes/s (total and by read cause), cache hit
-/// rate, and pipeline hidden ratio, plus an anomaly banner, then
+/// rate, plus an anomaly banner, then
 /// refreshes every `--interval-ms` (default 1000). With `--once` it
 /// prints a single frame without clearing the screen and exits — the
 /// form `scripts/check.sh` smoke-tests.
@@ -843,6 +863,34 @@ mod tests {
             "1"
         );
         assert!(parse_flags(&s(&["store"])).is_err());
+    }
+
+    #[test]
+    fn a_flag_no_subcommand_reads_is_refused() {
+        assert!(parse_flags(&s(&["--no-such-flag", "1"])).is_err());
+        assert!(parse_flags(&s(&["--store", "x", "--no-such-flag"])).is_err());
+        // A second positional argument, after a boolean flag or not.
+        assert!(parse_flags(&s(&["--check", "extra"])).is_err());
+        assert!(run(&s(&["info", "extra"])).is_err());
+        // A valued flag without its value.
+        assert!(parse_flags(&s(&["--k"])).is_err());
+    }
+
+    #[test]
+    fn the_flag_list_is_the_usage_texts() {
+        let mut spelled: Vec<&str> = USAGE
+            .split("--")
+            .skip(1)
+            .map(|rest| {
+                rest.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                    .next()
+                    .unwrap()
+            })
+            .collect();
+        spelled.sort_unstable();
+        spelled.dedup();
+        let listed: Vec<&str> = FLAGS.iter().map(|(name, _)| *name).collect();
+        assert_eq!(spelled, listed);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! ```
 //!
 //! Subcommands: `fig6a` `fig6b` `fig6c` `fig6d` `table1` `table2`
-//! `metasize` `ablations` `faults` `pipeline` `all`, and `scale`
+//! `metasize` `ablations` `faults` `all`, and `scale`
 //! and `subsearch` (not part of `all`). Scale via `DHNSW_SIFT_N`, `DHNSW_GIST_N`,
 //! `DHNSW_QUERIES`, `DHNSW_REPS` (see crate docs); one that does not
 //! parse exits 2 before anything is measured at the wrong size.
@@ -26,11 +26,8 @@
 //! the slow-query log (a nonzero budget turns capture on); without them
 //! the run captures no spans.
 //!
-//! `--pipeline-depth <d>` and `--prefetch-budget-bytes <b>` apply the
-//! micro-batch pipelining and background-prefetch knobs to every node
-//! the run connects (they set the corresponding `DHNSW_*` env knobs
-//! before any store is opened). The `pipeline` subcommand sweeps the
-//! depth explicitly and gates on result equivalence.
+//! Any other flag, or a second subcommand, is a usage error (exit 2):
+//! a mistyped flag must not run the default.
 
 use std::process::ExitCode;
 
@@ -42,7 +39,7 @@ use dhnsw_bench::{
 };
 use rdma_sim::NetworkModel;
 
-type AnyResult = Result<(), Box<dyn std::error::Error>>;
+type AnyResult<T = ()> = Result<T, Box<dyn std::error::Error>>;
 
 fn main() -> ExitCode {
     match run() {
@@ -57,46 +54,59 @@ fn main() -> ExitCode {
     }
 }
 
+/// What the command line asks for.
+#[derive(Debug, Default, PartialEq)]
+struct Args {
+    cmd: Option<String>,
+    metrics_out: Option<String>,
+    slow_query_us: Option<u64>,
+    trace_spans: bool,
+}
+
+fn print_usage() {
+    eprintln!(
+        "usage: repro [fig6a|fig6b|fig6c|fig6d|table1|table2|metasize|ablations|faults|scale|\
+         subsearch|all] [--metrics-out <base>] [--trace-spans] [--slow-query-us N]"
+    );
+}
+
+/// Parses the command line: at most one subcommand and the flags
+/// [`print_usage`] lists, each read here and nowhere else.
+fn parse_args(args: impl IntoIterator<Item = String>) -> AnyResult<Args> {
+    let mut out = Args::default();
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        let mut value = || args.next().ok_or_else(|| format!("{arg} needs a value"));
+        match arg.as_str() {
+            "--metrics-out" => out.metrics_out = Some(value()?),
+            "--slow-query-us" => out.slow_query_us = Some(value()?.parse()?),
+            "--trace-spans" => out.trace_spans = true,
+            flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}").into()),
+            _ if out.cmd.is_some() => return Err(format!("a second subcommand {arg}").into()),
+            _ => out.cmd = Some(arg),
+        }
+    }
+    Ok(out)
+}
+
 fn run() -> AnyResult {
     let telemetry = Telemetry::global();
-    let mut metrics_out = None;
-    let mut cmd = "all".to_string();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--metrics-out" {
-            metrics_out = Some(args.next().ok_or("--metrics-out needs a value")?);
-        } else if arg == "--slow-query-us" {
-            let us: u64 = args
-                .next()
-                .ok_or("--slow-query-us needs a value")?
-                .parse()?;
-            let spans = telemetry.spans();
-            spans.set_slow_threshold_us(us);
-            spans.set_enabled(us > 0 || spans.is_enabled());
-        } else if arg == "--trace-spans" {
-            telemetry.spans().set_enabled(true);
-        } else if arg == "--pipeline-depth" {
-            let d: usize = args
-                .next()
-                .ok_or("--pipeline-depth needs a value")?
-                .parse()?;
-            // Applied via the env knob so every node the run connects
-            // (there are many, built deep inside the sweeps) picks it up.
-            std::env::set_var("DHNSW_PIPELINE_DEPTH", d.to_string());
-        } else if arg == "--prefetch-budget-bytes" {
-            let b: u64 = args
-                .next()
-                .ok_or("--prefetch-budget-bytes needs a value")?
-                .parse()?;
-            std::env::set_var("DHNSW_PREFETCH_BUDGET_BYTES", b.to_string());
-        } else {
-            cmd = arg;
-        }
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        print_usage();
+        std::process::exit(2);
+    });
+    let spans = telemetry.spans();
+    if let Some(us) = args.slow_query_us {
+        spans.set_slow_threshold_us(us);
+    }
+    if args.trace_spans || args.slow_query_us.is_some_and(|us| us > 0) {
+        spans.set_enabled(true);
     }
     // A time taken at one kernel width is not comparable with one at another.
     println!("kernel: {}", vecsim::simd::active());
-    run_cmd(&cmd)?;
-    if let Some(base) = metrics_out {
+    run_cmd(args.cmd.as_deref().unwrap_or("all"))?;
+    if let Some(base) = args.metrics_out {
         // Temp-file + rename: a scraper tailing these paths mid-run
         // sees the previous dump or this one, never a torn write.
         let prom = format!("{base}.prom");
@@ -119,7 +129,6 @@ fn run_cmd(cmd: &str) -> AnyResult {
         "metasize" => metasize(),
         "ablations" => ablations(),
         "faults" => fault_sweep(),
-        "pipeline" => pipeline_sweep(),
         "scale" => scale(),
         "subsearch" => subsearch(),
         "all" => {
@@ -137,13 +146,11 @@ fn run_cmd(cmd: &str) -> AnyResult {
             run_table(&gist, &gist_store, "Table 2: GIST1M@1, efSearch 48")?;
             metasize()?;
             ablations()?;
-            fault_sweep()?;
-            pipeline_sweep()
+            fault_sweep()
         }
         other => {
-            eprintln!(
-                "unknown subcommand {other}; use fig6a|fig6b|fig6c|fig6d|table1|table2|metasize|ablations|faults|pipeline|scale|subsearch|all"
-            );
+            eprintln!("unknown subcommand {other}");
+            print_usage();
             std::process::exit(2);
         }
     }
@@ -547,84 +554,6 @@ fn fault_sweep() -> AnyResult {
     Ok(())
 }
 
-/// Micro-batch pipelining characterization: exposed network time and
-/// end-to-end batch latency as the pipeline deepens, on cold batches
-/// (the cache is dropped before each run so every stage actually
-/// loads). Gated: every depth must return byte-identical results and
-/// bytes_read to the sequential schedule, and pipelining must never
-/// *increase* the exposed network time. A final row arms the heatmap
-/// prefetcher and reports what it warmed.
-fn pipeline_sweep() -> AnyResult {
-    let w = Workload::sized(
-        DatasetKind::SiftLike,
-        env_usize("DHNSW_ABLATION_N", 10_000)?,
-        env_usize("DHNSW_ABLATION_Q", 500)?,
-    )?;
-    let base = DHnswConfig::paper().with_representatives(200);
-    let store = VectorStore::build(w.data.clone(), &base)?;
-    println!("\n=== Pipelined micro-batches: exposed network time vs depth (cold batches) ===");
-    println!(
-        "{:>6} {:>10} {:>14} {:>14} {:>12}",
-        "depth", "recall@10", "network us", "batch us", "MB read"
-    );
-    let mut baseline: Option<(Vec<Vec<vecsim::Neighbor>>, u64, f64)> = None;
-    for depth in [1usize, 2, 4, 8] {
-        let node = store.connect(SearchMode::Full)?;
-        node.set_pipeline_depth(depth);
-        node.drop_cache();
-        let (results, r) = node.query_batch(&w.queries, 10, 48)?;
-        let ids: Vec<Vec<u32>> = results
-            .iter()
-            .map(|x| x.iter().map(|n| n.id).collect())
-            .collect();
-        let rec = vecsim::recall::mean_recall(&ids, w.truth(10));
-        println!(
-            "{:>6} {:>10.3} {:>14.1} {:>14.1} {:>12.2}",
-            depth,
-            rec,
-            r.breakdown.network_us,
-            r.breakdown.total_us(),
-            r.bytes_read as f64 / 1e6
-        );
-        match &baseline {
-            None => baseline = Some((results, r.bytes_read, r.breakdown.network_us)),
-            Some((seq_results, seq_bytes, seq_net)) => {
-                if results != *seq_results || r.bytes_read != *seq_bytes {
-                    return Err(format!(
-                        "pipeline gate: depth {depth} changed results or bytes_read"
-                    )
-                    .into());
-                }
-                if r.breakdown.network_us > *seq_net {
-                    return Err(format!(
-                        "pipeline gate: depth {depth} exposed {} us network \
-                         vs sequential {} us",
-                        r.breakdown.network_us, seq_net
-                    )
-                    .into());
-                }
-            }
-        }
-    }
-    // Prefetch: constrain the cache, seed the heatmap with a skewed
-    // batch, then report what one budgeted round warms.
-    let cfg = base.clone().with_cache_fraction(0.25);
-    let store_p = VectorStore::build(w.data.clone(), &cfg)?;
-    let node = store_p.connect(SearchMode::Full)?;
-    let zq = vecsim::gen::zipf_queries(&w.data, w.queries.len(), 0.03, 1.0, 0xFE7C)?;
-    node.query_batch(&zq, 10, 48)?;
-    let admitted = {
-        node.set_prefetch_budget_bytes(u64::MAX);
-        node.prefetch_hot()
-    };
-    let (_, r) = node.query_batch(&zq, 10, 48)?;
-    println!(
-        "prefetch (25% cache, zipf 1.0): warmed {admitted} clusters; repeat batch hit rate {:.0}%",
-        r.cache_hit_rate() * 100.0
-    );
-    Ok(())
-}
-
 /// §3.1's meta-HNSW footprint claim: 0.373 MB for SIFT1M, 1.960 MB for
 /// GIST1M with 500 representatives.
 fn metasize() -> AnyResult {
@@ -775,4 +704,32 @@ fn ablations() -> AnyResult {
     }
     let _ = store;
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> AnyResult<Args> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn a_flag_no_subcommand_reads_and_a_second_subcommand_are_refused() {
+        let args = parse(&["--trace-spans", "table1", "--metrics-out", "run"]).unwrap();
+        assert_eq!(
+            args,
+            Args {
+                cmd: Some("table1".into()),
+                metrics_out: Some("run".into()),
+                slow_query_us: None,
+                trace_spans: true,
+            }
+        );
+        assert_eq!(parse(&[]).unwrap(), Args::default());
+        assert!(parse(&["--no-such-flag"]).is_err());
+        assert!(parse(&["--no-such-flag", "2", "table1"]).is_err());
+        assert!(parse(&["table1", "fig6a"]).is_err());
+        assert!(parse(&["--slow-query-us"]).is_err());
+    }
 }

@@ -6,10 +6,10 @@
 //! from a running `dhnsw_cli serve` node, [`parse_snapshot`] lifts the
 //! JSON into a [`TopSnapshot`], and [`render_dashboard`] lays the
 //! snapshot out as unicode sparklines (QPS, windowed p99, bytes/s by
-//! read cause, cache hit rate, pipeline hidden ratio) plus an anomaly
-//! banner. The CLI loop merely clears the screen and repeats; with
-//! `--once` it prints a single frame, which is what `scripts/check.sh`
-//! smoke-tests against a live node.
+//! read cause, cache hit rate) plus an anomaly banner. The CLI loop
+//! merely clears the screen and repeats; with `--once` it prints a
+//! single frame, which is what `scripts/check.sh` smoke-tests against a
+//! live node.
 //!
 //! Everything here is deliberately synchronous and dependency-free:
 //! one blocking `TcpStream` GET per endpoint per frame, tiny JSON
@@ -198,12 +198,6 @@ pub fn render_dashboard(snap: &TopSnapshot, url: &str, width: usize) -> String {
         spark_row(&mut out, "p99 us", &snap.column("p99_us"), width);
         spark_row(&mut out, "bytes/s", &snap.column("bytes_per_s"), width);
         spark_row(&mut out, "hit rate", &snap.column("hit_rate"), width);
-        spark_row(
-            &mut out,
-            "hidden ratio",
-            &snap.column("hidden_ratio"),
-            width,
-        );
         // One row per read cause that moved bytes anywhere in the
         // window; quiet causes are dropped so the frame stays short.
         for cause in dhnsw::ReadCause::ALL {
@@ -325,15 +319,15 @@ mod tests {
               {"t_us": 1000000, "dt_us": 1000000, "window_queries": 8, "qps": 8,
                "p50_us": 10, "p95_us": 20, "p99_us": 30, "bytes_per_s": 4096,
                "retries_per_s": 0, "evictions_per_s": 0, "hit_rate": 0.5,
-               "window_cache_ops": 4, "hidden_ratio": 0.25,
-               "cause_bytes_per_s": {"stage_load": 4096, "prefetch": 0,
+               "window_cache_ops": 4,
+               "cause_bytes_per_s": {"stage_load": 4096,
                  "version_check": 0, "retry": 0, "health_probe": 0,
                  "overflow_scan": 0, "naive": 0, "other": 0}},
               {"t_us": 2000000, "dt_us": 1000000, "window_queries": 16, "qps": 16,
                "p50_us": 10, "p95_us": 20, "p99_us": 60, "bytes_per_s": 8192,
                "retries_per_s": 2, "evictions_per_s": 0, "hit_rate": 0.75,
-               "window_cache_ops": 8, "hidden_ratio": 0.5,
-               "cause_bytes_per_s": {"stage_load": 8192, "prefetch": 0,
+               "window_cache_ops": 8,
+               "cause_bytes_per_s": {"stage_load": 8192,
                  "version_check": 0, "retry": 0, "health_probe": 0,
                  "overflow_scan": 0, "naive": 0, "other": 0}}
             ]}"#;

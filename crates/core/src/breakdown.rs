@@ -12,14 +12,14 @@
 //! folded profile's phases, `crates/bench`'s per-batch percentiles.
 //!
 //! Counts, bytes, trips and the ledger are exact: one `StatsSnapshot`
-//! bracket around the batch's reads. `breakdown.network_us` and
-//! `hidden_us` are virtual-clock time; the other three phases, and with
-//! them `total_us`, are host wall clock, each the sum of the walls its
-//! spans measured (see [`Phase`]).
+//! bracket around the batch's reads. `breakdown.network_us` is
+//! virtual-clock time; the other three phases, and with them
+//! `total_us`, are host wall clock, each the sum of the walls its spans
+//! measured (see [`Phase`]).
 //!
 //! [`BatchReport::merge`] aggregates a run of batches. Counts, bytes,
-//! trips, the ledger, the breakdown, `total_us`, `hidden_us` and
-//! `doorbell_batches` add; coverage concatenates; `trace_id`, `mode`,
+//! trips, the ledger, the breakdown, `total_us` and `doorbell_batches`
+//! add; coverage concatenates; `trace_id`, `mode`,
 //! `k`, `ef` and `fanout` describe one batch and keep the receiver's, so
 //! an aggregate started from `Default` has none.
 
@@ -27,7 +27,7 @@ use rdma_sim::{ReadCause, StatsSnapshot, READ_CAUSES};
 
 use crate::telemetry::span::ArgValue;
 
-/// Latency of one batch split into its pipeline components.
+/// Latency of one batch split into its phases.
 ///
 /// *Network* time is virtual (from the RDMA cost model); the compute
 /// components are measured wall-clock on the host. Tables 1 and 2 of the
@@ -35,15 +35,10 @@ use crate::telemetry::span::ArgValue;
 /// struct additionally separates cluster materialization (decoding raw
 /// bytes into searchable clusters) out of the search column the paper
 /// folds it into.
-///
-/// Under pipelined execution (`pipeline_depth > 1`) `network_us` is the
-/// *exposed* transfer time: the portion of the virtual network time not
-/// hidden behind compute by the micro-batch overlap. The four components
-/// therefore always tile `total_us` exactly, pipelined or not.
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct LatencyBreakdown {
-    /// Data transfer over the (simulated) network, µs. Exposed (i.e.
-    /// non-overlapped) time when the batch was pipelined.
+    /// Data transfer over the (simulated) network, µs: the virtual time
+    /// of the batch's load rounds plus its rerank's.
     pub network_us: f64,
     /// Sub-HNSW search over materialized cluster data, µs.
     pub sub_hnsw_us: f64,
@@ -76,7 +71,7 @@ impl LatencyBreakdown {
 pub enum Phase {
     /// Meta-HNSW routing.
     Meta,
-    /// Exposed virtual network time.
+    /// Virtual network time.
     Network,
     /// Sub-HNSW search plus the exact rerank's passes.
     Sub,
@@ -258,7 +253,6 @@ impl CostLedger {
 /// is baked in rather than formatted per batch.
 const CAUSE_BYTE_KEYS: [&str; READ_CAUSES] = [
     "bytes_stage_load",
-    "bytes_prefetch",
     "bytes_version_check",
     "bytes_retry",
     "bytes_health_probe",
@@ -290,7 +284,7 @@ pub struct BatchReport {
     /// Latency breakdown for the whole batch.
     pub breakdown: LatencyBreakdown,
     /// The batch's end-to-end latency, µs: host wall time of the whole
-    /// call plus the exposed virtual network time
+    /// call plus the virtual network time
     /// (`breakdown.network_us`). The process never sleeps on the
     /// simulated NIC, so wall time alone would leave out the one
     /// component this system is about. At least `breakdown.total_us()`;
@@ -298,9 +292,6 @@ pub struct BatchReport {
     /// cache settling). This is the number the latency histogram samples,
     /// the exemplar store ranks by and the slow-query threshold judges.
     pub total_us: f64,
-    /// Virtual network time the micro-batch pipeline hid behind compute,
-    /// µs (0 unless the batch ran more than one stage).
-    pub hidden_us: f64,
     /// Network round trips issued.
     pub round_trips: u64,
     /// Bytes read from the memory pool.
@@ -434,7 +425,6 @@ impl BatchReport {
         self.queries += other.queries;
         self.breakdown += other.breakdown;
         self.total_us += other.total_us;
-        self.hidden_us += other.hidden_us;
         self.round_trips += other.round_trips;
         self.bytes_read += other.bytes_read;
         self.doorbell_batches += other.doorbell_batches;
@@ -635,16 +625,12 @@ mod tests {
             ef: 48,
             fanout: 4,
             total_us,
-            hidden_us: 1.5,
             doorbell_batches: 2,
             ..Default::default()
         };
         let mut a = batch(7, 100.0);
         a.merge(&batch(8, 50.0));
-        assert_eq!(
-            (a.total_us, a.hidden_us, a.doorbell_batches),
-            (150.0, 3.0, 4)
-        );
+        assert_eq!((a.total_us, a.doorbell_batches), (150.0, 4));
         assert_eq!(
             (a.trace_id, a.mode, a.k, a.ef, a.fanout),
             (7, "full", 10, 48, 4)
@@ -719,17 +705,17 @@ mod tests {
     #[test]
     fn ledger_merge_accumulates_elementwise() {
         let mut a = CostLedger::default();
-        a.cause_bytes[ReadCause::Prefetch.index()] = 10;
-        a.cause_wrs[ReadCause::Prefetch.index()] = 1;
+        a.cause_bytes[ReadCause::Naive.index()] = 10;
+        a.cause_wrs[ReadCause::Naive.index()] = 1;
         let mut b = CostLedger::default();
-        b.cause_bytes[ReadCause::Prefetch.index()] = 5;
+        b.cause_bytes[ReadCause::Naive.index()] = 5;
         b.cause_bytes[ReadCause::Retry.index()] = 7;
         b.cause_trips[ReadCause::Retry.index()] = 1;
         a.merge(&b);
-        assert_eq!(a.bytes_for(ReadCause::Prefetch), 15);
+        assert_eq!(a.bytes_for(ReadCause::Naive), 15);
         assert_eq!(a.bytes_for(ReadCause::Retry), 7);
         assert_eq!(a.total_trips(), 1);
-        assert_eq!(a.cause_wrs[ReadCause::Prefetch.index()], 1);
+        assert_eq!(a.cause_wrs[ReadCause::Naive.index()], 1);
     }
 
     #[test]

@@ -31,9 +31,9 @@ pub struct CacheStats {
 ///
 /// Entries can additionally be **pinned** for the duration of a batch
 /// ([`ClusterCache::pin`]): a pinned entry is never chosen as an LRU
-/// victim, which lets the pipelined executor keep every cluster of the
-/// current batch resident across micro-batch stages even while later
-/// stages insert more clusters. When every resident entry is pinned,
+/// victim, so the clusters a batch found resident stay resident while
+/// its load round admits the rest, and the loaded ones do not evict each
+/// other before the batch has searched them. When every resident entry is pinned,
 /// [`ClusterCache::put`] admits the new entry anyway (a transient
 /// oversubscription bounded by the batch's unique-cluster count — memory
 /// the engine holds in its resolved set regardless);

@@ -75,8 +75,6 @@ pub struct DHnswConfig {
     search_threads: usize,
     read_retry_limit: u32,
     degraded_ok: bool,
-    pipeline_depth: usize,
-    prefetch_budget_bytes: u64,
     quantize_mode: QuantizeMode,
     rerank_k: usize,
 }
@@ -98,8 +96,6 @@ impl DHnswConfig {
             search_threads: 0,
             read_retry_limit: 3,
             degraded_ok: false,
-            pipeline_depth: 1,
-            prefetch_budget_bytes: 0,
             quantize_mode: QuantizeMode::Off,
             rerank_k: 32,
         }
@@ -121,8 +117,6 @@ impl DHnswConfig {
             search_threads: 1,
             read_retry_limit: 3,
             degraded_ok: false,
-            pipeline_depth: 1,
-            prefetch_budget_bytes: 0,
             quantize_mode: QuantizeMode::Off,
             rerank_k: 16,
         }
@@ -200,32 +194,18 @@ impl DHnswConfig {
         self
     }
 
-    /// Micro-batches a query batch is split into so that micro-batch
-    /// *i + 1*'s cluster loads overlap micro-batch *i*'s sub-HNSW search.
-    /// `1` (the default) is the sequential route → load → search
-    /// execution; the effective depth is additionally clamped to the
-    /// batch size at query time.
+    /// Load rounds a batch is split into: always `1`, the one round per
+    /// batch of §3.3. A constant with no setting behind it, kept for the
+    /// benchmark's effective-config record, which prints it.
     pub fn pipeline_depth(&self) -> usize {
-        self.pipeline_depth
+        1
     }
 
-    /// Sets the pipeline depth (must be `>= 1`).
-    pub fn with_pipeline_depth(mut self, depth: usize) -> Self {
-        self.pipeline_depth = depth;
-        self
-    }
-
-    /// Byte budget for the heatmap-driven background prefetcher that
-    /// warms the LRU cache between batches. `0` (the default) disables
-    /// prefetching entirely.
+    /// Bytes a between-batch prefetch may read: always `0`, nothing is
+    /// read between batches. A constant with no setting behind it, kept
+    /// for the benchmark's effective-config record, which prints it.
     pub fn prefetch_budget_bytes(&self) -> u64 {
-        self.prefetch_budget_bytes
-    }
-
-    /// Sets the between-batch prefetch byte budget (`0` = disabled).
-    pub fn with_prefetch_budget_bytes(mut self, bytes: u64) -> Self {
-        self.prefetch_budget_bytes = bytes;
-        self
+        0
     }
 
     /// Cluster wire format: full-precision or SQ8-compressed.
@@ -354,8 +334,6 @@ impl DHnswConfig {
     ///
     /// | variable | overrides |
     /// |----------|-----------|
-    /// | `DHNSW_PIPELINE_DEPTH` | [`DHnswConfig::pipeline_depth`] (`0` reads as `1`) |
-    /// | `DHNSW_PREFETCH_BUDGET_BYTES` | [`DHnswConfig::prefetch_budget_bytes`] |
     /// | `DHNSW_SEARCH_THREADS` | [`DHnswConfig::search_threads`] (`0` = all cores) |
     /// | `DHNSW_QUANTIZE_MODE` (`off`, `sq8`) | [`DHnswConfig::quantize_mode`] |
     ///
@@ -370,12 +348,6 @@ impl DHnswConfig {
 
     /// [`DHnswConfig::with_env_overrides`] over any variable lookup.
     fn with_overrides(mut self, var: &dyn Fn(&str) -> Option<String>) -> Result<Self> {
-        if let Some(d) = parse_var::<usize>(var, "DHNSW_PIPELINE_DEPTH")? {
-            self.pipeline_depth = d.max(1);
-        }
-        if let Some(bytes) = parse_var(var, "DHNSW_PREFETCH_BUDGET_BYTES")? {
-            self.prefetch_budget_bytes = bytes;
-        }
         if let Some(t) = parse_var(var, "DHNSW_SEARCH_THREADS")? {
             self.search_threads = t;
         }
@@ -429,11 +401,6 @@ impl DHnswConfig {
                 "cache_fraction must be in [0, 1], got {}",
                 self.cache_fraction
             )));
-        }
-        if self.pipeline_depth == 0 {
-            return Err(Error::InvalidParameter(
-                "pipeline_depth must be >= 1 (1 = sequential execution)".into(),
-            ));
         }
         if self.quantize_mode != QuantizeMode::Off && self.rerank_k == 0 {
             return Err(Error::InvalidParameter(
@@ -552,21 +519,6 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_knobs_default_and_build() {
-        let c = DHnswConfig::paper();
-        assert_eq!(c.pipeline_depth(), 1, "sequential by default");
-        assert_eq!(c.prefetch_budget_bytes(), 0, "prefetch off by default");
-        let c = c.with_pipeline_depth(3).with_prefetch_budget_bytes(1 << 20);
-        assert_eq!(c.pipeline_depth(), 3);
-        assert_eq!(c.prefetch_budget_bytes(), 1 << 20);
-        c.validate().unwrap();
-        assert!(DHnswConfig::paper()
-            .with_pipeline_depth(0)
-            .validate()
-            .is_err());
-    }
-
-    #[test]
     fn quantize_knobs_default_parse_and_validate() {
         let c = DHnswConfig::paper();
         assert_eq!(c.quantize_mode(), QuantizeMode::Off);
@@ -614,13 +566,7 @@ mod tests {
     fn env_overrides_apply_valid_keep_absent_and_reject_malformed() {
         type Get = fn(&DHnswConfig) -> String;
         // (variable, a valid value, the field after it, a malformed value)
-        let cases: [(&'static str, &'static str, &'static str, &'static str, Get); 4] = [
-            ("DHNSW_PIPELINE_DEPTH", "4", "4", "abc", |c| {
-                c.pipeline_depth().to_string()
-            }),
-            ("DHNSW_PREFETCH_BUDGET_BYTES", "4096", "4096", "4k", |c| {
-                c.prefetch_budget_bytes().to_string()
-            }),
+        let cases: [(&'static str, &'static str, &'static str, &'static str, Get); 2] = [
             ("DHNSW_SEARCH_THREADS", " 3 ", "3", "three", |c| {
                 c.search_threads().to_string()
             }),
@@ -653,21 +599,18 @@ mod tests {
                 "{name}={malformed:?}: {err}"
             );
         }
-        // Zero depth reads as its minimum, 1.
-        let floor = vars(&[("DHNSW_PIPELINE_DEPTH", "0")]);
-        assert_eq!(base.with_overrides(&floor).unwrap().pipeline_depth(), 1);
     }
 
     #[test]
     fn a_build_validates_the_wire_the_environment_resolved() {
         let sq8 = vars(&[
             ("DHNSW_QUANTIZE_MODE", "sq8"),
-            ("DHNSW_PIPELINE_DEPTH", "4"),
+            ("DHNSW_SEARCH_THREADS", "4"),
         ]);
         // Only the wire format is taken from the environment.
         let built = DHnswConfig::small().for_build_under(&sq8).unwrap();
         assert_eq!(
-            (built.quantize_mode(), built.pipeline_depth()),
+            (built.quantize_mode(), built.search_threads()),
             (QuantizeMode::Sq8, 1)
         );
         // SQ8 under cosine is refused however the two met.

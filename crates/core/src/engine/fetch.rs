@@ -1,5 +1,5 @@
-//! The one loader: every cluster span a compute node reads (stage,
-//! naive and prefetch loads, as [`crate::loader::plan_load`] plans them)
+//! The one loader: every cluster span a compute node reads (a batch's
+//! load round or a naive read, as [`crate::loader::plan_load`] plans them)
 //! goes through [`Reader::fetch`], every other read (rerank rows, the
 //! health probe's counters) through its post + retry parts. DESIGN.md §5d
 //! tabulates who calls it with which cause and exhaustion rule.
@@ -88,7 +88,7 @@ pub(crate) struct Reader<'a> {
     node: &'a ComputeNode,
     /// What running out of engine-level retries means: the caller gets
     /// back whatever arrived and carries on (degraded results,
-    /// approximate distances, a shorter prefetch round), or the read
+    /// approximate distances), or the read
     /// fails with [`Error::ReadRetriesExhausted`].
     tolerant: bool,
     trace: &'a BatchTrace,

@@ -15,8 +15,8 @@
 //!
 //! Every mode runs the same batch body (`query`): route → plan → fetch →
 //! materialize → probe → rerank → merge → report. Every cluster fetch —
-//! a batch's stage loads, the naive per-query reads, the prefetcher's —
-//! goes through the one loader (`fetch`), which owns the post primitive,
+//! a batch's load round, the naive per-query reads — goes through the
+//! one loader (`fetch`), which owns the post primitive,
 //! the `[version, span, version]` bracket, the SQ8 overflow follow-up
 //! and the retry/backoff/degrade state machine.
 //!
@@ -30,11 +30,9 @@
 //! stabilize.
 
 mod fetch;
-mod prefetch;
 mod query;
 mod write;
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -99,12 +97,11 @@ impl SearchMode {
 /// table, derived from the [`SearchMode`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ReadPolicy {
-    /// A cluster is fetched once per batch and kept: query-aware dedup,
-    /// the LRU cache with its version brackets and pin verifies, and
-    /// stage loads overlapped with the previous stage's compute. Off,
-    /// every `(query, route position)` is its own unbracketed load that
-    /// nothing outlives — there is no cached copy a version could
-    /// invalidate.
+    /// A cluster is fetched at most once per batch, in the batch's one
+    /// load round, and kept: query-aware dedup, the LRU cache with its
+    /// version brackets and pin verifies. Off, every `(query, route
+    /// position)` is its own unbracketed load that nothing outlives —
+    /// there is no cached copy a version could invalidate.
     pub(crate) reuse: bool,
     /// A load round is one doorbell batch rather than one verb per
     /// request.
@@ -171,10 +168,6 @@ pub(crate) struct EngineMetrics {
     pub(crate) batches: Arc<Counter>,
     pub(crate) latency_us: Arc<Histogram>,
     pub(crate) stage_us: [Arc<Counter>; 4],
-    pub(crate) pipeline_hidden_us: Arc<Counter>,
-    pub(crate) prefetch_rounds: Arc<Counter>,
-    pub(crate) prefetch_clusters: Arc<Counter>,
-    pub(crate) prefetch_bytes: Arc<Counter>,
     pub(crate) clusters_loaded: Arc<Counter>,
     pub(crate) cluster_cache_hits: Arc<Counter>,
     pub(crate) raw_cluster_demand: Arc<Counter>,
@@ -208,10 +201,6 @@ impl EngineMetrics {
             batches: metrics::QUERY_BATCHES.counter(t, m),
             latency_us: metrics::QUERY_LATENCY_US.histogram(t, m),
             stage_us: Phase::ALL.map(stage),
-            pipeline_hidden_us: metrics::PIPELINE_HIDDEN_US.counter(t, m),
-            prefetch_rounds: metrics::PREFETCH_ROUNDS.counter(t, m),
-            prefetch_clusters: metrics::PREFETCH_CLUSTERS.counter(t, m),
-            prefetch_bytes: metrics::PREFETCH_BYTES.counter(t, m),
             clusters_loaded: metrics::CLUSTERS_LOADED.counter(t, m),
             cluster_cache_hits: metrics::CLUSTER_CACHE_HITS.counter(t, m),
             raw_cluster_demand: metrics::RAW_CLUSTER_DEMAND.counter(t, m),
@@ -248,7 +237,6 @@ impl EngineMetrics {
         for (counter, p) in self.stage_us.iter().zip(Phase::ALL) {
             counter.add(p.of(&report.breakdown) as u64);
         }
-        self.pipeline_hidden_us.add(report.hidden_us as u64);
         self.clusters_loaded.add(report.clusters_loaded as u64);
         self.cluster_cache_hits.add(report.cache_hits as u64);
         self.raw_cluster_demand
@@ -273,8 +261,6 @@ impl EngineMetrics {
             evictions: self.cache_evictions.get(),
             cache_hits: self.cluster_cache_hits.get(),
             cache_misses: self.clusters_loaded.get(),
-            hidden_us: self.pipeline_hidden_us.get(),
-            network_us: self.stage_us[Phase::Network as usize].get(),
             latency: self.latency_us.snapshot(),
         }
     }
@@ -310,11 +296,6 @@ pub struct ComputeNode {
     // What this node's instruments read at the previous health report:
     // where the next report's window starts.
     pub(crate) window_start: Mutex<series::Sample>,
-    // Runtime-tunable execution knobs (see `set_pipeline_depth` /
-    // `set_prefetch_budget_bytes`): initialized from the store config and
-    // the environment, adjustable per node without reconnecting.
-    pipeline_depth: AtomicUsize,
-    prefetch_budget: AtomicU64,
     // The wire format in force: SQ8 when the directory carries
     // compressed blobs *and* this node's config asks for them (naive mode
     // always reads full precision — it is the paper's uncompressed
@@ -357,8 +338,6 @@ impl ComputeNode {
             cache: CacheStats::default(),
         });
         let heatmap = Arc::new(ClusterHeatmap::new(directory.partitions()));
-        let pipeline_depth = AtomicUsize::new(config.pipeline_depth().max(1));
-        let prefetch_budget = AtomicU64::new(config.prefetch_budget_bytes());
         let wire = if directory.has_sq_spans() && mode != SearchMode::Naive {
             config.quantize_mode()
         } else {
@@ -378,8 +357,6 @@ impl ComputeNode {
             heatmap,
             flushed,
             window_start: Mutex::default(),
-            pipeline_depth,
-            prefetch_budget,
             wire,
             rerank_cache: Mutex::default(),
         })
@@ -390,32 +367,6 @@ impl ComputeNode {
     /// this node; naive mode always reads full precision).
     pub fn is_quantized(&self) -> bool {
         self.wire == QuantizeMode::Sq8
-    }
-
-    /// The micro-batch pipeline depth in force (`1` = sequential).
-    pub fn pipeline_depth(&self) -> usize {
-        self.pipeline_depth.load(Ordering::Relaxed)
-    }
-
-    /// Sets the micro-batch pipeline depth for subsequent batches on this
-    /// node (clamped to `>= 1`; additionally clamped to the batch size at
-    /// query time). Depth 1 is the strict route → load → search
-    /// execution; deeper pipelines overlap micro-batch *i + 1*'s cluster
-    /// loads with micro-batch *i*'s search.
-    pub fn set_pipeline_depth(&self, depth: usize) {
-        self.pipeline_depth.store(depth.max(1), Ordering::Relaxed);
-    }
-
-    /// The between-batch prefetch byte budget in force (`0` = disabled).
-    pub fn prefetch_budget_bytes(&self) -> u64 {
-        self.prefetch_budget.load(Ordering::Relaxed)
-    }
-
-    /// Sets the byte budget the heatmap-driven prefetcher may spend
-    /// warming the cluster cache after each query batch (`0` disables
-    /// prefetching).
-    pub fn set_prefetch_budget_bytes(&self, bytes: u64) {
-        self.prefetch_budget.store(bytes, Ordering::Relaxed);
     }
 
     /// The search mode this node runs.

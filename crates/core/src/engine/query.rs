@@ -14,7 +14,7 @@ use super::fetch::{Fetch, Load, Reader};
 use super::{run_indexed, ComputeNode, QueryOptions};
 use crate::breakdown::{BatchReport, CostLedger, Phase};
 use crate::cluster::{full_row_at, Candidate, LoadedCluster, ProbeScratch};
-use crate::loader::{plan_batch, stage_loads};
+use crate::loader::plan_batch;
 use crate::telemetry::span::{ArgValue, BatchTrace, SpanId};
 use crate::{Error, Result};
 
@@ -173,32 +173,25 @@ impl ComputeNode {
         }
         self.telemetry.exemplars().record(&report, finished);
         self.flush_telemetry();
-
-        // Warm the cache for the next batch while the client digests this
-        // one. Runs after every counter above so prefetch traffic is
-        // never attributed to the batch that triggered it.
-        if self.prefetch_budget_bytes() > 0 {
-            self.prefetch_hot();
-        }
         Ok((results, report))
     }
 
-    /// One batch under this node's policy. Under `reuse` the batch is
-    /// split into `depth` contiguous micro-batches (stages); each to-load
-    /// cluster belongs to the stage of its first-demanding query, and
-    /// stage `i + 1`'s loads are issued — and charged to the virtual NIC
-    /// timeline — *before* stage `i`'s materialize + search runs on the
-    /// worker pool, so transfer time overlaps compute (depth 1 is the
-    /// sequential execution). Every cluster crosses the network at most
-    /// once per batch, loaded clusters stay pinned in the cache across
-    /// stages, and cached-pin version verifies ride stage 0's load so a
-    /// stale entry is demoted and reloaded before *any* stage searches it.
+    /// One batch under this node's policy. Under `reuse` the batch is one
+    /// load round (§3.3): every cluster the plan must fetch goes out in
+    /// one fetch, with the cached pins' version verifies riding it so a
+    /// stale entry is demoted and reloaded before anything is searched;
+    /// the loaded clusters are materialized into the cache, pinned, and
+    /// then every query is probed. Every cluster crosses the network at
+    /// most once per batch.
     ///
     /// Without `reuse` the plan is the identity: every `(query, route
-    /// position)` is its own load, the stages are stripes of `threads ×
-    /// 4` queries whose clusters are dropped once searched — memory stays
-    /// O(stripe × b × cluster) whatever the batch size — and nothing
-    /// overlaps or is cached.
+    /// position)` is its own load, and the batch runs in stripes of
+    /// `threads × 4` queries, each loaded, searched and dropped before the
+    /// next — memory stays O(stripe × b × cluster) whatever the batch
+    /// size — and nothing is cached.
+    ///
+    /// `breakdown.network_us` is the load rounds' virtual time plus the
+    /// rerank's.
     #[allow(clippy::too_many_arguments)]
     fn run_batch(
         &self,
@@ -243,11 +236,11 @@ impl ComputeNode {
         // still the batch-wide union, so the metric is comparable across
         // modes (loads exceeding it measure exactly the reuse forgone).
         // The cached clusters are pinned under the same lock that found
-        // them resident, so LRU pressure from same-batch (or later-stage)
-        // loads cannot take them away mid-batch. Cache hit instants attach
-        // to the cluster-union span via the scope. Each pin remembers the
-        // version the entry was loaded at; the verifies ride stage 0's
-        // load, when anything loads at all.
+        // them resident, so LRU pressure from the batch's own loads cannot
+        // take them away mid-batch. Cache hit instants attach to the
+        // cluster-union span via the scope. Each pin remembers the version
+        // the entry was loaded at; the verifies ride the load round, when
+        // anything loads at all.
         let s_union = trace.begin_span("cluster_union", "engine", root);
         let mut resolved: HashMap<u32, Arc<LoadedCluster>> = HashMap::new();
         let mut verify: Vec<(u32, u64)> = Vec::new();
@@ -271,10 +264,13 @@ impl ComputeNode {
         report.raw_cluster_demand = plan.raw_demand;
         report.unique_clusters = plan.unique.len();
 
+        // Under reuse the batch is one stage, its one load round carrying
+        // every planned load and the pin verifies. Without, the stages are
+        // stripes of `threads × 4` queries, each loaded and searched
+        // before the next.
         let threads = self.config.effective_search_threads();
         let chunk = if reuse {
-            let depth = self.pipeline_depth().clamp(1, queries.len());
-            queries.len().div_ceil(depth)
+            queries.len()
         } else {
             threads.max(1) * 4
         };
@@ -284,12 +280,9 @@ impl ComputeNode {
             .collect();
         // `keys[i][j]` names the load that serves query i's j-th route
         // entry: the partition itself, or the identity plan's counter.
-        let (keys, mut staged): (Vec<Vec<u32>>, Vec<Vec<Load>>) = if reuse {
-            let staged = stage_loads(&routes, &plan.to_load, &bounds)
-                .into_iter()
-                .map(|stage| stage.into_iter().map(Load::of).collect())
-                .collect();
-            (routes, staged)
+        let (keys, staged): (Vec<Vec<u32>>, Vec<Vec<Load>>) = if reuse {
+            let loads = plan.to_load.iter().map(|&p| Load::of(p)).collect();
+            (routes, vec![loads])
         } else {
             let mut key = 0u32;
             let mut load = |&partition: &u32| {
@@ -314,46 +307,34 @@ impl ComputeNode {
         };
 
         trace.end_span_with(s_union, &plan.trace_args());
-        let stages = bounds.len();
         let stats0 = self.qp.stats().snapshot();
 
         let mut failed = 0usize;
-        let mut next_load = 0usize;
-        let mut load_vt = vec![0.0f64; stages];
-        let mut cpu_wall = vec![0.0f64; stages];
-        let mut loads: Vec<Vec<_>> = (0..stages).map(|_| Vec::new()).collect();
         // Per-query candidate pools: up to `k + slack` merged candidates,
         // the slack being what an exact rerank chooses from (only an SQ8
         // cluster's probe uses it; an exact pool ends at `k`).
         let slack = self.config.rerank_k().max(1);
         let mut pools: Vec<(Vec<Pooled>, f64)> = Vec::with_capacity(queries.len());
 
-        for i in 0..stages {
-            // 3. Fetch. Double buffering under reuse: the next stage's
-            // clusters go on the wire now, while this stage computes
-            // below.
-            let upto = if reuse { (i + 1).min(stages - 1) } else { i };
-            while next_load <= upto {
-                let pending = std::mem::take(&mut staged[next_load]);
-                let pins = std::mem::take(&mut verify);
-                if !pending.is_empty() || !pins.is_empty() {
-                    let (got, vt) =
-                        self.load_stage(next_load, pending, pins, trace, root, &mut report)?;
-                    for p in &got.stale {
-                        resolved.remove(p);
-                    }
-                    report.cache_hits -= got.stale.len();
-                    failed += got.failed.len();
-                    load_vt[next_load] = vt;
-                    loads[next_load] = got.stable;
+        for (i, (pending, &(lo, hi))) in staged.into_iter().zip(&bounds).enumerate() {
+            // 3. Fetch the stage's loads, the pin verifies riding the
+            // first.
+            let pins = std::mem::take(&mut verify);
+            let mut fetched = Vec::new();
+            if !pending.is_empty() || !pins.is_empty() {
+                let (got, vt) = self.load_stage(i, pending, pins, trace, root, &mut report)?;
+                for p in &got.stale {
+                    resolved.remove(p);
                 }
-                next_load += 1;
+                report.cache_hits -= got.stale.len();
+                failed += got.failed.len();
+                report.breakdown.network_us += vt;
+                fetched = got.stable;
             }
 
-            // 4. Materialize this stage's loads (compute on loaded data)
+            // 4. Materialize the stage's loads (compute on loaded data)
             // and, under reuse, cache them, pinned, at the version they
             // were read.
-            let fetched = std::mem::take(&mut loads[i]);
             let s_mat = trace.begin_span(Phase::Materialize.span(), "engine", root);
             let loaded = self.materialize(fetched, threads)?;
             let loaded_n = loaded.len();
@@ -371,22 +352,18 @@ impl ComputeNode {
                     resolved.insert(load.key, cluster);
                 }
             }
-            let mat_us = trace.end_span_with(
+            report.clusters_loaded += loaded_n;
+            report.breakdown.materialize_us += trace.end_span_with(
                 s_mat,
                 &[
                     ("clusters", ArgValue::U64(loaded_n as u64)),
                     ("stage", ArgValue::U64(i as u64)),
                 ],
             );
-            report.clusters_loaded += loaded_n;
-            report.breakdown.materialize_us += mat_us;
 
-            // 5. Probe this micro-batch's queries. A stage only ever
-            // routes to clusters first demanded at or before it, all of
-            // which were loaded (or counted failed) above — so failures
-            // are always known before the search that must tolerate
-            // them.
-            let (lo, hi) = bounds[i];
+            // 5. Probe the stage's queries. Every cluster they route to
+            // was loaded (or counted failed) above, so failures are known
+            // before the search that must tolerate them.
             let s_search = trace.begin_span(Phase::Sub.span(), "engine", root);
             pools.extend(search_stage(
                 &keys[lo..hi],
@@ -400,7 +377,7 @@ impl ComputeNode {
             if !reuse {
                 resolved.clear();
             }
-            let sub_us = trace.end_span_with(
+            report.breakdown.sub_hnsw_us += trace.end_span_with(
                 s_search,
                 &[
                     ("queries", ArgValue::U64((hi - lo) as u64)),
@@ -408,51 +385,14 @@ impl ComputeNode {
                     ("stage", ArgValue::U64(i as u64)),
                 ],
             );
-            report.breakdown.sub_hnsw_us += sub_us;
-            cpu_wall[i] = mat_us + sub_us;
         }
 
-        // Schedule composition over the two-clock model: the worker pool
-        // consumes stages in order while the NIC serializes stage loads
-        // on the virtual clock — back to back under reuse, each only
-        // once the previous stage's compute is done without. The
-        // *exposed* network time is the total stall the compute timeline
-        // spends waiting on the NIC: with one stage, or no overlap,
-        // exactly the whole virtual transfer time; with deeper pipelines
-        // whatever the overlap could not hide.
-        let mut nic_done = 0.0f64;
-        let mut cpu_done = 0.0f64;
-        let mut exposed = 0.0f64;
-        for i in 0..stages {
-            let nic_free = if reuse { nic_done } else { cpu_done };
-            nic_done = nic_free + load_vt[i];
-            let wait = (nic_done - cpu_done).max(0.0);
-            exposed += wait;
-            cpu_done += wait + cpu_wall[i];
-        }
-        let total_vt: f64 = load_vt.iter().sum();
-        let hidden = (total_vt - exposed).max(0.0);
-        if reuse && stages > 1 {
-            report.hidden_us = hidden;
-            trace.instant(
-                "pipeline_overlap",
-                "engine",
-                root,
-                &[
-                    ("stages", ArgValue::U64(stages as u64)),
-                    (Phase::Network.arg(), ArgValue::F64(total_vt)),
-                    ("exposed_us", ArgValue::F64(exposed)),
-                    ("hidden_us", ArgValue::F64(hidden)),
-                ],
-            );
-        }
         // 6. Exact rerank: a no-op unless some candidate's distance is an
         // estimate with a rerank address (SQ8 wire). Runs before the
         // stats delta so rerank bytes land in this batch's ledger. Its
         // passes' walls join `sub_hnsw_us`, its virtual time the network.
-        let rr_vt =
+        report.breakdown.network_us +=
             self.rerank_exact(queries, k, &mut pools, &resolved, trace, root, &mut report)?;
-        report.breakdown.network_us = exposed + rr_vt;
         let stats_delta = self.qp.stats().snapshot() - stats0;
         report.round_trips = stats_delta.round_trips;
         report.bytes_read = stats_delta.bytes_read;
@@ -706,7 +646,7 @@ fn by_distance(a: &Pooled, b: &Pooled) -> std::cmp::Ordering {
 /// equal distances and no rerank address, so which of them stands for the
 /// id (the lowest load key's) cannot be told.
 ///
-/// `keys[i]` belongs to query `base + i`, so pipeline stages can pass a
+/// `keys[i]` belongs to query `base + i`, so a naive stripe can pass a
 /// sub-slice against the full query set. Returns each query's pool with
 /// the fraction of its routed clusters that were actually searched; with
 /// `allow_missing` false an unresolved cluster is a corruption error

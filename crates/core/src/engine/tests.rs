@@ -284,30 +284,14 @@ fn warm_full_cache_shifts_bytes_to_version_checks() {
 }
 
 #[test]
-fn health_probe_and_prefetch_bytes_carry_their_causes() {
-    let (data, store) = setup(600);
+fn health_probe_bytes_carry_their_cause() {
+    let (_, store) = setup(600);
     let node = store.connect(SearchMode::Full).unwrap();
     let stats0 = node.queue_pair().stats().snapshot();
     node.health_report().unwrap();
     let probe = node.queue_pair().stats().snapshot() - stats0;
     assert!(probe.bytes_for(ReadCause::HealthProbe) > 0);
     assert_eq!(probe.bytes_for(ReadCause::HealthProbe), probe.bytes_read);
-
-    // Warm the heatmap, then force a prefetch round into an emptied
-    // cache: its traffic must land on the prefetch cause.
-    let queries = gen::perturbed_queries(&data, 16, 0.02, 89).unwrap();
-    node.query_batch(&queries, 5, 32).unwrap();
-    node.drop_cache();
-    node.set_prefetch_budget_bytes(u64::MAX);
-    let stats1 = node.queue_pair().stats().snapshot();
-    let admitted = node.prefetch_hot();
-    assert!(admitted > 0);
-    let pf = node.queue_pair().stats().snapshot() - stats1;
-    assert!(pf.bytes_for(ReadCause::Prefetch) > 0);
-    assert_eq!(
-        pf.bytes_for(ReadCause::Prefetch) + pf.bytes_for(ReadCause::VersionCheck),
-        pf.bytes_read
-    );
 }
 
 #[test]
@@ -1157,73 +1141,6 @@ fn a_landed_blob_of_another_partition_or_dim_is_corrupt_on_both_wires() {
 }
 
 #[test]
-fn pipelined_execution_matches_sequential_exactly() {
-    // Two connections to the same store, one sequential and one
-    // deeply pipelined: across a cold batch, a warm repeat, and a
-    // fresh batch, every result and every deterministic counter must
-    // agree — pipelining may only change the schedule.
-    let (data, store) = setup(900);
-    let seq = store.connect(SearchMode::Full).unwrap();
-    let pipe = store.connect(SearchMode::Full).unwrap();
-    pipe.set_pipeline_depth(3);
-    for (i, seed) in [91u64, 91, 92].into_iter().enumerate() {
-        let queries = gen::perturbed_queries(&data, 13, 0.02, seed).unwrap();
-        let (ra, pa) = seq.query_batch(&queries, 10, 32).unwrap();
-        let (rb, pb) = pipe.query_batch(&queries, 10, 32).unwrap();
-        assert_eq!(ra, rb, "batch {i}: pipelining changed the results");
-        assert_eq!(pa.unique_clusters, pb.unique_clusters, "batch {i}");
-        assert_eq!(pa.cache_hits, pb.cache_hits, "batch {i}");
-        assert_eq!(pa.clusters_loaded, pb.clusters_loaded, "batch {i}");
-        assert_eq!(pa.bytes_read, pb.bytes_read, "batch {i}");
-        // Round trips may grow: each non-empty stage rings its own
-        // doorbell, but never shrink below the sequential schedule.
-        assert!(pb.round_trips >= pa.round_trips, "batch {i}");
-    }
-}
-
-#[test]
-fn depth_one_pipeline_is_the_identity() {
-    // set_pipeline_depth(1) after a deeper setting restores the
-    // strict sequential execution (and 0 clamps to 1).
-    let (data, store) = setup(500);
-    let node = store.connect(SearchMode::Full).unwrap();
-    node.set_pipeline_depth(4);
-    node.set_pipeline_depth(0);
-    assert_eq!(node.pipeline_depth(), 1);
-    let queries = gen::perturbed_queries(&data, 6, 0.02, 93).unwrap();
-    let (_, report) = node.query_batch(&queries, 5, 32).unwrap();
-    // Depth 1 means one network stage: exposed time is the whole
-    // virtual transfer time, and one doorbell batch covers the loads.
-    assert!(report.breakdown.network_us > 0.0);
-    let delta = node.queue_pair().stats().snapshot();
-    assert_eq!(delta.doorbell_batches, 1);
-}
-
-#[test]
-fn deeper_pipelines_hide_network_time_on_cold_batches() {
-    let data = gen::sift_like(2_000, 94).unwrap();
-    let cfg = DHnswConfig::small().with_representatives(48);
-    let store = VectorStore::build(data.clone(), &cfg).unwrap();
-    let queries = gen::perturbed_queries(&data, 24, 0.03, 95).unwrap();
-    let seq = store.connect(SearchMode::Full).unwrap();
-    let (rs_res, rs) = seq.query_batch(&queries, 10, 32).unwrap();
-    let pipe = store.connect(SearchMode::Full).unwrap();
-    pipe.set_pipeline_depth(4);
-    let (rp_res, rp) = pipe.query_batch(&queries, 10, 32).unwrap();
-    assert_eq!(rs_res, rp_res);
-    assert_eq!(rs.bytes_read, rp.bytes_read);
-    // Later stages' loads overlap earlier stages' compute, so the
-    // exposed network time strictly shrinks while the virtual bytes
-    // moved stay identical.
-    assert!(
-        rp.breakdown.network_us < rs.breakdown.network_us,
-        "pipelined exposed {} !< sequential {}",
-        rp.breakdown.network_us,
-        rs.breakdown.network_us
-    );
-}
-
-#[test]
 fn a_failed_batch_leaves_the_node_consistent() {
     // A mid-batch substrate failure must release the batch's cache
     // pins and leave no other residue: afterwards the node behaves
@@ -1246,126 +1163,6 @@ fn a_failed_batch_leaves_the_node_consistent() {
     assert_eq!(rn, rc);
     assert_eq!(pn.cache_hits, pc.cache_hits);
     assert_eq!(pn.bytes_read, pc.bytes_read);
-}
-
-#[test]
-fn prefetch_warms_hot_clusters_within_budget() {
-    // A thrashing cache (capacity far below the hot set) leaves hot
-    // clusters non-resident; the prefetcher pulls them back in,
-    // bounded by the byte budget.
-    let data = gen::sift_like(1_500, 98).unwrap();
-    let cfg = DHnswConfig::small()
-        .with_representatives(24)
-        .with_cache_fraction(0.2);
-    let store = VectorStore::build(data.clone(), &cfg).unwrap();
-    let telemetry = Arc::new(Telemetry::new());
-    let node = store
-        .connect_with_telemetry(SearchMode::Full, Arc::clone(&telemetry))
-        .unwrap();
-    let queries = gen::perturbed_queries(&data, 16, 0.02, 99).unwrap();
-    node.query_batch(&queries, 5, 32).unwrap();
-
-    // Budget 0 disables the prefetcher entirely.
-    assert_eq!(node.prefetch_hot(), 0);
-    // A budget smaller than any cluster span admits nothing.
-    node.set_prefetch_budget_bytes(1);
-    assert_eq!(node.prefetch_hot(), 0);
-    // A generous budget warms the hottest non-resident clusters.
-    node.set_prefetch_budget_bytes(u64::MAX);
-    let admitted = node.prefetch_hot();
-    assert!(admitted > 0, "nothing prefetched");
-    let bytes0 = node.queue_pair().stats().snapshot().bytes_read;
-    // The warmed clusters are resident now: an immediate re-run
-    // finds them cached and loads nothing new.
-    assert_eq!(node.prefetch_hot(), 0);
-    assert_eq!(node.queue_pair().stats().snapshot().bytes_read, bytes0);
-    let prom = telemetry.render_prometheus();
-    assert!(
-        prom.contains(&format!(
-            "dhnsw_prefetch_clusters_total{{mode=\"full\"}} {admitted}"
-        )),
-        "prefetch counters missing:\n{prom}"
-    );
-    assert!(prom.contains("dhnsw_prefetch_rounds_total{mode=\"full\"} 1"));
-}
-
-#[test]
-fn prefetch_runs_automatically_after_batches_when_budgeted() {
-    let data = gen::sift_like(1_500, 100).unwrap();
-    let cfg = DHnswConfig::small()
-        .with_representatives(24)
-        .with_cache_fraction(0.2)
-        .with_prefetch_budget_bytes(u64::MAX);
-    let store = VectorStore::build(data.clone(), &cfg).unwrap();
-    let telemetry = Arc::new(Telemetry::new());
-    let node = store
-        .connect_with_telemetry(SearchMode::Full, Arc::clone(&telemetry))
-        .unwrap();
-    assert_eq!(node.prefetch_budget_bytes(), u64::MAX);
-    let queries = gen::perturbed_queries(&data, 16, 0.02, 101).unwrap();
-    node.query_batch(&queries, 5, 32).unwrap();
-    let prom = telemetry.render_prometheus();
-    assert!(
-        prom.contains("dhnsw_prefetch_rounds_total{mode=\"full\"} 1"),
-        "query_batch did not trigger the prefetcher:\n{prom}"
-    );
-}
-#[test]
-fn sq8_prefetch_admits_mutated_partitions_with_their_overflow() {
-    // The compressed blob of a mutated partition is only half a load:
-    // its overflow records come from a follow-up read. A prefetcher
-    // that skips the follow-up can never admit such a partition and
-    // re-reads its blob every round.
-    let data = gen::sift_like(1_500, 102).unwrap();
-    let cfg = DHnswConfig::small()
-        .with_representatives(24)
-        .with_cache_fraction(0.2)
-        .with_quantize_mode(QuantizeMode::Sq8);
-    let store = VectorStore::build(data.clone(), &cfg).unwrap();
-    let node = store.connect(SearchMode::Full).unwrap();
-    assert!(node.is_quantized());
-    let b = node.config().fanout();
-    let queries = gen::perturbed_queries(&data, 16, 0.02, 103).unwrap();
-    // Inserts right beside the queries land in the partitions the
-    // batch is about to make hot.
-    let beside = gen::perturbed_queries(&queries, 48, 0.002, 104).unwrap();
-    let inserted: Vec<(u32, &[f32])> = (beside.iter())
-        .map(|v| (node.insert(v).unwrap(), v))
-        .collect();
-    node.query_batch(&queries, 5, 32).unwrap();
-
-    let resident = |p: &u32| node.cache.lock().contains(*p);
-    let parts = 0..store.partitions() as u32;
-    let before: Vec<u32> = parts.clone().filter(resident).collect();
-    node.set_prefetch_budget_bytes(u64::MAX);
-    let admitted = node.prefetch_hot();
-    assert!(admitted > 0, "mutated hot partitions were not admitted");
-    let warmed: Vec<u32> = parts
-        .filter(|p| resident(p) && !before.contains(p))
-        .collect();
-    assert!(!warmed.is_empty());
-    // Converged: the next round finds its targets resident.
-    let bytes0 = node.queue_pair().stats().snapshot().bytes_read;
-    assert_eq!(node.prefetch_hot(), 0);
-    assert_eq!(node.queue_pair().stats().snapshot().bytes_read, bytes0);
-
-    // An insert homed in a prefetch-warmed partition is answered from
-    // the cache: the admitted cluster carries its overflow records.
-    let (gid, v) = (inserted.iter())
-        .find(|(_, v)| {
-            let home = node.meta().classify_with_beam(v, b).unwrap();
-            warmed.contains(&home) && node.meta().route(v, 1)[0].id == home
-        })
-        .expect("some insert is homed in a warmed partition");
-    let probe = Dataset::from_rows(&[*v]).unwrap();
-    let (hits, report) = node
-        .query_batch_opts(&probe, &QueryOptions::new(1, 32).with_fanout(1))
-        .unwrap();
-    assert_eq!(hits[0][0].id, *gid);
-    assert!(hits[0][0].dist < 1e-6);
-    assert_eq!(report.clusters_loaded, 0);
-    assert_eq!(report.ledger.bytes_for(ReadCause::StageLoad), 0);
-    assert_eq!(report.ledger.bytes_for(ReadCause::OverflowScan), 0);
 }
 
 /// Six clusters over one dataset, each holding 80 rows of which 30

@@ -151,7 +151,7 @@ pub struct TailHealth {
     /// link here so `/whyslow/<id>` can explain the breach.
     pub slowest_trace_id: Option<u64>,
     /// End-to-end latency of that slowest batch — its record's
-    /// `total_us`: host wall plus exposed network — microseconds (0 when
+    /// `total_us`: host wall plus virtual network — microseconds (0 when
     /// empty).
     pub slowest_total_us: f64,
 }

@@ -91,38 +91,6 @@ pub fn plan_batch(routes: &[Vec<u32>], is_cached: impl Fn(u32) -> bool) -> LoadP
     plan
 }
 
-/// Partitions a plan's `to_load` list across pipeline stages by *first
-/// demand*: `bounds[s] = (lo, hi)` delimits stage `s`'s contiguous query
-/// micro-batch, and each cluster lands in the earliest stage whose
-/// queries route to it. Within a stage the original `to_load` order is
-/// preserved, so concatenating the stage lists reproduces `to_load`
-/// exactly — which is what keeps the pipelined executor's load order
-/// (and therefore its byte/doorbell accounting and post-batch LRU state)
-/// identical to the sequential path's.
-///
-/// Clusters in `to_load` that no bounded query demands (possible only
-/// with inconsistent inputs) fall into stage 0 so nothing is dropped.
-pub fn stage_loads(
-    routes: &[Vec<u32>],
-    to_load: &[u32],
-    bounds: &[(usize, usize)],
-) -> Vec<Vec<u32>> {
-    let mut first_stage: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
-    for (stage, &(lo, hi)) in bounds.iter().enumerate() {
-        for route in routes.iter().take(hi.min(routes.len())).skip(lo) {
-            for &p in route {
-                first_stage.entry(p).or_insert(stage);
-            }
-        }
-    }
-    let mut stages: Vec<Vec<u32>> = vec![Vec::new(); bounds.len().max(1)];
-    for &p in to_load {
-        let s = first_stage.get(&p).copied().unwrap_or(0);
-        stages[s].push(p);
-    }
-    stages
-}
-
 /// One round of one load's reads, as [`plan_load`] plans it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoadRound {
@@ -302,38 +270,6 @@ mod tests {
             plan_batch(&routes(&[&[0, 1], &[1, 0]]), |_| true).reuse_ratio(),
             1.0
         );
-    }
-
-    #[test]
-    fn stage_loads_assigns_by_first_demand() {
-        // Queries 0-1 form stage 0, queries 2-3 stage 1. Cluster 4 is
-        // first demanded by query 0, cluster 3 by query 1, clusters 5
-        // and 2 only by stage-1 queries.
-        let rs = routes(&[&[1, 4], &[3, 2], &[4, 5], &[3, 1]]);
-        let plan = plan_batch(&rs, |p| p == 2);
-        assert_eq!(plan.to_load, vec![1, 4, 3, 5]);
-        let staged = stage_loads(&rs, &plan.to_load, &[(0, 2), (2, 4)]);
-        assert_eq!(staged, vec![vec![1, 4, 3], vec![5]]);
-        // Concatenation reproduces to_load order exactly.
-        let flat: Vec<u32> = staged.into_iter().flatten().collect();
-        assert_eq!(flat, plan.to_load);
-    }
-
-    #[test]
-    fn stage_loads_single_stage_is_the_whole_plan() {
-        let rs = routes(&[&[0, 1], &[2, 0]]);
-        let plan = plan_batch(&rs, |_| false);
-        let staged = stage_loads(&rs, &plan.to_load, &[(0, 2)]);
-        assert_eq!(staged, vec![plan.to_load.clone()]);
-    }
-
-    #[test]
-    fn stage_loads_handles_empty_and_unrouted_input() {
-        assert_eq!(stage_loads(&[], &[], &[]), vec![Vec::<u32>::new()]);
-        // A cluster no bounded query routes to defaults to stage 0.
-        let rs = routes(&[&[7]]);
-        let staged = stage_loads(&rs, &[9, 7], &[(0, 1), (1, 1)]);
-        assert_eq!(staged, vec![vec![9, 7], vec![]]);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!    R under a seeded [SplitMix64] generator, so runs are
 //!    deterministic). This is the diagnoser's picture of "normal".
 //! 3. **K-slowest** — the exact top-K batches by end-to-end latency
-//!    (`total_us`: host wall + exposed network), the only entries that
+//!    (`total_us`: host wall + virtual network), the only entries that
 //!    retain their full span trees.
 //!
 //! The **why-slow diagnoser** diffs an exemplar's per-query phase
@@ -363,9 +363,11 @@ fn num3(v: f64) -> String {
 /// excess — retry and half the version-check churn score
 /// `retry_storm`, stage loads score `cache_cold`, overflow scans
 /// score `overflow_heavy`, and the rest scores `network_bound`. A
-/// network excess with *no* byte excess means the transfer overlap
-/// was lost, not that more data moved: `pipeline_stall`. With no
-/// meaningful excess at all the verdict is `nominal`.
+/// network excess with *no* byte excess means the same bytes took
+/// longer to move — more round trips for them, or a slower link — not
+/// that more data moved: `pipeline_stall` (a batch is one load round,
+/// so the label names the stalled transfer, not a lost overlap). With
+/// no meaningful excess at all the verdict is `nominal`.
 pub fn diagnose(rec: &BatchReport, baseline: &[BatchReport]) -> Diagnosis {
     let per_query = |r: &BatchReport| {
         let q = r.queries.max(1) as f64;
@@ -603,7 +605,7 @@ mod tests {
         // Overflow-heavy batch.
         let ovf = with_bytes(rec(91, 1600.0, 16), ReadCause::OverflowScan, 1 << 20);
         assert_eq!(diagnose(&ovf, &baseline).verdict, "overflow_heavy");
-        // Network grew with no byte excess: the overlap stalled.
+        // Network grew with no byte excess: the transfer stalled.
         let stall = rec(92, 1600.0, 16);
         assert_eq!(diagnose(&stall, &baseline).verdict, "pipeline_stall");
         // Compute-bound batch: sub-HNSW search dominates the excess.
@@ -614,8 +616,8 @@ mod tests {
         assert_eq!(diagnose(&cpu, &baseline).verdict, "compute_bound");
         // A batch at the baseline is nominal.
         assert_eq!(diagnose(&rec(94, 160.0, 16), &baseline).verdict, "nominal");
-        // Prefetch-carried excess is generic network-bound.
-        let net = with_bytes(rec(95, 1600.0, 16), ReadCause::Prefetch, 1 << 20);
+        // Rerank-carried excess is generic network-bound.
+        let net = with_bytes(rec(95, 1600.0, 16), ReadCause::Rerank, 1 << 20);
         assert_eq!(diagnose(&net, &baseline).verdict, "network_bound");
     }
 

@@ -117,22 +117,6 @@ pub const STAGE_US: MetricDef = counter(
     "dhnsw_stage_us_total",
     "Cumulative stage time in microseconds",
 );
-pub const PIPELINE_HIDDEN_US: MetricDef = counter(
-    "dhnsw_pipeline_hidden_us_total",
-    "Virtual network time hidden behind compute by micro-batch pipelining",
-);
-pub const PREFETCH_ROUNDS: MetricDef = counter(
-    "dhnsw_prefetch_rounds_total",
-    "Between-batch heatmap prefetch rounds that loaded at least one cluster",
-);
-pub const PREFETCH_CLUSTERS: MetricDef = counter(
-    "dhnsw_prefetch_clusters_total",
-    "Clusters warmed into the cache by the heatmap prefetcher",
-);
-pub const PREFETCH_BYTES: MetricDef = counter(
-    "dhnsw_prefetch_bytes_total",
-    "Bytes read from remote memory by the heatmap prefetcher",
-);
 pub const CLUSTERS_LOADED: MetricDef = counter(
     "dhnsw_clusters_loaded_total",
     "Clusters fetched from remote memory",
@@ -239,15 +223,11 @@ pub const ANOMALIES: MetricDef = counter(
 );
 
 /// Every family above.
-pub const ALL: [&MetricDef; 32] = [
+pub const ALL: [&MetricDef; 28] = [
     &QUERIES,
     &QUERY_BATCHES,
     &QUERY_LATENCY_US,
     &STAGE_US,
-    &PIPELINE_HIDDEN_US,
-    &PREFETCH_ROUNDS,
-    &PREFETCH_CLUSTERS,
-    &PREFETCH_BYTES,
     &CLUSTERS_LOADED,
     &CLUSTER_CACHE_HITS,
     &RAW_CLUSTER_DEMAND,

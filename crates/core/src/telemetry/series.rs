@@ -148,10 +148,6 @@ pub struct Sample {
     pub cache_hits: u64,
     /// Lifetime plan-time misses: clusters fetched from remote memory.
     pub cache_misses: u64,
-    /// Lifetime pipeline-hidden virtual network microseconds.
-    pub hidden_us: u64,
-    /// Lifetime network-stage microseconds.
-    pub network_us: u64,
     /// Lifetime latency histogram snapshot.
     pub latency: HistogramSnapshot,
 }
@@ -186,10 +182,6 @@ pub struct SeriesPoint {
     pub hit_rate: f64,
     /// Plan-time hits + misses inside the window.
     pub window_cache_ops: u64,
-    /// Fraction of window network time hidden behind compute by
-    /// pipelining (`hidden / (hidden + exposed network)`, `0` when
-    /// the window moved no bytes).
-    pub hidden_ratio: f64,
 }
 
 impl SeriesPoint {
@@ -224,7 +216,7 @@ impl SeriesPoint {
             "{{\"t_us\": {}, \"dt_us\": {}, \"window_queries\": {}, \"qps\": {}, \
              \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}, \"bytes_per_s\": {}, \
              \"retries_per_s\": {}, \"evictions_per_s\": {}, \"hit_rate\": {}, \
-             \"window_cache_ops\": {}, \"hidden_ratio\": {}, \"cause_bytes_per_s\": {{{causes}}}}}",
+             \"window_cache_ops\": {}, \"cause_bytes_per_s\": {{{causes}}}}}",
             self.t_us,
             self.dt_us,
             self.window_queries,
@@ -237,7 +229,6 @@ impl SeriesPoint {
             json_f64(self.evictions_per_s),
             json_f64(self.hit_rate),
             self.window_cache_ops,
-            json_f64(self.hidden_ratio),
         )
     }
 }
@@ -374,8 +365,6 @@ fn derive(prev: &Sample, cur: &Sample) -> SeriesPoint {
     let secs = dt_us as f64 / 1e6;
     let w = Window::between(prev, cur);
     let dbytes = cur.bytes_read.saturating_sub(prev.bytes_read);
-    let dhidden = cur.hidden_us.saturating_sub(prev.hidden_us);
-    let dnetwork = cur.network_us.saturating_sub(prev.network_us);
     SeriesPoint {
         t_us: cur.t_us,
         dt_us,
@@ -392,11 +381,6 @@ fn derive(prev: &Sample, cur: &Sample) -> SeriesPoint {
         evictions_per_s: cur.evictions.saturating_sub(prev.evictions) as f64 / secs,
         hit_rate: w.hit_rate,
         window_cache_ops: w.hits + w.misses,
-        hidden_ratio: if dhidden + dnetwork > 0 {
-            dhidden as f64 / (dhidden + dnetwork) as f64
-        } else {
-            0.0
-        },
     }
 }
 

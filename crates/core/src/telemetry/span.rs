@@ -514,8 +514,8 @@ impl SpanTracer {
         }
     }
 
-    /// Finishes a trace that is not a query batch's (a prefetch round,
-    /// a watchdog or anomaly event), discarding the finished tree (see
+    /// Finishes a trace that is not a query batch's (a watchdog or
+    /// anomaly event), discarding the finished tree (see
     /// [`SpanTracer::finish_trace`]).
     pub fn finish(&self, trace: BatchTrace) {
         let _ = self.finish_trace(trace, None);
@@ -525,7 +525,7 @@ impl SpanTracer {
     /// result (evicting the oldest at capacity), and renders a
     /// slow-query report if over threshold. A query batch passes its
     /// record: the threshold is judged against the record's `total_us`
-    /// — host wall plus exposed network, the number the latency
+    /// — host wall plus virtual network, the number the latency
     /// histogram and the exemplars file the batch under — and the
     /// report's header names the ledger's dominant cause. Without a
     /// record the root span's wall time is all there is to judge.

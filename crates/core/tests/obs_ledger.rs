@@ -29,10 +29,8 @@
 //! What the wall clock decides by *order or identity* rather than value
 //! is canonicalised: the K-slowest list is sorted by trace id, the
 //! bucket exemplars are reduced to their key shape, the slowest batch's
-//! id and the why-slow verdict are masked. The node pins
-//! `set_pipeline_depth(1)` and `set_prefetch_budget_bytes(0)`, so the
-//! golden holds under the threads x depth environment matrix of
-//! `scripts/check.sh`.
+//! id and the why-slow verdict are masked, so the golden holds under
+//! the search-thread environment matrix of `scripts/check.sh`.
 //!
 //! What must agree is asserted, not just recorded: on every batch the
 //! returned report's `ledger.cause_bytes`, the root span's `bytes_*`
@@ -321,8 +319,6 @@ fn cell(data: &Dataset, queries: &Dataset, wire: QuantizeMode, spans: bool) -> (
     let node = store
         .connect_with_telemetry(SearchMode::Full, Arc::clone(&telemetry))
         .unwrap();
-    node.set_pipeline_depth(1);
-    node.set_prefetch_budget_bytes(0);
     // The hub's tracer, set per cell (connecting never touches it).
     telemetry.spans().set_enabled(spans);
     telemetry.spans().set_slow_threshold_us(u64::from(spans));

@@ -1,26 +1,24 @@
 //! Characterization ledger of the read path: every count a query batch
-//! or a prefetch round reports, over the whole policy matrix, pinned in
+//! reports, over the whole policy matrix, pinned in
 //! `tests/golden/read_path_ledger.txt`.
 //!
 //! One seeded store per wire format is built once and snapshotted
 //! pristine and after 60 inserts + 6 deletes; every cell of
 //!
 //! ```text
-//! {Naive, NoDoorbell, Full} x {off, sq8} x depth {1, 2, 8}
-//!   x cache {0, 0.1, 1.0} x {pristine, mutated} x {no faults, drops}
+//! {Naive, NoDoorbell, Full} x {off, sq8} x cache {0, 0.1, 1.0}
+//!   x {pristine, mutated} x {no faults, drops}
 //! ```
 //!
 //! restores the snapshot under its own configuration, connects a fresh
 //! node and records a cold and a repeat batch: a hash of the returned
-//! ids, bytes, round trips, work requests, doorbell batches, the nine
+//! ids, bytes, round trips, work requests, doorbell batches, the eight
 //! per-cause byte counts, read retries, degraded queries, cache hits,
-//! clusters loaded and unique clusters. Per wire and store state, two
-//! consecutive `prefetch_hot()` rounds record clusters admitted and
-//! bytes read.
+//! clusters loaded and unique clusters.
 //!
 //! What does not depend on the mode is asserted, not just recorded:
 //! without faults every cell of a store state returns the same ids
-//! (whatever the mode, wire, depth or cache size, cold or repeat), and
+//! (whatever the mode, wire or cache size, cold or repeat), and
 //! on every batch the per-cause bytes tile `bytes_read`.
 //!
 //! The drop schedule of the fault cells: no substrate retransmissions
@@ -49,7 +47,6 @@ const QUERIES: usize = 16;
 
 const MODES: [SearchMode; 3] = [SearchMode::Naive, SearchMode::NoDoorbell, SearchMode::Full];
 const WIRES: [QuantizeMode; 2] = [QuantizeMode::Off, QuantizeMode::Sq8];
-const DEPTHS: [usize; 3] = [1, 2, 8];
 const CACHES: [f64; 3] = [0.0, 0.1, 1.0];
 const STATES: [&str; 2] = ["pristine", "mutated"];
 
@@ -165,70 +162,43 @@ fn read_path_ledger_matches_the_golden() {
         for (state, snapshot) in STATES.iter().zip(&snaps) {
             let state_idx = usize::from(*state == "mutated");
             for mode in MODES {
-                for depth in DEPTHS {
-                    for cache in CACHES {
-                        for faults in [false, true] {
-                            let mut config = DHnswConfig::small()
-                                .with_quantize_mode(wire)
-                                .with_cache_fraction(cache);
-                            if faults {
-                                config = config.with_degraded_ok(true).with_read_retry_limit(1);
-                            }
-                            let (_store, node) = connect(snapshot, &config, mode);
-                            node.set_pipeline_depth(depth);
-                            assert_eq!(
-                                node.is_quantized(),
-                                wire == QuantizeMode::Sq8 && mode != SearchMode::Naive
-                            );
-                            let cell = format!(
-                                "mode={} wire={} depth={depth} cache={cache} state={state} faults={}",
-                                mode.label(),
-                                wire.as_str(),
-                                if faults { "drops" } else { "none" },
-                            );
-                            let qp = node.queue_pair();
-                            if faults {
-                                qp.set_retry_limit(0);
-                                qp.set_fault_rate(0.01, 0xFA17);
-                                qp.fail_nth(0, 1);
-                            }
-                            let cold = record(&node, &queries, &cell, "cold", &mut out);
-                            if faults {
-                                qp.fail_nth(1, 2);
-                            }
-                            let repeat = record(&node, &queries, &cell, "repeat", &mut out);
-                            if !faults {
-                                let want = *expected_ids[state_idx].get_or_insert(cold);
-                                assert_eq!(
-                                    cold, want,
-                                    "{cell}: cold ids differ from the other cells"
-                                );
-                                assert_eq!(repeat, want, "{cell}: repeat ids differ from cold");
-                            }
+                for cache in CACHES {
+                    for faults in [false, true] {
+                        let mut config = DHnswConfig::small()
+                            .with_quantize_mode(wire)
+                            .with_cache_fraction(cache);
+                        if faults {
+                            config = config.with_degraded_ok(true).with_read_retry_limit(1);
+                        }
+                        let (_store, node) = connect(snapshot, &config, mode);
+                        assert_eq!(
+                            node.is_quantized(),
+                            wire == QuantizeMode::Sq8 && mode != SearchMode::Naive
+                        );
+                        let cell = format!(
+                            "mode={} wire={} cache={cache} state={state} faults={}",
+                            mode.label(),
+                            wire.as_str(),
+                            if faults { "drops" } else { "none" },
+                        );
+                        let qp = node.queue_pair();
+                        if faults {
+                            qp.set_retry_limit(0);
+                            qp.set_fault_rate(0.01, 0xFA17);
+                            qp.fail_nth(0, 1);
+                        }
+                        let cold = record(&node, &queries, &cell, "cold", &mut out);
+                        if faults {
+                            qp.fail_nth(1, 2);
+                        }
+                        let repeat = record(&node, &queries, &cell, "repeat", &mut out);
+                        if !faults {
+                            let want = *expected_ids[state_idx].get_or_insert(cold);
+                            assert_eq!(cold, want, "{cell}: cold ids differ from the other cells");
+                            assert_eq!(repeat, want, "{cell}: repeat ids differ from cold");
                         }
                     }
                 }
-            }
-
-            // Two prefetch rounds after one batch at a cache too small
-            // for the hot set.
-            let config = DHnswConfig::small()
-                .with_quantize_mode(wire)
-                .with_cache_fraction(0.2);
-            let (_store, node) = connect(snapshot, &config, SearchMode::Full);
-            node.set_pipeline_depth(1);
-            node.query_batch(&queries, K, EF).unwrap();
-            node.set_prefetch_budget_bytes(u64::MAX);
-            for round in 1..=2 {
-                let bytes0 = node.queue_pair().stats().snapshot().bytes_read;
-                let admitted = node.prefetch_hot();
-                let bytes = node.queue_pair().stats().snapshot().bytes_read - bytes0;
-                writeln!(
-                    out,
-                    "prefetch wire={} state={state} round={round} admitted={admitted} bytes={bytes}",
-                    wire.as_str()
-                )
-                .unwrap();
             }
         }
     }

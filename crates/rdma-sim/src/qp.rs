@@ -990,7 +990,7 @@ mod tests {
         #[test]
         fn read_doorbell_equals_read_doorbell_into(
             fill in proptest::prop::collection::vec(proptest::any::<u8>(), 256..257),
-            shape in proptest::prop::collection::vec((0u64..256, 0u64..64, 0u64..70, 0usize..9), 0..24),
+            shape in proptest::prop::collection::vec((0u64..256, 0u64..64, 0u64..70, 0usize..READ_CAUSES), 0..24),
             limit in 1usize..9,
             drops in 0u32..3,
         ) {

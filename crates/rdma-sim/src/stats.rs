@@ -15,8 +15,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub enum ReadCause {
     /// Batch-planned sub-HNSW cluster load (the §3.3 staged fetch).
     StageLoad,
-    /// Heatmap-driven background prefetch between batches.
-    Prefetch,
     /// Directory version-slot read (cache-pin verify or load piggyback).
     VersionCheck,
     /// Engine-level retry after substrate retransmission exhaustion or a
@@ -37,13 +35,12 @@ pub enum ReadCause {
 }
 
 /// Number of [`ReadCause`] variants (length of the per-cause arrays).
-pub const READ_CAUSES: usize = 9;
+pub const READ_CAUSES: usize = 8;
 
 impl ReadCause {
     /// Every cause, in per-cause array-index order.
     pub const ALL: [ReadCause; READ_CAUSES] = [
         ReadCause::StageLoad,
-        ReadCause::Prefetch,
         ReadCause::VersionCheck,
         ReadCause::Retry,
         ReadCause::HealthProbe,
@@ -57,14 +54,13 @@ impl ReadCause {
     pub fn index(self) -> usize {
         match self {
             ReadCause::StageLoad => 0,
-            ReadCause::Prefetch => 1,
-            ReadCause::VersionCheck => 2,
-            ReadCause::Retry => 3,
-            ReadCause::HealthProbe => 4,
-            ReadCause::OverflowScan => 5,
-            ReadCause::Naive => 6,
-            ReadCause::Rerank => 7,
-            ReadCause::Other => 8,
+            ReadCause::VersionCheck => 1,
+            ReadCause::Retry => 2,
+            ReadCause::HealthProbe => 3,
+            ReadCause::OverflowScan => 4,
+            ReadCause::Naive => 5,
+            ReadCause::Rerank => 6,
+            ReadCause::Other => 7,
         }
     }
 
@@ -72,7 +68,6 @@ impl ReadCause {
     pub fn as_str(self) -> &'static str {
         match self {
             ReadCause::StageLoad => "stage_load",
-            ReadCause::Prefetch => "prefetch",
             ReadCause::VersionCheck => "version_check",
             ReadCause::Retry => "retry",
             ReadCause::HealthProbe => "health_probe",
@@ -459,12 +454,12 @@ mod tests {
     #[test]
     fn read_round_trips_carry_their_cause() {
         let s = TransferStats::new();
-        s.record_trip(Some(ReadCause::Prefetch));
-        s.record_trip(Some(ReadCause::Prefetch));
+        s.record_trip(Some(ReadCause::Rerank));
+        s.record_trip(Some(ReadCause::Rerank));
         s.record_trip(None); // e.g. a write: uncaused
         let snap = s.snapshot();
         assert_eq!(snap.round_trips, 3);
-        assert_eq!(snap.trips_for(ReadCause::Prefetch), 2);
+        assert_eq!(snap.trips_for(ReadCause::Rerank), 2);
         assert_eq!(snap.cause_trips.iter().sum::<u64>(), 2);
     }
 

@@ -58,17 +58,13 @@ fi
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
-# The search-thread and pipeline-depth knobs must not change any
-# observable result: the whole suite runs across the matrix (the
-# baseline run above already covered threads=auto x depth=1). An odd
-# thread count cuts the cluster-major probe list in the middle of a
-# cluster's run of queries.
+# The search-thread knob must not change any observable result: the
+# whole suite runs at each thread count (the baseline run above already
+# covered threads=auto). An odd thread count cuts the cluster-major probe
+# list in the middle of a cluster's run of queries.
 for threads in 1 3 4; do
-  for depth in 1 2; do
-    echo "==> cargo test --workspace --release (DHNSW_SEARCH_THREADS=$threads DHNSW_PIPELINE_DEPTH=$depth)"
-    DHNSW_SEARCH_THREADS=$threads DHNSW_PIPELINE_DEPTH=$depth \
-      cargo test --workspace --release -q
-  done
+  echo "==> cargo test --workspace --release (DHNSW_SEARCH_THREADS=$threads)"
+  DHNSW_SEARCH_THREADS=$threads cargo test --workspace --release -q
 done
 
 # Concurrency stress gate: 100 seeded iterations of readers + writer
@@ -150,24 +146,23 @@ if [[ -n "$stray" ]]; then
   exit 1
 fi
 
-# One channel per knob: the library reads four environment variables, the
-# ones this script and repro set (the thread x depth matrix above, the SQ8
-# fault smoke below, repro's --prefetch-budget-bytes), and reads them in
-# crates/core/src/config.rs alone; every other knob is a DHnswConfig
-# builder, a runtime setter or a CLI flag, never a variable beside one.
+# One channel per knob: the library reads two environment variables, the
+# ones this script sets (the thread matrix above, the SQ8 fault smoke
+# below), and reads them in crates/core/src/config.rs alone; every other
+# knob is a DHnswConfig builder or a CLI flag, never a variable beside one.
 # Non-test code only (each file cut at its first #[cfg(test)]).
-echo "==> the library names four DHNSW_ variables, in config.rs only"
+echo "==> the library names two DHNSW_ variables, in config.rs only"
 stray=$(find crates/core/src -name '*.rs' | sort |
   while IFS= read -r file; do
     awk -v f="$file" -v cfg="$([[ $file == crates/core/src/config.rs ]] && echo 1)" '
       /#!?\[cfg\(test\)\]/ { exit }
       { code = $0 }
-      cfg { gsub(/"DHNSW_(PIPELINE_DEPTH|SEARCH_THREADS|QUANTIZE_MODE|PREFETCH_BUDGET_BYTES)([^A-Z0-9_]|$)/, "", code) }
+      cfg { gsub(/"DHNSW_(SEARCH_THREADS|QUANTIZE_MODE)([^A-Z0-9_]|$)/, "", code) }
       code ~ /"DHNSW_/ { print f ":" FNR ": " $0 }' "$file"
   done)
 if [[ -n "$stray" ]]; then
   echo "$stray"
-  echo "check.sh: a DHNSW_ variable beyond the four config.rs reads (give the knob a builder or a flag)" >&2
+  echo "check.sh: a DHNSW_ variable beyond the two config.rs reads (give the knob a builder or a flag)" >&2
   exit 1
 fi
 
@@ -252,11 +247,13 @@ fi
 # the region count, the filtered search, the ivecs reader), the series
 # recorder's second resolution of a node's instruments, the environment
 # channels beside a builder or a flag (the tracer switches, the SLO
-# budgets' variables), the anomaly detector's one-value tuning struct and
-# the store's second partition classifier stay gone (four roots, so the
-# guard does not match itself).
+# budgets' variables), the anomaly detector's one-value tuning struct, the
+# store's second partition classifier, and the micro-batch pipeline and
+# heatmap prefetcher with their knobs, setters, metric family, series
+# ratio, sweep and read cause stay gone (four roots, so the guard does
+# not match itself).
 echo "==> no deleted duplicate is back"
-if grep -rnE 'QueryTrace|TailRecord|TraceRing|ShardedStore|ShardedSession|LoadBalancer|DispatchPolicy|bench_regress|BENCH_baseline|DHNSW_BENCH_1M|poll_cq|ring_doorbell|BruteForceIndex|clustering_tendency|verdict_index|set_milli|take_flush_delta|dhnsw_health_|dhnsw_heat_|dhnsw_tail_|dhnsw_cache_hits_total|dhnsw_cache_misses_total|WindowState|TraceSpec|service_stats|\bexecute_reads\b|\bexecute_writes\b|emit_plain|emit_verb|write_doorbell|graph_report|GraphReport|into_flat|read_bvecs|write_ivecs|region_count|window_handles|tick_series|tracer_env|from_env|AnomalyConfig|classify_all|search_filtered|read_ivecs' \
+if grep -rnE 'QueryTrace|TailRecord|TraceRing|ShardedStore|ShardedSession|LoadBalancer|DispatchPolicy|bench_regress|BENCH_baseline|DHNSW_BENCH_1M|poll_cq|ring_doorbell|BruteForceIndex|clustering_tendency|verdict_index|set_milli|take_flush_delta|dhnsw_health_|dhnsw_heat_|dhnsw_tail_|dhnsw_cache_hits_total|dhnsw_cache_misses_total|WindowState|TraceSpec|service_stats|\bexecute_reads\b|\bexecute_writes\b|emit_plain|emit_verb|write_doorbell|graph_report|GraphReport|into_flat|read_bvecs|write_ivecs|region_count|window_handles|tick_series|tracer_env|from_env|AnomalyConfig|classify_all|search_filtered|read_ivecs|prefetch_hot|set_pipeline_depth|with_pipeline_depth|set_prefetch_budget_bytes|with_prefetch_budget_bytes|stage_loads|PIPELINE_HIDDEN_US|hidden_ratio|pipeline_sweep|ReadCause::Prefetch' \
   crates src tests examples || [[ -e scripts/bench.sh ]]; then
   echo "check.sh: a deleted duplicate is back (the lines above, or scripts/bench.sh)" >&2
   exit 1

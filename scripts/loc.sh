@@ -135,15 +135,25 @@
 # and `vecsim::io::read_ivecs`. What came: the directory decoder's
 # geometry checks, the snapshot reader's grow-as-read sections and the
 # meta decoder's checked offsets.
+# One load round per batch lowered crates/core/src's to 10 079, the
+# plane's to 4 214, crates/bench's to 2 886 and rdma-sim's to 1 754
+# (hnsw, vecsim and cluster.rs unchanged). What went: the micro-batch
+# pipeline (`loader::stage_loads`, `run_batch`'s look-ahead and its
+# NIC/CPU overlap accounting), the heatmap prefetcher (engine/prefetch.rs,
+# 141 lines), their two config fields, builders, runtime setters and
+# environment variables, four metric families, the series' hidden ratio,
+# `top`'s column, the `prefetch` read cause, `repro pipeline` and the
+# four CLI flags. What came: the two binaries' flag checks (`dhnsw_cli`'s
+# one list of the flags its subcommands read, `repro`'s parser).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-MAX_TOTAL=10438
-MAX_PLANE=4258
-MAX_BENCH=2940
+MAX_TOTAL=10079
+MAX_PLANE=4214
+MAX_BENCH=2886
 MAX_HNSW=1653
 MAX_VECSIM=1839
-MAX_RDMA=1759
+MAX_RDMA=1754
 MAX_FILE=1337
 
 total=0

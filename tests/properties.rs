@@ -324,49 +324,3 @@ proptest! {
         prop_assert!(hits * 2 >= total, "only {hits}/{total} self-queries hit");
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// The pipelined executor is an exact refinement of the sequential
-    /// planned path: for arbitrary batch sizes, pipeline depths, and
-    /// cache capacities — including a zero-capacity cache, where every
-    /// cluster reloads every batch — it returns identical `(ids, dists)`
-    /// and identical `unique_clusters` / `bytes_read` accounting.
-    /// Pipelining may only change the schedule, never the answer.
-    #[test]
-    fn pipelined_path_is_equivalent_to_planned(
-        n in 150usize..400,
-        seed in 0u64..500,
-        batch in 1usize..24,
-        depth in 1usize..8,
-        cache_quarters in 0usize..=4,
-        warm in any::<bool>(),
-    ) {
-        use dhnsw_repro::dhnsw::{DHnswConfig, SearchMode, VectorStore};
-        use dhnsw_repro::vecsim::gen;
-        let data = gen::sift_like(n, seed).unwrap();
-        // cache_quarters = 0 gives cache_capacity(..) == 0, the
-        // `ClusterCache::new(0)` degenerate case.
-        let cfg = DHnswConfig::small()
-            .with_cache_fraction(cache_quarters as f64 * 0.25);
-        let store = VectorStore::build(data.clone(), &cfg).unwrap();
-        let queries = gen::perturbed_queries(&data, batch, 0.02, seed ^ 0xABCD).unwrap();
-        let seq = store.connect(SearchMode::Full).unwrap();
-        let pipe = store.connect(SearchMode::Full).unwrap();
-        pipe.set_pipeline_depth(depth);
-        if warm {
-            // A warm-up batch on both nodes exercises the cached-pin
-            // verify path (stage 0 revalidates resident versions).
-            seq.query_batch(&queries, 5, 24).unwrap();
-            pipe.query_batch(&queries, 5, 24).unwrap();
-        }
-        let (ra, pa) = seq.query_batch(&queries, 5, 24).unwrap();
-        let (rb, pb) = pipe.query_batch(&queries, 5, 24).unwrap();
-        prop_assert_eq!(ra, rb, "pipelining changed results");
-        prop_assert_eq!(pa.unique_clusters, pb.unique_clusters);
-        prop_assert_eq!(pa.bytes_read, pb.bytes_read);
-        prop_assert_eq!(pa.cache_hits, pb.cache_hits);
-        prop_assert_eq!(pa.clusters_loaded, pb.clusters_loaded);
-    }
-}

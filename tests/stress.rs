@@ -103,61 +103,3 @@ fn run_iteration(seed: u64) {
     let (results, _) = node.query_batch(&queries, 5, 32).unwrap();
     assert_eq!(results, control, "post-stress rerun diverged (seed {seed})");
 }
-
-#[test]
-fn pipelined_readers_survive_the_same_stress() {
-    // One shorter pass with the pipelined executor + prefetcher armed:
-    // pinning across stages and background warming must not change any
-    // of the stress invariants.
-    let iters = stress_iters().div_ceil(4);
-    for iter in 0..iters {
-        run_pipelined_iteration(0xB00 + iter);
-    }
-}
-
-fn run_pipelined_iteration(seed: u64) {
-    let n = 200usize;
-    let data = gen::sift_like(n, seed).unwrap();
-    let cfg = DHnswConfig::small()
-        .with_overflow_slots(128)
-        .with_read_retry_limit(32)
-        .with_pipeline_depth(3)
-        .with_prefetch_budget_bytes(1 << 20);
-    let store = Arc::new(VectorStore::build(data.clone(), &cfg).unwrap());
-    let queries = gen::perturbed_queries(&data, 9, 0.02, seed ^ 0x517E).unwrap();
-    let control = {
-        let node = store.connect(SearchMode::Full).unwrap();
-        node.query_batch(&queries, 5, 32).unwrap().0
-    };
-    let dim = data.dim();
-    std::thread::scope(|s| {
-        let store_r = Arc::clone(&store);
-        let queries_r = queries.clone();
-        let control_r = control.clone();
-        s.spawn(move || {
-            let node = store_r.connect(SearchMode::Full).unwrap();
-            node.queue_pair().set_fault_rate(0.05, seed ^ 0xFEED);
-            for round in 0..3 {
-                let (results, _) = node.query_batch(&queries_r, 5, 32).unwrap();
-                assert_eq!(
-                    results, control_r,
-                    "pipelined reader round {round} diverged (seed {seed})"
-                );
-            }
-        });
-        let store_w = Arc::clone(&store);
-        s.spawn(move || {
-            let node = store_w.connect(SearchMode::Full).unwrap();
-            for v in far_vectors(dim, 8, seed) {
-                let id = node.insert(&v).unwrap();
-                node.delete(&v, id).unwrap();
-            }
-        });
-    });
-    let node = store.connect(SearchMode::Full).unwrap();
-    let (results, _) = node.query_batch(&queries, 5, 32).unwrap();
-    assert_eq!(
-        results, control,
-        "pipelined post-stress rerun diverged (seed {seed})"
-    );
-}

@@ -47,7 +47,6 @@ fn slow_query_log_judges_wall_plus_exposed_network() {
     let node = store
         .connect_with_telemetry(SearchMode::Full, Arc::clone(&telemetry))
         .unwrap();
-    node.set_prefetch_budget_bytes(0);
     telemetry.spans().set_enabled(true);
     let threshold_us = 100e6;
     telemetry.spans().set_slow_threshold_us(threshold_us as u64);
@@ -170,7 +169,6 @@ fn health_and_timeseries_cut_one_window_with_one_hit_rate() {
     let node = store
         .connect_with_telemetry(SearchMode::Full, Arc::clone(&telemetry))
         .unwrap();
-    node.set_prefetch_budget_bytes(0);
 
     // Both windows start here.
     assert!(
