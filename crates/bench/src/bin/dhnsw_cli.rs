@@ -27,7 +27,8 @@
 //! dhnsw_cli serve --store store.dhnsw --port 0
 //! curl http://127.0.0.1:<port>/metrics
 //!
-//! # Watch a serving node live (sparklines + anomaly banner):
+//! # Watch a serving node live (sparklines + anomaly banner); the node
+//! # renders each frame and answers it on /top:
 //! dhnsw_cli top --url http://127.0.0.1:<port>
 //! dhnsw_cli top --url http://127.0.0.1:<port> --once
 //! ```
@@ -152,8 +153,8 @@ const USAGE: &str = "usage: dhnsw_cli <build|info|query|insert|metrics|doctor|se
          metrics: --store <snapshot> --queries <fvecs> [--k K] [--ef EF] [--limit N] [--format prom|json] [--out <path>]\n\
          serve:   --store <snapshot> [--queries <fvecs>] [--port P] [--k K] [--ef EF] [--series-tick-ms N]\n\
                   (endpoints: /metrics /health /traces /explain/last /profile/folded /exemplars /whyslow/<id>\n\
-                   /timeseries?window=S&step=N /anomalies /shutdown)\n\
-         top:     --url http://host:port [--once] [--interval-ms N]\n\
+                   /timeseries?window=S&step=N /anomalies /top /shutdown)\n\
+         top:     --url http://host:port [--once] [--interval-ms N]   (prints the node's /top frame)\n\
          doctor:  --store <snapshot> [--queries <fvecs>] [--passes N] [--warmup-passes N] [--out <path>] [--check] [--why-slow]\n\
                   [--slo-p99-us X] [--slo-min-hit-rate X] [--slo-max-overflow X] [--slo-max-route-gini X]\n\
                   [--slo-max-degraded-rate X]\n\
@@ -652,7 +653,9 @@ fn cmd_doctor(flags: &HashMap<String, String>) -> AnyResult<()> {
 /// profile), `/exemplars` (the tail exemplar store), `/whyslow/<id>`
 /// (ranked diagnosis of a retained exemplar), `/timeseries` (the
 /// recorder's derived per-window points), `/anomalies` (online-detector
-/// records), and `/shutdown` (graceful stop).
+/// records), `/top` (the dashboard frame rendered from the recorder's
+/// records, headed by the URL printed below) and `/shutdown` (graceful
+/// stop).
 ///
 /// Binds `127.0.0.1:<--port>` (default 0 = ephemeral) and prints the
 /// resolved URL as the first stdout line so scripts can scrape it. A
@@ -667,7 +670,7 @@ fn cmd_doctor(flags: &HashMap<String, String>) -> AnyResult<()> {
 /// publishing violations through the watchdog.
 fn cmd_serve(flags: &HashMap<String, String>) -> AnyResult<()> {
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{Arc, Mutex};
+    use std::sync::Arc;
 
     let store = open_store(flags)?;
     let k = flag_usize(flags, "k", 10)?;
@@ -693,17 +696,17 @@ fn cmd_serve(flags: &HashMap<String, String>) -> AnyResult<()> {
         "probed with {} queries (k={k}, ef={ef}); serving",
         probes.len()
     );
-    let last_explain = Arc::new(Mutex::new(format!(
+    let explain = format!(
         "read-cost ledger, last batch ({} queries):\n{}",
         report.queries,
         report.ledger.render()
-    )));
+    );
 
     let port = flag_usize(flags, "port", 0)?;
     let listener = std::net::TcpListener::bind(("127.0.0.1", port as u16))?;
-    let addr = listener.local_addr()?;
+    let url = format!("http://{}", listener.local_addr()?);
     // First stdout line is the scrape URL; scripts depend on it.
-    println!("http://{addr}");
+    println!("{url}");
     use std::io::Write;
     std::io::stdout().flush()?;
 
@@ -724,10 +727,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> AnyResult<()> {
             let t = Arc::clone(&telemetry);
             move || dhnsw::chrome_trace_json(&t.spans().recent())
         }),
-        explain: Box::new({
-            let last = Arc::clone(&last_explain);
-            move || last.lock().unwrap_or_else(|p| p.into_inner()).clone()
-        }),
+        explain: Box::new(move || explain.clone()),
         profile: Box::new({
             let t = Arc::clone(&telemetry);
             move || t.profile().render_folded()
@@ -746,19 +746,24 @@ fn cmd_serve(flags: &HashMap<String, String>) -> AnyResult<()> {
         }),
         timeseries: Box::new({
             let t = Arc::clone(&telemetry);
-            move |query: &str| {
-                let window = dhnsw_bench::serve::query_param(query, "window")
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(0);
-                let step = dhnsw_bench::serve::query_param(query, "step")
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(1);
-                t.series().render_json(window, step)
-            }
+            move |window_s, step| t.series().render_json(window_s, step)
         }),
         anomalies: Box::new({
             let t = Arc::clone(&telemetry);
             move || t.series().anomalies_json()
+        }),
+        top: Box::new({
+            let t = Arc::clone(&telemetry);
+            move || {
+                let series = t.series();
+                dhnsw_bench::top::render_dashboard(
+                    &series.points(),
+                    &series.anomalies(),
+                    series.anomaly_count(),
+                    &url,
+                    48,
+                )
+            }
         }),
     };
 
@@ -797,30 +802,24 @@ fn cmd_serve(flags: &HashMap<String, String>) -> AnyResult<()> {
     Ok(())
 }
 
-/// Live `top`-style dashboard against a serving node: fetches
-/// `/timeseries` and `/anomalies` from `--url`, renders sparklines for
-/// QPS, windowed p99, bytes/s (total and by read cause), cache hit
-/// rate, plus an anomaly banner, then
-/// refreshes every `--interval-ms` (default 1000). With `--once` it
-/// prints a single frame without clearing the screen and exits — the
-/// form `scripts/check.sh` smoke-tests.
+/// Live `top`-style dashboard against a serving node: GETs the frame the
+/// node renders on `--url`'s `/top` (sparklines for QPS, windowed p99,
+/// bytes/s in total and by read cause, cache hit rate, plus an anomaly
+/// banner) and prints it, refreshing every `--interval-ms` (default
+/// 1000). With `--once` it prints a single frame without clearing the
+/// screen and exits — exactly the `/top` body, which is what
+/// `scripts/check.sh` holds it to.
 fn cmd_top(flags: &HashMap<String, String>) -> AnyResult<()> {
-    use dhnsw_bench::top;
-
     let url = flags
         .get("url")
         .ok_or("--url http://host:port required")?
-        .trim_end_matches('/')
-        .to_string();
+        .trim_end_matches('/');
     let once = flags.contains_key("once");
     let interval =
         std::time::Duration::from_millis(flag_usize(flags, "interval-ms", 1_000)? as u64);
-    let timeout = std::time::Duration::from_secs(5);
     loop {
-        let ts = top::http_get(&format!("{url}/timeseries"), timeout)?;
-        let an = top::http_get(&format!("{url}/anomalies"), timeout)?;
-        let snap = top::parse_snapshot(&ts, &an)?;
-        let frame = top::render_dashboard(&snap, &url, 48);
+        let frame =
+            dhnsw_bench::top::http_get(&format!("{url}/top"), std::time::Duration::from_secs(5))?;
         if once {
             print!("{frame}");
             return Ok(());

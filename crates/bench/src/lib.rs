@@ -5,7 +5,9 @@
 //! builds, inspects, queries and serves stores. This library holds what
 //! they share: workload construction ([`Workload`]), the
 //! efSearch sweep runner, table and CSV formatting, and the serving
-//! plane ([`serve`], [`top`]). Timing regressions are the business of
+//! plane: [`serve`]'s endpoints and [`top`]'s dashboard frame, which the
+//! node renders from its series recorder's typed records and `dhnsw_cli
+//! top` only fetches. Timing regressions are the business of
 //! the repository benchmark (`benchmark/`), exact counts of the two
 //! characterization ledgers under `crates/core/tests/`; nothing here
 //! gates on either.
@@ -32,7 +34,6 @@
 #![warn(missing_docs)]
 
 pub mod csv;
-pub mod json;
 pub mod serve;
 pub mod top;
 

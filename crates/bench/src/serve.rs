@@ -15,6 +15,7 @@
 //! | `GET /whyslow/<trace-id>` | ranked why-slow diagnosis for a retained exemplar |
 //! | `GET /timeseries?window=<s>&step=<n>` | series-recorder history JSON (rates + windowed quantiles) |
 //! | `GET /anomalies` | anomaly records fired by the series recorder |
+//! | `GET /top` | the `top` dashboard frame (text), rendered from the series recorder |
 //! | `GET /shutdown` | acknowledges, then stops the accept loop |
 //!
 //! The accept loop is bounded by construction: connections are served
@@ -64,18 +65,20 @@ pub struct ServeSources {
     /// Body for `GET /whyslow/<trace-id>`: `Some(json)` when the id
     /// parses and resolves to a retained exemplar, `None` renders 404.
     pub whyslow: LookupSource,
-    /// Body for `GET /timeseries`; receives the raw query string
-    /// (`window=30&step=2`, possibly empty) so the source controls
-    /// parameter parsing.
-    pub timeseries: Box<dyn Fn(&str) -> String + Send>,
+    /// Body for `GET /timeseries`, given the parsed `(window_s, step)`:
+    /// `window_s` seconds back from the newest point (`0`, the default,
+    /// keeps everything retained), thinned to every `step`-th point.
+    pub timeseries: Box<dyn Fn(u64, usize) -> String + Send>,
     /// Body for `GET /anomalies` (series-recorder anomaly records).
     pub anomalies: Box<dyn Fn() -> String + Send>,
+    /// Body for `GET /top` (the dashboard frame, plain text).
+    pub top: Box<dyn Fn() -> String + Send>,
 }
 
 /// Extracts the value of `key` from a raw query string
 /// (`a=1&b=2`). Returns `None` when the key is absent; an empty value
 /// (`a=`) returns `Some("")`.
-pub fn query_param<'a>(query: &'a str, key: &str) -> Option<&'a str> {
+fn query_param<'a>(query: &'a str, key: &str) -> Option<&'a str> {
     query.split('&').find_map(|pair| {
         let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
         (k == key).then_some(v)
@@ -148,22 +151,21 @@ pub fn handle(method: &str, path: &str, sources: &ServeSources, shutdown: &Atomi
         "/explain/last" => Response::new(200, TEXT_TYPE, (sources.explain)()),
         "/profile/folded" => Response::new(200, TEXT_TYPE, (sources.profile)()),
         "/exemplars" => Response::new(200, JSON_TYPE, (sources.exemplars)()),
-        "/timeseries" => match timeseries_zero_param(query) {
-            // An explicit zero is a client error, not an empty result:
-            // `step=0` selects no samples (a divide-by-zero in
-            // disguise) and `window=0` is an empty window. Absent
-            // parameters keep their defaults.
-            Some(key) => Response::new(
+        "/timeseries" => match timeseries_params(query) {
+            Ok((window_s, step)) => {
+                Response::new(200, JSON_TYPE, (sources.timeseries)(window_s, step))
+            }
+            Err(key) => Response::new(
                 400,
                 JSON_TYPE,
                 format!(
                     "{{\"error\": \"bad parameter\", \"param\": \"{key}\", \
-                     \"hint\": \"{key} must be >= 1 when given\"}}\n"
+                     \"hint\": \"{key} must be an integer >= 1 when given\"}}\n"
                 ),
             ),
-            None => Response::new(200, JSON_TYPE, (sources.timeseries)(query)),
         },
         "/anomalies" => Response::new(200, JSON_TYPE, (sources.anomalies)()),
+        "/top" => Response::new(200, TEXT_TYPE, (sources.top)()),
         "/shutdown" => {
             shutdown.store(true, Ordering::SeqCst);
             Response::new(200, TEXT_TYPE, "shutting down\n".to_string())
@@ -179,12 +181,17 @@ pub fn handle(method: &str, path: &str, sources: &ServeSources, shutdown: &Atomi
     }
 }
 
-/// Returns the name of the first `/timeseries` parameter the client
-/// set to an explicit zero, or `None` when the query is acceptable.
-fn timeseries_zero_param(query: &str) -> Option<&'static str> {
-    ["window", "step"]
-        .into_iter()
-        .find(|key| query_param(query, key).and_then(|v| v.parse::<u64>().ok()) == Some(0))
+/// Parses `/timeseries`'s `(window, step)`, defaulting to `(0, 1)`. A
+/// parameter that is given must be an integer >= 1: anything else names
+/// the first offending parameter, because a value the recorder cannot use
+/// is a client error, not an empty or whole-ring result (`step=0` would
+/// select no sample, `window=0` is an empty window).
+fn timeseries_params(query: &str) -> Result<(u64, usize), &'static str> {
+    let param = |key: &'static str, default: u64| match query_param(query, key) {
+        None => Ok(default),
+        Some(v) => v.parse::<u64>().ok().filter(|&n| n >= 1).ok_or(key),
+    };
+    Ok((param("window", 0)?, param("step", 1)? as usize))
 }
 
 /// The 404 response: a JSON body naming the endpoints, so a scraper
@@ -205,7 +212,7 @@ fn not_found(path: &str) -> Response {
         404,
         JSON_TYPE,
         format!(
-            "{{\"error\": \"not found\", \"path\": \"{escaped}\", \"endpoints\": [\"/metrics\", \"/health\", \"/traces\", \"/explain/last\", \"/profile/folded\", \"/exemplars\", \"/whyslow/<trace-id>\", \"/timeseries\", \"/anomalies\", \"/shutdown\"]}}\n",
+            "{{\"error\": \"not found\", \"path\": \"{escaped}\", \"endpoints\": [\"/metrics\", \"/health\", \"/traces\", \"/explain/last\", \"/profile/folded\", \"/exemplars\", \"/whyslow/<trace-id>\", \"/timeseries\", \"/anomalies\", \"/top\", \"/shutdown\"]}}\n",
         ),
     )
 }
@@ -288,8 +295,11 @@ mod tests {
             whyslow: Box::new(|id| {
                 (id == "7").then(|| "{\"verdict\": \"retry_storm\"}".to_string())
             }),
-            timeseries: Box::new(|query| format!("{{\"echo\": \"{query}\", \"points\": []}}")),
+            timeseries: Box::new(|window_s, step| {
+                format!("{{\"echo\": \"{window_s}/{step}\", \"points\": []}}")
+            }),
             anomalies: Box::new(|| "{\"fired\": 0, \"records\": []}".to_string()),
+            top: Box::new(|| "dhnsw top — canned\n".to_string()),
         }
     }
 
@@ -326,23 +336,29 @@ mod tests {
         let w = handle("GET", "/whyslow/7", &sources, &shutdown);
         assert_eq!(w.status, 200);
         assert!(w.body.contains("retry_storm"));
-        // /timeseries keeps its query string; /anomalies is plain.
+        // /timeseries hands its source the parsed parameters, absent
+        // ones at their defaults; /anomalies is plain.
         let ts = handle("GET", "/timeseries?window=30&step=2", &sources, &shutdown);
         assert_eq!((ts.status, ts.content_type), (200, JSON_TYPE));
-        assert!(
-            ts.body.contains("\"echo\": \"window=30&step=2\""),
-            "{}",
-            ts.body
-        );
+        assert!(ts.body.contains("\"echo\": \"30/2\""), "{}", ts.body);
         let ts_bare = handle("GET", "/timeseries", &sources, &shutdown);
-        assert!(ts_bare.body.contains("\"echo\": \"\""), "{}", ts_bare.body);
-        // Explicit zeros are client errors: a 400 JSON body naming the
-        // offending parameter, and the source is never consulted.
+        assert!(
+            ts_bare.body.contains("\"echo\": \"0/1\""),
+            "{}",
+            ts_bare.body
+        );
+        // A value that is not an integer >= 1 is a client error: a 400
+        // JSON body naming the offending parameter, and the source is
+        // never consulted (it never falls back to the whole ring).
         for (query, param) in [
             ("step=0", "step"),
             ("window=0", "window"),
             ("window=0&step=2", "window"),
             ("window=30&step=0", "step"),
+            ("window=abc", "window"),
+            ("step=-1", "step"),
+            ("window=30&step=1.5", "step"),
+            ("window=&step=2", "window"),
         ] {
             let bad = handle("GET", &format!("/timeseries?{query}"), &sources, &shutdown);
             assert_eq!((bad.status, bad.content_type), (400, JSON_TYPE), "{query}");
@@ -353,7 +369,7 @@ mod tests {
             );
             assert!(!bad.body.contains("echo"), "{query} reached the source");
         }
-        // Nonzero and absent parameters still pass through untouched.
+        // Integers >= 1 and absent parameters pass through.
         assert_eq!(
             handle("GET", "/timeseries?window=1&step=1", &sources, &shutdown).status,
             200
@@ -361,6 +377,9 @@ mod tests {
         let an = handle("GET", "/anomalies", &sources, &shutdown);
         assert_eq!((an.status, an.content_type), (200, JSON_TYPE));
         assert!(an.body.contains("\"records\": []"));
+        let top = handle("GET", "/top", &sources, &shutdown);
+        assert_eq!((top.status, top.content_type), (200, TEXT_TYPE));
+        assert_eq!(top.body, "dhnsw top — canned\n");
         // An unretained or malformed id is a 404, not a 500.
         assert_eq!(
             handle("GET", "/whyslow/99", &sources, &shutdown).status,
@@ -373,6 +392,7 @@ mod tests {
         assert!(nope.body.contains("/profile/folded"));
         assert!(nope.body.contains("/timeseries"));
         assert!(nope.body.contains("/anomalies"));
+        assert!(nope.body.contains("/top"));
         assert_eq!(handle("POST", "/metrics", &sources, &shutdown).status, 405);
         assert!(!shutdown.load(Ordering::SeqCst));
         let s = handle("GET", "/shutdown", &sources, &shutdown);
@@ -454,10 +474,12 @@ mod tests {
         assert!(ts_zero.contains("\"param\": \"step\""), "{ts_zero}");
         let an = get(addr, "/anomalies");
         assert!(an.contains("\"records\": []"), "{an}");
+        let top = get(addr, "/top");
+        assert!(top.ends_with("\r\n\r\ndhnsw top — canned\n"), "{top}");
         let bye = get(addr, "/shutdown");
         assert!(bye.starts_with("HTTP/1.1 200 OK"), "{bye}");
         let served = server.join().unwrap();
-        assert_eq!(served, 8);
+        assert_eq!(served, 9);
         assert!(shutdown.load(Ordering::SeqCst));
     }
 

@@ -1,25 +1,22 @@
-//! Live `top`-style dashboard over the serving plane's time-series
-//! endpoints.
+//! Live `top`-style dashboard over a node's series recorder.
 //!
-//! The dashboard is a pure function from two endpoint bodies to a
-//! terminal frame: [`http_get`] fetches `/timeseries` and `/anomalies`
-//! from a running `dhnsw_cli serve` node, [`parse_snapshot`] lifts the
-//! JSON into a [`TopSnapshot`], and [`render_dashboard`] lays the
-//! snapshot out as unicode sparklines (QPS, windowed p99, bytes/s by
-//! read cause, cache hit rate) plus an anomaly banner. The CLI loop
-//! merely clears the screen and repeats; with `--once` it prints a
-//! single frame, which is what `scripts/check.sh` smoke-tests against a
-//! live node.
+//! [`render_dashboard`] is a pure function from the recorder's typed
+//! records — retained [`SeriesPoint`]s, retained [`AnomalyRecord`]s and
+//! the lifetime firing count — to a terminal frame: unicode sparklines
+//! (QPS, windowed p99, bytes/s in total and by read cause, cache hit
+//! rate) plus an anomaly banner. `dhnsw_cli serve` renders it where the
+//! records live and answers `GET /top` with the frame; `dhnsw_cli top`
+//! fetches that body with [`http_get`] and prints it, clearing the screen
+//! between frames unless `--once` asks for a single one.
 //!
-//! Everything here is deliberately synchronous and dependency-free:
-//! one blocking `TcpStream` GET per endpoint per frame, tiny JSON
-//! lifted with the bench crate's own [`JsonParser`].
+//! Everything here is deliberately synchronous and dependency-free: one
+//! blocking `TcpStream` GET per frame.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use crate::json::{Json, JsonParser};
+use dhnsw::{AnomalyRecord, ReadCause, SeriesPoint};
 
 /// Glyph ramp used by [`sparkline`], lowest to highest.
 pub const SPARK_GLYPHS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
@@ -61,102 +58,6 @@ pub fn sparkline(values: &[f64], width: usize) -> String {
         .collect()
 }
 
-/// One `/anomalies` record, reduced to what the banner shows.
-#[derive(Debug, Clone)]
-pub struct AnomalyRow {
-    /// Which tracked series fired.
-    pub series: String,
-    /// The offending windowed value.
-    pub value: f64,
-    /// Robust z-score at firing time.
-    pub zscore: f64,
-    /// Trace id of the slowest retained exemplar, if one was linked.
-    pub exemplar: Option<u64>,
-}
-
-/// Everything one dashboard frame needs, lifted from the two endpoint
-/// bodies.
-#[derive(Debug, Clone, Default)]
-pub struct TopSnapshot {
-    /// Retained series points, oldest first (already window/step
-    /// thinned by the server).
-    pub points: Vec<Json>,
-    /// Lifetime anomaly firings reported by `/timeseries`.
-    pub anomaly_total: f64,
-    /// Retained anomaly records, oldest first.
-    pub anomalies: Vec<AnomalyRow>,
-}
-
-impl TopSnapshot {
-    /// Extracts one numeric column across the retained points.
-    #[must_use]
-    pub fn column(&self, key: &str) -> Vec<f64> {
-        self.points
-            .iter()
-            .filter_map(|p| p.get(key).and_then(Json::as_f64))
-            .collect()
-    }
-
-    /// Extracts one per-cause bytes/s column across the retained
-    /// points.
-    #[must_use]
-    pub fn cause_column(&self, cause: &str) -> Vec<f64> {
-        self.points
-            .iter()
-            .filter_map(|p| {
-                p.get("cause_bytes_per_s")
-                    .and_then(|c| c.get(cause))
-                    .and_then(Json::as_f64)
-            })
-            .collect()
-    }
-}
-
-/// Lifts the `/timeseries` and `/anomalies` bodies into a snapshot.
-///
-/// # Errors
-///
-/// Returns a message when either body is not the JSON shape the serve
-/// plane emits.
-pub fn parse_snapshot(timeseries: &str, anomalies: &str) -> Result<TopSnapshot, String> {
-    let ts = JsonParser::new(timeseries.trim())
-        .parse_document()
-        .map_err(|e| format!("/timeseries: {e}"))?;
-    let an = JsonParser::new(anomalies.trim())
-        .parse_document()
-        .map_err(|e| format!("/anomalies: {e}"))?;
-    let points = ts
-        .get("points")
-        .ok_or("/timeseries: missing \"points\"")?
-        .items()
-        .to_vec();
-    let anomaly_total = ts
-        .get("anomaly_total")
-        .and_then(Json::as_f64)
-        .unwrap_or(0.0);
-    let rows = an
-        .get("records")
-        .ok_or("/anomalies: missing \"records\"")?
-        .items()
-        .iter()
-        .map(|r| AnomalyRow {
-            series: r
-                .get("series")
-                .and_then(Json::as_str)
-                .unwrap_or("?")
-                .to_string(),
-            value: r.get("value").and_then(Json::as_f64).unwrap_or(0.0),
-            zscore: r.get("zscore").and_then(Json::as_f64).unwrap_or(0.0),
-            exemplar: r.get("exemplar").and_then(Json::as_f64).map(|id| id as u64),
-        })
-        .collect();
-    Ok(TopSnapshot {
-        points,
-        anomaly_total,
-        anomalies: rows,
-    })
-}
-
 /// Formats a rate with an SI-ish unit suffix (`1.2k`, `3.4M`).
 fn fmt_rate(v: f64) -> String {
     let a = v.abs();
@@ -181,27 +82,35 @@ fn spark_row(out: &mut String, label: &str, values: &[f64], width: usize) {
     ));
 }
 
-/// Lays one snapshot out as a complete terminal frame (no ANSI codes —
-/// the caller owns screen clearing so `--once` output stays pipeable).
+/// Lays the recorder's retained `points` (oldest first), retained
+/// `anomalies` (oldest first) and lifetime `anomaly_total` out as a
+/// complete terminal frame headed by `url`, each sparkline `width` points
+/// wide (no ANSI codes — the caller owns screen clearing so `--once`
+/// output stays pipeable).
 #[must_use]
-pub fn render_dashboard(snap: &TopSnapshot, url: &str, width: usize) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "dhnsw top — {url}   points: {}   anomalies: {}\n",
-        snap.points.len(),
-        snap.anomaly_total,
-    ));
-    if snap.points.is_empty() {
+pub fn render_dashboard(
+    points: &[SeriesPoint],
+    anomalies: &[AnomalyRecord],
+    anomaly_total: u64,
+    url: &str,
+    width: usize,
+) -> String {
+    let column = |value: &dyn Fn(&SeriesPoint) -> f64| points.iter().map(value).collect::<Vec<_>>();
+    let mut out = format!(
+        "dhnsw top — {url}   points: {}   anomalies: {anomaly_total}\n",
+        points.len(),
+    );
+    if points.is_empty() {
         out.push_str("  (no series points retained yet — is the sampler running?)\n");
     } else {
-        spark_row(&mut out, "qps", &snap.column("qps"), width);
-        spark_row(&mut out, "p99 us", &snap.column("p99_us"), width);
-        spark_row(&mut out, "bytes/s", &snap.column("bytes_per_s"), width);
-        spark_row(&mut out, "hit rate", &snap.column("hit_rate"), width);
+        spark_row(&mut out, "qps", &column(&|p| p.qps), width);
+        spark_row(&mut out, "p99 us", &column(&|p| p.p99_us), width);
+        spark_row(&mut out, "bytes/s", &column(&|p| p.bytes_per_s), width);
+        spark_row(&mut out, "hit rate", &column(&|p| p.hit_rate), width);
         // One row per read cause that moved bytes anywhere in the
         // window; quiet causes are dropped so the frame stays short.
-        for cause in dhnsw::ReadCause::ALL {
-            let col = snap.cause_column(cause.as_str());
+        for cause in ReadCause::ALL {
+            let col = column(&|p| p.cause_bytes_per_s[cause.index()]);
             if col.iter().any(|&v| v > 0.0) {
                 spark_row(
                     &mut out,
@@ -212,12 +121,12 @@ pub fn render_dashboard(snap: &TopSnapshot, url: &str, width: usize) -> String {
             }
         }
     }
-    if snap.anomaly_total > 0.0 || !snap.anomalies.is_empty() {
+    if anomaly_total > 0 || !anomalies.is_empty() {
         out.push_str(&format!(
             "  !! {} anomalies fired\n",
-            snap.anomaly_total.max(snap.anomalies.len() as f64),
+            anomaly_total.max(anomalies.len() as u64),
         ));
-        for row in snap.anomalies.iter().rev().take(3) {
+        for row in anomalies.iter().rev().take(3) {
             let trace = row
                 .exemplar
                 .map_or_else(|| "-".to_string(), |id| format!("{id:#x}"));
@@ -312,73 +221,79 @@ mod tests {
         assert_eq!(sparkline(&[f64::NAN, f64::INFINITY], 10), "▁▁");
     }
 
-    #[test]
-    fn snapshot_parses_the_endpoint_shapes_and_renders() {
-        let ts = r#"{"window_s": 0, "step": 1, "retained": 2, "anomaly_total": 1,
-            "points": [
-              {"t_us": 1000000, "dt_us": 1000000, "window_queries": 8, "qps": 8,
-               "p50_us": 10, "p95_us": 20, "p99_us": 30, "bytes_per_s": 4096,
-               "retries_per_s": 0, "evictions_per_s": 0, "hit_rate": 0.5,
-               "window_cache_ops": 4,
-               "cause_bytes_per_s": {"stage_load": 4096,
-                 "version_check": 0, "retry": 0, "health_probe": 0,
-                 "overflow_scan": 0, "naive": 0, "other": 0}},
-              {"t_us": 2000000, "dt_us": 1000000, "window_queries": 16, "qps": 16,
-               "p50_us": 10, "p95_us": 20, "p99_us": 60, "bytes_per_s": 8192,
-               "retries_per_s": 2, "evictions_per_s": 0, "hit_rate": 0.75,
-               "window_cache_ops": 8,
-               "cause_bytes_per_s": {"stage_load": 8192,
-                 "version_check": 0, "retry": 0, "health_probe": 0,
-                 "overflow_scan": 0, "naive": 0, "other": 0}}
-            ]}"#;
-        let an = r#"{"fired": 1, "retained": 1, "records": [
-              {"t_us": 2000000, "series": "retries_per_s", "value": 2,
-               "mean": 0.1, "zscore": 9.5, "deterministic": true,
-               "exemplar": 4660}]}"#;
-        let snap = parse_snapshot(ts, an).unwrap();
-        assert_eq!(snap.points.len(), 2);
-        assert_eq!(snap.anomaly_total, 1.0);
-        assert_eq!(snap.column("qps"), vec![8.0, 16.0]);
-        assert_eq!(snap.cause_column("stage_load"), vec![4096.0, 8192.0]);
-        assert_eq!(snap.anomalies.len(), 1);
-        assert_eq!(snap.anomalies[0].series, "retries_per_s");
-        assert_eq!(snap.anomalies[0].exemplar, Some(4660));
+    /// A point whose per-cause bytes all come from stage loads.
+    fn point(t_s: u64, queries: u64, p99_us: f64, bytes_per_s: f64, hit_rate: f64) -> SeriesPoint {
+        let mut cause_bytes_per_s = [0.0; dhnsw::READ_CAUSES];
+        cause_bytes_per_s[ReadCause::StageLoad.index()] = bytes_per_s;
+        SeriesPoint {
+            t_us: t_s * 1_000_000,
+            dt_us: 1_000_000,
+            window_queries: queries,
+            qps: queries as f64,
+            p50_us: 10.0,
+            p95_us: 20.0,
+            p99_us,
+            bytes_per_s,
+            cause_bytes_per_s,
+            retries_per_s: 0.0,
+            evictions_per_s: 0.0,
+            hit_rate,
+            window_cache_ops: queries / 2,
+        }
+    }
 
-        let frame = render_dashboard(&snap, "http://127.0.0.1:9", 16);
-        assert!(frame.contains("points: 2"), "{frame}");
-        assert!(frame.contains("qps"), "{frame}");
-        assert!(frame.contains("bytes/s[stage_load]"), "{frame}");
-        // Quiet causes are dropped from the frame.
-        assert!(!frame.contains("bytes/s[naive]"), "{frame}");
-        assert!(frame.contains("!! 1 anomalies fired"), "{frame}");
-        assert!(frame.contains("retries_per_s"), "{frame}");
-        assert!(frame.contains("0x1234"), "{frame}");
+    fn anomaly(exemplar: Option<u64>) -> AnomalyRecord {
+        AnomalyRecord {
+            t_us: 2_000_000,
+            series: "retries_per_s",
+            value: 2.0,
+            mean: 0.1,
+            zscore: 9.5,
+            deterministic: true,
+            exemplar,
+        }
     }
 
     #[test]
-    fn empty_snapshot_renders_a_placeholder_not_a_panic() {
-        let snap = parse_snapshot(
-            r#"{"window_s": 0, "step": 1, "retained": 0, "anomaly_total": 0, "points": []}"#,
-            r#"{"fired": 0, "retained": 0, "records": []}"#,
-        )
-        .unwrap();
-        let frame = render_dashboard(&snap, "http://x", 16);
+    fn typed_records_render_the_frame_their_json_rendered() {
+        // Two points and one anomaly, the records whose `/timeseries` and
+        // `/anomalies` JSON the dashboard used to parse back; the literal
+        // is the frame that parse rendered, byte for byte.
+        let mut second = point(2, 16, 60.0, 8192.0, 0.75);
+        second.retries_per_s = 2.0;
+        let points = [point(1, 8, 30.0, 4096.0, 0.5), second];
+        let frame = render_dashboard(&points, &[anomaly(Some(4660))], 1, "http://127.0.0.1:9", 16);
+        assert_eq!(
+            frame,
+            "dhnsw top — http://127.0.0.1:9   points: 2   anomalies: 1\n  qps                    ▁█                16.0\n  p99 us                 ▁█                60.0\n  bytes/s                ▁█                8.2k\n  hit rate               ▁█                0.8\n  bytes/s[stage_load]    ▁█                8.2k\n  !! 1 anomalies fired\n     retries_per_s: value 2.0 z=9.5 trace 0x1234\n"
+        );
+    }
+
+    #[test]
+    fn a_non_finite_value_draws_the_bottom_glyph_in_its_column() {
+        // The p99 of the middle point is not a number: its column keeps
+        // three glyphs, so every row stays aligned in time.
+        let points = [
+            point(1, 8, 30.0, 4096.0, 0.5),
+            point(2, 16, f64::NAN, 8192.0, 0.75),
+            point(3, 24, 60.0, 8192.0, 1.0),
+        ];
+        let frame = render_dashboard(&points, &[], 0, "http://x", 16);
+        assert!(frame.contains("  p99 us                 ▁▁█ "), "{frame}");
+        assert!(frame.contains("  qps                    ▁▅█ "), "{frame}");
+    }
+
+    #[test]
+    fn no_records_render_a_placeholder_not_a_panic() {
+        let frame = render_dashboard(&[], &[], 0, "http://x", 16);
         assert!(frame.contains("no series points"), "{frame}");
         assert!(frame.contains("no anomalies"), "{frame}");
     }
 
     #[test]
-    fn null_exemplars_parse_as_none() {
-        let an = r#"{"fired": 1, "retained": 1, "records": [
-              {"t_us": 1, "series": "qps", "value": 0, "mean": 5,
-               "zscore": 7.0, "deterministic": true, "exemplar": null}]}"#;
-        let snap = parse_snapshot(
-            r#"{"window_s": 0, "step": 1, "retained": 0, "anomaly_total": 1, "points": []}"#,
-            an,
-        )
-        .unwrap();
-        assert_eq!(snap.anomalies[0].exemplar, None);
-        let frame = render_dashboard(&snap, "http://x", 16);
+    fn an_anomaly_without_an_exemplar_renders_trace_dash() {
+        let frame = render_dashboard(&[], &[anomaly(None)], 1, "http://x", 16);
+        assert!(frame.contains("!! 1 anomalies fired"), "{frame}");
         assert!(frame.contains("trace -"), "{frame}");
     }
 }

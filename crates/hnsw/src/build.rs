@@ -6,8 +6,6 @@ use rand::Rng;
 
 use vecsim::{Dataset, Metric, Neighbor};
 
-use crate::graph::Graph;
-
 /// Samples a node level from the geometric distribution
 /// `l = floor(-ln(U) * mL)`, optionally capped.
 pub(crate) fn sample_level(rng: &mut StdRng, lambda: f64, cap: Option<usize>) -> usize {
@@ -24,44 +22,20 @@ pub(crate) fn sample_level(rng: &mut StdRng, lambda: f64, cap: Option<usize>) ->
 ///
 /// A candidate is kept only if it is closer to the query than to every
 /// already-selected neighbour — this prunes redundant edges that point into
-/// the same region and is what gives HNSW graphs their navigability. With
-/// `keep_pruned`, discarded candidates backfill the result up to `m`.
-///
-/// `extend_candidates` additionally pulls in the candidates' own layer
-/// neighbours before selecting (useful for very clustered data).
-#[allow(clippy::too_many_arguments)]
+/// the same region and is what gives HNSW graphs their navigability. The
+/// discarded candidates then backfill the result up to `m`
+/// (`keepPrunedConnections` on); the candidate set is never extended by
+/// the candidates' own neighbours (`extendCandidates` off).
 pub(crate) fn select_neighbors_heuristic(
-    graph: &Graph,
     data: &Dataset,
     metric: Metric,
-    query: &[f32],
     candidates: &[Neighbor],
     m: usize,
-    layer: usize,
-    extend_candidates: bool,
-    keep_pruned: bool,
 ) -> Vec<u32> {
-    let mut work: Vec<Neighbor> = candidates.to_vec();
-
-    if extend_candidates {
-        let mut seen: Vec<u32> = work.iter().map(|n| n.id).collect();
-        let snapshot: Vec<u32> = seen.clone();
-        for id in snapshot {
-            for &nb in graph.neighbors(id, layer) {
-                if !seen.contains(&nb) {
-                    seen.push(nb);
-                    let d = metric.distance(query, data.get(nb as usize));
-                    work.push(Neighbor::new(nb, d));
-                }
-            }
-        }
-        work.sort();
-    }
-
     let mut selected: Vec<Neighbor> = Vec::with_capacity(m);
     let mut discarded: Vec<Neighbor> = Vec::new();
 
-    for &cand in work.iter() {
+    for &cand in candidates {
         if selected.len() >= m {
             break;
         }
@@ -78,13 +52,8 @@ pub(crate) fn select_neighbors_heuristic(
         }
     }
 
-    if keep_pruned {
-        let mut i = 0;
-        while selected.len() < m && i < discarded.len() {
-            selected.push(discarded[i]);
-            i += 1;
-        }
-    }
+    let room = m - selected.len();
+    selected.extend(discarded.into_iter().take(room));
 
     selected.sort();
     selected.into_iter().map(|n| n.id).collect()
@@ -133,17 +102,12 @@ mod tests {
             [0.0, 1.5],    // 2: up
         ])
         .unwrap();
-        let mut g = Graph::new(8, 4);
-        for _ in 0..3 {
-            g.push_node(0);
-        }
         let q = [0.0f32, 0.0];
         let mut cands: Vec<Neighbor> = (0..3u32)
             .map(|i| Neighbor::new(i, Metric::L2.distance(&q, data.get(i as usize))))
             .collect();
         cands.sort();
-        let picked =
-            select_neighbors_heuristic(&g, &data, Metric::L2, &q, &cands, 2, 0, false, false);
+        let picked = select_neighbors_heuristic(&data, Metric::L2, &cands, 2);
         assert!(picked.contains(&0));
         assert!(
             picked.contains(&2),
@@ -152,62 +116,29 @@ mod tests {
     }
 
     #[test]
-    fn keep_pruned_backfills_to_m() {
+    fn pruned_candidates_backfill_to_m() {
         let data = Dataset::from_rows(&[[1.0f32, 0.0], [1.1, 0.0], [1.2, 0.0]]).unwrap();
-        let mut g = Graph::new(8, 4);
-        for _ in 0..3 {
-            g.push_node(0);
-        }
         let q = [0.0f32, 0.0];
         let mut cands: Vec<Neighbor> = (0..3u32)
             .map(|i| Neighbor::new(i, Metric::L2.distance(&q, data.get(i as usize))))
             .collect();
         cands.sort();
         // All three candidates sit on a ray, so the heuristic keeps only
-        // the closest — unless keep_pruned backfills.
-        let strict =
-            select_neighbors_heuristic(&g, &data, Metric::L2, &q, &cands, 3, 0, false, false);
-        assert_eq!(strict, vec![0]);
-        let filled =
-            select_neighbors_heuristic(&g, &data, Metric::L2, &q, &cands, 3, 0, false, true);
-        assert_eq!(filled.len(), 3);
+        // the closest; the two it pruned backfill the list to m, in order.
+        let filled = select_neighbors_heuristic(&data, Metric::L2, &cands, 3);
+        assert_eq!(filled, vec![0, 1, 2]);
     }
 
     #[test]
     fn heuristic_handles_more_candidates_than_m() {
         let rows: Vec<[f32; 2]> = (0..10).map(|i| [i as f32, 0.5]).collect();
         let data = Dataset::from_rows(&rows).unwrap();
-        let mut g = Graph::new(8, 4);
-        for _ in 0..10 {
-            g.push_node(0);
-        }
         let q = [0.0f32, 0.0];
         let mut cands: Vec<Neighbor> = (0..10u32)
             .map(|i| Neighbor::new(i, Metric::L2.distance(&q, data.get(i as usize))))
             .collect();
         cands.sort();
-        let picked =
-            select_neighbors_heuristic(&g, &data, Metric::L2, &q, &cands, 4, 0, false, true);
+        let picked = select_neighbors_heuristic(&data, Metric::L2, &cands, 4);
         assert_eq!(picked.len(), 4);
-    }
-
-    #[test]
-    fn extend_candidates_reaches_unlisted_neighbours() {
-        // Candidate 0 links to node 2 on the layer; with extension node 2
-        // becomes selectable even though it was not a search candidate.
-        let data = Dataset::from_rows(&[[1.0f32, 0.0], [0.0, 2.0], [0.5, 0.5]]).unwrap();
-        let mut g = Graph::new(8, 4);
-        for _ in 0..3 {
-            g.push_node(0);
-        }
-        g.push_link(0, 0, 2);
-        let q = [0.0f32, 0.0];
-        let cands = vec![Neighbor::new(0, Metric::L2.distance(&q, data.get(0)))];
-        let picked =
-            select_neighbors_heuristic(&g, &data, Metric::L2, &q, &cands, 2, 0, true, true);
-        assert!(
-            picked.contains(&2),
-            "extension should surface node 2: {picked:?}"
-        );
     }
 }

@@ -148,17 +148,8 @@ impl HnswIndex {
                 // This layer's result is the next one's entry points.
                 std::mem::swap(&mut eps, &mut scratch.out);
                 let m_cap = self.layer_cap(layer);
-                let selected = select_neighbors_heuristic(
-                    &self.graph,
-                    &self.data,
-                    metric,
-                    v,
-                    &eps,
-                    self.params.m(),
-                    layer,
-                    self.params.extends_candidates(),
-                    self.params.keeps_pruned(),
-                );
+                let selected =
+                    select_neighbors_heuristic(&self.data, metric, &eps, self.params.m());
                 for &nb in &selected {
                     self.graph.push_link(id, layer, nb);
                     self.graph.push_link(nb, layer, id);
@@ -192,17 +183,7 @@ impl HnswIndex {
             .map(|&nb| Neighbor::new(nb, metric.distance(&node_vec, self.data.get(nb as usize))))
             .collect();
         cands.sort();
-        let selected = select_neighbors_heuristic(
-            &self.graph,
-            &self.data,
-            metric,
-            &node_vec,
-            &cands,
-            cap,
-            layer,
-            false,
-            self.params.keeps_pruned(),
-        );
+        let selected = select_neighbors_heuristic(&self.data, metric, &cands, cap);
         self.graph.set_neighbors(node, layer, &selected);
     }
 

@@ -34,8 +34,6 @@ pub struct HnswParams {
     metric: Metric,
     max_level: Option<usize>,
     seed: u64,
-    extend_candidates: bool,
-    keep_pruned: bool,
 }
 
 impl HnswParams {
@@ -49,8 +47,6 @@ impl HnswParams {
             metric: Metric::L2,
             max_level: None,
             seed: 0,
-            extend_candidates: false,
-            keep_pruned: true,
         }
     }
 
@@ -71,21 +67,6 @@ impl HnswParams {
     /// Seeds the level sampler, making builds fully deterministic.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Enables the `extendCandidates` option of the neighbour-selection
-    /// heuristic (Algorithm 4): also consider the candidates' own
-    /// neighbours. Helps on extremely clustered data, at build-time cost.
-    pub fn extend_candidates(mut self, on: bool) -> Self {
-        self.extend_candidates = on;
-        self
-    }
-
-    /// Enables `keepPrunedConnections` (default `true`): backfill the
-    /// selection with discarded candidates until `M` links exist.
-    pub fn keep_pruned(mut self, on: bool) -> Self {
-        self.keep_pruned = on;
         self
     }
 
@@ -117,16 +98,6 @@ impl HnswParams {
     /// RNG seed for level sampling.
     pub fn rng_seed(&self) -> u64 {
         self.seed
-    }
-
-    /// Whether the selection heuristic extends the candidate set.
-    pub fn extends_candidates(&self) -> bool {
-        self.extend_candidates
-    }
-
-    /// Whether pruned candidates backfill the selection.
-    pub fn keeps_pruned(&self) -> bool {
-        self.keep_pruned
     }
 
     /// Level-sampler scale `mL = 1 / ln(M)`.
@@ -198,13 +169,9 @@ mod tests {
         let p = HnswParams::new(8, 50)
             .metric(Metric::InnerProduct)
             .max_level(2)
-            .seed(99)
-            .extend_candidates(true)
-            .keep_pruned(false);
+            .seed(99);
         assert_eq!(p.metric_kind(), Metric::InnerProduct);
         assert_eq!(p.max_level_cap(), Some(2));
         assert_eq!(p.rng_seed(), 99);
-        assert!(p.extends_candidates());
-        assert!(!p.keeps_pruned());
     }
 }

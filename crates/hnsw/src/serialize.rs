@@ -29,8 +29,8 @@
 //! m       u32
 //! ef_c    u32
 //! metric  u8    0 = L2, 1 = IP, 2 = cosine
-//! extend  u8    bool
-//! keep    u8    bool
+//! extend  u8    0 (extendCandidates is off in every build)
+//! keep    u8    1 (keepPrunedConnections is on in every build)
 //! pad     u8
 //! cap     u32   level cap + 1, 0 = uncapped
 //! seed    u64
@@ -155,8 +155,8 @@ pub fn to_bytes(index: &HnswIndex) -> Vec<u8> {
     e.u32(p.m() as u32);
     e.u32(p.ef_construction() as u32);
     e.u8(metric_code(p.metric_kind()));
-    e.u8(p.extends_candidates() as u8);
-    e.u8(p.keeps_pruned() as u8);
+    e.u8(0);
+    e.u8(1);
     e.u8(0);
     e.u32(p.max_level_cap().map(|c| c as u32 + 1).unwrap_or(0));
     e.u64(p.rng_seed());
@@ -283,8 +283,12 @@ pub fn layout(blob: &[u8]) -> Result<Layout> {
     let m = d.u32()? as usize;
     let ef_c = d.u32()? as usize;
     let metric = metric_from_code(d.u8()?)?;
-    let extend = d.u8()? != 0;
-    let keep = d.u8()? != 0;
+    let (extend, keep) = (d.u8()?, d.u8()?);
+    if (extend, keep) != (0, 1) {
+        return Err(Error::CorruptBlob(format!(
+            "selection flags ({extend}, {keep}), every build writes (0, 1)"
+        )));
+    }
     let _pad = d.u8()?;
     let cap_raw = d.u32()?;
     let seed = d.u64()?;
@@ -302,11 +306,7 @@ pub fn layout(blob: &[u8]) -> Result<Layout> {
         )));
     };
 
-    let mut params = HnswParams::new(m, ef_c)
-        .metric(metric)
-        .seed(seed)
-        .extend_candidates(extend)
-        .keep_pruned(keep);
+    let mut params = HnswParams::new(m, ef_c).metric(metric).seed(seed);
     if cap_raw > 0 {
         params = params.max_level((cap_raw - 1) as usize);
     }
@@ -559,6 +559,19 @@ mod tests {
         let mut blob = to_bytes(&build_small());
         blob.push(0);
         assert!(from_bytes(&blob).is_err());
+    }
+
+    #[test]
+    fn selection_flags_other_than_every_builds_are_rejected() {
+        // extend (offset 33) is always 0 and keep (34) always 1.
+        for (at, flag) in [(33, 1), (34, 0)] {
+            let mut blob = to_bytes(&build_small());
+            blob[at] = flag;
+            assert!(
+                matches!(from_bytes(&blob), Err(Error::CorruptBlob(_))),
+                "byte {at} = {flag} accepted"
+            );
+        }
     }
 
     #[test]

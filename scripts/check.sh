@@ -11,6 +11,14 @@ cd "$(dirname "$0")/.."
 TMP_ROOT=$(mktemp -d)
 trap 'rm -rf "$TMP_ROOT"' EXIT
 
+# The JSON this workspace writes (the --metrics-out snapshot, the serving
+# plane's documents) is checked by jq below; nothing in the workspace
+# parses it back, so a missing jq is a missing gate, not a skipped one.
+command -v jq > /dev/null || {
+  echo "check.sh: jq is required (the JSON validity gates of the repro and serve smokes)" >&2
+  exit 1
+}
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 
@@ -250,10 +258,12 @@ fi
 # budgets' variables), the anomaly detector's one-value tuning struct, the
 # store's second partition classifier, and the micro-batch pipeline and
 # heatmap prefetcher with their knobs, setters, metric family, series
-# ratio, sweep and read cause stay gone (four roots, so the guard does
-# not match itself).
+# ratio, sweep and read cause, the bench crate's JSON parser with the
+# dashboard's parsed-back snapshot (the node renders `top` from its typed
+# records), and the two HNSW selection knobs that had one value each stay
+# gone (four roots, so the guard does not match itself).
 echo "==> no deleted duplicate is back"
-if grep -rnE 'QueryTrace|TailRecord|TraceRing|ShardedStore|ShardedSession|LoadBalancer|DispatchPolicy|bench_regress|BENCH_baseline|DHNSW_BENCH_1M|poll_cq|ring_doorbell|BruteForceIndex|clustering_tendency|verdict_index|set_milli|take_flush_delta|dhnsw_health_|dhnsw_heat_|dhnsw_tail_|dhnsw_cache_hits_total|dhnsw_cache_misses_total|WindowState|TraceSpec|service_stats|\bexecute_reads\b|\bexecute_writes\b|emit_plain|emit_verb|write_doorbell|graph_report|GraphReport|into_flat|read_bvecs|write_ivecs|region_count|window_handles|tick_series|tracer_env|from_env|AnomalyConfig|classify_all|search_filtered|read_ivecs|prefetch_hot|set_pipeline_depth|with_pipeline_depth|set_prefetch_budget_bytes|with_prefetch_budget_bytes|stage_loads|PIPELINE_HIDDEN_US|hidden_ratio|pipeline_sweep|ReadCause::Prefetch' \
+if grep -rnE 'QueryTrace|TailRecord|TraceRing|ShardedStore|ShardedSession|LoadBalancer|DispatchPolicy|bench_regress|BENCH_baseline|DHNSW_BENCH_1M|poll_cq|ring_doorbell|BruteForceIndex|clustering_tendency|verdict_index|set_milli|take_flush_delta|dhnsw_health_|dhnsw_heat_|dhnsw_tail_|dhnsw_cache_hits_total|dhnsw_cache_misses_total|WindowState|TraceSpec|service_stats|\bexecute_reads\b|\bexecute_writes\b|emit_plain|emit_verb|write_doorbell|graph_report|GraphReport|into_flat|read_bvecs|write_ivecs|region_count|window_handles|tick_series|tracer_env|from_env|AnomalyConfig|classify_all|search_filtered|read_ivecs|prefetch_hot|set_pipeline_depth|with_pipeline_depth|set_prefetch_budget_bytes|with_prefetch_budget_bytes|stage_loads|PIPELINE_HIDDEN_US|hidden_ratio|pipeline_sweep|ReadCause::Prefetch|JsonParser|parse_snapshot|TopSnapshot|extend_candidates|keep_pruned' \
   crates src tests examples || [[ -e scripts/bench.sh ]]; then
   echo "check.sh: a deleted duplicate is back (the lines above, or scripts/bench.sh)" >&2
   exit 1
@@ -296,9 +306,24 @@ DHNSW_SIFT_N=20000 DHNSW_QUERIES=128 target/release/repro scale
 
 # Fault-injection smoke gate: the seeded sweep must keep recall
 # identical to the clean run under the default retransmission budget
-# (it exits non-zero if any faulted row degrades or errors).
+# (it exits non-zero if any faulted row degrades or errors). The run's
+# telemetry snapshot must be the JSON it claims to be: three sections of
+# numbers (a histogram's p99 may be the string "+Inf"), every histogram
+# with its bucket array, and one byte counter per read cause -- the
+# causes of rdma-sim's ReadCause::ALL, in index order; a ninth cause
+# fails the count until it is named here.
 echo "==> repro faults (fault-injection smoke gate)"
-DHNSW_ABLATION_N=4000 DHNSW_ABLATION_Q=100 target/release/repro faults
+DHNSW_ABLATION_N=4000 DHNSW_ABLATION_Q=100 target/release/repro faults \
+  --metrics-out "$TMP_ROOT/faults"
+echo "==> the --metrics-out snapshot is valid JSON of the registry's shape"
+jq -e --arg causes "stage_load version_check retry health_probe overflow_scan naive rerank other" '
+  . as $doc | ($causes | split(" ")) as $causes
+  | all(.counters, .gauges, .histograms; type == "object" and length > 0)
+  and all(.counters[], .gauges[]; type == "number")
+  and all(.histograms[]; (.buckets | type == "array") and (.p99 | type == "number" or type == "string"))
+  and ([.counters | keys[] | select(startswith("dhnsw_rdma_read_bytes_by_cause_total{"))] | length) == ($causes | length)
+  and all($causes[]; . as $c | $doc.counters | has("dhnsw_rdma_read_bytes_by_cause_total{cause=\"" + $c + "\"}"))
+' "$TMP_ROOT/faults.json" > /dev/null
 
 # Same sweep over the compressed wire format: SQ8 stage loads, the
 # overflow follow-up reads, and the exact-rerank doorbells must survive
@@ -334,6 +359,8 @@ scrape() {
   cat <&3
   exec 3<&-
 }
+# The response body: everything after the blank line that ends the head.
+body() { scrape "$1" | sed '1,/^\r$/d'; }
 scrape /metrics > "$SMOKE_DIR/metrics.prom"
 grep -q '^# TYPE dhnsw_rdma_read_bytes_by_cause_total counter' "$SMOKE_DIR/metrics.prom"
 grep -q '^dhnsw_rdma_read_bytes_by_cause_total{cause="stage_load"} [1-9]' "$SMOKE_DIR/metrics.prom"
@@ -343,6 +370,14 @@ scrape /explain/last | grep -q 'stage_load'
 # root frame and the exemplar store must report its occupancy.
 scrape /profile/folded | grep -q '^query_batch'
 scrape /exemplars | grep -q '"occupancy"'
+# Every JSON document the plane serves parses, and /whyslow diagnoses an
+# exemplar /exemplars lists.
+for doc in /health /traces /exemplars /timeseries /anomalies; do
+  body "$doc" | jq -e 'type == "object"' > /dev/null ||
+    { echo "check.sh: $doc is not a JSON object" >&2; exit 1; }
+done
+ID=$(body /exemplars | jq -er '.slowest[0].trace_id')
+body "/whyslow/$ID" | jq -e --argjson id "$ID" '.trace_id == $id and (.verdict | type == "string")' > /dev/null
 # Time-series plane: every response is marked no-store, the ring serves
 # (window, step)-thinned points, the anomaly log answers, and the live
 # `top` dashboard renders a frame against the node. Give the background
@@ -350,11 +385,22 @@ scrape /exemplars | grep -q '"occupancy"'
 scrape /metrics | grep -q 'Cache-Control: no-store'
 sleep 2.5
 scrape '/timeseries?window=60&step=1' | grep -q '"points"'
-# Explicitly-zero parameters are client errors, not empty results.
-scrape '/timeseries?step=0' | grep -q '400 Bad Request'
+# A parameter the recorder cannot use -- zero, negative, not a number --
+# is a client error, not an empty result or the whole ring.
+for bad in 'step=0' 'window=abc' 'step=-1'; do
+  scrape "/timeseries?$bad" | grep -q '^HTTP/1.1 400 Bad Request' ||
+    { echo "check.sh: /timeseries?$bad did not answer 400" >&2; exit 1; }
+done
 scrape /anomalies | grep -q '"records"'
+# The node renders the dashboard; `top --once` prints exactly its /top
+# body. The sampler may tick between two requests, so the frame must
+# equal the body scraped just before it or the one just after.
+body /top > "$SMOKE_DIR/top.before"
 target/release/dhnsw_cli top --once --url "$URL" > "$SMOKE_DIR/top.out"
-grep -q 'dhnsw top' "$SMOKE_DIR/top.out"
+body /top > "$SMOKE_DIR/top.after"
+grep -q "^dhnsw top — $URL " "$SMOKE_DIR/top.out"
+cmp -s "$SMOKE_DIR/top.out" "$SMOKE_DIR/top.before" ||
+  cmp "$SMOKE_DIR/top.out" "$SMOKE_DIR/top.after"
 scrape /shutdown > /dev/null
 wait "$SERVE_PID"
 

@@ -145,13 +145,24 @@
 # `top`'s column, the `prefetch` read cause, `repro pipeline` and the
 # four CLI flags. What came: the two binaries' flag checks (`dhnsw_cli`'s
 # one list of the flags its subcommands read, `repro`'s parser).
+# One series schema lowered crates/bench's to 2 548 and hnsw's to 1 574
+# (crates/core/src, the plane, vecsim, rdma-sim and cluster.rs
+# unchanged). What went: crates/bench's JSON reader (json.rs, 252 lines)
+# with `top`'s parsed-back snapshot, its row type and its two column
+# readers (the node renders the frame from the recorder's typed records
+# and `top` prints the body of `GET /top`), the serve closure's second
+# parse of `/timeseries`' parameters and the lock around a string
+# written once; the HNSW selection knobs that had one value each
+# (`extend_candidates` off, `keep_pruned` on: two fields, their builders
+# and getters, the extension branch, the backfill condition and the
+# selection's graph, layer and query arguments).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 MAX_TOTAL=10079
 MAX_PLANE=4214
-MAX_BENCH=2886
-MAX_HNSW=1653
+MAX_BENCH=2548
+MAX_HNSW=1574
 MAX_VECSIM=1839
 MAX_RDMA=1754
 MAX_FILE=1337
