@@ -15,12 +15,12 @@
 //! # Insert more vectors and persist the mutated store:
 //! dhnsw_cli insert --store store.dhnsw --input new.fvecs --out store2.dhnsw
 //!
-//! # Run a workload and dump the telemetry registry:
-//! dhnsw_cli metrics --store store.dhnsw --queries q.fvecs --format prom
+//! # Run a workload and dump the telemetry registry (run1.prom, run1.json):
 //! dhnsw_cli query --store store.dhnsw --queries q.fvecs --metrics-out run1
 //!
 //! # Health check: probe the store, print the HealthReport JSON, and
-//! # exit non-zero when an SLO budget is violated:
+//! # exit non-zero when an SLO budget is violated (latency and hit rate
+//! # over the measured passes, the rest over the report):
 //! dhnsw_cli doctor --store store.dhnsw --check --slo-max-overflow 0.9
 //!
 //! # Serve the live telemetry plane (first stdout line is the URL):
@@ -36,9 +36,7 @@
 //! Every subcommand runs on the simulated RDMA fabric and reports what
 //! moved (round trips, bytes, virtual network time). `query` and `insert`
 //! accept `--metrics-out <base>` to write the process-wide telemetry
-//! registry to `<base>.prom` (Prometheus text format) and `<base>.json`;
-//! the `metrics` subcommand runs a query workload, summarizes the batch's
-//! report on stderr and prints the exposition to stdout.
+//! registry to `<base>.prom` (Prometheus text format) and `<base>.json`.
 //!
 //! Workload subcommands accept `--trace-spans` and `--slow-query-us <n>`
 //! (a nonzero budget turns capture on); without them no span is captured.
@@ -54,7 +52,10 @@
 
 use std::collections::HashMap;
 
-use dhnsw::{snapshot, DHnswConfig, QuantizeMode, SearchMode, SloBudgets, Telemetry, VectorStore};
+use dhnsw::{
+    snapshot, DHnswConfig, QuantizeMode, SearchMode, SeriesPoint, SloBudgets, Telemetry,
+    VectorStore,
+};
 use vecsim::Dataset;
 
 type AnyResult<T> = Result<T, Box<dyn std::error::Error>>;
@@ -82,7 +83,6 @@ fn run(args: &[String]) -> AnyResult<()> {
         "info" => cmd_info(&flags),
         "query" => cmd_query(&flags),
         "insert" => cmd_insert(&flags),
-        "metrics" => cmd_metrics(&flags),
         "doctor" => cmd_doctor(&flags),
         "serve" => cmd_serve(&flags),
         "top" => cmd_top(&flags),
@@ -100,7 +100,7 @@ fn run(args: &[String]) -> AnyResult<()> {
 /// Every flag some subcommand reads, and whether it takes a value: the
 /// one list [`parse_flags`] accepts, each spelled in [`print_usage`]'s
 /// text.
-const FLAGS: [(&str, bool); 37] = [
+const FLAGS: [(&str, bool); 36] = [
     ("check", false),
     ("degraded-ok", false),
     ("ef", true),
@@ -108,7 +108,6 @@ const FLAGS: [(&str, bool); 37] = [
     ("fanout", true),
     ("fault-rate", true),
     ("fault-seed", true),
-    ("format", true),
     ("input", true),
     ("interval-ms", true),
     ("k", true),
@@ -144,13 +143,12 @@ fn print_usage() {
     eprintln!("{USAGE}");
 }
 
-const USAGE: &str = "usage: dhnsw_cli <build|info|query|insert|metrics|doctor|serve|top> [flags]\n\
+const USAGE: &str = "usage: dhnsw_cli <build|info|query|insert|doctor|serve|top> [flags]\n\
          build:   --input <fvecs> | --synthetic <sift|gist>:<n>   --out <snapshot> [--reps N] [--fanout B] [--seed S]\n\
                   [--quantize off|sq8] [--rerank-k N]\n\
          info:    --store <snapshot>\n\
          query:   --store <snapshot> --queries <fvecs> [--k K] [--ef EF] [--limit N] [--metrics-out <base>] [--explain]\n\
          insert:  --store <snapshot> --input <fvecs> --out <snapshot> [--limit N] [--metrics-out <base>]\n\
-         metrics: --store <snapshot> --queries <fvecs> [--k K] [--ef EF] [--limit N] [--format prom|json] [--out <path>]\n\
          serve:   --store <snapshot> [--queries <fvecs>] [--port P] [--k K] [--ef EF] [--series-tick-ms N]\n\
                   (endpoints: /metrics /health /traces /explain/last /profile/folded /exemplars /whyslow/<id>\n\
                    /timeseries?window=S&step=N /anomalies /top /shutdown)\n\
@@ -378,6 +376,20 @@ fn load_queries(flags: &HashMap<String, String>) -> AnyResult<Dataset> {
     Ok(queries)
 }
 
+/// The probe workload of `doctor` and `serve`: the `--queries`, or the
+/// meta-HNSW representatives (one per partition, capped) when none are
+/// given.
+fn probe_queries(flags: &HashMap<String, String>, store: &VectorStore) -> AnyResult<Dataset> {
+    if flags.contains_key("queries") {
+        return load_queries(flags);
+    }
+    let n = store.meta().partitions().min(256);
+    let rows: Vec<&[f32]> = (0..n as u32)
+        .map(|p| store.meta().representative(p))
+        .collect();
+    Ok(Dataset::from_rows(&rows)?)
+}
+
 /// Dumps the process-wide telemetry registry to `<base>.prom` and
 /// `<base>.json`. Both files land via temp-file + rename so a scraper
 /// tailing them never reads a torn write.
@@ -438,51 +450,6 @@ fn cmd_query(flags: &HashMap<String, String>) -> AnyResult<()> {
     Ok(())
 }
 
-/// Runs a query workload and emits the telemetry registry in Prometheus
-/// text format (default) or JSON.
-fn cmd_metrics(flags: &HashMap<String, String>) -> AnyResult<()> {
-    let store = open_store(flags)?;
-    let queries = load_queries(flags)?;
-    let k = flag_usize(flags, "k", 10)?;
-    let ef = flag_usize(flags, "ef", 48)?;
-
-    let telemetry = Telemetry::global();
-    let node = store.connect(SearchMode::Full)?;
-    apply_trace_flags(flags, &telemetry)?;
-    apply_fault_flags(flags, &node)?;
-    let (_, report) = node.query_batch(&queries, k, ef)?;
-    eprintln!(
-        "trace: {} queries | {} clusters wanted, {} cache hits, {} loaded | {} doorbells | {:.1} us total",
-        report.queries,
-        report.unique_clusters,
-        report.cache_hits,
-        report.clusters_loaded,
-        report.doorbell_batches,
-        report.total_us
-    );
-    eprintln!(
-        "{} queries | {:.2} us/query | {} round trips",
-        report.queries,
-        report.per_query_latency_us(),
-        report.round_trips
-    );
-
-    let format = flags.get("format").map(String::as_str).unwrap_or("prom");
-    let text = match format {
-        "prom" => telemetry.render_prometheus(),
-        "json" => telemetry.snapshot_json(),
-        other => return Err(format!("unknown --format {other}; use prom|json").into()),
-    };
-    match flags.get("out") {
-        Some(path) => {
-            std::fs::write(path, &text)?;
-            eprintln!("wrote metrics to {path}");
-        }
-        None => print!("{text}"),
-    }
-    Ok(())
-}
-
 fn cmd_insert(flags: &HashMap<String, String>) -> AnyResult<()> {
     let store = open_store(flags)?;
     let data = load_vectors(flags)?;
@@ -536,22 +503,25 @@ fn budgets_from(flags: &HashMap<String, String>) -> AnyResult<SloBudgets> {
 
 /// Probes the store with a query workload, prints the machine-readable
 /// [`dhnsw::HealthReport`] (heatmap, layout occupancy/fragmentation,
-/// routing skew, cache and latency health), and evaluates it against
-/// the SLO budgets. With `--check`, any violated budget makes the
-/// process exit non-zero; violations are also published to telemetry as
-/// counters and structured span-trace warning events. With
+/// routing skew, cache and latency health), and evaluates the SLO
+/// budgets: p99 latency and cache hit rate over the window of the
+/// measured passes, the state budgets over the report, in that order.
+/// With `--check`, any violated budget makes the process exit non-zero;
+/// violations are also published to telemetry as counters and
+/// structured span-trace warning events. With
 /// `--why-slow`, the probe's slowest retained batch is diffed against
 /// the reservoir baseline and the ranked diagnosis (retry-storm,
 /// cache-cold, network-bound, …) prints as JSON on stdout after the
 /// report.
 ///
 /// The first `--warmup-passes` passes (default 1) run before fault
-/// injection is armed and are discarded from the tail-exemplar store
-/// and profile: doctor diagnoses steady-state behavior, and the
-/// one-off cold batch (cache fill + first materialization) would
-/// otherwise sit at the top of the K-slowest set forever, masking the
-/// tail the probe is trying to explain. `--warmup-passes 0` keeps the
-/// cold batch in the measurement.
+/// injection is armed and are discarded from the SLO window, the
+/// tail-exemplar store and the profile: doctor diagnoses steady-state
+/// behavior, and the one-off cold batch (cache fill + first
+/// materialization) would otherwise sit at the top of the K-slowest set
+/// forever and fail a hit-rate budget with its misses, masking the tail
+/// the probe is trying to explain. `--warmup-passes 0` keeps the cold
+/// batch in the measurement.
 fn cmd_doctor(flags: &HashMap<String, String>) -> AnyResult<()> {
     let store = open_store(flags)?;
     let k = flag_usize(flags, "k", 10)?;
@@ -563,17 +533,7 @@ fn cmd_doctor(flags: &HashMap<String, String>) -> AnyResult<()> {
     // The watchdog reports through the span ring; doctor always listens.
     telemetry.spans().set_enabled(true);
 
-    // Probe workload: the user's queries, or the meta-HNSW
-    // representatives (one per partition, capped) when none are given.
-    let probes = if flags.contains_key("queries") {
-        load_queries(flags)?
-    } else {
-        let n = store.meta().partitions().min(256);
-        let rows: Vec<&[f32]> = (0..n as u32)
-            .map(|p| store.meta().representative(p))
-            .collect();
-        Dataset::from_rows(&rows)?
-    };
+    let probes = probe_queries(flags, &store)?;
     let warmup = flag_usize(flags, "warmup-passes", 1)?;
     for _ in 0..warmup {
         node.query_batch(&probes, k, ef)?;
@@ -587,10 +547,15 @@ fn cmd_doctor(flags: &HashMap<String, String>) -> AnyResult<()> {
     // Faults arm only for the measured passes: the warm-up must fill
     // the cache deterministically, not fight the injected drops.
     apply_fault_flags(flags, &node)?;
+    // The windowed budgets judge the measured passes alone: one window
+    // bracketed by two samples of this node, cut without ticking the
+    // hub's shared recorder.
     let passes = flag_usize(flags, "passes", 2)?.max(1);
+    let before = node.sample(0);
     for _ in 0..passes {
         node.query_batch(&probes, k, ef)?;
     }
+    let window = SeriesPoint::between(&before, &node.sample(1_000_000));
     eprintln!(
         "probed with {} queries x {passes} passes (+{warmup} warm-up) (k={k}, ef={ef})",
         probes.len()
@@ -607,7 +572,10 @@ fn cmd_doctor(flags: &HashMap<String, String>) -> AnyResult<()> {
 
     let mut health = node.health_report()?;
     let budgets = budgets_from(flags)?;
-    health.violations = dhnsw::evaluate_slo(&health, &budgets);
+    health.violations = dhnsw::evaluate_slo_point(&window, &budgets, health.tail.slowest_trace_id);
+    health
+        .violations
+        .extend(dhnsw::evaluate_slo(&health, &budgets));
     dhnsw::health::watchdog::emit(&telemetry, &health.violations);
 
     let text = health.to_json();
@@ -682,15 +650,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> AnyResult<()> {
     apply_trace_flags(flags, &telemetry)?;
     apply_fault_flags(flags, &node)?;
 
-    let probes = if flags.contains_key("queries") {
-        load_queries(flags)?
-    } else {
-        let n = store.meta().partitions().min(256);
-        let rows: Vec<&[f32]> = (0..n as u32)
-            .map(|p| store.meta().representative(p))
-            .collect();
-        Dataset::from_rows(&rows)?
-    };
+    let probes = probe_queries(flags, &store)?;
     let (_, report) = node.query_batch(&probes, k, ef)?;
     eprintln!(
         "probed with {} queries (k={k}, ef={ef}); serving",
@@ -868,6 +828,8 @@ mod tests {
     fn a_flag_no_subcommand_reads_is_refused() {
         assert!(parse_flags(&s(&["--no-such-flag", "1"])).is_err());
         assert!(parse_flags(&s(&["--store", "x", "--no-such-flag"])).is_err());
+        // `--format` went with the `metrics` subcommand, its one reader.
+        assert!(parse_flags(&s(&["--format", "prom"])).is_err());
         // A second positional argument, after a boolean flag or not.
         assert!(parse_flags(&s(&["--check", "extra"])).is_err());
         assert!(run(&s(&["info", "extra"])).is_err());

@@ -264,13 +264,6 @@ impl DHnswConfig {
             .seed(self.seed ^ 0x11)
     }
 
-    /// Sets the meta-HNSW parameters. A level cap of 2 is enforced at
-    /// validation to preserve the three-layer shape the paper requires.
-    pub fn with_meta_params(mut self, p: HnswParams) -> Self {
-        self.meta_params = p;
-        self
-    }
-
     /// HNSW parameters for the per-partition sub-indexes.
     pub fn sub_params(&self) -> HnswParams {
         self.sub_params
@@ -417,17 +410,9 @@ impl DHnswConfig {
                 self.metric
             )));
         }
-        self.meta_params
-            .validate()
-            .map_err(|e| Error::InvalidParameter(format!("meta params: {e}")))?;
         self.sub_params
             .validate()
             .map_err(|e| Error::InvalidParameter(format!("sub params: {e}")))?;
-        if self.meta_params.max_level_cap().is_none() {
-            return Err(Error::InvalidParameter(
-                "meta params must be level-capped (the meta-HNSW is a fixed-height pyramid)".into(),
-            ));
-        }
         Ok(())
     }
 }
@@ -485,10 +470,6 @@ mod tests {
         assert!(DHnswConfig::paper().with_fanout(0).validate().is_err());
         assert!(DHnswConfig::paper()
             .with_cache_fraction(1.5)
-            .validate()
-            .is_err());
-        assert!(DHnswConfig::paper()
-            .with_meta_params(HnswParams::new(8, 100)) // no level cap
             .validate()
             .is_err());
     }

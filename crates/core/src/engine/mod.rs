@@ -293,9 +293,6 @@ pub struct ComputeNode {
     pub(crate) metrics: EngineMetrics,
     heatmap: Arc<ClusterHeatmap>,
     flushed: Mutex<FlushState>,
-    // What this node's instruments read at the previous health report:
-    // where the next report's window starts.
-    pub(crate) window_start: Mutex<series::Sample>,
     // The wire format in force: SQ8 when the directory carries
     // compressed blobs *and* this node's config asks for them (naive mode
     // always reads full precision — it is the paper's uncompressed
@@ -356,7 +353,6 @@ impl ComputeNode {
             metrics,
             heatmap,
             flushed,
-            window_start: Mutex::default(),
             wire,
             rerank_cache: Mutex::default(),
         })
@@ -461,18 +457,24 @@ impl ComputeNode {
         flushed.cache = cache_now;
     }
 
-    /// Takes one time-series sample of this node's instruments at
-    /// `now_us` (caller-supplied — synthetic in tests and benchmarks,
-    /// wall-clock only in the serving plane's sampler thread) and ticks
-    /// the hub's [`crate::telemetry::series::SeriesRecorder`] with it,
-    /// returning the derived point. Substrate and cache counters are
-    /// normally flushed to the registry on the query path, so a sampler
-    /// ticking *between* batches would read stale values: this flushes
-    /// first.
-    pub fn sample_series(&self, now_us: u64) -> Option<series::SeriesPoint> {
+    /// Reads this node's query-path instruments at `now_us`
+    /// (caller-supplied — synthetic in tests, `doctor` and benchmarks,
+    /// wall-clock only in the serving plane's sampler thread). Substrate
+    /// and cache counters are normally flushed to the registry on the
+    /// query path, so a read *between* batches would see stale values:
+    /// this flushes first. Two samples make a window,
+    /// [`series::SeriesPoint::between`].
+    pub fn sample(&self, now_us: u64) -> series::Sample {
         self.flush_telemetry();
-        let sample = self.metrics.sample(now_us);
-        self.telemetry.series().tick(&self.telemetry, sample)
+        self.metrics.sample(now_us)
+    }
+
+    /// Ticks the hub's [`crate::telemetry::series::SeriesRecorder`] with
+    /// [`Self::sample`] at `now_us`, returning the derived point.
+    pub fn sample_series(&self, now_us: u64) -> Option<series::SeriesPoint> {
+        self.telemetry
+            .series()
+            .tick(&self.telemetry, self.sample(now_us))
     }
 
     /// Empties the LRU cluster cache (cold-start benchmarks).

@@ -224,7 +224,6 @@ impl ComputeNode {
 
         // Heatmap sampling: relaxed counter bumps only — nothing here
         // allocates or takes a lock.
-        self.heatmap.begin_batch();
         for route in &routes {
             for &p in route {
                 self.heatmap.record_route(p);

@@ -686,7 +686,6 @@ fn heatmap_samples_routes_loads_and_cache_hits() {
     assert_eq!(route_hits, 8 * b as u64, "every route is sampled");
     assert!(loads > 0, "cold batch loads clusters");
     assert!(bytes > 0, "loads carry their byte size");
-    assert!(cold.iter().any(|c| c.hotness > 0.0));
     // Same batch again: the cache now serves what it kept.
     node.query_batch(&queries, 5, 16).unwrap();
     let warm = node.heatmap().snapshot();
@@ -785,23 +784,40 @@ fn health_report_feeds_the_watchdog_end_to_end() {
     let queries = gen::perturbed_queries(&data, 4, 0.02, 97).unwrap();
     node.query_batch(&queries, 5, 16).unwrap();
     let mut report = node.health_report().unwrap();
-    // An impossible hit-rate budget must trip.
+    // An impossible skew budget must trip: a Gini is never negative.
     let budgets = crate::health::SloBudgets {
-        min_cache_hit_rate: Some(2.0),
+        max_route_gini: Some(-1.0),
         ..Default::default()
     };
     report.violations = crate::health::evaluate(&report, &budgets);
     assert_eq!(report.violations.len(), 1);
-    assert_eq!(report.violations[0].budget, "cache_hit_rate");
+    assert_eq!(report.violations[0].budget, "route_gini");
     crate::health::watchdog::emit(&telemetry, &report.violations);
     assert!(telemetry
         .render_prometheus()
-        .contains("dhnsw_slo_violations_total{budget=\"cache_hit_rate\"} 1"));
+        .contains("dhnsw_slo_violations_total{budget=\"route_gini\"} 1"));
     let traces = telemetry.spans().recent();
     assert!(traces
         .iter()
         .any(|t| t.label == "watchdog" && t.spans.iter().any(|s| s.name == "slo_violation")));
-    assert!(report.to_json().contains("\"budget\": \"cache_hit_rate\""));
+    assert!(report.to_json().contains("\"budget\": \"route_gini\""));
+}
+
+#[test]
+fn health_report_is_idempotent() {
+    // A report reads state and writes none back: a second one with no
+    // batch between, and a sample taken between them, render the same
+    // document.
+    let (data, store) = setup(600);
+    let telemetry = Arc::new(Telemetry::new());
+    let node = store
+        .connect_with_telemetry(SearchMode::Full, Arc::clone(&telemetry))
+        .unwrap();
+    let queries = gen::perturbed_queries(&data, 8, 0.02, 98).unwrap();
+    node.query_batch(&queries, 5, 16).unwrap();
+    let first = node.health_report().unwrap().to_json();
+    node.sample_series(0);
+    assert_eq!(node.health_report().unwrap().to_json(), first);
 }
 
 #[test]

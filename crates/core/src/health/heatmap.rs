@@ -6,25 +6,8 @@
 //! concurrent batches can drop an occasional increment — the heatmap
 //! is a sampling instrument, not an audit log, and that trade keeps it
 //! off the latency critical path.
-//!
-//! Hotness is an exponentially-weighted moving average over *batches*:
-//! each route hit adds one unit, and a cell's score decays by
-//! [`DECAY_PER_BATCH`] for every batch that elapsed since the cell was
-//! last touched. The decay is applied lazily at touch/snapshot time
-//! (fixed-point, per-cell last-batch stamp), so idle partitions cost
-//! nothing per batch and a snapshot still sees them correctly decayed.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Per-batch EWMA decay factor for the hotness score.
-pub const DECAY_PER_BATCH: f64 = 0.875;
-
-/// Fixed-point scale for the stored hotness (1.0 == `HOT_ONE`).
-const HOT_ONE: f64 = 1_000_000.0;
-
-/// Decay exponents beyond this flush the score to zero anyway; capping
-/// keeps the `powi` argument well inside `i32`.
-const MAX_DECAY_STEPS: u64 = 64;
 
 #[derive(Debug, Default)]
 struct HeatCell {
@@ -33,10 +16,6 @@ struct HeatCell {
     cache_hits: AtomicU64,
     evictions: AtomicU64,
     bytes_read: AtomicU64,
-    /// EWMA hotness, fixed-point (`HOT_ONE` == 1.0).
-    hot_fp: AtomicU64,
-    /// Batch sequence at which `hot_fp` was last decayed.
-    last_batch: AtomicU64,
 }
 
 /// One partition's row in a heatmap snapshot.
@@ -54,14 +33,11 @@ pub struct PartitionHeat {
     pub evictions: u64,
     /// Bytes fetched for this partition across all loads.
     pub bytes_read: u64,
-    /// EWMA hotness (route hits, decayed per batch), at snapshot time.
-    pub hotness: f64,
 }
 
-/// Lock-free per-partition access counters with EWMA hotness.
+/// Lock-free per-partition access counters.
 #[derive(Debug)]
 pub struct ClusterHeatmap {
-    batch_seq: AtomicU64,
     cells: Vec<HeatCell>,
 }
 
@@ -70,10 +46,7 @@ impl ClusterHeatmap {
     pub fn new(partitions: usize) -> Self {
         let mut cells = Vec::with_capacity(partitions);
         cells.resize_with(partitions, HeatCell::default);
-        ClusterHeatmap {
-            batch_seq: AtomicU64::new(0),
-            cells,
-        }
+        ClusterHeatmap { cells }
     }
 
     /// Number of partitions tracked.
@@ -81,23 +54,12 @@ impl ClusterHeatmap {
         self.cells.len()
     }
 
-    /// Advances the batch clock that drives EWMA decay. Called once
-    /// per batch, before the batch's `record_route` calls.
-    pub fn begin_batch(&self) -> u64 {
-        self.batch_seq.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Records one meta-HNSW route to `partition` and bumps its EWMA
-    /// hotness. Out-of-range ids are ignored.
+    /// Records one meta-HNSW route to `partition`. Out-of-range ids
+    /// are ignored.
     pub fn record_route(&self, partition: u32) {
-        let Some(cell) = self.cells.get(partition as usize) else {
-            return;
-        };
-        cell.route_hits.fetch_add(1, Ordering::Relaxed);
-        let seq = self.batch_seq.load(Ordering::Relaxed);
-        let hot = Self::decayed(cell, seq);
-        cell.last_batch.store(seq, Ordering::Relaxed);
-        cell.hot_fp.store((hot + HOT_ONE) as u64, Ordering::Relaxed);
+        if let Some(cell) = self.cells.get(partition as usize) {
+            cell.route_hits.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Records a cluster-cache hit for `partition`.
@@ -122,24 +84,9 @@ impl ClusterHeatmap {
         }
     }
 
-    /// The hotness of `cell` decayed forward to batch `seq`, in EWMA
-    /// units (not fixed-point).
-    fn decayed(cell: &HeatCell, seq: u64) -> f64 {
-        let last = cell.last_batch.load(Ordering::Relaxed);
-        let hot = cell.hot_fp.load(Ordering::Relaxed) as f64;
-        let steps = seq.saturating_sub(last).min(MAX_DECAY_STEPS);
-        if steps == 0 {
-            hot
-        } else {
-            hot * DECAY_PER_BATCH.powi(steps as i32)
-        }
-    }
-
-    /// A point-in-time copy of every cell, with hotness decayed to the
-    /// current batch clock. Allocates — intended for reports, not the
-    /// query path.
+    /// A point-in-time copy of every cell. Allocates — intended for
+    /// reports, not the query path.
     pub fn snapshot(&self) -> Vec<PartitionHeat> {
-        let seq = self.batch_seq.load(Ordering::Relaxed);
         self.cells
             .iter()
             .enumerate()
@@ -150,7 +97,6 @@ impl ClusterHeatmap {
                 cache_hits: cell.cache_hits.load(Ordering::Relaxed),
                 evictions: cell.evictions.load(Ordering::Relaxed),
                 bytes_read: cell.bytes_read.load(Ordering::Relaxed),
-                hotness: Self::decayed(cell, seq) / HOT_ONE,
             })
             .collect()
     }
@@ -171,7 +117,6 @@ mod tests {
     #[test]
     fn records_accumulate_per_partition() {
         let h = ClusterHeatmap::new(4);
-        h.begin_batch();
         h.record_route(1);
         h.record_route(1);
         h.record_route(3);
@@ -193,7 +138,6 @@ mod tests {
     #[test]
     fn out_of_range_partition_is_ignored() {
         let h = ClusterHeatmap::new(2);
-        h.begin_batch();
         h.record_route(9);
         h.record_load(9, 64);
         h.record_cache_hit(9);
@@ -202,41 +146,5 @@ mod tests {
             .snapshot()
             .iter()
             .all(|c| c.route_hits == 0 && c.loads == 0 && c.cache_hits == 0 && c.evictions == 0));
-    }
-
-    #[test]
-    fn hotness_decays_per_batch_and_rewards_recency() {
-        let h = ClusterHeatmap::new(2);
-        h.begin_batch();
-        h.record_route(0);
-        let hot0 = h.snapshot()[0].hotness;
-        assert!((hot0 - 1.0).abs() < 1e-9, "one hit in the current batch");
-        // Partition 0 goes idle for three batches; partition 1 is hit
-        // in the last one. Recency must dominate raw counts.
-        for _ in 0..3 {
-            h.begin_batch();
-        }
-        h.record_route(1);
-        let snap = h.snapshot();
-        let expected = DECAY_PER_BATCH.powi(3);
-        assert!(
-            (snap[0].hotness - expected).abs() < 1e-6,
-            "idle cell decayed: {} vs {expected}",
-            snap[0].hotness
-        );
-        assert!(snap[1].hotness > snap[0].hotness);
-        // Raw counters never decay.
-        assert_eq!(snap[0].route_hits, 1);
-    }
-
-    #[test]
-    fn long_idle_flushes_hotness_to_zero() {
-        let h = ClusterHeatmap::new(1);
-        h.begin_batch();
-        h.record_route(0);
-        for _ in 0..200 {
-            h.begin_batch();
-        }
-        assert!(h.snapshot()[0].hotness < 1e-3);
     }
 }

@@ -8,7 +8,6 @@ use super::report::{
 };
 use super::skew::skew_of;
 use crate::engine::{ComputeNode, Reader};
-use crate::telemetry::series::Window;
 use crate::telemetry::span::{BatchTrace, SpanId};
 use crate::{Error, Result};
 
@@ -26,8 +25,9 @@ impl ComputeNode {
     /// overflow occupancy (one round of 8-byte counter reads, posted and
     /// retried like every other read of this node), layout/fragmentation
     /// accounting, the access heatmap, routing-skew statistics, and
-    /// cache/latency summaries. Read-only with respect to the store and
-    /// the registry: it writes nothing back.
+    /// cache/latency summaries. Read-only with respect to the store, the
+    /// registry and the node: it writes nothing back, so two reports
+    /// with no batch between render the same JSON.
     ///
     /// # Errors
     ///
@@ -120,14 +120,8 @@ impl ComputeNode {
 
         // Hit rates are plan-time (hits = loads avoided, misses =
         // clusters fetched): the engine only probes the LRU for
-        // partitions planning proved resident. The window, everything
-        // since the previous report, is cut as a `/timeseries` point's
-        // is; each report consumes its own once. No clock: counts only.
-        let window = {
-            let mut start = self.window_start.lock();
-            let now = self.metrics.sample(0);
-            Window::between(&std::mem::replace(&mut *start, now), &now)
-        };
+        // partitions planning proved resident. The report is lifetime
+        // state and cuts no window: windows are series points.
         let cache = {
             let c = self.cache.lock();
             let stats = c.stats();
@@ -141,9 +135,6 @@ impl ComputeNode {
                 misses,
                 evictions: stats.evictions,
                 hit_rate: ratio(hits, hits + misses),
-                window_hits: window.hits,
-                window_misses: window.misses,
-                window_hit_rate: window.hit_rate,
             }
         };
         let latency = {
@@ -154,10 +145,6 @@ impl ComputeNode {
                 p95_us: h.quantile(0.95),
                 p99_us: h.quantile(0.99),
                 max_us: h.max(),
-                window_queries: window.queries,
-                window_p50_us: window.p50_us,
-                window_p95_us: window.p95_us,
-                window_p99_us: window.p99_us,
             }
         };
         let reliability = {

@@ -86,14 +86,6 @@ pub struct CacheHealth {
     pub evictions: u64,
     /// `hits / (hits + misses)`, 0 with no lookups.
     pub hit_rate: f64,
-    /// Plan-time hits since the previous health report (the window).
-    pub window_hits: u64,
-    /// Plan-time misses since the previous health report.
-    pub window_misses: u64,
-    /// Hit rate over the window alone, 0 with an empty window. This —
-    /// not the lifetime `hit_rate` — is what the SLO watchdog checks,
-    /// so a cold-start miss burst ages out after one report interval.
-    pub window_hit_rate: f64,
 }
 
 /// Query-latency summary from the node's telemetry histogram.
@@ -109,15 +101,6 @@ pub struct LatencyHealth {
     pub p99_us: f64,
     /// Largest observed value, microseconds.
     pub max_us: u64,
-    /// Queries observed since the previous health report (the window).
-    pub window_queries: u64,
-    /// Median over the window alone, microseconds (0 when idle).
-    pub window_p50_us: f64,
-    /// 95th percentile over the window, microseconds.
-    pub window_p95_us: f64,
-    /// 99th percentile over the window, microseconds. This — not the
-    /// lifetime `p99_us` — is what the SLO watchdog checks.
-    pub window_p99_us: f64,
 }
 
 /// Degraded-service and retry accounting since connect.
@@ -241,14 +224,13 @@ impl HealthReport {
         out.push_str("  \"heatmap\": [\n");
         for (i, h) in self.heatmap.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"partition\": {}, \"route_hits\": {}, \"loads\": {}, \"cache_hits\": {}, \"evictions\": {}, \"bytes_read\": {}, \"hotness\": {}}}{}\n",
+                "    {{\"partition\": {}, \"route_hits\": {}, \"loads\": {}, \"cache_hits\": {}, \"evictions\": {}, \"bytes_read\": {}}}{}\n",
                 h.partition,
                 h.route_hits,
                 h.loads,
                 h.cache_hits,
                 h.evictions,
                 h.bytes_read,
-                num(h.hotness),
                 if i + 1 < self.heatmap.len() { "," } else { "" },
             ));
         }
@@ -273,22 +255,17 @@ impl HealthReport {
         }
         let c = &self.cache;
         out.push_str(&format!(
-            "  \"cache\": {{\"capacity\": {}, \"resident\": {}, \"resident_bytes\": {}, \"hits\": {}, \"misses\": {}, \"evictions\": {}, \"hit_rate\": {}, \"window_hits\": {}, \"window_misses\": {}, \"window_hit_rate\": {}}},\n",
+            "  \"cache\": {{\"capacity\": {}, \"resident\": {}, \"resident_bytes\": {}, \"hits\": {}, \"misses\": {}, \"evictions\": {}, \"hit_rate\": {}}},\n",
             c.capacity, c.resident, c.resident_bytes, c.hits, c.misses, c.evictions, num(c.hit_rate),
-            c.window_hits, c.window_misses, num(c.window_hit_rate),
         ));
         let t = &self.latency;
         out.push_str(&format!(
-            "  \"latency\": {{\"queries\": {}, \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}, \"max_us\": {}, \"window_queries\": {}, \"window_p50_us\": {}, \"window_p95_us\": {}, \"window_p99_us\": {}}},\n",
+            "  \"latency\": {{\"queries\": {}, \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}, \"max_us\": {}}},\n",
             t.queries,
             num(t.p50_us),
             num(t.p95_us),
             num(t.p99_us),
             t.max_us,
-            t.window_queries,
-            num(t.window_p50_us),
-            num(t.window_p95_us),
-            num(t.window_p99_us),
         ));
         let r = &self.reliability;
         out.push_str(&format!(
@@ -369,7 +346,6 @@ mod tests {
                     cache_hits: 8,
                     evictions: 1,
                     bytes_read: 2048,
-                    hotness: 1.5,
                 },
                 PartitionHeat {
                     partition: 1,
@@ -378,7 +354,6 @@ mod tests {
                     cache_hits: 0,
                     evictions: 0,
                     bytes_read: 0,
-                    hotness: 0.0,
                 },
             ],
             partition_skew: skew_of(&[500, 500], 1),
@@ -392,9 +367,6 @@ mod tests {
                 misses: 2,
                 evictions: 1,
                 hit_rate: 0.8,
-                window_hits: 8,
-                window_misses: 2,
-                window_hit_rate: 0.8,
             },
             latency: LatencyHealth {
                 queries: 10,
@@ -402,10 +374,6 @@ mod tests {
                 p95_us: 200.0,
                 p99_us: 250.0,
                 max_us: 300,
-                window_queries: 10,
-                window_p50_us: 100.0,
-                window_p95_us: 200.0,
-                window_p99_us: 250.0,
             },
             reliability: ReliabilityHealth {
                 queries: 10,
@@ -447,7 +415,6 @@ mod tests {
             "\"slowest_trace_id\": 42",
             "\"violations\":",
             "\"occupancy\": 0.250000",
-            "\"hotness\": 1.500000",
             "\"back\": 1",
         ] {
             assert!(a.contains(key), "missing {key} in:\n{a}");

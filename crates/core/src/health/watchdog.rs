@@ -1,11 +1,14 @@
 //! Threshold-based SLO watchdog.
 //!
-//! Budgets come from `dhnsw_cli`'s `--slo-*` flags; [`evaluate`] checks
-//! a [`HealthReport`] against them and [`emit`] publishes the violations
-//! as a `dhnsw_slo_violations_total` counter plus structured
-//! `slo_violation` instant events in the span-trace ring (when span
-//! capture is enabled), so a dashboard or a `doctor --check` script sees
-//! the same verdict.
+//! Budgets come from `dhnsw_cli`'s `--slo-*` flags, and each has one
+//! judge. [`evaluate`] checks the three *state* budgets (overflow
+//! occupancy, route Gini, degraded rate) against a [`HealthReport`];
+//! [`evaluate_point`] checks the two *windowed* ones (p99 latency, cache
+//! hit rate) against a [`SeriesPoint`], the one window the plane cuts.
+//! [`emit`] publishes violations as a `dhnsw_slo_violations_total`
+//! counter plus structured `slo_violation` instant events in the
+//! span-trace ring (when span capture is enabled), so a dashboard or a
+//! `doctor --check` script sees the same verdict.
 
 use crate::health::report::HealthReport;
 use crate::telemetry::series::SeriesPoint;
@@ -15,9 +18,9 @@ use crate::telemetry::{metrics, Telemetry};
 /// Configurable health budgets; `None` disables a check.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SloBudgets {
-    /// Largest acceptable p99 per-query latency, microseconds.
+    /// Largest acceptable windowed p99 per-query latency, microseconds.
     pub max_p99_us: Option<f64>,
-    /// Smallest acceptable cluster-cache hit rate in `[0, 1]`.
+    /// Smallest acceptable windowed cluster-cache hit rate in `[0, 1]`.
     pub min_cache_hit_rate: Option<f64>,
     /// Largest acceptable per-group overflow occupancy in `[0, 1]`
     /// (checked against the fullest group).
@@ -29,18 +32,7 @@ pub struct SloBudgets {
     pub max_degraded_rate: Option<f64>,
 }
 
-impl SloBudgets {
-    /// Whether every check is disabled.
-    pub fn is_empty(&self) -> bool {
-        self.max_p99_us.is_none()
-            && self.min_cache_hit_rate.is_none()
-            && self.max_overflow_occupancy.is_none()
-            && self.max_route_gini.is_none()
-            && self.max_degraded_rate.is_none()
-    }
-}
-
-/// One budget the report violated.
+/// One budget a report or a window violated.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SloViolation {
     /// Budget name (`p99_latency_us`, `cache_hit_rate`, …).
@@ -68,20 +60,14 @@ impl SloViolation {
     }
 }
 
-/// Checks `report` against `budgets`, returning every violated budget
-/// in a fixed order (latency, hit rate, occupancy, skew, degradation).
+/// Checks `report` against the three state budgets, returning every
+/// violated one in a fixed order (occupancy, skew, degradation).
 pub fn evaluate(report: &HealthReport, budgets: &SloBudgets) -> Vec<SloViolation> {
     // Every violation links to the slowest retained exemplar so a
     // breach comes with a concrete batch to interrogate via
     // `/whyslow/<id>` rather than just a number over a limit.
     let exemplar = report.tail.slowest_trace_id;
-    let (l, c) = (&report.latency, &report.cache);
-    let mut out = windowed(
-        (l.window_queries, l.window_p99_us),
-        (c.window_hits + c.window_misses, c.window_hit_rate),
-        budgets,
-        exemplar,
-    );
+    let mut out = Vec::new();
     if let Some(limit) = budgets.max_overflow_occupancy {
         if report.layout.max_group_occupancy > limit {
             out.push(SloViolation {
@@ -115,54 +101,34 @@ pub fn evaluate(report: &HealthReport, budgets: &SloBudgets) -> Vec<SloViolation
     out
 }
 
-/// Checks one recorder-derived [`SeriesPoint`] against the windowed
-/// budgets (latency p99 and cache hit rate — the two that are
-/// meaningful per sampling window). This lets a continuously ticking
-/// sampler evaluate SLOs over every recorder window instead of the
-/// one-off window a [`HealthReport`] advances, with the check
-/// [`evaluate`] runs on that one, so
-/// `dhnsw_slo_violations_total{budget=…}` aggregates across both
-/// paths. `exemplar` should be the slowest retained tail exemplar's
-/// trace id at evaluation time, if any.
+/// Checks one window — a recorder tick's [`SeriesPoint`], or any
+/// [`SeriesPoint::between`] two samples — against the two windowed
+/// budgets, in a fixed order (latency, hit rate). A window with nothing
+/// to judge skips its check rather than falling back to lifetime values,
+/// which would re-fire a stale violation on every idle tick. `exemplar`
+/// should be the slowest retained tail exemplar's trace id at
+/// evaluation time, if any.
 pub fn evaluate_point(
     point: &SeriesPoint,
     budgets: &SloBudgets,
     exemplar: Option<u64>,
 ) -> Vec<SloViolation> {
-    windowed(
-        (point.window_queries, point.p99_us),
-        (point.window_cache_ops, point.hit_rate),
-        budgets,
-        exemplar,
-    )
-}
-
-/// The two windowed checks, written once for [`evaluate`] and
-/// [`evaluate_point`]. A window with nothing to judge skips its check
-/// rather than falling back to lifetime values, which would re-fire a
-/// stale violation on every idle tick.
-fn windowed(
-    (queries, p99_us): (u64, f64),
-    (cache_ops, hit_rate): (u64, f64),
-    budgets: &SloBudgets,
-    exemplar: Option<u64>,
-) -> Vec<SloViolation> {
     let mut out = Vec::new();
     if let Some(limit) = budgets.max_p99_us {
-        if queries > 0 && p99_us > limit {
+        if point.window_queries > 0 && point.p99_us > limit {
             out.push(SloViolation {
                 budget: "p99_latency_us",
-                actual: p99_us,
+                actual: point.p99_us,
                 limit,
                 exemplar,
             });
         }
     }
     if let Some(limit) = budgets.min_cache_hit_rate {
-        if cache_ops > 0 && hit_rate < limit {
+        if point.window_cache_ops > 0 && point.hit_rate < limit {
             out.push(SloViolation {
                 budget: "cache_hit_rate",
-                actual: hit_rate,
+                actual: point.hit_rate,
                 limit,
                 exemplar,
             });
@@ -225,7 +191,6 @@ mod tests {
                 cache_hits: 9,
                 evictions: 0,
                 bytes_read: 100,
-                hotness: 1.0,
             }],
             partition_skew: skew_of(&[50, 50], 1),
             route_skew: skew_of(&[10, 0], 1),
@@ -234,16 +199,11 @@ mod tests {
                 hit_rate: 0.5,
                 hits: 1,
                 misses: 1,
-                window_hit_rate: 0.5,
-                window_hits: 1,
-                window_misses: 1,
                 ..CacheHealth::default()
             },
             latency: LatencyHealth {
                 queries: 10,
                 p99_us: 900.0,
-                window_queries: 10,
-                window_p99_us: 900.0,
                 ..LatencyHealth::default()
             },
             reliability: ReliabilityHealth {
@@ -262,16 +222,27 @@ mod tests {
     }
     use crate::health::skew::SkewStats;
 
+    /// A window of `queries` queries at `p99_us` and `cache_ops` planned
+    /// clusters at `hit_rate`.
+    fn window(queries: u64, p99_us: f64, cache_ops: u64, hit_rate: f64) -> SeriesPoint {
+        SeriesPoint {
+            window_queries: queries,
+            p99_us,
+            window_cache_ops: cache_ops,
+            hit_rate,
+            ..SeriesPoint::default()
+        }
+    }
+
     #[test]
     fn empty_budgets_never_fire() {
         let b = SloBudgets::default();
-        assert!(b.is_empty());
         assert!(evaluate(&report(), &b).is_empty());
+        assert!(evaluate_point(&window(10, 900.0, 2, 0.5), &b, Some(7)).is_empty());
     }
 
     #[test]
     fn each_budget_trips_on_its_own_dimension() {
-        let r = report();
         let b = SloBudgets {
             max_p99_us: Some(500.0),
             min_cache_hit_rate: Some(0.8),
@@ -279,56 +250,47 @@ mod tests {
             max_route_gini: Some(0.25),
             max_degraded_rate: Some(0.1),
         };
-        let v = evaluate(&r, &b);
+        // The window judges the windowed budgets, the report the state
+        // ones; neither judges the other's.
+        let w = evaluate_point(&window(10, 900.0, 2, 0.5), &b, Some(7));
+        let names: Vec<&str> = w.iter().map(|x| x.budget).collect();
+        assert_eq!(names, vec!["p99_latency_us", "cache_hit_rate"]);
+        assert_eq!(w[0].actual, 900.0);
+        assert_eq!(w[0].limit, 500.0);
+        let v = evaluate(&report(), &b);
         let names: Vec<&str> = v.iter().map(|x| x.budget).collect();
         assert_eq!(
             names,
-            vec![
-                "p99_latency_us",
-                "cache_hit_rate",
-                "overflow_occupancy",
-                "route_gini",
-                "degraded_rate"
-            ]
+            vec!["overflow_occupancy", "route_gini", "degraded_rate"]
         );
-        assert_eq!(v[0].actual, 900.0);
-        assert_eq!(v[0].limit, 500.0);
+        assert_eq!(v[0].actual, 0.9);
+        assert_eq!(v[0].limit, 0.75);
         // Every breach carries the slowest exemplar's trace id so the
         // violation can be interrogated through `/whyslow/<id>`.
-        assert!(v.iter().all(|x| x.exemplar == Some(7)));
+        assert!(w.iter().chain(&v).all(|x| x.exemplar == Some(7)));
     }
 
     #[test]
     fn empty_window_skips_latency_and_hit_rate_checks() {
-        // Lifetime aggregates are terrible (cold-start spike) but the
-        // window since the last report saw no traffic: latency and
-        // hit-rate budgets must stay quiet instead of re-firing the
-        // stale violation on every idle report.
-        let mut r = report();
-        r.latency.window_queries = 0;
-        r.latency.window_p99_us = 0.0;
-        r.cache.window_hits = 0;
-        r.cache.window_misses = 0;
-        r.cache.window_hit_rate = 0.0;
+        // Lifetime aggregates may be terrible (cold-start spike) but a
+        // window that saw no traffic has nothing to judge: latency and
+        // hit-rate budgets stay quiet instead of re-firing the stale
+        // violation on every idle tick.
         let b = SloBudgets {
             max_p99_us: Some(500.0),
             min_cache_hit_rate: Some(0.8),
             ..SloBudgets::default()
         };
-        assert!(evaluate(&r, &b).is_empty());
+        assert!(evaluate_point(&window(0, 0.0, 0, 0.0), &b, None).is_empty());
 
-        // A healthy window clears a bad lifetime aggregate outright.
-        r.latency.window_queries = 5;
-        r.latency.window_p99_us = 100.0;
-        r.cache.window_hits = 9;
-        r.cache.window_misses = 1;
-        r.cache.window_hit_rate = 0.9;
-        assert!(evaluate(&r, &b).is_empty());
+        // A healthy window passes.
+        assert!(evaluate_point(&window(5, 100.0, 10, 0.9), &b, None).is_empty());
 
-        // And a bad window trips even though only the window is bad.
-        r.latency.window_p99_us = 900.0;
-        r.cache.window_hit_rate = 0.5;
-        let names: Vec<&str> = evaluate(&r, &b).iter().map(|x| x.budget).collect();
+        // And a bad window trips.
+        let names: Vec<&str> = evaluate_point(&window(5, 900.0, 10, 0.5), &b, None)
+            .iter()
+            .map(|x| x.budget)
+            .collect();
         assert_eq!(names, vec!["p99_latency_us", "cache_hit_rate"]);
     }
 
@@ -342,6 +304,7 @@ mod tests {
             max_degraded_rate: Some(0.5),
         };
         assert!(evaluate(&report(), &b).is_empty());
+        assert!(evaluate_point(&window(10, 900.0, 2, 0.5), &b, Some(7)).is_empty());
     }
 
     #[test]

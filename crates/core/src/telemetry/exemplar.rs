@@ -34,6 +34,7 @@ use parking_lot::Mutex;
 use rdma_sim::{ReadCause, READ_CAUSES};
 
 use crate::breakdown::{BatchReport, Phase};
+use crate::telemetry::chrome::json_num;
 use crate::telemetry::span::FinishedTrace;
 use crate::telemetry::{bucket_bound, bucket_index, HIST_BUCKETS};
 
@@ -250,8 +251,8 @@ impl ExemplarStore {
                 r.trace_id,
                 r.mode,
                 r.queries,
-                num3(r.total_us),
-                num3(r.per_query_us()),
+                json_num(r.total_us),
+                json_num(r.per_query_us()),
                 cause,
                 r.degraded_queries,
                 r.read_retries,
@@ -279,7 +280,7 @@ impl ExemplarStore {
                 format!(
                     "{{\"le\": {le}, \"trace_id\": {}, \"per_query_us\": {}, \"cause\": \"{}\"}}",
                     b.trace_id,
-                    num3(b.per_query_us),
+                    json_num(b.per_query_us),
                     b.cause.map_or("none", |c| c.as_str())
                 )
             })
@@ -344,15 +345,6 @@ fn median(mut values: Vec<f64>) -> f64 {
     }
     values.sort_by(f64::total_cmp);
     values[values.len() / 2]
-}
-
-/// Formats a float with three decimals, clamping non-finite to 0.
-fn num3(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "0.000".to_string()
-    }
 }
 
 /// Diffs `rec` against the reservoir medians and ranks the verdicts.
@@ -437,16 +429,22 @@ impl Diagnosis {
         let scores: Vec<String> = VERDICTS
             .iter()
             .zip(self.scores.iter())
-            .map(|(v, s)| format!("\"{v}\": {}", num3(*s)))
+            .map(|(v, s)| format!("\"{v}\": {}", json_num(*s)))
             .collect();
         let excess_us: Vec<String> = Phase::ALL
             .iter()
             .zip(self.excess_us.iter())
-            .map(|(p, v)| format!("\"{}\": {}", p.why_slow(), num3(*v)))
+            .map(|(p, v)| format!("\"{}\": {}", p.why_slow(), json_num(*v)))
             .collect();
         let excess_bytes: Vec<String> = ReadCause::ALL
             .iter()
-            .map(|c| format!("\"{}\": {}", c.as_str(), num3(self.excess_bytes[c.index()])))
+            .map(|c| {
+                format!(
+                    "\"{}\": {}",
+                    c.as_str(),
+                    json_num(self.excess_bytes[c.index()])
+                )
+            })
             .collect();
         format!(
             "{{\n  \"trace_id\": {},\n  \"mode\": \"{}\",\n  \"queries\": {},\n  \
@@ -459,8 +457,8 @@ impl Diagnosis {
             rec.mode,
             rec.queries,
             self.verdict,
-            num3(rec.per_query_us()),
-            num3(self.baseline_per_query_us),
+            json_num(rec.per_query_us()),
+            json_num(self.baseline_per_query_us),
             rec.degraded_queries,
             rec.read_retries,
             has_spans,

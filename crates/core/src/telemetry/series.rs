@@ -10,7 +10,11 @@
 //! *windowed* latency quantiles — the saturating
 //! [`HistogramSnapshot`] subtraction gives the exact histogram of
 //! queries that landed between two ticks, so p99 here is the p99 *of
-//! that window*, not a lifetime aggregate.
+//! that window*, not a lifetime aggregate. [`SeriesPoint::between`] is
+//! the plane's one window function: a tick is that call on the previous
+//! and the new sample, and `dhnsw_cli doctor` makes it on two samples
+//! bracketing its measured passes without ticking the recorder. The
+//! health report cuts no window of its own.
 //!
 //! **Determinism contract.** Sampling is driven by an explicit
 //! [`SeriesRecorder::tick`] carrying the caller's timestamp; this
@@ -152,8 +156,9 @@ pub struct Sample {
     pub latency: HistogramSnapshot,
 }
 
-/// Rates and windowed quantiles derived from two consecutive samples.
-#[derive(Debug, Clone, Copy)]
+/// Rates and windowed quantiles of what happened between two samples
+/// ([`SeriesPoint::between`]).
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SeriesPoint {
     /// Timestamp of the newer sample, microseconds.
     pub t_us: u64,
@@ -185,6 +190,38 @@ pub struct SeriesPoint {
 }
 
 impl SeriesPoint {
+    /// The window between two samples of one node's instruments — the
+    /// only window the plane cuts: a recorder tick's point, the serving
+    /// sampler's SLO window and `doctor`'s bracket around its measured
+    /// passes. Rates divide by `cur.t_us - prev.t_us`; quantiles come
+    /// from the saturating histogram difference, and the hit rate is
+    /// plan-time (`0` when the window planned no cluster).
+    pub fn between(prev: &Sample, cur: &Sample) -> SeriesPoint {
+        let dt_us = cur.t_us.saturating_sub(prev.t_us);
+        let secs = dt_us as f64 / 1e6;
+        let latency = cur.latency - prev.latency;
+        let queries = cur.queries.saturating_sub(prev.queries);
+        let hits = cur.cache_hits.saturating_sub(prev.cache_hits);
+        let cache_ops = hits + cur.cache_misses.saturating_sub(prev.cache_misses);
+        SeriesPoint {
+            t_us: cur.t_us,
+            dt_us,
+            window_queries: queries,
+            qps: queries as f64 / secs,
+            p50_us: latency.quantile(0.50),
+            p95_us: latency.quantile(0.95),
+            p99_us: latency.quantile(0.99),
+            bytes_per_s: cur.bytes_read.saturating_sub(prev.bytes_read) as f64 / secs,
+            cause_bytes_per_s: std::array::from_fn(|i| {
+                cur.cause_bytes[i].saturating_sub(prev.cause_bytes[i]) as f64 / secs
+            }),
+            retries_per_s: cur.read_retries.saturating_sub(prev.read_retries) as f64 / secs,
+            evictions_per_s: cur.evictions.saturating_sub(prev.evictions) as f64 / secs,
+            hit_rate: hits as f64 / cache_ops.max(1) as f64,
+            window_cache_ops: cache_ops,
+        }
+    }
+
     /// Value of tracked series `idx` (index into [`TRACKED_SERIES`]).
     pub fn tracked_value(&self, idx: usize) -> f64 {
         match idx {
@@ -327,63 +364,6 @@ impl Detector {
     }
 }
 
-/// What happened between two samples, counted once for both documents
-/// that report a window: a `/timeseries` point ([`derive`]) and
-/// `/health` ([`crate::ComputeNode::health_report`]).
-pub(crate) struct Window {
-    pub(crate) queries: u64,
-    pub(crate) p50_us: f64,
-    pub(crate) p95_us: f64,
-    pub(crate) p99_us: f64,
-    pub(crate) hits: u64,
-    pub(crate) misses: u64,
-    /// `hits / (hits + misses)`, `0` when the window planned no cluster.
-    pub(crate) hit_rate: f64,
-}
-
-impl Window {
-    pub(crate) fn between(prev: &Sample, cur: &Sample) -> Window {
-        let latency = cur.latency - prev.latency;
-        let hits = cur.cache_hits.saturating_sub(prev.cache_hits);
-        let misses = cur.cache_misses.saturating_sub(prev.cache_misses);
-        Window {
-            queries: cur.queries.saturating_sub(prev.queries),
-            p50_us: latency.quantile(0.50),
-            p95_us: latency.quantile(0.95),
-            p99_us: latency.quantile(0.99),
-            hits,
-            misses,
-            hit_rate: hits as f64 / (hits + misses).max(1) as f64,
-        }
-    }
-}
-
-/// Derives a point from two consecutive samples (`cur.t_us` strictly
-/// after `prev.t_us`).
-fn derive(prev: &Sample, cur: &Sample) -> SeriesPoint {
-    let dt_us = cur.t_us.saturating_sub(prev.t_us);
-    let secs = dt_us as f64 / 1e6;
-    let w = Window::between(prev, cur);
-    let dbytes = cur.bytes_read.saturating_sub(prev.bytes_read);
-    SeriesPoint {
-        t_us: cur.t_us,
-        dt_us,
-        window_queries: w.queries,
-        qps: w.queries as f64 / secs,
-        p50_us: w.p50_us,
-        p95_us: w.p95_us,
-        p99_us: w.p99_us,
-        bytes_per_s: dbytes as f64 / secs,
-        cause_bytes_per_s: std::array::from_fn(|i| {
-            cur.cause_bytes[i].saturating_sub(prev.cause_bytes[i]) as f64 / secs
-        }),
-        retries_per_s: cur.read_retries.saturating_sub(prev.read_retries) as f64 / secs,
-        evictions_per_s: cur.evictions.saturating_sub(prev.evictions) as f64 / secs,
-        hit_rate: w.hit_rate,
-        window_cache_ops: w.hits + w.misses,
-    }
-}
-
 #[derive(Debug, Default)]
 struct Inner {
     last: Option<Sample>,
@@ -408,7 +388,7 @@ impl SeriesRecorder {
     }
 
     /// Takes `cur`, a sample of a node's query-path instruments
-    /// ([`crate::ComputeNode::sample_series`]), and, from the second tick
+    /// ([`crate::ComputeNode::sample`]), and, from the second tick
     /// on, derives and retains a [`SeriesPoint`], feeding the anomaly
     /// detectors; `telemetry` is the hub an anomaly is published to.
     ///
@@ -425,7 +405,7 @@ impl SeriesRecorder {
             inner.last = Some(cur);
             return None;
         }
-        let point = derive(&prev, &cur);
+        let point = SeriesPoint::between(&prev, &cur);
         inner.last = Some(cur);
         let mut new_records = Vec::new();
         // Idle windows are not scored: an idle gap must neither look

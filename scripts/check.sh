@@ -253,17 +253,21 @@ fi
 # writes and atomics replaced it), the API nothing outside tests called
 # (the graph report, the flat-buffer and bvecs / ivecs-writer conversions,
 # the region count, the filtered search, the ivecs reader), the series
-# recorder's second resolution of a node's instruments, the environment
+# recorder's second resolution of a node's instruments (and the health
+# report's window cursor, its window fields and `series::Window`: a window
+# is a series point), the environment
 # channels beside a builder or a flag (the tracer switches, the SLO
 # budgets' variables), the anomaly detector's one-value tuning struct, the
 # store's second partition classifier, and the micro-batch pipeline and
 # heatmap prefetcher with their knobs, setters, metric family, series
 # ratio, sweep and read cause, the bench crate's JSON parser with the
 # dashboard's parsed-back snapshot (the node renders `top` from its typed
-# records), and the two HNSW selection knobs that had one value each stay
-# gone (four roots, so the guard does not match itself).
+# records), the two HNSW selection knobs that had one value each, the
+# heatmap's EWMA hotness that only the prefetcher ranked by, and the
+# `dhnsw_cli metrics` subcommand beside `query --metrics-out` stay gone
+# (four roots, so the guard does not match itself).
 echo "==> no deleted duplicate is back"
-if grep -rnE 'QueryTrace|TailRecord|TraceRing|ShardedStore|ShardedSession|LoadBalancer|DispatchPolicy|bench_regress|BENCH_baseline|DHNSW_BENCH_1M|poll_cq|ring_doorbell|BruteForceIndex|clustering_tendency|verdict_index|set_milli|take_flush_delta|dhnsw_health_|dhnsw_heat_|dhnsw_tail_|dhnsw_cache_hits_total|dhnsw_cache_misses_total|WindowState|TraceSpec|service_stats|\bexecute_reads\b|\bexecute_writes\b|emit_plain|emit_verb|write_doorbell|graph_report|GraphReport|into_flat|read_bvecs|write_ivecs|region_count|window_handles|tick_series|tracer_env|from_env|AnomalyConfig|classify_all|search_filtered|read_ivecs|prefetch_hot|set_pipeline_depth|with_pipeline_depth|set_prefetch_budget_bytes|with_prefetch_budget_bytes|stage_loads|PIPELINE_HIDDEN_US|hidden_ratio|pipeline_sweep|ReadCause::Prefetch|JsonParser|parse_snapshot|TopSnapshot|extend_candidates|keep_pruned' \
+if grep -rnE 'QueryTrace|TailRecord|TraceRing|ShardedStore|ShardedSession|LoadBalancer|DispatchPolicy|bench_regress|BENCH_baseline|DHNSW_BENCH_1M|poll_cq|ring_doorbell|BruteForceIndex|clustering_tendency|verdict_index|set_milli|take_flush_delta|dhnsw_health_|dhnsw_heat_|dhnsw_tail_|dhnsw_cache_hits_total|dhnsw_cache_misses_total|WindowState|TraceSpec|service_stats|\bexecute_reads\b|\bexecute_writes\b|emit_plain|emit_verb|write_doorbell|graph_report|GraphReport|into_flat|read_bvecs|write_ivecs|region_count|window_handles|tick_series|tracer_env|from_env|AnomalyConfig|classify_all|search_filtered|read_ivecs|prefetch_hot|set_pipeline_depth|with_pipeline_depth|set_prefetch_budget_bytes|with_prefetch_budget_bytes|stage_loads|PIPELINE_HIDDEN_US|hidden_ratio|pipeline_sweep|ReadCause::Prefetch|JsonParser|parse_snapshot|TopSnapshot|extend_candidates|keep_pruned|window_start|Window::between|window_p99_us|window_hit_rate|begin_batch|DECAY_PER_BATCH|hotness|cmd_metrics' \
   crates src tests examples || [[ -e scripts/bench.sh ]]; then
   echo "check.sh: a deleted duplicate is back (the lines above, or scripts/bench.sh)" >&2
   exit 1
@@ -335,8 +339,9 @@ DHNSW_QUANTIZE_MODE=sq8 DHNSW_ABLATION_N=4000 DHNSW_ABLATION_Q=100 \
 # Serving-plane smoke gate: build a tiny store, serve it on an
 # ephemeral port, scrape the live endpoints over bash's /dev/tcp (no
 # curl dependency in CI), and shut the server down gracefully. Gates
-# that /metrics carries the per-cause byte provenance and /health the
-# windowed SLO fields end to end.
+# that /metrics carries the per-cause byte provenance end to end and that
+# /health is read-only: the sampler ticking between two scrapes changes
+# not a byte of it.
 echo "==> dhnsw_cli serve (metrics serving-plane smoke gate)"
 SMOKE_DIR="$TMP_ROOT/serve"
 mkdir "$SMOKE_DIR"
@@ -364,7 +369,6 @@ body() { scrape "$1" | sed '1,/^\r$/d'; }
 scrape /metrics > "$SMOKE_DIR/metrics.prom"
 grep -q '^# TYPE dhnsw_rdma_read_bytes_by_cause_total counter' "$SMOKE_DIR/metrics.prom"
 grep -q '^dhnsw_rdma_read_bytes_by_cause_total{cause="stage_load"} [1-9]' "$SMOKE_DIR/metrics.prom"
-scrape /health | grep -q '"window_p99_us"'
 scrape /explain/last | grep -q 'stage_load'
 # Tail-anatomy plane: the folded profile must carry at least one batch
 # root frame and the exemplar store must report its occupancy.
@@ -381,9 +385,14 @@ body "/whyslow/$ID" | jq -e --argjson id "$ID" '.trace_id == $id and (.verdict |
 # Time-series plane: every response is marked no-store, the ring serves
 # (window, step)-thinned points, the anomaly log answers, and the live
 # `top` dashboard renders a frame against the node. Give the background
-# sampler a bit over two ticks so at least one derived window exists.
+# sampler a bit over two ticks so at least one derived window exists; no
+# batch runs meanwhile, so /health must read the same on either side.
 scrape /metrics | grep -q 'Cache-Control: no-store'
+body /health > "$SMOKE_DIR/health.before"
 sleep 2.5
+body /health > "$SMOKE_DIR/health.after"
+cmp "$SMOKE_DIR/health.before" "$SMOKE_DIR/health.after" ||
+  { echo "check.sh: two /health scrapes with no batch between differ" >&2; exit 1; }
 scrape '/timeseries?window=60&step=1' | grep -q '"points"'
 # A parameter the recorder cannot use -- zero, negative, not a number --
 # is a client error, not an empty result or the whole ring.
@@ -404,4 +413,20 @@ cmp -s "$SMOKE_DIR/top.out" "$SMOKE_DIR/top.before" ||
 scrape /shutdown > /dev/null
 wait "$SERVE_PID"
 
-echo "OK: build, tests, clippy, clean clone, benchmark smoke, scale, fault, and serve smoke gates all green."
+# Doctor smoke gate: the SLO window is the measured passes alone. One
+# query over 32 partitions with a cache of 4 clusters (the fanout) misses
+# only in its warm-up pass, so a 0.99 hit-rate budget must hold; judged
+# over the warm-up too it would read 0.666667 and exit non-zero.
+echo "==> dhnsw_cli doctor (the SLO window excludes the warm-up)"
+DOCTOR_DIR="$TMP_ROOT/doctor"
+mkdir "$DOCTOR_DIR"
+target/release/dhnsw_cli build --synthetic sift:4000 \
+  --out "$DOCTOR_DIR/store.dhnsw" 2>/dev/null
+# One 128-dimensional all-zero query: the fvecs dimension word, then the
+# vector's 512 bytes.
+{ printf '\x80\x00\x00\x00'; head -c 512 /dev/zero; } > "$DOCTOR_DIR/one.fvecs"
+target/release/dhnsw_cli doctor --store "$DOCTOR_DIR/store.dhnsw" \
+  --queries "$DOCTOR_DIR/one.fvecs" --warmup-passes 1 --passes 2 \
+  --check --slo-min-hit-rate 0.99 > /dev/null
+
+echo "OK: build, tests, clippy, clean clone, benchmark smoke, scale, fault, serve and doctor smoke gates all green."

@@ -156,12 +156,24 @@
 # (`extend_candidates` off, `keep_pruned` on: two fields, their builders
 # and getters, the extension branch, the backfill condition and the
 # selection's graph, layer and query arguments).
+# One window lowered crates/core/src's to 9 924, the plane's to 4 073 and
+# crates/bench's to 2 508 (hnsw, vecsim, rdma-sim and cluster.rs
+# unchanged). What went: the health report's window cursor on the node
+# (`window_start`) and its seven `window_*` fields, `series::Window` and
+# `derive` (one public `SeriesPoint::between` now), the watchdog's shared
+# `windowed` helper and `SloBudgets::is_empty`, the heatmap's EWMA hotness
+# (its decay constants, two per-cell stamps, the batch clock and
+# `begin_batch`), exemplar.rs's copy of `chrome::json_num`,
+# `DHnswConfig::with_meta_params` with the two checks only it could trip,
+# the `dhnsw_cli metrics` subcommand and its `--format` flag, and the
+# second copy of the probe workload. What came: `ComputeNode::sample`
+# and `doctor`'s two-sample bracket.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-MAX_TOTAL=10079
-MAX_PLANE=4214
-MAX_BENCH=2548
+MAX_TOTAL=9924
+MAX_PLANE=4073
+MAX_BENCH=2508
 MAX_HNSW=1574
 MAX_VECSIM=1839
 MAX_RDMA=1754

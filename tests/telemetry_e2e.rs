@@ -5,7 +5,8 @@
 use std::sync::Arc;
 
 use dhnsw_repro::dhnsw::{
-    evaluate_slo, evaluate_slo_point, DHnswConfig, SearchMode, SloBudgets, Telemetry, VectorStore,
+    evaluate_slo, evaluate_slo_point, DHnswConfig, SearchMode, SeriesPoint, SloBudgets, Telemetry,
+    VectorStore,
 };
 use dhnsw_repro::rdma_sim::NetworkModel;
 use dhnsw_repro::vecsim::{gen, Dataset};
@@ -159,7 +160,7 @@ fn mutation_counters_track_insert_and_delete() {
 }
 
 #[test]
-fn health_and_timeseries_cut_one_window_with_one_hit_rate() {
+fn a_recorder_tick_is_the_window_between_its_two_samples() {
     // A tenth of the clusters fit: most of what three batches plan is
     // fetched, so the plan-time hit rate is far below 0.5.
     let data = gen::sift_like(1_500, 21).unwrap();
@@ -170,34 +171,40 @@ fn health_and_timeseries_cut_one_window_with_one_hit_rate() {
         .connect_with_telemetry(SearchMode::Full, Arc::clone(&telemetry))
         .unwrap();
 
-    // Both windows start here.
+    let before = node.sample(0);
     assert!(
-        node.sample_series(0).is_none(),
+        telemetry.series().tick(&telemetry, before).is_none(),
         "the first tick is a baseline"
     );
-    node.health_report().unwrap();
     for seed in 0..3 {
         let queries = gen::perturbed_queries(&data, 16, 0.02, 22 + seed).unwrap();
         node.query_batch(&queries, 10, 32).unwrap();
     }
-    let point = node
-        .sample_series(1_000_000)
+    let after = node.sample(1_000_000);
+    let point = telemetry
+        .series()
+        .tick(&telemetry, after)
         .expect("the second tick derives a point");
-    let report = node.health_report().unwrap();
 
-    // `/timeseries` and `/health` read one window, one hit rate.
+    // `/timeseries`, `serve`'s sampler and `doctor`'s bracket read one
+    // window, one hit rate.
+    assert_eq!(
+        point.to_json(),
+        SeriesPoint::between(&before, &after).to_json()
+    );
     assert_eq!(point.window_queries, 48);
-    assert_eq!(point.window_queries, report.latency.window_queries);
-    assert_eq!(point.p99_us, report.latency.window_p99_us);
-    assert_eq!(point.hit_rate, report.cache.window_hit_rate);
     assert!(point.hit_rate < 0.5, "hit rate {}", point.hit_rate);
 
-    // So a hit-rate budget fires through `doctor` and `serve` alike.
+    // So a hit-rate budget fires on the window, and only there: the
+    // report judges state, not windows.
     let budgets = SloBudgets {
         min_cache_hit_rate: Some(0.5),
         ..SloBudgets::default()
     };
+    let report = node.health_report().unwrap();
     let exemplar = report.tail.slowest_trace_id;
-    assert_eq!(evaluate_slo(&report, &budgets).len(), 1);
-    assert_eq!(evaluate_slo_point(&point, &budgets, exemplar).len(), 1);
+    assert!(evaluate_slo(&report, &budgets).is_empty());
+    let fired = evaluate_slo_point(&point, &budgets, exemplar);
+    assert_eq!(fired.len(), 1);
+    assert_eq!(fired[0].budget, "cache_hit_rate");
 }
