@@ -38,8 +38,8 @@
 //! accept `--metrics-out <base>` to write the process-wide telemetry
 //! registry to `<base>.prom` (Prometheus text format) and `<base>.json`.
 //!
-//! Workload subcommands accept `--trace-spans` and `--slow-query-us <n>`
-//! (a nonzero budget turns capture on); without them no span is captured.
+//! Only `serve` captures span trees: it is the one subcommand that
+//! renders them (`/traces`, `/profile/folded`).
 //!
 //! Reliability knobs: `--fault-rate <p>` (with `--fault-seed <s>`) arms
 //! seeded substrate fault injection on the session's queue pair;
@@ -100,7 +100,7 @@ fn run(args: &[String]) -> AnyResult<()> {
 /// Every flag some subcommand reads, and whether it takes a value: the
 /// one list [`parse_flags`] accepts, each spelled in [`print_usage`]'s
 /// text.
-const FLAGS: [(&str, bool); 36] = [
+const FLAGS: [(&str, bool); 34] = [
     ("check", false),
     ("degraded-ok", false),
     ("ef", true),
@@ -130,10 +130,8 @@ const FLAGS: [(&str, bool); 36] = [
     ("slo-max-route-gini", true),
     ("slo-min-hit-rate", true),
     ("slo-p99-us", true),
-    ("slow-query-us", true),
     ("store", true),
     ("synthetic", true),
-    ("trace-spans", false),
     ("url", true),
     ("warmup-passes", true),
     ("why-slow", false),
@@ -156,12 +154,12 @@ const USAGE: &str = "usage: dhnsw_cli <build|info|query|insert|doctor|serve|top>
          doctor:  --store <snapshot> [--queries <fvecs>] [--passes N] [--warmup-passes N] [--out <path>] [--check] [--why-slow]\n\
                   [--slo-p99-us X] [--slo-min-hit-rate X] [--slo-max-overflow X] [--slo-max-route-gini X]\n\
                   [--slo-max-degraded-rate X]\n\
-         all workload commands: [--quantize off|sq8] [--rerank-k N] [--trace-spans] [--slow-query-us N]\n\
+         all workload commands: [--quantize off|sq8] [--rerank-k N]\n\
                   [--fault-rate P] [--fault-seed S] [--retrans-budget N] [--read-retry-limit N] [--degraded-ok]";
 
 /// Parses the flags after the subcommand: `--key value` for a valued
 /// flag of [`FLAGS`], a bare `--key` (stored as `"1"`) for a boolean one
-/// — e.g. `--check`, `--trace-spans`. Any other flag, a valued flag
+/// — e.g. `--check`, `--degraded-ok`. Any other flag, a valued flag
 /// without its value, and a word where a flag belongs are errors.
 fn parse_flags(args: &[String]) -> AnyResult<HashMap<String, String>> {
     let mut flags = HashMap::new();
@@ -198,18 +196,6 @@ fn flag_f64_opt(flags: &HashMap<String, String>, key: &str) -> AnyResult<Option<
         None => Ok(None),
         Some(v) => Ok(Some(v.parse()?)),
     }
-}
-
-/// Applies `--slow-query-us` / `--trace-spans` to the span tracer. A
-/// nonzero slow-query budget turns capture on: it judges span trees.
-fn apply_trace_flags(flags: &HashMap<String, String>, telemetry: &Telemetry) -> AnyResult<()> {
-    if let Some(v) = flags.get("slow-query-us") {
-        telemetry.spans().set_slow_threshold_us(v.parse()?);
-    }
-    if flags.contains_key("trace-spans") || telemetry.spans().slow_threshold_us() > 0 {
-        telemetry.spans().set_enabled(true);
-    }
-    Ok(())
 }
 
 /// Arms seeded substrate fault injection on a connected node's queue
@@ -410,7 +396,6 @@ fn cmd_query(flags: &HashMap<String, String>) -> AnyResult<()> {
     let ef = flag_usize(flags, "ef", 48)?;
 
     let node = store.connect(SearchMode::Full)?;
-    apply_trace_flags(flags, &Telemetry::global())?;
     apply_fault_flags(flags, &node)?;
     let (results, report) = node.query_batch(&queries, k, ef)?;
     for (i, hits) in results.iter().enumerate() {
@@ -458,7 +443,6 @@ fn cmd_insert(flags: &HashMap<String, String>) -> AnyResult<()> {
     let batch = data.select(&take);
 
     let node = store.connect(SearchMode::Full)?;
-    apply_trace_flags(flags, &Telemetry::global())?;
     apply_fault_flags(flags, &node)?;
     let results = node.insert_batch(&batch)?;
     let ok = results.iter().filter(|r| r.is_ok()).count();
@@ -507,16 +491,15 @@ fn budgets_from(flags: &HashMap<String, String>) -> AnyResult<SloBudgets> {
 /// budgets: p99 latency and cache hit rate over the window of the
 /// measured passes, the state budgets over the report, in that order.
 /// With `--check`, any violated budget makes the process exit non-zero;
-/// violations are also published to telemetry as counters and
-/// structured span-trace warning events. With
+/// violations are also published to telemetry as counters. With
 /// `--why-slow`, the probe's slowest retained batch is diffed against
 /// the reservoir baseline and the ranked diagnosis (retry-storm,
 /// cache-cold, network-bound, …) prints as JSON on stdout after the
 /// report.
 ///
 /// The first `--warmup-passes` passes (default 1) run before fault
-/// injection is armed and are discarded from the SLO window, the
-/// tail-exemplar store and the profile: doctor diagnoses steady-state
+/// injection is armed and are discarded from the SLO window and the
+/// tail-exemplar store: doctor diagnoses steady-state
 /// behavior, and the one-off cold batch (cache fill + first
 /// materialization) would otherwise sit at the top of the K-slowest set
 /// forever and fail a hit-rate budget with its misses, masking the tail
@@ -529,9 +512,6 @@ fn cmd_doctor(flags: &HashMap<String, String>) -> AnyResult<()> {
 
     let telemetry = Telemetry::global();
     let node = store.connect(SearchMode::Full)?;
-    apply_trace_flags(flags, &telemetry)?;
-    // The watchdog reports through the span ring; doctor always listens.
-    telemetry.spans().set_enabled(true);
 
     let probes = probe_queries(flags, &store)?;
     let warmup = flag_usize(flags, "warmup-passes", 1)?;
@@ -542,7 +522,6 @@ fn cmd_doctor(flags: &HashMap<String, String>) -> AnyResult<()> {
         // Drop the cold-start batches from the tail plane so the
         // measured passes below define both exemplars and baseline.
         telemetry.exemplars().clear();
-        telemetry.profile().clear();
     }
     // Faults arm only for the measured passes: the warm-up must fill
     // the cache deterministically, not fight the injected drops.
@@ -617,9 +596,10 @@ fn cmd_doctor(flags: &HashMap<String, String>) -> AnyResult<()> {
 /// (Prometheus text exposition), `/health` (a fresh [`dhnsw::HealthReport`]
 /// probed from the node per request), `/traces` (chrome-trace JSON of
 /// the recent span ring), `/explain/last` (the read-cost ledger of the
-/// last query batch), `/profile/folded` (the always-on collapsed-stack
-/// profile), `/exemplars` (the tail exemplar store), `/whyslow/<id>`
-/// (ranked diagnosis of a retained exemplar), `/timeseries` (the
+/// last query batch), `/profile/folded` (the collapsed-stack profile of
+/// every captured span tree), `/exemplars` (the tail exemplar store),
+/// `/whyslow/<id>` (ranked diagnosis of a retained exemplar; every id
+/// `/exemplars` lists resolves), `/timeseries` (the
 /// recorder's derived per-window points), `/anomalies` (online-detector
 /// records), `/top` (the dashboard frame rendered from the recorder's
 /// records, headed by the URL printed below) and `/shutdown` (graceful
@@ -645,9 +625,9 @@ fn cmd_serve(flags: &HashMap<String, String>) -> AnyResult<()> {
     let ef = flag_usize(flags, "ef", 48)?;
 
     let telemetry = Telemetry::global();
+    // The one subcommand that renders span trees captures them.
     telemetry.spans().set_enabled(true);
     let node = Arc::new(store.connect(SearchMode::Full)?);
-    apply_trace_flags(flags, &telemetry)?;
     apply_fault_flags(flags, &node)?;
 
     let probes = probe_queries(flags, &store)?;
@@ -815,9 +795,9 @@ mod tests {
         assert_eq!(f.get("slo-min-hit-rate").unwrap(), "2.0");
         // Trailing boolean flag, and a bare word where a flag belongs.
         assert_eq!(
-            parse_flags(&s(&["--trace-spans"]))
+            parse_flags(&s(&["--degraded-ok"]))
                 .unwrap()
-                .get("trace-spans")
+                .get("degraded-ok")
                 .unwrap(),
             "1"
         );
@@ -830,6 +810,9 @@ mod tests {
         assert!(parse_flags(&s(&["--store", "x", "--no-such-flag"])).is_err());
         // `--format` went with the `metrics` subcommand, its one reader.
         assert!(parse_flags(&s(&["--format", "prom"])).is_err());
+        // Span capture is `serve`'s alone: neither tracing flag exists.
+        assert!(parse_flags(&s(&["--trace-spans"])).is_err());
+        assert!(parse_flags(&s(&["--slow-query-us", "1"])).is_err());
         // A second positional argument, after a boolean flag or not.
         assert!(parse_flags(&s(&["--check", "extra"])).is_err());
         assert!(run(&s(&["info", "extra"])).is_err());
@@ -890,16 +873,6 @@ mod tests {
         assert!(report.contains("\"cache_hit_rate\""));
         assert!(report.contains("\"heatmap\""));
         assert!(report.contains("\"occupancy\""));
-
-        // ...and the watchdog left a structured warning in the span ring.
-        let traces = Telemetry::global().spans().recent();
-        assert!(
-            traces
-                .iter()
-                .any(|t| t.label == "watchdog"
-                    && t.spans.iter().any(|sp| sp.name == "slo_violation")),
-            "no watchdog trace found"
-        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

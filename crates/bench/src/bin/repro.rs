@@ -22,9 +22,7 @@
 //! telemetry registry (every query the run issued) to `<base>.prom`
 //! (Prometheus text format 0.0.4) and `<base>.json` after the run.
 //!
-//! `--trace-spans` turns on span capture and `--slow-query-us <n>` arms
-//! the slow-query log (a nonzero budget turns capture on); without them
-//! the run captures no spans.
+//! `repro` captures no span tree: nothing it prints renders one.
 //!
 //! Any other flag, or a second subcommand, is a usage error (exit 2):
 //! a mistyped flag must not run the default.
@@ -59,14 +57,12 @@ fn main() -> ExitCode {
 struct Args {
     cmd: Option<String>,
     metrics_out: Option<String>,
-    slow_query_us: Option<u64>,
-    trace_spans: bool,
 }
 
 fn print_usage() {
     eprintln!(
         "usage: repro [fig6a|fig6b|fig6c|fig6d|table1|table2|metasize|ablations|faults|scale|\
-         subsearch|all] [--metrics-out <base>] [--trace-spans] [--slow-query-us N]"
+         subsearch|all] [--metrics-out <base>]"
     );
 }
 
@@ -79,8 +75,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> AnyResult<Args> {
         let mut value = || args.next().ok_or_else(|| format!("{arg} needs a value"));
         match arg.as_str() {
             "--metrics-out" => out.metrics_out = Some(value()?),
-            "--slow-query-us" => out.slow_query_us = Some(value()?.parse()?),
-            "--trace-spans" => out.trace_spans = true,
             flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}").into()),
             _ if out.cmd.is_some() => return Err(format!("a second subcommand {arg}").into()),
             _ => out.cmd = Some(arg),
@@ -96,13 +90,6 @@ fn run() -> AnyResult {
         print_usage();
         std::process::exit(2);
     });
-    let spans = telemetry.spans();
-    if let Some(us) = args.slow_query_us {
-        spans.set_slow_threshold_us(us);
-    }
-    if args.trace_spans || args.slow_query_us.is_some_and(|us| us > 0) {
-        spans.set_enabled(true);
-    }
     // A time taken at one kernel width is not comparable with one at another.
     println!("kernel: {}", vecsim::simd::active());
     run_cmd(args.cmd.as_deref().unwrap_or("all"))?;
@@ -716,20 +703,21 @@ mod tests {
 
     #[test]
     fn a_flag_no_subcommand_reads_and_a_second_subcommand_are_refused() {
-        let args = parse(&["--trace-spans", "table1", "--metrics-out", "run"]).unwrap();
+        let args = parse(&["table1", "--metrics-out", "run"]).unwrap();
         assert_eq!(
             args,
             Args {
                 cmd: Some("table1".into()),
                 metrics_out: Some("run".into()),
-                slow_query_us: None,
-                trace_spans: true,
             }
         );
         assert_eq!(parse(&[]).unwrap(), Args::default());
         assert!(parse(&["--no-such-flag"]).is_err());
         assert!(parse(&["--no-such-flag", "2", "table1"]).is_err());
         assert!(parse(&["table1", "fig6a"]).is_err());
-        assert!(parse(&["--slow-query-us"]).is_err());
+        // Span capture is `dhnsw_cli serve`'s alone: neither tracing
+        // flag exists.
+        assert!(parse(&["--trace-spans", "table1"]).is_err());
+        assert!(parse(&["--slow-query-us", "1", "table1"]).is_err());
     }
 }

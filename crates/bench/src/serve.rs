@@ -8,11 +8,11 @@
 //! |---|---|
 //! | `GET /metrics` | Prometheus text exposition 0.0.4 |
 //! | `GET /health` | `HealthReport` JSON (probes the live node) |
-//! | `GET /traces` | chrome://tracing JSON of the recent span ring |
+//! | `GET /traces` | chrome://tracing JSON of the span ring, the one home of span trees |
 //! | `GET /explain/last` | read-cost ledger of the last query batch |
-//! | `GET /profile/folded` | collapsed-stack profile (flamegraph.pl / inferno / speedscope) |
-//! | `GET /exemplars` | tail exemplar store JSON (reservoir, K-slowest, bucket exemplars) |
-//! | `GET /whyslow/<trace-id>` | ranked why-slow diagnosis for a retained exemplar |
+//! | `GET /profile/folded` | collapsed-stack profile of the captured span trees (flamegraph.pl / inferno / speedscope) |
+//! | `GET /exemplars` | tail exemplar store JSON (K-slowest, reservoir; records only) |
+//! | `GET /whyslow/<trace-id>` | ranked why-slow diagnosis of any id `/exemplars` lists |
 //! | `GET /timeseries?window=<s>&step=<n>` | series-recorder history JSON (rates + windowed quantiles) |
 //! | `GET /anomalies` | anomaly records fired by the series recorder |
 //! | `GET /top` | the `top` dashboard frame (text), rendered from the series recorder |

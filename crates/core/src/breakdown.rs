@@ -5,11 +5,9 @@
 //! assigns each field once and returns it to the caller, and every
 //! telemetry view is derived from that one value rather than keeping its
 //! own copy: the engine's counters, the root span's arguments
-//! ([`BatchReport::span_args`]), the latency histogram's sample and the
-//! bucket an exemplar is filed under
+//! ([`BatchReport::span_args`]), the latency histogram's sample
 //! ([`BatchReport::latency_sample_us`]), the exemplar store's ranking and
-//! why-slow baseline, the slow-query log's threshold and header, the
-//! folded profile's phases, `crates/bench`'s per-batch percentiles.
+//! why-slow baseline, `crates/bench`'s per-batch percentiles.
 //!
 //! Counts, bytes, trips and the ledger are exact: one `StatsSnapshot`
 //! bracket around the batch's reads. `breakdown.network_us` is
@@ -267,8 +265,8 @@ const CAUSE_BYTE_KEYS: [&str; READ_CAUSES] = [
 pub struct BatchReport {
     /// Trace id: the span tracer's batch sequence number on the node's
     /// telemetry hub, assigned whether or not spans are captured. The
-    /// exemplar store, `/whyslow/<id>` and the slow-query log name the
-    /// batch by it.
+    /// exemplar store, `/whyslow/<id>` and the span ring name the batch
+    /// by it.
     pub trace_id: u64,
     /// Search-mode label of the node (`full`, `no_doorbell`, `naive`).
     pub mode: &'static str,
@@ -289,8 +287,8 @@ pub struct BatchReport {
     /// simulated NIC, so wall time alone would leave out the one
     /// component this system is about. At least `breakdown.total_us()`;
     /// the rest is host time outside the four phases (planning, merge,
-    /// cache settling). This is the number the latency histogram samples,
-    /// the exemplar store ranks by and the slow-query threshold judges.
+    /// cache settling). This is the number the latency histogram samples
+    /// and the exemplar store ranks by.
     pub total_us: f64,
     /// Network round trips issued.
     pub round_trips: u64,
@@ -329,14 +327,13 @@ impl BatchReport {
     }
 
     /// The integer sample the latency histogram observes for each query
-    /// of this batch. Bucket exemplars are filed under `bucket_index` of
-    /// exactly this value, so every populated bucket carries one.
+    /// of this batch.
     pub fn latency_sample_us(&self) -> u64 {
         self.per_query_us() as u64
     }
 
     /// The batch's root-span arguments: its parameters, one
-    /// `bytes_<cause>` per cause that moved bytes (the slow-query log's
+    /// `bytes_<cause>` per cause that moved bytes (a captured trace's
     /// explain data; idle causes are left out to keep spans small), then
     /// the counts and the four phases.
     pub fn span_args(&self) -> Vec<(&'static str, ArgValue)> {

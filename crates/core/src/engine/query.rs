@@ -155,23 +155,17 @@ impl ComputeNode {
         };
         report.total_us = trace.end_span(root) + report.breakdown.network_us;
 
-        // Report: every view below is derived from the one record. The
-        // profile folds at span resolution when tracing is live, phase
-        // resolution otherwise; the exemplar store retains the full span
-        // tree only while the batch ranks in the K-slowest set.
+        // Report: every view below is derived from the one record. A
+        // captured span tree stays in the span ring and folds into the
+        // profile; the exemplar store keeps the record.
         if trace.is_enabled() {
             trace.add_args(root, &report.span_args());
         }
-        let finished = self.telemetry.spans().finish_trace(trace, Some(&report));
-        self.metrics.observe(&report);
-        match &finished {
-            Some(ft) => self.telemetry.profile().fold_trace(ft),
-            None => self
-                .telemetry
-                .profile()
-                .fold_phases(&report.breakdown, report.total_us),
+        if let Some(ft) = self.telemetry.spans().finish(trace) {
+            self.telemetry.profile().fold_trace(&ft);
         }
-        self.telemetry.exemplars().record(&report, finished);
+        self.metrics.observe(&report);
+        self.telemetry.exemplars().record(&report);
         self.flush_telemetry();
         Ok((results, report))
     }

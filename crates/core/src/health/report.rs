@@ -128,7 +128,8 @@ pub struct TailHealth {
     pub exemplars_recorded: u64,
     /// Exemplars evicted or not retained by the bounded store.
     pub exemplars_dropped: u64,
-    /// Distinct span paths in the always-on folded profile.
+    /// Distinct span paths in the folded profile (0 while span capture
+    /// is off: it folds span trees only).
     pub profile_paths: u64,
     /// Trace id of the slowest retained batch, if any. SLO violations
     /// link here so `/whyslow/<id>` can explain the breach.

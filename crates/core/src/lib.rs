@@ -74,7 +74,7 @@ pub use meta::MetaIndex;
 pub use rdma_sim::{ReadCause, READ_CAUSES};
 pub use store::VectorStore;
 pub use telemetry::chrome::chrome_trace_json;
-pub use telemetry::exemplar::{diagnose, BucketExemplar, Diagnosis, ExemplarStore, VERDICTS};
+pub use telemetry::exemplar::{diagnose, Diagnosis, ExemplarStore, VERDICTS};
 pub use telemetry::profile::{PathStats, ProfileAccumulator};
 pub use telemetry::series::{
     AnomalyRecord, Sample, SeriesPoint, SeriesRecorder, TrackedSeries, TRACKED, TRACKED_SERIES,
@@ -82,7 +82,7 @@ pub use telemetry::series::{
 pub use telemetry::span::{
     ArgValue, BatchTrace, FinishedTrace, QpSpanSink, SpanId, SpanKind, SpanRecord, SpanTracer,
 };
-pub use telemetry::{HistogramSnapshot, Telemetry, HIST_BUCKETS};
+pub use telemetry::{HistogramSnapshot, Telemetry};
 
 /// Convenient result alias used throughout this crate.
 pub type Result<T> = std::result::Result<T, Error>;

@@ -46,9 +46,7 @@ use series::SeriesRecorder;
 use span::{ArgValue, SpanId, SpanTracer, DEFAULT_SPAN_TRACE_CAPACITY};
 
 /// Number of histogram buckets: upper bounds `2^0 .. 2^31`, then +Inf.
-/// Shared with the exemplar store, whose per-bucket exemplars mirror
-/// the latency histogram's bucket layout.
-pub const HIST_BUCKETS: usize = 33;
+const HIST_BUCKETS: usize = 33;
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -115,10 +113,8 @@ impl Default for Histogram {
 }
 
 /// Index of the first bucket whose upper bound is `>= v` — the
-/// bucket a sample of value `v` lands in. Public so histogram
-/// exemplars (and gates over them) can be filed under exactly the
-/// bucket the histogram counted.
-pub fn bucket_index(v: u64) -> usize {
+/// bucket a sample of value `v` lands in.
+fn bucket_index(v: u64) -> usize {
     if v <= 1 {
         0
     } else {
@@ -128,7 +124,7 @@ pub fn bucket_index(v: u64) -> usize {
 }
 
 /// Upper bound of bucket `i` (`f64::INFINITY` for the last).
-pub fn bucket_bound(i: usize) -> f64 {
+fn bucket_bound(i: usize) -> f64 {
     if i + 1 == HIST_BUCKETS {
         f64::INFINITY
     } else {
@@ -332,7 +328,7 @@ pub(crate) fn escape(s: &str) -> String {
         .replace('\n', "\\n")
 }
 
-/// The telemetry hub: a metrics registry, a span tracer, the always-on
+/// The telemetry hub: a metrics registry, a span tracer, the
 /// flame-profile accumulator, the bounded tail-exemplar store, and the
 /// time-series recorder.
 #[derive(Debug)]
@@ -368,19 +364,20 @@ impl Telemetry {
         Arc::clone(GLOBAL.get_or_init(|| Arc::new(Telemetry::new())))
     }
 
-    /// The span tracer (per-batch span trees, slow-query log).
+    /// The span tracer: the ring of recent per-batch span trees, the
+    /// only place span trees are kept.
     pub fn spans(&self) -> &SpanTracer {
         &self.spans
     }
 
-    /// The cumulative flame-profile accumulator (always on: every
-    /// batch folds either its span tree or its phase breakdown).
+    /// The cumulative flame-profile accumulator (every captured span
+    /// tree folds into it).
     pub fn profile(&self) -> &ProfileAccumulator {
         &self.profile
     }
 
-    /// The bounded tail-exemplar store behind `/exemplars`,
-    /// `/whyslow/<id>`, and the histogram bucket exemplars.
+    /// The bounded tail-exemplar store behind `/exemplars` and
+    /// `/whyslow/<id>`.
     pub fn exemplars(&self) -> &ExemplarStore {
         &self.exemplars
     }

@@ -1,6 +1,7 @@
-//! Always-on cumulative flame profile of the batch read path.
+//! Cumulative flame profile of the batch read path.
 //!
-//! Every finished batch folds its span tree into a [`ProfileAccumulator`]:
+//! Every batch whose span tree was captured folds it into a
+//! [`ProfileAccumulator`]:
 //! a weighted call-tree keyed by the `;`-joined span-name path
 //! (`query_batch;network;read_doorbell`), accumulating call counts,
 //! inclusive wall and virtual-clock microseconds, and *self* wall time
@@ -15,17 +16,14 @@
 //!
 //! one line per distinct path, weight = cumulative self wall µs.
 //!
-//! When span tracing is disabled the engine still folds each batch's
-//! coarse [`crate::breakdown::LatencyBreakdown`] through
-//! [`ProfileAccumulator::fold_phases`], so `/profile/folded` is never
-//! empty on a serving node: the profile degrades from verb-level to
-//! phase-level resolution instead of disappearing.
+//! The profile folds span trees only: with capture off it stays empty
+//! (the per-phase totals are `dhnsw_stage_us_total`'s). `dhnsw_cli
+//! serve`, the one surface that renders it, captures every batch.
 
 use std::collections::BTreeMap;
 
 use parking_lot::Mutex;
 
-use crate::breakdown::{LatencyBreakdown, Phase};
 use crate::telemetry::span::{FinishedTrace, SpanKind};
 
 /// Cumulative weight of one span-name path across all folded batches.
@@ -96,32 +94,6 @@ impl ProfileAccumulator {
         }
     }
 
-    /// Folds one batch's coarse phase breakdown — the always-on path
-    /// used when span tracing is off. Synthesizes the same top-level
-    /// paths the real span tree would produce (`query_batch;network`,
-    /// `query_batch;sub_hnsw_search`, …) so the folded export stays
-    /// loadable and comparable; the root's self time absorbs whatever
-    /// `total_us` the four phases do not cover.
-    pub fn fold_phases(&self, breakdown: &LatencyBreakdown, total_us: f64) {
-        let mut map = self.paths.lock();
-        let mut covered = 0.0;
-        for p in Phase::ALL {
-            let wall = p.of(breakdown).max(0.0);
-            covered += wall;
-            let s = map.entry(format!("query_batch;{}", p.span())).or_default();
-            s.calls += 1;
-            s.wall_us += wall;
-            // The network phase is virtual time: its wall is its vt.
-            s.vt_us += if p == Phase::Network { wall } else { 0.0 };
-            s.self_us += wall;
-        }
-        let total = total_us.max(0.0);
-        let root = map.entry("query_batch".to_string()).or_default();
-        root.calls += 1;
-        root.wall_us += total;
-        root.self_us += (total - covered).max(0.0);
-    }
-
     /// Renders the accumulated tree in collapsed-stack format: one
     /// `path <self-µs>` line per distinct path, lexicographic order,
     /// integer weights (rounded). Loadable by `flamegraph.pl`,
@@ -153,11 +125,6 @@ impl ProfileAccumulator {
     /// Whether nothing has been folded yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Drops every accumulated path.
-    pub fn clear(&self) {
-        self.paths.lock().clear();
     }
 }
 
@@ -229,28 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn fold_phases_synthesizes_the_coarse_tree() {
-        let p = ProfileAccumulator::new();
-        let b = LatencyBreakdown {
-            network_us: 40.0,
-            sub_hnsw_us: 25.0,
-            meta_hnsw_us: 5.0,
-            materialize_us: 10.0,
-        };
-        p.fold_phases(&b, 90.0);
-        let snap: std::collections::BTreeMap<_, _> = p.snapshot().into_iter().collect();
-        assert_eq!(snap.len(), 5);
-        assert!((snap["query_batch;network"].self_us - 40.0).abs() < 1e-9);
-        assert!((snap["query_batch;network"].vt_us - 40.0).abs() < 1e-9);
-        assert!((snap["query_batch;sub_hnsw_search"].self_us - 25.0).abs() < 1e-9);
-        // Root self absorbs the uncovered 10µs.
-        assert!((snap["query_batch"].self_us - 10.0).abs() < 1e-9);
-        // Folding both resolutions lands in the same tree.
-        p.fold_trace(&sample_trace());
-        assert_eq!(p.len(), 6, "doorbell path joins the phase paths");
-    }
-
-    #[test]
     fn folded_render_is_sorted_and_parseable() {
         let p = ProfileAccumulator::new();
         p.fold_trace(&sample_trace());
@@ -277,13 +222,11 @@ mod tests {
         let child = trace.begin_span("meta_route", "engine", root);
         trace.end_span(child);
         trace.end_span(root);
-        let ft = t.finish_trace(trace, None).unwrap();
+        let ft = t.finish(trace).unwrap();
         p.fold_trace(&ft);
         let snap = p.snapshot();
         assert_eq!(snap.len(), 2);
         assert_eq!(snap[0].0, "query_batch");
         assert_eq!(snap[1].0, "query_batch;meta_route");
-        p.clear();
-        assert!(p.is_empty());
     }
 }

@@ -479,17 +479,6 @@ impl SeriesRecorder {
         self.inner.lock().fired
     }
 
-    /// Drops all samples, points, records, and detector state. The
-    /// next tick is a fresh baseline.
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        inner.last = None;
-        inner.points.clear();
-        inner.anomalies.clear();
-        inner.fired = 0;
-        inner.detectors = [Detector::default(); TRACKED];
-    }
-
     /// Renders the retained points as the `/timeseries` JSON document.
     ///
     /// `window_s` keeps only points within that many seconds of the
@@ -695,24 +684,6 @@ mod tests {
         assert_eq!(rec.anomaly_count(), 0, "idle windows must not score");
         let points = rec.points();
         assert_eq!(points.last().expect("non-empty").window_queries, 0);
-    }
-
-    #[test]
-    fn clear_resets_baseline_points_and_detectors() {
-        let (t, mut h) = (Telemetry::new(), Traffic::default());
-        let rec = SeriesRecorder::new();
-        rec.tick(&t, h.at(0));
-        h.drive(10, 100, 1_000, 0);
-        rec.tick(&t, h.at(1_000_000));
-        assert_eq!(rec.points().len(), 1);
-        rec.clear();
-        assert!(rec.points().is_empty());
-        assert!(rec.anomalies().is_empty());
-        assert_eq!(rec.anomaly_count(), 0);
-        assert!(
-            rec.tick(&t, h.at(2_000_000)).is_none(),
-            "tick after clear is a fresh baseline"
-        );
     }
 
     #[test]

@@ -17,11 +17,10 @@
 //! and records nothing, so the query path pays one atomic load per batch
 //! and one clock read per span when idle: a span still times itself,
 //! because it is the one clock of the phase it covers (see
-//! [`crate::breakdown::Phase`]). Finished traces land in a bounded
-//! ring on the [`SpanTracer`]; batches whose latency (their
-//! [`BatchReport`]'s `total_us`) exceeds the configured slow threshold
-//! additionally render their full span tree into the slow-query log (and
-//! to stderr).
+//! [`crate::breakdown::Phase`]). [`SpanTracer::set_enabled`] is the one
+//! switch; `dhnsw_cli serve`, the one surface that renders span trees,
+//! turns it on. Finished traces land in a bounded ring on the
+//! [`SpanTracer`], the only place span trees are kept.
 //!
 //! The RDMA substrate cannot depend on this crate, so the bridge runs
 //! the other way: [`QpSpanSink`] implements [`rdma_sim::TraceSink`]
@@ -39,13 +38,8 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use crate::breakdown::BatchReport;
-
 /// Default number of finished traces the tracer retains.
 pub const DEFAULT_SPAN_TRACE_CAPACITY: usize = 64;
-
-/// Number of rendered slow-query reports retained.
-const SLOW_LOG_CAPACITY: usize = 32;
 
 /// A value attached to a span argument.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,15 +59,6 @@ impl ArgValue {
             ArgValue::U64(v) => v.to_string(),
             ArgValue::F64(v) => crate::telemetry::chrome::json_num(*v),
             ArgValue::Str(s) => format!("\"{}\"", crate::telemetry::escape(s)),
-        }
-    }
-
-    /// Renders the value for the plain-text slow log.
-    fn render_plain(&self) -> String {
-        match self {
-            ArgValue::U64(v) => v.to_string(),
-            ArgValue::F64(v) => format!("{v:.1}"),
-            ArgValue::Str(s) => (*s).to_string(),
         }
     }
 }
@@ -161,8 +146,8 @@ struct BatchInner {
 /// batch's trace id and every recording method is a no-op, so call
 /// sites never branch on enablement. The trace id (sequence number) is
 /// assigned by [`SpanTracer::begin`] whether or not spans are being
-/// recorded, so histogram exemplars and the slow-query log can name a
-/// batch even when full span capture is off.
+/// recorded, so the exemplar store can name a batch even when span
+/// capture is off.
 #[derive(Debug, Clone, Default)]
 pub struct BatchTrace {
     seq: u64,
@@ -448,27 +433,22 @@ impl rdma_sim::TraceSink for QpSpanSink {
 }
 
 /// The span tracer: hands out [`BatchTrace`]s and retains finished
-/// ones in a bounded ring, plus a slow-query log.
+/// ones in a bounded ring.
 #[derive(Debug)]
 pub struct SpanTracer {
     enabled: AtomicBool,
-    /// Slow-query threshold in whole microseconds; 0 disables the log.
-    slow_threshold_us: AtomicU64,
     next_seq: AtomicU64,
     capacity: usize,
     finished: Mutex<VecDeque<FinishedTrace>>,
-    slow_log: Mutex<VecDeque<String>>,
 }
 
 impl SpanTracer {
     pub(crate) fn new(capacity: usize) -> Self {
         SpanTracer {
             enabled: AtomicBool::new(false),
-            slow_threshold_us: AtomicU64::new(0),
             next_seq: AtomicU64::new(0),
             capacity: capacity.max(1),
             finished: Mutex::new(VecDeque::new()),
-            slow_log: Mutex::new(VecDeque::new()),
         }
     }
 
@@ -482,22 +462,10 @@ impl SpanTracer {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Sets the slow-query threshold in microseconds (0 disables).
-    /// Batches whose latency exceeds it dump their span tree to the
-    /// slow log and stderr.
-    pub fn set_slow_threshold_us(&self, us: u64) {
-        self.slow_threshold_us.store(us, Ordering::Relaxed);
-    }
-
-    /// Current slow-query threshold in microseconds (0 = disabled).
-    pub fn slow_threshold_us(&self) -> u64 {
-        self.slow_threshold_us.load(Ordering::Relaxed)
-    }
-
     /// Starts a trace for one batch. The trace id (sequence number)
-    /// is assigned unconditionally so exemplars and slow-query log
-    /// lines can reference the batch; span recording itself only
-    /// happens while the tracer is enabled.
+    /// is assigned unconditionally so the exemplar store can reference
+    /// the batch; span recording itself only happens while the tracer
+    /// is enabled.
     pub fn begin(&self, label: &'static str) -> BatchTrace {
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         if !self.is_enabled() {
@@ -514,29 +482,11 @@ impl SpanTracer {
         }
     }
 
-    /// Finishes a trace that is not a query batch's (a watchdog or
-    /// anomaly event), discarding the finished tree (see
-    /// [`SpanTracer::finish_trace`]).
-    pub fn finish(&self, trace: BatchTrace) {
-        let _ = self.finish_trace(trace, None);
-    }
-
-    /// Finishes a trace: closes any still-open spans, retains the
-    /// result (evicting the oldest at capacity), and renders a
-    /// slow-query report if over threshold. A query batch passes its
-    /// record: the threshold is judged against the record's `total_us`
-    /// — host wall plus virtual network, the number the latency
-    /// histogram and the exemplars file the batch under — and the
-    /// report's header names the ledger's dominant cause. Without a
-    /// record the root span's wall time is all there is to judge.
-    /// Returns a copy of the finished trace so the caller can fold it
-    /// into the profile accumulator or retain it as a tail exemplar;
-    /// `None` for disabled handles.
-    pub fn finish_trace(
-        &self,
-        trace: BatchTrace,
-        batch: Option<&BatchReport>,
-    ) -> Option<FinishedTrace> {
+    /// Finishes a trace: closes any still-open spans and retains the
+    /// result in the ring (evicting the oldest at capacity). Returns a
+    /// copy of the finished trace so the caller can fold it into the
+    /// profile accumulator; `None` for disabled handles.
+    pub fn finish(&self, trace: BatchTrace) -> Option<FinishedTrace> {
         let inner = trace.inner?;
         let now = inner.epoch.elapsed().as_secs_f64() * 1e6;
         let spans = {
@@ -555,18 +505,6 @@ impl SpanTracer {
             total_us,
             spans,
         };
-        let threshold = self.slow_threshold_us.load(Ordering::Relaxed);
-        let latency_us = batch.map_or(ft.total_us, |b| b.total_us);
-        if threshold > 0 && latency_us > threshold as f64 {
-            let cause = batch.and_then(|b| b.ledger.dominant_cause());
-            let report = render_tree(&ft, latency_us, cause.map_or("none", |c| c.as_str()));
-            eprintln!("{report}");
-            let mut log = self.slow_log.lock();
-            if log.len() == SLOW_LOG_CAPACITY {
-                log.pop_front();
-            }
-            log.push_back(report);
-        }
         let mut finished = self.finished.lock();
         if finished.len() == self.capacity {
             finished.pop_front();
@@ -579,78 +517,6 @@ impl SpanTracer {
     pub fn recent(&self) -> Vec<FinishedTrace> {
         self.finished.lock().iter().cloned().collect()
     }
-
-    /// The retained slow-query reports, oldest first.
-    pub fn slow_log(&self) -> Vec<String> {
-        self.slow_log.lock().iter().cloned().collect()
-    }
-
-    /// Number of retained finished traces.
-    pub fn len(&self) -> usize {
-        self.finished.lock().len()
-    }
-
-    /// Whether no finished traces are retained.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops all retained traces and slow-query reports.
-    pub fn clear(&self) {
-        self.finished.lock().clear();
-        self.slow_log.lock().clear();
-    }
-}
-
-/// Renders a finished trace as an indented span tree for the
-/// slow-query log. The header carries the batch's trace id, the
-/// latency it was judged by and its dominant read cause, so a log line
-/// joins directly against the exemplar store (`/whyslow/<trace-id>`).
-fn render_tree(ft: &FinishedTrace, latency_us: f64, cause: &str) -> String {
-    let mut out = format!(
-        "slow query batch: trace_id={} mode={} total={latency_us:.1}us cause={cause} ({} spans)",
-        ft.seq,
-        ft.label,
-        ft.spans.len()
-    );
-    // Children of span `p` (0 = roots), preserving recording order.
-    let mut children: Vec<Vec<usize>> = vec![Vec::new(); ft.spans.len() + 1];
-    for (i, rec) in ft.spans.iter().enumerate() {
-        children[rec.parent as usize].push(i);
-    }
-    let mut stack: Vec<(usize, usize)> = children[0].iter().rev().map(|&i| (i, 1)).collect();
-    while let Some((i, depth)) = stack.pop() {
-        let rec = &ft.spans[i];
-        let mut line = format!(
-            "\n{:indent$}{} [{}]",
-            "",
-            rec.name,
-            rec.cat,
-            indent = depth * 2
-        );
-        match rec.kind {
-            SpanKind::Span => {
-                line.push_str(&format!(
-                    " wall={:.1}+{:.1}us",
-                    rec.wall_start_us, rec.wall_dur_us
-                ));
-                if rec.vt_dur_us > 0.0 {
-                    line.push_str(&format!(" vt={:.1}us", rec.vt_dur_us));
-                }
-            }
-            SpanKind::Instant => {
-                line.push_str(&format!(" @{:.1}us", rec.wall_start_us));
-            }
-        }
-        for (k, v) in &rec.args {
-            line.push_str(&format!(" {k}={}", v.render_plain()));
-        }
-        out.push_str(&line);
-        for &c in children[i + 1].iter().rev() {
-            stack.push((c, depth + 1));
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -674,23 +540,21 @@ mod tests {
         // Nothing is recorded, but the handle still times its span.
         assert!(trace.end_span(id) >= 0.0);
         assert_eq!(trace.end_span(SpanId::NONE), 0.0);
-        assert!(t.finish_trace(trace, None).is_none());
-        assert!(t.is_empty());
+        assert!(t.finish(trace).is_none());
+        assert!(t.recent().is_empty());
     }
 
     #[test]
     fn trace_ids_advance_even_while_disabled() {
-        // Exemplars and slow-log lines key on the trace id, so every
-        // batch gets a unique one whether or not spans are captured.
+        // The exemplar store keys on the trace id, so every batch gets a
+        // unique one whether or not spans are captured.
         let t = SpanTracer::new(4);
         assert_eq!(t.begin("full").seq(), 0);
         assert_eq!(t.begin("full").seq(), 1);
         t.set_enabled(true);
         let enabled = t.begin("full");
         assert_eq!(enabled.seq(), 2);
-        let ft = t
-            .finish_trace(enabled, None)
-            .expect("enabled trace finishes");
+        let ft = t.finish(enabled).expect("enabled trace finishes");
         assert_eq!(ft.seq, 2);
         t.set_enabled(false);
         assert_eq!(t.begin("full").seq(), 3);
@@ -747,63 +611,6 @@ mod tests {
                 assert!(rec.wall_dur_us >= 0.0, "open span was closed at finish");
             }
         }
-    }
-
-    #[test]
-    fn slow_threshold_gates_the_slow_log() {
-        let t = tracer();
-        t.set_slow_threshold_us(500);
-        // Fast batch: under threshold, no report.
-        let fast = t.begin("full");
-        fast.begin_span("query_batch", "engine", SpanId::NONE);
-        t.finish(fast);
-        assert!(t.slow_log().is_empty());
-        // Slow batch: sleep past the threshold.
-        let slow = t.begin("full");
-        let seq = slow.seq();
-        let root = slow.begin_span("query_batch", "engine", SpanId::NONE);
-        let child = slow.begin_span("sub_hnsw_search", "engine", root);
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        slow.end_span(child);
-        slow.end_span(root);
-        t.finish(slow);
-        let log = t.slow_log();
-        assert_eq!(log.len(), 1);
-        assert!(log[0].contains("slow query batch"));
-        assert!(log[0].contains("sub_hnsw_search"));
-        assert!(log[0].contains("mode=full"));
-        assert!(log[0].contains(&format!("trace_id={seq}")));
-        assert!(log[0].contains("cause=none"), "no record, no ledger");
-    }
-
-    #[test]
-    fn a_batch_is_judged_and_headed_by_its_record() {
-        let t = tracer();
-        t.set_slow_threshold_us(500);
-        let mut report = BatchReport {
-            total_us: 400.0,
-            ..Default::default()
-        };
-        report.ledger.cause_bytes[rdma_sim::ReadCause::StageLoad.index()] = 100;
-        report.ledger.cause_bytes[rdma_sim::ReadCause::Retry.index()] = 700;
-        let finish = |report: &BatchReport| {
-            let trace = t.begin("full");
-            trace.begin_span("query_batch", "engine", SpanId::NONE);
-            t.finish_trace(trace, Some(report)).unwrap().seq
-        };
-        // The root span closes within microseconds either way: only the
-        // record's latency decides.
-        finish(&report);
-        assert!(t.slow_log().is_empty(), "400 us is under the 500 us budget");
-        report.total_us = 501.0;
-        let seq = finish(&report);
-        let log = t.slow_log();
-        assert_eq!(log.len(), 1);
-        // The header joins against the exemplar store: trace id, the
-        // latency judged, the ledger's dominant cause.
-        assert!(log[0].contains(&format!(
-            "trace_id={seq} mode=full total=501.0us cause=retry"
-        )));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! A hand-built, fully deterministic span tree — the same shape the
 //! engine produces for a routed batch — is folded through the
-//! always-on [`ProfileAccumulator`] and the rendered output is
+//! [`ProfileAccumulator`] and the rendered output is
 //! compared byte-for-byte against `tests/golden/folded.txt`, the file
 //! a contributor would feed to `flamegraph.pl` or paste into
 //! speedscope. Format invariants (one `path count` pair per line,
@@ -13,7 +13,7 @@
 //! Regenerate the golden after an intentional format change with:
 //! `BLESS=1 cargo test -p dhnsw --test folded_golden`
 
-use dhnsw::{ArgValue, FinishedTrace, LatencyBreakdown, ProfileAccumulator, SpanKind, SpanRecord};
+use dhnsw::{ArgValue, FinishedTrace, ProfileAccumulator, SpanKind, SpanRecord};
 
 fn span(
     name: &'static str,
@@ -74,22 +74,12 @@ fn sample_trace() -> FinishedTrace {
     }
 }
 
-/// Fold the sample trace twice plus one traced-off batch (phase
-/// fallback) so the golden covers both ingestion paths and weight
+/// Fold the sample trace twice, so the golden covers weight
 /// accumulation in a single artifact.
 fn accumulate() -> ProfileAccumulator {
     let acc = ProfileAccumulator::new();
     acc.fold_trace(&sample_trace());
     acc.fold_trace(&sample_trace());
-    acc.fold_phases(
-        &LatencyBreakdown {
-            network_us: 300.0,
-            sub_hnsw_us: 150.0,
-            meta_hnsw_us: 40.0,
-            materialize_us: 10.0,
-        },
-        520.0,
-    );
     acc
 }
 

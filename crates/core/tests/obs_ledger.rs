@@ -22,23 +22,22 @@
 //!   order: depth, name, category, kind, argument keys in order with
 //!   integer and string values; floats masked.
 //! - **documents** — `/exemplars`, `/whyslow/<first batch>`,
-//!   `/profile/folded`, `HealthReport::to_json`, `/timeseries` and, at a
-//!   1 µs threshold, the slow-query log's header lines: every key,
-//!   integer and string exact, every decimal number masked.
+//!   `/profile/folded` (empty with spans off: it folds span trees only),
+//!   `HealthReport::to_json` and `/timeseries`: every key, integer and
+//!   string exact, every decimal number masked.
 //!
 //! What the wall clock decides by *order or identity* rather than value
 //! is canonicalised: the K-slowest list is sorted by trace id, the
-//! bucket exemplars are reduced to their key shape, the slowest batch's
-//! id and the why-slow verdict are masked, so the golden holds under
-//! the search-thread environment matrix of `scripts/check.sh`.
+//! slowest batch's id and the why-slow verdict are masked, so the golden
+//! holds under the search-thread environment matrix of
+//! `scripts/check.sh`.
 //!
 //! What must agree is asserted, not just recorded: on every batch the
 //! returned report's `ledger.cause_bytes`, the root span's `bytes_*`
 //! arguments and the `/metrics` by-cause delta are the same numbers,
 //! each host phase of the breakdown is the sum of its spans' walls and
-//! `total_us` the root's wall plus the exposed network (with `==`),
-//! turning spans on changes no count in the metrics section, and every
-//! populated bucket of the latency histogram carries an exemplar.
+//! `total_us` the root's wall plus the exposed network (with `==`), and
+//! turning spans on changes no count in the metrics section.
 //!
 //! Regenerate after an intentional change with:
 //! `BLESS=1 cargo test -p dhnsw --test obs_ledger`
@@ -47,7 +46,6 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use dhnsw::health::watchdog;
-use dhnsw::telemetry::metrics::QUERY_LATENCY_US;
 use dhnsw::{
     ArgValue, ComputeNode, DHnswConfig, FinishedTrace, QuantizeMode, ReadCause, SearchMode,
     SloViolation, SpanKind, Telemetry, VectorStore, READ_CAUSES,
@@ -207,17 +205,13 @@ fn root_cause_bytes(ft: &FinishedTrace) -> [u64; READ_CAUSES] {
     out
 }
 
-/// The `/exemplars` document with its wall-clock order and identity
-/// canonicalised: K-slowest sorted by trace id, bucket exemplars reduced
-/// to their distinct key shapes.
+/// The `/exemplars` document with its wall-clock order canonicalised:
+/// K-slowest sorted by trace id.
 fn canon_exemplars(json: &str) -> String {
     let mut out = String::new();
     for line in json.lines() {
         let (head, body) = match line.find('[') {
-            Some(at)
-                if line.trim_start().starts_with("\"slowest\"")
-                    || line.trim_start().starts_with("\"buckets\"") =>
-            {
+            Some(at) if line.trim_start().starts_with("\"slowest\"") => {
                 (&line[..=at], &line[at + 1..])
             }
             _ => {
@@ -232,21 +226,13 @@ fn canon_exemplars(json: &str) -> String {
             .filter(|e| !e.is_empty())
             .map(|e| format!("{{{}}}", e.trim_start_matches('{').trim_end_matches('}')))
             .collect();
-        if head.contains("slowest") {
-            entries.sort_by_key(|e| {
-                let digits: String = e["{\"trace_id\": ".len()..]
-                    .chars()
-                    .take_while(char::is_ascii_digit)
-                    .collect();
-                digits.parse::<u64>().expect("trace id")
-            });
-        } else {
-            for e in &mut entries {
-                *e = mask_values(e, |_| true);
-            }
-            entries.sort();
-            entries.dedup();
-        }
+        entries.sort_by_key(|e| {
+            let digits: String = e["{\"trace_id\": ".len()..]
+                .chars()
+                .take_while(char::is_ascii_digit)
+                .collect();
+            digits.parse::<u64>().expect("trace id")
+        });
         writeln!(out, "{head}{}{}", entries.join(", "), &body[close..]).unwrap();
     }
     out
@@ -321,7 +307,6 @@ fn cell(data: &Dataset, queries: &Dataset, wire: QuantizeMode, spans: bool) -> (
         .unwrap();
     // The hub's tracer, set per cell (connecting never touches it).
     telemetry.spans().set_enabled(spans);
-    telemetry.spans().set_slow_threshold_us(u64::from(spans));
     assert_eq!(node.is_quantized(), wire == QuantizeMode::Sq8);
 
     batch(&node, queries, spans, "cold");
@@ -331,22 +316,8 @@ fn cell(data: &Dataset, queries: &Dataset, wire: QuantizeMode, spans: bool) -> (
         r.unwrap();
     }
     batch(&node, queries, spans, "after inserts");
-    // The histogram and the exemplar store file a batch under the same
-    // sample value, so a counted bucket without an exemplar means the
-    // exemplar path dropped a batch the histogram saw.
     let ex = telemetry.exemplars();
     assert_eq!(ex.recorded(), 3, "one exemplar per batch");
-    let latency = QUERY_LATENCY_US.histogram(&telemetry, &[("mode", "full")]);
-    let exemplars = ex.bucket_exemplars();
-    let mut below = 0u64;
-    for (i, (bound, cum)) in latency.cumulative_buckets().into_iter().enumerate() {
-        assert!(
-            cum == below || exemplars[i].is_some(),
-            "latency bucket le={bound} holds {} sample(s) but no exemplar",
-            cum - below
-        );
-        below = cum;
-    }
     let health = node.health_report().unwrap();
     watchdog::emit(
         &telemetry,
@@ -367,15 +338,6 @@ fn cell(data: &Dataset, queries: &Dataset, wire: QuantizeMode, spans: bool) -> (
         rest.push_str("-- spans --\n");
         for ft in telemetry.spans().recent() {
             skeleton(&ft, &mut rest);
-        }
-        rest.push_str("-- slow log --\n");
-        for entry in telemetry.spans().slow_log() {
-            let header = entry.lines().next().expect("a report has a header");
-            // Only query batches: whether a watchdog trace outlasts 1 µs
-            // is the wall clock's call.
-            if header.contains("mode=full") {
-                writeln!(rest, "{}", mask_decimals(header)).unwrap();
-            }
         }
     }
     rest.push_str("-- /exemplars --\n");

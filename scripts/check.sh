@@ -263,11 +263,16 @@ fi
 # ratio, sweep and read cause, the bench crate's JSON parser with the
 # dashboard's parsed-back snapshot (the node renders `top` from its typed
 # records), the two HNSW selection knobs that had one value each, the
-# heatmap's EWMA hotness that only the prefetcher ranked by, and the
-# `dhnsw_cli metrics` subcommand beside `query --metrics-out` stay gone
-# (four roots, so the guard does not match itself).
+# heatmap's EWMA hotness that only the prefetcher ranked by, the
+# `dhnsw_cli metrics` subcommand beside `query --metrics-out`, and the
+# span trees' second and third homes (the slow-query log with its
+# threshold and plain-text renderer, the K-slowest set's trees, the
+# tracing flags' helper, the phase fold beside the span fold, and the
+# bucket exemplars that named ids nothing resolved) stay gone
+# (four roots, so the guard does not match itself; identifiers only, so
+# the refusal tests may still spell the deleted flags).
 echo "==> no deleted duplicate is back"
-if grep -rnE 'QueryTrace|TailRecord|TraceRing|ShardedStore|ShardedSession|LoadBalancer|DispatchPolicy|bench_regress|BENCH_baseline|DHNSW_BENCH_1M|poll_cq|ring_doorbell|BruteForceIndex|clustering_tendency|verdict_index|set_milli|take_flush_delta|dhnsw_health_|dhnsw_heat_|dhnsw_tail_|dhnsw_cache_hits_total|dhnsw_cache_misses_total|WindowState|TraceSpec|service_stats|\bexecute_reads\b|\bexecute_writes\b|emit_plain|emit_verb|write_doorbell|graph_report|GraphReport|into_flat|read_bvecs|write_ivecs|region_count|window_handles|tick_series|tracer_env|from_env|AnomalyConfig|classify_all|search_filtered|read_ivecs|prefetch_hot|set_pipeline_depth|with_pipeline_depth|set_prefetch_budget_bytes|with_prefetch_budget_bytes|stage_loads|PIPELINE_HIDDEN_US|hidden_ratio|pipeline_sweep|ReadCause::Prefetch|JsonParser|parse_snapshot|TopSnapshot|extend_candidates|keep_pruned|window_start|Window::between|window_p99_us|window_hit_rate|begin_batch|DECAY_PER_BATCH|hotness|cmd_metrics' \
+if grep -rnE 'QueryTrace|TailRecord|TraceRing|ShardedStore|ShardedSession|LoadBalancer|DispatchPolicy|bench_regress|BENCH_baseline|DHNSW_BENCH_1M|poll_cq|ring_doorbell|BruteForceIndex|clustering_tendency|verdict_index|set_milli|take_flush_delta|dhnsw_health_|dhnsw_heat_|dhnsw_tail_|dhnsw_cache_hits_total|dhnsw_cache_misses_total|WindowState|TraceSpec|service_stats|\bexecute_reads\b|\bexecute_writes\b|emit_plain|emit_verb|write_doorbell|graph_report|GraphReport|into_flat|read_bvecs|write_ivecs|region_count|window_handles|tick_series|tracer_env|from_env|AnomalyConfig|classify_all|search_filtered|read_ivecs|prefetch_hot|set_pipeline_depth|with_pipeline_depth|set_prefetch_budget_bytes|with_prefetch_budget_bytes|stage_loads|PIPELINE_HIDDEN_US|hidden_ratio|pipeline_sweep|ReadCause::Prefetch|JsonParser|parse_snapshot|TopSnapshot|extend_candidates|keep_pruned|window_start|Window::between|window_p99_us|window_hit_rate|begin_batch|DECAY_PER_BATCH|hotness|cmd_metrics|set_slow_threshold_us|slow_threshold_us|slow_log|render_tree|render_plain|finish_trace|SlowEntry|has_spans|fold_phases|BucketExemplar|bucket_exemplars|apply_trace_flags' \
   crates src tests examples || [[ -e scripts/bench.sh ]]; then
   echo "check.sh: a deleted duplicate is back (the lines above, or scripts/bench.sh)" >&2
   exit 1
@@ -371,7 +376,8 @@ grep -q '^# TYPE dhnsw_rdma_read_bytes_by_cause_total counter' "$SMOKE_DIR/metri
 grep -q '^dhnsw_rdma_read_bytes_by_cause_total{cause="stage_load"} [1-9]' "$SMOKE_DIR/metrics.prom"
 scrape /explain/last | grep -q 'stage_load'
 # Tail-anatomy plane: the folded profile must carry at least one batch
-# root frame and the exemplar store must report its occupancy.
+# root frame (serve captures span trees with no flag: it folds trees
+# only) and the exemplar store must report its occupancy.
 scrape /profile/folded | grep -q '^query_batch'
 scrape /exemplars | grep -q '"occupancy"'
 # Every JSON document the plane serves parses, and /whyslow diagnoses an
@@ -382,6 +388,11 @@ for doc in /health /traces /exemplars /timeseries /anomalies; do
 done
 ID=$(body /exemplars | jq -er '.slowest[0].trace_id')
 body "/whyslow/$ID" | jq -e --argjson id "$ID" '.trace_id == $id and (.verdict | type == "string")' > /dev/null
+# Every trace id /exemplars names, in any of its views, resolves there.
+for id in $(body /exemplars | jq -r '[.. | .trace_id? | numbers] | unique | .[]'); do
+  body "/whyslow/$id" | jq -e --argjson id "$id" '.trace_id == $id' > /dev/null ||
+    { echo "check.sh: /exemplars names trace_id $id, /whyslow/$id does not resolve it" >&2; exit 1; }
+done
 # Time-series plane: every response is marked no-store, the ring serves
 # (window, step)-thinned points, the anomaly log answers, and the live
 # `top` dashboard renders a frame against the node. Give the background
@@ -429,4 +440,18 @@ target/release/dhnsw_cli doctor --store "$DOCTOR_DIR/store.dhnsw" \
   --queries "$DOCTOR_DIR/one.fvecs" --warmup-passes 1 --passes 2 \
   --check --slo-min-hit-rate 0.99 > /dev/null
 
-echo "OK: build, tests, clippy, clean clone, benchmark smoke, scale, fault, serve and doctor smoke gates all green."
+# Refusal smoke: span capture is `serve`'s alone, so neither binary
+# takes a tracing flag; each must exit 2 before anything runs.
+echo "==> the tracing flags are refused (exit 2)"
+refused() {
+  local code=0
+  "$@" > /dev/null 2>&1 || code=$?
+  [[ $code == 2 ]] || { echo "check.sh: '$*' exited $code, not 2" >&2; exit 1; }
+}
+refused target/release/dhnsw_cli query --store "$DOCTOR_DIR/store.dhnsw" \
+  --queries "$DOCTOR_DIR/one.fvecs" --trace-spans
+refused target/release/dhnsw_cli query --store "$DOCTOR_DIR/store.dhnsw" \
+  --queries "$DOCTOR_DIR/one.fvecs" --slow-query-us 1
+DHNSW_SIFT_N=2000 DHNSW_QUERIES=20 refused target/release/repro --slow-query-us 1 table1
+
+echo "OK: build, tests, clippy, clean clone, benchmark smoke, scale, fault, serve, doctor and refusal smoke gates all green."

@@ -168,12 +168,22 @@
 # the `dhnsw_cli metrics` subcommand and its `--format` flag, and the
 # second copy of the probe workload. What came: `ComputeNode::sample`
 # and `doctor`'s two-sample bracket.
+# One home for span trees lowered crates/core/src's to 9 648, the plane's
+# to 3 803 and crates/bench's to 2 475 (hnsw, vecsim, rdma-sim and
+# cluster.rs unchanged). What went: the slow-query log (its threshold,
+# ring, plain-text tree renderer and `finish_trace`'s second signature),
+# the K-slowest set's copies of span trees, the bucket exemplars, the
+# profile's phase fold, `SpanTracer::{clear, len, is_empty}`,
+# `ProfileAccumulator::clear`, `SeriesRecorder::clear`, and both tracing
+# flags of both binaries with `dhnsw_cli`'s helper that applied them
+# (`serve`, the one surface that renders span trees, captures them).
+# Nothing came.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-MAX_TOTAL=9924
-MAX_PLANE=4073
-MAX_BENCH=2508
+MAX_TOTAL=9648
+MAX_PLANE=3803
+MAX_BENCH=2475
 MAX_HNSW=1574
 MAX_VECSIM=1839
 MAX_RDMA=1754
