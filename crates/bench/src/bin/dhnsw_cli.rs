@@ -15,12 +15,12 @@
 //! # Insert more vectors and persist the mutated store:
 //! dhnsw_cli insert --store store.dhnsw --input new.fvecs --out store2.dhnsw
 //!
-//! # Run a workload and dump the telemetry registry (run1.prom, run1.json):
+//! # Run a workload and dump the telemetry registry (run1.prom):
 //! dhnsw_cli query --store store.dhnsw --queries q.fvecs --metrics-out run1
 //!
 //! # Health check: probe the store, print the HealthReport JSON, and
-//! # exit non-zero when an SLO budget is violated (latency and hit rate
-//! # over the measured passes, the rest over the report):
+//! # exit non-zero when an SLO budget is violated (latency, hit rate and
+//! # degraded rate over the measured passes, the rest over the report):
 //! dhnsw_cli doctor --store store.dhnsw --check --slo-max-overflow 0.9
 //!
 //! # Serve the live telemetry plane (first stdout line is the URL):
@@ -36,7 +36,7 @@
 //! Every subcommand runs on the simulated RDMA fabric and reports what
 //! moved (round trips, bytes, virtual network time). `query` and `insert`
 //! accept `--metrics-out <base>` to write the process-wide telemetry
-//! registry to `<base>.prom` (Prometheus text format) and `<base>.json`.
+//! registry to `<base>.prom` (Prometheus text format, its one exposition).
 //!
 //! Only `serve` captures span trees: it is the one subcommand that
 //! renders them (`/traces`, `/profile/folded`).
@@ -148,7 +148,7 @@ const USAGE: &str = "usage: dhnsw_cli <build|info|query|insert|doctor|serve|top>
          query:   --store <snapshot> --queries <fvecs> [--k K] [--ef EF] [--limit N] [--metrics-out <base>] [--explain]\n\
          insert:  --store <snapshot> --input <fvecs> --out <snapshot> [--limit N] [--metrics-out <base>]\n\
          serve:   --store <snapshot> [--queries <fvecs>] [--port P] [--k K] [--ef EF] [--series-tick-ms N]\n\
-                  (endpoints: /metrics /health /traces /explain/last /profile/folded /exemplars /whyslow/<id>\n\
+                  (endpoints: /metrics /health /traces /profile/folded /exemplars /whyslow/<id>\n\
                    /timeseries?window=S&step=N /anomalies /top /shutdown)\n\
          top:     --url http://host:port [--once] [--interval-ms N]   (prints the node's /top frame)\n\
          doctor:  --store <snapshot> [--queries <fvecs>] [--passes N] [--warmup-passes N] [--out <path>] [--check] [--why-slow]\n\
@@ -376,16 +376,14 @@ fn probe_queries(flags: &HashMap<String, String>, store: &VectorStore) -> AnyRes
     Ok(Dataset::from_rows(&rows)?)
 }
 
-/// Dumps the process-wide telemetry registry to `<base>.prom` and
-/// `<base>.json`. Both files land via temp-file + rename so a scraper
-/// tailing them never reads a torn write.
+/// Dumps the process-wide telemetry registry to `<base>.prom` in the
+/// Prometheus text format, the registry's one exposition. The file lands
+/// via temp-file + rename so a scraper tailing it never reads a torn
+/// write.
 fn write_metrics(base: &str) -> AnyResult<()> {
-    let telemetry = Telemetry::global();
     let prom = format!("{base}.prom");
-    dhnsw_bench::write_atomic(&prom, &telemetry.render_prometheus())?;
-    let json = format!("{base}.json");
-    dhnsw_bench::write_atomic(&json, &telemetry.snapshot_json())?;
-    eprintln!("wrote metrics to {prom} and {json}");
+    dhnsw_bench::write_atomic(&prom, &Telemetry::global().render_prometheus())?;
+    eprintln!("wrote metrics to {prom}");
     Ok(())
 }
 
@@ -487,9 +485,9 @@ fn budgets_from(flags: &HashMap<String, String>) -> AnyResult<SloBudgets> {
 
 /// Probes the store with a query workload, prints the machine-readable
 /// [`dhnsw::HealthReport`] (heatmap, layout occupancy/fragmentation,
-/// routing skew, cache and latency health), and evaluates the SLO
-/// budgets: p99 latency and cache hit rate over the window of the
-/// measured passes, the state budgets over the report, in that order.
+/// routing skew), and evaluates the SLO budgets: p99 latency, cache hit
+/// rate and degraded rate over the window of the measured passes, the
+/// state budgets (occupancy, route Gini) over the report, in that order.
 /// With `--check`, any violated budget makes the process exit non-zero;
 /// violations are also published to telemetry as counters. With
 /// `--why-slow`, the probe's slowest retained batch is diffed against
@@ -551,10 +549,11 @@ fn cmd_doctor(flags: &HashMap<String, String>) -> AnyResult<()> {
 
     let mut health = node.health_report()?;
     let budgets = budgets_from(flags)?;
-    health.violations = dhnsw::evaluate_slo_point(&window, &budgets, health.tail.slowest_trace_id);
+    let exemplar = telemetry.exemplars().slowest().first().map(|r| r.trace_id);
+    health.violations = dhnsw::evaluate_slo_point(&window, &budgets, exemplar);
     health
         .violations
-        .extend(dhnsw::evaluate_slo(&health, &budgets));
+        .extend(dhnsw::evaluate_slo(&health, &budgets, exemplar));
     dhnsw::health::watchdog::emit(&telemetry, &health.violations);
 
     let text = health.to_json();
@@ -595,9 +594,8 @@ fn cmd_doctor(flags: &HashMap<String, String>) -> AnyResult<()> {
 /// Serves the live telemetry plane over HTTP: `GET /metrics`
 /// (Prometheus text exposition), `/health` (a fresh [`dhnsw::HealthReport`]
 /// probed from the node per request), `/traces` (chrome-trace JSON of
-/// the recent span ring), `/explain/last` (the read-cost ledger of the
-/// last query batch), `/profile/folded` (the collapsed-stack profile of
-/// every captured span tree), `/exemplars` (the tail exemplar store),
+/// the recent span ring), `/profile/folded` (the collapsed-stack profile
+/// of the same ring), `/exemplars` (the tail exemplar store),
 /// `/whyslow/<id>` (ranked diagnosis of a retained exemplar; every id
 /// `/exemplars` lists resolves), `/timeseries` (the
 /// recorder's derived per-window points), `/anomalies` (online-detector
@@ -608,7 +606,7 @@ fn cmd_doctor(flags: &HashMap<String, String>) -> AnyResult<()> {
 /// Binds `127.0.0.1:<--port>` (default 0 = ephemeral) and prints the
 /// resolved URL as the first stdout line so scripts can scrape it. A
 /// probe batch runs before serving (the given `--queries`, or the
-/// meta-HNSW representatives) so the ledger and latency series carry
+/// meta-HNSW representatives) so the span ring and latency series carry
 /// real traffic from the first scrape.
 ///
 /// A background sampler thread ticks the time-series recorder every
@@ -631,15 +629,10 @@ fn cmd_serve(flags: &HashMap<String, String>) -> AnyResult<()> {
     apply_fault_flags(flags, &node)?;
 
     let probes = probe_queries(flags, &store)?;
-    let (_, report) = node.query_batch(&probes, k, ef)?;
+    node.query_batch(&probes, k, ef)?;
     eprintln!(
         "probed with {} queries (k={k}, ef={ef}); serving",
         probes.len()
-    );
-    let explain = format!(
-        "read-cost ledger, last batch ({} queries):\n{}",
-        report.queries,
-        report.ledger.render()
     );
 
     let port = flag_usize(flags, "port", 0)?;
@@ -667,10 +660,9 @@ fn cmd_serve(flags: &HashMap<String, String>) -> AnyResult<()> {
             let t = Arc::clone(&telemetry);
             move || dhnsw::chrome_trace_json(&t.spans().recent())
         }),
-        explain: Box::new(move || explain.clone()),
         profile: Box::new({
             let t = Arc::clone(&telemetry);
-            move || t.profile().render_folded()
+            move || dhnsw::telemetry::profile::render_folded(&t.spans().recent())
         }),
         exemplars: Box::new({
             let t = Arc::clone(&telemetry);

@@ -20,7 +20,8 @@
 //!
 //! Pass `--metrics-out <base>` to additionally dump the process-wide
 //! telemetry registry (every query the run issued) to `<base>.prom`
-//! (Prometheus text format 0.0.4) and `<base>.json` after the run.
+//! (Prometheus text format 0.0.4, the registry's one exposition) after
+//! the run.
 //!
 //! `repro` captures no span tree: nothing it prints renders one.
 //!
@@ -94,13 +95,11 @@ fn run() -> AnyResult {
     println!("kernel: {}", vecsim::simd::active());
     run_cmd(args.cmd.as_deref().unwrap_or("all"))?;
     if let Some(base) = args.metrics_out {
-        // Temp-file + rename: a scraper tailing these paths mid-run
-        // sees the previous dump or this one, never a torn write.
+        // Temp-file + rename: a scraper tailing this path mid-run sees
+        // the previous dump or this one, never a torn write.
         let prom = format!("{base}.prom");
         dhnsw_bench::write_atomic(&prom, &telemetry.render_prometheus())?;
-        let json = format!("{base}.json");
-        dhnsw_bench::write_atomic(&json, &telemetry.snapshot_json())?;
-        eprintln!("[metrics] {prom} {json}");
+        eprintln!("[metrics] {prom}");
     }
     Ok(())
 }

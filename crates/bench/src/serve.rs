@@ -9,8 +9,7 @@
 //! | `GET /metrics` | Prometheus text exposition 0.0.4 |
 //! | `GET /health` | `HealthReport` JSON (probes the live node) |
 //! | `GET /traces` | chrome://tracing JSON of the span ring, the one home of span trees |
-//! | `GET /explain/last` | read-cost ledger of the last query batch |
-//! | `GET /profile/folded` | collapsed-stack profile of the captured span trees (flamegraph.pl / inferno / speedscope) |
+//! | `GET /profile/folded` | collapsed-stack profile of the span ring, the batches `/traces` shows (flamegraph.pl / inferno / speedscope) |
 //! | `GET /exemplars` | tail exemplar store JSON (K-slowest, reservoir; records only) |
 //! | `GET /whyslow/<trace-id>` | ranked why-slow diagnosis of any id `/exemplars` lists |
 //! | `GET /timeseries?window=<s>&step=<n>` | series-recorder history JSON (rates + windowed quantiles) |
@@ -56,8 +55,6 @@ pub struct ServeSources {
     pub health: Box<dyn Fn() -> Result<String, String> + Send>,
     /// Body for `GET /traces` (chrome trace-event JSON).
     pub traces: Box<dyn Fn() -> String + Send>,
-    /// Body for `GET /explain/last` (read-cost ledger text).
-    pub explain: Box<dyn Fn() -> String + Send>,
     /// Body for `GET /profile/folded` (collapsed-stack profile text).
     pub profile: Box<dyn Fn() -> String + Send>,
     /// Body for `GET /exemplars` (tail exemplar store JSON).
@@ -148,7 +145,6 @@ pub fn handle(method: &str, path: &str, sources: &ServeSources, shutdown: &Atomi
             Err(e) => Response::new(500, TEXT_TYPE, format!("health probe failed: {e}\n")),
         },
         "/traces" => Response::new(200, JSON_TYPE, (sources.traces)()),
-        "/explain/last" => Response::new(200, TEXT_TYPE, (sources.explain)()),
         "/profile/folded" => Response::new(200, TEXT_TYPE, (sources.profile)()),
         "/exemplars" => Response::new(200, JSON_TYPE, (sources.exemplars)()),
         "/timeseries" => match timeseries_params(query) {
@@ -212,13 +208,13 @@ fn not_found(path: &str) -> Response {
         404,
         JSON_TYPE,
         format!(
-            "{{\"error\": \"not found\", \"path\": \"{escaped}\", \"endpoints\": [\"/metrics\", \"/health\", \"/traces\", \"/explain/last\", \"/profile/folded\", \"/exemplars\", \"/whyslow/<trace-id>\", \"/timeseries\", \"/anomalies\", \"/top\", \"/shutdown\"]}}\n",
+            "{{\"error\": \"not found\", \"path\": \"{escaped}\", \"endpoints\": [\"/metrics\", \"/health\", \"/traces\", \"/profile/folded\", \"/exemplars\", \"/whyslow/<trace-id>\", \"/timeseries\", \"/anomalies\", \"/top\", \"/shutdown\"]}}\n",
         ),
     )
 }
 
 /// Reads the request head (capped at [`MAX_REQUEST_BYTES`]) and returns
-/// `(method, path)` from the request line.
+/// `(method, path)` from its request line ([`parse_head`]).
 fn read_request(stream: &mut TcpStream) -> std::io::Result<(String, String)> {
     let mut head = Vec::new();
     let mut buf = [0u8; 512];
@@ -232,11 +228,17 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<(String, String)> {
             break;
         }
     }
-    let text = String::from_utf8_lossy(&head);
+    Ok(parse_head(&head))
+}
+
+/// `(method, path)` of a raw request head's first line: whatever bytes
+/// arrived, an empty method or a `/` path where the line has none.
+fn parse_head(head: &[u8]) -> (String, String) {
+    let text = String::from_utf8_lossy(head);
     let mut parts = text.lines().next().unwrap_or("").split_whitespace();
     let method = parts.next().unwrap_or("").to_string();
     let path = parts.next().unwrap_or("/").to_string();
-    Ok((method, path))
+    (method, path)
 }
 
 /// Serves requests on `listener` until `shutdown` turns true (set
@@ -289,7 +291,6 @@ mod tests {
             metrics: Box::new(|| "# HELP dhnsw_up server liveness\ndhnsw_up 1\n".to_string()),
             health: Box::new(|| Ok("{\"mode\": \"full\"}".to_string())),
             traces: Box::new(|| "{\"traceEvents\": []}".to_string()),
-            explain: Box::new(|| "  stage_load  100 B\n".to_string()),
             profile: Box::new(|| "query_batch;network 120\n".to_string()),
             exemplars: Box::new(|| "{\"occupancy\": 1}".to_string()),
             whyslow: Box::new(|id| {
@@ -324,10 +325,6 @@ mod tests {
         let h = handle("GET", "/health?verbose=1", &sources, &shutdown);
         assert_eq!((h.status, h.body.as_str()), (200, "{\"mode\": \"full\"}"));
         assert_eq!(handle("GET", "/traces", &sources, &shutdown).status, 200);
-        assert_eq!(
-            handle("GET", "/explain/last", &sources, &shutdown).status,
-            200
-        );
         let p = handle("GET", "/profile/folded", &sources, &shutdown);
         assert_eq!(p.status, 200);
         assert!(p.body.contains("query_batch;network 120"));
@@ -398,6 +395,48 @@ mod tests {
         let s = handle("GET", "/shutdown", &sources, &shutdown);
         assert_eq!(s.status, 200);
         assert!(shutdown.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn explain_last_is_gone() {
+        // A batch's read-cost ledger is its `/traces` root span's
+        // `bytes_<cause>` arguments; no endpoint serves a second copy.
+        let r = handle("GET", "/explain/last", &canned(), &AtomicBool::new(false));
+        assert_eq!((r.status, r.content_type), (404, JSON_TYPE));
+        let listed = r.body.split("\"endpoints\"").nth(1).expect("endpoint list");
+        assert!(!listed.contains("explain"), "{}", r.body);
+    }
+
+    #[test]
+    fn every_mutated_request_head_answers_without_panicking() {
+        // Every prefix of a valid head, and every byte of it replaced by
+        // each of a few hostile bytes: parsing plus routing answers one of
+        // the statuses the server speaks, and never panics.
+        let valid = b"GET /whyslow/3?x=1 HTTP/1.1\r\nHost: h\r\n\r\n";
+        let mut sources = canned();
+        sources.whyslow = Box::new(|id| (id == "3").then(|| "{}".to_string()));
+        let mut heads: Vec<Vec<u8>> = (0..=valid.len()).map(|n| valid[..n].to_vec()).collect();
+        for i in 0..valid.len() {
+            for b in [0x00, 0xFF, b' ', b'\r', b'\n', b'?', b'/'] {
+                let mut head = valid.to_vec();
+                head[i] = b;
+                heads.push(head);
+            }
+        }
+        let mut seen = std::collections::BTreeSet::new();
+        for head in &heads {
+            let (method, path) = parse_head(head);
+            let status = handle(&method, &path, &sources, &AtomicBool::new(false)).status;
+            assert!(
+                [200, 400, 404, 405].contains(&status),
+                "{status} for {:?}",
+                String::from_utf8_lossy(head)
+            );
+            seen.insert(status);
+        }
+        // The sweep reaches the route, the 404 and the 405.
+        assert!(seen.is_superset(&[200, 404, 405].into()), "{seen:?}");
+        assert_eq!(parse_head(valid), ("GET".into(), "/whyslow/3?x=1".into()));
     }
 
     #[test]

@@ -233,6 +233,7 @@ mod tests {
             p50_us: 10.0,
             p95_us: 20.0,
             p99_us,
+            degraded_rate: 0.0,
             bytes_per_s,
             cause_bytes_per_s,
             retries_per_s: 0.0,

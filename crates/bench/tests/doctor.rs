@@ -54,3 +54,48 @@ fn doctor_judges_the_measured_passes_not_the_warm_up() {
         "{report}"
     );
 }
+
+#[test]
+fn doctor_judges_the_degraded_rate_on_the_measured_window() {
+    let dir = std::env::temp_dir().join(format!("dhnsw_doctor_degraded_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let store = dir.join("store.dhnsw");
+    let built = cli(&["build", "--synthetic", "sift:4000"], &[("--out", &store)]);
+    assert!(
+        built.status.success(),
+        "{}",
+        String::from_utf8_lossy(&built.stderr)
+    );
+    // One clean warm-up pass over the meta-HNSW representatives, then one
+    // measured pass with every verb dropped: the cache holds 4 of 32
+    // clusters, so every measured query loses some of its clusters. Over
+    // the window the degraded rate reads 1.0; over both passes it would
+    // read 0.5, inside the 0.75 budget.
+    let args = [
+        "doctor",
+        "--warmup-passes",
+        "1",
+        "--passes",
+        "1",
+        "--fault-rate",
+        "1.0",
+        "--degraded-ok",
+        "--slo-max-degraded-rate",
+        "0.75",
+        "--check",
+    ];
+    let out = cli(&args, &[("--store", &store)]);
+    std::fs::remove_dir_all(&dir).ok();
+
+    let report = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        !out.status.success(),
+        "a fully degraded window must trip the budget:\n{report}\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        report
+            .contains("{\"budget\": \"degraded_rate\", \"actual\": 1.000000, \"limit\": 0.750000"),
+        "{report}"
+    );
+}

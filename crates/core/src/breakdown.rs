@@ -219,8 +219,7 @@ impl CostLedger {
 
     /// Human-readable "where did the bytes go" table: one line per
     /// nonzero cause with its byte share, work requests, and trips.
-    /// Used by the CLI `explain` report and the `/explain/last`
-    /// endpoint.
+    /// Printed by `dhnsw_cli query --explain`.
     pub fn render(&self) -> String {
         let total = self.total_bytes();
         if total == 0 {

@@ -665,7 +665,7 @@ pub struct Candidate {
     /// rerank read finds the vector in the full-precision cluster blob —
     /// or `None` when `dist` is already exact.
     pub local: Option<u32>,
-    /// Worst-case quantization error of `dist` (zero when exact).
+    /// One-sigma margin of `dist`, not a worst case (0 if exact): [`SqParams::l2_error_bound`].
     pub err: f32,
 }
 

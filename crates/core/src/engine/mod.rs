@@ -171,14 +171,12 @@ pub(crate) struct EngineMetrics {
     pub(crate) clusters_loaded: Arc<Counter>,
     pub(crate) cluster_cache_hits: Arc<Counter>,
     pub(crate) raw_cluster_demand: Arc<Counter>,
-    pub(crate) transfers_saved: Arc<Counter>,
     pub(crate) cache_evictions: Arc<Counter>,
     pub(crate) cache_occupancy: Arc<Gauge>,
     pub(crate) cache_resident_bytes: Arc<Gauge>,
     pub(crate) rdma_round_trips: Arc<Counter>,
     pub(crate) rdma_work_requests: Arc<Counter>,
     pub(crate) rdma_doorbell_batches: Arc<Counter>,
-    pub(crate) rdma_bytes_read: Arc<Counter>,
     pub(crate) rdma_read_bytes_by_cause: [Arc<Counter>; READ_CAUSES],
     pub(crate) rdma_read_trips_by_cause: [Arc<Counter>; READ_CAUSES],
     pub(crate) rdma_bytes_written: Arc<Counter>,
@@ -204,14 +202,12 @@ impl EngineMetrics {
             clusters_loaded: metrics::CLUSTERS_LOADED.counter(t, m),
             cluster_cache_hits: metrics::CLUSTER_CACHE_HITS.counter(t, m),
             raw_cluster_demand: metrics::RAW_CLUSTER_DEMAND.counter(t, m),
-            transfers_saved: metrics::TRANSFERS_SAVED.counter(t, m),
             cache_evictions: metrics::CACHE_EVICTIONS.counter(t, &[]),
             cache_occupancy: metrics::CACHE_OCCUPANCY.gauge(t, &[]),
             cache_resident_bytes: metrics::CACHE_RESIDENT_BYTES.gauge(t, &[]),
             rdma_round_trips: metrics::RDMA_ROUND_TRIPS.counter(t, &[]),
             rdma_work_requests: metrics::RDMA_WORK_REQUESTS.counter(t, &[]),
             rdma_doorbell_batches: metrics::RDMA_DOORBELL_BATCHES.counter(t, &[]),
-            rdma_bytes_read: metrics::RDMA_BYTES_READ.counter(t, &[]),
             rdma_read_bytes_by_cause: metrics::RDMA_READ_BYTES_BY_CAUSE.counters_by_cause(t),
             rdma_read_trips_by_cause: metrics::RDMA_READ_TRIPS_BY_CAUSE.counters_by_cause(t),
             rdma_bytes_written: metrics::RDMA_BYTES_WRITTEN.counter(t, &[]),
@@ -243,10 +239,6 @@ impl EngineMetrics {
             .add(report.raw_cluster_demand as u64);
         self.degraded_queries.add(report.degraded_queries as u64);
         self.read_retries.add(report.read_retries);
-        let saved = report
-            .raw_cluster_demand
-            .saturating_sub(report.clusters_loaded);
-        self.transfers_saved.add(saved as u64);
     }
 
     /// Reads the query-path families a [`series::Sample`] holds, at
@@ -255,7 +247,7 @@ impl EngineMetrics {
         series::Sample {
             t_us,
             queries: self.queries.get(),
-            bytes_read: self.rdma_bytes_read.get(),
+            degraded_queries: self.degraded_queries.get(),
             cause_bytes: std::array::from_fn(|i| self.rdma_read_bytes_by_cause[i].get()),
             read_retries: self.read_retries.get(),
             evictions: self.cache_evictions.get(),
@@ -434,7 +426,6 @@ impl ComputeNode {
         m.rdma_round_trips.add(rdma.round_trips);
         m.rdma_work_requests.add(rdma.work_requests);
         m.rdma_doorbell_batches.add(rdma.doorbell_batches);
-        m.rdma_bytes_read.add(rdma.bytes_read);
         for (i, c) in m.rdma_read_bytes_by_cause.iter().enumerate() {
             c.add(rdma.cause_bytes[i]);
         }

@@ -156,14 +156,12 @@ impl ComputeNode {
         report.total_us = trace.end_span(root) + report.breakdown.network_us;
 
         // Report: every view below is derived from the one record. A
-        // captured span tree stays in the span ring and folds into the
-        // profile; the exemplar store keeps the record.
+        // captured span tree stays in the span ring (the folded profile
+        // folds the ring on request); the exemplar store keeps the record.
         if trace.is_enabled() {
             trace.add_args(root, &report.span_args());
         }
-        if let Some(ft) = self.telemetry.spans().finish(trace) {
-            self.telemetry.profile().fold_trace(&ft);
-        }
+        self.telemetry.spans().finish(trace);
         self.metrics.observe(&report);
         self.telemetry.exemplars().record(&report);
         self.flush_telemetry();

@@ -708,7 +708,7 @@ fn naive_mode_samples_routes_and_per_query_loads() {
 }
 
 #[test]
-fn health_report_accounts_layout_occupancy_and_latency() {
+fn health_report_accounts_layout_occupancy_and_routing() {
     let (data, store) = setup(600);
     let telemetry = Arc::new(Telemetry::new());
     let node = store
@@ -748,17 +748,12 @@ fn health_report_accounts_layout_occupancy_and_latency() {
         report.layout.utilization,
         report.layout.fragmentation
     );
-    // Query traffic is reflected in skew, cache, and latency.
+    // Query traffic is reflected in the heatmap and the route skew.
     assert!(report.route_skew.total > 0);
+    let routed: u64 = report.heatmap.iter().map(|h| h.route_hits).sum();
+    assert_eq!(routed, report.route_skew.total);
     assert!(report.degree_skew.count > 0);
     assert_eq!(report.partition_skew.count, report.partitions);
-    assert!(report.cache.capacity > 0);
-    // Plan-time hit rate: the cold pass loaded clusters, so the
-    // rate must stay strictly below the vacuous 100%.
-    assert!(report.cache.misses > 0);
-    assert!(report.cache.hit_rate < 1.0);
-    assert!(report.latency.queries >= 8);
-    assert!(report.latency.p99_us >= report.latency.p50_us);
     assert!(report.violations.is_empty());
 
     // The JSON rendering carries every section.
@@ -767,7 +762,7 @@ fn health_report_accounts_layout_occupancy_and_latency() {
         "\"groups\":",
         "\"heatmap\":",
         "\"route_skew\":",
-        "\"latency\":",
+        "\"violations\":",
     ] {
         assert!(json.contains(key), "missing {key}");
     }
@@ -789,7 +784,7 @@ fn health_report_feeds_the_watchdog_end_to_end() {
         max_route_gini: Some(-1.0),
         ..Default::default()
     };
-    report.violations = crate::health::evaluate(&report, &budgets);
+    report.violations = crate::health::evaluate(&report, &budgets, None);
     assert_eq!(report.violations.len(), 1);
     assert_eq!(report.violations[0].budget, "route_gini");
     crate::health::watchdog::emit(&telemetry, &report.violations);

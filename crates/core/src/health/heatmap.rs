@@ -100,14 +100,6 @@ impl ClusterHeatmap {
             })
             .collect()
     }
-
-    /// Cumulative route-hit count per partition (index == partition).
-    pub fn route_hit_counts(&self) -> Vec<u64> {
-        self.cells
-            .iter()
-            .map(|c| c.route_hits.load(Ordering::Relaxed))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -132,7 +124,8 @@ mod tests {
         assert_eq!(snap[3].loads, 2);
         assert_eq!(snap[3].bytes_read, 1000);
         assert_eq!(snap[0].evictions, 1);
-        assert_eq!(h.route_hit_counts(), vec![0, 2, 0, 1]);
+        let route_hits: Vec<u64> = snap.iter().map(|c| c.route_hits).collect();
+        assert_eq!(route_hits, vec![0, 2, 0, 1]);
     }
 
     #[test]

@@ -14,16 +14,19 @@
 //! - [`report`] — the machine-readable [`HealthReport`]: per-group
 //!   overflow occupancy / slack / fragmentation from the layout
 //!   directory plus live `used` counters (one doorbell batch of 8-byte
-//!   reads), the heatmap snapshot, routing-skew statistics, cache and
-//!   latency summaries since connect, rendered as deterministic JSON.
+//!   reads), the heatmap snapshot and routing-skew statistics, rendered
+//!   as deterministic JSON. State only: counts live in `/metrics`,
+//!   rates in a [`crate::SeriesPoint`], the slowest batches in
+//!   `/exemplars`.
 //! - [`skew`] — Gini coefficient and top-k share over any counter
 //!   vector (partition bytes, route frequencies, meta-graph degrees).
 //! - [`watchdog`] — threshold budgets ([`SloBudgets`], set by
 //!   `dhnsw_cli`'s `--slo-*` flags), each with one judge: the state
-//!   budgets against a report ([`evaluate`]), p99 latency and hit rate
-//!   against a window, a [`crate::SeriesPoint`] ([`evaluate_point`]);
-//!   violations land in the span-trace ring as structured warning
-//!   events and drive `dhnsw_cli doctor --check`'s non-zero exit.
+//!   budgets (occupancy, route Gini) against a report ([`evaluate`]),
+//!   p99 latency, hit rate and degraded rate against a window, a
+//!   [`crate::SeriesPoint`] ([`evaluate_point`]); violations land in the
+//!   span-trace ring as structured warning events and drive `dhnsw_cli
+//!   doctor --check`'s non-zero exit.
 //!
 //! The subsystem is read-only: producing a report costs one doorbell
 //! batch of overflow-counter reads and mutates neither the store nor
@@ -39,8 +42,6 @@ pub mod skew;
 pub mod watchdog;
 
 pub use heatmap::{ClusterHeatmap, PartitionHeat};
-pub use report::{
-    CacheHealth, GroupHealth, HealthReport, LatencyHealth, LayoutSummary, TailHealth,
-};
+pub use report::{GroupHealth, HealthReport, LayoutSummary};
 pub use skew::{skew_of, SkewStats};
 pub use watchdog::{evaluate, evaluate_point, SloBudgets, SloViolation};

@@ -2,10 +2,7 @@
 
 use rdma_sim::{ReadCause, ReadReq};
 
-use super::report::{
-    CacheHealth, GroupHealth, HealthReport, LatencyHealth, LayoutSummary, ReliabilityHealth,
-    TailHealth,
-};
+use super::report::{GroupHealth, HealthReport, LayoutSummary};
 use super::skew::skew_of;
 use crate::engine::{ComputeNode, Reader};
 use crate::telemetry::span::{BatchTrace, SpanId};
@@ -24,8 +21,8 @@ impl ComputeNode {
     /// Assembles a point-in-time [`HealthReport`]: live per-group
     /// overflow occupancy (one round of 8-byte counter reads, posted and
     /// retried like every other read of this node), layout/fragmentation
-    /// accounting, the access heatmap, routing-skew statistics, and
-    /// cache/latency summaries. Read-only with respect to the store, the
+    /// accounting, the access heatmap and routing-skew statistics.
+    /// Read-only with respect to the store, the
     /// registry and the node: it writes nothing back, so two reports
     /// with no batch between render the same JSON.
     ///
@@ -117,73 +114,18 @@ impl ComputeNode {
             .into_iter()
             .map(|d| d as u64)
             .collect();
-
-        // Hit rates are plan-time (hits = loads avoided, misses =
-        // clusters fetched): the engine only probes the LRU for
-        // partitions planning proved resident. The report is lifetime
-        // state and cuts no window: windows are series points.
-        let cache = {
-            let c = self.cache.lock();
-            let stats = c.stats();
-            let hits = self.metrics.cluster_cache_hits.get();
-            let misses = self.metrics.clusters_loaded.get();
-            CacheHealth {
-                capacity: c.capacity(),
-                resident: c.len(),
-                resident_bytes: c.resident_bytes() as u64,
-                hits,
-                misses,
-                evictions: stats.evictions,
-                hit_rate: ratio(hits, hits + misses),
-            }
-        };
-        let latency = {
-            let h = &self.metrics.latency_us;
-            LatencyHealth {
-                queries: h.count(),
-                p50_us: h.quantile(0.5),
-                p95_us: h.quantile(0.95),
-                p99_us: h.quantile(0.99),
-                max_us: h.max(),
-            }
-        };
-        let reliability = {
-            let queries = self.metrics.queries.get();
-            let degraded = self.metrics.degraded_queries.get();
-            ReliabilityHealth {
-                queries,
-                degraded_queries: degraded,
-                read_retries: self.metrics.read_retries.get(),
-                degraded_rate: ratio(degraded, queries),
-            }
-        };
-
-        let tail = {
-            let ex = self.telemetry().exemplars();
-            let slowest = ex.slowest();
-            TailHealth {
-                exemplar_occupancy: ex.occupancy(),
-                exemplars_recorded: ex.recorded(),
-                exemplars_dropped: ex.dropped(),
-                profile_paths: self.telemetry().profile().len() as u64,
-                slowest_trace_id: slowest.first().map(|r| r.trace_id),
-                slowest_total_us: slowest.first().map_or(0.0, |r| r.total_us),
-            }
-        };
+        let heatmap = self.heatmap().snapshot();
+        let route_hits: Vec<u64> = heatmap.iter().map(|h| h.route_hits).collect();
 
         Ok(HealthReport {
             mode: self.mode().label(),
             partitions,
             groups: group_health,
             layout,
-            heatmap: self.heatmap().snapshot(),
+            heatmap,
             partition_skew: skew_of(&cluster_bytes, topk),
-            route_skew: skew_of(&self.heatmap().route_hit_counts(), topk),
+            route_skew: skew_of(&route_hits, topk),
             degree_skew: skew_of(&degree_hist, topk),
-            cache,
-            latency,
-            reliability,
-            tail,
             violations: Vec::new(),
         })
     }

@@ -1,12 +1,15 @@
 //! The machine-readable health report.
 //!
-//! A [`HealthReport`] is a point-in-time summary of one compute node's
-//! view of the memory pool: the §3.2 layout with live overflow
-//! occupancy, the access heatmap, routing-skew statistics, and cache /
-//! latency summaries. It renders as deterministic JSON (fixed field
-//! order, arrays in partition/group order) so `dhnsw_cli doctor`
-//! output can be diffed and parsed by scripts. It is derived when asked
-//! for and never written back into the metrics registry.
+//! A [`HealthReport`] is the *state* of one compute node's view of the
+//! memory pool at one moment: the §3.2 layout with live overflow
+//! occupancy, the access heatmap and routing-skew statistics. It holds
+//! no rate and no copy of another surface's number: cache, latency and
+//! degradation counts are `/metrics`' families, their windowed rates are
+//! a [`crate::SeriesPoint`]'s, and the slowest batch is `/exemplars`'.
+//! It renders as deterministic JSON (fixed field order, arrays in
+//! partition/group order) so `dhnsw_cli doctor` output can be diffed and
+//! parsed by scripts. It is derived when asked for and never written
+//! back into the metrics registry.
 
 use crate::health::heatmap::PartitionHeat;
 use crate::health::skew::SkewStats;
@@ -69,77 +72,6 @@ pub struct LayoutSummary {
     pub fragmentation: f64,
 }
 
-/// Cluster-cache summary at report time.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct CacheHealth {
-    /// Configured capacity in clusters.
-    pub capacity: usize,
-    /// Resident clusters.
-    pub resident: usize,
-    /// Resident bytes (serialized size of cached clusters).
-    pub resident_bytes: u64,
-    /// Lifetime plan-time hits: cluster loads avoided by residency.
-    pub hits: u64,
-    /// Lifetime plan-time misses: clusters fetched from remote memory.
-    pub misses: u64,
-    /// Lifetime evictions.
-    pub evictions: u64,
-    /// `hits / (hits + misses)`, 0 with no lookups.
-    pub hit_rate: f64,
-}
-
-/// Query-latency summary from the node's telemetry histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct LatencyHealth {
-    /// Queries observed.
-    pub queries: u64,
-    /// Median per-query latency, microseconds.
-    pub p50_us: f64,
-    /// 95th percentile, microseconds.
-    pub p95_us: f64,
-    /// 99th percentile, microseconds.
-    pub p99_us: f64,
-    /// Largest observed value, microseconds.
-    pub max_us: u64,
-}
-
-/// Degraded-service and retry accounting since connect.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ReliabilityHealth {
-    /// Queries answered since connect.
-    pub queries: u64,
-    /// Queries answered from an incomplete cluster set (read retries
-    /// exhausted with degraded results allowed).
-    pub degraded_queries: u64,
-    /// Engine-level cluster read retries (version mismatches plus
-    /// exhausted substrate retransmission budgets).
-    pub read_retries: u64,
-    /// `degraded_queries / queries` in `[0, 1]`, 0 with no queries.
-    pub degraded_rate: f64,
-}
-
-/// Tail-anatomy summary: the exemplar store and folded profile that
-/// back `/profile/folded`, `/exemplars`, and `doctor --why-slow`.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct TailHealth {
-    /// Exemplars currently retained (reservoir + K-slowest slots).
-    pub exemplar_occupancy: u64,
-    /// Batches offered to the exemplar store since connect.
-    pub exemplars_recorded: u64,
-    /// Exemplars evicted or not retained by the bounded store.
-    pub exemplars_dropped: u64,
-    /// Distinct span paths in the folded profile (0 while span capture
-    /// is off: it folds span trees only).
-    pub profile_paths: u64,
-    /// Trace id of the slowest retained batch, if any. SLO violations
-    /// link here so `/whyslow/<id>` can explain the breach.
-    pub slowest_trace_id: Option<u64>,
-    /// End-to-end latency of that slowest batch — its record's
-    /// `total_us`: host wall plus virtual network — microseconds (0 when
-    /// empty).
-    pub slowest_total_us: f64,
-}
-
 /// A point-in-time health summary of one compute node's memory pool.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthReport {
@@ -159,14 +91,6 @@ pub struct HealthReport {
     pub route_skew: SkewStats,
     /// Skew of meta-HNSW layer-0 out-degrees (structural imbalance).
     pub degree_skew: SkewStats,
-    /// Cluster-cache summary.
-    pub cache: CacheHealth,
-    /// Query-latency summary.
-    pub latency: LatencyHealth,
-    /// Degraded-service and retry accounting.
-    pub reliability: ReliabilityHealth,
-    /// Tail-anatomy summary (exemplar store + folded profile).
-    pub tail: TailHealth,
     /// SLO budget violations (empty until a watchdog evaluates the
     /// report).
     pub violations: Vec<SloViolation>,
@@ -254,41 +178,6 @@ impl HealthReport {
                 s.topk,
             ));
         }
-        let c = &self.cache;
-        out.push_str(&format!(
-            "  \"cache\": {{\"capacity\": {}, \"resident\": {}, \"resident_bytes\": {}, \"hits\": {}, \"misses\": {}, \"evictions\": {}, \"hit_rate\": {}}},\n",
-            c.capacity, c.resident, c.resident_bytes, c.hits, c.misses, c.evictions, num(c.hit_rate),
-        ));
-        let t = &self.latency;
-        out.push_str(&format!(
-            "  \"latency\": {{\"queries\": {}, \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}, \"max_us\": {}}},\n",
-            t.queries,
-            num(t.p50_us),
-            num(t.p95_us),
-            num(t.p99_us),
-            t.max_us,
-        ));
-        let r = &self.reliability;
-        out.push_str(&format!(
-            "  \"reliability\": {{\"queries\": {}, \"degraded_queries\": {}, \"read_retries\": {}, \"degraded_rate\": {}}},\n",
-            r.queries,
-            r.degraded_queries,
-            r.read_retries,
-            num(r.degraded_rate),
-        ));
-        let tl = &self.tail;
-        let slowest_id = tl
-            .slowest_trace_id
-            .map_or("null".to_string(), |id| id.to_string());
-        out.push_str(&format!(
-            "  \"tail\": {{\"exemplar_occupancy\": {}, \"exemplars_recorded\": {}, \"exemplars_dropped\": {}, \"profile_paths\": {}, \"slowest_trace_id\": {}, \"slowest_total_us\": {}}},\n",
-            tl.exemplar_occupancy,
-            tl.exemplars_recorded,
-            tl.exemplars_dropped,
-            tl.profile_paths,
-            slowest_id,
-            num(tl.slowest_total_us),
-        ));
         out.push_str("  \"violations\": [\n");
         for (i, v) in self.violations.iter().enumerate() {
             out.push_str(&format!(
@@ -360,36 +249,6 @@ mod tests {
             partition_skew: skew_of(&[500, 500], 1),
             route_skew: skew_of(&[10, 0], 1),
             degree_skew: skew_of(&[3, 5], 1),
-            cache: CacheHealth {
-                capacity: 4,
-                resident: 2,
-                resident_bytes: 1000,
-                hits: 8,
-                misses: 2,
-                evictions: 1,
-                hit_rate: 0.8,
-            },
-            latency: LatencyHealth {
-                queries: 10,
-                p50_us: 100.0,
-                p95_us: 200.0,
-                p99_us: 250.0,
-                max_us: 300,
-            },
-            reliability: ReliabilityHealth {
-                queries: 10,
-                degraded_queries: 2,
-                read_retries: 3,
-                degraded_rate: 0.2,
-            },
-            tail: TailHealth {
-                exemplar_occupancy: 5,
-                exemplars_recorded: 12,
-                exemplars_dropped: 7,
-                profile_paths: 9,
-                slowest_trace_id: Some(42),
-                slowest_total_us: 900.0,
-            },
             violations: Vec::new(),
         }
     }
@@ -408,12 +267,6 @@ mod tests {
             "\"partition_skew\":",
             "\"route_skew\":",
             "\"degree_skew\":",
-            "\"cache\":",
-            "\"latency\":",
-            "\"reliability\":",
-            "\"degraded_rate\": 0.200000",
-            "\"tail\":",
-            "\"slowest_trace_id\": 42",
             "\"violations\":",
             "\"occupancy\": 0.250000",
             "\"back\": 1",
@@ -427,7 +280,5 @@ mod tests {
         let mut r = sample();
         r.groups[0].back = None;
         assert!(r.to_json().contains("\"back\": null"));
-        r.tail.slowest_trace_id = None;
-        assert!(r.to_json().contains("\"slowest_trace_id\": null"));
     }
 }

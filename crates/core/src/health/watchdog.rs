@@ -1,14 +1,16 @@
 //! Threshold-based SLO watchdog.
 //!
 //! Budgets come from `dhnsw_cli`'s `--slo-*` flags, and each has one
-//! judge. [`evaluate`] checks the three *state* budgets (overflow
-//! occupancy, route Gini, degraded rate) against a [`HealthReport`];
-//! [`evaluate_point`] checks the two *windowed* ones (p99 latency, cache
-//! hit rate) against a [`SeriesPoint`], the one window the plane cuts.
-//! [`emit`] publishes violations as a `dhnsw_slo_violations_total`
-//! counter plus structured `slo_violation` instant events in the
-//! span-trace ring (when span capture is enabled), so a dashboard or a
-//! `doctor --check` script sees the same verdict.
+//! judge. [`evaluate`] checks the two *state* budgets (overflow
+//! occupancy, route Gini) against a [`HealthReport`]; [`evaluate_point`]
+//! checks the three *windowed* ones (p99 latency, cache hit rate,
+//! degraded rate) against a [`SeriesPoint`], the one window the plane
+//! cuts. Both take the exemplar id every violation links to (the
+//! slowest retained batch's, from `/exemplars`). [`emit`] publishes
+//! violations as a `dhnsw_slo_violations_total` counter plus structured
+//! `slo_violation` instant events in the span-trace ring (when span
+//! capture is enabled), so a dashboard or a `doctor --check` script
+//! sees the same verdict.
 
 use crate::health::report::HealthReport;
 use crate::telemetry::series::SeriesPoint;
@@ -27,7 +29,7 @@ pub struct SloBudgets {
     pub max_overflow_occupancy: Option<f64>,
     /// Largest acceptable route-frequency Gini coefficient.
     pub max_route_gini: Option<f64>,
-    /// Largest acceptable fraction of queries answered degraded
+    /// Largest acceptable windowed fraction of queries answered degraded
     /// (incomplete cluster coverage), in `[0, 1]`.
     pub max_degraded_rate: Option<f64>,
 }
@@ -60,13 +62,15 @@ impl SloViolation {
     }
 }
 
-/// Checks `report` against the three state budgets, returning every
-/// violated one in a fixed order (occupancy, skew, degradation).
-pub fn evaluate(report: &HealthReport, budgets: &SloBudgets) -> Vec<SloViolation> {
-    // Every violation links to the slowest retained exemplar so a
-    // breach comes with a concrete batch to interrogate via
-    // `/whyslow/<id>` rather than just a number over a limit.
-    let exemplar = report.tail.slowest_trace_id;
+/// Checks `report` against the two state budgets, returning every
+/// violated one in a fixed order (occupancy, skew). `exemplar` should be
+/// the slowest retained tail exemplar's trace id at evaluation time, if
+/// any: every breach links to it so `/whyslow/<id>` can explain it.
+pub fn evaluate(
+    report: &HealthReport,
+    budgets: &SloBudgets,
+    exemplar: Option<u64>,
+) -> Vec<SloViolation> {
     let mut out = Vec::new();
     if let Some(limit) = budgets.max_overflow_occupancy {
         if report.layout.max_group_occupancy > limit {
@@ -88,26 +92,15 @@ pub fn evaluate(report: &HealthReport, budgets: &SloBudgets) -> Vec<SloViolation
             });
         }
     }
-    if let Some(limit) = budgets.max_degraded_rate {
-        if report.reliability.degraded_rate > limit {
-            out.push(SloViolation {
-                budget: "degraded_rate",
-                actual: report.reliability.degraded_rate,
-                limit,
-                exemplar,
-            });
-        }
-    }
     out
 }
 
 /// Checks one window — a recorder tick's [`SeriesPoint`], or any
-/// [`SeriesPoint::between`] two samples — against the two windowed
-/// budgets, in a fixed order (latency, hit rate). A window with nothing
-/// to judge skips its check rather than falling back to lifetime values,
-/// which would re-fire a stale violation on every idle tick. `exemplar`
-/// should be the slowest retained tail exemplar's trace id at
-/// evaluation time, if any.
+/// [`SeriesPoint::between`] two samples — against the three windowed
+/// budgets, in a fixed order (latency, hit rate, degradation). A window
+/// with nothing to judge skips its check rather than falling back to
+/// lifetime values, which would re-fire a stale violation on every idle
+/// tick. `exemplar`: as for [`evaluate`].
 pub fn evaluate_point(
     point: &SeriesPoint,
     budgets: &SloBudgets,
@@ -129,6 +122,16 @@ pub fn evaluate_point(
             out.push(SloViolation {
                 budget: "cache_hit_rate",
                 actual: point.hit_rate,
+                limit,
+                exemplar,
+            });
+        }
+    }
+    if let Some(limit) = budgets.max_degraded_rate {
+        if point.window_queries > 0 && point.degraded_rate > limit {
+            out.push(SloViolation {
+                budget: "degraded_rate",
+                actual: point.degraded_rate,
                 limit,
                 exemplar,
             });
@@ -160,10 +163,8 @@ pub fn emit(telemetry: &Telemetry, violations: &[SloViolation]) {
 mod tests {
     use super::*;
     use crate::health::heatmap::PartitionHeat;
-    use crate::health::report::{
-        CacheHealth, GroupHealth, LatencyHealth, LayoutSummary, ReliabilityHealth, TailHealth,
-    };
-    use crate::health::skew::skew_of;
+    use crate::health::report::{GroupHealth, LayoutSummary};
+    use crate::health::skew::{skew_of, SkewStats};
 
     fn report() -> HealthReport {
         HealthReport {
@@ -195,39 +196,17 @@ mod tests {
             partition_skew: skew_of(&[50, 50], 1),
             route_skew: skew_of(&[10, 0], 1),
             degree_skew: SkewStats::default(),
-            cache: CacheHealth {
-                hit_rate: 0.5,
-                hits: 1,
-                misses: 1,
-                ..CacheHealth::default()
-            },
-            latency: LatencyHealth {
-                queries: 10,
-                p99_us: 900.0,
-                ..LatencyHealth::default()
-            },
-            reliability: ReliabilityHealth {
-                queries: 10,
-                degraded_queries: 2,
-                read_retries: 3,
-                degraded_rate: 0.2,
-            },
-            tail: TailHealth {
-                slowest_trace_id: Some(7),
-                slowest_total_us: 900.0,
-                ..TailHealth::default()
-            },
             violations: Vec::new(),
         }
     }
-    use crate::health::skew::SkewStats;
 
-    /// A window of `queries` queries at `p99_us` and `cache_ops` planned
-    /// clusters at `hit_rate`.
+    /// A window of `queries` queries at `p99_us`, a fifth of them
+    /// degraded, and `cache_ops` planned clusters at `hit_rate`.
     fn window(queries: u64, p99_us: f64, cache_ops: u64, hit_rate: f64) -> SeriesPoint {
         SeriesPoint {
             window_queries: queries,
             p99_us,
+            degraded_rate: 0.2,
             window_cache_ops: cache_ops,
             hit_rate,
             ..SeriesPoint::default()
@@ -237,7 +216,7 @@ mod tests {
     #[test]
     fn empty_budgets_never_fire() {
         let b = SloBudgets::default();
-        assert!(evaluate(&report(), &b).is_empty());
+        assert!(evaluate(&report(), &b, Some(7)).is_empty());
         assert!(evaluate_point(&window(10, 900.0, 2, 0.5), &b, Some(7)).is_empty());
     }
 
@@ -254,15 +233,16 @@ mod tests {
         // ones; neither judges the other's.
         let w = evaluate_point(&window(10, 900.0, 2, 0.5), &b, Some(7));
         let names: Vec<&str> = w.iter().map(|x| x.budget).collect();
-        assert_eq!(names, vec!["p99_latency_us", "cache_hit_rate"]);
-        assert_eq!(w[0].actual, 900.0);
-        assert_eq!(w[0].limit, 500.0);
-        let v = evaluate(&report(), &b);
-        let names: Vec<&str> = v.iter().map(|x| x.budget).collect();
         assert_eq!(
             names,
-            vec!["overflow_occupancy", "route_gini", "degraded_rate"]
+            vec!["p99_latency_us", "cache_hit_rate", "degraded_rate"]
         );
+        assert_eq!(w[0].actual, 900.0);
+        assert_eq!(w[0].limit, 500.0);
+        assert_eq!(w[2].actual, 0.2);
+        let v = evaluate(&report(), &b, Some(7));
+        let names: Vec<&str> = v.iter().map(|x| x.budget).collect();
+        assert_eq!(names, vec!["overflow_occupancy", "route_gini"]);
         assert_eq!(v[0].actual, 0.9);
         assert_eq!(v[0].limit, 0.75);
         // Every breach carries the slowest exemplar's trace id so the
@@ -271,27 +251,35 @@ mod tests {
     }
 
     #[test]
-    fn empty_window_skips_latency_and_hit_rate_checks() {
+    fn empty_window_skips_every_windowed_check() {
         // Lifetime aggregates may be terrible (cold-start spike) but a
-        // window that saw no traffic has nothing to judge: latency and
-        // hit-rate budgets stay quiet instead of re-firing the stale
-        // violation on every idle tick.
+        // window that saw no traffic has nothing to judge: latency,
+        // hit-rate and degradation budgets stay quiet instead of
+        // re-firing the stale violation on every idle tick.
         let b = SloBudgets {
             max_p99_us: Some(500.0),
             min_cache_hit_rate: Some(0.8),
+            max_degraded_rate: Some(0.1),
             ..SloBudgets::default()
         };
         assert!(evaluate_point(&window(0, 0.0, 0, 0.0), &b, None).is_empty());
 
         // A healthy window passes.
-        assert!(evaluate_point(&window(5, 100.0, 10, 0.9), &b, None).is_empty());
+        let healthy = SeriesPoint {
+            degraded_rate: 0.0,
+            ..window(5, 100.0, 10, 0.9)
+        };
+        assert!(evaluate_point(&healthy, &b, None).is_empty());
 
         // And a bad window trips.
         let names: Vec<&str> = evaluate_point(&window(5, 900.0, 10, 0.5), &b, None)
             .iter()
             .map(|x| x.budget)
             .collect();
-        assert_eq!(names, vec!["p99_latency_us", "cache_hit_rate"]);
+        assert_eq!(
+            names,
+            vec!["p99_latency_us", "cache_hit_rate", "degraded_rate"]
+        );
     }
 
     #[test]
@@ -303,7 +291,7 @@ mod tests {
             max_route_gini: Some(0.6),
             max_degraded_rate: Some(0.5),
         };
-        assert!(evaluate(&report(), &b).is_empty());
+        assert!(evaluate(&report(), &b, Some(7)).is_empty());
         assert!(evaluate_point(&window(10, 900.0, 2, 0.5), &b, Some(7)).is_empty());
     }
 

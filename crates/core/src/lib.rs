@@ -75,7 +75,7 @@ pub use rdma_sim::{ReadCause, READ_CAUSES};
 pub use store::VectorStore;
 pub use telemetry::chrome::chrome_trace_json;
 pub use telemetry::exemplar::{diagnose, Diagnosis, ExemplarStore, VERDICTS};
-pub use telemetry::profile::{PathStats, ProfileAccumulator};
+pub use telemetry::profile::PathStats;
 pub use telemetry::series::{
     AnomalyRecord, Sample, SeriesPoint, SeriesRecorder, TrackedSeries, TRACKED, TRACKED_SERIES,
 };

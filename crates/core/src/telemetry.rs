@@ -3,8 +3,10 @@
 //! Everything the query path wants to record flows through a
 //! [`Telemetry`] instance — counters, gauges, and fixed-bucket
 //! log-scale histograms, plus the retained views of recent batches
-//! (span trees, tail exemplars, the folded profile, the time series),
-//! each derived from the batch's one [`crate::BatchReport`]. One
+//! (the span ring, tail exemplars, the time series), each derived from
+//! the batch's one [`crate::BatchReport`]. The folded profile is no
+//! store of its own: [`profile::render_folded`] folds the span ring
+//! when asked. One
 //! process-wide instance ([`Telemetry::global`]) backs every
 //! [`crate::ComputeNode`] unless a caller supplies its own (tests
 //! isolate themselves this way).
@@ -19,7 +21,8 @@
 //!    histograms are fixed arrays. With span capture disabled the
 //!    tracer costs a batch one atomic load and a span one clock read.
 //! 3. **No dependencies.** Exposition renders Prometheus text format
-//!    0.0.4 and JSON by hand; ordering is made deterministic with
+//!    0.0.4 by hand — the registry's one exposition, behind `/metrics`
+//!    and `--metrics-out`; ordering is made deterministic with
 //!    `BTreeMap`s so output is diffable and testable.
 //!
 //! Metric naming follows Prometheus conventions: `dhnsw_` prefix,
@@ -41,7 +44,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use exemplar::ExemplarStore;
-use profile::ProfileAccumulator;
 use series::SeriesRecorder;
 use span::{ArgValue, SpanId, SpanTracer, DEFAULT_SPAN_TRACE_CAPACITY};
 
@@ -90,14 +92,12 @@ impl Gauge {
 /// Buckets have upper bounds `1, 2, 4, …, 2^31, +Inf` — 33 in total,
 /// which spans sub-microsecond latencies to half-hour outliers when
 /// samples are microseconds, and single-element to billion-element
-/// sizes when they are counts. Quantiles are read as the upper bound
-/// of the bucket holding the target rank, clamped to the observed
-/// max, so a histogram with one sample reports that sample exactly.
+/// sizes when they are counts. Quantiles are read off a
+/// [`HistogramSnapshot`] (or the window between two).
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; HIST_BUCKETS],
     sum: AtomicU64,
-    min: AtomicU64,
     max: AtomicU64,
 }
 
@@ -106,7 +106,6 @@ impl Default for Histogram {
         Histogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
         }
     }
@@ -133,13 +132,8 @@ fn bucket_bound(i: usize) -> f64 {
 }
 
 impl Histogram {
-    /// Records one sample.
-    pub fn observe(&self, v: u64) {
-        self.observe_n(v, 1);
-    }
-
-    /// Records `count` samples of value `v` (used when merging
-    /// pre-bucketed counts from a substrate snapshot).
+    /// Records `count` samples of value `v` (a batch's per-query sample
+    /// once per query, or a substrate snapshot's pre-bucketed counts).
     pub fn observe_n(&self, v: u64, count: u64) {
         if count == 0 {
             return;
@@ -147,7 +141,6 @@ impl Histogram {
         self.buckets[bucket_index(v)].fetch_add(count, Ordering::Relaxed);
         self.sum
             .fetch_add(v.saturating_mul(count), Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
@@ -161,25 +154,9 @@ impl Histogram {
         self.sum.load(Ordering::Relaxed)
     }
 
-    /// Smallest sample, or 0 when empty.
-    pub fn min(&self) -> u64 {
-        let m = self.min.load(Ordering::Relaxed);
-        if m == u64::MAX {
-            0
-        } else {
-            m
-        }
-    }
-
     /// Largest sample, or 0 when empty.
     pub fn max(&self) -> u64 {
         self.max.load(Ordering::Relaxed)
-    }
-
-    /// The quantile `q` in `[0, 1]` over every sample so far (see
-    /// [`HistogramSnapshot::quantile`]).
-    pub fn quantile(&self, q: f64) -> f64 {
-        self.snapshot().quantile(q)
     }
 
     /// Cumulative `(upper_bound, count)` pairs, Prometheus-style.
@@ -208,7 +185,7 @@ impl Histogram {
 /// A frozen copy of a [`Histogram`]'s buckets.
 ///
 /// Subtraction yields the *window* between two snapshots, which is how
-/// the SLO watchdog and the health report evaluate recent p99 instead
+/// the SLO watchdog and `/timeseries` evaluate recent p99 instead
 /// of lifetime aggregates: a cold-start latency spike ages out of the
 /// window as soon as a report interval passes without one, instead of
 /// pinning the lifetime quantile (and the watchdog) forever.
@@ -321,21 +298,19 @@ fn render_labels(labels: &[(&str, &str)]) -> String {
     format!("{{{}}}", body.join(","))
 }
 
-/// Escapes a label value for both exposition formats.
+/// Escapes a label value for the text exposition.
 pub(crate) fn escape(s: &str) -> String {
     s.replace('\\', "\\\\")
         .replace('"', "\\\"")
         .replace('\n', "\\n")
 }
 
-/// The telemetry hub: a metrics registry, a span tracer, the
-/// flame-profile accumulator, the bounded tail-exemplar store, and the
-/// time-series recorder.
+/// The telemetry hub: a metrics registry, a span tracer, the bounded
+/// tail-exemplar store, and the time-series recorder.
 #[derive(Debug)]
 pub struct Telemetry {
     families: Mutex<BTreeMap<&'static str, Family>>,
     spans: SpanTracer,
-    profile: ProfileAccumulator,
     exemplars: ExemplarStore,
     series: SeriesRecorder,
 }
@@ -352,7 +327,6 @@ impl Telemetry {
         Telemetry {
             families: Mutex::new(BTreeMap::new()),
             spans: SpanTracer::new(DEFAULT_SPAN_TRACE_CAPACITY),
-            profile: ProfileAccumulator::new(),
             exemplars: ExemplarStore::default(),
             series: SeriesRecorder::new(),
         }
@@ -368,12 +342,6 @@ impl Telemetry {
     /// only place span trees are kept.
     pub fn spans(&self) -> &SpanTracer {
         &self.spans
-    }
-
-    /// The cumulative flame-profile accumulator (every captured span
-    /// tree folds into it).
-    pub fn profile(&self) -> &ProfileAccumulator {
-        &self.profile
     }
 
     /// The bounded tail-exemplar store behind `/exemplars` and
@@ -470,70 +438,6 @@ impl Telemetry {
         }
         out
     }
-
-    /// Renders every metric (and histogram quantiles) as a JSON object:
-    /// `{"counters": {...}, "gauges": {...}, "histograms": {...}}`,
-    /// keys in lexicographic order.
-    pub fn snapshot_json(&self) -> String {
-        let mut counters: BTreeMap<String, String> = BTreeMap::new();
-        let mut gauges: BTreeMap<String, String> = BTreeMap::new();
-        let mut hists: BTreeMap<String, String> = BTreeMap::new();
-        let families = self.families.lock();
-        for (name, family) in families.iter() {
-            for (labels, inst) in &family.series {
-                let key = format!("{name}{labels}");
-                match inst {
-                    Instrument::Counter(c) => {
-                        counters.insert(key, c.get().to_string());
-                    }
-                    Instrument::Gauge(g) => {
-                        gauges.insert(key, g.get().to_string());
-                    }
-                    Instrument::Histogram(h) => {
-                        let buckets: Vec<String> = h
-                            .cumulative_buckets()
-                            .into_iter()
-                            .map(|(bound, cum)| {
-                                let le = if bound.is_infinite() {
-                                    "\"+Inf\"".to_string()
-                                } else {
-                                    format!("{bound}")
-                                };
-                                format!("[{le},{cum}]")
-                            })
-                            .collect();
-                        hists.insert(
-                            key,
-                            format!(
-                                "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\
-                                 \"p50\":{},\"p95\":{},\"p99\":{},\"buckets\":[{}]}}",
-                                h.count(),
-                                h.sum(),
-                                h.min(),
-                                h.max(),
-                                json_f64(h.quantile(0.50)),
-                                json_f64(h.quantile(0.95)),
-                                json_f64(h.quantile(0.99)),
-                                buckets.join(",")
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-        let join = |m: &BTreeMap<String, String>| {
-            m.iter()
-                .map(|(k, v)| format!("\"{}\":{v}", escape(k)))
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        format!(
-            "{{\"counters\":{{{}}},\"gauges\":{{{}}},\"histograms\":{{{}}}}}",
-            join(&counters),
-            join(&gauges),
-            join(&hists)
-        )
-    }
 }
 
 /// Inserts an extra label into an already-rendered label set.
@@ -543,15 +447,6 @@ fn merge_label(labels: &str, extra: &str) -> String {
     } else {
         // `{a="x"}` → `{a="x",extra}`
         format!("{},{extra}}}", &labels[..labels.len() - 1])
-    }
-}
-
-/// Formats an f64 as JSON (no NaN/Inf — clamp to a string if ever hit).
-pub(crate) fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "\"+Inf\"".to_string()
     }
 }
 
@@ -586,22 +481,20 @@ mod tests {
         let h = Histogram::default();
         assert_eq!(h.count(), 0);
         assert_eq!(h.sum(), 0);
-        assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 0);
-        assert_eq!(h.quantile(0.5), 0.0);
-        assert_eq!(h.quantile(0.99), 0.0);
+        assert_eq!(h.snapshot().quantile(0.5), 0.0);
+        assert_eq!(h.snapshot().quantile(0.99), 0.0);
     }
 
     #[test]
     fn histogram_single_sample_is_exact_at_every_quantile() {
         let h = Histogram::default();
-        h.observe(37);
+        h.observe_n(37, 1);
         for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
-            assert_eq!(h.quantile(q), 37.0, "q={q}");
+            assert_eq!(h.snapshot().quantile(q), 37.0, "q={q}");
         }
         assert_eq!(h.count(), 1);
         assert_eq!(h.sum(), 37);
-        assert_eq!(h.min(), 37);
         assert_eq!(h.max(), 37);
     }
 
@@ -625,11 +518,11 @@ mod tests {
         h.observe_n(10, 90);
         h.observe_n(1000, 10);
         // p50 lands in the bucket of 10 (upper bound 16).
-        assert_eq!(h.quantile(0.5), 16.0);
+        assert_eq!(h.snapshot().quantile(0.5), 16.0);
         // p95 lands in the bucket of 1000 (upper bound 1024, clamped to
         // observed max 1000).
-        assert_eq!(h.quantile(0.95), 1000.0);
-        assert_eq!(h.quantile(0.99), 1000.0);
+        assert_eq!(h.snapshot().quantile(0.95), 1000.0);
+        assert_eq!(h.snapshot().quantile(0.99), 1000.0);
         assert_eq!(h.count(), 100);
         assert_eq!(h.sum(), 90 * 10 + 10 * 1000);
     }
@@ -650,7 +543,7 @@ mod tests {
         // The window sees only fast traffic even though lifetime p99
         // is still pinned by the cold spike.
         assert_eq!(window.quantile(0.99), 16.0);
-        assert_eq!(h.quantile(0.99), 1000.0);
+        assert_eq!(h.snapshot().quantile(0.99), 1000.0);
     }
 
     #[test]
@@ -671,12 +564,10 @@ mod tests {
     #[test]
     fn histogram_snapshot_quantile_clamps_to_lifetime_max() {
         let h = Histogram::default();
-        h.observe(1000);
-        let snap = h.snapshot();
+        h.observe_n(1000, 1);
         // Bucket upper bound is 1024; the snapshot clamps to the
-        // observed max like the live histogram does.
-        assert_eq!(snap.quantile(1.0), 1000.0);
-        assert_eq!(h.quantile(1.0), 1000.0);
+        // observed max.
+        assert_eq!(h.snapshot().quantile(1.0), 1000.0);
     }
 
     #[test]
@@ -719,7 +610,7 @@ mod tests {
     #[test]
     fn histogram_overflow_bucket_catches_huge_samples() {
         let h = Histogram::default();
-        h.observe(u64::MAX / 2);
+        h.observe_n(u64::MAX / 2, 1);
         let buckets = h.cumulative_buckets();
         assert!(buckets[HIST_BUCKETS - 1].0.is_infinite());
         assert_eq!(buckets[HIST_BUCKETS - 1].1, 1);
@@ -733,8 +624,8 @@ mod tests {
         metrics::QUERIES.counter(&t, &[("mode", "naive")]).add(3);
         metrics::DELETES.counter(&t, &[]).inc();
         let h = metrics::QUERY_LATENCY_US.histogram(&t, &[]);
-        h.observe(3);
-        h.observe(100);
+        h.observe_n(3, 1);
+        h.observe_n(100, 1);
 
         let text = t.render_prometheus();
         let lines: Vec<&str> = text.lines().collect();
@@ -933,22 +824,6 @@ mod tests {
             }
         }
         assert_eq!(out, hairy);
-    }
-
-    #[test]
-    fn json_snapshot_contains_quantiles() {
-        let t = Telemetry::new();
-        metrics::QUERIES.counter(&t, &[("mode", "full")]).add(7);
-        let h = metrics::QUERY_LATENCY_US.histogram(&t, &[]);
-        h.observe_n(8, 90);
-        h.observe_n(4096, 10);
-        let json = t.snapshot_json();
-        assert!(json.contains("\"dhnsw_queries_total{mode=\\\"full\\\"}\":7"));
-        assert!(json.contains("\"count\":100"));
-        assert!(json.contains("\"p50\":8"));
-        assert!(json.contains("\"p99\":4096"));
-        assert!(json.starts_with("{\"counters\":{"));
-        assert!(json.ends_with("}}"));
     }
 
     #[test]

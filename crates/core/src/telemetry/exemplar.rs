@@ -144,12 +144,6 @@ impl ExemplarStore {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// Records currently held (reservoir + K-slowest slots).
-    pub fn occupancy(&self) -> u64 {
-        let g = self.inner.lock();
-        (g.reservoir.len() + g.slowest.len()) as u64
-    }
-
     /// The K-slowest records, slowest first.
     pub fn slowest(&self) -> Vec<BatchReport> {
         self.inner.lock().slowest.clone()
@@ -443,8 +437,8 @@ mod tests {
         }
         assert_eq!(s.recorded(), 100);
         assert_eq!(
-            s.occupancy(),
-            (RESERVOIR_CAPACITY + SLOWEST_CAPACITY) as u64,
+            (s.reservoir().len(), s.slowest().len()),
+            (RESERVOIR_CAPACITY, SLOWEST_CAPACITY),
             "every reservoir slot and every slowest slot"
         );
         // Once the reservoir is full every further record drops one
@@ -456,7 +450,8 @@ mod tests {
         assert_eq!(slow, vec![4, 9, 14, 19, 24, 29, 34, 39]);
         // Lifetime counters survive clear() only as zeros.
         s.clear();
-        assert_eq!((s.occupancy(), s.recorded(), s.dropped()), (0, 0, 0));
+        assert!(s.reservoir().is_empty() && s.slowest().is_empty());
+        assert_eq!((s.recorded(), s.dropped()), (0, 0));
     }
 
     #[test]
@@ -564,7 +559,7 @@ mod tests {
             let got_ids: Vec<u64> =
                 a.slowest().iter().map(|r| r.trace_id).collect();
             prop_assert_eq!(got_ids, want_ids);
-            prop_assert!(a.occupancy() <= (RESERVOIR_CAPACITY + SLOWEST_CAPACITY) as u64);
+            prop_assert!(a.reservoir().len() <= RESERVOIR_CAPACITY);
             prop_assert_eq!(a.recorded(), totals.len() as u64);
         }
     }

@@ -6,9 +6,10 @@
 //! labels, so a family cannot be registered under two help strings or
 //! two kinds: [`Telemetry`] registers through these rows only. [`ALL`]
 //! lists them for the table test and for anything that wants to
-//! enumerate the plane. The table holds what is counted; what a document
-//! derives (`/health`'s ratios, `/exemplars`' occupancy) is computed when
-//! that document is asked for and never written back here.
+//! enumerate the plane. The table holds what is counted, once: what a
+//! document derives (`/health`'s ratios) is computed on request, and a
+//! sum of other families (bytes read: the by-cause series; transfers
+//! saved: raw demand less clusters loaded) has no family of its own.
 //!
 //! Naming follows the Prometheus conventions of the module docs above:
 //! `dhnsw_` prefix, `_total` on counters, base units in the name.
@@ -129,10 +130,6 @@ pub const RAW_CLUSTER_DEMAND: MetricDef = counter(
     "dhnsw_raw_cluster_demand_total",
     "Cluster demand before query-aware dedup (queries x fanout)",
 );
-pub const TRANSFERS_SAVED: MetricDef = counter(
-    "dhnsw_loader_transfers_saved_total",
-    "Cluster transfers avoided by dedup and cache reuse",
-);
 pub const DEGRADED_QUERIES: MetricDef = counter(
     "dhnsw_degraded_queries_total",
     "Queries answered from an incomplete cluster set after read retries ran out",
@@ -165,13 +162,9 @@ pub const RDMA_DOORBELL_BATCHES: MetricDef = counter(
     "dhnsw_rdma_doorbell_batches_total",
     "Doorbell batches submitted",
 );
-pub const RDMA_BYTES_READ: MetricDef = counter(
-    "dhnsw_rdma_bytes_read_total",
-    "Bytes read from remote memory",
-);
 pub const RDMA_READ_BYTES_BY_CAUSE: MetricDef = counter(
     "dhnsw_rdma_read_bytes_by_cause_total",
-    "Bytes read from remote memory, by read cause; sums to dhnsw_rdma_bytes_read_total",
+    "Bytes read from remote memory, by read cause",
 );
 pub const RDMA_READ_TRIPS_BY_CAUSE: MetricDef = counter(
     "dhnsw_rdma_read_round_trips_by_cause_total",
@@ -223,7 +216,7 @@ pub const ANOMALIES: MetricDef = counter(
 );
 
 /// Every family above.
-pub const ALL: [&MetricDef; 28] = [
+pub const ALL: [&MetricDef; 26] = [
     &QUERIES,
     &QUERY_BATCHES,
     &QUERY_LATENCY_US,
@@ -231,7 +224,6 @@ pub const ALL: [&MetricDef; 28] = [
     &CLUSTERS_LOADED,
     &CLUSTER_CACHE_HITS,
     &RAW_CLUSTER_DEMAND,
-    &TRANSFERS_SAVED,
     &DEGRADED_QUERIES,
     &READ_RETRIES,
     &CACHE_EVICTIONS,
@@ -240,7 +232,6 @@ pub const ALL: [&MetricDef; 28] = [
     &RDMA_ROUND_TRIPS,
     &RDMA_WORK_REQUESTS,
     &RDMA_DOORBELL_BATCHES,
-    &RDMA_BYTES_READ,
     &RDMA_READ_BYTES_BY_CAUSE,
     &RDMA_READ_TRIPS_BY_CAUSE,
     &RDMA_BYTES_WRITTEN,

@@ -1,32 +1,32 @@
-//! Cumulative flame profile of the batch read path.
+//! Flame profile of the span ring.
 //!
-//! Every batch whose span tree was captured folds it into a
-//! [`ProfileAccumulator`]:
-//! a weighted call-tree keyed by the `;`-joined span-name path
-//! (`query_batch;network;read_doorbell`), accumulating call counts,
-//! inclusive wall and virtual-clock microseconds, and *self* wall time
-//! (inclusive minus children). The accumulated tree exports in the
-//! collapsed-stack ("folded") format that `flamegraph.pl`, inferno, and
-//! speedscope all ingest directly:
+//! [`fold`] turns a slice of finished span trees — `dhnsw_cli serve`
+//! passes the span ring, [`crate::SpanTracer::recent`] — into a weighted
+//! call-tree keyed by the `;`-joined span-name path
+//! (`query_batch;network;read_doorbell`): call counts, inclusive wall and
+//! virtual-clock microseconds, and *self* wall time (inclusive minus
+//! children). [`render_folded`] exports it in the collapsed-stack
+//! ("folded") format that `flamegraph.pl`, inferno, and speedscope all
+//! ingest directly:
 //!
 //! ```text
 //! query_batch;network;read_doorbell 1724
 //! query_batch;sub_hnsw_search 9310
 //! ```
 //!
-//! one line per distinct path, weight = cumulative self wall µs.
+//! one line per distinct path, weight = summed self wall µs.
 //!
-//! The profile folds span trees only: with capture off it stays empty
-//! (the per-phase totals are `dhnsw_stage_us_total`'s). `dhnsw_cli
-//! serve`, the one surface that renders it, captures every batch.
+//! Nothing is accumulated: the profile is folded on request from the
+//! trees the ring holds, so `/profile/folded` and `/traces` describe the
+//! same batches (the last [`super::span::DEFAULT_SPAN_TRACE_CAPACITY`]
+//! captured). With capture off the ring, and so the profile, is empty
+//! (the per-phase totals are `dhnsw_stage_us_total`'s).
 
 use std::collections::BTreeMap;
 
-use parking_lot::Mutex;
-
 use crate::telemetry::span::{FinishedTrace, SpanKind};
 
-/// Cumulative weight of one span-name path across all folded batches.
+/// Summed weight of one span-name path across the folded trees.
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct PathStats {
     /// Number of spans folded into this path.
@@ -41,25 +41,13 @@ pub struct PathStats {
     pub self_us: f64,
 }
 
-/// The cumulative weighted call-tree. Cheap to fold into (one lock
-/// acquisition and a handful of `BTreeMap` upserts per batch) and
-/// deterministic to render (paths export in lexicographic order).
-#[derive(Debug, Default)]
-pub struct ProfileAccumulator {
-    paths: Mutex<BTreeMap<String, PathStats>>,
-}
-
-impl ProfileAccumulator {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Folds one finished batch trace into the call-tree. Instant
-    /// markers carry no duration and are skipped; duration spans key
-    /// on the `;`-joined name path from the root (recording order
-    /// guarantees parents precede children).
-    pub fn fold_trace(&self, ft: &FinishedTrace) {
+/// Folds `traces` into the call-tree, paths in lexicographic order.
+/// Instant markers carry no duration and are skipped; duration spans key
+/// on the `;`-joined name path from the root (recording order guarantees
+/// parents precede children).
+pub fn fold(traces: &[FinishedTrace]) -> BTreeMap<String, PathStats> {
+    let mut map: BTreeMap<String, PathStats> = BTreeMap::new();
+    for ft in traces {
         let n = ft.spans.len();
         let mut paths: Vec<Option<String>> = vec![None; n];
         let mut child_wall = vec![0.0f64; n];
@@ -80,7 +68,6 @@ impl ProfileAccumulator {
             }
             paths[i] = Some(path);
         }
-        let mut map = self.paths.lock();
         for (i, rec) in ft.spans.iter().enumerate() {
             let Some(path) = paths[i].take() else {
                 continue;
@@ -93,39 +80,19 @@ impl ProfileAccumulator {
             s.self_us += (wall - child_wall[i]).max(0.0);
         }
     }
+    map
+}
 
-    /// Renders the accumulated tree in collapsed-stack format: one
-    /// `path <self-µs>` line per distinct path, lexicographic order,
-    /// integer weights (rounded). Loadable by `flamegraph.pl`,
-    /// inferno, and speedscope.
-    pub fn render_folded(&self) -> String {
-        let map = self.paths.lock();
-        let mut out = String::new();
-        for (path, s) in map.iter() {
-            out.push_str(&format!("{path} {}\n", s.self_us.round() as u64));
-        }
-        out
+/// Renders [`fold`]`(traces)` in collapsed-stack format: one
+/// `path <self-µs>` line per distinct path, lexicographic order, integer
+/// weights (rounded). Loadable by `flamegraph.pl`, inferno, and
+/// speedscope.
+pub fn render_folded(traces: &[FinishedTrace]) -> String {
+    let mut out = String::new();
+    for (path, s) in fold(traces) {
+        out.push_str(&format!("{path} {}\n", s.self_us.round() as u64));
     }
-
-    /// A copy of the accumulated paths and their stats, lexicographic
-    /// by path. Exposition/test path — allocates.
-    pub fn snapshot(&self) -> Vec<(String, PathStats)> {
-        self.paths
-            .lock()
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
-            .collect()
-    }
-
-    /// Number of distinct paths accumulated so far.
-    pub fn len(&self) -> usize {
-        self.paths.lock().len()
-    }
-
-    /// Whether nothing has been folded yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
+    out
 }
 
 #[cfg(test)]
@@ -174,15 +141,12 @@ mod tests {
     }
 
     #[test]
-    fn fold_trace_accumulates_self_time_per_path() {
-        let p = ProfileAccumulator::new();
-        p.fold_trace(&sample_trace());
-        p.fold_trace(&sample_trace());
-        let snap: std::collections::BTreeMap<_, _> = p.snapshot().into_iter().collect();
+    fn fold_sums_self_time_per_path() {
+        let snap = fold(&[sample_trace(), sample_trace()]);
         let root = snap.get("query_batch").unwrap();
         assert_eq!(root.calls, 2);
         assert!((root.wall_us - 200.0).abs() < 1e-9);
-        // Root self = 100 - (10 + 50 + 30) = 10 per fold.
+        // Root self = 100 - (10 + 50 + 30) = 10 per trace.
         assert!((root.self_us - 20.0).abs() < 1e-9);
         let net = snap.get("query_batch;network").unwrap();
         // Network's only child (the doorbell) covers it fully.
@@ -197,9 +161,7 @@ mod tests {
 
     #[test]
     fn folded_render_is_sorted_and_parseable() {
-        let p = ProfileAccumulator::new();
-        p.fold_trace(&sample_trace());
-        let text = p.render_folded();
+        let text = render_folded(&[sample_trace()]);
         assert!(!text.is_empty());
         let mut last = String::new();
         for line in text.lines() {
@@ -216,17 +178,13 @@ mod tests {
     fn live_traces_fold_cleanly() {
         let t = SpanTracer::new(4);
         t.set_enabled(true);
-        let p = ProfileAccumulator::new();
         let trace = t.begin("full");
         let root = trace.begin_span("query_batch", "engine", SpanId::NONE);
         let child = trace.begin_span("meta_route", "engine", root);
         trace.end_span(child);
         trace.end_span(root);
-        let ft = t.finish(trace).unwrap();
-        p.fold_trace(&ft);
-        let snap = p.snapshot();
-        assert_eq!(snap.len(), 2);
-        assert_eq!(snap[0].0, "query_batch");
-        assert_eq!(snap[1].0, "query_batch;meta_route");
+        t.finish(trace);
+        let paths: Vec<String> = fold(&t.recent()).into_keys().collect();
+        assert_eq!(paths, ["query_batch", "query_batch;meta_route"]);
     }
 }

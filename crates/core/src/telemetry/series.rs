@@ -5,16 +5,17 @@
 //! `/profile/folded`, `/exemplars`) is a point-in-time snapshot. The
 //! [`SeriesRecorder`] adds the *time axis*: a bounded ring of
 //! timestamped [`Sample`]s of the hub's query-path instruments, from
-//! which consecutive pairs derive a [`SeriesPoint`] of per-second
-//! rates (QPS, bytes/s by [`ReadCause`], retries/s, evictions/s) and
-//! *windowed* latency quantiles — the saturating
-//! [`HistogramSnapshot`] subtraction gives the exact histogram of
-//! queries that landed between two ticks, so p99 here is the p99 *of
-//! that window*, not a lifetime aggregate. [`SeriesPoint::between`] is
-//! the plane's one window function: a tick is that call on the previous
-//! and the new sample, and `dhnsw_cli doctor` makes it on two samples
-//! bracketing its measured passes without ticking the recorder. The
-//! health report cuts no window of its own.
+//! which consecutive pairs derive a [`SeriesPoint`] of per-second rates
+//! (QPS, bytes/s by [`ReadCause`], retries/s, evictions/s), the
+//! window's hit and degraded rates and *windowed* latency quantiles —
+//! the saturating [`HistogramSnapshot`] subtraction gives the exact
+//! histogram of queries that landed between two ticks, so p99 here is
+//! the p99 *of that window*, not a lifetime aggregate.
+//! [`SeriesPoint::between`] is the plane's one window function: a tick
+//! is that call on the previous and the new sample, and `dhnsw_cli
+//! doctor` makes it on two samples bracketing its measured passes
+//! without ticking the recorder. The health report cuts no window of
+//! its own.
 //!
 //! **Determinism contract.** Sampling is driven by an explicit
 //! [`SeriesRecorder::tick`] carrying the caller's timestamp; this
@@ -49,7 +50,16 @@ use parking_lot::Mutex;
 use rdma_sim::{ReadCause, READ_CAUSES};
 
 use super::span::ArgValue;
-use super::{json_f64, metrics, HistogramSnapshot, Telemetry};
+use super::{metrics, HistogramSnapshot, Telemetry};
+
+/// Formats an f64 as JSON (no NaN/Inf — clamp to a string if ever hit).
+fn json_f64(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v}")
+    } else {
+        "\"+Inf\"".to_string()
+    }
+}
 
 /// Number of derived points the ring retains (at the serving plane's
 /// 1 Hz sampler: ten minutes of history).
@@ -140,9 +150,10 @@ pub struct Sample {
     pub t_us: u64,
     /// Lifetime queries answered.
     pub queries: u64,
-    /// Lifetime bytes read from remote memory.
-    pub bytes_read: u64,
-    /// Lifetime bytes read, by [`ReadCause`] index.
+    /// Lifetime queries answered degraded (incomplete cluster coverage).
+    pub degraded_queries: u64,
+    /// Lifetime bytes read, by [`ReadCause`] index; they sum to every
+    /// byte read.
     pub cause_bytes: [u64; READ_CAUSES],
     /// Lifetime engine-level read retries.
     pub read_retries: u64,
@@ -174,6 +185,9 @@ pub struct SeriesPoint {
     pub p95_us: f64,
     /// Windowed p99 latency, microseconds.
     pub p99_us: f64,
+    /// Fraction of the window's queries answered degraded (`0` when the
+    /// window answered none).
+    pub degraded_rate: f64,
     /// Remote-read bytes per second over the window.
     pub bytes_per_s: f64,
     /// Remote-read bytes per second by [`ReadCause`] index.
@@ -201,6 +215,9 @@ impl SeriesPoint {
         let secs = dt_us as f64 / 1e6;
         let latency = cur.latency - prev.latency;
         let queries = cur.queries.saturating_sub(prev.queries);
+        let degraded = cur.degraded_queries.saturating_sub(prev.degraded_queries);
+        let cause_bytes: [u64; READ_CAUSES] =
+            std::array::from_fn(|i| cur.cause_bytes[i].saturating_sub(prev.cause_bytes[i]));
         let hits = cur.cache_hits.saturating_sub(prev.cache_hits);
         let cache_ops = hits + cur.cache_misses.saturating_sub(prev.cache_misses);
         SeriesPoint {
@@ -211,10 +228,9 @@ impl SeriesPoint {
             p50_us: latency.quantile(0.50),
             p95_us: latency.quantile(0.95),
             p99_us: latency.quantile(0.99),
-            bytes_per_s: cur.bytes_read.saturating_sub(prev.bytes_read) as f64 / secs,
-            cause_bytes_per_s: std::array::from_fn(|i| {
-                cur.cause_bytes[i].saturating_sub(prev.cause_bytes[i]) as f64 / secs
-            }),
+            degraded_rate: degraded as f64 / queries.max(1) as f64,
+            bytes_per_s: cause_bytes.iter().sum::<u64>() as f64 / secs,
+            cause_bytes_per_s: cause_bytes.map(|b| b as f64 / secs),
             retries_per_s: cur.read_retries.saturating_sub(prev.read_retries) as f64 / secs,
             evictions_per_s: cur.evictions.saturating_sub(prev.evictions) as f64 / secs,
             hit_rate: hits as f64 / cache_ops.max(1) as f64,
@@ -251,9 +267,9 @@ impl SeriesPoint {
             .join(", ");
         format!(
             "{{\"t_us\": {}, \"dt_us\": {}, \"window_queries\": {}, \"qps\": {}, \
-             \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}, \"bytes_per_s\": {}, \
-             \"retries_per_s\": {}, \"evictions_per_s\": {}, \"hit_rate\": {}, \
-             \"window_cache_ops\": {}, \"cause_bytes_per_s\": {{{causes}}}}}",
+             \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}, \"degraded_rate\": {}, \
+             \"bytes_per_s\": {}, \"retries_per_s\": {}, \"evictions_per_s\": {}, \
+             \"hit_rate\": {}, \"window_cache_ops\": {}, \"cause_bytes_per_s\": {{{causes}}}}}",
             self.t_us,
             self.dt_us,
             self.window_queries,
@@ -261,6 +277,7 @@ impl SeriesPoint {
             json_f64(self.p50_us),
             json_f64(self.p95_us),
             json_f64(self.p99_us),
+            json_f64(self.degraded_rate),
             json_f64(self.bytes_per_s),
             json_f64(self.retries_per_s),
             json_f64(self.evictions_per_s),
@@ -552,7 +569,6 @@ mod tests {
             let s = &mut self.sample;
             s.queries += q;
             self.latency.observe_n(lat_us, q);
-            s.bytes_read += bytes;
             s.cause_bytes[ReadCause::StageLoad.index()] += bytes;
             s.read_retries += retries;
             s.cache_hits += 3 * q;
@@ -579,8 +595,10 @@ mod tests {
             "first tick is the baseline"
         );
         h.drive(50, 400, 2_000_000, 0);
+        h.sample.degraded_queries += 10;
         let p = rec.tick(&t, h.at(2_000_000)).expect("second tick derives");
         assert_eq!(p.window_queries, 50);
+        assert!((p.degraded_rate - 0.2).abs() < 1e-12, "10 of 50 degraded");
         assert!((p.qps - 25.0).abs() < 1e-9, "50 q / 2 s, got {}", p.qps);
         assert!(
             (p.bytes_per_s - 1_000_000.0).abs() < 1e-6,

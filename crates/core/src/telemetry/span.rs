@@ -483,11 +483,12 @@ impl SpanTracer {
     }
 
     /// Finishes a trace: closes any still-open spans and retains the
-    /// result in the ring (evicting the oldest at capacity). Returns a
-    /// copy of the finished trace so the caller can fold it into the
-    /// profile accumulator; `None` for disabled handles.
-    pub fn finish(&self, trace: BatchTrace) -> Option<FinishedTrace> {
-        let inner = trace.inner?;
+    /// result in the ring (evicting the oldest at capacity). A disabled
+    /// handle retains nothing.
+    pub fn finish(&self, trace: BatchTrace) {
+        let Some(inner) = trace.inner else {
+            return;
+        };
         let now = inner.epoch.elapsed().as_secs_f64() * 1e6;
         let spans = {
             let mut guard = inner.spans.lock();
@@ -509,8 +510,7 @@ impl SpanTracer {
         if finished.len() == self.capacity {
             finished.pop_front();
         }
-        finished.push_back(ft.clone());
-        Some(ft)
+        finished.push_back(ft);
     }
 
     /// The retained finished traces, oldest first.
@@ -540,7 +540,7 @@ mod tests {
         // Nothing is recorded, but the handle still times its span.
         assert!(trace.end_span(id) >= 0.0);
         assert_eq!(trace.end_span(SpanId::NONE), 0.0);
-        assert!(t.finish(trace).is_none());
+        t.finish(trace);
         assert!(t.recent().is_empty());
     }
 
@@ -554,8 +554,8 @@ mod tests {
         t.set_enabled(true);
         let enabled = t.begin("full");
         assert_eq!(enabled.seq(), 2);
-        let ft = t.finish(enabled).expect("enabled trace finishes");
-        assert_eq!(ft.seq, 2);
+        t.finish(enabled);
+        assert_eq!(t.recent()[0].seq, 2, "enabled trace finishes");
         t.set_enabled(false);
         assert_eq!(t.begin("full").seq(), 3);
         assert_eq!(BatchTrace::disabled().seq(), 0, "no-op handle id");

@@ -1,8 +1,8 @@
 //! Golden-file test for the collapsed-stack ("folded") profile exporter.
 //!
 //! A hand-built, fully deterministic span tree — the same shape the
-//! engine produces for a routed batch — is folded through the
-//! [`ProfileAccumulator`] and the rendered output is
+//! engine produces for a routed batch — is folded through
+//! [`profile::render_folded`] and the rendered output is
 //! compared byte-for-byte against `tests/golden/folded.txt`, the file
 //! a contributor would feed to `flamegraph.pl` or paste into
 //! speedscope. Format invariants (one `path count` pair per line,
@@ -13,7 +13,8 @@
 //! Regenerate the golden after an intentional format change with:
 //! `BLESS=1 cargo test -p dhnsw --test folded_golden`
 
-use dhnsw::{ArgValue, FinishedTrace, ProfileAccumulator, SpanKind, SpanRecord};
+use dhnsw::telemetry::profile;
+use dhnsw::{ArgValue, FinishedTrace, SpanKind, SpanRecord};
 
 fn span(
     name: &'static str,
@@ -74,18 +75,15 @@ fn sample_trace() -> FinishedTrace {
     }
 }
 
-/// Fold the sample trace twice, so the golden covers weight
+/// The sample trace folded twice, so the golden covers weight
 /// accumulation in a single artifact.
-fn accumulate() -> ProfileAccumulator {
-    let acc = ProfileAccumulator::new();
-    acc.fold_trace(&sample_trace());
-    acc.fold_trace(&sample_trace());
-    acc
+fn folded_twice() -> String {
+    profile::render_folded(&[sample_trace(), sample_trace()])
 }
 
 #[test]
 fn folded_output_matches_golden_file() {
-    let folded = accumulate().render_folded();
+    let folded = folded_twice();
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/folded.txt");
     if std::env::var("BLESS").is_ok() {
         std::fs::write(path, &folded).expect("write golden");
@@ -100,8 +98,8 @@ fn folded_output_matches_golden_file() {
 
 #[test]
 fn folded_output_is_flamegraph_parseable() {
-    let folded = accumulate().render_folded();
-    assert!(!folded.is_empty(), "accumulator rendered nothing");
+    let folded = folded_twice();
+    assert!(!folded.is_empty(), "the fold rendered nothing");
     for line in folded.lines() {
         // flamegraph.pl / speedscope grammar: `frame(;frame)* weight`.
         let (path, weight) = line
@@ -128,14 +126,9 @@ fn folded_output_is_flamegraph_parseable() {
 #[test]
 fn fold_is_weight_additive() {
     // Folding the same trace twice doubles every weight relative to
-    // folding it once — the accumulator is a pure sum over batches.
-    let once = ProfileAccumulator::new();
-    once.fold_trace(&sample_trace());
-    let twice = ProfileAccumulator::new();
-    twice.fold_trace(&sample_trace());
-    twice.fold_trace(&sample_trace());
-    let single: Vec<(String, u64)> = once
-        .render_folded()
+    // folding it once — the fold is a pure sum over batches.
+    let twice = folded_twice();
+    let single: Vec<(String, u64)> = profile::render_folded(&[sample_trace()])
         .lines()
         .map(|l| {
             let (p, w) = l.rsplit_once(' ').unwrap();
@@ -143,7 +136,6 @@ fn fold_is_weight_additive() {
         })
         .collect();
     let double: Vec<(String, u64)> = twice
-        .render_folded()
         .lines()
         .map(|l| {
             let (p, w) = l.rsplit_once(' ').unwrap();

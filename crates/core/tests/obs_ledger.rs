@@ -22,7 +22,7 @@
 //!   order: depth, name, category, kind, argument keys in order with
 //!   integer and string values; floats masked.
 //! - **documents** — `/exemplars`, `/whyslow/<first batch>`,
-//!   `/profile/folded` (empty with spans off: it folds span trees only),
+//!   `/profile/folded` (the span ring folded: empty with spans off),
 //!   `HealthReport::to_json` and `/timeseries`: every key, integer and
 //!   string exact, every decimal number masked.
 //!
@@ -46,6 +46,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use dhnsw::health::watchdog;
+use dhnsw::telemetry::profile;
 use dhnsw::{
     ArgValue, ComputeNode, DHnswConfig, FinishedTrace, QuantizeMode, ReadCause, SearchMode,
     SloViolation, SpanKind, Telemetry, VectorStore, READ_CAUSES,
@@ -346,13 +347,11 @@ fn cell(data: &Dataset, queries: &Dataset, wire: QuantizeMode, spans: bool) -> (
     let why = ex.whyslow_json(0).expect("the first batch is retained");
     rest.push_str(&mask_decimals(&mask_values(&why, |k| k == "verdict")));
     rest.push_str("-- /profile/folded --\n");
-    for (path, stats) in telemetry.profile().snapshot() {
+    for (path, stats) in profile::fold(&telemetry.spans().recent()) {
         writeln!(rest, "{path} calls={} #", stats.calls).unwrap();
     }
     rest.push_str("-- health --\n");
-    rest.push_str(&mask_decimals(&mask_values(&health.to_json(), |k| {
-        k == "max_us" || k == "slowest_trace_id"
-    })));
+    rest.push_str(&mask_decimals(&health.to_json()));
     rest.push_str("-- /timeseries --\n");
     rest.push_str(&mask_decimals(&telemetry.series().render_json(0, 1)));
     rest.push('\n');

@@ -11,8 +11,8 @@ cd "$(dirname "$0")/.."
 TMP_ROOT=$(mktemp -d)
 trap 'rm -rf "$TMP_ROOT"' EXIT
 
-# The JSON this workspace writes (the --metrics-out snapshot, the serving
-# plane's documents) is checked by jq below; nothing in the workspace
+# What this workspace writes (the --metrics-out exposition, the serving
+# plane's JSON documents) is checked by jq below; nothing in the workspace
 # parses it back, so a missing jq is a missing gate, not a skipped one.
 command -v jq > /dev/null || {
   echo "check.sh: jq is required (the JSON validity gates of the repro and serve smokes)" >&2
@@ -268,11 +268,15 @@ fi
 # span trees' second and third homes (the slow-query log with its
 # threshold and plain-text renderer, the K-slowest set's trees, the
 # tracing flags' helper, the phase fold beside the span fold, and the
-# bucket exemplars that named ids nothing resolved) stay gone
+# bucket exemplars that named ids nothing resolved), and the plane's
+# second copies of a number (the registry's JSON snapshot, the profile's
+# own accumulator, the heatmap's route-hit column, the health report's
+# cache, latency, reliability and tail sections, and the total-bytes and
+# transfers-saved families that are sums of other families) stay gone
 # (four roots, so the guard does not match itself; identifiers only, so
 # the refusal tests may still spell the deleted flags).
 echo "==> no deleted duplicate is back"
-if grep -rnE 'QueryTrace|TailRecord|TraceRing|ShardedStore|ShardedSession|LoadBalancer|DispatchPolicy|bench_regress|BENCH_baseline|DHNSW_BENCH_1M|poll_cq|ring_doorbell|BruteForceIndex|clustering_tendency|verdict_index|set_milli|take_flush_delta|dhnsw_health_|dhnsw_heat_|dhnsw_tail_|dhnsw_cache_hits_total|dhnsw_cache_misses_total|WindowState|TraceSpec|service_stats|\bexecute_reads\b|\bexecute_writes\b|emit_plain|emit_verb|write_doorbell|graph_report|GraphReport|into_flat|read_bvecs|write_ivecs|region_count|window_handles|tick_series|tracer_env|from_env|AnomalyConfig|classify_all|search_filtered|read_ivecs|prefetch_hot|set_pipeline_depth|with_pipeline_depth|set_prefetch_budget_bytes|with_prefetch_budget_bytes|stage_loads|PIPELINE_HIDDEN_US|hidden_ratio|pipeline_sweep|ReadCause::Prefetch|JsonParser|parse_snapshot|TopSnapshot|extend_candidates|keep_pruned|window_start|Window::between|window_p99_us|window_hit_rate|begin_batch|DECAY_PER_BATCH|hotness|cmd_metrics|set_slow_threshold_us|slow_threshold_us|slow_log|render_tree|render_plain|finish_trace|SlowEntry|has_spans|fold_phases|BucketExemplar|bucket_exemplars|apply_trace_flags' \
+if grep -rnE 'QueryTrace|TailRecord|TraceRing|ShardedStore|ShardedSession|LoadBalancer|DispatchPolicy|bench_regress|BENCH_baseline|DHNSW_BENCH_1M|poll_cq|ring_doorbell|BruteForceIndex|clustering_tendency|verdict_index|set_milli|take_flush_delta|dhnsw_health_|dhnsw_heat_|dhnsw_tail_|dhnsw_cache_hits_total|dhnsw_cache_misses_total|WindowState|TraceSpec|service_stats|\bexecute_reads\b|\bexecute_writes\b|emit_plain|emit_verb|write_doorbell|graph_report|GraphReport|into_flat|read_bvecs|write_ivecs|region_count|window_handles|tick_series|tracer_env|from_env|AnomalyConfig|classify_all|search_filtered|read_ivecs|prefetch_hot|set_pipeline_depth|with_pipeline_depth|set_prefetch_budget_bytes|with_prefetch_budget_bytes|stage_loads|PIPELINE_HIDDEN_US|hidden_ratio|pipeline_sweep|ReadCause::Prefetch|JsonParser|parse_snapshot|TopSnapshot|extend_candidates|keep_pruned|window_start|Window::between|window_p99_us|window_hit_rate|begin_batch|DECAY_PER_BATCH|hotness|cmd_metrics|set_slow_threshold_us|slow_threshold_us|slow_log|render_tree|render_plain|finish_trace|SlowEntry|has_spans|fold_phases|BucketExemplar|bucket_exemplars|apply_trace_flags|snapshot_json|ProfileAccumulator|fold_trace|route_hit_counts|CacheHealth|LatencyHealth|ReliabilityHealth|TailHealth|dhnsw_rdma_bytes_read_total|dhnsw_loader_transfers_saved_total' \
   crates src tests examples || [[ -e scripts/bench.sh ]]; then
   echo "check.sh: a deleted duplicate is back (the lines above, or scripts/bench.sh)" >&2
   exit 1
@@ -316,23 +320,34 @@ DHNSW_SIFT_N=20000 DHNSW_QUERIES=128 target/release/repro scale
 # Fault-injection smoke gate: the seeded sweep must keep recall
 # identical to the clean run under the default retransmission budget
 # (it exits non-zero if any faulted row degrades or errors). The run's
-# telemetry snapshot must be the JSON it claims to be: three sections of
-# numbers (a histogram's p99 may be the string "+Inf"), every histogram
-# with its bucket array, and one byte counter per read cause -- the
-# causes of rdma-sim's ReadCause::ALL, in index order; a ninth cause
-# fails the count until it is named here.
+# --metrics-out file, the registry's one exposition, must be the
+# Prometheus text it claims to be: every sample line `name{labels} integer`,
+# exactly one byte counter per read cause -- the causes of rdma-sim's
+# ReadCause::ALL, in index order; a ninth cause fails the count until it
+# is named here -- and every histogram series with its `le="+Inf"`
+# bucket, its `_sum` and its `_count`.
 echo "==> repro faults (fault-injection smoke gate)"
 DHNSW_ABLATION_N=4000 DHNSW_ABLATION_Q=100 target/release/repro faults \
   --metrics-out "$TMP_ROOT/faults"
-echo "==> the --metrics-out snapshot is valid JSON of the registry's shape"
-jq -e --arg causes "stage_load version_check retry health_probe overflow_scan naive rerank other" '
-  . as $doc | ($causes | split(" ")) as $causes
-  | all(.counters, .gauges, .histograms; type == "object" and length > 0)
-  and all(.counters[], .gauges[]; type == "number")
-  and all(.histograms[]; (.buckets | type == "array") and (.p99 | type == "number" or type == "string"))
-  and ([.counters | keys[] | select(startswith("dhnsw_rdma_read_bytes_by_cause_total{"))] | length) == ($causes | length)
-  and all($causes[]; . as $c | $doc.counters | has("dhnsw_rdma_read_bytes_by_cause_total{cause=\"" + $c + "\"}"))
-' "$TMP_ROOT/faults.json" > /dev/null
+echo "==> the --metrics-out exposition has the registry's shape"
+jq -Rse --arg causes "stage_load version_check retry health_probe overflow_scan naive rerank other" '
+  ($causes | split(" ")) as $causes
+  | split("\n") | map(select(length > 0)) as $lines
+  | [$lines[] | select(startswith("#") | not)] as $samples
+  | [$lines[] | select(startswith("# TYPE ")) | split(" ") | select(.[3] == "histogram") | .[2]] as $hists
+  | def count(p): [$samples[] | select(p)] | length;
+    ($samples | length > 0)
+    and all($samples[]; test("^[a-z0-9_:]+(\\{[^ ]*\\})? [0-9]+$"))
+    and count(startswith("dhnsw_rdma_read_bytes_by_cause_total{")) == ($causes | length)
+    and all($causes[]; . as $c
+      | count(startswith("dhnsw_rdma_read_bytes_by_cause_total{cause=\"" + $c + "\"} ")) == 1)
+    and ($hists | length > 0)
+    and all($hists[]; . as $h
+      | count(startswith($h + "_bucket{") and contains("le=\"+Inf\"}")) as $inf
+      | $inf > 0
+      and count(startswith($h + "_sum ") or startswith($h + "_sum{")) == $inf
+      and count(startswith($h + "_count ") or startswith($h + "_count{")) == $inf)
+' "$TMP_ROOT/faults.prom" > /dev/null
 
 # Same sweep over the compressed wire format: SQ8 stage loads, the
 # overflow follow-up reads, and the exact-rerank doorbells must survive
@@ -374,10 +389,14 @@ body() { scrape "$1" | sed '1,/^\r$/d'; }
 scrape /metrics > "$SMOKE_DIR/metrics.prom"
 grep -q '^# TYPE dhnsw_rdma_read_bytes_by_cause_total counter' "$SMOKE_DIR/metrics.prom"
 grep -q '^dhnsw_rdma_read_bytes_by_cause_total{cause="stage_load"} [1-9]' "$SMOKE_DIR/metrics.prom"
-scrape /explain/last | grep -q 'stage_load'
+# A captured batch's read-cost ledger rides its root span: a /traces root
+# carries the stage-load bytes.
+body /traces | jq -e '[.traceEvents[] | select(.name == "query_batch")
+  | .args.bytes_stage_load | numbers] | length > 0' > /dev/null ||
+  { echo "check.sh: no /traces root span carries bytes_stage_load" >&2; exit 1; }
 # Tail-anatomy plane: the folded profile must carry at least one batch
-# root frame (serve captures span trees with no flag: it folds trees
-# only) and the exemplar store must report its occupancy.
+# root frame (serve captures span trees with no flag: it folds the span
+# ring) and the exemplar store must report its occupancy.
 scrape /profile/folded | grep -q '^query_batch'
 scrape /exemplars | grep -q '"occupancy"'
 # Every JSON document the plane serves parses, and /whyslow diagnoses an

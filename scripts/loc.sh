@@ -178,12 +178,25 @@
 # flags of both binaries with `dhnsw_cli`'s helper that applied them
 # (`serve`, the one surface that renders span trees, captures them).
 # Nothing came.
+# One surface per number lowered crates/core/src's to 9 327, the plane's
+# to 3 493 and crates/bench's to 2 468 (hnsw, vecsim, rdma-sim and
+# cluster.rs unchanged). What went: the health report's cache, latency,
+# reliability and tail sections (copies of `/metrics` families and of
+# `/exemplars`), the registry's JSON snapshot beside its Prometheus text,
+# `Histogram::{min, quantile, observe}` and the min atomic, the total
+# bytes-read and transfers-saved families (sums of other families) with
+# their handles, the profile's own accumulator (`/profile/folded` folds
+# the span ring), `SpanTracer::finish`'s copy for it, the heatmap's
+# route-hit column, `ExemplarStore::occupancy` and `/explain/last`. What
+# came: the windowed degraded rate (`Sample::degraded_queries`,
+# `SeriesPoint::degraded_rate`, its judge in `evaluate_point`) and the
+# serving plane's pure request-head parser.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-MAX_TOTAL=9648
-MAX_PLANE=3803
-MAX_BENCH=2475
+MAX_TOTAL=9327
+MAX_PLANE=3493
+MAX_BENCH=2468
 MAX_HNSW=1574
 MAX_VECSIM=1839
 MAX_RDMA=1754

@@ -278,11 +278,11 @@ proptest! {
         let split = split_at % (samples.len() + 1);
         let h = Histogram::default();
         for &s in &samples[..split] {
-            h.observe(s);
+            h.observe_n(s, 1);
         }
         let b = h.snapshot();
         for &s in &samples[split..] {
-            h.observe(s);
+            h.observe_n(s, 1);
         }
         let a = h.snapshot();
         let window = a - b;

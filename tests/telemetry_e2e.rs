@@ -5,9 +5,11 @@
 use std::sync::Arc;
 
 use dhnsw_repro::dhnsw::telemetry::exemplar::RESERVOIR_CAPACITY;
+use dhnsw_repro::dhnsw::telemetry::profile;
+use dhnsw_repro::dhnsw::telemetry::span::DEFAULT_SPAN_TRACE_CAPACITY;
 use dhnsw_repro::dhnsw::{
-    evaluate_slo, evaluate_slo_point, DHnswConfig, SearchMode, SeriesPoint, SloBudgets, Telemetry,
-    VectorStore,
+    evaluate_slo, evaluate_slo_point, DHnswConfig, ReadCause, SearchMode, SeriesPoint, SloBudgets,
+    Telemetry, VectorStore,
 };
 use dhnsw_repro::rdma_sim::NetworkModel;
 use dhnsw_repro::vecsim::{gen, Dataset};
@@ -83,7 +85,7 @@ fn every_trace_id_the_tail_plane_names_resolves_at_whyslow() {
 
     let ex = telemetry.exemplars();
     let json = ex.render_json();
-    let mut named: Vec<u64> = json
+    let named: Vec<u64> = json
         .split("\"trace_id\": ")
         .skip(1)
         .map(|rest| {
@@ -91,8 +93,6 @@ fn every_trace_id_the_tail_plane_names_resolves_at_whyslow() {
             digits.parse().expect("a trace id is an integer")
         })
         .collect();
-    let report = node.health_report().unwrap();
-    named.extend(report.tail.slowest_trace_id);
     assert!(named.len() > RESERVOIR_CAPACITY, "{json}");
     let unresolved: Vec<u64> = named
         .into_iter()
@@ -128,10 +128,18 @@ fn prometheus_counters_agree_with_reports() {
         metric_value(&text, "dhnsw_rdma_round_trips_total") as u64,
         r1.round_trips + r2.round_trips
     );
-    assert_eq!(
-        metric_value(&text, "dhnsw_rdma_bytes_read_total") as u64,
-        r1.bytes_read + r2.bytes_read
-    );
+    // Every byte read is the sum of the by-cause series.
+    let by_cause: f64 = ReadCause::ALL
+        .iter()
+        .map(|c| {
+            let series = format!(
+                "dhnsw_rdma_read_bytes_by_cause_total{{cause=\"{}\"}}",
+                c.as_str()
+            );
+            metric_value(&text, &series)
+        })
+        .sum();
+    assert_eq!(by_cause as u64, r1.bytes_read + r2.bytes_read);
     assert_eq!(
         metric_value(&text, "dhnsw_clusters_loaded_total{mode=\"full\"}") as usize,
         r1.clusters_loaded + r2.clusters_loaded
@@ -153,12 +161,6 @@ fn prometheus_counters_agree_with_reports() {
         metric_value(&text, "dhnsw_doorbell_batch_size_count"),
         metric_value(&text, "dhnsw_rdma_doorbell_batches_total")
     );
-
-    // JSON snapshot carries the quantiles the paper-style reports need.
-    let json = telemetry.snapshot_json();
-    for needle in ["\"p50\"", "\"p95\"", "\"p99\"", "dhnsw_query_latency_us"] {
-        assert!(json.contains(needle), "missing {needle} in {json}");
-    }
 }
 
 #[test]
@@ -234,9 +236,33 @@ fn a_recorder_tick_is_the_window_between_its_two_samples() {
         ..SloBudgets::default()
     };
     let report = node.health_report().unwrap();
-    let exemplar = report.tail.slowest_trace_id;
-    assert!(evaluate_slo(&report, &budgets).is_empty());
+    let exemplar = telemetry.exemplars().slowest().first().map(|r| r.trace_id);
+    assert!(evaluate_slo(&report, &budgets, exemplar).is_empty());
     let fired = evaluate_slo_point(&point, &budgets, exemplar);
     assert_eq!(fired.len(), 1);
     assert_eq!(fired[0].budget, "cache_hit_rate");
+}
+
+#[test]
+fn the_folded_profile_describes_the_batches_the_span_ring_holds() {
+    let (store, queries) = workload();
+    let telemetry = Arc::new(Telemetry::new());
+    telemetry.spans().set_enabled(true);
+    let node = store
+        .connect_with_telemetry(SearchMode::Full, Arc::clone(&telemetry))
+        .unwrap();
+    let batches = DEFAULT_SPAN_TRACE_CAPACITY + 6;
+    for _ in 0..batches {
+        node.query_batch(&queries.select(&[0, 1]), 5, 16).unwrap();
+    }
+
+    // `/profile/folded` and `/traces` read one ring: the profile's batch
+    // root counts the trees the ring holds, not every batch captured.
+    let ring = telemetry.spans().recent();
+    assert_eq!(ring.len(), DEFAULT_SPAN_TRACE_CAPACITY);
+    let folded = profile::fold(&ring);
+    assert_eq!(folded["query_batch"].calls, ring.len() as u64);
+    let text = profile::render_folded(&ring);
+    assert_eq!(text.lines().count(), folded.len());
+    assert!(text.lines().all(|l| l.starts_with("query_batch")), "{text}");
 }

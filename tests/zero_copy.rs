@@ -156,9 +156,15 @@ fn a_cold_batch_holds_each_fetched_byte_once() {
                 QuantizeMode::Sq8 => store.directory().sq_span(p).unwrap().unwrap().1,
             })
             .sum();
-        let cache = node.health_report().unwrap().cache;
-        assert_eq!(cache.resident, report.clusters_loaded, "{wire:?}");
-        assert_eq!(cache.resident_bytes, serialized, "{wire:?}");
+        // Read off `/metrics`' cache gauges, which the batch's flush set.
+        let prom = node.telemetry().render_prometheus();
+        let gauge = |name: &str| -> u64 {
+            let value = |l: &str| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok();
+            prom.lines().find_map(value).expect(name)
+        };
+        let resident = gauge("dhnsw_cache_occupancy_clusters") as usize;
+        assert_eq!(resident, report.clusters_loaded, "{wire:?}");
+        assert_eq!(gauge("dhnsw_cache_resident_bytes"), serialized, "{wire:?}");
 
         // Allocator calls of a warm batch against its probe count.
         let calls_at = |fanout: usize| {
