@@ -21,9 +21,9 @@ use crate::telemetry::span::{ArgValue, BatchTrace, SpanId};
 use crate::{Error, QuantizeMode, Result};
 
 /// One cluster read the loader owes its caller. `key` names the load in
-/// the caller's resolved map: the partition itself under a reuse policy
+/// the caller's resolved map: the partition itself when the mode reuses
 /// (one load serves every query of the batch), a per-`(query, route
-/// position)` counter under the naive one.
+/// position)` counter under `Naive`.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct Load {
     pub(super) key: u32,
@@ -118,27 +118,21 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Posts `reqs` the way the node's policy says — one doorbell batch,
-    /// or one verb per request, stopping at the first that fails — each
-    /// landing in two buffers of its own, cut `heads[i]` bytes in. The
+    /// Posts `reqs` as one doorbell batch — priced at the node's doorbell
+    /// limit, so at limit 1 every request is a round trip of its own —
+    /// each landing in two buffers of its own, cut `heads[i]` bytes in. The
     /// buffers start empty and are sized by the read that fills them,
     /// once, after the substrate has bounds-checked it. `None` means the
     /// substrate gave up retransmitting: nothing of this round is usable
     /// and the engine-level budget decides.
     fn post(&self, reqs: &[ReadReq], heads: &[u64]) -> Result<Option<Vec<Landed>>> {
         let _scope = self.trace.enter_scope(self.span);
-        let qp = &self.node.qp;
         let mut landed: Vec<Landed> = reqs.iter().map(|_| Landed::default()).collect();
         let cuts = reqs.iter().zip(heads);
-        let mut into = (landed.iter_mut().zip(cuts))
-            .map(|((head, tail), (r, &at))| Scatter::cut(head, tail, at, r.len));
-        let outcome = if self.node.policy.doorbell {
-            qp.read_doorbell_into(reqs, &mut into.collect::<Vec<_>>())
-        } else {
-            reqs.iter()
-                .try_for_each(|r| qp.read_into(*r, into.next().expect("one per request")))
-        };
-        match outcome {
+        let mut into: Vec<Scatter<'_>> = (landed.iter_mut().zip(cuts))
+            .map(|((head, tail), (r, &at))| Scatter::cut(head, tail, at, r.len))
+            .collect();
+        match self.node.qp.read_doorbell_into(reqs, &mut into) {
             Ok(()) => Ok(Some(landed)),
             Err(rdma_sim::Error::RetriesExhausted { .. }) => Ok(None),
             Err(e) => Err(e.into()),
@@ -222,7 +216,7 @@ impl<'a> Reader<'a> {
         out: &mut Fetch,
     ) -> Result<()> {
         let node = self.node;
-        let bracketed = node.policy.reuse;
+        let bracketed = node.mode.reuses();
         self.attempt = 0;
         while !pending.is_empty() || !verify.is_empty() {
             let span_cause = if self.attempt == 0 {

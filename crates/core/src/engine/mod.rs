@@ -5,13 +5,19 @@
 //! pool and an LRU cluster cache, and answers batched top-k queries. The
 //! [`SearchMode`] selects between full d-HNSW and the paper's two
 //! baselines, which differ **only** in how cluster bytes cross the
-//! network — two bits of [`ReadPolicy`], and this table is that code:
+//! network — one bit of code ([`SearchMode::reuses`]) and one price (the
+//! doorbell limit of the node's queue pair), as this table says:
 //!
-//! | mode | meta cache | `reuse`: query-aware dedup + LRU cache | `doorbell` |
-//! |------|-----------|-----------------------------------------|------------|
-//! | [`SearchMode::Full`]       | ✓ | ✓ | ✓ |
-//! | [`SearchMode::NoDoorbell`] | ✓ | ✓ | ✗ (one round trip per cluster) |
-//! | [`SearchMode::Naive`]      | ✓ | ✗ (per-query cluster fetches) | ✗ |
+//! | mode | meta cache | `reuses`: query-aware dedup + LRU cache | doorbell limit |
+//! |------|-----------|------------------------------------------|----------------|
+//! | [`SearchMode::Full`]       | ✓ | ✓ | the store's |
+//! | [`SearchMode::NoDoorbell`] | ✓ | ✓ | 1 (one round trip per cluster) |
+//! | [`SearchMode::Naive`]      | ✓ | ✗ (per-query cluster fetches) | 1 |
+//!
+//! Every post is a doorbell; at limit 1 each of its work requests is a
+//! round trip of its own, which is what the paper's baselines pay. A
+//! baseline node is a NIC without doorbell batching for everything it
+//! posts, its writes included.
 //!
 //! Every mode runs the same batch body (`query`): route → plan → fetch →
 //! materialize → probe → rerank → merge → report. Every cluster fetch —
@@ -58,7 +64,8 @@ pub enum SearchMode {
     #[default]
     Full,
     /// "d-HNSW (w./o. doorbell)": batched loading and caching, but each
-    /// discontiguous cluster costs its own network round trip.
+    /// discontiguous cluster costs its own network round trip — `Full`
+    /// on a queue pair whose doorbell limit is 1.
     NoDoorbell,
     /// "Naive d-HNSW": every query fetches each of its clusters with an
     /// individual `RDMA_READ`; no reuse within or across batches.
@@ -84,28 +91,15 @@ impl SearchMode {
         }
     }
 
-    /// The two policy bits this scheme sets.
-    pub(crate) fn policy(self) -> ReadPolicy {
-        ReadPolicy {
-            reuse: self != SearchMode::Naive,
-            doorbell: self == SearchMode::Full,
-        }
+    /// Whether a cluster is fetched at most once per batch, in the
+    /// batch's one load round, and kept: query-aware dedup, the LRU cache
+    /// with its version brackets and pin verifies. Not under `Naive`,
+    /// where every `(query, route position)` is its own unbracketed load
+    /// that nothing outlives — there is no cached copy a version could
+    /// invalidate.
+    pub(crate) fn reuses(self) -> bool {
+        self != SearchMode::Naive
     }
-}
-
-/// How cluster bytes cross the network: the two columns of the module
-/// table, derived from the [`SearchMode`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ReadPolicy {
-    /// A cluster is fetched at most once per batch, in the batch's one
-    /// load round, and kept: query-aware dedup, the LRU cache with its
-    /// version brackets and pin verifies. Off, every `(query, route
-    /// position)` is its own unbracketed load that nothing outlives —
-    /// there is no cached copy a version could invalidate.
-    pub(crate) reuse: bool,
-    /// A load round is one doorbell batch rather than one verb per
-    /// request.
-    pub(crate) doorbell: bool,
 }
 
 impl std::fmt::Display for SearchMode {
@@ -280,7 +274,6 @@ pub struct ComputeNode {
     pub(crate) cache: Mutex<ClusterCache>,
     config: DHnswConfig,
     mode: SearchMode,
-    policy: ReadPolicy,
     telemetry: Arc<Telemetry>,
     pub(crate) metrics: EngineMetrics,
     heatmap: Arc<ClusterHeatmap>,
@@ -300,13 +293,20 @@ impl ComputeNode {
     /// Connects to the store: opens a queue pair and fetches the layout
     /// directory from the head of the remote region (one `RDMA_READ`),
     /// exactly as §3.2 describes compute instances caching the offsets.
+    /// A baseline node's queue pair is priced at doorbell limit 1.
     pub(crate) fn connect(
         store: &VectorStore,
         mode: SearchMode,
         telemetry: Arc<Telemetry>,
     ) -> Result<Self> {
         let config = store.config().clone().with_env_overrides()?;
-        let qp = QueuePair::connect(store.memory_node(), config.network());
+        let model = match mode {
+            SearchMode::Full => config.network(),
+            SearchMode::NoDoorbell | SearchMode::Naive => {
+                config.network().with_doorbell_limit(1)?
+            }
+        };
+        let qp = QueuePair::connect(store.memory_node(), model);
         let rkey = store.region().rkey();
         // Peek the header first: a v3 (quantized) store carries an SQ
         // span table whose size the connect path cannot know up front.
@@ -340,7 +340,6 @@ impl ComputeNode {
             cache: Mutex::new(ClusterCache::new(capacity)),
             config,
             mode,
-            policy: mode.policy(),
             telemetry,
             metrics,
             heatmap,

@@ -1,7 +1,8 @@
 //! The batch body every [`SearchMode`](super::SearchMode) runs: route →
 //! plan → fetch → materialize → probe → rerank → merge → report. The
-//! modes differ only in the [`ReadPolicy`](super::ReadPolicy) bits the
-//! plan and the loader consult.
+//! modes differ only in [`SearchMode::reuses`](super::SearchMode::reuses),
+//! which the plan and the loader consult, and in the doorbell limit the
+//! node's queue pair is priced at.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -168,7 +169,7 @@ impl ComputeNode {
         Ok((results, report))
     }
 
-    /// One batch under this node's policy. Under `reuse` the batch is one
+    /// One batch under this node's mode. Under `reuses` the batch is one
     /// load round (§3.3): every cluster the plan must fetch goes out in
     /// one fetch, with the cached pins' version verifies riding it so a
     /// stale entry is demoted and reloaded before anything is searched;
@@ -176,7 +177,7 @@ impl ComputeNode {
     /// then every query is probed. Every cluster crosses the network at
     /// most once per batch.
     ///
-    /// Without `reuse` the plan is the identity: every `(query, route
+    /// Under `Naive` the plan is the identity: every `(query, route
     /// position)` is its own load, and the batch runs in stripes of
     /// `threads × 4` queries, each loaded, searched and dropped before the
     /// next — memory stays O(stripe × b × cluster) whatever the batch
@@ -194,7 +195,7 @@ impl ComputeNode {
         trace: &BatchTrace,
         root: SpanId,
     ) -> Result<(Vec<Vec<Neighbor>>, BatchReport)> {
-        let reuse = self.policy.reuse;
+        let reuse = self.mode.reuses();
         let mut report = BatchReport {
             trace_id: trace.seq(),
             mode: self.mode.label(),
@@ -432,7 +433,7 @@ impl ComputeNode {
         let stats0 = self.qp.stats().snapshot();
         let mut reader = Reader::new(self, self.config.degraded_ok(), trace, s_net);
         let mut got = Fetch::default();
-        let outcome = if self.policy.reuse {
+        let outcome = if self.mode.reuses() {
             reader.fetch(pending, verify, ReadCause::StageLoad, &mut got)
         } else {
             (pending.into_iter()).try_for_each(|load| {

@@ -458,13 +458,17 @@ fn inserts_allocate_monotonic_global_ids() {
 #[test]
 fn insert_is_two_doorbells_of_three_atomics_and_a_write() {
     let (data, store) = setup(300);
-    let node = store.connect(SearchMode::Full).unwrap();
-    node.reset_measurements();
-    node.insert(data.get(0)).unwrap();
-    let s = node.queue_pair().stats().snapshot();
-    // [id FAA, slot FAA], then [record write, version FAA].
-    assert_eq!((s.round_trips, s.doorbell_batches), (2, 2));
-    assert_eq!((s.atomics, s.work_requests), (3, 4));
+    // A baseline node's queue pair is priced at doorbell limit 1: its
+    // writes pay a round trip per work request too.
+    for (mode, trips) in [(SearchMode::Full, 2), (SearchMode::NoDoorbell, 4)] {
+        let node = store.connect(mode).unwrap();
+        node.reset_measurements();
+        node.insert(data.get(0)).unwrap();
+        let s = node.queue_pair().stats().snapshot();
+        // [id FAA, slot FAA], then [record write, version FAA].
+        assert_eq!((s.round_trips, s.doorbell_batches), (trips, 2), "{mode}");
+        assert_eq!((s.atomics, s.work_requests), (3, 4), "{mode}");
+    }
 }
 
 #[test]

@@ -237,7 +237,7 @@ impl VectorStore {
             let p = loc.partition;
             let round = plan_load(dir, rkey, p, QuantizeMode::Off, None, false, cause)?;
             let span = *round.expect("a first round reads").body();
-            let buf = qp.read_with_cause(rkey, span.offset, span.len, cause)?;
+            let buf = qp.read(rkey, span.offset, span.len)?;
             let (cluster_bytes, overflow) = loc.split(&buf)?;
             let loaded = crate::cluster::LoadedCluster::from_remote(cluster_bytes, overflow)?;
             for (local, &gid) in loaded.global_ids().iter().enumerate() {

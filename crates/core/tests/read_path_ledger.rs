@@ -1,5 +1,5 @@
 //! Characterization ledger of the read path: every count a query batch
-//! reports, over the whole policy matrix, pinned in
+//! reports, over the whole mode matrix, pinned in
 //! `tests/golden/read_path_ledger.txt`.
 //!
 //! One seeded store per wire format is built once and snapshotted
@@ -19,7 +19,11 @@
 //! What does not depend on the mode is asserted, not just recorded:
 //! without faults every cell of a store state returns the same ids
 //! (whatever the mode, wire or cache size, cold or repeat), and
-//! on every batch the per-cause bytes tile `bytes_read`.
+//! on every batch the per-cause bytes tile `bytes_read`. The doorbell is
+//! a price, not a path: a `no_doorbell` node is a `full` node on a queue
+//! pair priced at doorbell limit 1, so each of its rows equals the `full`
+//! row of the same cell and batch in every field but `trips`, fault rows
+//! included.
 //!
 //! The drop schedule of the fault cells: no substrate retransmissions
 //! (a dropped attempt reaches the engine), one engine retry, degraded
@@ -206,6 +210,21 @@ fn read_path_ledger_matches_the_golden() {
         expected_ids[0], expected_ids[1],
         "the mutation must change what the queries find"
     );
+    let rows_but_trips = |mode: SearchMode| -> Vec<String> {
+        let prefix = format!("mode={} ", mode.label());
+        (out.lines().filter_map(|row| row.strip_prefix(&prefix)))
+            .map(|row| {
+                let fields = row.split(' ').filter(|f| !f.starts_with("trips="));
+                fields.collect::<Vec<_>>().join(" ")
+            })
+            .collect()
+    };
+    let no_doorbell = rows_but_trips(SearchMode::NoDoorbell);
+    let full = rows_but_trips(SearchMode::Full);
+    assert_eq!((no_doorbell.len(), full.len()), (48, 48));
+    for (nodb, full) in no_doorbell.iter().zip(&full) {
+        assert_eq!(nodb, full, "no_doorbell differs from full beyond trips");
+    }
 
     let golden_path = concat!(
         env!("CARGO_MANIFEST_DIR"),

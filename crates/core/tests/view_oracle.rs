@@ -152,14 +152,11 @@ fn land(blob: &[u8], area: &[u8], back: bool, start: usize) -> (Vec<u8>, Vec<u8>
         )
     };
     let req = ReadReq::new(region.rkey(), 64, span.len() as u64);
-    qp.read_into(
-        req,
-        Scatter {
-            head,
-            tail: Some(tail),
-        },
-    )
-    .unwrap();
+    let into = Scatter {
+        head,
+        tail: Some(tail),
+    };
+    qp.read_doorbell_into(&[req], &mut [into]).unwrap();
     assert_eq!(
         qp.stats().work_requests(),
         2,

@@ -24,11 +24,12 @@
 //!   round trips: the §3.2 doorbell batching with its NIC-scalability cap.
 //!   Like a reliable-connection queue pair, each post executes in request
 //!   order, so an atomic rides behind the writes it publishes.
-//!   [`QueuePair::read_doorbell_into`] / [`QueuePair::read_into`] are the
-//!   same reads landing in caller-owned buffers through a [`Scatter`]
-//!   list per request, the way a NIC DMAs into a registered buffer. All
-//!   nine verbs are wrappers over one executor, where bytes move, cost is
-//!   charged and counters are written.
+//!   [`QueuePair::read_doorbell_into`] is the same reads landing in
+//!   caller-owned buffers through a [`Scatter`] list per request, the way
+//!   a NIC DMAs into a registered buffer. A read with a [`ReadCause`] of
+//!   its own is a one-request doorbell, which costs what a plain read
+//!   costs. All seven verbs are wrappers over one executor, where bytes
+//!   move, cost is charged and counters are written.
 //! - Fault injection — [`QueuePair::fail_next`] /
 //!   [`QueuePair::set_fault_rate`] drop attempts which the queue pair
 //!   retransmits like a reliable-connection NIC, charging timeout time

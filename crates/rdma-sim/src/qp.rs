@@ -245,50 +245,21 @@ impl QueuePair {
     }
 
     /// One-sided `RDMA_READ`: one network round trip, attributed to
-    /// [`ReadCause::Other`].
+    /// [`ReadCause::Other`]. A read with a cause of its own, or landing in
+    /// caller-owned memory, is a one-request [`QueuePair::read_doorbell`] /
+    /// [`QueuePair::read_doorbell_into`]: the same cost, plus one doorbell
+    /// batch counted.
     ///
     /// # Errors
     ///
     /// [`Error::UnknownRegion`] or [`Error::OutOfBounds`].
     pub fn read(&self, rkey: u32, offset: u64, len: u64) -> Result<Vec<u8>> {
-        self.read_with_cause(rkey, offset, len, ReadCause::Other)
-    }
-
-    /// One-sided `RDMA_READ` with explicit byte provenance: identical
-    /// cost and semantics to [`QueuePair::read`], but the bytes and the
-    /// round trip are attributed to `cause` in [`TransferStats`].
-    ///
-    /// # Errors
-    ///
-    /// [`Error::UnknownRegion`] or [`Error::OutOfBounds`].
-    pub fn read_with_cause(
-        &self,
-        rkey: u32,
-        offset: u64,
-        len: u64,
-        cause: ReadCause,
-    ) -> Result<Vec<u8>> {
-        let req = ReadReq::new(rkey, offset, len).with_cause(cause);
+        let req = ReadReq::new(rkey, offset, len);
         let mut out = Vec::new();
         self.execute("read", false, &[Verb::Read(req)], |_, bytes| {
             out = bytes.to_vec()
         })?;
         Ok(out)
-    }
-
-    /// [`QueuePair::read_with_cause`] landing in caller-owned memory:
-    /// the single-verb twin of [`QueuePair::read_doorbell_into`], same
-    /// cost and attribution as the allocating call.
-    ///
-    /// # Errors
-    ///
-    /// As [`QueuePair::read_doorbell_into`]; on failure `into` is
-    /// untouched.
-    pub fn read_into(&self, req: ReadReq, mut into: Scatter<'_>) -> Result<()> {
-        check_scatter(&req, &into)?;
-        self.execute("read", false, &[Verb::Read(req)], |_, bytes| {
-            into.land(bytes)
-        })
     }
 
     /// One-sided `RDMA_WRITE`: one network round trip.
@@ -345,7 +316,14 @@ impl QueuePair {
             )));
         }
         for (req, scatter) in reqs.iter().zip(into.iter()) {
-            check_scatter(req, scatter)?;
+            if scatter.len() != Some(req.len) {
+                return Err(Error::InvalidParameter(format!(
+                    "scatter list of {} + {} bytes for a read of {}",
+                    scatter.head.len,
+                    scatter.tail.as_ref().map_or(0, |t| t.len),
+                    req.len
+                )));
+            }
         }
         let wrs: Vec<Verb<'_>> = reqs.iter().copied().map(Verb::Read).collect();
         self.execute("read_doorbell", true, &wrs, |i, bytes| into[i].land(bytes))
@@ -533,19 +511,6 @@ impl QueuePair {
 /// The little-endian `u64` an atomic found.
 fn word(bytes: &[u8]) -> u64 {
     u64::from_le_bytes(bytes.try_into().expect("an atomic spans 8 bytes"))
-}
-
-/// A scatter list must take exactly its request's bytes.
-fn check_scatter(req: &ReadReq, scatter: &Scatter<'_>) -> Result<()> {
-    if scatter.len() != Some(req.len) {
-        return Err(Error::InvalidParameter(format!(
-            "scatter list of {} + {} bytes for a read of {}",
-            scatter.head.len,
-            scatter.tail.as_ref().map_or(0, |t| t.len),
-            req.len
-        )));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -856,12 +821,14 @@ mod tests {
         assert_eq!(got, vec![(vec![4], vec![5]), (vec![1], vec![2, 3])]);
         // A segment lands after what its buffer already holds.
         let mut buf = vec![9];
-        qp.read_into(reqs[1], Scatter::whole(&mut buf, 3)).unwrap();
+        qp.read_doorbell_into(&reqs[1..], &mut [Scatter::whole(&mut buf, 3)])
+            .unwrap();
         assert_eq!(buf, vec![9, 1, 2, 3]);
-        assert_eq!(qp.stats().round_trips(), 2 + 2, "two writes, two reads");
+        qp.read(r.rkey(), 0, 3).unwrap();
+        assert_eq!(qp.stats().round_trips(), 2 + 3, "two writes, three reads");
         assert_eq!(
             qp.stats().doorbell_batches(),
-            1,
+            2,
             "a plain read is no doorbell"
         );
     }
@@ -897,14 +864,14 @@ mod tests {
                 "bytes moved before validation"
             );
             assert!(qp
-                .read_into(reqs[0], Scatter::whole(&mut a, wrong))
+                .read_doorbell_into(&reqs[..1], &mut [Scatter::whole(&mut a, wrong)])
                 .is_err());
             assert!(a.is_empty());
         }
         // A cut past the end of its read.
         let (mut a, mut b) = (Vec::new(), Vec::new());
         assert!(qp
-            .read_into(reqs[0], Scatter::cut(&mut a, &mut b, 5, 4))
+            .read_doorbell_into(&reqs[..1], &mut [Scatter::cut(&mut a, &mut b, 5, 4)])
             .is_err());
         assert!(a.is_empty() && b.is_empty());
         // One scatter list too few.
@@ -960,8 +927,7 @@ mod tests {
             }
         ));
         assert!(matches!(
-            qp.read_into(reqs[0], Scatter::whole(&mut a, 8))
-                .unwrap_err(),
+            qp.read(r.rkey(), 0, 8).unwrap_err(),
             Error::RetriesExhausted { verb: "read", .. }
         ));
         assert_eq!((a, b), (vec![1, 2], Vec::new()));
@@ -973,7 +939,7 @@ mod tests {
         let (_n, r, qp) = setup(16);
         let req = ReadReq::new(r.rkey(), 0, 0).with_cause(ReadCause::Rerank);
         qp.read_doorbell(&[req, req]).unwrap();
-        qp.read_with_cause(r.rkey(), 0, 0, ReadCause::Naive)
+        qp.read_doorbell(&[req.with_cause(ReadCause::Naive)])
             .unwrap();
         let snap = qp.stats().snapshot();
         assert_eq!(snap.trips_for(ReadCause::Rerank), 1);
@@ -1014,13 +980,21 @@ mod tests {
             proptest::prop_assert_eq!(got, want);
             proptest::prop_assert_eq!(landing.stats().snapshot(), alloc.stats().snapshot());
             proptest::prop_assert_eq!(landing.clock().now_us(), alloc.clock().now_us());
-            // And the single verb against its twin.
+            // And the plain verb against a one-request doorbell: the same
+            // bytes, clock and counters, bar the doorbell counted.
             if let Some(&req) = reqs.first() {
-                let want = alloc.read_with_cause(req.rkey, req.offset, req.len, req.cause).unwrap();
-                let mut got = Vec::new();
-                landing.read_into(req, Scatter::whole(&mut got, req.len)).unwrap();
-                proptest::prop_assert_eq!(got, want);
-                proptest::prop_assert_eq!(landing.stats().snapshot(), alloc.stats().snapshot());
+                let want = alloc.read(req.rkey, req.offset, req.len).unwrap();
+                let req = req.with_cause(ReadCause::Other);
+                let got = read_split(&landing, &[req], |_, _| shape[0].2).unwrap();
+                proptest::prop_assert_eq!([got[0].0.clone(), got[0].1.clone()].concat(), want);
+                let mut buckets = [0; crate::DOORBELL_SIZE_BUCKETS];
+                buckets[0] = 1;
+                let one = crate::StatsSnapshot {
+                    doorbell_batches: 1,
+                    doorbell_size_buckets: buckets,
+                    ..Default::default()
+                };
+                proptest::prop_assert_eq!(landing.stats().snapshot() - one, alloc.stats().snapshot());
                 proptest::prop_assert_eq!(landing.clock().now_us(), alloc.clock().now_us());
             }
         }
@@ -1029,7 +1003,7 @@ mod tests {
     #[test]
     fn plain_read_attributes_to_its_cause() {
         let (_n, r, qp) = setup(64);
-        qp.read_with_cause(r.rkey(), 0, 32, ReadCause::Naive)
+        qp.read_doorbell(&[ReadReq::new(r.rkey(), 0, 32).with_cause(ReadCause::Naive)])
             .unwrap();
         qp.read(r.rkey(), 0, 8).unwrap();
         let snap = qp.stats().snapshot();

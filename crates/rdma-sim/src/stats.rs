@@ -95,13 +95,14 @@ impl std::fmt::Display for ReadCause {
 /// # Example
 ///
 /// ```rust
-/// use rdma_sim::{MemoryNode, NetworkModel, QueuePair, ReadCause};
+/// use rdma_sim::{MemoryNode, NetworkModel, QueuePair, ReadCause, ReadReq};
 ///
 /// let node = MemoryNode::new("mem0");
 /// let r = node.register(1024).unwrap();
 /// let qp = QueuePair::connect(&node, NetworkModel::connectx6());
 /// let before = qp.stats().snapshot();
-/// qp.read_with_cause(r.rkey(), 0, 512, ReadCause::Rerank).unwrap();
+/// let req = ReadReq::new(r.rkey(), 0, 512).with_cause(ReadCause::Rerank);
+/// qp.read_doorbell(&[req]).unwrap();
 /// let delta = qp.stats().snapshot() - before;
 /// assert_eq!((delta.round_trips, delta.bytes_for(ReadCause::Rerank)), (1, 512));
 /// ```

@@ -191,15 +191,24 @@
 # came: the windowed degraded rate (`Sample::degraded_queries`,
 # `SeriesPoint::degraded_rate`, its judge in `evaluate_point`) and the
 # serving plane's pure request-head parser.
+# The doorbell as a price lowered crates/core/src's to 9 321 and
+# rdma-sim's to 1 721 (the plane, crates/bench, hnsw, vecsim and
+# cluster.rs unchanged). What went: the engine's read policy (its struct,
+# the mode's mapping to it and the node's field; its one surviving bit is
+# `SearchMode::reuses`), the post primitive's per-verb branch, and the two
+# single-verb reads only it and `rebuild` posted (`read_into`,
+# `read_with_cause`), and `check_scatter`, inlined into its one caller
+# left. What came:
+# the baseline node's queue pair priced at doorbell limit 1 in `connect`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-MAX_TOTAL=9327
+MAX_TOTAL=9321
 MAX_PLANE=3493
 MAX_BENCH=2468
 MAX_HNSW=1574
 MAX_VECSIM=1839
-MAX_RDMA=1754
+MAX_RDMA=1721
 MAX_FILE=1337
 
 total=0

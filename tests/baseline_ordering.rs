@@ -111,6 +111,31 @@ fn doorbell_limit_sweep_shows_the_scalability_tradeoff() {
 }
 
 #[test]
+fn no_doorbell_is_full_at_doorbell_limit_one() {
+    let (data, queries) = workload(2_000, 120);
+    let limit_1 = DHnswConfig::small()
+        .with_network(NetworkModel::connectx6().with_doorbell_limit(1).unwrap());
+    let at_limit_1 = VectorStore::build(data.clone(), &limit_1).unwrap();
+    let store = VectorStore::build(data, &DHnswConfig::small()).unwrap();
+    let (full, nodb) = (
+        at_limit_1.connect(SearchMode::Full).unwrap(),
+        store.connect(SearchMode::NoDoorbell).unwrap(),
+    );
+    for batch in ["cold", "warm"] {
+        let (full_ids, full) = full.query_batch(&queries, 10, 32).unwrap();
+        let (nodb_ids, nodb) = nodb.query_batch(&queries, 10, 32).unwrap();
+        assert_eq!(
+            full.breakdown.network_us, nodb.breakdown.network_us,
+            "{batch}"
+        );
+        assert_eq!(full.round_trips, nodb.round_trips, "{batch}");
+        assert_eq!(full.bytes_read, nodb.bytes_read, "{batch}");
+        assert_eq!(full.doorbell_batches, nodb.doorbell_batches, "{batch}");
+        assert_eq!(full_ids, nodb_ids, "{batch}");
+    }
+}
+
+#[test]
 fn cache_fraction_sweep_reduces_loads() {
     let (data, queries) = workload(2_000, 120);
     let mut loads = Vec::new();
