@@ -31,6 +31,7 @@
 use std::process::ExitCode;
 
 use dhnsw::cluster::{scans, LoadedCluster, ProbeScratch, SqCluster, SubCluster};
+use dhnsw::snapshot::{read_snapshot, write_snapshot};
 use dhnsw::{DHnswConfig, QuantizeMode, SearchMode, Telemetry, VectorStore};
 use dhnsw_bench::{
     breakdown_rows, env_usize, print_breakdown_table, print_sweep_table, sweep, DatasetKind,
@@ -571,6 +572,13 @@ fn ablations() -> AnyResult {
         env_usize("DHNSW_ABLATION_Q", 500)?,
     )?;
     let base = DHnswConfig::paper().with_representatives(200);
+    // One build serves every sweep but the representative count's. The
+    // doorbell limit and the cache fraction are read at connect, so their
+    // rows restore its image under its resolved config with theirs changed.
+    let store = VectorStore::build(w.data.clone(), &base)?;
+    let mut image = Vec::new();
+    write_snapshot(&store, &mut image)?;
+    let restore = |cfg: DHnswConfig| read_snapshot(&image[..], &cfg)?.connect(SearchMode::Full);
 
     println!("\n=== Ablation: doorbell batch limit (§3.2 NIC-scalability tradeoff) ===");
     println!(
@@ -578,11 +586,8 @@ fn ablations() -> AnyResult {
         "limit", "network us", "trips", "trips/query"
     );
     for limit in [1usize, 2, 4, 8, 16, 32, 64, 128] {
-        let cfg = base
-            .clone()
-            .with_network(NetworkModel::connectx6().with_doorbell_limit(limit)?);
-        let store_l = VectorStore::build(w.data.clone(), &cfg)?;
-        let node = store_l.connect(SearchMode::Full)?;
+        let network = NetworkModel::connectx6().with_doorbell_limit(limit)?;
+        let node = restore(store.config().clone().with_network(network))?;
         node.query_batch(&w.queries, 10, 48)?;
         let (_, r) = node.query_batch(&w.queries, 10, 48)?;
         // A baseline node is priced at limit 1: that row is the scheme.
@@ -602,9 +607,7 @@ fn ablations() -> AnyResult {
         "cache", "loads", "hits", "network us", "MB read"
     );
     for frac in [0.0, 0.05, 0.10, 0.25, 0.50, 1.0] {
-        let cfg = base.clone().with_cache_fraction(frac);
-        let store_c = VectorStore::build(w.data.clone(), &cfg)?;
-        let node = store_c.connect(SearchMode::Full)?;
+        let node = restore(store.config().clone().with_cache_fraction(frac))?;
         node.query_batch(&w.queries, 10, 48)?;
         let (_, r) = node.query_batch(&w.queries, 10, 48)?;
         println!(
@@ -623,8 +626,7 @@ fn ablations() -> AnyResult {
         "skew", "loads", "hits", "hit rate", "network us"
     );
     for skew in [0.0f64, 0.5, 1.0, 1.5] {
-        let store_z = VectorStore::build(w.data.clone(), &base)?;
-        let node = store_z.connect(SearchMode::Full)?;
+        let node = store.connect(SearchMode::Full)?;
         let zq = vecsim::gen::zipf_queries(&w.data, w.queries.len(), 0.03, skew, 0xBEEF)?;
         node.query_batch(&zq, 10, 48)?;
         let (_, r) = node.query_batch(&zq, 10, 48)?;
@@ -643,10 +645,8 @@ fn ablations() -> AnyResult {
         "{:>4} {:>10} {:>14} {:>12}",
         "b", "recall@10", "network us", "MB read"
     );
-    // Fan-out is a per-call override: one store serves the whole sweep.
-    let store_b = VectorStore::build(w.data.clone(), &base)?;
     for b in [1usize, 2, 4, 8, 16] {
-        let node = store_b.connect(SearchMode::Full)?;
+        let node = store.connect(SearchMode::Full)?;
         let opts = dhnsw::QueryOptions::new(10, 48).with_fanout(b);
         node.query_batch_opts(&w.queries, &opts)?;
         let (results, r) = node.query_batch_opts(&w.queries, &opts)?;

@@ -11,7 +11,6 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use rdma_sim::{ReadCause, ReadReq, Scatter};
 
 use super::{run_indexed, ComputeNode};
@@ -393,9 +392,7 @@ impl ComputeNode {
         fetched: Vec<Fetched>,
         threads: usize,
     ) -> Result<Vec<(Load, u64, Arc<LoadedCluster>)>> {
-        let cells: Vec<_> = fetched.into_iter().map(|f| Mutex::new(Some(f))).collect();
-        run_indexed(cells.len(), threads, |i| {
-            let f = cells[i].lock().take().expect("every index runs once");
+        run_indexed(fetched, threads, |f| {
             Ok((f.load, f.version, Arc::new(self.decode(f)?)))
         })
     }

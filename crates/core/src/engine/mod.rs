@@ -473,39 +473,51 @@ impl ComputeNode {
     }
 }
 
-/// Runs `f(i)` for `i in 0..n` across `threads` workers — the calling
-/// thread runs the first chunk itself, beside `threads − 1` helpers —
-/// preserving output order and propagating the first error.
-pub(crate) fn run_indexed<T, F>(n: usize, threads: usize, f: F) -> Result<Vec<T>>
+/// Runs `f` over `items` across `threads` workers, the core's one CPU
+/// fan-out (the paper's per-instance OpenMP pool): the calling thread
+/// claims the first item before `threads − 1` helpers start, and every
+/// worker then claims the next unclaimed item, one at a time, so a long
+/// item holds up only its own worker. Outputs keep input order and the
+/// error returned is the lowest-placed item's. One thread, one item or
+/// none run inline.
+pub(crate) fn run_indexed<I, T, F>(
+    items: impl IntoIterator<Item = I>,
+    threads: usize,
+    f: F,
+) -> Result<Vec<T>>
 where
+    I: Send,
     T: Send,
-    F: Fn(usize) -> Result<T> + Sync,
+    F: Fn(I) -> Result<T> + Sync,
 {
-    if n == 0 {
-        return Ok(Vec::new());
+    let items: Vec<I> = items.into_iter().collect();
+    let threads = threads.min(items.len());
+    if threads <= 1 {
+        return items.into_iter().map(f).collect();
     }
-    let threads = threads.clamp(1, n);
-    if threads == 1 {
-        return (0..n).map(&f).collect();
-    }
-    let mut slots: Vec<Option<Result<T>>> = (0..n).map(|_| None).collect();
-    let chunk = n.div_ceil(threads);
-    let run = |start: usize, slot: &mut [Option<Result<T>>]| {
-        for (off, dst) in slot.iter_mut().enumerate() {
-            *dst = Some(f(start + off));
+    let queue = Mutex::new(items.into_iter().enumerate());
+    // The guard dies with this closure's call, before `f` runs: held
+    // across `f`, it would serialise the workers.
+    let claim = || queue.lock().next();
+    let work = |mut next: Option<(usize, I)>| {
+        let mut done = Vec::new();
+        while let Some((i, item)) = next {
+            done.push((i, f(item)));
+            next = claim();
         }
+        done
     };
-    std::thread::scope(|s| {
-        let (first, rest) = slots.split_at_mut(chunk);
-        for (t, slot) in rest.chunks_mut(chunk).enumerate() {
-            s.spawn(move || run((t + 1) * chunk, slot));
+    let first = claim();
+    let mut done = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..threads).map(|_| s.spawn(|| work(claim()))).collect();
+        let mut done = work(first);
+        for helper in helpers {
+            done.extend(helper.join().expect("a run_indexed helper panicked"));
         }
-        run(0, first);
+        done
     });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every index is produced by its worker"))
-        .collect()
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, out)| out).collect()
 }
 
 #[cfg(test)]

@@ -689,13 +689,13 @@ pub(super) fn search_stage(
     let runs: Vec<&[(u32, u32, u32)]> = probes
         .chunks(probes.len().div_ceil(threads.max(1)).max(1))
         .collect();
-    let done = run_indexed(runs.len(), threads, |r| {
+    let done = run_indexed(&runs, threads, |run| {
         let mut scratch = ProbeScratch::default();
         let mut stats = SearchStats::default();
         let mut hits: Vec<Candidate> = Vec::new();
-        let mut ends = Vec::with_capacity(runs[r].len());
+        let mut ends = Vec::with_capacity(run.len());
         let (mut block, mut seeds): (Vec<&[f32]>, Vec<f32>) = Default::default();
-        for same in runs[r].chunk_by(|a, b| a.0 == b.0) {
+        for same in run.chunk_by(|a, b| a.0 == b.0) {
             block.clear();
             seeds.clear();
             for &(_, query, _) in same {
@@ -731,7 +731,7 @@ pub(super) fn search_stage(
             start = end;
         }
     }
-    run_indexed(keys.len(), threads, |i| {
+    run_indexed(0..keys.len(), threads, |i| {
         let lists = &lists[offsets[i]..offsets[i + 1]];
         let cov = if lists.is_empty() {
             1.0

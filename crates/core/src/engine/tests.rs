@@ -1622,16 +1622,17 @@ fn scanned_clusters_are_exact(data: &Dataset, nq: usize) {
     }
 }
 
-/// The calling thread runs the first chunk and `threads − 1` helpers the
-/// rest; every index runs once, outputs keep index order and the error
-/// returned is the lowest index's — with fewer items than threads too.
+/// The calling thread claims the first item and `threads − 1` helpers the
+/// rest, one at a time; every item runs once, owned items included,
+/// outputs keep input order and the error returned is the lowest-placed
+/// item's — with fewer items than threads too.
 #[test]
 fn run_indexed_runs_each_index_once_in_order_with_the_caller_working() {
     let caller = std::thread::current().id();
     for threads in 1..=4 {
         for n in 0..=9 {
             let ran = parking_lot::Mutex::new(Vec::new());
-            let out = run_indexed(n, threads, |i| {
+            let out = run_indexed(0..n, threads, |i| {
                 ran.lock().push((i, std::thread::current().id()));
                 Ok(i * i)
             })
@@ -1646,7 +1647,24 @@ fn run_indexed_runs_each_index_once_in_order_with_the_caller_working() {
             assert!(ran.first().is_none_or(|&(_, id)| id == caller));
             let workers: std::collections::HashSet<_> = ran.iter().map(|&(_, id)| id).collect();
             assert!(workers.len() <= threads.min(n), "{threads} threads, {n}");
-            let failed = run_indexed(n, threads, |i| match i % 3 {
+            // Owned, non-`Copy` items are moved in, each seen exactly once.
+            let owned: Vec<String> = (0..n).map(|i| format!("item {i}")).collect();
+            let seen = parking_lot::Mutex::new(Vec::new());
+            let out = run_indexed(owned.clone(), threads, |item| {
+                seen.lock()
+                    .push((item.clone(), std::thread::current().id()));
+                Ok(item + "!")
+            })
+            .unwrap();
+            assert!(out.into_iter().eq(owned.iter().map(|s| s.clone() + "!")));
+            let mut seen = seen.into_inner();
+            seen.sort_by(|a, b| a.0.cmp(&b.0)); // `n` < 10: names sort in input order
+            assert!(
+                seen.iter().map(|(item, _)| item).eq(&owned),
+                "{threads} threads, {n}"
+            );
+            assert!(seen.first().is_none_or(|(_, id)| *id == caller));
+            let failed = run_indexed(0..n, threads, |i| match i % 3 {
                 2 => Err(Error::InvalidParameter(i.to_string())),
                 _ => Ok(i),
             });

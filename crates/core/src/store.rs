@@ -1,10 +1,8 @@
 //! Building the remote store: partitioning, cluster construction, and
 //! placement into registered memory.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use rdma_sim::{MemoryNode, QueuePair, RegionHandle, WriteReq};
 use vecsim::Dataset;
 
@@ -88,11 +86,11 @@ impl VectorStore {
         let meta = Arc::new(MetaIndex::build(&data, config)?);
         let parts = meta.partitions();
 
-        // Classify every vector (parallel over row ranges), routing with
-        // the same beam width queries use so a vector's home partition is
-        // always on its own query route.
+        // Classify every vector in parallel, routing with the same beam
+        // width queries use so a vector's home partition is always on its
+        // own query route.
         let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-        let assignments = run_indexed(data.len(), threads, |i| {
+        let assignments = run_indexed(0..data.len(), threads, |i| {
             meta.classify_with_beam(data.get(i), config.fanout())
         })?;
         let mut members: Vec<Vec<u32>> = vec![Vec::new(); parts];
@@ -107,10 +105,18 @@ impl VectorStore {
             }
         }
 
-        // Build and serialize every sub-HNSW in parallel (plus, when
-        // quantization is on, the SQ8 copy of every cluster).
+        // Build and serialize every sub-HNSW in parallel, one partition per
+        // claim (plus, when quantization is on, its SQ8 copy).
         let quantize = config.quantize_mode() != QuantizeMode::Off;
-        let blobs = build_clusters(&data, &global_ids, &members, config, quantize)?;
+        let blobs = run_indexed(members.iter().enumerate(), threads, |(p, rows)| {
+            let vectors = data.select(rows);
+            let gids: Vec<u32> = rows.iter().map(|&r| global_ids[r as usize]).collect();
+            let sq = quantize
+                .then(|| SqCluster::build(p as u32, &vectors, gids.clone()))
+                .transpose()?;
+            let sub = SubCluster::build(p as u32, vectors, gids, &config.sub_params())?;
+            Ok((sub.to_bytes(), sq.map(|c| c.to_bytes())))
+        })?;
         let partition_sizes: Vec<usize> = members.iter().map(Vec::len).collect();
         let sizes: Vec<u64> = blobs.iter().map(|(b, _)| b.len() as u64).collect();
 
@@ -334,65 +340,6 @@ impl VectorStore {
     }
 }
 
-/// A partition's serialized sub-HNSW blob plus, on quantized builds,
-/// its serialized SQ8 companion.
-type ClusterBlobs = (Vec<u8>, Option<Vec<u8>>);
-
-/// Builds and serializes one sub-HNSW per partition, in parallel over a
-/// shared work queue (partition sizes are skewed, so static chunking
-/// would straggle). With `quantize` set, each slot also carries the
-/// partition's serialized SQ8 blob.
-fn build_clusters(
-    data: &Dataset,
-    global_ids: &[u32],
-    members: &[Vec<u32>],
-    config: &DHnswConfig,
-    quantize: bool,
-) -> Result<Vec<ClusterBlobs>> {
-    let parts = members.len();
-    let slots: Vec<Mutex<Option<Result<ClusterBlobs>>>> =
-        (0..parts).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(parts);
-
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let p = next.fetch_add(1, Ordering::Relaxed);
-                if p >= parts {
-                    break;
-                }
-                let rows = &members[p];
-                let vectors = data.select(rows);
-                let gids: Vec<u32> = rows.iter().map(|&r| global_ids[r as usize]).collect();
-                let sq = if quantize {
-                    Some(SqCluster::build(p as u32, &vectors, gids.clone()).map(|c| c.to_bytes()))
-                } else {
-                    None
-                };
-                let built = SubCluster::build(p as u32, vectors, gids, &config.sub_params())
-                    .map(|c| c.to_bytes());
-                *slots[p].lock() = Some(match (built, sq) {
-                    (Ok(blob), None) => Ok((blob, None)),
-                    (Ok(blob), Some(Ok(sq_blob))) => Ok((blob, Some(sq_blob))),
-                    (Err(e), _) | (_, Some(Err(e))) => Err(e),
-                });
-            });
-        }
-    });
-
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("every partition slot is filled by the work queue")
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -518,6 +465,7 @@ mod tests {
         let a = VectorStore::build(data.clone(), &cfg).unwrap();
         let b = VectorStore::build(data, &cfg).unwrap();
         assert_eq!(a.directory().as_ref(), b.directory().as_ref());
+        assert!(image(&a) == image(&b), "the remote images differ");
     }
 
     #[test]
@@ -533,6 +481,15 @@ mod tests {
         let b = VectorStore::build(data, &DHnswConfig::small()).unwrap();
         assert_eq!(a.directory().as_ref(), b.directory().as_ref());
         assert_eq!(a.partition_sizes, b.partition_sizes);
+        assert!(image(&a) == image(&b), "the remote images differ");
+    }
+
+    /// The whole remote image, every cluster blob included: a blob that
+    /// depended on which worker built it would show here.
+    fn image(store: &VectorStore) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        crate::snapshot::write_snapshot(store, &mut bytes).unwrap();
+        bytes
     }
 
     #[test]

@@ -154,6 +154,23 @@ if [[ -n "$stray" ]]; then
   exit 1
 fi
 
+# One fork-join: every CPU fan-out in the core goes through
+# engine::run_indexed (the caller plus threads - 1 helpers, each claiming
+# items one at a time), so no other file of crates/core/src scopes or
+# spawns a thread. Non-test code only (each file cut at its first
+# #[cfg(test)]).
+echo "==> threads are scoped in engine/mod.rs only"
+stray=$(find crates/core/src -name '*.rs' ! -path 'crates/core/src/engine/mod.rs' | sort |
+  while IFS= read -r file; do
+    awk -v f="$file" '/#!?\[cfg\(test\)\]/ { exit }
+      /thread::(scope|spawn)/ { print f ":" FNR ": " $0 }' "$file"
+  done)
+if [[ -n "$stray" ]]; then
+  echo "$stray"
+  echo "check.sh: a thread scoped or spawned outside crates/core/src/engine/mod.rs (use engine::run_indexed)" >&2
+  exit 1
+fi
+
 # One channel per knob: the library reads two environment variables, the
 # ones this script sets (the thread matrix above, the SQ8 fault smoke
 # below), and reads them in crates/core/src/config.rs alone; every other
@@ -275,11 +292,13 @@ fi
 # transfers-saved families that are sums of other families), and the
 # doorbell as a code path (the engine's read-policy struct with its
 # doorbell bit, and the two single-verb reads it alone posted: a baseline
-# node is priced at doorbell limit 1 and posts the one doorbell read)
+# node is priced at doorbell limit 1 and posts the one doorbell read),
+# and the store build's second thread pool (its work queue over per-
+# partition result slots; the build claims partitions from run_indexed)
 # stay gone (four roots, so the guard does not match itself; identifiers
 # only, so the refusal tests may still spell the deleted flags).
 echo "==> no deleted duplicate is back"
-if grep -rnE 'QueryTrace|TailRecord|TraceRing|ShardedStore|ShardedSession|LoadBalancer|DispatchPolicy|bench_regress|BENCH_baseline|DHNSW_BENCH_1M|poll_cq|ring_doorbell|BruteForceIndex|clustering_tendency|verdict_index|set_milli|take_flush_delta|dhnsw_health_|dhnsw_heat_|dhnsw_tail_|dhnsw_cache_hits_total|dhnsw_cache_misses_total|WindowState|TraceSpec|service_stats|\bexecute_reads\b|\bexecute_writes\b|emit_plain|emit_verb|write_doorbell|graph_report|GraphReport|into_flat|read_bvecs|write_ivecs|region_count|window_handles|tick_series|tracer_env|from_env|AnomalyConfig|classify_all|search_filtered|read_ivecs|prefetch_hot|set_pipeline_depth|with_pipeline_depth|set_prefetch_budget_bytes|with_prefetch_budget_bytes|stage_loads|PIPELINE_HIDDEN_US|hidden_ratio|pipeline_sweep|ReadCause::Prefetch|JsonParser|parse_snapshot|TopSnapshot|extend_candidates|keep_pruned|window_start|Window::between|window_p99_us|window_hit_rate|begin_batch|DECAY_PER_BATCH|hotness|cmd_metrics|set_slow_threshold_us|slow_threshold_us|slow_log|render_tree|render_plain|finish_trace|SlowEntry|has_spans|fold_phases|BucketExemplar|bucket_exemplars|apply_trace_flags|snapshot_json|ProfileAccumulator|fold_trace|route_hit_counts|CacheHealth|LatencyHealth|ReliabilityHealth|TailHealth|dhnsw_rdma_bytes_read_total|dhnsw_loader_transfers_saved_total|ReadPolicy|\bread_into\b|read_with_cause|policy\.doorbell' \
+if grep -rnE 'QueryTrace|TailRecord|TraceRing|ShardedStore|ShardedSession|LoadBalancer|DispatchPolicy|bench_regress|BENCH_baseline|DHNSW_BENCH_1M|poll_cq|ring_doorbell|BruteForceIndex|clustering_tendency|verdict_index|set_milli|take_flush_delta|dhnsw_health_|dhnsw_heat_|dhnsw_tail_|dhnsw_cache_hits_total|dhnsw_cache_misses_total|WindowState|TraceSpec|service_stats|\bexecute_reads\b|\bexecute_writes\b|emit_plain|emit_verb|write_doorbell|graph_report|GraphReport|into_flat|read_bvecs|write_ivecs|region_count|window_handles|tick_series|tracer_env|from_env|AnomalyConfig|classify_all|search_filtered|read_ivecs|prefetch_hot|set_pipeline_depth|with_pipeline_depth|set_prefetch_budget_bytes|with_prefetch_budget_bytes|stage_loads|PIPELINE_HIDDEN_US|hidden_ratio|pipeline_sweep|ReadCause::Prefetch|JsonParser|parse_snapshot|TopSnapshot|extend_candidates|keep_pruned|window_start|Window::between|window_p99_us|window_hit_rate|begin_batch|DECAY_PER_BATCH|hotness|cmd_metrics|set_slow_threshold_us|slow_threshold_us|slow_log|render_tree|render_plain|finish_trace|SlowEntry|has_spans|fold_phases|BucketExemplar|bucket_exemplars|apply_trace_flags|snapshot_json|ProfileAccumulator|fold_trace|route_hit_counts|CacheHealth|LatencyHealth|ReliabilityHealth|TailHealth|dhnsw_rdma_bytes_read_total|dhnsw_loader_transfers_saved_total|ReadPolicy|\bread_into\b|read_with_cause|policy\.doorbell|build_clusters|ClusterBlobs' \
   crates src tests examples || [[ -e scripts/bench.sh ]]; then
   echo "check.sh: a deleted duplicate is back (the lines above, or scripts/bench.sh)" >&2
   exit 1

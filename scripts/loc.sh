@@ -200,10 +200,17 @@
 # `read_with_cause`), and `check_scatter`, inlined into its one caller
 # left. What came:
 # the baseline node's queue pair priced at doorbell limit 1 in `connect`.
+# One fork-join lowered crates/core/src's to 9 277 (the plane,
+# crates/bench, hnsw, vecsim, rdma-sim and cluster.rs unchanged). What
+# went: the store build's second thread pool (`build_clusters`, its
+# `ClusterBlobs` slots behind mutexes and its atomic work queue; the
+# cluster builds are a `run_indexed` call in `build_inner`) and
+# materialize's mutex cell per fetch. What came: `run_indexed` over owned
+# items, each claimed one at a time from one queue.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-MAX_TOTAL=9321
+MAX_TOTAL=9277
 MAX_PLANE=3493
 MAX_BENCH=2468
 MAX_HNSW=1574
