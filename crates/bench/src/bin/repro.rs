@@ -494,11 +494,7 @@ fn fault_sweep() -> AnyResult {
         for _ in 0..ROUNDS {
             node.drop_cache();
             let (results, r) = node.query_batch(&w.queries, 10, 48)?;
-            let ids: Vec<Vec<u32>> = results
-                .iter()
-                .map(|x| x.iter().map(|n| n.id).collect())
-                .collect();
-            recall_sum += vecsim::recall::mean_recall(&ids, w.truth(10));
+            recall_sum += w.recall(&results, 10);
             coverage_sum += if r.coverage.is_empty() {
                 1.0
             } else {
@@ -572,8 +568,8 @@ fn ablations() -> AnyResult {
         env_usize("DHNSW_ABLATION_Q", 500)?,
     )?;
     let base = DHnswConfig::paper().with_representatives(200);
-    // One build serves every sweep but the representative count's. The
-    // doorbell limit and the cache fraction are read at connect, so their
+    // One build serves every sweep, the representative count's at 200 only.
+    // The doorbell limit and the cache fraction are read at connect, so their
     // rows restore its image under its resolved config with theirs changed.
     let store = VectorStore::build(w.data.clone(), &base)?;
     let mut image = Vec::new();
@@ -650,11 +646,7 @@ fn ablations() -> AnyResult {
         let opts = dhnsw::QueryOptions::new(10, 48).with_fanout(b);
         node.query_batch_opts(&w.queries, &opts)?;
         let (results, r) = node.query_batch_opts(&w.queries, &opts)?;
-        let ids: Vec<Vec<u32>> = results
-            .iter()
-            .map(|x| x.iter().map(|n| n.id).collect())
-            .collect();
-        let rec = vecsim::recall::mean_recall(&ids, w.truth(10));
+        let rec = w.recall(&results, 10);
         println!(
             "{:>4} {:>10.3} {:>14.1} {:>12.2}",
             b,
@@ -671,15 +663,14 @@ fn ablations() -> AnyResult {
     );
     for reps in [50usize, 100, 200, 400, 800] {
         let cfg = base.clone().with_representatives(reps);
-        let store_r = VectorStore::build(w.data.clone(), &cfg)?;
+        let built = (reps != 200)
+            .then(|| VectorStore::build(w.data.clone(), &cfg))
+            .transpose()?;
+        let store_r = built.as_ref().unwrap_or(&store);
         let node = store_r.connect(SearchMode::Full)?;
         node.query_batch(&w.queries, 10, 48)?;
         let (results, r) = node.query_batch(&w.queries, 10, 48)?;
-        let ids: Vec<Vec<u32>> = results
-            .iter()
-            .map(|x| x.iter().map(|n| n.id).collect())
-            .collect();
-        let rec = vecsim::recall::mean_recall(&ids, w.truth(10));
+        let rec = w.recall(&results, 10);
         println!(
             "{:>6} {:>12.3} {:>10.3} {:>14.1} {:>12.2}",
             reps,

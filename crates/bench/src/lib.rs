@@ -220,6 +220,14 @@ impl Workload {
         }
     }
 
+    /// Mean recall@`k` of `results`, one answer list per query.
+    pub fn recall(&self, results: &[Vec<Neighbor>], k: usize) -> f64 {
+        let ids: Vec<Vec<u32>> = (results.iter())
+            .map(|r| r.iter().map(|n| n.id).collect())
+            .collect();
+        recall::mean_recall(&ids, self.truth(k))
+    }
+
     /// The paper's store configuration for this workload, with the
     /// representative count and overflow capacity scaled to the dataset:
     /// the paper uses 500 representatives per million vectors (≈ one per
@@ -300,11 +308,7 @@ pub fn sweep(
         let mut reports = Vec::with_capacity(runs);
         for _ in 0..runs {
             let (results, report) = node.query_batch(&workload.queries, k, ef)?;
-            let ids: Vec<Vec<u32>> = results
-                .iter()
-                .map(|r| r.iter().map(|n| n.id).collect())
-                .collect();
-            rec = recall::mean_recall(&ids, workload.truth(k));
+            rec = workload.recall(&results, k);
             reports.push(report);
         }
         let report = median_report(reports);
@@ -353,11 +357,7 @@ pub fn breakdown_rows(
         let mut reports = Vec::with_capacity(runs);
         for _ in 0..runs {
             let (results, report) = node.query_batch(&workload.queries, 1, 48)?;
-            let ids: Vec<Vec<u32>> = results
-                .iter()
-                .map(|r| r.iter().map(|n| n.id).collect())
-                .collect();
-            rec = recall::mean_recall(&ids, workload.truth(1));
+            rec = workload.recall(&results, 1);
             reports.push(report);
         }
         rows.push(BreakdownRow {

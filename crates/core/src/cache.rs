@@ -10,7 +10,6 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::cluster::LoadedCluster;
-use crate::telemetry::span::{emit_scope_instant, ArgValue};
 
 /// Lifetime counters of a [`ClusterCache`], as reported by
 /// [`crate::ComputeNode::cache_stats`].
@@ -100,25 +99,9 @@ impl ClusterCache {
     /// Looks up a partition, refreshing its recency.
     pub fn get(&mut self, partition: u32) -> Option<Arc<LoadedCluster>> {
         self.tick += 1;
-        match self.entries.get_mut(&partition) {
-            Some(entry) => {
-                entry.stamp = self.tick;
-                emit_scope_instant(
-                    "cache_hit",
-                    "cache",
-                    &[("cluster", ArgValue::U64(u64::from(partition)))],
-                );
-                Some(Arc::clone(&entry.cluster))
-            }
-            None => {
-                emit_scope_instant(
-                    "cache_miss",
-                    "cache",
-                    &[("cluster", ArgValue::U64(u64::from(partition)))],
-                );
-                None
-            }
-        }
+        let entry = self.entries.get_mut(&partition)?;
+        entry.stamp = self.tick;
+        Some(Arc::clone(&entry.cluster))
     }
 
     /// Checks residency without touching recency (used by the load
@@ -135,8 +118,8 @@ impl ClusterCache {
 
     /// Inserts a cluster loaded at `version`, evicting the least
     /// recently used entry if the cache is full. Returns the evicted
-    /// partition, if any, so callers (the engine's heatmap sampler) can
-    /// attribute the eviction. A no-op when the cache is disabled
+    /// partition, if any, so callers (the engine's heatmap sampler and
+    /// span trace) can attribute the eviction. A no-op when the cache is disabled
     /// (capacity 0).
     pub fn put(
         &mut self,
@@ -162,14 +145,6 @@ impl ClusterCache {
                 self.entries.remove(&victim);
                 self.stats.evictions += 1;
                 evicted = Some(victim);
-                emit_scope_instant(
-                    "cache_evict",
-                    "cache",
-                    &[
-                        ("victim", ArgValue::U64(u64::from(victim))),
-                        ("for", ArgValue::U64(u64::from(partition))),
-                    ],
-                );
             }
         }
         let pinned = self.entries.get(&partition).is_some_and(|e| e.pinned);
@@ -223,11 +198,6 @@ impl ClusterCache {
             };
             self.entries.remove(&victim);
             self.stats.evictions += 1;
-            emit_scope_instant(
-                "cache_evict",
-                "cache",
-                &[("victim", ArgValue::U64(u64::from(victim)))],
-            );
             victims.push(victim);
         }
         victims
@@ -384,34 +354,6 @@ mod tests {
         c.clear(); // neither is a clear
         assert_eq!(c.evictions(), 1);
         assert_eq!(c.stats().evictions, 1);
-    }
-
-    #[test]
-    fn cache_events_land_in_the_active_trace_scope() {
-        use crate::telemetry::span::{SpanId, SpanTracer};
-        let tracer = SpanTracer::new(4);
-        tracer.set_enabled(true);
-        let trace = tracer.begin("full");
-        let root = trace.begin_span("query_batch", "engine", SpanId::NONE);
-        let mut c = ClusterCache::new(1);
-        {
-            let _guard = trace.enter_scope(root);
-            c.get(5); // miss
-            c.put(5, cluster(5), 0);
-            c.get(5); // hit
-            c.put(6, cluster(6), 0); // evicts 5
-        }
-        c.get(6); // outside the scope: not traced
-        trace.end_span(root);
-        tracer.finish(trace);
-        let ft = &tracer.recent()[0];
-        let events: Vec<&str> = ft
-            .spans
-            .iter()
-            .filter(|s| s.cat == "cache")
-            .map(|s| s.name)
-            .collect();
-        assert_eq!(events, vec!["cache_miss", "cache_hit", "cache_evict"]);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use rdma_sim::{ReadCause, ReadReq, Scatter};
 use super::{run_indexed, ComputeNode};
 use crate::cluster::LoadedCluster;
 use crate::loader::{plan_load, version_read, LoadRound};
-use crate::telemetry::span::{ArgValue, BatchTrace, SpanId};
+use crate::telemetry::span::{ArgValue, BatchTrace, SpanId, SpanKind, SpanRecord};
 use crate::{Error, QuantizeMode, Result};
 
 /// One cluster read the loader owes its caller. `key` names the load in
@@ -123,19 +123,124 @@ impl<'a> Reader<'a> {
     /// buffers start empty and are sized by the read that fills them,
     /// once, after the substrate has bounds-checked it. `None` means the
     /// substrate gave up retransmitting: nothing of this round is usable
-    /// and the engine-level budget decides.
+    /// and the engine-level budget decides. A traced post is rendered
+    /// ([`Reader::render`]) from where the batch's wall, the clock and the
+    /// fault count stood before it.
     fn post(&self, reqs: &[ReadReq], heads: &[u64]) -> Result<Option<Vec<Landed>>> {
-        let _scope = self.trace.enter_scope(self.span);
+        let qp = &self.node.qp;
+        let before = (self.trace.is_enabled()).then(|| {
+            (
+                self.trace.elapsed_us(),
+                qp.clock().now_us(),
+                qp.stats().faults(),
+            )
+        });
         let mut landed: Vec<Landed> = reqs.iter().map(|_| Landed::default()).collect();
         let cuts = reqs.iter().zip(heads);
         let mut into: Vec<Scatter<'_>> = (landed.iter_mut().zip(cuts))
             .map(|((head, tail), (r, &at))| Scatter::cut(head, tail, at, r.len))
             .collect();
-        match self.node.qp.read_doorbell_into(reqs, &mut into) {
-            Ok(()) => Ok(Some(landed)),
-            Err(rdma_sim::Error::RetriesExhausted { .. }) => Ok(None),
-            Err(e) => Err(e.into()),
+        let delivered = match qp.read_doorbell_into(reqs, &mut into) {
+            Ok(()) => true,
+            Err(rdma_sim::Error::RetriesExhausted { .. }) => false,
+            Err(e) => return Err(e.into()),
+        };
+        if let Some(before) = before {
+            self.render(reqs, delivered, before);
         }
+        Ok(delivered.then_some(landed))
+    }
+
+    /// Writes one post of `reqs` under the reader's span: a `fault_retry`
+    /// instant per dropped attempt, then, if the post was delivered, a
+    /// `read_doorbell` span per chunk of the model's
+    /// [`schedule`](rdma_sim::NetworkModel::schedule), with a
+    /// `cluster_read` child per work request in a chunk of several. On
+    /// the virtual clock the drops' timeouts come first; the chunks tile
+    /// the rest of the post's interval in proportion to their cost, and a
+    /// chunk's requests tile the chunk in proportion to their bytes
+    /// (evenly when it moves none). The post's wall is split by the same
+    /// fractions. On one thread that interval is exactly what the clock
+    /// was charged; posts racing on one queue pair stretch it by each
+    /// other's time.
+    fn render(&self, reqs: &[ReadReq], delivered: bool, (wall0, vt0, faults0): (f64, f64, u64)) {
+        let qp = &self.node.qp;
+        let model = qp.model();
+        let drops = qp.stats().faults() - faults0;
+        let timeout = model.timeout_us();
+        for attempt in 1..=drops {
+            let args = vec![
+                ("verb", ArgValue::Str("read_doorbell")),
+                ("attempt", ArgValue::U64(attempt)),
+                ("timeout_us", ArgValue::F64(timeout)),
+                ("vt_us", ArgValue::F64(vt0 + attempt as f64 * timeout)),
+            ];
+            let at = [(wall0, 0.0), (0.0, 0.0)];
+            self.record("fault_retry", SpanKind::Instant, self.span, at, args);
+        }
+        if !delivered {
+            return;
+        }
+        let start = vt0 + drops as f64 * timeout;
+        let post = [
+            (wall0, self.trace.elapsed_us() - wall0),
+            (start, qp.clock().now_us() - start),
+        ];
+        let schedule = || model.schedule(reqs.len(), |i| reqs[i].len);
+        let total: f64 = schedule().map(|(.., cost)| cost).sum();
+        let mut done = 0.0;
+        for (i, (chunk, bytes, cost)) in schedule().enumerate() {
+            let at = part(post, done / total, (done + cost) / total);
+            done += cost;
+            let args = vec![
+                ("wqes", ArgValue::U64(chunk.len() as u64)),
+                ("bytes", ArgValue::U64(bytes)),
+                ("chunk", ArgValue::U64(i as u64)),
+            ];
+            let id = self.record("read_doorbell", SpanKind::Span, self.span, at, args);
+            if chunk.len() < 2 {
+                continue;
+            }
+            let n = chunk.len() as f64;
+            let share = |moved: u64, j: usize| match bytes {
+                0 => j as f64 / n,
+                _ => moved as f64 / bytes as f64,
+            };
+            let mut moved = 0;
+            for (j, r) in reqs[chunk].iter().enumerate() {
+                let req = part(at, share(moved, j), share(moved + r.len, j + 1));
+                moved += r.len;
+                let args = vec![
+                    ("wqe", ArgValue::U64(j as u64)),
+                    ("offset", ArgValue::U64(r.offset)),
+                    ("bytes", ArgValue::U64(r.len)),
+                ];
+                self.record("cluster_read", SpanKind::Span, id, req, args);
+            }
+        }
+    }
+
+    /// Pushes one `rdma` record under `parent` at `[wall, vt]`, each a
+    /// `(start, duration)` in µs.
+    fn record(
+        &self,
+        name: &'static str,
+        kind: SpanKind,
+        parent: SpanId,
+        [wall, vt]: [(f64, f64); 2],
+        args: Vec<(&'static str, ArgValue)>,
+    ) -> SpanId {
+        self.trace.push_span(SpanRecord {
+            name,
+            cat: "rdma",
+            parent: parent.raw(),
+            kind,
+            wall_start_us: wall.0,
+            wall_dur_us: wall.1,
+            vt_start_us: vt.0,
+            vt_dur_us: vt.1,
+            args,
+        })
     }
 
     /// Spends one attempt on re-posting `clusters` clusters, counted as
@@ -315,6 +420,11 @@ impl<'a> Reader<'a> {
         }
         Ok(())
     }
+}
+
+/// The part `[f0, f1]` of each `(start, duration)` interval.
+fn part(intervals: [(f64, f64); 2], f0: f64, f1: f64) -> [(f64, f64); 2] {
+    intervals.map(|(start, dur)| (start + dur * f0, dur * (f1 - f0)))
 }
 
 /// Decodes one 8-byte version-slot read.

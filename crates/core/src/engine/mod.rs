@@ -50,7 +50,6 @@ use crate::health::heatmap::ClusterHeatmap;
 use crate::layout::{Directory, DIRECTORY_PEEK_BYTES};
 use crate::meta::MetaIndex;
 use crate::store::VectorStore;
-use crate::telemetry::span::QpSpanSink;
 use crate::telemetry::{metrics, series, Counter, Gauge, Histogram, Telemetry};
 use crate::{BatchReport, DHnswConfig, Phase, Result};
 
@@ -293,7 +292,9 @@ impl ComputeNode {
     /// Connects to the store: opens a queue pair and fetches the layout
     /// directory from the head of the remote region (one `RDMA_READ`),
     /// exactly as §3.2 describes compute instances caching the offsets.
-    /// A baseline node's queue pair is priced at doorbell limit 1.
+    /// A baseline node's queue pair is priced at doorbell limit 1. The
+    /// queue pair carries no trace hook: a traced batch's reader writes
+    /// the spans of its posts itself ([`fetch::Reader`]).
     pub(crate) fn connect(
         store: &VectorStore,
         mode: SearchMode,
@@ -316,10 +317,6 @@ impl ComputeNode {
         let directory = Directory::from_bytes(&dir_bytes)?;
         let capacity = config.cache_capacity(directory.partitions());
         let metrics = EngineMetrics::new(&telemetry, mode);
-        // Bridge substrate verb events into the span tracer. Without an
-        // active trace scope the sink drops events after one
-        // thread-local lookup, so untraced verbs stay cheap.
-        qp.set_trace_sink(Some(Arc::new(QpSpanSink)));
         // The directory fetch above already moved bytes; start the flush
         // baseline there so connect traffic is not charged to queries.
         let flushed = Mutex::new(FlushState {

@@ -229,15 +229,14 @@ impl ComputeNode {
         // modes (loads exceeding it measure exactly the reuse forgone).
         // The cached clusters are pinned under the same lock that found
         // them resident, so LRU pressure from the batch's own loads cannot
-        // take them away mid-batch. Cache hit instants attach to the
-        // cluster-union span via the scope. Each pin remembers the version
+        // take them away mid-batch. Each hit is an instant under the
+        // cluster-union span. Each pin remembers the version
         // the entry was loaded at; the verifies ride the load round, when
         // anything loads at all.
         let s_union = trace.begin_span("cluster_union", "engine", root);
         let mut resolved: HashMap<u32, Arc<LoadedCluster>> = HashMap::new();
         let mut verify: Vec<(u32, u64)> = Vec::new();
         let plan = {
-            let _scope = trace.enter_scope(s_union);
             let mut cache = self.cache.lock();
             let plan = plan_batch(&routes, |p| reuse && cache.contains(p));
             for &p in &plan.cached {
@@ -246,6 +245,8 @@ impl ComputeNode {
                 cache.pin(p);
                 resolved.insert(p, c);
                 self.heatmap.record_cache_hit(p);
+                let cluster = ArgValue::U64(u64::from(p));
+                trace.instant("cache_hit", "cache", s_union, &[("cluster", cluster)]);
                 if !plan.to_load.is_empty() {
                     verify.push((p, version));
                 }
@@ -331,13 +332,17 @@ impl ComputeNode {
             let loaded = self.materialize(fetched, threads)?;
             let loaded_n = loaded.len();
             {
-                let _scope = trace.enter_scope(s_mat);
                 let mut cache = reuse.then(|| self.cache.lock());
                 for (load, version, cluster) in loaded {
                     if let Some(cache) = cache.as_mut() {
                         let p = load.partition;
                         if let Some(victim) = cache.put(p, Arc::clone(&cluster), version) {
                             self.heatmap.record_eviction(victim);
+                            let args = [
+                                ("victim", ArgValue::U64(u64::from(victim))),
+                                ("for", ArgValue::U64(u64::from(p))),
+                            ];
+                            trace.instant("cache_evict", "cache", s_mat, &args);
                         }
                         cache.pin(p);
                     }

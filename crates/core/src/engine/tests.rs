@@ -11,6 +11,7 @@ use super::*;
 use crate::breakdown::BatchReport;
 use crate::cluster::{Candidate, LoadedCluster};
 use crate::health::report::GroupHealth;
+use crate::telemetry::span::{ArgValue, FinishedTrace, SpanKind, SpanRecord};
 use crate::{Error, QuantizeMode};
 
 fn setup(n: usize) -> (Dataset, VectorStore) {
@@ -522,8 +523,8 @@ fn insert_batch_uses_far_fewer_round_trips() {
         .map(|&p| store.directory().location(p).unwrap().overflow_off)
         .collect();
     let model = store.config().network();
-    let want = model.doorbell_round_trips(1 + areas.len())
-        + model.doorbell_round_trips(32 + partitions.len());
+    let trips = |wrs: usize| model.schedule(wrs, |_| 0).count();
+    let want = trips(1 + areas.len()) + trips(32 + partitions.len());
     assert_eq!(batch_trips, want as u64);
     assert!(
         batch_trips * 8 < single_trips,
@@ -1691,4 +1692,229 @@ fn sq8_under_a_non_l2_metric_is_refused_at_build() {
         &cosine.clone().with_quantize_mode(QuantizeMode::Sq8)
     ));
     assert!(!refused(&cosine));
+}
+
+/// A node whose batches are traced, and the telemetry that keeps them.
+fn traced(store: &VectorStore) -> (ComputeNode, Arc<Telemetry>) {
+    let telemetry = Arc::new(Telemetry::new());
+    telemetry.spans().set_enabled(true);
+    let node = store
+        .connect_with_telemetry(SearchMode::Full, Arc::clone(&telemetry))
+        .unwrap();
+    (node, telemetry)
+}
+
+/// The records directly under the record at `parent` (an index into
+/// `ft.spans`), with their indices, in recording order.
+fn children(ft: &FinishedTrace, parent: usize) -> Vec<(usize, &SpanRecord)> {
+    let raw = parent as u32 + 1;
+    ft.spans
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| s.parent == raw)
+        .collect()
+}
+
+/// The index of the first record named `name`.
+fn find(ft: &FinishedTrace, name: &str) -> usize {
+    ft.spans.iter().position(|s| s.name == name).unwrap()
+}
+
+/// Argument `key` of `rec`, as a number.
+fn num(rec: &SpanRecord, key: &str) -> f64 {
+    match rec.args.iter().find(|(k, _)| *k == key).map(|(_, v)| *v) {
+        Some(ArgValue::U64(n)) => n as f64,
+        Some(ArgValue::F64(x)) => x,
+        other => panic!("{} has {key} = {other:?}", rec.name),
+    }
+}
+
+/// The newest trace in the span ring: the last traced batch's.
+fn last_trace(telemetry: &Telemetry) -> FinishedTrace {
+    telemetry.spans().recent().pop().expect("a traced batch")
+}
+
+#[test]
+fn dropped_attempts_are_fault_instants_ahead_of_their_posts_spans() {
+    let data = gen::sift_like(400, 77).unwrap();
+    let queries = gen::perturbed_queries(&data, 4, 0.02, 90).unwrap();
+    let store = VectorStore::build(data.clone(), &DHnswConfig::small()).unwrap();
+    let (node, telemetry) = traced(&store);
+    let timeout = node.queue_pair().model().timeout_us();
+    node.queue_pair().fail_next(2);
+    node.query_batch(&queries, 5, 16).unwrap();
+    let ft = last_trace(&telemetry);
+    let net = find(&ft, Phase::Network.span());
+    let under = children(&ft, net);
+    let names: Vec<&str> = under.iter().map(|(_, s)| s.name).collect();
+    assert_eq!(names[..2], ["fault_retry", "fault_retry"]);
+    assert!(names.len() > 2 && names[2..].iter().all(|&n| n == "read_doorbell"));
+    let mut vt = ft.spans[net].vt_start_us;
+    for (attempt, (_, rec)) in under[..2].iter().enumerate() {
+        vt += timeout;
+        assert_eq!((rec.kind, rec.cat), (SpanKind::Instant, "rdma"));
+        assert_eq!(rec.args[0], ("verb", ArgValue::Str("read_doorbell")));
+        assert_eq!(num(rec, "attempt"), attempt as f64 + 1.0);
+        assert_eq!(num(rec, "timeout_us"), timeout);
+        assert!((num(rec, "vt_us") - vt).abs() < 1e-9);
+    }
+    assert!((under[2].1.vt_start_us - vt).abs() < 1e-9);
+
+    // A post dropped for good: each of the reader's two posts drops its
+    // one attempt, and nothing of them is drawn but the drops and the
+    // backoff between.
+    let cfg = DHnswConfig::small()
+        .with_degraded_ok(true)
+        .with_read_retry_limit(1);
+    let store = VectorStore::build(data, &cfg).unwrap();
+    let (node, telemetry) = traced(&store);
+    node.queue_pair().set_retry_limit(0);
+    node.queue_pair().fail_next(u32::MAX);
+    let (_, report) = node.query_batch(&queries, 5, 16).unwrap();
+    node.queue_pair().fail_next(0);
+    assert_eq!(report.degraded_queries, queries.len());
+    let ft = last_trace(&telemetry);
+    let under = children(&ft, find(&ft, Phase::Network.span()));
+    let names: Vec<&str> = under.iter().map(|(_, s)| s.name).collect();
+    assert_eq!(names, ["fault_retry", "read_retry", "fault_retry"]);
+    let (first, second) = (under[0].1, under[2].1);
+    assert_eq!((num(first, "attempt"), num(second, "attempt")), (1.0, 1.0));
+    let backoff = num(under[1].1, "backoff_us");
+    let gap = num(second, "vt_us") - num(first, "vt_us");
+    assert!((gap - backoff - timeout).abs() < 1e-9);
+}
+
+#[test]
+fn evictions_are_instants_under_materialize_and_an_untraced_batch_keeps_none() {
+    let (data, store) = setup(600);
+    let telemetry = Arc::new(Telemetry::new());
+    let node = store
+        .connect_with_telemetry(SearchMode::Full, Arc::clone(&telemetry))
+        .unwrap();
+    let first = gen::perturbed_queries(&data, 16, 0.02, 91).unwrap();
+    node.query_batch(&first, 5, 16).unwrap();
+    assert!(telemetry.spans().recent().is_empty(), "untraced, kept");
+
+    // The first batch left the cache (4 of 32 clusters) full and
+    // unpinned: the second batch's loads push its clusters out.
+    telemetry.spans().set_enabled(true);
+    let second = gen::perturbed_queries(&data, 16, 0.02, 92).unwrap();
+    let (_, report) = node.query_batch(&second, 5, 16).unwrap();
+    let ft = last_trace(&telemetry);
+    let mat = find(&ft, Phase::Materialize.span());
+    let evicts = children(&ft, mat);
+    assert!(!evicts.is_empty(), "a full cache evicted nothing");
+    let mut admitted = Vec::new();
+    for (_, rec) in &evicts {
+        assert_eq!(
+            (rec.name, rec.kind, rec.cat),
+            ("cache_evict", SpanKind::Instant, "cache")
+        );
+        let keys: Vec<&str> = rec.args.iter().map(|(k, _)| *k).collect();
+        assert_eq!(keys, ["victim", "for"]);
+        assert_ne!(num(rec, "victim"), num(rec, "for"));
+        admitted.push(num(rec, "for") as usize);
+    }
+    admitted.dedup();
+    assert_eq!(admitted.len(), evicts.len(), "one victim per admission");
+    assert!(evicts.len() <= report.clusters_loaded);
+    let hits = children(&ft, find(&ft, "cluster_union"));
+    assert_eq!(hits.len(), report.cache_hits);
+    assert!(hits.iter().all(|(_, h)| h.name == "cache_hit"));
+}
+
+/// Walks every `network` and `rerank` span of `ft`: a cursor starts at
+/// the span's virtual start and moves by each dropped attempt's timeout,
+/// each engine backoff and each chunk, which must start where the cursor
+/// stands, be tiled by its work requests and lie inside its parent's
+/// wall; the cursor must end where the span does. Returns the chunks it
+/// checked and the posts among them (chunk 0s).
+fn assert_posts_tile(ft: &FinishedTrace) -> (usize, usize) {
+    let close = |a: f64, b: f64| (a - b).abs() < 1e-9;
+    let inside = |inner: &SpanRecord, outer: &SpanRecord| {
+        let end = |s: &SpanRecord| s.wall_start_us + s.wall_dur_us;
+        inner.wall_start_us >= outer.wall_start_us - 1e-6 && end(inner) <= end(outer) + 1e-6
+    };
+    let (mut chunks, mut posts) = (0, 0);
+    for (p, phase) in ft.spans.iter().enumerate() {
+        if phase.name != Phase::Network.span() && phase.name != "rerank" {
+            continue;
+        }
+        let mut at = phase.vt_start_us;
+        for (c, rec) in children(ft, p) {
+            match rec.name {
+                "fault_retry" => {
+                    at += num(rec, "timeout_us");
+                    assert!(close(num(rec, "vt_us"), at));
+                }
+                "read_retry" => at += num(rec, "backoff_us"),
+                "read_doorbell" => {
+                    assert!(close(rec.vt_start_us, at), "{} != {at}", rec.vt_start_us);
+                    assert!(inside(rec, phase));
+                    let wrs = children(ft, c);
+                    let mut wr_at = at;
+                    for (_, wr) in &wrs {
+                        assert!(close(wr.vt_start_us, wr_at) && inside(wr, rec));
+                        wr_at = wr.vt_start_us + wr.vt_dur_us;
+                    }
+                    at += rec.vt_dur_us;
+                    assert!(wrs.is_empty() || close(wr_at, at));
+                    assert_eq!(wrs.len().max(1), num(rec, "wqes") as usize);
+                    chunks += 1;
+                    posts += usize::from(num(rec, "chunk") == 0.0);
+                }
+                other => panic!("{other} under {}", phase.name),
+            }
+        }
+        assert!(close(at, phase.vt_start_us + phase.vt_dur_us));
+    }
+    (chunks, posts)
+}
+
+#[test]
+fn each_posts_chunk_spans_tile_the_virtual_time_it_was_charged() {
+    // Full wire: a cold load round of several chunks, then one riding
+    // its pins' verifies through two dropped attempts.
+    let (data, store) = setup(600);
+    let (node, telemetry) = traced(&store);
+    node.query_batch(&gen::perturbed_queries(&data, 16, 0.02, 93).unwrap(), 5, 16)
+        .unwrap();
+    let (chunks, posts) = assert_posts_tile(&last_trace(&telemetry));
+    assert!(
+        chunks > posts && posts == 1,
+        "{chunks} chunks, {posts} posts"
+    );
+    node.queue_pair().fail_next(2);
+    node.query_batch(&gen::perturbed_queries(&data, 16, 0.02, 94).unwrap(), 5, 16)
+        .unwrap();
+    let ft = last_trace(&telemetry);
+    assert_eq!(
+        ft.spans.iter().filter(|s| s.name == "fault_retry").count(),
+        2
+    );
+    assert_posts_tile(&ft);
+
+    // SQ8 wire: the load round, the overflow follow-up its inserts force,
+    // and the rerank's rows.
+    let (data, store) = sq_setup(600);
+    let (node, telemetry) = traced(&store);
+    let rows: Vec<Vec<f32>> = (0..8)
+        .map(|i| data.get(i * 50).iter().map(|x| x + 0.5).collect())
+        .collect();
+    for row in &rows {
+        node.insert(row).unwrap();
+    }
+    let batch = Dataset::from_rows(&rows.iter().map(Vec::as_slice).collect::<Vec<_>>()).unwrap();
+    let (_, report) = node.query_batch(&batch, 5, 16).unwrap();
+    assert!(report.ledger.bytes_for(ReadCause::OverflowScan) > 0);
+    assert!(report.ledger.bytes_for(ReadCause::Rerank) > 0);
+    let ft = last_trace(&telemetry);
+    let (_, posts) = assert_posts_tile(&ft);
+    let net = find(&ft, Phase::Network.span());
+    let under_net = children(&ft, net)
+        .iter()
+        .filter(|(_, s)| num(s, "chunk") == 0.0)
+        .count();
+    assert_eq!(under_net, 2, "the load round and its follow-up");
+    assert!(posts > under_net, "no rerank post");
 }

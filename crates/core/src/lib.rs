@@ -80,7 +80,7 @@ pub use telemetry::series::{
     AnomalyRecord, Sample, SeriesPoint, SeriesRecorder, TrackedSeries, TRACKED, TRACKED_SERIES,
 };
 pub use telemetry::span::{
-    ArgValue, BatchTrace, FinishedTrace, QpSpanSink, SpanId, SpanKind, SpanRecord, SpanTracer,
+    ArgValue, BatchTrace, FinishedTrace, SpanId, SpanKind, SpanRecord, SpanTracer,
 };
 pub use telemetry::{HistogramSnapshot, Telemetry};
 

@@ -1,10 +1,10 @@
 //! Parent/child span tracing for the batch read path.
 //!
 //! One [`BatchTrace`] covers one `query_batch` call: a root span with
-//! routing / cluster-union / network / search children, per-doorbell
-//! and per-work-request spans bridged in from the RDMA substrate, and
-//! instant events for cache hits, misses, evictions, and fault
-//! retries. Each span carries **two** timelines:
+//! routing / cluster-union / network / search children, the per-doorbell
+//! and per-work-request spans of each post, and instant events for cache
+//! hits, evictions and fault retries. Each span carries **two**
+//! timelines:
 //!
 //! - *wall* microseconds relative to the batch epoch (an [`Instant`]
 //!   captured at [`SpanTracer::begin`]) — the primary timeline, what
@@ -22,15 +22,11 @@
 //! turns it on. Finished traces land in a bounded ring on the
 //! [`SpanTracer`], the only place span trees are kept.
 //!
-//! The RDMA substrate cannot depend on this crate, so the bridge runs
-//! the other way: [`QpSpanSink`] implements [`rdma_sim::TraceSink`]
-//! and resolves the *current scope* — a thread-local stack pushed by
-//! [`BatchTrace::enter_scope`] around each phase — to decide which
-//! trace and parent span the verb events belong to. This works
-//! because verbs execute synchronously on the thread that entered the
-//! scope.
+//! Spans are written by the code that holds the trace: the engine's
+//! reader renders each post it makes (its chunk spans, their work
+//! requests and its dropped attempts) and the batch body the cache's
+//! hits and evictions. The RDMA substrate knows nothing of tracing.
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -141,8 +137,8 @@ struct BatchInner {
 
 /// Handle to an in-flight batch trace.
 ///
-/// Cloneable — clones share the same span tree (the thread-local scope
-/// holds one). When tracing is disabled the handle carries only the
+/// Cloneable — clones share the same span tree. When tracing is
+/// disabled the handle carries only the
 /// batch's trace id and every recording method is a no-op, so call
 /// sites never branch on enablement. The trace id (sequence number) is
 /// assigned by [`SpanTracer::begin`] whether or not spans are being
@@ -263,9 +259,8 @@ impl BatchTrace {
         });
     }
 
-    /// Pushes a fully-timed span record (the RDMA sink uses this to
-    /// place verb spans at explicit wall intervals). Returns the new
-    /// span's id.
+    /// Pushes a fully-timed span record (the reader uses this to place a
+    /// post's spans at explicit intervals). Returns the new span's id.
     pub fn push_span(&self, rec: SpanRecord) -> SpanId {
         let Some(inner) = &self.inner else {
             return SpanId::NONE;
@@ -273,162 +268,6 @@ impl BatchTrace {
         let mut spans = inner.spans.lock();
         spans.push(rec);
         SpanId(spans.len() as u32, None)
-    }
-
-    /// Pushes this trace onto the thread-local scope stack so that
-    /// substrate events ([`QpSpanSink`], cache listeners) attach to
-    /// `parent`. The scope pops when the guard drops; scopes nest.
-    pub fn enter_scope(&self, parent: SpanId) -> ScopeGuard {
-        if !self.is_enabled() {
-            return ScopeGuard { active: false };
-        }
-        SCOPE.with(|s| {
-            s.borrow_mut().push(NetScope {
-                trace: self.clone(),
-                parent,
-                last_wall_us: self.elapsed_us(),
-            });
-        });
-        ScopeGuard { active: true }
-    }
-}
-
-/// Per-thread stack of active trace scopes (innermost last).
-struct NetScope {
-    trace: BatchTrace,
-    parent: SpanId,
-    /// Wall cursor: verb spans tile the scope's wall time, each one
-    /// covering the interval since the previous emission.
-    last_wall_us: f64,
-}
-
-thread_local! {
-    static SCOPE: RefCell<Vec<NetScope>> = const { RefCell::new(Vec::new()) };
-}
-
-/// RAII guard returned by [`BatchTrace::enter_scope`].
-#[derive(Debug)]
-pub struct ScopeGuard {
-    active: bool,
-}
-
-impl Drop for ScopeGuard {
-    fn drop(&mut self) {
-        if self.active {
-            SCOPE.with(|s| {
-                s.borrow_mut().pop();
-            });
-        }
-    }
-}
-
-/// Records an instant event against the innermost active scope on
-/// this thread (no-op without one). This is how the cluster cache
-/// reports hit/miss/evict events without depending on a trace handle.
-pub fn emit_scope_instant(
-    name: &'static str,
-    cat: &'static str,
-    args: &[(&'static str, ArgValue)],
-) {
-    SCOPE.with(|s| {
-        let stack = s.borrow();
-        if let Some(scope) = stack.last() {
-            scope.trace.instant(name, cat, scope.parent, args);
-        }
-    });
-}
-
-/// Bridges [`rdma_sim::TraceSink`] events into the active trace scope.
-///
-/// Install one per queue pair via `QueuePair::set_trace_sink`. Verb
-/// spans tile the scope's wall time using the scope cursor (the verbs
-/// run synchronously, so the wall interval since the last emission is
-/// the verb's real cost); per-work-request child spans subdivide the
-/// verb's wall interval proportionally to their virtual-clock slices.
-#[derive(Debug, Default)]
-pub struct QpSpanSink;
-
-impl rdma_sim::TraceSink for QpSpanSink {
-    fn verb_span(&self, span: &rdma_sim::VerbSpan, wqes: &[rdma_sim::WqeSpan]) {
-        SCOPE.with(|s| {
-            let mut stack = s.borrow_mut();
-            let Some(scope) = stack.last_mut() else {
-                return;
-            };
-            let wall_now = scope.trace.elapsed_us();
-            let wall_start = scope.last_wall_us.min(wall_now);
-            let wall_dur = wall_now - wall_start;
-            let vt_dur = (span.vt_end_us - span.vt_start_us).max(0.0);
-            let verb_id = scope.trace.push_span(SpanRecord {
-                name: span.verb,
-                cat: "rdma",
-                parent: scope.parent.raw(),
-                kind: SpanKind::Span,
-                wall_start_us: wall_start,
-                wall_dur_us: wall_dur,
-                vt_start_us: span.vt_start_us,
-                vt_dur_us: vt_dur,
-                args: vec![
-                    ("wqes", ArgValue::U64(u64::from(span.wqes))),
-                    ("bytes", ArgValue::U64(span.bytes)),
-                    ("chunk", ArgValue::U64(u64::from(span.chunk))),
-                ],
-            });
-            if wqes.len() > 1 {
-                // Doorbell chunk: one child span per work request, named
-                // by its kind — for reads, one per fetched cluster (§3.2).
-                for w in wqes {
-                    let child = match w.kind {
-                        "read" => "cluster_read",
-                        "write" => "wqe_write",
-                        "faa" => "wqe_faa",
-                        _ => "wqe_cas",
-                    };
-                    let (f0, f1) = if vt_dur > 0.0 {
-                        (
-                            (w.vt_start_us - span.vt_start_us) / vt_dur,
-                            (w.vt_end_us - span.vt_start_us) / vt_dur,
-                        )
-                    } else {
-                        (0.0, 1.0)
-                    };
-                    scope.trace.push_span(SpanRecord {
-                        name: child,
-                        cat: "rdma",
-                        parent: verb_id.raw(),
-                        kind: SpanKind::Span,
-                        wall_start_us: wall_start + wall_dur * f0,
-                        wall_dur_us: wall_dur * (f1 - f0).max(0.0),
-                        vt_start_us: w.vt_start_us,
-                        vt_dur_us: (w.vt_end_us - w.vt_start_us).max(0.0),
-                        args: vec![
-                            ("wqe", ArgValue::U64(u64::from(w.index))),
-                            ("offset", ArgValue::U64(w.offset)),
-                            ("bytes", ArgValue::U64(w.bytes)),
-                        ],
-                    });
-                }
-            }
-            scope.last_wall_us = wall_now;
-        });
-    }
-
-    fn fault(&self, event: &rdma_sim::FaultEvent) {
-        SCOPE.with(|s| {
-            let stack = s.borrow();
-            let Some(scope) = stack.last() else { return };
-            scope.trace.instant(
-                "fault_retry",
-                "rdma",
-                scope.parent,
-                &[
-                    ("verb", ArgValue::Str(event.verb)),
-                    ("attempt", ArgValue::U64(u64::from(event.attempt))),
-                    ("timeout_us", ArgValue::F64(event.timeout_us)),
-                    ("vt_us", ArgValue::F64(event.vt_us)),
-                ],
-            );
-        });
     }
 }
 
@@ -522,7 +361,6 @@ impl SpanTracer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdma_sim::TraceSink;
 
     fn tracer() -> SpanTracer {
         let t = SpanTracer::new(4);
@@ -611,143 +449,5 @@ mod tests {
                 assert!(rec.wall_dur_us >= 0.0, "open span was closed at finish");
             }
         }
-    }
-
-    #[test]
-    fn a_mixed_doorbell_names_each_child_by_its_kind() {
-        let t = tracer();
-        let trace = t.begin("write");
-        let root = trace.begin_span("insert", "engine", SpanId::NONE);
-        let wqe = |index, kind| rdma_sim::WqeSpan {
-            index,
-            kind,
-            offset: 8 * u64::from(index),
-            bytes: 8,
-            vt_start_us: f64::from(index),
-            vt_end_us: f64::from(index + 1),
-        };
-        {
-            let _guard = trace.enter_scope(root);
-            QpSpanSink.verb_span(
-                &rdma_sim::VerbSpan {
-                    verb: "doorbell",
-                    wqes: 3,
-                    bytes: 24,
-                    chunk: 0,
-                    vt_start_us: 0.0,
-                    vt_end_us: 3.0,
-                },
-                &[wqe(0, "write"), wqe(1, "faa"), wqe(2, "cas")],
-            );
-        }
-        trace.end_span(root);
-        t.finish(trace);
-        let names: Vec<&str> = t.recent()[0].spans.iter().map(|r| r.name).collect();
-        assert_eq!(
-            names,
-            vec!["insert", "doorbell", "wqe_write", "wqe_faa", "wqe_cas"]
-        );
-    }
-
-    #[test]
-    fn qp_sink_attaches_verbs_to_the_active_scope() {
-        let t = tracer();
-        let trace = t.begin("full");
-        let root = trace.begin_span("query_batch", "engine", SpanId::NONE);
-        let net = trace.begin_span("network", "engine", root);
-        let sink = QpSpanSink;
-        {
-            let _guard = trace.enter_scope(net);
-            sink.verb_span(
-                &rdma_sim::VerbSpan {
-                    verb: "read_doorbell",
-                    wqes: 2,
-                    bytes: 96,
-                    chunk: 0,
-                    vt_start_us: 0.0,
-                    vt_end_us: 10.0,
-                },
-                &[
-                    rdma_sim::WqeSpan {
-                        index: 0,
-                        kind: "read",
-                        offset: 0,
-                        bytes: 64,
-                        vt_start_us: 0.0,
-                        vt_end_us: 6.0,
-                    },
-                    rdma_sim::WqeSpan {
-                        index: 1,
-                        kind: "read",
-                        offset: 64,
-                        bytes: 32,
-                        vt_start_us: 6.0,
-                        vt_end_us: 10.0,
-                    },
-                ],
-            );
-            sink.fault(&rdma_sim::FaultEvent {
-                verb: "read",
-                attempt: 1,
-                timeout_us: 5.0,
-                vt_us: 15.0,
-            });
-        }
-        // Scope popped: further events are dropped.
-        sink.fault(&rdma_sim::FaultEvent {
-            verb: "read",
-            attempt: 2,
-            timeout_us: 5.0,
-            vt_us: 20.0,
-        });
-        trace.end_span(net);
-        trace.end_span(root);
-        t.finish(trace);
-
-        let ft = &t.recent()[0];
-        let names: Vec<&str> = ft.spans.iter().map(|r| r.name).collect();
-        assert_eq!(
-            names,
-            vec![
-                "query_batch",
-                "network",
-                "read_doorbell",
-                "cluster_read",
-                "cluster_read",
-                "fault_retry"
-            ]
-        );
-        let verb = &ft.spans[2];
-        assert_eq!(verb.parent, 2, "verb nests under the network span");
-        assert_eq!(verb.vt_dur_us, 10.0);
-        let wqe0 = &ft.spans[3];
-        let wqe1 = &ft.spans[4];
-        assert_eq!(wqe0.parent, 3, "WQEs nest under the verb span");
-        assert_eq!(wqe1.args[1], ("offset", ArgValue::U64(64)));
-        // WQE wall intervals tile the verb's wall interval.
-        assert!((wqe0.wall_start_us - verb.wall_start_us).abs() < 1e-6);
-        let w0_end = wqe0.wall_start_us + wqe0.wall_dur_us;
-        assert!((w0_end - wqe1.wall_start_us).abs() < 1e-6);
-        let w1_end = wqe1.wall_start_us + wqe1.wall_dur_us;
-        assert!((w1_end - (verb.wall_start_us + verb.wall_dur_us)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn scope_instants_reach_the_innermost_scope() {
-        let t = tracer();
-        let trace = t.begin("full");
-        let root = trace.begin_span("query_batch", "engine", SpanId::NONE);
-        emit_scope_instant("cache_hit", "cache", &[]);
-        {
-            let _guard = trace.enter_scope(root);
-            emit_scope_instant("cache_hit", "cache", &[("cluster", ArgValue::U64(7))]);
-        }
-        emit_scope_instant("cache_hit", "cache", &[]);
-        trace.end_span(root);
-        t.finish(trace);
-        let ft = &t.recent()[0];
-        assert_eq!(ft.spans.len(), 2, "only the in-scope instant landed");
-        assert_eq!(ft.spans[1].name, "cache_hit");
-        assert_eq!(ft.spans[1].args, vec![("cluster", ArgValue::U64(7))]);
     }
 }

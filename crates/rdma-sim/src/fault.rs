@@ -191,20 +191,12 @@ impl QueuePair {
         Ok(())
     }
 
-    /// Charges dropped attempt number `attempts` of `verb` — one timeout,
-    /// one fault, one fault event — and returns the error the verb gives
-    /// up with if it was the last.
+    /// Charges dropped attempt number `attempts` of `verb` — one timeout
+    /// and one fault — and returns the error the verb gives up with if it
+    /// was the last.
     pub(crate) fn drop_attempt(&self, verb: &'static str, attempts: u32) -> Error {
-        let vt0 = self.clock().now_us();
         self.charge_timeout();
         self.stats().record_fault();
-        let vt1 = self.clock().now_us();
-        self.emit_fault(&crate::trace::FaultEvent {
-            verb,
-            attempt: attempts,
-            timeout_us: vt1 - vt0,
-            vt_us: vt1,
-        });
         Error::RetriesExhausted { verb, attempts }
     }
 }

@@ -29,7 +29,9 @@
 //!   a NIC DMAs into a registered buffer. A read with a [`ReadCause`] of
 //!   its own is a one-request doorbell, which costs what a plain read
 //!   costs. All seven verbs are wrappers over one executor, where bytes
-//!   move, cost is charged and counters are written.
+//!   move, cost is charged and counters are written. The crate keeps no
+//!   trace: a caller that traces its posts lays their spans out from the
+//!   clock, the fault count and the model's chunk schedule.
 //! - Fault injection — [`QueuePair::fail_next`] /
 //!   [`QueuePair::set_fault_rate`] drop attempts which the queue pair
 //!   retransmits like a reliable-connection NIC, charging timeout time
@@ -37,6 +39,8 @@
 //!   [`QueuePair::cut_nth`] cuts one post after a prefix of its requests.
 //! - [`NetworkModel`] — the cost model: per-round-trip base latency,
 //!   per-work-request NIC/PCIe overhead, and line-rate bandwidth.
+//!   [`NetworkModel::schedule`] is the one chunking rule: what a post of
+//!   `n` requests costs, chunk by chunk.
 //! - [`VirtualClock`] / [`TransferStats`] — per queue pair, the
 //!   measurement plane the benchmark harness reads.
 //!
@@ -73,7 +77,6 @@ mod model;
 mod node;
 mod qp;
 mod stats;
-mod trace;
 
 pub use clock::VirtualClock;
 pub use error::Error;
@@ -82,7 +85,6 @@ pub use model::NetworkModel;
 pub use node::{MemoryNode, RegionHandle};
 pub use qp::{QueuePair, ReadReq, Scatter, Segment, WriteReq};
 pub use stats::{ReadCause, StatsSnapshot, TransferStats, DOORBELL_SIZE_BUCKETS, READ_CAUSES};
-pub use trace::{FaultEvent, TraceSink, VerbSpan, WqeSpan};
 
 /// Convenient result alias used throughout this crate.
 pub type Result<T> = std::result::Result<T, Error>;

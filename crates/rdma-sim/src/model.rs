@@ -1,5 +1,7 @@
 //! The network cost model.
 
+use std::ops::Range;
+
 use crate::{Error, Result};
 
 /// Cost model for one-sided RDMA operations.
@@ -150,10 +152,29 @@ impl NetworkModel {
             + (bytes as f64 * 8.0) / (self.bandwidth_gbps * 1_000.0)
     }
 
-    /// Number of round trips a doorbell batch of `wrs` work requests
-    /// needs under the doorbell limit.
-    pub fn doorbell_round_trips(&self, wrs: usize) -> usize {
-        wrs.div_ceil(self.doorbell_limit)
+    /// The chunk schedule of one post of `wrs` work requests, request `i`
+    /// moving `len(i)` payload bytes: per doorbell-limit chunk, in post
+    /// order, the requests it carries, their bytes and its round trip's
+    /// cost. A queue pair charges a post exactly this, and a tracer lays
+    /// out a post's spans by it.
+    pub fn schedule<F: Fn(usize) -> u64>(
+        &self,
+        wrs: usize,
+        len: F,
+    ) -> impl Iterator<Item = (Range<usize>, u64, f64)> {
+        let model = *self;
+        (0..wrs).step_by(model.doorbell_limit).map(move |lo| {
+            let chunk = lo..(lo + model.doorbell_limit).min(wrs);
+            let bytes: u64 = chunk.clone().map(&len).sum();
+            let cost = model.round_trip_cost_us(chunk.len(), bytes as usize);
+            (chunk, bytes, cost)
+        })
+    }
+
+    /// Virtual time one dropped attempt charges before it is
+    /// retransmitted: one base round trip.
+    pub fn timeout_us(&self) -> f64 {
+        self.base_rtt_us
     }
 }
 
@@ -191,12 +212,16 @@ mod tests {
     }
 
     #[test]
-    fn doorbell_round_trips_split_on_limit() {
+    fn a_post_is_scheduled_in_doorbell_limit_chunks() {
         let m = NetworkModel::connectx6().with_doorbell_limit(4).unwrap();
-        assert_eq!(m.doorbell_round_trips(1), 1);
-        assert_eq!(m.doorbell_round_trips(4), 1);
-        assert_eq!(m.doorbell_round_trips(5), 2);
-        assert_eq!(m.doorbell_round_trips(17), 5);
+        let trips = |wrs| m.schedule(wrs, |_| 0).count();
+        assert_eq!([1, 4, 5, 17].map(trips), [1, 1, 2, 5]);
+        let chunks: Vec<_> = m.schedule(10, |i| 8 * i as u64).collect();
+        let ranges: Vec<_> = chunks.iter().map(|c| c.0.clone()).collect();
+        assert_eq!(ranges, vec![0..4, 4..8, 8..10]);
+        assert_eq!(chunks[1].1, 8 * (4 + 5 + 6 + 7));
+        assert_eq!(chunks[2].2, m.round_trip_cost_us(2, 8 * (8 + 9)));
+        assert_eq!(m.schedule(0, |_| 1).count(), 0);
     }
 
     #[test]

@@ -1,11 +1,7 @@
 //! The compute-side queue pair: one-sided verbs and doorbell batching.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
-
-use crate::trace::{split_chunk_intervals, SharedSink, TraceSink, VerbSpan};
 use crate::{
     Error, MemoryNode, NetworkModel, ReadCause, Result, TransferStats, VirtualClock, READ_CAUSES,
 };
@@ -153,16 +149,6 @@ impl Verb<'_> {
             Verb::Faa(rkey, offset, _) | Verb::Cas(rkey, offset, ..) => (rkey, offset, 8),
         }
     }
-
-    /// The request's kind, as a [`WqeSpan`](crate::WqeSpan) names it.
-    fn kind(&self) -> &'static str {
-        match self {
-            Verb::Read(_) => "read",
-            Verb::Write(..) => "write",
-            Verb::Faa(..) => "faa",
-            Verb::Cas(..) => "cas",
-        }
-    }
 }
 
 /// A reliable-connection queue pair from a compute instance to one
@@ -197,8 +183,6 @@ pub struct QueuePair {
     clock: VirtualClock,
     stats: TransferStats,
     fault: crate::fault::FaultState,
-    has_sink: AtomicBool,
-    sink: RwLock<Option<SharedSink>>,
 }
 
 impl QueuePair {
@@ -210,27 +194,6 @@ impl QueuePair {
             clock: VirtualClock::new(),
             stats: TransferStats::new(),
             fault: crate::fault::FaultState::default(),
-            has_sink: AtomicBool::new(false),
-            sink: RwLock::new(None),
-        }
-    }
-
-    /// Installs (or removes) a [`TraceSink`] observing every verb this
-    /// queue pair executes. With no sink installed the per-verb
-    /// overhead is one relaxed atomic load.
-    pub fn set_trace_sink(&self, sink: Option<Arc<dyn TraceSink>>) {
-        let mut slot = self.sink.write();
-        self.has_sink.store(sink.is_some(), Ordering::Relaxed);
-        *slot = sink;
-    }
-
-    /// Emits a fault event to the sink, if any.
-    pub(crate) fn emit_fault(&self, event: &crate::trace::FaultEvent) {
-        if !self.has_sink.load(Ordering::Relaxed) {
-            return;
-        }
-        if let Some(sink) = self.sink.read().as_ref() {
-            sink.fault(event);
         }
     }
 
@@ -238,10 +201,10 @@ impl QueuePair {
         &self.fault
     }
 
-    /// Charges one base round trip of virtual time (a retransmission
-    /// timeout).
+    /// Charges one retransmission timeout of virtual time
+    /// ([`NetworkModel::timeout_us`]).
     pub(crate) fn charge_timeout(&self) {
-        self.clock.advance_us(self.model.base_rtt_us());
+        self.clock.advance_us(self.model.timeout_us());
     }
 
     /// One-sided `RDMA_READ`: one network round trip, attributed to
@@ -296,9 +259,8 @@ impl QueuePair {
     /// [`QueuePair::read_doorbell`] landing in caller-owned memory:
     /// request `i`'s bytes are appended to the segments of `into[i]` —
     /// the simulator's DMA into a registered buffer. Work requests,
-    /// bytes, round trips, per-cause attribution, virtual time, trace
-    /// spans and fault admission are the allocating call's: both are one
-    /// body.
+    /// bytes, round trips, per-cause attribution, virtual time and fault
+    /// admission are the allocating call's: both are one body.
     ///
     /// # Errors
     ///
@@ -379,8 +341,8 @@ impl QueuePair {
     /// bounds; fault admission, once for the whole post; each request
     /// applied to its region in request order — `land(i, bytes)` gets a
     /// read's bytes or an atomic's old value while the region is locked;
-    /// then per doorbell-limit chunk one round trip's cost, one count and
-    /// one trace span. `doorbell` off is a plain verb: one request, no
+    /// then per chunk of the model's [`NetworkModel::schedule`] one round
+    /// trip's cost and one count. `doorbell` off is a plain verb: one request, no
     /// doorbell batch counted. An empty post costs nothing. A post that
     /// [`QueuePair::cut_nth`] cuts is its prefix, all four steps, and then
     /// one dropped attempt.
@@ -435,16 +397,13 @@ impl QueuePair {
         if doorbell && !wrs.is_empty() {
             self.stats.record_doorbell(wrs.len() as u64);
         }
-        for (ci, chunk) in wrs.chunks(self.model.doorbell_limit()).enumerate() {
-            let bytes: u64 = chunk.iter().map(|wr| wr.target().2).sum();
-            let vt0 = self.clock.now_us();
-            self.clock
-                .advance_us(self.model.round_trip_cost_us(chunk.len(), bytes as usize));
+        for (chunk, _, cost) in self.model.schedule(wrs.len(), |i| wrs[i].target().2) {
+            self.clock.advance_us(cost);
             // Reads count per cause; the chunk's one trip goes to the read
             // cause carrying the most bytes in it (ties to the lowest
             // cause index), and is uncaused in a chunk that reads nothing.
             let mut reads = [(0u64, 0u64); READ_CAUSES];
-            for wr in chunk {
+            for wr in &wrs[chunk] {
                 match *wr {
                     Verb::Read(r) => {
                         let slot = &mut reads[r.cause.index()];
@@ -465,24 +424,6 @@ impl QueuePair {
                 }
             }
             self.stats.record_trip(dominant.map(|(cause, _)| cause));
-            if self.has_sink.load(Ordering::Relaxed) {
-                let vt1 = self.clock.now_us();
-                let sizes: Vec<(&'static str, u64, u64)> = chunk
-                    .iter()
-                    .map(|wr| (wr.kind(), wr.target().1, wr.target().2))
-                    .collect();
-                let span = VerbSpan {
-                    verb,
-                    wqes: chunk.len() as u32,
-                    bytes,
-                    chunk: ci as u32,
-                    vt_start_us: vt0,
-                    vt_end_us: vt1,
-                };
-                if let Some(sink) = self.sink.read().as_ref() {
-                    sink.verb_span(&span, &split_chunk_intervals(vt0, vt1, &sizes));
-                }
-            }
         }
         cut.map_or(Ok(()), |_| Err(self.drop_attempt(verb, 1)))
     }
@@ -516,7 +457,6 @@ fn word(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::WqeSpan;
 
     fn setup(len: usize) -> (Arc<MemoryNode>, crate::RegionHandle, QueuePair) {
         let node = MemoryNode::new("m");
@@ -1017,106 +957,5 @@ mod tests {
     fn queue_pair_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<QueuePair>();
-    }
-
-    #[derive(Debug, Default)]
-    struct RecordingSink {
-        verbs: parking_lot::Mutex<Vec<(VerbSpan, Vec<WqeSpan>)>>,
-        faults: parking_lot::Mutex<Vec<crate::trace::FaultEvent>>,
-    }
-
-    impl TraceSink for RecordingSink {
-        fn verb_span(&self, span: &VerbSpan, wqes: &[WqeSpan]) {
-            self.verbs.lock().push((*span, wqes.to_vec()));
-        }
-        fn fault(&self, event: &crate::trace::FaultEvent) {
-            self.faults.lock().push(*event);
-        }
-    }
-
-    #[test]
-    fn sink_sees_plain_verbs_with_virtual_intervals() {
-        let (_n, r, qp) = setup(64);
-        let sink = Arc::new(RecordingSink::default());
-        qp.set_trace_sink(Some(sink.clone()));
-        qp.write(r.rkey(), 0, &[1; 16]).unwrap();
-        qp.read(r.rkey(), 0, 16).unwrap();
-        qp.cas(r.rkey(), 0, 0, 0).unwrap();
-        qp.faa(r.rkey(), 8, 1).unwrap();
-        let verbs = sink.verbs.lock();
-        let names: Vec<&str> = verbs.iter().map(|(s, _)| s.verb).collect();
-        assert_eq!(names, vec!["write", "read", "cas", "faa"]);
-        let kinds: Vec<&str> = verbs.iter().map(|(_, w)| w[0].kind).collect();
-        assert_eq!(kinds, names, "a plain verb's one request is of its kind");
-        for (span, wqes) in verbs.iter() {
-            assert_eq!(span.wqes, 1);
-            assert_eq!(wqes.len(), 1);
-            assert!(span.vt_end_us > span.vt_start_us);
-        }
-        // Spans are contiguous on the virtual clock: each starts where
-        // the previous ended.
-        for pair in verbs.windows(2) {
-            assert_eq!(pair[1].0.vt_start_us, pair[0].0.vt_end_us);
-        }
-    }
-
-    #[test]
-    fn sink_sees_per_chunk_doorbell_spans() {
-        let node = MemoryNode::new("m");
-        let r = node.register(1024).unwrap();
-        let model = NetworkModel::connectx6().with_doorbell_limit(4).unwrap();
-        let qp = QueuePair::connect(&node, model);
-        let sink = Arc::new(RecordingSink::default());
-        qp.set_trace_sink(Some(sink.clone()));
-        let reqs: Vec<ReadReq> = (0..10).map(|i| ReadReq::new(r.rkey(), i * 8, 8)).collect();
-        qp.read_doorbell(&reqs).unwrap();
-        // The landing verb emits the same spans, one virtual interval on.
-        read_split(&qp, &reqs, |i, _| i as u64).unwrap();
-        let mut verbs = sink.verbs.lock();
-        assert_eq!(verbs.len(), 6);
-        let shift = verbs[3].0.vt_start_us - verbs[0].0.vt_start_us;
-        for (landed, alloc) in verbs.split_off(3).iter().zip(verbs.iter()) {
-            assert_eq!((landed.0.verb, landed.0.wqes), (alloc.0.verb, alloc.0.wqes));
-            assert_eq!(
-                (landed.0.bytes, landed.0.chunk),
-                (alloc.0.bytes, alloc.0.chunk)
-            );
-            assert!((landed.0.vt_start_us - shift - alloc.0.vt_start_us).abs() < 1e-9);
-            let offsets = |w: &[WqeSpan]| {
-                w.iter()
-                    .map(|s| (s.index, s.offset, s.bytes))
-                    .collect::<Vec<_>>()
-            };
-            assert_eq!(offsets(&landed.1), offsets(&alloc.1));
-        }
-        assert_eq!(verbs.len(), 3); // ceil(10/4) chunks
-        assert_eq!(verbs[0].0.chunk, 0);
-        assert_eq!(verbs[2].0.chunk, 2);
-        assert_eq!(verbs[0].0.wqes, 4);
-        assert_eq!(verbs[2].0.wqes, 2);
-        // Per-WQE spans tile their chunk interval.
-        let (span, wqes) = &verbs[1];
-        assert_eq!(wqes[0].vt_start_us, span.vt_start_us);
-        assert_eq!(wqes.last().unwrap().vt_end_us, span.vt_end_us);
-        assert_eq!(wqes[1].offset, reqs[5].offset);
-    }
-
-    #[test]
-    fn sink_sees_fault_retries_and_uninstall_stops_events() {
-        let (_n, r, qp) = setup(64);
-        let sink = Arc::new(RecordingSink::default());
-        qp.set_trace_sink(Some(sink.clone()));
-        qp.fail_next(2);
-        qp.read(r.rkey(), 0, 8).unwrap();
-        {
-            let faults = sink.faults.lock();
-            assert_eq!(faults.len(), 2);
-            assert_eq!(faults[0].attempt, 1);
-            assert_eq!(faults[1].attempt, 2);
-            assert!(faults[0].timeout_us > 0.0);
-        }
-        qp.set_trace_sink(None);
-        qp.read(r.rkey(), 0, 8).unwrap();
-        assert_eq!(sink.verbs.lock().len(), 1);
     }
 }

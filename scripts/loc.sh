@@ -207,15 +207,27 @@
 # cluster builds are a `run_indexed` call in `build_inner`) and
 # materialize's mutex cell per fetch. What came: `run_indexed` over owned
 # items, each claimed one at a time from one queue.
+# Writing spans where the trace is held lowered crates/core/src's to
+# 9 198, the plane's to 3 332, rdma-sim's to 1 553 and crates/bench's to
+# 2 459 (hnsw, vecsim and cluster.rs unchanged). What went: rdma-sim's
+# trace module (the sink trait, its span and fault event types, the
+# chunk splitter), the queue pair's sink slot, flag and emitters, the
+# per-request kind names, `doorbell_round_trips` (the schedule counts
+# trips); core's sink bridge, the thread-local scope stack with its
+# guard, and the cache's four emit sites; four copies of the bench
+# crate's recall computation. What came: `NetworkModel::schedule` (the
+# one chunking rule, which the executor prices by) and `timeout_us`, the
+# reader's rendering of a traced post, the batch body's two cache
+# instants and `Workload::recall`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-MAX_TOTAL=9277
-MAX_PLANE=3493
-MAX_BENCH=2468
+MAX_TOTAL=9198
+MAX_PLANE=3332
+MAX_BENCH=2459
 MAX_HNSW=1574
 MAX_VECSIM=1839
-MAX_RDMA=1721
+MAX_RDMA=1553
 MAX_FILE=1337
 
 total=0
