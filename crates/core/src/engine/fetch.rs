@@ -262,7 +262,7 @@ impl<'a> Reader<'a> {
             });
         }
         let us = RETRY_BACKOFF_US * f64::from(1u32 << (self.attempt - 1).min(16));
-        self.node.qp.clock().advance_us(us);
+        self.node.qp.charge_backoff_us(us);
         self.trace.instant(
             "read_retry",
             "engine",

@@ -5,9 +5,9 @@ use rand::SeedableRng;
 
 use vecsim::{Dataset, Neighbor};
 
-use crate::build::{sample_level, select_neighbors_heuristic};
+use crate::build::{computed, sample_level, BuildScratch, PairTable};
 use crate::graph::Graph;
-use crate::search::{greedy_descend_layer, search_layer, IndexView, LayerStats, SearchScratch};
+use crate::search::{IndexView, SearchScratch};
 use crate::{Error, HnswParams, Result};
 
 /// Work counters for a single search, split the way the paper's latency
@@ -69,7 +69,10 @@ impl HnswIndex {
         })
     }
 
-    /// Builds an index by inserting every vector of `data` in order.
+    /// Builds an index by inserting every vector of `data` in order. The
+    /// distances among its rows are computed once, into a pairwise table,
+    /// when there are few enough rows (DESIGN.md §5m); the graph is the
+    /// one [`HnswIndex::insert`] would link row by row.
     ///
     /// # Errors
     ///
@@ -82,8 +85,11 @@ impl HnswIndex {
                 "dataset must have non-zero dimension".into(),
             ));
         }
-        for row in data.iter() {
-            index.insert(row)?;
+        let table = PairTable::of(&data, params.metric_kind());
+        index.data = data;
+        match table {
+            Some(table) => index.link_new_rows(|_, a, b| table.get(a, b)),
+            None => index.link_new_rows(computed(params.metric_kind())),
         }
         Ok(index)
     }
@@ -110,81 +116,22 @@ impl HnswIndex {
                 got: v.len(),
             });
         }
-        let level = sample_level(
-            &mut self.rng,
-            self.params.level_lambda(),
-            self.params.max_level_cap(),
-        );
-
-        // Capture the pre-insert entry point: the new node must be linked
-        // by searching from the OLD graph top.
-        let prev_entry = self.graph.entry;
-        let prev_max = self.graph.max_level;
-
         self.data.push(v).map_err(Error::from)?;
-        let id = self.graph.push_node(level);
+        self.link_new_rows(computed(self.params.metric_kind()));
+        Ok(self.graph.len() as u32 - 1)
+    }
 
-        let Some(entry) = prev_entry else {
-            return Ok(id); // first node: nothing to link
-        };
-
-        let metric = self.params.metric_kind();
-        let mut stats = LayerStats::default();
-        let mut cur = entry;
-        let mut cur_dist = metric.distance(v, self.data.get(cur as usize));
-
-        // Greedy descent through layers above the new node's level.
-        for layer in ((level + 1)..=prev_max).rev() {
-            (cur, cur_dist) =
-                greedy_descend_layer(&self.view(), v, cur, cur_dist, layer, &mut stats);
-        }
-
-        // Beam search + linking on each layer the new node exists on.
-        SearchScratch::with_local(|scratch| {
-            let mut eps = vec![Neighbor::new(cur, cur_dist)];
-            for layer in (0..=level.min(prev_max)).rev() {
-                let ef = self.params.ef_construction();
-                search_layer(&self.view(), v, &eps, ef, layer, scratch, &mut stats);
-                // This layer's result is the next one's entry points.
-                std::mem::swap(&mut eps, &mut scratch.out);
-                let m_cap = self.layer_cap(layer);
-                let selected =
-                    select_neighbors_heuristic(&self.data, metric, &eps, self.params.m());
-                for &nb in &selected {
-                    self.graph.push_link(id, layer, nb);
-                    self.graph.push_link(nb, layer, id);
-                    self.shrink_if_needed(nb, layer, m_cap);
-                }
+    /// Links every row of the data the graph does not hold yet, in order,
+    /// each at a level drawn from the index's generator;
+    /// `pairs(data, a, b)` is `distance(row a, row b)`.
+    fn link_new_rows(&mut self, pairs: impl Fn(&Dataset, u32, u32) -> f32 + Copy) {
+        let (params, data, graph, rng) = (&self.params, &self.data, &mut self.graph, &mut self.rng);
+        BuildScratch::with_local(|scratch| {
+            for _ in graph.len()..data.len() {
+                let level = sample_level(rng, params.level_lambda(), params.max_level_cap());
+                scratch.link(graph, params, level, |a, b| pairs(data, a, b));
             }
         });
-        Ok(id)
-    }
-
-    /// Per-layer degree cap: `2M` on the ground layer, `M` above.
-    fn layer_cap(&self, layer: usize) -> usize {
-        if layer == 0 {
-            self.params.m0()
-        } else {
-            self.params.m()
-        }
-    }
-
-    /// Re-selects `node`'s neighbour list on `layer` when it exceeds `cap`.
-    fn shrink_if_needed(&mut self, node: u32, layer: usize, cap: usize) {
-        if self.graph.neighbors(node, layer).len() <= cap {
-            return;
-        }
-        let metric = self.params.metric_kind();
-        let node_vec = self.data.get(node as usize).to_vec();
-        let mut cands: Vec<Neighbor> = self
-            .graph
-            .neighbors(node, layer)
-            .iter()
-            .map(|&nb| Neighbor::new(nb, metric.distance(&node_vec, self.data.get(nb as usize))))
-            .collect();
-        cands.sort();
-        let selected = select_neighbors_heuristic(&self.data, metric, &cands, cap);
-        self.graph.set_neighbors(node, layer, &selected);
     }
 
     /// Searches for the `k` nearest neighbours of `query` with beam width

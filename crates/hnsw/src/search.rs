@@ -104,17 +104,18 @@ impl<'a> IndexView<'a> {
         }
 
         let mut layer_stats = LayerStats::default();
+        let dist = |id| self.metric.distance(query, self.vector(id));
         let mut cur = entry;
-        let mut cur_dist = self.metric.distance(query, self.vector(cur));
+        let mut cur_dist = dist(cur);
         layer_stats.dist_evals += 1;
 
         for layer in (1..=self.max_level).rev() {
             (cur, cur_dist) =
-                greedy_descend_layer(self, query, cur, cur_dist, layer, &mut layer_stats);
+                greedy_descend_layer(&self.graph, dist, cur, cur_dist, layer, &mut layer_stats);
         }
 
         let eps = [Neighbor::new(cur, cur_dist)];
-        search_layer(self, query, &eps, ef, 0, scratch, &mut layer_stats);
+        search_layer(&self.graph, dist, &eps, ef, 0, scratch, &mut layer_stats);
         stats.dist_evals += layer_stats.dist_evals;
         stats.hops += layer_stats.hops;
         &scratch.out[..k.min(scratch.out.len())]
@@ -124,9 +125,13 @@ impl<'a> IndexView<'a> {
 /// Greedy descent on one layer: repeatedly move to the closest neighbour
 /// until no neighbour improves. This is the `ef = 1` search used on the
 /// upper layers. Returns the local minimum and its distance.
+///
+/// `dist(id)` is the query's distance to node `id`: computed for a search,
+/// read from a table or computed for a build ([`crate::build`]), one
+/// monomorphised walk per source.
 pub(crate) fn greedy_descend_layer(
-    index: &IndexView<'_>,
-    query: &[f32],
+    graph: &GraphView<'_>,
+    dist: impl Fn(u32) -> f32,
     mut current: u32,
     mut current_dist: f32,
     layer: usize,
@@ -134,9 +139,9 @@ pub(crate) fn greedy_descend_layer(
 ) -> (u32, f32) {
     loop {
         let mut improved = false;
-        for &nb in index.graph.neighbors(current, layer) {
+        for &nb in graph.neighbors(current, layer) {
             stats.hops += 1;
-            let d = index.metric.distance(query, index.vector(nb));
+            let d = dist(nb);
             stats.dist_evals += 1;
             if d < current_dist {
                 current = nb;
@@ -203,9 +208,10 @@ impl SearchScratch {
 /// every pooled entry has been expanded.
 ///
 /// Leaves up to `ef` nearest entries in `scratch.out`, sorted ascending.
+/// `dist` is as for [`greedy_descend_layer`].
 pub(crate) fn search_layer(
-    index: &IndexView<'_>,
-    query: &[f32],
+    graph: &GraphView<'_>,
+    dist: impl Fn(u32) -> f32,
     entry_points: &[Neighbor],
     ef: usize,
     layer: usize,
@@ -216,7 +222,7 @@ pub(crate) fn search_layer(
     if ef == 0 {
         return;
     }
-    scratch.visited.reset(index.graph.len());
+    scratch.visited.reset(graph.len());
     scratch.pool.clear();
 
     for &ep in entry_points {
@@ -235,12 +241,12 @@ pub(crate) fn search_layer(
         scratch.pool[next].1 = true;
         let current = scratch.pool[next].0.id;
         next += 1;
-        for &nb in index.graph.neighbors(current, layer) {
+        for &nb in graph.neighbors(current, layer) {
             stats.hops += 1;
             if !scratch.visited.insert(nb) {
                 continue;
             }
-            let d = index.metric.distance(query, index.vector(nb));
+            let d = dist(nb);
             stats.dist_evals += 1;
             if scratch.pool.len() < ef || d < scratch.pool[ef - 1].0.dist {
                 next = next.min(scratch.admit(Neighbor::new(nb, d), ef));
@@ -338,7 +344,8 @@ mod tests {
     ) -> Vec<Neighbor> {
         let mut scratch = SearchScratch::default();
         let index = view_of(graph, data);
-        search_layer(&index, query, entry_points, ef, 0, &mut scratch, stats);
+        let dist = |id| Metric::L2.distance(query, index.vector(id));
+        search_layer(&index.graph, dist, entry_points, ef, 0, &mut scratch, stats);
         scratch.out
     }
 
@@ -446,7 +453,9 @@ mod tests {
         let q = [2.9f32];
         let d0 = Metric::L2.distance(&q, data.get(0));
         let mut stats = LayerStats::default();
-        let (id, dist) = greedy_descend_layer(&view_of(&g, &data), &q, 0, d0, 0, &mut stats);
+        let index = view_of(&g, &data);
+        let to_q = |id| Metric::L2.distance(&q, index.vector(id));
+        let (id, dist) = greedy_descend_layer(&index.graph, to_q, 0, d0, 0, &mut stats);
         assert_eq!(id, 3);
         assert!(dist < 0.02);
         assert!(stats.dist_evals > 0);
@@ -489,9 +498,10 @@ mod tests {
         for (q, ef, want) in [([3.0f32], 4, vec![3, 2, 1, 0]), ([0.0], 2, vec![0, 1])] {
             let eps = entry_points(&data, &q, &[0]);
             let mut stats = LayerStats::default();
+            let index = view_of(&g, &data);
             search_layer(
-                &view_of(&g, &data),
-                &q,
+                &index.graph,
+                |id| Metric::L2.distance(&q, index.vector(id)),
                 &eps,
                 ef,
                 0,

@@ -4,7 +4,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A monotonically increasing virtual clock, in microseconds.
 ///
-/// Network costs computed by the [`crate::NetworkModel`] are charged here.
+/// Network costs computed by the [`crate::NetworkModel`] are charged here,
+/// by this crate's queue pairs only: outside it the clock is read-only.
 /// Internally the clock stores picoseconds in an `AtomicU64`, which keeps
 /// `advance` lock-free and exact enough (2^64 ps ≈ 213 days) for any
 /// simulation this crate runs.
@@ -12,12 +13,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// # Example
 ///
 /// ```rust
-/// use rdma_sim::VirtualClock;
+/// use rdma_sim::{MemoryNode, NetworkModel, QueuePair};
 ///
-/// let clock = VirtualClock::new();
-/// clock.advance_us(2.5);
-/// clock.advance_us(0.5);
-/// assert!((clock.now_us() - 3.0).abs() < 1e-9);
+/// let qp = QueuePair::connect(&MemoryNode::new("pool"), NetworkModel::connectx6());
+/// qp.charge_backoff_us(2.5);
+/// assert!((qp.clock().now_us() - 2.5).abs() < 1e-9);
 /// ```
 #[derive(Debug, Default)]
 pub struct VirtualClock {
@@ -34,7 +34,7 @@ impl VirtualClock {
 
     /// Advances the clock by `us` microseconds. Negative or non-finite
     /// amounts are ignored (costs are never negative by construction).
-    pub fn advance_us(&self, us: f64) {
+    pub(crate) fn advance_us(&self, us: f64) {
         if us.is_finite() && us > 0.0 {
             self.picos
                 .fetch_add((us * PICOS_PER_US) as u64, Ordering::Relaxed);

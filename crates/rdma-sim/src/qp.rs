@@ -207,6 +207,12 @@ impl QueuePair {
         self.clock.advance_us(self.model.timeout_us());
     }
 
+    /// Charges `us` of virtual time a caller waits before posting again (a
+    /// retry's backoff): nothing moves on the wire or is counted.
+    pub fn charge_backoff_us(&self, us: f64) {
+        self.clock.advance_us(us);
+    }
+
     /// One-sided `RDMA_READ`: one network round trip, attributed to
     /// [`ReadCause::Other`]. A read with a cause of its own, or landing in
     /// caller-owned memory, is a one-request [`QueuePair::read_doorbell`] /

@@ -325,6 +325,24 @@ if grep -n MEAS_ EXPERIMENTS.md; then
   exit 1
 fi
 
+# Every committed trajectory record (scripts/pairs.sh --record) is whole:
+# its keys, all five workloads with all seven end-to-end metrics, numeric
+# medians on both sides, and a parent commit this history holds.
+echo "==> committed benchmark records are whole"
+for rec in $(git ls-files 'results/BENCH_pr*.json'); do
+  jq -e '
+    (["pr", "parent", "head", "dirty", "cpu", "nproc", "seconds", "pairs", "seeds", "workloads"]
+      - keys | length == 0)
+    and (.workloads | length == 5)
+    and all(.workloads[];
+      (keys | sort) == (["batch_ms_p50", "insert_ms_p50", "peak_rss_mb", "qps",
+                         "recall_at_10", "remote_mb", "setup_s"])
+      and all(.[]; (.parent.median | type == "number") and (.change.median | type == "number")))
+  ' "$rec" > /dev/null || { echo "check.sh: $rec is not a whole record" >&2; exit 1; }
+  git cat-file -e "$(jq -r .parent "$rec")^{commit}" ||
+    { echo "check.sh: $rec names a parent this history lacks" >&2; exit 1; }
+done
+
 # Clean-clone gate: tier-1 on what is actually committed. A file that is
 # ignored or merely untracked here does not exist there, so it can never
 # again be load-bearing (vendor/criterion was, for nine PRs). It tests

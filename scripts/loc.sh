@@ -219,15 +219,24 @@
 # one chunking rule, which the executor prices by) and `timeout_us`, the
 # reader's rendering of a traced post, the batch body's two cache
 # instants and `Workload::recall`.
+# Building each sub-HNSW from one pairwise distance table raised hnsw's by
+# the 127 lines it added net (1 574 -> 1 701), for a `cold_scan` set-up of
+# about 0.7x the parent's (CHANGES.md): the table and its fill by
+# the block kernel, the distance source as a closure through the descent,
+# the beam search, the selection and the shrink, and one per-thread build
+# scratch; insert's own copy of the linking and the shrink's row copy and
+# three collected vectors went. Routing the retry backoff's clock charge
+# through the queue pair raised rdma-sim's by 6 (1 553 -> 1 559):
+# `QueuePair::charge_backoff_us`, and the clock's doc saying who charges.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 MAX_TOTAL=9198
 MAX_PLANE=3332
 MAX_BENCH=2459
-MAX_HNSW=1574
+MAX_HNSW=1701
 MAX_VECSIM=1839
-MAX_RDMA=1553
+MAX_RDMA=1559
 MAX_FILE=1337
 
 total=0

@@ -9,7 +9,14 @@
 # difference of the medians.
 #
 #   scripts/pairs.sh <parent-ref> [--workloads "sq8_cold mixed_rw"] \
-#       [--seeds "8 9 10 11 12 13 14 15 16 17"] [--seconds 10] [--dir DIR]
+#       [--seeds "8 9 10 11 12 13 14 15 16 17"] [--seconds 10] [--dir DIR] \
+#       [--record N]
+#
+# `--record N` also writes results/BENCH_pr<N>.json, the trajectory's
+# record of this comparison: both commits (and whether the working tree
+# differed from HEAD), the CPU and its count, the seeds, and per workload
+# and metric each side's median and quartiles, change / parent, wins,
+# ties and the verdict. scripts/check.sh validates every committed record.
 #
 # The parent is unpacked once with `git archive` into DIR (default
 # $TMPDIR/dhnsw-pairs-<sha>) and builds there on its first run; a DIR
@@ -18,14 +25,16 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-[ $# -ge 1 ] || { sed -n '2,17p' "$0" >&2; exit 2; }
+[ $# -ge 1 ] || { sed -n '2,24p' "$0" >&2; exit 2; }
 ref=$1; shift
 workloads=$(bash benchmark/bench.sh --list | cut -d' ' -f1 | tr '\n' ' ')
 seeds="8 9 10 11 12 13 14 15 16 17"
 seconds=10
 dir=
+record=
 while [ $# -gt 0 ]; do
     case "$1" in
+        --record) record=$2; shift 2 ;;
         --workloads) workloads=$2; shift 2 ;;
         --seeds) seeds=$2; shift 2 ;;
         --seconds) seconds=$2; shift 2 ;;
@@ -117,7 +126,35 @@ awk -v names="$metrics" '
                     name[i], pm, quantile(P, n, 0.25), quantile(P, n, 0.75), \
                     cm, quantile(C, n, 0.25), quantile(C, n, 0.75), \
                     pm == 0 ? 0 : 100 * (cm - pm) / pm, wins, ties, n, verdict
+                printf "%s %s %.9g %.9g %.9g %.9g %.9g %.9g %s %d %d %d %s\n", W, name[i], \
+                    pm, quantile(P, n, 0.25), quantile(P, n, 0.75), \
+                    cm, quantile(C, n, 0.25), quantile(C, n, 0.75), \
+                    pm == 0 ? "null" : sprintf("%.6f", cm / pm), wins, ties, n, verdict > summary
             }
             if (W in incorrect) printf "%d run(s) of %s did not end \"correct\":true\n", incorrect[W], W
         }
-    }' "$out/runs"
+    }' summary="$out/summary" "$out/runs"
+
+[ -n "$record" ] || exit 0
+file=results/BENCH_pr$record.json
+mkdir -p results
+dirty=false
+[ -z "$(git status --porcelain --untracked-files=no)" ] || dirty=true
+jq -R -s -n \
+    --argjson pr "$record" --arg parent "$parent" --arg head "$(git rev-parse HEAD)" \
+    --argjson dirty "$dirty" --argjson seconds "$seconds" \
+    --arg cpu "$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo | head -1)" \
+    --argjson nproc "$(nproc)" --arg seeds "$seeds" '
+    def side(m; q1; q3): {median: m, q1: q1, q3: q3};
+    [inputs | split("\n")[] | select(length > 0) | split(" ")] as $rows
+    | ($seeds | split(" ") | map(select(length > 0) | tonumber)) as $seeds
+    | {pr: $pr, parent: $parent, head: $head, dirty: $dirty, cpu: $cpu, nproc: $nproc,
+       seconds: $seconds, pairs: ($seeds | length), seeds: $seeds,
+       workloads: (reduce $rows[] as $r ({};
+         .[$r[0]][$r[1]] = {
+           parent: side($r[2] | tonumber; $r[3] | tonumber; $r[4] | tonumber),
+           change: side($r[5] | tonumber; $r[6] | tonumber; $r[7] | tonumber),
+           ratio: ($r[8] | fromjson), wins: ($r[9] | tonumber), ties: ($r[10] | tonumber),
+           n: ($r[11] | tonumber), verdict: ($r[12:] | join(" "))}))}' \
+    "$out/summary" > "$file"
+echo "# wrote $file"
