@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use rdma_sim::{ReadCause, ReadReq, Scatter};
+use rdma_sim::{ps_to_us, ReadCause, ReadReq, Scatter};
 
 use super::{run_indexed, ComputeNode};
 use crate::cluster::LoadedCluster;
@@ -77,9 +77,9 @@ pub(super) struct Fetch {
     pub(super) stale: Vec<u32>,
 }
 
-/// Virtual µs charged before a reader's first engine retry; each further
-/// retry doubles it ([`Reader::again`]).
-const RETRY_BACKOFF_US: f64 = 8.0;
+/// Virtual picoseconds (8 µs) charged before a reader's first engine
+/// retry; each further retry doubles it ([`Reader::again`]).
+const RETRY_BACKOFF_PS: u64 = 8_000_000;
 
 /// The post primitive and the retry budget of one logical read at a
 /// time.
@@ -131,7 +131,7 @@ impl<'a> Reader<'a> {
         let before = (self.trace.is_enabled()).then(|| {
             (
                 self.trace.elapsed_us(),
-                qp.clock().now_us(),
+                qp.clock().now_ps(),
                 qp.stats().faults(),
             )
         });
@@ -156,24 +156,23 @@ impl<'a> Reader<'a> {
     /// `read_doorbell` span per chunk of the model's
     /// [`schedule`](rdma_sim::NetworkModel::schedule), with a
     /// `cluster_read` child per work request in a chunk of several. On
-    /// the virtual clock the drops' timeouts come first; the chunks tile
-    /// the rest of the post's interval in proportion to their cost, and a
-    /// chunk's requests tile the chunk in proportion to their bytes
-    /// (evenly when it moves none). The post's wall is split by the same
-    /// fractions. On one thread that interval is exactly what the clock
-    /// was charged; posts racing on one queue pair stretch it by each
-    /// other's time.
-    fn render(&self, reqs: &[ReadReq], delivered: bool, (wall0, vt0, faults0): (f64, f64, u64)) {
+    /// the virtual clock the drops' timeouts come first, then each chunk
+    /// at its scheduled cost: on one thread exactly what the clock was
+    /// charged, picosecond for picosecond (posts racing on one queue pair
+    /// overlap). A chunk's requests tile the chunk in proportion to their
+    /// bytes (evenly when it moves none), and the post's wall is split
+    /// among its chunks in proportion to their cost.
+    fn render(&self, reqs: &[ReadReq], delivered: bool, (wall0, vt0, faults0): (f64, u64, u64)) {
         let qp = &self.node.qp;
         let model = qp.model();
         let drops = qp.stats().faults() - faults0;
-        let timeout = model.timeout_us();
+        let timeout = model.timeout_ps();
         for attempt in 1..=drops {
             let args = vec![
                 ("verb", ArgValue::Str("read_doorbell")),
                 ("attempt", ArgValue::U64(attempt)),
-                ("timeout_us", ArgValue::F64(timeout)),
-                ("vt_us", ArgValue::F64(vt0 + attempt as f64 * timeout)),
+                ("timeout_us", ArgValue::F64(ps_to_us(timeout))),
+                ("vt_us", ArgValue::F64(ps_to_us(vt0 + attempt * timeout))),
             ];
             let at = [(wall0, 0.0), (0.0, 0.0)];
             self.record("fault_retry", SpanKind::Instant, self.span, at, args);
@@ -181,16 +180,17 @@ impl<'a> Reader<'a> {
         if !delivered {
             return;
         }
-        let start = vt0 + drops as f64 * timeout;
-        let post = [
-            (wall0, self.trace.elapsed_us() - wall0),
-            (start, qp.clock().now_us() - start),
-        ];
+        let start = vt0 + drops * timeout;
+        let wall = self.trace.elapsed_us() - wall0;
         let schedule = || model.schedule(reqs.len(), |i| reqs[i].len);
-        let total: f64 = schedule().map(|(.., cost)| cost).sum();
-        let mut done = 0.0;
+        let total: u64 = schedule().map(|(.., cost)| cost).sum();
+        let wall_at = |ps: u64| wall * ps as f64 / total as f64;
+        let mut done = 0;
         for (i, (chunk, bytes, cost)) in schedule().enumerate() {
-            let at = part(post, done / total, (done + cost) / total);
+            let at = [
+                (wall0 + wall_at(done), wall_at(done + cost) - wall_at(done)),
+                (ps_to_us(start + done), ps_to_us(cost)),
+            ];
             done += cost;
             let args = vec![
                 ("wqes", ArgValue::U64(chunk.len() as u64)),
@@ -261,8 +261,8 @@ impl<'a> Reader<'a> {
                 attempts: self.attempt,
             });
         }
-        let us = RETRY_BACKOFF_US * f64::from(1u32 << (self.attempt - 1).min(16));
-        self.node.qp.charge_backoff_us(us);
+        let ps = RETRY_BACKOFF_PS << (self.attempt - 1).min(16);
+        self.node.qp.charge_backoff_ps(ps);
         self.trace.instant(
             "read_retry",
             "engine",
@@ -270,7 +270,7 @@ impl<'a> Reader<'a> {
             &[
                 ("attempt", ArgValue::U64(u64::from(self.attempt))),
                 ("clusters", ArgValue::U64(clusters as u64)),
-                ("backoff_us", ArgValue::F64(us)),
+                ("backoff_us", ArgValue::F64(ps_to_us(ps))),
             ],
         );
         Ok(true)

@@ -399,8 +399,7 @@ impl ComputeNode {
     /// global counters neither double-count nor go backwards.
     pub fn reset_measurements(&self) {
         let mut flushed = self.flushed.lock();
-        self.qp.clock().reset();
-        self.qp.stats().reset();
+        self.qp.reset_measurements();
         flushed.rdma = StatsSnapshot::default();
     }
 

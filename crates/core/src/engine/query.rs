@@ -8,7 +8,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use hnsw::SearchStats;
-use rdma_sim::{ReadCause, ReadReq};
+use rdma_sim::{ps_to_us, ReadCause, ReadReq};
 use vecsim::{Dataset, Neighbor, SharedBound};
 
 use super::fetch::{Fetch, Load, Reader};
@@ -321,7 +321,7 @@ impl ComputeNode {
                 }
                 report.cache_hits -= got.stale.len();
                 failed += got.failed.len();
-                report.breakdown.network_us += vt;
+                report.breakdown.network_us += ps_to_us(vt);
                 fetched = got.stable;
             }
 
@@ -388,8 +388,9 @@ impl ComputeNode {
         // estimate with a rerank address (SQ8 wire). Runs before the
         // stats delta so rerank bytes land in this batch's ledger. Its
         // passes' walls join `sub_hnsw_us`, its virtual time the network.
-        report.breakdown.network_us +=
+        let rerank_vt =
             self.rerank_exact(queries, k, &mut pools, &resolved, trace, root, &mut report)?;
+        report.breakdown.network_us += ps_to_us(rerank_vt);
         let stats_delta = self.qp.stats().snapshot() - stats0;
         report.round_trips = stats_delta.round_trips;
         report.bytes_read = stats_delta.bytes_read;
@@ -422,7 +423,7 @@ impl ComputeNode {
     /// its own read that retries (and fails) alone. Past the engine retry
     /// budget the survivors come back `failed` when degraded results are
     /// allowed, otherwise the batch errors. Returns the fetch and the
-    /// stage's virtual network time.
+    /// stage's virtual network time in picoseconds.
     fn load_stage(
         &self,
         stage: usize,
@@ -431,10 +432,10 @@ impl ComputeNode {
         trace: &BatchTrace,
         root: SpanId,
         report: &mut BatchReport,
-    ) -> Result<(Fetch, f64)> {
+    ) -> Result<(Fetch, u64)> {
         let s_net = trace.begin_span(Phase::Network.span(), "engine", root);
         trace.add_args(s_net, &[("stage", ArgValue::U64(stage as u64))]);
-        let clock0 = self.qp.clock().now_us();
+        let clock0 = self.qp.clock().now_ps();
         let stats0 = self.qp.stats().snapshot();
         let mut reader = Reader::new(self, self.config.degraded_ok(), trace, s_net);
         let mut got = Fetch::default();
@@ -446,12 +447,12 @@ impl ComputeNode {
             })
         };
         report.read_retries += reader.retries;
-        let vt = self.qp.clock().now_us() - clock0;
+        let vt = self.qp.clock().now_ps() - clock0;
         let stats_delta = self.qp.stats().snapshot() - stats0;
         for f in &got.stable {
             self.heatmap.record_load(f.load.partition, f.bytes());
         }
-        trace.set_vt(s_net, clock0, vt);
+        trace.set_vt(s_net, ps_to_us(clock0), ps_to_us(vt));
         trace.end_span_with(
             s_net,
             &[
@@ -487,7 +488,7 @@ impl ComputeNode {
     /// so the reads need no version brackets and cache entries never go
     /// stale. Each pass's `rerank` span wall joins `sub_hnsw_us` as it
     /// closes (choosing a pass's candidates is host time outside the
-    /// phases); returns the fetches' virtual network time.
+    /// phases); returns the fetches' virtual network time in picoseconds.
     #[allow(clippy::too_many_arguments)]
     fn rerank_exact(
         &self,
@@ -498,13 +499,13 @@ impl ComputeNode {
         trace: &BatchTrace,
         root: SpanId,
         report: &mut BatchReport,
-    ) -> Result<f64> {
+    ) -> Result<u64> {
         let dim = self.directory.dim();
         let vec_bytes = (dim * 4) as u64;
         let settle = |c: &mut Pooled, q: &[f32], row: &[f32]| {
             c.cand = Candidate::exact(c.cand.id, vecsim::l2_sq(q, row))
         };
-        let mut total_vt = 0.0;
+        let mut total_vt = 0;
         for pass in 0.. {
             // Candidates to exactify whose row is not cached, as (query,
             // pool index, row address); `need` / `reqs` are the distinct
@@ -571,7 +572,7 @@ impl ComputeNode {
             }
 
             let s_rr = trace.begin_span("rerank", "engine", root);
-            let clock0 = self.qp.clock().now_us();
+            let clock0 = self.qp.clock().now_ps();
             let candidates = exacted + awaited.len() as u64;
             // Past the retry budget in degraded mode, unfetched candidates
             // keep their asymmetric distances: the answer degrades
@@ -579,7 +580,7 @@ impl ComputeNode {
             let mut reader = Reader::new(self, self.config.degraded_ok(), trace, s_rr);
             let delivered = reader.post_until_delivered(&reqs, need.first().map_or(0, |key| key.0));
             report.read_retries += reader.retries;
-            let vt = self.qp.clock().now_us() - clock0;
+            let vt = self.qp.clock().now_ps() - clock0;
             total_vt += vt;
             let fetched = delivered.inspect_err(|_| {
                 trace.end_span(s_rr);
@@ -596,7 +597,7 @@ impl ComputeNode {
             for qi in touched {
                 pools[qi].0.sort_unstable_by(by_distance);
             }
-            trace.set_vt(s_rr, clock0, vt);
+            trace.set_vt(s_rr, ps_to_us(clock0), ps_to_us(vt));
             report.breakdown.sub_hnsw_us += trace.end_span_with(
                 s_rr,
                 &[

@@ -1729,6 +1729,12 @@ fn num(rec: &SpanRecord, key: &str) -> f64 {
     }
 }
 
+/// A trace's virtual-time value in µs back in the clock's picoseconds
+/// (exact: the engine writes them with [`rdma_sim::ps_to_us`]).
+fn ps(us: f64) -> u64 {
+    (us * 1e6).round() as u64
+}
+
 /// The newest trace in the span ring: the last traced batch's.
 fn last_trace(telemetry: &Telemetry) -> FinishedTrace {
     telemetry.spans().recent().pop().expect("a traced batch")
@@ -1740,7 +1746,7 @@ fn dropped_attempts_are_fault_instants_ahead_of_their_posts_spans() {
     let queries = gen::perturbed_queries(&data, 4, 0.02, 90).unwrap();
     let store = VectorStore::build(data.clone(), &DHnswConfig::small()).unwrap();
     let (node, telemetry) = traced(&store);
-    let timeout = node.queue_pair().model().timeout_us();
+    let timeout = node.queue_pair().model().timeout_ps();
     node.queue_pair().fail_next(2);
     node.query_batch(&queries, 5, 16).unwrap();
     let ft = last_trace(&telemetry);
@@ -1749,16 +1755,16 @@ fn dropped_attempts_are_fault_instants_ahead_of_their_posts_spans() {
     let names: Vec<&str> = under.iter().map(|(_, s)| s.name).collect();
     assert_eq!(names[..2], ["fault_retry", "fault_retry"]);
     assert!(names.len() > 2 && names[2..].iter().all(|&n| n == "read_doorbell"));
-    let mut vt = ft.spans[net].vt_start_us;
+    let mut vt = ps(ft.spans[net].vt_start_us);
     for (attempt, (_, rec)) in under[..2].iter().enumerate() {
         vt += timeout;
         assert_eq!((rec.kind, rec.cat), (SpanKind::Instant, "rdma"));
         assert_eq!(rec.args[0], ("verb", ArgValue::Str("read_doorbell")));
         assert_eq!(num(rec, "attempt"), attempt as f64 + 1.0);
-        assert_eq!(num(rec, "timeout_us"), timeout);
-        assert!((num(rec, "vt_us") - vt).abs() < 1e-9);
+        assert_eq!(ps(num(rec, "timeout_us")), timeout);
+        assert_eq!(ps(num(rec, "vt_us")), vt);
     }
-    assert!((under[2].1.vt_start_us - vt).abs() < 1e-9);
+    assert_eq!(ps(under[2].1.vt_start_us), vt);
 
     // A post dropped for good: each of the reader's two posts drops its
     // one attempt, and nothing of them is drawn but the drops and the
@@ -1779,9 +1785,9 @@ fn dropped_attempts_are_fault_instants_ahead_of_their_posts_spans() {
     assert_eq!(names, ["fault_retry", "read_retry", "fault_retry"]);
     let (first, second) = (under[0].1, under[2].1);
     assert_eq!((num(first, "attempt"), num(second, "attempt")), (1.0, 1.0));
-    let backoff = num(under[1].1, "backoff_us");
-    let gap = num(second, "vt_us") - num(first, "vt_us");
-    assert!((gap - backoff - timeout).abs() < 1e-9);
+    let backoff = ps(num(under[1].1, "backoff_us"));
+    let gap = ps(num(second, "vt_us")) - ps(num(first, "vt_us"));
+    assert_eq!(gap, backoff + timeout);
 }
 
 #[test]
@@ -1823,11 +1829,12 @@ fn evictions_are_instants_under_materialize_and_an_untraced_batch_keeps_none() {
     assert!(hits.iter().all(|(_, h)| h.name == "cache_hit"));
 }
 
-/// Walks every `network` and `rerank` span of `ft`: a cursor starts at
-/// the span's virtual start and moves by each dropped attempt's timeout,
-/// each engine backoff and each chunk, which must start where the cursor
-/// stands, be tiled by its work requests and lie inside its parent's
-/// wall; the cursor must end where the span does. Returns the chunks it
+/// Walks every `network` and `rerank` span of `ft`: a cursor, in whole
+/// picoseconds, starts at the span's virtual start and moves by each
+/// dropped attempt's timeout, each engine backoff and each chunk, which
+/// must start exactly where the cursor stands, be tiled by its work
+/// requests and lie inside its parent's wall; the cursor must end exactly
+/// where the span does. Returns the chunks it
 /// checked and the posts among them (chunk 0s).
 fn assert_posts_tile(ft: &FinishedTrace) -> (usize, usize) {
     let close = |a: f64, b: f64| (a - b).abs() < 1e-9;
@@ -1840,25 +1847,25 @@ fn assert_posts_tile(ft: &FinishedTrace) -> (usize, usize) {
         if phase.name != Phase::Network.span() && phase.name != "rerank" {
             continue;
         }
-        let mut at = phase.vt_start_us;
+        let mut at = ps(phase.vt_start_us);
         for (c, rec) in children(ft, p) {
             match rec.name {
                 "fault_retry" => {
-                    at += num(rec, "timeout_us");
-                    assert!(close(num(rec, "vt_us"), at));
+                    at += ps(num(rec, "timeout_us"));
+                    assert_eq!(ps(num(rec, "vt_us")), at);
                 }
-                "read_retry" => at += num(rec, "backoff_us"),
+                "read_retry" => at += ps(num(rec, "backoff_us")),
                 "read_doorbell" => {
-                    assert!(close(rec.vt_start_us, at), "{} != {at}", rec.vt_start_us);
+                    assert_eq!(ps(rec.vt_start_us), at);
                     assert!(inside(rec, phase));
                     let wrs = children(ft, c);
-                    let mut wr_at = at;
+                    let mut wr_at = rec.vt_start_us;
                     for (_, wr) in &wrs {
                         assert!(close(wr.vt_start_us, wr_at) && inside(wr, rec));
                         wr_at = wr.vt_start_us + wr.vt_dur_us;
                     }
-                    at += rec.vt_dur_us;
-                    assert!(wrs.is_empty() || close(wr_at, at));
+                    at += ps(rec.vt_dur_us);
+                    assert!(wrs.is_empty() || close(wr_at, rec.vt_start_us + rec.vt_dur_us));
                     assert_eq!(wrs.len().max(1), num(rec, "wqes") as usize);
                     chunks += 1;
                     posts += usize::from(num(rec, "chunk") == 0.0);
@@ -1866,7 +1873,7 @@ fn assert_posts_tile(ft: &FinishedTrace) -> (usize, usize) {
                 other => panic!("{other} under {}", phase.name),
             }
         }
-        assert!(close(at, phase.vt_start_us + phase.vt_dur_us));
+        assert_eq!(at, ps(phase.vt_start_us) + ps(phase.vt_dur_us));
     }
     (chunks, posts)
 }

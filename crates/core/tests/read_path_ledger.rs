@@ -16,6 +16,11 @@
 //! per-cause byte counts, read retries, degraded queries, cache hits,
 //! clusters loaded and unique clusters.
 //!
+//! The clock is its counters: on every batch, fault rows included, the
+//! queue pair's clock moved by exactly `trips·rtt + wrs·per_wr + bytes·
+//! ps_per_byte + faults·timeout` in integer picoseconds, plus the engine
+//! backoffs the batch's `read_retry` instants name.
+//!
 //! What does not depend on the mode is asserted, not just recorded:
 //! without faults every cell of a store state returns the same ids
 //! (whatever the mode, wire or cache size, cold or repeat), and
@@ -41,8 +46,10 @@ use std::sync::Arc;
 
 use dhnsw::snapshot::{read_snapshot, write_snapshot};
 use dhnsw::{
-    BatchReport, ComputeNode, DHnswConfig, QuantizeMode, SearchMode, Telemetry, VectorStore,
+    ArgValue, BatchReport, ComputeNode, DHnswConfig, QuantizeMode, SearchMode, Telemetry,
+    VectorStore,
 };
+use rdma_sim::StatsSnapshot;
 use vecsim::{gen, Dataset, Neighbor};
 
 const K: usize = 10;
@@ -112,14 +119,49 @@ fn connect(snapshot: &[u8], config: &DHnswConfig, mode: SearchMode) -> (VectorSt
     let node = store
         .connect_with_telemetry(mode, Arc::new(Telemetry::new()))
         .unwrap();
+    node.telemetry().spans().set_enabled(true);
     (store, node)
+}
+
+/// What the clock charged `node`'s batch with counter delta `d`, in
+/// picoseconds: every round trip, work request, byte and dropped attempt
+/// at the model's integer rates, plus each engine retry's backoff (its
+/// `read_retry` instant in the batch's trace).
+fn price(node: &ComputeNode, d: &StatsSnapshot) -> u64 {
+    let m = node.queue_pair().model();
+    let trace = node
+        .telemetry()
+        .spans()
+        .recent()
+        .pop()
+        .expect("a traced batch");
+    let backoffs: u64 = (trace.spans.iter().filter(|s| s.name == "read_retry"))
+        .flat_map(|s| s.args.iter().filter(|(k, _)| *k == "backoff_us"))
+        .map(|(_, v)| match v {
+            ArgValue::F64(us) => (us * 1e6).round() as u64,
+            other => panic!("backoff_us = {other:?}"),
+        })
+        .sum();
+    d.round_trips * m.base_rtt_ps()
+        + d.work_requests * m.per_wr_ps()
+        + (d.bytes_read + d.bytes_written + 8 * d.atomics) * m.ps_per_byte()
+        + d.faults * m.timeout_ps()
+        + backoffs
 }
 
 /// Runs one batch and appends its ledger row; returns the id hash.
 fn record(node: &ComputeNode, queries: &Dataset, cell: &str, batch: &str, out: &mut String) -> u64 {
-    let stats0 = node.queue_pair().stats().snapshot();
+    let (stats0, clock0) = (
+        node.queue_pair().stats().snapshot(),
+        node.queue_pair().clock().now_ps(),
+    );
     let (results, report): (_, BatchReport) = node.query_batch(queries, K, EF).unwrap();
     let delta = node.queue_pair().stats().snapshot() - stats0;
+    assert_eq!(
+        node.queue_pair().clock().now_ps() - clock0,
+        price(node, &delta),
+        "{cell} {batch}: the clock is not its counters"
+    );
     assert_eq!(results.len(), queries.len(), "{cell} {batch}");
     assert_eq!(
         report.ledger.total_bytes(),

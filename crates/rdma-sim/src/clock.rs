@@ -2,13 +2,13 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A monotonically increasing virtual clock, in microseconds.
+/// A monotonically increasing virtual clock, in whole picoseconds.
 ///
 /// Network costs computed by the [`crate::NetworkModel`] are charged here,
 /// by this crate's queue pairs only: outside it the clock is read-only.
-/// Internally the clock stores picoseconds in an `AtomicU64`, which keeps
-/// `advance` lock-free and exact enough (2^64 ps ≈ 213 days) for any
-/// simulation this crate runs.
+/// Every charge is an integer, so the clock is exactly the sum of what it
+/// was charged, and a `u64` (2^64 ps ≈ 213 days) holds any simulation
+/// this crate runs.
 ///
 /// # Example
 ///
@@ -16,15 +16,19 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// use rdma_sim::{MemoryNode, NetworkModel, QueuePair};
 ///
 /// let qp = QueuePair::connect(&MemoryNode::new("pool"), NetworkModel::connectx6());
-/// qp.charge_backoff_us(2.5);
-/// assert!((qp.clock().now_us() - 2.5).abs() < 1e-9);
+/// qp.charge_backoff_ps(2_500_000);
+/// assert_eq!(qp.clock().now_ps(), 2_500_000);
+/// assert_eq!(qp.clock().now_us(), 2.5);
 /// ```
 #[derive(Debug, Default)]
 pub struct VirtualClock {
     picos: AtomicU64,
 }
 
-const PICOS_PER_US: f64 = 1_000_000.0;
+/// `ps` in microseconds: the one conversion, for reports, traces, ledgers.
+pub fn ps_to_us(ps: u64) -> f64 {
+    ps as f64 / 1_000_000.0
+}
 
 impl VirtualClock {
     /// A clock at time zero.
@@ -32,22 +36,23 @@ impl VirtualClock {
         VirtualClock::default()
     }
 
-    /// Advances the clock by `us` microseconds. Negative or non-finite
-    /// amounts are ignored (costs are never negative by construction).
-    pub(crate) fn advance_us(&self, us: f64) {
-        if us.is_finite() && us > 0.0 {
-            self.picos
-                .fetch_add((us * PICOS_PER_US) as u64, Ordering::Relaxed);
-        }
+    /// Advances the clock by `ps` picoseconds.
+    pub(crate) fn advance_ps(&self, ps: u64) {
+        self.picos.fetch_add(ps, Ordering::Relaxed);
+    }
+
+    /// Current virtual time in picoseconds.
+    pub fn now_ps(&self) -> u64 {
+        self.picos.load(Ordering::Relaxed)
     }
 
     /// Current virtual time in microseconds.
     pub fn now_us(&self) -> f64 {
-        self.picos.load(Ordering::Relaxed) as f64 / PICOS_PER_US
+        ps_to_us(self.now_ps())
     }
 
     /// Resets the clock to zero (between benchmark phases).
-    pub fn reset(&self) {
+    pub(crate) fn reset(&self) {
         self.picos.store(0, Ordering::Relaxed);
     }
 }
@@ -62,28 +67,21 @@ mod tests {
     }
 
     #[test]
-    fn accumulates_small_increments_exactly_enough() {
+    fn accumulates_small_increments_exactly() {
         let c = VirtualClock::new();
         for _ in 0..1_000 {
-            c.advance_us(0.001);
+            c.advance_ps(1_000);
         }
-        assert!((c.now_us() - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn ignores_negative_and_nan() {
-        let c = VirtualClock::new();
-        c.advance_us(-5.0);
-        c.advance_us(f64::NAN);
-        assert_eq!(c.now_us(), 0.0);
+        assert_eq!(c.now_ps(), 1_000_000);
+        assert_eq!(c.now_us(), 1.0);
     }
 
     #[test]
     fn reset_returns_to_zero() {
         let c = VirtualClock::new();
-        c.advance_us(10.0);
+        c.advance_ps(10_000_000);
         c.reset();
-        assert_eq!(c.now_us(), 0.0);
+        assert_eq!(c.now_ps(), 0);
     }
 
     #[test]
@@ -94,11 +92,12 @@ mod tests {
                 let c = c.clone();
                 s.spawn(move || {
                     for _ in 0..10_000 {
-                        c.advance_us(0.01);
+                        c.advance_ps(10_000);
                     }
                 });
             }
         });
-        assert!((c.now_us() - 400.0).abs() < 0.1);
+        assert_eq!(c.now_ps(), 400_000_000);
+        assert_eq!(c.now_us(), 400.0);
     }
 }

@@ -195,7 +195,7 @@ impl QueuePair {
     /// and one fault — and returns the error the verb gives up with if it
     /// was the last.
     pub(crate) fn drop_attempt(&self, verb: &'static str, attempts: u32) -> Error {
-        self.charge_timeout();
+        self.clock().advance_ps(self.model().timeout_ps());
         self.stats().record_fault();
         Error::RetriesExhausted { verb, attempts }
     }
@@ -224,7 +224,7 @@ mod tests {
         assert_eq!(qp.stats().round_trips(), 1);
         let plain = QueuePair::connect(qp.node(), *qp.model());
         plain.read(r.rkey(), 0, 8).unwrap();
-        assert!(qp.clock().now_us() > plain.clock().now_us());
+        assert!(qp.clock().now_ps() > plain.clock().now_ps());
     }
 
     #[test]

@@ -37,12 +37,13 @@
 //!   retransmits like a reliable-connection NIC, charging timeout time
 //!   ([`QueuePair::set_retry_limit`] bounds the budget);
 //!   [`QueuePair::cut_nth`] cuts one post after a prefix of its requests.
-//! - [`NetworkModel`] — the cost model: per-round-trip base latency,
-//!   per-work-request NIC/PCIe overhead, and line-rate bandwidth.
+//! - [`NetworkModel`] — the cost model, in whole picoseconds: base round
+//!   trip, per-work-request NIC/PCIe overhead and time per payload byte.
 //!   [`NetworkModel::schedule`] is the one chunking rule: what a post of
 //!   `n` requests costs, chunk by chunk.
 //! - [`VirtualClock`] / [`TransferStats`] — per queue pair, the
-//!   measurement plane the benchmark harness reads.
+//!   measurement plane the benchmark harness reads; the clock is their
+//!   exact price in picoseconds, plus the backoff a caller charged.
 //!
 //! # Example
 //!
@@ -62,7 +63,7 @@
 //! let before = qp.stats().round_trips();
 //! qp.read_doorbell(&[ReadReq::new(region.rkey(), 0, 5), ReadReq::new(region.rkey(), 6, 6)])?;
 //! assert_eq!(qp.stats().round_trips() - before, 1);
-//! assert!(qp.clock().now_us() > 0.0);
+//! assert!(qp.clock().now_ps() > 0);
 //! # Ok(())
 //! # }
 //! ```
@@ -78,7 +79,7 @@ mod node;
 mod qp;
 mod stats;
 
-pub use clock::VirtualClock;
+pub use clock::{ps_to_us, VirtualClock};
 pub use error::Error;
 pub use fault::DEFAULT_RETRY_LIMIT;
 pub use model::NetworkModel;

@@ -201,16 +201,16 @@ impl QueuePair {
         &self.fault
     }
 
-    /// Charges one retransmission timeout of virtual time
-    /// ([`NetworkModel::timeout_us`]).
-    pub(crate) fn charge_timeout(&self) {
-        self.clock.advance_us(self.model.timeout_us());
+    /// Charges `ps` of virtual time a caller waits before posting again (a
+    /// retry's backoff): nothing moves on the wire or is counted.
+    pub fn charge_backoff_ps(&self, ps: u64) {
+        self.clock.advance_ps(ps);
     }
 
-    /// Charges `us` of virtual time a caller waits before posting again (a
-    /// retry's backoff): nothing moves on the wire or is counted.
-    pub fn charge_backoff_us(&self, us: f64) {
-        self.clock.advance_us(us);
+    /// Zeroes the clock and the transfer counters (between benchmark phases).
+    pub fn reset_measurements(&self) {
+        self.clock.reset();
+        self.stats.reset();
     }
 
     /// One-sided `RDMA_READ`: one network round trip, attributed to
@@ -404,7 +404,7 @@ impl QueuePair {
             self.stats.record_doorbell(wrs.len() as u64);
         }
         for (chunk, _, cost) in self.model.schedule(wrs.len(), |i| wrs[i].target().2) {
-            self.clock.advance_us(cost);
+            self.clock.advance_ps(cost);
             // Reads count per cause; the chunk's one trip goes to the read
             // cause carrying the most bytes in it (ties to the lowest
             // cause index), and is uncaused in a chunk that reads nothing.
@@ -563,7 +563,7 @@ mod tests {
         qp.read_doorbell(&[]).unwrap();
         assert_eq!(qp.doorbell(&[]).unwrap(), Vec::<u64>::new());
         assert_eq!(qp.stats().round_trips(), 0);
-        assert_eq!(qp.clock().now_us(), 0.0);
+        assert_eq!(qp.clock().now_ps(), 0);
     }
 
     #[test]
@@ -598,7 +598,7 @@ mod tests {
         ];
         qp.cut_nth(Some((1, 2)));
         qp.doorbell(&reqs).unwrap(); // the post let through
-        let (clock0, stats0) = (qp.clock().now_us(), qp.stats().snapshot());
+        let (clock0, stats0) = (qp.clock().now_ps(), qp.stats().snapshot());
         let err = qp.doorbell(&reqs).unwrap_err();
         assert!(matches!(
             err,
@@ -615,8 +615,8 @@ mod tests {
         );
         assert_eq!(d.doorbell_size_buckets[1], 1);
         let m = qp.model();
-        let want_us = m.round_trip_cost_us(2, 16) + m.base_rtt_us();
-        assert!((qp.clock().now_us() - clock0 - want_us).abs() < 1e-6);
+        let want = m.round_trip_cost_ps(2, 16) + m.timeout_ps();
+        assert_eq!(qp.clock().now_ps() - clock0, want);
         let want = [
             vec![1; 8],
             2u64.to_le_bytes().to_vec(),
@@ -658,10 +658,10 @@ mod tests {
     #[test]
     fn virtual_time_advances_with_traffic() {
         let (_n, r, qp) = setup(1024);
-        let t0 = qp.clock().now_us();
+        let t0 = qp.clock().now_ps();
         qp.read(r.rkey(), 0, 1024).unwrap();
-        let t1 = qp.clock().now_us();
-        assert!(t1 > t0 + 2.0, "read should cost at least the base RTT");
+        let t1 = qp.clock().now_ps();
+        assert_eq!(t1 - t0, qp.model().round_trip_cost_ps(1, 1024));
     }
 
     #[test]
@@ -783,14 +783,14 @@ mod tests {
     fn doorbell_into_validates_before_executing() {
         let (_n, r, qp) = setup(16);
         qp.write(r.rkey(), 0, &[7; 16]).unwrap();
-        let clock0 = qp.clock().now_us();
+        let clock0 = qp.clock().now_ps();
         let stats0 = qp.stats().snapshot();
         let untouched = |got: Result<Vec<(Vec<u8>, Vec<u8>)>>| {
             assert!(matches!(
                 got.unwrap_err(),
                 Error::InvalidParameter(_) | Error::OutOfBounds { .. }
             ));
-            assert_eq!(qp.clock().now_us(), clock0);
+            assert_eq!(qp.clock().now_ps(), clock0);
             assert_eq!(qp.stats().snapshot(), stats0);
         };
         // The second request is out of bounds: the first must not land.
@@ -825,7 +825,7 @@ mod tests {
         assert!(qp
             .read_doorbell_into(&reqs, &mut [Scatter::whole(&mut a, 4)])
             .is_err());
-        assert_eq!(qp.clock().now_us(), clock0);
+        assert_eq!(qp.clock().now_ps(), clock0);
         assert_eq!(qp.stats().snapshot(), stats0);
     }
 
@@ -925,7 +925,7 @@ mod tests {
             let got: Vec<Vec<u8>> = got.into_iter().map(|(a, b)| [a, b].concat()).collect();
             proptest::prop_assert_eq!(got, want);
             proptest::prop_assert_eq!(landing.stats().snapshot(), alloc.stats().snapshot());
-            proptest::prop_assert_eq!(landing.clock().now_us(), alloc.clock().now_us());
+            proptest::prop_assert_eq!(landing.clock().now_ps(), alloc.clock().now_ps());
             // And the plain verb against a one-request doorbell: the same
             // bytes, clock and counters, bar the doorbell counted.
             if let Some(&req) = reqs.first() {
@@ -941,7 +941,7 @@ mod tests {
                     ..Default::default()
                 };
                 proptest::prop_assert_eq!(landing.stats().snapshot() - one, alloc.stats().snapshot());
-                proptest::prop_assert_eq!(landing.clock().now_us(), alloc.clock().now_us());
+                proptest::prop_assert_eq!(landing.clock().now_ps(), alloc.clock().now_ps());
             }
         }
     }

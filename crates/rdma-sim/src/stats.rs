@@ -256,8 +256,8 @@ impl TransferStats {
         self.atomics.load(Ordering::Relaxed)
     }
 
-    /// Zeroes every counter (between benchmark phases).
-    pub fn reset(&self) {
+    /// Zeroes every counter ([`crate::QueuePair::reset_measurements`]).
+    pub(crate) fn reset(&self) {
         self.round_trips.store(0, Ordering::Relaxed);
         self.work_requests.store(0, Ordering::Relaxed);
         self.doorbell_batches.store(0, Ordering::Relaxed);
@@ -337,8 +337,8 @@ impl std::ops::Sub for StatsSnapshot {
     type Output = StatsSnapshot;
 
     /// The counts between two snapshots. Saturating per field, so a
-    /// [`TransferStats::reset`] racing in between yields zeros rather than
-    /// a panic (debug) or a wrapped count (release).
+    /// [`crate::QueuePair::reset_measurements`] racing in between yields
+    /// zeros rather than a panic (debug) or a wrapped count (release).
     fn sub(self, rhs: StatsSnapshot) -> StatsSnapshot {
         fn each<const N: usize>(a: [u64; N], b: [u64; N]) -> [u64; N] {
             std::array::from_fn(|i| a[i].saturating_sub(b[i]))

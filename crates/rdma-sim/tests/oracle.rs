@@ -3,9 +3,9 @@
 //! the retransmission budget, cuts after a prefix of a post's work
 //! requests, writes and atomics mixed in one doorbell, the odd
 //! out-of-bounds or misaligned request — against a shadow that shares no
-//! code with the crate: a byte array per region, the clock kept in the
-//! clock's own picoseconds from the closed form `base_rtt + wrs * per_wr +
-//! bytes * 8 / (gbps * 1000)`, and every [`StatsSnapshot`] field moved by
+//! code with the crate: a byte array per region, the clock summed in
+//! integer picoseconds from the closed form `base_rtt + wrs * per_wr +
+//! bytes * ps_per_byte`, and every [`StatsSnapshot`] field moved by
 //! hand. After every call the returned bytes or old values, what a cut
 //! prefix landed, each region, the whole snapshot and the virtual clock
 //! must match it.
@@ -114,10 +114,6 @@ struct Shadow {
 }
 
 impl Shadow {
-    fn charge(&mut self, us: f64) {
-        self.picos += (us * 1e6) as u64;
-    }
-
     /// The bytes at `offset`, none for a span out of bounds.
     fn slice(&self, region: usize, offset: u64, len: u64) -> &[u8] {
         let at = offset as usize..(offset + len) as usize;
@@ -152,7 +148,7 @@ impl Shadow {
         self.armed -= dropped;
         for _ in 0..dropped {
             self.stats.faults += 1;
-            self.charge(self.model.base_rtt_us());
+            self.picos += self.model.base_rtt_ps();
         }
         if dropped > self.retry_limit {
             return done(End::Dropped(verb, dropped), 0, Vec::new());
@@ -194,9 +190,10 @@ impl Shadow {
             self.stats.doorbell_size_buckets[bucket] += 1;
         }
         for chunk in run.chunks(self.model.doorbell_limit()) {
-            let mut bytes = 0;
+            let (mut reqs, mut bytes) = (0, 0);
             let mut per_cause = [(0u64, 0u64); READ_CAUSES];
             for wr in chunk {
+                reqs += 1;
                 self.stats.work_requests += 1;
                 match *wr {
                     Wr::Read(cause, len) => {
@@ -228,16 +225,12 @@ impl Shadow {
                 self.stats.cause_trips[i] += 1;
             }
             let m = self.model;
-            self.charge(
-                m.base_rtt_us()
-                    + chunk.len() as f64 * m.per_wr_us()
-                    + (bytes as f64 * 8.0) / (m.bandwidth_gbps() * 1_000.0),
-            );
+            self.picos += m.base_rtt_ps() + reqs * m.per_wr_ps() + bytes * m.ps_per_byte();
         }
         match cut {
             Some(ran) => {
                 self.stats.faults += 1;
-                self.charge(self.model.base_rtt_us());
+                self.picos += self.model.base_rtt_ps();
                 done(End::Dropped(verb, 1), ran, old)
             }
             None => done(End::Done, wrs.len(), old),
@@ -431,7 +424,7 @@ proptest! {
             }
             let after = qp.stats().snapshot();
             prop_assert_eq!(after, shadow.stats);
-            prop_assert_eq!(qp.clock().now_us(), shadow.picos as f64 / 1e6);
+            prop_assert_eq!(qp.clock().now_ps(), shadow.picos);
             if matches!(want.end, End::Dropped(..)) && want.ran == 0 {
                 // Nothing executed: every counter but the faults stands still.
                 prop_assert_eq!(StatsSnapshot { faults: after.faults, ..before }, after);

@@ -228,6 +228,11 @@
 # three collected vectors went. Routing the retry backoff's clock charge
 # through the queue pair raised rdma-sim's by 6 (1 553 -> 1 559):
 # `QueuePair::charge_backoff_us`, and the clock's doc saying who charges.
+# Pricing virtual time in whole picoseconds lowered rdma-sim's to 1 553
+# (1 559 -> 1 553): the f64 constructor and its checks, the clock's
+# NaN / negative guard and the queue pair's timeout helper went; came the
+# picosecond accessors, the one microsecond rendering (`ps_to_us`) and
+# `QueuePair::reset_measurements`, the one writer of a reset.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -236,7 +241,7 @@ MAX_PLANE=3332
 MAX_BENCH=2459
 MAX_HNSW=1701
 MAX_VECSIM=1839
-MAX_RDMA=1559
+MAX_RDMA=1553
 MAX_FILE=1337
 
 total=0

@@ -42,7 +42,9 @@ fn the_k_slowest_set_ranks_by_wall_plus_exposed_network() {
     // batch moves nothing.
     let data = gen::sift_like(2_000, 11).unwrap();
     let queries = gen::perturbed_queries(&data, 40, 0.02, 12).unwrap();
-    let fabric = NetworkModel::connectx6().with_base_rtt_us(1e9).unwrap();
+    let fabric = NetworkModel::connectx6()
+        .with_base_rtt_ps(1_000_000_000_000_000)
+        .unwrap();
     let config = DHnswConfig::small()
         .with_cache_fraction(1.0)
         .with_network(fabric);
