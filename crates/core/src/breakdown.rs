@@ -10,10 +10,10 @@
 //! why-slow baseline, `crates/bench`'s per-batch percentiles.
 //!
 //! Counts, bytes, trips and the ledger are exact: one `StatsSnapshot`
-//! bracket around the batch's reads. `breakdown.network_us` is
-//! virtual-clock time; the other three phases, and with them
-//! `total_us`, are host wall clock, each the sum of the walls its spans
-//! measured (see [`Phase`]).
+//! bracket around the batch's reads, priced (`NetworkModel::price`) as
+//! `breakdown.network_us`, virtual time; the other three phases, and with
+//! them `total_us`, are host wall clock, each the sum of the walls its
+//! spans measured (see [`Phase`]).
 //!
 //! [`BatchReport::merge`] aggregates a run of batches. Counts, bytes,
 //! trips, the ledger, the breakdown, `total_us` and `doorbell_batches`

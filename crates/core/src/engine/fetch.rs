@@ -157,8 +157,8 @@ impl<'a> Reader<'a> {
     /// [`schedule`](rdma_sim::NetworkModel::schedule), with a
     /// `cluster_read` child per work request in a chunk of several. On
     /// the virtual clock the drops' timeouts come first, then each chunk
-    /// at its scheduled cost: on one thread exactly what the clock was
-    /// charged, picosecond for picosecond (posts racing on one queue pair
+    /// at its scheduled cost: on one thread exactly what the clock moved,
+    /// picosecond for picosecond (posts racing on one queue pair
     /// overlap). A chunk's requests tile the chunk in proportion to their
     /// bytes (evenly when it moves none), and the post's wall is split
     /// among its chunks in proportion to their cost.

@@ -394,8 +394,8 @@ impl ComputeNode {
         &self.heatmap
     }
 
-    /// Clears the clock and transfer counters — used between benchmark
-    /// phases. The telemetry flush baseline is rewound with them so
+    /// Clears the transfer counters, and with them the clock — used
+    /// between benchmark phases. The telemetry flush baseline is rewound with them so
     /// global counters neither double-count nor go backwards.
     pub fn reset_measurements(&self) {
         let mut flushed = self.flushed.lock();

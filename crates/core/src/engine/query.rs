@@ -183,8 +183,8 @@ impl ComputeNode {
     /// next — memory stays O(stripe × b × cluster) whatever the batch
     /// size — and nothing is cached.
     ///
-    /// `breakdown.network_us` is the load rounds' virtual time plus the
-    /// rerank's.
+    /// `breakdown.network_us` is the price of the batch's counter delta:
+    /// the load rounds' virtual time plus the rerank's.
     #[allow(clippy::too_many_arguments)]
     fn run_batch(
         &self,
@@ -315,13 +315,12 @@ impl ComputeNode {
             let pins = std::mem::take(&mut verify);
             let mut fetched = Vec::new();
             if !pending.is_empty() || !pins.is_empty() {
-                let (got, vt) = self.load_stage(i, pending, pins, trace, root, &mut report)?;
+                let got = self.load_stage(i, pending, pins, trace, root, &mut report)?;
                 for p in &got.stale {
                     resolved.remove(p);
                 }
                 report.cache_hits -= got.stale.len();
                 failed += got.failed.len();
-                report.breakdown.network_us += ps_to_us(vt);
                 fetched = got.stable;
             }
 
@@ -388,10 +387,9 @@ impl ComputeNode {
         // estimate with a rerank address (SQ8 wire). Runs before the
         // stats delta so rerank bytes land in this batch's ledger. Its
         // passes' walls join `sub_hnsw_us`, its virtual time the network.
-        let rerank_vt =
-            self.rerank_exact(queries, k, &mut pools, &resolved, trace, root, &mut report)?;
-        report.breakdown.network_us += ps_to_us(rerank_vt);
+        self.rerank_exact(queries, k, &mut pools, &resolved, trace, root, &mut report)?;
         let stats_delta = self.qp.stats().snapshot() - stats0;
+        report.breakdown.network_us = ps_to_us(self.qp.model().price(&stats_delta));
         report.round_trips = stats_delta.round_trips;
         report.bytes_read = stats_delta.bytes_read;
         report.doorbell_batches = stats_delta.doorbell_batches;
@@ -422,8 +420,7 @@ impl ComputeNode {
     /// `network` span: a single fetch under reuse; without, every load is
     /// its own read that retries (and fails) alone. Past the engine retry
     /// budget the survivors come back `failed` when degraded results are
-    /// allowed, otherwise the batch errors. Returns the fetch and the
-    /// stage's virtual network time in picoseconds.
+    /// allowed, otherwise the batch errors.
     fn load_stage(
         &self,
         stage: usize,
@@ -432,7 +429,7 @@ impl ComputeNode {
         trace: &BatchTrace,
         root: SpanId,
         report: &mut BatchReport,
-    ) -> Result<(Fetch, u64)> {
+    ) -> Result<Fetch> {
         let s_net = trace.begin_span(Phase::Network.span(), "engine", root);
         trace.add_args(s_net, &[("stage", ArgValue::U64(stage as u64))]);
         let clock0 = self.qp.clock().now_ps();
@@ -465,7 +462,7 @@ impl ComputeNode {
                 ("read_retries", ArgValue::U64(report.read_retries)),
             ],
         );
-        outcome.map(|()| (got, vt))
+        outcome.map(|()| got)
     }
 
     /// Exact rerank. The first pass decides which pool candidates with an
@@ -488,7 +485,7 @@ impl ComputeNode {
     /// so the reads need no version brackets and cache entries never go
     /// stale. Each pass's `rerank` span wall joins `sub_hnsw_us` as it
     /// closes (choosing a pass's candidates is host time outside the
-    /// phases); returns the fetches' virtual network time in picoseconds.
+    /// phases).
     #[allow(clippy::too_many_arguments)]
     fn rerank_exact(
         &self,
@@ -499,13 +496,12 @@ impl ComputeNode {
         trace: &BatchTrace,
         root: SpanId,
         report: &mut BatchReport,
-    ) -> Result<u64> {
+    ) -> Result<()> {
         let dim = self.directory.dim();
         let vec_bytes = (dim * 4) as u64;
         let settle = |c: &mut Pooled, q: &[f32], row: &[f32]| {
             c.cand = Candidate::exact(c.cand.id, vecsim::l2_sq(q, row))
         };
-        let mut total_vt = 0;
         for pass in 0.. {
             // Candidates to exactify whose row is not cached, as (query,
             // pool index, row address); `need` / `reqs` are the distinct
@@ -581,7 +577,6 @@ impl ComputeNode {
             let delivered = reader.post_until_delivered(&reqs, need.first().map_or(0, |key| key.0));
             report.read_retries += reader.retries;
             let vt = self.qp.clock().now_ps() - clock0;
-            total_vt += vt;
             let fetched = delivered.inspect_err(|_| {
                 trace.end_span(s_rr);
             })?;
@@ -613,7 +608,7 @@ impl ComputeNode {
                 break;
             }
         }
-        Ok(total_vt)
+        Ok(())
     }
 }
 

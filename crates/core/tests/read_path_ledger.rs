@@ -16,10 +16,11 @@
 //! per-cause byte counts, read retries, degraded queries, cache hits,
 //! clusters loaded and unique clusters.
 //!
-//! The clock is its counters: on every batch, fault rows included, the
-//! queue pair's clock moved by exactly `trips·rtt + wrs·per_wr + bytes·
-//! ps_per_byte + faults·timeout` in integer picoseconds, plus the engine
-//! backoffs the batch's `read_retry` instants name.
+//! The clock is the price of its counters by definition; what is asserted
+//! of it on every batch, fault rows included, is what the counters cannot
+//! say of themselves: the backoff they count is exactly the sum the
+//! batch's `read_retry` instants name, and the batch's `network_us` is the
+//! price of everything it moved.
 //!
 //! What does not depend on the mode is asserted, not just recorded:
 //! without faults every cell of a store state returns the same ids
@@ -49,7 +50,7 @@ use dhnsw::{
     ArgValue, BatchReport, ComputeNode, DHnswConfig, QuantizeMode, SearchMode, Telemetry,
     VectorStore,
 };
-use rdma_sim::StatsSnapshot;
+use rdma_sim::ps_to_us;
 use vecsim::{gen, Dataset, Neighbor};
 
 const K: usize = 10;
@@ -123,44 +124,39 @@ fn connect(snapshot: &[u8], config: &DHnswConfig, mode: SearchMode) -> (VectorSt
     (store, node)
 }
 
-/// What the clock charged `node`'s batch with counter delta `d`, in
-/// picoseconds: every round trip, work request, byte and dropped attempt
-/// at the model's integer rates, plus each engine retry's backoff (its
-/// `read_retry` instant in the batch's trace).
-fn price(node: &ComputeNode, d: &StatsSnapshot) -> u64 {
-    let m = node.queue_pair().model();
+/// The backoff `node`'s last batch names, in picoseconds: the sum of its
+/// `read_retry` instants' `backoff_us`.
+fn traced_backoff_ps(node: &ComputeNode) -> u64 {
     let trace = node
         .telemetry()
         .spans()
         .recent()
         .pop()
         .expect("a traced batch");
-    let backoffs: u64 = (trace.spans.iter().filter(|s| s.name == "read_retry"))
+    (trace.spans.iter().filter(|s| s.name == "read_retry"))
         .flat_map(|s| s.args.iter().filter(|(k, _)| *k == "backoff_us"))
         .map(|(_, v)| match v {
             ArgValue::F64(us) => (us * 1e6).round() as u64,
             other => panic!("backoff_us = {other:?}"),
         })
-        .sum();
-    d.round_trips * m.base_rtt_ps()
-        + d.work_requests * m.per_wr_ps()
-        + (d.bytes_read + d.bytes_written + 8 * d.atomics) * m.ps_per_byte()
-        + d.faults * m.timeout_ps()
-        + backoffs
+        .sum()
 }
 
 /// Runs one batch and appends its ledger row; returns the id hash.
 fn record(node: &ComputeNode, queries: &Dataset, cell: &str, batch: &str, out: &mut String) -> u64 {
-    let (stats0, clock0) = (
-        node.queue_pair().stats().snapshot(),
-        node.queue_pair().clock().now_ps(),
-    );
+    let qp = node.queue_pair();
+    let stats0 = qp.stats().snapshot();
     let (results, report): (_, BatchReport) = node.query_batch(queries, K, EF).unwrap();
-    let delta = node.queue_pair().stats().snapshot() - stats0;
+    let delta = qp.stats().snapshot() - stats0;
     assert_eq!(
-        node.queue_pair().clock().now_ps() - clock0,
-        price(node, &delta),
-        "{cell} {batch}: the clock is not its counters"
+        delta.backoff_ps,
+        traced_backoff_ps(node),
+        "{cell} {batch}: the counted backoff is not the traced retries'"
+    );
+    assert_eq!(
+        report.breakdown.network_us,
+        ps_to_us(qp.model().price(&delta)),
+        "{cell} {batch}: network_us is not the price of what the batch moved"
     );
     assert_eq!(results.len(), queries.len(), "{cell} {batch}");
     assert_eq!(

@@ -158,7 +158,7 @@ fn land(blob: &[u8], area: &[u8], back: bool, start: usize) -> (Vec<u8>, Vec<u8>
     };
     qp.read_doorbell_into(&[req], &mut [into]).unwrap();
     assert_eq!(
-        qp.stats().work_requests(),
+        qp.stats().snapshot().work_requests,
         2,
         "one write, one read: segments are not requests"
     );

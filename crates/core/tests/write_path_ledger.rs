@@ -39,10 +39,10 @@
 //! node connected after the op.
 //!
 //! Asserted, not just recorded: no overflow area ever fails to parse, a
-//! returned id lies in the range the op took from the id counter, the
-//! op's clock delta is exactly the price of its counter delta
-//! ([`price`]), and after every op, wherever it was cut, the writer
-//! answers what the fresh node answers.
+//! returned id lies in the range the op took from the id counter, no op
+//! counts a backoff (the write path retries nothing, so its clock delta
+//! is the price of its traffic and faults alone), and after every op,
+//! wherever it was cut, the writer answers what the fresh node answers.
 //!
 //! Regenerate after an intentional change with:
 //! `BLESS=1 cargo test -p dhnsw --test write_path_ledger`
@@ -56,7 +56,7 @@ use dhnsw::layout::{ClusterLocation, ID_COUNTER_OFFSET};
 use dhnsw::snapshot::{read_snapshot, write_snapshot};
 use dhnsw::telemetry::metrics;
 use dhnsw::{ComputeNode, DHnswConfig, Error, QuantizeMode, SearchMode, Telemetry, VectorStore};
-use rdma_sim::{ps_to_us, NetworkModel, QueuePair, StatsSnapshot};
+use rdma_sim::{ps_to_us, NetworkModel, QueuePair};
 use vecsim::{gen, Dataset, Neighbor};
 
 const K: usize = 10;
@@ -243,18 +243,6 @@ fn counters(node: &ComputeNode) -> [u64; 3] {
     ]
 }
 
-/// What the clock charges for a counter delta, in picoseconds: every
-/// round trip, work request, payload byte (an atomic moves 8) and dropped
-/// attempt at the model's integer rates. Nothing else moves a writer's
-/// clock.
-fn price(m: &NetworkModel, d: &StatsSnapshot) -> u64 {
-    let bytes = d.bytes_read + d.bytes_written + 8 * d.atomics;
-    d.round_trips * m.base_rtt_ps()
-        + d.work_requests * m.per_wr_ps()
-        + bytes * m.ps_per_byte()
-        + d.faults * m.timeout_ps()
-}
-
 /// Runs `op` on `writer` with doorbell `cut.0` cut after `cut.1` work
 /// requests, or undisturbed. Returns its ledger row and how many verb
 /// attempts were dropped: none means the op never reached the cut.
@@ -276,14 +264,12 @@ fn record(
     let (result, ids) = run(writer, op);
     qp.cut_nth(None);
     let delta = qp.stats().snapshot() - stats0;
-    let vt = qp.clock().now_ps() - clock0;
     assert_eq!(
-        vt,
-        price(qp.model(), &delta),
-        "{head} {} cut={cut:?}: the clock is not its counters",
+        delta.backoff_ps, 0,
+        "{head} {} cut={cut:?}: a write backed off; the write path retries nothing",
         op.label
     );
-    let vt = ps_to_us(vt);
+    let vt = ps_to_us(qp.clock().now_ps() - clock0);
     let counted = counters(writer);
     let id1 = inspector.next_id();
     for id in &ids {

@@ -1,14 +1,17 @@
-//! Virtual time accounting.
+//! Virtual time: the price of a queue pair's counters.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::{NetworkModel, TransferStats};
 
-/// A monotonically increasing virtual clock, in whole picoseconds.
+/// A queue pair's virtual clock, in whole picoseconds: a read-only view
+/// that keeps no time of its own.
 ///
-/// Network costs computed by the [`crate::NetworkModel`] are charged here,
-/// by this crate's queue pairs only: outside it the clock is read-only.
-/// Every charge is an integer, so the clock is exactly the sum of what it
-/// was charged, and a `u64` (2^64 ps ≈ 213 days) holds any simulation
-/// this crate runs.
+/// The time is [`NetworkModel::price`] of the queue pair's
+/// [`TransferStats`], read when asked: every round trip, work request,
+/// byte and dropped attempt it counted, at the model's integer rates,
+/// plus the backoff a caller charged. Nothing writes a clock, so it cannot
+/// drift from its counters, and zeroing them
+/// ([`crate::QueuePair::reset_measurements`]) zeroes it. A `u64` (2^64 ps
+/// ≈ 213 days) holds any simulation this crate runs.
 ///
 /// # Example
 ///
@@ -20,9 +23,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// assert_eq!(qp.clock().now_ps(), 2_500_000);
 /// assert_eq!(qp.clock().now_us(), 2.5);
 /// ```
-#[derive(Debug, Default)]
-pub struct VirtualClock {
-    picos: AtomicU64,
+#[derive(Debug, Clone, Copy)]
+pub struct VirtualClock<'a> {
+    pub(crate) model: &'a NetworkModel,
+    pub(crate) stats: &'a TransferStats,
 }
 
 /// `ps` in microseconds: the one conversion, for reports, traces, ledgers.
@@ -30,74 +34,41 @@ pub fn ps_to_us(ps: u64) -> f64 {
     ps as f64 / 1_000_000.0
 }
 
-impl VirtualClock {
-    /// A clock at time zero.
-    pub fn new() -> Self {
-        VirtualClock::default()
-    }
-
-    /// Advances the clock by `ps` picoseconds.
-    pub(crate) fn advance_ps(&self, ps: u64) {
-        self.picos.fetch_add(ps, Ordering::Relaxed);
-    }
-
+impl VirtualClock<'_> {
     /// Current virtual time in picoseconds.
     pub fn now_ps(&self) -> u64 {
-        self.picos.load(Ordering::Relaxed)
+        self.model.price(&self.stats.snapshot())
     }
 
     /// Current virtual time in microseconds.
     pub fn now_us(&self) -> f64 {
         ps_to_us(self.now_ps())
     }
-
-    /// Resets the clock to zero (between benchmark phases).
-    pub(crate) fn reset(&self) {
-        self.picos.store(0, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{MemoryNode, QueuePair};
 
     #[test]
-    fn starts_at_zero() {
-        assert_eq!(VirtualClock::new().now_us(), 0.0);
-    }
-
-    #[test]
-    fn accumulates_small_increments_exactly() {
-        let c = VirtualClock::new();
-        for _ in 0..1_000 {
-            c.advance_ps(1_000);
-        }
-        assert_eq!(c.now_ps(), 1_000_000);
-        assert_eq!(c.now_us(), 1.0);
-    }
-
-    #[test]
-    fn reset_returns_to_zero() {
-        let c = VirtualClock::new();
-        c.advance_ps(10_000_000);
-        c.reset();
-        assert_eq!(c.now_ps(), 0);
-    }
-
-    #[test]
-    fn concurrent_advances_are_not_lost() {
-        let c = std::sync::Arc::new(VirtualClock::new());
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let c = c.clone();
-                s.spawn(move || {
-                    for _ in 0..10_000 {
-                        c.advance_ps(10_000);
-                    }
-                });
-            }
-        });
-        assert_eq!(c.now_ps(), 400_000_000);
-        assert_eq!(c.now_us(), 400.0);
+    fn the_clock_is_the_price_of_what_was_counted_and_a_reset_zeroes_it() {
+        let node = MemoryNode::new("m");
+        let r = node.register(64).unwrap();
+        let qp = QueuePair::connect(&node, crate::NetworkModel::connectx6());
+        assert_eq!(qp.clock().now_us(), 0.0);
+        qp.read(r.rkey(), 0, 16).unwrap();
+        qp.faa(r.rkey(), 8, 1).unwrap();
+        qp.fail_next(1);
+        qp.write(r.rkey(), 0, &[1; 4]).unwrap();
+        qp.charge_backoff_ps(1_000);
+        let m = qp.model();
+        let want = 3 * m.base_rtt_ps()
+            + 3 * m.per_wr_ps()
+            + (16 + 8 + 4) * m.ps_per_byte()
+            + m.timeout_ps()
+            + 1_000;
+        assert_eq!(qp.clock().now_ps(), want);
+        qp.reset_measurements();
+        assert_eq!(qp.clock().now_ps(), 0);
     }
 }

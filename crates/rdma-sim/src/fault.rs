@@ -174,8 +174,8 @@ impl QueuePair {
     }
 
     /// Runs the fault/retransmission loop for one verb attempt sequence:
-    /// each dropped attempt charges one base round trip (the timeout) and
-    /// counts a fault; returns `Ok(())` when an attempt goes through, or
+    /// each dropped attempt counts a fault, priced at one base round trip
+    /// (the timeout); returns `Ok(())` when an attempt goes through, or
     /// [`Error::RetriesExhausted`] when the budget is spent.
     pub(crate) fn admit(&self, verb: &'static str) -> Result<()> {
         let state = self.fault_state();
@@ -191,11 +191,10 @@ impl QueuePair {
         Ok(())
     }
 
-    /// Charges dropped attempt number `attempts` of `verb` — one timeout
-    /// and one fault — and returns the error the verb gives up with if it
-    /// was the last.
+    /// Counts dropped attempt number `attempts` of `verb` — one fault,
+    /// which the clock prices at one timeout — and returns the error the
+    /// verb gives up with if it was the last.
     pub(crate) fn drop_attempt(&self, verb: &'static str, attempts: u32) -> Error {
-        self.clock().advance_ps(self.model().timeout_ps());
         self.stats().record_fault();
         Error::RetriesExhausted { verb, attempts }
     }

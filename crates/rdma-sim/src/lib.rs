@@ -6,9 +6,9 @@
 //! the paper's evaluation actually measures: **round trips**, **bytes
 //! moved**, **work-request counts**, and **doorbell consolidation**. Every
 //! one-sided verb is executed against real in-process buffers (reads
-//! return real data, writes mutate it, CAS is atomic under a lock) while a
-//! [`NetworkModel`] charges virtual time to the issuing queue pair's
-//! [`VirtualClock`].
+//! return real data, writes mutate it, CAS is atomic under a lock) while
+//! the issuing queue pair counts what moved, and its [`VirtualClock`] is
+//! the [`NetworkModel`]'s price of those counts.
 //!
 //! # Architecture
 //!
@@ -29,9 +29,9 @@
 //!   a NIC DMAs into a registered buffer. A read with a [`ReadCause`] of
 //!   its own is a one-request doorbell, which costs what a plain read
 //!   costs. All seven verbs are wrappers over one executor, where bytes
-//!   move, cost is charged and counters are written. The crate keeps no
-//!   trace: a caller that traces its posts lays their spans out from the
-//!   clock, the fault count and the model's chunk schedule.
+//!   move and counters are written. The crate keeps no trace: a caller
+//!   that traces its posts lays their spans out from the clock, the fault
+//!   count and the model's chunk schedule.
 //! - Fault injection — [`QueuePair::fail_next`] /
 //!   [`QueuePair::set_fault_rate`] drop attempts which the queue pair
 //!   retransmits like a reliable-connection NIC, charging timeout time
@@ -40,10 +40,12 @@
 //! - [`NetworkModel`] — the cost model, in whole picoseconds: base round
 //!   trip, per-work-request NIC/PCIe overhead and time per payload byte.
 //!   [`NetworkModel::schedule`] is the one chunking rule: what a post of
-//!   `n` requests costs, chunk by chunk.
-//! - [`VirtualClock`] / [`TransferStats`] — per queue pair, the
-//!   measurement plane the benchmark harness reads; the clock is their
-//!   exact price in picoseconds, plus the backoff a caller charged.
+//!   `n` requests costs, chunk by chunk; [`NetworkModel::price`] is what
+//!   a set of counters costs.
+//! - [`TransferStats`] / [`VirtualClock`] — per queue pair, the
+//!   measurement plane the benchmark harness reads: the counters, the
+//!   only ones the crate keeps (a caller's backoff among them), and a
+//!   read-only view of their price in picoseconds.
 //!
 //! # Example
 //!

@@ -2,21 +2,21 @@
 
 use std::ops::Range;
 
-use crate::{Error, Result};
+use crate::{Error, Result, StatsSnapshot};
 
 /// Cost model for one-sided RDMA operations.
 ///
-/// Time is charged in whole picoseconds of virtual time:
+/// Time is priced in whole picoseconds of virtual time:
 ///
 /// ```text
 /// cost(round trip with W work requests moving B bytes)
 ///   = base_rtt_ps + W * per_wr_ps + B * ps_per_byte
 /// ```
 ///
-/// Every parameter is an integer, so a price is exact: nothing rounds
-/// between the model and the clock, and a clock delta is a linear form of
-/// the counters beside it. Microseconds are only ever a rendering of
-/// picoseconds ([`crate::ps_to_us`]).
+/// Every parameter is an integer, so a price is exact, and a queue pair's
+/// clock is no more than [`NetworkModel::price`] of its counters.
+/// Microseconds are only ever a rendering of picoseconds
+/// ([`crate::ps_to_us`]).
 ///
 /// A doorbell batch of `n` work requests executes in
 /// `ceil(n / doorbell_limit)` round trips — posting more WRs than the NIC
@@ -143,8 +143,9 @@ impl NetworkModel {
     /// The chunk schedule of one post of `wrs` work requests, request `i`
     /// moving `len(i)` payload bytes: per doorbell-limit chunk, in post
     /// order, the requests it carries, their bytes and its round trip's
-    /// cost in picoseconds. A queue pair charges a post exactly this, and
-    /// a tracer lays out a post's spans by it.
+    /// cost in picoseconds. A queue pair counts a post chunk by chunk by
+    /// it, so the price of what it counts is these costs' sum, and a
+    /// tracer lays out a post's spans by it.
     pub fn schedule<F: Fn(usize) -> u64>(
         &self,
         wrs: usize,
@@ -163,6 +164,20 @@ impl NetworkModel {
     /// retransmitted: one base round trip.
     pub fn timeout_ps(&self) -> u64 {
         self.base_rtt_ps
+    }
+
+    /// The virtual time `counters` cost, in picoseconds: each round trip,
+    /// work request and payload byte (an atomic moves 8) at this model's
+    /// rates, a timeout per dropped attempt, and the backoff charged.
+    /// Linear, so the price of a snapshot delta is the time between the
+    /// two snapshots; a queue pair's clock is the price of its counters.
+    pub fn price(&self, counters: &StatsSnapshot) -> u64 {
+        let c = counters;
+        c.round_trips * self.base_rtt_ps
+            + c.work_requests * self.per_wr_ps
+            + (c.bytes_read + c.bytes_written + 8 * c.atomics) * self.ps_per_byte
+            + c.faults * self.timeout_ps()
+            + c.backoff_ps
     }
 }
 

@@ -154,9 +154,10 @@ impl Verb<'_> {
 /// A reliable-connection queue pair from a compute instance to one
 /// [`MemoryNode`].
 ///
-/// Every verb executes against the node's real buffers and charges
-/// virtual time to this queue pair's [`VirtualClock`] according to the
-/// [`NetworkModel`]; [`TransferStats`] counts what moved. Verbs take
+/// Every verb executes against the node's real buffers, and
+/// [`TransferStats`] counts what moved; the queue pair keeps no clock of
+/// its own: its [`VirtualClock`] reads the [`NetworkModel`]'s price of
+/// those counters. Verbs take
 /// `&self` — a queue pair may be shared across threads of one compute
 /// instance, exactly like a real thread-safe QP wrapper would be.
 ///
@@ -180,7 +181,6 @@ impl Verb<'_> {
 pub struct QueuePair {
     node: Arc<MemoryNode>,
     model: NetworkModel,
-    clock: VirtualClock,
     stats: TransferStats,
     fault: crate::fault::FaultState,
 }
@@ -191,7 +191,6 @@ impl QueuePair {
         QueuePair {
             node: Arc::clone(node),
             model,
-            clock: VirtualClock::new(),
             stats: TransferStats::new(),
             fault: crate::fault::FaultState::default(),
         }
@@ -202,14 +201,15 @@ impl QueuePair {
     }
 
     /// Charges `ps` of virtual time a caller waits before posting again (a
-    /// retry's backoff): nothing moves on the wire or is counted.
+    /// retry's backoff): counted as `backoff_ps`, and nothing moves on the
+    /// wire.
     pub fn charge_backoff_ps(&self, ps: u64) {
-        self.clock.advance_ps(ps);
+        self.stats.record_backoff(ps);
     }
 
-    /// Zeroes the clock and the transfer counters (between benchmark phases).
+    /// Zeroes the transfer counters, and with them the clock (between
+    /// benchmark phases).
     pub fn reset_measurements(&self) {
-        self.clock.reset();
         self.stats.reset();
     }
 
@@ -348,10 +348,10 @@ impl QueuePair {
     /// applied to its region in request order — `land(i, bytes)` gets a
     /// read's bytes or an atomic's old value while the region is locked;
     /// then per chunk of the model's [`NetworkModel::schedule`] one round
-    /// trip's cost and one count. `doorbell` off is a plain verb: one request, no
-    /// doorbell batch counted. An empty post costs nothing. A post that
-    /// [`QueuePair::cut_nth`] cuts is its prefix, all four steps, and then
-    /// one dropped attempt.
+    /// trip counted, which is what prices it. `doorbell` off is a plain
+    /// verb: one request, no doorbell batch counted. An empty post costs
+    /// nothing. A post that [`QueuePair::cut_nth`] cuts is its prefix, all
+    /// four steps, and then one dropped attempt.
     fn execute(
         &self,
         verb: &'static str,
@@ -403,8 +403,7 @@ impl QueuePair {
         if doorbell && !wrs.is_empty() {
             self.stats.record_doorbell(wrs.len() as u64);
         }
-        for (chunk, _, cost) in self.model.schedule(wrs.len(), |i| wrs[i].target().2) {
-            self.clock.advance_ps(cost);
+        for (chunk, ..) in self.model.schedule(wrs.len(), |i| wrs[i].target().2) {
             // Reads count per cause; the chunk's one trip goes to the read
             // cause carrying the most bytes in it (ties to the lowest
             // cause index), and is uncaused in a chunk that reads nothing.
@@ -434,9 +433,12 @@ impl QueuePair {
         cut.map_or(Ok(()), |_| Err(self.drop_attempt(verb, 1)))
     }
 
-    /// This queue pair's virtual clock.
-    pub fn clock(&self) -> &VirtualClock {
-        &self.clock
+    /// This queue pair's virtual clock: the price of its counters.
+    pub fn clock(&self) -> VirtualClock<'_> {
+        VirtualClock {
+            model: &self.model,
+            stats: &self.stats,
+        }
     }
 
     /// This queue pair's transfer statistics.
@@ -504,9 +506,8 @@ mod tests {
         for _ in 0..5 {
             qp.read(r.rkey(), 0, 8).unwrap();
         }
-        assert_eq!(qp.stats().round_trips(), 5);
-        assert_eq!(qp.stats().work_requests(), 5);
-        assert_eq!(qp.stats().bytes_read(), 40);
+        let s = qp.stats().snapshot();
+        assert_eq!((s.round_trips, s.work_requests, s.bytes_read), (5, 5, 40));
     }
 
     #[test]
@@ -515,9 +516,11 @@ mod tests {
         let reqs: Vec<ReadReq> = (0..8).map(|i| ReadReq::new(r.rkey(), i * 8, 8)).collect();
         let out = qp.read_doorbell(&reqs).unwrap();
         assert_eq!(out.len(), 8);
-        assert_eq!(qp.stats().round_trips(), 1);
-        assert_eq!(qp.stats().work_requests(), 8);
-        assert_eq!(qp.stats().doorbell_batches(), 1);
+        let s = qp.stats().snapshot();
+        assert_eq!(
+            (s.round_trips, s.work_requests, s.doorbell_batches),
+            (1, 8, 1)
+        );
     }
 
     #[test]
@@ -773,7 +776,7 @@ mod tests {
         qp.read(r.rkey(), 0, 3).unwrap();
         assert_eq!(qp.stats().round_trips(), 2 + 3, "two writes, three reads");
         assert_eq!(
-            qp.stats().doorbell_batches(),
+            qp.stats().snapshot().doorbell_batches,
             2,
             "a plain read is no doorbell"
         );
@@ -877,7 +880,7 @@ mod tests {
             Error::RetriesExhausted { verb: "read", .. }
         ));
         assert_eq!((a, b), (vec![1, 2], Vec::new()));
-        assert_eq!(qp.stats().bytes_read(), 0);
+        assert_eq!(qp.stats().snapshot().bytes_read, 0);
     }
 
     #[test]
@@ -943,6 +946,39 @@ mod tests {
                 proptest::prop_assert_eq!(landing.stats().snapshot() - one, alloc.stats().snapshot());
                 proptest::prop_assert_eq!(landing.clock().now_ps(), alloc.clock().now_ps());
             }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// A post's two statements of its cost are one number: the clock
+        /// moves by the price of the post's counter delta, and that is
+        /// the sum of its chunks' costs in the model's `schedule` (what a
+        /// tracer lays its spans out by) plus a timeout per dropped
+        /// attempt.
+        #[test]
+        fn a_posts_price_is_its_scheduled_chunks_plus_its_drops(
+            lens in proptest::prop::collection::vec(0u64..300, 0..40),
+            limit in 1usize..20,
+            drops in 0u32..=crate::DEFAULT_RETRY_LIMIT,
+        ) {
+            let node = MemoryNode::new("m");
+            let r = node.register(300).unwrap();
+            let model = NetworkModel::connectx6().with_doorbell_limit(limit).unwrap();
+            let qp = QueuePair::connect(&node, model);
+            let reqs: Vec<ReadReq> = lens.iter().map(|&len| ReadReq::new(r.rkey(), 0, len)).collect();
+            let (clock0, stats0) = (qp.clock().now_ps(), qp.stats().snapshot());
+            qp.fail_next(drops);
+            qp.read_doorbell(&reqs).unwrap();
+            let delta = qp.stats().snapshot() - stats0;
+            let chunks: u64 = model.schedule(reqs.len(), |i| lens[i]).map(|(.., cost)| cost).sum();
+            // An empty post is never admitted: it drops nothing.
+            let dropped = if reqs.is_empty() { 0 } else { u64::from(drops) };
+            proptest::prop_assert_eq!(delta.faults, dropped);
+            let want = chunks + dropped * model.timeout_ps();
+            proptest::prop_assert_eq!(model.price(&delta), want);
+            proptest::prop_assert_eq!(qp.clock().now_ps() - clock0, want);
         }
     }
 

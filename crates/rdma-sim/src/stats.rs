@@ -89,8 +89,10 @@ impl std::fmt::Display for ReadCause {
 ///
 /// These are the quantities the paper reports directly (round trips per
 /// query, bytes transferred) or that its latency numbers are a function
-/// of. Only a queue pair writes them: its verb executor once per post and
-/// per doorbell-limit chunk, its fault admission the `faults`.
+/// of. Only a queue pair makes and writes them: its verb executor once
+/// per post and per doorbell-limit chunk, its fault admission the
+/// `faults`, a caller's retry the `backoff_ps`. They are the only counters
+/// of the fabric, and its clock is their price ([`crate::VirtualClock`]).
 ///
 /// # Example
 ///
@@ -106,31 +108,37 @@ impl std::fmt::Display for ReadCause {
 /// let delta = qp.stats().snapshot() - before;
 /// assert_eq!((delta.round_trips, delta.bytes_for(ReadCause::Rerank)), (1, 512));
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct TransferStats {
     round_trips: AtomicU64,
     work_requests: AtomicU64,
     doorbell_batches: AtomicU64,
-    doorbell_sizes: DoorbellSizeBuckets,
+    doorbell_sizes: Counts<DOORBELL_SIZE_BUCKETS>,
     bytes_read: AtomicU64,
     bytes_written: AtomicU64,
     atomics: AtomicU64,
     faults: AtomicU64,
-    cause_bytes: CauseArray,
-    cause_wrs: CauseArray,
-    cause_trips: CauseArray,
+    backoff_ps: AtomicU64,
+    cause_bytes: Counts<READ_CAUSES>,
+    cause_wrs: Counts<READ_CAUSES>,
+    cause_trips: Counts<READ_CAUSES>,
 }
 
-/// One `u64` counter per [`ReadCause`].
-#[derive(Debug, Default)]
-struct CauseArray([AtomicU64; READ_CAUSES]);
+/// `N` counters read and zeroed together: one per [`ReadCause`], or per
+/// doorbell size bucket.
+#[derive(Debug)]
+struct Counts<const N: usize>([AtomicU64; N]);
 
-impl CauseArray {
-    fn add(&self, cause: ReadCause, n: u64) {
-        self.0[cause.index()].fetch_add(n, Ordering::Relaxed);
+impl<const N: usize> Counts<N> {
+    fn new() -> Self {
+        Counts(std::array::from_fn(|_| AtomicU64::new(0)))
     }
 
-    fn load(&self) -> [u64; READ_CAUSES] {
+    fn add(&self, i: usize, n: u64) {
+        self.0[i].fetch_add(n, Ordering::Relaxed);
+    }
+
+    fn load(&self) -> [u64; N] {
         std::array::from_fn(|i| self.0[i].load(Ordering::Relaxed))
     }
 
@@ -141,41 +149,29 @@ impl CauseArray {
     }
 }
 
-/// Number of doorbell batch-size buckets: sizes `1, 2, 4, …, 2^14`,
-/// then everything larger.
+/// Number of doorbell batch-size buckets, a power-of-two histogram of
+/// work requests per doorbell ring: bucket `i` counts batches of
+/// `(2^(i-1), 2^i]` (sizes `1, 2, 4, …, 2^14`), and the last also absorbs
+/// anything larger.
 pub const DOORBELL_SIZE_BUCKETS: usize = 16;
 
-/// Power-of-two histogram of doorbell batch sizes (work requests per
-/// doorbell ring). Bucket `i` counts batches of size in
-/// `(2^(i-1), 2^i]`; the last bucket also absorbs anything larger.
-#[derive(Debug, Default)]
-struct DoorbellSizeBuckets([AtomicU64; DOORBELL_SIZE_BUCKETS]);
-
-impl DoorbellSizeBuckets {
-    fn record(&self, size: u64) {
-        let i = if size <= 1 {
-            0
-        } else {
-            (64 - (size - 1).leading_zeros() as usize).min(DOORBELL_SIZE_BUCKETS - 1)
-        };
-        self.0[i].fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn load(&self) -> [u64; DOORBELL_SIZE_BUCKETS] {
-        std::array::from_fn(|i| self.0[i].load(Ordering::Relaxed))
-    }
-
-    fn reset(&self) {
-        for b in &self.0 {
-            b.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
 impl TransferStats {
-    /// Fresh zeroed counters.
-    pub fn new() -> Self {
-        TransferStats::default()
+    /// Fresh zeroed counters, for [`crate::QueuePair::connect`].
+    pub(crate) fn new() -> Self {
+        TransferStats {
+            round_trips: AtomicU64::new(0),
+            work_requests: AtomicU64::new(0),
+            doorbell_batches: AtomicU64::new(0),
+            doorbell_sizes: Counts::new(),
+            bytes_read: AtomicU64::new(0),
+            bytes_written: AtomicU64::new(0),
+            atomics: AtomicU64::new(0),
+            faults: AtomicU64::new(0),
+            backoff_ps: AtomicU64::new(0),
+            cause_bytes: Counts::new(),
+            cause_wrs: Counts::new(),
+            cause_trips: Counts::new(),
+        }
     }
 
     /// Records one network round trip, attributed to `cause` when it
@@ -184,7 +180,7 @@ impl TransferStats {
     pub(crate) fn record_trip(&self, cause: Option<ReadCause>) {
         self.round_trips.fetch_add(1, Ordering::Relaxed);
         if let Some(cause) = cause {
-            self.cause_trips.add(cause, 1);
+            self.cause_trips.add(cause.index(), 1);
         }
     }
 
@@ -194,8 +190,8 @@ impl TransferStats {
     pub(crate) fn record_read_cause(&self, cause: ReadCause, wrs: u64, bytes: u64) {
         self.work_requests.fetch_add(wrs, Ordering::Relaxed);
         self.bytes_read.fetch_add(bytes, Ordering::Relaxed);
-        self.cause_wrs.add(cause, wrs);
-        self.cause_bytes.add(cause, bytes);
+        self.cause_wrs.add(cause.index(), wrs);
+        self.cause_bytes.add(cause.index(), bytes);
     }
 
     /// Records write work: `wrs` work requests totalling `bytes` outbound.
@@ -207,7 +203,9 @@ impl TransferStats {
     /// Records one doorbell batch submission of `size` work requests.
     pub(crate) fn record_doorbell(&self, size: u64) {
         self.doorbell_batches.fetch_add(1, Ordering::Relaxed);
-        self.doorbell_sizes.record(size);
+        let bucket = 64 - size.saturating_sub(1).leading_zeros() as usize;
+        self.doorbell_sizes
+            .add(bucket.min(DOORBELL_SIZE_BUCKETS - 1), 1);
     }
 
     /// Records one faulted (dropped and retransmitted) verb attempt.
@@ -218,6 +216,11 @@ impl TransferStats {
     /// Total faulted attempts observed.
     pub fn faults(&self) -> u64 {
         self.faults.load(Ordering::Relaxed)
+    }
+
+    /// Records `ps` of backoff a caller waited before posting again.
+    pub(crate) fn record_backoff(&self, ps: u64) {
+        self.backoff_ps.fetch_add(ps, Ordering::Relaxed);
     }
 
     /// Records one atomic verb (CAS or FAA).
@@ -231,31 +234,6 @@ impl TransferStats {
         self.round_trips.load(Ordering::Relaxed)
     }
 
-    /// Total work requests posted.
-    pub fn work_requests(&self) -> u64 {
-        self.work_requests.load(Ordering::Relaxed)
-    }
-
-    /// Total doorbell batches posted.
-    pub fn doorbell_batches(&self) -> u64 {
-        self.doorbell_batches.load(Ordering::Relaxed)
-    }
-
-    /// Total bytes read from remote memory.
-    pub fn bytes_read(&self) -> u64 {
-        self.bytes_read.load(Ordering::Relaxed)
-    }
-
-    /// Total bytes written to remote memory.
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes_written.load(Ordering::Relaxed)
-    }
-
-    /// Total atomic verbs executed.
-    pub fn atomics(&self) -> u64 {
-        self.atomics.load(Ordering::Relaxed)
-    }
-
     /// Zeroes every counter ([`crate::QueuePair::reset_measurements`]).
     pub(crate) fn reset(&self) {
         self.round_trips.store(0, Ordering::Relaxed);
@@ -266,6 +244,7 @@ impl TransferStats {
         self.bytes_written.store(0, Ordering::Relaxed);
         self.atomics.store(0, Ordering::Relaxed);
         self.faults.store(0, Ordering::Relaxed);
+        self.backoff_ps.store(0, Ordering::Relaxed);
         self.cause_bytes.reset();
         self.cause_wrs.reset();
         self.cause_trips.reset();
@@ -273,15 +252,17 @@ impl TransferStats {
 
     /// A point-in-time copy of all counters.
     pub fn snapshot(&self) -> StatsSnapshot {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         StatsSnapshot {
-            round_trips: self.round_trips(),
-            work_requests: self.work_requests(),
-            doorbell_batches: self.doorbell_batches(),
+            round_trips: load(&self.round_trips),
+            work_requests: load(&self.work_requests),
+            doorbell_batches: load(&self.doorbell_batches),
             doorbell_size_buckets: self.doorbell_sizes.load(),
-            bytes_read: self.bytes_read(),
-            bytes_written: self.bytes_written(),
-            atomics: self.atomics(),
-            faults: self.faults(),
+            bytes_read: load(&self.bytes_read),
+            bytes_written: load(&self.bytes_written),
+            atomics: load(&self.atomics),
+            faults: load(&self.faults),
+            backoff_ps: load(&self.backoff_ps),
             cause_bytes: self.cause_bytes.load(),
             cause_wrs: self.cause_wrs.load(),
             cause_trips: self.cause_trips.load(),
@@ -311,6 +292,9 @@ pub struct StatsSnapshot {
     pub atomics: u64,
     /// Total faulted (dropped and retransmitted) verb attempts.
     pub faults: u64,
+    /// Picoseconds of backoff callers charged between posts
+    /// ([`crate::QueuePair::charge_backoff_ps`]): waiting, not traffic.
+    pub backoff_ps: u64,
     /// Bytes read per [`ReadCause`] (indexed by [`ReadCause::index`]);
     /// sums to `bytes_read`.
     pub cause_bytes: [u64; READ_CAUSES],
@@ -352,6 +336,7 @@ impl std::ops::Sub for StatsSnapshot {
             bytes_written: self.bytes_written.saturating_sub(rhs.bytes_written),
             atomics: self.atomics.saturating_sub(rhs.atomics),
             faults: self.faults.saturating_sub(rhs.faults),
+            backoff_ps: self.backoff_ps.saturating_sub(rhs.backoff_ps),
             cause_bytes: each(self.cause_bytes, rhs.cause_bytes),
             cause_wrs: each(self.cause_wrs, rhs.cause_wrs),
             cause_trips: each(self.cause_trips, rhs.cause_trips),
@@ -372,12 +357,10 @@ mod tests {
         s.record_write(1, 50);
         s.record_doorbell(3);
         s.record_atomic();
-        assert_eq!(s.round_trips(), 2);
-        assert_eq!(s.work_requests(), 5);
-        assert_eq!(s.bytes_read(), 100);
-        assert_eq!(s.bytes_written(), 50);
-        assert_eq!(s.doorbell_batches(), 1);
-        assert_eq!(s.atomics(), 1);
+        let snap = s.snapshot();
+        assert_eq!((snap.round_trips, snap.work_requests), (2, 5));
+        assert_eq!((snap.bytes_read, snap.bytes_written), (100, 50));
+        assert_eq!((snap.doorbell_batches, snap.atomics), (1, 1));
     }
 
     #[test]
@@ -386,6 +369,7 @@ mod tests {
         s.record_read_cause(ReadCause::Other, 3, 100);
         s.record_trip(Some(ReadCause::Other));
         s.record_doorbell(7);
+        s.record_backoff(9);
         s.reset();
         assert_eq!(s.snapshot(), StatsSnapshot::default());
     }
@@ -472,6 +456,7 @@ mod tests {
         s.record_doorbell(2);
         s.record_atomic();
         s.record_fault();
+        s.record_backoff(5);
         let before = s.snapshot();
         // Another thread's `reset` between the two reads, as
         // `reset_measurements()` can land inside a `query_batch`.
@@ -521,7 +506,7 @@ mod tests {
                 });
             }
         });
-        assert_eq!(s.work_requests(), 4_000);
-        assert_eq!(s.bytes_read(), 32_000);
+        let snap = s.snapshot();
+        assert_eq!((snap.work_requests, snap.bytes_read), (4_000, 32_000));
     }
 }

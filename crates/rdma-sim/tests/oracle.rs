@@ -2,11 +2,12 @@
 //! doorbelled posts — doorbell limit 1 to 8, fault drops inside and past
 //! the retransmission budget, cuts after a prefix of a post's work
 //! requests, writes and atomics mixed in one doorbell, the odd
-//! out-of-bounds or misaligned request — against a shadow that shares no
-//! code with the crate: a byte array per region, the clock summed in
-//! integer picoseconds from the closed form `base_rtt + wrs * per_wr +
-//! bytes * ps_per_byte`, and every [`StatsSnapshot`] field moved by
-//! hand. After every call the returned bytes or old values, what a cut
+//! out-of-bounds or misaligned request, a caller's backoff between posts
+//! — against a shadow that shares no code with the crate: a byte array
+//! per region, the clock summed in integer picoseconds from the closed
+//! form `base_rtt + wrs * per_wr + bytes * ps_per_byte` (a timeout per
+//! drop, each backoff as charged), and every [`StatsSnapshot`] field
+//! moved by hand. After every call the returned bytes or old values, what a cut
 //! prefix landed, each region, the whole snapshot and the virtual clock
 //! must match it.
 
@@ -274,6 +275,12 @@ proptest! {
                 let (skip, at) = (rng.below(3) as u32, rng.below(6) as u32);
                 qp.cut_nth(Some((skip, at)));
                 shadow.cut = Some((skip, at));
+            }
+            if rng.below(8) == 0 {
+                let ps = rng.below(1 << 24);
+                qp.charge_backoff_ps(ps);
+                shadow.picos += ps;
+                shadow.stats.backoff_ps += ps;
             }
             let bad = rng.below(16) == 0;
             let before = qp.stats().snapshot();

@@ -301,12 +301,15 @@ fi
 # and the batch body hold the trace and write the spans), and virtual
 # time in f64 microseconds (the clock's truncating mutator, the model's
 # microsecond price, the backoff's microsecond charge and constant: time
-# is whole picoseconds and only rendered in microseconds)
+# is whole picoseconds and only rendered in microseconds), and the
+# clock's own accumulator (its mutator and constructor, and any atomic in
+# clock.rs: the clock is a view that prices the queue pair's counters)
 # stay gone (four roots, so the guard does not match itself; identifiers
 # only, so the refusal tests may still spell the deleted flags).
 echo "==> no deleted duplicate is back"
-if grep -rnE 'QueryTrace|TailRecord|TraceRing|ShardedStore|ShardedSession|LoadBalancer|DispatchPolicy|bench_regress|BENCH_baseline|DHNSW_BENCH_1M|poll_cq|ring_doorbell|BruteForceIndex|clustering_tendency|verdict_index|set_milli|take_flush_delta|dhnsw_health_|dhnsw_heat_|dhnsw_tail_|dhnsw_cache_hits_total|dhnsw_cache_misses_total|WindowState|TraceSpec|service_stats|\bexecute_reads\b|\bexecute_writes\b|emit_plain|emit_verb|write_doorbell|graph_report|GraphReport|into_flat|read_bvecs|write_ivecs|region_count|window_handles|tick_series|tracer_env|from_env|AnomalyConfig|classify_all|search_filtered|read_ivecs|prefetch_hot|set_pipeline_depth|with_pipeline_depth|set_prefetch_budget_bytes|with_prefetch_budget_bytes|stage_loads|PIPELINE_HIDDEN_US|hidden_ratio|pipeline_sweep|ReadCause::Prefetch|JsonParser|parse_snapshot|TopSnapshot|extend_candidates|keep_pruned|window_start|Window::between|window_p99_us|window_hit_rate|begin_batch|DECAY_PER_BATCH|hotness|cmd_metrics|set_slow_threshold_us|slow_threshold_us|slow_log|render_tree|render_plain|finish_trace|SlowEntry|has_spans|fold_phases|BucketExemplar|bucket_exemplars|apply_trace_flags|snapshot_json|ProfileAccumulator|fold_trace|route_hit_counts|CacheHealth|LatencyHealth|ReliabilityHealth|TailHealth|dhnsw_rdma_bytes_read_total|dhnsw_loader_transfers_saved_total|ReadPolicy|\bread_into\b|read_with_cause|policy\.doorbell|build_clusters|ClusterBlobs|TraceSink|QpSpanSink|VerbSpan|WqeSpan|FaultEvent|set_trace_sink|enter_scope|emit_scope_instant|split_chunk_intervals|advance_us|round_trip_cost_us|charge_backoff_us|RETRY_BACKOFF_US' \
-  crates src tests examples || [[ -e scripts/bench.sh ]]; then
+if grep -rnE 'QueryTrace|TailRecord|TraceRing|ShardedStore|ShardedSession|LoadBalancer|DispatchPolicy|bench_regress|BENCH_baseline|DHNSW_BENCH_1M|poll_cq|ring_doorbell|BruteForceIndex|clustering_tendency|verdict_index|set_milli|take_flush_delta|dhnsw_health_|dhnsw_heat_|dhnsw_tail_|dhnsw_cache_hits_total|dhnsw_cache_misses_total|WindowState|TraceSpec|service_stats|\bexecute_reads\b|\bexecute_writes\b|emit_plain|emit_verb|write_doorbell|graph_report|GraphReport|into_flat|read_bvecs|write_ivecs|region_count|window_handles|tick_series|tracer_env|from_env|AnomalyConfig|classify_all|search_filtered|read_ivecs|prefetch_hot|set_pipeline_depth|with_pipeline_depth|set_prefetch_budget_bytes|with_prefetch_budget_bytes|stage_loads|PIPELINE_HIDDEN_US|hidden_ratio|pipeline_sweep|ReadCause::Prefetch|JsonParser|parse_snapshot|TopSnapshot|extend_candidates|keep_pruned|window_start|Window::between|window_p99_us|window_hit_rate|begin_batch|DECAY_PER_BATCH|hotness|cmd_metrics|set_slow_threshold_us|slow_threshold_us|slow_log|render_tree|render_plain|finish_trace|SlowEntry|has_spans|fold_phases|BucketExemplar|bucket_exemplars|apply_trace_flags|snapshot_json|ProfileAccumulator|fold_trace|route_hit_counts|CacheHealth|LatencyHealth|ReliabilityHealth|TailHealth|dhnsw_rdma_bytes_read_total|dhnsw_loader_transfers_saved_total|ReadPolicy|\bread_into\b|read_with_cause|policy\.doorbell|build_clusters|ClusterBlobs|TraceSink|QpSpanSink|VerbSpan|WqeSpan|FaultEvent|set_trace_sink|enter_scope|emit_scope_instant|split_chunk_intervals|advance_us|round_trip_cost_us|charge_backoff_us|RETRY_BACKOFF_US|advance_ps|VirtualClock::new' \
+  crates src tests examples || grep -n Atomic crates/rdma-sim/src/clock.rs \
+  || [[ -e scripts/bench.sh ]]; then
   echo "check.sh: a deleted duplicate is back (the lines above, or scripts/bench.sh)" >&2
   exit 1
 fi
